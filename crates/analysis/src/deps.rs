@@ -76,15 +76,13 @@ pub fn cross_iteration_overlap(
     // `i2 < i1` system is the `i1 < i2` system under the variable bijection
     // swapping the two iteration copies, so one direction decides both.
     let symmetric = !ordered && std::ptr::eq(a, b);
-    if suif_poly::staged_emptiness_enabled() {
-        // Subscript-level quick ladder (constant-difference / GCD /
-        // Banerjee): when every pair of disjuncts provably accesses
-        // different elements in some dimension, there is no overlap and no
-        // joint system needs to be built — let alone eliminated.
-        let lt_gone = quick_order_disjoint(&ca, &cb, i1, i2, iter);
-        if lt_gone && (ordered || symmetric || quick_order_disjoint(&cb, &ca, i2, i1, iter)) {
-            return false;
-        }
+    // Subscript-level quick ladder (constant-difference / GCD / Banerjee):
+    // when every pair of disjuncts provably accesses different elements in
+    // some dimension, there is no overlap and no joint system needs to be
+    // built — let alone eliminated.
+    let lt_gone = quick_order_disjoint(&ca, &cb, i1, i2, iter);
+    if lt_gone && (ordered || symmetric || quick_order_disjoint(&cb, &ca, i2, i1, iter)) {
+        return false;
     }
     let mut joint = ca.set.intersect(&cb.set);
     for c in bounds_constraints(iter, i1) {

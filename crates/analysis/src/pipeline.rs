@@ -883,8 +883,9 @@ impl Executor {
     /// atomic counter until exhausted.  With one worker (or one item) the
     /// work runs inline on the calling thread — no spawn overhead, identical
     /// results either way.  Work sets below [`INLINE_FAN_OUT_FLOOR`] also run
-    /// inline: BENCH_3 measured 0.75–0.91x on tiny apps where thread spawn
-    /// and claim-counter traffic cost more than the work itself.
+    /// inline: `docs/bench-history/BENCH_3.json` measured 0.75–0.91x on tiny
+    /// apps where thread spawn and claim-counter traffic cost more than the
+    /// work itself.
     pub fn run(&self, n: usize, work: impl Fn(usize) + Sync) -> ExecStats {
         let t0 = Instant::now();
         let workers = if n < INLINE_FAN_OUT_FLOOR {

@@ -61,33 +61,23 @@ impl<'p> Explorer<'p> {
         config: ParallelizeConfig,
         input: Vec<f64>,
     ) -> Result<Explorer<'p>, ExplorerError> {
-        Self::with_schedule(program, config, input, &ScheduleOptions::sequential(), None)
-            .map(|(ex, _)| ex)
-    }
-
-    /// Start with an explicit bottom-up schedule (parallel workers) and an
-    /// optional cross-run summary cache (the daemon's incremental path).
-    /// Also returns the analysis timing/cache statistics.
-    pub fn with_schedule(
-        program: &'p Program,
-        config: ParallelizeConfig,
-        input: Vec<f64>,
-        opts: &ScheduleOptions,
-        cache: Option<&SummaryCache>,
-    ) -> Result<(Explorer<'p>, AnalyzeStats), ExplorerError> {
         Self::with_store(
             program,
             config,
             input,
-            opts,
-            cache,
+            &ScheduleOptions::sequential(),
+            None,
             Arc::new(FactStore::new()),
         )
+        .map(|(ex, _)| ex)
     }
 
     /// Start against a shared [`FactStore`] (the daemon's resident path):
     /// every static pass is demanded through `store`, so facts surviving a
     /// reload or an assertion replay are reused instead of recomputed.
+    /// `opts` is the bottom-up schedule (parallel workers) and `cache` an
+    /// optional cross-run summary cache (the daemon's incremental path).
+    /// Also returns the analysis timing/cache statistics.
     pub fn with_store(
         program: &'p Program,
         config: ParallelizeConfig,

@@ -41,7 +41,6 @@
 
 mod constraint;
 mod expr;
-mod legacy;
 mod polyhedron;
 mod polyset;
 mod section;
@@ -51,8 +50,7 @@ pub use constraint::{Constraint, ConstraintKind};
 pub use expr::{LinExpr, Var};
 pub use polyhedron::{
     clear_prove_empty_cache, export_prove_empty_memo, import_prove_empty_memo, poly_stats,
-    prove_empty_cache_counters, set_staged_emptiness, staged_emptiness_enabled,
-    subscript_pair_disjoint, PolyStats, Polyhedron,
+    prove_empty_cache_counters, subscript_pair_disjoint, PolyStats, Polyhedron,
 };
 pub use polyset::PolySet;
 pub use section::{ArrayId, Section};

@@ -5,7 +5,7 @@ use crate::expr::{gcd, LinExpr, Var};
 use crate::MAX_CONSTRAINTS;
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A (possibly unbounded) convex integer polyhedron: the conjunction of a
 /// set of linear constraints.
@@ -132,14 +132,10 @@ impl Polyhedron {
         }
         if self.constraints.len() >= MAX_CONSTRAINTS {
             // Give simplification a chance to shrink the system before
-            // approximating the new constraint away.  Pre-overhaul builds
-            // dropped immediately; that path stays reachable through the
-            // staging toggle for before/after benchmarking.
-            if staged_emptiness_enabled() {
-                self.local_simplify();
-                if self.empty || self.constraints.contains(&c) {
-                    return;
-                }
+            // approximating the new constraint away.
+            self.local_simplify();
+            if self.empty || self.constraints.contains(&c) {
+                return;
             }
             if self.constraints.len() >= MAX_CONSTRAINTS {
                 // Sound for may-sets: dropping a constraint only enlarges.
@@ -388,17 +384,10 @@ impl Polyhedron {
     /// generating the fewest Fourier–Motzkin cross products, which delays
     /// constraint blow-up far better than an arbitrary variable order.
     pub fn project_out_all(&self, pred: impl Fn(Var) -> bool) -> Polyhedron {
-        let staged = staged_emptiness_enabled();
         let mut p = self.clone();
         loop {
-            let vars = p.vars();
-            let mut candidates = vars.into_iter().filter(|&v| pred(v));
-            let v = if staged {
-                candidates.min_by_key(|&v| p.elim_cost(v))
-            } else {
-                candidates.next()
-            };
-            let Some(v) = v else {
+            let candidates = p.vars().into_iter().filter(|&v| pred(v));
+            let Some(v) = candidates.min_by_key(|&v| p.elim_cost(v)) else {
                 return p;
             };
             p = p.project_out(v);
@@ -550,15 +539,6 @@ impl Polyhedron {
     /// ladder computes the same answers as always-full-FM (pinned by the
     /// `prop_linexpr.rs` property suite).
     fn prove_empty_uncached(&self) -> bool {
-        if !staged_emptiness_enabled() {
-            // The baseline configuration routes the proof through the
-            // executable pre-overhaul kernel ([`crate::legacy`]) —
-            // `BTreeMap` expressions, fewest-occurrences elimination order,
-            // always-full FM — so before/after benchmarks compare against
-            // the representation and algorithms this overhaul replaced, not
-            // just the stages a flag can skip.
-            return crate::legacy::prove_empty_of(self);
-        }
         // Stage 0: pairwise contradictions — e + c1 >= 0 ∧ -e + c2 >= 0 with
         // c1 + c2 < 0 — pre-filtered by the negated-part fingerprint.
         if self.pairwise_contradiction() {
@@ -958,10 +938,6 @@ impl Polyhedron {
         if self.empty || self.constraints.len() <= 1 {
             return;
         }
-        if !staged_emptiness_enabled() {
-            self.legacy_local_simplify();
-            return;
-        }
         // Sort by fingerprint prefix rather than full `Ord`: the grouping
         // pass below only needs (a) equal constraints adjacent for `dedup`
         // and (b) constants ascending within a variable-part group, both of
@@ -1070,50 +1046,6 @@ impl Polyhedron {
             kept.push(Some(c));
         }
         self.constraints = kept.into_iter().flatten().collect();
-    }
-
-    /// The pre-overhaul simplifier, kept behind the staging toggle
-    /// ([`set_staged_emptiness`]) so the before/after benchmark exercises
-    /// the kernel path it claims to measure: full-`Ord` sort and dedup, an
-    /// O(n²) same-part inequality dominance scan driven by expression
-    /// subtraction, and an O(n²) opposite-part contradiction fold.
-    fn legacy_local_simplify(&mut self) {
-        self.constraints.sort_unstable();
-        self.constraints.dedup();
-        let mut keep: Vec<Constraint> = Vec::with_capacity(self.constraints.len());
-        'outer: for c in std::mem::take(&mut self.constraints) {
-            if c.kind == ConstraintKind::GeqZero {
-                for k in &mut keep {
-                    if k.kind == ConstraintKind::GeqZero {
-                        let d = c.expr.sub(&k.expr);
-                        if d.is_constant() {
-                            if d.constant_part() >= 0 {
-                                continue 'outer; // c is weaker; drop it
-                            }
-                            *k = c.clone(); // c is stronger; replace k
-                            continue 'outer;
-                        }
-                    }
-                }
-            }
-            keep.push(c);
-        }
-        self.constraints = keep;
-        for (i, a) in self.constraints.iter().enumerate() {
-            for b in &self.constraints[i + 1..] {
-                if a.kind == ConstraintKind::GeqZero
-                    && b.kind == ConstraintKind::GeqZero
-                    && neg_var_parts(&a.expr, &b.expr)
-                    && a.expr
-                        .constant_part()
-                        .saturating_add(b.expr.constant_part())
-                        < 0
-                {
-                    *self = Polyhedron::bottom();
-                    return;
-                }
-            }
-        }
     }
 
     /// Check membership of a concrete point.
@@ -1333,7 +1265,6 @@ static QUICK_SATS: AtomicU64 = AtomicU64::new(0);
 static FM_RUNS: AtomicU64 = AtomicU64::new(0);
 static APPROXIMATIONS: AtomicU64 = AtomicU64::new(0);
 static SUBSCRIPT_REJECTS: AtomicU64 = AtomicU64::new(0);
-static STAGED_EMPTINESS: AtomicBool = AtomicBool::new(true);
 
 /// Process-wide kernel counters: how each `prove_empty` query was resolved,
 /// plus how often the constraint budget forced an approximation.
@@ -1457,20 +1388,6 @@ pub fn subscript_pair_disjoint(
         }
     }
     false
-}
-
-/// Enable or disable the staged emptiness ladder (and the min-product
-/// elimination order that rides with it).  Disabling reverts `prove_empty`
-/// to always-full-FM with the legacy fewest-occurrences order — the
-/// pre-overhaul kernel — for before/after benchmarking and the
-/// staged-vs-full agreement property test.  On by default.
-pub fn set_staged_emptiness(on: bool) {
-    STAGED_EMPTINESS.store(on, Ordering::Relaxed);
-}
-
-/// Whether the staged emptiness ladder is enabled.
-pub fn staged_emptiness_enabled() -> bool {
-    STAGED_EMPTINESS.load(Ordering::Relaxed)
 }
 
 /// Clear the emptiness-proof memo (benchmark support: keeps timing

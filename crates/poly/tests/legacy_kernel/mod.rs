@@ -2,26 +2,27 @@
 //!
 //! This module preserves the kernel the overhaul replaced — `BTreeMap`-backed
 //! expressions, no precomputed fingerprints, O(n²) subtraction-driven
-//! simplification, fewest-occurrences Fourier–Motzkin elimination order, and
-//! no staged emptiness ladder — ported verbatim from the pre-overhaul
-//! sources, minus the memo (the caller's memo wraps both kernels).
+//! simplification, fewest-occurrences Fourier–Motzkin elimination order, no
+//! staged emptiness ladder and no memo — ported verbatim from the
+//! pre-overhaul sources.
 //!
-//! It serves two purposes:
-//!
-//! * **Honest before/after benchmarking.** When the staging toggle
-//!   ([`crate::set_staged_emptiness`]) is off, [`prove_empty_of`] routes
-//!   emptiness proofs through this kernel, so the benchmark's baseline
-//!   configuration pays the representation costs the overhaul removed —
-//!   not just the algorithmic ones a flag can switch.
-//! * **Differential testing.** Both kernels answer the same question
-//!   ("provably empty over ℤ?"), so property tests can compare their
-//!   verdicts on random systems; divergence is only legal where the staged
-//!   ladder is strictly more precise.
+//! It is a test oracle, not a mode of the library: both kernels answer the
+//! same question ("provably empty over ℤ?"), so `prop_linexpr.rs` compares
+//! their verdicts on random systems by calling [`prove_empty_of`] directly;
+//! divergence is only legal where the staged ladder is strictly more
+//! precise.  It reads the library's kernel only through `Polyhedron`'s
+//! public accessors.
 
-use crate::constraint::ConstraintKind;
-use crate::expr::{gcd, Var};
-use crate::MAX_CONSTRAINTS;
 use std::collections::{BTreeMap, BTreeSet};
+use suif_poly::{ConstraintKind, Var, MAX_CONSTRAINTS};
+
+fn gcd(a: i64, b: i64) -> i64 {
+    let (mut a, mut b) = (a.abs(), b.abs());
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
 
 /// The pre-overhaul affine expression: a `BTreeMap` of terms, heap-allocated
 /// per expression, with no inline storage and no fingerprints.
@@ -674,9 +675,8 @@ impl Polyhedron {
 
 /// Prove emptiness of an overhauled-kernel polyhedron with the pre-overhaul
 /// kernel: convert the (already normalized) constraints into the `BTreeMap`
-/// representation and run the old pipeline end to end.  Called under the
-/// memo, exactly like the staged ladder.
-pub(crate) fn prove_empty_of(p: &crate::polyhedron::Polyhedron) -> bool {
+/// representation and run the old pipeline end to end.
+pub fn prove_empty_of(p: &suif_poly::Polyhedron) -> bool {
     if p.is_proven_empty() {
         return true;
     }

@@ -10,9 +10,11 @@
 //!
 //! The second group differentially tests the staged `prove_empty` ladder
 //! (GCD / interval / quick-sat, then Fourier–Motzkin) against the executable
-//! pre-overhaul kernel (`suif_poly::legacy`, selected by turning the staging
-//! toggle off): on random small polyhedra both kernels must return the same
-//! verdict, up to provably-sound precision differences.
+//! pre-overhaul kernel (`legacy_kernel`, a module of this test binary): on
+//! random small polyhedra both kernels must return the same verdict, up to
+//! provably-sound precision differences.
+
+mod legacy_kernel;
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -237,8 +239,8 @@ fn grid_clean(p: &Polyhedron) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(160))]
 
-    /// The staged ladder and the pre-overhaul kernel (`suif_poly::legacy`,
-    /// routed via the toggle) reach the same `prove_empty` verdict on random
+    /// The staged ladder and the pre-overhaul kernel (`legacy_kernel`,
+    /// called directly) reach the same `prove_empty` verdict on random
     /// polyhedra — except where integrality makes them legitimately differ
     /// in *precision*: the two kernels run different elimination orders and
     /// modular tests (rational FM is blind to integrality), so one may prove
@@ -250,15 +252,8 @@ proptest! {
         cs in prop::collection::vec(constraint(), 0..6),
     ) {
         let p = Polyhedron::from_constraints(cs);
-        // The memo is mode-oblivious; clear it between configurations so
-        // the second run cannot answer from the first run's entries.
-        suif_poly::clear_prove_empty_cache();
-        suif_poly::set_staged_emptiness(false);
-        let legacy = p.prove_empty();
-        suif_poly::clear_prove_empty_cache();
-        suif_poly::set_staged_emptiness(true);
+        let legacy = legacy_kernel::prove_empty_of(&p);
         let staged = p.prove_empty();
-        suif_poly::clear_prove_empty_cache();
         if staged != legacy {
             prop_assert!(
                 grid_clean(&p),

@@ -293,24 +293,8 @@ impl Daemon {
     /// A single-tenant daemon with `threads` scheduler workers (`0` = one
     /// per core), speculative pre-classification off, and no persistence.
     pub fn new(threads: usize) -> Daemon {
-        Daemon::with_speculation(threads, 0)
-    }
-
-    /// [`Daemon::new`] plus a speculation budget: after each `guru`
-    /// response, the facts of up to `speculate` top-ranked loops are
-    /// demanded on a background thread.
-    pub fn with_speculation(threads: usize, speculate: usize) -> Daemon {
-        Daemon::with_options(threads, speculate, None)
-    }
-
-    /// [`Daemon::with_speculation`] plus an optional persist directory for
-    /// durable fact snapshots (crash-safe warm starts across daemon
-    /// restarts).
-    pub fn with_options(threads: usize, speculate: usize, persist_dir: Option<PathBuf>) -> Daemon {
         Daemon::for_state(ServiceState::new(ServiceOptions {
             threads,
-            speculate,
-            persist_dir,
             ..ServiceOptions::default()
         }))
     }
@@ -643,24 +627,7 @@ impl Drop for Daemon {
     }
 }
 
-/// Serve on stdin/stdout until `quit` or EOF.  `certify_seed` is the
-/// default base seed for `certify` requests without one (`--certify-seed`).
-pub fn serve_stdio(
-    threads: usize,
-    speculate: usize,
-    persist_dir: Option<PathBuf>,
-    certify_seed: u64,
-) -> io::Result<()> {
-    serve_stdio_with(ServiceOptions {
-        threads,
-        speculate,
-        persist_dir,
-        certify_seed,
-        ..ServiceOptions::default()
-    })
-}
-
-/// [`serve_stdio`] over full [`ServiceOptions`] (budgets and admission
+/// Serve on stdin/stdout until `quit` or EOF (budgets and admission
 /// control apply to the one stdio session too).
 pub fn serve_stdio_with(options: ServiceOptions) -> io::Result<()> {
     let mut daemon = Daemon::for_state(ServiceState::new(options));
@@ -851,6 +818,11 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free_slots: Vec<usize> = Vec::new();
     let mut inflight: Vec<bool> = Vec::new();
+    // Jobs submitted whose completion has not been popped yet.  The exit
+    // test reads this, not the pool's counters: a worker rings the wake
+    // pipe before the pool counts its job as finished, so the reactor could
+    // see the ring, find the pool still busy, and sleep out the heartbeat.
+    let mut jobs_out = 0usize;
     let mut generation: u64 = 0;
     let mut events: Vec<Event> = Vec::new();
     let mut listening = true;
@@ -986,6 +958,7 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
         loop {
             let done = completions.lock().unwrap().pop_front();
             let Some(done) = done else { break };
+            jobs_out -= 1;
             let Some(conn) = conns.get_mut(done.slot).and_then(Option::as_mut) else {
                 continue; // connection died mid-job; Daemon drops here
             };
@@ -1035,7 +1008,9 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
                     let frames: Vec<Frame> = conn.inbox.drain(..).collect();
                     let gen = conn.generation;
                     let completions = Arc::clone(&completions);
+                    let waker = waker.clone();
                     inflight[slot] = true;
+                    jobs_out += 1;
                     state.reactor.offloaded.fetch_add(1, Ordering::Relaxed);
                     state.workers.submit(move || {
                         let (bytes, close) = daemon.run_frames(&frames);
@@ -1064,10 +1039,7 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
             }
         }
 
-        if state.shutting_down()
-            && conns.iter().all(Option::is_none)
-            && state.workers.pending() == 0
-        {
+        if state.shutting_down() && conns.iter().all(Option::is_none) && jobs_out == 0 {
             break;
         }
     }
@@ -1079,27 +1051,6 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
         eprintln!("warning: final checkpoint failed: {e}");
     }
     Ok(())
-}
-
-/// [`serve_tcp_with`] under legacy single-knob options (no admission limit,
-/// unbounded budgets).
-pub fn serve_tcp(
-    addr: &str,
-    threads: usize,
-    speculate: usize,
-    persist_dir: Option<PathBuf>,
-    certify_seed: u64,
-) -> io::Result<()> {
-    serve_tcp_with(
-        addr,
-        ServiceOptions {
-            threads,
-            speculate,
-            persist_dir,
-            certify_seed,
-            ..ServiceOptions::default()
-        },
-    )
 }
 
 #[cfg(test)]

@@ -87,14 +87,11 @@ impl Json {
 
     /// Parse a complete JSON document from `text`.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != p.text.len() {
             return Err(p.err("trailing data after JSON value"));
         }
         Ok(v)
@@ -171,7 +168,7 @@ impl fmt::Display for ParseError {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
@@ -181,7 +178,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -200,7 +197,7 @@ impl Parser<'_> {
     }
 
     fn lit(&mut self, word: &str, v: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -295,7 +292,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
+                                .as_bytes()
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
                             let hex =
@@ -312,13 +310,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Copy a full UTF-8 scalar at once.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape in
+                    // one slice.  Both delimiters are ASCII, so the run
+                    // ends on a character boundary of the input `&str`.
+                    let rest = &self.text[self.pos..];
+                    let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+                    out.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }
@@ -335,8 +333,8 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(Json::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -369,5 +367,43 @@ mod tests {
         assert!(Json::parse("{").is_err());
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
+        // Multi-byte runs around escapes, `\u`, and rejected escapes.
+        let v = Json::parse(r#""é\u0041日本\\ü\/""#).unwrap();
+        assert_eq!(v.as_str(), Some("éA日本\\ü/"));
+        assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+        assert_eq!(Json::parse(r#""\q""#).unwrap_err().msg, "bad escape");
+        assert_eq!(Json::parse(r#""\é""#).unwrap_err().msg, "bad escape");
+        assert_eq!(
+            Json::parse(r#""\u12"#).unwrap_err().msg,
+            "truncated \\u escape"
+        );
+        assert_eq!(Json::parse(r#""\u12é""#).unwrap_err().msg, "bad \\u escape");
+        assert_eq!(Json::parse("\"abc").unwrap_err().msg, "unterminated string");
+    }
+
+    /// String parsing is linear in the document: a 2 MB string value and a
+    /// 2 MB document of many short strings each parse (and round-trip) in
+    /// well under a second.  The parse runs on its own thread so that a
+    /// quadratic parser fails the bound instead of hanging the suite.
+    #[test]
+    fn large_documents_parse_in_linear_time() {
+        let long = format!(r#"{{"text":"{}"}}"#, "é = a[i] + 1\\n".repeat(150_000));
+        let many = format!("[{}]", vec![r#""loop/12""#; 200_000].join(","));
+        for doc in [long, many] {
+            assert!(doc.len() >= 2_000_000);
+            let (tx, rx) = std::sync::mpsc::channel();
+            let worker = std::thread::spawn(move || {
+                let t0 = std::time::Instant::now();
+                let v = Json::parse(&doc).unwrap();
+                let secs = t0.elapsed().as_secs_f64();
+                let _ = tx.send(secs);
+                assert_eq!(Json::parse(&v.to_string()).unwrap(), v);
+            });
+            let secs = rx
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .expect("a 2 MB document must parse within a second");
+            assert!(secs < 1.0, "parse took {secs:.3}s");
+            worker.join().unwrap();
+        }
     }
 }

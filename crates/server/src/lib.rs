@@ -31,8 +31,7 @@ pub use corpus::{
     DEFAULT_MAX_PROGRAM_BYTES,
 };
 pub use daemon::{
-    serve_listener, serve_stdio, serve_stdio_with, serve_tcp, serve_tcp_with, Daemon,
-    ServiceOptions, ServiceState,
+    serve_listener, serve_stdio_with, serve_tcp_with, Daemon, ServiceOptions, ServiceState,
 };
 pub use proto::{Frame, FrameDecoder, MAX_LINE_BYTES};
 pub use reactor::{Interest, Poller, WakePipe};

@@ -14,10 +14,9 @@
 //!   in the libc every Linux Rust binary already links, so no crate
 //!   dependency is added.  Level-triggered, O(ready) wakeups, comfortably
 //!   holds thousands of idle registrations.
-//! * **poll** (any Unix, forced with `SUIF_REACTOR_BACKEND=poll`): a
-//!   `poll(2)` sweep over the registered set.  O(registered) per wait, but
-//!   portable to every Unix and still a single blocking call — the
-//!   fallback when epoll is unavailable.
+//! * **poll** (any Unix): a `poll(2)` sweep over the registered set.
+//!   O(registered) per wait, but portable to every Unix and still a single
+//!   blocking call — the fallback when epoll is unavailable.
 //! * **emulation** (non-Unix): a condvar-timed sweep that reports every
 //!   registered token as possibly-ready and relies on the caller's
 //!   nonblocking reads to sort out the truth.  Functional, not fast; it
@@ -171,6 +170,15 @@ mod sys {
 /// return by writing one byte.
 #[cfg(unix)]
 pub struct WakePipe {
+    fds: std::sync::Arc<PipeFds>,
+}
+
+/// Both ends of the pipe, closed together when the [`WakePipe`] and every
+/// [`Waker`] are gone: a worker that rings after the reactor has left its
+/// loop writes into a pipe nobody reads, never into a closed (and possibly
+/// reused) descriptor.
+#[cfg(unix)]
+struct PipeFds {
     read_fd: RawFd,
     write_fd: RawFd,
 }
@@ -188,20 +196,22 @@ impl WakePipe {
         sys::set_nonblocking(fds[0])?;
         sys::set_nonblocking(fds[1])?;
         Ok(WakePipe {
-            read_fd: fds[0],
-            write_fd: fds[1],
+            fds: std::sync::Arc::new(PipeFds {
+                read_fd: fds[0],
+                write_fd: fds[1],
+            }),
         })
     }
 
     /// The fd the reactor registers for readability.
     pub fn read_fd(&self) -> RawFd {
-        self.read_fd
+        self.fds.read_fd
     }
 
     /// A clonable handle worker threads use to ring the doorbell.
     pub fn waker(&self) -> Waker {
         Waker {
-            write_fd: self.write_fd,
+            fds: self.fds.clone(),
         }
     }
 
@@ -213,7 +223,7 @@ impl WakePipe {
         loop {
             let n = unsafe {
                 sys::read(
-                    self.read_fd,
+                    self.fds.read_fd,
                     buf.as_mut_ptr() as *mut std::os::raw::c_void,
                     buf.len(),
                 )
@@ -230,7 +240,7 @@ impl WakePipe {
 }
 
 #[cfg(unix)]
-impl Drop for WakePipe {
+impl Drop for PipeFds {
     fn drop(&mut self) {
         unsafe {
             sys::close(self.read_fd);
@@ -243,9 +253,9 @@ impl Drop for WakePipe {
 /// threads.  Writes are fire-and-forget: a full pipe already guarantees a
 /// pending wakeup, so `EAGAIN` is success.
 #[cfg(unix)]
-#[derive(Clone, Copy)]
+#[derive(Clone)]
 pub struct Waker {
-    write_fd: RawFd,
+    fds: std::sync::Arc<PipeFds>,
 }
 
 #[cfg(unix)]
@@ -253,15 +263,14 @@ impl Waker {
     pub fn wake(&self) {
         let b = [1u8];
         unsafe {
-            sys::write(self.write_fd, b.as_ptr() as *const std::os::raw::c_void, 1);
+            sys::write(
+                self.fds.write_fd,
+                b.as_ptr() as *const std::os::raw::c_void,
+                1,
+            );
         }
     }
 }
-
-#[cfg(unix)]
-unsafe impl Send for Waker {}
-#[cfg(unix)]
-unsafe impl Sync for Waker {}
 
 /// Non-Unix stand-in: a condvar-backed flag the emulation poller checks.
 #[cfg(not(unix))]
@@ -334,28 +343,25 @@ pub struct Poller {
 }
 
 impl Poller {
-    /// Build the best poller for this platform: epoll on Linux, `poll(2)`
-    /// elsewhere on Unix.  `SUIF_REACTOR_BACKEND=poll` forces the poll
-    /// backend (CI exercises both paths on Linux).
+    /// Build the best poller for this platform: epoll on Linux (`poll(2)`
+    /// if `epoll_create1` fails), `poll(2)` elsewhere on Unix.
     pub fn new() -> io::Result<Poller> {
-        let forced = std::env::var("SUIF_REACTOR_BACKEND").unwrap_or_default();
         #[cfg(target_os = "linux")]
         {
-            if forced != "poll" {
-                let epfd = unsafe { sys::epoll_create1(0) };
-                if epfd >= 0 {
-                    return Ok(Poller {
-                        backend: Backend::Epoll { epfd },
-                        name: "epoll",
-                    });
-                }
-                // epoll failed (exotic container seccomp?): fall through to
-                // the portable backend rather than refusing to serve.
+            // SAFETY: `epoll_create1` takes no pointers; failure is the
+            // negative return handled below.
+            let epfd = unsafe { sys::epoll_create1(0) };
+            if epfd >= 0 {
+                return Ok(Poller {
+                    backend: Backend::Epoll { epfd },
+                    name: "epoll",
+                });
             }
+            // epoll failed (exotic container seccomp?): fall through to
+            // the portable backend rather than refusing to serve.
         }
         #[cfg(unix)]
         {
-            let _ = forced;
             Ok(Poller {
                 backend: Backend::Poll { regs: Vec::new() },
                 name: "poll",
@@ -363,7 +369,6 @@ impl Poller {
         }
         #[cfg(not(unix))]
         {
-            let _ = forced;
             Ok(Poller {
                 backend: Backend::Emulate {
                     regs: Vec::new(),

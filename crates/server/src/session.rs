@@ -204,8 +204,7 @@ struct CertCounters {
     races: u64,
 }
 
-/// Everything that shapes how a [`Session`] opens.  The legacy
-/// constructors are thin wrappers over this; the multi-tenant daemon
+/// Everything that shapes how a [`Session`] opens; the multi-tenant daemon
 /// fills in `tier` and `budget`.
 #[derive(Clone, Default)]
 pub struct SessionConfig {
@@ -322,59 +321,18 @@ fn build_explorer(
 
 impl Session {
     /// Parse and analyze `source`, seeding (and drawing from) `cache`.
-    /// Speculative pre-classification is off; see
-    /// [`Session::open_with_speculation`].
-    pub fn open(
-        source: &str,
-        opts: ScheduleOptions,
-        cache: Arc<SummaryCache>,
-    ) -> Result<Session, String> {
-        Session::open_with_speculation(source, opts, cache, 0)
-    }
-
-    /// [`Session::open`] with a speculation budget: after each `guru`, the
-    /// classify and carried-dependence facts of up to `spec_budget`
-    /// top-ranked loops are demanded on a background thread.
-    pub fn open_with_speculation(
-        source: &str,
-        opts: ScheduleOptions,
-        cache: Arc<SummaryCache>,
-        spec_budget: usize,
-    ) -> Result<Session, String> {
-        Session::open_with_persistence(source, opts, cache, spec_budget, None)
-    }
-
-    /// [`Session::open_with_speculation`] plus durable persistence: the
+    ///
+    /// With `cfg.spec_budget > 0`, after each `guru` the classify and
+    /// carried-dependence facts of up to that many top-ranked loops are
+    /// demanded on a background thread.  With `cfg.persist_dir` set, the
     /// base snapshot `persist_dir/facts.snap` with its append-log replayed
     /// over it is loaded (after validating every entry against freshly
     /// computed input hashes) before the opening analysis; `assert`, an
     /// explicit `checkpoint`, and drop then append O(delta) records to the
     /// log, with a size/ratio-triggered compaction folding the log back
-    /// into a fresh base atomically.
-    pub fn open_with_persistence(
-        source: &str,
-        opts: ScheduleOptions,
-        cache: Arc<SummaryCache>,
-        spec_budget: usize,
-        persist_dir: Option<&Path>,
-    ) -> Result<Session, String> {
-        Session::open_cfg(
-            source,
-            cache,
-            SessionConfig {
-                opts,
-                spec_budget,
-                persist_dir: persist_dir.map(Path::to_path_buf),
-                tier: None,
-                budget: None,
-                session_id: 0,
-            },
-        )
-    }
-
-    /// The fully general constructor: [`Session::open_with_persistence`]
-    /// plus an optional process-wide fact tier to share through and a
-    /// per-session byte budget for resident facts.
+    /// into a fresh base atomically.  `cfg.tier` shares facts through a
+    /// process-wide tier and `cfg.budget` bounds this session's resident
+    /// facts.
     pub fn open_cfg(
         source: &str,
         cache: Arc<SummaryCache>,
@@ -601,7 +559,7 @@ impl Session {
         self.cancel_speculation();
         self.spec_waste_all();
         let program = Arc::new(suif_ir::parse_program(source).map_err(|e| e.to_string())?);
-        // SAFETY: as in `open_with_speculation`.
+        // SAFETY: as in `open_cfg`.
         let pref: &'static Program = unsafe { &*(&*program as *const Program) };
         let (explorer, stats, delta) =
             build_explorer(pref, &self.opts, &self.cache, self.store.clone())?;
@@ -1339,10 +1297,18 @@ proc main() {
  print b[3]
 }";
 
+    fn open_sequential(cache: Arc<SummaryCache>) -> Session {
+        let cfg = SessionConfig {
+            opts: ScheduleOptions::sequential(),
+            ..Default::default()
+        };
+        Session::open_cfg(SRC, cache, cfg).unwrap()
+    }
+
     #[test]
     fn session_loads_and_answers() {
         let cache = Arc::new(SummaryCache::new());
-        let mut s = Session::open(SRC, ScheduleOptions::sequential(), cache).unwrap();
+        let mut s = open_sequential(cache);
         let v = s.verdicts_json();
         let loops = v.get("loops").and_then(Json::as_arr).unwrap();
         assert_eq!(loops.len(), 2);
@@ -1373,7 +1339,7 @@ proc main() {
     #[test]
     fn session_assertions_replay_incrementally() {
         let cache = Arc::new(SummaryCache::new());
-        let mut s = Session::open(SRC, ScheduleOptions::sequential(), cache).unwrap();
+        let mut s = open_sequential(cache);
         let classify_before = s
             .store
             .metrics_for(suif_analysis::PassId::Classify)
@@ -1418,7 +1384,7 @@ proc main() {
     #[test]
     fn session_advisory_and_stats_payload() {
         let cache = Arc::new(SummaryCache::new());
-        let mut s = Session::open(SRC, ScheduleOptions::sequential(), cache).unwrap();
+        let mut s = open_sequential(cache);
         let adv = s.advisory_json();
         assert!(adv.get("contractions").and_then(Json::as_arr).is_some());
         assert!(adv.get("splits").and_then(Json::as_arr).is_some());
@@ -1442,7 +1408,7 @@ proc main() {
     #[test]
     fn session_guru_and_codeview() {
         let cache = Arc::new(SummaryCache::new());
-        let mut s = Session::open(SRC, ScheduleOptions::sequential(), cache).unwrap();
+        let mut s = open_sequential(cache);
         let g = s.guru_json();
         assert!(g.get("coverage").and_then(Json::as_f64).is_some());
         let cv = s.codeview_json();

@@ -7,7 +7,10 @@ use std::process::Command;
 use std::sync::Arc;
 use suif_analysis::{SharedFactTier, SummaryCache};
 use suif_server::json::Json;
-use suif_server::{analyze_single, generated_entries, run_corpus, CorpusOptions, Daemon};
+use suif_server::{
+    analyze_single, generated_entries, run_corpus, CorpusOptions, Daemon, ServiceOptions,
+    ServiceState,
+};
 
 const BIN: &str = env!("CARGO_BIN_EXE_suif-explorer");
 
@@ -220,7 +223,11 @@ fn cli_corpus_manifest_and_report_file() {
 /// in one response.
 #[test]
 fn daemon_corpus_command_needs_no_session() {
-    let mut d = Daemon::new(2);
+    let mut d = Daemon::for_state(ServiceState::new(ServiceOptions {
+        threads: 2,
+        shared_budget: Some(128 << 10),
+        ..ServiceOptions::default()
+    }));
     let (resp, close) = d.handle_line(r#"{"cmd":"corpus","gen":5,"seed_base":9,"workers":2}"#);
     assert!(!close);
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{resp}");
@@ -253,6 +260,18 @@ fn daemon_corpus_command_needs_no_session() {
         .filter_map(|r| r.get("facts")?.get("shared")?.as_i64())
         .sum();
     assert!(shared > 0, "warm rerun reads facts from the tier: {resp2}");
+    // ...the tier's own counters agree, and it stayed inside its budget
+    // (which the five programs' ~200 KB of facts overflow).
+    let tier_stat = |resp: &Json, field: &str| {
+        let tier = resp.get("summary").unwrap().get("tier").unwrap();
+        tier.get(field).and_then(Json::as_i64).unwrap()
+    };
+    assert!(tier_stat(&resp2, "hits") > tier_stat(&resp, "hits"));
+    assert!(
+        tier_stat(&resp, "evicted") > 0,
+        "budget never bound: {resp}"
+    );
+    assert!(tier_stat(&resp2, "resident_bytes") <= tier_stat(&resp2, "budget"));
 
     // Inline programs work too, and faults degrade to error records.
     let (resp3, _) = d

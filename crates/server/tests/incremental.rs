@@ -9,7 +9,7 @@ use std::sync::Arc;
 use suif_analysis::{FactKey, FactStore, Pass, PassId, ScheduleOptions, Scope, SummaryCache};
 use suif_ir::StmtId;
 use suif_server::json::Json;
-use suif_server::Session;
+use suif_server::{Session, SessionConfig};
 
 /// A generated program: `n` leaf procedures (elementwise when the constant
 /// is even, a loop-carried recurrence when odd) called in sequence by main.
@@ -34,9 +34,18 @@ fn gen_src(consts: &[i64]) -> String {
     s
 }
 
+/// One analysis worker, everything else off: the base every session here
+/// opens with.
+fn sequential() -> SessionConfig {
+    SessionConfig {
+        opts: ScheduleOptions::sequential(),
+        ..Default::default()
+    }
+}
+
 fn fresh_verdicts(src: &str) -> Json {
     let cache = Arc::new(SummaryCache::new());
-    let mut s = Session::open(src, ScheduleOptions::sequential(), cache).unwrap();
+    let mut s = Session::open_cfg(src, cache, sequential()).unwrap();
     s.analyze()
 }
 
@@ -58,8 +67,7 @@ proptest! {
         let edited_src = gen_src(&edited);
 
         let cache = Arc::new(SummaryCache::new());
-        let mut session =
-            Session::open(&base_src, ScheduleOptions::sequential(), cache).unwrap();
+        let mut session = Session::open_cfg(&base_src, cache, sequential()).unwrap();
         session.reload(&edited_src).unwrap();
         let warm = session.analyze();
 
@@ -88,8 +96,7 @@ proptest! {
         edited[edit_at] += 2; // keeps even/odd, so statement shape is stable
 
         let cache = Arc::new(SummaryCache::new());
-        let mut session =
-            Session::open(&gen_src(&consts), ScheduleOptions::sequential(), cache).unwrap();
+        let mut session = Session::open_cfg(&gen_src(&consts), cache, sequential()).unwrap();
         session.reload(&gen_src(&edited)).unwrap();
 
         if consts[edit_at] == edited[edit_at] {
@@ -198,8 +205,15 @@ fn spec_src(consts: &[i64]) -> String {
 fn speculation_prefetch_hits_are_reported() {
     let src = spec_src(&[1, 3]); // two sequential recurrence loops
     let cache = Arc::new(SummaryCache::new());
-    let mut s =
-        Session::open_with_speculation(&src, ScheduleOptions::sequential(), cache, 4).unwrap();
+    let mut s = Session::open_cfg(
+        &src,
+        cache,
+        SessionConfig {
+            spec_budget: 4,
+            ..sequential()
+        },
+    )
+    .unwrap();
 
     let g = s.guru_json();
     let targets = g.get("targets").and_then(Json::as_arr).unwrap();
@@ -235,14 +249,21 @@ fn reload_during_speculation_stays_consistent() {
     let edited = spec_src(&[1, 4, 5]); // flips f1 recurrence → elementwise
 
     let cache = Arc::new(SummaryCache::new());
-    let mut s =
-        Session::open_with_speculation(&base, ScheduleOptions::sequential(), cache, 4).unwrap();
+    let mut s = Session::open_cfg(
+        &base,
+        cache,
+        SessionConfig {
+            spec_budget: 4,
+            ..sequential()
+        },
+    )
+    .unwrap();
     s.guru_json(); // spawns background speculation
     s.reload(&edited).unwrap(); // cancels it mid-flight
     let warm = s.analyze();
 
     let fresh_cache = Arc::new(SummaryCache::new());
-    let mut fresh = Session::open(&edited, ScheduleOptions::sequential(), fresh_cache).unwrap();
+    let mut fresh = Session::open_cfg(&edited, fresh_cache, sequential()).unwrap();
     assert_eq!(
         warm.to_string(),
         fresh.analyze().to_string(),
@@ -274,9 +295,16 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
     let fresh = fresh_verdicts(&src);
 
     let cache = Arc::new(SummaryCache::new());
-    let mut s =
-        Session::open_with_persistence(&src, ScheduleOptions::sequential(), cache, 4, Some(&dir))
-            .unwrap();
+    let mut s = Session::open_cfg(
+        &src,
+        cache,
+        SessionConfig {
+            spec_budget: 4,
+            persist_dir: Some(dir.clone()),
+            ..sequential()
+        },
+    )
+    .unwrap();
     s.guru_json(); // spawns background speculation over the ranked loops
     s.checkpoint_json().unwrap(); // snapshot races the in-flight prefetch
                                   // The assertion is an epoch-cancel: speculation stops, its pending
@@ -304,9 +332,15 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
     // session must answer exactly what a fresh analysis answers —
     // assertion-marked facts evict on their hash instead of loading.
     let cache = Arc::new(SummaryCache::new());
-    let mut s2 =
-        Session::open_with_persistence(&src, ScheduleOptions::sequential(), cache, 0, Some(&dir))
-            .unwrap();
+    let mut s2 = Session::open_cfg(
+        &src,
+        cache,
+        SessionConfig {
+            persist_dir: Some(dir.clone()),
+            ..sequential()
+        },
+    )
+    .unwrap();
     let st = s2.stats_json();
     let snapj = st.get("snapshot").unwrap();
     assert_eq!(snapj.get("status").and_then(Json::as_str), Some("loaded"));

@@ -13,7 +13,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use suif_server::json::Json;
-use suif_server::{serve_listener, Daemon, ServiceOptions, ServiceState, Session};
+use suif_server::{serve_listener, Daemon, ServiceOptions, ServiceState, Session, SessionConfig};
 
 const SRC: &str = "program t
 proc inc(real q[*], int n) {
@@ -188,10 +188,13 @@ fn assertions_stay_session_private() {
         Some(false),
         "A's assertion leaked into B: {vb}"
     );
-    let fresh = Session::open(
+    let fresh = Session::open_cfg(
         MDG_LIKE,
-        suif_analysis::ScheduleOptions { threads: 1 },
         Arc::new(suif_analysis::SummaryCache::new()),
+        SessionConfig {
+            opts: suif_analysis::ScheduleOptions::sequential(),
+            ..Default::default()
+        },
     )
     .unwrap();
     assert_eq!(

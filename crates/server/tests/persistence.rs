@@ -12,7 +12,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use suif_analysis::{ScheduleOptions, SummaryCache};
 use suif_server::json::Json;
-use suif_server::{Daemon, Session, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
+use suif_server::{
+    Daemon, ServiceOptions, ServiceState, Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE,
+};
 
 const SRC: &str = "program t
 proc inc(real q[*], int n) {
@@ -46,15 +48,21 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-fn open(dir: &Path) -> Session {
-    Session::open_with_persistence(
-        SRC,
-        ScheduleOptions::sequential(),
+fn open_src(src: &str, dir: &Path) -> Session {
+    Session::open_cfg(
+        src,
         Arc::new(SummaryCache::new()),
-        0,
-        Some(dir),
+        SessionConfig {
+            opts: ScheduleOptions::sequential(),
+            persist_dir: Some(dir.to_path_buf()),
+            ..Default::default()
+        },
     )
     .unwrap()
+}
+
+fn open(dir: &Path) -> Session {
+    open_src(SRC, dir)
 }
 
 fn snapshot_stats(s: &Session) -> Json {
@@ -143,6 +151,25 @@ fn warm_start_reserves_answers_without_recomputation() {
         format!("{cold_slice}"),
         format!("{}", s.slice_json("rec/1").unwrap())
     );
+
+    // An `assert` checkpoints by appending its delta to the log, which
+    // costs less than the full base-image rewrite it replaced.
+    let appended = |s: &Session| {
+        let snap = snapshot_stats(s);
+        snap.get("appended_bytes").and_then(Json::as_i64).unwrap()
+    };
+    let base_bytes = std::fs::metadata(dir.join(SNAPSHOT_FILE)).unwrap().len() as i64;
+    let before = appended(&s);
+    let r = s.assert_json("inc/1", "q", true);
+    assert_eq!(
+        r.get("assertion").and_then(Json::as_str),
+        Some("consistent")
+    );
+    let delta = appended(&s) - before;
+    assert!(
+        0 < delta && delta < base_bytes,
+        "assert appended {delta} B against a {base_bytes} B base image"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -156,14 +183,7 @@ fn stale_snapshot_entries_are_evicted_not_served() {
         "do 1 i = 1, n {\n  q[i] = q[i] + 1",
         "do 1 i = 2, n {\n  q[i] = q[i - 1] + 1",
     );
-    let s = Session::open_with_persistence(
-        &edited,
-        ScheduleOptions::sequential(),
-        Arc::new(SummaryCache::new()),
-        0,
-        Some(&dir),
-    )
-    .unwrap();
+    let s = open_src(&edited, &dir);
     let snap = snapshot_stats(&s);
     assert_eq!(snap.get("status").and_then(Json::as_str), Some("loaded"));
     assert!(snap.get("evicted_stale").and_then(Json::as_i64).unwrap() > 0);
@@ -355,7 +375,11 @@ fn daemon_checkpoint_and_warm_restart_over_the_wire() {
     let dir = scratch("daemon");
     let src_line = SRC.replace('\n', "\\n");
     let run = |dir: &Path| -> Vec<Json> {
-        let mut d = Daemon::with_options(1, 0, Some(dir.to_path_buf()));
+        let mut d = Daemon::for_state(ServiceState::new(ServiceOptions {
+            threads: 1,
+            persist_dir: Some(dir.to_path_buf()),
+            ..ServiceOptions::default()
+        }));
         let input = format!(
             "{}\n{}\n{}\n{}\n{}\n",
             format_args!(r#"{{"cmd":"load","text":"{src_line}"}}"#),

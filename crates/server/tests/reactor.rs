@@ -9,7 +9,8 @@
 //! * **pipelining** — many requests in one write and the `batch` command
 //!   both reply strictly in request order with matching ids;
 //! * **lifecycle** — a half-written line at `shutdown` does not wedge the
-//!   reactor; hundreds of idle connections ride on the one event thread;
+//!   reactor; `shutdown` takes effect at once, not at the next heartbeat;
+//!   hundreds of idle connections ride on the one event thread;
 //! * **equivalence** — `analyze`/`guru`/`slice` over the reactor transport
 //!   are bit-identical to driving `Daemon::handle_line` directly.
 
@@ -193,6 +194,36 @@ fn pipelined_lines_and_batch_reply_in_request_order() {
         );
     }
 
+    // Job coalescing, read from `stats.service.reactor.offloaded` (every
+    // read is itself one offloaded job): serial round trips offload a job
+    // each, while lines pipelined in one write are dispatched as whole
+    // inbox batches.
+    fn offloaded(c: &mut Client) -> i64 {
+        let v = c.roundtrip(r#"{"cmd":"stats"}"#);
+        let reactor = v.get("service").unwrap().get("reactor").unwrap();
+        reactor.get("offloaded").and_then(Json::as_i64).unwrap()
+    }
+    let j0 = offloaded(&mut c);
+    for _ in 0..8 {
+        c.roundtrip(r#"{"cmd":"stats"}"#);
+    }
+    let j1 = offloaded(&mut c);
+    let burst: String = (0..32)
+        .map(|i| format!("{{\"cmd\":\"stats\",\"id\":{i}}}\n"))
+        .collect();
+    c.writer.write_all(burst.as_bytes()).unwrap();
+    c.writer.flush().unwrap();
+    for i in 0..32 {
+        assert_eq!(c.recv().get("id").and_then(Json::as_i64), Some(i));
+    }
+    let j2 = offloaded(&mut c);
+    let (serial_jobs, pipelined_jobs) = (j1 - j0, j2 - j1);
+    assert!(serial_jobs >= 8, "serial must offload per command");
+    assert!(
+        pipelined_jobs < serial_jobs,
+        "pipelining must coalesce jobs: {pipelined_jobs} for 32 commands vs {serial_jobs} for 8"
+    );
+
     // The batch command: one request line, one reply line per element,
     // in element order, each tagged with its id (default = index).
     let batch = r#"{"cmd":"batch","requests":[
@@ -221,6 +252,11 @@ fn pipelined_lines_and_batch_reply_in_request_order() {
     let r4 = c.recv();
     assert_eq!(r4.get("id").and_then(Json::as_i64), Some(3));
     assert!(r4.get("service").is_some(), "{r4}");
+    let batch_jobs = offloaded(&mut c) - j2;
+    assert!(
+        batch_jobs <= 2,
+        "a batch frame must execute as one offloaded job: {batch_jobs}"
+    );
 
     shutdown(addr);
     server.join().unwrap().unwrap();
@@ -285,6 +321,30 @@ fn half_written_line_at_shutdown_does_not_wedge_the_reactor() {
     // The half-open connection is closed out from under the client.
     let mut rest = Vec::new();
     let _ = partial.read_to_end(&mut rest);
+}
+
+#[test]
+fn shutdown_after_a_command_never_waits_for_the_heartbeat() {
+    // The reactor must leave its loop as soon as the `shutdown` job's
+    // completion is handled, not when it next happens to wake: a worker
+    // rings the doorbell before its job counts as finished, so an exit
+    // test on the pool's counters can lose that race and sleep out the
+    // 5 s heartbeat.
+    for round in 0..50 {
+        let (addr, _state, server) = spawn_server();
+        let mut c = Client::connect(addr);
+        let r = c.roundtrip(&load_line(SRC));
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        let r = c.roundtrip(r#"{"cmd":"shutdown"}"#);
+        assert_eq!(r.get("shutdown").and_then(Json::as_bool), Some(true), "{r}");
+        let t0 = Instant::now();
+        server.join().unwrap().unwrap();
+        let waited = t0.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "round {round}: serve_listener returned {waited:?} after the shutdown reply"
+        );
+    }
 }
 
 #[test]
