@@ -38,6 +38,7 @@
 //! assert!(pa.verdicts[&l.stmt].is_parallel()); // a scalar sum reduction
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cache;

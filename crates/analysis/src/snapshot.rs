@@ -370,6 +370,46 @@ pub fn file_checksum(bytes: &[u8]) -> Option<u128> {
     Some(u128::from_le_bytes(bytes[20..36].try_into().unwrap()))
 }
 
+/// File name of the base fact snapshot inside a persist directory.
+pub const SNAPSHOT_FILE: &str = "facts.snap";
+
+/// File name of the snapshot append-log beside the base image.  Checkpoints
+/// append O(delta) framed records here; a compaction folds the log back
+/// into a fresh base.
+pub const SNAPSHOT_LOG_FILE: &str = "facts.snap.log";
+
+/// What [`write_base`] put on disk.
+pub struct BaseWritten {
+    /// Payload checksum of the base image; the fresh log's header binds to it.
+    pub checksum: u128,
+    /// Size of the base image file.
+    pub bytes: usize,
+    /// The image's content (the encodable facts, in key order, and the memo).
+    pub snapshot: Snapshot,
+}
+
+/// Write `facts` and `memo` into `dir` as a fresh base image, then reset the
+/// append-log to a header bound to it.  Both writes are atomic and the base
+/// goes first: a crash between them leaves the new base with the *old* log,
+/// whose binding checksum no longer matches — the stale log is ignored on
+/// load, so the crash costs recomputation, never correctness.
+pub fn write_base(
+    dir: &Path,
+    facts: Vec<ExportedFact>,
+    memo: Vec<(Vec<Constraint>, bool)>,
+) -> std::io::Result<BaseWritten> {
+    let snapshot = Snapshot::new(facts, memo);
+    let bytes = snapshot.encode();
+    write_atomic(&dir.join(SNAPSHOT_FILE), &bytes)?;
+    let checksum = file_checksum(&bytes).expect("encoded snapshot has a header");
+    write_atomic(&dir.join(SNAPSHOT_LOG_FILE), &log_header(checksum))?;
+    Ok(BaseWritten {
+        checksum,
+        bytes: bytes.len(),
+        snapshot,
+    })
+}
+
 /// Encode one framed append-log record: `len(u32) · FNV-128 checksum ·
 /// payload`, where the payload is the shared snapshot body for the delta
 /// facts and memo entries.  Ready to append to an existing log file.
@@ -520,8 +560,11 @@ pub fn merge_image(
     // key-addressed session store the extra variants are harmless — its
     // expected-hash validation keeps exactly one per key and evicts the
     // rest as stale.
-    let mut merged: HashMap<(FactKey, u128), ExportedFact> =
-        base.facts.into_iter().map(|f| ((f.key, f.hash), f)).collect();
+    let mut merged: HashMap<(FactKey, u128), ExportedFact> = base
+        .facts
+        .into_iter()
+        .map(|f| ((f.key, f.hash), f))
+        .collect();
     match log_bytes {
         None => {}
         Some(lb) => match replay_log(lb, base_checksum) {

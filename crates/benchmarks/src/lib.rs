@@ -24,6 +24,7 @@
 //!   Perfect programs of Fig. 6-2/6-3 (`bdna`, `cgm`, `ora`, `mdljdp2`,
 //!   `dyfesm`, `trfd`).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod apps;

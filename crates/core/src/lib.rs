@@ -17,6 +17,7 @@
 //! interactive cycle: inspect guru targets → view slices → assert → check →
 //! re-parallelize.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checker;

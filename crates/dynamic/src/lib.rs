@@ -18,16 +18,18 @@
 //! Because MiniF has only bounded `do` loops and an acyclic call graph,
 //! every program terminates — no fuel accounting is needed.
 //!
-//! The [`machine::Machine`] exposes a *loop handler* extension point through
-//! which the `suif-parallel` crate executes compiler-parallelized loops on
-//! worker threads over a shared view of this machine's memory.
+//! The [`machine::Machine`] exposes two extension points to the
+//! `suif-parallel` crate, which owns the one fork/join loop runtime: a
+//! borrowed *loop handler* that may take over a `do` loop, and
+//! [`machine::Machine::fork_view`], which forks a worker machine over a
+//! shared view of this machine's memory.
 //!
-//! On top of that sits the **race-certification subsystem** (`docs/dynamic.md`):
-//! [`race`] is a happens-before / vector-clock race detector, [`sched`] a
-//! seeded adversarial scheduler, and [`certify`] a parallel loop executor
-//! that runs a loop's iterations on real worker threads serialized through a
-//! token-passing gate with a preemption point at every shared memory access,
-//! certifying (or refuting) the static parallelizer's DOALL claims.
+//! This crate also holds the two schedule-independent halves of the
+//! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a
+//! happens-before / vector-clock race detector, and [`sched`], a seeded
+//! adversarial scheduler.  The certifying executor that feeds them lives in
+//! `suif_parallel::certify`, beside the production executor it shares its
+//! fork/join with.
 //!
 //! ```
 //! use suif_dynamic::machine::{Machine, NoHooks};
@@ -42,7 +44,6 @@
 
 #![warn(missing_docs)]
 
-pub mod certify;
 pub mod dyndep;
 pub mod layout;
 pub mod machine;
@@ -51,11 +52,10 @@ pub mod race;
 pub mod sched;
 pub mod value;
 
-pub use certify::{CertOp, CertOutcome, CertRole, CertSegment, CertSpec, CertifyHandler, SpecFn};
 pub use dyndep::{DynDepAnalyzer, DynDepConfig, DynDepReport};
 pub use layout::Layout;
 pub use machine::{Hooks, Machine, MemStore, NoHooks, RuntimeError};
 pub use profile::{LoopProfile, LoopProfiler, ProfileReport};
-pub use race::{AccessInfo, AccessKind, Race, RaceDetector, RaceHooks, VectorClock};
+pub use race::{AccessInfo, AccessKind, Race, RaceDetector, VectorClock};
 pub use sched::{AdversarialScheduler, SchedPolicy, SplitMix64};
 pub use value::Value;

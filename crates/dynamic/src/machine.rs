@@ -1,9 +1,10 @@
 //! The MiniF interpreter.
 //!
 //! One [`Machine`] executes one thread of control.  The `suif-parallel`
-//! crate creates additional machines over a [`MemStore::View`] of the main
-//! machine's memory to execute compiler-parallelized loops — the safety
-//! contract for that sharing is documented on [`MemStore`].
+//! crate forks additional machines over a [`MemStore::View`] of the main
+//! machine's memory ([`Machine::fork_view`]) to execute compiler-parallelized
+//! loops — the safety contract for that sharing is documented on
+//! [`MemStore`], and every raw-pointer operation stays in this file.
 
 use crate::layout::{Layout, LayoutError};
 use crate::value::Value;
@@ -41,7 +42,10 @@ fn rerr<T>(line: u32, msg: impl Into<String>) -> Result<T, RuntimeError> {
 /// The interpreter does **not** fire `load`/`store` for loop-induction-
 /// variable updates or parameter-slot copies (those are runtime-internal),
 /// but does fire them for the caller-side effects of copy-in/copy-out.
-pub trait Hooks {
+///
+/// `Send` because a forked worker machine travels to its thread together
+/// with the hooks it reports to.
+pub trait Hooks: Send {
     /// A statement is about to execute.
     fn on_stmt(&mut self, _id: StmtId, _line: u32) {}
     /// A `do` loop was entered; `ops` is the machine's virtual-op counter.
@@ -71,6 +75,12 @@ impl Hooks for NoHooks {}
 /// This mirrors how a real SPMD runtime executes compiler-parallelized
 /// Fortran: data-race freedom is an analysis *result*, not a type-system
 /// guarantee.  Tests validate parallel results against sequential runs.
+///
+/// [`Machine::fork_view`] is the only constructor of a `View`.  Its caller
+/// must not touch the forking machine while a view is alive and must drop
+/// every view before the forking machine goes away; `suif-parallel`'s
+/// `fork_join` — the one caller — spawns its workers as scoped threads and
+/// joins them all before it returns.
 pub enum MemStore {
     /// Machine-owned memory.
     Owned(Vec<Value>),
@@ -146,30 +156,18 @@ impl MemStore {
 }
 
 /// One procedure activation.
-#[derive(Clone, Debug)]
-pub struct Frame {
-    /// Executing procedure.
-    pub proc: ProcId,
+#[derive(Clone, Debug, Default)]
+struct Frame {
     /// Array-parameter bindings: formal → base address of its element 1.
-    pub bindings: HashMap<VarId, usize>,
+    bindings: HashMap<VarId, usize>,
     /// Copy-out actions performed at return: (formal, actual address).
     copy_out: Vec<(VarId, usize)>,
 }
 
-impl Frame {
-    /// A fresh frame for a procedure.
-    pub fn new(proc: ProcId) -> Frame {
-        Frame {
-            proc,
-            bindings: HashMap::new(),
-            copy_out: Vec::new(),
-        }
-    }
-}
-
 /// A handler consulted before each `do` loop executes; used by the parallel
 /// runtime to take over loops the compiler parallelized.  Returning `None`
-/// lets the machine run the loop sequentially.
+/// lets the machine run the loop sequentially.  The machine only borrows its
+/// handler, so the caller reads the handler's results after [`Machine::run`].
 pub trait LoopHandler: Send {
     /// Offered the loop (always a [`Stmt::Do`]); may execute it entirely.
     fn on_loop(
@@ -189,7 +187,7 @@ pub struct Machine<'a> {
     /// Privatization overlay: redirects a variable's storage base.
     pub overrides: HashMap<VarId, usize>,
     hooks: &'a mut dyn Hooks,
-    handler: Option<Box<dyn LoopHandler + 'a>>,
+    handler: Option<&'a mut dyn LoopHandler>,
     ops: u64,
     /// Captured `print` output, one line per statement.
     pub output: Vec<String>,
@@ -205,7 +203,7 @@ impl<'a> Machine<'a> {
             program,
             layout,
             mem,
-            frames: vec![Frame::new(program.main)],
+            frames: vec![Frame::default()],
             overrides: HashMap::new(),
             hooks,
             handler: None,
@@ -215,50 +213,14 @@ impl<'a> Machine<'a> {
         })
     }
 
-    /// Build a worker machine over a shared view of another machine's
-    /// memory.  `frame` is the (cloned) activation in which the parallel
-    /// loop body runs; `overrides` redirect privatized variables into the
-    /// `private` tail (addresses `shared_len..`).
-    pub fn thread_view(
-        program: &'a Program,
-        layout: Arc<Layout>,
-        shared: (*mut Value, usize),
-        frame: Frame,
-        overrides: HashMap<VarId, usize>,
-        private: Vec<Value>,
-        hooks: &'a mut dyn Hooks,
-    ) -> Machine<'a> {
-        Machine {
-            program,
-            layout,
-            mem: MemStore::View {
-                base: shared.0,
-                len: shared.1,
-                private,
-            },
-            frames: vec![frame],
-            overrides,
-            hooks,
-            handler: None,
-            ops: 0,
-            output: Vec::new(),
-            input: VecDeque::new(),
-        }
-    }
-
     /// Supply `read` input values.
     pub fn set_input(&mut self, input: Vec<f64>) {
         self.input = input.into();
     }
 
     /// Install a loop handler (parallel runtime hook).
-    pub fn set_handler(&mut self, h: Box<dyn LoopHandler + 'a>) {
+    pub fn set_handler(&mut self, h: &'a mut dyn LoopHandler) {
         self.handler = Some(h);
-    }
-
-    /// Remove and return the loop handler.
-    pub fn take_handler(&mut self) -> Option<Box<dyn LoopHandler + 'a>> {
-        self.handler.take()
     }
 
     /// The storage layout.
@@ -271,16 +233,50 @@ impl<'a> Machine<'a> {
         self.ops
     }
 
-    /// Raw parts of this machine's memory for sharing with worker views.
-    pub fn mem_parts(&mut self) -> (*mut Value, usize) {
-        match &mut self.mem {
+    /// Length of the shared segment — all of memory for a machine that owns
+    /// it.  A worker view's private tail starts at this address.
+    pub fn shared_len(&self) -> usize {
+        match &self.mem {
+            MemStore::Owned(v) => v.len(),
+            MemStore::View { len, .. } => *len,
+        }
+    }
+
+    /// Fork a worker machine over a shared view of this machine's memory.
+    /// The worker starts in a clone of the current activation with zero
+    /// ops, no input and no loop handler (nested parallel loops run
+    /// sequentially inside it); `private` is its thread-private tail and
+    /// `overrides` — offsets into that tail, rebased here past shared
+    /// memory — redirect privatized variables into it.
+    ///
+    /// The returned machine aliases this one's memory: see the `View`
+    /// contract on [`MemStore`] for what the caller owes.
+    pub fn fork_view<'b>(
+        &mut self,
+        overrides: &HashMap<VarId, usize>,
+        private: Vec<Value>,
+        hooks: &'b mut dyn Hooks,
+    ) -> Machine<'b>
+    where
+        'a: 'b,
+    {
+        let (base, len) = match &mut self.mem {
             MemStore::Owned(v) => (v.as_mut_ptr(), v.len()),
-            MemStore::View { base, len, private } => {
-                // Nested views share the same underlying segment; private
-                // tails are not re-shared.
-                let _ = private;
-                (*base, *len)
-            }
+            // Nested views share the same underlying segment; private
+            // tails are not re-shared.
+            MemStore::View { base, len, .. } => (*base, *len),
+        };
+        Machine {
+            program: self.program,
+            layout: Arc::clone(&self.layout),
+            mem: MemStore::View { base, len, private },
+            frames: vec![self.current_frame().clone()],
+            overrides: overrides.iter().map(|(&v, &o)| (v, o + len)).collect(),
+            hooks,
+            handler: None,
+            ops: 0,
+            output: Vec::new(),
+            input: VecDeque::new(),
         }
     }
 
@@ -293,7 +289,7 @@ impl<'a> Machine<'a> {
     }
 
     /// Current (innermost) frame.
-    pub fn current_frame(&self) -> &Frame {
+    fn current_frame(&self) -> &Frame {
         self.frames.last().expect("machine always has a frame")
     }
 
@@ -357,7 +353,7 @@ impl<'a> Machine<'a> {
                 }
             }
             Stmt::Do { .. } => {
-                if let Some(mut h) = self.handler.take() {
+                if let Some(h) = self.handler.take() {
                     let intercepted = h.on_loop(self, s);
                     self.handler = Some(h);
                     if let Some(res) = intercepted {
@@ -435,9 +431,19 @@ impl<'a> Machine<'a> {
         Ok((lo, hi, step))
     }
 
+    /// Number of iterations for bounds `(lo, hi, step)` (Fortran trip count).
+    pub fn trip_count(lo: i64, hi: i64, step: i64) -> i64 {
+        if step > 0 {
+            (hi - lo).div_euclid(step) + 1
+        } else {
+            (lo - hi).div_euclid(-step) + 1
+        }
+        .max(0)
+    }
+
     fn exec_call(&mut self, callee: ProcId, args: &[Arg], line: u32) -> Result<(), RuntimeError> {
         let cproc = self.program.proc(callee);
-        let mut frame = Frame::new(callee);
+        let mut frame = Frame::default();
         // Evaluate actuals in the caller frame, then populate the callee.
         let mut scalar_inits: Vec<(VarId, Value)> = Vec::new();
         for (k, arg) in args.iter().enumerate() {

@@ -1,6 +1,6 @@
 //! Happens-before race detection over vector clocks.
 //!
-//! The certifying parallel executor (see [`crate::certify`]) models a
+//! The certifying parallel executor (`suif_parallel::certify`) models a
 //! `DOALL` loop as a fork/join region: a parent logical thread forks one
 //! logical thread per iteration, every iteration runs concurrently with all
 //! others, and the parent joins them at loop exit.  This module implements
@@ -14,7 +14,6 @@
 //! worker's [`crate::machine::MemStore::View`]) are thread-private by
 //! construction and are never recorded.
 
-use crate::machine::Hooks;
 use std::collections::HashMap;
 use suif_ir::{StmtId, VarId};
 
@@ -298,59 +297,6 @@ impl RaceDetector {
     /// Consume the detector, returning the recorded races.
     pub fn into_races(self) -> Vec<Race> {
         self.races
-    }
-}
-
-/// [`Hooks`] adapter that feeds a single-thread access stream into a
-/// [`RaceDetector`] — used for monitored *sequential* replays where every
-/// access belongs to one logical thread chosen by the caller.
-pub struct RaceHooks {
-    /// The detector being fed.
-    pub detector: RaceDetector,
-    /// Logical thread accesses are attributed to.
-    pub thread: usize,
-    stmt: StmtId,
-    line: u32,
-}
-
-impl RaceHooks {
-    /// Feed `detector` attributing every access to `thread`.
-    pub fn new(detector: RaceDetector, thread: usize) -> RaceHooks {
-        RaceHooks {
-            detector,
-            thread,
-            stmt: StmtId(0),
-            line: 0,
-        }
-    }
-}
-
-impl Hooks for RaceHooks {
-    fn on_stmt(&mut self, id: StmtId, line: u32) {
-        self.stmt = id;
-        self.line = line;
-    }
-
-    fn load(&mut self, var: VarId, addr: usize) {
-        self.detector.on_access(
-            self.thread,
-            var,
-            addr,
-            self.stmt,
-            self.line,
-            AccessKind::Read,
-        );
-    }
-
-    fn store(&mut self, var: VarId, addr: usize) {
-        self.detector.on_access(
-            self.thread,
-            var,
-            addr,
-            self.stmt,
-            self.line,
-            AccessKind::Write,
-        );
     }
 }
 

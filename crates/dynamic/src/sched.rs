@@ -1,6 +1,6 @@
 //! Seeded adversarial scheduling of certified parallel loops.
 //!
-//! The certifying executor (see [`crate::certify`]) serializes its worker
+//! The certifying executor (`suif_parallel::certify`) serializes its worker
 //! threads through a token-passing gate with a preemption point at every
 //! shared memory access.  This module decides *which* worker runs next at
 //! each preemption point.  Decisions are a pure function of the `u64` seed

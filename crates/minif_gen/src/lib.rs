@@ -19,6 +19,8 @@
 //! consume the same strategies ([`gprogram`]) through their own per-test
 //! streams — a generator fix propagates to both consumers.
 
+#![forbid(unsafe_code)]
+
 use proptest::prelude::*;
 
 /// Array extent used throughout generated programs.

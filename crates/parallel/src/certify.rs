@@ -1,23 +1,311 @@
 //! Race certification of planned parallel loops.
 //!
-//! This module glues the static side (analysis verdicts lowered into
-//! [`PlanEntry`]s) to the certifying executor in `suif-dynamic`: for one
-//! target loop it runs the whole program under a
-//! [`CertifyHandler`](suif_dynamic::CertifyHandler) once per adversarial
-//! schedule, collecting per-schedule races, captured output and final shared
-//! memory.  A sequential reference capture of the same program lets callers
-//! check the differential invariant: a certified DOALL loop must be
-//! race-free with sequential-identical observable behavior under every
-//! schedule.
+//! Where [`crate::executor`] runs a compiler-parallelized loop for *speed*,
+//! this module runs one for *evidence*.  [`CertifyHandler`] puts the target
+//! loop through the same [`fork_join`] and [`finalize`] as the fast path,
+//! under the same [`LoopLayout`] of the plan it is given — so a
+//! certification run exercises exactly the transformed loop the production
+//! runtime would execute — but plugs in a token-passing [`Gate`] as the
+//! observer: workers are serialized with a preemption point at every shared
+//! memory access, a seeded
+//! [`AdversarialScheduler`](suif_dynamic::sched::AdversarialScheduler) picks
+//! the next worker at each point (so the interleaving replays from a `u64`
+//! seed), and a [`RaceDetector`](suif_dynamic::race::RaceDetector) checks
+//! every access against the happens-before order in which each *iteration*
+//! is a logical thread forked at loop entry and joined at exit.
+//!
+//! [`certify_loop`] runs the whole program once per adversarial schedule,
+//! collecting per-schedule races, captured output and final shared memory.
+//! A sequential reference capture of the same program lets callers check
+//! the differential invariant: a certified DOALL loop must be race-free
+//! with sequential-identical observable behavior under every schedule.
 
-use crate::executor::{self, SegRole};
+use crate::executor::{Finalization, Schedule};
+use crate::forkjoin::{finalize, fork_join, LoopLayout, LoopRun, Observer, SegRole};
 use crate::plan::PlanEntry;
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
-use suif_analysis::RedOp;
-use suif_dynamic::certify::{CertOp, CertOutcome, CertRole, CertSegment, CertSpec, CertifyHandler};
-use suif_dynamic::machine::{Machine, NoHooks, RuntimeError};
+use suif_dynamic::machine::{Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
+use suif_dynamic::race::{AccessKind, Race, RaceDetector};
+use suif_dynamic::sched::AdversarialScheduler;
 use suif_dynamic::Value;
-use suif_ir::{Program, StmtId};
+use suif_ir::{Program, Stmt, StmtId, VarId};
+
+/// Accumulated result of all certified invocations of the target loop.
+#[derive(Clone, Debug, Default)]
+pub struct CertOutcome {
+    /// Races detected, in interleaved execution order (first pair first).
+    pub races: Vec<Race>,
+    /// First runtime error raised inside a worker, if any.
+    pub error: Option<RuntimeError>,
+    /// Scheduling decisions taken at preemption points.
+    pub schedule_decisions: u64,
+    /// Decisions that preempted the running worker.
+    pub schedule_switches: u64,
+    /// Shared memory accesses examined by the detector.
+    pub shared_accesses: u64,
+    /// Loop iterations executed under certification.
+    pub iterations: u64,
+    /// Certified invocations of the target loop.
+    pub loops_run: u64,
+    /// Invocations skipped because the plan could not be laid out.
+    pub unplannable: u64,
+    /// Shared-memory ranges `(base, len)` of privatized storage with no
+    /// merge-back (dead after the loop): the certified run leaves these cells
+    /// at their pre-loop values while a sequential run mutates them in place,
+    /// so differential memory comparisons must mask them out.
+    pub dead_private: Vec<(usize, usize)>,
+}
+
+struct GateState {
+    registered: usize,
+    holder: Option<usize>,
+    finished: Vec<bool>,
+    current_tid: Vec<usize>,
+    sched: AdversarialScheduler,
+    detector: RaceDetector,
+    error: Option<RuntimeError>,
+}
+
+impl GateState {
+    fn runnable(&self) -> Vec<usize> {
+        (0..self.finished.len())
+            .filter(|&w| !self.finished[w])
+            .collect()
+    }
+}
+
+/// Token-passing gate serializing the certification workers.
+///
+/// Exactly one worker (the token holder) executes at any time; every shared
+/// memory access and every iteration boundary is a preemption point where
+/// the scheduler may pass the token.  Because the machine's hooks fire
+/// *after* each access and the holder yields before performing its next one,
+/// the interleaving of shared accesses is fully determined by the
+/// scheduler's decisions — no physical data race can occur.
+struct Gate {
+    workers: usize,
+    state: Mutex<GateState>,
+    cv: Condvar,
+}
+
+impl Gate {
+    /// A gate for `workers` workers with a seeded scheduler and a detector
+    /// pre-loaded with the loop's fork edges.
+    fn new(workers: usize, sched: AdversarialScheduler, detector: RaceDetector) -> Gate {
+        Gate {
+            workers,
+            state: Mutex::new(GateState {
+                registered: 0,
+                holder: None,
+                finished: vec![false; workers],
+                current_tid: vec![0; workers],
+                sched,
+                detector,
+                error: None,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state
+            .lock()
+            .expect("a certification worker panicked holding the gate")
+    }
+
+    /// Reschedule at a preemption point: possibly pass the token and, if so,
+    /// wait until it comes back.  Caller must hold the token.
+    fn preempt(&self, w: usize, mut st: MutexGuard<'_, GateState>) {
+        debug_assert_eq!(st.holder, Some(w));
+        let runnable = st.runnable();
+        if runnable.is_empty() {
+            st.holder = None;
+            self.cv.notify_all();
+            return;
+        }
+        let next = st.sched.pick(Some(w), &runnable);
+        if next != w {
+            st.holder = Some(next);
+            self.cv.notify_all();
+            while st.holder != Some(w) {
+                st = self.cv.wait(st).expect("gate poisoned");
+            }
+        }
+    }
+
+    /// Record a shared memory access by worker `w` (attributed to the
+    /// iteration it is executing) and hit a preemption point.
+    fn access(&self, w: usize, var: VarId, addr: usize, at: (StmtId, u32), kind: AccessKind) {
+        let mut st = self.lock();
+        let tid = st.current_tid[w];
+        st.detector.on_access(tid, var, addr, at.0, at.1, kind);
+        self.preempt(w, st);
+    }
+
+    /// Tear down after the join, returning detector, scheduler and the first
+    /// worker error.
+    fn into_parts(self) -> (RaceDetector, AdversarialScheduler, Option<RuntimeError>) {
+        let st = self.state.into_inner().expect("gate poisoned");
+        (st.detector, st.sched, st.error)
+    }
+}
+
+impl Observer for Gate {
+    type Hooks<'g> = CertHooks<'g>;
+
+    fn hooks(&self, t: usize) -> CertHooks<'_> {
+        CertHooks {
+            gate: self,
+            worker: t,
+            at: (StmtId(0), 0),
+        }
+    }
+
+    /// Block until every worker has registered and this worker is picked to
+    /// run first.
+    fn start(&self, t: usize) {
+        let mut st = self.lock();
+        st.registered += 1;
+        if st.registered == self.workers {
+            let runnable = st.runnable();
+            let first = st.sched.pick(None, &runnable);
+            st.holder = Some(first);
+            self.cv.notify_all();
+        }
+        while st.holder != Some(t) {
+            st = self.cv.wait(st).expect("gate poisoned");
+        }
+    }
+
+    /// Iteration `k` is logical thread `k + 1` of the race model (thread 0
+    /// is the parent); starting it is also a preemption point.
+    fn begin_iter(&self, t: usize, k: i64) {
+        let mut st = self.lock();
+        st.current_tid[t] = k as usize + 1;
+        self.preempt(t, st);
+    }
+
+    /// Record the first worker error, mark worker `t` finished and pass the
+    /// token on.
+    fn finish(&self, t: usize, _view: &mut Machine<'_>, error: Option<&RuntimeError>) {
+        let mut st = self.lock();
+        if st.error.is_none() {
+            st.error = error.cloned();
+        }
+        st.finished[t] = true;
+        let runnable = st.runnable();
+        st.holder = if runnable.is_empty() {
+            None
+        } else {
+            Some(st.sched.pick(Some(t), &runnable))
+        };
+        self.cv.notify_all();
+    }
+}
+
+/// Per-worker [`Hooks`]: tracks the current statement (the load/store hooks
+/// carry no source line) and routes every memory access through the gate.
+struct CertHooks<'g> {
+    gate: &'g Gate,
+    worker: usize,
+    at: (StmtId, u32),
+}
+
+impl Hooks for CertHooks<'_> {
+    fn on_stmt(&mut self, id: StmtId, line: u32) {
+        self.at = (id, line);
+    }
+
+    fn load(&mut self, var: VarId, addr: usize) {
+        self.gate
+            .access(self.worker, var, addr, self.at, AccessKind::Read);
+    }
+
+    fn store(&mut self, var: VarId, addr: usize) {
+        self.gate
+            .access(self.worker, var, addr, self.at, AccessKind::Write);
+    }
+}
+
+/// A [`LoopHandler`] that executes one target loop under race certification.
+///
+/// Every invocation of the target loop is certified (an inner loop reached
+/// several times accumulates into `outcome` across invocations); all other
+/// loops run sequentially.
+struct CertifyHandler<'p> {
+    target: StmtId,
+    threads: usize,
+    /// All scheduling decisions derive from this seed.
+    seed: u64,
+    plan: &'p PlanEntry,
+    outcome: CertOutcome,
+}
+
+impl LoopHandler for CertifyHandler<'_> {
+    fn on_loop(&mut self, m: &mut Machine<'_>, do_stmt: &Stmt) -> Option<Result<(), RuntimeError>> {
+        if do_stmt.id() != self.target {
+            return None;
+        }
+        let run = match LoopRun::evaluate(m, do_stmt) {
+            Ok(r) => r,
+            Err(e) => return Some(Err(e)),
+        };
+        if run.n < 1 {
+            // Zero-trip: nothing to certify; run sequentially.
+            return None;
+        }
+        let Ok(layout) = LoopLayout::build(m, self.plan, run.line) else {
+            self.outcome.unplannable += 1;
+            return None;
+        };
+        let n = run.n as usize;
+        self.outcome.loops_run += 1;
+        self.outcome.iterations += n as u64;
+        for seg in &layout.segments {
+            let range = (seg.shared_base, seg.len);
+            if matches!(seg.role, SegRole::Private) && !self.outcome.dead_private.contains(&range) {
+                self.outcome.dead_private.push(range);
+            }
+        }
+
+        // One logical thread per iteration, plus the parent (thread 0);
+        // fork edges order everything before the loop with every iteration.
+        let mut detector = RaceDetector::new(n + 1, m.shared_len());
+        for k in 0..n {
+            detector.fork(0, k + 1);
+        }
+        let workers = self.threads.max(1).min(n);
+        let gate = Gate::new(
+            workers,
+            AdversarialScheduler::new(self.seed, workers),
+            detector,
+        );
+        // Block schedule and serialized merge: the production defaults'
+        // deterministic core.
+        let joined = fork_join(m, &run, &layout, workers, Schedule::Block, &gate);
+
+        let (detector, sched, error) = gate.into_parts();
+        self.outcome.shared_accesses += detector.accesses;
+        self.outcome.races.extend(detector.into_races());
+        self.outcome.schedule_decisions += sched.decisions;
+        self.outcome.schedule_switches += sched.switches;
+        if let Some(e) = error {
+            self.outcome.error.get_or_insert_with(|| e.clone());
+            return Some(Err(e));
+        }
+        Some(joined.and_then(|results| {
+            finalize(
+                m,
+                &run,
+                &layout,
+                Schedule::Block,
+                Finalization::Serialized,
+                results,
+            )
+        }))
+    }
+}
 
 /// Options for a certification run.
 #[derive(Clone, Debug)]
@@ -95,47 +383,6 @@ impl LoopCertification {
     }
 }
 
-fn cert_role(role: &SegRole) -> CertRole {
-    match role {
-        SegRole::Private => CertRole::Private,
-        SegRole::FinalizeLast => CertRole::FinalizeLast,
-        SegRole::Reduction { op, lo, hi } => CertRole::Reduction {
-            op: match op {
-                RedOp::Add => CertOp::Add,
-                RedOp::Mul => CertOp::Mul,
-                RedOp::Min => CertOp::Min,
-                RedOp::Max => CertOp::Max,
-            },
-            lo: *lo,
-            hi: *hi,
-        },
-    }
-}
-
-/// Build the [`CertSpec`]-producing closure for a plan: per invocation it
-/// computes the privatization layout and tail template with the same code
-/// the production executor uses.
-fn spec_fn(plan: PlanEntry) -> suif_dynamic::SpecFn {
-    Box::new(move |m: &mut Machine<'_>, do_stmt| {
-        let line = do_stmt.line();
-        let (segments, overrides, tail_len) = executor::build_layout(m, &plan, line).ok()?;
-        let template = executor::build_template(m, &segments, tail_len);
-        Some(CertSpec {
-            segments: segments
-                .iter()
-                .map(|s| CertSegment {
-                    tail_base: s.tail_base,
-                    len: s.len,
-                    shared_base: s.shared_base,
-                    role: cert_role(&s.role),
-                })
-                .collect(),
-            overrides,
-            template,
-        })
-    })
-}
-
 /// Run the program sequentially (no handler) and capture its observable
 /// result — the reference side of the differential check.
 pub fn capture_sequential(program: &Program, input: &[f64]) -> ExecutionCapture {
@@ -159,8 +406,7 @@ pub fn capture_sequential(program: &Program, input: &[f64]) -> ExecutionCapture 
 }
 
 fn capture_machine(mut m: Machine<'_>, error: Option<RuntimeError>) -> ExecutionCapture {
-    let (_, len) = m.mem_parts();
-    let memory = (0..len)
+    let memory = (0..m.shared_len())
         .map(|a| m.peek(a).unwrap_or(Value::Real(0.0)))
         .collect();
     ExecutionCapture {
@@ -185,6 +431,13 @@ pub fn certify_loop(
         let seed = opts.seed.wrapping_add(s as u64);
         let start = Instant::now();
         let mut hooks = NoHooks;
+        let mut handler = CertifyHandler {
+            target,
+            threads: opts.threads,
+            seed,
+            plan,
+            outcome: CertOutcome::default(),
+        };
         let mut m = match Machine::new(program, &mut hooks) {
             Ok(m) => m,
             Err(e) => {
@@ -205,25 +458,12 @@ pub fn certify_loop(
             }
         };
         m.set_input(opts.input.clone());
-        m.set_handler(Box::new(CertifyHandler::new(
-            target,
-            opts.threads,
-            seed,
-            spec_fn(plan.clone()),
-        )));
+        m.set_handler(&mut handler);
         let error = m.run().err();
-        let h = m.take_handler().expect("certify handler installed");
-        let outcome = {
-            let raw = Box::into_raw(h) as *mut CertifyHandler;
-            // SAFETY: the only handler installed on this machine is the
-            // CertifyHandler boxed a few lines above.
-            let h = unsafe { Box::from_raw(raw) };
-            h.outcome.clone()
-        };
         let capture = capture_machine(m, error);
         schedules.push(ScheduleReport {
             seed,
-            outcome,
+            outcome: handler.outcome,
             capture,
             elapsed: start.elapsed(),
         });
@@ -337,9 +577,20 @@ proc main() {
         };
         let a = certify_loop(&p, target, &plan, &opts);
         let b = certify_loop(&p, target, &plan, &opts);
+        let counters = |c: &LoopCertification| -> Vec<(u64, u64, u64)> {
+            let of = |s: &ScheduleReport| {
+                let o = &s.outcome;
+                (o.schedule_decisions, o.schedule_switches, o.shared_accesses)
+            };
+            c.schedules.iter().map(of).collect()
+        };
+        assert_eq!(counters(&a), counters(&b));
+        // Seeds 99 and 100 as the gate decided them before it moved into
+        // this crate: 1 first pick + 16 iteration starts + 48 accesses
+        // (two loads of `i` and the store, per iteration) + 2 hand-overs
+        // at finish.
+        assert_eq!(counters(&a), vec![(67, 13, 16), (67, 6, 16)]);
         for (x, y) in a.schedules.iter().zip(&b.schedules) {
-            assert_eq!(x.outcome.schedule_decisions, y.outcome.schedule_decisions);
-            assert_eq!(x.outcome.schedule_switches, y.outcome.schedule_switches);
             assert_eq!(x.capture.output, y.capture.output);
         }
     }

@@ -1,14 +1,14 @@
-//! The parallel loop executor: a [`LoopHandler`] that forks worker machines
-//! over a shared memory view.
+//! The parallel loop executor: a [`LoopHandler`] that runs planned loops
+//! through the crate's one fork/join ([`crate::forkjoin`]) for speed.
 
-use crate::plan::{ParallelPlans, PlanEntry};
+use crate::forkjoin::{
+    finalize, fork_join, merge_cell, LoopLayout, LoopRun, Observer, SegRole, Segment,
+};
+use crate::plan::ParallelPlans;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
-use suif_analysis::RedOp;
-use suif_dynamic::machine::{Frame, LoopHandler, Machine, NoHooks, RuntimeError};
-use suif_dynamic::Value;
-use suif_ir::{Program, Stmt, StmtId, VarId, VarKind};
+use suif_dynamic::machine::{LoopHandler, Machine, NoHooks, RuntimeError};
+use suif_ir::{Stmt, StmtId};
 
 /// Reduction finalization strategy (§6.3.4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -104,31 +104,6 @@ pub struct ParallelExecutor {
     pub stats: RunStats,
 }
 
-/// One privatized storage group in the per-thread tail.  Shared with the
-/// certification glue in [`crate::certify`].
-pub(crate) struct Segment {
-    /// Offset in the private tail.
-    pub(crate) tail_base: usize,
-    /// Length in cells.
-    pub(crate) len: usize,
-    /// Shared base it mirrors.
-    pub(crate) shared_base: usize,
-    /// Role of the segment.
-    pub(crate) role: SegRole,
-}
-
-pub(crate) enum SegRole {
-    Private,
-    FinalizeLast,
-    Reduction {
-        op: RedOp,
-        /// 0-based start/end (inclusive) of the reduction region within the
-        /// segment.
-        lo: usize,
-        hi: usize,
-    },
-}
-
 impl ParallelExecutor {
     /// Create an executor.
     pub fn new(plans: ParallelPlans, config: RuntimeConfig) -> ParallelExecutor {
@@ -140,414 +115,122 @@ impl ParallelExecutor {
     }
 }
 
-/// Compute the privatization layout for a loop plan in the current frame.
-/// Returns the segments, the per-variable overrides (relative to the
-/// tail), and the tail length.  Also used by [`crate::certify`] so the
-/// certified loop runs under exactly the production privatization.
-#[allow(clippy::type_complexity)]
-pub(crate) fn build_layout(
-    m: &Machine<'_>,
-    plan: &PlanEntry,
-    line: u32,
-) -> Result<(Vec<Segment>, HashMap<VarId, usize>, usize), RuntimeError> {
-    let program = m.program;
-    let mut segments: Vec<Segment> = Vec::new();
-    let mut overrides: HashMap<VarId, usize> = HashMap::new();
-    let mut next = 0usize;
-    // Storage groups already privatized (by shared base).
-    let mut group_of: HashMap<usize, usize> = HashMap::new();
-
-    let add_group = |m: &Machine<'_>,
-                     v: VarId,
-                     role_for_new: SegRole,
-                     segments: &mut Vec<Segment>,
-                     overrides: &mut HashMap<VarId, usize>,
-                     next: &mut usize,
-                     group_of: &mut HashMap<usize, usize>|
-     -> Result<(), RuntimeError> {
-        let info = program.var(v);
-        // Group commons by block: privatize the whole block once.
-        let (shared_base, len, member_off) = match info.kind {
-            VarKind::Common { block, offset } => {
-                let blk_size = program.commons[block.0 as usize].size.max(1) as usize;
-                let member_base = if info.is_array() {
-                    m.array_base(v, line)?
-                } else {
-                    m.array_base(v, line).unwrap_or(0)
-                };
-                let blk_base = member_base - offset as usize;
-                (blk_base, blk_size, offset as usize)
-            }
-            _ => {
-                if info.is_array() {
-                    let base = m.array_base(v, line)?;
-                    let n = m.array_elem_count(v, line)?.ok_or_else(|| RuntimeError {
-                        message: format!("cannot size private copy of `{}`", info.name),
-                        line,
-                    })?;
-                    (base, n.max(0) as usize, 0)
-                } else {
-                    let base = scalar_base(m, v, line)?;
-                    (base, 1, 0)
-                }
-            }
-        };
-        let seg_idx = match group_of.get(&shared_base) {
-            Some(&i) => i,
-            None => {
-                let i = segments.len();
-                segments.push(Segment {
-                    tail_base: *next,
-                    len,
-                    shared_base,
-                    role: role_for_new,
-                });
-                group_of.insert(shared_base, i);
-                *next += len;
-                i
-            }
-        };
-        overrides.insert(v, segments[seg_idx].tail_base + member_off);
-        Ok(())
-    };
-
-    for &v in &plan.private_vars {
-        add_group(
-            m,
-            v,
-            SegRole::Private,
-            &mut segments,
-            &mut overrides,
-            &mut next,
-            &mut group_of,
-        )?;
-    }
-    for &v in &plan.finalize_last {
-        add_group(
-            m,
-            v,
-            SegRole::FinalizeLast,
-            &mut segments,
-            &mut overrides,
-            &mut next,
-            &mut group_of,
-        )?;
-    }
-    for red in &plan.reductions {
-        for &v in &red.vars {
-            // Determine the 0-based region inside the segment.
-            let info = program.var(v);
-            let member_off = match info.kind {
-                VarKind::Common { offset, .. } => offset as usize,
-                _ => 0,
-            };
-            let total = if info.is_array() {
-                m.array_elem_count(v, line)?.unwrap_or(1).max(1) as usize
-            } else {
-                1
-            };
-            let (lo, hi) = match red.range {
-                // range is 1-based within the storage *object*.
-                Some((l, h)) => {
-                    let l = (l.max(1) - 1) as usize;
-                    let h = (h.max(1) - 1) as usize;
-                    (l, h)
-                }
-                None => (member_off, member_off + total - 1),
-            };
-            add_group(
-                m,
-                v,
-                SegRole::Reduction { op: red.op, lo, hi },
-                &mut segments,
-                &mut overrides,
-                &mut next,
-                &mut group_of,
-            )?;
-        }
-    }
-    Ok((segments, overrides, next))
+/// The fast path watches nothing ([`NoHooks`]); its one per-worker step is
+/// the staggered in-worker reduction merge of §6.3.4, done through the
+/// worker's own view while the other workers may still be running.
+struct InWorkerMerge<'l> {
+    segments: &'l [Segment],
+    /// One lock per reduction section; empty under
+    /// [`Finalization::Serialized`], where the spawning thread merges.
+    locks: Vec<Mutex<()>>,
 }
 
-/// Build the initial contents of each worker's private tail for a segment
-/// layout: privatized and finalize-last groups copy in the current shared
-/// values; reduction groups start at the operator identity inside the
-/// reduction region and copy shared values outside it.  Also used by
-/// [`crate::certify`].
-pub(crate) fn build_template(m: &Machine<'_>, segments: &[Segment], tail_len: usize) -> Vec<Value> {
-    let mut template: Vec<Value> = vec![Value::Real(0.0); tail_len];
-    for seg in segments {
-        match &seg.role {
-            SegRole::Private => {
-                // Copy-in: privatization guarantees no *cross-iteration*
-                // value flow, but cells the loop never writes (e.g. the
-                // upwards-exposed `dkrc(1)` of §4.2.3) keep their
-                // pre-loop values and must be visible in the copy.
-                for k in 0..seg.len {
-                    if let Some(v) = m.peek(seg.shared_base + k) {
-                        template[seg.tail_base + k] = v;
-                    }
+impl Observer for InWorkerMerge<'_> {
+    type Hooks<'o>
+        = NoHooks
+    where
+        Self: 'o;
+
+    fn hooks(&self, _t: usize) -> NoHooks {
+        NoHooks
+    }
+
+    fn finish(&self, t: usize, view: &mut Machine<'_>, error: Option<&RuntimeError>) {
+        let nsections = self.locks.len();
+        if nsections == 0 || error.is_some() {
+            return;
+        }
+        let tail = view.shared_len();
+        for seg in self.segments {
+            let SegRole::Reduction { op, lo, hi } = &seg.role else {
+                continue;
+            };
+            let per = (hi - lo + 1).div_ceil(nsections);
+            for s in 0..nsections {
+                let sec = (t + s) % nsections;
+                let a = lo + sec * per;
+                let b = (a + per).min(hi + 1);
+                if a >= b {
+                    continue;
                 }
-            }
-            SegRole::FinalizeLast => {
-                for k in 0..seg.len {
-                    if let Some(v) = m.peek(seg.shared_base + k) {
-                        template[seg.tail_base + k] = v;
-                    }
-                }
-            }
-            SegRole::Reduction { op, lo, hi } => {
-                for k in 0..seg.len {
-                    template[seg.tail_base + k] = if k >= *lo && k <= *hi {
-                        Value::Real(op.identity())
-                    } else {
-                        m.peek(seg.shared_base + k).unwrap_or(Value::Real(0.0))
-                    };
+                // Writes to one section are serialized by its lock and
+                // sections are disjoint; the View contract covers the
+                // aliasing with the other workers' loop bodies.
+                let _guard = self.locks[sec].lock();
+                for k in a..b {
+                    let mine = view
+                        .peek(tail + seg.tail_base + k)
+                        .expect("segment lies inside the private tail");
+                    merge_cell(view, *op, seg.shared_base + k, mine);
                 }
             }
         }
-    }
-    template
-}
-
-fn scalar_base(m: &Machine<'_>, v: VarId, line: u32) -> Result<usize, RuntimeError> {
-    // Scalars always have static storage; reuse array_base which consults
-    // the same layout (scalars are not bound, so layout base exists).
-    match m.layout().base_of(v) {
-        Some(b) => Ok(b),
-        None => Err(RuntimeError {
-            message: format!("scalar `{}` has no storage", m.program.var(v).name),
-            line,
-        }),
     }
 }
 
 impl LoopHandler for ParallelExecutor {
     fn on_loop(&mut self, m: &mut Machine<'_>, do_stmt: &Stmt) -> Option<Result<(), RuntimeError>> {
-        let Stmt::Do {
-            id,
-            line,
-            var,
-            body,
-            ..
-        } = do_stmt
-        else {
-            return None;
-        };
-        let plan = self.plans.loops.get(id)?.clone();
-        let (lo, hi, step) = match m.eval_do_bounds(do_stmt) {
-            Ok(b) => b,
+        let id = do_stmt.id();
+        let plan = self.plans.loops.get(&id)?;
+        let run = match LoopRun::evaluate(m, do_stmt) {
+            Ok(r) => r,
             Err(e) => return Some(Err(e)),
         };
-        let n = suif_dynamic::certify::trip_count(lo, hi, step);
-        let threads = self.config.threads;
-        let est_cost = n.saturating_mul(plan.body_weight as i64);
-        if n < self.config.min_parallel_iters
-            || n < threads as i64
+        let RuntimeConfig {
+            threads,
+            finalization,
+            schedule,
+            ..
+        } = self.config;
+        let est_cost = run.n.saturating_mul(plan.body_weight as i64);
+        if run.n < self.config.min_parallel_iters
+            || run.n < threads as i64
             || est_cost < self.config.min_parallel_cost
             || threads <= 1
         {
-            *self.stats.serial_fallbacks.entry(*id).or_insert(0) += 1;
+            *self.stats.serial_fallbacks.entry(id).or_insert(0) += 1;
             return None;
         }
-        let (segments, overrides, tail_len) = match build_layout(m, &plan, *line) {
-            Ok(x) => x,
-            Err(_) => {
-                *self.stats.unplannable.entry(*id).or_insert(0) += 1;
-                return None;
-            }
+        let Ok(layout) = LoopLayout::build(m, plan, run.line) else {
+            *self.stats.unplannable.entry(id).or_insert(0) += 1;
+            return None;
         };
-        *self.stats.parallel_invocations.entry(*id).or_insert(0) += 1;
+        *self.stats.parallel_invocations.entry(id).or_insert(0) += 1;
 
-        let (shared_ptr, shared_len) = m.mem_parts();
-        let shared_addr = shared_ptr as usize;
-        let program: &Program = m.program;
-        let layout = Arc::clone(m.layout());
-        let frame: Frame = m.current_frame().clone();
-
-        // Template for each thread's private tail.
-        let template = build_template(m, &segments, tail_len);
-
-        // Section locks for staggered finalization.
-        let finalization = self.config.finalization;
-        let nsections = match finalization {
-            Finalization::StaggeredLocks { sections } => sections.max(1),
-            Finalization::Serialized => 1,
-        };
-        let locks: Vec<Mutex<()>> = (0..nsections).map(|_| Mutex::new(())).collect();
-
-        let adjust = |v: &mut HashMap<VarId, usize>| {
-            for b in v.values_mut() {
-                *b += shared_len;
-            }
-        };
-        let mut base_overrides = overrides;
-        adjust(&mut base_overrides);
-
-        let result: Result<Vec<(Vec<Value>, u64)>, RuntimeError> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let schedule = self.config.schedule;
-            for t in 0..threads {
-                let k0 = (n * t as i64) / threads as i64;
-                let k1 = (n * (t as i64 + 1)) / threads as i64;
-                let frame = frame.clone();
-                let overrides = base_overrides.clone();
-                let template = template.clone();
-                let layout = Arc::clone(&layout);
-                let segments = &segments;
-                let locks = &locks;
-                handles.push(
-                    scope.spawn(move || -> Result<(Vec<Value>, u64), RuntimeError> {
-                        let mut hooks = NoHooks;
-                        let shared = (shared_addr as *mut Value, shared_len);
-                        let mut worker = Machine::thread_view(
-                            program, layout, shared, frame, overrides, template, &mut hooks,
-                        );
-                        let run_iter =
-                            |worker: &mut Machine<'_>, k: i64| -> Result<(), RuntimeError> {
-                                let i = lo + k * step;
-                                worker.set_scalar_raw(*var, Value::Int(i), *line)?;
-                                worker.exec_body(body)
-                            };
-                        match schedule {
-                            Schedule::Block => {
-                                for k in k0..k1 {
-                                    run_iter(&mut worker, k)?;
-                                }
-                            }
-                            Schedule::Cyclic => {
-                                let mut k = t as i64;
-                                while k < n {
-                                    run_iter(&mut worker, k)?;
-                                    k += threads as i64;
-                                }
-                            }
-                        }
-                        let ops = worker.ops();
-                        let private = worker.into_private();
-                        // Staggered in-worker finalization (§6.3.4).
-                        if let Finalization::StaggeredLocks { .. } = finalization {
-                            for seg in segments.iter() {
-                                if let SegRole::Reduction {
-                                    op,
-                                    lo: rlo,
-                                    hi: rhi,
-                                } = &seg.role
-                                {
-                                    let span = rhi - rlo + 1;
-                                    let per = span.div_ceil(nsections);
-                                    for s in 0..nsections {
-                                        let sec = (t + s) % nsections;
-                                        let a = rlo + sec * per;
-                                        let b = (a + per).min(rhi + 1);
-                                        if a >= b {
-                                            continue;
-                                        }
-                                        let _guard = locks[sec].lock();
-                                        for k in a..b {
-                                            // SAFETY: disjoint-section writes
-                                            // serialized by the section lock;
-                                            // the View contract covers aliasing.
-                                            unsafe {
-                                                let p = (shared_addr as *mut Value)
-                                                    .add(seg.shared_base + k);
-                                                let cur = (*p).as_real();
-                                                let mine = private[seg.tail_base + k].as_real();
-                                                *p = Value::Real(op.apply(cur, mine));
-                                            }
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                        Ok((private, ops))
-                    }),
-                );
-            }
-            let mut tails = Vec::new();
-            for h in handles {
-                match h.join() {
-                    Ok(Ok(t)) => tails.push(t),
-                    Ok(Err(e)) => return Err(e),
-                    Err(_) => {
-                        return Err(RuntimeError {
-                            message: "worker thread panicked".into(),
-                            line: *line,
-                        })
-                    }
+        let observer = InWorkerMerge {
+            segments: &layout.segments,
+            locks: match finalization {
+                Finalization::StaggeredLocks { sections } => {
+                    (0..sections.max(1)).map(|_| Mutex::new(())).collect()
                 }
-            }
-            Ok(tails)
-        });
-
-        let pairs = match result {
-            Ok(t) => t,
+                Finalization::Serialized => Vec::new(),
+            },
+        };
+        let results = match fork_join(m, &run, &layout, threads, schedule, &observer) {
+            Ok(r) => r,
             Err(e) => return Some(Err(e)),
         };
-        let max_worker_ops = pairs.iter().map(|(_, o)| *o).max().unwrap_or(0);
-        let total_worker_ops: u64 = pairs.iter().map(|(_, o)| *o).sum();
-        let tails: Vec<Vec<Value>> = pairs.into_iter().map(|(t, _)| t).collect();
+
         // Simulated critical path: max worker + spawn model.
-        let mut sim =
-            max_worker_ops + SPAWN_OVERHEAD_OPS + PER_THREAD_OVERHEAD_OPS * threads as u64;
+        let mut sim = results.iter().map(|r| r.ops).max().unwrap_or(0)
+            + SPAWN_OVERHEAD_OPS
+            + PER_THREAD_OVERHEAD_OPS * threads as u64;
         // Finalization model (§6.3.4): serialized merging costs
         // threads × region size on the critical path; staggered locking
         // parallelizes it (≈ one region sweep).
-        for seg in &segments {
+        for seg in &layout.segments {
             if let SegRole::Reduction { lo, hi, .. } = &seg.role {
                 let span = (hi - lo + 1) as u64;
-                sim += match self.config.finalization {
+                sim += match finalization {
                     Finalization::Serialized => 2 * span * threads as u64,
                     Finalization::StaggeredLocks { .. } => 2 * span,
                 };
             }
         }
         self.stats.sim_parallel_ops += sim;
-        self.stats.worker_ops += total_worker_ops;
+        self.stats.worker_ops += results.iter().map(|r| r.ops).sum::<u64>();
 
-        // Post-join finalization.
-        for seg in &segments {
-            match &seg.role {
-                SegRole::Private => {}
-                SegRole::FinalizeLast => {
-                    let last_thread = match self.config.schedule {
-                        // Block: the final chunk belongs to the last thread.
-                        Schedule::Block => threads - 1,
-                        // Cyclic: iteration n-1 ran on thread (n-1) mod T.
-                        Schedule::Cyclic => ((n - 1) as usize) % threads,
-                    };
-                    let last = &tails[last_thread];
-                    for k in 0..seg.len {
-                        m.poke(seg.shared_base + k, last[seg.tail_base + k]);
-                    }
-                }
-                SegRole::Reduction {
-                    op,
-                    lo: rlo,
-                    hi: rhi,
-                } => {
-                    if let Finalization::Serialized = self.config.finalization {
-                        for tail in &tails {
-                            for k in *rlo..=*rhi {
-                                let cur = m
-                                    .peek(seg.shared_base + k)
-                                    .unwrap_or(Value::Real(0.0))
-                                    .as_real();
-                                let mine = tail[seg.tail_base + k].as_real();
-                                m.poke(seg.shared_base + k, Value::Real(op.apply(cur, mine)));
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Fortran post-loop induction value.
-        let final_i = lo + n * step;
-        if let Err(e) = m.set_scalar_raw(*var, Value::Int(final_i), *line) {
-            return Some(Err(e));
-        }
-        Some(Ok(()))
+        Some(finalize(m, &run, &layout, schedule, finalization, results))
     }
 }
 
@@ -576,8 +259,7 @@ mod tests {
             ParallelPlans::from_analysis(&pa)
         };
         let mut hooks2 = NoHooks;
-        let mut m2 = Machine::new(&p, &mut hooks2).unwrap();
-        m2.set_handler(Box::new(ParallelExecutor::new(
+        let mut ex = ParallelExecutor::new(
             plans,
             RuntimeConfig {
                 threads,
@@ -586,20 +268,13 @@ mod tests {
                 finalization,
                 schedule: Default::default(),
             },
-        )));
+        );
+        let mut m2 = Machine::new(&p, &mut hooks2).unwrap();
+        m2.set_handler(&mut ex);
         m2.run().unwrap();
         let par = m2.output.clone();
-        let h = m2.take_handler().unwrap();
         drop(m2);
-        // Extract stats via Any-free downcast: rebuild is awkward; instead
-        // re-run borrowing pattern — simpler: leak through Box into raw.
-        let stats = {
-            let raw = Box::into_raw(h) as *mut ParallelExecutor;
-            // SAFETY: the only handler type we install is ParallelExecutor.
-            let ex = unsafe { Box::from_raw(raw) };
-            ex.stats.clone()
-        };
-        (seq, par, stats)
+        (seq, par, ex.stats)
     }
 
     #[test]
@@ -693,8 +368,7 @@ proc main() {
             ParallelPlans::from_analysis(&pa)
         };
         let mut hooks = NoHooks;
-        let mut m = Machine::new(&p, &mut hooks).unwrap();
-        m.set_handler(Box::new(ParallelExecutor::new(
+        let mut ex = ParallelExecutor::new(
             plans,
             RuntimeConfig {
                 threads: 2,
@@ -703,7 +377,9 @@ proc main() {
                 finalization: Finalization::Serialized,
                 schedule: Default::default(),
             },
-        )));
+        );
+        let mut m = Machine::new(&p, &mut hooks).unwrap();
+        m.set_handler(&mut ex);
         m.run().unwrap();
         assert_eq!(m.output, vec!["3"]);
     }
@@ -769,8 +445,7 @@ proc main() {
             ParallelPlans::from_analysis(&pa)
         };
         let mut hooks2 = NoHooks;
-        let mut m2 = Machine::new(&p, &mut hooks2).unwrap();
-        m2.set_handler(Box::new(ParallelExecutor::new(
+        let mut ex = ParallelExecutor::new(
             plans,
             RuntimeConfig {
                 threads,
@@ -779,18 +454,13 @@ proc main() {
                 finalization,
                 schedule,
             },
-        )));
+        );
+        let mut m2 = Machine::new(&p, &mut hooks2).unwrap();
+        m2.set_handler(&mut ex);
         m2.run().unwrap();
         let par = m2.output.clone();
-        let h = m2.take_handler().unwrap();
         drop(m2);
-        let stats = {
-            let raw = Box::into_raw(h) as *mut ParallelExecutor;
-            // SAFETY: the only handler type we install is ParallelExecutor.
-            let ex = unsafe { Box::from_raw(raw) };
-            ex.stats.clone()
-        };
-        (seq, par, stats)
+        (seq, par, ex.stats)
     }
 
     #[test]
@@ -905,8 +575,7 @@ proc main() {
             ParallelPlans::from_analysis(&pa)
         };
         let mut hooks = NoHooks;
-        let mut m = Machine::new(&p, &mut hooks).unwrap();
-        m.set_handler(Box::new(ParallelExecutor::new(
+        let mut ex = ParallelExecutor::new(
             plans.clone(),
             RuntimeConfig {
                 threads: 2,
@@ -915,13 +584,11 @@ proc main() {
                 finalization: Finalization::Serialized,
                 schedule: Schedule::Block,
             },
-        )));
+        );
+        let mut m = Machine::new(&p, &mut hooks).unwrap();
+        m.set_handler(&mut ex);
         m.run().unwrap();
-        let h = m.take_handler().unwrap();
         drop(m);
-        let raw = Box::into_raw(h) as *mut ParallelExecutor;
-        // SAFETY: the installed handler is a ParallelExecutor.
-        let ex = unsafe { Box::from_raw(raw) };
         // The inner loop runs parallel on each of the 3 outer iterations
         // (the outer loop is itself parallel; whichever runs parallel, the
         // invocation totals must be positive and simulated ops accounted).

@@ -1,0 +1,377 @@
+//! The one fork/join loop runtime (§4.5, §6.3.4) under both the fast
+//! executor and the certifier: a loop invocation ([`LoopRun`]) and its
+//! privatization ([`LoopLayout`]) go into [`fork_join`], which runs the
+//! iterations on worker views of the machine's memory, and the joined
+//! per-worker results go into [`finalize`], which applies the post-loop
+//! effects.  What differs between the two runtimes — which hooks a worker
+//! reports to and what happens around its iterations — is an [`Observer`].
+//!
+//! Ownership: the *handler* decides whether a loop runs in parallel, builds
+//! the layout and does its own accounting; `fork_join` owns the worker
+//! threads (the crate's only spawn site) and the iteration partition;
+//! `finalize` owns every write the loop leaves in shared memory after the
+//! join.  The aliasing of worker views is the `View` contract documented on
+//! `suif_dynamic::MemStore`; `fork_join` upholds its side by joining every
+//! worker before it returns.
+
+use crate::executor::{Finalization, Schedule};
+use crate::plan::PlanEntry;
+use std::collections::HashMap;
+use suif_analysis::RedOp;
+use suif_dynamic::machine::{Hooks, Machine, RuntimeError};
+use suif_dynamic::Value;
+use suif_ir::{Stmt, VarId, VarKind};
+
+/// One invocation of a `do` loop with its bounds evaluated.
+pub(crate) struct LoopRun<'s> {
+    pub(crate) var: VarId,
+    pub(crate) body: &'s [Stmt],
+    pub(crate) line: u32,
+    pub(crate) lo: i64,
+    pub(crate) step: i64,
+    /// Trip count.
+    pub(crate) n: i64,
+}
+
+impl<'s> LoopRun<'s> {
+    /// Evaluate the loop's bounds once, in the machine's current frame.
+    pub(crate) fn evaluate(
+        m: &mut Machine<'_>,
+        do_stmt: &'s Stmt,
+    ) -> Result<LoopRun<'s>, RuntimeError> {
+        let (lo, hi, step) = m.eval_do_bounds(do_stmt)?;
+        let Stmt::Do {
+            var, body, line, ..
+        } = do_stmt
+        else {
+            unreachable!("eval_do_bounds rejects non-loops");
+        };
+        Ok(LoopRun {
+            var: *var,
+            body,
+            line: *line,
+            lo,
+            step,
+            n: Machine::trip_count(lo, hi, step),
+        })
+    }
+}
+
+/// One privatized storage group in the per-worker tail.
+pub(crate) struct Segment {
+    /// Offset in the private tail.
+    pub(crate) tail_base: usize,
+    /// Length in cells.
+    pub(crate) len: usize,
+    /// Shared base it mirrors.
+    pub(crate) shared_base: usize,
+    /// How the segment is merged back at the join.
+    pub(crate) role: SegRole,
+}
+
+pub(crate) enum SegRole {
+    /// Pure scratch: discarded at the join.
+    Private,
+    /// Live-out privatized storage: the last iteration's copy wins.
+    FinalizeLast,
+    /// Reduction storage: per-worker copies are combined with `op` over the
+    /// 0-based inclusive region `[lo, hi]` of the segment.
+    Reduction { op: RedOp, lo: usize, hi: usize },
+}
+
+/// The privatization of one loop invocation: which storage groups each
+/// worker gets a private copy of, where the plan's variables land in that
+/// private tail, and what the tail holds when the worker starts.
+pub(crate) struct LoopLayout {
+    pub(crate) segments: Vec<Segment>,
+    /// Variable → offset in the private tail.
+    pub(crate) overrides: HashMap<VarId, usize>,
+    /// Initial contents of each worker's tail.
+    pub(crate) template: Vec<Value>,
+}
+
+impl LoopLayout {
+    /// Lay out `plan` in the machine's current frame.  Fails when a private
+    /// copy cannot be sized (the handler then leaves the loop sequential).
+    pub(crate) fn build(
+        m: &Machine<'_>,
+        plan: &PlanEntry,
+        line: u32,
+    ) -> Result<LoopLayout, RuntimeError> {
+        let mut b = LayoutBuilder {
+            m,
+            line,
+            segments: Vec::new(),
+            overrides: HashMap::new(),
+            tail_len: 0,
+            group_of: HashMap::new(),
+        };
+        for &v in &plan.private_vars {
+            b.add(v, SegRole::Private)?;
+        }
+        for &v in &plan.finalize_last {
+            b.add(v, SegRole::FinalizeLast)?;
+        }
+        for red in &plan.reductions {
+            for &v in &red.vars {
+                // Determine the 0-based region inside the segment.
+                let info = m.program.var(v);
+                let member_off = match info.kind {
+                    VarKind::Common { offset, .. } => offset as usize,
+                    _ => 0,
+                };
+                let total = if info.is_array() {
+                    m.array_elem_count(v, line)?.unwrap_or(1).max(1) as usize
+                } else {
+                    1
+                };
+                let (lo, hi) = match red.range {
+                    // range is 1-based within the storage *object*.
+                    Some((l, h)) => ((l.max(1) - 1) as usize, (h.max(1) - 1) as usize),
+                    None => (member_off, member_off + total - 1),
+                };
+                b.add(v, SegRole::Reduction { op: red.op, lo, hi })?;
+            }
+        }
+        let template = b.template();
+        Ok(LoopLayout {
+            segments: b.segments,
+            overrides: b.overrides,
+            template,
+        })
+    }
+}
+
+struct LayoutBuilder<'m, 'p> {
+    m: &'m Machine<'p>,
+    line: u32,
+    segments: Vec<Segment>,
+    overrides: HashMap<VarId, usize>,
+    tail_len: usize,
+    /// Storage groups already privatized: shared base → segment index.
+    group_of: HashMap<usize, usize>,
+}
+
+impl LayoutBuilder<'_, '_> {
+    /// Redirect `v` into the tail, privatizing its storage group with `role`
+    /// unless an earlier variable of the same group already did.
+    fn add(&mut self, v: VarId, role: SegRole) -> Result<(), RuntimeError> {
+        let (m, line) = (self.m, self.line);
+        let info = m.program.var(v);
+        // Group commons by block: privatize the whole block once.
+        let (shared_base, len, member_off) = match info.kind {
+            VarKind::Common { block, offset } => {
+                let blk_size = m.program.commons[block.0 as usize].size.max(1) as usize;
+                let member_base = if info.is_array() {
+                    m.array_base(v, line)?
+                } else {
+                    m.array_base(v, line).unwrap_or(0)
+                };
+                (member_base - offset as usize, blk_size, offset as usize)
+            }
+            _ if info.is_array() => {
+                let n = m.array_elem_count(v, line)?.ok_or_else(|| RuntimeError {
+                    message: format!("cannot size private copy of `{}`", info.name),
+                    line,
+                })?;
+                (m.array_base(v, line)?, n.max(0) as usize, 0)
+            }
+            // Scalars are never bound, so their storage is static.
+            _ => match m.layout().base_of(v) {
+                Some(base) => (base, 1, 0),
+                None => {
+                    return Err(RuntimeError {
+                        message: format!("scalar `{}` has no storage", info.name),
+                        line,
+                    })
+                }
+            },
+        };
+        let seg = *self.group_of.entry(shared_base).or_insert_with(|| {
+            self.segments.push(Segment {
+                tail_base: self.tail_len,
+                len,
+                shared_base,
+                role,
+            });
+            self.tail_len += len;
+            self.segments.len() - 1
+        });
+        self.overrides
+            .insert(v, self.segments[seg].tail_base + member_off);
+        Ok(())
+    }
+
+    /// Initial tail contents: every group copies in the current shared
+    /// values, except that a reduction region starts at the operator
+    /// identity.  The copy-in matters even for pure scratch: privatization
+    /// guarantees no *cross-iteration* value flow, but cells the loop never
+    /// writes (e.g. the upwards-exposed `dkrc(1)` of §4.2.3) keep their
+    /// pre-loop values and must be visible in the copy.
+    fn template(&self) -> Vec<Value> {
+        let mut template = vec![Value::Real(0.0); self.tail_len];
+        for seg in &self.segments {
+            for k in 0..seg.len {
+                template[seg.tail_base + k] = match &seg.role {
+                    SegRole::Reduction { op, lo, hi } if (*lo..=*hi).contains(&k) => {
+                        Value::Real(op.identity())
+                    }
+                    _ => self.m.peek(seg.shared_base + k).unwrap_or(Value::Real(0.0)),
+                };
+            }
+        }
+        template
+    }
+}
+
+impl Schedule {
+    /// The 0-based iterations worker `t` of `workers` runs out of `n`.
+    fn iterations(self, t: usize, workers: usize, n: i64) -> impl Iterator<Item = i64> {
+        let (t, w) = (t as i64, workers as i64);
+        let (first, end, stride) = match self {
+            Schedule::Block => (n * t / w, n * (t + 1) / w, 1),
+            Schedule::Cyclic => (t, n, workers),
+        };
+        (first..end).step_by(stride)
+    }
+
+    /// The worker that runs the final iteration `n - 1`.
+    fn last_owner(self, workers: usize, n: i64) -> usize {
+        match self {
+            // The final chunk belongs to the last worker.
+            Schedule::Block => workers - 1,
+            Schedule::Cyclic => (n - 1) as usize % workers,
+        }
+    }
+}
+
+/// What a runtime plugs into [`fork_join`]: the hooks each worker view
+/// reports to, and callbacks around the worker's iterations.  All callbacks
+/// run on the worker's own thread.
+pub(crate) trait Observer: Sync {
+    /// Per-worker hooks.
+    type Hooks<'o>: Hooks
+    where
+        Self: 'o;
+    /// Hooks for worker `t`'s view.
+    fn hooks(&self, t: usize) -> Self::Hooks<'_>;
+    /// Worker `t` is about to run its first iteration.
+    fn start(&self, _t: usize) {}
+    /// Worker `t` is about to run 0-based iteration `k`.
+    fn begin_iter(&self, _t: usize, _k: i64) {}
+    /// Worker `t` ran its last iteration, or stopped at `error`; `view` is
+    /// its machine, still alive.
+    fn finish(&self, _t: usize, _view: &mut Machine<'_>, _error: Option<&RuntimeError>) {}
+}
+
+/// What one worker hands back at the join.
+pub(crate) struct WorkerResult {
+    /// The private tail after the worker's last iteration.
+    pub(crate) tail: Vec<Value>,
+    /// Virtual ops the worker executed.
+    pub(crate) ops: u64,
+    /// `print` lines the worker captured.
+    pub(crate) output: Vec<String>,
+}
+
+/// Run the iterations of `run` on `workers` views of `m`'s memory, each with
+/// a private tail laid out by `layout`, and join them all.  Returns the
+/// results in worker order, or the first failed worker's error; a panicking
+/// worker becomes a [`RuntimeError`] here.
+pub(crate) fn fork_join<O: Observer>(
+    m: &mut Machine<'_>,
+    run: &LoopRun<'_>,
+    layout: &LoopLayout,
+    workers: usize,
+    schedule: Schedule,
+    observer: &O,
+) -> Result<Vec<WorkerResult>, RuntimeError> {
+    let mut hooks: Vec<O::Hooks<'_>> = (0..workers).map(|t| observer.hooks(t)).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = hooks
+            .iter_mut()
+            .enumerate()
+            .map(|(t, hooks)| {
+                let mut view = m.fork_view(&layout.overrides, layout.template.clone(), hooks);
+                scope.spawn(move || {
+                    observer.start(t);
+                    let mut result = Ok(());
+                    for k in schedule.iterations(t, workers, run.n) {
+                        observer.begin_iter(t, k);
+                        result = view
+                            .set_scalar_raw(run.var, Value::Int(run.lo + k * run.step), run.line)
+                            .and_then(|()| view.exec_body(run.body));
+                        if result.is_err() {
+                            break;
+                        }
+                    }
+                    observer.finish(t, &mut view, result.as_ref().err());
+                    result.map(|()| WorkerResult {
+                        ops: view.ops(),
+                        output: std::mem::take(&mut view.output),
+                        tail: view.into_private(),
+                    })
+                })
+            })
+            .collect();
+        // Join every handle before reporting the first failure: the scope
+        // would re-raise the panic of a worker nobody joined.
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .map(|r| {
+                r.unwrap_or_else(|_| {
+                    Err(RuntimeError {
+                        message: "worker thread panicked".into(),
+                        line: run.line,
+                    })
+                })
+            })
+            .collect()
+    })
+}
+
+/// Fold a worker's partial result `mine` into shared cell `addr` (§6.3.4).
+pub(crate) fn merge_cell(m: &mut Machine<'_>, op: RedOp, addr: usize, mine: Value) {
+    let cur = m.peek(addr).unwrap_or(Value::Real(0.0)).as_real();
+    m.poke(addr, Value::Real(op.apply(cur, mine.as_real())));
+}
+
+/// Apply the loop's post-join effects to `m`, deterministically in worker
+/// order: captured output, the last iteration's copy of every
+/// finalize-last group, the serialized reduction merge (under
+/// [`Finalization::StaggeredLocks`] the workers have merged already), and
+/// the Fortran post-loop induction value.
+pub(crate) fn finalize(
+    m: &mut Machine<'_>,
+    run: &LoopRun<'_>,
+    layout: &LoopLayout,
+    schedule: Schedule,
+    finalization: Finalization,
+    results: Vec<WorkerResult>,
+) -> Result<(), RuntimeError> {
+    for seg in &layout.segments {
+        match &seg.role {
+            SegRole::Private => {}
+            SegRole::FinalizeLast => {
+                let last = &results[schedule.last_owner(results.len(), run.n)].tail;
+                for k in 0..seg.len {
+                    m.poke(seg.shared_base + k, last[seg.tail_base + k]);
+                }
+            }
+            SegRole::Reduction { op, lo, hi } => {
+                if finalization == Finalization::Serialized {
+                    for r in &results {
+                        for k in *lo..=*hi {
+                            merge_cell(m, *op, seg.shared_base + k, r.tail[seg.tail_base + k]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+    for r in results {
+        m.output.extend(r.output);
+    }
+    m.set_scalar_raw(run.var, Value::Int(run.lo + run.n * run.step), run.line)
+}

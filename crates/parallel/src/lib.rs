@@ -21,21 +21,30 @@
 //!   (§6.3.3), and a configurable finalization strategy: serialized
 //!   post-join merging, or staggered per-section locking inside the workers
 //!   (§6.3.4).
+//!
+//! All of that is one fork/join (`forkjoin.rs`: layout → `fork_join` →
+//! `finalize`) with two users.  [`executor::ParallelExecutor`] runs planned
+//! loops through it for speed; [`certify`] runs one target loop through it
+//! for evidence, serializing the workers behind a token gate driven by
+//! `suif-dynamic`'s adversarial scheduler and feeding every access to its
+//! race detector.  Both are loop handlers the machine borrows; the fork/join
+//! contract is described in `docs/dynamic.md`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod certify;
 pub mod executor;
+mod forkjoin;
 pub mod measure;
 pub mod plan;
 
 pub use certify::{
-    capture_sequential, certify_loop, CertifyOptions, ExecutionCapture, LoopCertification,
-    ScheduleReport,
+    capture_sequential, certify_loop, CertOutcome, CertifyOptions, ExecutionCapture,
+    LoopCertification, ScheduleReport,
 };
 pub use executor::{Finalization, ParallelExecutor, RunStats, RuntimeConfig, Schedule};
 pub use measure::{
-    best_parallel_time, best_sequential_time, measure_parallel, measure_sequential, parallel_ops,
-    sequential_ops, Measurement,
+    measure_parallel, measure_sequential, parallel_ops, sequential_ops, Measurement,
 };
 pub use plan::{minimal_plan, ParallelPlans, PlanEntry, PlanReduction};

@@ -46,65 +46,21 @@ pub fn measure_parallel(
     input: Vec<f64>,
 ) -> Result<(Measurement, RunStats), RuntimeError> {
     let mut hooks = NoHooks;
+    let mut executor = ParallelExecutor::new(plans.clone(), config);
     let mut m = Machine::new(program, &mut hooks).map_err(|e| RuntimeError {
         message: e.to_string(),
         line: 0,
     })?;
     m.set_input(input);
-    m.set_handler(Box::new(ParallelExecutor::new(plans.clone(), config)));
+    m.set_handler(&mut executor);
     let start = Instant::now();
     m.run()?;
-    let elapsed = start.elapsed();
-    let output = m.output.clone();
-    let main_ops = m.ops();
-    let stats = match m.take_handler() {
-        Some(h) => {
-            let raw = Box::into_raw(h) as *mut ParallelExecutor;
-            // SAFETY: the only handler installed above is a ParallelExecutor.
-            let ex = unsafe { Box::from_raw(raw) };
-            ex.stats.clone()
-        }
-        None => RunStats::default(),
+    let measurement = Measurement {
+        elapsed: start.elapsed(),
+        output: std::mem::take(&mut m.output),
+        ops: m.ops() + executor.stats.sim_parallel_ops,
     };
-    Ok((
-        Measurement {
-            elapsed,
-            output,
-            ops: main_ops + stats.sim_parallel_ops,
-        },
-        stats,
-    ))
-}
-
-/// Best-of-`n` sequential wall time (noise reduction when wall clocks are
-/// wanted; the speedup figures use [`sequential_ops`]).
-pub fn best_sequential_time(
-    program: &Program,
-    input: &[f64],
-    n: usize,
-) -> Result<Duration, RuntimeError> {
-    let mut best = Duration::MAX;
-    for _ in 0..n.max(1) {
-        let m = measure_sequential(program, input.to_vec())?;
-        best = best.min(m.elapsed);
-    }
-    Ok(best)
-}
-
-/// Best-of-`n` parallel wall time.
-pub fn best_parallel_time(
-    program: &Program,
-    plans: &ParallelPlans,
-    config: &RuntimeConfig,
-    input: &[f64],
-    n: usize,
-) -> Result<Duration, RuntimeError> {
-    let mut best = Duration::MAX;
-    for _ in 0..n.max(1) {
-        let (m, _) = measure_parallel(program, plans, config.clone(), input.to_vec())?;
-        best = best.min(m.elapsed);
-    }
-    Ok(best)
+    Ok((measurement, executor.stats))
 }
 
 /// Deterministic sequential cost in virtual ops.
@@ -200,14 +156,5 @@ proc main() {
         let (par, stats) = measure_parallel(&p, &plans, config(2), vec![]).unwrap();
         assert_eq!(seq.output, par.output);
         assert!(stats.parallel_invocations.values().sum::<u64>() >= 1);
-    }
-
-    #[test]
-    fn best_of_n_helpers_run() {
-        let p = parse_program(SRC).unwrap();
-        let plans = plans_of(&p);
-        let s = best_sequential_time(&p, &[], 2).unwrap();
-        let q = best_parallel_time(&p, &plans, &config(2), &[], 2).unwrap();
-        assert!(s > Duration::ZERO && q > Duration::ZERO);
     }
 }

@@ -37,6 +37,7 @@
 //! assert!(!sys.prove_empty()); // dependence!
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod constraint;

@@ -201,7 +201,10 @@ fn corpus(args: &[String]) -> Result<(), String> {
     if let Some(dir) = &persist_dir {
         let (facts, bytes) = suif_server::save_tier_snapshot(dir, &tier)
             .map_err(|e| format!("snapshot {}: write failed: {e}", dir.display()))?;
-        eprintln!("corpus: persisted {facts} facts ({bytes} bytes) to {}", dir.display());
+        eprintln!(
+            "corpus: persisted {facts} facts ({bytes} bytes) to {}",
+            dir.display()
+        );
     }
     eprintln!(
         "corpus: {} programs, {} ok, {} errors, {:.1} programs/sec over {} workers",

@@ -490,12 +490,8 @@ pub fn load_tier_snapshot(dir: &Path, tier: &SharedFactTier) -> io::Result<usize
 /// image with an empty bound log — the corpus-mode counterpart of a
 /// session compaction.  Returns `(facts, bytes)` written.
 pub fn save_tier_snapshot(dir: &Path, tier: &SharedFactTier) -> io::Result<(usize, usize)> {
-    let snap = snapshot::Snapshot::new(tier.export(), suif_poly::export_prove_empty_memo());
-    let bytes = snap.encode();
-    snapshot::write_atomic(&dir.join(SNAPSHOT_FILE), &bytes)?;
-    let checksum = snapshot::file_checksum(&bytes).expect("encoded snapshot has a header");
-    snapshot::write_atomic(&dir.join(SNAPSHOT_LOG_FILE), &snapshot::log_header(checksum))?;
-    Ok((snap.facts.len(), bytes.len()))
+    let w = snapshot::write_base(dir, tier.export(), suif_poly::export_prove_empty_memo())?;
+    Ok((w.snapshot.facts.len(), w.bytes))
 }
 
 /// Materialize `count` generated corpus entries from `seed_base` — the

@@ -43,9 +43,10 @@ use crate::proto::{
     err_response, ok_response, request_id, Frame, FrameDecoder, Request, MAX_LINE_BYTES,
 };
 use crate::reactor::{Event, Interest, Poller, WakePipe};
-use crate::session::{Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
+use crate::session::{Session, SessionConfig};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Write};
+use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -113,7 +114,7 @@ pub struct ServiceState {
 /// `stats.service.reactor`.
 #[derive(Default)]
 struct ReactorStats {
-    /// Readiness backend in use (`"epoll"`, `"poll"`, `"emulate"`); unset
+    /// Readiness backend in use (`"epoll"` or `"poll"`); unset
     /// until a reactor starts (stdio-only daemons never set it).
     backend: OnceLock<&'static str>,
     /// Connections currently registered with the reactor.
@@ -178,14 +179,12 @@ impl ServiceState {
         let Some(dir) = &self.persist_dir else {
             return Ok(None);
         };
-        let path = dir.join(SNAPSHOT_FILE);
-        let snap =
-            snapshot::Snapshot::new(self.tier.export(), suif_poly::export_prove_empty_memo());
-        let bytes = snap.encode();
-        snapshot::write_atomic(&path, &bytes)?;
-        let checksum = snapshot::file_checksum(&bytes).expect("encoded snapshot has a header");
-        snapshot::write_atomic(&dir.join(SNAPSHOT_LOG_FILE), &snapshot::log_header(checksum))?;
-        Ok(Some((snap.facts.len(), bytes.len())))
+        let w = snapshot::write_base(
+            dir,
+            self.tier.export(),
+            suif_poly::export_prove_empty_memo(),
+        )?;
+        Ok(Some((w.snapshot.facts.len(), w.bytes)))
     }
 
     /// Reserve a session slot, or fail when the registry is full.
@@ -788,16 +787,6 @@ impl Conn {
     }
 }
 
-#[cfg(unix)]
-fn sock_fd<T: std::os::unix::io::AsRawFd>(s: &T, _token: usize) -> crate::reactor::RawFd {
-    s.as_raw_fd() as crate::reactor::RawFd
-}
-#[cfg(not(unix))]
-fn sock_fd<T>(_s: &T, token: usize) -> crate::reactor::RawFd {
-    // The emulation backend never dereferences fds; any unique key works.
-    token
-}
-
 /// The reactor event loop of [`serve_tcp_with`], over an already bound
 /// listener and shared state (tests bind their own listener to learn the
 /// port, then drive this directly).  One thread, nonblocking sockets,
@@ -811,7 +800,7 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
     let waker = wake.waker();
     let completions: Arc<Mutex<VecDeque<Completion>>> = Arc::new(Mutex::new(VecDeque::new()));
 
-    let listener_fd = sock_fd(&listener, LISTENER_TOKEN);
+    let listener_fd = listener.as_raw_fd();
     poller.register(listener_fd, LISTENER_TOKEN, Interest::READ)?;
     poller.register(wake.read_fd(), WAKE_TOKEN, Interest::READ)?;
 
@@ -866,7 +855,7 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
                                 });
                                 generation += 1;
                                 let token = slot + TOKEN_BASE;
-                                let fd = sock_fd(&stream, token);
+                                let fd = stream.as_raw_fd();
                                 let daemon = Daemon::for_state(state.clone());
                                 if poller.register(fd, token, Interest::READ).is_err() {
                                     // Registration failure (fd pressure):

@@ -7,7 +7,7 @@
 //! something happens — a socket became readable, a write queue drained, a
 //! worker finished an offloaded command — and the only portable way to
 //! block on *all* of those at once is the operating system's readiness
-//! API.  This module wraps it three ways, picked at runtime:
+//! API.  This module wraps it two ways, picked at runtime:
 //!
 //! * **epoll** (Linux, the default): `epoll_create1`/`epoll_ctl`/
 //!   `epoll_wait` through direct `extern "C"` bindings — the symbols live
@@ -17,10 +17,8 @@
 //! * **poll** (any Unix): a `poll(2)` sweep over the registered set.
 //!   O(registered) per wait, but portable to every Unix and still a single
 //!   blocking call — the fallback when epoll is unavailable.
-//! * **emulation** (non-Unix): a condvar-timed sweep that reports every
-//!   registered token as possibly-ready and relies on the caller's
-//!   nonblocking reads to sort out the truth.  Functional, not fast; it
-//!   exists so the crate builds and serves everywhere.
+//!
+//! There is no non-Unix backend: the transport needs a real readiness API.
 //!
 //! The [`WakePipe`] is the worker half's doorbell: completion of an
 //! offloaded command pushes a result onto a queue and writes one byte into
@@ -32,14 +30,11 @@
 
 use std::io;
 
-/// The fd type registered with the poller: the platform's raw fd on unix,
-/// any caller-chosen unique key on the emulation backend elsewhere.
-#[cfg(unix)]
-pub use std::os::unix::io::RawFd;
-/// The fd type registered with the poller: the platform's raw fd on unix,
-/// any caller-chosen unique key on the emulation backend elsewhere.
 #[cfg(not(unix))]
-pub type RawFd = usize;
+compile_error!("the reactor transport needs a Unix readiness API (epoll or poll(2))");
+
+/// The fd type registered with the poller.
+pub use std::os::unix::io::RawFd;
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Clone, Copy, Debug)]
@@ -82,7 +77,6 @@ impl Interest {
 // libc that every Rust Unix binary links anyway.
 // ---------------------------------------------------------------------------
 
-#[cfg(unix)]
 mod sys {
     use std::os::raw::{c_int, c_void};
     use std::os::unix::io::RawFd;
@@ -168,7 +162,6 @@ mod sys {
 /// A self-wake channel: the reactor registers the read end in its poller;
 /// any thread holding a [`Waker`] can make the next (or current) `wait`
 /// return by writing one byte.
-#[cfg(unix)]
 pub struct WakePipe {
     fds: std::sync::Arc<PipeFds>,
 }
@@ -177,13 +170,11 @@ pub struct WakePipe {
 /// [`Waker`] are gone: a worker that rings after the reactor has left its
 /// loop writes into a pipe nobody reads, never into a closed (and possibly
 /// reused) descriptor.
-#[cfg(unix)]
 struct PipeFds {
     read_fd: RawFd,
     write_fd: RawFd,
 }
 
-#[cfg(unix)]
 impl WakePipe {
     pub fn new() -> io::Result<WakePipe> {
         let mut fds = [0i32; 2];
@@ -239,7 +230,6 @@ impl WakePipe {
     }
 }
 
-#[cfg(unix)]
 impl Drop for PipeFds {
     fn drop(&mut self) {
         unsafe {
@@ -252,13 +242,11 @@ impl Drop for PipeFds {
 /// The writable half of a [`WakePipe`], safe to share across worker
 /// threads.  Writes are fire-and-forget: a full pipe already guarantees a
 /// pending wakeup, so `EAGAIN` is success.
-#[cfg(unix)]
 #[derive(Clone)]
 pub struct Waker {
     fds: std::sync::Arc<PipeFds>,
 }
 
-#[cfg(unix)]
 impl Waker {
     pub fn wake(&self) {
         let b = [1u8];
@@ -272,49 +260,6 @@ impl Waker {
     }
 }
 
-/// Non-Unix stand-in: a condvar-backed flag the emulation poller checks.
-#[cfg(not(unix))]
-pub struct WakePipe {
-    flag: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-}
-
-#[cfg(not(unix))]
-#[derive(Clone)]
-pub struct Waker {
-    flag: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
-}
-
-#[cfg(not(unix))]
-impl WakePipe {
-    pub fn new() -> io::Result<WakePipe> {
-        Ok(WakePipe {
-            flag: std::sync::Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new())),
-        })
-    }
-    pub fn read_fd(&self) -> RawFd {
-        usize::MAX
-    }
-    pub fn waker(&self) -> Waker {
-        Waker {
-            flag: self.flag.clone(),
-        }
-    }
-    pub fn drain(&self) -> usize {
-        let mut g = self.flag.0.lock().unwrap();
-        let was = *g;
-        *g = false;
-        usize::from(was)
-    }
-}
-
-#[cfg(not(unix))]
-impl Waker {
-    pub fn wake(&self) {
-        *self.flag.0.lock().unwrap() = true;
-        self.flag.1.notify_all();
-    }
-}
-
 // ---------------------------------------------------------------------------
 // The poller
 // ---------------------------------------------------------------------------
@@ -322,15 +267,9 @@ impl Waker {
 enum Backend {
     #[cfg(target_os = "linux")]
     Epoll { epfd: RawFd },
-    #[cfg(unix)]
     Poll {
         /// Registered fds in stable order: `(fd, token, interest)`.
         regs: Vec<(RawFd, usize, Interest)>,
-    },
-    #[cfg(not(unix))]
-    Emulate {
-        regs: Vec<(RawFd, usize, Interest)>,
-        wake: std::sync::Arc<(std::sync::Mutex<bool>, std::sync::Condvar)>,
     },
 }
 
@@ -360,102 +299,53 @@ impl Poller {
             // epoll failed (exotic container seccomp?): fall through to
             // the portable backend rather than refusing to serve.
         }
-        #[cfg(unix)]
-        {
-            Ok(Poller {
-                backend: Backend::Poll { regs: Vec::new() },
-                name: "poll",
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            Ok(Poller {
-                backend: Backend::Emulate {
-                    regs: Vec::new(),
-                    wake: std::sync::Arc::new((
-                        std::sync::Mutex::new(false),
-                        std::sync::Condvar::new(),
-                    )),
-                },
-                name: "emulate",
-            })
-        }
+        Ok(Poller {
+            backend: Backend::Poll { regs: Vec::new() },
+            name: "poll",
+        })
     }
 
-    /// Which backend this poller runs (`"epoll"`, `"poll"`, `"emulate"`);
-    /// surfaced in `stats.service.reactor`.
+    /// Which backend this poller runs (`"epoll"` or `"poll"`); surfaced in
+    /// `stats.service.reactor`.
     pub fn backend_name(&self) -> &'static str {
         self.name
     }
 
     /// Watch `fd` under `token`.
     pub fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match &mut self.backend {
-            #[cfg(target_os = "linux")]
-            Backend::Epoll { epfd } => {
-                let mut ev = sys::EpollEvent {
-                    events: epoll_mask(interest),
-                    data: token as u64,
-                };
-                if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_ADD, fd, &mut ev) } < 0 {
-                    return Err(io::Error::last_os_error());
-                }
-                Ok(())
-            }
-            #[cfg(unix)]
-            Backend::Poll { regs } => {
-                regs.retain(|(f, _, _)| *f != fd);
-                regs.push((fd, token, interest));
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Backend::Emulate { regs, .. } => {
-                regs.retain(|(f, _, _)| *f != fd);
-                regs.push((fd, token, interest));
-                Ok(())
-            }
-        }
+        self.set(fd, token, interest, true)
     }
 
     /// Change the interest set of an already registered fd.
     pub fn modify(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
+        self.set(fd, token, interest, false)
+    }
+
+    /// Watch `fd` under `token` for `interest`, as a `new` registration or
+    /// in place of its current one.
+    fn set(&mut self, fd: RawFd, token: usize, interest: Interest, new: bool) -> io::Result<()> {
         match &mut self.backend {
             #[cfg(target_os = "linux")]
             Backend::Epoll { epfd } => {
+                let op = if new {
+                    sys::EPOLL_CTL_ADD
+                } else {
+                    sys::EPOLL_CTL_MOD
+                };
                 let mut ev = sys::EpollEvent {
                     events: epoll_mask(interest),
                     data: token as u64,
                 };
-                if unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_MOD, fd, &mut ev) } < 0 {
+                if unsafe { sys::epoll_ctl(*epfd, op, fd, &mut ev) } < 0 {
                     return Err(io::Error::last_os_error());
                 }
-                Ok(())
             }
-            #[cfg(unix)]
-            Backend::Poll { regs } => {
-                for r in regs.iter_mut() {
-                    if r.0 == fd {
-                        r.1 = token;
-                        r.2 = interest;
-                        return Ok(());
-                    }
-                }
-                regs.push((fd, token, interest));
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Backend::Emulate { regs, .. } => {
-                for r in regs.iter_mut() {
-                    if r.0 == fd {
-                        r.1 = token;
-                        r.2 = interest;
-                        return Ok(());
-                    }
-                }
-                regs.push((fd, token, interest));
-                Ok(())
-            }
+            Backend::Poll { regs } => match regs.iter_mut().find(|r| r.0 == fd) {
+                Some(r) => *r = (fd, token, interest),
+                None => regs.push((fd, token, interest)),
+            },
         }
+        Ok(())
     }
 
     /// Stop watching `fd` (must be called before the fd is closed).
@@ -470,13 +360,7 @@ impl Poller {
                 unsafe { sys::epoll_ctl(*epfd, sys::EPOLL_CTL_DEL, fd, &mut ev) };
                 Ok(())
             }
-            #[cfg(unix)]
             Backend::Poll { regs } => {
-                regs.retain(|(f, _, _)| *f != fd);
-                Ok(())
-            }
-            #[cfg(not(unix))]
-            Backend::Emulate { regs, .. } => {
                 regs.retain(|(f, _, _)| *f != fd);
                 Ok(())
             }
@@ -515,7 +399,6 @@ impl Poller {
                 }
                 Ok(events.len())
             }
-            #[cfg(unix)]
             Backend::Poll { regs } => {
                 let mut fds: Vec<sys::PollFd> = regs
                     .iter()
@@ -551,29 +434,6 @@ impl Poller {
                 }
                 Ok(events.len())
             }
-            #[cfg(not(unix))]
-            Backend::Emulate { regs, wake } => {
-                // No readiness API: wait a short beat on the wake condvar,
-                // then report every registration as possibly ready.  The
-                // caller's nonblocking IO turns "possibly" into truth.
-                let dur = std::time::Duration::from_millis(if timeout_ms < 0 {
-                    5
-                } else {
-                    (timeout_ms as u64).min(5)
-                });
-                let (lock, cv) = (&wake.0, &wake.1);
-                let g = lock.lock().unwrap();
-                let _ = cv.wait_timeout(g, dur).unwrap();
-                for (_, token, i) in regs.iter() {
-                    events.push(Event {
-                        token: *token,
-                        readable: i.readable,
-                        writable: i.writable,
-                        hangup: false,
-                    });
-                }
-                Ok(events.len())
-            }
         }
     }
 }
@@ -598,7 +458,7 @@ impl Drop for Poller {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

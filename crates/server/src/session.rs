@@ -35,13 +35,7 @@ use suif_analysis::{
 use suif_explorer::Explorer;
 use suif_ir::{Program, StmtId};
 
-/// File name of the base fact snapshot inside a persist directory.
-pub const SNAPSHOT_FILE: &str = "facts.snap";
-
-/// File name of the snapshot append-log beside the base image.  Checkpoints
-/// append O(delta) framed records here; a compaction folds the log back
-/// into a fresh base.
-pub const SNAPSHOT_LOG_FILE: &str = "facts.snap.log";
+pub use suif_analysis::snapshot::{SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
 
 /// Compact once the log's record bytes reach both this floor and the base
 /// image's size: a single assert appends a few hundred bytes without ever
@@ -442,30 +436,28 @@ impl Session {
         out
     }
 
-    /// Write the full durable state as a fresh base image, then reset the
-    /// log to a header bound to it.  Both writes are atomic; a crash
-    /// between them leaves the new base with the *old* log, whose binding
-    /// checksum no longer matches — the stale log is ignored on load, so
-    /// the crash costs recomputation, never correctness.
+    /// Write the full durable state as a fresh base image with an empty
+    /// bound log ([`snapshot::write_base`]) and record it as what is on disk.
     fn rewrite_base(&mut self) -> std::io::Result<(usize, usize)> {
-        let snap = snapshot::Snapshot::new(self.export_all(), suif_poly::export_prove_empty_memo());
-        let bytes = snap.encode();
+        let facts = self.export_all();
         let ps = self.persist.as_mut().unwrap();
-        snapshot::write_atomic(&ps.base, &bytes)?;
-        let checksum = snapshot::file_checksum(&bytes).expect("encoded snapshot has a header");
-        let header = snapshot::log_header(checksum);
-        snapshot::write_atomic(&ps.log, &header)?;
-        ps.base_checksum = checksum;
-        ps.base_bytes = bytes.len() as u64;
-        ps.log_bytes = header.len() as u64;
+        let dir = ps
+            .base
+            .parent()
+            .expect("base path is inside the persist dir");
+        let w = snapshot::write_base(dir, facts, suif_poly::export_prove_empty_memo())?;
+        ps.base_checksum = w.checksum;
+        ps.base_bytes = w.bytes as u64;
+        ps.log_bytes = snapshot::LOG_HEADER_LEN as u64;
         ps.needs_base = false;
-        ps.persisted = snap.facts.iter().map(|f| (f.key, f.hash)).collect();
-        ps.persisted_memo = snap
+        ps.persisted = w.snapshot.facts.iter().map(|f| (f.key, f.hash)).collect();
+        ps.persisted_memo = w
+            .snapshot
             .prove_empty
             .iter()
             .map(|(cs, r)| snapshot::memo_fingerprint(cs, *r))
             .collect();
-        Ok((snap.facts.len(), bytes.len()))
+        Ok((w.snapshot.facts.len(), w.bytes))
     }
 
     /// Append one framed record holding only what is not yet durable:
@@ -481,7 +473,10 @@ impl Session {
             .collect();
         let memo_delta: Vec<_> = memo
             .into_iter()
-            .filter(|(cs, r)| !ps.persisted_memo.contains(&snapshot::memo_fingerprint(cs, *r)))
+            .filter(|(cs, r)| {
+                !ps.persisted_memo
+                    .contains(&snapshot::memo_fingerprint(cs, *r))
+            })
             .collect();
         if delta.is_empty() && memo_delta.is_empty() {
             return Ok((0, 0));
@@ -517,9 +512,7 @@ impl Session {
     /// [`COMPACT_MIN_LOG_BYTES`] floor and the base image's own size.
     fn maybe_compact(&mut self) -> std::io::Result<()> {
         let ps = self.persist.as_ref().unwrap();
-        let records = ps
-            .log_bytes
-            .saturating_sub(snapshot::LOG_HEADER_LEN as u64);
+        let records = ps.log_bytes.saturating_sub(snapshot::LOG_HEADER_LEN as u64);
         if records >= COMPACT_MIN_LOG_BYTES.max(ps.base_bytes) {
             self.rewrite_base()?;
             self.snapshot.compactions += 1;
@@ -1007,7 +1000,7 @@ impl Session {
                 })
                 .collect();
             let elapsed: f64 = cert.schedules.iter().map(|s| s.elapsed.as_secs_f64()).sum();
-            let agg = |f: fn(&suif_dynamic::CertOutcome) -> u64| {
+            let agg = |f: fn(&suif_parallel::CertOutcome) -> u64| {
                 Json::int(cert.schedules.iter().map(|s| f(&s.outcome)).sum::<u64>() as i64)
             };
             let entry = Json::obj([

@@ -29,6 +29,7 @@
 //! assert!(!slice.lines.contains(&5)); // b = 7 is irrelevant
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod issa;

@@ -1,7 +1,8 @@
 //! Hand-written MiniF kernels pinning the race detector's reports: a known
 //! write-write race, a read-write race across iterations, and a reduction
 //! that is race-free only under the reduction transform.  Each test pins the
-//! exact reported access pair (variable, race kind, source lines).
+//! exact reported access pair (variable, race kind, source lines).  A last
+//! kernel fails at run time inside the certified loop.
 
 use suif_analysis::{ParallelizeConfig, Parallelizer, VarClass};
 use suif_dynamic::race::Race;
@@ -141,4 +142,39 @@ proc main() {
     assert_eq!(p.var(race.first.var).name, "s");
     assert_eq!(p.var(race.second.var).name, "s");
     assert_eq!((race.first.line, race.second.line), (10, 10));
+}
+
+#[test]
+fn runtime_error_in_certified_body_is_captured_and_joins() {
+    // Only iteration 7 subscripts out of bounds.  The worker that owns it
+    // stops, the other workers run to the end of their blocks, all are
+    // joined, and the error aborts the run in every schedule.
+    let src = "program t
+proc main() {
+  real a[16]
+  int idx[12], i
+  do 0 i = 1, 12 {
+    idx[i] = i
+  }
+  idx[7] = 17
+  do 1 i = 1, 12 {
+    a[idx[i]] = i
+  }
+  print a[1]
+}
+";
+    let (p, target) = loop_named(src, "main/1");
+    let plan = minimal_plan(&p, target).unwrap();
+    let seq = capture_sequential(&p, &[]);
+    let seq_err = seq.error.expect("sequential run fails too");
+    let cert = certify_loop(&p, target, &plan, &CertifyOptions::default());
+    assert_eq!(cert.schedules_run(), 4);
+    for s in &cert.schedules {
+        let e = s.capture.error.as_ref().expect("error surfaces");
+        assert_eq!((e.line, &e.message), (seq_err.line, &seq_err.message));
+        assert_eq!(s.outcome.error.as_ref().map(|e| e.line), Some(e.line));
+        // The loop never finished: nothing after it ran.
+        assert!(s.capture.output.is_empty(), "seed {}", s.seed);
+        assert_eq!(s.outcome.loops_run, 1);
+    }
 }
