@@ -295,10 +295,7 @@ impl crate::pipeline::Pass for DepsPass<'_, '_> {
         )
     }
     fn input_hash(&self) -> u128 {
-        let mut h = crate::cache::Fnv128::new();
-        h.write_u128(self.pa.epoch_hash);
-        h.write_u32(self.loop_stmt.0);
-        h.0
+        crate::parallelize::deps_hash(self.pa.epoch_hash, self.loop_stmt)
     }
     fn deps(&self) -> Vec<crate::pipeline::FactKey> {
         vec![crate::pipeline::FactKey::new(

@@ -48,6 +48,7 @@ pub mod deps;
 pub mod enhance;
 pub mod liveness;
 pub mod parallelize;
+pub mod persist;
 pub mod pipeline;
 pub mod reduction;
 pub mod schedule;
@@ -67,6 +68,7 @@ pub use parallelize::{
     AnalyzeStats, Assertion, LoopCertInfo, LoopVerdict, ParallelizeConfig, Parallelizer, PassStat,
     PrefetchOutcome, ProgramAnalysis, StaticDep, VarClass,
 };
+pub use persist::PersistDir;
 pub use pipeline::{
     ExecStats, Executor, ExecutorService, ExportedFact, FactKey, FactStore, Pass, PassId,
     PassMetrics, Scope, StoreByteStats,

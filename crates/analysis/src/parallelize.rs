@@ -14,7 +14,7 @@ use crate::summarize::ArrayDataFlow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use suif_ir::{LoopInfo, Program, Ref, Stmt, StmtId, VarId};
+use suif_ir::{LoopInfo, ProcId, Program, Ref, Stmt, StmtId, VarId};
 use suif_poly::ArrayId;
 
 /// Classification of one storage object within one loop (the Fig. 4-9
@@ -356,17 +356,14 @@ impl Parallelizer {
         // (concurrent analyses on other threads bleed in — acceptable for
         // stats reporting, never used for decisions).
         let poly_before = suif_poly::poly_stats();
-        let ctx = AnalysisCtx::new(program);
-        let proc_keys = cache::all_proc_keys(&ctx);
-        let pkey = cache::program_key(&ctx, &proc_keys);
+        let inputs = FactInputs::new(program, &config);
 
         // Whole-program summaries (§5.2) as one program-scope fact.
         let summarized_before = store.metrics_for(PassId::Summarize).invocations;
         let summary = store.demand(&SummarizePass {
-            ctx: &ctx,
+            inputs: &inputs,
             opts,
             cache,
-            hash: pkey,
         });
         let df = summary.df.clone();
         let schedule = if store.metrics_for(PassId::Summarize).invocations > summarized_before {
@@ -386,21 +383,12 @@ impl Parallelizer {
 
         // Liveness (§5.2) as a program-scope fact over the summaries.
         let liveness: Option<Arc<LivenessResult>> = config.liveness.map(|mode| {
-            let mut h = Fnv128::new();
-            h.write_u128(pkey);
-            h.write(format!("{mode:?}").as_bytes());
             store.demand(&LivenessPass {
-                ctx: &ctx,
+                inputs: &inputs,
                 df: &df,
                 mode,
-                hash: h.0,
             })
         });
-
-        // Resolve assertions to (loop, object) pairs, collecting a warning
-        // for every assertion that names a missing loop or variable.
-        let (assert_private, assert_independent, warnings) = resolve_assertions(&ctx, &config);
-        let epoch_hash = epoch_hash(pkey, &config, &assert_private, &assert_independent);
 
         // Per-loop classification: one loop-scope fact each, keyed by the
         // region's content hash plus exactly the assertions that resolved
@@ -409,54 +397,30 @@ impl Parallelizer {
         // loop order and verdicts contain no fresh symbols, so the parallel
         // run is observationally identical to the sequential one.
         let exec = opts.executor();
-        let passes: Vec<ClassifyPass<'_, '_>> = ctx
+        let passes: Vec<ClassifyPass<'_, '_>> = inputs
+            .ctx
             .tree
             .loops
             .iter()
-            .map(|li| {
-                let lkey = cache::loop_key(li, &proc_keys);
-                let hash = classify_hash(
-                    pkey,
-                    lkey,
-                    &config,
-                    li.stmt,
-                    &assert_private,
-                    &assert_independent,
-                );
-                ClassifyPass {
-                    ctx: &ctx,
-                    df: &df,
-                    liveness: liveness.as_deref(),
-                    config: &config,
-                    li,
-                    hash,
-                    assert_private: &assert_private,
-                    assert_independent: &assert_independent,
-                }
+            .map(|li| ClassifyPass {
+                inputs: &inputs,
+                df: &df,
+                liveness: liveness.as_deref(),
+                config: &config,
+                li,
             })
             .collect();
         let (facts, demand_exec) = store.demand_all(&passes, &exec);
         drop(passes);
         let mut verdicts = HashMap::new();
-        for (li, verdict) in ctx.tree.loops.iter().zip(facts) {
+        for (li, verdict) in inputs.ctx.tree.loops.iter().zip(facts) {
             verdicts.insert(li.stmt, (*verdict).clone());
         }
 
         let mut stats = run_stats(store, &metrics_before, schedule, t0.elapsed().as_secs_f64());
         stats.demand_exec = demand_exec;
         stats.poly = suif_poly::poly_stats().since(&poly_before);
-        (
-            ProgramAnalysis {
-                ctx,
-                df,
-                liveness,
-                verdicts,
-                config,
-                warnings,
-                epoch_hash,
-            },
-            stats,
-        )
+        (inputs.into_analysis(df, liveness, verdicts, config), stats)
     }
 
     /// Speculatively compute the classify and carried-dependence facts of
@@ -486,29 +450,20 @@ impl Parallelizer {
             out.cancelled = true;
             return out;
         }
-        let ctx = AnalysisCtx::new(program);
-        let proc_keys = cache::all_proc_keys(&ctx);
-        let pkey = cache::program_key(&ctx, &proc_keys);
-        let summary = store.demand(&SummarizePass {
-            ctx: &ctx,
+        let inputs = FactInputs::new(program, &config);
+        let summarize = SummarizePass {
+            inputs: &inputs,
             opts,
             cache,
-            hash: pkey,
-        });
-        let df = summary.df.clone();
+        };
+        let df = store.demand(&summarize).df.clone();
         let liveness: Option<Arc<LivenessResult>> = config.liveness.map(|mode| {
-            let mut h = Fnv128::new();
-            h.write_u128(pkey);
-            h.write(format!("{mode:?}").as_bytes());
             store.demand(&LivenessPass {
-                ctx: &ctx,
+                inputs: &inputs,
                 df: &df,
                 mode,
-                hash: h.0,
             })
         });
-        let (assert_private, assert_independent, warnings) = resolve_assertions(&ctx, &config);
-        let epoch_hash = epoch_hash(pkey, &config, &assert_private, &assert_independent);
 
         let mut verdicts = HashMap::new();
         let mut stmts: Vec<StmtId> = Vec::new();
@@ -517,27 +472,15 @@ impl Parallelizer {
                 out.cancelled = true;
                 break;
             }
-            let Some(li) = ctx.tree.loops.iter().find(|l| &l.name == name) else {
+            let Some(li) = inputs.ctx.tree.loops.iter().find(|l| &l.name == name) else {
                 continue;
             };
-            let lkey = cache::loop_key(li, &proc_keys);
-            let hash = classify_hash(
-                pkey,
-                lkey,
-                &config,
-                li.stmt,
-                &assert_private,
-                &assert_independent,
-            );
             let verdict = store.demand(&ClassifyPass {
-                ctx: &ctx,
+                inputs: &inputs,
                 df: &df,
                 liveness: liveness.as_deref(),
                 config: &config,
                 li,
-                hash,
-                assert_private: &assert_private,
-                assert_independent: &assert_independent,
             });
             verdicts.insert(li.stmt, (*verdict).clone());
             out.keys
@@ -547,15 +490,7 @@ impl Parallelizer {
 
         // The carried-dependence advisory needs a full analysis view; reuse
         // the facts just demanded.
-        let pa = ProgramAnalysis {
-            ctx,
-            df,
-            liveness,
-            verdicts,
-            config,
-            warnings,
-            epoch_hash,
-        };
+        let pa = inputs.into_analysis(df, liveness, verdicts, config);
         for stmt in stmts {
             if cancel() {
                 out.cancelled = true;
@@ -578,42 +513,132 @@ impl Parallelizer {
         program: &Program,
         config: &ParallelizeConfig,
     ) -> HashMap<FactKey, u128> {
-        let ctx = AnalysisCtx::new(program);
-        let proc_keys = cache::all_proc_keys(&ctx);
-        let pkey = cache::program_key(&ctx, &proc_keys);
-        let mut out = HashMap::new();
-        out.insert(FactKey::new(PassId::Summarize, Scope::Program), pkey);
+        let inputs = FactInputs::new(program, config);
+        let program_scope = |pass| FactKey::new(pass, Scope::Program);
+        let mut out = HashMap::from([(program_scope(PassId::Summarize), inputs.pkey)]);
         if let Some(mode) = config.liveness {
-            let mut h = Fnv128::new();
-            h.write_u128(pkey);
-            h.write(format!("{mode:?}").as_bytes());
-            out.insert(FactKey::new(PassId::Liveness, Scope::Program), h.0);
+            out.insert(program_scope(PassId::Liveness), inputs.liveness_hash(mode));
         }
-        let (assert_private, assert_independent, _warnings) = resolve_assertions(&ctx, config);
-        let eh = epoch_hash(pkey, config, &assert_private, &assert_independent);
-        for li in &ctx.tree.loops {
-            let lkey = cache::loop_key(li, &proc_keys);
+        for li in &inputs.ctx.tree.loops {
+            let loop_scope = |pass| FactKey::new(pass, Scope::Loop(li.stmt));
             out.insert(
-                FactKey::new(PassId::Classify, Scope::Loop(li.stmt)),
-                classify_hash(
-                    pkey,
-                    lkey,
-                    config,
-                    li.stmt,
-                    &assert_private,
-                    &assert_independent,
-                ),
+                loop_scope(PassId::Classify),
+                inputs.classify_hash(config, li),
             );
-            let mut h = Fnv128::new();
-            h.write_u128(eh);
-            h.write_u32(li.stmt.0);
-            out.insert(FactKey::new(PassId::Deps, Scope::Loop(li.stmt)), h.0);
+            out.insert(
+                loop_scope(PassId::Deps),
+                deps_hash(inputs.epoch_hash, li.stmt),
+            );
         }
         for pass in [PassId::Contract, PassId::Decomp, PassId::Split] {
-            out.insert(FactKey::new(pass, Scope::Program), eh);
+            out.insert(program_scope(pass), inputs.epoch_hash);
         }
         out
     }
+}
+
+/// Everything the input hashes of one analysis derive from, built once:
+/// the context, the content keys, the resolved assertions and the epoch
+/// hash.  The passes the drivers demand take their `input_hash` from the
+/// same methods the warm-start validator maps over, so the two cannot
+/// drift apart — a disagreement would silently evict (or, worse, import)
+/// the wrong facts.
+struct FactInputs<'p> {
+    ctx: AnalysisCtx<'p>,
+    proc_keys: HashMap<ProcId, u128>,
+    /// Whole-program content key: the summary fact's input hash, and part
+    /// of every other, because every pass reads whole-program facts.
+    pkey: u128,
+    assert_private: HashSet<(StmtId, ArrayId)>,
+    assert_independent: HashSet<(StmtId, ArrayId)>,
+    warnings: Vec<String>,
+    epoch_hash: u128,
+}
+
+impl<'p> FactInputs<'p> {
+    fn new(program: &'p Program, config: &ParallelizeConfig) -> FactInputs<'p> {
+        let ctx = AnalysisCtx::new(program);
+        let proc_keys = cache::all_proc_keys(&ctx);
+        let pkey = cache::program_key(&ctx, &proc_keys);
+        // Resolve assertions to (loop, object) pairs, collecting a warning
+        // for every assertion that names a missing loop or variable.
+        let (assert_private, assert_independent, warnings) = resolve_assertions(&ctx, config);
+        let mut h = Fnv128::new();
+        h.write_u128(pkey);
+        write_config(&mut h, config);
+        write_assertion_marks(&mut h, None, &assert_private, &assert_independent);
+        FactInputs {
+            ctx,
+            proc_keys,
+            pkey,
+            assert_private,
+            assert_independent,
+            warnings,
+            epoch_hash: h.0,
+        }
+    }
+
+    fn liveness_hash(&self, mode: LivenessMode) -> u128 {
+        let mut h = Fnv128::new();
+        h.write_u128(self.pkey);
+        h.write(format!("{mode:?}").as_bytes());
+        h.0
+    }
+
+    /// Input hash of one loop's classification fact: the region's content
+    /// key plus exactly the assertions that resolved onto the loop.
+    fn classify_hash(&self, config: &ParallelizeConfig, li: &LoopInfo) -> u128 {
+        let mut h = Fnv128::new();
+        // The program key is part of the hash because classification reads
+        // whole-program facts (summaries and top-down liveness).
+        h.write_u128(self.pkey);
+        h.write_u128(cache::loop_key(li, &self.proc_keys));
+        write_config(&mut h, config);
+        write_assertion_marks(
+            &mut h,
+            Some(li.stmt),
+            &self.assert_private,
+            &self.assert_independent,
+        );
+        h.0
+    }
+
+    /// Close the derivation into the analysis view; the demand-only passes
+    /// hash from its `epoch_hash` (the advisories as it is, carried
+    /// dependences through [`deps_hash`]).
+    fn into_analysis(
+        self,
+        df: Arc<ArrayDataFlow>,
+        liveness: Option<Arc<LivenessResult>>,
+        verdicts: HashMap<StmtId, LoopVerdict>,
+        config: ParallelizeConfig,
+    ) -> ProgramAnalysis<'p> {
+        ProgramAnalysis {
+            ctx: self.ctx,
+            df,
+            liveness,
+            verdicts,
+            config,
+            warnings: self.warnings,
+            epoch_hash: self.epoch_hash,
+        }
+    }
+}
+
+/// Input hash of one loop's carried-dependence fact under an epoch hash —
+/// the one definition [`crate::deps`]'s pass and the warm-start validator
+/// share.
+pub(crate) fn deps_hash(epoch_hash: u128, loop_stmt: StmtId) -> u128 {
+    let mut h = Fnv128::new();
+    h.write_u128(epoch_hash);
+    h.write_u32(loop_stmt.0);
+    h.0
+}
+
+/// The configuration toggles every assertion-sensitive hash folds.
+fn write_config(h: &mut Fnv128, config: &ParallelizeConfig) {
+    h.write(format!("{:?}", config.liveness).as_bytes());
+    h.write(&[config.enable_reduction as u8]);
 }
 
 /// What [`Parallelizer::prefetch_loops`] did: the fact keys it demanded
@@ -709,41 +734,6 @@ fn write_assertion_marks(
     }
 }
 
-/// Input hash of one loop's classification fact.
-fn classify_hash(
-    pkey: u128,
-    lkey: u128,
-    config: &ParallelizeConfig,
-    loop_stmt: StmtId,
-    assert_private: &HashSet<(StmtId, ArrayId)>,
-    assert_independent: &HashSet<(StmtId, ArrayId)>,
-) -> u128 {
-    let mut h = Fnv128::new();
-    // The program key is part of the hash because classification reads
-    // whole-program facts (summaries and top-down liveness).
-    h.write_u128(pkey);
-    h.write_u128(lkey);
-    h.write(format!("{:?}", config.liveness).as_bytes());
-    h.write(&[config.enable_reduction as u8]);
-    write_assertion_marks(&mut h, Some(loop_stmt), assert_private, assert_independent);
-    h.0
-}
-
-/// Input hash shared by every demand-driven advisory over one analysis.
-fn epoch_hash(
-    pkey: u128,
-    config: &ParallelizeConfig,
-    assert_private: &HashSet<(StmtId, ArrayId)>,
-    assert_independent: &HashSet<(StmtId, ArrayId)>,
-) -> u128 {
-    let mut h = Fnv128::new();
-    h.write_u128(pkey);
-    h.write(format!("{:?}", config.liveness).as_bytes());
-    h.write(&[config.enable_reduction as u8]);
-    write_assertion_marks(&mut h, None, assert_private, assert_independent);
-    h.0
-}
-
 /// Build the run's [`AnalyzeStats`] from the store-counter delta.
 fn run_stats(
     store: &FactStore,
@@ -800,10 +790,9 @@ pub struct SummaryFact {
 }
 
 struct SummarizePass<'a, 'p> {
-    ctx: &'a AnalysisCtx<'p>,
+    inputs: &'a FactInputs<'p>,
     opts: &'a ScheduleOptions,
     cache: Option<&'a SummaryCache>,
-    hash: u128,
 }
 
 impl Pass for SummarizePass<'_, '_> {
@@ -812,10 +801,10 @@ impl Pass for SummarizePass<'_, '_> {
         FactKey::new(PassId::Summarize, Scope::Program)
     }
     fn input_hash(&self) -> u128 {
-        self.hash
+        self.inputs.pkey
     }
     fn run(&self) -> SummaryFact {
-        let (df, stats) = schedule::run(self.ctx, self.opts, self.cache);
+        let (df, stats) = schedule::run(&self.inputs.ctx, self.opts, self.cache);
         SummaryFact {
             df: Arc::new(df),
             stats,
@@ -824,10 +813,9 @@ impl Pass for SummarizePass<'_, '_> {
 }
 
 struct LivenessPass<'a, 'p> {
-    ctx: &'a AnalysisCtx<'p>,
+    inputs: &'a FactInputs<'p>,
     df: &'a ArrayDataFlow,
     mode: LivenessMode,
-    hash: u128,
 }
 
 impl Pass for LivenessPass<'_, '_> {
@@ -836,25 +824,22 @@ impl Pass for LivenessPass<'_, '_> {
         FactKey::new(PassId::Liveness, Scope::Program)
     }
     fn input_hash(&self) -> u128 {
-        self.hash
+        self.inputs.liveness_hash(self.mode)
     }
     fn deps(&self) -> Vec<FactKey> {
         vec![FactKey::new(PassId::Summarize, Scope::Program)]
     }
     fn run(&self) -> LivenessResult {
-        liveness::run(self.ctx, self.df, self.mode)
+        liveness::run(&self.inputs.ctx, self.df, self.mode)
     }
 }
 
 struct ClassifyPass<'a, 'p> {
-    ctx: &'a AnalysisCtx<'p>,
+    inputs: &'a FactInputs<'p>,
     df: &'a ArrayDataFlow,
     liveness: Option<&'a LivenessResult>,
     config: &'a ParallelizeConfig,
     li: &'a LoopInfo,
-    hash: u128,
-    assert_private: &'a HashSet<(StmtId, ArrayId)>,
-    assert_independent: &'a HashSet<(StmtId, ArrayId)>,
 }
 
 impl Pass for ClassifyPass<'_, '_> {
@@ -863,7 +848,7 @@ impl Pass for ClassifyPass<'_, '_> {
         FactKey::new(PassId::Classify, Scope::Loop(self.li.stmt))
     }
     fn input_hash(&self) -> u128 {
-        self.hash
+        self.inputs.classify_hash(self.config, self.li)
     }
     fn deps(&self) -> Vec<FactKey> {
         let mut d = vec![FactKey::new(PassId::Summarize, Scope::Program)];
@@ -873,20 +858,18 @@ impl Pass for ClassifyPass<'_, '_> {
         d
     }
     fn run(&self) -> LoopVerdict {
-        let dt = DepTest {
-            ctx: self.ctx,
-            df: self.df,
-        };
+        let ctx = &self.inputs.ctx;
+        let dt = DepTest { ctx, df: self.df };
         classify_loop(
-            self.ctx,
+            ctx,
             self.df,
             &dt,
             self.liveness,
             self.config,
             self.li.stmt,
             self.li.has_io,
-            self.assert_private,
-            self.assert_independent,
+            &self.inputs.assert_private,
+            &self.inputs.assert_independent,
         )
     }
 }

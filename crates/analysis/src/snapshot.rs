@@ -31,10 +31,14 @@
 //! to an unknown pass or a malformed value is dropped individually
 //! (degrading that fact to `Absent`), never served wrong.
 //!
-//! Loaded entries must additionally be re-validated against freshly
-//! computed input hashes ([`crate::Parallelizer::expected_fact_hashes`])
-//! before import — the snapshot records what *was* true, the hash check
-//! proves it still is.
+//! Entries loaded into a key-addressed store must additionally be
+//! re-validated against freshly computed input hashes
+//! ([`crate::Parallelizer::expected_fact_hashes`]) before import — the
+//! snapshot records what *was* true, the hash check proves it still is.
+//!
+//! This module is the *format* only.  Who reads and writes the two files of
+//! a persist directory, under which lock, and when an append becomes a fold
+//! is [`crate::PersistDir`]'s business, and nobody else's.
 
 use crate::cache::Fnv128;
 use crate::context::ArrayKey;
@@ -51,6 +55,7 @@ use crate::summarize::{ArrayDataFlow, LoopIterSummary, NodeSummary};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use suif_ir::{CommonId, ProcId, RegionId, StmtId, VarId};
@@ -313,25 +318,26 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// then rename.  A crash mid-write leaves the previous snapshot (or no
-/// file) — never a torn one under POSIX rename semantics.
+/// file) — never a torn one under POSIX rename semantics.  The temp name is
+/// unique per call (pid + a process-wide counter), so two threads writing
+/// one target never share a temp file, and a failed write removes its own.
 pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    static CALLS: AtomicU64 = AtomicU64::new(0);
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     std::fs::create_dir_all(dir)?;
     let tmp = dir.join(format!(
-        ".{}.tmp.{}",
+        ".{}.tmp.{}.{}",
         path.file_name()
             .map(|n| n.to_string_lossy().into_owned())
             .unwrap_or_else(|| "snapshot".into()),
-        std::process::id()
+        std::process::id(),
+        CALLS.fetch_add(1, Ordering::Relaxed)
     ));
-    std::fs::write(&tmp, bytes)?;
-    match std::fs::rename(&tmp, path) {
-        Ok(()) => Ok(()),
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+    let written = std::fs::write(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    written
 }
 
 /// Magic bytes opening every snapshot append-log file.
@@ -346,14 +352,14 @@ pub const LOG_VERSION: u32 = 1;
 pub const LOG_HEADER_LEN: usize = 28;
 
 /// Per-record framing overhead: payload length (u32) · FNV-128 checksum.
-pub const LOG_RECORD_OVERHEAD: usize = 20;
+const LOG_RECORD_OVERHEAD: usize = 20;
 
 /// The append-log header.  `base_checksum` is the payload checksum recorded
 /// in the base snapshot's header ([`file_checksum`]): a log only replays
 /// over the exact base image it was appended against, so a crash between a
 /// compaction's base rewrite and its log reset leaves a stale log that is
 /// ignored, never misapplied.
-pub fn log_header(base_checksum: u128) -> Vec<u8> {
+pub(crate) fn log_header(base_checksum: u128) -> Vec<u8> {
     let mut out = Vec::with_capacity(LOG_HEADER_LEN);
     out.extend_from_slice(&LOG_MAGIC);
     out.extend_from_slice(&LOG_VERSION.to_le_bytes());
@@ -363,7 +369,7 @@ pub fn log_header(base_checksum: u128) -> Vec<u8> {
 
 /// The payload checksum recorded in a snapshot file's header, without
 /// decoding the payload.  `None` if the bytes are not a snapshot header.
-pub fn file_checksum(bytes: &[u8]) -> Option<u128> {
+pub(crate) fn file_checksum(bytes: &[u8]) -> Option<u128> {
     if bytes.len() < 36 || bytes[..8] != SNAPSHOT_MAGIC {
         return None;
     }
@@ -378,47 +384,15 @@ pub const SNAPSHOT_FILE: &str = "facts.snap";
 /// into a fresh base.
 pub const SNAPSHOT_LOG_FILE: &str = "facts.snap.log";
 
-/// What [`write_base`] put on disk.
-pub struct BaseWritten {
-    /// Payload checksum of the base image; the fresh log's header binds to it.
-    pub checksum: u128,
-    /// Size of the base image file.
-    pub bytes: usize,
-    /// The image's content (the encodable facts, in key order, and the memo).
-    pub snapshot: Snapshot,
-}
-
-/// Write `facts` and `memo` into `dir` as a fresh base image, then reset the
-/// append-log to a header bound to it.  Both writes are atomic and the base
-/// goes first: a crash between them leaves the new base with the *old* log,
-/// whose binding checksum no longer matches — the stale log is ignored on
-/// load, so the crash costs recomputation, never correctness.
-pub fn write_base(
-    dir: &Path,
-    facts: Vec<ExportedFact>,
-    memo: Vec<(Vec<Constraint>, bool)>,
-) -> std::io::Result<BaseWritten> {
-    let snapshot = Snapshot::new(facts, memo);
-    let bytes = snapshot.encode();
-    write_atomic(&dir.join(SNAPSHOT_FILE), &bytes)?;
-    let checksum = file_checksum(&bytes).expect("encoded snapshot has a header");
-    write_atomic(&dir.join(SNAPSHOT_LOG_FILE), &log_header(checksum))?;
-    Ok(BaseWritten {
-        checksum,
-        bytes: bytes.len(),
-        snapshot,
-    })
-}
-
 /// Encode one framed append-log record: `len(u32) · FNV-128 checksum ·
 /// payload`, where the payload is the shared snapshot body for the delta
-/// facts and memo entries.  Ready to append to an existing log file.
-pub fn encode_log_record(
-    facts: Vec<ExportedFact>,
-    prove_empty: Vec<(Vec<Constraint>, bool)>,
+/// facts (all of encodable passes) and memo entries.  Ready to append to an
+/// existing log file.
+pub(crate) fn encode_log_record(
+    facts: &[ExportedFact],
+    prove_empty: &[(Vec<Constraint>, bool)],
 ) -> Vec<u8> {
-    let snap = Snapshot::new(facts, prove_empty);
-    let payload = encode_payload(&snap.facts, &snap.prove_empty);
+    let payload = encode_payload(facts, prove_empty);
     let checksum = payload_checksum(&payload);
     let mut out = Vec::with_capacity(LOG_RECORD_OVERHEAD + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -429,7 +403,7 @@ pub fn encode_log_record(
 
 /// A canonical fingerprint of one emptiness-memo entry, used to track which
 /// entries have already been persisted (so appends stay O(delta)).
-pub fn memo_fingerprint(cs: &[Constraint], result: bool) -> u128 {
+pub(crate) fn memo_fingerprint(cs: &[Constraint], result: bool) -> u128 {
     let mut e = Enc::default();
     e.u32(cs.len() as u32);
     for c in cs {
@@ -439,79 +413,44 @@ pub fn memo_fingerprint(cs: &[Constraint], result: bool) -> u128 {
     payload_checksum(&e.buf)
 }
 
-/// What replaying an append-log stream produced.
-#[derive(Default)]
-pub struct LogReplay {
-    /// Delta facts in append order (a later record's fact for the same key
-    /// supersedes an earlier one; [`merge_image`] resolves that).
-    pub facts: Vec<ExportedFact>,
-    /// Delta memo entries in append order.
-    pub prove_empty: Vec<(Vec<Constraint>, bool)>,
-    /// Per-entry decode degradations inside otherwise valid records.
-    pub undecodable: u64,
-    /// Complete records replayed.
-    pub records: u64,
-    /// A torn or corrupt suffix was dropped (the valid prefix still
-    /// replayed — an interrupted append loses only its own record).
-    pub truncated: bool,
-}
-
 /// Replay an append-log byte stream over a base with payload checksum
-/// `base_checksum`.  Returns `None` when the log does not apply at all
+/// `base_checksum`, handing each complete record to `apply` in append
+/// order.  Returns whether the log is *damaged*: it does not apply at all
 /// (missing/foreign header, version mismatch, or a header bound to a
-/// different base image); a torn or corrupt record ends the replay there,
-/// keeping the valid prefix.
-pub fn replay_log(bytes: &[u8], base_checksum: u128) -> Option<LogReplay> {
-    if bytes.len() < LOG_HEADER_LEN || bytes[..8] != LOG_MAGIC {
-        return None;
+/// different base image — nothing is applied), or a torn or corrupt record
+/// ended the replay early (the valid prefix was applied — an interrupted
+/// append loses only its own record).
+fn replay_log(bytes: &[u8], base_checksum: u128, mut apply: impl FnMut(Snapshot)) -> bool {
+    let bound = bytes.len() >= LOG_HEADER_LEN
+        && bytes[..8] == LOG_MAGIC
+        && bytes[8..12] == LOG_VERSION.to_le_bytes()
+        && bytes[12..28] == base_checksum.to_le_bytes();
+    if !bound {
+        return true;
     }
-    let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    if version != LOG_VERSION {
-        return None;
-    }
-    let bound = u128::from_le_bytes(bytes[12..28].try_into().unwrap());
-    if bound != base_checksum {
-        return None;
-    }
-    let mut out = LogReplay::default();
     let mut pos = LOG_HEADER_LEN;
     while pos < bytes.len() {
-        if pos + LOG_RECORD_OVERHEAD > bytes.len() {
-            out.truncated = true;
-            break;
-        }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let checksum = u128::from_le_bytes(bytes[pos + 4..pos + 20].try_into().unwrap());
-        let Some(end) = pos.checked_add(LOG_RECORD_OVERHEAD + len) else {
-            out.truncated = true;
-            break;
+        let start = pos + LOG_RECORD_OVERHEAD;
+        let Some(head) = bytes.get(pos..start) else {
+            return true;
         };
-        if end > bytes.len() {
-            out.truncated = true;
-            break;
-        }
-        let payload = &bytes[pos + LOG_RECORD_OVERHEAD..end];
+        let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
+        let checksum = u128::from_le_bytes(head[4..].try_into().unwrap());
+        let Some(payload) = bytes.get(start..start.saturating_add(len)) else {
+            return true;
+        };
         if payload_checksum(payload) != checksum {
-            out.truncated = true;
-            break;
+            return true;
         }
-        match decode_payload(payload) {
-            Ok(snap) => {
-                out.facts.extend(snap.facts);
-                out.prove_empty.extend(snap.prove_empty);
-                out.undecodable += snap.undecodable;
-                out.records += 1;
-            }
-            // A checksummed record that still fails structurally is format
-            // drift; stop here like a torn suffix rather than guess.
-            Err(_) => {
-                out.truncated = true;
-                break;
-            }
-        }
-        pos = end;
+        // A checksummed record that still fails structurally is format
+        // drift; stop here like a torn suffix rather than guess.
+        let Ok(record) = decode_payload(payload) else {
+            return true;
+        };
+        apply(record);
+        pos = start + len;
     }
-    Some(out)
+    false
 }
 
 /// A base snapshot with its append-log replayed over it: the durable image
@@ -527,12 +466,9 @@ pub struct LoadedImage {
     /// Payload checksum of the base image (what a continuing log must bind
     /// to).
     pub base_checksum: u128,
-    /// Complete log records replayed.
-    pub log_records: u64,
-    /// A torn/corrupt log suffix was dropped.
-    pub log_truncated: bool,
-    /// The log did not apply (absent, foreign, or bound to another base).
-    pub log_ignored: bool,
+    /// The log did not apply (foreign, or bound to another base) or lost a
+    /// torn/corrupt suffix: the next write must fold, not append to it.
+    pub log_damaged: bool,
 }
 
 /// Decode `base_bytes` and replay `log_bytes` (if any) over it.  Base
@@ -545,15 +481,6 @@ pub fn merge_image(
 ) -> Result<LoadedImage, SnapshotError> {
     let base = Snapshot::decode(base_bytes)?;
     let base_checksum = file_checksum(base_bytes).expect("decoded snapshot has a header");
-    let mut out = LoadedImage {
-        facts: Vec::new(),
-        prove_empty: base.prove_empty,
-        undecodable: base.undecodable,
-        base_checksum,
-        log_records: 0,
-        log_truncated: false,
-        log_ignored: false,
-    };
     // Merge by `(key, hash)`, not key alone: a content-addressed tier
     // legitimately holds several hashes per key (sibling programs sharing
     // stmt ids), and all of them must survive a round trip.  For a
@@ -565,33 +492,32 @@ pub fn merge_image(
         .into_iter()
         .map(|f| ((f.key, f.hash), f))
         .collect();
-    match log_bytes {
-        None => {}
-        Some(lb) => match replay_log(lb, base_checksum) {
-            None => out.log_ignored = true,
-            Some(replay) => {
-                for f in replay.facts {
-                    merged.insert((f.key, f.hash), f);
+    let mut prove_empty = base.prove_empty;
+    let mut seen: std::collections::HashSet<u128> = prove_empty
+        .iter()
+        .map(|(cs, r)| memo_fingerprint(cs, *r))
+        .collect();
+    let mut undecodable = base.undecodable;
+    let log_damaged = log_bytes.is_some_and(|log| {
+        replay_log(log, base_checksum, |record| {
+            undecodable += record.undecodable;
+            merged.extend(record.facts.into_iter().map(|f| ((f.key, f.hash), f)));
+            for (cs, r) in record.prove_empty {
+                if seen.insert(memo_fingerprint(&cs, r)) {
+                    prove_empty.push((cs, r));
                 }
-                let mut seen: std::collections::HashSet<u128> = out
-                    .prove_empty
-                    .iter()
-                    .map(|(cs, r)| memo_fingerprint(cs, *r))
-                    .collect();
-                for (cs, r) in replay.prove_empty {
-                    if seen.insert(memo_fingerprint(&cs, r)) {
-                        out.prove_empty.push((cs, r));
-                    }
-                }
-                out.undecodable += replay.undecodable;
-                out.log_records = replay.records;
-                out.log_truncated = replay.truncated;
             }
-        },
-    }
-    out.facts = merged.into_values().collect();
-    out.facts.sort_by_key(|f| (f.key, f.hash));
-    Ok(out)
+        })
+    });
+    let mut facts: Vec<ExportedFact> = merged.into_values().collect();
+    facts.sort_by_key(|f| (f.key, f.hash));
+    Ok(LoadedImage {
+        facts,
+        prove_empty,
+        undecodable,
+        base_checksum,
+        log_damaged,
+    })
 }
 
 fn pass_tag(p: PassId) -> u8 {

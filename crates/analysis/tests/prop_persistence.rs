@@ -2,7 +2,7 @@
 //! Analyzing a generated program, exporting the fact store through
 //! [`Snapshot`], and importing the decoded bytes into a fresh store must
 //! (a) re-encode bit-identically, (b) validate every entry against the
-//! freshly computed expected input hashes, (c) re-serve the analysis with
+//! freshly computed expected input hashes — all seven passes, (c) re-serve the analysis with
 //! **zero** invocations of any persisted pass, and (d) after invalidating
 //! `N` loop classifications, recompute **exactly `N`** of them.
 
@@ -46,6 +46,13 @@ fn fingerprint(pa: &ProgramAnalysis<'_>) -> BTreeMap<String, String> {
         .collect()
 }
 
+/// Demand the contraction, decomposition and block-split advisories.
+fn demand_advisories(pa: &ProgramAnalysis<'_>, store: &FactStore) {
+    suif_analysis::contract::find_candidates_cached(pa, store);
+    suif_analysis::decomp::advisory_cached(pa, store);
+    suif_analysis::split::find_splits_cached(pa, store);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -67,6 +74,9 @@ proptest! {
         let names: Vec<String> = pa.ctx.tree.loops.iter().map(|l| l.name.clone()).collect();
         Parallelizer::prefetch_loops(
             &program, config.clone(), &opts, None, &store, &names, &|| false);
+        // ... and the three program-scope advisories, so every pass
+        // `expected_fact_hashes` lists is checked against a real fact.
+        demand_advisories(&pa, &store);
 
         // Export → encode → decode: nothing dropped, and re-encoding the
         // decoded snapshot reproduces the original bytes (golden round trip).
@@ -88,8 +98,15 @@ proptest! {
             prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Classify, Scope::Loop(li.stmt))));
             prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Deps, Scope::Loop(li.stmt))));
         }
-        prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Summarize, Scope::Program)));
-        prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Liveness, Scope::Program)));
+        for pass in [
+            PassId::Summarize,
+            PassId::Liveness,
+            PassId::Contract,
+            PassId::Decomp,
+            PassId::Split,
+        ] {
+            prop_assert!(persisted_keys.contains(&FactKey::new(pass, Scope::Program)));
+        }
 
         // Warm-start validation: the program did not change, so every
         // decoded entry matches its freshly computed expected input hash.
@@ -107,7 +124,12 @@ proptest! {
             Parallelizer::analyze_in(&program, config.clone(), &opts, None, &warm);
         Parallelizer::prefetch_loops(
             &program, config.clone(), &opts, None, &warm, &names, &|| false);
+        demand_advisories(&warm_pa, &warm);
         prop_assert_eq!(&cold, &fingerprint(&warm_pa));
+        for pass in [PassId::Contract, PassId::Decomp, PassId::Split] {
+            let m = warm.metrics_for(pass);
+            prop_assert_eq!((m.invocations, m.reused), (0, 1));
+        }
         let loops = pa.ctx.tree.loops.len() as u64;
         for pass in [PassId::Classify, PassId::Deps] {
             let m = warm.metrics_for(pass);

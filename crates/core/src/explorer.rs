@@ -2,7 +2,7 @@
 //! and profile → dynamic dependence analysis → guru interaction.
 
 use crate::guru::{self, GuruReport};
-use std::collections::HashSet;
+use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
 use suif_analysis::{
     contract::ContractionCandidate, decomp::DecompFact, deps::CarriedDeps, split::BlockSplit,
@@ -13,6 +13,10 @@ use suif_dynamic::machine::Machine;
 use suif_dynamic::{DynDepAnalyzer, DynDepConfig, DynDepReport, LoopProfiler, ProfileReport};
 use suif_ir::{Program, StmtId, VarId};
 use suif_slicing::{Slice, SliceKind, SliceOptions, Slicer};
+
+/// Per access site of a dependence: the site's source line with its
+/// program slice and its control slice.
+pub type SiteSlices = Vec<(u32, Slice, Slice)>;
 
 /// Explorer failure.
 #[derive(Debug)]
@@ -148,11 +152,7 @@ impl<'p> Explorer<'p> {
     /// every access site of the dependent object in the loop, the program
     /// and control slices of the *subscript-defining* variables, with the
     /// code-region and array restrictions of §3.6 applied.
-    pub fn slices_for_dep(
-        &mut self,
-        loop_stmt: StmtId,
-        dep_index: usize,
-    ) -> Vec<(u32, Slice, Slice)> {
+    pub fn slices_for_dep(&mut self, loop_stmt: StmtId, dep_index: usize) -> SiteSlices {
         let sites: Vec<(StmtId, VarId)> = {
             let Some(LoopVerdict::Sequential { deps, .. }) = self.analysis.verdict(loop_stmt)
             else {
@@ -198,6 +198,25 @@ impl<'p> Explorer<'p> {
             out.push((line, prog, ctrl));
         }
         out
+    }
+
+    /// What the viewer shows for a loop's first unresolved dependence
+    /// (Fig. 4-3): the union of its program/control slice lines, the source
+    /// lines of the pruned terminals, and the slices themselves (empty when
+    /// the loop has no unresolved dependence).
+    pub fn slice_view(&mut self, loop_stmt: StmtId) -> (BTreeSet<u32>, BTreeSet<u32>, SiteSlices) {
+        let slices = self.slices_for_dep(loop_stmt, 0);
+        let (mut lines, mut terminals) = (BTreeSet::new(), BTreeSet::new());
+        for (_, p, c) in &slices {
+            lines.extend(p.lines.iter().copied());
+            lines.extend(c.lines.iter().copied());
+            for s in p.terminals.iter().chain(c.terminals.iter()) {
+                if let Some((stmt, _)) = self.program.find_stmt(*s) {
+                    terminals.insert(stmt.line());
+                }
+            }
+        }
+        (lines, terminals, slices)
     }
 
     /// Re-run the static analysis with a new assertion set, replaying only

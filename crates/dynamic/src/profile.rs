@@ -12,7 +12,7 @@
 use crate::machine::Hooks;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
-use suif_ir::{StmtId, VarId};
+use suif_ir::StmtId;
 
 /// Per-loop profile data.
 #[derive(Clone, Debug, Default)]
@@ -193,10 +193,6 @@ impl ProfileReport {
         v
     }
 }
-
-/// Convenience: variables are not profiled, but re-export the hook trait so
-/// callers can combine analyzers.
-pub fn _unused(_: VarId) {}
 
 #[cfg(test)]
 mod tests {

@@ -1,7 +1,7 @@
 //! Lowering analysis verdicts into runtime execution plans.
 
 use std::collections::{HashMap, HashSet};
-use suif_analysis::{ArrayKey, LoopVerdict, ProgramAnalysis, RedOp};
+use suif_analysis::{ArrayKey, LoopCertInfo, LoopVerdict, ProgramAnalysis, RedOp};
 use suif_ir::{ProcId, Program, Stmt, StmtId, VarId};
 use suif_poly::{Section, Var};
 
@@ -115,6 +115,19 @@ impl ParallelPlans {
             plans.loops.insert(li.stmt, entry);
         }
         plans
+    }
+
+    /// The plan a race certification runs `info`'s loop under: its
+    /// production plan when the analysis judged it parallel (expected
+    /// race-free with sequential-identical output), else [`minimal_plan`]
+    /// (so the statically reported carried dependence manifests as a
+    /// detected race).  `None` when the loop cannot be planned at all.
+    pub fn plan_for(&self, program: &Program, info: &LoopCertInfo) -> Option<PlanEntry> {
+        if info.parallel {
+            self.loops.get(&info.stmt).cloned()
+        } else {
+            minimal_plan(program, info.stmt)
+        }
     }
 }
 

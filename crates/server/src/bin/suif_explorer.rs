@@ -166,11 +166,13 @@ fn corpus(args: &[String]) -> Result<(), String> {
 
     let tier = std::sync::Arc::new(suif_analysis::SharedFactTier::with_budget(shared_budget));
     let cache = std::sync::Arc::new(suif_analysis::SummaryCache::new());
-    if let Some(dir) = &persist_dir {
-        match suif_server::load_tier_snapshot(dir, &tier) {
-            Ok(0) => {}
-            Ok(n) => eprintln!("corpus: warm tier — {n} facts from {}", dir.display()),
-            Err(e) => eprintln!("warning: snapshot {}: {e}; cold start", dir.display()),
+    // A corrupt image warns (from the directory's owner) and cold-starts.
+    let persist = persist_dir.map(suif_analysis::PersistDir::new);
+    if let Some(dir) = &persist {
+        let n = dir.warm_tier(&tier).warm_hits;
+        if n > 0 {
+            let path = dir.base_path().display();
+            eprintln!("corpus: warm tier — {n} facts from {path}");
         }
     }
     let opts = suif_server::CorpusOptions {
@@ -198,12 +200,14 @@ fn corpus(args: &[String]) -> Result<(), String> {
     }
     writeln!(out, "{}", run.summary.to_json(&tier)).map_err(|e| e.to_string())?;
     out.flush().map_err(|e| e.to_string())?;
-    if let Some(dir) = &persist_dir {
-        let (facts, bytes) = suif_server::save_tier_snapshot(dir, &tier)
-            .map_err(|e| format!("snapshot {}: write failed: {e}", dir.display()))?;
+    if let Some(dir) = &persist {
+        let path = dir.base_path().display();
+        let w = dir
+            .checkpoint(|| tier.export(), true)
+            .map_err(|e| format!("snapshot {path}: write failed: {e}"))?;
         eprintln!(
-            "corpus: persisted {facts} facts ({bytes} bytes) to {}",
-            dir.display()
+            "corpus: persisted {} facts ({} bytes) to {path}",
+            w.delta_facts, w.bytes
         );
     }
     eprintln!(
@@ -482,21 +486,10 @@ fn run(args: &[String]) -> Result<(), String> {
                 .find(|l| &l.name == loop_name)
                 .ok_or_else(|| format!("no loop `{loop_name}`"))?
                 .clone();
-            let slices = ex.slices_for_dep(li.stmt, 0);
+            let (lines, terms, slices) = ex.slice_view(li.stmt);
             if slices.is_empty() {
                 println!("no unresolved dependences in {loop_name}");
                 return Ok(());
-            }
-            let mut lines = std::collections::BTreeSet::new();
-            let mut terms = std::collections::BTreeSet::new();
-            for (_, p, c) in &slices {
-                lines.extend(p.lines.iter().copied());
-                lines.extend(c.lines.iter().copied());
-                for s in p.terminals.iter().chain(c.terminals.iter()) {
-                    if let Some((stmt, _)) = program.find_stmt(*s) {
-                        terms.insert(stmt.line());
-                    }
-                }
             }
             println!(
                 "{}",
@@ -553,12 +546,7 @@ fn run(args: &[String]) -> Result<(), String> {
                 return Err(format!("sequential run failed: {}", e.message));
             }
             for info in pa.certify_inputs() {
-                let plan = if info.parallel {
-                    plans.loops.get(&info.stmt).cloned()
-                } else {
-                    suif_parallel::plan::minimal_plan(&program, info.stmt)
-                };
-                let Some(plan) = plan else {
+                let Some(plan) = plans.plan_for(&program, &info) else {
                     println!("{:<20} unplannable", info.name);
                     continue;
                 };

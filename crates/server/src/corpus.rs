@@ -38,16 +38,14 @@
 //! live only in the full [`ProgramReport::to_json`] record.
 
 use crate::json::Json;
-use crate::session::{tier_json, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
-use std::io;
+use crate::session::tier_json;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 use suif_analysis::{
-    snapshot, AnalyzeStats, ExecutorService, FactStore, LoopVerdict, ParallelizeConfig,
-    Parallelizer, ScheduleOptions, SharedFactTier, SummaryCache,
+    AnalyzeStats, ExecutorService, FactStore, LoopVerdict, ParallelizeConfig, Parallelizer,
+    ScheduleOptions, SharedFactTier, SummaryCache,
 };
 
 /// Default per-program source-size cap (bytes).  Generous for any program
@@ -465,35 +463,6 @@ pub fn run_corpus(
     CorpusRun { reports, summary }
 }
 
-/// Warm a corpus run's shared tier from the snapshot in `dir` (base image
-/// plus append-log, the same layout daemon sessions maintain), returning
-/// the number of facts imported.  The tier is content-addressed by
-/// `(pass, input-hash)`, so no expected-hash validation applies here: a
-/// persisted fact no current program demands is simply never read.  A
-/// missing snapshot is a cold start (`Ok(0)`); a corrupt base is an error
-/// the caller may downgrade to a cold start.
-pub fn load_tier_snapshot(dir: &Path, tier: &SharedFactTier) -> io::Result<usize> {
-    let base = match std::fs::read(dir.join(SNAPSHOT_FILE)) {
-        Ok(b) => b,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(0),
-        Err(e) => return Err(e),
-    };
-    let log = std::fs::read(dir.join(SNAPSHOT_LOG_FILE)).ok();
-    let img = snapshot::merge_image(&base, log.as_deref())
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-    let n = tier.import(&img.facts);
-    suif_poly::import_prove_empty_memo(&img.prove_empty);
-    Ok(n)
-}
-
-/// Persist the shared tier (and emptiness memo) into `dir` as a fresh base
-/// image with an empty bound log — the corpus-mode counterpart of a
-/// session compaction.  Returns `(facts, bytes)` written.
-pub fn save_tier_snapshot(dir: &Path, tier: &SharedFactTier) -> io::Result<(usize, usize)> {
-    let w = snapshot::write_base(dir, tier.export(), suif_poly::export_prove_empty_memo())?;
-    Ok((w.snapshot.facts.len(), w.bytes))
-}
-
 /// Materialize `count` generated corpus entries from `seed_base` — the
 /// in-process equivalent of `scripts/gen_corpus` for the daemon's `corpus`
 /// command and the benchmarks.
@@ -590,12 +559,21 @@ mod tests {
         );
         let dir = std::env::temp_dir().join(format!("suif_corpus_persist_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let (saved, bytes) = save_tier_snapshot(&dir, &tier).unwrap();
-        assert!(saved > 0 && bytes > 0, "cold run persisted facts");
+        let saved = suif_analysis::PersistDir::new(&dir)
+            .checkpoint(|| tier.export(), true)
+            .unwrap();
+        assert!(
+            saved.delta_facts > 0 && saved.bytes > 0,
+            "cold run persisted facts"
+        );
 
+        // A second process's handle over the same directory.
         let (tier2, cache2) = tier_and_cache();
-        let imported = load_tier_snapshot(&dir, &tier2).unwrap();
-        assert_eq!(imported, saved, "every persisted fact imports");
+        let warmed = suif_analysis::PersistDir::new(&dir).warm_tier(&tier2);
+        assert_eq!(
+            warmed.warm_hits, saved.delta_facts as u64,
+            "every persisted fact imports"
+        );
         let warm = run_corpus(entries, &CorpusOptions::default(), &tier2, &cache2, |_| {});
         for (c, w) in cold.reports.iter().zip(&warm.reports) {
             assert_eq!(

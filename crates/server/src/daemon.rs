@@ -50,7 +50,7 @@ use std::os::unix::io::AsRawFd;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use suif_analysis::{snapshot, ExecutorService, ScheduleOptions, SharedFactTier, SummaryCache};
+use suif_analysis::{ExecutorService, PersistDir, ScheduleOptions, SharedFactTier, SummaryCache};
 
 /// Everything that shapes a daemon service, across all its sessions.
 #[derive(Clone, Debug, Default)]
@@ -89,7 +89,8 @@ pub struct ServiceState {
     cache: Arc<SummaryCache>,
     tier: Arc<SharedFactTier>,
     speculate: usize,
-    persist_dir: Option<PathBuf>,
+    /// The one owner of `--persist-dir`, handed to every session.
+    persist: Option<Arc<PersistDir>>,
     certify_seed: u64,
     session_budget: Option<usize>,
     max_sessions: usize,
@@ -143,7 +144,7 @@ impl ServiceState {
             cache: Arc::new(SummaryCache::new()),
             tier: Arc::new(SharedFactTier::with_budget(options.shared_budget)),
             speculate: options.speculate,
-            persist_dir: options.persist_dir,
+            persist: options.persist_dir.map(PersistDir::new),
             certify_seed: options.certify_seed,
             session_budget: options.session_budget,
             max_sessions: options.max_sessions,
@@ -171,20 +172,22 @@ impl ServiceState {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Write the shared tier (and emptiness memo) to the persist path,
-    /// atomically, and reset the append-log to a header bound to the new
-    /// base so session checkpoints keep appending against it.  Returns
-    /// `(facts, bytes)` written, or `None` without persistence.
+    /// The owner of the persist directory, when persistence is on.
+    pub fn persist(&self) -> Option<&Arc<PersistDir>> {
+        self.persist.as_ref()
+    }
+
+    /// Fold the shared tier (and emptiness memo) into a fresh base image
+    /// with an empty log bound to it.  A directory no session opened is
+    /// read first, so folding never drops an image nobody looked at.
+    /// Returns `(facts, bytes)` written, or `None` without persistence.
     pub fn checkpoint(&self) -> io::Result<Option<(usize, usize)>> {
-        let Some(dir) = &self.persist_dir else {
+        let Some(dir) = &self.persist else {
             return Ok(None);
         };
-        let w = snapshot::write_base(
-            dir,
-            self.tier.export(),
-            suif_poly::export_prove_empty_memo(),
-        )?;
-        Ok(Some((w.snapshot.facts.len(), w.bytes)))
+        dir.warm_tier(&self.tier);
+        let w = dir.checkpoint(|| self.tier.export(), true)?;
+        Ok(Some((w.delta_facts, w.bytes)))
     }
 
     /// Reserve a session slot, or fail when the registry is full.
@@ -325,7 +328,7 @@ impl Daemon {
             SessionConfig {
                 opts: self.state.opts.clone(),
                 spec_budget: self.state.speculate,
-                persist_dir: self.state.persist_dir.clone(),
+                persist: self.state.persist.clone(),
                 tier: Some(self.state.tier.clone()),
                 budget: self.state.session_budget,
                 session_id: self.session_id,

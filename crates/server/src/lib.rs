@@ -26,16 +26,13 @@ pub mod reactor;
 pub mod session;
 
 pub use corpus::{
-    analyze_single, generated_entries, load_tier_snapshot, run_corpus, save_tier_snapshot,
-    CorpusEntry, CorpusOptions, CorpusRun, CorpusSummary, ProgramReport, VerdictRecord,
-    DEFAULT_MAX_PROGRAM_BYTES,
+    analyze_single, generated_entries, run_corpus, CorpusEntry, CorpusOptions, CorpusRun,
+    CorpusSummary, ProgramReport, VerdictRecord, DEFAULT_MAX_PROGRAM_BYTES,
 };
 pub use daemon::{
     serve_listener, serve_stdio_with, serve_tcp_with, Daemon, ServiceOptions, ServiceState,
 };
 pub use proto::{Frame, FrameDecoder, MAX_LINE_BYTES};
 pub use reactor::{Interest, Poller, WakePipe};
-pub use session::{
-    speculation_order, Session, SessionConfig, SnapshotReport, COMPACT_MIN_LOG_BYTES,
-    SNAPSHOT_FILE, SNAPSHOT_LOG_FILE,
-};
+pub use session::{speculation_order, Session, SessionConfig, SnapshotReport};
+pub use suif_analysis::snapshot::{SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};

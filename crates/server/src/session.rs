@@ -23,47 +23,29 @@
 //! claimed by a query (hits), and how many an invalidation wasted.
 
 use crate::json::Json;
-use std::collections::{HashMap, HashSet};
-use std::path::{Path, PathBuf};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use suif_analysis::persist::{Checkpointed, Warmed};
 use suif_analysis::{
-    snapshot, AnalyzeStats, Assertion, FactKey, FactStore, LoopVerdict, ParallelizeConfig,
-    Parallelizer, PassId, ScheduleOptions, Scope, SharedFactTier, SummaryCache,
+    AnalyzeStats, Assertion, FactKey, FactStore, LoopVerdict, ParallelizeConfig, Parallelizer,
+    PassId, PersistDir, ScheduleOptions, Scope, SharedFactTier, SummaryCache,
 };
 use suif_explorer::Explorer;
 use suif_ir::{Program, StmtId};
 
-pub use suif_analysis::snapshot::{SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
-
-/// Compact once the log's record bytes reach both this floor and the base
-/// image's size: a single assert appends a few hundred bytes without ever
-/// triggering a whole-file rewrite, while a long assert-heavy session folds
-/// its log away before replay cost rivals a cold start.
-pub const COMPACT_MIN_LOG_BYTES: u64 = 4096;
-
 /// What happened to the persisted fact snapshot when this session opened,
 /// plus running checkpoint-cost counters, reported under `snapshot` in
 /// `stats`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SnapshotReport {
-    /// `"none"` (no persist dir or no file yet), `"loaded"` (imported after
-    /// validation), or `"discarded"` (torn/corrupt/version-mismatched file
-    /// dropped; cold start).
-    pub status: &'static str,
-    /// Persisted facts whose input hash matched the freshly computed
-    /// expectation and were imported into the store.
-    pub warm_hits: u64,
+    /// What the persist directory gave this session at open: the load
+    /// `status`, `warm_hits`, `evicted_stale`, and any load `warning`.
+    pub warmed: Warmed,
     /// Facts the opening analysis still had to compute (everything not
     /// covered by an imported fact).
     pub cold_misses: u64,
-    /// Persisted entries dropped at load: stale input hash (the program or
-    /// configuration moved) or undecodable bytes.  Each degrades to
-    /// `Absent`, never to a wrong answer.
-    pub evicted_stale: u64,
-    /// Human-readable load problem, when the snapshot was discarded.
-    pub warning: Option<String>,
     /// Wall-clock seconds spent reading, replaying, and importing the
     /// base+log image at open.
     pub load_secs: f64,
@@ -73,64 +55,9 @@ pub struct SnapshotReport {
     /// Total bytes appended to the log by delta checkpoints (excludes base
     /// rewrites — the measure of O(delta) checkpoint cost).
     pub appended_bytes: u64,
-    /// Whole-file base+log rewrites after the open (ratio-triggered
-    /// compactions and reload-forced rewrites).
+    /// Size-triggered folds of the log into a fresh base that this
+    /// session's checkpoints set off.
     pub compactions: u64,
-}
-
-impl Default for SnapshotReport {
-    fn default() -> SnapshotReport {
-        SnapshotReport {
-            status: "none",
-            warm_hits: 0,
-            cold_misses: 0,
-            evicted_stale: 0,
-            warning: None,
-            load_secs: 0.0,
-            save_secs: 0.0,
-            appended_bytes: 0,
-            compactions: 0,
-        }
-    }
-}
-
-/// Durable-persistence bookkeeping: the base+log paths plus exactly what is
-/// already on disk, so a checkpoint appends only the delta.
-struct PersistState {
-    /// The base snapshot image.
-    base: PathBuf,
-    /// The append-log beside it.
-    log: PathBuf,
-    /// Payload checksum of the on-disk base; the log header binds to it.
-    base_checksum: u128,
-    /// Size of the base file.
-    base_bytes: u64,
-    /// Size of the log file (header + records).
-    log_bytes: u64,
-    /// `key → input hash` of every fact durable in base+log.  A fact is
-    /// appended only when absent or hash-moved — never rewritten whole.
-    persisted: HashMap<FactKey, u128>,
-    /// Fingerprints of durable emptiness-memo entries.
-    persisted_memo: HashSet<u128>,
-    /// No valid base exists on disk yet (fresh dir, discarded corruption,
-    /// or a damaged log pending fold-in): the next write must be a full
-    /// base+log rewrite.
-    needs_base: bool,
-}
-
-impl PersistState {
-    fn new(dir: &Path) -> PersistState {
-        PersistState {
-            base: dir.join(SNAPSHOT_FILE),
-            log: dir.join(SNAPSHOT_LOG_FILE),
-            base_checksum: 0,
-            base_bytes: 0,
-            log_bytes: 0,
-            persisted: HashMap::new(),
-            persisted_memo: HashSet::new(),
-            needs_base: true,
-        }
-    }
 }
 
 /// Speculation bookkeeping shared with the background prefetch thread.
@@ -157,13 +84,9 @@ pub struct Session {
     cache: Arc<SummaryCache>,
     /// Fact store shared across analyses and reloads of this session;
     /// stale facts miss on their content hash, surviving ones are reused.
-    /// In a multi-tenant daemon this is a thin overlay over `tier`.
+    /// In a multi-tenant daemon this is a thin overlay over the
+    /// process-wide content-addressed tier.
     store: Arc<FactStore>,
-    /// The process-wide content-addressed fact tier, when this session
-    /// belongs to a multi-tenant daemon.  Snapshots export the tier once
-    /// (the superset of every session's clean facts) instead of per
-    /// session.
-    tier: Option<Arc<SharedFactTier>>,
     opts: ScheduleOptions,
     /// Max ranked loops to pre-classify after each `guru` (0 = off).
     spec_budget: usize,
@@ -178,8 +101,9 @@ pub struct Session {
     pub last_cache_delta: (u64, u64),
     /// Completed `load`/`reload` requests.
     pub generation: u64,
-    /// Durable base+log persistence state, when persistence is on.
-    persist: Option<PersistState>,
+    /// The persist directory's owner, when persistence is on (shared with
+    /// every other session of the process over the same directory).
+    persist: Option<Arc<PersistDir>>,
     /// How the snapshot load went at `open` time (see [`SnapshotReport`]).
     pub snapshot: SnapshotReport,
     /// Accumulated race-certification counters, reported under
@@ -206,8 +130,9 @@ pub struct SessionConfig {
     pub opts: ScheduleOptions,
     /// Max ranked loops to pre-classify after each `guru` (0 = off).
     pub spec_budget: usize,
-    /// Directory holding the durable fact snapshot, when persistence is on.
-    pub persist_dir: Option<PathBuf>,
+    /// The durable fact snapshot's directory, when persistence is on: the
+    /// daemon's one handle, or `PersistDir::new(dir)` for a session alone.
+    pub persist: Option<Arc<PersistDir>>,
     /// Process-wide content-addressed fact tier to read through and publish
     /// into; `None` gives the classic single-tenant store.
     pub tier: Option<Arc<SharedFactTier>>,
@@ -216,81 +141,6 @@ pub struct SessionConfig {
     /// Daemon-assigned session id; tags tier publishes for per-session
     /// accounting and eviction fairness (`0` = anonymous/single-tenant).
     pub session_id: u64,
-}
-
-/// Load the base snapshot (if it exists), replay the append-log over it,
-/// and import every merged entry whose input hash matches `expected` into
-/// `store` (and into `tier`, when this session reads through one).  A
-/// corrupt or version-mismatched base discards the whole image; a damaged
-/// log degrades (ignored if bound to another base — e.g. after a
-/// mid-compaction crash — or replayed up to its first torn record) and
-/// schedules a full rewrite; stale or undecodable entries degrade
-/// individually.
-fn load_persisted(
-    ps: &mut PersistState,
-    store: &FactStore,
-    tier: Option<&SharedFactTier>,
-    expected: &HashMap<FactKey, u128>,
-) -> SnapshotReport {
-    let mut report = SnapshotReport::default();
-    let base_bytes = match std::fs::read(&ps.base) {
-        Ok(b) => b,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return report,
-        Err(e) => {
-            let w = format!(
-                "snapshot {}: read failed: {e}; cold start",
-                ps.base.display()
-            );
-            eprintln!("warning: {w}");
-            report.status = "discarded";
-            report.warning = Some(w);
-            return report;
-        }
-    };
-    let log_bytes = std::fs::read(&ps.log).ok();
-    match snapshot::merge_image(&base_bytes, log_bytes.as_deref()) {
-        Ok(img) => {
-            // The durable set is what the *file* holds (pre-validation):
-            // a stale entry is physically present, and its replacement
-            // (same key, fresh hash) must be appended, not skipped.
-            ps.persisted = img.facts.iter().map(|f| (f.key, f.hash)).collect();
-            ps.persisted_memo = img
-                .prove_empty
-                .iter()
-                .map(|(cs, r)| snapshot::memo_fingerprint(cs, *r))
-                .collect();
-            ps.base_checksum = img.base_checksum;
-            ps.base_bytes = base_bytes.len() as u64;
-            ps.log_bytes = log_bytes.map(|b| b.len() as u64).unwrap_or(0);
-            // A valid base with a damaged/foreign log still warm-starts
-            // from what replayed, but the next write folds everything into
-            // a fresh base+log pair instead of appending to damage.
-            ps.needs_base = img.log_ignored || img.log_truncated;
-            let mut evicted = img.undecodable;
-            let mut valid = Vec::new();
-            for f in img.facts {
-                if expected.get(&f.key) == Some(&f.hash) {
-                    valid.push(f);
-                } else {
-                    evicted += 1;
-                }
-            }
-            if let Some(t) = tier {
-                t.import(&valid);
-            }
-            report.warm_hits = store.import(valid) as u64;
-            report.evicted_stale = evicted;
-            suif_poly::import_prove_empty_memo(&img.prove_empty);
-            report.status = "loaded";
-        }
-        Err(e) => {
-            let w = format!("snapshot {}: {e}; cold start", ps.base.display());
-            eprintln!("warning: {w}");
-            report.status = "discarded";
-            report.warning = Some(w);
-        }
-    }
-    report
 }
 
 fn build_explorer(
@@ -318,42 +168,31 @@ impl Session {
     ///
     /// With `cfg.spec_budget > 0`, after each `guru` the classify and
     /// carried-dependence facts of up to that many top-ranked loops are
-    /// demanded on a background thread.  With `cfg.persist_dir` set, the
-    /// base snapshot `persist_dir/facts.snap` with its append-log replayed
-    /// over it is loaded (after validating every entry against freshly
-    /// computed input hashes) before the opening analysis; `assert`, an
-    /// explicit `checkpoint`, and drop then append O(delta) records to the
-    /// log, with a size/ratio-triggered compaction folding the log back
-    /// into a fresh base atomically.  `cfg.tier` shares facts through a
-    /// process-wide tier and `cfg.budget` bounds this session's resident
-    /// facts.
+    /// demanded on a background thread.  With `cfg.persist` set, the store
+    /// is warmed from that directory before the opening analysis
+    /// ([`PersistDir::warm_store`]); the open, every `assert`, an explicit
+    /// `checkpoint`, and drop then checkpoint into it — O(delta) appends,
+    /// folded into a fresh base when the directory's owner decides so.
+    /// `cfg.tier` shares facts through a process-wide tier and `cfg.budget`
+    /// bounds this session's resident facts.
     pub fn open_cfg(
         source: &str,
         cache: Arc<SummaryCache>,
         cfg: SessionConfig,
     ) -> Result<Session, String> {
-        let SessionConfig {
-            opts,
-            spec_budget,
-            persist_dir,
-            tier,
-            budget,
-            session_id,
-        } = cfg;
         let program = Arc::new(suif_ir::parse_program(source).map_err(|e| e.to_string())?);
         // SAFETY: the program is heap-allocated behind an `Arc` held by this
         // session until after `explorer` (field order) is dropped; the
         // reference never leaves the session.
         let pref: &'static Program = unsafe { &*(&*program as *const Program) };
-        let store = Arc::new(match &tier {
-            Some(t) => FactStore::with_shared(t.clone()),
+        let store = Arc::new(match cfg.tier {
+            Some(t) => FactStore::with_shared(t),
             None => FactStore::new(),
         });
-        store.set_budget(budget);
-        store.set_owner(session_id);
-        let mut persist = persist_dir.map(|d| PersistState::new(&d));
+        store.set_budget(cfg.budget);
+        store.set_owner(cfg.session_id);
         let mut report = SnapshotReport::default();
-        if let Some(ps) = &mut persist {
+        if let Some(p) = &cfg.persist {
             // The explorer always analyzes under the default configuration
             // (see `build_explorer`), so the expected hashes are computed
             // for it; a snapshot persisted under any other configuration
@@ -361,33 +200,32 @@ impl Session {
             let t0 = Instant::now();
             let expected =
                 Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default());
-            report = load_persisted(ps, &store, tier.as_deref(), &expected);
+            report.warmed = p.warm_store(&store, &expected);
             report.load_secs = t0.elapsed().as_secs_f64();
         }
-        let (explorer, stats, delta) = build_explorer(pref, &opts, &cache, store.clone())?;
+        let (explorer, stats, delta) = build_explorer(pref, &cfg.opts, &cache, store.clone())?;
         report.cold_misses = stats.facts_computed;
         let mut session = Session {
             explorer,
             program,
             cache,
             store,
-            tier,
-            opts,
-            spec_budget,
+            opts: cfg.opts,
+            spec_budget: cfg.spec_budget,
             spec_epoch: Arc::new(AtomicU64::new(0)),
             spec_state: Arc::new(Mutex::new(SpecState::default())),
             spec_handle: None,
             last_stats: stats,
             last_cache_delta: delta,
             generation: 1,
-            persist,
+            persist: cfg.persist,
             snapshot: report,
             cert: CertCounters::default(),
         };
         // Persist the freshly opened state so even a kill -9 before the
         // first invalidation event restarts warm: a fresh dir gets its
         // base image, a warm start appends whatever the open computed.
-        session.persist_now();
+        session.persist_now(false);
         Ok(session)
     }
 
@@ -398,126 +236,37 @@ impl Session {
     /// every tenant's clean facts, and assertion-tainted overlay entries
     /// (never published to the tier) stay out of the durable state.
     fn export_all(&self) -> Vec<suif_analysis::ExportedFact> {
-        match &self.tier {
+        match self.store.shared_tier() {
             Some(t) => t.export(),
             None => self.store.export(),
         }
     }
 
-    /// Checkpoint: append the delta (or write the initial base), folding
-    /// the log into a fresh base when it has grown past the compaction
-    /// threshold.  A no-op without persistence; IO failures warn on stderr
-    /// but never fail the triggering request.
-    fn persist_now(&mut self) {
-        if self.persist.is_none() {
-            return;
-        }
-        if let Err(e) = self.checkpoint_inner() {
-            let ps = self.persist.as_ref().unwrap();
-            eprintln!(
-                "warning: snapshot {}: write failed: {e}; continuing without persistence",
-                ps.base.display()
-            );
-        }
-    }
-
-    /// The checkpoint body shared by the auto-save path and the explicit
-    /// `checkpoint` request.  Returns `(delta_facts, bytes_written)`.
-    fn checkpoint_inner(&mut self) -> std::io::Result<(usize, usize)> {
+    /// Checkpoint `export_all` into `dir` and feed this session's counters
+    /// from what the call reports.
+    fn checkpoint(&mut self, dir: &PersistDir, fold: bool) -> Result<Checkpointed, String> {
         let t0 = Instant::now();
-        let out = if self.persist.as_ref().unwrap().needs_base {
-            self.rewrite_base()
-        } else {
-            let appended = self.append_delta()?;
-            self.maybe_compact()?;
-            Ok(appended)
-        };
+        let written = dir.checkpoint(|| self.export_all(), fold);
         self.snapshot.save_secs += t0.elapsed().as_secs_f64();
-        out
+        let w = written
+            .map_err(|e| format!("snapshot {}: write failed: {e}", dir.base_path().display()))?;
+        if w.appended {
+            self.snapshot.appended_bytes += w.bytes as u64;
+        }
+        self.snapshot.compactions += w.compacted as u64;
+        Ok(w)
     }
 
-    /// Write the full durable state as a fresh base image with an empty
-    /// bound log ([`snapshot::write_base`]) and record it as what is on disk.
-    fn rewrite_base(&mut self) -> std::io::Result<(usize, usize)> {
-        let facts = self.export_all();
-        let ps = self.persist.as_mut().unwrap();
-        let dir = ps
-            .base
-            .parent()
-            .expect("base path is inside the persist dir");
-        let w = snapshot::write_base(dir, facts, suif_poly::export_prove_empty_memo())?;
-        ps.base_checksum = w.checksum;
-        ps.base_bytes = w.bytes as u64;
-        ps.log_bytes = snapshot::LOG_HEADER_LEN as u64;
-        ps.needs_base = false;
-        ps.persisted = w.snapshot.facts.iter().map(|f| (f.key, f.hash)).collect();
-        ps.persisted_memo = w
-            .snapshot
-            .prove_empty
-            .iter()
-            .map(|(cs, r)| snapshot::memo_fingerprint(cs, *r))
-            .collect();
-        Ok((w.snapshot.facts.len(), w.bytes))
-    }
-
-    /// Append one framed record holding only what is not yet durable:
-    /// facts whose `(key, hash)` moved and new emptiness-memo entries.
-    /// O(delta) — the cost no longer scales with the total fact count.
-    fn append_delta(&mut self) -> std::io::Result<(usize, usize)> {
-        let facts = self.export_all();
-        let memo = suif_poly::export_prove_empty_memo();
-        let ps = self.persist.as_mut().unwrap();
-        let delta: Vec<_> = facts
-            .into_iter()
-            .filter(|f| ps.persisted.get(&f.key) != Some(&f.hash))
-            .collect();
-        let memo_delta: Vec<_> = memo
-            .into_iter()
-            .filter(|(cs, r)| {
-                !ps.persisted_memo
-                    .contains(&snapshot::memo_fingerprint(cs, *r))
-            })
-            .collect();
-        if delta.is_empty() && memo_delta.is_empty() {
-            return Ok((0, 0));
+    /// The auto-save path (open, `assert`, `reload`, drop): a no-op without
+    /// persistence; IO failures warn on stderr but never fail the
+    /// triggering request.
+    fn persist_now(&mut self, fold: bool) {
+        let Some(dir) = self.persist.clone() else {
+            return;
+        };
+        if let Err(e) = self.checkpoint(&dir, fold) {
+            eprintln!("warning: {e}; continuing without persistence");
         }
-        let durable_facts: Vec<(FactKey, u128)> = delta.iter().map(|f| (f.key, f.hash)).collect();
-        let durable_memo: Vec<u128> = memo_delta
-            .iter()
-            .map(|(cs, r)| snapshot::memo_fingerprint(cs, *r))
-            .collect();
-        let record = snapshot::encode_log_record(delta, memo_delta);
-        {
-            use std::io::Write;
-            let mut fh = std::fs::OpenOptions::new()
-                .append(true)
-                .create(true)
-                .open(&ps.log)?;
-            // An empty log (e.g. removed out-of-band) needs its binding
-            // header first, or the whole log is ignored at the next load.
-            if fh.metadata()?.len() == 0 {
-                fh.write_all(&snapshot::log_header(ps.base_checksum))?;
-                ps.log_bytes = snapshot::LOG_HEADER_LEN as u64;
-            }
-            fh.write_all(&record)?;
-        }
-        ps.log_bytes += record.len() as u64;
-        ps.persisted.extend(durable_facts.iter().copied());
-        ps.persisted_memo.extend(durable_memo);
-        self.snapshot.appended_bytes += record.len() as u64;
-        Ok((durable_facts.len(), record.len()))
-    }
-
-    /// Fold the log into a fresh base once its record bytes reach both the
-    /// [`COMPACT_MIN_LOG_BYTES`] floor and the base image's own size.
-    fn maybe_compact(&mut self) -> std::io::Result<()> {
-        let ps = self.persist.as_ref().unwrap();
-        let records = ps.log_bytes.saturating_sub(snapshot::LOG_HEADER_LEN as u64);
-        if records >= COMPACT_MIN_LOG_BYTES.max(ps.base_bytes) {
-            self.rewrite_base()?;
-            self.snapshot.compactions += 1;
-        }
-        Ok(())
     }
 
     /// Explicit `checkpoint` request: append the delta (compacting when
@@ -525,20 +274,15 @@ impl Session {
     /// failure) surface to the client instead of being downgraded to
     /// warnings.
     pub fn checkpoint_json(&mut self) -> Result<Json, String> {
-        if self.persist.is_none() {
-            return Err("persistence is off (start with --persist-dir)".into());
-        }
-        let (delta_facts, bytes) = self.checkpoint_inner().map_err(|e| {
-            let ps = self.persist.as_ref().unwrap();
-            format!("snapshot {}: write failed: {e}", ps.base.display())
-        })?;
-        let ps = self.persist.as_ref().unwrap();
+        let off = "persistence is off (start with --persist-dir)";
+        let dir = self.persist.clone().ok_or(off)?;
+        let w = self.checkpoint(&dir, false)?;
         Ok(Json::obj([
-            ("path", Json::str(ps.base.display().to_string())),
-            ("facts", Json::int(ps.persisted.len() as i64)),
-            ("delta_facts", Json::int(delta_facts as i64)),
-            ("bytes", Json::int(bytes as i64)),
-            ("log_bytes", Json::int(ps.log_bytes as i64)),
+            ("path", Json::str(dir.base_path().display().to_string())),
+            ("facts", Json::int(w.facts as i64)),
+            ("delta_facts", Json::int(w.delta_facts as i64)),
+            ("bytes", Json::int(w.bytes as i64)),
+            ("log_bytes", Json::int(w.log_bytes as i64)),
             ("compactions", Json::int(self.snapshot.compactions as i64)),
         ]))
     }
@@ -572,10 +316,7 @@ impl Session {
         // A reload churns many keys at once and orphans facts for deleted
         // scopes; fold everything into a fresh base instead of appending a
         // near-full-image delta to the log.
-        if let Some(ps) = &mut self.persist {
-            ps.needs_base = true;
-        }
-        self.persist_now();
+        self.persist_now(true);
         Ok(())
     }
 
@@ -754,7 +495,7 @@ impl Session {
         if !detail.is_empty() {
             fields.insert(1, ("detail", Json::str(&detail)));
         }
-        self.persist_now();
+        self.persist_now(false);
         Json::obj(fields)
     }
 
@@ -895,18 +636,7 @@ impl Session {
                 ])
             })
             .collect();
-        let slices = self.explorer.slices_for_dep(li.stmt, 0);
-        let mut lines = std::collections::BTreeSet::new();
-        let mut terminals = std::collections::BTreeSet::new();
-        for (_, p, c) in &slices {
-            lines.extend(p.lines.iter().copied());
-            lines.extend(c.lines.iter().copied());
-            for s in p.terminals.iter().chain(c.terminals.iter()) {
-                if let Some((stmt, _)) = self.explorer.program.find_stmt(*s) {
-                    terminals.insert(stmt.line());
-                }
-            }
-        }
+        let (lines, terminals, slices) = self.explorer.slice_view(li.stmt);
         let view = if slices.is_empty() {
             String::new()
         } else {
@@ -954,12 +684,7 @@ impl Session {
         let mut loops = Vec::new();
         let mut single = None;
         for info in &inputs {
-            let plan = if info.parallel {
-                plans.loops.get(&info.stmt).cloned()
-            } else {
-                suif_parallel::plan::minimal_plan(program, info.stmt)
-            };
-            let Some(plan) = plan else {
+            let Some(plan) = plans.plan_for(program, info) else {
                 loops.push(Json::obj([
                     ("loop", Json::str(&info.name)),
                     ("line", Json::int(info.line as i64)),
@@ -1127,7 +852,7 @@ impl Session {
             ("poly", self.poly_json()),
             ("snapshot", self.snapshot_json()),
         ];
-        if let Some(t) = &self.tier {
+        if let Some(t) = self.store.shared_tier() {
             fields.push(("tier", tier_json(t)));
         }
         Json::obj(fields)
@@ -1174,13 +899,16 @@ impl Session {
     /// The `snapshot` object of `stats`: load outcome and warm/cold counters.
     fn snapshot_json(&self) -> Json {
         let mut fields = vec![
-            ("status", Json::str(self.snapshot.status)),
+            ("status", Json::str(self.snapshot.warmed.status)),
             ("persisted", Json::Bool(self.persist.is_some())),
-            ("warm_hits", Json::int(self.snapshot.warm_hits as i64)),
+            (
+                "warm_hits",
+                Json::int(self.snapshot.warmed.warm_hits as i64),
+            ),
             ("cold_misses", Json::int(self.snapshot.cold_misses as i64)),
             (
                 "evicted_stale",
-                Json::int(self.snapshot.evicted_stale as i64),
+                Json::int(self.snapshot.warmed.evicted_stale as i64),
             ),
             ("load_secs", Json::Num(self.snapshot.load_secs)),
             ("save_secs", Json::Num(self.snapshot.save_secs)),
@@ -1190,7 +918,7 @@ impl Session {
             ),
             ("compactions", Json::int(self.snapshot.compactions as i64)),
         ];
-        if let Some(w) = &self.snapshot.warning {
+        if let Some(w) = &self.snapshot.warmed.warning {
             fields.push(("warning", Json::str(w.clone())));
         }
         Json::obj(fields)
@@ -1229,7 +957,7 @@ impl Drop for Session {
         // (the thread owns `Arc`s, so this is tidiness, not soundness).
         self.cancel_speculation();
         // Final checkpoint on clean shutdown (`quit`, daemon exit).
-        self.persist_now();
+        self.persist_now(false);
     }
 }
 

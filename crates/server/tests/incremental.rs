@@ -300,7 +300,7 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
         cache,
         SessionConfig {
             spec_budget: 4,
-            persist_dir: Some(dir.clone()),
+            persist: Some(suif_analysis::PersistDir::new(&dir)),
             ..sequential()
         },
     )
@@ -336,7 +336,7 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
         &src,
         cache,
         SessionConfig {
-            persist_dir: Some(dir.clone()),
+            persist: Some(suif_analysis::PersistDir::new(&dir)),
             ..sequential()
         },
     )

@@ -10,7 +10,7 @@
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use suif_analysis::{ScheduleOptions, SummaryCache};
+use suif_analysis::{PersistDir, ScheduleOptions, SummaryCache};
 use suif_server::json::Json;
 use suif_server::{
     Daemon, ServiceOptions, ServiceState, Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE,
@@ -54,7 +54,7 @@ fn open_src(src: &str, dir: &Path) -> Session {
         Arc::new(SummaryCache::new()),
         SessionConfig {
             opts: ScheduleOptions::sequential(),
-            persist_dir: Some(dir.to_path_buf()),
+            persist: Some(PersistDir::new(dir)),
             ..Default::default()
         },
     )

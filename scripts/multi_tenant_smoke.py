@@ -21,12 +21,18 @@ With --idle N the run additionally holds N idle connections open on the
 single reactor thread for the whole test, and asserts the daemon's stats
 saw them all concurrently.
 
+With --persist-dir DIR the daemon persists into DIR, every session being a
+writer of the same two files: the run then also asserts that no write
+failed, that DIR holds exactly `facts.snap` and `facts.snap.log` (no stray
+temp file), and that a second daemon started over DIR loads the image.
+
 Usage: multi_tenant_smoke.py BINARY PROGRAM.mf [--clients N] [--pipeline]
-                             [--idle N]
+                             [--idle N] [--persist-dir DIR]
 """
 
 import argparse
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -90,6 +96,54 @@ def client(addr, source, out, idx, pipeline):
         out[idx] = {"error": f"{type(e).__name__}: {e}"}
 
 
+def start_daemon(binary, persist_dir):
+    """Spawn a TCP daemon on a free port; returns (process, address)."""
+    cmd = [binary, "serve", "--tcp", "127.0.0.1:0", "--threads", "1"]
+    if persist_dir:
+        cmd += ["--persist-dir", persist_dir]
+    daemon = subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True
+    )
+    banner = daemon.stdout.readline().strip()
+    if not banner.startswith("listening on "):
+        daemon.kill()
+        sys.exit(f"unexpected daemon banner: {banner!r}")
+    host, port = banner.removeprefix("listening on ").rsplit(":", 1)
+    return daemon, (host, int(port))
+
+
+def shut_down(daemon, addr):
+    """Graceful shutdown: ack, final checkpoint, process exit; returns stderr."""
+    with socket.create_connection(addr, timeout=30) as sock:
+        sock_file = sock.makefile("r", encoding="utf-8")
+        resp = roundtrip(sock_file, sock, {"cmd": "shutdown"})
+        assert resp.get("shutdown") is True, f"bad shutdown ack: {resp}"
+    _, stderr = daemon.communicate(timeout=60)
+    assert daemon.returncode == 0, f"daemon exit code {daemon.returncode}"
+    return stderr
+
+
+def check_persisted(binary, persist_dir, source, stderr):
+    """One owner of the directory: clean writes, two files, a warm restart."""
+    assert "write failed" not in stderr, f"a persistence write failed:\n{stderr}"
+    files = sorted(os.listdir(persist_dir))
+    assert files == ["facts.snap", "facts.snap.log"], f"persist dir holds {files}"
+    daemon, addr = start_daemon(binary, persist_dir)
+    try:
+        with socket.create_connection(addr, timeout=120) as sock:
+            sock_file = sock.makefile("r", encoding="utf-8")
+            load = roundtrip(sock_file, sock, {"cmd": "load", "text": source})
+            snap = load["snapshot"]
+            assert snap["status"] == "loaded", f"restart did not load: {snap}"
+            roundtrip(sock_file, sock, {"cmd": "quit"})
+        shut_down(daemon, addr)
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+        daemon.wait()
+    return snap["warm_hits"]
+
+
 def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
@@ -109,24 +163,18 @@ def main():
         metavar="N",
         help="hold N idle connections open for the whole run",
     )
+    ap.add_argument(
+        "--persist-dir",
+        metavar="DIR",
+        help="persist into DIR (fresh), then check it and restart over it",
+    )
     args = ap.parse_args()
     with open(args.program) as f:
         source = f.read()
 
-    daemon = subprocess.Popen(
-        [args.binary, "serve", "--tcp", "127.0.0.1:0", "--threads", "1"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
+    daemon, addr = start_daemon(args.binary, args.persist_dir)
     idle_socks = []
     try:
-        banner = daemon.stdout.readline().strip()
-        if not banner.startswith("listening on "):
-            sys.exit(f"unexpected daemon banner: {banner!r}")
-        host, port = banner.removeprefix("listening on ").rsplit(":", 1)
-        addr = (host, int(port))
-
         # Idle load: connections that never send a byte, held across the
         # whole active phase on the one reactor thread.
         for i in range(args.idle):
@@ -175,21 +223,18 @@ def main():
                 f"reactor held {peak} connections, wanted >= {args.idle}"
             )
 
-        # Graceful shutdown: ack, checkpoint (none without --persist-dir),
-        # process exit.
-        with socket.create_connection(addr, timeout=30) as sock:
-            sock_file = sock.makefile("r", encoding="utf-8")
-            resp = roundtrip(sock_file, sock, {"cmd": "shutdown"})
-            assert resp.get("shutdown") is True, f"bad shutdown ack: {resp}"
-        daemon.wait(timeout=60)
-        assert daemon.returncode == 0, f"daemon exit code {daemon.returncode}"
+        stderr = shut_down(daemon, addr)
+        persist_note = ""
+        if args.persist_dir:
+            warm = check_persisted(args.binary, args.persist_dir, source, stderr)
+            persist_note = f", warm restart over the persist dir ({warm} warm hits)"
 
         mode = "pipelined" if args.pipeline else "serial"
         idle_note = f", {args.idle} idle connections held" if args.idle else ""
         print(
             f"multi-tenant OK: {args.clients} concurrent {mode} sessions in "
             f"{elapsed:.1f}s, {hits} shared-tier hits, {zero_recompute} sessions "
-            f"with zero recompute{idle_note}, clean shutdown"
+            f"with zero recompute{idle_note}, clean shutdown{persist_note}"
         )
     finally:
         for s in idle_socks:

@@ -1,0 +1,220 @@
+//! One owner for the persist directory: six sessions of one persisting
+//! daemon, opened from six threads over sibling programs (same statement
+//! ids, different content), must behave as one writer — one read of the
+//! directory, no colliding temp files, idle checkpoints that write nothing,
+//! one view of the log's size — and a restart over the directory must be
+//! warm for all six.
+//!
+//! The four cases run in order inside one test: each builds on the state the
+//! previous one left, and the emptiness memo the checkpoints persist is
+//! process-wide, so a sibling test analyzing concurrently would make an
+//! "idle" checkpoint legitimately non-empty.
+
+use std::collections::HashSet;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Barrier};
+use suif_analysis::persist::DirStats;
+use suif_analysis::snapshot::merge_image;
+use suif_analysis::{FactKey, ParallelizeConfig, Parallelizer, PassId};
+use suif_server::json::Json;
+use suif_server::{Daemon, ServiceOptions, ServiceState, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
+
+const TENANTS: usize = 6;
+
+/// `docs/samples/demo.mf` with one literal changed per tenant.
+fn sibling(i: usize) -> String {
+    let src = include_str!("../docs/samples/demo.mf");
+    assert!(src.contains("* 0.25"));
+    src.replace("* 0.25", &format!("* 0.2{i}"))
+}
+
+fn service(dir: &Path) -> Arc<ServiceState> {
+    ServiceState::new(ServiceOptions {
+        threads: 1,
+        persist_dir: Some(dir.to_path_buf()),
+        ..ServiceOptions::default()
+    })
+}
+
+fn request(d: &mut Daemon, line: &str) -> Json {
+    let (reply, _) = d.handle_line(line);
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{reply}"
+    );
+    reply
+}
+
+/// One connection per tenant, all `load`ing at once; the connections (with
+/// their sessions) and the load replies come back in tenant order.
+fn open_all(state: &Arc<ServiceState>) -> Vec<(Daemon, Json)> {
+    let start = Barrier::new(TENANTS);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..TENANTS)
+            .map(|i| {
+                let start = &start;
+                scope.spawn(move || {
+                    let mut d = Daemon::for_state(state.clone());
+                    let load =
+                        Json::obj([("cmd", Json::str("load")), ("text", Json::str(sibling(i)))]);
+                    start.wait();
+                    let reply = request(&mut d, &load.to_string());
+                    (d, reply)
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    })
+}
+
+fn int(j: &Json, path: &[&str]) -> i64 {
+    let leaf = path.iter().try_fold(j, |j, k| j.get(k));
+    leaf.and_then(Json::as_i64)
+        .unwrap_or_else(|| panic!("no integer at {path:?} in {j}"))
+}
+
+fn status(load: &Json) -> &str {
+    let snap = load.get("snapshot").expect("load replies carry `snapshot`");
+    snap.get("status").and_then(Json::as_str).unwrap()
+}
+
+/// The `(key, hash)` pairs durable in the directory's two files.
+fn pairs_on_disk(dir: &Path) -> HashSet<(FactKey, u128)> {
+    let base = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    let log = std::fs::read(dir.join(SNAPSHOT_LOG_FILE)).unwrap();
+    let image = merge_image(&base, Some(&log)).unwrap();
+    assert!(!image.log_damaged, "healthy log");
+    image.facts.iter().map(|f| (f.key, f.hash)).collect()
+}
+
+/// What an open of tenant `i` computes: its summary, liveness and per-loop
+/// classification facts, under the hashes they must carry.
+fn opened_pairs(i: usize) -> Vec<(FactKey, u128)> {
+    let program = suif_ir::parse_program(&sibling(i)).unwrap();
+    Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default())
+        .into_iter()
+        .filter(|(k, _)| {
+            matches!(
+                k.pass,
+                PassId::Summarize | PassId::Liveness | PassId::Classify
+            )
+        })
+        .collect()
+}
+
+fn file_names(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+fn log_len(dir: &Path) -> i64 {
+    std::fs::metadata(dir.join(SNAPSHOT_LOG_FILE))
+        .unwrap()
+        .len() as i64
+}
+
+#[test]
+fn six_sessions_share_one_owner_of_the_directory() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("suif_persist_dir_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    // ---- case 1: six concurrent opens are one reader and one writer ----
+    let state = service(&dir);
+    let mut tenants = open_all(&state);
+    for (_, load) in &tenants {
+        assert_eq!(status(load), "none", "a fresh directory holds no image");
+    }
+    let owner = state.persist().expect("persistence is on");
+    assert_eq!(
+        owner.stats(),
+        DirStats {
+            reads: 1,
+            write_errors: 0
+        },
+        "one read of the directory, every open's write succeeded"
+    );
+    assert_eq!(
+        file_names(&dir),
+        [SNAPSHOT_FILE, SNAPSHOT_LOG_FILE],
+        "no stray temp file"
+    );
+    let durable = pairs_on_disk(&dir);
+    for i in 0..TENANTS {
+        for pair in opened_pairs(i) {
+            assert!(durable.contains(&pair), "tenant {i}: {pair:?} not durable");
+        }
+    }
+
+    // ---- case 2: idle checkpoints, from any session, write nothing ----
+    let base_before = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    let log_before = log_len(&dir);
+    for round in 0..2 {
+        for who in [0, TENANTS - 1] {
+            let compactions = int(
+                &request(&mut tenants[who].0, r#"{"cmd":"stats"}"#),
+                &["snapshot", "compactions"],
+            );
+            let ck = request(&mut tenants[who].0, r#"{"cmd":"checkpoint"}"#);
+            assert_eq!(int(&ck, &["delta_facts"]), 0, "round {round}: {ck}");
+            assert_eq!(int(&ck, &["bytes"]), 0, "round {round}: {ck}");
+            assert_eq!(int(&ck, &["compactions"]), compactions, "{ck}");
+            assert_eq!(
+                int(&ck, &["facts"]),
+                durable.len() as i64,
+                "`facts` counts every durable (key, hash) pair: {ck}"
+            );
+        }
+    }
+    assert!(
+        durable.len() > opened_pairs(0).len() * (TENANTS - 1),
+        "siblings' facts coexist under shared keys ({} pairs)",
+        durable.len()
+    );
+    assert_eq!(log_len(&dir), log_before, "idle checkpoints grew the log");
+    assert_eq!(
+        std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),
+        base_before,
+        "idle checkpoints rewrote the base"
+    );
+
+    // ---- case 3: one view of the log, whoever appended last ----
+    request(&mut tenants[1].0, r#"{"cmd":"advisory"}"#);
+    let appended = request(&mut tenants[1].0, r#"{"cmd":"checkpoint"}"#);
+    assert!(int(&appended, &["delta_facts"]) > 0, "{appended}");
+    assert!(int(&appended, &["bytes"]) > 0, "{appended}");
+    let seen = request(&mut tenants[4].0, r#"{"cmd":"checkpoint"}"#);
+    assert_eq!(int(&seen, &["log_bytes"]), log_len(&dir), "{seen}");
+    assert_eq!(
+        int(&seen, &["bytes"]),
+        0,
+        "nothing of its own to add: {seen}"
+    );
+
+    // ---- case 4: a restart over the directory is warm for all six ----
+    drop(tenants); // sessions close: final checkpoints
+    drop(state);
+    let state = service(&dir);
+    for (i, (_, load)) in open_all(&state).iter().enumerate() {
+        assert_eq!(status(load), "loaded", "tenant {i}: {load}");
+        assert!(int(load, &["snapshot", "warm_hits"]) > 0, "tenant {i}");
+        assert_eq!(int(load, &["snapshot", "evicted_stale"]), 0, "tenant {i}");
+        for pass in ["summarize", "liveness", "classify"] {
+            assert_eq!(
+                int(load, &["passes", pass, "invocations"]),
+                0,
+                "tenant {i} recomputed {pass}: {load}"
+            );
+        }
+    }
+    assert_eq!(state.persist().unwrap().stats().reads, 1);
+    assert_eq!(file_names(&dir), [SNAPSHOT_FILE, SNAPSHOT_LOG_FILE]);
+    drop(state);
+    let _ = std::fs::remove_dir_all(&dir);
+}
