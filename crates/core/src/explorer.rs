@@ -1,5 +1,6 @@
-//! The Explorer pipeline (§2.3.1): compile → auto-parallelize → instrument
-//! and profile → dynamic dependence analysis → guru interaction.
+//! The Explorer pipeline (§2.3.1): compile → auto-parallelize → one
+//! instrumented run feeding both Execution Analyzers (loop profile and
+//! dynamic dependence) → guru interaction.
 
 use crate::guru::{self, GuruReport};
 use std::collections::{BTreeSet, HashSet};
@@ -30,6 +31,15 @@ impl std::fmt::Display for ExplorerError {
 
 impl std::error::Error for ExplorerError {}
 
+/// What the instrumented run of an open cost.
+#[derive(Clone, Copy, Debug)]
+pub struct ExecutionStats {
+    /// Virtual operations the machine executed.
+    pub ops: u64,
+    /// Wall-clock seconds, both analyzers' bookkeeping included.
+    pub secs: f64,
+}
+
 /// One interactive Explorer session over a program.
 pub struct Explorer<'p> {
     /// The program.
@@ -41,7 +51,9 @@ pub struct Explorer<'p> {
     /// Dynamic dependence observations (§2.5.2), aware of the compiler's
     /// induction variables and reductions.
     pub dyndep: DynDepReport,
-    /// Program input used for the instrumented runs.
+    /// Cost of the one instrumented run both reports above came from.
+    pub execution: ExecutionStats,
+    /// Program input used for the instrumented run.
     pub input: Vec<f64>,
     slicer: Option<Slicer<'p>>,
     /// Assertions applied so far.
@@ -93,33 +105,33 @@ impl<'p> Explorer<'p> {
         let assertions = config.assertions.clone();
         let (analysis, stats) = Parallelizer::analyze_in(program, config, opts, cache, &store);
 
-        // Loop profile run (§2.5.1).
-        let mut profiler = LoopProfiler::new();
-        {
-            let mut m =
-                Machine::new(program, &mut profiler).map_err(|e| ExplorerError(e.to_string()))?;
-            m.set_input(input.clone());
-            m.run().map_err(|e| ExplorerError(e.to_string()))?;
-        }
-        let profile = profiler.report();
-
-        // Dynamic dependence run (§2.5.2), ignoring compiler-recognized
-        // induction variables and reduction updates.
+        // One instrumented run for both Execution Analyzers: the loop
+        // profile (§2.5.1) and the dynamic dependences (§2.5.2), the latter
+        // ignoring compiler-recognized induction variables and reduction
+        // updates — which the static analysis above already knows.
         let dd_config = dyndep_config(program, &analysis);
-        let mut dd = DynDepAnalyzer::new(dd_config);
-        {
-            let mut m = Machine::new(program, &mut dd).map_err(|e| ExplorerError(e.to_string()))?;
+        let mut analyzers = (LoopProfiler::new(), DynDepAnalyzer::new(dd_config));
+        let ops = {
+            let mut m =
+                Machine::new(program, &mut analyzers).map_err(|e| ExplorerError(e.to_string()))?;
             m.set_input(input.clone());
             m.run().map_err(|e| ExplorerError(e.to_string()))?;
-        }
-        let dyndep = dd.report();
+            m.ops()
+        };
+        let (profiler, dd) = analyzers;
+        let profile = profiler.report();
+        let execution = ExecutionStats {
+            ops,
+            secs: profile.total_nanos as f64 * 1e-9,
+        };
 
         Ok((
             Explorer {
                 program,
                 analysis,
                 profile,
-                dyndep,
+                dyndep: dd.report(),
+                execution,
                 input,
                 slicer: None,
                 assertions,
@@ -222,7 +234,7 @@ impl<'p> Explorer<'p> {
     /// Re-run the static analysis with a new assertion set, replaying only
     /// the invalidated facts through the session's store.  The profile and
     /// dynamic-dependence reports are **kept** — the program and input did
-    /// not change, so the interpreter runs would be identical.
+    /// not change, so the instrumented run would be identical.
     pub fn apply_assertions(&mut self, assertions: Vec<Assertion>) -> AnalyzeStats {
         self.assertions = assertions.clone();
         let config = ParallelizeConfig {

@@ -42,7 +42,9 @@ pub struct GuruReport {
     pub coverage: f64,
     /// Parallelism granularity (avg ops per parallel-loop invocation).
     pub granularity: f64,
-    /// Granularity in estimated milliseconds (wall-time scaled).
+    /// Granularity in estimated milliseconds: ops scaled by the wall time
+    /// per op of the open's instrumented run, dependence bookkeeping of
+    /// that same pass included.  Rendered only; never compared.
     pub granularity_ms: f64,
     /// Ranked list of sequential loops to examine.
     pub targets: Vec<TargetLoop>,

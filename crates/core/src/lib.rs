@@ -27,5 +27,5 @@ pub mod guru;
 
 pub use checker::{check_assertion, CheckResult};
 pub use codeview::{codeview, source_view};
-pub use explorer::{Explorer, ExplorerError};
+pub use explorer::{ExecutionStats, Explorer, ExplorerError};
 pub use guru::{GuruReport, TargetLoop};

@@ -11,8 +11,8 @@
 //! * "it also ignores anti-dependences" — only write→read (flow) pairs are
 //!   examined;
 //! * it "can detect parallelism that requires data to be privatized" — a
-//!   read preceded by a same-iteration write compares equal stamps and
-//!   reports nothing;
+//!   read preceded by a same-iteration write sees a write time no older
+//!   than the iteration's start and reports nothing;
 //! * "the instrumentation can skip batches of iterations because the
 //!   analysis result is used only as a hint" — `max_iterations_per_invocation`
 //!   caps tracking per loop invocation.
@@ -37,42 +37,53 @@ pub struct DynDepConfig {
     pub max_iterations_per_invocation: Option<u64>,
 }
 
-/// A stamp identifying a point in the dynamic loop-iteration space:
-/// `(loop, invocation, iteration)` for every active monitored loop,
-/// outermost first.
-type IterVec = Box<[(StmtId, u64, i64)]>;
-
 /// The analyzer: plug into a [`crate::Machine`] as its hooks.
+///
+/// Shadow memory holds one logical-clock value per address — the time of
+/// its most recent tracked write.  The clock ticks on every monitored
+/// `loop_enter` and `loop_iter`, so a write time places the write relative
+/// to every active loop: before the loop instance was entered, in an earlier
+/// iteration of it, or in the current one.  Nothing is allocated or hashed
+/// per access; the only growth is the shadow's amortized resize.
 pub struct DynDepAnalyzer {
     config: DynDepConfig,
+    /// `config.ignore_vars` as a dense per-[`VarId`] table.
+    ignored: Vec<bool>,
     /// Active monitored loops, outermost first.
     active: Vec<ActiveLoop>,
-    /// Most recent write stamp per address.
-    last_write: HashMap<usize, IterVec>,
+    /// Ticks on every monitored loop entry and iteration; starts at 1 so a
+    /// shadow cell of 0 means "never written".
+    clock: u64,
+    /// Clock at the most recent tracked write, indexed by address.
+    shadow: Vec<u64>,
     /// Observed loop-carried flow dependences: loop → variables.
     deps: HashMap<StmtId, HashSet<VarId>>,
-    /// Per-loop invocation counters.
-    invocations: HashMap<StmtId, u64>,
     /// Nesting depth at which tracking was suspended by sampling (if any).
     suspended_at: Option<usize>,
 }
 
 struct ActiveLoop {
     stmt: StmtId,
-    invocation: u64,
-    iter: i64,
+    /// Clock when this loop instance was entered.
+    entered: u64,
+    /// Clock when its current iteration began.
+    iter_start: u64,
     iters_seen: u64,
 }
 
 impl DynDepAnalyzer {
     /// Fresh analyzer.
     pub fn new(config: DynDepConfig) -> DynDepAnalyzer {
+        let vars = config.ignore_vars.iter().map(|v| v.0 as usize);
+        let mut ignored = vec![false; vars.clone().max().map_or(0, |top| top + 1)];
+        vars.for_each(|v| ignored[v] = true);
         DynDepAnalyzer {
             config,
+            ignored,
             active: Vec::new(),
-            last_write: HashMap::new(),
+            clock: 1,
+            shadow: Vec::new(),
             deps: HashMap::new(),
-            invocations: HashMap::new(),
             suspended_at: None,
         }
     }
@@ -84,15 +95,9 @@ impl DynDepAnalyzer {
         }
     }
 
-    fn tracking(&self) -> bool {
-        self.suspended_at.is_none()
-    }
-
-    fn stamp(&self) -> IterVec {
-        self.active
-            .iter()
-            .map(|a| (a.stmt, a.invocation, a.iter))
-            .collect()
+    /// Are accesses through `var` examined right now?
+    fn tracked(&self, var: VarId) -> bool {
+        self.suspended_at.is_none() && !matches!(self.ignored.get(var.0 as usize), Some(true))
     }
 
     /// Finish and extract the report.
@@ -106,24 +111,24 @@ impl Hooks for DynDepAnalyzer {
         if !self.monitored(stmt) {
             return;
         }
-        let inv = self.invocations.entry(stmt).or_insert(0);
-        *inv += 1;
+        self.clock += 1;
         self.active.push(ActiveLoop {
             stmt,
-            invocation: *inv,
-            iter: 0,
+            entered: self.clock,
+            iter_start: self.clock,
             iters_seen: 0,
         });
     }
 
-    fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
+    fn loop_iter(&mut self, stmt: StmtId, _iter: i64) {
         if !self.monitored(stmt) {
             return;
         }
         let depth = self.active.len().saturating_sub(1);
         if let Some(top) = self.active.last_mut() {
             if top.stmt == stmt {
-                top.iter = iter;
+                self.clock += 1;
+                top.iter_start = self.clock;
                 top.iters_seen += 1;
                 if let Some(cap) = self.config.max_iterations_per_invocation {
                     if top.iters_seen > cap && self.suspended_at.is_none() {
@@ -150,28 +155,28 @@ impl Hooks for DynDepAnalyzer {
     }
 
     fn load(&mut self, var: VarId, addr: usize) {
-        if !self.tracking() || self.config.ignore_vars.contains(&var) || self.active.is_empty() {
+        if !self.tracked(var) {
             return;
         }
-        let Some(w) = self.last_write.get(&addr) else {
+        let Some(innermost) = self.active.last() else {
             return;
         };
-        // Scan the common prefix of the write stamp and the current stack,
-        // outermost first.
-        for (k, a) in self.active.iter().enumerate() {
-            let Some(&(ws, winv, witer)) = w.get(k) else {
-                // Write happened outside this loop (before it started):
-                // upwards-exposed read from pre-loop data, no carried dep.
-                break;
-            };
-            if ws != a.stmt || winv != a.invocation {
-                // Different loop structure or an earlier invocation at this
-                // level — the write precedes this loop instance entirely.
+        let w = self.shadow.get(addr).copied().unwrap_or(0);
+        if w >= innermost.iter_start {
+            // Written in the current iteration of every active loop.
+            return;
+        }
+        // Place the write against the active loops, outermost first.
+        for a in &self.active {
+            if w < a.entered {
+                // The write precedes this loop instance entirely (or the
+                // cell was never written): an upwards-exposed read of
+                // pre-loop data, no carried dependence.
                 break;
             }
-            if witer != a.iter {
-                // Same loop instance, different iteration: loop-carried
-                // flow dependence at this loop.
+            if w < a.iter_start {
+                // Written inside this loop instance but before its current
+                // iteration began: loop-carried flow dependence here.
                 if !self.config.ignore_loop_vars.contains(&(a.stmt, var)) {
                     self.deps.entry(a.stmt).or_default().insert(var);
                 }
@@ -181,10 +186,13 @@ impl Hooks for DynDepAnalyzer {
     }
 
     fn store(&mut self, var: VarId, addr: usize) {
-        if !self.tracking() || self.config.ignore_vars.contains(&var) {
+        if !self.tracked(var) {
             return;
         }
-        self.last_write.insert(addr, self.stamp());
+        if self.shadow.len() <= addr {
+            self.shadow.resize(addr + 1, 0);
+        }
+        self.shadow[addr] = self.clock;
     }
 }
 

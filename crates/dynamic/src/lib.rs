@@ -5,12 +5,19 @@
 //!   (virtual-op cost and wall clock), invocation counts, coverage and
 //!   granularity metrics;
 //! * the **Dynamic Dependence Analyzer** (§2.5.2) — shadow-memory tracking of
-//!   the most recent write to every location, reporting loop-carried flow
-//!   dependences while ignoring compiler-recognized induction variables and
-//!   reduction updates, ignoring anti-dependences, and modelling
-//!   privatization (a read preceded by a same-iteration write carries no
-//!   dependence).  Iteration batching (§2.5.2's second optimization) is
-//!   supported through a sampling configuration.
+//!   the most recent write to every location (one logical-clock value per
+//!   address, compared against the entry and iteration-start times of the
+//!   active loops), reporting loop-carried flow dependences while ignoring
+//!   compiler-recognized induction variables and reduction updates,
+//!   ignoring anti-dependences, and modelling privatization (a read
+//!   preceded by a same-iteration write carries no dependence).  Iteration
+//!   batching (§2.5.2's second optimization) is supported through a
+//!   sampling configuration.
+//!
+//! Both are [`machine::Hooks`], and hooks compose — `(A, B)` forwards every
+//! callback to `A`, then `B` — so one interpreter pass serves both
+//! analyzers: that is how the Explorer opens a program
+//! (`docs/dynamic.md`, "The Execution Analyzers").
 //!
 //! The interpreter uses Fortran-77 storage semantics: statically allocated
 //! locals (SAVE semantics), common blocks as shared segments, by-reference

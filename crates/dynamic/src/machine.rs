@@ -64,6 +64,34 @@ pub trait Hooks: Send {
 pub struct NoHooks;
 impl Hooks for NoHooks {}
 
+/// Two analyzers over one run: every callback goes to `A`, then to `B`.
+impl<A: Hooks, B: Hooks> Hooks for (A, B) {
+    fn on_stmt(&mut self, id: StmtId, line: u32) {
+        self.0.on_stmt(id, line);
+        self.1.on_stmt(id, line);
+    }
+    fn loop_enter(&mut self, stmt: StmtId, ops: u64) {
+        self.0.loop_enter(stmt, ops);
+        self.1.loop_enter(stmt, ops);
+    }
+    fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
+        self.0.loop_iter(stmt, iter);
+        self.1.loop_iter(stmt, iter);
+    }
+    fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
+        self.0.loop_exit(stmt, ops);
+        self.1.loop_exit(stmt, ops);
+    }
+    fn load(&mut self, var: VarId, addr: usize) {
+        self.0.load(var, addr);
+        self.1.load(var, addr);
+    }
+    fn store(&mut self, var: VarId, addr: usize) {
+        self.0.store(var, addr);
+        self.1.store(var, addr);
+    }
+}
+
 /// Memory backing a machine.
 ///
 /// # Safety contract for `View`
@@ -155,14 +183,11 @@ impl MemStore {
     }
 }
 
-/// One procedure activation.
-#[derive(Clone, Debug, Default)]
-struct Frame {
-    /// Array-parameter bindings: formal → base address of its element 1.
-    bindings: HashMap<VarId, usize>,
-    /// Copy-out actions performed at return: (formal, actual address).
-    copy_out: Vec<(VarId, usize)>,
-}
+/// Subscript lists up to this rank are evaluated into a stack buffer.
+const INLINE_RANK: usize = 4;
+
+/// [`Machine::bindings`] entry of an array formal outside its activation.
+const UNBOUND: usize = usize::MAX;
 
 /// A handler consulted before each `do` loop executes; used by the parallel
 /// runtime to take over loops the compiler parallelized.  Returning `None`
@@ -183,7 +208,10 @@ pub struct Machine<'a> {
     pub program: &'a Program,
     layout: Arc<Layout>,
     mem: MemStore,
-    frames: Vec<Frame>,
+    /// Array-parameter bindings: formal → base address of its element 1,
+    /// indexed by [`VarId`].  MiniF rejects recursion, so a formal has at
+    /// most one live binding and no per-activation table is needed.
+    bindings: Vec<usize>,
     /// Privatization overlay: redirects a variable's storage base.
     pub overrides: HashMap<VarId, usize>,
     hooks: &'a mut dyn Hooks,
@@ -203,7 +231,7 @@ impl<'a> Machine<'a> {
             program,
             layout,
             mem,
-            frames: vec![Frame::default()],
+            bindings: vec![UNBOUND; program.vars.len()],
             overrides: HashMap::new(),
             hooks,
             handler: None,
@@ -243,7 +271,7 @@ impl<'a> Machine<'a> {
     }
 
     /// Fork a worker machine over a shared view of this machine's memory.
-    /// The worker starts in a clone of the current activation with zero
+    /// The worker starts with the current array-parameter bindings, zero
     /// ops, no input and no loop handler (nested parallel loops run
     /// sequentially inside it); `private` is its thread-private tail and
     /// `overrides` — offsets into that tail, rebased here past shared
@@ -270,7 +298,7 @@ impl<'a> Machine<'a> {
             program: self.program,
             layout: Arc::clone(&self.layout),
             mem: MemStore::View { base, len, private },
-            frames: vec![self.current_frame().clone()],
+            bindings: self.bindings.clone(),
             overrides: overrides.iter().map(|(&v, &o)| (v, o + len)).collect(),
             hooks,
             handler: None,
@@ -288,11 +316,6 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Current (innermost) frame.
-    fn current_frame(&self) -> &Frame {
-        self.frames.last().expect("machine always has a frame")
-    }
-
     /// Read memory directly (no hooks).
     pub fn peek(&self, addr: usize) -> Option<Value> {
         self.mem.load(addr)
@@ -305,7 +328,6 @@ impl<'a> Machine<'a> {
 
     /// Run the whole program from `main`.
     pub fn run(&mut self) -> Result<(), RuntimeError> {
-        debug_assert_eq!(self.frames.len(), 1);
         let body = &self.program.proc(self.program.main).body;
         self.exec_body(body)
     }
@@ -443,23 +465,19 @@ impl<'a> Machine<'a> {
 
     fn exec_call(&mut self, callee: ProcId, args: &[Arg], line: u32) -> Result<(), RuntimeError> {
         let cproc = self.program.proc(callee);
-        let mut frame = Frame::default();
         // Evaluate actuals in the caller frame, then populate the callee.
+        // (Array formals bind at once: the caller cannot name them.)
         let mut scalar_inits: Vec<(VarId, Value)> = Vec::new();
+        // Copy-out actions performed at return: (formal, actual address).
+        let mut copy_out: Vec<(VarId, usize)> = Vec::new();
         for (k, arg) in args.iter().enumerate() {
             let formal = cproc.params[k];
             match arg {
                 Arg::ArrayWhole(v) => {
-                    let base = self.array_base(*v, line)?;
-                    frame.bindings.insert(formal, base);
+                    self.bindings[formal.0 as usize] = self.array_base(*v, line)?;
                 }
                 Arg::ArrayPart { var, base } => {
-                    let mut subs = Vec::with_capacity(base.len());
-                    for e in base {
-                        subs.push(self.eval(e)?.as_int());
-                    }
-                    let addr = self.element_addr(*var, &subs, line)?;
-                    frame.bindings.insert(formal, addr);
+                    self.bindings[formal.0 as usize] = self.element_addr_of(*var, base, line)?;
                 }
                 Arg::ScalarVar(v) => {
                     let addr = self.scalar_addr(*v, line)?;
@@ -470,7 +488,7 @@ impl<'a> Machine<'a> {
                     // otherwise Fortran by-reference semantics are unchanged
                     // and the write would fabricate output dependences.
                     if cproc.modified_params[k] {
-                        frame.copy_out.push((formal, addr));
+                        copy_out.push((formal, addr));
                     }
                 }
                 Arg::Value(e) => {
@@ -479,25 +497,22 @@ impl<'a> Machine<'a> {
                 }
             }
         }
-        self.frames.push(frame);
         for (formal, val) in scalar_inits {
             self.set_scalar_raw(formal, val, line)?;
         }
         let result = self.exec_body(&cproc.body);
         // Copy-out even on error paths would be wrong; only on success.
         if result.is_ok() {
-            let frame = self.frames.last().unwrap().clone();
-            for (formal, actual_addr) in &frame.copy_out {
-                let faddr = self.scalar_addr(*formal, line)?;
+            for (formal, actual_addr) in copy_out {
+                let faddr = self.scalar_addr(formal, line)?;
                 let val = self.mem_load(faddr, line)?;
                 // Find the actual's variable for the hook: we only know the
                 // address; hook with the formal id (the analyzer maps
                 // addresses, not names).
-                self.mem_store(*actual_addr, val, line)?;
-                self.hooks.store(*formal, *actual_addr);
+                self.mem_store(actual_addr, val, line)?;
+                self.hooks.store(formal, actual_addr);
             }
         }
-        self.frames.pop();
         result
     }
 
@@ -511,12 +526,12 @@ impl<'a> Machine<'a> {
         if let Some(b) = self.layout.base_of(v) {
             return Ok(b);
         }
-        match self.current_frame().bindings.get(&v) {
-            Some(&b) => Ok(b),
-            None => rerr(
+        match self.bindings[v.0 as usize] {
+            UNBOUND => rerr(
                 line,
                 format!("array `{}` has no binding", self.program.var(v).name),
             ),
+            b => Ok(b),
         }
     }
 
@@ -587,6 +602,29 @@ impl<'a> Machine<'a> {
         Ok(addr as usize)
     }
 
+    /// Address of `var[subs]` with the subscripts still to evaluate: all of
+    /// them first, left to right, then [`Machine::element_addr`]'s checks.
+    fn element_addr_of(
+        &mut self,
+        var: VarId,
+        subs: &[Expr],
+        line: u32,
+    ) -> Result<usize, RuntimeError> {
+        let mut inline = [0i64; INLINE_RANK];
+        let mut spilled;
+        let vals: &mut [i64] = match inline.get_mut(..subs.len()) {
+            Some(buf) => buf,
+            None => {
+                spilled = vec![0i64; subs.len()];
+                &mut spilled
+            }
+        };
+        for (val, e) in vals.iter_mut().zip(subs) {
+            *val = self.eval(e)?.as_int();
+        }
+        self.element_addr(var, vals, line)
+    }
+
     /// Number of elements of an array in the current frame, if computable
     /// (adjustable extents are evaluated; `*` extents yield `None`).
     pub fn array_elem_count(&self, var: VarId, line: u32) -> Result<Option<i64>, RuntimeError> {
@@ -642,12 +680,8 @@ impl<'a> Machine<'a> {
                 Ok(())
             }
             Ref::Element(v, subs) => {
-                let mut ssubs = Vec::with_capacity(subs.len());
-                for e in subs {
-                    ssubs.push(self.eval(e)?.as_int());
-                }
                 let ty = self.program.var(*v).ty;
-                let addr = self.element_addr(*v, &ssubs, line)?;
+                let addr = self.element_addr_of(*v, subs, line)?;
                 self.mem_store(addr, convert(val, ty), line)?;
                 self.hooks.store(*v, addr);
                 Ok(())
@@ -670,11 +704,7 @@ impl<'a> Machine<'a> {
                 Ok(val)
             }
             Expr::Element(v, subs) => {
-                let mut ssubs = Vec::with_capacity(subs.len());
-                for s in subs {
-                    ssubs.push(self.eval(s)?.as_int());
-                }
-                let addr = self.element_addr(*v, &ssubs, 0)?;
+                let addr = self.element_addr_of(*v, subs, 0)?;
                 let val = self.mem_load(addr, 0)?;
                 self.hooks.load(*v, addr);
                 Ok(val)
@@ -966,6 +996,57 @@ mod tests {
             "program t\nproc main() {\n print min(3, 5), max(2.0, 7.0), abs(-4), sqrt(9.0), mod(7, 3)\n}",
         );
         assert_eq!(out, vec!["3 7 4 3 1"]);
+    }
+
+    #[test]
+    fn paired_hooks_call_first_then_second() {
+        use std::sync::{Arc, Mutex};
+        struct Tagged(&'static str, Arc<Mutex<Vec<String>>>);
+        impl Tagged {
+            fn log(&self, what: String) {
+                self.1.lock().unwrap().push(format!("{}:{what}", self.0));
+            }
+        }
+        impl Hooks for Tagged {
+            fn on_stmt(&mut self, id: StmtId, line: u32) {
+                self.log(format!("stmt {} {line}", id.0));
+            }
+            fn loop_enter(&mut self, stmt: StmtId, ops: u64) {
+                self.log(format!("enter {} {ops}", stmt.0));
+            }
+            fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
+                self.log(format!("iter {} {iter}", stmt.0));
+            }
+            fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
+                self.log(format!("exit {} {ops}", stmt.0));
+            }
+            fn load(&mut self, var: VarId, addr: usize) {
+                self.log(format!("load {} {addr}", var.0));
+            }
+            fn store(&mut self, var: VarId, addr: usize) {
+                self.log(format!("store {} {addr}", var.0));
+            }
+        }
+        let p = parse_program(
+            "program t\nproc main() {\n int i, s\n s = 0\n do i = 1, 2 {\n s = s + i\n }\n}",
+        )
+        .unwrap();
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let mut pair = (Tagged("a", log.clone()), Tagged("b", log.clone()));
+        Machine::new(&p, &mut pair).unwrap().run().unwrap();
+        let log = log.lock().unwrap();
+        // Every event reaches `a`, then `b` with the same arguments, before
+        // the next event reaches either.
+        assert_eq!(log.len() % 2, 0);
+        for pair in log.chunks(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            assert_eq!(a.strip_prefix("a:"), b.strip_prefix("b:"), "{a} / {b}");
+            assert!(a.starts_with("a:"), "{a}");
+        }
+        for callback in ["stmt", "enter", "iter", "exit", "load", "store"] {
+            let tag = format!("a:{callback} ");
+            assert!(log.iter().any(|e| e.starts_with(&tag)), "no {callback}");
+        }
     }
 
     #[test]

@@ -63,6 +63,8 @@ struct ActiveLoop {
     stmt: StmtId,
     enter_ops: u64,
     enter_time: Instant,
+    /// Iterations of this invocation so far; added to the profile at exit.
+    iterations: u64,
 }
 
 impl Default for LoopProfiler {
@@ -96,26 +98,29 @@ impl LoopProfiler {
 
 impl Hooks for LoopProfiler {
     fn loop_enter(&mut self, stmt: StmtId, ops: u64) {
-        let prof = self.profiles.entry(stmt).or_default();
-        for a in &self.stack {
-            prof.dynamic_ancestors.insert(a.stmt);
-        }
         self.stack.push(ActiveLoop {
             stmt,
             enter_ops: ops,
             enter_time: Instant::now(),
+            iterations: 0,
         });
     }
 
     fn loop_iter(&mut self, stmt: StmtId, _iter: i64) {
-        self.profiles.entry(stmt).or_default().iterations += 1;
+        if let Some(top) = self.stack.last_mut() {
+            debug_assert_eq!(top.stmt, stmt);
+            top.iterations += 1;
+        }
     }
 
     fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
         let Some(top) = self.stack.pop() else { return };
         debug_assert_eq!(top.stmt, stmt);
         let prof = self.profiles.entry(stmt).or_default();
+        prof.dynamic_ancestors
+            .extend(self.stack.iter().map(|a| a.stmt));
         prof.invocations += 1;
+        prof.iterations += top.iterations;
         prof.total_ops += ops.saturating_sub(top.enter_ops);
         prof.total_nanos += top.enter_time.elapsed().as_nanos() as u64;
         self.final_ops = self.final_ops.max(ops);
@@ -127,7 +132,10 @@ impl Hooks for LoopProfiler {
 pub struct ProfileReport {
     /// Per-loop profiles.
     pub profiles: HashMap<StmtId, LoopProfile>,
-    /// Whole-run wall time in nanoseconds.
+    /// Whole-run wall time in nanoseconds.  The clock covers everything the
+    /// machine did during the run: when the profiler shares its pass with
+    /// another analyzer (an Explorer open pairs it with the Dynamic
+    /// Dependence Analyzer), that analyzer's bookkeeping is included.
     pub total_nanos: u64,
     /// Whole-run virtual ops (max observed counter).
     pub total_ops: u64,

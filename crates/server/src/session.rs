@@ -776,8 +776,9 @@ impl Session {
     }
 
     /// Daemon statistics: per-pass timings and invocation/reuse counters
-    /// from the fact store, summary-cache traffic, worker utilization, and
-    /// emptiness-memo counters.
+    /// from the fact store, the instrumented run of the last `load`/`reload`,
+    /// summary-cache traffic, worker utilization, and emptiness-memo
+    /// counters.
     pub fn stats_json(&self) -> Json {
         let s = &self.last_stats;
         let (pe_hits, pe_misses) = suif_poly::prove_empty_cache_counters();
@@ -823,6 +824,13 @@ impl Session {
                 ]),
             ),
             ("passes", Json::obj(passes)),
+            (
+                "execution",
+                Json::obj([
+                    ("ops", Json::int(self.explorer.execution.ops as i64)),
+                    ("secs", Json::Num(self.explorer.execution.secs)),
+                ]),
+            ),
             ("facts", self.facts_json()),
             (
                 "speculation",
@@ -1124,6 +1132,10 @@ proc main() {
         let facts = st.get("facts").unwrap();
         assert_eq!(facts.get("computed").and_then(Json::as_f64), Some(0.0));
         assert!(facts.get("ratio").and_then(Json::as_f64).unwrap() > 0.99);
+        // The load's one instrumented run, still reported after `analyze`.
+        let execution = st.get("execution").unwrap();
+        assert!(execution.get("ops").and_then(Json::as_f64).unwrap() > 0.0);
+        assert!(execution.get("secs").and_then(Json::as_f64).is_some());
     }
 
     #[test]
