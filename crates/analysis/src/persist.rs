@@ -20,15 +20,12 @@ use std::collections::{HashMap, HashSet};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use suif_poly::Constraint;
 
 /// Compact once the log's record bytes reach both this floor and the base
 /// image's size: a single assert appends a few hundred bytes without ever
 /// triggering a whole-file rewrite, while a long assert-heavy session folds
 /// its log away before replay cost rivals a cold start.
 pub const COMPACT_MIN_LOG_BYTES: u64 = 4096;
-
-type Memo = Vec<(Vec<Constraint>, bool)>;
 
 /// The durable base+log pair of one directory and what this process knows
 /// to be on disk in it.
@@ -57,8 +54,6 @@ struct DirState {
     /// (sibling programs sharing statement ids), and each must count as
     /// durable on its own or the siblings re-append each other forever.
     durable: HashSet<(FactKey, u128)>,
-    /// Fingerprints of durable emptiness-memo entries.
-    durable_memo: HashSet<u128>,
     stats: DirStats,
 }
 
@@ -214,13 +209,12 @@ impl PersistDir {
                 // opener goes on to validate away: a stale entry is
                 // physically present, and only its replacement (same key,
                 // fresh hash) is missing.
-                st.set_durable(&image.facts, &image.prove_empty);
+                st.durable = durable_pairs(&image.facts).collect();
                 st.base_checksum = image.base_checksum;
                 // A valid base with a damaged/foreign log still warm-starts
                 // from what replayed, but the next write folds everything
                 // into a fresh pair instead of appending to damage.
                 st.paired = !image.log_damaged;
-                suif_poly::import_prove_empty_memo(&image.prove_empty);
                 outcome.status = "loaded";
                 outcome.evicted_stale = image.undecodable;
                 facts = image.facts;
@@ -230,12 +224,12 @@ impl PersistDir {
         (outcome, facts)
     }
 
-    /// Make `export()`'s facts (and the process-wide emptiness memo)
-    /// durable.  `export` runs under the directory's lock, so what a fold
-    /// writes is never older than what a sibling already made durable.
-    /// `fold` forces a fresh base — for a `reload`, which churns many keys
-    /// and orphans deleted scopes, and for a shutdown.  After an I/O error
-    /// the files are in doubt, so the next checkpoint folds.
+    /// Make `export()`'s facts durable.  `export` runs under the
+    /// directory's lock, so what a fold writes is never older than what a
+    /// sibling already made durable.  `fold` forces a fresh base — for a
+    /// `reload`, which churns many keys and orphans deleted scopes, and for
+    /// a shutdown.  After an I/O error the files are in doubt, so the next
+    /// checkpoint folds.
     pub fn checkpoint(
         &self,
         export: impl FnOnce() -> Vec<ExportedFact>,
@@ -260,17 +254,16 @@ impl PersistDir {
         facts: Vec<ExportedFact>,
         fold: bool,
     ) -> io::Result<Checkpointed> {
-        let memo = suif_poly::export_prove_empty_memo();
         let mut out = Checkpointed::default();
         if fold || !st.paired {
-            (out.delta_facts, out.bytes) = self.fold(st, facts, memo)?;
+            (out.delta_facts, out.bytes) = self.fold(st, facts)?;
         } else {
             out.appended = true;
-            (out.delta_facts, out.bytes) = self.append(st, &facts, &memo)?;
+            (out.delta_facts, out.bytes) = self.append(st, &facts)?;
             let records = st.log_bytes.saturating_sub(LOG_HEADER_LEN as u64);
             out.compacted = records >= COMPACT_MIN_LOG_BYTES.max(st.base_bytes);
             if out.compacted {
-                self.fold(st, facts, memo)?;
+                self.fold(st, facts)?;
             }
         }
         out.facts = st.durable.len();
@@ -279,26 +272,13 @@ impl PersistDir {
     }
 
     /// Writer one: append one framed record holding only what is not yet
-    /// durable — facts whose `(key, hash)` pair is new and new
-    /// emptiness-memo entries.  O(delta): the cost does not scale with the
-    /// total fact count, and an idle checkpoint writes nothing.  Returns
-    /// `(facts, bytes)` appended.
-    fn append(
-        &self,
-        st: &mut DirState,
-        facts: &[ExportedFact],
-        memo: &Memo,
-    ) -> io::Result<(usize, usize)> {
-        let new_fact = |f: &&ExportedFact| {
-            snapshot::is_encodable(f.key.pass) && !st.durable.contains(&(f.key, f.hash))
-        };
+    /// durable — facts whose `(key, hash)` pair is new.  O(delta): the cost
+    /// does not scale with the total fact count, and an idle checkpoint
+    /// writes nothing.  Returns `(facts, bytes)` appended.
+    fn append(&self, st: &mut DirState, facts: &[ExportedFact]) -> io::Result<(usize, usize)> {
+        let new_fact = |f: &&ExportedFact| !st.durable.contains(&(f.key, f.hash));
         let delta: Vec<ExportedFact> = facts.iter().filter(new_fact).cloned().collect();
-        let new_memo = |(cs, r): &&(Vec<Constraint>, bool)| {
-            !st.durable_memo
-                .contains(&snapshot::memo_fingerprint(cs, *r))
-        };
-        let memo_delta: Memo = memo.iter().filter(new_memo).cloned().collect();
-        if delta.is_empty() && memo_delta.is_empty() {
+        if delta.is_empty() {
             return Ok((0, 0));
         }
         let mut fh = std::fs::OpenOptions::new()
@@ -311,26 +291,21 @@ impl PersistDir {
             fh.write_all(&snapshot::log_header(st.base_checksum))?;
             st.log_bytes = LOG_HEADER_LEN as u64;
         }
-        let record = snapshot::encode_log_record(&delta, &memo_delta);
+        let record = snapshot::encode_log_record(&delta);
         fh.write_all(&record)?;
         st.log_bytes += record.len() as u64;
-        st.add_durable(&delta, &memo_delta);
+        st.durable.extend(durable_pairs(&delta));
         Ok((delta.len(), record.len()))
     }
 
-    /// Writer two: write `facts` and `memo` as a fresh base image, then
-    /// reset the log to a header bound to it.  Both writes are atomic and
-    /// the base goes first: a crash between them leaves the new base with
-    /// the *old* log, whose binding checksum no longer matches — the stale
-    /// log is ignored on load, so the crash costs recomputation, never
-    /// correctness.  Returns `(facts, bytes)` of the base.
-    fn fold(
-        &self,
-        st: &mut DirState,
-        facts: Vec<ExportedFact>,
-        memo: Memo,
-    ) -> io::Result<(usize, usize)> {
-        let image = Snapshot::new(facts, memo);
+    /// Writer two: write `facts` as a fresh base image, then reset the log
+    /// to a header bound to it.  Both writes are atomic and the base goes
+    /// first: a crash between them leaves the new base with the *old* log,
+    /// whose binding checksum no longer matches — the stale log is ignored
+    /// on load, so the crash costs recomputation, never correctness.
+    /// Returns `(facts, bytes)` of the base.
+    fn fold(&self, st: &mut DirState, facts: Vec<ExportedFact>) -> io::Result<(usize, usize)> {
+        let image = Snapshot::new(facts);
         let bytes = image.encode();
         let checksum = snapshot::file_checksum(&bytes).expect("encoded snapshot has a header");
         snapshot::write_atomic(&self.base, &bytes)?;
@@ -339,24 +314,12 @@ impl PersistDir {
         st.base_checksum = checksum;
         st.base_bytes = bytes.len() as u64;
         st.log_bytes = LOG_HEADER_LEN as u64;
-        st.set_durable(&image.facts, &image.prove_empty);
+        st.durable = durable_pairs(&image.facts).collect();
         Ok((image.facts.len(), bytes.len()))
     }
 }
 
-impl DirState {
-    fn add_durable(&mut self, facts: &[ExportedFact], memo: &Memo) {
-        self.durable.extend(facts.iter().map(|f| (f.key, f.hash)));
-        let prints = memo
-            .iter()
-            .map(|(cs, r)| snapshot::memo_fingerprint(cs, *r));
-        self.durable_memo.extend(prints);
-    }
-
-    /// Replace the durable set with exactly the content of an image.
-    fn set_durable(&mut self, facts: &[ExportedFact], memo: &Memo) {
-        self.durable.clear();
-        self.durable_memo.clear();
-        self.add_durable(facts, memo);
-    }
+/// The `(key, input hash)` pairs of `facts`, as the durable set holds them.
+fn durable_pairs(facts: &[ExportedFact]) -> impl Iterator<Item = (FactKey, u128)> + '_ {
+    facts.iter().map(|f| (f.key, f.hash))
 }

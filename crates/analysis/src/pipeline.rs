@@ -1018,7 +1018,11 @@ impl ExecutorService {
                     shared.ready.wait(&mut q);
                 }
             };
-            job();
+            // A panicking job counts as finished and costs only itself:
+            // unwinding out of here would shrink the pool for good and
+            // leave `pending` above zero forever.  Reporting the failure is
+            // the submitter's business (it catches inside its own job).
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
             shared.completed.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -1760,6 +1764,52 @@ mod tests {
         assert_eq!(svc.submitted(), 64);
         drop(svc); // joins workers; queued jobs already drained
         assert_eq!(counter.load(Ordering::Relaxed), 64);
+    }
+
+    #[test]
+    fn executor_service_survives_a_panicking_job() {
+        let svc = ExecutorService::new(2);
+        let n = svc.workers();
+        svc.submit(|| panic!("injected job panic"));
+        // `n` jobs that each wait until all `n` have started: they finish
+        // only if every worker is still alive, the one that caught the
+        // panic included.  Then `n` plain ones.
+        let started = Arc::new(AtomicU64::new(0));
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        for _ in 0..n {
+            let (started, done_tx) = (Arc::clone(&started), done_tx.clone());
+            svc.submit(move || {
+                started.fetch_add(1, Ordering::SeqCst);
+                let t0 = std::time::Instant::now();
+                while started.load(Ordering::SeqCst) < n as u64 && t0.elapsed().as_secs() < 10 {
+                    std::thread::yield_now();
+                }
+                let _ = done_tx.send(started.load(Ordering::SeqCst));
+            });
+        }
+        for _ in 0..n {
+            let done_tx = done_tx.clone();
+            svc.submit(move || {
+                let _ = done_tx.send(n as u64);
+            });
+        }
+        for _ in 0..2 * n {
+            let seen = done_rx
+                .recv_timeout(std::time::Duration::from_secs(20))
+                .expect("job completion");
+            assert_eq!(seen, n as u64, "every worker took a job at once");
+        }
+        let t0 = std::time::Instant::now();
+        while svc.pending() != 0 {
+            assert!(
+                t0.elapsed().as_secs() < 10,
+                "pending stuck at {}",
+                svc.pending()
+            );
+            std::thread::yield_now();
+        }
+        assert_eq!(svc.completed(), 2 * n as u64 + 1);
+        drop(svc); // joins every worker
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! Durable fact-store snapshots: a versioned, checksummed binary encoding
-//! of the store's keys, input hashes, dependency edges, and the values of
-//! the cheaply-encodable passes, plus the [`suif_poly`] emptiness-proof
-//! memo.  This is what lets a daemon restart warm (§2: the analysis state
-//! of an interactive session must outlive any one process).
+//! of the store's keys, input hashes, dependency edges, and fact values.
+//! This is what lets a daemon restart warm (§2: the analysis state of an
+//! interactive session must outlive any one process).
 //!
 //! # What is persisted
 //!
-//! Every pass, since version 3: classify verdicts ([`crate::LoopVerdict`]),
-//! carried-dependence tables ([`crate::deps::CarriedDeps`]), the three
-//! advisories (contraction, decomposition, block splits), and — the two
+//! Facts, and nothing else.  Every pass has a codec: classify verdicts
+//! ([`crate::LoopVerdict`]), carried-dependence tables
+//! ([`crate::deps::CarriedDeps`]), the three advisories (contraction,
+//! decomposition, block splits), and — the two
 //! passes that dominate a cold run — `<R,E,W,M>` array-section summaries
 //! ([`crate::summarize::ArrayDataFlow`]) and liveness flows
 //! ([`crate::liveness::LivenessResult`]).  The summary/flow wire form is
@@ -76,8 +76,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SUIFSNAP";
 /// 3 — `Summarize` and `Liveness` values gained codecs (previously those
 /// passes were filtered out of snapshots entirely), so a version-2 file
 /// read by this build would warm-start without the expensive facts and a
-/// version-3 file read by an old build would mis-frame them.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// version-3 file read by an old build would mis-frame them; 4 — the
+/// payload is facts only (versions 1–3 carried an emptiness-proof memo
+/// section after them).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Why a snapshot failed to load (the caller cold-starts either way).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,34 +114,15 @@ impl std::fmt::Display for SnapshotError {
     }
 }
 
-/// An in-memory snapshot: the encodable facts plus the emptiness-proof
-/// memo, ready to encode to (or just decoded from) the wire format.
+/// An in-memory snapshot: facts ready to encode to (or just decoded from)
+/// the wire format.
 #[derive(Default)]
 pub struct Snapshot {
-    /// Encodable facts, in deterministic key order.
+    /// Facts, in deterministic key order.
     pub facts: Vec<ExportedFact>,
-    /// Finished emptiness proofs (`prove_empty` memo entries).
-    pub prove_empty: Vec<(Vec<Constraint>, bool)>,
     /// Entries dropped during decode because their pass tag or value bytes
     /// were not understood (each degrades to `Absent`).
     pub undecodable: u64,
-}
-
-/// Is this pass's value persisted in snapshots?  Every pass is, since
-/// format version 3 gave `Summarize` and `Liveness` wire forms; the
-/// predicate remains the single gate a future non-encodable pass would
-/// flip.
-pub fn is_encodable(pass: PassId) -> bool {
-    matches!(
-        pass,
-        PassId::Summarize
-            | PassId::Liveness
-            | PassId::Classify
-            | PassId::Deps
-            | PassId::Contract
-            | PassId::Decomp
-            | PassId::Split
-    )
 }
 
 /// Approximate resident bytes of one fact value, by pass.
@@ -157,7 +140,7 @@ pub fn approx_value_bytes(pass: PassId, value: &Arc<dyn Any + Send + Sync>) -> u
 
 /// One-shot word-folded checksum of a payload body (eight bytes per
 /// multiply; see `Fnv128::write_words`).  This is the integrity checksum
-/// stored in snapshot headers and log records — it is part of the v3 file
+/// stored in snapshot headers and log records — it is part of the file
 /// format, and deliberately not byte-compatible with the per-byte FNV used
 /// for fact content hashes.
 fn payload_checksum(payload: &[u8]) -> u128 {
@@ -167,24 +150,18 @@ fn payload_checksum(payload: &[u8]) -> u128 {
 }
 
 impl Snapshot {
-    /// Build a snapshot from exported store entries (non-encodable passes
-    /// are filtered out) and memo entries.
-    pub fn new(
-        mut facts: Vec<ExportedFact>,
-        prove_empty: Vec<(Vec<Constraint>, bool)>,
-    ) -> Snapshot {
-        facts.retain(|f| is_encodable(f.key.pass));
+    /// Build a snapshot from exported store entries.
+    pub fn new(mut facts: Vec<ExportedFact>) -> Snapshot {
         facts.sort_by_key(|f| f.key);
         Snapshot {
             facts,
-            prove_empty,
             undecodable: 0,
         }
     }
 
     /// Encode to the complete file byte stream (header + payload).
     pub fn encode(&self) -> Vec<u8> {
-        let payload = encode_payload(&self.facts, &self.prove_empty);
+        let payload = encode_payload(&self.facts);
         let checksum = payload_checksum(&payload);
         let mut out = Vec::with_capacity(36 + payload.len());
         out.extend_from_slice(&SNAPSHOT_MAGIC);
@@ -224,10 +201,9 @@ impl Snapshot {
     }
 }
 
-/// Encode a fact/memo set to the shared payload body (no header, no
-/// checksum) — the unit both a whole snapshot and one append-log record
-/// frame.
-fn encode_payload(facts: &[ExportedFact], prove_empty: &[(Vec<Constraint>, bool)]) -> Vec<u8> {
+/// Encode a fact set to the shared payload body (no header, no checksum) —
+/// the unit both a whole snapshot and one append-log record frame.
+fn encode_payload(facts: &[ExportedFact]) -> Vec<u8> {
     let mut p = Enc::default();
     p.u32(facts.len() as u32);
     for f in facts {
@@ -243,14 +219,6 @@ fn encode_payload(facts: &[ExportedFact], prove_empty: &[(Vec<Constraint>, bool)
         encode_value(f.key.pass, &f.value, &mut v);
         p.u32(v.buf.len() as u32);
         p.buf.extend_from_slice(&v.buf);
-    }
-    p.u32(prove_empty.len() as u32);
-    for (cs, result) in prove_empty {
-        p.u32(cs.len() as u32);
-        for c in cs {
-            p.constraint(c);
-        }
-        p.u8(*result as u8);
     }
     p.buf
 }
@@ -280,7 +248,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         }
         let vlen = d.u32().ok_or(SnapshotError::Malformed)? as usize;
         let vbytes = d.take(vlen).ok_or(SnapshotError::Malformed)?;
-        let Some(pass) = pass_of(pass_byte).filter(|p| is_encodable(*p) && deps_ok) else {
+        let Some(pass) = pass_of(pass_byte).filter(|_| deps_ok) else {
             snap.undecodable += 1;
             continue;
         };
@@ -299,16 +267,6 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
             }
             None => snap.undecodable += 1,
         }
-    }
-    let nmemo = d.u32().ok_or(SnapshotError::Malformed)?;
-    for _ in 0..nmemo {
-        let ncs = d.u32().ok_or(SnapshotError::Malformed)?;
-        let mut cs = Vec::with_capacity(ncs.min(1024) as usize);
-        for _ in 0..ncs {
-            cs.push(d.constraint().ok_or(SnapshotError::Malformed)?);
-        }
-        let result = d.bool_val().ok_or(SnapshotError::Malformed)?;
-        snap.prove_empty.push((cs, result));
     }
     if d.pos != d.buf.len() {
         return Err(SnapshotError::Malformed);
@@ -343,10 +301,12 @@ pub fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 /// Magic bytes opening every snapshot append-log file.
 pub const LOG_MAGIC: [u8; 8] = *b"SUIFSLOG";
 
-/// Append-log format version.  Independent of [`SNAPSHOT_VERSION`] — the
-/// record payloads reuse the snapshot payload body, so a snapshot format
-/// bump invalidates logs through the base-checksum binding, not this.
-pub const LOG_VERSION: u32 = 1;
+/// Append-log format version.  A log whose header carries another version
+/// does not apply (the base alone is loaded and the next write folds).
+///
+/// History: 1 — initial format; 2 — record payloads are facts only,
+/// following [`SNAPSHOT_VERSION`] 4.
+pub const LOG_VERSION: u32 = 2;
 
 /// Size of the append-log header: magic · version · base checksum.
 pub const LOG_HEADER_LEN: usize = 28;
@@ -386,31 +346,15 @@ pub const SNAPSHOT_LOG_FILE: &str = "facts.snap.log";
 
 /// Encode one framed append-log record: `len(u32) · FNV-128 checksum ·
 /// payload`, where the payload is the shared snapshot body for the delta
-/// facts (all of encodable passes) and memo entries.  Ready to append to an
-/// existing log file.
-pub(crate) fn encode_log_record(
-    facts: &[ExportedFact],
-    prove_empty: &[(Vec<Constraint>, bool)],
-) -> Vec<u8> {
-    let payload = encode_payload(facts, prove_empty);
+/// facts.  Ready to append to an existing log file.
+pub(crate) fn encode_log_record(facts: &[ExportedFact]) -> Vec<u8> {
+    let payload = encode_payload(facts);
     let checksum = payload_checksum(&payload);
     let mut out = Vec::with_capacity(LOG_RECORD_OVERHEAD + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&checksum.to_le_bytes());
     out.extend_from_slice(&payload);
     out
-}
-
-/// A canonical fingerprint of one emptiness-memo entry, used to track which
-/// entries have already been persisted (so appends stay O(delta)).
-pub(crate) fn memo_fingerprint(cs: &[Constraint], result: bool) -> u128 {
-    let mut e = Enc::default();
-    e.u32(cs.len() as u32);
-    for c in cs {
-        e.constraint(c);
-    }
-    e.u8(result as u8);
-    payload_checksum(&e.buf)
 }
 
 /// Replay an append-log byte stream over a base with payload checksum
@@ -459,8 +403,6 @@ pub struct LoadedImage {
     /// Merged facts (log supersedes base per `(key, hash)`; several
     /// hashes may coexist per key), in `(key, hash)` order.
     pub facts: Vec<ExportedFact>,
-    /// Base memo entries plus log deltas, fingerprint-deduplicated.
-    pub prove_empty: Vec<(Vec<Constraint>, bool)>,
     /// Per-entry decode degradations across base and log.
     pub undecodable: u64,
     /// Payload checksum of the base image (what a continuing log must bind
@@ -492,28 +434,17 @@ pub fn merge_image(
         .into_iter()
         .map(|f| ((f.key, f.hash), f))
         .collect();
-    let mut prove_empty = base.prove_empty;
-    let mut seen: std::collections::HashSet<u128> = prove_empty
-        .iter()
-        .map(|(cs, r)| memo_fingerprint(cs, *r))
-        .collect();
     let mut undecodable = base.undecodable;
     let log_damaged = log_bytes.is_some_and(|log| {
         replay_log(log, base_checksum, |record| {
             undecodable += record.undecodable;
             merged.extend(record.facts.into_iter().map(|f| ((f.key, f.hash), f)));
-            for (cs, r) in record.prove_empty {
-                if seen.insert(memo_fingerprint(&cs, r)) {
-                    prove_empty.push((cs, r));
-                }
-            }
         })
     });
     let mut facts: Vec<ExportedFact> = merged.into_values().collect();
     facts.sort_by_key(|f| (f.key, f.hash));
     Ok(LoadedImage {
         facts,
-        prove_empty,
         undecodable,
         base_checksum,
         log_damaged,
@@ -1521,77 +1452,59 @@ mod tests {
                 b: ("main/2".into(), Stride::Irregular),
             }],
         };
-        let memo = vec![
-            (
-                vec![Constraint::geq0(
-                    LinExpr::term(Var::Dim(0), 2).add(&LinExpr::constant(-3)),
-                )],
-                true,
+        Snapshot::new(vec![
+            fact(
+                PassId::Classify,
+                Scope::Loop(StmtId(5)),
+                0xdead_beef,
+                Arc::new(verdict_parallel()),
             ),
-            (
-                vec![
-                    Constraint::eq0(LinExpr::term(Var::Sym(17), -1).add(&LinExpr::constant(4))),
-                    Constraint::geq0(LinExpr::var(Var::Sym(17))),
-                ],
-                false,
+            fact(
+                PassId::Classify,
+                Scope::Loop(StmtId(9)),
+                7,
+                Arc::new(verdict_sequential()),
             ),
-        ];
-        Snapshot::new(
-            vec![
-                fact(
-                    PassId::Classify,
-                    Scope::Loop(StmtId(5)),
-                    0xdead_beef,
-                    Arc::new(verdict_parallel()),
-                ),
-                fact(
-                    PassId::Classify,
-                    Scope::Loop(StmtId(9)),
-                    7,
-                    Arc::new(verdict_sequential()),
-                ),
-                fact(
-                    PassId::Deps,
-                    Scope::Loop(StmtId(5)),
-                    8,
-                    Arc::new(deps_table),
-                ),
-                fact(
-                    PassId::Contract,
-                    Scope::Program,
-                    9,
-                    Arc::new(vec![ContractionCandidate {
-                        var: VarId(1),
-                        loop_stmt: StmtId(5),
-                        dim: 0,
-                    }]),
-                ),
-                fact(PassId::Decomp, Scope::Program, 10, Arc::new(decomp)),
-                fact(
-                    PassId::Split,
-                    Scope::Program,
-                    11,
-                    Arc::new(vec![BlockSplit {
-                        block: CommonId(0),
-                        name: "blk".into(),
-                        groups: vec![vec![ProcId(0)], vec![ProcId(1), ProcId(2)]],
-                    }]),
-                ),
-                fact(
-                    PassId::Summarize,
-                    Scope::Program,
-                    1,
-                    Arc::new(sample_summary_fact()),
-                ),
-                fact(
-                    PassId::Liveness,
-                    Scope::Program,
-                    2,
-                    Arc::new(sample_liveness()),
-                ),
-            ],
-            memo,
-        )
+            fact(
+                PassId::Deps,
+                Scope::Loop(StmtId(5)),
+                8,
+                Arc::new(deps_table),
+            ),
+            fact(
+                PassId::Contract,
+                Scope::Program,
+                9,
+                Arc::new(vec![ContractionCandidate {
+                    var: VarId(1),
+                    loop_stmt: StmtId(5),
+                    dim: 0,
+                }]),
+            ),
+            fact(PassId::Decomp, Scope::Program, 10, Arc::new(decomp)),
+            fact(
+                PassId::Split,
+                Scope::Program,
+                11,
+                Arc::new(vec![BlockSplit {
+                    block: CommonId(0),
+                    name: "blk".into(),
+                    groups: vec![vec![ProcId(0)], vec![ProcId(1), ProcId(2)]],
+                }]),
+            ),
+            fact(
+                PassId::Summarize,
+                Scope::Program,
+                1,
+                Arc::new(sample_summary_fact()),
+            ),
+            fact(
+                PassId::Liveness,
+                Scope::Program,
+                2,
+                Arc::new(sample_liveness()),
+            ),
+        ])
     }
 
     #[test]
@@ -1609,7 +1522,6 @@ mod tests {
         }
         // Values re-encode to the same bytes (bit-identical round trip).
         assert_eq!(back.encode(), bytes);
-        assert_eq!(back.prove_empty, snap.prove_empty);
         // Verdict content survives.
         let classify = back
             .facts
@@ -1656,10 +1568,12 @@ mod tests {
     fn type_mismatched_value_degrades_to_undecodable() {
         // A wrong concrete type behind the `Any` encodes an empty payload,
         // which fails to decode and drops the one entry — never the file.
-        let snap = Snapshot::new(
-            vec![fact(PassId::Summarize, Scope::Program, 1, Arc::new(0u64))],
-            vec![],
-        );
+        let snap = Snapshot::new(vec![fact(
+            PassId::Summarize,
+            Scope::Program,
+            1,
+            Arc::new(0u64),
+        )]);
         assert_eq!(snap.facts.len(), 1);
         let back = Snapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back.facts.len(), 0);

@@ -231,20 +231,6 @@ impl SharedFactTier {
         self.evict_to_budget(owner);
     }
 
-    /// [`SharedFactTier::publish_owned`] with the anonymous
-    /// [`WARM_START_OWNER`] — kept for callers that predate per-session
-    /// accounting (tests, single-tenant embedding).
-    pub fn publish(
-        &self,
-        key: FactKey,
-        hash: u128,
-        bytes: usize,
-        deps: Vec<FactKey>,
-        value: Arc<dyn Any + Send + Sync>,
-    ) {
-        self.publish_owned(WARM_START_OWNER, key, hash, bytes, deps, value);
-    }
-
     /// The session whose facts an overflow caused by `cause` must spare:
     /// the one with the smallest resident footprint, provided it is not
     /// the cause itself and at least two sessions hold resident bytes
@@ -447,7 +433,8 @@ mod tests {
     fn publish_then_lookup_round_trips() {
         let tier = SharedFactTier::new();
         assert!(tier.lookup(PassId::Classify, 7).is_none());
-        tier.publish(
+        tier.publish_owned(
+            WARM_START_OWNER,
             key(PassId::Classify, 1),
             7,
             100,
@@ -469,8 +456,22 @@ mod tests {
     #[test]
     fn first_writer_wins() {
         let tier = SharedFactTier::new();
-        tier.publish(key(PassId::Deps, 1), 5, 10, vec![], Arc::new(1i64));
-        tier.publish(key(PassId::Deps, 2), 5, 10, vec![], Arc::new(2i64));
+        tier.publish_owned(
+            WARM_START_OWNER,
+            key(PassId::Deps, 1),
+            5,
+            10,
+            vec![],
+            Arc::new(1i64),
+        );
+        tier.publish_owned(
+            WARM_START_OWNER,
+            key(PassId::Deps, 2),
+            5,
+            10,
+            vec![],
+            Arc::new(2i64),
+        );
         let (v, _, _) = tier.lookup(PassId::Deps, 5).unwrap();
         assert_eq!(*v.downcast::<i64>().unwrap(), 1, "first publish kept");
         assert_eq!(tier.len(), 1);
@@ -481,7 +482,8 @@ mod tests {
     fn budget_evicts_cold_entries_but_spares_referenced_ones() {
         let tier = SharedFactTier::with_budget(Some(500));
         for i in 0..10u32 {
-            tier.publish(
+            tier.publish_owned(
+                WARM_START_OWNER,
                 key(PassId::Classify, i),
                 i as u128,
                 100,
@@ -610,14 +612,22 @@ mod tests {
     #[test]
     fn export_import_round_trip() {
         let tier = SharedFactTier::new();
-        tier.publish(
+        tier.publish_owned(
+            WARM_START_OWNER,
             key(PassId::Classify, 3),
             11,
             64,
             vec![key(PassId::Summarize, 0)],
             Arc::new(7i64),
         );
-        tier.publish(key(PassId::Deps, 3), 12, 32, vec![], Arc::new(8i64));
+        tier.publish_owned(
+            WARM_START_OWNER,
+            key(PassId::Deps, 3),
+            12,
+            32,
+            vec![],
+            Arc::new(8i64),
+        );
         let exported = tier.export();
         assert_eq!(exported.len(), 2);
 

@@ -160,7 +160,6 @@ pub fn abl_subtract() -> String {
         ("unlimited", Some(isize::MAX)),
     ] {
         suif_poly::set_subtract_test_budget(budget);
-        suif_poly::clear_prove_empty_cache();
         let t0 = std::time::Instant::now();
         let res = analyze_liveness(&ctx, &df, &saved, LivenessMode::Full);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -179,6 +178,5 @@ pub fn abl_subtract() -> String {
         out.push_str(&format!("{label:<11} {ms:>12.1}  {dead}\n"));
     }
     suif_poly::set_subtract_test_budget(None);
-    suif_poly::clear_prove_empty_cache();
     out
 }

@@ -18,9 +18,8 @@ pub enum ConstraintKind {
 ///
 /// Constraints are normalized on construction (coefficients divided by their
 /// gcd with integer tightening, equalities sign-canonicalized) and carry
-/// precomputed fingerprints of the normal form, so equality tests, dedup
-/// scans, and the `prove_empty` memo probe in O(1) per constraint instead of
-/// walking the term lists.
+/// precomputed fingerprints of the normal form, so equality tests and dedup
+/// scans cost O(1) per constraint instead of walking the term lists.
 #[derive(Clone, Debug)]
 pub struct Constraint {
     /// The affine expression constrained against zero.
@@ -129,11 +128,6 @@ impl Constraint {
         Self::geq0(rhs.sub(lhs).offset(-1))
     }
 
-    /// The precomputed fingerprint of the whole constraint.
-    pub(crate) fn chash(&self) -> u64 {
-        self.hash
-    }
-
     /// The precomputed fingerprint of the variable part.
     pub(crate) fn vhash(&self) -> u64 {
         self.vhash
@@ -161,8 +155,8 @@ impl Constraint {
     /// Normalize to canonical form: divide by the gcd of the variable
     /// coefficients, tightening the constant with floor division (valid over
     /// the integers), and orient equalities so their leading coefficient is
-    /// positive (`x - y == 0` and `y - x == 0` become one form, so dedup and
-    /// memo probes unify them).
+    /// positive (`x - y == 0` and `y - x == 0` become one form, so dedup
+    /// unifies them).
     fn normalized(mut expr: LinExpr, kind: ConstraintKind) -> Self {
         let g = expr.coef_gcd();
         if g > 1 {
@@ -309,11 +303,11 @@ mod tests {
         let a = Constraint::geq(&x, &y.offset(1));
         let b = Constraint::geq0(x.sub(&y).offset(-1));
         assert_eq!(a, b);
-        assert_eq!(a.chash(), b.chash());
-        // Same variable part, different constant: vhash matches, chash not.
+        assert_eq!(a.hash, b.hash);
+        // Same variable part, different constant: vhash matches, hash not.
         let c = Constraint::geq(&x, &y.offset(5));
         assert_eq!(a.vhash(), c.vhash());
-        assert_ne!(a.chash(), c.chash());
+        assert_ne!(a.hash, c.hash);
         // Opposite variable parts link through nvhash.
         let d = Constraint::geq(&y, &x);
         assert_eq!(a.nvhash(), d.vhash());

@@ -50,8 +50,7 @@ mod summary;
 pub use constraint::{Constraint, ConstraintKind};
 pub use expr::{LinExpr, Var};
 pub use polyhedron::{
-    clear_prove_empty_cache, export_prove_empty_memo, import_prove_empty_memo, poly_stats,
-    prove_empty_cache_counters, subscript_pair_disjoint, PolyStats, Polyhedron,
+    clear_prove_empty_cache, poly_stats, subscript_pair_disjoint, PolyStats, Polyhedron,
 };
 pub use polyset::PolySet;
 pub use section::{ArrayId, Section};

@@ -431,13 +431,16 @@ impl Polyhedron {
     /// equalities.  `true` means definitely empty; `false` means "could not
     /// prove" (possibly non-empty).
     ///
-    /// Results are memoized: the analyses re-ask the same emptiness
-    /// questions constantly (every transfer-function subtraction and every
-    /// dependence test), and constraint systems are plain integer data, so
-    /// caching is exact.  The memo is two-level — a thread-local L1 in front
-    /// of a sharded process-wide table — so parallel scheduler workers share
-    /// proofs across threads and across analysis runs without contending on
-    /// the hot path.
+    /// A pure function of the constraint system: nothing is remembered
+    /// between calls.  Reuse across threads, sessions and restarts happens
+    /// one level up, on finished facts in the `FactStore`.
+    ///
+    /// The proof is a staged ladder: cheap tests that never eliminate a
+    /// variable run first, and full Fourier–Motzkin elimination only when
+    /// they are inconclusive.  Every stage is sound, and the non-emptiness
+    /// fast path only fires on systems full FM could never prove empty
+    /// either, so the ladder computes the same answers as always-full-FM
+    /// (pinned by the `prop_linexpr.rs` property suite).
     pub fn prove_empty(&self) -> bool {
         if self.empty {
             return true;
@@ -445,100 +448,6 @@ impl Polyhedron {
         if self.constraints.is_empty() {
             return false;
         }
-        // Key: the constraint list as built (construction is deterministic,
-        // so identical queries produce identical lists).  Look up by slice so
-        // the common case (a hit) never clones the constraints.
-        let g = global_prove_empty_cache();
-        let epoch = g.epoch.load(Ordering::Acquire);
-        let l1_hit = PROVE_EMPTY_L1.with(|cache| {
-            let mut c = cache.borrow_mut();
-            if c.epoch != epoch {
-                // The global cache was cleared since this thread last looked:
-                // drop the now-invalid L1 wholesale.
-                c.epoch = epoch;
-                c.map.clear();
-            }
-            c.map.get(self.constraints.as_slice()).copied()
-        });
-        if let Some(hit) = l1_hit {
-            g.hits.fetch_add(1, Ordering::Relaxed);
-            return hit;
-        }
-        // Global lookup with in-flight deduplication: a miss inserts a
-        // `Running` marker and computes outside the lock; concurrent demands
-        // for the same system block on the shard's condvar and share the
-        // result instead of recomputing it.  (Without this, parallel
-        // classify workers each redo the expensive proofs that structurally
-        // similar loops share, and the fan-out loses its speedup to
-        // duplicated work.)  Proof subqueries recurse through `prove_empty`,
-        // but the recursion graph is acyclic — a cycle would already be
-        // infinite recursion sequentially — so waiting cannot deadlock.
-        let shard = g.shard_of(self.constraints.as_slice());
-        let result = loop {
-            let mut m = shard.map.lock();
-            match m.get(self.constraints.as_slice()) {
-                Some(ProveSlot::Done(r)) => {
-                    g.hits.fetch_add(1, Ordering::Relaxed);
-                    break *r;
-                }
-                Some(ProveSlot::Running) => {
-                    shard.done.wait(&mut m);
-                    continue;
-                }
-                None => {}
-            }
-            m.insert(self.constraints.clone(), ProveSlot::Running);
-            drop(m);
-            // If the proof unwinds, the marker must not strand waiters.
-            struct Claim<'a> {
-                shard: &'a ProveShard,
-                key: &'a [Constraint],
-                armed: bool,
-            }
-            impl Drop for Claim<'_> {
-                fn drop(&mut self) {
-                    if self.armed {
-                        self.shard.map.lock().remove(self.key);
-                        self.shard.done.notify_all();
-                    }
-                }
-            }
-            let mut claim = Claim {
-                shard,
-                key: self.constraints.as_slice(),
-                armed: true,
-            };
-            let result = self.prove_empty_uncached();
-            claim.armed = false;
-            g.misses.fetch_add(1, Ordering::Relaxed);
-            let mut m = shard.map.lock();
-            if m.len() > 100_000 {
-                // Evict finished entries only: a `Running` marker has live
-                // waiters (or a live runner) attached to it.
-                m.retain(|_, v| matches!(v, ProveSlot::Running));
-            }
-            m.insert(self.constraints.clone(), ProveSlot::Done(result));
-            drop(m);
-            shard.done.notify_all();
-            break result;
-        };
-        PROVE_EMPTY_L1.with(|cache| {
-            let mut c = cache.borrow_mut();
-            if c.map.len() > 100_000 {
-                c.map.clear();
-            }
-            c.map.insert(self.constraints.clone(), result);
-        });
-        result
-    }
-
-    /// Staged emptiness ladder: cheap tests that never eliminate a variable
-    /// run first, and full Fourier–Motzkin elimination only when they are
-    /// inconclusive.  Every stage is sound, and the non-emptiness fast path
-    /// only fires on systems full FM could never prove empty either, so the
-    /// ladder computes the same answers as always-full-FM (pinned by the
-    /// `prop_linexpr.rs` property suite).
-    fn prove_empty_uncached(&self) -> bool {
         // Stage 0: pairwise contradictions — e + c1 >= 0 ∧ -e + c2 >= 0 with
         // c1 + c2 < 0 — pre-filtered by the negated-part fingerprint.
         if self.pairwise_contradiction() {
@@ -1390,153 +1299,10 @@ pub fn subscript_pair_disjoint(
     false
 }
 
-/// Clear the emptiness-proof memo (benchmark support: keeps timing
-/// comparisons across configurations honest).  The process-wide table is
-/// emptied immediately; other threads' L1 tables are invalidated lazily via
-/// an epoch bump the next time they consult the cache.  Because the memo is
-/// exact (a pure function of the constraint system), a racing insert that
-/// lands after the clear is still correct — clearing only affects memory and
-/// timing, never results.
-pub fn clear_prove_empty_cache() {
-    let g = global_prove_empty_cache();
-    g.epoch.fetch_add(1, Ordering::AcqRel);
-    for s in &g.shards {
-        // In-flight markers survive a clear: their runners are live and
-        // will finish (and notify) normally; only finished proofs drop.
-        s.map.lock().retain(|_, v| matches!(v, ProveSlot::Running));
-    }
-    PROVE_EMPTY_L1.with(|cache| {
-        let mut c = cache.borrow_mut();
-        c.map.clear();
-        c.epoch = g.epoch.load(Ordering::Acquire);
-    });
-}
-
-/// `(hits, misses)` of the emptiness-proof memo since process start
-/// (L1 hits count as hits).
-pub fn prove_empty_cache_counters() -> (u64, u64) {
-    let g = global_prove_empty_cache();
-    (
-        g.hits.load(Ordering::Relaxed),
-        g.misses.load(Ordering::Relaxed),
-    )
-}
-
-/// Export every *finished* emptiness proof from the process-wide memo, for
-/// persistence.  In-flight (`Running`) markers are skipped — their runners
-/// will re-prove on the next process anyway.  The order is deterministic
-/// (sorted by constraint system), so equal memo states export equal lists.
-pub fn export_prove_empty_memo() -> Vec<(Vec<Constraint>, bool)> {
-    let g = global_prove_empty_cache();
-    let mut out = Vec::new();
-    for s in &g.shards {
-        let map = s.map.lock();
-        for (k, v) in map.iter() {
-            if let ProveSlot::Done(b) = v {
-                out.push((k.clone(), *b));
-            }
-        }
-    }
-    out.sort();
-    out
-}
-
-/// Seed the process-wide memo with previously exported proofs (a daemon
-/// warm start).  Entries whose key already holds a slot — finished or in
-/// flight — are left untouched.  The memo is exact (a pure function of the
-/// integer constraint system), so importing a proof computed by an earlier
-/// process is always sound.  Returns how many proofs were installed.
-pub fn import_prove_empty_memo(entries: &[(Vec<Constraint>, bool)]) -> usize {
-    let g = global_prove_empty_cache();
-    // Group by shard first so each shard's lock is taken once per import,
-    // not once per entry — a warm start replays thousands of proofs.
-    let mut buckets: [Vec<&(Vec<Constraint>, bool)>; PROVE_EMPTY_SHARDS] =
-        std::array::from_fn(|_| Vec::new());
-    for e in entries {
-        buckets[g.shard_index(&e.0)].push(e);
-    }
-    let mut installed = 0;
-    for (i, bucket) in buckets.into_iter().enumerate() {
-        if bucket.is_empty() {
-            continue;
-        }
-        let mut map = g.shards[i].map.lock();
-        map.reserve(bucket.len());
-        for (k, b) in bucket {
-            if let std::collections::hash_map::Entry::Vacant(slot) = map.entry(k.clone()) {
-                slot.insert(ProveSlot::Done(*b));
-                installed += 1;
-            }
-        }
-    }
-    installed
-}
-
-const PROVE_EMPTY_SHARDS: usize = 16;
-
-type ProveEmptyMap = std::collections::HashMap<Vec<Constraint>, bool>;
-
-/// One global-memo entry: the finished proof, or a marker that some thread
-/// is computing it right now (waiters block on the shard's condvar).
-enum ProveSlot {
-    Running,
-    Done(bool),
-}
-
-/// One shard of the global memo: slot map plus the condvar `Running`
-/// waiters sleep on.
-struct ProveShard {
-    map: parking_lot::Mutex<std::collections::HashMap<Vec<Constraint>, ProveSlot>>,
-    done: parking_lot::Condvar,
-}
-
-/// Process-wide memo for [`Polyhedron::prove_empty`]; exact (integer data).
-struct GlobalProveEmptyCache {
-    shards: [ProveShard; PROVE_EMPTY_SHARDS],
-    /// Bumped by [`clear_prove_empty_cache`]; L1 tables holding an older
-    /// epoch discard themselves before use.
-    epoch: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl GlobalProveEmptyCache {
-    fn shard_index(&self, key: &[Constraint]) -> usize {
-        // Fold the constraints' precomputed fingerprints — no term walks.
-        let h = key.iter().fold(0xcbf2_9ce4_8422_2325u64, |acc, c| {
-            (acc ^ c.chash()).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        h as usize % PROVE_EMPTY_SHARDS
-    }
-
-    fn shard_of(&self, key: &[Constraint]) -> &ProveShard {
-        &self.shards[self.shard_index(key)]
-    }
-}
-
-fn global_prove_empty_cache() -> &'static GlobalProveEmptyCache {
-    static CACHE: std::sync::OnceLock<GlobalProveEmptyCache> = std::sync::OnceLock::new();
-    CACHE.get_or_init(|| GlobalProveEmptyCache {
-        shards: std::array::from_fn(|_| ProveShard {
-            map: parking_lot::Mutex::new(std::collections::HashMap::new()),
-            done: parking_lot::Condvar::new(),
-        }),
-        epoch: AtomicU64::new(1),
-        hits: AtomicU64::new(0),
-        misses: AtomicU64::new(0),
-    })
-}
-
-/// Per-thread L1 in front of the global memo: hot lookups touch no lock.
-struct ProveEmptyL1 {
-    epoch: u64,
-    map: ProveEmptyMap,
-}
-
-thread_local! {
-    static PROVE_EMPTY_L1: std::cell::RefCell<ProveEmptyL1> =
-        std::cell::RefCell::new(ProveEmptyL1 { epoch: 0, map: ProveEmptyMap::new() });
-}
+/// Does nothing: `prove_empty` keeps no state to clear.  Kept only because
+/// the frozen `perfbench/` harness links it by name (`perfbench/src/layers.rs`);
+/// the next `benchmark` PR drops those calls and this function with them.
+pub fn clear_prove_empty_cache() {}
 
 impl fmt::Display for Polyhedron {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

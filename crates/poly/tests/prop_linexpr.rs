@@ -4,7 +4,7 @@
 //! The small-vector representation must be *bit-identical* to the old
 //! `BTreeMap<Var, i64>` model — same terms, same order, same saturating
 //! arithmetic, same zero-elision — so every structure keyed or sorted on
-//! expressions (memo tables, constraint dedup, snapshot codec) is oblivious
+//! expressions (constraint dedup, snapshot codec) is oblivious
 //! to the change.  `RefExpr` below is that reference model; each arithmetic
 //! op is checked against it on random inputs.
 //!

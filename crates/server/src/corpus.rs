@@ -17,8 +17,8 @@
 //!
 //! * the whole per-program pipeline (parse + analysis) runs under
 //!   [`std::panic::catch_unwind`], so an analysis panic is caught at the
-//!   job boundary (the worker loop itself does not catch panics — a panic
-//!   escaping the job would permanently kill a pool worker);
+//!   job boundary and becomes that program's error record (the worker loop
+//!   catches too, but only to keep its thread — it reports nothing);
 //! * the fact store and tier use `parking_lot` mutexes, which do not
 //!   poison, and the tier holds only *finished* facts (a job that dies
 //!   mid-`Running` leaves nothing half-published for a sibling to read);
@@ -193,7 +193,7 @@ impl ProgramReport {
     }
 
     /// The full JSONL record: the deterministic core plus timings and
-    /// tier/memo reuse counters.
+    /// tier reuse counters.
     pub fn to_json(&self) -> Json {
         let Json::Obj(mut m) = self.deterministic_json() else {
             unreachable!("deterministic_json builds an object");
@@ -354,15 +354,18 @@ fn analyze_guarded(
             facts_shared: stats.facts_shared,
         },
         Ok(Err(msg)) => ProgramReport::error(index, name, "parse", msg),
-        Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "analysis panicked".to_string());
-            ProgramReport::error(index, name, "panic", msg)
-        }
+        Err(payload) => ProgramReport::error(index, name, "panic", panic_message(&*payload)),
     }
+}
+
+/// The message a caught panic carried (`panic!` with a literal or a
+/// formatted string), for the error record that replaces it.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "analysis panicked".to_string())
 }
 
 fn pass_deltas(stats: &AnalyzeStats) -> Vec<(&'static str, f64, u64, u64, u64)> {

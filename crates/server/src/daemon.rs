@@ -33,11 +33,15 @@
 //!
 //! Backpressure is per-connection: a client that stops reading fills its
 //! bounded write queue, which pauses *its* reads (and frame dispatch)
-//! until the queue drains — without stalling anyone else.  A dropped
-//! connection detaches its session; `shutdown` checkpoints the shared
-//! tier, closes the listener, finishes already-queued commands, flushes,
-//! and drains both the reactor and the workers.
+//! until the queue drains — without stalling anyone else.  A command that
+//! panics costs its own connection only: the job catches the unwind, the
+//! client gets `{"ok":false,"error":"internal error: …"}` and is closed,
+//! the session is dropped, and the worker and every sibling carry on.  A
+//! dropped connection detaches its session; `shutdown` checkpoints the
+//! shared tier, closes the listener, finishes already-queued commands,
+//! flushes, and drains both the reactor and the workers.
 
+use crate::corpus::panic_message;
 use crate::json::Json;
 use crate::proto::{
     err_response, ok_response, request_id, Frame, FrameDecoder, Request, MAX_LINE_BYTES,
@@ -47,6 +51,7 @@ use crate::session::{Session, SessionConfig};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Write};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -177,7 +182,7 @@ impl ServiceState {
         self.persist.as_ref()
     }
 
-    /// Fold the shared tier (and emptiness memo) into a fresh base image
+    /// Fold the shared tier into a fresh base image
     /// with an empty log bound to it.  A directory no session opened is
     /// read first, so folding never drops an image nobody looked at.
     /// Returns `(facts, bytes)` written, or `None` without persistence.
@@ -479,6 +484,10 @@ impl Daemon {
     /// Execute one parsed request; returns the tagged response and whether
     /// the connection should close.
     fn dispatch(&mut self, req: Request) -> (Json, bool) {
+        #[cfg(test)]
+        if matches!(&req, Request::Slice { loop_name } if loop_name == tests::PANIC_LOOP) {
+            panic!("injected test panic");
+        }
         let result: Result<Json, String> = match req {
             Request::Load { text } => self.load_into_session(&text),
             Request::Reload { text } => match self.session.as_mut() {
@@ -677,10 +686,14 @@ struct Completion {
     /// Slot-reuse guard: stale completions for a closed connection are
     /// discarded (their `daemon` drop releases the session).
     generation: u64,
-    daemon: Daemon,
+    /// The connection's daemon, checked back in — `None` when the job
+    /// panicked: the worker dropped it (session torn down, admission slot
+    /// released) and `close` is set.
+    daemon: Option<Daemon>,
     /// Serialized response lines, in request order.
     bytes: Vec<u8>,
-    /// The job executed `quit` or `shutdown`: flush, then close.
+    /// The job executed `quit` or `shutdown`, or panicked: flush, then
+    /// close.
     close: bool,
 }
 
@@ -958,7 +971,7 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
                 continue; // slot was reused; stale Daemon drops here
             }
             inflight[done.slot] = false;
-            conn.daemon = Some(done.daemon);
+            conn.daemon = done.daemon;
             conn.closing |= done.close;
             conn.queue_out(&done.bytes);
             if !conn.flush_out() {
@@ -1005,7 +1018,21 @@ pub fn serve_listener(listener: std::net::TcpListener, state: Arc<ServiceState>)
                     jobs_out += 1;
                     state.reactor.offloaded.fetch_add(1, Ordering::Relaxed);
                     state.workers.submit(move || {
-                        let (bytes, close) = daemon.run_frames(&frames);
+                        // A panicking command must still produce its
+                        // completion, or `jobs_out` and `inflight[slot]`
+                        // never clear and a later `shutdown` waits forever.
+                        // The session it unwound through is not trusted
+                        // again: answer an error, close the connection.
+                        let ran = catch_unwind(AssertUnwindSafe(|| daemon.run_frames(&frames)));
+                        let (daemon, bytes, close) = match ran {
+                            Ok((bytes, close)) => (Some(daemon), bytes, close),
+                            Err(payload) => {
+                                let why = format!("internal error: {}", panic_message(&*payload));
+                                let line = format!("{}\n", daemon.tag(err_response(&why)));
+                                drop(daemon);
+                                (None, line.into_bytes(), true)
+                            }
+                        };
                         completions.lock().unwrap().push_back(Completion {
                             slot,
                             generation: gen,
@@ -1196,6 +1223,87 @@ mod tests {
         let r = req(&mut b, &load);
         assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
         assert_eq!(state.admitted.load(Ordering::SeqCst), 2);
+    }
+
+    /// `slice` of this loop name panics in `dispatch` under `cfg(test)`.
+    pub(super) const PANIC_LOOP: &str = "__panic__";
+
+    /// One blocking client of an in-process `serve_listener`.
+    struct Client(io::BufReader<std::net::TcpStream>);
+
+    impl Client {
+        fn connect(addr: std::net::SocketAddr) -> Client {
+            let stream = std::net::TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+                .unwrap();
+            Client(io::BufReader::new(stream))
+        }
+
+        /// Send one request line; `None` once the daemon closed the socket.
+        fn request(&mut self, line: &str) -> Option<Json> {
+            writeln!(self.0.get_mut(), "{line}").unwrap();
+            self.reply()
+        }
+
+        fn reply(&mut self) -> Option<Json> {
+            let mut buf = String::new();
+            match self.0.read_line(&mut buf).unwrap() {
+                0 => None,
+                _ => Some(Json::parse(&buf).unwrap()),
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_command_closes_only_its_connection() {
+        let state = ServiceState::new(ServiceOptions {
+            threads: 1,
+            ..ServiceOptions::default()
+        });
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = {
+            let state = state.clone();
+            std::thread::spawn(move || serve_listener(listener, state))
+        };
+        let load = format!(r#"{{"cmd":"load","text":"{SRC}"}}"#);
+        let mut victim = Client::connect(addr);
+        let mut sibling = Client::connect(addr);
+        for c in [&mut victim, &mut sibling] {
+            let r = c.request(&load).unwrap();
+            assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        }
+        let before = sibling.request(r#"{"cmd":"analyze"}"#).unwrap();
+        assert_eq!(state.active_sessions.load(Ordering::SeqCst), 2);
+
+        // The panic becomes an error line on its own connection, which is
+        // then closed; its session is gone and its admission slot released.
+        let r = victim
+            .request(&format!(r#"{{"cmd":"slice","loop":"{PANIC_LOOP}"}}"#))
+            .unwrap();
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false), "{r}");
+        assert_eq!(
+            r.get("error").and_then(Json::as_str),
+            Some("internal error: injected test panic")
+        );
+        assert!(victim.reply().is_none(), "the connection is closed");
+        assert_eq!(state.active_sessions.load(Ordering::SeqCst), 1);
+
+        // The sibling's answers do not move.
+        let after = sibling.request(r#"{"cmd":"analyze"}"#).unwrap();
+        assert_eq!(before.to_string(), after.to_string());
+
+        // Nothing is stranded: `shutdown` drains at once.
+        let t0 = std::time::Instant::now();
+        let r = sibling.request(r#"{"cmd":"shutdown"}"#).unwrap();
+        assert_eq!(r.get("shutdown").and_then(Json::as_bool), Some(true));
+        server.join().unwrap().unwrap();
+        assert!(
+            t0.elapsed() < std::time::Duration::from_secs(1),
+            "shutdown took {:?}",
+            t0.elapsed()
+        );
     }
 
     #[test]

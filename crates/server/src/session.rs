@@ -777,11 +777,9 @@ impl Session {
 
     /// Daemon statistics: per-pass timings and invocation/reuse counters
     /// from the fact store, the instrumented run of the last `load`/`reload`,
-    /// summary-cache traffic, worker utilization, and emptiness-memo
-    /// counters.
+    /// summary-cache traffic, and worker utilization.
     pub fn stats_json(&self) -> Json {
         let s = &self.last_stats;
-        let (pe_hits, pe_misses) = suif_poly::prove_empty_cache_counters();
         let mut passes: Vec<(&'static str, Json)> = s
             .passes
             .iter()
@@ -840,13 +838,6 @@ impl Session {
                     ("hits", Json::int(spec.hits as i64)),
                     ("wasted", Json::int(spec.wasted as i64)),
                     ("pending", Json::int(spec.pending.len() as i64)),
-                ]),
-            ),
-            (
-                "prove_empty",
-                Json::obj([
-                    ("hits", Json::int(pe_hits as i64)),
-                    ("misses", Json::int(pe_misses as i64)),
                 ]),
             ),
             (

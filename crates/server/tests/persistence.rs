@@ -228,12 +228,22 @@ fn corruption_case(name: &str, mutate: impl FnOnce(&mut Vec<u8>)) {
     assert_eq!(loops.len(), 3);
     // A later open loads the rewritten (healthy) snapshot again.
     drop(s);
+    assert_current_versions(&dir);
     let s2 = open(&dir);
     assert_eq!(
         snapshot_stats(&s2).get("status").and_then(Json::as_str),
         Some("loaded")
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both files of `dir` carry this build's format versions.
+fn assert_current_versions(dir: &Path) {
+    use suif_analysis::snapshot::{LOG_VERSION, SNAPSHOT_VERSION};
+    let base = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    assert_eq!(base[8..12], SNAPSHOT_VERSION.to_le_bytes());
+    let log = std::fs::read(dir.join(SNAPSHOT_LOG_FILE)).unwrap();
+    assert_eq!(log[8..12], LOG_VERSION.to_le_bytes());
 }
 
 /// A crash mid-write leaves a torn file: truncation is detected.
@@ -257,14 +267,56 @@ fn version_bumped_snapshot_cold_starts_cleanly() {
     corruption_case("version", |b| b[8] = b[8].wrapping_add(1));
 }
 
-/// A snapshot from an older build (version 1, pre-normalized constraint
-/// encoding) is discarded for a clean cold start, never misread: the memo
-/// keys it holds predate construction-time normalization.
+/// A snapshot from the previous format (version 3: an emptiness-proof memo
+/// section followed the facts) is discarded for a clean cold start, never
+/// misread, and the directory is rewritten in this build's format.
 #[test]
 fn old_version_snapshot_cold_starts_cleanly() {
     corruption_case("old-version", |b| {
-        b[8..12].copy_from_slice(&1u32.to_le_bytes());
+        b[8..12].copy_from_slice(&3u32.to_le_bytes());
     });
+}
+
+/// A log from the previous format (version 1) over a valid base does not
+/// replay: the base alone warms the open, what only the log held is
+/// recomputed to the same answer, and the open folds the pair afresh.
+#[test]
+fn old_version_log_is_ignored_and_folded_away() {
+    let dir = scratch("old_log");
+    let cold_slice = {
+        let mut s = open(&dir);
+        let _ = s.guru_json();
+        let sl = s.slice_json("rec/1").unwrap();
+        s.checkpoint_json().unwrap();
+        sl
+    };
+    let log_path = dir.join(SNAPSHOT_LOG_FILE);
+    let mut log = std::fs::read(&log_path).unwrap();
+    assert!(log.len() > suif_analysis::snapshot::LOG_HEADER_LEN);
+    log[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&log_path, &log).unwrap();
+
+    let mut s = open(&dir);
+    let snap = snapshot_stats(&s);
+    assert_eq!(
+        snap.get("status").and_then(Json::as_str),
+        Some("loaded"),
+        "{snap}"
+    );
+    assert!(snap.get("warm_hits").and_then(Json::as_i64).unwrap() > 0);
+    assert_eq!(
+        std::fs::read(&log_path).unwrap().len(),
+        suif_analysis::snapshot::LOG_HEADER_LEN,
+        "the open folded instead of appending to a log it could not read"
+    );
+    assert_eq!(
+        format!("{cold_slice}"),
+        format!("{}", s.slice_json("rec/1").unwrap())
+    );
+    s.checkpoint_json().unwrap();
+    drop(s);
+    assert_current_versions(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A crash mid-append leaves a torn last log record: the valid prefix
@@ -337,7 +389,7 @@ fn mid_compaction_crash_ignores_stale_log() {
     // Replay compaction's first half only: fold base+log into a new base
     // image, then "crash" before the log reset.
     let img = suif_analysis::snapshot::merge_image(&base, Some(&old_log[..])).unwrap();
-    let folded = suif_analysis::Snapshot::new(img.facts, img.prove_empty).encode();
+    let folded = suif_analysis::Snapshot::new(img.facts).encode();
     assert_ne!(folded, base, "folding the log must change the base image");
     std::fs::write(&base_path, &folded).unwrap();
 

@@ -104,7 +104,7 @@ fn daemon_protocol_round_trip() {
     let facts = r.get("facts").expect("facts object");
     assert_eq!(facts.get("computed").and_then(Json::as_i64), Some(0), "{r}");
     assert!(facts.get("ratio").and_then(Json::as_f64).unwrap() > 0.99);
-    assert!(r.get("prove_empty").is_some());
+    assert!(r.get("prove_empty").is_none(), "no emptiness memo: {r}");
 
     // Assert on one loop: checked, applied, loops refreshed.
     let r = c.request(r#"{"cmd":"assert","loop":"main/2","var":"b","kind":"independent"}"#);

@@ -9,9 +9,9 @@ same program:
 
 and asserts that the restart (a) reports a loaded snapshot with warm hits
 and no stale evictions, (b) invoked the summarize, liveness, and classify
-passes zero times (every pass is persisted since snapshot version 3), and
-(c) answered `guru` identically (modulo the rendered report's wall-clock
-estimate).
+passes zero times and computed no fact at all (`cold_misses == 0`: every
+pass's facts are persisted), and (c) answered `guru` identically (modulo
+the rendered report's wall-clock estimate).
 
 Usage: warm_start_smoke.py <suif-explorer binary> <program.mf>
 """
@@ -76,6 +76,7 @@ def main():
     assert warm_snap["status"] == "loaded", f"restart must load the snapshot: {warm_snap}"
     assert warm_snap["warm_hits"] > 0, f"restart must import facts: {warm_snap}"
     assert warm_snap["evicted_stale"] == 0, f"unchanged program evicted facts: {warm_snap}"
+    assert warm_snap["cold_misses"] == 0, f"restart computed facts anew: {warm_snap}"
 
     # Zero-traffic passes are omitted from `passes`, so a missing entry is
     # itself a pass with zero invocations.

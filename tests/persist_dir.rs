@@ -6,16 +6,17 @@
 //! warm for all six.
 //!
 //! The four cases run in order inside one test: each builds on the state the
-//! previous one left, and the emptiness memo the checkpoints persist is
-//! process-wide, so a sibling test analyzing concurrently would make an
-//! "idle" checkpoint legitimately non-empty.
+//! previous one left.
+//!
+//! A second test pins what the two files hold: facts and nothing else.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 use suif_analysis::persist::DirStats;
 use suif_analysis::snapshot::merge_image;
-use suif_analysis::{FactKey, ParallelizeConfig, Parallelizer, PassId};
+use suif_analysis::{FactKey, ParallelizeConfig, Parallelizer, PassId, Snapshot};
+use suif_benchmarks::{ch4_apps, Scale};
 use suif_server::json::Json;
 use suif_server::{Daemon, ServiceOptions, ServiceState, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
 
@@ -215,6 +216,73 @@ fn six_sessions_share_one_owner_of_the_directory() {
     }
     assert_eq!(state.persist().unwrap().stats().reads, 1);
     assert_eq!(file_names(&dir), [SNAPSHOT_FILE, SNAPSHOT_LOG_FILE]);
+    drop(state);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The directory holds facts only.  After the mdg case study (load, guru,
+/// the user's assertions, checkpoint) the base image re-encodes to itself
+/// byte for byte, the log replays cleanly over it, the folded pair
+/// round-trips too — and the pair is a fraction of what it was while every
+/// checkpoint also carried the emptiness-proof memo (≈ 550 KB for mdg's
+/// base alone).
+#[test]
+fn mdg_case_study_persists_facts_only() {
+    let dir: PathBuf =
+        std::env::temp_dir().join(format!("suif_persist_dir_mdg_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+
+    let mdg = ch4_apps(Scale::Bench).swap_remove(0);
+    assert_eq!(mdg.name, "mdg");
+    let state = service(&dir);
+    let mut d = Daemon::for_state(state.clone());
+    let load = Json::obj([("cmd", Json::str("load")), ("text", Json::str(&mdg.source))]);
+    request(&mut d, &load.to_string());
+    request(&mut d, r#"{"cmd":"guru"}"#);
+    assert!(!mdg.assertions.is_empty());
+    for a in &mdg.assertions {
+        let kind = if a.privatize {
+            "private"
+        } else {
+            "independent"
+        };
+        let assert = Json::obj([
+            ("cmd", Json::str("assert")),
+            ("loop", Json::str(&a.loop_name)),
+            ("var", Json::str(&a.var)),
+            ("kind", Json::str(kind)),
+        ]);
+        request(&mut d, &assert.to_string());
+    }
+    request(&mut d, r#"{"cmd":"checkpoint"}"#);
+    let idle = request(&mut d, r#"{"cmd":"checkpoint"}"#);
+    assert_eq!(int(&idle, &["bytes"]), 0, "{idle}");
+
+    let base = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+    let log = std::fs::read(dir.join(SNAPSHOT_LOG_FILE)).unwrap();
+    let decoded = Snapshot::decode(&base).expect("the base decodes");
+    assert_eq!(decoded.undecodable, 0);
+    assert!(!decoded.facts.is_empty());
+    assert_eq!(decoded.encode(), base, "encode(decode(base)) == base");
+
+    let image = merge_image(&base, Some(&log)).unwrap();
+    assert!(!image.log_damaged, "every log record decodes to facts");
+    assert_eq!(image.undecodable, 0);
+    assert!(
+        image.facts.len() > decoded.facts.len(),
+        "the assertions appended re-classified loops to the log"
+    );
+    let folded = Snapshot::new(image.facts).encode();
+    assert_eq!(Snapshot::decode(&folded).unwrap().encode(), folded);
+    assert!(
+        base.len() + log.len() <= 160 * 1024,
+        "base {} B + log {} B",
+        base.len(),
+        log.len()
+    );
+
+    drop(d);
     drop(state);
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -80,15 +80,12 @@ proptest! {
 
         // Export → encode → decode: nothing dropped, and re-encoding the
         // decoded snapshot reproduces the original bytes (golden round trip).
-        let exported = store.export();
-        let memo = suif_poly::export_prove_empty_memo();
-        let snap = Snapshot::new(exported, memo.clone());
+        let snap = Snapshot::new(store.export());
         let persisted_keys: BTreeSet<FactKey> = snap.facts.iter().map(|f| f.key).collect();
         let bytes = snap.encode();
         let decoded = Snapshot::decode(&bytes).unwrap();
         prop_assert_eq!(decoded.undecodable, 0);
         prop_assert_eq!(&decoded.encode(), &bytes);
-        prop_assert_eq!(&decoded.prove_empty, &memo);
         prop_assert_eq!(decoded.facts.len(), persisted_keys.len());
 
         // Every loop's classify and carried-deps facts made it in, and so
@@ -142,9 +139,8 @@ proptest! {
             prop_assert_eq!(warm.metrics_for(pass).invocations, 0);
         }
         // And the warm store's facts are bit-identical on the wire: re-
-        // exporting and re-encoding (against the same memo image)
-        // reproduces the original snapshot bytes.
-        let warm_snap = Snapshot::new(warm.export(), memo.clone());
+        // exporting and re-encoding reproduces the original snapshot bytes.
+        let warm_snap = Snapshot::new(warm.export());
         prop_assert_eq!(&warm_snap.encode(), &bytes);
 
         // Invalidate N distinct loop classifications; re-demanding runs the
