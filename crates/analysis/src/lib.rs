@@ -46,6 +46,7 @@ pub mod context;
 pub mod decomp;
 pub mod deps;
 pub mod enhance;
+pub mod execution;
 pub mod liveness;
 pub mod parallelize;
 pub mod persist;
@@ -63,6 +64,7 @@ pub mod tier;
 pub use cache::SummaryCache;
 pub use context::{AnalysisCtx, ArrayKey};
 pub use deps::{DepKind, DepTest};
+pub use execution::{ExecutionFact, LoopExecution};
 pub use liveness::{LivenessMode, LivenessResult};
 pub use parallelize::{
     AnalyzeStats, Assertion, LoopCertInfo, LoopVerdict, ParallelizeConfig, Parallelizer, PassStat,

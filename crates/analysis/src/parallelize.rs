@@ -6,6 +6,7 @@
 use crate::cache::{self, Fnv128, SummaryCache};
 use crate::context::{AnalysisCtx, ArrayKey};
 use crate::deps::DepTest;
+use crate::execution::{execute_hash, EXECUTE_KEY};
 use crate::liveness::{self, LivenessMode, LivenessResult};
 use crate::pipeline::{ExecStats, FactKey, FactStore, Pass, PassId, PassMetrics, Scope};
 use crate::reduction::RedOp;
@@ -305,6 +306,34 @@ impl AnalyzeStats {
         self.pass_secs(PassId::Classify)
     }
 
+    /// Fold in the traffic one pass saw between two readings of its store
+    /// counters ([`FactStore::metrics_for`]); no traffic adds no row.  The
+    /// analysis driver calls this for every pass of a run; a caller that
+    /// demands one more fact afterwards (the Explorer's instrumented run)
+    /// calls it for that pass.
+    pub fn record_pass(&mut self, pass: PassId, before: PassMetrics, after: PassMetrics) {
+        let (invocations, reused) = (
+            after.invocations - before.invocations,
+            after.reused - before.reused,
+        );
+        let deduped = after.deduped - before.deduped;
+        let shared = after.shared - before.shared;
+        if invocations == 0 && reused == 0 && deduped == 0 && shared == 0 {
+            return;
+        }
+        self.facts_computed += invocations;
+        self.facts_reused += reused;
+        self.facts_deduped += deduped;
+        self.facts_shared += shared;
+        self.passes.push(PassStat {
+            pass,
+            secs: after.secs - before.secs,
+            invocations,
+            reused,
+            shared,
+        });
+    }
+
     /// Fraction of demanded facts served from the store, in `[0, 1]`.
     pub fn reuse_ratio(&self) -> f64 {
         let total = self.facts_computed + self.facts_reused;
@@ -502,9 +531,10 @@ impl Parallelizer {
         out
     }
 
-    /// The input hash every fact key *would* carry if analyzed right now —
-    /// computed from the program content and configuration alone, without
-    /// running any pass.  This is the warm-start validator: a persisted
+    /// The input hash every fact key *would* carry if analyzed, and run on
+    /// `input`, right now — computed from the program content, the
+    /// configuration and the input alone, without running any pass.  This
+    /// is the warm-start validator: a persisted
     /// fact whose stored hash matches the expected one is provably current
     /// (the hashes fold the region content keys, the configuration, and
     /// the resolved assertion marks); anything else is stale and must be
@@ -512,6 +542,7 @@ impl Parallelizer {
     pub fn expected_fact_hashes(
         program: &Program,
         config: &ParallelizeConfig,
+        input: &[f64],
     ) -> HashMap<FactKey, u128> {
         let inputs = FactInputs::new(program, config);
         let program_scope = |pass| FactKey::new(pass, Scope::Program);
@@ -533,6 +564,7 @@ impl Parallelizer {
         for pass in [PassId::Contract, PassId::Decomp, PassId::Split] {
             out.insert(program_scope(pass), inputs.epoch_hash);
         }
+        out.insert(EXECUTE_KEY, execute_hash(inputs.epoch_hash, input));
         out
     }
 }
@@ -741,43 +773,15 @@ fn run_stats(
     schedule: ScheduleStats,
     total_secs: f64,
 ) -> AnalyzeStats {
-    let after = store.metrics();
-    let mut passes = Vec::new();
-    let mut facts_computed = 0;
-    let mut facts_reused = 0;
-    let mut facts_deduped = 0;
-    let mut facts_shared = 0;
-    for (pass, m) in &after {
-        let b = before.get(pass).copied().unwrap_or_default();
-        let (invocations, reused) = (m.invocations - b.invocations, m.reused - b.reused);
-        let deduped = m.deduped - b.deduped;
-        let shared = m.shared - b.shared;
-        if invocations == 0 && reused == 0 && deduped == 0 && shared == 0 {
-            continue;
-        }
-        facts_computed += invocations;
-        facts_reused += reused;
-        facts_deduped += deduped;
-        facts_shared += shared;
-        passes.push(PassStat {
-            pass: *pass,
-            secs: m.secs - b.secs,
-            invocations,
-            reused,
-            shared,
-        });
-    }
-    AnalyzeStats {
+    let mut stats = AnalyzeStats {
         schedule,
-        passes,
-        facts_computed,
-        facts_reused,
-        facts_deduped,
-        facts_shared,
         total_secs,
-        demand_exec: ExecStats::default(),
-        poly: suif_poly::PolyStats::default(),
+        ..AnalyzeStats::default()
+    };
+    for (pass, m) in &store.metrics() {
+        stats.record_pass(*pass, before.get(pass).copied().unwrap_or_default(), *m);
     }
+    stats
 }
 
 /// The whole-program summary fact: the merged data flow plus the schedule

@@ -69,11 +69,14 @@ pub enum PassId {
     Decomp,
     /// Common-block live-range splits (demand-only).
     Split,
+    /// The instrumented run: loop profile and dynamic dependences
+    /// ([`crate::execution`]; the producing pass lives in `suif-explorer`).
+    Execute,
 }
 
 impl PassId {
     /// Every pass, in pipeline order.
-    pub const ALL: [PassId; 7] = [
+    pub const ALL: [PassId; 8] = [
         PassId::Summarize,
         PassId::Liveness,
         PassId::Classify,
@@ -81,6 +84,7 @@ impl PassId {
         PassId::Contract,
         PassId::Decomp,
         PassId::Split,
+        PassId::Execute,
     ];
 
     /// Stable lower-case name (used in the daemon's `stats` payload).
@@ -93,6 +97,7 @@ impl PassId {
             PassId::Contract => "contract",
             PassId::Decomp => "decomp",
             PassId::Split => "split",
+            PassId::Execute => "execute",
         }
     }
 }
@@ -316,8 +321,9 @@ fn shard_index(key: &FactKey) -> usize {
     (h as usize) % SHARD_COUNT
 }
 
-/// Removes an abandoned `Running` claim if the pass panics, so blocked
-/// waiters retry instead of deadlocking.
+/// Removes an abandoned `Running` claim if the pass panics or fails
+/// ([`FactStore::try_demand`]), so blocked waiters retry instead of
+/// deadlocking.
 struct RunClaim<'a> {
     shard: &'a Shard,
     key: FactKey,
@@ -404,6 +410,30 @@ impl FactStore {
     /// [`FactStore::with_shared`]), or claim the entry and run the pass,
     /// recording its output (with dependency edges).
     pub fn demand<P: Pass>(&self, pass: &P) -> Arc<P::Output> {
+        let done: Result<_, std::convert::Infallible> = self.demand_with(pass, || Ok(pass.run()));
+        match done {
+            Ok(v) => v,
+            Err(never) => match never {},
+        }
+    }
+
+    /// [`FactStore::demand`] for a pass whose computation can fail (its
+    /// output is a `Result`): the fact is the `Ok` value.  A failed run goes
+    /// back to this demander alone — nothing is stored, published or
+    /// exported, the claim is released, and the next demand runs again.
+    pub fn try_demand<P, T, E>(&self, pass: &P) -> Result<Arc<T>, E>
+    where
+        P: Pass<Output = Result<T, E>>,
+        T: Send + Sync + 'static,
+    {
+        self.demand_with(pass, || pass.run())
+    }
+
+    fn demand_with<P: Pass, T: Send + Sync + 'static, E>(
+        &self,
+        pass: &P,
+        run: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E> {
         let key = pass.key();
         let hash = pass.input_hash();
         let shard = self.shard(&key);
@@ -424,7 +454,7 @@ impl FactStore {
             match slots.get_mut(&key) {
                 Some(Slot::Ready(e)) if e.valid && e.hash == hash => {
                     e.referenced = true;
-                    if let Ok(v) = e.value.clone().downcast::<P::Output>() {
+                    if let Ok(v) = e.value.clone().downcast::<T>() {
                         drop(slots);
                         let mut metrics = self.metrics.lock();
                         let m = metrics.entry(key.pass).or_default();
@@ -438,7 +468,7 @@ impl FactStore {
                             }
                             None => m.reused += 1,
                         }
-                        return v;
+                        return Ok(v);
                     }
                     // A type mismatch is a stale entry in disguise;
                     // recompute below.
@@ -462,7 +492,7 @@ impl FactStore {
         if tier_allowed {
             if let Some(tier) = &self.shared {
                 if let Some((value, bytes, deps)) = tier.lookup(key.pass, hash) {
-                    if let Ok(v) = value.clone().downcast::<P::Output>() {
+                    if let Ok(v) = value.clone().downcast::<T>() {
                         let prev = slots.insert(
                             key,
                             Slot::Ready(FactEntry {
@@ -488,7 +518,7 @@ impl FactStore {
                             drop(metrics);
                         }
                         self.maybe_evict();
-                        return v;
+                        return Ok(v);
                     }
                 }
             }
@@ -508,9 +538,10 @@ impl FactStore {
             key,
             armed: true,
         };
-        // Run outside the lock: a pass may demand its own inputs.
+        // Run outside the lock: a pass may demand its own inputs.  A failed
+        // run leaves through `?`; dropping the armed claim releases the slot.
         let t0 = Instant::now();
-        let out = Arc::new(pass.run());
+        let out = Arc::new(run()?);
         let secs = t0.elapsed().as_secs_f64();
         let deps = pass.deps();
         let any: Arc<dyn Any + Send + Sync> = out.clone();
@@ -553,7 +584,7 @@ impl FactStore {
         m.secs += secs;
         drop(metrics);
         self.maybe_evict();
-        out
+        Ok(out)
     }
 
     /// Subtract the bytes of a replaced `Ready` slot from the resident

@@ -8,10 +8,13 @@
 //! Facts, and nothing else.  Every pass has a codec: classify verdicts
 //! ([`crate::LoopVerdict`]), carried-dependence tables
 //! ([`crate::deps::CarriedDeps`]), the three advisories (contraction,
-//! decomposition, block splits), and — the two
-//! passes that dominate a cold run — `<R,E,W,M>` array-section summaries
+//! decomposition, block splits), the two
+//! passes that dominate a cold analysis — `<R,E,W,M>` array-section summaries
 //! ([`crate::summarize::ArrayDataFlow`]) and liveness flows
-//! ([`crate::liveness::LivenessResult`]).  The summary/flow wire form is
+//! ([`crate::liveness::LivenessResult`]) — and the instrumented run that
+//! dominates a cold open ([`crate::ExecutionFact`]: loop profile and dynamic
+//! dependences, wall-clock of the producing run included — it is the fact's
+//! data, not metadata about it).  The summary/flow wire form is
 //! canonical: hash maps are framed in sorted-key order and polyhedra are
 //! written constraint-for-constraint (PR 5 normalizes constraints on
 //! construction, so decode re-normalization is the identity), which makes
@@ -45,6 +48,7 @@ use crate::context::ArrayKey;
 use crate::contract::ContractionCandidate;
 use crate::decomp::{DecompConflict, DecompFact, Partitioning, Stride};
 use crate::deps::{CarriedDeps, DepKind};
+use crate::execution::{ExecutionFact, LoopExecution};
 use crate::liveness::{LivenessMode, LivenessResult};
 use crate::parallelize::{LoopPlan, LoopVerdict, StaticDep, SummaryFact, VarClass};
 use crate::pipeline::{ExportedFact, FactKey, PassId, Scope};
@@ -78,8 +82,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SUIFSNAP";
 /// read by this build would warm-start without the expensive facts and a
 /// version-3 file read by an old build would mis-frame them; 4 — the
 /// payload is facts only (versions 1–3 carried an emptiness-proof memo
-/// section after them).
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// section after them); 5 — the `Execute` pass (tag 7) gained a codec, so
+/// a version-4 build reading this file would count the run's fact as
+/// undecodable at every load and a fold by it would drop the fact.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot failed to load (the caller cold-starts either way).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -305,8 +311,9 @@ pub const LOG_MAGIC: [u8; 8] = *b"SUIFSLOG";
 /// does not apply (the base alone is loaded and the next write folds).
 ///
 /// History: 1 — initial format; 2 — record payloads are facts only,
-/// following [`SNAPSHOT_VERSION`] 4.
-pub const LOG_VERSION: u32 = 2;
+/// following [`SNAPSHOT_VERSION`] 4; 3 — records may carry `Execute` facts,
+/// following [`SNAPSHOT_VERSION`] 5.
+pub const LOG_VERSION: u32 = 3;
 
 /// Size of the append-log header: magic · version · base checksum.
 pub const LOG_HEADER_LEN: usize = 28;
@@ -460,6 +467,7 @@ fn pass_tag(p: PassId) -> u8 {
         PassId::Contract => 4,
         PassId::Decomp => 5,
         PassId::Split => 6,
+        PassId::Execute => 7,
     }
 }
 
@@ -472,6 +480,7 @@ fn pass_of(tag: u8) -> Option<PassId> {
         4 => PassId::Contract,
         5 => PassId::Decomp,
         6 => PassId::Split,
+        7 => PassId::Execute,
         _ => return None,
     })
 }
@@ -490,6 +499,9 @@ impl Enc {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn i64(&mut self, v: i64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+    fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
     fn u128(&mut self, v: u128) {
@@ -704,6 +716,33 @@ impl Enc {
             self.access_summary(a);
         }
     }
+    /// The ordered maps and sets iterate in `StmtId`/`VarId` order, so the
+    /// frame order is canonical as it stands.
+    fn execution(&mut self, x: &ExecutionFact) {
+        self.u64(x.ops);
+        self.u64(x.profiled_ops);
+        self.u64(x.nanos);
+        self.u32(x.loops.len() as u32);
+        for (s, l) in &x.loops {
+            self.u32(s.0);
+            self.u64(l.invocations);
+            self.u64(l.iterations);
+            self.u64(l.total_ops);
+            self.u64(l.total_nanos);
+            self.u32(l.dynamic_ancestors.len() as u32);
+            for a in &l.dynamic_ancestors {
+                self.u32(a.0);
+            }
+        }
+        self.u32(x.carried.len() as u32);
+        for (s, vars) in &x.carried {
+            self.u32(s.0);
+            self.u32(vars.len() as u32);
+            for v in vars {
+                self.u32(v.0);
+            }
+        }
+    }
     fn stmt_arrays(&mut self, m: &HashMap<StmtId, BTreeSet<ArrayId>>) {
         let mut entries: Vec<_> = m.iter().collect();
         entries.sort_by_key(|(s, _)| s.0);
@@ -743,6 +782,9 @@ impl<'a> Dec<'a> {
     }
     fn i64(&mut self) -> Option<i64> {
         Some(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+    }
+    fn u64(&mut self) -> Option<u64> {
+        Some(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
     fn u128(&mut self) -> Option<u128> {
         Some(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
@@ -949,6 +991,37 @@ impl<'a> Dec<'a> {
             df.loop_closed_plain.insert(s, self.access_summary()?);
         }
         Some(df)
+    }
+    fn execution(&mut self) -> Option<ExecutionFact> {
+        let mut x = ExecutionFact {
+            ops: self.u64()?,
+            profiled_ops: self.u64()?,
+            nanos: self.u64()?,
+            ..ExecutionFact::default()
+        };
+        for _ in 0..self.u32()? {
+            let s = StmtId(self.u32()?);
+            let mut l = LoopExecution {
+                invocations: self.u64()?,
+                iterations: self.u64()?,
+                total_ops: self.u64()?,
+                total_nanos: self.u64()?,
+                dynamic_ancestors: BTreeSet::new(),
+            };
+            for _ in 0..self.u32()? {
+                l.dynamic_ancestors.insert(StmtId(self.u32()?));
+            }
+            x.loops.insert(s, l);
+        }
+        for _ in 0..self.u32()? {
+            let s = StmtId(self.u32()?);
+            let mut vars = BTreeSet::new();
+            for _ in 0..self.u32()? {
+                vars.insert(VarId(self.u32()?));
+            }
+            x.carried.insert(s, vars);
+        }
+        Some(x)
     }
     fn stmt_arrays(&mut self) -> Option<HashMap<StmtId, BTreeSet<ArrayId>>> {
         let n = self.u32()?;
@@ -1170,6 +1243,11 @@ fn encode_value(pass: PassId, value: &Arc<dyn Any + Send + Sync>, e: &mut Enc) {
                 }
             }
         }
+        PassId::Execute => {
+            if let Some(v) = value.downcast_ref::<ExecutionFact>() {
+                e.execution(v);
+            }
+        }
     }
 }
 
@@ -1301,6 +1379,7 @@ fn decode_value(pass: PassId, bytes: &[u8]) -> Option<Arc<dyn Any + Send + Sync>
                 elapsed: Duration::ZERO,
             })
         }
+        PassId::Execute => Arc::new(d.execution()?),
     };
     if d.pos != bytes.len() {
         return None;
@@ -1417,6 +1496,34 @@ mod tests {
         }
     }
 
+    fn sample_execution() -> ExecutionFact {
+        let inner = LoopExecution {
+            invocations: 40,
+            iterations: 360,
+            total_ops: 9_000,
+            total_nanos: 123_456,
+            dynamic_ancestors: BTreeSet::from([StmtId(9), StmtId(5)]),
+        };
+        let outer = LoopExecution {
+            invocations: 1,
+            iterations: 40,
+            total_ops: 12_000,
+            total_nanos: 200_000,
+            dynamic_ancestors: BTreeSet::new(),
+        };
+        ExecutionFact {
+            ops: 12_345,
+            profiled_ops: 12_340,
+            nanos: 250_000,
+            loops: BTreeMap::from([(StmtId(11), inner), (StmtId(5), outer)]),
+            // A loop that carried nothing keeps its (empty) entry.
+            carried: BTreeMap::from([
+                (StmtId(11), BTreeSet::from([VarId(7), VarId(2)])),
+                (StmtId(5), BTreeSet::new()),
+            ]),
+        }
+    }
+
     fn fact(
         pass: PassId,
         scope: Scope,
@@ -1504,13 +1611,19 @@ mod tests {
                 2,
                 Arc::new(sample_liveness()),
             ),
+            fact(
+                PassId::Execute,
+                Scope::Program,
+                3,
+                Arc::new(sample_execution()),
+            ),
         ])
     }
 
     #[test]
     fn golden_round_trip_is_bit_identical() {
         let snap = sample_snapshot();
-        assert_eq!(snap.facts.len(), 8, "every pass is encodable");
+        assert_eq!(snap.facts.len(), 9, "every pass is encodable");
         let bytes = snap.encode();
         let back = Snapshot::decode(&bytes).unwrap();
         assert_eq!(back.undecodable, 0);
@@ -1562,22 +1675,37 @@ mod tests {
         assert_eq!(lr.written[&StmtId(3)].len(), 2);
         assert!(lr.after_full.as_ref().unwrap().contains_key(&RegionId(1)));
         assert_eq!(lr.elapsed, Duration::ZERO);
+        // The run survives whole — its wall-clock is data, not metadata.
+        let execute = back
+            .facts
+            .iter()
+            .find(|f| f.key.pass == PassId::Execute)
+            .unwrap();
+        let run = execute
+            .value
+            .downcast_ref::<ExecutionFact>()
+            .expect("execute decodes to an execution fact");
+        assert_eq!(run, &sample_execution());
     }
 
     #[test]
     fn type_mismatched_value_degrades_to_undecodable() {
         // A wrong concrete type behind the `Any` encodes an empty payload,
         // which fails to decode and drops the one entry — never the file.
-        let snap = Snapshot::new(vec![fact(
-            PassId::Summarize,
-            Scope::Program,
-            1,
-            Arc::new(0u64),
-        )]);
-        assert_eq!(snap.facts.len(), 1);
+        let snap = Snapshot::new(vec![
+            fact(PassId::Summarize, Scope::Program, 1, Arc::new(0u64)),
+            fact(PassId::Execute, Scope::Program, 2, Arc::new(0u64)),
+            fact(
+                PassId::Execute,
+                Scope::Loop(StmtId(1)),
+                3,
+                Arc::new(sample_execution()),
+            ),
+        ]);
+        assert_eq!(snap.facts.len(), 3);
         let back = Snapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(back.facts.len(), 0);
-        assert_eq!(back.undecodable, 1);
+        assert_eq!(back.facts.len(), 1, "the well-typed neighbour survives");
+        assert_eq!(back.undecodable, 2);
     }
 
     #[test]

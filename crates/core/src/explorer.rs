@@ -1,17 +1,26 @@
 //! The Explorer pipeline (§2.3.1): compile → auto-parallelize → one
 //! instrumented run feeding both Execution Analyzers (loop profile and
 //! dynamic dependence) → guru interaction.
+//!
+//! The run is a fact like every static result: [`Explorer::with_store`]
+//! demands it through the session's [`FactStore`], so a store, tier or
+//! snapshot that already holds the run of this program on this input
+//! answers without interpreting anything.
 
 use crate::guru::{self, GuruReport};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
+use suif_analysis::execution::{execute_hash, EXECUTE_KEY};
 use suif_analysis::{
     contract::ContractionCandidate, decomp::DecompFact, deps::CarriedDeps, split::BlockSplit,
-    AnalyzeStats, Assertion, FactKey, FactStore, LoopVerdict, ParallelizeConfig, Parallelizer,
-    PassId, ProgramAnalysis, ScheduleOptions, Scope, SummaryCache, VarClass,
+    AnalyzeStats, Assertion, ExecutionFact, FactKey, FactStore, LoopExecution, LoopVerdict,
+    ParallelizeConfig, Parallelizer, Pass, PassId, ProgramAnalysis, ScheduleOptions, Scope,
+    SummaryCache, VarClass,
 };
 use suif_dynamic::machine::Machine;
-use suif_dynamic::{DynDepAnalyzer, DynDepConfig, DynDepReport, LoopProfiler, ProfileReport};
+use suif_dynamic::{
+    DynDepAnalyzer, DynDepConfig, DynDepReport, LoopProfile, LoopProfiler, ProfileReport,
+};
 use suif_ir::{Program, StmtId, VarId};
 use suif_slicing::{Slice, SliceKind, SliceOptions, Slicer};
 
@@ -31,13 +40,17 @@ impl std::fmt::Display for ExplorerError {
 
 impl std::error::Error for ExplorerError {}
 
-/// What the instrumented run of an open cost.
+/// What the instrumented run behind an open cost — the run that *produced*
+/// the fact, which need not be this open's.
 #[derive(Clone, Copy, Debug)]
 pub struct ExecutionStats {
     /// Virtual operations the machine executed.
     pub ops: u64,
     /// Wall-clock seconds, both analyzers' bookkeeping included.
     pub secs: f64,
+    /// This open interpreted nothing: the run's fact came from the store,
+    /// the shared tier or the snapshot.
+    pub reused: bool,
 }
 
 /// One interactive Explorer session over a program.
@@ -89,11 +102,13 @@ impl<'p> Explorer<'p> {
     }
 
     /// Start against a shared [`FactStore`] (the daemon's resident path):
-    /// every static pass is demanded through `store`, so facts surviving a
-    /// reload or an assertion replay are reused instead of recomputed.
+    /// every static pass and the instrumented run are demanded through
+    /// `store`, so facts surviving a reload, an assertion replay or a
+    /// restart are reused instead of recomputed.
     /// `opts` is the bottom-up schedule (parallel workers) and `cache` an
     /// optional cross-run summary cache (the daemon's incremental path).
-    /// Also returns the analysis timing/cache statistics.
+    /// Also returns the open's timing/cache statistics, the run's pass
+    /// included.
     pub fn with_store(
         program: &'p Program,
         config: ParallelizeConfig,
@@ -103,34 +118,28 @@ impl<'p> Explorer<'p> {
         store: Arc<FactStore>,
     ) -> Result<(Explorer<'p>, AnalyzeStats), ExplorerError> {
         let assertions = config.assertions.clone();
-        let (analysis, stats) = Parallelizer::analyze_in(program, config, opts, cache, &store);
+        let (analysis, mut stats) = Parallelizer::analyze_in(program, config, opts, cache, &store);
 
-        // One instrumented run for both Execution Analyzers: the loop
-        // profile (§2.5.1) and the dynamic dependences (§2.5.2), the latter
-        // ignoring compiler-recognized induction variables and reduction
-        // updates — which the static analysis above already knows.
-        let dd_config = dyndep_config(program, &analysis);
-        let mut analyzers = (LoopProfiler::new(), DynDepAnalyzer::new(dd_config));
-        let ops = {
-            let mut m =
-                Machine::new(program, &mut analyzers).map_err(|e| ExplorerError(e.to_string()))?;
-            m.set_input(input.clone());
-            m.run().map_err(|e| ExplorerError(e.to_string()))?;
-            m.ops()
-        };
-        let (profiler, dd) = analyzers;
-        let profile = profiler.report();
+        let before = store.metrics_for(PassId::Execute);
+        let run = store.try_demand(&ExecutePass {
+            analysis: &analysis,
+            input: &input,
+        })?;
+        let after = store.metrics_for(PassId::Execute);
+        stats.record_pass(PassId::Execute, before, after);
         let execution = ExecutionStats {
-            ops,
-            secs: profile.total_nanos as f64 * 1e-9,
+            ops: run.ops,
+            secs: run.nanos as f64 * 1e-9,
+            reused: after.invocations == before.invocations,
         };
+        let (profile, dyndep) = reports_of(&run);
 
         Ok((
             Explorer {
                 program,
                 analysis,
                 profile,
-                dyndep: dd.report(),
+                dyndep,
                 execution,
                 input,
                 slicer: None,
@@ -360,6 +369,96 @@ impl<'p> Explorer<'p> {
             .map(|s| s.into_inner().unwrap().expect("deps fact"))
             .collect()
     }
+}
+
+/// The one instrumented run for both Execution Analyzers: the loop profile
+/// (§2.5.1) and the dynamic dependences (§2.5.2), the latter ignoring
+/// compiler-recognized induction variables and reduction updates — which
+/// the static analysis already knows.
+///
+/// No dependency edges: the verdicts [`dyndep_config`] reads are a function
+/// of the epoch hash, which the input hash folds.  A run that ends in an
+/// error is the demander's error and leaves no fact
+/// ([`FactStore::try_demand`]).
+struct ExecutePass<'a, 'p> {
+    analysis: &'a ProgramAnalysis<'p>,
+    input: &'a [f64],
+}
+
+impl Pass for ExecutePass<'_, '_> {
+    type Output = Result<ExecutionFact, ExplorerError>;
+    fn key(&self) -> FactKey {
+        EXECUTE_KEY
+    }
+    fn input_hash(&self) -> u128 {
+        execute_hash(self.analysis.epoch_hash, self.input)
+    }
+    fn run(&self) -> Result<ExecutionFact, ExplorerError> {
+        let program = self.analysis.ctx.program;
+        let dd_config = dyndep_config(program, self.analysis);
+        let mut analyzers = (LoopProfiler::new(), DynDepAnalyzer::new(dd_config));
+        let ops = {
+            let mut m =
+                Machine::new(program, &mut analyzers).map_err(|e| ExplorerError(e.to_string()))?;
+            m.set_input(self.input.to_vec());
+            m.run().map_err(|e| ExplorerError(e.to_string()))?;
+            m.ops()
+        };
+        let (profiler, dd) = analyzers;
+        let profile = profiler.report();
+        let loop_execution = |p: LoopProfile| LoopExecution {
+            invocations: p.invocations,
+            iterations: p.iterations,
+            total_ops: p.total_ops,
+            total_nanos: p.total_nanos,
+            dynamic_ancestors: p.dynamic_ancestors.into_iter().collect(),
+        };
+        Ok(ExecutionFact {
+            ops,
+            profiled_ops: profile.total_ops,
+            nanos: profile.total_nanos,
+            loops: profile
+                .profiles
+                .into_iter()
+                .map(|(stmt, p)| (stmt, loop_execution(p)))
+                .collect(),
+            carried: dd
+                .report()
+                .deps
+                .into_iter()
+                .map(|(stmt, vars)| (stmt, vars.into_iter().collect()))
+                .collect(),
+        })
+    }
+}
+
+/// The two analyzers' reports, as the Guru and the checker read them,
+/// rebuilt from the run's fact.
+fn reports_of(run: &ExecutionFact) -> (ProfileReport, DynDepReport) {
+    let loop_profile = |l: &LoopExecution| LoopProfile {
+        invocations: l.invocations,
+        iterations: l.iterations,
+        total_ops: l.total_ops,
+        total_nanos: l.total_nanos,
+        dynamic_ancestors: l.dynamic_ancestors.iter().copied().collect(),
+    };
+    let profile = ProfileReport {
+        profiles: run
+            .loops
+            .iter()
+            .map(|(&stmt, l)| (stmt, loop_profile(l)))
+            .collect(),
+        total_nanos: run.nanos,
+        total_ops: run.profiled_ops,
+    };
+    let dyndep = DynDepReport {
+        deps: run
+            .carried
+            .iter()
+            .map(|(&stmt, vars)| (stmt, vars.iter().copied().collect()))
+            .collect(),
+    };
+    (profile, dyndep)
 }
 
 /// Dynamic-dependence configuration derived from the compiler's knowledge.

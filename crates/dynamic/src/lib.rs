@@ -17,13 +17,21 @@
 //! Both are [`machine::Hooks`], and hooks compose — `(A, B)` forwards every
 //! callback to `A`, then `B` — so one interpreter pass serves both
 //! analyzers: that is how the Explorer opens a program
-//! (`docs/dynamic.md`, "The Execution Analyzers").
+//! (`docs/dynamic.md`, "The Execution Analyzers").  What that pass observed
+//! is persisted and shared as a fact keyed on the program, the input and
+//! `suif_analysis::execution::EXECUTE_VERSION`: a change to what a run
+//! *means* — an operation's cost, the order of the hooks, what either
+//! analyzer records — must bump that constant, or old facts answer for the
+//! new semantics.
 //!
 //! The interpreter uses Fortran-77 storage semantics: statically allocated
 //! locals (SAVE semantics), common blocks as shared segments, by-reference
 //! array arguments (including sub-array bases) and copy-in/copy-out scalars.
 //! Because MiniF has only bounded `do` loops and an acyclic call graph,
-//! every program terminates — no fuel accounting is needed.
+//! every program terminates; what a run *costs* is not bounded by the
+//! program's size — `do i = 1, 2000000000` is one line — and the machine
+//! has no fuel limit, so a daemon that runs tenants' programs on `load`
+//! can be wedged by one (ROADMAP direction 2).
 //!
 //! The [`machine::Machine`] exposes two extension points to the
 //! `suif-parallel` crate, which owns the one fork/join loop runtime: a

@@ -372,6 +372,14 @@ impl Daemon {
         }
     }
 
+    /// Close this connection's session, if it has one, and give its
+    /// admission slot back; the facts it published stay in the shared tier.
+    fn drop_session(&mut self) {
+        if self.session.take().is_some() {
+            self.state.release_session();
+        }
+    }
+
     fn with_session<R>(&mut self, f: impl FnOnce(&mut Session) -> R) -> Result<R, String> {
         match self.session.as_mut() {
             Some(s) => Ok(f(s)),
@@ -597,14 +605,22 @@ impl Daemon {
 
     /// Serve one connection: read request lines from `input`, write the
     /// response line(s) each owes to `output`, until `quit` or EOF.  The
-    /// stdio transport supports `batch` pipelining too.
+    /// stdio transport supports `batch` pipelining too.  A panicking
+    /// command costs its session, not the loop: the session it unwound
+    /// through is not trusted again, the client gets an error line and the
+    /// next `load` starts afresh.
     pub fn serve(&mut self, input: impl BufRead, output: &mut impl Write) -> io::Result<()> {
         for line in input.lines() {
             let line = line?;
             if line.trim().is_empty() {
                 continue;
             }
-            let (responses, quit) = self.handle_request(&line);
+            let ran = catch_unwind(AssertUnwindSafe(|| self.handle_request(&line)));
+            let (responses, quit) = ran.unwrap_or_else(|payload| {
+                let why = format!("internal error: {}", panic_message(&*payload));
+                self.drop_session();
+                (vec![self.tag(err_response(&why))], false)
+            });
             for resp in responses {
                 writeln!(output, "{resp}")?;
             }
@@ -630,11 +646,7 @@ fn with_id(resp: Json, id: Option<Json>) -> Json {
 
 impl Drop for Daemon {
     fn drop(&mut self) {
-        // A dropped connection detaches its session from the registry; the
-        // facts it published stay in the shared tier.
-        if self.session.is_some() {
-            self.state.release_session();
-        }
+        self.drop_session();
     }
 }
 
@@ -1304,6 +1316,59 @@ mod tests {
             "shutdown took {:?}",
             t0.elapsed()
         );
+    }
+
+    /// The stdio loop has one session and no connection to close: the
+    /// panic costs the session, and the loop keeps reading.
+    #[test]
+    fn panicking_command_costs_the_stdio_session_not_the_loop() {
+        let state = ServiceState::new(ServiceOptions {
+            threads: 1,
+            max_sessions: 1,
+            ..ServiceOptions::default()
+        });
+        let mut d = Daemon::for_state(state.clone());
+        let load = format!(r#"{{"cmd":"load","text":"{SRC}"}}"#);
+        let input = format!(
+            "{load}
+{}
+{}
+{load}
+{}
+{}
+",
+            format_args!(r#"{{"cmd":"slice","loop":"{PANIC_LOOP}","id":7}}"#),
+            r#"{"cmd":"analyze"}"#,
+            r#"{"cmd":"analyze"}"#,
+            r#"{"cmd":"quit"}"#
+        );
+        let mut out = Vec::new();
+        d.serve(io::BufReader::new(input.as_bytes()), &mut out)
+            .unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let replies: Vec<Json> = text.lines().map(|l| Json::parse(l).unwrap()).collect();
+        assert_eq!(replies.len(), 6, "every line after the panic is answered");
+        let ok = |r: &Json| r.get("ok").and_then(Json::as_bool);
+        assert_eq!(ok(&replies[0]), Some(true), "{}", replies[0]);
+        assert_eq!(ok(&replies[1]), Some(false));
+        assert_eq!(
+            replies[1].get("error").and_then(Json::as_str),
+            Some("internal error: injected test panic")
+        );
+        assert_eq!(
+            replies[1].get("session").and_then(Json::as_i64),
+            replies[0].get("session").and_then(Json::as_i64)
+        );
+        // The poisoned session is gone, its slot with it ...
+        assert_eq!(ok(&replies[2]), Some(false));
+        let why = replies[2].get("error").and_then(Json::as_str).unwrap();
+        assert!(why.contains("no program loaded"), "{why}");
+        // ... so under `max_sessions: 1` the reload below is admitted.
+        assert_eq!(ok(&replies[3]), Some(true), "{}", replies[3]);
+        assert_eq!(ok(&replies[4]), Some(true), "{}", replies[4]);
+        assert_eq!(ok(&replies[5]), Some(true));
+        drop(d);
+        assert_eq!(state.active_sessions.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -194,12 +194,13 @@ impl Session {
         let mut report = SnapshotReport::default();
         if let Some(p) = &cfg.persist {
             // The explorer always analyzes under the default configuration
-            // (see `build_explorer`), so the expected hashes are computed
-            // for it; a snapshot persisted under any other configuration
-            // simply misses and is evicted as stale.
+            // and runs on no input (see `build_explorer`), so the expected
+            // hashes are computed for that; a snapshot persisted under any
+            // other configuration or input simply misses and is evicted as
+            // stale.
             let t0 = Instant::now();
             let expected =
-                Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default());
+                Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default(), &[]);
             report.warmed = p.warm_store(&store, &expected);
             report.load_secs = t0.elapsed().as_secs_f64();
         }
@@ -776,7 +777,8 @@ impl Session {
     }
 
     /// Daemon statistics: per-pass timings and invocation/reuse counters
-    /// from the fact store, the instrumented run of the last `load`/`reload`,
+    /// from the fact store, the instrumented run behind the last
+    /// `load`/`reload` (and whether that open reused its fact),
     /// summary-cache traffic, and worker utilization.
     pub fn stats_json(&self) -> Json {
         let s = &self.last_stats;
@@ -827,6 +829,7 @@ impl Session {
                 Json::obj([
                     ("ops", Json::int(self.explorer.execution.ops as i64)),
                     ("secs", Json::Num(self.explorer.execution.secs)),
+                    ("reused", Json::Bool(self.explorer.execution.reused)),
                 ]),
             ),
             ("facts", self.facts_json()),

@@ -69,19 +69,6 @@ fn snapshot_stats(s: &Session) -> Json {
     s.stats_json().get("snapshot").cloned().unwrap()
 }
 
-/// The guru payload minus its `rendered` field, whose text embeds a
-/// wall-clock estimate that legitimately varies between runs.
-fn without_rendered(j: &Json) -> Json {
-    match j {
-        Json::Obj(m) => {
-            let mut m = m.clone();
-            m.remove("rendered");
-            Json::Obj(m)
-        }
-        other => other.clone(),
-    }
-}
-
 /// First open in a fresh dir: nothing to load, but a snapshot is written so
 /// even an unclean exit restarts warm.
 #[test]
@@ -130,10 +117,12 @@ fn warm_start_reserves_answers_without_recomputation() {
     assert_eq!(snap.get("evicted_stale").and_then(Json::as_i64), Some(0));
 
     // Zero invocations of any persisted pass on the warm open — including
-    // summarize and liveness, the expensive interprocedural ones — and the
-    // answers are bit-identical.
+    // summarize and liveness, the expensive interprocedural ones, and the
+    // instrumented run, the most expensive of all — and the answers are
+    // bit-identical, the Guru's rendered wall-clock estimate included: it
+    // is the producing run's.
     let st = s.stats_json();
-    for pass in ["classify", "summarize", "liveness"] {
+    for pass in ["classify", "summarize", "liveness", "execute"] {
         let p = st.get("passes").unwrap().get(pass).unwrap();
         assert_eq!(
             p.get("invocations").and_then(Json::as_i64),
@@ -143,10 +132,9 @@ fn warm_start_reserves_answers_without_recomputation() {
     }
     let classify = st.get("passes").unwrap().get("classify").unwrap();
     assert!(classify.get("reused").and_then(Json::as_i64).unwrap() > 0);
-    assert_eq!(
-        format!("{}", without_rendered(&cold_guru)),
-        format!("{}", without_rendered(&s.guru_json()))
-    );
+    let reused = st.get("execution").and_then(|e| e.get("reused"));
+    assert_eq!(reused.and_then(Json::as_bool), Some(true), "{st}");
+    assert_eq!(format!("{cold_guru}"), format!("{}", s.guru_json()));
     assert_eq!(
         format!("{cold_slice}"),
         format!("{}", s.slice_json("rec/1").unwrap())
@@ -267,17 +255,17 @@ fn version_bumped_snapshot_cold_starts_cleanly() {
     corruption_case("version", |b| b[8] = b[8].wrapping_add(1));
 }
 
-/// A snapshot from the previous format (version 3: an emptiness-proof memo
-/// section followed the facts) is discarded for a clean cold start, never
-/// misread, and the directory is rewritten in this build's format.
+/// A snapshot from the previous format (version 4: no `Execute` facts) is
+/// discarded for a clean cold start, never misread, and the directory is
+/// rewritten in this build's format.
 #[test]
 fn old_version_snapshot_cold_starts_cleanly() {
     corruption_case("old-version", |b| {
-        b[8..12].copy_from_slice(&3u32.to_le_bytes());
+        b[8..12].copy_from_slice(&4u32.to_le_bytes());
     });
 }
 
-/// A log from the previous format (version 1) over a valid base does not
+/// A log from the previous format (version 2) over a valid base does not
 /// replay: the base alone warms the open, what only the log held is
 /// recomputed to the same answer, and the open folds the pair afresh.
 #[test]
@@ -293,7 +281,7 @@ fn old_version_log_is_ignored_and_folded_away() {
     let log_path = dir.join(SNAPSHOT_LOG_FILE);
     let mut log = std::fs::read(&log_path).unwrap();
     assert!(log.len() > suif_analysis::snapshot::LOG_HEADER_LEN);
-    log[8..12].copy_from_slice(&1u32.to_le_bytes());
+    log[8..12].copy_from_slice(&2u32.to_le_bytes());
     std::fs::write(&log_path, &log).unwrap();
 
     let mut s = open(&dir);
@@ -463,10 +451,9 @@ fn daemon_checkpoint_and_warm_restart_over_the_wire() {
     let snap = second[3].get("snapshot").unwrap();
     assert_eq!(snap.get("status").and_then(Json::as_str), Some("loaded"));
     assert!(snap.get("warm_hits").and_then(Json::as_i64).unwrap() > 0);
-    // Identical guru payload across the restart.
-    assert_eq!(
-        format!("{}", without_rendered(&first[1])),
-        format!("{}", without_rendered(&second[1]))
-    );
+    // Identical guru payload across the restart, `rendered` included.
+    assert_eq!(format!("{}", first[1]), format!("{}", second[1]));
+    let execution = second[3].get("execution").unwrap();
+    assert_eq!(execution.get("reused").and_then(Json::as_bool), Some(true));
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -83,6 +83,25 @@ fn daemon_protocol_round_trip() {
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
     assert_eq!(r.get("summarized").and_then(Json::as_i64), Some(2));
     assert_eq!(r.get("generation").and_then(Json::as_i64), Some(1));
+    // ... and the program interpreted once, as a fact of its own pass.
+    let execute_row = |r: &Json| {
+        let row = r.get("passes").and_then(|p| p.get("execute")).cloned();
+        let row = row.unwrap_or_else(|| panic!("no passes.execute in {r}"));
+        assert!(row.get("secs").and_then(Json::as_f64).is_some(), "{row}");
+        let count = |k| row.get(k).and_then(Json::as_i64).unwrap();
+        (count("invocations"), count("reused"), count("shared"))
+    };
+    let execution = |r: &Json| {
+        let e = r.get("execution").expect("execution object");
+        assert!(e.get("secs").and_then(Json::as_f64).is_some(), "{e}");
+        (
+            e.get("ops").and_then(Json::as_i64).unwrap(),
+            e.get("reused").and_then(Json::as_bool).unwrap(),
+        )
+    };
+    assert_eq!(execute_row(&r), (1, 0, 0));
+    let (first_ops, reused) = execution(&r);
+    assert!(first_ops > 0 && !reused, "{r}");
 
     // Analyze: both loops parallel.
     let r = c.request(r#"{"cmd":"analyze"}"#);
@@ -147,6 +166,16 @@ fn daemon_protocol_round_trip() {
     assert_eq!(r.get("generation").and_then(Json::as_i64), Some(2));
     assert_eq!(r.get("summarized").and_then(Json::as_i64), Some(1), "{r}");
     assert_eq!(r.get("cache_hits").and_then(Json::as_i64), Some(1), "{r}");
+    // An unseen text: interpreted.
+    assert_eq!(execute_row(&r), (1, 0, 0));
+    assert!(!execution(&r).1, "{r}");
+
+    // Back to the first text: its run is still in the tier, so nothing is
+    // interpreted and `execution` describes the run that produced the fact.
+    let r = c.request(&format!(r#"{{"cmd":"reload","text":"{}"}}"#, escape(SRC)));
+    assert_eq!(r.get("generation").and_then(Json::as_i64), Some(3), "{r}");
+    assert_eq!(execute_row(&r), (0, 0, 1));
+    assert_eq!(execution(&r), (first_ops, true));
 
     // Malformed input answers, then quit closes cleanly.
     let r = c.request("this is not json");

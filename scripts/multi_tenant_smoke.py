@@ -24,7 +24,9 @@ saw them all concurrently.
 With --persist-dir DIR the daemon persists into DIR, every session being a
 writer of the same two files: the run then also asserts that no write
 failed, that DIR holds exactly `facts.snap` and `facts.snap.log` (no stray
-temp file), and that a second daemon started over DIR loads the image.
+temp file), and that a second daemon started over DIR loads the image,
+interprets nothing (`execution.reused`, no `execute` invocation) and answers
+`guru` exactly as the first did, rendered report included.
 
 Usage: multi_tenant_smoke.py BINARY PROGRAM.mf [--clients N] [--pipeline]
                              [--idle N] [--persist-dir DIR]
@@ -123,19 +125,36 @@ def shut_down(daemon, addr):
     return stderr
 
 
-def check_persisted(binary, persist_dir, source, stderr):
+def load_and_guru(addr, source):
+    """One more tenant: (`load` reply, `guru` reply without its session id)."""
+    with socket.create_connection(addr, timeout=120) as sock:
+        sock_file = sock.makefile("r", encoding="utf-8")
+        load = roundtrip(sock_file, sock, {"cmd": "load", "text": source})
+        guru = roundtrip(sock_file, sock, {"cmd": "guru"})
+        roundtrip(sock_file, sock, {"cmd": "quit"})
+    assert "rendered" in guru, f"guru reply carries no rendered report: {guru}"
+    del guru["session"]
+    return load, json.dumps(guru, sort_keys=True)
+
+
+def check_persisted(binary, persist_dir, source, stderr, guru_before):
     """One owner of the directory: clean writes, two files, a warm restart."""
     assert "write failed" not in stderr, f"a persistence write failed:\n{stderr}"
     files = sorted(os.listdir(persist_dir))
     assert files == ["facts.snap", "facts.snap.log"], f"persist dir holds {files}"
     daemon, addr = start_daemon(binary, persist_dir)
     try:
-        with socket.create_connection(addr, timeout=120) as sock:
-            sock_file = sock.makefile("r", encoding="utf-8")
-            load = roundtrip(sock_file, sock, {"cmd": "load", "text": source})
-            snap = load["snapshot"]
-            assert snap["status"] == "loaded", f"restart did not load: {snap}"
-            roundtrip(sock_file, sock, {"cmd": "quit"})
+        load, guru = load_and_guru(addr, source)
+        snap = load["snapshot"]
+        assert snap["status"] == "loaded", f"restart did not load: {snap}"
+        run = load["execution"]
+        assert run["reused"] is True, f"restart interpreted again: {run}"
+        # A pass without traffic has no row.
+        execute = load["passes"].get("execute", {})
+        assert execute.get("invocations", 0) == 0, f"restart ran: {execute}"
+        assert guru == guru_before, (
+            f"guru diverged across restart:\n  before: {guru_before}\n  after: {guru}"
+        )
         shut_down(daemon, addr)
     finally:
         if daemon.poll() is None:
@@ -223,10 +242,13 @@ def main():
                 f"reactor held {peak} connections, wanted >= {args.idle}"
             )
 
+        guru_before = load_and_guru(addr, source)[1] if args.persist_dir else None
         stderr = shut_down(daemon, addr)
         persist_note = ""
         if args.persist_dir:
-            warm = check_persisted(args.binary, args.persist_dir, source, stderr)
+            warm = check_persisted(
+                args.binary, args.persist_dir, source, stderr, guru_before
+            )
             persist_note = f", warm restart over the persist dir ({warm} warm hits)"
 
         mode = "pipelined" if args.pipeline else "serial"

@@ -8,10 +8,11 @@ same program:
   run 2 (fresh process, same DIR): load -> guru -> slice -> stats -> quit
 
 and asserts that the restart (a) reports a loaded snapshot with warm hits
-and no stale evictions, (b) invoked the summarize, liveness, and classify
-passes zero times and computed no fact at all (`cold_misses == 0`: every
-pass's facts are persisted), and (c) answered `guru` identically (modulo
-the rendered report's wall-clock estimate).
+and no stale evictions, (b) invoked the summarize, liveness, classify and
+execute passes zero times and computed no fact at all (`cold_misses == 0`:
+every pass's facts are persisted; `execution.reused`: the program was not
+interpreted again), and (c) answered `guru` identically, the rendered
+report's wall-clock estimate included — it is the producing run's.
 
 Usage: warm_start_smoke.py <suif-explorer binary> <program.mf>
 """
@@ -52,8 +53,7 @@ def drive(binary, persist_dir, source, checkpoint):
 
 
 def guru_fingerprint(resp):
-    resp = dict(resp)
-    resp.pop("rendered", None)  # embeds a wall-clock estimate
+    assert "rendered" in resp, f"guru reply carries no rendered report: {resp}"
     return json.dumps(resp, sort_keys=True)
 
 
@@ -80,11 +80,15 @@ def main():
 
     # Zero-traffic passes are omitted from `passes`, so a missing entry is
     # itself a pass with zero invocations.
-    for pass_name in ("summarize", "liveness", "classify"):
+    for pass_name in ("summarize", "liveness", "classify", "execute"):
         p = warm["stats"]["passes"].get(pass_name, {})
         assert p.get("invocations", 0) == 0, (
             f"warm start must not re-run {pass_name}: {p}"
         )
+    cold_run, warm_run = cold["stats"]["execution"], warm["stats"]["execution"]
+    assert cold_run["reused"] is False, f"a fresh dir must interpret: {cold_run}"
+    assert warm_run["reused"] is True, f"restart interpreted again: {warm_run}"
+    assert warm_run["ops"] == cold_run["ops"], f"{cold_run} vs {warm_run}"
 
     cold_guru, warm_guru = guru_fingerprint(cold["guru"]), guru_fingerprint(warm["guru"])
     assert cold_guru == warm_guru, (
@@ -93,7 +97,7 @@ def main():
 
     print(
         f"warm start OK: {warm_snap['warm_hits']} facts imported, "
-        f"0 summarize/liveness/classify invocations, identical guru output"
+        f"0 summarize/liveness/classify/execute invocations, identical guru output"
     )
 
 

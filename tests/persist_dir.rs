@@ -90,15 +90,16 @@ fn pairs_on_disk(dir: &Path) -> HashSet<(FactKey, u128)> {
 }
 
 /// What an open of tenant `i` computes: its summary, liveness and per-loop
-/// classification facts, under the hashes they must carry.
+/// classification facts and its instrumented run, under the hashes they
+/// must carry.
 fn opened_pairs(i: usize) -> Vec<(FactKey, u128)> {
     let program = suif_ir::parse_program(&sibling(i)).unwrap();
-    Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default())
+    Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default(), &[])
         .into_iter()
         .filter(|(k, _)| {
             matches!(
                 k.pass,
-                PassId::Summarize | PassId::Liveness | PassId::Classify
+                PassId::Summarize | PassId::Liveness | PassId::Classify | PassId::Execute
             )
         })
         .collect()
@@ -206,13 +207,15 @@ fn six_sessions_share_one_owner_of_the_directory() {
         assert_eq!(status(load), "loaded", "tenant {i}: {load}");
         assert!(int(load, &["snapshot", "warm_hits"]) > 0, "tenant {i}");
         assert_eq!(int(load, &["snapshot", "evicted_stale"]), 0, "tenant {i}");
-        for pass in ["summarize", "liveness", "classify"] {
+        for pass in ["summarize", "liveness", "classify", "execute"] {
             assert_eq!(
                 int(load, &["passes", pass, "invocations"]),
                 0,
                 "tenant {i} recomputed {pass}: {load}"
             );
         }
+        let reused = load.get("execution").and_then(|e| e.get("reused"));
+        assert_eq!(reused.and_then(Json::as_bool), Some(true), "tenant {i}");
     }
     assert_eq!(state.persist().unwrap().stats().reads, 1);
     assert_eq!(file_names(&dir), [SNAPSHOT_FILE, SNAPSHOT_LOG_FILE]);

@@ -107,7 +107,7 @@ proptest! {
 
         // Warm-start validation: the program did not change, so every
         // decoded entry matches its freshly computed expected input hash.
-        let expected = Parallelizer::expected_fact_hashes(&program, &config);
+        let expected = Parallelizer::expected_fact_hashes(&program, &config, &[]);
         for f in &decoded.facts {
             prop_assert_eq!(expected.get(&f.key).copied(), Some(f.hash));
         }
