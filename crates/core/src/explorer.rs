@@ -378,12 +378,19 @@ impl<'p> Explorer<'p> {
 ///
 /// No dependency edges: the verdicts [`dyndep_config`] reads are a function
 /// of the epoch hash, which the input hash folds.  A run that ends in an
-/// error is the demander's error and leaves no fact
-/// ([`FactStore::try_demand`]).
+/// error — [`MAX_EXECUTE_OPS`] spent is one — is the demander's error and
+/// leaves no fact ([`FactStore::try_demand`]).
 struct ExecutePass<'a, 'p> {
     analysis: &'a ProgramAnalysis<'p>,
     input: &'a [f64],
 }
+
+/// The op budget of the instrumented run.  MiniF programs terminate, but
+/// `do i = 1, 2000000000` is one line: without a bound, a program opened on
+/// a shared daemon holds a worker for as long as it likes.  2³² virtual ops
+/// is more than 300 times flo88 at `Scale::Bench`, the largest program the
+/// repository ships, and tens of seconds of interpretation.
+pub const MAX_EXECUTE_OPS: u64 = 1 << 32;
 
 impl Pass for ExecutePass<'_, '_> {
     type Output = Result<ExecutionFact, ExplorerError>;
@@ -401,6 +408,7 @@ impl Pass for ExecutePass<'_, '_> {
             let mut m =
                 Machine::new(program, &mut analyzers).map_err(|e| ExplorerError(e.to_string()))?;
             m.set_input(self.input.to_vec());
+            m.set_max_ops(MAX_EXECUTE_OPS);
             m.run().map_err(|e| ExplorerError(e.to_string()))?;
             m.ops()
         };

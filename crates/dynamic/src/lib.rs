@@ -1,5 +1,10 @@
 //! Execution substrate for the SUIF Explorer reproduction: a MiniF
-//! interpreter plus the two *Execution Analyzers* of §2.5:
+//! interpreter — [`code::Code::lower`] turns a program into one flat
+//! instruction array, once, and [`machine::Machine`] is explicit state over
+//! it (program counter, operand stack, loop-control stack, call-return
+//! stack) advanced by [`machine::Machine::step`], the only way an
+//! instruction runs (`docs/dynamic.md`, "The machine") — plus the two
+//! *Execution Analyzers* of §2.5:
 //!
 //! * the **Loop Profile Analyzer** (§2.5.1) — per-loop execution time
 //!   (virtual-op cost and wall clock), invocation counts, coverage and
@@ -29,15 +34,20 @@
 //! array arguments (including sub-array bases) and copy-in/copy-out scalars.
 //! Because MiniF has only bounded `do` loops and an acyclic call graph,
 //! every program terminates; what a run *costs* is not bounded by the
-//! program's size — `do i = 1, 2000000000` is one line — and the machine
-//! has no fuel limit, so a daemon that runs tenants' programs on `load`
-//! can be wedged by one (ROADMAP direction 2).
+//! program's size — `do i = 1, 2000000000` is one line — so the machine
+//! takes an op budget ([`machine::Machine::set_max_ops`], unlimited unless
+//! set), checked at loop back-edges and call entries: the Explorer's run on
+//! `load` sets one, and a program that spends it fails like any other
+//! runtime error instead of holding a daemon's worker.
 //!
-//! The [`machine::Machine`] exposes two extension points to the
+//! The [`machine::Machine`] exposes its extension points to the
 //! `suif-parallel` crate, which owns the one fork/join loop runtime: a
-//! borrowed *loop handler* that may take over a `do` loop, and
+//! borrowed *loop handler* that is offered every `do` loop as a
+//! [`code::DoLoop`] handle and may take it over,
+//! [`machine::Machine::eval_do_bounds`] and
+//! [`machine::Machine::run_iteration`] over that handle, and
 //! [`machine::Machine::fork_view`], which forks a worker machine over a
-//! shared view of this machine's memory.
+//! shared view of this machine's memory and the same lowered code.
 //!
 //! This crate also holds the two schedule-independent halves of the
 //! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a
@@ -59,6 +69,7 @@
 
 #![warn(missing_docs)]
 
+pub mod code;
 pub mod dyndep;
 pub mod layout;
 pub mod machine;
@@ -67,6 +78,7 @@ pub mod race;
 pub mod sched;
 pub mod value;
 
+pub use code::{Code, DoLoop};
 pub use dyndep::{DynDepAnalyzer, DynDepConfig, DynDepReport};
 pub use layout::Layout;
 pub use machine::{Hooks, Machine, MemStore, NoHooks, RuntimeError};

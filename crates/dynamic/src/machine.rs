@@ -1,17 +1,22 @@
 //! The MiniF interpreter.
 //!
-//! One [`Machine`] executes one thread of control.  The `suif-parallel`
-//! crate forks additional machines over a [`MemStore::View`] of the main
-//! machine's memory ([`Machine::fork_view`]) to execute compiler-parallelized
-//! loops — the safety contract for that sharing is documented on
-//! [`MemStore`], and every raw-pointer operation stays in this file.
+//! One [`Machine`] executes one thread of control over the program's
+//! lowered [`Code`]: a program counter, an operand stack, a loop-control
+//! stack and a call-return stack, advanced one instruction at a time by
+//! [`Machine::step`] — there is no other way an instruction runs.  The
+//! `suif-parallel` crate forks additional machines over a
+//! [`MemStore::View`] of the main machine's memory ([`Machine::fork_view`])
+//! to execute compiler-parallelized loops — the safety contract for that
+//! sharing is documented on [`MemStore`], and every raw-pointer operation
+//! stays in this file.
 
+use crate::code::{Code, Dim, DoLoop, Inst};
 use crate::layout::{Layout, LayoutError};
 use crate::value::Value;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use suif_ir::ast::{BinOp, Intrinsic, UnaryOp};
-use suif_ir::{Arg, Expr, Extent, ProcId, Program, Ref, Stmt, StmtId, Type, VarId};
+use suif_ir::{Extent, Program, StmtId, Type, VarId};
 
 /// A runtime failure.
 #[derive(Debug, Clone)]
@@ -183,10 +188,7 @@ impl MemStore {
     }
 }
 
-/// Subscript lists up to this rank are evaluated into a stack buffer.
-const INLINE_RANK: usize = 4;
-
-/// [`Machine::bindings`] entry of an array formal outside its activation.
+/// Base-table entry of an array formal outside its activation.
 const UNBOUND: usize = usize::MAX;
 
 /// A handler consulted before each `do` loop executes; used by the parallel
@@ -194,51 +196,91 @@ const UNBOUND: usize = usize::MAX;
 /// lets the machine run the loop sequentially.  The machine only borrows its
 /// handler, so the caller reads the handler's results after [`Machine::run`].
 pub trait LoopHandler: Send {
-    /// Offered the loop (always a [`Stmt::Do`]); may execute it entirely.
+    /// Offered the loop after its statement was counted and announced and
+    /// before its bounds are evaluated; may execute it entirely.
     fn on_loop(
         &mut self,
         machine: &mut Machine<'_>,
-        do_stmt: &Stmt,
+        lp: DoLoop,
     ) -> Option<Result<(), RuntimeError>>;
 }
 
-/// The interpreter.
+/// An active sequential `do` loop: the control values live here, not in the
+/// induction variable's cell, so the body cannot redirect the loop.
+#[derive(Clone, Copy)]
+struct LoopFrame {
+    i: i64,
+    hi: i64,
+    step: i64,
+}
+
+/// The interpreter: explicit state over a shared, immutable [`Code`].
+/// [`Machine::step`] is the one place an instruction executes.
 pub struct Machine<'a> {
     /// The program being executed.
     pub program: &'a Program,
-    layout: Arc<Layout>,
+    code: Arc<Code>,
     mem: MemStore,
-    /// Array-parameter bindings: formal → base address of its element 1,
-    /// indexed by [`VarId`].  MiniF rejects recursion, so a formal has at
-    /// most one live binding and no per-activation table is needed.
-    bindings: Vec<usize>,
-    /// Privatization overlay: redirects a variable's storage base.
-    pub overrides: HashMap<VarId, usize>,
+    /// Base address of every variable, indexed by [`VarId`]: the static
+    /// layout, with array formals patched at call entry (MiniF rejects
+    /// recursion, so a formal has at most one live binding) and privatized
+    /// variables redirected once, in [`Machine::fork_view`].
+    base: Vec<usize>,
     hooks: &'a mut dyn Hooks,
     handler: Option<&'a mut dyn LoopHandler>,
+    /// Index of the next instruction.
+    pc: usize,
+    /// Operand stack; empty between statements.
+    stack: Vec<Value>,
+    /// Loop-control stack, innermost last.
+    loops: Vec<LoopFrame>,
+    /// Call-return stack: where each active call continues.
+    calls: Vec<usize>,
     ops: u64,
+    max_ops: u64,
     /// Captured `print` output, one line per statement.
     pub output: Vec<String>,
     input: VecDeque<f64>,
 }
 
 impl<'a> Machine<'a> {
-    /// Build a machine with fresh memory.
+    /// Lower `program` and build a machine with fresh memory.
     pub fn new(program: &'a Program, hooks: &'a mut dyn Hooks) -> Result<Machine<'a>, LayoutError> {
-        let layout = Arc::new(Layout::build(program)?);
-        let mem = MemStore::Owned(layout.fresh_memory());
-        Ok(Machine {
+        Ok(Machine::with_code(
             program,
-            layout,
-            mem,
-            bindings: vec![UNBOUND; program.vars.len()],
-            overrides: HashMap::new(),
+            Arc::new(Code::lower(program)?),
+            hooks,
+        ))
+    }
+
+    /// Build a machine with fresh memory over `code`, which must be
+    /// [`Code::lower`] of this `program`: several runs of one program lower
+    /// it once.
+    pub fn with_code(
+        program: &'a Program,
+        code: Arc<Code>,
+        hooks: &'a mut dyn Hooks,
+    ) -> Machine<'a> {
+        let layout = &code.layout;
+        let base = (0..program.vars.len() as u32)
+            .map(|v| layout.base_of(VarId(v)).unwrap_or(UNBOUND))
+            .collect();
+        Machine {
+            program,
+            mem: MemStore::Owned(layout.fresh_memory()),
+            base,
+            pc: code.main as usize,
+            code,
             hooks,
             handler: None,
+            stack: Vec::new(),
+            loops: Vec::new(),
+            calls: Vec::new(),
             ops: 0,
+            max_ops: u64::MAX,
             output: Vec::new(),
             input: VecDeque::new(),
-        })
+        }
     }
 
     /// Supply `read` input values.
@@ -251,9 +293,22 @@ impl<'a> Machine<'a> {
         self.handler = Some(h);
     }
 
+    /// Bound the run: once more than `max_ops` virtual ops are counted, the
+    /// next loop back-edge or call entry fails.  Straight-line cost is
+    /// bounded by the program's size, so those two checks bound every run.
+    /// Unlimited unless set.
+    pub fn set_max_ops(&mut self, max_ops: u64) {
+        self.max_ops = max_ops;
+    }
+
+    /// The lowered program this machine executes.
+    pub fn code(&self) -> &Arc<Code> {
+        &self.code
+    }
+
     /// The storage layout.
-    pub fn layout(&self) -> &Arc<Layout> {
-        &self.layout
+    pub fn layout(&self) -> &Layout {
+        &self.code.layout
     }
 
     /// Virtual-operation counter (deterministic cost metric).
@@ -271,11 +326,11 @@ impl<'a> Machine<'a> {
     }
 
     /// Fork a worker machine over a shared view of this machine's memory.
-    /// The worker starts with the current array-parameter bindings, zero
-    /// ops, no input and no loop handler (nested parallel loops run
-    /// sequentially inside it); `private` is its thread-private tail and
-    /// `overrides` — offsets into that tail, rebased here past shared
-    /// memory — redirect privatized variables into it.
+    /// The worker shares this machine's code, starts with its current base
+    /// table and op budget, zero ops, no input and no loop handler (nested
+    /// parallel loops run sequentially inside it); `private` is its
+    /// thread-private tail and `overrides` — offsets into that tail, rebased
+    /// here past shared memory — redirect privatized variables into it.
     ///
     /// The returned machine aliases this one's memory: see the `View`
     /// contract on [`MemStore`] for what the caller owes.
@@ -294,15 +349,23 @@ impl<'a> Machine<'a> {
             // tails are not re-shared.
             MemStore::View { base, len, .. } => (*base, *len),
         };
+        let mut table = self.base.clone();
+        for (&v, &offset) in overrides {
+            table[v.0 as usize] = offset + len;
+        }
         Machine {
             program: self.program,
-            layout: Arc::clone(&self.layout),
+            code: Arc::clone(&self.code),
             mem: MemStore::View { base, len, private },
-            bindings: self.bindings.clone(),
-            overrides: overrides.iter().map(|(&v, &o)| (v, o + len)).collect(),
+            base: table,
             hooks,
             handler: None,
+            pc: self.code.main as usize,
+            stack: Vec::new(),
+            loops: Vec::new(),
+            calls: Vec::new(),
             ops: 0,
+            max_ops: self.max_ops,
             output: Vec::new(),
             input: VecDeque::new(),
         }
@@ -328,129 +391,36 @@ impl<'a> Machine<'a> {
 
     /// Run the whole program from `main`.
     pub fn run(&mut self) -> Result<(), RuntimeError> {
-        let body = &self.program.proc(self.program.main).body;
-        self.exec_body(body)
-    }
-
-    /// Execute a statement list in the current frame.
-    pub fn exec_body(&mut self, body: &[Stmt]) -> Result<(), RuntimeError> {
-        for s in body {
-            self.exec_stmt(s)?;
-        }
+        self.pc = self.code.main as usize;
+        self.stack.clear();
+        self.loops.clear();
+        self.calls.clear();
+        while self.step()? {}
         Ok(())
     }
 
-    fn exec_stmt(&mut self, s: &Stmt) -> Result<(), RuntimeError> {
-        self.ops += 1;
-        self.hooks.on_stmt(s.id(), s.line());
-        match s {
-            Stmt::Assign { lhs, rhs, line, .. } => {
-                let val = self.eval(rhs)?;
-                self.store_ref(lhs, val, *line)
-            }
-            Stmt::Read { lhs, line, .. } => {
-                let Some(raw) = self.input.pop_front() else {
-                    return rerr(*line, "read: input exhausted");
-                };
-                self.store_ref(lhs, Value::Real(raw), *line)
-            }
-            Stmt::Print { args, .. } => {
-                let mut parts = Vec::with_capacity(args.len());
-                for a in args {
-                    parts.push(self.eval(a)?.to_string());
-                }
-                self.output.push(parts.join(" "));
-                Ok(())
-            }
-            Stmt::If {
-                cond,
-                then_body,
-                else_body,
-                ..
-            } => {
-                if self.eval(cond)?.truthy() {
-                    self.exec_body(then_body)
-                } else {
-                    self.exec_body(else_body)
-                }
-            }
-            Stmt::Do { .. } => {
-                if let Some(h) = self.handler.take() {
-                    let intercepted = h.on_loop(self, s);
-                    self.handler = Some(h);
-                    if let Some(res) = intercepted {
-                        return res;
-                    }
-                }
-                self.exec_do_sequential(s)
-            }
-            Stmt::Call {
-                callee, args, line, ..
-            } => self.exec_call(*callee, args, *line),
+    /// Evaluate the `(lo, hi, step)` bounds of `lp` in the current frame
+    /// (used by the parallel runtime before forking), counting their ops and
+    /// firing their loads as a sequential entry of the loop would.
+    pub fn eval_do_bounds(&mut self, lp: &DoLoop) -> Result<(i64, i64, i64), RuntimeError> {
+        let resume = std::mem::replace(&mut self.pc, lp.head as usize);
+        while self.pc != lp.enter as usize {
+            self.step()?;
         }
+        self.pc = resume;
+        self.pop_bounds(lp)
     }
 
-    /// Execute a `do` loop sequentially (also used by the parallel runtime
-    /// for serial fallback by simply not intercepting).
-    pub fn exec_do_sequential(&mut self, s: &Stmt) -> Result<(), RuntimeError> {
-        let Stmt::Do {
-            id,
-            line,
-            var,
-            lo,
-            hi,
-            step,
-            body,
-            ..
-        } = s
-        else {
-            return rerr(0, "exec_do_sequential on a non-loop");
-        };
-        let lo = self.eval(lo)?.as_int();
-        let hi = self.eval(hi)?.as_int();
-        let step = match step {
-            Some(e) => self.eval(e)?.as_int(),
-            None => 1,
-        };
-        if step == 0 {
-            return rerr(*line, "do loop with zero step");
+    /// Run the body of `lp` once, in the current frame, for induction value
+    /// `i`: what a worker does for each iteration it owns.  No loop hook
+    /// fires and the loop's own control is not involved.
+    pub fn run_iteration(&mut self, lp: &DoLoop, i: i64) -> Result<(), RuntimeError> {
+        self.set_scalar_raw(lp.var, Value::Int(i), lp.line)?;
+        self.pc = lp.enter as usize + 1;
+        while self.pc != lp.next as usize {
+            self.step()?;
         }
-        let ops0 = self.ops;
-        self.hooks.loop_enter(*id, ops0);
-        let mut i = lo;
-        while (step > 0 && i <= hi) || (step < 0 && i >= hi) {
-            self.set_scalar_raw(*var, Value::Int(i), *line)?;
-            self.hooks.loop_iter(*id, i);
-            self.exec_body(body)?;
-            i += step;
-        }
-        // Fortran DO semantics: after the loop the control variable holds
-        // the first value that failed the test (`lo` for zero-trip loops).
-        self.set_scalar_raw(*var, Value::Int(i), *line)?;
-        let ops1 = self.ops;
-        self.hooks.loop_exit(*id, ops1);
         Ok(())
-    }
-
-    /// Evaluate the `(lo, hi, step)` bounds of a `do` statement in the
-    /// current frame (used by the parallel runtime before forking).
-    pub fn eval_do_bounds(&mut self, s: &Stmt) -> Result<(i64, i64, i64), RuntimeError> {
-        let Stmt::Do {
-            lo, hi, step, line, ..
-        } = s
-        else {
-            return rerr(0, "eval_do_bounds on a non-loop");
-        };
-        let lo = self.eval(lo)?.as_int();
-        let hi = self.eval(hi)?.as_int();
-        let step = match step {
-            Some(e) => self.eval(e)?.as_int(),
-            None => 1,
-        };
-        if step == 0 {
-            return rerr(*line, "do loop with zero step");
-        }
-        Ok((lo, hi, step))
     }
 
     /// Number of iterations for bounds `(lo, hi, step)` (Fortran trip count).
@@ -463,70 +433,255 @@ impl<'a> Machine<'a> {
         .max(0)
     }
 
-    fn exec_call(&mut self, callee: ProcId, args: &[Arg], line: u32) -> Result<(), RuntimeError> {
-        let cproc = self.program.proc(callee);
-        // Evaluate actuals in the caller frame, then populate the callee.
-        // (Array formals bind at once: the caller cannot name them.)
-        let mut scalar_inits: Vec<(VarId, Value)> = Vec::new();
-        // Copy-out actions performed at return: (formal, actual address).
-        let mut copy_out: Vec<(VarId, usize)> = Vec::new();
-        for (k, arg) in args.iter().enumerate() {
-            let formal = cproc.params[k];
-            match arg {
-                Arg::ArrayWhole(v) => {
-                    self.bindings[formal.0 as usize] = self.array_base(*v, line)?;
+    /// Execute one instruction; `Ok(false)` once `main` has returned.
+    #[inline(always)]
+    pub fn step(&mut self) -> Result<bool, RuntimeError> {
+        let inst = self.code.insts[self.pc];
+        self.pc += 1;
+        match inst {
+            Inst::Stmt { id, line, ops } => {
+                self.ops += u64::from(ops);
+                self.hooks.on_stmt(id, line);
+            }
+            Inst::Int(v) => self.stack.push(Value::Int(v)),
+            Inst::Real(v) => self.stack.push(Value::Real(v)),
+            Inst::LoadScalar(var) => {
+                let addr = self.base[var.0 as usize];
+                let val = self.mem_load(addr, 0)?;
+                self.hooks.load(var, addr);
+                self.stack.push(val);
+            }
+            Inst::LoadElem { var, dims, rank } => {
+                let addr = self.pop_element_addr(var, dims, rank, 0)?;
+                let val = self.mem_load(addr, 0)?;
+                self.hooks.load(var, addr);
+                self.stack.push(val);
+            }
+            Inst::Unary(op) => {
+                let v = self.pop();
+                self.stack.push(match op {
+                    UnaryOp::Neg => match v {
+                        Value::Int(x) => Value::Int(-x),
+                        Value::Real(x) => Value::Real(-x),
+                    },
+                    UnaryOp::Not => Value::Int(if v.truthy() { 0 } else { 1 }),
+                });
+            }
+            Inst::Binary(op) => {
+                let r = self.pop();
+                let l = self.pop();
+                self.stack.push(eval_binop(op, l, r)?);
+            }
+            Inst::BinaryInt(op, r) => {
+                let l = self.pop();
+                self.stack.push(eval_binop(op, l, Value::Int(r))?);
+            }
+            Inst::BinaryReal(op, r) => {
+                let l = self.pop();
+                self.stack.push(eval_binop(op, l, Value::Real(r))?);
+            }
+            Inst::AndThen { target, ops } => {
+                if self.pop().truthy() {
+                    self.ops += u64::from(ops);
+                } else {
+                    self.stack.push(Value::Int(0));
+                    self.pc = target as usize;
                 }
-                Arg::ArrayPart { var, base } => {
-                    self.bindings[formal.0 as usize] = self.element_addr_of(*var, base, line)?;
+            }
+            Inst::OrElse { target, ops } => {
+                if self.pop().truthy() {
+                    self.stack.push(Value::Int(1));
+                    self.pc = target as usize;
+                } else {
+                    self.ops += u64::from(ops);
                 }
-                Arg::ScalarVar(v) => {
-                    let addr = self.scalar_addr(*v, line)?;
-                    self.hooks.load(*v, addr);
-                    let val = self.mem_load(addr, line)?;
-                    scalar_inits.push((formal, val));
-                    // Copy-out only when the callee may modify the formal —
-                    // otherwise Fortran by-reference semantics are unchanged
-                    // and the write would fabricate output dependences.
-                    if cproc.modified_params[k] {
-                        copy_out.push((formal, addr));
+            }
+            Inst::Truthy => {
+                let v = self.pop();
+                self.stack.push(Value::Int(if v.truthy() { 1 } else { 0 }));
+            }
+            Inst::Intrinsic(which) => {
+                let b = if which.arity() == 2 {
+                    self.pop()
+                } else {
+                    Value::Int(0)
+                };
+                let a = self.pop();
+                self.stack.push(eval_intrinsic(which, a, b)?);
+            }
+            Inst::StoreScalar { var, line, ty } => {
+                let val = self.pop();
+                let addr = self.base[var.0 as usize];
+                self.mem_store(addr, convert(val, ty), line)?;
+                self.hooks.store(var, addr);
+            }
+            Inst::StoreElem {
+                var,
+                dims,
+                line,
+                rank,
+                ty,
+            } => {
+                let addr = self.pop_element_addr(var, dims, rank, line)?;
+                let val = self.pop();
+                self.mem_store(addr, convert(val, ty), line)?;
+                self.hooks.store(var, addr);
+            }
+            Inst::ReadInput { line } => match self.input.pop_front() {
+                Some(raw) => self.stack.push(Value::Real(raw)),
+                None => return rerr(line, "read: input exhausted"),
+            },
+            Inst::Print { n } => {
+                let at = self.stack.len() - n as usize;
+                let parts: Vec<String> = self.stack[at..].iter().map(Value::to_string).collect();
+                self.stack.truncate(at);
+                self.output.push(parts.join(" "));
+            }
+            Inst::Jump(target) => self.pc = target as usize,
+            Inst::JumpIfFalse(target) => {
+                if !self.pop().truthy() {
+                    self.pc = target as usize;
+                }
+            }
+            Inst::DoHead { lp, ops } => {
+                if let Some(h) = self.handler.take() {
+                    let lp = self.code.loops[lp as usize];
+                    let taken = h.on_loop(self, lp);
+                    self.handler = Some(h);
+                    if let Some(result) = taken {
+                        self.pc = lp.next as usize + 1;
+                        return result.map(|()| true);
                     }
                 }
-                Arg::Value(e) => {
-                    let val = self.eval(e)?;
-                    scalar_inits.push((formal, val));
+                self.ops += u64::from(ops);
+            }
+            Inst::DoEnter(lp) => {
+                let lp = self.code.loops[lp as usize];
+                let (lo, hi, step) = self.pop_bounds(&lp)?;
+                self.hooks.loop_enter(lp.stmt, self.ops);
+                self.loops.push(LoopFrame { i: lo, hi, step });
+                self.iterate(&lp)?;
+            }
+            Inst::DoNext(lp) => {
+                let lp = self.code.loops[lp as usize];
+                self.check_budget(lp.line)?;
+                let frame = self.loops.last_mut().expect("inside the loop");
+                frame.i += frame.step;
+                self.iterate(&lp)?;
+            }
+            Inst::WholeAddr { var, line } => {
+                let base = self.array_base(var, line)?;
+                self.stack.push(Value::Int(base as i64));
+            }
+            Inst::PartAddr {
+                var,
+                dims,
+                line,
+                rank,
+            } => {
+                let addr = self.pop_element_addr(var, dims, rank, line)?;
+                self.stack.push(Value::Int(addr as i64));
+            }
+            Inst::Bind(formal) => {
+                let addr = self.pop().as_int() as usize;
+                self.base[formal.0 as usize] = addr;
+            }
+            Inst::ArgScalar { var, line } => {
+                let addr = self.base[var.0 as usize];
+                self.hooks.load(var, addr);
+                let val = self.mem_load(addr, line)?;
+                self.stack.push(val);
+            }
+            Inst::Call { callee, line } => {
+                // The actuals were evaluated in the caller's frame; only now
+                // do the callee's scalar slots change.
+                let callee = callee.0 as usize;
+                let n = self.code.procs[callee].scalars.len();
+                let at = self.stack.len() - n;
+                for k in 0..n {
+                    let (formal, ty) = self.code.procs[callee].scalars[k];
+                    let val = convert(self.stack[at + k], ty);
+                    self.mem_store(self.base[formal.0 as usize], val, line)?;
                 }
+                self.stack.truncate(at);
+                self.check_budget(line)?;
+                self.calls.push(self.pc);
+                self.pc = self.code.procs[callee].entry as usize;
             }
-        }
-        for (formal, val) in scalar_inits {
-            self.set_scalar_raw(formal, val, line)?;
-        }
-        let result = self.exec_body(&cproc.body);
-        // Copy-out even on error paths would be wrong; only on success.
-        if result.is_ok() {
-            for (formal, actual_addr) in copy_out {
-                let faddr = self.scalar_addr(formal, line)?;
-                let val = self.mem_load(faddr, line)?;
-                // Find the actual's variable for the hook: we only know the
-                // address; hook with the formal id (the analyzer maps
-                // addresses, not names).
-                self.mem_store(actual_addr, val, line)?;
-                self.hooks.store(formal, actual_addr);
+            Inst::CopyOut {
+                formal,
+                actual,
+                line,
+            } => {
+                // The hook names the formal: the analyzers map addresses,
+                // not names.
+                let val = self.mem_load(self.base[formal.0 as usize], line)?;
+                let addr = self.base[actual.0 as usize];
+                self.mem_store(addr, val, line)?;
+                self.hooks.store(formal, addr);
             }
+            Inst::Return => match self.calls.pop() {
+                Some(resume) => self.pc = resume,
+                None => {
+                    // `main` returned: stay here, so a further step halts too.
+                    self.pc -= 1;
+                    return Ok(false);
+                }
+            },
         }
-        result
+        Ok(true)
+    }
+
+    #[inline(always)]
+    fn pop(&mut self) -> Value {
+        self.stack.pop().expect("lowered code balances the stack")
+    }
+
+    /// The evaluated bounds of `lp`, which its bound expressions left on
+    /// the stack.
+    fn pop_bounds(&mut self, lp: &DoLoop) -> Result<(i64, i64, i64), RuntimeError> {
+        let step = if lp.has_step { self.pop().as_int() } else { 1 };
+        let hi = self.pop().as_int();
+        let lo = self.pop().as_int();
+        if step == 0 {
+            return rerr(lp.line, "do loop with zero step");
+        }
+        Ok((lo, hi, step))
+    }
+
+    /// Begin the iteration the innermost loop frame stands at, or leave the
+    /// loop.  Either way the control variable gets the frame's value —
+    /// Fortran DO semantics: after the loop it holds the first value that
+    /// failed the test (`lo` for zero-trip loops).
+    #[inline(always)]
+    fn iterate(&mut self, lp: &DoLoop) -> Result<(), RuntimeError> {
+        let LoopFrame { i, hi, step } = *self.loops.last().expect("inside the loop");
+        // The resolver admits only `int` scalars as control variables.
+        self.mem_store(self.base[lp.var.0 as usize], Value::Int(i), lp.line)?;
+        if (step > 0 && i <= hi) || (step < 0 && i >= hi) {
+            self.hooks.loop_iter(lp.stmt, i);
+            self.pc = lp.enter as usize + 1;
+        } else {
+            self.loops.pop();
+            self.hooks.loop_exit(lp.stmt, self.ops);
+            self.pc = lp.next as usize + 1;
+        }
+        Ok(())
+    }
+
+    #[inline(always)]
+    fn check_budget(&self, line: u32) -> Result<(), RuntimeError> {
+        if self.ops > self.max_ops {
+            return rerr(line, format!("op budget of {} exhausted", self.max_ops));
+        }
+        Ok(())
     }
 
     // ----- addressing ------------------------------------------------
 
-    /// Static/overridden/bound base address of an array variable.
+    /// Base address of an array variable: static, bound or privatized.
     pub fn array_base(&self, v: VarId, line: u32) -> Result<usize, RuntimeError> {
-        if let Some(&b) = self.overrides.get(&v) {
-            return Ok(b);
-        }
-        if let Some(b) = self.layout.base_of(v) {
-            return Ok(b);
-        }
-        match self.bindings[v.0 as usize] {
+        match self.base[v.0 as usize] {
             UNBOUND => rerr(
                 line,
                 format!("array `{}` has no binding", self.program.var(v).name),
@@ -535,112 +690,111 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn scalar_addr(&self, v: VarId, line: u32) -> Result<usize, RuntimeError> {
-        if let Some(&b) = self.overrides.get(&v) {
-            return Ok(b);
-        }
-        match self.layout.base_of(v) {
-            Some(b) => Ok(b),
-            None => rerr(
-                line,
-                format!("scalar `{}` has no storage", self.program.var(v).name),
-            ),
-        }
+    /// Read a scalar's cell as an integer without firing hooks (adjustable
+    /// extents).
+    fn scalar_int(&self, v: VarId, line: u32) -> Result<i64, RuntimeError> {
+        Ok(self.mem_load(self.base[v.0 as usize], line)?.as_int())
     }
 
-    /// Evaluate one declared extent in the current frame.
-    fn extent_value(&self, e: &Extent, line: u32) -> Result<Option<i64>, RuntimeError> {
-        match e {
-            Extent::Const(c) => Ok(Some(*c)),
-            Extent::Star => Ok(None),
-            Extent::Var(v) => {
-                let addr = self.scalar_addr(*v, line)?;
-                Ok(Some(self.mem_load(addr, line)?.as_int()))
-            }
-        }
+    /// Pop `rank` subscripts and return the address of that element of
+    /// `var` (1-based, column-major), with bounds checks.
+    #[inline(always)]
+    fn pop_element_addr(
+        &mut self,
+        var: VarId,
+        dims: u32,
+        rank: u8,
+        line: u32,
+    ) -> Result<usize, RuntimeError> {
+        let at = self.stack.len() - rank as usize;
+        let dims = &self.code.dims[dims as usize..][..rank as usize];
+        let addr = self.element_addr(var, dims, &self.stack[at..], line)?;
+        self.stack.truncate(at);
+        Ok(addr)
     }
 
-    /// Address of `var[subs]` (1-based, column-major), with bounds checks.
-    pub fn element_addr(&self, var: VarId, subs: &[i64], line: u32) -> Result<usize, RuntimeError> {
-        let info = self.program.var(var);
+    /// The address of `var[subs]` under the shape `dims`.
+    #[inline(always)]
+    fn element_addr(
+        &self,
+        var: VarId,
+        dims: &[Dim],
+        subs: &[Value],
+        line: u32,
+    ) -> Result<usize, RuntimeError> {
         let base = self.array_base(var, line)?;
         let mut linear: i64 = 0;
         let mut mult: i64 = 1;
-        for (k, &i) in subs.iter().enumerate() {
-            let ext = self.extent_value(&info.dims[k], line)?;
-            if i < 1 {
-                return rerr(
-                    line,
-                    format!("subscript {} of `{}` is {i} (< 1)", k + 1, info.name),
-                );
-            }
-            if let Some(e) = ext {
-                if i > e {
-                    return rerr(
-                        line,
-                        format!(
-                            "subscript {} of `{}` is {i} (> extent {e})",
-                            k + 1,
-                            info.name
-                        ),
-                    );
-                }
-                linear += (i - 1) * mult;
-                mult *= e;
-            } else {
+        for (k, (dim, sub)) in dims.iter().zip(subs).enumerate() {
+            let i = sub.as_int();
+            let (extent, stride) = match *dim {
+                Dim::Folded { extent, stride } => (Some(extent), stride),
+                Dim::Const(e) => (Some(e), mult),
+                Dim::Adjustable(v) => (Some(self.scalar_int(v, line)?), mult),
                 // `*` extent: no upper bound; must be the last dimension.
-                linear += (i - 1) * mult;
+                Dim::Assumed => (None, mult),
+            };
+            if i < 1 {
+                return Err(self.subscript_error(var, k, i, None, line));
             }
+            if let Some(e) = extent {
+                if i > e {
+                    return Err(self.subscript_error(var, k, i, Some(e), line));
+                }
+                mult = mult.wrapping_mul(e);
+            }
+            linear += (i - 1) * stride;
         }
         let addr = base as i64 + linear;
         if addr < 0 || (addr as usize) >= self.mem.len() {
             return rerr(
                 line,
-                format!("access to `{}` out of memory bounds", info.name),
+                format!(
+                    "access to `{}` out of memory bounds",
+                    self.program.var(var).name
+                ),
             );
         }
         Ok(addr as usize)
     }
 
-    /// Address of `var[subs]` with the subscripts still to evaluate: all of
-    /// them first, left to right, then [`Machine::element_addr`]'s checks.
-    fn element_addr_of(
-        &mut self,
+    #[cold]
+    fn subscript_error(
+        &self,
         var: VarId,
-        subs: &[Expr],
+        k: usize,
+        i: i64,
+        extent: Option<i64>,
         line: u32,
-    ) -> Result<usize, RuntimeError> {
-        let mut inline = [0i64; INLINE_RANK];
-        let mut spilled;
-        let vals: &mut [i64] = match inline.get_mut(..subs.len()) {
-            Some(buf) => buf,
-            None => {
-                spilled = vec![0i64; subs.len()];
-                &mut spilled
-            }
-        };
-        for (val, e) in vals.iter_mut().zip(subs) {
-            *val = self.eval(e)?.as_int();
+    ) -> RuntimeError {
+        let name = &self.program.var(var).name;
+        RuntimeError {
+            message: match extent {
+                None => format!("subscript {} of `{name}` is {i} (< 1)", k + 1),
+                Some(e) => format!("subscript {} of `{name}` is {i} (> extent {e})", k + 1),
+            },
+            line,
         }
-        self.element_addr(var, vals, line)
     }
 
     /// Number of elements of an array in the current frame, if computable
     /// (adjustable extents are evaluated; `*` extents yield `None`).
     pub fn array_elem_count(&self, var: VarId, line: u32) -> Result<Option<i64>, RuntimeError> {
-        let info = self.program.var(var);
         let mut n = 1i64;
-        for d in &info.dims {
-            match self.extent_value(d, line)? {
-                Some(e) => n = n.saturating_mul(e.max(0)),
-                None => return Ok(None),
-            }
+        for d in &self.program.var(var).dims {
+            let e = match d {
+                Extent::Const(c) => *c,
+                Extent::Var(v) => self.scalar_int(*v, line)?,
+                Extent::Star => return Ok(None),
+            };
+            n = n.saturating_mul(e.max(0));
         }
         Ok(Some(n))
     }
 
     // ----- loads/stores ----------------------------------------------
 
+    #[inline(always)]
     fn mem_load(&self, addr: usize, line: u32) -> Result<Value, RuntimeError> {
         match self.mem.load(addr) {
             Some(v) => Ok(v),
@@ -648,6 +802,7 @@ impl<'a> Machine<'a> {
         }
     }
 
+    #[inline(always)]
     fn mem_store(&mut self, addr: usize, val: Value, line: u32) -> Result<(), RuntimeError> {
         if self.mem.store(addr, val) {
             Ok(())
@@ -660,101 +815,11 @@ impl<'a> Machine<'a> {
     /// induction variables, parameter slots, privatization setup).
     pub fn set_scalar_raw(&mut self, v: VarId, val: Value, line: u32) -> Result<(), RuntimeError> {
         let ty = self.program.var(v).ty;
-        let addr = self.scalar_addr(v, line)?;
-        self.mem_store(addr, convert(val, ty), line)
-    }
-
-    /// Read a scalar without firing hooks.
-    pub fn get_scalar_raw(&self, v: VarId, line: u32) -> Result<Value, RuntimeError> {
-        let addr = self.scalar_addr(v, line)?;
-        self.mem_load(addr, line)
-    }
-
-    fn store_ref(&mut self, r: &Ref, val: Value, line: u32) -> Result<(), RuntimeError> {
-        match r {
-            Ref::Scalar(v) => {
-                let ty = self.program.var(*v).ty;
-                let addr = self.scalar_addr(*v, line)?;
-                self.mem_store(addr, convert(val, ty), line)?;
-                self.hooks.store(*v, addr);
-                Ok(())
-            }
-            Ref::Element(v, subs) => {
-                let ty = self.program.var(*v).ty;
-                let addr = self.element_addr_of(*v, subs, line)?;
-                self.mem_store(addr, convert(val, ty), line)?;
-                self.hooks.store(*v, addr);
-                Ok(())
-            }
-        }
-    }
-
-    // ----- expression evaluation ---------------------------------------
-
-    /// Evaluate an expression in the current frame.
-    pub fn eval(&mut self, e: &Expr) -> Result<Value, RuntimeError> {
-        self.ops += 1;
-        match e {
-            Expr::Int(v) => Ok(Value::Int(*v)),
-            Expr::Real(v) => Ok(Value::Real(*v)),
-            Expr::Scalar(v) => {
-                let addr = self.scalar_addr(*v, 0)?;
-                let val = self.mem_load(addr, 0)?;
-                self.hooks.load(*v, addr);
-                Ok(val)
-            }
-            Expr::Element(v, subs) => {
-                let addr = self.element_addr_of(*v, subs, 0)?;
-                let val = self.mem_load(addr, 0)?;
-                self.hooks.load(*v, addr);
-                Ok(val)
-            }
-            Expr::Unary(op, a) => {
-                let v = self.eval(a)?;
-                Ok(match op {
-                    UnaryOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
-                        Value::Real(x) => Value::Real(-x),
-                    },
-                    UnaryOp::Not => Value::Int(if v.truthy() { 0 } else { 1 }),
-                })
-            }
-            Expr::Binary(op, a, b) => {
-                // Short-circuit logicals.
-                match op {
-                    BinOp::And => {
-                        let l = self.eval(a)?;
-                        if !l.truthy() {
-                            return Ok(Value::Int(0));
-                        }
-                        let r = self.eval(b)?;
-                        return Ok(Value::Int(if r.truthy() { 1 } else { 0 }));
-                    }
-                    BinOp::Or => {
-                        let l = self.eval(a)?;
-                        if l.truthy() {
-                            return Ok(Value::Int(1));
-                        }
-                        let r = self.eval(b)?;
-                        return Ok(Value::Int(if r.truthy() { 1 } else { 0 }));
-                    }
-                    _ => {}
-                }
-                let l = self.eval(a)?;
-                let r = self.eval(b)?;
-                eval_binop(*op, l, r)
-            }
-            Expr::Intrinsic(which, args) => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    vals.push(self.eval(a)?);
-                }
-                eval_intrinsic(*which, &vals)
-            }
-        }
+        self.mem_store(self.base[v.0 as usize], convert(val, ty), line)
     }
 }
 
+#[inline(always)]
 fn convert(v: Value, ty: Type) -> Value {
     match ty {
         Type::Int => Value::Int(v.as_int()),
@@ -762,6 +827,7 @@ fn convert(v: Value, ty: Type) -> Value {
     }
 }
 
+#[inline(always)]
 fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
     use BinOp::*;
     let both_int = l.is_int() && r.is_int();
@@ -829,11 +895,12 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
     })
 }
 
-fn eval_intrinsic(which: Intrinsic, vals: &[Value]) -> Result<Value, RuntimeError> {
+/// Apply an intrinsic to its argument `a` (and `b`, for the binary ones).
+#[inline(always)]
+fn eval_intrinsic(which: Intrinsic, a: Value, b: Value) -> Result<Value, RuntimeError> {
     use Intrinsic::*;
     Ok(match which {
         Min | Max => {
-            let (a, b) = (vals[0], vals[1]);
             if a.is_int() && b.is_int() {
                 let (x, y) = (a.as_int(), b.as_int());
                 Value::Int(if which == Min { x.min(y) } else { x.max(y) })
@@ -842,13 +909,12 @@ fn eval_intrinsic(which: Intrinsic, vals: &[Value]) -> Result<Value, RuntimeErro
                 Value::Real(if which == Min { x.min(y) } else { x.max(y) })
             }
         }
-        Abs => match vals[0] {
+        Abs => match a {
             Value::Int(v) => Value::Int(v.abs()),
             Value::Real(v) => Value::Real(v.abs()),
         },
-        Sqrt => Value::Real(vals[0].as_real().sqrt()),
+        Sqrt => Value::Real(a.as_real().sqrt()),
         Mod => {
-            let (a, b) = (vals[0], vals[1]);
             if a.is_int() && b.is_int() {
                 if b.as_int() == 0 {
                     return rerr(0, "mod by zero");
@@ -858,19 +924,48 @@ fn eval_intrinsic(which: Intrinsic, vals: &[Value]) -> Result<Value, RuntimeErro
                 Value::Real(a.as_real() % b.as_real())
             }
         }
-        Sin => Value::Real(vals[0].as_real().sin()),
-        Cos => Value::Real(vals[0].as_real().cos()),
-        Exp => Value::Real(vals[0].as_real().exp()),
-        Log => Value::Real(vals[0].as_real().ln()),
-        Ifix => Value::Int(vals[0].as_int()),
-        Float => Value::Real(vals[0].as_real()),
+        Sin => Value::Real(a.as_real().sin()),
+        Cos => Value::Real(a.as_real().cos()),
+        Exp => Value::Real(a.as_real().exp()),
+        Log => Value::Real(a.as_real().ln()),
+        Ifix => Value::Int(a.as_int()),
+        Float => Value::Real(a.as_real()),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
     use suif_ir::parse_program;
+
+    /// Logs every callback with its arguments, in order, under a tag.
+    struct Tagged(&'static str, Arc<Mutex<Vec<String>>>);
+    impl Tagged {
+        fn log(&self, what: String) {
+            self.1.lock().unwrap().push(format!("{}:{what}", self.0));
+        }
+    }
+    impl Hooks for Tagged {
+        fn on_stmt(&mut self, id: StmtId, line: u32) {
+            self.log(format!("stmt {} {line}", id.0));
+        }
+        fn loop_enter(&mut self, stmt: StmtId, ops: u64) {
+            self.log(format!("enter {} {ops}", stmt.0));
+        }
+        fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
+            self.log(format!("iter {} {iter}", stmt.0));
+        }
+        fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
+            self.log(format!("exit {} {ops}", stmt.0));
+        }
+        fn load(&mut self, var: VarId, addr: usize) {
+            self.log(format!("load {} {addr}", var.0));
+        }
+        fn store(&mut self, var: VarId, addr: usize) {
+            self.log(format!("store {} {addr}", var.0));
+        }
+    }
 
     fn run_src(src: &str) -> (Vec<String>, u64) {
         let p = parse_program(src).unwrap();
@@ -1000,33 +1095,6 @@ mod tests {
 
     #[test]
     fn paired_hooks_call_first_then_second() {
-        use std::sync::{Arc, Mutex};
-        struct Tagged(&'static str, Arc<Mutex<Vec<String>>>);
-        impl Tagged {
-            fn log(&self, what: String) {
-                self.1.lock().unwrap().push(format!("{}:{what}", self.0));
-            }
-        }
-        impl Hooks for Tagged {
-            fn on_stmt(&mut self, id: StmtId, line: u32) {
-                self.log(format!("stmt {} {line}", id.0));
-            }
-            fn loop_enter(&mut self, stmt: StmtId, ops: u64) {
-                self.log(format!("enter {} {ops}", stmt.0));
-            }
-            fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
-                self.log(format!("iter {} {iter}", stmt.0));
-            }
-            fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
-                self.log(format!("exit {} {ops}", stmt.0));
-            }
-            fn load(&mut self, var: VarId, addr: usize) {
-                self.log(format!("load {} {addr}", var.0));
-            }
-            fn store(&mut self, var: VarId, addr: usize) {
-                self.log(format!("store {} {addr}", var.0));
-            }
-        }
         let p = parse_program(
             "program t\nproc main() {\n int i, s\n s = 0\n do i = 1, 2 {\n s = s + i\n }\n}",
         )
@@ -1047,6 +1115,71 @@ mod tests {
             let tag = format!("a:{callback} ");
             assert!(log.iter().any(|e| e.starts_with(&tag)), "no {callback}");
         }
+    }
+
+    #[test]
+    fn op_budget_stops_a_runaway_loop_at_its_back_edge() {
+        let p = parse_program(
+            "program t\nproc main() {\n int i, s\n s = 0\n do i = 1, 2000000000 {\n s = s + i\n s = s - 1\n }\n print s\n}",
+        )
+        .unwrap();
+        let mut hooks = NoHooks;
+        let mut m = Machine::new(&p, &mut hooks).unwrap();
+        m.set_max_ops(10_000);
+        let e = m.run().unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (5, "op budget of 10000 exhausted")
+        );
+        // One iteration is 2 statements of 4 ops: the check at the back-edge
+        // lets the counter pass the budget by less than that.
+        assert!(m.ops() > 10_000 && m.ops() <= 10_000 + 8, "{}", m.ops());
+        assert!(m.output.is_empty());
+    }
+
+    #[test]
+    fn op_budget_stops_a_runaway_call_chain_at_a_call_entry() {
+        // No back-edge is reached before the budget is spent: `work` runs
+        // straight-line code, and the unrolled calls are what repeats.
+        let calls = "  call work(s)\n".repeat(64);
+        let src = format!(
+            "program t\nproc work(int s) {{\n s = s + 1\n s = s + 1\n}}\nproc main() {{\n int s\n s = 0\n{calls} print s\n}}"
+        );
+        let p = parse_program(&src).unwrap();
+        let mut hooks = NoHooks;
+        let mut m = Machine::new(&p, &mut hooks).unwrap();
+        m.set_max_ops(100);
+        let e = m.run().unwrap_err();
+        assert_eq!(e.message, "op budget of 100 exhausted");
+        assert!((9..9 + 64).contains(&e.line), "line {}", e.line);
+        assert!(m.ops() <= 100 + 9, "{}", m.ops());
+    }
+
+    #[test]
+    fn a_sufficient_op_budget_changes_nothing() {
+        let src = "program t\nproc f(real q[*], int n) {\n int j\n do j = 1, n {\n q[j] = q[j] + j\n }\n}\nproc main() {\n real b[6]\n int i\n do i = 1, 3 {\n call f(b[i], 4)\n }\n print b[3], b[6]\n}";
+        let p = parse_program(src).unwrap();
+        let run = |budget: Option<u64>| {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let mut events = Tagged("", log.clone());
+            let mut m = Machine::new(&p, &mut events).unwrap();
+            if let Some(b) = budget {
+                m.set_max_ops(b);
+            }
+            let result = m.run().map_err(|e| e.to_string());
+            let events = log.lock().unwrap().clone();
+            (result, m.ops(), m.output.clone(), events)
+        };
+        let unlimited = run(None);
+        assert_eq!(unlimited.0, Ok(()));
+        let ops = unlimited.1;
+        assert_eq!(
+            run(Some(ops)),
+            unlimited,
+            "a budget of exactly the run's ops"
+        );
+        assert_eq!(run(Some(u64::MAX - 1)), unlimited);
+        assert!(run(Some(ops / 2)).0.is_err());
     }
 
     #[test]

@@ -23,13 +23,13 @@
 use crate::executor::{Finalization, Schedule};
 use crate::forkjoin::{finalize, fork_join, LoopLayout, LoopRun, Observer, SegRole};
 use crate::plan::PlanEntry;
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 use suif_dynamic::machine::{Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
 use suif_dynamic::race::{AccessKind, Race, RaceDetector};
 use suif_dynamic::sched::AdversarialScheduler;
-use suif_dynamic::Value;
-use suif_ir::{Program, Stmt, StmtId, VarId};
+use suif_dynamic::{Code, DoLoop, Value};
+use suif_ir::{Program, StmtId, VarId};
 
 /// Accumulated result of all certified invocations of the target loop.
 #[derive(Clone, Debug, Default)]
@@ -243,11 +243,11 @@ struct CertifyHandler<'p> {
 }
 
 impl LoopHandler for CertifyHandler<'_> {
-    fn on_loop(&mut self, m: &mut Machine<'_>, do_stmt: &Stmt) -> Option<Result<(), RuntimeError>> {
-        if do_stmt.id() != self.target {
+    fn on_loop(&mut self, m: &mut Machine<'_>, lp: DoLoop) -> Option<Result<(), RuntimeError>> {
+        if lp.stmt != self.target {
             return None;
         }
-        let run = match LoopRun::evaluate(m, do_stmt) {
+        let run = match LoopRun::evaluate(m, lp) {
             Ok(r) => r,
             Err(e) => return Some(Err(e)),
         };
@@ -255,7 +255,7 @@ impl LoopHandler for CertifyHandler<'_> {
             // Zero-trip: nothing to certify; run sequentially.
             return None;
         }
-        let Ok(layout) = LoopLayout::build(m, self.plan, run.line) else {
+        let Ok(layout) = LoopLayout::build(m, self.plan, lp.line) else {
             self.outcome.unplannable += 1;
             return None;
         };
@@ -420,12 +420,15 @@ fn capture_machine(mut m: Machine<'_>, error: Option<RuntimeError>) -> Execution
 /// the loop with the privatization described by `plan` (pass the production
 /// plan to certify the transformed loop, or
 /// [`crate::plan::minimal_plan`]'s result to probe the untransformed one).
+/// The program is lowered once; every schedule's machine and its workers
+/// share that code.
 pub fn certify_loop(
     program: &Program,
     target: StmtId,
     plan: &PlanEntry,
     opts: &CertifyOptions,
 ) -> LoopCertification {
+    let code = Code::lower(program).map(Arc::new);
     let mut schedules = Vec::with_capacity(opts.schedules as usize);
     for s in 0..opts.schedules {
         let seed = opts.seed.wrapping_add(s as u64);
@@ -438,8 +441,8 @@ pub fn certify_loop(
             plan,
             outcome: CertOutcome::default(),
         };
-        let mut m = match Machine::new(program, &mut hooks) {
-            Ok(m) => m,
+        let mut m = match &code {
+            Ok(code) => Machine::with_code(program, Arc::clone(code), &mut hooks),
             Err(e) => {
                 schedules.push(ScheduleReport {
                     seed,

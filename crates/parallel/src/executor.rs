@@ -8,7 +8,8 @@ use crate::plan::ParallelPlans;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use suif_dynamic::machine::{LoopHandler, Machine, NoHooks, RuntimeError};
-use suif_ir::{Stmt, StmtId};
+use suif_dynamic::DoLoop;
+use suif_ir::StmtId;
 
 /// Reduction finalization strategy (§6.3.4).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -169,10 +170,10 @@ impl Observer for InWorkerMerge<'_> {
 }
 
 impl LoopHandler for ParallelExecutor {
-    fn on_loop(&mut self, m: &mut Machine<'_>, do_stmt: &Stmt) -> Option<Result<(), RuntimeError>> {
-        let id = do_stmt.id();
+    fn on_loop(&mut self, m: &mut Machine<'_>, lp: DoLoop) -> Option<Result<(), RuntimeError>> {
+        let id = lp.stmt;
         let plan = self.plans.loops.get(&id)?;
-        let run = match LoopRun::evaluate(m, do_stmt) {
+        let run = match LoopRun::evaluate(m, lp) {
             Ok(r) => r,
             Err(e) => return Some(Err(e)),
         };
@@ -191,7 +192,7 @@ impl LoopHandler for ParallelExecutor {
             *self.stats.serial_fallbacks.entry(id).or_insert(0) += 1;
             return None;
         }
-        let Ok(layout) = LoopLayout::build(m, plan, run.line) else {
+        let Ok(layout) = LoopLayout::build(m, plan, lp.line) else {
             *self.stats.unplannable.entry(id).or_insert(0) += 1;
             return None;
         };

@@ -19,37 +19,25 @@ use crate::plan::PlanEntry;
 use std::collections::HashMap;
 use suif_analysis::RedOp;
 use suif_dynamic::machine::{Hooks, Machine, RuntimeError};
-use suif_dynamic::Value;
-use suif_ir::{Stmt, VarId, VarKind};
+use suif_dynamic::{DoLoop, Value};
+use suif_ir::{VarId, VarKind};
 
 /// One invocation of a `do` loop with its bounds evaluated.
-pub(crate) struct LoopRun<'s> {
-    pub(crate) var: VarId,
-    pub(crate) body: &'s [Stmt],
-    pub(crate) line: u32,
+pub(crate) struct LoopRun {
+    /// The loop in the machine's lowered code: workers run its body range.
+    pub(crate) lp: DoLoop,
     pub(crate) lo: i64,
     pub(crate) step: i64,
     /// Trip count.
     pub(crate) n: i64,
 }
 
-impl<'s> LoopRun<'s> {
+impl LoopRun {
     /// Evaluate the loop's bounds once, in the machine's current frame.
-    pub(crate) fn evaluate(
-        m: &mut Machine<'_>,
-        do_stmt: &'s Stmt,
-    ) -> Result<LoopRun<'s>, RuntimeError> {
-        let (lo, hi, step) = m.eval_do_bounds(do_stmt)?;
-        let Stmt::Do {
-            var, body, line, ..
-        } = do_stmt
-        else {
-            unreachable!("eval_do_bounds rejects non-loops");
-        };
+    pub(crate) fn evaluate(m: &mut Machine<'_>, lp: DoLoop) -> Result<LoopRun, RuntimeError> {
+        let (lo, hi, step) = m.eval_do_bounds(&lp)?;
         Ok(LoopRun {
-            var: *var,
-            body,
-            line: *line,
+            lp,
             lo,
             step,
             n: Machine::trip_count(lo, hi, step),
@@ -280,7 +268,7 @@ pub(crate) struct WorkerResult {
 /// worker becomes a [`RuntimeError`] here.
 pub(crate) fn fork_join<O: Observer>(
     m: &mut Machine<'_>,
-    run: &LoopRun<'_>,
+    run: &LoopRun,
     layout: &LoopLayout,
     workers: usize,
     schedule: Schedule,
@@ -298,9 +286,7 @@ pub(crate) fn fork_join<O: Observer>(
                     let mut result = Ok(());
                     for k in schedule.iterations(t, workers, run.n) {
                         observer.begin_iter(t, k);
-                        result = view
-                            .set_scalar_raw(run.var, Value::Int(run.lo + k * run.step), run.line)
-                            .and_then(|()| view.exec_body(run.body));
+                        result = view.run_iteration(&run.lp, run.lo + k * run.step);
                         if result.is_err() {
                             break;
                         }
@@ -323,7 +309,7 @@ pub(crate) fn fork_join<O: Observer>(
                 r.unwrap_or_else(|_| {
                     Err(RuntimeError {
                         message: "worker thread panicked".into(),
-                        line: run.line,
+                        line: run.lp.line,
                     })
                 })
             })
@@ -344,7 +330,7 @@ pub(crate) fn merge_cell(m: &mut Machine<'_>, op: RedOp, addr: usize, mine: Valu
 /// the Fortran post-loop induction value.
 pub(crate) fn finalize(
     m: &mut Machine<'_>,
-    run: &LoopRun<'_>,
+    run: &LoopRun,
     layout: &LoopLayout,
     schedule: Schedule,
     finalization: Finalization,
@@ -373,5 +359,6 @@ pub(crate) fn finalize(
     for r in results {
         m.output.extend(r.output);
     }
-    m.set_scalar_raw(run.var, Value::Int(run.lo + run.n * run.step), run.line)
+    let after = Value::Int(run.lo + run.n * run.step);
+    m.set_scalar_raw(run.lp.var, after, run.lp.line)
 }

@@ -299,12 +299,16 @@ impl Session {
         let program = Arc::new(suif_ir::parse_program(source).map_err(|e| e.to_string())?);
         // SAFETY: as in `open_cfg`.
         let pref: &'static Program = unsafe { &*(&*program as *const Program) };
-        let (explorer, stats, delta) =
-            build_explorer(pref, &self.opts, &self.cache, self.store.clone())?;
         // A reload rebuilds under the default (assertion-free) config, so
-        // the store's facts are assertion-independent again and may publish
-        // to the shared tier.
+        // what the build computes is assertion-independent and must reach
+        // the shared tier: the taint goes before the build.  A failed build
+        // leaves the old explorer, and its assertions, in place.
+        let tainted = !self.explorer.analysis.config.assertions.is_empty();
         self.store.set_assert_local(false);
+        let built = build_explorer(pref, &self.opts, &self.cache, self.store.clone());
+        let (explorer, stats, delta) = built.inspect_err(|_| {
+            self.store.set_assert_local(tainted);
+        })?;
         // Install the new pair; the old explorer (borrowing the old program)
         // is dropped here, before the old program.  A speculation thread
         // still holding the old `Arc` keeps the old program alive until it

@@ -220,6 +220,95 @@ fn assertions_stay_session_private() {
     );
 }
 
+/// What a `reload` computes is assertion-free whatever the session asserted
+/// before it, so all of it — the classifications and the instrumented run
+/// too — reaches the tier: the next tenant to load the edited text
+/// classifies nothing and interprets nothing.
+#[test]
+fn reload_after_assert_publishes_the_rebuilt_facts() {
+    let state = ServiceState::new(ServiceOptions {
+        threads: 1,
+        ..ServiceOptions::default()
+    });
+    let mut a = Daemon::for_state(state.clone());
+    let ra = req(&mut a, &load_line(MDG_LIKE));
+    assert_eq!(ra.get("ok").and_then(Json::as_bool), Some(true), "{ra}");
+    let r = req(
+        &mut a,
+        r#"{"cmd":"assert","loop":"main/1000","var":"rl","kind":"private"}"#,
+    );
+    assert_eq!(loop_parallel(&r, "main/1000"), Some(true), "{r}");
+
+    let edited = MDG_LIKE.replace("cut2 = 30.0", "cut2 = 31.5");
+    assert_ne!(edited, MDG_LIKE);
+    let reload = format!(r#"{{"cmd":"reload","text":"{}"}}"#, escape(&edited));
+    let rr = req(&mut a, &reload);
+    assert_eq!(rr.get("ok").and_then(Json::as_bool), Some(true), "{rr}");
+    let ran = rr.get("passes").unwrap().get("execute").unwrap();
+    assert_eq!(ran.get("invocations").and_then(Json::as_i64), Some(1));
+    // The reload dropped the assertion with the old program.
+    let va = req(&mut a, r#"{"cmd":"analyze"}"#);
+    assert_eq!(loop_parallel(&va, "main/1000"), Some(false), "{va}");
+
+    let mut b = Daemon::for_state(state.clone());
+    let rb = req(&mut b, &load_line(&edited));
+    assert_eq!(rb.get("ok").and_then(Json::as_bool), Some(true), "{rb}");
+    let passes = rb.get("passes").unwrap();
+    for pass in ["execute", "classify", "summarize", "liveness"] {
+        let invocations = passes.get(pass).and_then(|p| p.get("invocations"));
+        assert_eq!(
+            invocations.and_then(Json::as_i64).unwrap_or(0),
+            0,
+            "{pass} ran again in the second session: {rb}"
+        );
+    }
+    let execution = rb.get("execution").unwrap();
+    assert_eq!(
+        execution.get("reused").and_then(Json::as_bool),
+        Some(true),
+        "the second session interpreted the program again: {rb}"
+    );
+    assert_eq!(
+        rb.get("facts")
+            .unwrap()
+            .get("computed")
+            .and_then(Json::as_i64),
+        Some(0),
+        "{rb}"
+    );
+
+    // A reload whose build fails — here the edited program runs out of
+    // bounds — keeps the session, its assertion and its taint: what the
+    // session classifies next under assertions stays out of the tier.
+    let r = req(
+        &mut b,
+        r#"{"cmd":"assert","loop":"main/1000","var":"rl","kind":"private"}"#,
+    );
+    assert_eq!(loop_parallel(&r, "main/1000"), Some(true), "{r}");
+    let broken = edited.replace("real rs[9]", "real rs[8]");
+    let reload = format!(r#"{{"cmd":"reload","text":"{}"}}"#, escape(&broken));
+    let bad = req(&mut b, &reload);
+    assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false), "{bad}");
+    assert!(format!("{bad}").contains("runtime error"), "{bad}");
+    let vb = req(&mut b, r#"{"cmd":"analyze"}"#);
+    assert_eq!(loop_parallel(&vb, "main/1000"), Some(true), "{vb}");
+    let inserts = |d: &mut Daemon| {
+        let st = req(d, r#"{"cmd":"stats"}"#);
+        let tier = st.get("tier").expect("a shared tier");
+        tier.get("inserts").and_then(Json::as_i64).unwrap()
+    };
+    let before = inserts(&mut b);
+    let r = req(
+        &mut b,
+        r#"{"cmd":"assert","loop":"main/1000","var":"rs","kind":"private"}"#,
+    );
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+    let st = req(&mut b, r#"{"cmd":"stats"}"#);
+    let computed = st.get("facts").unwrap().get("computed");
+    assert!(computed.and_then(Json::as_i64).unwrap() > 0, "{st}");
+    assert_eq!(inserts(&mut b), before, "asserted facts reached the tier");
+}
+
 /// One line-delimited JSON client over a real socket.
 struct Client {
     reader: BufReader<TcpStream>,

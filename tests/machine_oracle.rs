@@ -1,0 +1,405 @@
+//! Differential test of the stepping machine against the walker it replaced.
+//!
+//! `suif_dynamic::Machine` lowers a program once to a flat instruction array
+//! and runs it with `step`.  The recursive AST walker it was before lives on
+//! in `tests/walker/`, and both run every program here under a recording
+//! [`Hooks`] that folds each callback's name and arguments, in order, into
+//! one hash.  They must agree on the printed output, on `ops()` after a
+//! successful run, on the final memory image, on the `RuntimeError` of a
+//! failing run, and on the hook event stream — which carries the `ops`
+//! values `loop_enter` / `loop_exit` see, so a misplaced op shows even when
+//! the total is right.
+//!
+//! Each program also runs with a loop handler that evaluates every loop's
+//! bounds and then declines it: the path a serial fallback of the parallel
+//! runtime takes, where the bounds are evaluated (and counted) twice.
+
+mod walker;
+
+use std::collections::HashMap;
+use std::sync::Arc;
+use suif_benchmarks::{apps, ch4_apps, ch6_apps, Scale};
+use suif_dynamic::machine::{Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
+use suif_dynamic::{DoLoop, Value};
+use suif_ir::{Program, Stmt, StmtId, VarId};
+
+/// Folds the event stream into one hash (FNV-1a over 64-bit words).
+#[derive(Default)]
+struct Recorder {
+    hash: u64,
+    events: u64,
+}
+
+impl Recorder {
+    fn fold(&mut self, callback: u64, a: u64, b: u64) {
+        for word in [callback, a, b] {
+            self.hash = (self.hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.events += 1;
+    }
+}
+
+impl Hooks for Recorder {
+    fn on_stmt(&mut self, id: StmtId, line: u32) {
+        self.fold(1, id.0.into(), line.into());
+    }
+    fn loop_enter(&mut self, stmt: StmtId, ops: u64) {
+        self.fold(2, stmt.0.into(), ops);
+    }
+    fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
+        self.fold(3, stmt.0.into(), iter as u64);
+    }
+    fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
+        self.fold(4, stmt.0.into(), ops);
+    }
+    fn load(&mut self, var: VarId, addr: usize) {
+        self.fold(5, var.0.into(), addr as u64);
+    }
+    fn store(&mut self, var: VarId, addr: usize) {
+        self.fold(6, var.0.into(), addr as u64);
+    }
+}
+
+/// Everything a run shows.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    /// `ops()` of a successful run, or the error's `(line, message)`.
+    result: Result<u64, (u32, String)>,
+    output: Vec<String>,
+    /// The memory image, bit for bit (`NaN` compares equal to itself).
+    memory: Vec<(bool, u64)>,
+    events: u64,
+    stream: u64,
+}
+
+fn outcome(
+    result: Result<(), RuntimeError>,
+    ops: u64,
+    output: Vec<String>,
+    memory: impl Iterator<Item = Option<Value>>,
+    recorder: Recorder,
+) -> Outcome {
+    Outcome {
+        result: result.map(|()| ops).map_err(|e| (e.line, e.message)),
+        output,
+        memory: memory
+            .map(|v| match v.expect("inside memory") {
+                Value::Int(i) => (true, i as u64),
+                Value::Real(r) => (false, r.to_bits()),
+            })
+            .collect(),
+        events: recorder.events,
+        stream: recorder.hash,
+    }
+}
+
+/// Evaluates the bounds of every loop it is offered, then declines it.
+struct Decline;
+
+impl LoopHandler for Decline {
+    fn on_loop(&mut self, m: &mut Machine<'_>, lp: DoLoop) -> Option<Result<(), RuntimeError>> {
+        m.eval_do_bounds(&lp).err().map(Err)
+    }
+}
+
+impl walker::LoopHandler for Decline {
+    fn on_loop(
+        &mut self,
+        m: &mut walker::Machine<'_>,
+        do_stmt: &Stmt,
+    ) -> Option<Result<(), RuntimeError>> {
+        m.eval_do_bounds(do_stmt).err().map(Err)
+    }
+}
+
+fn run_machine(program: &Program, input: &[f64], decline: bool) -> Outcome {
+    let mut recorder = Recorder::default();
+    let mut handler = Decline;
+    let (result, ops, output, memory) = {
+        let mut m = Machine::new(program, &mut recorder).expect("layout");
+        m.set_input(input.to_vec());
+        if decline {
+            m.set_handler(&mut handler);
+        }
+        let result = m.run();
+        let memory: Vec<_> = (0..m.shared_len()).map(|a| m.peek(a)).collect();
+        (result, m.ops(), std::mem::take(&mut m.output), memory)
+    };
+    outcome(result, ops, output, memory.into_iter(), recorder)
+}
+
+fn run_walker(program: &Program, input: &[f64], decline: bool) -> Outcome {
+    let mut recorder = Recorder::default();
+    let mut handler = Decline;
+    let (result, ops, output, memory) = {
+        let mut m = walker::Machine::new(program, &mut recorder).expect("layout");
+        m.set_input(input.to_vec());
+        if decline {
+            m.set_handler(&mut handler);
+        }
+        let result = m.run();
+        let memory: Vec<_> = (0..m.shared_len()).map(|a| m.peek(a)).collect();
+        (result, m.ops(), std::mem::take(&mut m.output), memory)
+    };
+    outcome(result, ops, output, memory.into_iter(), recorder)
+}
+
+/// Run `program` on both sides, plainly and with the declining handler;
+/// returns the plain outcome.
+fn check(name: &str, program: &Program, input: &[f64]) -> Outcome {
+    let handled = run_machine(program, input, true);
+    assert_eq!(
+        handled,
+        run_walker(program, input, true),
+        "{name}: the runs differ under a declining loop handler"
+    );
+    let plain = run_machine(program, input, false);
+    assert_eq!(
+        plain,
+        run_walker(program, input, false),
+        "{name}: the runs differ"
+    );
+    plain
+}
+
+fn check_source(name: &str, source: &str, input: &[f64]) -> Outcome {
+    let program =
+        suif_ir::parse_program(source).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
+    check(name, &program, input)
+}
+
+/// The first declared extent, one element shorter (the `extent` mutant of
+/// `tests/execute_fact.rs`): many of these run out of bounds.
+fn shrink_first_extent(source: &str) -> Option<String> {
+    let constant = |name: &str| {
+        source.lines().find_map(|l| {
+            let rest = l.trim().strip_prefix("const ")?;
+            let (n, v) = rest.split_once('=')?;
+            (n.trim() == name).then(|| v.trim().parse::<i64>().ok())?
+        })
+    };
+    let mut done = false;
+    let lines: Vec<String> = source
+        .lines()
+        .map(|line| {
+            let t = line.trim_start();
+            let declares =
+                t.starts_with("real ") || t.starts_with("int ") || t.starts_with("common ");
+            let shrunk = (|| {
+                let open = line.find('[')?;
+                let close = open + line[open..].find(']')?;
+                let extent = line[open + 1..close].trim();
+                let value = extent.parse::<i64>().ok().or_else(|| constant(extent))?;
+                Some(format!("{}{}{}", &line[..=open], value - 1, &line[close..]))
+            })();
+            match shrunk.filter(|_| declares && !done) {
+                Some(new) => {
+                    done = true;
+                    new
+                }
+                None => line.to_string(),
+            }
+        })
+        .collect();
+    done.then(|| lines.join("\n") + "\n")
+}
+
+fn suite(scale: Scale) -> Vec<suif_benchmarks::BenchProgram> {
+    let mut suite = ch4_apps(scale);
+    suite.push(apps::flo88(scale, true));
+    suite.push(apps::wave5(scale));
+    suite.push(apps::hydro2d(scale));
+    suite.extend(ch6_apps(scale));
+    assert_eq!(suite.len(), 13);
+    suite
+}
+
+#[test]
+fn machine_equals_walker_on_the_suite() {
+    let (mut events, mut failed) = (0, 0);
+    for bench in suite(Scale::Test) {
+        let ran = check(bench.name, &bench.parse(), &bench.input);
+        assert!(ran.result.is_ok(), "{}: {:?}", bench.name, ran.result);
+        events += ran.events;
+        if let Some(mutant) = shrink_first_extent(&bench.source) {
+            let name = format!("{} [extent]", bench.name);
+            failed += usize::from(check_source(&name, &mutant, &bench.input).result.is_err());
+        }
+    }
+    assert!(events > 500_000, "only {events} events compared");
+    assert!(failed >= 3, "only {failed} mutants failed at run time");
+}
+
+#[test]
+fn machine_equals_walker_on_the_ch4_applications_at_bench_scale() {
+    let mut ops = 0;
+    for bench in ch4_apps(Scale::Bench) {
+        let program = bench.parse();
+        let ran = run_machine(&program, &bench.input, false);
+        assert_eq!(
+            ran,
+            run_walker(&program, &bench.input, false),
+            "{}",
+            bench.name
+        );
+        ops += ran.result.expect("the application runs");
+    }
+    // The count `perfbench`'s traced `ch4_open` reports as `dynamic.ops`:
+    // while it stands, `EXECUTE_VERSION` needs no bump.
+    assert_eq!(ops, 30_126_337);
+}
+
+#[test]
+fn machine_equals_walker_on_generated_programs() {
+    // `SUIF_ORACLE_PROGRAMS` widens the corpus (CI's release run).
+    let programs: u64 = std::env::var("SUIF_ORACLE_PROGRAMS")
+        .ok()
+        .map(|n| n.parse().expect("SUIF_ORACLE_PROGRAMS is a count"))
+        .unwrap_or(300);
+    let (mut events, mut failed) = (0, 0);
+    for seed in 0..programs {
+        let name = minif_gen::name_for_seed(seed);
+        let source = minif_gen::source_for_seed(seed);
+        events += check_source(&name, &source, &[]).events;
+        if let Some(mutant) = shrink_first_extent(&source) {
+            let ran = check_source(&format!("{name} [extent]"), &mutant, &[]);
+            failed += usize::from(ran.result.is_err());
+        }
+    }
+    assert!(events > 100 * programs, "only {events} events compared");
+    assert!(
+        failed as u64 > programs / 10,
+        "only {failed} mutants failed at run time"
+    );
+}
+
+/// A program whose run depends on what it reads, into scalars and elements.
+const READER: &str = "program reader
+proc main() {
+  real a[16], x, y
+  int i, k
+  read x
+  read y
+  read k
+  read a[k + 1]
+  do 1 i = 1, 16 {
+    a[i] = a[i] + x * float(i)
+  }
+  do 2 i = 2, 16 {
+    if y > 0.5 { a[i] = a[i - 1] + 1.0 }
+  }
+  print a[16], x + y, k
+}
+";
+
+#[test]
+fn machine_equals_walker_on_a_program_that_reads() {
+    let ran = check_source("reader", READER, &[1.5, 1.0, 3.7, 2.25]);
+    assert_eq!(ran.output, vec!["16.5 2.5 3"]);
+    // Too little input: the fourth `read` fails before its subscript is
+    // evaluated.
+    for supplied in 0..4 {
+        let input = &[1.5, 1.0, 3.7, 2.25][..supplied];
+        let ran = check_source("reader, short input", READER, input);
+        let line = 5 + supplied as u32;
+        assert_eq!(ran.result, Err((line, "read: input exhausted".into())));
+    }
+}
+
+/// Programs that fail at run time: `(name, source, line, message)`.  Each
+/// fails after some hooks have fired, so "equal up to the error" compares
+/// something.
+const FAILING: &[(&str, &str, u32, &str)] = &[
+    (
+        "store above the extent",
+        "program t\nproc main() {\n real a[3]\n int i\n do i = 1, 4 {\n a[i] = i\n }\n}",
+        6,
+        "subscript 1 of `a` is 4 (> extent 3)",
+    ),
+    (
+        "load below 1, second dimension",
+        "program t\nproc main() {\n real a[3, 3], s\n int i\n i = 1\n s = a[i, i - 1] + 1\n}",
+        0,
+        "subscript 2 of `a` is 0 (< 1)",
+    ),
+    (
+        "sub-array base out of range",
+        "program t\nproc f(real q[*]) {\n q[1] = 1\n}\nproc main() {\n real b[4]\n int k\n k = 5\n call f(b[k])\n}",
+        9,
+        "subscript 1 of `b` is 5 (> extent 4)",
+    ),
+    (
+        "assumed-size formal runs off memory",
+        "program t\nproc f(real q[*], int n) {\n q[n] = 1\n}\nproc main() {\n real b[4]\n call f(b, 1000000)\n}",
+        3,
+        "access to `q` out of memory bounds",
+    ),
+    (
+        "adjustable extent exceeded in a callee",
+        "program t\nproc f(real q[n, m], int n, int m) {\n int i\n do i = 1, m + 1 {\n q[n, i] = i\n }\n}\nproc main() {\n real b[6]\n call f(b, 2, 3)\n print b[6]\n}",
+        5,
+        "subscript 2 of `q` is 4 (> extent 3)",
+    ),
+    (
+        "zero step",
+        "program t\nproc main() {\n int i, k, s\n k = 0\n s = 1\n do i = 1, 10, k {\n s = s + 1\n }\n}",
+        6,
+        "do loop with zero step",
+    ),
+    (
+        "integer division by zero",
+        "program t\nproc main() {\n int i, k\n do i = 1, 3 {\n k = 7 / (2 - i)\n }\n}",
+        0,
+        "integer division by zero",
+    ),
+    (
+        "integer remainder by zero, right of a taken `&&`",
+        "program t\nproc main() {\n int i, k\n k = 0\n i = 3\n if i > 1 && i % k == 0 {\n print 1\n }\n}",
+        0,
+        "integer remainder by zero",
+    ),
+    (
+        "mod by zero in a callee's argument",
+        "program t\nproc g(int n) {\n print n\n}\nproc main() {\n int k\n k = 0\n call g(4)\n call g(mod(9, k))\n}",
+        0,
+        "mod by zero",
+    ),
+];
+
+#[test]
+fn machine_equals_walker_on_programs_that_fail() {
+    for &(name, source, line, message) in FAILING {
+        let ran = check_source(name, source, &[]);
+        assert_eq!(ran.result, Err((line, message.into())), "{name}");
+        assert!(ran.events > 0, "{name}: failed before any hook fired");
+    }
+}
+
+/// `certify_loop` and `fork_view` rely on this: a machine made from another
+/// machine's code, or forked from it, lowers nothing.
+#[test]
+fn workers_and_reruns_share_one_code_object() {
+    let program = suif_ir::parse_program(
+        "program t\nproc main() {\n real a[8]\n int i\n do 1 i = 1, 8 {\n a[i] = i\n }\n print a[8]\n}",
+    )
+    .unwrap();
+    let (mut h1, mut h2, mut h3) = (NoHooks, NoHooks, NoHooks);
+    let mut parent = Machine::new(&program, &mut h1).unwrap();
+    let code = Arc::clone(parent.code());
+    {
+        let worker = parent.fork_view(&HashMap::new(), Vec::new(), &mut h2);
+        assert!(Arc::ptr_eq(&code, worker.code()), "fork_view lowered again");
+    }
+    let mut again = Machine::with_code(&program, Arc::clone(&code), &mut h3);
+    assert!(Arc::ptr_eq(&code, again.code()));
+    parent.run().unwrap();
+    again.run().unwrap();
+    assert_eq!(parent.output, again.output);
+    assert_eq!(parent.ops(), again.ops());
+    drop((parent, again));
+    assert_eq!(
+        Arc::strong_count(&code),
+        1,
+        "the code outlived its machines"
+    );
+}
