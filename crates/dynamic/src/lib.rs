@@ -45,16 +45,20 @@
 //! borrowed *loop handler* that is offered every `do` loop as a
 //! [`code::DoLoop`] handle and may take it over,
 //! [`machine::Machine::eval_do_bounds`] and
-//! [`machine::Machine::run_iteration`] over that handle, and
+//! [`machine::Machine::run_iteration`] over that handle,
 //! [`machine::Machine::fork_view`], which forks a worker machine over a
-//! shared view of this machine's memory and the same lowered code.
+//! shared view of this machine's memory and the same lowered code, and —
+//! for a caller that advances several workers in turn on one thread —
+//! [`machine::Machine::begin_iteration`] and
+//! [`machine::Machine::step_with`], one instruction reporting to hooks the
+//! caller lends it.
 //!
 //! This crate also holds the two schedule-independent halves of the
 //! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a
 //! happens-before / vector-clock race detector, and [`sched`], a seeded
 //! adversarial scheduler.  The certifying executor that feeds them lives in
 //! `suif_parallel::certify`, beside the production executor it shares its
-//! fork/join with.
+//! loop layout, partition and finalization with.
 //!
 //! ```
 //! use suif_dynamic::machine::{Machine, NoHooks};

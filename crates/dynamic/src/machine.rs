@@ -6,9 +6,10 @@
 //! [`Machine::step`] — there is no other way an instruction runs.  The
 //! `suif-parallel` crate forks additional machines over a
 //! [`MemStore::View`] of the main machine's memory ([`Machine::fork_view`])
-//! to execute compiler-parallelized loops — the safety contract for that
-//! sharing is documented on [`MemStore`], and every raw-pointer operation
-//! stays in this file.
+//! to execute compiler-parallelized loops — on worker threads for speed, or
+//! stepped in turn on one thread ([`Machine::step_with`]) for race
+//! certification.  The safety contract for that sharing is documented on
+//! [`MemStore`], and every raw-pointer operation stays in this file.
 
 use crate::code::{Code, Dim, DoLoop, Inst};
 use crate::layout::{Layout, LayoutError};
@@ -48,8 +49,8 @@ fn rerr<T>(line: u32, msg: impl Into<String>) -> Result<T, RuntimeError> {
 /// variable updates or parameter-slot copies (those are runtime-internal),
 /// but does fire them for the caller-side effects of copy-in/copy-out.
 ///
-/// `Send` because a forked worker machine travels to its thread together
-/// with the hooks it reports to.
+/// `Send` because a forked worker machine may travel to a thread of its own
+/// together with the hooks it reports to.
 pub trait Hooks: Send {
     /// A statement is about to execute.
     fn on_stmt(&mut self, _id: StmtId, _line: u32) {}
@@ -111,9 +112,13 @@ impl<A: Hooks, B: Hooks> Hooks for (A, B) {
 ///
 /// [`Machine::fork_view`] is the only constructor of a `View`.  Its caller
 /// must not touch the forking machine while a view is alive and must drop
-/// every view before the forking machine goes away; `suif-parallel`'s
-/// `fork_join` — the one caller — spawns its workers as scoped threads and
-/// joins them all before it returns.
+/// every view before the forking machine goes away.  There are two callers,
+/// both in `suif-parallel`: `fork_join` spawns its workers as scoped threads
+/// and joins them all before it returns; the certifier makes, steps and
+/// drops its views inside one call on one thread.  The certifier also runs
+/// loops nobody proved anything about — that is its job — and may: it steps
+/// one view at a time, so conflicting accesses are ordered by its scheduler
+/// and never race physically.
 pub enum MemStore {
     /// Machine-owned memory.
     Owned(Vec<Value>),
@@ -415,12 +420,26 @@ impl<'a> Machine<'a> {
     /// `i`: what a worker does for each iteration it owns.  No loop hook
     /// fires and the loop's own control is not involved.
     pub fn run_iteration(&mut self, lp: &DoLoop, i: i64) -> Result<(), RuntimeError> {
-        self.set_scalar_raw(lp.var, Value::Int(i), lp.line)?;
-        self.pc = lp.enter as usize + 1;
-        while self.pc != lp.next as usize {
+        self.begin_iteration(lp, i)?;
+        while self.in_iteration(lp) {
             self.step()?;
         }
         Ok(())
+    }
+
+    /// The first half of [`Machine::run_iteration`], for a caller that steps
+    /// the body itself: write `i` into the induction variable and stand at
+    /// the first instruction of `lp`'s body.
+    pub fn begin_iteration(&mut self, lp: &DoLoop, i: i64) -> Result<(), RuntimeError> {
+        self.set_scalar_raw(lp.var, Value::Int(i), lp.line)?;
+        self.pc = lp.enter as usize + 1;
+        Ok(())
+    }
+
+    /// True until the iteration begun by [`Machine::begin_iteration`] has
+    /// run the last instruction of `lp`'s body.
+    pub fn in_iteration(&self, lp: &DoLoop) -> bool {
+        self.pc != lp.next as usize
     }
 
     /// Number of iterations for bounds `(lo, hi, step)` (Fortran trip count).
@@ -436,25 +455,40 @@ impl<'a> Machine<'a> {
     /// Execute one instruction; `Ok(false)` once `main` has returned.
     #[inline(always)]
     pub fn step(&mut self) -> Result<bool, RuntimeError> {
+        self.exec(None)
+    }
+
+    /// [`Machine::step`] with this one instruction's callbacks going to
+    /// `hooks` instead of the machine's own.  A caller that advances several
+    /// machines in turn lends each step the one observer it owns and reads
+    /// it between steps, which hooks the machine holds would not allow.
+    pub fn step_with(&mut self, hooks: &mut dyn Hooks) -> Result<bool, RuntimeError> {
+        self.exec(Some(hooks))
+    }
+
+    /// The one place an instruction executes.  Both callers pass a constant
+    /// `lent`, so after inlining [`sink`] is no choice at all.
+    #[inline(always)]
+    fn exec(&mut self, mut lent: Option<&mut dyn Hooks>) -> Result<bool, RuntimeError> {
         let inst = self.code.insts[self.pc];
         self.pc += 1;
         match inst {
             Inst::Stmt { id, line, ops } => {
                 self.ops += u64::from(ops);
-                self.hooks.on_stmt(id, line);
+                sink(self.hooks, &mut lent).on_stmt(id, line);
             }
             Inst::Int(v) => self.stack.push(Value::Int(v)),
             Inst::Real(v) => self.stack.push(Value::Real(v)),
             Inst::LoadScalar(var) => {
                 let addr = self.base[var.0 as usize];
                 let val = self.mem_load(addr, 0)?;
-                self.hooks.load(var, addr);
+                sink(self.hooks, &mut lent).load(var, addr);
                 self.stack.push(val);
             }
             Inst::LoadElem { var, dims, rank } => {
                 let addr = self.pop_element_addr(var, dims, rank, 0)?;
                 let val = self.mem_load(addr, 0)?;
-                self.hooks.load(var, addr);
+                sink(self.hooks, &mut lent).load(var, addr);
                 self.stack.push(val);
             }
             Inst::Unary(op) => {
@@ -513,7 +547,7 @@ impl<'a> Machine<'a> {
                 let val = self.pop();
                 let addr = self.base[var.0 as usize];
                 self.mem_store(addr, convert(val, ty), line)?;
-                self.hooks.store(var, addr);
+                sink(self.hooks, &mut lent).store(var, addr);
             }
             Inst::StoreElem {
                 var,
@@ -525,7 +559,7 @@ impl<'a> Machine<'a> {
                 let addr = self.pop_element_addr(var, dims, rank, line)?;
                 let val = self.pop();
                 self.mem_store(addr, convert(val, ty), line)?;
-                self.hooks.store(var, addr);
+                sink(self.hooks, &mut lent).store(var, addr);
             }
             Inst::ReadInput { line } => match self.input.pop_front() {
                 Some(raw) => self.stack.push(Value::Real(raw)),
@@ -558,16 +592,16 @@ impl<'a> Machine<'a> {
             Inst::DoEnter(lp) => {
                 let lp = self.code.loops[lp as usize];
                 let (lo, hi, step) = self.pop_bounds(&lp)?;
-                self.hooks.loop_enter(lp.stmt, self.ops);
+                sink(self.hooks, &mut lent).loop_enter(lp.stmt, self.ops);
                 self.loops.push(LoopFrame { i: lo, hi, step });
-                self.iterate(&lp)?;
+                self.iterate(&lp, lent)?;
             }
             Inst::DoNext(lp) => {
                 let lp = self.code.loops[lp as usize];
                 self.check_budget(lp.line)?;
                 let frame = self.loops.last_mut().expect("inside the loop");
                 frame.i += frame.step;
-                self.iterate(&lp)?;
+                self.iterate(&lp, lent)?;
             }
             Inst::WholeAddr { var, line } => {
                 let base = self.array_base(var, line)?;
@@ -588,7 +622,7 @@ impl<'a> Machine<'a> {
             }
             Inst::ArgScalar { var, line } => {
                 let addr = self.base[var.0 as usize];
-                self.hooks.load(var, addr);
+                sink(self.hooks, &mut lent).load(var, addr);
                 let val = self.mem_load(addr, line)?;
                 self.stack.push(val);
             }
@@ -618,7 +652,7 @@ impl<'a> Machine<'a> {
                 let val = self.mem_load(self.base[formal.0 as usize], line)?;
                 let addr = self.base[actual.0 as usize];
                 self.mem_store(addr, val, line)?;
-                self.hooks.store(formal, addr);
+                sink(self.hooks, &mut lent).store(formal, addr);
             }
             Inst::Return => match self.calls.pop() {
                 Some(resume) => self.pc = resume,
@@ -654,16 +688,20 @@ impl<'a> Machine<'a> {
     /// Fortran DO semantics: after the loop it holds the first value that
     /// failed the test (`lo` for zero-trip loops).
     #[inline(always)]
-    fn iterate(&mut self, lp: &DoLoop) -> Result<(), RuntimeError> {
+    fn iterate(
+        &mut self,
+        lp: &DoLoop,
+        mut lent: Option<&mut dyn Hooks>,
+    ) -> Result<(), RuntimeError> {
         let LoopFrame { i, hi, step } = *self.loops.last().expect("inside the loop");
         // The resolver admits only `int` scalars as control variables.
         self.mem_store(self.base[lp.var.0 as usize], Value::Int(i), lp.line)?;
         if (step > 0 && i <= hi) || (step < 0 && i >= hi) {
-            self.hooks.loop_iter(lp.stmt, i);
+            sink(self.hooks, &mut lent).loop_iter(lp.stmt, i);
             self.pc = lp.enter as usize + 1;
         } else {
             self.loops.pop();
-            self.hooks.loop_exit(lp.stmt, self.ops);
+            sink(self.hooks, &mut lent).loop_exit(lp.stmt, self.ops);
             self.pc = lp.next as usize + 1;
         }
         Ok(())
@@ -816,6 +854,15 @@ impl<'a> Machine<'a> {
     pub fn set_scalar_raw(&mut self, v: VarId, val: Value, line: u32) -> Result<(), RuntimeError> {
         let ty = self.program.var(v).ty;
         self.mem_store(self.base[v.0 as usize], convert(val, ty), line)
+    }
+}
+
+/// The hooks a step reports to: the ones lent to it, else the machine's own.
+#[inline(always)]
+fn sink<'s>(own: &'s mut dyn Hooks, lent: &'s mut Option<&mut dyn Hooks>) -> &'s mut dyn Hooks {
+    match lent {
+        Some(hooks) => &mut **hooks,
+        None => own,
     }
 }
 

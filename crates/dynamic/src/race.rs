@@ -12,7 +12,9 @@
 //!
 //! Addresses at or beyond the `shared_limit` (the thread-private tail of a
 //! worker's [`crate::machine::MemStore::View`]) are thread-private by
-//! construction and are never recorded.
+//! construction and are never recorded.  The detector is plain data with no
+//! synchronization of its own: the certifier owns one per loop invocation
+//! and feeds it from the one thread that steps every worker.
 
 use std::collections::HashMap;
 use suif_ir::{StmtId, VarId};

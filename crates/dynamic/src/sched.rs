@@ -1,8 +1,9 @@
 //! Seeded adversarial scheduling of certified parallel loops.
 //!
-//! The certifying executor (`suif_parallel::certify`) serializes its worker
-//! threads through a token-passing gate with a preemption point at every
-//! shared memory access.  This module decides *which* worker runs next at
+//! The certifying executor (`suif_parallel::certify`) advances its workers
+//! — logical threads, all on one OS thread — one machine step at a time,
+//! with a preemption point after every step that accessed memory and at
+//! every iteration start.  This module decides *which* worker runs next at
 //! each preemption point.  Decisions are a pure function of the `u64` seed
 //! and the sequence of `pick` calls, so any interleaving is deterministic
 //! and replayable by re-running with the same seed.

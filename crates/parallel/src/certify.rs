@@ -1,18 +1,19 @@
 //! Race certification of planned parallel loops.
 //!
 //! Where [`crate::executor`] runs a compiler-parallelized loop for *speed*,
-//! this module runs one for *evidence*.  [`CertifyHandler`] puts the target
-//! loop through the same [`fork_join`] and [`finalize`] as the fast path,
-//! under the same [`LoopLayout`] of the plan it is given — so a
-//! certification run exercises exactly the transformed loop the production
-//! runtime would execute — but plugs in a token-passing [`Gate`] as the
-//! observer: workers are serialized with a preemption point at every shared
-//! memory access, a seeded
-//! [`AdversarialScheduler`](suif_dynamic::sched::AdversarialScheduler) picks
-//! the next worker at each point (so the interleaving replays from a `u64`
-//! seed), and a [`RaceDetector`](suif_dynamic::race::RaceDetector) checks
-//! every access against the happens-before order in which each *iteration*
-//! is a logical thread forked at loop entry and joined at exit.
+//! this module runs one for *evidence*.  [`CertifyHandler`] lays the target
+//! loop out under the [`LoopLayout`] of the plan it is given, partitions its
+//! iterations with the same [`Schedule`] and applies the same [`finalize`]
+//! as the fast path — so a certification run exercises exactly the
+//! transformed loop the production runtime would execute — but its workers
+//! are *logical* threads: views of the machine's memory that the handler
+//! itself advances one [`Machine::step_with`] at a time, on the calling OS
+//! thread.  Between two steps a seeded [`AdversarialScheduler`] chooses
+//! which worker takes the next one (so the interleaving replays from a `u64`
+//! seed), and every step reports its memory access to a [`RaceDetector`]
+//! that checks it against the happens-before order in which each
+//! *iteration* is a logical thread forked at loop entry and joined at exit.
+//! Nothing is spawned and nothing is locked.
 //!
 //! [`certify_loop`] runs the whole program once per adversarial schedule,
 //! collecting per-schedule races, captured output and final shared memory.
@@ -21,9 +22,9 @@
 //! with sequential-identical observable behavior under every schedule.
 
 use crate::executor::{Finalization, Schedule};
-use crate::forkjoin::{finalize, fork_join, LoopLayout, LoopRun, Observer, SegRole};
+use crate::forkjoin::{finalize, Iterations, LoopLayout, LoopRun, SegRole, WorkerResult};
 use crate::plan::PlanEntry;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 use suif_dynamic::machine::{Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
 use suif_dynamic::race::{AccessKind, Race, RaceDetector};
@@ -31,11 +32,17 @@ use suif_dynamic::sched::AdversarialScheduler;
 use suif_dynamic::{Code, DoLoop, Value};
 use suif_ir::{Program, StmtId, VarId};
 
+/// How many races one schedule reports in [`CertOutcome::races`].
+pub const MAX_REPORTED_RACES: usize = 64;
+
 /// Accumulated result of all certified invocations of the target loop.
 #[derive(Clone, Debug, Default)]
 pub struct CertOutcome {
-    /// Races detected, in interleaved execution order (first pair first).
+    /// The first [`MAX_REPORTED_RACES`] races detected, in interleaved
+    /// execution order (first pair first).
     pub races: Vec<Race>,
+    /// Every race detected, reported in `races` or not.
+    pub race_count: u64,
     /// First runtime error raised inside a worker, if any.
     pub error: Option<RuntimeError>,
     /// Scheduling decisions taken at preemption points.
@@ -57,174 +64,179 @@ pub struct CertOutcome {
     pub dead_private: Vec<(usize, usize)>,
 }
 
-struct GateState {
-    registered: usize,
-    holder: Option<usize>,
-    finished: Vec<bool>,
-    current_tid: Vec<usize>,
-    sched: AdversarialScheduler,
-    detector: RaceDetector,
-    error: Option<RuntimeError>,
+/// What one step of a worker reports to ([`Machine::step_with`]): every
+/// access goes to the detector, attributed to the iteration the worker is in
+/// and the statement it is executing, and the driver reads `touched` after
+/// the step.
+struct Probe<'d> {
+    detector: &'d mut RaceDetector,
+    /// Logical thread of the race model: iteration `k` is thread `k + 1`
+    /// (thread 0 is the parent).
+    tid: usize,
+    /// The statement being executed; the load/store hooks carry no line.
+    at: &'d mut (StmtId, u32),
+    /// The step fired `load` or `store`, private tail included.
+    touched: bool,
 }
 
-impl GateState {
-    fn runnable(&self) -> Vec<usize> {
-        (0..self.finished.len())
-            .filter(|&w| !self.finished[w])
-            .collect()
-    }
-}
-
-/// Token-passing gate serializing the certification workers.
-///
-/// Exactly one worker (the token holder) executes at any time; every shared
-/// memory access and every iteration boundary is a preemption point where
-/// the scheduler may pass the token.  Because the machine's hooks fire
-/// *after* each access and the holder yields before performing its next one,
-/// the interleaving of shared accesses is fully determined by the
-/// scheduler's decisions — no physical data race can occur.
-struct Gate {
-    workers: usize,
-    state: Mutex<GateState>,
-    cv: Condvar,
-}
-
-impl Gate {
-    /// A gate for `workers` workers with a seeded scheduler and a detector
-    /// pre-loaded with the loop's fork edges.
-    fn new(workers: usize, sched: AdversarialScheduler, detector: RaceDetector) -> Gate {
-        Gate {
-            workers,
-            state: Mutex::new(GateState {
-                registered: 0,
-                holder: None,
-                finished: vec![false; workers],
-                current_tid: vec![0; workers],
-                sched,
-                detector,
-                error: None,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, GateState> {
-        self.state
-            .lock()
-            .expect("a certification worker panicked holding the gate")
-    }
-
-    /// Reschedule at a preemption point: possibly pass the token and, if so,
-    /// wait until it comes back.  Caller must hold the token.
-    fn preempt(&self, w: usize, mut st: MutexGuard<'_, GateState>) {
-        debug_assert_eq!(st.holder, Some(w));
-        let runnable = st.runnable();
-        if runnable.is_empty() {
-            st.holder = None;
-            self.cv.notify_all();
-            return;
-        }
-        let next = st.sched.pick(Some(w), &runnable);
-        if next != w {
-            st.holder = Some(next);
-            self.cv.notify_all();
-            while st.holder != Some(w) {
-                st = self.cv.wait(st).expect("gate poisoned");
-            }
-        }
-    }
-
-    /// Record a shared memory access by worker `w` (attributed to the
-    /// iteration it is executing) and hit a preemption point.
-    fn access(&self, w: usize, var: VarId, addr: usize, at: (StmtId, u32), kind: AccessKind) {
-        let mut st = self.lock();
-        let tid = st.current_tid[w];
-        st.detector.on_access(tid, var, addr, at.0, at.1, kind);
-        self.preempt(w, st);
-    }
-
-    /// Tear down after the join, returning detector, scheduler and the first
-    /// worker error.
-    fn into_parts(self) -> (RaceDetector, AdversarialScheduler, Option<RuntimeError>) {
-        let st = self.state.into_inner().expect("gate poisoned");
-        (st.detector, st.sched, st.error)
+impl Probe<'_> {
+    fn access(&mut self, var: VarId, addr: usize, kind: AccessKind) {
+        let (stmt, line) = *self.at;
+        self.detector
+            .on_access(self.tid, var, addr, stmt, line, kind);
+        self.touched = true;
     }
 }
 
-impl Observer for Gate {
-    type Hooks<'g> = CertHooks<'g>;
-
-    fn hooks(&self, t: usize) -> CertHooks<'_> {
-        CertHooks {
-            gate: self,
-            worker: t,
-            at: (StmtId(0), 0),
-        }
-    }
-
-    /// Block until every worker has registered and this worker is picked to
-    /// run first.
-    fn start(&self, t: usize) {
-        let mut st = self.lock();
-        st.registered += 1;
-        if st.registered == self.workers {
-            let runnable = st.runnable();
-            let first = st.sched.pick(None, &runnable);
-            st.holder = Some(first);
-            self.cv.notify_all();
-        }
-        while st.holder != Some(t) {
-            st = self.cv.wait(st).expect("gate poisoned");
-        }
-    }
-
-    /// Iteration `k` is logical thread `k + 1` of the race model (thread 0
-    /// is the parent); starting it is also a preemption point.
-    fn begin_iter(&self, t: usize, k: i64) {
-        let mut st = self.lock();
-        st.current_tid[t] = k as usize + 1;
-        self.preempt(t, st);
-    }
-
-    /// Record the first worker error, mark worker `t` finished and pass the
-    /// token on.
-    fn finish(&self, t: usize, _view: &mut Machine<'_>, error: Option<&RuntimeError>) {
-        let mut st = self.lock();
-        if st.error.is_none() {
-            st.error = error.cloned();
-        }
-        st.finished[t] = true;
-        let runnable = st.runnable();
-        st.holder = if runnable.is_empty() {
-            None
-        } else {
-            Some(st.sched.pick(Some(t), &runnable))
-        };
-        self.cv.notify_all();
-    }
-}
-
-/// Per-worker [`Hooks`]: tracks the current statement (the load/store hooks
-/// carry no source line) and routes every memory access through the gate.
-struct CertHooks<'g> {
-    gate: &'g Gate,
-    worker: usize,
-    at: (StmtId, u32),
-}
-
-impl Hooks for CertHooks<'_> {
+impl Hooks for Probe<'_> {
     fn on_stmt(&mut self, id: StmtId, line: u32) {
-        self.at = (id, line);
+        *self.at = (id, line);
     }
 
     fn load(&mut self, var: VarId, addr: usize) {
-        self.gate
-            .access(self.worker, var, addr, self.at, AccessKind::Read);
+        self.access(var, addr, AccessKind::Read);
     }
 
     fn store(&mut self, var: VarId, addr: usize) {
-        self.gate
-            .access(self.worker, var, addr, self.at, AccessKind::Write);
+        self.access(var, addr, AccessKind::Write);
+    }
+}
+
+/// What a worker does when it is next chosen to run.
+enum Resume {
+    /// Take the next iteration of its block, or end.
+    NextIteration,
+    /// Write the induction variable of 0-based iteration `k` and enter the
+    /// body.
+    Enter(i64),
+    /// Step on through the body.
+    Body,
+    /// End with the error of its last step, whose access it reported first.
+    Fail(RuntimeError),
+}
+
+/// One logical thread: a worker view, its block of the iterations and where
+/// it stands.
+struct Worker<'v> {
+    view: Machine<'v>,
+    iterations: Iterations,
+    resume: Resume,
+    /// Race-model thread of the iteration it is in.
+    tid: usize,
+    at: (StmtId, u32),
+}
+
+impl Worker<'_> {
+    /// Run up to and including this worker's next preemption point — an
+    /// iteration start (its race-model thread is set, its induction variable
+    /// not yet written) or a step that touched memory — and return `None`;
+    /// or to its end, `Some`: out of iterations, or the error that stopped
+    /// it.  Because every instruction fires at most one `load` / `store`, in
+    /// the step that performs the access, preempting between steps orders
+    /// the workers' accesses exactly as preempting inside the hook did.
+    fn advance(
+        &mut self,
+        run: &LoopRun,
+        detector: &mut RaceDetector,
+    ) -> Option<Result<(), RuntimeError>> {
+        let mut probe = Probe {
+            detector,
+            tid: self.tid,
+            at: &mut self.at,
+            touched: false,
+        };
+        loop {
+            match std::mem::replace(&mut self.resume, Resume::Body) {
+                Resume::NextIteration => {
+                    let Some(k) = self.iterations.next() else {
+                        return Some(Ok(()));
+                    };
+                    self.tid = k as usize + 1;
+                    self.resume = Resume::Enter(k);
+                    return None;
+                }
+                Resume::Enter(k) => {
+                    if let Err(e) = self.view.begin_iteration(&run.lp, run.lo + k * run.step) {
+                        return Some(Err(e));
+                    }
+                }
+                Resume::Body => {
+                    while self.view.in_iteration(&run.lp) {
+                        let stepped = self.view.step_with(&mut probe);
+                        if probe.touched {
+                            // A step that reported its access and then
+                            // failed (`ArgScalar` alone can) is preempted
+                            // like any other, and fails when resumed.
+                            if let Err(e) = stepped {
+                                self.resume = Resume::Fail(e);
+                            }
+                            return None;
+                        }
+                        if let Err(e) = stepped {
+                            return Some(Err(e));
+                        }
+                    }
+                    self.resume = Resume::NextIteration;
+                }
+                Resume::Fail(e) => return Some(Err(e)),
+            }
+        }
+    }
+}
+
+/// Run the iterations of `run` on `workers` logical threads — views of `m`'s
+/// memory, each with a private tail laid out by `layout` and a
+/// [`Schedule::Block`] share of the iterations — stepping one at a time on
+/// this thread and asking `sched` who runs next at every preemption point
+/// and whenever a worker ends.  A worker that fails leaves the others
+/// running to the end of their blocks.  Returns the results in worker order,
+/// or the first error in execution order.
+///
+/// The `View` contract of `suif_dynamic::MemStore` holds trivially: the
+/// views are made, stepped and dropped here, and `m` is not touched while
+/// one is alive.
+fn interleave(
+    m: &mut Machine<'_>,
+    run: &LoopRun,
+    layout: &LoopLayout,
+    workers: usize,
+    sched: &mut AdversarialScheduler,
+    detector: &mut RaceDetector,
+) -> Result<Vec<WorkerResult>, RuntimeError> {
+    // The views' own hooks hear nothing: every step is lent a `Probe`.
+    let mut unused: Vec<NoHooks> = (0..workers).map(|_| NoHooks).collect();
+    let mut threads: Vec<Worker<'_>> = unused
+        .iter_mut()
+        .enumerate()
+        .map(|(t, hooks)| Worker {
+            view: m.fork_view(&layout.overrides, layout.template.clone(), hooks),
+            iterations: Schedule::Block.iterations(t, workers, run.n),
+            resume: Resume::NextIteration,
+            tid: 0,
+            at: (StmtId(0), 0),
+        })
+        .collect();
+    let mut runnable: Vec<usize> = (0..workers).collect();
+    let mut error = None;
+    let mut active = sched.pick(None, &runnable);
+    loop {
+        if let Some(ended) = threads[active].advance(run, detector) {
+            if let Err(e) = ended {
+                error.get_or_insert(e);
+            }
+            runnable.retain(|&t| t != active);
+            if runnable.is_empty() {
+                break;
+            }
+        }
+        active = sched.pick(Some(active), &runnable);
+    }
+    match error {
+        Some(e) => Err(e),
+        None => Ok(threads
+            .into_iter()
+            .map(|w| WorkerResult::of(w.view))
+            .collect()),
     }
 }
 
@@ -235,6 +247,7 @@ impl Hooks for CertHooks<'_> {
 /// loops run sequentially.
 struct CertifyHandler<'p> {
     target: StmtId,
+    /// Logical worker count (clamped to the iteration count per invocation).
     threads: usize,
     /// All scheduling decisions derive from this seed.
     seed: u64,
@@ -276,41 +289,41 @@ impl LoopHandler for CertifyHandler<'_> {
             detector.fork(0, k + 1);
         }
         let workers = self.threads.max(1).min(n);
-        let gate = Gate::new(
-            workers,
-            AdversarialScheduler::new(self.seed, workers),
-            detector,
-        );
+        let mut sched = AdversarialScheduler::new(self.seed, workers);
         // Block schedule and serialized merge: the production defaults'
         // deterministic core.
-        let joined = fork_join(m, &run, &layout, workers, Schedule::Block, &gate);
+        let joined = interleave(m, &run, &layout, workers, &mut sched, &mut detector);
 
-        let (detector, sched, error) = gate.into_parts();
         self.outcome.shared_accesses += detector.accesses;
-        self.outcome.races.extend(detector.into_races());
         self.outcome.schedule_decisions += sched.decisions;
         self.outcome.schedule_switches += sched.switches;
-        if let Some(e) = error {
-            self.outcome.error.get_or_insert_with(|| e.clone());
-            return Some(Err(e));
-        }
-        Some(joined.and_then(|results| {
-            finalize(
-                m,
-                &run,
-                &layout,
-                Schedule::Block,
-                Finalization::Serialized,
-                results,
-            )
-        }))
+        let races = detector.into_races();
+        self.outcome.race_count += races.len() as u64;
+        let room = MAX_REPORTED_RACES.saturating_sub(self.outcome.races.len());
+        self.outcome.races.extend(races.into_iter().take(room));
+        let results = match joined {
+            Ok(results) => results,
+            Err(e) => {
+                self.outcome.error.get_or_insert_with(|| e.clone());
+                return Some(Err(e));
+            }
+        };
+        Some(finalize(
+            m,
+            &run,
+            &layout,
+            Schedule::Block,
+            Finalization::Serialized,
+            results,
+        ))
     }
 }
 
 /// Options for a certification run.
 #[derive(Clone, Debug)]
 pub struct CertifyOptions {
-    /// Worker thread count (clamped to the iteration count per invocation).
+    /// Logical worker count (clamped to the iteration count per invocation):
+    /// it shapes the block partition, not how many OS threads run.
     pub threads: usize,
     /// Number of adversarial schedules to run.
     pub schedules: u32,
@@ -372,9 +385,12 @@ impl LoopCertification {
         self.schedules.iter().all(|s| s.outcome.races.is_empty())
     }
 
-    /// Total races across schedules.
+    /// Total races detected across schedules, reported or not.
     pub fn race_count(&self) -> usize {
-        self.schedules.iter().map(|s| s.outcome.races.len()).sum()
+        self.schedules
+            .iter()
+            .map(|s| s.outcome.race_count as usize)
+            .sum()
     }
 
     /// Total schedules run.
@@ -588,10 +604,10 @@ proc main() {
             c.schedules.iter().map(of).collect()
         };
         assert_eq!(counters(&a), counters(&b));
-        // Seeds 99 and 100 as the gate decided them before it moved into
-        // this crate: 1 first pick + 16 iteration starts + 48 accesses
-        // (two loads of `i` and the store, per iteration) + 2 hand-overs
-        // at finish.
+        // Seeds 99 and 100 as the token gate between OS threads decided
+        // them: 1 first pick + 16 iteration starts + 48 accesses (two loads
+        // of `i` and the store, per iteration) + 2 picks among the rest as
+        // the first two workers end.
         assert_eq!(counters(&a), vec![(67, 13, 16), (67, 6, 16)]);
         for (x, y) in a.schedules.iter().zip(&b.schedules) {
             assert_eq!(x.capture.output, y.capture.output);

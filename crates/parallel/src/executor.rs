@@ -1,13 +1,11 @@
 //! The parallel loop executor: a [`LoopHandler`] that runs planned loops
 //! through the crate's one fork/join ([`crate::forkjoin`]) for speed.
 
-use crate::forkjoin::{
-    finalize, fork_join, merge_cell, LoopLayout, LoopRun, Observer, SegRole, Segment,
-};
+use crate::forkjoin::{finalize, fork_join, merge_cell, LoopLayout, LoopRun, SegRole, Segment};
 use crate::plan::ParallelPlans;
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use suif_dynamic::machine::{LoopHandler, Machine, NoHooks, RuntimeError};
+use suif_dynamic::machine::{LoopHandler, Machine, RuntimeError};
 use suif_dynamic::DoLoop;
 use suif_ir::StmtId;
 
@@ -116,54 +114,38 @@ impl ParallelExecutor {
     }
 }
 
-/// The fast path watches nothing ([`NoHooks`]); its one per-worker step is
-/// the staggered in-worker reduction merge of §6.3.4, done through the
-/// worker's own view while the other workers may still be running.
-struct InWorkerMerge<'l> {
-    segments: &'l [Segment],
-    /// One lock per reduction section; empty under
-    /// [`Finalization::Serialized`], where the spawning thread merges.
-    locks: Vec<Mutex<()>>,
-}
-
-impl Observer for InWorkerMerge<'_> {
-    type Hooks<'o>
-        = NoHooks
-    where
-        Self: 'o;
-
-    fn hooks(&self, _t: usize) -> NoHooks {
-        NoHooks
+/// The staggered in-worker reduction merge of §6.3.4: worker `t` folds its
+/// private copies into shared memory through its own view, one
+/// lock-protected section at a time starting from its own, while the other
+/// workers may still be running.  `locks` has one lock per section, or none
+/// under [`Finalization::Serialized`], where the spawning thread merges.
+fn merge_staggered(segments: &[Segment], locks: &[Mutex<()>], t: usize, view: &mut Machine<'_>) {
+    let nsections = locks.len();
+    if nsections == 0 {
+        return;
     }
-
-    fn finish(&self, t: usize, view: &mut Machine<'_>, error: Option<&RuntimeError>) {
-        let nsections = self.locks.len();
-        if nsections == 0 || error.is_some() {
-            return;
-        }
-        let tail = view.shared_len();
-        for seg in self.segments {
-            let SegRole::Reduction { op, lo, hi } = &seg.role else {
+    let tail = view.shared_len();
+    for seg in segments {
+        let SegRole::Reduction { op, lo, hi } = &seg.role else {
+            continue;
+        };
+        let per = (hi - lo + 1).div_ceil(nsections);
+        for s in 0..nsections {
+            let sec = (t + s) % nsections;
+            let a = lo + sec * per;
+            let b = (a + per).min(hi + 1);
+            if a >= b {
                 continue;
-            };
-            let per = (hi - lo + 1).div_ceil(nsections);
-            for s in 0..nsections {
-                let sec = (t + s) % nsections;
-                let a = lo + sec * per;
-                let b = (a + per).min(hi + 1);
-                if a >= b {
-                    continue;
-                }
-                // Writes to one section are serialized by its lock and
-                // sections are disjoint; the View contract covers the
-                // aliasing with the other workers' loop bodies.
-                let _guard = self.locks[sec].lock();
-                for k in a..b {
-                    let mine = view
-                        .peek(tail + seg.tail_base + k)
-                        .expect("segment lies inside the private tail");
-                    merge_cell(view, *op, seg.shared_base + k, mine);
-                }
+            }
+            // Writes to one section are serialized by its lock and
+            // sections are disjoint; the View contract covers the
+            // aliasing with the other workers' loop bodies.
+            let _guard = locks[sec].lock();
+            for k in a..b {
+                let mine = view
+                    .peek(tail + seg.tail_base + k)
+                    .expect("segment lies inside the private tail");
+                merge_cell(view, *op, seg.shared_base + k, mine);
             }
         }
     }
@@ -198,16 +180,15 @@ impl LoopHandler for ParallelExecutor {
         };
         *self.stats.parallel_invocations.entry(id).or_insert(0) += 1;
 
-        let observer = InWorkerMerge {
-            segments: &layout.segments,
-            locks: match finalization {
-                Finalization::StaggeredLocks { sections } => {
-                    (0..sections.max(1)).map(|_| Mutex::new(())).collect()
-                }
-                Finalization::Serialized => Vec::new(),
-            },
+        let locks: Vec<Mutex<()>> = match finalization {
+            Finalization::StaggeredLocks { sections } => {
+                (0..sections.max(1)).map(|_| Mutex::new(())).collect()
+            }
+            Finalization::Serialized => Vec::new(),
         };
-        let results = match fork_join(m, &run, &layout, threads, schedule, &observer) {
+        let merge =
+            |t: usize, view: &mut Machine<'_>| merge_staggered(&layout.segments, &locks, t, view);
+        let results = match fork_join(m, &run, &layout, threads, schedule, &merge) {
             Ok(r) => r,
             Err(e) => return Some(Err(e)),
         };
@@ -240,6 +221,7 @@ mod tests {
     use super::*;
     use crate::plan::ParallelPlans;
     use suif_analysis::{ParallelizeConfig, Parallelizer};
+    use suif_dynamic::machine::NoHooks;
     use suif_ir::parse_program;
 
     fn run_both(

@@ -1,24 +1,27 @@
 //! The one fork/join loop runtime (§4.5, §6.3.4) under both the fast
 //! executor and the certifier: a loop invocation ([`LoopRun`]) and its
-//! privatization ([`LoopLayout`]) go into [`fork_join`], which runs the
-//! iterations on worker views of the machine's memory, and the joined
-//! per-worker results go into [`finalize`], which applies the post-loop
-//! effects.  What differs between the two runtimes — which hooks a worker
-//! reports to and what happens around its iterations — is an [`Observer`].
+//! privatization ([`LoopLayout`]) are handed to workers — views of the
+//! machine's memory, each with a private tail and a [`Schedule`]d share of
+//! the iterations — and the joined per-worker results ([`WorkerResult`]) go
+//! into [`finalize`], which applies the post-loop effects.  What differs
+//! between the two runtimes is who advances the workers: [`fork_join`] gives
+//! each an OS thread and lets it run, the certifier
+//! ([`crate::certify`]) steps them in turn on its own thread.
 //!
 //! Ownership: the *handler* decides whether a loop runs in parallel, builds
 //! the layout and does its own accounting; `fork_join` owns the worker
-//! threads (the crate's only spawn site) and the iteration partition;
-//! `finalize` owns every write the loop leaves in shared memory after the
-//! join.  The aliasing of worker views is the `View` contract documented on
-//! `suif_dynamic::MemStore`; `fork_join` upholds its side by joining every
-//! worker before it returns.
+//! threads (the crate's only spawn site); `finalize` owns every write the
+//! loop leaves in shared memory after the join.  The aliasing of worker
+//! views is the `View` contract documented on `suif_dynamic::MemStore`;
+//! `fork_join` upholds its side by joining every worker before it returns.
 
 use crate::executor::{Finalization, Schedule};
 use crate::plan::PlanEntry;
 use std::collections::HashMap;
+use std::iter::StepBy;
+use std::ops::Range;
 use suif_analysis::RedOp;
-use suif_dynamic::machine::{Hooks, Machine, RuntimeError};
+use suif_dynamic::machine::{Machine, NoHooks, RuntimeError};
 use suif_dynamic::{DoLoop, Value};
 use suif_ir::{VarId, VarKind};
 
@@ -212,9 +215,13 @@ impl LayoutBuilder<'_, '_> {
     }
 }
 
+/// One worker's share of a loop's 0-based iterations, in the order it runs
+/// them.
+pub(crate) type Iterations = StepBy<Range<i64>>;
+
 impl Schedule {
-    /// The 0-based iterations worker `t` of `workers` runs out of `n`.
-    fn iterations(self, t: usize, workers: usize, n: i64) -> impl Iterator<Item = i64> {
+    /// The iterations worker `t` of `workers` runs out of `n`.
+    pub(crate) fn iterations(self, t: usize, workers: usize, n: i64) -> Iterations {
         let (t, w) = (t as i64, workers as i64);
         let (first, end, stride) = match self {
             Schedule::Block => (n * t / w, n * (t + 1) / w, 1),
@@ -233,25 +240,6 @@ impl Schedule {
     }
 }
 
-/// What a runtime plugs into [`fork_join`]: the hooks each worker view
-/// reports to, and callbacks around the worker's iterations.  All callbacks
-/// run on the worker's own thread.
-pub(crate) trait Observer: Sync {
-    /// Per-worker hooks.
-    type Hooks<'o>: Hooks
-    where
-        Self: 'o;
-    /// Hooks for worker `t`'s view.
-    fn hooks(&self, t: usize) -> Self::Hooks<'_>;
-    /// Worker `t` is about to run its first iteration.
-    fn start(&self, _t: usize) {}
-    /// Worker `t` is about to run 0-based iteration `k`.
-    fn begin_iter(&self, _t: usize, _k: i64) {}
-    /// Worker `t` ran its last iteration, or stopped at `error`; `view` is
-    /// its machine, still alive.
-    fn finish(&self, _t: usize, _view: &mut Machine<'_>, _error: Option<&RuntimeError>) {}
-}
-
 /// What one worker hands back at the join.
 pub(crate) struct WorkerResult {
     /// The private tail after the worker's last iteration.
@@ -262,19 +250,32 @@ pub(crate) struct WorkerResult {
     pub(crate) output: Vec<String>,
 }
 
-/// Run the iterations of `run` on `workers` views of `m`'s memory, each with
-/// a private tail laid out by `layout`, and join them all.  Returns the
-/// results in worker order, or the first failed worker's error; a panicking
-/// worker becomes a [`RuntimeError`] here.
-pub(crate) fn fork_join<O: Observer>(
+impl WorkerResult {
+    /// What the worker behind `view` hands back after its last iteration.
+    pub(crate) fn of(mut view: Machine<'_>) -> WorkerResult {
+        WorkerResult {
+            ops: view.ops(),
+            output: std::mem::take(&mut view.output),
+            tail: view.into_private(),
+        }
+    }
+}
+
+/// Run the iterations of `run` on `workers` OS threads, each over a view of
+/// `m`'s memory with a private tail laid out by `layout`, and join them all.
+/// A worker that ran all its iterations calls `merge(t, view)` on its own
+/// thread, while the others may still be running.  Returns the results in
+/// worker order, or the first failed worker's error; a panicking worker
+/// becomes a [`RuntimeError`] here.
+pub(crate) fn fork_join(
     m: &mut Machine<'_>,
     run: &LoopRun,
     layout: &LoopLayout,
     workers: usize,
     schedule: Schedule,
-    observer: &O,
+    merge: &(impl Fn(usize, &mut Machine<'_>) + Sync),
 ) -> Result<Vec<WorkerResult>, RuntimeError> {
-    let mut hooks: Vec<O::Hooks<'_>> = (0..workers).map(|t| observer.hooks(t)).collect();
+    let mut hooks: Vec<NoHooks> = (0..workers).map(|_| NoHooks).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = hooks
             .iter_mut()
@@ -282,21 +283,11 @@ pub(crate) fn fork_join<O: Observer>(
             .map(|(t, hooks)| {
                 let mut view = m.fork_view(&layout.overrides, layout.template.clone(), hooks);
                 scope.spawn(move || {
-                    observer.start(t);
-                    let mut result = Ok(());
                     for k in schedule.iterations(t, workers, run.n) {
-                        observer.begin_iter(t, k);
-                        result = view.run_iteration(&run.lp, run.lo + k * run.step);
-                        if result.is_err() {
-                            break;
-                        }
+                        view.run_iteration(&run.lp, run.lo + k * run.step)?;
                     }
-                    observer.finish(t, &mut view, result.as_ref().err());
-                    result.map(|()| WorkerResult {
-                        ops: view.ops(),
-                        output: std::mem::take(&mut view.output),
-                        tail: view.into_private(),
-                    })
+                    merge(t, &mut view);
+                    Ok(WorkerResult::of(view))
                 })
             })
             .collect();

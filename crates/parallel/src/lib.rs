@@ -22,13 +22,15 @@
 //!   post-join merging, or staggered per-section locking inside the workers
 //!   (§6.3.4).
 //!
-//! All of that is one fork/join (`forkjoin.rs`: layout → `fork_join` →
-//! `finalize`) with two users.  [`executor::ParallelExecutor`] runs planned
-//! loops through it for speed; [`certify`] runs one target loop through it
-//! for evidence, serializing the workers behind a token gate driven by
-//! `suif-dynamic`'s adversarial scheduler and feeding every access to its
-//! race detector.  Both are loop handlers the machine borrows; the fork/join
-//! contract is described in `docs/dynamic.md`.
+//! All of that exists once (`forkjoin.rs`: layout → workers over a
+//! partition of the iterations → `finalize`) and has two users, which
+//! differ in who advances the workers.  [`executor::ParallelExecutor`] runs
+//! planned loops for speed: `fork_join` gives every worker an OS thread.
+//! [`certify`] runs one target loop for evidence: its workers are logical
+//! threads that it steps in turn on the calling thread, `suif-dynamic`'s
+//! adversarial scheduler choosing the next one between steps and its race
+//! detector hearing every access.  Both are loop handlers the machine
+//! borrows; the contract is described in `docs/dynamic.md`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -472,10 +472,14 @@ impl Session {
         {
             self.spec_waste_assert(stmt);
         }
-        let (res, stats) = self.explorer.assert_and_reanalyze_with_stats(a);
         // Facts computed under user assertions are this tenant's opinion,
         // not ground truth: keep them in the private overlay (summaries and
-        // liveness are assertion-independent and still share).
+        // liveness are assertion-independent and still share).  The taint
+        // goes up before the reanalysis, so the first assertion's facts stay
+        // private too, and settles on what the config then holds: a refused
+        // assertion leaves an assertion-free session untainted.
+        self.store.set_assert_local(true);
+        let (res, stats) = self.explorer.assert_and_reanalyze_with_stats(a);
         self.store
             .set_assert_local(!self.explorer.analysis.config.assertions.is_empty());
         if let Some(stats) = stats {
@@ -669,7 +673,9 @@ impl Session {
     /// always-legal plan (so statically reported carried dependences
     /// manifest as detected races).  `loop_name = None` certifies every
     /// loop; a named loop additionally mirrors its report at the top level
-    /// as `{loop, schedules_run, races}`.
+    /// as `{loop, schedules_run, race_count, races}`.  `races` lists the
+    /// first `suif_parallel::certify::MAX_REPORTED_RACES` of each schedule;
+    /// `race_count` counts them all.
     pub fn certify_json(
         &mut self,
         loop_name: Option<&str>,
@@ -741,6 +747,7 @@ impl Session {
                 ("plain_doall", Json::Bool(info.plain_doall)),
                 ("schedules_run", Json::int(cert.schedules_run() as i64)),
                 ("race_free", Json::Bool(cert.race_free())),
+                ("race_count", Json::int(cert.race_count() as i64)),
                 ("races", Json::Arr(races)),
                 ("iterations", agg(|o| o.iterations)),
                 ("shared_accesses", agg(|o| o.shared_accesses)),
@@ -753,6 +760,7 @@ impl Session {
                 single = Some((
                     info.name.clone(),
                     cert.schedules_run(),
+                    cert.race_count(),
                     entry.get("races").cloned().unwrap_or(Json::Arr(vec![])),
                 ));
             }
@@ -763,9 +771,10 @@ impl Session {
             ("loops", Json::Arr(loops)),
             ("poly", self.poly_json()),
         ];
-        if let Some((name, run, races)) = single {
+        if let Some((name, run, race_count, races)) = single {
             fields.push(("loop", Json::str(name)));
             fields.push(("schedules_run", Json::int(run as i64)));
+            fields.push(("race_count", Json::int(race_count as i64)));
             fields.push(("races", races));
         }
         Ok(Json::obj(fields))

@@ -309,6 +309,68 @@ fn reload_after_assert_publishes_the_rebuilt_facts() {
     assert_eq!(inserts(&mut b), before, "asserted facts reached the tier");
 }
 
+/// The assertion taint goes up before the reanalysis, not after it: what the
+/// *first* assertion of a session makes it classify is that tenant's opinion
+/// like every later one's, and none of it reaches the tier.  A refused
+/// assertion leaves the session clean, and so does the next `reload`.
+#[test]
+fn first_assert_publishes_nothing() {
+    let state = ServiceState::new(ServiceOptions {
+        threads: 1,
+        ..ServiceOptions::default()
+    });
+    let mut a = Daemon::for_state(state.clone());
+    let r = req(&mut a, &load_line(MDG_LIKE));
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+    let inserts = |d: &mut Daemon| {
+        let st = req(d, r#"{"cmd":"stats"}"#);
+        let tier = st.get("tier").expect("a shared tier");
+        tier.get("inserts").and_then(Json::as_i64).unwrap()
+    };
+    let loaded = inserts(&mut a);
+    assert!(loaded > 0, "the load published nothing");
+
+    // Refused: the session stays assertion-free, and what it computes next
+    // (the advisories are demanded on first query) is still published.
+    let r = req(
+        &mut a,
+        r#"{"cmd":"assert","loop":"main/1000","var":"nosuch","kind":"private"}"#,
+    );
+    assert_eq!(
+        r.get("assertion").and_then(Json::as_str),
+        Some("contradicted"),
+        "{r}"
+    );
+    assert_eq!(inserts(&mut a), loaded);
+    let r = req(&mut a, r#"{"cmd":"advisory"}"#);
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+    let advised = inserts(&mut a);
+    assert!(advised > loaded, "a refused assertion tainted the session");
+
+    let r = req(
+        &mut a,
+        r#"{"cmd":"assert","loop":"main/1000","var":"rl","kind":"private"}"#,
+    );
+    assert_eq!(loop_parallel(&r, "main/1000"), Some(true), "{r}");
+    let st = req(&mut a, r#"{"cmd":"stats"}"#);
+    let computed = st.get("facts").unwrap().get("computed");
+    assert!(computed.and_then(Json::as_i64).unwrap() > 0, "{st}");
+    assert_eq!(
+        inserts(&mut a),
+        advised,
+        "the first assertion's facts reached the tier"
+    );
+
+    let edited = MDG_LIKE.replace("cut2 = 30.0", "cut2 = 31.5");
+    let reload = format!(r#"{{"cmd":"reload","text":"{}"}}"#, escape(&edited));
+    let r = req(&mut a, &reload);
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+    assert!(
+        inserts(&mut a) > advised,
+        "the reload published nothing: {r}"
+    );
+}
+
 /// One line-delimited JSON client over a real socket.
 struct Client {
     reader: BufReader<TcpStream>,

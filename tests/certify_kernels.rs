@@ -1,11 +1,13 @@
 //! Hand-written MiniF kernels pinning the race detector's reports: a known
 //! write-write race, a read-write race across iterations, and a reduction
 //! that is race-free only under the reduction transform.  Each test pins the
-//! exact reported access pair (variable, race kind, source lines).  A last
-//! kernel fails at run time inside the certified loop.
+//! exact reported access pair (variable, race kind, source lines).  Two
+//! kernels fail at run time inside the certified loop, and one races in an
+//! inner loop reached often enough to overflow the bounded race list.
 
 use suif_analysis::{ParallelizeConfig, Parallelizer, VarClass};
 use suif_dynamic::race::Race;
+use suif_dynamic::Value;
 use suif_ir::{parse_program, Program, StmtId};
 use suif_parallel::plan::minimal_plan;
 use suif_parallel::{capture_sequential, certify_loop, CertifyOptions, ParallelPlans};
@@ -176,5 +178,109 @@ proc main() {
         // The loop never finished: nothing after it ran.
         assert!(s.capture.output.is_empty(), "seed {}", s.seed);
         assert_eq!(s.outcome.loops_run, 1);
+    }
+}
+
+#[test]
+fn failure_in_the_last_workers_block_lets_the_others_finish() {
+    // Three workers own iterations 1-4, 5-8 and 9-12; only iteration 10
+    // subscripts out of bounds.  The last worker stops there; the other two
+    // are not torn down with it: they run their blocks to the end.
+    let src = "program t
+proc main() {
+  real a[16]
+  int idx[12], i
+  do 0 i = 1, 12 {
+    idx[i] = i
+  }
+  idx[10] = 17
+  do 1 i = 1, 12 {
+    a[idx[i]] = i
+  }
+  print a[1]
+}
+";
+    let (p, target) = loop_named(src, "main/1");
+    let plan = minimal_plan(&p, target).unwrap();
+    let opts = CertifyOptions {
+        schedules: 2,
+        seed: 99,
+        ..Default::default()
+    };
+    let cert = certify_loop(&p, target, &plan, &opts);
+    // `a` is laid out first: cells 0..16.  Iterations 1-9 stored, 10 failed,
+    // 11 and 12 never ran.
+    let a: Vec<Value> = (1..=16)
+        .map(|i| Value::Real(if i <= 9 { i as f64 } else { 0.0 }))
+        .collect();
+    // (decisions, switches, shared accesses) of seeds 99 and 100, as the
+    // token gate between OS threads took them.
+    let pinned = [(52, 11, 19), (52, 6, 19)];
+    for (s, pinned) in cert.schedules.iter().zip(pinned) {
+        let e = s.capture.error.as_ref().expect("error surfaces");
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (10, "subscript 1 of `a` is 17 (> extent 16)")
+        );
+        assert_eq!(s.outcome.error.as_ref().map(|e| e.line), Some(10));
+        assert_eq!(&s.capture.memory[..16], &a[..], "seed {}", s.seed);
+        assert!(s.capture.output.is_empty(), "seed {}", s.seed);
+        let o = &s.outcome;
+        assert_eq!(
+            (o.schedule_decisions, o.schedule_switches, o.shared_accesses),
+            pinned,
+            "seed {}",
+            s.seed
+        );
+    }
+}
+
+#[test]
+fn race_list_is_bounded_and_the_count_is_not() {
+    // The inner loop carries a flow dependence and is reached 120 times;
+    // every invocation detects the same six pairs again.
+    let src = "program t
+proc main() {
+  real a[8]
+  int i, j
+  do 1 j = 1, 120 {
+    do 2 i = 2, 8 {
+      a[i] = a[i - 1] + 1
+    }
+  }
+  print a[8]
+}
+";
+    let (p, target) = loop_named(src, "main/2");
+    let plan = minimal_plan(&p, target).unwrap();
+    let opts = CertifyOptions {
+        schedules: 2,
+        seed: 21,
+        ..Default::default()
+    };
+    let cert = certify_loop(&p, target, &plan, &opts);
+    assert!(!cert.race_free());
+    // What the unbounded list held: 6 races × 120 invocations per schedule.
+    assert_eq!(cert.race_count(), 1440);
+    for s in &cert.schedules {
+        assert_eq!(s.outcome.loops_run, 120);
+        assert_eq!(s.outcome.race_count, 720, "seed {}", s.seed);
+        assert_eq!(
+            s.outcome.races.len(),
+            suif_parallel::certify::MAX_REPORTED_RACES
+        );
+        let r = &s.outcome.races[0];
+        assert_eq!(
+            (
+                r.addr,
+                r.first.thread,
+                r.first.line,
+                r.second.thread,
+                r.second.line
+            ),
+            (3, 3, 7, 4, 7),
+            "seed {}",
+            s.seed
+        );
     }
 }

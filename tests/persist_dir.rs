@@ -224,11 +224,13 @@ fn six_sessions_share_one_owner_of_the_directory() {
 }
 
 /// The directory holds facts only.  After the mdg case study (load, guru,
-/// the user's assertions, checkpoint) the base image re-encodes to itself
-/// byte for byte, the log replays cleanly over it, the folded pair
-/// round-trips too — and the pair is a fraction of what it was while every
-/// checkpoint also carried the emptiness-proof memo (≈ 550 KB for mdg's
-/// base alone).
+/// the advisories, the user's assertions, checkpoint) the base image
+/// re-encodes to itself byte for byte, the log replays cleanly over it, the
+/// folded pair round-trips too — and the pair is a fraction of what it was
+/// while every checkpoint also carried the emptiness-proof memo (≈ 550 KB
+/// for mdg's base alone).  What the session classifies under the user's
+/// assertions, the first one included, is that tenant's opinion and never
+/// becomes durable: the log grows by the advisories and by nothing else.
 #[test]
 fn mdg_case_study_persists_facts_only() {
     let dir: PathBuf =
@@ -243,6 +245,9 @@ fn mdg_case_study_persists_facts_only() {
     let load = Json::obj([("cmd", Json::str("load")), ("text", Json::str(&mdg.source))]);
     request(&mut d, &load.to_string());
     request(&mut d, r#"{"cmd":"guru"}"#);
+    request(&mut d, r#"{"cmd":"advisory"}"#);
+    let advised = request(&mut d, r#"{"cmd":"checkpoint"}"#);
+    assert!(int(&advised, &["delta_facts"]) > 0, "{advised}");
     assert!(!mdg.assertions.is_empty());
     for a in &mdg.assertions {
         let kind = if a.privatize {
@@ -258,7 +263,12 @@ fn mdg_case_study_persists_facts_only() {
         ]);
         request(&mut d, &assert.to_string());
     }
-    request(&mut d, r#"{"cmd":"checkpoint"}"#);
+    let asserted = request(&mut d, r#"{"cmd":"checkpoint"}"#);
+    assert_eq!(
+        int(&asserted, &["log_bytes"]),
+        int(&advised, &["log_bytes"]),
+        "the assertions made something durable: {asserted}"
+    );
     let idle = request(&mut d, r#"{"cmd":"checkpoint"}"#);
     assert_eq!(int(&idle, &["bytes"]), 0, "{idle}");
 
@@ -274,7 +284,7 @@ fn mdg_case_study_persists_facts_only() {
     assert_eq!(image.undecodable, 0);
     assert!(
         image.facts.len() > decoded.facts.len(),
-        "the assertions appended re-classified loops to the log"
+        "the advisories were appended to the log"
     );
     let folded = Snapshot::new(image.facts).encode();
     assert_eq!(Snapshot::decode(&folded).unwrap().encode(), folded);
