@@ -27,8 +27,8 @@ pub const FRESH_BASE: u32 = 0x4000_0000;
 /// Width of one per-procedure fresh-symbol block.  Each procedure's
 /// summarization draws fresh symbols exclusively from its own block, so the
 /// ids a procedure's summary contains depend only on that procedure — not on
-/// the order procedures are analyzed in.  That makes the parallel scheduler
-/// bit-identical to the sequential pass and per-procedure results cacheable.
+/// the order procedures are analyzed in.  That makes per-procedure results
+/// cacheable across programs, sessions and threads.
 pub const PROC_FRESH_BLOCK: u32 = 1 << 20;
 
 /// First symbol id of the shared post-pass allocator used outside any

@@ -52,7 +52,6 @@ pub mod parallelize;
 pub mod persist;
 pub mod pipeline;
 pub mod reduction;
-pub mod schedule;
 pub mod summarize;
 pub mod symenv;
 
@@ -68,15 +67,14 @@ pub use execution::{ExecutionFact, LoopExecution};
 pub use liveness::{LivenessMode, LivenessResult};
 pub use parallelize::{
     AnalyzeStats, Assertion, LoopCertInfo, LoopVerdict, ParallelizeConfig, Parallelizer, PassStat,
-    PrefetchOutcome, ProgramAnalysis, StaticDep, VarClass,
+    ProgramAnalysis, ScheduleOptions, StaticDep, VarClass,
 };
 pub use persist::PersistDir;
 pub use pipeline::{
-    ExecStats, Executor, ExecutorService, ExportedFact, FactKey, FactStore, Pass, PassId,
-    PassMetrics, Scope, StoreByteStats,
+    ExecutorService, ExportedFact, FactKey, FactStore, Pass, PassId, PassMetrics, Scope,
+    StoreByteStats,
 };
 pub use reduction::RedOp;
-pub use schedule::{ScheduleOptions, ScheduleStats};
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use summarize::{ArrayDataFlow, LoopIterSummary, ProcFlow};
+pub use summarize::{ArrayDataFlow, LoopIterSummary, ProcFlow, ScheduleStats};
 pub use tier::{SharedFactTier, TierStats};

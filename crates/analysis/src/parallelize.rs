@@ -8,10 +8,9 @@ use crate::context::{AnalysisCtx, ArrayKey};
 use crate::deps::DepTest;
 use crate::execution::{execute_hash, EXECUTE_KEY};
 use crate::liveness::{self, LivenessMode, LivenessResult};
-use crate::pipeline::{ExecStats, FactKey, FactStore, Pass, PassId, PassMetrics, Scope};
+use crate::pipeline::{FactKey, FactStore, Pass, PassId, PassMetrics, Scope};
 use crate::reduction::RedOp;
-use crate::schedule::{self, ScheduleOptions, ScheduleStats};
-use crate::summarize::ArrayDataFlow;
+use crate::summarize::{ArrayDataFlow, ScheduleStats};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -259,9 +258,9 @@ pub struct PassStat {
 /// the fact store's per-pass counters rather than hand-rolled timers.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyzeStats {
-    /// Bottom-up pass: sizes, cache traffic, worker utilization.  When the
+    /// Bottom-up pass: sizes, cache traffic, timing.  When the
     /// whole-program summary fact was reused, `summarized`/`cache_hits` are
-    /// zero and the timing fields are zero — the scheduler never ran.
+    /// zero and the timing fields are zero — the pass never ran.
     pub schedule: ScheduleStats,
     /// Per-pass deltas for this run, in [`PassId`] order.
     pub passes: Vec<PassStat>,
@@ -276,9 +275,6 @@ pub struct AnalyzeStats {
     pub facts_shared: u64,
     /// Whole-analysis seconds (context build included).
     pub total_secs: f64,
-    /// How the per-loop classify fan-out ran ([`FactStore::demand_all`]):
-    /// worker count, per-worker busy seconds, and the fan-out wall-clock.
-    pub demand_exec: ExecStats,
     /// Polyhedral-kernel counter deltas for this run: how the emptiness
     /// ladder resolved queries (GCD / interval / quick-sat / full FM),
     /// subscript-level dependence rejects, and budget approximations.
@@ -345,26 +341,29 @@ impl AnalyzeStats {
     }
 }
 
+/// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.
+#[derive(Clone, Debug, Default)]
+pub struct ScheduleOptions {
+    /// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.
+    pub threads: usize,
+}
+
+impl ScheduleOptions {
+    /// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.
+    pub fn sequential() -> ScheduleOptions {
+        ScheduleOptions { threads: 1 }
+    }
+}
+
 /// The driver.
 pub struct Parallelizer;
 
 impl Parallelizer {
-    /// Analyze a program under a configuration (sequential, uncached).
+    /// Analyze a program under a configuration (uncached), through a
+    /// private, single-use [`FactStore`].
     pub fn analyze(program: &Program, config: ParallelizeConfig) -> ProgramAnalysis<'_> {
-        Parallelizer::analyze_with(program, config, &ScheduleOptions::sequential(), None).0
-    }
-
-    /// Analyze with an explicit schedule (parallel bottom-up pass) and an
-    /// optional cross-run summary cache.  The analysis result is identical
-    /// for every schedule and cache state; only [`AnalyzeStats`] differs.
-    /// Runs through a private, single-use [`FactStore`].
-    pub fn analyze_with<'p>(
-        program: &'p Program,
-        config: ParallelizeConfig,
-        opts: &ScheduleOptions,
-        cache: Option<&SummaryCache>,
-    ) -> (ProgramAnalysis<'p>, AnalyzeStats) {
-        Parallelizer::analyze_in(program, config, opts, cache, &FactStore::new())
+        let store = FactStore::new();
+        Parallelizer::analyze_in(program, config, &ScheduleOptions::default(), None, &store).0
     }
 
     /// Analyze through a shared [`FactStore`]: every pass becomes a fact
@@ -372,10 +371,13 @@ impl Parallelizer {
     /// only the facts whose input hashes moved.  The store may live across
     /// runs (and across `reload`s of edited programs — stale facts miss on
     /// their content hash).
+    ///
+    /// `_opts` is ignored; kept while `perfbench/` is frozen; ROADMAP
+    /// direction 0 deletes it together with the `cache` parameter.
     pub fn analyze_in<'p>(
         program: &'p Program,
         config: ParallelizeConfig,
-        opts: &ScheduleOptions,
+        _opts: &ScheduleOptions,
         cache: Option<&SummaryCache>,
         store: &FactStore,
     ) -> (ProgramAnalysis<'p>, AnalyzeStats) {
@@ -391,22 +393,17 @@ impl Parallelizer {
         let summarized_before = store.metrics_for(PassId::Summarize).invocations;
         let summary = store.demand(&SummarizePass {
             inputs: &inputs,
-            opts,
             cache,
         });
         let df = summary.df.clone();
         let schedule = if store.metrics_for(PassId::Summarize).invocations > summarized_before {
             summary.stats.clone()
         } else {
-            // The fact was reused: the scheduler never ran, so report its
-            // shape but no traffic or timing.
+            // The fact was reused: the pass never ran, so report its shape
+            // but no traffic or timing.
             ScheduleStats {
-                summarized: 0,
-                cache_hits: 0,
-                wall_secs: 0.0,
-                busy_secs: 0.0,
-                proc_secs: Vec::new(),
-                ..summary.stats.clone()
+                procs: summary.stats.procs,
+                ..ScheduleStats::default()
             }
         };
 
@@ -421,89 +418,9 @@ impl Parallelizer {
 
         // Per-loop classification: one loop-scope fact each, keyed by the
         // region's content hash plus exactly the assertions that resolved
-        // onto it — asserting one loop re-classifies only that loop.  The
-        // demands fan out across the shared executor; results come back in
-        // loop order and verdicts contain no fresh symbols, so the parallel
-        // run is observationally identical to the sequential one.
-        let exec = opts.executor();
-        let passes: Vec<ClassifyPass<'_, '_>> = inputs
-            .ctx
-            .tree
-            .loops
-            .iter()
-            .map(|li| ClassifyPass {
-                inputs: &inputs,
-                df: &df,
-                liveness: liveness.as_deref(),
-                config: &config,
-                li,
-            })
-            .collect();
-        let (facts, demand_exec) = store.demand_all(&passes, &exec);
-        drop(passes);
+        // onto it — asserting one loop re-classifies only that loop.
         let mut verdicts = HashMap::new();
-        for (li, verdict) in inputs.ctx.tree.loops.iter().zip(facts) {
-            verdicts.insert(li.stmt, (*verdict).clone());
-        }
-
-        let mut stats = run_stats(store, &metrics_before, schedule, t0.elapsed().as_secs_f64());
-        stats.demand_exec = demand_exec;
-        stats.poly = suif_poly::poly_stats().since(&poly_before);
-        (inputs.into_analysis(df, liveness, verdicts, config), stats)
-    }
-
-    /// Speculatively compute the classify and carried-dependence facts of
-    /// selected loops through a shared [`FactStore`], without building a
-    /// full [`ProgramAnalysis`] for the caller.
-    ///
-    /// The server spawns this on a background thread after `guru`, naming
-    /// the top-ranked loops: the next interactive query on one of them
-    /// answers from the store.  `cancel` is polled between facts so an
-    /// invalidation event (`assert`, `reload`) stops the speculation; a
-    /// fact already `Running` when the event lands is stored dirty by the
-    /// fact store itself, so cancellation never races a stale answer in.
-    ///
-    /// Returns the keys of every fact demanded (for hit/waste accounting)
-    /// and whether the run was cancelled early.
-    pub fn prefetch_loops(
-        program: &Program,
-        config: ParallelizeConfig,
-        opts: &ScheduleOptions,
-        cache: Option<&SummaryCache>,
-        store: &FactStore,
-        loop_names: &[String],
-        cancel: &(dyn Fn() -> bool + Sync),
-    ) -> PrefetchOutcome {
-        let mut out = PrefetchOutcome::default();
-        if cancel() {
-            out.cancelled = true;
-            return out;
-        }
-        let inputs = FactInputs::new(program, &config);
-        let summarize = SummarizePass {
-            inputs: &inputs,
-            opts,
-            cache,
-        };
-        let df = store.demand(&summarize).df.clone();
-        let liveness: Option<Arc<LivenessResult>> = config.liveness.map(|mode| {
-            store.demand(&LivenessPass {
-                inputs: &inputs,
-                df: &df,
-                mode,
-            })
-        });
-
-        let mut verdicts = HashMap::new();
-        let mut stmts: Vec<StmtId> = Vec::new();
-        for name in loop_names {
-            if cancel() {
-                out.cancelled = true;
-                break;
-            }
-            let Some(li) = inputs.ctx.tree.loops.iter().find(|l| &l.name == name) else {
-                continue;
-            };
+        for li in &inputs.ctx.tree.loops {
             let verdict = store.demand(&ClassifyPass {
                 inputs: &inputs,
                 df: &df,
@@ -512,23 +429,11 @@ impl Parallelizer {
                 li,
             });
             verdicts.insert(li.stmt, (*verdict).clone());
-            out.keys
-                .push(FactKey::new(PassId::Classify, Scope::Loop(li.stmt)));
-            stmts.push(li.stmt);
         }
 
-        // The carried-dependence advisory needs a full analysis view; reuse
-        // the facts just demanded.
-        let pa = inputs.into_analysis(df, liveness, verdicts, config);
-        for stmt in stmts {
-            if cancel() {
-                out.cancelled = true;
-                break;
-            }
-            crate::deps::carried_deps_cached(&pa, store, stmt);
-            out.keys.push(FactKey::new(PassId::Deps, Scope::Loop(stmt)));
-        }
-        out
+        let mut stats = run_stats(store, &metrics_before, schedule, t0.elapsed().as_secs_f64());
+        stats.poly = suif_poly::poly_stats().since(&poly_before);
+        (inputs.into_analysis(df, liveness, verdicts, config), stats)
     }
 
     /// The input hash every fact key *would* carry if analyzed, and run on
@@ -673,16 +578,6 @@ fn write_config(h: &mut Fnv128, config: &ParallelizeConfig) {
     h.write(&[config.enable_reduction as u8]);
 }
 
-/// What [`Parallelizer::prefetch_loops`] did: the fact keys it demanded
-/// (classify then deps, in ranked-loop order) and whether it was cancelled.
-#[derive(Clone, Debug, Default)]
-pub struct PrefetchOutcome {
-    /// Every fact key demanded before cancellation.
-    pub keys: Vec<FactKey>,
-    /// Whether `cancel()` stopped the run early.
-    pub cancelled: bool,
-}
-
 /// Resolved assertion marks `(stmt, object)`, one set per assertion kind,
 /// plus the warnings for assertions that resolved to nothing.
 type ResolvedAssertions = (
@@ -784,18 +679,17 @@ fn run_stats(
     stats
 }
 
-/// The whole-program summary fact: the merged data flow plus the schedule
-/// stats of the run that computed it.
+/// The whole-program summary fact: the merged data flow plus the stats of
+/// the bottom-up pass that computed it.
 pub struct SummaryFact {
     /// Merged bottom-up data flow.
     pub df: Arc<ArrayDataFlow>,
-    /// How the computing run was scheduled (reused runs report zero traffic).
+    /// What the computing run did (reused runs report zero traffic).
     pub stats: ScheduleStats,
 }
 
 struct SummarizePass<'a, 'p> {
     inputs: &'a FactInputs<'p>,
-    opts: &'a ScheduleOptions,
     cache: Option<&'a SummaryCache>,
 }
 
@@ -808,7 +702,7 @@ impl Pass for SummarizePass<'_, '_> {
         self.inputs.pkey
     }
     fn run(&self) -> SummaryFact {
-        let (df, stats) = schedule::run(&self.inputs.ctx, self.opts, self.cache);
+        let (df, stats) = ArrayDataFlow::analyze_cached(&self.inputs.ctx, self.cache);
         SummaryFact {
             df: Arc::new(df),
             stats,

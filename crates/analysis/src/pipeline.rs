@@ -1,5 +1,5 @@
 //! The demand-driven pass pipeline: a [`Pass`] trait plus a concurrent,
-//! region-granular [`FactStore`] and the shared [`Executor`] worker pool.
+//! region-granular [`FactStore`], and the [`ExecutorService`] command pool.
 //!
 //! Every analysis driver (summaries, liveness, per-loop classification, and
 //! the demand-only advisories in [`crate::contract`], [`crate::decomp`],
@@ -203,20 +203,6 @@ pub struct ExportedFact {
     pub bytes: usize,
     /// The fact value, type-erased exactly as stored.
     pub value: Arc<dyn Any + Send + Sync>,
-}
-
-thread_local! {
-    /// Seconds this thread spent parked inside [`FactStore::demand`]
-    /// waiting on another thread's in-flight computation.  [`Executor::run`]
-    /// subtracts the delta accumulated during a worker's loop from that
-    /// worker's busy seconds, so blocked time is charged to
-    /// [`PassMetrics::wait_secs`] once — never double-counted as executor
-    /// busy time.
-    static DEMAND_WAIT_SECS: std::cell::Cell<f64> = const { std::cell::Cell::new(0.0) };
-}
-
-fn note_demand_wait(secs: f64) {
-    DEMAND_WAIT_SECS.with(|w| w.set(w.get() + secs));
 }
 
 /// Entry state machine: `Absent` is represented by the key missing from the
@@ -463,8 +449,6 @@ impl FactStore {
                                 let waited = t.elapsed().as_secs_f64();
                                 m.deduped += 1;
                                 m.wait_secs += waited;
-                                drop(metrics);
-                                note_demand_wait(waited);
                             }
                             None => m.reused += 1,
                         }
@@ -510,13 +494,9 @@ impl FactStore {
                         let m = metrics.entry(key.pass).or_default();
                         m.shared += 1;
                         if let Some(t) = wait_start {
-                            let waited = t.elapsed().as_secs_f64();
-                            m.wait_secs += waited;
-                            drop(metrics);
-                            note_demand_wait(waited);
-                        } else {
-                            drop(metrics);
+                            m.wait_secs += t.elapsed().as_secs_f64();
                         }
+                        drop(metrics);
                         self.maybe_evict();
                         return Ok(v);
                     }
@@ -531,7 +511,6 @@ impl FactStore {
             // poisoned); still account the blocked time.
             let waited = t.elapsed().as_secs_f64();
             self.metrics.lock().entry(key.pass).or_default().wait_secs += waited;
-            note_demand_wait(waited);
         }
         let mut claim = RunClaim {
             shard,
@@ -644,29 +623,6 @@ impl FactStore {
                     .fetch_add(freed as u64, Ordering::Relaxed);
             }
         }
-    }
-
-    /// Demand many facts of one pass type concurrently across `exec`.
-    ///
-    /// Results come back in input order, so parallel demand is
-    /// observationally identical to demanding each pass in sequence (pass
-    /// outputs are pure functions of their input hash, and in-flight dedup
-    /// guarantees each key runs at most once).
-    pub fn demand_all<P: Pass + Sync>(
-        &self,
-        passes: &[P],
-        exec: &Executor,
-    ) -> (Vec<Arc<P::Output>>, ExecStats) {
-        let results: Vec<Mutex<Option<Arc<P::Output>>>> =
-            passes.iter().map(|_| Mutex::new(None)).collect();
-        let stats = exec.run(passes.len(), |i| {
-            *results[i].lock() = Some(self.demand(&passes[i]));
-        });
-        let out = results
-            .into_iter()
-            .map(|m| m.into_inner().expect("demand_all worker stored a result"))
-            .collect();
-        (out, stats)
     }
 
     /// Mark one fact dirty and propagate along the recorded dependency
@@ -842,124 +798,6 @@ impl FactStore {
     }
 }
 
-/// Work sets smaller than this run inline on the calling thread instead of
-/// fanning out across the pool — dispatch overhead dominates below it.
-pub const INLINE_FAN_OUT_FLOOR: usize = 4;
-
-/// A reusable pool of scoped workers pulling indexed work items off a shared
-/// claim counter.  Both the bottom-up scheduler ([`crate::schedule::run`])
-/// and [`FactStore::demand_all`] fan out across it, so worker-count policy
-/// (including the `SUIF_EXECUTOR_THREADS` stress override) lives in one
-/// place.
-#[derive(Clone, Debug)]
-pub struct Executor {
-    threads: usize,
-}
-
-/// What one [`Executor::run`] did: worker count, per-worker busy seconds,
-/// and the fan-out's wall-clock.
-#[derive(Clone, Debug, Default)]
-pub struct ExecStats {
-    /// Workers actually spawned (≤ configured threads, ≥ 1).
-    pub workers: usize,
-    /// Wall-clock seconds of the whole fan-out.
-    pub wall_secs: f64,
-    /// Busy seconds per worker, indexed by worker id.
-    pub worker_busy_secs: Vec<f64>,
-}
-
-impl ExecStats {
-    /// Summed busy seconds across workers.
-    pub fn busy_secs(&self) -> f64 {
-        self.worker_busy_secs.iter().sum()
-    }
-}
-
-impl Executor {
-    /// An executor with the given worker budget; `0` means one per core.
-    /// The `SUIF_EXECUTOR_THREADS` environment variable, when set to a
-    /// positive integer, overrides the budget (the CI thread-stress job
-    /// forces 2 and 8 this way — safe because parallel demand is
-    /// observationally identical to sequential).
-    pub fn new(threads: usize) -> Executor {
-        Executor {
-            threads: Executor::resolve(threads),
-        }
-    }
-
-    /// Resolve a requested thread count to the effective one (env override,
-    /// then `0` → available cores).
-    pub fn resolve(threads: usize) -> usize {
-        if let Ok(v) = std::env::var("SUIF_EXECUTOR_THREADS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        if threads != 0 {
-            return threads;
-        }
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    }
-
-    /// The resolved worker budget.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run `work(0..n)` across the pool: workers claim indices from a shared
-    /// atomic counter until exhausted.  With one worker (or one item) the
-    /// work runs inline on the calling thread — no spawn overhead, identical
-    /// results either way.  Work sets below [`INLINE_FAN_OUT_FLOOR`] also run
-    /// inline: `docs/bench-history/BENCH_3.json` measured 0.75–0.91x on tiny
-    /// apps where thread spawn and claim-counter traffic cost more than the
-    /// work itself.
-    pub fn run(&self, n: usize, work: impl Fn(usize) + Sync) -> ExecStats {
-        let t0 = Instant::now();
-        let workers = if n < INLINE_FAN_OUT_FLOOR {
-            1
-        } else {
-            self.threads.min(n).max(1)
-        };
-        let claim = AtomicUsize::new(0);
-        let busy: Vec<Mutex<f64>> = (0..workers).map(|_| Mutex::new(0.0)).collect();
-        let body = |w: usize| {
-            let start = Instant::now();
-            // A worker parked inside `FactStore::demand` (deduping on an
-            // in-flight fact) is not busy: that interval is charged to
-            // `PassMetrics::wait_secs` by the store, so subtract it here
-            // rather than double-count it as executor busy time.
-            let wait_before = DEMAND_WAIT_SECS.with(std::cell::Cell::get);
-            loop {
-                let i = claim.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                work(i);
-            }
-            let waited = DEMAND_WAIT_SECS.with(std::cell::Cell::get) - wait_before;
-            *busy[w].lock() = (start.elapsed().as_secs_f64() - waited).max(0.0);
-        };
-        if workers == 1 {
-            body(0);
-        } else {
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    s.spawn(move || body(w));
-                }
-            });
-        }
-        ExecStats {
-            workers,
-            wall_secs: t0.elapsed().as_secs_f64(),
-            worker_busy_secs: busy.into_iter().map(Mutex::into_inner).collect(),
-        }
-    }
-}
-
 /// A detached job submitted to the [`ExecutorService`].
 type ServiceJob = Box<dyn FnOnce() + Send + 'static>;
 
@@ -975,20 +813,20 @@ struct ServiceShared {
     completed: AtomicU64,
 }
 
-/// A long-lived pool of detached workers draining a FIFO job queue —
-/// the asynchronous sibling of the scoped [`Executor`].
+/// A long-lived pool of detached workers draining a FIFO job queue: the
+/// one pool in the system.  It parallelises across requests (the daemon's
+/// command pool) and across programs (a `corpus` run's private pool); a
+/// single request runs on exactly one of its threads, start to finish.
 ///
-/// [`Executor::run`] blocks the caller until the whole fan-out finishes,
-/// which is right for analysis-internal parallelism but wrong for the
-/// evented daemon: the reactor thread must never block on analysis.  The
-/// service accepts `FnOnce` jobs and runs them on its own threads; the
+/// The evented daemon's reactor thread must never block on analysis, so
+/// the service accepts `FnOnce` jobs and runs them on its own threads; the
 /// job itself delivers its result (e.g. by pushing a completion and
 /// ringing the reactor's wakeup pipe).
 ///
-/// Worker-count policy is shared with [`Executor`] (`Executor::resolve`,
-/// including the `SUIF_EXECUTOR_THREADS` override), with a floor of two
-/// workers so one long-running `analyze` can never starve every other
-/// session's cheap `stats` — even on a single-core host.
+/// A budget of `0` means one worker per available core.  Either way there
+/// is a floor of two workers so one long-running `analyze` can never
+/// starve every other session's cheap `stats` — even on a single-core
+/// host.
 ///
 /// Dropping the service finishes already-queued jobs, then joins the
 /// workers.
@@ -1007,10 +845,14 @@ impl std::fmt::Debug for ExecutorService {
 }
 
 impl ExecutorService {
-    /// A service with the given worker budget (`0` means one per core);
-    /// resolution matches [`Executor::new`], floored at two workers.
+    /// A service with the given worker budget (`0` means one per core),
+    /// floored at two workers.
     pub fn new(threads: usize) -> ExecutorService {
-        let workers = Executor::resolve(threads).max(2);
+        let workers = match threads {
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+            n => n,
+        }
+        .max(2);
         let shared = Arc::new(ServiceShared {
             queue: Mutex::new(ServiceQueue {
                 jobs: VecDeque::new(),
@@ -1382,33 +1224,6 @@ mod tests {
     }
 
     #[test]
-    fn demand_all_preserves_input_order() {
-        let store = FactStore::new();
-        let runs = AtomicU64::new(0);
-        let passes: Vec<CountingPass<'_>> = (0..20)
-            .map(|i| CountingPass {
-                key: key(PassId::Classify, 100 + i),
-                hash: 1,
-                deps: vec![],
-                runs: &runs,
-                output: i64::from(i),
-            })
-            .collect();
-        let exec = Executor::new(4);
-        let (got, stats) = store.demand_all(&passes, &exec);
-        assert_eq!(runs.load(Ordering::Relaxed), 20);
-        for (i, v) in got.iter().enumerate() {
-            assert_eq!(**v, i as i64, "results in input order");
-        }
-        assert!(stats.workers >= 1 && stats.worker_busy_secs.len() == stats.workers);
-
-        // A second fan-out reuses every fact.
-        let (_, _) = store.demand_all(&passes, &exec);
-        assert_eq!(runs.load(Ordering::Relaxed), 20);
-        assert_eq!(store.metrics_for(PassId::Classify).reused, 20);
-    }
-
-    #[test]
     fn export_and_import_round_trip_preserves_entries() {
         let store = FactStore::new();
         let runs = AtomicU64::new(0);
@@ -1526,13 +1341,11 @@ mod tests {
         assert!(store.export().is_empty());
     }
 
-    /// Pins the `wait_secs` accounting: a worker of `demand_all` that
-    /// blocks on a fact some other thread (e.g. the speculation claimant)
-    /// is computing charges the parked interval to `wait_secs` exactly
-    /// once, and the executor's per-worker busy seconds exclude it — the
-    /// same interval must never be double-counted as busy *and* waiting.
+    /// Pins the `wait_secs` accounting: a demand that blocks on a fact
+    /// another thread is computing charges the parked interval to
+    /// `wait_secs` exactly once.
     #[test]
-    fn demand_all_worker_busy_excludes_blocked_wait() {
+    fn deduped_demand_charges_its_wait_once() {
         const HOLD_MS: u64 = 200;
         let store = Arc::new(FactStore::new());
         let started = Arc::new(AtomicU64::new(0));
@@ -1555,7 +1368,7 @@ mod tests {
             }
         }
 
-        // The "speculation claimant": grabs the Running slot first.
+        // The claimant grabs the Running slot first.
         let claimant = {
             let (store, started) = (store.clone(), started.clone());
             std::thread::spawn(move || *store.demand(&SlowPass { started }))
@@ -1564,18 +1377,16 @@ mod tests {
             std::thread::yield_now();
         }
 
-        // A demand_all fan-out whose only item dedups against the claimant:
-        // the worker parks for ~HOLD_MS inside `demand`.
-        let passes = vec![SlowPass {
+        // This demand dedups against the claimant: it parks for ~HOLD_MS.
+        let got = store.demand(&SlowPass {
             started: started.clone(),
-        }];
-        let (got, stats) = store.demand_all(&passes, &Executor::new(1));
-        assert_eq!(*got[0], 5);
+        });
+        assert_eq!(*got, 5);
         assert_eq!(claimant.join().unwrap(), 5);
 
         let m = store.metrics_for(PassId::Classify);
         assert_eq!(m.invocations, 1, "the claimant ran the pass once");
-        assert_eq!(m.deduped, 1, "the worker deduped against it");
+        assert_eq!(m.deduped, 1, "the second demand deduped against it");
         let hold = HOLD_MS as f64 / 1000.0;
         assert!(
             m.wait_secs >= hold * 0.5,
@@ -1585,13 +1396,6 @@ mod tests {
         assert!(
             m.wait_secs < hold * 3.0,
             "wait_secs must not double-count the parked interval: {}",
-            m.wait_secs
-        );
-        // The executor must not also bill the parked interval as busy.
-        assert!(
-            stats.busy_secs() < hold * 0.5,
-            "worker busy seconds must exclude time parked in demand: {} (wait {})",
-            stats.busy_secs(),
             m.wait_secs
         );
     }
@@ -1755,21 +1559,6 @@ mod tests {
             3,
             "tombstone forced recompute"
         );
-    }
-
-    #[test]
-    fn executor_claims_every_index_once() {
-        let exec = Executor::new(3);
-        let hits: Vec<AtomicU64> = (0..37).map(|_| AtomicU64::new(0)).collect();
-        let stats = exec.run(hits.len(), |i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        // SUIF_EXECUTOR_THREADS (the thread-stress CI job) overrides the
-        // constructor's count, so bound by whichever is in force.
-        assert!(stats.workers <= exec.threads().max(1));
-        assert_eq!(stats.worker_busy_secs.len(), stats.workers);
-        assert!(stats.busy_secs() >= 0.0 && stats.wall_secs >= 0.0);
     }
 
     #[test]

@@ -53,9 +53,8 @@ use crate::liveness::{LivenessMode, LivenessResult};
 use crate::parallelize::{LoopPlan, LoopVerdict, StaticDep, SummaryFact, VarClass};
 use crate::pipeline::{ExportedFact, FactKey, PassId, Scope};
 use crate::reduction::{RedEntry, RedOp, RedSummary};
-use crate::schedule::ScheduleStats;
 use crate::split::BlockSplit;
-use crate::summarize::{ArrayDataFlow, LoopIterSummary, NodeSummary};
+use crate::summarize::{ArrayDataFlow, LoopIterSummary, NodeSummary, ScheduleStats};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;

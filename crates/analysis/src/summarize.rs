@@ -15,11 +15,13 @@
 //! objects are dropped (Fortran-77 locals are undefined on re-entry), and
 //! remaining callee-origin symbols are projected away.
 
+use crate::cache::{proc_key, SummaryCache};
 use crate::context::{AnalysisCtx, ArrayKey, FRESH_BASE};
 use crate::reduction::{self, RedSummary};
 use crate::symenv::SymEnv;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
+use std::time::Instant;
 use suif_ir::ast::BinOp;
 use suif_ir::{Arg, Expr, ProcId, Ref, Stmt, StmtId, VarId, VarKind};
 use suif_poly::{AccessSummary, Constraint, LinExpr, Section, SectionSummary, Var};
@@ -107,11 +109,11 @@ pub struct ArrayDataFlow {
 }
 
 /// The per-procedure slice of the bottom-up result: everything the analysis
-/// of one procedure produces.  This is the unit of parallel scheduling and
-/// of content-addressed caching — given the same procedure (and the same
-/// callee flows), [`summarize_proc`] returns a bit-identical `ProcFlow`
-/// regardless of analysis order or thread placement, because each procedure
-/// draws fresh symbols from its own [`AnalysisCtx::proc_block`].
+/// of one procedure produces.  This is the unit of content-addressed
+/// caching — given the same procedure (and the same callee flows),
+/// [`summarize_proc`] returns a bit-identical `ProcFlow` regardless of
+/// which program or thread it is analyzed in, because each procedure draws
+/// fresh symbols from its own [`AnalysisCtx::proc_block`].
 #[derive(Clone, Debug, Default)]
 pub struct ProcFlow {
     /// Whole-procedure summary (in the procedure's own symbols).
@@ -155,19 +157,72 @@ pub fn summarize_proc(
     })
 }
 
+/// What one bottom-up pass did: sizes, cache traffic, and timing.
+#[derive(Clone, Debug, Default)]
+pub struct ScheduleStats {
+    /// Total procedures.
+    pub procs: usize,
+    /// Procedures actually summarized this run (= cache misses, or all
+    /// procedures when no cache is attached).
+    pub summarized: usize,
+    /// Procedures served from the summary cache.
+    pub cache_hits: usize,
+    /// Wall-clock seconds of the whole bottom-up pass.
+    pub wall_secs: f64,
+    /// Per-procedure summarize seconds, bottom-up order (cache hits report
+    /// the lookup time, effectively 0).
+    pub proc_secs: Vec<(ProcId, f64)>,
+}
+
 impl ArrayDataFlow {
-    /// Run the bottom-up analysis over the whole program (sequentially; the
-    /// parallel scheduler in [`crate::schedule`] produces bit-identical
-    /// results).
+    /// Run the bottom-up analysis over the whole program.
     pub fn analyze(ctx: &AnalysisCtx<'_>) -> ArrayDataFlow {
+        ArrayDataFlow::analyze_cached(ctx, None).0
+    }
+
+    /// [`ArrayDataFlow::analyze`] over a [`SummaryCache`]: each procedure's
+    /// content key ([`proc_key`]) is computed leaves-first and the
+    /// summarization is skipped on a hit — this is what makes the daemon's
+    /// `reload` incremental.
+    pub fn analyze_cached(
+        ctx: &AnalysisCtx<'_>,
+        cache: Option<&SummaryCache>,
+    ) -> (ArrayDataFlow, ScheduleStats) {
+        let t0 = Instant::now();
         let mut df = ArrayDataFlow::default();
+        let mut stats = ScheduleStats {
+            procs: ctx.cg.bottom_up().len(),
+            ..ScheduleStats::default()
+        };
         let mut flows: HashMap<ProcId, Arc<ProcFlow>> = HashMap::new();
+        let mut keys: HashMap<ProcId, u128> = HashMap::new();
         for &pid in ctx.cg.bottom_up() {
-            let flow = Arc::new(summarize_proc(ctx, pid, &flows));
+            let p0 = Instant::now();
+            let key = cache.map(|c| {
+                let k = proc_key(ctx, pid, &keys);
+                keys.insert(pid, k);
+                (c, k)
+            });
+            let flow = match key.and_then(|(c, k)| c.get(k)) {
+                Some(flow) => {
+                    stats.cache_hits += 1;
+                    flow
+                }
+                None => {
+                    let flow = Arc::new(summarize_proc(ctx, pid, &flows));
+                    if let Some((c, k)) = key {
+                        c.insert(k, flow.clone());
+                    }
+                    stats.summarized += 1;
+                    flow
+                }
+            };
+            stats.proc_secs.push((pid, p0.elapsed().as_secs_f64()));
             df.merge_proc(pid, &flow);
             flows.insert(pid, flow);
         }
-        df
+        stats.wall_secs = t0.elapsed().as_secs_f64();
+        (df, stats)
     }
 
     /// Fold one procedure's flow into the program-wide maps.
@@ -898,6 +953,54 @@ mod tests {
             ArrayDataFlow::analyze(&ctx)
         };
         (p, df)
+    }
+
+    fn df_fingerprint(df: &ArrayDataFlow) -> String {
+        use std::collections::BTreeMap;
+        let procs: BTreeMap<_, _> = df
+            .proc_summary
+            .iter()
+            .map(|(k, v)| (k.0, format!("{v:?}")))
+            .collect();
+        let stmts: BTreeMap<_, _> = df
+            .stmt_summary
+            .iter()
+            .map(|(k, v)| (k.0, format!("{v:?}")))
+            .collect();
+        let iters: BTreeMap<_, _> = df
+            .loop_iter
+            .iter()
+            .map(|(k, v)| (k.0, format!("{v:?}")))
+            .collect();
+        format!("{procs:?}|{stmts:?}|{iters:?}")
+    }
+
+    #[test]
+    fn warm_cache_summarizes_nothing() {
+        let p = parse_program(
+            "program t
+proc leaf1(real q[*]) { q[1] = 0 }
+proc leaf2(real q[*]) { q[2] = 0 }
+proc mid(real q[*]) { call leaf1(q) call leaf2(q) }
+proc main() {
+ real b[8]
+ int i
+ do 1 i = 1, 4 {
+  call mid(b)
+ }
+}",
+        )
+        .unwrap();
+        let ctx = AnalysisCtx::new(&p);
+        let cache = SummaryCache::new();
+        let (cold, s1) = ArrayDataFlow::analyze_cached(&ctx, Some(&cache));
+        assert_eq!((s1.procs, s1.summarized, s1.cache_hits), (4, 4, 0));
+        let (warm, s2) = ArrayDataFlow::analyze_cached(&ctx, Some(&cache));
+        assert_eq!(s2.summarized, 0, "warm run must re-summarize nothing");
+        assert_eq!(s2.cache_hits, 4);
+        assert_eq!(df_fingerprint(&cold), df_fingerprint(&warm));
+        let plain = ArrayDataFlow::analyze(&ctx);
+        assert_eq!(df_fingerprint(&cold), df_fingerprint(&plain));
     }
 
     fn loop_id(p: &suif_ir::Program, name: &str) -> StmtId {

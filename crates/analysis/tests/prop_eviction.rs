@@ -56,7 +56,7 @@ proptest! {
         let src = gen_src(&consts);
         let program = suif_ir::parse_program(&src).unwrap();
         let config = ParallelizeConfig::default();
-        let opts = ScheduleOptions { threads: 1 };
+        let opts = ScheduleOptions::default();
 
         let unbounded = FactStore::new();
         let (base_pa, _) =

@@ -74,8 +74,6 @@ pub struct Explorer<'p> {
     /// The fact store every static pass runs through; assertion replay
     /// recomputes only the invalidated cone of facts.
     store: Arc<FactStore>,
-    /// Bottom-up schedule used for (re-)analysis.
-    opts: ScheduleOptions,
 }
 
 impl<'p> Explorer<'p> {
@@ -94,7 +92,7 @@ impl<'p> Explorer<'p> {
             program,
             config,
             input,
-            &ScheduleOptions::sequential(),
+            &ScheduleOptions::default(),
             None,
             Arc::new(FactStore::new()),
         )
@@ -105,10 +103,12 @@ impl<'p> Explorer<'p> {
     /// every static pass and the instrumented run are demanded through
     /// `store`, so facts surviving a reload, an assertion replay or a
     /// restart are reused instead of recomputed.
-    /// `opts` is the bottom-up schedule (parallel workers) and `cache` an
-    /// optional cross-run summary cache (the daemon's incremental path).
-    /// Also returns the open's timing/cache statistics, the run's pass
-    /// included.
+    /// `cache` is an optional cross-run summary cache (the daemon's
+    /// incremental path).  Also returns the open's timing/cache statistics,
+    /// the run's pass included.
+    ///
+    /// `opts` is ignored; kept while `perfbench/` is frozen; ROADMAP
+    /// direction 0 deletes it together with the `cache` parameter.
     pub fn with_store(
         program: &'p Program,
         config: ParallelizeConfig,
@@ -145,7 +145,6 @@ impl<'p> Explorer<'p> {
                 slicer: None,
                 assertions,
                 store,
-                opts: opts.clone(),
             },
             stats,
         ))
@@ -250,8 +249,13 @@ impl<'p> Explorer<'p> {
             assertions,
             ..self.analysis.config.clone()
         };
-        let (analysis, stats) =
-            Parallelizer::analyze_in(self.program, config, &self.opts, None, &self.store);
+        let (analysis, stats) = Parallelizer::analyze_in(
+            self.program,
+            config,
+            &ScheduleOptions::default(),
+            None,
+            &self.store,
+        );
         self.analysis = analysis;
         stats
     }
@@ -325,49 +329,6 @@ impl<'p> Explorer<'p> {
     /// Demand-driven carried-dependence table of one loop.
     pub fn carried_deps(&self, loop_stmt: StmtId) -> Arc<CarriedDeps> {
         suif_analysis::deps::carried_deps_cached(&self.analysis, &self.store, loop_stmt)
-    }
-
-    /// Demand all three program-scope advisories at once, fanned out across
-    /// the session's executor: on a cold store the contraction, decomposition
-    /// and block-split facts compute concurrently (they are independent
-    /// leaves over the same analysis); on a warm store all three are reuse
-    /// hits.  Results are identical to three sequential demands.
-    pub fn all_advisories(
-        &self,
-    ) -> (
-        Arc<Vec<ContractionCandidate>>,
-        Arc<DecompFact>,
-        Arc<Vec<BlockSplit>>,
-    ) {
-        let exec = self.opts.executor();
-        let contract = std::sync::Mutex::new(None);
-        let decomp = std::sync::Mutex::new(None);
-        let split = std::sync::Mutex::new(None);
-        exec.run(3, |i| match i {
-            0 => *contract.lock().unwrap() = Some(self.contractions()),
-            1 => *decomp.lock().unwrap() = Some(self.decomp_advisory()),
-            _ => *split.lock().unwrap() = Some(self.block_splits()),
-        });
-        (
-            contract.into_inner().unwrap().expect("contract advisory"),
-            decomp.into_inner().unwrap().expect("decomp advisory"),
-            split.into_inner().unwrap().expect("split advisory"),
-        )
-    }
-
-    /// Demand the carried-dependence tables of many loops, fanned out across
-    /// the session's executor; results come back in input order.
-    pub fn carried_deps_all(&self, loops: &[StmtId]) -> Vec<Arc<CarriedDeps>> {
-        let exec = self.opts.executor();
-        let slots: Vec<std::sync::Mutex<Option<Arc<CarriedDeps>>>> =
-            loops.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        exec.run(loops.len(), |i| {
-            *slots[i].lock().unwrap() = Some(self.carried_deps(loops[i]));
-        });
-        slots
-            .into_iter()
-            .map(|s| s.into_inner().unwrap().expect("deps fact"))
-            .collect()
     }
 }
 

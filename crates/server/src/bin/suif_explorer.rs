@@ -6,7 +6,7 @@
 //! suif-explorer slice   <file.mf> <loop>          # slices for a loop's first dependence
 //! suif-explorer run     <file.mf> [--threads N] [--input v,…]
 //! suif-explorer codeview <file.mf>
-//! suif-explorer serve   [--threads N] [--tcp ADDR] [--speculate N] [--persist-dir DIR]
+//! suif-explorer serve   [--workers N] [--tcp ADDR] [--persist-dir DIR]
 //! ```
 //!
 //! `--assert interf/1000:rl` privatizes `rl` in `interf/1000` after the
@@ -31,8 +31,8 @@ fn main() -> ExitCode {
 
 fn usage() -> String {
     "usage: suif-explorer <analyze|explore|slice|run|certify|codeview> <file.mf> [options]\n\
-     \x20      suif-explorer serve [--threads N] [--workers N] [--tcp ADDR] [--speculate N]\n\
-     \x20                          [--persist-dir DIR] [--max-sessions N]\n\
+     \x20      suif-explorer serve [--workers N] [--tcp ADDR] [--persist-dir DIR]\n\
+     \x20                          [--max-sessions N]\n\
      \x20                          [--shared-budget BYTES] [--session-budget BYTES]\n\
      \x20      suif-explorer corpus <dir|manifest> [--gen N] [--seed-base S] [--workers N]\n\
      \x20                          [--shared-budget BYTES] [--session-budget BYTES]\n\
@@ -40,7 +40,7 @@ fn usage() -> String {
      \x20                          [--persist-dir DIR]\n\
      options:\n\
        --assert LOOP:VAR    privatization assertion (repeatable)\n\
-       --threads N          worker threads for `run`/`serve`\n\
+       --threads N          worker threads for `run`\n\
        --input v1,v2,…      `read` input values\n\
        --schedules N        adversarial schedules per loop for `certify`\n\
                             (default 4)\n\
@@ -53,8 +53,6 @@ fn usage() -> String {
                             each connection gets its own session over the\n\
                             shared fact tier and may pipeline requests or\n\
                             send a `batch` command for in-order replies\n\
-       --speculate N        pre-classify up to N guru-ranked loops in the\n\
-                            background after each `guru` (serve only; default 4)\n\
        --persist-dir DIR    durable fact snapshots in DIR/facts.snap plus an\n\
                             append-log DIR/facts.snap.log: `serve` sessions\n\
                             warm-start from the last checkpoint after a daemon\n\
@@ -66,9 +64,9 @@ fn usage() -> String {
                             (serve only; default unbounded)\n\
        --session-budget B   byte budget per session's (or corpus program's)\n\
                             private fact overlay (default unbounded)\n\
-       --workers N          shared command-pool workers for `serve`, or corpus\n\
-                            pool workers for `corpus` (0 = derive from\n\
-                            SUIF_EXECUTOR_THREADS / core count)\n\
+       --workers N          command-pool workers for `serve` (its only threads\n\
+                            besides the reactor), or pool workers for `corpus`\n\
+                            (default 0 = one per core, floor 2)\n\
        --gen N              corpus: generate N seeded MiniF programs instead\n\
                             of (or in addition to) reading <dir|manifest>\n\
        --seed-base S        corpus: first seed of the generated range\n\
@@ -262,9 +260,7 @@ fn corpus_entries_from_path(
 }
 
 fn serve(args: &[String]) -> Result<(), String> {
-    let mut threads = 0usize; // 0 = one scheduler worker per core
     let mut tcp: Option<String> = None;
-    let mut speculate = 4usize;
     let mut persist_dir: Option<std::path::PathBuf> = None;
     let mut certify_seed = 0u64;
     let mut max_sessions = 0usize;
@@ -274,22 +270,8 @@ fn serve(args: &[String]) -> Result<(), String> {
     let mut i = 1;
     while i < args.len() {
         match args[i].as_str() {
-            "--threads" => {
-                threads = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a number")?;
-                i += 2;
-            }
             "--tcp" => {
                 tcp = Some(args.get(i + 1).ok_or("--tcp needs an address")?.clone());
-                i += 2;
-            }
-            "--speculate" => {
-                speculate = args
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--speculate needs a number (0 disables)")?;
                 i += 2;
             }
             "--persist-dir" => {
@@ -332,15 +314,13 @@ fn serve(args: &[String]) -> Result<(), String> {
                 workers = args
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
-                    .ok_or("--workers needs a number (0 = derive from threads)")?;
+                    .ok_or("--workers needs a number (0 = one per core)")?;
                 i += 2;
             }
             other => return Err(format!("unknown option `{other}`\n{}", usage())),
         }
     }
     let options = suif_server::ServiceOptions {
-        threads,
-        speculate,
         persist_dir,
         certify_seed,
         max_sessions,

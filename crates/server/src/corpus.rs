@@ -64,8 +64,8 @@ pub struct CorpusEntry {
 /// Everything that shapes a corpus run.
 #[derive(Clone, Debug)]
 pub struct CorpusOptions {
-    /// Analysis workers for the run's dedicated pool (`0` = resolve from
-    /// `SUIF_EXECUTOR_THREADS` / core count).  The pool is private to the
+    /// Analysis workers for the run's dedicated pool (`0` = one per core,
+    /// floor 2).  The pool is private to the
     /// run — a daemon `corpus` command executing *on* the shared command
     /// pool must not fan out into that same pool (two concurrent corpus
     /// commands could otherwise deadlock waiting for each other's workers).
@@ -306,12 +306,10 @@ fn analyze_guarded(
             panic!("injected corpus fault (--inject-panic)");
         }
         let program = suif_ir::parse_program(source).map_err(|e| e.to_string())?;
-        // Sequential scheduling inside each program: the corpus pool is the
-        // parallelism axis, and nested executors would oversubscribe.
         let (analysis, stats) = Parallelizer::analyze_in(
             &program,
             ParallelizeConfig::default(),
-            &ScheduleOptions::sequential(),
+            &ScheduleOptions::default(),
             cache,
             store,
         );

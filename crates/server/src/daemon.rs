@@ -55,16 +55,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use suif_analysis::{ExecutorService, PersistDir, ScheduleOptions, SharedFactTier, SummaryCache};
+use suif_analysis::{ExecutorService, PersistDir, SharedFactTier, SummaryCache};
 
 /// Everything that shapes a daemon service, across all its sessions.
 #[derive(Clone, Debug, Default)]
 pub struct ServiceOptions {
-    /// Scheduler workers per analysis executor (`0` = one per core).
-    pub threads: usize,
-    /// Speculation budget: top-ranked loops pre-classified after each
-    /// `guru` (0 = off).
-    pub speculate: usize,
     /// Fact-snapshot directory; the shared tier warm-starts from (and
     /// checkpoints to) `<dir>/facts.snap` when set.
     pub persist_dir: Option<PathBuf>,
@@ -79,21 +74,17 @@ pub struct ServiceOptions {
     /// Byte budget for each session's private fact overlay (`None` =
     /// unbounded).
     pub session_budget: Option<usize>,
-    /// Shared command-pool workers (`--workers`; `0` = derive from
-    /// `threads`, i.e. the pre-existing behavior: resolve against
-    /// `SUIF_EXECUTOR_THREADS` and the core count).  This sizes the pool
-    /// that executes connection jobs — independent of `threads`, which
-    /// sizes each analysis' scheduler executors.
+    /// Command-pool workers (`--workers`; `0` = one per core, floor 2):
+    /// the pool that executes connection jobs, and the daemon's only
+    /// threads besides the reactor.
     pub workers: usize,
 }
 
 /// Process-wide state shared by every connection of a daemon: the summary
 /// cache, the content-addressed fact tier, and the session registry.
 pub struct ServiceState {
-    opts: ScheduleOptions,
     cache: Arc<SummaryCache>,
     tier: Arc<SharedFactTier>,
-    speculate: usize,
     /// The one owner of `--persist-dir`, handed to every session.
     persist: Option<Arc<PersistDir>>,
     certify_seed: u64,
@@ -143,12 +134,8 @@ impl ServiceState {
     /// Build the shared state of a new service.
     pub fn new(options: ServiceOptions) -> Arc<ServiceState> {
         Arc::new(ServiceState {
-            opts: ScheduleOptions {
-                threads: options.threads,
-            },
             cache: Arc::new(SummaryCache::new()),
             tier: Arc::new(SharedFactTier::with_budget(options.shared_budget)),
-            speculate: options.speculate,
             persist: options.persist_dir.map(PersistDir::new),
             certify_seed: options.certify_seed,
             session_budget: options.session_budget,
@@ -158,11 +145,7 @@ impl ServiceState {
             rejected: AtomicU64::new(0),
             next_session_id: AtomicU64::new(0),
             shutdown: AtomicBool::new(false),
-            workers: ExecutorService::new(if options.workers > 0 {
-                options.workers
-            } else {
-                options.threads
-            }),
+            workers: ExecutorService::new(options.workers),
             reactor: ReactorStats::default(),
         })
     }
@@ -297,11 +280,11 @@ pub struct Daemon {
 }
 
 impl Daemon {
-    /// A single-tenant daemon with `threads` scheduler workers (`0` = one
-    /// per core), speculative pre-classification off, and no persistence.
-    pub fn new(threads: usize) -> Daemon {
+    /// A single-tenant daemon with `workers` command-pool workers (`0` =
+    /// one per core, floor 2) and no persistence.
+    pub fn new(workers: usize) -> Daemon {
         Daemon::for_state(ServiceState::new(ServiceOptions {
-            threads,
+            workers,
             ..ServiceOptions::default()
         }))
     }
@@ -331,12 +314,11 @@ impl Daemon {
             text,
             self.state.cache.clone(),
             SessionConfig {
-                opts: self.state.opts.clone(),
-                spec_budget: self.state.speculate,
                 persist: self.state.persist.clone(),
                 tier: Some(self.state.tier.clone()),
                 budget: self.state.session_budget,
                 session_id: self.session_id,
+                ..SessionConfig::default()
             },
         )
     }
@@ -1202,7 +1184,7 @@ mod tests {
     #[test]
     fn admission_control_rejects_past_cap_and_recovers() {
         let state = ServiceState::new(ServiceOptions {
-            threads: 1,
+            workers: 1,
             max_sessions: 1,
             ..ServiceOptions::default()
         });
@@ -1270,7 +1252,7 @@ mod tests {
     #[test]
     fn panicking_command_closes_only_its_connection() {
         let state = ServiceState::new(ServiceOptions {
-            threads: 1,
+            workers: 1,
             ..ServiceOptions::default()
         });
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
@@ -1323,7 +1305,7 @@ mod tests {
     #[test]
     fn panicking_command_costs_the_stdio_session_not_the_loop() {
         let state = ServiceState::new(ServiceOptions {
-            threads: 1,
+            workers: 1,
             max_sessions: 1,
             ..ServiceOptions::default()
         });
@@ -1374,7 +1356,7 @@ mod tests {
     #[test]
     fn shutdown_flags_service_and_closes() {
         let state = ServiceState::new(ServiceOptions {
-            threads: 1,
+            workers: 1,
             ..ServiceOptions::default()
         });
         let mut d = Daemon::for_state(state.clone());

@@ -34,5 +34,5 @@ pub use daemon::{
 };
 pub use proto::{Frame, FrameDecoder, MAX_LINE_BYTES};
 pub use reactor::{Interest, Poller, WakePipe};
-pub use session::{speculation_order, Session, SessionConfig, SnapshotReport};
+pub use session::{Session, SessionConfig, SnapshotReport};
 pub use suif_analysis::snapshot::{SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};

@@ -6,34 +6,22 @@
 //! extends the borrow to `'static` internally.  Safety rests on two
 //! invariants: the `explorer` field is declared before `program` so it drops
 //! first, and the extended reference never escapes the session (every public
-//! return is owned JSON or plain data).  The `Arc` additionally keeps an old
-//! program alive for any background speculation thread that still holds a
-//! clone across a `reload`.
+//! return is owned JSON or plain data).
 //!
-//! # Speculative pre-classification
-//!
-//! With a non-zero speculation budget, every `guru` response spawns a
-//! background thread that demands the classify and carried-dependence facts
-//! of the top-ranked loops through the shared fact store, so the user's next
-//! query on a ranked loop answers from the store.  Invalidation events
-//! (`assert`, `reload`) bump an epoch counter the thread polls between
-//! facts, cancelling the rest; a fact mid-`Running` when the event lands is
-//! stored dirty by the store itself, so a stale answer is never served.
-//! `stats` reports how many facts were speculated, how many were later
-//! claimed by a query (hits), and how many an invalidation wasted.
+//! A session spawns nothing: every request runs start to finish on the
+//! thread that called it (one of the daemon's command-pool workers), and a
+//! fact is computed by the first request that asks for it.
 
 use crate::json::Json;
-use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 use suif_analysis::persist::{Checkpointed, Warmed};
 use suif_analysis::{
-    AnalyzeStats, Assertion, FactKey, FactStore, LoopVerdict, ParallelizeConfig, Parallelizer,
-    PassId, PersistDir, ScheduleOptions, Scope, SharedFactTier, SummaryCache,
+    AnalyzeStats, Assertion, FactStore, LoopVerdict, ParallelizeConfig, Parallelizer, PersistDir,
+    ScheduleOptions, SharedFactTier, SummaryCache,
 };
 use suif_explorer::Explorer;
-use suif_ir::{Program, StmtId};
+use suif_ir::Program;
 
 /// What happened to the persisted fact snapshot when this session opened,
 /// plus running checkpoint-cost counters, reported under `snapshot` in
@@ -60,25 +48,11 @@ pub struct SnapshotReport {
     pub compactions: u64,
 }
 
-/// Speculation bookkeeping shared with the background prefetch thread.
-#[derive(Default)]
-struct SpecState {
-    /// Facts demanded speculatively (across all guru requests).
-    spawned: u64,
-    /// Speculated facts later claimed by an interactive query.
-    hits: u64,
-    /// Speculated facts discarded by an invalidation event.
-    wasted: u64,
-    /// Speculated facts not yet claimed or wasted.
-    pending: HashSet<FactKey>,
-}
-
 /// One loaded program plus its resident analysis state.
 pub struct Session {
     /// Borrows `program`; declared first so it drops first.
     explorer: Explorer<'static>,
-    /// The owned program; `Arc` so its address survives moves of `Session`
-    /// and the speculation thread can hold it across a `reload`.
+    /// The owned program; `Arc` so its address survives moves of `Session`.
     #[allow(dead_code)]
     program: Arc<Program>,
     cache: Arc<SummaryCache>,
@@ -87,14 +61,6 @@ pub struct Session {
     /// In a multi-tenant daemon this is a thin overlay over the
     /// process-wide content-addressed tier.
     store: Arc<FactStore>,
-    opts: ScheduleOptions,
-    /// Max ranked loops to pre-classify after each `guru` (0 = off).
-    spec_budget: usize,
-    /// Bumped on every invalidation event; the speculation thread stops
-    /// when the epoch it started under is gone.
-    spec_epoch: Arc<AtomicU64>,
-    spec_state: Arc<Mutex<SpecState>>,
-    spec_handle: Option<std::thread::JoinHandle<()>>,
     /// Stats of the most recent analysis run.
     pub last_stats: AnalyzeStats,
     /// `(hits, misses)` of the summary cache during the most recent run.
@@ -126,9 +92,9 @@ struct CertCounters {
 /// fills in `tier` and `budget`.
 #[derive(Clone, Default)]
 pub struct SessionConfig {
-    /// Worker-thread configuration for the analysis executors.
+    /// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.
     pub opts: ScheduleOptions,
-    /// Max ranked loops to pre-classify after each `guru` (0 = off).
+    /// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.
     pub spec_budget: usize,
     /// The durable fact snapshot's directory, when persistence is on: the
     /// daemon's one handle, or `PersistDir::new(dir)` for a session alone.
@@ -145,7 +111,6 @@ pub struct SessionConfig {
 
 fn build_explorer(
     program: &'static Program,
-    opts: &ScheduleOptions,
     cache: &SummaryCache,
     store: Arc<FactStore>,
 ) -> Result<(Explorer<'static>, AnalyzeStats, (u64, u64)), String> {
@@ -154,7 +119,7 @@ fn build_explorer(
         program,
         Default::default(),
         Vec::new(),
-        opts,
+        &ScheduleOptions::default(),
         Some(cache),
         store,
     )
@@ -166,9 +131,7 @@ fn build_explorer(
 impl Session {
     /// Parse and analyze `source`, seeding (and drawing from) `cache`.
     ///
-    /// With `cfg.spec_budget > 0`, after each `guru` the classify and
-    /// carried-dependence facts of up to that many top-ranked loops are
-    /// demanded on a background thread.  With `cfg.persist` set, the store
+    /// With `cfg.persist` set, the store
     /// is warmed from that directory before the opening analysis
     /// ([`PersistDir::warm_store`]); the open, every `assert`, an explicit
     /// `checkpoint`, and drop then checkpoint into it — O(delta) appends,
@@ -204,18 +167,13 @@ impl Session {
             report.warmed = p.warm_store(&store, &expected);
             report.load_secs = t0.elapsed().as_secs_f64();
         }
-        let (explorer, stats, delta) = build_explorer(pref, &cfg.opts, &cache, store.clone())?;
+        let (explorer, stats, delta) = build_explorer(pref, &cache, store.clone())?;
         report.cold_misses = stats.facts_computed;
         let mut session = Session {
             explorer,
             program,
             cache,
             store,
-            opts: cfg.opts,
-            spec_budget: cfg.spec_budget,
-            spec_epoch: Arc::new(AtomicU64::new(0)),
-            spec_state: Arc::new(Mutex::new(SpecState::default())),
-            spec_handle: None,
             last_stats: stats,
             last_cache_delta: delta,
             generation: 1,
@@ -231,7 +189,7 @@ impl Session {
     }
 
     /// Everything durable right now.  Only `Ready`+valid slots are
-    /// exported, so a checkpoint taken mid-speculation never persists
+    /// exported, so a checkpoint never persists another session's
     /// `Running` or invalidated results.  With a shared tier, the tier is
     /// exported instead of the per-session overlay — one snapshot covers
     /// every tenant's clean facts, and assertion-tainted overlay entries
@@ -291,11 +249,8 @@ impl Session {
     /// Replace the program with edited source.  The summary cache and fact
     /// store carry over, so only the dirty cone (edited procedures,
     /// id-shifted ones, and their transitive callers) is re-summarized and
-    /// only hash-mismatched facts are recomputed.  In-flight speculation is
-    /// cancelled and everything it pre-computed is written off as wasted.
+    /// only hash-mismatched facts are recomputed.
     pub fn reload(&mut self, source: &str) -> Result<(), String> {
-        self.cancel_speculation();
-        self.spec_waste_all();
         let program = Arc::new(suif_ir::parse_program(source).map_err(|e| e.to_string())?);
         // SAFETY: as in `open_cfg`.
         let pref: &'static Program = unsafe { &*(&*program as *const Program) };
@@ -305,14 +260,12 @@ impl Session {
         // leaves the old explorer, and its assertions, in place.
         let tainted = !self.explorer.analysis.config.assertions.is_empty();
         self.store.set_assert_local(false);
-        let built = build_explorer(pref, &self.opts, &self.cache, self.store.clone());
+        let built = build_explorer(pref, &self.cache, self.store.clone());
         let (explorer, stats, delta) = built.inspect_err(|_| {
             self.store.set_assert_local(tainted);
         })?;
         // Install the new pair; the old explorer (borrowing the old program)
-        // is dropped here, before the old program.  A speculation thread
-        // still holding the old `Arc` keeps the old program alive until it
-        // notices the epoch moved.
+        // is dropped here, before the old program.
         self.explorer = explorer;
         self.program = program;
         self.last_stats = stats;
@@ -325,104 +278,19 @@ impl Session {
         Ok(())
     }
 
-    /// Bump the invalidation epoch and wait out any in-flight speculation
-    /// (it polls the epoch between facts, so the join is bounded by one
-    /// pass).
-    fn cancel_speculation(&mut self) {
-        self.spec_epoch.fetch_add(1, Ordering::SeqCst);
-        if let Some(h) = self.spec_handle.take() {
-            let _ = h.join();
-        }
-    }
-
-    /// Test/bench hook: block until background speculation finishes.
-    pub fn wait_speculation(&mut self) {
-        if let Some(h) = self.spec_handle.take() {
-            let _ = h.join();
-        }
-    }
-
-    /// Write off every pending speculated fact (a whole-program event).
-    fn spec_waste_all(&self) {
-        let mut st = self.spec_state.lock().unwrap();
-        st.wasted += st.pending.len() as u64;
-        st.pending.clear();
-    }
-
-    /// Write off the speculated facts an assertion on `stmt` invalidates:
-    /// the loop's own classification, and every carried-dependence fact
-    /// (their input hash folds the assertion epoch, so all of them are
-    /// stale).
-    fn spec_waste_assert(&self, stmt: StmtId) {
-        let mut st = self.spec_state.lock().unwrap();
-        let doomed: Vec<FactKey> = st
-            .pending
-            .iter()
-            .filter(|k| k.pass == PassId::Deps || k.scope == Scope::Loop(stmt))
-            .copied()
-            .collect();
-        for k in doomed {
-            st.pending.remove(&k);
-            st.wasted += 1;
-        }
-    }
-
-    /// Claim speculated facts an interactive query just consumed.
-    fn spec_claim(&self, keys: &[FactKey]) {
-        let mut st = self.spec_state.lock().unwrap();
-        for k in keys {
-            if st.pending.remove(k) {
-                st.hits += 1;
-            }
-        }
-    }
-
-    /// Spawn the background prefetch of the top-ranked loops' facts.
-    pub(crate) fn spawn_speculation(&mut self, ranked: Vec<String>) {
-        if self.spec_budget == 0 || ranked.is_empty() {
-            return;
-        }
-        // One speculation at a time: retire (and cancel) the previous run.
-        self.cancel_speculation();
-        let names: Vec<String> = ranked.into_iter().take(self.spec_budget).collect();
-        let program = self.program.clone();
-        let store = self.store.clone();
-        let cache = self.cache.clone();
-        let config = self.explorer.analysis.config.clone();
-        let opts = self.opts.clone();
-        let epoch = self.spec_epoch.clone();
-        let my_epoch = epoch.load(Ordering::SeqCst);
-        let state = self.spec_state.clone();
-        self.spec_handle = Some(std::thread::spawn(move || {
-            let cancel = move || epoch.load(Ordering::SeqCst) != my_epoch;
-            let out = Parallelizer::prefetch_loops(
-                &program,
-                config,
-                &opts,
-                Some(&cache),
-                &store,
-                &names,
-                &cancel,
-            );
-            let mut st = state.lock().unwrap();
-            st.spawned += out.keys.len() as u64;
-            st.pending.extend(out.keys);
-        }));
-    }
+    /// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.
+    pub fn wait_speculation(&mut self) {}
 
     /// Re-run the static analysis through the fact store (a warm
     /// re-analysis of an unchanged program reuses every fact and runs no
     /// pass) and report per-loop verdicts.
     pub fn analyze(&mut self) -> Json {
-        // Let in-flight speculation land first so the run's counter deltas
-        // are not interleaved with background demands.
-        self.wait_speculation();
         let before = self.cache.counters();
         let config = self.explorer.analysis.config.clone();
         let (analysis, stats) = suif_analysis::Parallelizer::analyze_in(
             self.explorer.program,
             config,
-            &self.opts,
+            &ScheduleOptions::default(),
             Some(&self.cache),
             &self.store,
         );
@@ -457,21 +325,6 @@ impl Session {
                 var: var.into(),
             }
         };
-        // An assertion is an invalidation event: stop speculation and write
-        // off the speculated facts whose input hashes it moves.
-        self.cancel_speculation();
-        if let Some(stmt) = self
-            .explorer
-            .analysis
-            .ctx
-            .tree
-            .loops
-            .iter()
-            .find(|l| l.name == loop_name)
-            .map(|l| l.stmt)
-        {
-            self.spec_waste_assert(stmt);
-        }
         // Facts computed under user assertions are this tenant's opinion,
         // not ground truth: keep them in the private overlay (summaries and
         // liveness are assertion-independent and still share).  The taint
@@ -512,9 +365,9 @@ impl Session {
     /// §4.2.4, block splitting §5.5) — computed on first request, served
     /// from the fact store afterwards.
     pub fn advisory_json(&self) -> Json {
-        // Demand all three program-scope advisory facts concurrently; on a
-        // warm store each is a reuse hit.
-        let (contractions_fact, advisory, splits_fact) = self.explorer.all_advisories();
+        let contractions_fact = self.explorer.contractions();
+        let advisory = self.explorer.decomp_advisory();
+        let splits_fact = self.explorer.block_splits();
         let contractions: Vec<Json> = contractions_fact
             .iter()
             .map(|c| {
@@ -580,9 +433,7 @@ impl Session {
         Json::obj([("loops", Json::Arr(loops))])
     }
 
-    /// The Guru's ranked targets (§2.6).  With a speculation budget, the
-    /// top-ranked loops' classify and carried-dependence facts are demanded
-    /// on a background thread before the user asks.
+    /// The Guru's ranked targets (§2.6).
     pub fn guru_json(&mut self) -> Json {
         let report = self.explorer.guru();
         let targets: Vec<Json> = report
@@ -599,15 +450,13 @@ impl Session {
                 ])
             })
             .collect();
-        let payload = Json::obj([
+        Json::obj([
             ("coverage", Json::Num(report.coverage)),
             ("granularity", Json::Num(report.granularity)),
             ("targets", Json::Arr(targets)),
             ("rendered", Json::str(report.render())),
             ("warnings", warnings_json(&self.explorer)),
-        ]);
-        self.spawn_speculation(speculation_order(&report.targets));
-        payload
+        ])
     }
 
     /// Program/control slices for the first unresolved dependence of a loop
@@ -623,12 +472,6 @@ impl Session {
             .find(|l| l.name == loop_name)
             .ok_or_else(|| format!("no loop `{loop_name}`"))?
             .clone();
-        // The slice answers from the loop's classification and carried-deps
-        // facts — exactly what speculation pre-computes for ranked loops.
-        self.spec_claim(&[
-            FactKey::new(PassId::Classify, Scope::Loop(li.stmt)),
-            FactKey::new(PassId::Deps, Scope::Loop(li.stmt)),
-        ]);
         let carried = self.explorer.carried_deps(li.stmt);
         let carried_json: Vec<Json> = carried
             .iter()
@@ -791,8 +634,8 @@ impl Session {
 
     /// Daemon statistics: per-pass timings and invocation/reuse counters
     /// from the fact store, the instrumented run behind the last
-    /// `load`/`reload` (and whether that open reused its fact),
-    /// summary-cache traffic, and worker utilization.
+    /// `load`/`reload` (and whether that open reused its fact), and
+    /// summary-cache traffic.
     pub fn stats_json(&self) -> Json {
         let s = &self.last_stats;
         let mut passes: Vec<(&'static str, Json)> = s
@@ -811,31 +654,12 @@ impl Session {
             })
             .collect();
         passes.push(("total", Json::Num(s.total_secs)));
-        let worker_secs = |v: &[f64]| Json::Arr(v.iter().map(|&b| Json::Num(b)).collect());
-        let spec = self.spec_state.lock().unwrap();
         let mut fields = vec![
             ("generation", Json::int(self.generation as i64)),
             ("procs", Json::int(s.schedule.procs as i64)),
-            ("levels", Json::int(s.schedule.levels as i64)),
-            ("threads", Json::int(s.schedule.threads as i64)),
             ("summarized", Json::int(s.schedule.summarized as i64)),
             ("cache_hits", Json::int(s.schedule.cache_hits as i64)),
             ("cache_entries", Json::int(self.cache.len() as i64)),
-            ("utilization", Json::Num(s.schedule.utilization())),
-            (
-                "workers",
-                Json::obj([
-                    (
-                        "schedule_busy_secs",
-                        worker_secs(&s.schedule.worker_busy_secs),
-                    ),
-                    (
-                        "demand_busy_secs",
-                        worker_secs(&s.demand_exec.worker_busy_secs),
-                    ),
-                    ("demand_wall_secs", Json::Num(s.demand_exec.wall_secs)),
-                ]),
-            ),
             ("passes", Json::obj(passes)),
             (
                 "execution",
@@ -846,16 +670,6 @@ impl Session {
                 ]),
             ),
             ("facts", self.facts_json()),
-            (
-                "speculation",
-                Json::obj([
-                    ("budget", Json::int(self.spec_budget as i64)),
-                    ("spawned", Json::int(spec.spawned as i64)),
-                    ("hits", Json::int(spec.hits as i64)),
-                    ("wasted", Json::int(spec.wasted as i64)),
-                    ("pending", Json::int(spec.pending.len() as i64)),
-                ]),
-            ),
             (
                 "certification",
                 Json::obj([
@@ -940,37 +754,8 @@ impl Session {
     }
 }
 
-/// Order guru targets for the speculation budget by expected payoff rather
-/// than flat guru rank: a `--speculate N` budget should go to the loops
-/// whose answers the user is most likely to need next.  The weight is
-/// `(important ? 1.0 : 0.5) × coverage × ln(1 + granularity)` — coverage
-/// dominates (it is the guru's importance axis), granularity contributes
-/// logarithmically (a 10× bigger loop body is somewhat more interesting,
-/// not 10× more), and targets below the importance cutoffs are halved
-/// rather than dropped.  Ties keep guru order.
-pub fn speculation_order(targets: &[suif_explorer::TargetLoop]) -> Vec<String> {
-    let weight = |t: &suif_explorer::TargetLoop| -> f64 {
-        let importance = if t.important { 1.0 } else { 0.5 };
-        importance * t.coverage * (1.0 + t.granularity.max(0.0)).ln()
-    };
-    let mut ranked: Vec<(usize, f64, &str)> = targets
-        .iter()
-        .enumerate()
-        .map(|(i, t)| (i, weight(t), t.name.as_str()))
-        .collect();
-    ranked.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(a.0.cmp(&b.0))
-    });
-    ranked.into_iter().map(|(_, _, n)| n.to_string()).collect()
-}
-
 impl Drop for Session {
     fn drop(&mut self) {
-        // Stop background speculation before the session's state unwinds
-        // (the thread owns `Arc`s, so this is tidiness, not soundness).
-        self.cancel_speculation();
         // Final checkpoint on clean shutdown (`quit`, daemon exit).
         self.persist_now(false);
     }
@@ -1015,6 +800,7 @@ fn warnings_json(ex: &Explorer<'_>) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use suif_analysis::PassId;
 
     const SRC: &str = "program t
 proc inc(real q[*], int n) {
@@ -1033,18 +819,14 @@ proc main() {
  print b[3]
 }";
 
-    fn open_sequential(cache: Arc<SummaryCache>) -> Session {
-        let cfg = SessionConfig {
-            opts: ScheduleOptions::sequential(),
-            ..Default::default()
-        };
-        Session::open_cfg(SRC, cache, cfg).unwrap()
+    fn open(cache: Arc<SummaryCache>) -> Session {
+        Session::open_cfg(SRC, cache, SessionConfig::default()).unwrap()
     }
 
     #[test]
     fn session_loads_and_answers() {
         let cache = Arc::new(SummaryCache::new());
-        let mut s = open_sequential(cache);
+        let mut s = open(cache);
         let v = s.verdicts_json();
         let loops = v.get("loops").and_then(Json::as_arr).unwrap();
         assert_eq!(loops.len(), 2);
@@ -1075,7 +857,7 @@ proc main() {
     #[test]
     fn session_assertions_replay_incrementally() {
         let cache = Arc::new(SummaryCache::new());
-        let mut s = open_sequential(cache);
+        let mut s = open(cache);
         let classify_before = s
             .store
             .metrics_for(suif_analysis::PassId::Classify)
@@ -1120,7 +902,7 @@ proc main() {
     #[test]
     fn session_advisory_and_stats_payload() {
         let cache = Arc::new(SummaryCache::new());
-        let mut s = open_sequential(cache);
+        let mut s = open(cache);
         let adv = s.advisory_json();
         assert!(adv.get("contractions").and_then(Json::as_arr).is_some());
         assert!(adv.get("splits").and_then(Json::as_arr).is_some());
@@ -1148,7 +930,7 @@ proc main() {
     #[test]
     fn session_guru_and_codeview() {
         let cache = Arc::new(SummaryCache::new());
-        let mut s = open_sequential(cache);
+        let mut s = open(cache);
         let g = s.guru_json();
         assert!(g.get("coverage").and_then(Json::as_f64).is_some());
         let cv = s.codeview_json();
@@ -1162,36 +944,72 @@ proc main() {
         assert_eq!(sl.get("loop").and_then(Json::as_str), Some("main/2"));
     }
 
+    /// The MDG kernel shape: `main/1000` is sequential (and so a Guru
+    /// target) until the user asserts `rl` privatizable.
+    const MDG_LIKE: &str = "program mdgkern
+const nmol = 40
+proc main() {
+  real rs[9], rl[14], a[nmol]
+  real cut2, acc
+  int i, k, kc
+  cut2 = 30.0
+  acc = 0
+  do 5 i = 1, nmol {
+    a[i] = i * 0.7
+  }
+  do 1000 i = 1, nmol {
+    kc = 0
+    do 1110 k = 1, 9 {
+      rs[k] = a[i] + k
+      if rs[k] > cut2 { kc = kc + 1 }
+    }
+    do 1130 k = 2, 5 {
+      if rs[k + 4] <= cut2 { rl[k + 4] = rs[k + 4] }
+    }
+    if kc == 0 {
+      do 1140 k = 11, 14 {
+        acc = acc + rl[k - 5]
+      }
+    }
+  }
+  print acc
+}
+";
+
+    /// Nothing computes a fact before a request asks for it: `guru` leaves
+    /// the carried-dependence pass untouched, the first `slice` of a loop
+    /// runs it once, and an assertion makes exactly the asserted loop's
+    /// classification and the next `slice`'s table stale.
     #[test]
-    fn speculation_order_weights_coverage_and_granularity() {
-        let target = |name: &str, coverage: f64, granularity: f64, important: bool| {
-            suif_explorer::TargetLoop {
-                stmt: suif_ir::StmtId(0),
-                name: name.to_string(),
-                coverage,
-                granularity,
-                static_deps: 0,
-                dynamic_dep: false,
-                important,
-                has_calls: false,
-                size_lines: 1,
-            }
-        };
-        // Guru order: `first` leads on raw rank, but `third` has far better
-        // coverage × granularity and `second` loses half its weight to the
-        // importance cutoff — the weighted budget must reorder, not take the
-        // flat prefix.
-        let targets = vec![
-            target("first", 0.10, 50.0, true),
-            target("second", 0.40, 400.0, false),
-            target("third", 0.35, 900.0, true),
-        ];
-        let flat: Vec<String> = targets.iter().map(|t| t.name.clone()).collect();
-        let weighted = speculation_order(&targets);
-        assert_eq!(weighted, vec!["third", "second", "first"]);
-        assert_ne!(weighted, flat, "weighting must beat flat guru order");
-        // Ties (identical targets) keep guru order: a stable ranking.
-        let tied = vec![target("a", 0.2, 10.0, true), target("b", 0.2, 10.0, true)];
-        assert_eq!(speculation_order(&tied), vec!["a", "b"]);
+    fn slice_owns_its_fact() {
+        let cache = Arc::new(SummaryCache::new());
+        let mut s = Session::open_cfg(MDG_LIKE, cache, SessionConfig::default()).unwrap();
+        let runs = |s: &Session, pass| s.store.metrics_for(pass).invocations;
+        let loops = s.explorer.analysis.ctx.tree.loops.len() as u64;
+        assert_eq!(runs(&s, PassId::Classify), loops);
+
+        let g = s.guru_json();
+        let targets = g.get("targets").and_then(Json::as_arr).unwrap();
+        let ranked = |t: &Json| t.get("loop").and_then(Json::as_str) == Some("main/1000");
+        assert!(targets.iter().any(ranked), "{g}");
+        assert_eq!(runs(&s, PassId::Deps), 0, "guru demands no slice fact");
+        assert_eq!(runs(&s, PassId::Classify), loops);
+
+        let first = s.slice_json("main/1000").unwrap();
+        assert_eq!(runs(&s, PassId::Deps), 1, "the slice computed its own");
+        let again = s.slice_json("main/1000").unwrap();
+        assert_eq!(runs(&s, PassId::Deps), 1, "and the second reused it");
+        assert_eq!(first.to_string(), again.to_string());
+
+        let r = s.assert_json("main/1000", "rl", false);
+        assert_eq!(
+            r.get("assertion").and_then(Json::as_str),
+            Some("consistent")
+        );
+        assert_eq!(runs(&s, PassId::Classify), loops + 1, "one loop replayed");
+        assert_eq!(runs(&s, PassId::Deps), 1, "assert demands no slice fact");
+        s.slice_json("main/1000").unwrap();
+        assert_eq!(runs(&s, PassId::Deps), 2, "that loop's table, recomputed");
+        assert_eq!(runs(&s, PassId::Classify), loops + 1);
     }
 }

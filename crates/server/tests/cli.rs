@@ -148,4 +148,20 @@ fn bad_usage_fails_cleanly() {
         .unwrap();
     assert!(!out.status.success());
     std::fs::remove_file(f).ok();
+    // `serve` has one pool and one knob for it: the analysis-thread and
+    // speculation flags are gone, not ignored.
+    for removed in [["--speculate", "4"], ["--threads", "2"]] {
+        let out = Command::new(BIN)
+            .arg("serve")
+            .args(removed)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "serve {removed:?} was accepted");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("unknown option") && err.contains("usage"),
+            "{err}"
+        );
+    }
 }

@@ -178,7 +178,7 @@ fn cli_corpus_manifest_and_report_file() {
 #[test]
 fn daemon_corpus_command_needs_no_session() {
     let mut d = Daemon::for_state(ServiceState::new(ServiceOptions {
-        threads: 2,
+        workers: 2,
         shared_budget: Some(128 << 10),
         ..ServiceOptions::default()
     }));

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use suif_analysis::{FactKey, FactStore, Pass, PassId, ScheduleOptions, Scope, SummaryCache};
+use suif_analysis::{FactKey, FactStore, Pass, PassId, Scope, SummaryCache};
 use suif_ir::StmtId;
 use suif_server::json::Json;
 use suif_server::{Session, SessionConfig};
@@ -34,18 +34,9 @@ fn gen_src(consts: &[i64]) -> String {
     s
 }
 
-/// One analysis worker, everything else off: the base every session here
-/// opens with.
-fn sequential() -> SessionConfig {
-    SessionConfig {
-        opts: ScheduleOptions::sequential(),
-        ..Default::default()
-    }
-}
-
 fn fresh_verdicts(src: &str) -> Json {
     let cache = Arc::new(SummaryCache::new());
-    let mut s = Session::open_cfg(src, cache, sequential()).unwrap();
+    let mut s = Session::open_cfg(src, cache, SessionConfig::default()).unwrap();
     s.analyze()
 }
 
@@ -67,7 +58,7 @@ proptest! {
         let edited_src = gen_src(&edited);
 
         let cache = Arc::new(SummaryCache::new());
-        let mut session = Session::open_cfg(&base_src, cache, sequential()).unwrap();
+        let mut session = Session::open_cfg(&base_src, cache, SessionConfig::default()).unwrap();
         session.reload(&edited_src).unwrap();
         let warm = session.analyze();
 
@@ -96,7 +87,7 @@ proptest! {
         edited[edit_at] += 2; // keeps even/odd, so statement shape is stable
 
         let cache = Arc::new(SummaryCache::new());
-        let mut session = Session::open_cfg(&gen_src(&consts), cache, sequential()).unwrap();
+        let mut session = Session::open_cfg(&gen_src(&consts), cache, SessionConfig::default()).unwrap();
         session.reload(&gen_src(&edited)).unwrap();
 
         if consts[edit_at] == edited[edit_at] {
@@ -192,106 +183,17 @@ fn invalidation_during_demand_is_not_served_stale() {
     assert_eq!(m.reused, 0);
 }
 
-/// Sources whose recurrence loops are sequential, so the guru ranks them
-/// and speculation has something to prefetch.
-fn spec_src(consts: &[i64]) -> String {
-    gen_src(consts)
-}
-
-/// After `guru`, the session pre-demands the ranked loops' classify and
-/// carried-dependence facts in the background; a later `slice` on a ranked
-/// loop claims them as speculation hits in `stats`.
+/// A snapshot holds each fact key at most once, and facts persisted after
+/// a user assertion carry assertion-marked input hashes: a clean restart
+/// without the assertion must evict them as stale rather than serve
+/// assertion-tainted answers.
 #[test]
-fn speculation_prefetch_hits_are_reported() {
-    let src = spec_src(&[1, 3]); // two sequential recurrence loops
-    let cache = Arc::new(SummaryCache::new());
-    let mut s = Session::open_cfg(
-        &src,
-        cache,
-        SessionConfig {
-            spec_budget: 4,
-            ..sequential()
-        },
-    )
-    .unwrap();
-
-    let g = s.guru_json();
-    let targets = g.get("targets").and_then(Json::as_arr).unwrap();
-    assert!(!targets.is_empty(), "recurrence loops must be guru targets");
-    s.wait_speculation();
-
-    let st = s.stats_json();
-    let spec = st.get("speculation").unwrap();
-    assert_eq!(spec.get("budget").and_then(Json::as_i64), Some(4));
-    assert!(
-        spec.get("spawned").and_then(Json::as_i64).unwrap() > 0,
-        "{st}"
-    );
-    assert_eq!(spec.get("hits").and_then(Json::as_i64), Some(0));
-
-    let first = targets[0].get("loop").and_then(Json::as_str).unwrap();
-    s.slice_json(first).unwrap();
-    let st = s.stats_json();
-    let spec = st.get("speculation").unwrap();
-    assert!(
-        spec.get("hits").and_then(Json::as_i64).unwrap() >= 1,
-        "slice on a ranked loop must claim speculated facts: {st}"
-    );
-}
-
-/// A reload racing background speculation cancels it, writes the pending
-/// prefetches off as wasted, and — the invalidation-during-demand property
-/// at session level — answers exactly what a fresh analysis of the edited
-/// source answers.
-#[test]
-fn reload_during_speculation_stays_consistent() {
-    let base = spec_src(&[1, 3, 5]);
-    let edited = spec_src(&[1, 4, 5]); // flips f1 recurrence → elementwise
-
-    let cache = Arc::new(SummaryCache::new());
-    let mut s = Session::open_cfg(
-        &base,
-        cache,
-        SessionConfig {
-            spec_budget: 4,
-            ..sequential()
-        },
-    )
-    .unwrap();
-    s.guru_json(); // spawns background speculation
-    s.reload(&edited).unwrap(); // cancels it mid-flight
-    let warm = s.analyze();
-
-    let fresh_cache = Arc::new(SummaryCache::new());
-    let mut fresh = Session::open_cfg(&edited, fresh_cache, sequential()).unwrap();
-    assert_eq!(
-        warm.to_string(),
-        fresh.analyze().to_string(),
-        "reload racing speculation diverged from fresh analysis"
-    );
-
-    let st = s.stats_json();
-    let spec = st.get("speculation").unwrap();
-    assert_eq!(
-        spec.get("pending").and_then(Json::as_i64),
-        Some(0),
-        "cancelled speculation must not leave claimable facts: {st}"
-    );
-}
-
-/// Regression: a snapshot written while speculative pre-classification is
-/// in flight must persist only `Ready` *and valid* slots — never a
-/// `Running` placeholder or the result of a demand that an epoch-cancel
-/// (here: a user assertion) invalidated mid-run.  Facts persisted after
-/// the assertion carry assertion-marked input hashes, so a clean restart
-/// must evict them as stale rather than serve assertion-tainted answers.
-#[test]
-fn checkpoint_during_speculation_persists_only_valid_facts() {
-    let dir = std::env::temp_dir().join(format!("suif_persist_{}_spec_ckpt", std::process::id()));
+fn restart_after_assert_and_checkpoint_equals_fresh_analysis() {
+    let dir = std::env::temp_dir().join(format!("suif_persist_{}_assert_ckpt", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let src = spec_src(&[1, 3, 5]);
+    let src = gen_src(&[1, 3, 5]);
     let fresh = fresh_verdicts(&src);
 
     let cache = Arc::new(SummaryCache::new());
@@ -299,17 +201,15 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
         &src,
         cache,
         SessionConfig {
-            spec_budget: 4,
             persist: Some(suif_analysis::PersistDir::new(&dir)),
-            ..sequential()
+            ..SessionConfig::default()
         },
     )
     .unwrap();
-    s.guru_json(); // spawns background speculation over the ranked loops
-    s.checkpoint_json().unwrap(); // snapshot races the in-flight prefetch
-                                  // The assertion is an epoch-cancel: speculation stops, its pending
-                                  // facts are written off, and the auto-saved snapshot now holds facts
-                                  // whose hashes fold the assertion epoch.
+    s.guru_json();
+    s.checkpoint_json().unwrap();
+    // The auto-saved snapshot now holds facts whose hashes fold the
+    // assertion epoch.
     let r = s.assert_json("main/9", "b", true);
     assert_eq!(
         r.get("assertion").and_then(Json::as_str),
@@ -318,9 +218,8 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
     s.checkpoint_json().unwrap();
     drop(s); // clean shutdown: final snapshot write
 
-    // The persisted file decodes cleanly (no torn interleaving) and holds
-    // each fact key at most once — `Running` slots are unrepresentable in
-    // the format and must not have been exported in any other guise.
+    // The persisted file decodes cleanly and holds each fact key at most
+    // once.
     let bytes = std::fs::read(dir.join(suif_server::SNAPSHOT_FILE)).unwrap();
     let snap = suif_analysis::Snapshot::decode(&bytes).unwrap();
     assert_eq!(snap.undecodable, 0);
@@ -337,7 +236,7 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
         cache,
         SessionConfig {
             persist: Some(suif_analysis::PersistDir::new(&dir)),
-            ..sequential()
+            ..SessionConfig::default()
         },
     )
     .unwrap();
@@ -351,7 +250,7 @@ fn checkpoint_during_speculation_persists_only_valid_facts() {
     assert_eq!(
         s2.analyze().to_string(),
         fresh.to_string(),
-        "restart after assert+speculation checkpoints diverged from fresh analysis"
+        "restart after assert+checkpoint diverged from fresh analysis"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

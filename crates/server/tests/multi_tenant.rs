@@ -100,7 +100,7 @@ fn loop_parallel(resp: &Json, name: &str) -> Option<bool> {
 #[test]
 fn second_session_shares_every_fact() {
     let state = ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         ..ServiceOptions::default()
     });
     let mut a = Daemon::for_state(state.clone());
@@ -154,7 +154,7 @@ fn second_session_shares_every_fact() {
 #[test]
 fn assertions_stay_session_private() {
     let state = ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         ..ServiceOptions::default()
     });
     let mut a = Daemon::for_state(state.clone());
@@ -191,10 +191,7 @@ fn assertions_stay_session_private() {
     let fresh = Session::open_cfg(
         MDG_LIKE,
         Arc::new(suif_analysis::SummaryCache::new()),
-        SessionConfig {
-            opts: suif_analysis::ScheduleOptions::sequential(),
-            ..Default::default()
-        },
+        SessionConfig::default(),
     )
     .unwrap();
     assert_eq!(
@@ -227,7 +224,7 @@ fn assertions_stay_session_private() {
 #[test]
 fn reload_after_assert_publishes_the_rebuilt_facts() {
     let state = ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         ..ServiceOptions::default()
     });
     let mut a = Daemon::for_state(state.clone());
@@ -316,7 +313,7 @@ fn reload_after_assert_publishes_the_rebuilt_facts() {
 #[test]
 fn first_assert_publishes_nothing() {
     let state = ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         ..ServiceOptions::default()
     });
     let mut a = Daemon::for_state(state.clone());
@@ -400,7 +397,7 @@ fn tcp_concurrent_tenants_and_graceful_shutdown() {
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let state = ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         ..ServiceOptions::default()
     });
     let st = state.clone();
@@ -455,4 +452,104 @@ fn tcp_concurrent_tenants_and_graceful_shutdown() {
     assert_eq!(r.get("shutdown").and_then(Json::as_bool), Some(true));
     server.join().unwrap().unwrap();
     assert!(state.shutting_down());
+}
+
+/// The thread census reads `/proc`, so it is Linux-only.
+#[cfg(target_os = "linux")]
+mod census {
+    use super::*;
+
+    /// `Threads:` of `/proc/<pid>/status`.
+    fn os_threads(pid: u32) -> usize {
+        let status = std::fs::read_to_string(format!("/proc/{pid}/status")).unwrap();
+        let line = status.lines().find(|l| l.starts_with("Threads:")).unwrap();
+        line["Threads:".len()..].trim().parse().unwrap()
+    }
+
+    /// Kills the daemon if the test unwinds before its `shutdown`: the child
+    /// holds the test's stderr open, which would hang the harness.
+    struct KillOnDrop(std::process::Child);
+
+    impl Drop for KillOnDrop {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+
+    /// A daemon's thread count is the reactor plus `--workers`, and nothing a
+    /// client sends moves it: no command spawns, so the count read right after
+    /// every reply is the start-up count.  A `corpus` command's private pool
+    /// exists only while the command runs.
+    #[test]
+    fn thread_census_is_the_reactor_plus_workers() {
+        use std::process::{Command, Stdio};
+        const WORKERS: usize = 3;
+        let child = Command::new(env!("CARGO_BIN_EXE_suif-explorer"))
+            .args(["serve", "--tcp", "127.0.0.1:0", "--workers", "3"])
+            .stdin(Stdio::null())
+            .stdout(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let mut child = KillOnDrop(child);
+        let mut banner = String::new();
+        BufReader::new(child.0.stdout.take().unwrap())
+            .read_line(&mut banner)
+            .unwrap();
+        let addr: std::net::SocketAddr = banner
+            .trim()
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+            .parse()
+            .unwrap();
+        let pid = child.0.id();
+        // The banner comes before the pool; the first reply comes after it.
+        let mut probe = Client::connect(addr);
+        probe.roundtrip(r#"{"cmd":"stats"}"#);
+        // The reactor runs on the main thread; there is no listener thread.
+        let census = 1 + WORKERS;
+        assert_eq!(os_threads(pid), census, "at start-up");
+
+        let script = [
+            load_line(MDG_LIKE),
+            r#"{"cmd":"guru"}"#.to_string(),
+            r#"{"cmd":"slice","loop":"main/1000"}"#.to_string(),
+            r#"{"cmd":"assert","loop":"main/1000","var":"rl","kind":"private"}"#.to_string(),
+            r#"{"cmd":"advisory"}"#.to_string(),
+            r#"{"cmd":"analyze"}"#.to_string(),
+            r#"{"cmd":"certify","loop":"main/1000","schedules":2}"#.to_string(),
+        ];
+        let clients: Vec<_> = (0..4)
+            .map(|_| {
+                let script = script.clone();
+                std::thread::spawn(move || {
+                    let mut c = Client::connect(addr);
+                    for line in &script {
+                        let r = c.roundtrip(line);
+                        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+                        assert_eq!(os_threads(pid), census, "after {line}");
+                    }
+                    c
+                })
+            })
+            .collect();
+        // The sessions stay open: a resident session owns no thread either.
+        let mut clients: Vec<Client> = clients.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(os_threads(pid), census, "with four sessions resident");
+
+        let r = clients[0].roundtrip(r#"{"cmd":"corpus","gen":20,"workers":2}"#);
+        let summary = r.get("summary").unwrap_or_else(|| panic!("{r}"));
+        assert_eq!(summary.get("ok").and_then(Json::as_i64), Some(20), "{r}");
+        // The run joined its pool before it answered; a joined thread may take
+        // a moment more to leave the process table.
+        let t0 = std::time::Instant::now();
+        while os_threads(pid) != census && t0.elapsed().as_secs() < 5 {
+            std::thread::yield_now();
+        }
+        assert_eq!(os_threads(pid), census, "after a corpus run");
+
+        let r = clients[0].roundtrip(r#"{"cmd":"shutdown"}"#);
+        assert_eq!(r.get("shutdown").and_then(Json::as_bool), Some(true), "{r}");
+        assert!(child.0.wait().unwrap().success());
+    }
 }

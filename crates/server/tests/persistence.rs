@@ -10,7 +10,7 @@
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use suif_analysis::{PersistDir, ScheduleOptions, SummaryCache};
+use suif_analysis::{PersistDir, SummaryCache};
 use suif_server::json::Json;
 use suif_server::{
     Daemon, ServiceOptions, ServiceState, Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE,
@@ -53,7 +53,6 @@ fn open_src(src: &str, dir: &Path) -> Session {
         src,
         Arc::new(SummaryCache::new()),
         SessionConfig {
-            opts: ScheduleOptions::sequential(),
             persist: Some(PersistDir::new(dir)),
             ..Default::default()
         },
@@ -416,7 +415,7 @@ fn daemon_checkpoint_and_warm_restart_over_the_wire() {
     let src_line = SRC.replace('\n', "\\n");
     let run = |dir: &Path| -> Vec<Json> {
         let mut d = Daemon::for_state(ServiceState::new(ServiceOptions {
-            threads: 1,
+            workers: 1,
             persist_dir: Some(dir.to_path_buf()),
             ..ServiceOptions::default()
         }));

@@ -39,7 +39,7 @@ struct Client {
 impl Client {
     fn spawn() -> Client {
         let mut child = Command::new(env!("CARGO_BIN_EXE_suif-explorer"))
-            .args(["serve", "--threads", "2"])
+            .args(["serve", "--workers", "2"])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .spawn()
@@ -191,7 +191,7 @@ fn daemon_protocol_over_tcp() {
     use std::net::TcpStream;
 
     let mut child = Command::new(env!("CARGO_BIN_EXE_suif-explorer"))
-        .args(["serve", "--threads", "1", "--tcp", "127.0.0.1:0"])
+        .args(["serve", "--workers", "1", "--tcp", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .spawn()
         .expect("spawn tcp daemon");

@@ -65,7 +65,7 @@ fn spawn_server() -> (
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let state = ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         ..ServiceOptions::default()
     });
     let st = state.clone();
@@ -445,7 +445,7 @@ fn reactor_transport_is_bit_identical_to_direct_dispatch() {
     server.join().unwrap().unwrap();
 
     let state = ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         ..ServiceOptions::default()
     });
     let mut d = Daemon::for_state(state);

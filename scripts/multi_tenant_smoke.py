@@ -100,7 +100,7 @@ def client(addr, source, out, idx, pipeline):
 
 def start_daemon(binary, persist_dir):
     """Spawn a TCP daemon on a free port; returns (process, address)."""
-    cmd = [binary, "serve", "--tcp", "127.0.0.1:0", "--threads", "1"]
+    cmd = [binary, "serve", "--tcp", "127.0.0.1:0", "--workers", "2"]
     if persist_dir:
         cmd += ["--persist-dir", persist_dir]
     daemon = subprocess.Popen(

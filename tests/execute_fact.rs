@@ -80,7 +80,7 @@ fn open<'p>(
         program,
         ParallelizeConfig::default(),
         input.to_vec(),
-        &ScheduleOptions::sequential(),
+        &ScheduleOptions::default(),
         None,
         store,
     )
@@ -414,7 +414,7 @@ fn a_run_that_fails_is_an_error_each_time_and_never_a_fact() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let state = ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         persist_dir: Some(dir.clone()),
         ..ServiceOptions::default()
     });

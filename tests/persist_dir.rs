@@ -31,7 +31,7 @@ fn sibling(i: usize) -> String {
 
 fn service(dir: &Path) -> Arc<ServiceState> {
     ServiceState::new(ServiceOptions {
-        threads: 1,
+        workers: 1,
         persist_dir: Some(dir.to_path_buf()),
         ..ServiceOptions::default()
     })

@@ -53,7 +53,7 @@ proptest! {
         let src = gen_src(&consts);
         let program = suif_ir::parse_program(&src).unwrap();
         let store = FactStore::new();
-        let opts = ScheduleOptions::sequential();
+        let opts = ScheduleOptions::default();
 
         let (pa0, _) = Parallelizer::analyze_in(
             &program, ParallelizeConfig::default(), &opts, None, &store);
@@ -127,7 +127,7 @@ fn one_assertion_replays_one_classify_pass() {
                do 2 j = 1, 8 {\n  c[j] = j\n }\n print a[3]\n print c[3]\n}";
     let program = suif_ir::parse_program(src).unwrap();
     let store = FactStore::new();
-    let opts = ScheduleOptions::sequential();
+    let opts = ScheduleOptions::default();
     let (pa, _) =
         Parallelizer::analyze_in(&program, ParallelizeConfig::default(), &opts, None, &store);
     let seq = pa

@@ -46,8 +46,12 @@ fn fingerprint(pa: &ProgramAnalysis<'_>) -> BTreeMap<String, String> {
         .collect()
 }
 
-/// Demand the contraction, decomposition and block-split advisories.
+/// Demand every loop's carried-dependence table (the slice answers) and
+/// the contraction, decomposition and block-split advisories.
 fn demand_advisories(pa: &ProgramAnalysis<'_>, store: &FactStore) {
+    for li in &pa.ctx.tree.loops {
+        suif_analysis::deps::carried_deps_cached(pa, store, li.stmt);
+    }
     suif_analysis::contract::find_candidates_cached(pa, store);
     suif_analysis::decomp::advisory_cached(pa, store);
     suif_analysis::split::find_splits_cached(pa, store);
@@ -64,18 +68,14 @@ proptest! {
         let src = gen_src(&consts);
         let program = suif_ir::parse_program(&src).unwrap();
         let config = ParallelizeConfig::default();
-        let opts = ScheduleOptions { threads: 1 };
+        let opts = ScheduleOptions::default();
 
-        // Cold analysis, plus a prefetch of every loop so the store also
-        // holds carried-dependence facts (the slice answers).
+        // Cold analysis, plus every loop's carried-dependence fact and the
+        // three program-scope advisories, so every pass
+        // `expected_fact_hashes` lists is checked against a real fact.
         let store = FactStore::new();
         let (pa, _) = Parallelizer::analyze_in(&program, config.clone(), &opts, None, &store);
         let cold = fingerprint(&pa);
-        let names: Vec<String> = pa.ctx.tree.loops.iter().map(|l| l.name.clone()).collect();
-        Parallelizer::prefetch_loops(
-            &program, config.clone(), &opts, None, &store, &names, &|| false);
-        // ... and the three program-scope advisories, so every pass
-        // `expected_fact_hashes` lists is checked against a real fact.
         demand_advisories(&pa, &store);
 
         // Export → encode → decode: nothing dropped, and re-encoding the
@@ -119,8 +119,6 @@ proptest! {
         prop_assert_eq!(warm.import(decoded.facts), n_facts);
         let (warm_pa, _) =
             Parallelizer::analyze_in(&program, config.clone(), &opts, None, &warm);
-        Parallelizer::prefetch_loops(
-            &program, config.clone(), &opts, None, &warm, &names, &|| false);
         demand_advisories(&warm_pa, &warm);
         prop_assert_eq!(&cold, &fingerprint(&warm_pa));
         for pass in [PassId::Contract, PassId::Decomp, PassId::Split] {

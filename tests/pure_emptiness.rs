@@ -15,11 +15,12 @@ use suif_ir::Program;
 use suif_poly::{poly_stats, PolyStats};
 
 /// Loop-name → verdict Debug repr, plus what the kernel did to get there.
-fn analyze(program: &Program, opts: &ScheduleOptions) -> (BTreeMap<String, String>, PolyStats) {
+fn analyze(program: &Program) -> (BTreeMap<String, String>, PolyStats) {
     let before = poly_stats();
     let store = FactStore::new();
+    let opts = ScheduleOptions::default();
     let (pa, _) =
-        Parallelizer::analyze_in(program, ParallelizeConfig::default(), opts, None, &store);
+        Parallelizer::analyze_in(program, ParallelizeConfig::default(), &opts, None, &store);
     let verdicts = pa
         .ctx
         .tree
@@ -46,17 +47,12 @@ fn a_second_analysis_repeats_every_proof_of_the_first() {
     }
 
     let mut proofs = 0;
-    for opts in [
-        ScheduleOptions::sequential(),
-        ScheduleOptions { threads: 4 },
-    ] {
-        for (name, program) in &programs {
-            let (first, first_work) = analyze(program, &opts);
-            let (second, second_work) = analyze(program, &opts);
-            assert_eq!(first, second, "{name} ({opts:?}): verdicts");
-            assert_eq!(first_work, second_work, "{name} ({opts:?}): kernel work");
-            proofs += first_work.fm_runs + first_work.quick_sats + first_work.interval_rejects;
-        }
+    for (name, program) in &programs {
+        let (first, first_work) = analyze(program);
+        let (second, second_work) = analyze(program);
+        assert_eq!(first, second, "{name}: verdicts");
+        assert_eq!(first_work, second_work, "{name}: kernel work");
+        proofs += first_work.fm_runs + first_work.quick_sats + first_work.interval_rejects;
     }
     assert!(
         proofs > 10_000,
