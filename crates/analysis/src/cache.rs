@@ -1,11 +1,13 @@
-//! Content-addressed per-procedure summary cache.
+//! Content keys of procedures, programs and loops, and the 128-bit FNV-1a
+//! they are folded with.
 //!
-//! The unit of caching is the [`ProcFlow`]: everything the bottom-up pass
-//! derives from one procedure.  Because [`crate::summarize::summarize_proc`]
-//! is a pure function of (procedure, callee flows) — fresh symbols come from
-//! the procedure's own block and array ids are interned eagerly in program
-//! order — a flow can be reused across analysis runs whenever its *content
-//! key* matches.
+//! [`crate::summarize::summarize_proc`] is a pure function of (procedure,
+//! callee flows) — fresh symbols come from the procedure's own block and
+//! array ids are interned eagerly in program order — so a
+//! [`crate::ProcFlow`] can be reused across analysis runs whenever its
+//! *content key* matches.  [`proc_key`] is the input hash of the
+//! per-procedure `Summarize` fact; the [`crate::FactStore`] (and the tier
+//! and snapshot behind it) is the one place flows are kept.
 //!
 //! The key hashes the procedure body (including its statement and variable
 //! ids, so edits that renumber ids downstream soundly miss), the layouts of
@@ -14,19 +16,10 @@
 //! callees.  A `reload` therefore re-summarizes exactly the dirty cone: the
 //! edited procedures, everything whose ids shifted, and their transitive
 //! callers.
-//!
-//! The map is sharded under [`parking_lot::Mutex`] so scheduler workers on
-//! different procedures rarely contend.
 
 use crate::context::AnalysisCtx;
-use crate::summarize::ProcFlow;
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use suif_ir::{LoopInfo, ProcId};
-
-const SHARDS: usize = 16;
 
 /// 128-bit FNV-1a (shared with the pipeline's fact hashes).
 #[derive(Clone, Copy)]
@@ -141,79 +134,14 @@ pub fn loop_key(li: &LoopInfo, proc_keys: &HashMap<ProcId, u128>) -> u128 {
     h.0
 }
 
-/// A sharded, content-addressed `key -> Arc<ProcFlow>` map with hit/miss
-/// counters.  Shared across analysis runs of one daemon session.
-pub struct SummaryCache {
-    shards: [Mutex<HashMap<u128, Arc<ProcFlow>>>; SHARDS],
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl Default for SummaryCache {
-    fn default() -> Self {
-        SummaryCache::new()
-    }
-}
+/// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.
+#[derive(Default)]
+pub struct SummaryCache;
 
 impl SummaryCache {
-    /// An empty cache.
+    /// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.
     pub fn new() -> SummaryCache {
-        SummaryCache {
-            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    fn shard(&self, key: u128) -> &Mutex<HashMap<u128, Arc<ProcFlow>>> {
-        &self.shards[(key >> 64) as usize % SHARDS]
-    }
-
-    /// Look up a flow, counting the hit or miss.
-    pub fn get(&self, key: u128) -> Option<Arc<ProcFlow>> {
-        let found = self.shard(key).lock().get(&key).cloned();
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Insert a freshly computed flow.
-    pub fn insert(&self, key: u128, flow: Arc<ProcFlow>) {
-        self.shard(key).lock().insert(key, flow);
-    }
-
-    /// `(hits, misses)` since creation (or the last [`SummaryCache::reset_counters`]).
-    pub fn counters(&self) -> (u64, u64) {
-        (
-            self.hits.load(Ordering::Relaxed),
-            self.misses.load(Ordering::Relaxed),
-        )
-    }
-
-    /// Zero the hit/miss counters (entries are kept).
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
-
-    /// Number of cached flows.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every entry and zero the counters.
-    pub fn clear(&self) {
-        for s in &self.shards {
-            s.lock().clear();
-        }
-        self.reset_counters();
+        SummaryCache
     }
 }
 
@@ -257,18 +185,5 @@ mod tests {
         assert_eq!(k1["f"], k2["f"], "untouched leaf must keep its key");
         assert_ne!(k1["g"], k2["g"], "edited body must change the key");
         assert_ne!(k1["main"], k2["main"], "callers of the edit must miss");
-    }
-
-    #[test]
-    fn cache_counts_hits_and_misses() {
-        let c = SummaryCache::new();
-        assert!(c.get(42).is_none());
-        c.insert(42, Arc::new(ProcFlow::default()));
-        assert!(c.get(42).is_some());
-        assert_eq!(c.counters(), (1, 1));
-        assert_eq!(c.len(), 1);
-        c.clear();
-        assert!(c.is_empty());
-        assert_eq!(c.counters(), (0, 0));
     }
 }

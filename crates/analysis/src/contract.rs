@@ -233,16 +233,12 @@ impl crate::pipeline::Pass for ContractPass<'_, '_> {
         self.pa.epoch_hash
     }
     fn deps(&self) -> Vec<crate::pipeline::FactKey> {
-        vec![
-            crate::pipeline::FactKey::new(
-                crate::pipeline::PassId::Summarize,
-                crate::pipeline::Scope::Program,
-            ),
-            crate::pipeline::FactKey::new(
-                crate::pipeline::PassId::Liveness,
-                crate::pipeline::Scope::Program,
-            ),
-        ]
+        let mut d = crate::parallelize::summary_keys(&self.pa.ctx);
+        d.push(crate::pipeline::FactKey::new(
+            crate::pipeline::PassId::Liveness,
+            crate::pipeline::Scope::Program,
+        ));
+        d
     }
     fn run(&self) -> Vec<ContractionCandidate> {
         find_candidates(self.pa)

@@ -221,10 +221,7 @@ impl crate::pipeline::Pass for DecompPass<'_, '_> {
     fn deps(&self) -> Vec<crate::pipeline::FactKey> {
         // The advisory reads the verdicts, so an invalidated classification
         // fact (a user assertion) dirties it too.
-        let mut d = vec![crate::pipeline::FactKey::new(
-            crate::pipeline::PassId::Summarize,
-            crate::pipeline::Scope::Program,
-        )];
+        let mut d = crate::parallelize::summary_keys(&self.pa.ctx);
         for &stmt in self.pa.verdicts.keys() {
             d.push(crate::pipeline::FactKey::new(
                 crate::pipeline::PassId::Classify,

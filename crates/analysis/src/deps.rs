@@ -298,10 +298,10 @@ impl crate::pipeline::Pass for DepsPass<'_, '_> {
         crate::parallelize::deps_hash(self.pa.epoch_hash, self.loop_stmt)
     }
     fn deps(&self) -> Vec<crate::pipeline::FactKey> {
-        vec![crate::pipeline::FactKey::new(
-            crate::pipeline::PassId::Summarize,
-            crate::pipeline::Scope::Program,
-        )]
+        let li = self.pa.ctx.tree.loop_of(self.loop_stmt);
+        li.map(|li| crate::parallelize::summary_key(li.proc))
+            .into_iter()
+            .collect()
     }
     fn run(&self) -> CarriedDeps {
         let dt = DepTest {

@@ -76,5 +76,5 @@ pub use pipeline::{
 };
 pub use reduction::RedOp;
 pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
-pub use summarize::{ArrayDataFlow, LoopIterSummary, ProcFlow, ScheduleStats};
+pub use summarize::{ArrayDataFlow, LoopIterSummary, ProcFlow};
 pub use tier::{SharedFactTier, TierStats};

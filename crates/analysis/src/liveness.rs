@@ -477,7 +477,7 @@ fn top_down_bits(
             let own = df
                 .loop_closed_plain
                 .get(&l.stmt)
-                .map(exposed_bits)
+                .map(|acc| exposed_bits(acc))
                 .unwrap_or_default();
             after.insert(l.body_region, &bits | &own);
         }

@@ -10,7 +10,7 @@ use crate::execution::{execute_hash, EXECUTE_KEY};
 use crate::liveness::{self, LivenessMode, LivenessResult};
 use crate::pipeline::{FactKey, FactStore, Pass, PassId, PassMetrics, Scope};
 use crate::reduction::RedOp;
-use crate::summarize::{ArrayDataFlow, ScheduleStats};
+use crate::summarize::{summarize_proc, ArrayDataFlow, ProcFlow};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -258,10 +258,8 @@ pub struct PassStat {
 /// the fact store's per-pass counters rather than hand-rolled timers.
 #[derive(Clone, Debug, Default)]
 pub struct AnalyzeStats {
-    /// Bottom-up pass: sizes, cache traffic, timing.  When the
-    /// whole-program summary fact was reused, `summarized`/`cache_hits` are
-    /// zero and the timing fields are zero — the pass never ran.
-    pub schedule: ScheduleStats,
+    /// Procedures in the call graph: one `Summarize` demand each per run.
+    pub procs: usize,
     /// Per-pass deltas for this run, in [`PassId`] order.
     pub passes: Vec<PassStat>,
     /// Facts computed across all passes this run.
@@ -290,6 +288,18 @@ impl AnalyzeStats {
     /// Seconds one pass ran this analysis (0 when idle or fully reused).
     pub fn pass_secs(&self, id: PassId) -> f64 {
         self.pass(id).map(|p| p.secs).unwrap_or(0.0)
+    }
+
+    /// Procedures summarized this run (`Summarize` invocations).
+    pub fn summarized(&self) -> u64 {
+        self.pass(PassId::Summarize).map_or(0, |p| p.invocations)
+    }
+
+    /// `Summarize` demands served without running this run, by the store
+    /// or the shared tier.
+    pub fn summary_hits(&self) -> u64 {
+        self.pass(PassId::Summarize)
+            .map_or(0, |p| p.reused + p.shared)
     }
 
     /// Liveness seconds (compatibility accessor).
@@ -372,13 +382,13 @@ impl Parallelizer {
     /// runs (and across `reload`s of edited programs — stale facts miss on
     /// their content hash).
     ///
-    /// `_opts` is ignored; kept while `perfbench/` is frozen; ROADMAP
-    /// direction 0 deletes it together with the `cache` parameter.
+    /// `_opts` and `_cache` are ignored; kept while `perfbench/` is frozen;
+    /// ROADMAP direction 0 deletes both parameters.
     pub fn analyze_in<'p>(
         program: &'p Program,
         config: ParallelizeConfig,
         _opts: &ScheduleOptions,
-        cache: Option<&SummaryCache>,
+        _cache: Option<&SummaryCache>,
         store: &FactStore,
     ) -> (ProgramAnalysis<'p>, AnalyzeStats) {
         let t0 = Instant::now();
@@ -389,23 +399,16 @@ impl Parallelizer {
         let poly_before = suif_poly::poly_stats();
         let inputs = FactInputs::new(program, &config);
 
-        // Whole-program summaries (§5.2) as one program-scope fact.
-        let summarized_before = store.metrics_for(PassId::Summarize).invocations;
-        let summary = store.demand(&SummarizePass {
-            inputs: &inputs,
-            cache,
-        });
-        let df = summary.df.clone();
-        let schedule = if store.metrics_for(PassId::Summarize).invocations > summarized_before {
-            summary.stats.clone()
-        } else {
-            // The fact was reused: the pass never ran, so report its shape
-            // but no traffic or timing.
-            ScheduleStats {
-                procs: summary.stats.procs,
-                ..ScheduleStats::default()
-            }
-        };
+        // Bottom-up summaries (§5.2), one procedure-scope fact each: the
+        // store is the scheduler, so a `reload` runs exactly the procedures
+        // whose content key moved.
+        let df = Arc::new(ArrayDataFlow::bottom_up(&inputs.ctx, |pid, callees| {
+            store.demand(&SummarizePass {
+                inputs: &inputs,
+                pid,
+                callees,
+            })
+        }));
 
         // Liveness (§5.2) as a program-scope fact over the summaries.
         let liveness: Option<Arc<LivenessResult>> = config.liveness.map(|mode| {
@@ -431,7 +434,8 @@ impl Parallelizer {
             verdicts.insert(li.stmt, (*verdict).clone());
         }
 
-        let mut stats = run_stats(store, &metrics_before, schedule, t0.elapsed().as_secs_f64());
+        let mut stats = run_stats(store, &metrics_before, t0.elapsed().as_secs_f64());
+        stats.procs = inputs.ctx.cg.bottom_up().len();
         stats.poly = suif_poly::poly_stats().since(&poly_before);
         (inputs.into_analysis(df, liveness, verdicts, config), stats)
     }
@@ -451,7 +455,11 @@ impl Parallelizer {
     ) -> HashMap<FactKey, u128> {
         let inputs = FactInputs::new(program, config);
         let program_scope = |pass| FactKey::new(pass, Scope::Program);
-        let mut out = HashMap::from([(program_scope(PassId::Summarize), inputs.pkey)]);
+        let mut out: HashMap<FactKey, u128> = inputs
+            .proc_keys
+            .iter()
+            .map(|(&pid, &key)| (summary_key(pid), key))
+            .collect();
         if let Some(mode) = config.liveness {
             out.insert(program_scope(PassId::Liveness), inputs.liveness_hash(mode));
         }
@@ -483,8 +491,9 @@ impl Parallelizer {
 struct FactInputs<'p> {
     ctx: AnalysisCtx<'p>,
     proc_keys: HashMap<ProcId, u128>,
-    /// Whole-program content key: the summary fact's input hash, and part
-    /// of every other, because every pass reads whole-program facts.
+    /// Whole-program content key: part of every input hash above the
+    /// per-procedure summaries, because those passes read whole-program
+    /// facts.
     pkey: u128,
     assert_private: HashSet<(StmtId, ArrayId)>,
     assert_independent: HashSet<(StmtId, ArrayId)>,
@@ -665,11 +674,9 @@ fn write_assertion_marks(
 fn run_stats(
     store: &FactStore,
     before: &BTreeMap<PassId, PassMetrics>,
-    schedule: ScheduleStats,
     total_secs: f64,
 ) -> AnalyzeStats {
     let mut stats = AnalyzeStats {
-        schedule,
         total_secs,
         ..AnalyzeStats::default()
     };
@@ -679,34 +686,46 @@ fn run_stats(
     stats
 }
 
-/// The whole-program summary fact: the merged data flow plus the stats of
-/// the bottom-up pass that computed it.
-pub struct SummaryFact {
-    /// Merged bottom-up data flow.
-    pub df: Arc<ArrayDataFlow>,
-    /// What the computing run did (reused runs report zero traffic).
-    pub stats: ScheduleStats,
+/// Key of one procedure's summary fact.
+pub(crate) fn summary_key(pid: ProcId) -> FactKey {
+    FactKey::new(PassId::Summarize, Scope::Proc(pid))
+}
+
+/// Keys of every procedure's summary fact: the dependency edges of a pass
+/// that reads the merged data flow.
+pub(crate) fn summary_keys(ctx: &AnalysisCtx<'_>) -> Vec<FactKey> {
+    ctx.cg
+        .bottom_up()
+        .iter()
+        .copied()
+        .map(summary_key)
+        .collect()
 }
 
 struct SummarizePass<'a, 'p> {
     inputs: &'a FactInputs<'p>,
-    cache: Option<&'a SummaryCache>,
+    pid: ProcId,
+    callees: &'a HashMap<ProcId, Arc<ProcFlow>>,
 }
 
 impl Pass for SummarizePass<'_, '_> {
-    type Output = SummaryFact;
+    type Output = ProcFlow;
     fn key(&self) -> FactKey {
-        FactKey::new(PassId::Summarize, Scope::Program)
+        summary_key(self.pid)
     }
     fn input_hash(&self) -> u128 {
-        self.inputs.pkey
+        self.inputs.proc_keys[&self.pid]
     }
-    fn run(&self) -> SummaryFact {
-        let (df, stats) = ArrayDataFlow::analyze_cached(&self.inputs.ctx, self.cache);
-        SummaryFact {
-            df: Arc::new(df),
-            stats,
-        }
+    fn deps(&self) -> Vec<FactKey> {
+        // `callees_of` lists one entry per call site.
+        let callees = self.inputs.ctx.cg.callees_of(self.pid);
+        let mut d: Vec<FactKey> = callees.iter().copied().map(summary_key).collect();
+        d.sort_unstable();
+        d.dedup();
+        d
+    }
+    fn run(&self) -> ProcFlow {
+        summarize_proc(&self.inputs.ctx, self.pid, self.callees)
     }
 }
 
@@ -725,7 +744,7 @@ impl Pass for LivenessPass<'_, '_> {
         self.inputs.liveness_hash(self.mode)
     }
     fn deps(&self) -> Vec<FactKey> {
-        vec![FactKey::new(PassId::Summarize, Scope::Program)]
+        summary_keys(&self.inputs.ctx)
     }
     fn run(&self) -> LivenessResult {
         liveness::run(&self.inputs.ctx, self.df, self.mode)
@@ -749,7 +768,7 @@ impl Pass for ClassifyPass<'_, '_> {
         self.inputs.classify_hash(self.config, self.li)
     }
     fn deps(&self) -> Vec<FactKey> {
-        let mut d = vec![FactKey::new(PassId::Summarize, Scope::Program)];
+        let mut d = vec![summary_key(self.li.proc)];
         if self.liveness.is_some() {
             d.push(FactKey::new(PassId::Liveness, Scope::Program));
         }

@@ -40,8 +40,8 @@
 //!
 //! Facts are stored as `Arc<dyn Any>` so heterogeneous pass outputs share
 //! one map; [`FactStore::demand`] downcasts back to the pass's typed output.
-//! All methods take `&self` — the store is shared across analysis runs of
-//! one daemon session the same way the summary cache is.
+//! All methods take `&self` — the store is shared across the analysis runs
+//! and reloads of one daemon session.
 
 use crate::tier::SharedFactTier;
 use parking_lot::{Condvar, Mutex};

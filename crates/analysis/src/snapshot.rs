@@ -10,7 +10,7 @@
 //! ([`crate::deps::CarriedDeps`]), the three advisories (contraction,
 //! decomposition, block splits), the two
 //! passes that dominate a cold analysis — `<R,E,W,M>` array-section summaries
-//! ([`crate::summarize::ArrayDataFlow`]) and liveness flows
+//! (one [`crate::summarize::ProcFlow`] per procedure) and liveness flows
 //! ([`crate::liveness::LivenessResult`]) — and the instrumented run that
 //! dominates a cold open ([`crate::ExecutionFact`]: loop profile and dynamic
 //! dependences, wall-clock of the producing run included — it is the fact's
@@ -19,9 +19,8 @@
 //! written constraint-for-constraint (PR 5 normalizes constraints on
 //! construction, so decode re-normalization is the identity), which makes
 //! `encode(decode(x)) == x` hold bit-for-bit and lets tests compare facts
-//! by their encodings.  Nondeterministic run metadata (schedule traffic,
-//! wall-clock) is deliberately outside the wire form; a decoded fact
-//! reports zero traffic exactly like any other reused fact.
+//! by their encodings.  Nondeterministic run metadata (a pass's own
+//! wall-clock) is deliberately outside the wire form.
 //!
 //! # Crash safety
 //!
@@ -50,11 +49,11 @@ use crate::decomp::{DecompConflict, DecompFact, Partitioning, Stride};
 use crate::deps::{CarriedDeps, DepKind};
 use crate::execution::{ExecutionFact, LoopExecution};
 use crate::liveness::{LivenessMode, LivenessResult};
-use crate::parallelize::{LoopPlan, LoopVerdict, StaticDep, SummaryFact, VarClass};
+use crate::parallelize::{LoopPlan, LoopVerdict, StaticDep, VarClass};
 use crate::pipeline::{ExportedFact, FactKey, PassId, Scope};
 use crate::reduction::{RedEntry, RedOp, RedSummary};
 use crate::split::BlockSplit;
-use crate::summarize::{ArrayDataFlow, LoopIterSummary, NodeSummary, ScheduleStats};
+use crate::summarize::{LoopIterSummary, NodeSummary, ProcFlow};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
@@ -83,8 +82,11 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SUIFSNAP";
 /// payload is facts only (versions 1–3 carried an emptiness-proof memo
 /// section after them); 5 — the `Execute` pass (tag 7) gained a codec, so
 /// a version-4 build reading this file would count the run's fact as
-/// undecodable at every load and a fold by it would drop the fact.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// undecodable at every load and a fold by it would drop the fact; 6 —
+/// `Summarize` records are one `Scope::Proc` `ProcFlow` per procedure (they
+/// were one `Scope::Program` data flow), so a version-5 value would
+/// mis-frame under this build's codec.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot failed to load (the caller cold-starts either way).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -311,8 +313,9 @@ pub const LOG_MAGIC: [u8; 8] = *b"SUIFSLOG";
 ///
 /// History: 1 — initial format; 2 — record payloads are facts only,
 /// following [`SNAPSHOT_VERSION`] 4; 3 — records may carry `Execute` facts,
-/// following [`SNAPSHOT_VERSION`] 5.
-pub const LOG_VERSION: u32 = 3;
+/// following [`SNAPSHOT_VERSION`] 5; 4 — `Summarize` records are
+/// `Scope::Proc` `ProcFlow`s, following [`SNAPSHOT_VERSION`] 6.
+pub const LOG_VERSION: u32 = 4;
 
 /// Size of the append-log header: magic · version · base checksum.
 pub const LOG_HEADER_LEN: usize = 28;
@@ -675,39 +678,27 @@ impl Enc {
         self.u32(l.varying.1);
         self.u8(l.has_calls as u8);
     }
-    /// Frame every map of the data flow in sorted-key order (the maps hash,
-    /// so iteration order is not canonical on its own).
-    fn data_flow(&mut self, df: &ArrayDataFlow) {
-        let mut procs: Vec<_> = df.proc_summary.iter().collect();
-        procs.sort_by_key(|(p, _)| p.0);
-        self.u32(procs.len() as u32);
-        for (p, n) in procs {
-            self.u32(p.0);
-            self.node_summary(n);
-        }
-        let mut fresh: Vec<_> = df.proc_fresh.iter().collect();
-        fresh.sort_by_key(|(p, _)| p.0);
-        self.u32(fresh.len() as u32);
-        for (p, (lo, hi)) in fresh {
-            self.u32(p.0);
-            self.u32(*lo);
-            self.u32(*hi);
-        }
-        let mut stmts: Vec<_> = df.stmt_summary.iter().collect();
+    /// Frame every map of the flow in sorted-key order (the maps hash, so
+    /// iteration order is not canonical on its own).
+    fn proc_flow(&mut self, f: &ProcFlow) {
+        self.node_summary(&f.summary);
+        self.u32(f.fresh.0);
+        self.u32(f.fresh.1);
+        let mut stmts: Vec<_> = f.stmt_summary.iter().collect();
         stmts.sort_by_key(|(s, _)| s.0);
         self.u32(stmts.len() as u32);
         for (s, n) in stmts {
             self.u32(s.0);
             self.node_summary(n);
         }
-        let mut iters: Vec<_> = df.loop_iter.iter().collect();
+        let mut iters: Vec<_> = f.loop_iter.iter().collect();
         iters.sort_by_key(|(s, _)| s.0);
         self.u32(iters.len() as u32);
         for (s, l) in iters {
             self.u32(s.0);
             self.loop_iter_summary(l);
         }
-        let mut plain: Vec<_> = df.loop_closed_plain.iter().collect();
+        let mut plain: Vec<_> = f.loop_closed_plain.iter().collect();
         plain.sort_by_key(|(s, _)| s.0);
         self.u32(plain.len() as u32);
         for (s, a) in plain {
@@ -965,31 +956,26 @@ impl<'a> Dec<'a> {
             has_calls,
         })
     }
-    fn data_flow(&mut self) -> Option<ArrayDataFlow> {
-        let mut df = ArrayDataFlow::default();
+    fn proc_flow(&mut self) -> Option<ProcFlow> {
+        let mut f = ProcFlow {
+            summary: Arc::new(self.node_summary()?),
+            fresh: (self.u32()?, self.u32()?),
+            ..ProcFlow::default()
+        };
         for _ in 0..self.u32()? {
-            let p = ProcId(self.u32()?);
-            df.proc_summary.insert(p, self.node_summary()?);
-        }
-        for _ in 0..self.u32()? {
-            let p = ProcId(self.u32()?);
-            let lo = self.u32()?;
-            let hi = self.u32()?;
-            df.proc_fresh.insert(p, (lo, hi));
+            let s = StmtId(self.u32()?);
+            f.stmt_summary.insert(s, Arc::new(self.node_summary()?));
         }
         for _ in 0..self.u32()? {
             let s = StmtId(self.u32()?);
-            df.stmt_summary.insert(s, self.node_summary()?);
+            f.loop_iter.insert(s, Arc::new(self.loop_iter_summary()?));
         }
         for _ in 0..self.u32()? {
             let s = StmtId(self.u32()?);
-            df.loop_iter.insert(s, self.loop_iter_summary()?);
+            f.loop_closed_plain
+                .insert(s, Arc::new(self.access_summary()?));
         }
-        for _ in 0..self.u32()? {
-            let s = StmtId(self.u32()?);
-            df.loop_closed_plain.insert(s, self.access_summary()?);
-        }
-        Some(df)
+        Some(f)
     }
     fn execution(&mut self) -> Option<ExecutionFact> {
         let mut x = ExecutionFact {
@@ -1211,11 +1197,8 @@ fn encode_value(pass: PassId, value: &Arc<dyn Any + Send + Sync>, e: &mut Enc) {
             }
         }
         PassId::Summarize => {
-            // Only the data flow is wire-worthy: `stats` records how the
-            // computing run was scheduled (thread counts, wall-clock) —
-            // nondeterministic metadata a reused fact reports as zero anyway.
-            if let Some(v) = value.downcast_ref::<SummaryFact>() {
-                e.data_flow(&v.df);
+            if let Some(v) = value.downcast_ref::<ProcFlow>() {
+                e.proc_flow(v);
             }
         }
         PassId::Liveness => {
@@ -1342,12 +1325,7 @@ fn decode_value(pass: PassId, bytes: &[u8]) -> Option<Arc<dyn Any + Send + Sync>
             }
             Arc::new(v)
         }
-        PassId::Summarize => Arc::new(SummaryFact {
-            df: Arc::new(d.data_flow()?),
-            // A decoded fact is a reused fact: zero schedule traffic, like
-            // `analyze_in`'s own reuse path.
-            stats: ScheduleStats::default(),
-        }),
+        PassId::Summarize => Arc::new(d.proc_flow()?),
         PassId::Liveness => {
             let mode = match d.u8()? {
                 0 => LivenessMode::FlowInsensitive,
@@ -1445,7 +1423,7 @@ mod tests {
         }
     }
 
-    fn sample_summary_fact() -> SummaryFact {
+    fn sample_proc_flow() -> ProcFlow {
         let mut acc = AccessSummary::empty();
         acc.insert(sample_section_summary(0));
         let mut red = RedSummary::empty();
@@ -1457,26 +1435,21 @@ mod tests {
                 nonred: Section::empty(ArrayId(2), 1),
             },
         );
-        let node = NodeSummary { acc, red };
-        let mut df = ArrayDataFlow::default();
-        df.proc_summary.insert(ProcId(0), node.clone());
-        df.proc_fresh.insert(ProcId(0), (4, 7));
-        df.stmt_summary.insert(StmtId(3), node.clone());
-        df.loop_iter.insert(
-            StmtId(3),
-            LoopIterSummary {
-                sum: node.clone(),
-                index_sym: Var::Sym(9),
-                bounds: Some((LinExpr::constant(1), LinExpr::var(Var::Sym(2)))),
-                step: Some(1),
-                varying: (4, 7),
-                has_calls: false,
-            },
-        );
-        df.loop_closed_plain.insert(StmtId(3), node.acc.clone());
-        SummaryFact {
-            df: Arc::new(df),
-            stats: ScheduleStats::default(),
+        let node = Arc::new(NodeSummary { acc, red });
+        let iter = LoopIterSummary {
+            sum: (*node).clone(),
+            index_sym: Var::Sym(9),
+            bounds: Some((LinExpr::constant(1), LinExpr::var(Var::Sym(2)))),
+            step: Some(1),
+            varying: (4, 7),
+            has_calls: false,
+        };
+        ProcFlow {
+            summary: node.clone(),
+            fresh: (4, 7),
+            stmt_summary: HashMap::from([(StmtId(3), node.clone())]),
+            loop_iter: HashMap::from([(StmtId(3), Arc::new(iter))]),
+            loop_closed_plain: HashMap::from([(StmtId(3), Arc::new(node.acc.clone()))]),
         }
     }
 
@@ -1600,9 +1573,9 @@ mod tests {
             ),
             fact(
                 PassId::Summarize,
-                Scope::Program,
+                Scope::Proc(ProcId(0)),
                 1,
-                Arc::new(sample_summary_fact()),
+                Arc::new(sample_proc_flow()),
             ),
             fact(
                 PassId::Liveness,
@@ -1645,21 +1618,23 @@ mod tests {
             .downcast_ref::<LoopVerdict>()
             .expect("classify decodes to a verdict");
         assert_eq!(format!("{v:?}"), format!("{:?}", verdict_parallel()));
-        // The summary's data flow survives structurally.
+        // The procedure's flow survives structurally.
         let summarize = back
             .facts
             .iter()
             .find(|f| f.key.pass == PassId::Summarize)
             .unwrap();
-        let sf = summarize
+        assert_eq!(summarize.key.scope, Scope::Proc(ProcId(0)));
+        let pf = summarize
             .value
-            .downcast_ref::<SummaryFact>()
-            .expect("summarize decodes to a summary fact");
-        let want = sample_summary_fact();
-        assert_eq!(sf.df.proc_summary.len(), want.df.proc_summary.len());
-        assert_eq!(sf.df.proc_fresh[&ProcId(0)], (4, 7));
-        assert_eq!(sf.df.loop_iter[&StmtId(3)].step, Some(1));
-        assert_eq!(sf.stats.summarized, 0, "decoded facts report zero traffic");
+            .downcast_ref::<ProcFlow>()
+            .expect("summarize decodes to a procedure flow");
+        let want = sample_proc_flow();
+        assert_eq!(pf.summary.acc.len(), want.summary.acc.len());
+        assert_eq!(pf.fresh, (4, 7));
+        assert_eq!(pf.stmt_summary.len(), 1);
+        assert_eq!(pf.loop_iter[&StmtId(3)].step, Some(1));
+        assert!(pf.loop_closed_plain.contains_key(&StmtId(3)));
         // Liveness flows survive; run metadata does not.
         let liveness = back
             .facts

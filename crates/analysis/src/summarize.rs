@@ -15,13 +15,11 @@
 //! objects are dropped (Fortran-77 locals are undefined on re-entry), and
 //! remaining callee-origin symbols are projected away.
 
-use crate::cache::{proc_key, SummaryCache};
 use crate::context::{AnalysisCtx, ArrayKey, FRESH_BASE};
 use crate::reduction::{self, RedSummary};
 use crate::symenv::SymEnv;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
-use std::time::Instant;
 use suif_ir::ast::BinOp;
 use suif_ir::{Arg, Expr, ProcId, Ref, Stmt, StmtId, VarId, VarKind};
 use suif_poly::{AccessSummary, Constraint, LinExpr, Section, SectionSummary, Var};
@@ -88,44 +86,47 @@ impl LoopIterSummary {
     }
 }
 
-/// The complete bottom-up data-flow result.
+/// The complete bottom-up data-flow result: every procedure's [`ProcFlow`]
+/// merged into program-wide maps.  The values are shared with the flows
+/// they came from, so merging a flow served by the fact store copies
+/// pointers, never summaries.
 #[derive(Debug, Default)]
 pub struct ArrayDataFlow {
     /// Whole-procedure summaries (in the procedure's own symbols).
-    pub proc_summary: HashMap<ProcId, NodeSummary>,
+    pub proc_summary: HashMap<ProcId, Arc<NodeSummary>>,
     /// Fresh-symbol range allocated while analyzing each procedure.
     pub proc_fresh: HashMap<ProcId, (u32, u32)>,
     /// Node summary per statement (loops appear in closed form, including
     /// their bound-expression reads).
-    pub stmt_summary: HashMap<StmtId, NodeSummary>,
+    pub stmt_summary: HashMap<StmtId, Arc<NodeSummary>>,
     /// Per-iteration summaries per loop.
-    pub loop_iter: HashMap<StmtId, LoopIterSummary>,
+    pub loop_iter: HashMap<StmtId, Arc<LoopIterSummary>>,
     /// Plain (un-enhanced) closed access summaries per loop: exposure here
     /// includes reads fed by *earlier iterations of the same loop* — exactly
     /// what the Fig. 5-3 loop-body rule needs to model "the remaining
     /// iterations" (the §5.2.2.3 enhancement is only valid for the loop's
     /// exposure towards code *before* the loop).
-    pub loop_closed_plain: HashMap<StmtId, AccessSummary>,
+    pub loop_closed_plain: HashMap<StmtId, Arc<AccessSummary>>,
 }
 
 /// The per-procedure slice of the bottom-up result: everything the analysis
-/// of one procedure produces.  This is the unit of content-addressed
-/// caching — given the same procedure (and the same callee flows),
-/// [`summarize_proc`] returns a bit-identical `ProcFlow` regardless of
-/// which program or thread it is analyzed in, because each procedure draws
-/// fresh symbols from its own [`AnalysisCtx::proc_block`].
+/// of one procedure produces, and the value of one `Summarize` fact.  Given
+/// the same procedure (and the same callee flows), [`summarize_proc`]
+/// returns a bit-identical `ProcFlow` regardless of which program or thread
+/// it is analyzed in, because each procedure draws fresh symbols from its
+/// own [`AnalysisCtx::proc_block`].
 #[derive(Clone, Debug, Default)]
 pub struct ProcFlow {
     /// Whole-procedure summary (in the procedure's own symbols).
-    pub summary: NodeSummary,
+    pub summary: Arc<NodeSummary>,
     /// Fresh-symbol range used while analyzing the procedure.
     pub fresh: (u32, u32),
     /// Node summary per statement of this procedure.
-    pub stmt_summary: HashMap<StmtId, NodeSummary>,
+    pub stmt_summary: HashMap<StmtId, Arc<NodeSummary>>,
     /// Per-iteration summaries per loop of this procedure.
-    pub loop_iter: HashMap<StmtId, LoopIterSummary>,
+    pub loop_iter: HashMap<StmtId, Arc<LoopIterSummary>>,
     /// Plain closed access summaries per loop of this procedure.
-    pub loop_closed_plain: HashMap<StmtId, AccessSummary>,
+    pub loop_closed_plain: HashMap<StmtId, Arc<AccessSummary>>,
 }
 
 /// Summarize one procedure given the flows of (at least) its callees.
@@ -151,82 +152,37 @@ pub fn summarize_proc(
         let body = &ctx.program.proc(pid).body;
         let sum = w.walk_body(body, &mut env);
         let end = ctx.fresh_watermark();
-        flow.summary = sum;
+        flow.summary = Arc::new(sum);
         flow.fresh = (start, end);
         flow
     })
 }
 
-/// What one bottom-up pass did: sizes, cache traffic, and timing.
-#[derive(Clone, Debug, Default)]
-pub struct ScheduleStats {
-    /// Total procedures.
-    pub procs: usize,
-    /// Procedures actually summarized this run (= cache misses, or all
-    /// procedures when no cache is attached).
-    pub summarized: usize,
-    /// Procedures served from the summary cache.
-    pub cache_hits: usize,
-    /// Wall-clock seconds of the whole bottom-up pass.
-    pub wall_secs: f64,
-    /// Per-procedure summarize seconds, bottom-up order (cache hits report
-    /// the lookup time, effectively 0).
-    pub proc_secs: Vec<(ProcId, f64)>,
-}
-
 impl ArrayDataFlow {
     /// Run the bottom-up analysis over the whole program.
     pub fn analyze(ctx: &AnalysisCtx<'_>) -> ArrayDataFlow {
-        ArrayDataFlow::analyze_cached(ctx, None).0
+        ArrayDataFlow::bottom_up(ctx, |pid, flows| Arc::new(summarize_proc(ctx, pid, flows)))
     }
 
-    /// [`ArrayDataFlow::analyze`] over a [`SummaryCache`]: each procedure's
-    /// content key ([`proc_key`]) is computed leaves-first and the
-    /// summarization is skipped on a hit — this is what makes the daemon's
-    /// `reload` incremental.
-    pub fn analyze_cached(
+    /// Walk the call graph leaves-first, obtaining each procedure's flow
+    /// from `flow_of` (handed the flows of every procedure before it, its
+    /// callees among them) and merging it into the program-wide maps.
+    pub(crate) fn bottom_up(
         ctx: &AnalysisCtx<'_>,
-        cache: Option<&SummaryCache>,
-    ) -> (ArrayDataFlow, ScheduleStats) {
-        let t0 = Instant::now();
+        mut flow_of: impl FnMut(ProcId, &HashMap<ProcId, Arc<ProcFlow>>) -> Arc<ProcFlow>,
+    ) -> ArrayDataFlow {
         let mut df = ArrayDataFlow::default();
-        let mut stats = ScheduleStats {
-            procs: ctx.cg.bottom_up().len(),
-            ..ScheduleStats::default()
-        };
         let mut flows: HashMap<ProcId, Arc<ProcFlow>> = HashMap::new();
-        let mut keys: HashMap<ProcId, u128> = HashMap::new();
         for &pid in ctx.cg.bottom_up() {
-            let p0 = Instant::now();
-            let key = cache.map(|c| {
-                let k = proc_key(ctx, pid, &keys);
-                keys.insert(pid, k);
-                (c, k)
-            });
-            let flow = match key.and_then(|(c, k)| c.get(k)) {
-                Some(flow) => {
-                    stats.cache_hits += 1;
-                    flow
-                }
-                None => {
-                    let flow = Arc::new(summarize_proc(ctx, pid, &flows));
-                    if let Some((c, k)) = key {
-                        c.insert(k, flow.clone());
-                    }
-                    stats.summarized += 1;
-                    flow
-                }
-            };
-            stats.proc_secs.push((pid, p0.elapsed().as_secs_f64()));
+            let flow = flow_of(pid, &flows);
             df.merge_proc(pid, &flow);
             flows.insert(pid, flow);
         }
-        stats.wall_secs = t0.elapsed().as_secs_f64();
-        (df, stats)
+        df
     }
 
     /// Fold one procedure's flow into the program-wide maps.
-    pub fn merge_proc(&mut self, pid: ProcId, flow: &ProcFlow) {
+    fn merge_proc(&mut self, pid: ProcId, flow: &ProcFlow) {
         self.proc_summary.insert(pid, flow.summary.clone());
         self.proc_fresh.insert(pid, flow.fresh);
         self.stmt_summary
@@ -250,8 +206,8 @@ impl<'a, 'p> Walker<'a, 'p> {
         let mut acc = NodeSummary::empty();
         for s in body {
             let ns = self.walk_stmt(s, env);
-            self.flow.stmt_summary.insert(s.id(), ns.clone());
             acc = acc.then(&ns);
+            self.flow.stmt_summary.insert(s.id(), Arc::new(ns));
         }
         acc
     }
@@ -419,9 +375,7 @@ impl<'a, 'p> Walker<'a, 'p> {
             // Record statement summaries for the inner assign too (liveness
             // walks statement lists by id).
             if let Some(inner) = then_body.first() {
-                self.flow
-                    .stmt_summary
-                    .insert(inner.id(), NodeSummary::empty());
+                self.flow.stmt_summary.insert(inner.id(), Arc::default());
             }
             env.kill(self.ctx, site.var);
             return ns.then(&w);
@@ -542,7 +496,9 @@ impl<'a, 'p> Walker<'a, 'p> {
             }
         }
 
-        self.flow.loop_closed_plain.insert(*id, closed.acc.clone());
+        self.flow
+            .loop_closed_plain
+            .insert(*id, Arc::new(closed.acc.clone()));
 
         // §5.2.2.3: sharpen upwards-exposed reads — an exposed read of
         // iteration i2 is not exposed at the loop level when the must-writes
@@ -567,7 +523,7 @@ impl<'a, 'p> Walker<'a, 'p> {
             }
         }
 
-        self.flow.loop_iter.insert(*id, iter);
+        self.flow.loop_iter.insert(*id, Arc::new(iter));
 
         // Post-loop environment: modified scalars and the index are unknown.
         for &v in &modified {
@@ -977,6 +933,7 @@ mod tests {
 
     #[test]
     fn warm_cache_summarizes_nothing() {
+        use crate::{FactStore, ParallelizeConfig, Parallelizer};
         let p = parse_program(
             "program t
 proc leaf1(real q[*]) { q[1] = 0 }
@@ -991,16 +948,24 @@ proc main() {
 }",
         )
         .unwrap();
-        let ctx = AnalysisCtx::new(&p);
-        let cache = SummaryCache::new();
-        let (cold, s1) = ArrayDataFlow::analyze_cached(&ctx, Some(&cache));
-        assert_eq!((s1.procs, s1.summarized, s1.cache_hits), (4, 4, 0));
-        let (warm, s2) = ArrayDataFlow::analyze_cached(&ctx, Some(&cache));
-        assert_eq!(s2.summarized, 0, "warm run must re-summarize nothing");
-        assert_eq!(s2.cache_hits, 4);
-        assert_eq!(df_fingerprint(&cold), df_fingerprint(&warm));
-        let plain = ArrayDataFlow::analyze(&ctx);
-        assert_eq!(df_fingerprint(&cold), df_fingerprint(&plain));
+        let store = FactStore::new();
+        let analyze = || {
+            Parallelizer::analyze_in(
+                &p,
+                ParallelizeConfig::default(),
+                &Default::default(),
+                None,
+                &store,
+            )
+        };
+        let (cold, s1) = analyze();
+        assert_eq!((s1.procs, s1.summarized(), s1.summary_hits()), (4, 4, 0));
+        let (warm, s2) = analyze();
+        assert_eq!(s2.summarized(), 0, "warm run must re-summarize nothing");
+        assert_eq!(s2.summary_hits(), 4);
+        assert_eq!(df_fingerprint(&cold.df), df_fingerprint(&warm.df));
+        let plain = ArrayDataFlow::analyze(&cold.ctx);
+        assert_eq!(df_fingerprint(&cold.df), df_fingerprint(&plain));
     }
 
     fn loop_id(p: &suif_ir::Program, name: &str) -> StmtId {

@@ -102,23 +102,21 @@ impl<'p> Explorer<'p> {
     /// Start against a shared [`FactStore`] (the daemon's resident path):
     /// every static pass and the instrumented run are demanded through
     /// `store`, so facts surviving a reload, an assertion replay or a
-    /// restart are reused instead of recomputed.
-    /// `cache` is an optional cross-run summary cache (the daemon's
-    /// incremental path).  Also returns the open's timing/cache statistics,
-    /// the run's pass included.
+    /// restart are reused instead of recomputed.  Also returns the open's
+    /// timing/reuse statistics, the run's pass included.
     ///
-    /// `opts` is ignored; kept while `perfbench/` is frozen; ROADMAP
-    /// direction 0 deletes it together with the `cache` parameter.
+    /// `opts` and `_cache` are ignored; kept while `perfbench/` is frozen;
+    /// ROADMAP direction 0 deletes both parameters.
     pub fn with_store(
         program: &'p Program,
         config: ParallelizeConfig,
         input: Vec<f64>,
         opts: &ScheduleOptions,
-        cache: Option<&SummaryCache>,
+        _cache: Option<&SummaryCache>,
         store: Arc<FactStore>,
     ) -> Result<(Explorer<'p>, AnalyzeStats), ExplorerError> {
         let assertions = config.assertions.clone();
-        let (analysis, mut stats) = Parallelizer::analyze_in(program, config, opts, cache, &store);
+        let (analysis, mut stats) = Parallelizer::analyze_in(program, config, opts, None, &store);
 
         let before = store.metrics_for(PassId::Execute);
         let run = store.try_demand(&ExecutePass {

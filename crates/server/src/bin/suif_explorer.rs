@@ -163,7 +163,6 @@ fn corpus(args: &[String]) -> Result<(), String> {
     }
 
     let tier = std::sync::Arc::new(suif_analysis::SharedFactTier::with_budget(shared_budget));
-    let cache = std::sync::Arc::new(suif_analysis::SummaryCache::new());
     // A corrupt image warns (from the directory's owner) and cold-starts.
     let persist = persist_dir.map(suif_analysis::PersistDir::new);
     if let Some(dir) = &persist {
@@ -186,7 +185,7 @@ fn corpus(args: &[String]) -> Result<(), String> {
         None => Box::new(std::io::stdout().lock()),
     };
     let mut write_err: Option<String> = None;
-    let run = suif_server::run_corpus(entries, &opts, &tier, &cache, |r| {
+    let run = suif_server::run_corpus(entries, &opts, &tier, |r| {
         if write_err.is_none() {
             if let Err(e) = writeln!(out, "{}", r.to_json()) {
                 write_err = Some(e.to_string());

@@ -45,7 +45,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use suif_analysis::{
     AnalyzeStats, ExecutorService, FactStore, LoopVerdict, ParallelizeConfig, Parallelizer,
-    ScheduleOptions, SharedFactTier, SummaryCache,
+    ScheduleOptions, SharedFactTier,
 };
 
 /// Default per-program source-size cap (bytes).  Generous for any program
@@ -283,7 +283,6 @@ fn analyze_guarded(
     name: &str,
     source: &str,
     store: &FactStore,
-    cache: Option<&SummaryCache>,
     max_program_bytes: usize,
     inject_panic: bool,
 ) -> ProgramReport {
@@ -310,7 +309,7 @@ fn analyze_guarded(
             &program,
             ParallelizeConfig::default(),
             &ScheduleOptions::default(),
-            cache,
+            None,
             store,
         );
         let verdicts = analysis
@@ -375,11 +374,11 @@ fn pass_deltas(stats: &AnalyzeStats) -> Vec<(&'static str, f64, u64, u64, u64)> 
 }
 
 /// Analyze one program alone, in a fresh single-tenant store with no tier
-/// and no summary cache — the differential-test oracle for
+/// — the differential-test oracle for
 /// [`ProgramReport::deterministic_json`].
 pub fn analyze_single(name: &str, source: &str, max_program_bytes: usize) -> ProgramReport {
     let store = FactStore::new();
-    analyze_guarded(0, name, source, &store, None, max_program_bytes, false)
+    analyze_guarded(0, name, source, &store, max_program_bytes, false)
 }
 
 /// Run a corpus: fan every entry across a dedicated worker pool, each with
@@ -393,7 +392,6 @@ pub fn run_corpus(
     entries: Vec<CorpusEntry>,
     opts: &CorpusOptions,
     tier: &Arc<SharedFactTier>,
-    cache: &Arc<SummaryCache>,
     mut on_report: impl FnMut(&ProgramReport),
 ) -> CorpusRun {
     let t0 = Instant::now();
@@ -404,7 +402,6 @@ pub fn run_corpus(
     for (index, entry) in entries.into_iter().enumerate() {
         let tx = tx.clone();
         let tier = tier.clone();
-        let cache = cache.clone();
         let session_budget = opts.session_budget;
         let max_program_bytes = opts.max_program_bytes;
         let inject = opts.inject_panic.as_deref() == Some(entry.name.as_str());
@@ -418,7 +415,6 @@ pub fn run_corpus(
                 &entry.name,
                 &entry.source,
                 &store,
-                Some(&cache),
                 max_program_bytes,
                 inject,
             );
@@ -483,21 +479,12 @@ pub fn generated_entries(count: usize, seed_base: u64) -> Vec<CorpusEntry> {
 mod tests {
     use super::*;
 
-    fn tier_and_cache() -> (Arc<SharedFactTier>, Arc<SummaryCache>) {
-        (
-            Arc::new(SharedFactTier::new()),
-            Arc::new(SummaryCache::new()),
-        )
-    }
-
     #[test]
     fn corpus_run_reports_in_index_order_and_counts() {
         let entries = generated_entries(12, 0);
-        let (tier, cache) = tier_and_cache();
+        let tier = Arc::new(SharedFactTier::new());
         let mut streamed = 0usize;
-        let run = run_corpus(entries, &CorpusOptions::default(), &tier, &cache, |_| {
-            streamed += 1
-        });
+        let run = run_corpus(entries, &CorpusOptions::default(), &tier, |_| streamed += 1);
         assert_eq!(streamed, 12, "every report streams exactly once");
         assert_eq!(run.reports.len(), 12);
         for (i, r) in run.reports.iter().enumerate() {
@@ -525,14 +512,14 @@ mod tests {
             name: "too-big".into(),
             source: "x".repeat(32 * 1024),
         });
-        let (tier, cache) = tier_and_cache();
+        let tier = Arc::new(SharedFactTier::new());
         let opts = CorpusOptions {
             inject_panic: Some(minif_gen::name_for_seed(102)),
             // Above every generated program, below the hostile entry.
             max_program_bytes: 16 * 1024,
             ..CorpusOptions::default()
         };
-        let run = run_corpus(entries, &opts, &tier, &cache, |_| {});
+        let run = run_corpus(entries, &opts, &tier, |_| {});
         assert_eq!(run.summary.programs, 8);
         assert_eq!(run.summary.ok, 5, "siblings all complete");
         assert_eq!(run.summary.errors, 3);
@@ -550,14 +537,8 @@ mod tests {
     #[test]
     fn tier_snapshot_round_trip_warms_a_second_run() {
         let entries = generated_entries(4, 40);
-        let (tier, cache) = tier_and_cache();
-        let cold = run_corpus(
-            entries.clone(),
-            &CorpusOptions::default(),
-            &tier,
-            &cache,
-            |_| {},
-        );
+        let tier = Arc::new(SharedFactTier::new());
+        let cold = run_corpus(entries.clone(), &CorpusOptions::default(), &tier, |_| {});
         let dir = std::env::temp_dir().join(format!("suif_corpus_persist_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let saved = suif_analysis::PersistDir::new(&dir)
@@ -569,13 +550,13 @@ mod tests {
         );
 
         // A second process's handle over the same directory.
-        let (tier2, cache2) = tier_and_cache();
+        let tier2 = Arc::new(SharedFactTier::new());
         let warmed = suif_analysis::PersistDir::new(&dir).warm_tier(&tier2);
         assert_eq!(
             warmed.warm_hits, saved.delta_facts as u64,
             "every persisted fact imports"
         );
-        let warm = run_corpus(entries, &CorpusOptions::default(), &tier2, &cache2, |_| {});
+        let warm = run_corpus(entries, &CorpusOptions::default(), &tier2, |_| {});
         for (c, w) in cold.reports.iter().zip(&warm.reports) {
             assert_eq!(
                 c.deterministic_json().to_string(),
@@ -596,8 +577,8 @@ mod tests {
             .iter()
             .map(|e| analyze_single(&e.name, &e.source, 0).deterministic_json())
             .collect();
-        let (tier, cache) = tier_and_cache();
-        let run = run_corpus(entries, &CorpusOptions::default(), &tier, &cache, |_| {});
+        let tier = Arc::new(SharedFactTier::new());
+        let run = run_corpus(entries, &CorpusOptions::default(), &tier, |_| {});
         for (r, single) in run.reports.iter().zip(&singles) {
             assert_eq!(
                 r.deterministic_json().to_string(),

@@ -1,13 +1,13 @@
 //! The daemon loop: line-delimited JSON requests over stdio or TCP.
 //!
-//! A daemon process hosts one [`ServiceState`] — the cross-session summary
-//! cache, the process-wide content-addressed fact tier, the shared command
-//! worker pool, and the admission counters — and any number of concurrent
+//! A daemon process hosts one [`ServiceState`] — the process-wide
+//! content-addressed fact tier, the shared command worker pool, and the
+//! admission counters — and any number of concurrent
 //! [`Daemon`] instances, one per connection.  Each connection holds at most
 //! one [`Session`]; sessions are thin overlays over the shared tier, so the
 //! second tenant to load a program the first already analyzed recomputes
-//! nothing.  The tier and cache outlive sessions: a `load` after a `quit`
-//! or reconnect still reuses every fact whose content hash matches.
+//! nothing.  The tier outlives sessions: a `load` after a `quit` or
+//! reconnect still reuses every fact whose content hash matches.
 //!
 //! # The evented transport
 //!
@@ -55,7 +55,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use suif_analysis::{ExecutorService, PersistDir, SharedFactTier, SummaryCache};
+use suif_analysis::{ExecutorService, PersistDir, SharedFactTier};
 
 /// Everything that shapes a daemon service, across all its sessions.
 #[derive(Clone, Debug, Default)]
@@ -80,10 +80,9 @@ pub struct ServiceOptions {
     pub workers: usize,
 }
 
-/// Process-wide state shared by every connection of a daemon: the summary
-/// cache, the content-addressed fact tier, and the session registry.
+/// Process-wide state shared by every connection of a daemon: the
+/// content-addressed fact tier and the session registry.
 pub struct ServiceState {
-    cache: Arc<SummaryCache>,
     tier: Arc<SharedFactTier>,
     /// The one owner of `--persist-dir`, handed to every session.
     persist: Option<Arc<PersistDir>>,
@@ -134,7 +133,6 @@ impl ServiceState {
     /// Build the shared state of a new service.
     pub fn new(options: ServiceOptions) -> Arc<ServiceState> {
         Arc::new(ServiceState {
-            cache: Arc::new(SummaryCache::new()),
             tier: Arc::new(SharedFactTier::with_budget(options.shared_budget)),
             persist: options.persist_dir.map(PersistDir::new),
             certify_seed: options.certify_seed,
@@ -308,11 +306,11 @@ impl Daemon {
         self.certify_seed = seed;
     }
 
-    /// Open a session for `text` over the shared tier and summary cache.
+    /// Open a session for `text` over the shared tier.
     fn open_session(&self, text: &str) -> Result<Session, String> {
         Session::open_cfg(
             text,
-            self.state.cache.clone(),
+            Default::default(),
             SessionConfig {
                 persist: self.state.persist.clone(),
                 tier: Some(self.state.tier.clone()),
@@ -529,13 +527,7 @@ impl Daemon {
                     max_program_bytes,
                     inject_panic: None,
                 };
-                let run = crate::corpus::run_corpus(
-                    entries,
-                    &opts,
-                    &self.state.tier,
-                    &self.state.cache,
-                    |_| {},
-                );
+                let run = crate::corpus::run_corpus(entries, &opts, &self.state.tier, |_| {});
                 Ok(Json::obj([
                     ("summary", run.summary.to_json(&self.state.tier)),
                     (
@@ -642,8 +634,8 @@ pub fn serve_stdio_with(options: ServiceOptions) -> io::Result<()> {
 }
 
 /// Serve on a TCP listener: a single reactor thread multiplexing every
-/// connection over a shared [`ServiceState`].  The summary cache and fact
-/// tier persist across connections and are shared between concurrent ones.
+/// connection over a shared [`ServiceState`].  The fact tier persists
+/// across connections and is shared between concurrent ones.
 /// Prints `listening on <addr>` to stdout once bound (bind to port 0 to
 /// let the OS pick).  Returns after a `shutdown` request has drained every
 /// connection and worker.
@@ -1095,10 +1087,11 @@ mod tests {
         let loops = r.get("loops").and_then(Json::as_arr).unwrap();
         assert_eq!(loops[0].get("parallel").and_then(Json::as_bool), Some(true));
 
-        // Warm re-analysis: every fact reused, the scheduler never ran.
+        // Warm re-analysis: every fact reused, the one procedure's summary
+        // served by the store.
         let r = req(&mut d, r#"{"cmd":"stats"}"#);
         assert_eq!(r.get("summarized").and_then(Json::as_i64), Some(0));
-        assert_eq!(r.get("cache_hits").and_then(Json::as_i64), Some(0));
+        assert_eq!(r.get("cache_hits").and_then(Json::as_i64), Some(1));
         let facts = r.get("facts").unwrap();
         assert_eq!(facts.get("computed").and_then(Json::as_i64), Some(0));
         assert!(facts.get("reused").and_then(Json::as_i64).unwrap() > 0);

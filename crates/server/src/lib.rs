@@ -13,8 +13,8 @@
 //! sockets — epoll on Linux, `poll(2)` elsewhere — while command execution
 //! is offloaded to a shared worker pool and completions return through a
 //! wakeup pipe.  All sessions share a process-wide content-addressed fact
-//! tier and summary cache (see [`daemon::ServiceState`]), with per-session
-//! and shared byte budgets, admission control, and per-connection bounded
+//! tier (see [`daemon::ServiceState`]), with per-session and shared byte
+//! budgets, admission control, and per-connection bounded
 //! write queues for backpressure.  Clients may pipeline: many request
 //! lines per write, a `batch` command with ordered per-id replies, or both.
 

@@ -197,7 +197,7 @@ pub enum Request {
         /// Per-program source-size cap in bytes (`0` = default).
         max_program_bytes: usize,
     },
-    /// Daemon statistics: pass timings, cache and fact counters.
+    /// Daemon statistics: pass timings and fact counters.
     Stats,
     /// Force a durable fact-snapshot write (requires `--persist-dir`).
     Checkpoint,

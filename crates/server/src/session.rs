@@ -1,5 +1,5 @@
 //! A resident Explorer session: owns the parsed program, the analysis, and
-//! the cross-reload summary cache.
+//! the fact store that carries summaries and verdicts across reloads.
 //!
 //! The Explorer borrows the [`Program`] it analyzes; a daemon must own both.
 //! [`Session`] puts the program behind an `Arc` (a stable heap address) and
@@ -55,7 +55,6 @@ pub struct Session {
     /// The owned program; `Arc` so its address survives moves of `Session`.
     #[allow(dead_code)]
     program: Arc<Program>,
-    cache: Arc<SummaryCache>,
     /// Fact store shared across analyses and reloads of this session;
     /// stale facts miss on their content hash, surviving ones are reused.
     /// In a multi-tenant daemon this is a thin overlay over the
@@ -63,8 +62,6 @@ pub struct Session {
     store: Arc<FactStore>,
     /// Stats of the most recent analysis run.
     pub last_stats: AnalyzeStats,
-    /// `(hits, misses)` of the summary cache during the most recent run.
-    pub last_cache_delta: (u64, u64),
     /// Completed `load`/`reload` requests.
     pub generation: u64,
     /// The persist directory's owner, when persistence is on (shared with
@@ -111,25 +108,22 @@ pub struct SessionConfig {
 
 fn build_explorer(
     program: &'static Program,
-    cache: &SummaryCache,
     store: Arc<FactStore>,
-) -> Result<(Explorer<'static>, AnalyzeStats, (u64, u64)), String> {
-    let before = cache.counters();
-    let (explorer, stats) = Explorer::with_store(
+) -> Result<(Explorer<'static>, AnalyzeStats), String> {
+    Explorer::with_store(
         program,
         Default::default(),
         Vec::new(),
         &ScheduleOptions::default(),
-        Some(cache),
+        None,
         store,
     )
-    .map_err(|e| e.to_string())?;
-    let after = cache.counters();
-    Ok((explorer, stats, (after.0 - before.0, after.1 - before.1)))
+    .map_err(|e| e.to_string())
 }
 
 impl Session {
-    /// Parse and analyze `source`, seeding (and drawing from) `cache`.
+    /// Parse and analyze `source`.  `_cache` is ignored; kept while
+    /// `perfbench/` is frozen; ROADMAP direction 0 deletes the parameter.
     ///
     /// With `cfg.persist` set, the store
     /// is warmed from that directory before the opening analysis
@@ -140,7 +134,7 @@ impl Session {
     /// bounds this session's resident facts.
     pub fn open_cfg(
         source: &str,
-        cache: Arc<SummaryCache>,
+        _cache: Arc<SummaryCache>,
         cfg: SessionConfig,
     ) -> Result<Session, String> {
         let program = Arc::new(suif_ir::parse_program(source).map_err(|e| e.to_string())?);
@@ -167,15 +161,13 @@ impl Session {
             report.warmed = p.warm_store(&store, &expected);
             report.load_secs = t0.elapsed().as_secs_f64();
         }
-        let (explorer, stats, delta) = build_explorer(pref, &cache, store.clone())?;
+        let (explorer, stats) = build_explorer(pref, store.clone())?;
         report.cold_misses = stats.facts_computed;
         let mut session = Session {
             explorer,
             program,
-            cache,
             store,
             last_stats: stats,
-            last_cache_delta: delta,
             generation: 1,
             persist: cfg.persist,
             snapshot: report,
@@ -246,10 +238,10 @@ impl Session {
         ]))
     }
 
-    /// Replace the program with edited source.  The summary cache and fact
-    /// store carry over, so only the dirty cone (edited procedures,
-    /// id-shifted ones, and their transitive callers) is re-summarized and
-    /// only hash-mismatched facts are recomputed.
+    /// Replace the program with edited source.  The fact store carries
+    /// over, so only the dirty cone (edited procedures, id-shifted ones, and
+    /// their transitive callers) is re-summarized and only hash-mismatched
+    /// facts are recomputed.
     pub fn reload(&mut self, source: &str) -> Result<(), String> {
         let program = Arc::new(suif_ir::parse_program(source).map_err(|e| e.to_string())?);
         // SAFETY: as in `open_cfg`.
@@ -260,8 +252,8 @@ impl Session {
         // leaves the old explorer, and its assertions, in place.
         let tainted = !self.explorer.analysis.config.assertions.is_empty();
         self.store.set_assert_local(false);
-        let built = build_explorer(pref, &self.cache, self.store.clone());
-        let (explorer, stats, delta) = built.inspect_err(|_| {
+        let built = build_explorer(pref, self.store.clone());
+        let (explorer, stats) = built.inspect_err(|_| {
             self.store.set_assert_local(tainted);
         })?;
         // Install the new pair; the old explorer (borrowing the old program)
@@ -269,7 +261,6 @@ impl Session {
         self.explorer = explorer;
         self.program = program;
         self.last_stats = stats;
-        self.last_cache_delta = delta;
         self.generation += 1;
         // A reload churns many keys at once and orphans facts for deleted
         // scopes; fold everything into a fresh base instead of appending a
@@ -285,19 +276,16 @@ impl Session {
     /// re-analysis of an unchanged program reuses every fact and runs no
     /// pass) and report per-loop verdicts.
     pub fn analyze(&mut self) -> Json {
-        let before = self.cache.counters();
         let config = self.explorer.analysis.config.clone();
         let (analysis, stats) = suif_analysis::Parallelizer::analyze_in(
             self.explorer.program,
             config,
             &ScheduleOptions::default(),
-            Some(&self.cache),
+            None,
             &self.store,
         );
-        let after = self.cache.counters();
         self.explorer.analysis = analysis;
         self.last_stats = stats;
-        self.last_cache_delta = (after.0 - before.0, after.1 - before.1);
         let loops = self
             .verdicts_json()
             .get("loops")
@@ -634,8 +622,9 @@ impl Session {
 
     /// Daemon statistics: per-pass timings and invocation/reuse counters
     /// from the fact store, the instrumented run behind the last
-    /// `load`/`reload` (and whether that open reused its fact), and
-    /// summary-cache traffic.
+    /// `load`/`reload` (and whether that open reused its fact), and how
+    /// many procedures the last run summarized against how many it was
+    /// served.
     pub fn stats_json(&self) -> Json {
         let s = &self.last_stats;
         let mut passes: Vec<(&'static str, Json)> = s
@@ -656,10 +645,9 @@ impl Session {
         passes.push(("total", Json::Num(s.total_secs)));
         let mut fields = vec![
             ("generation", Json::int(self.generation as i64)),
-            ("procs", Json::int(s.schedule.procs as i64)),
-            ("summarized", Json::int(s.schedule.summarized as i64)),
-            ("cache_hits", Json::int(s.schedule.cache_hits as i64)),
-            ("cache_entries", Json::int(self.cache.len() as i64)),
+            ("procs", Json::int(s.procs as i64)),
+            ("summarized", Json::int(s.summarized() as i64)),
+            ("cache_hits", Json::int(s.summary_hits() as i64)),
             ("passes", Json::obj(passes)),
             (
                 "execution",
@@ -819,27 +807,26 @@ proc main() {
  print b[3]
 }";
 
-    fn open(cache: Arc<SummaryCache>) -> Session {
-        Session::open_cfg(SRC, cache, SessionConfig::default()).unwrap()
+    fn open() -> Session {
+        Session::open_cfg(SRC, Default::default(), SessionConfig::default()).unwrap()
     }
 
     #[test]
     fn session_loads_and_answers() {
-        let cache = Arc::new(SummaryCache::new());
-        let mut s = open(cache);
+        let mut s = open();
         let v = s.verdicts_json();
         let loops = v.get("loops").and_then(Json::as_arr).unwrap();
         assert_eq!(loops.len(), 2);
         assert!(loops
             .iter()
             .all(|l| l.get("parallel").and_then(Json::as_bool) == Some(true)));
-        assert_eq!(s.last_stats.schedule.summarized, 2);
+        assert_eq!(s.last_stats.summarized(), 2);
 
         // Warm re-analysis of the unchanged program reuses every fact: no
-        // procedure is re-summarized and the scheduler never runs.
+        // procedure is re-summarized, both are served by the store.
         s.analyze();
-        assert_eq!(s.last_stats.schedule.summarized, 0);
-        assert_eq!(s.last_stats.schedule.cache_hits, 0);
+        assert_eq!(s.last_stats.summarized(), 0);
+        assert_eq!(s.last_stats.summary_hits(), 2);
         assert_eq!(s.last_stats.facts_computed, 0, "all facts from the store");
         assert!(
             s.last_stats.facts_reused >= 4,
@@ -850,14 +837,13 @@ proc main() {
         let edited = SRC.replace("print b[3]", "print b[4]");
         s.reload(&edited).unwrap();
         assert_eq!(s.generation, 2);
-        assert_eq!(s.last_stats.schedule.cache_hits, 1, "inc must hit");
-        assert_eq!(s.last_stats.schedule.summarized, 1, "only main dirty");
+        assert_eq!(s.last_stats.summary_hits(), 1, "inc must hit");
+        assert_eq!(s.last_stats.summarized(), 1, "only main dirty");
     }
 
     #[test]
     fn session_assertions_replay_incrementally() {
-        let cache = Arc::new(SummaryCache::new());
-        let mut s = open(cache);
+        let mut s = open();
         let classify_before = s
             .store
             .metrics_for(suif_analysis::PassId::Classify)
@@ -878,7 +864,7 @@ proc main() {
             s.store
                 .metrics_for(suif_analysis::PassId::Summarize)
                 .invocations,
-            1,
+            2,
             "summaries never re-ran"
         );
 
@@ -901,8 +887,7 @@ proc main() {
 
     #[test]
     fn session_advisory_and_stats_payload() {
-        let cache = Arc::new(SummaryCache::new());
-        let mut s = open(cache);
+        let mut s = open();
         let adv = s.advisory_json();
         assert!(adv.get("contractions").and_then(Json::as_arr).is_some());
         assert!(adv.get("splits").and_then(Json::as_arr).is_some());
@@ -929,8 +914,7 @@ proc main() {
 
     #[test]
     fn session_guru_and_codeview() {
-        let cache = Arc::new(SummaryCache::new());
-        let mut s = open(cache);
+        let mut s = open();
         let g = s.guru_json();
         assert!(g.get("coverage").and_then(Json::as_f64).is_some());
         let cv = s.codeview_json();
@@ -982,8 +966,8 @@ proc main() {
     /// classification and the next `slice`'s table stale.
     #[test]
     fn slice_owns_its_fact() {
-        let cache = Arc::new(SummaryCache::new());
-        let mut s = Session::open_cfg(MDG_LIKE, cache, SessionConfig::default()).unwrap();
+        let mut s =
+            Session::open_cfg(MDG_LIKE, Default::default(), SessionConfig::default()).unwrap();
         let runs = |s: &Session, pass| s.store.metrics_for(pass).invocations;
         let loops = s.explorer.analysis.ctx.tree.loops.len() as u64;
         assert_eq!(runs(&s, PassId::Classify), loops);

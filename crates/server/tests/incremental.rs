@@ -1,12 +1,12 @@
 //! Incremental-equivalence property: for any generated MiniF program and
 //! any edit, `reload` + `analyze` on a warm session answers exactly what a
-//! fresh analysis of the edited source answers — the summary cache may only
+//! fresh analysis of the edited source answers — the fact store may only
 //! change *what is recomputed*, never *what is computed*.
 
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use suif_analysis::{FactKey, FactStore, Pass, PassId, Scope, SummaryCache};
+use suif_analysis::{FactKey, FactStore, Pass, PassId, Scope};
 use suif_ir::StmtId;
 use suif_server::json::Json;
 use suif_server::{Session, SessionConfig};
@@ -35,8 +35,7 @@ fn gen_src(consts: &[i64]) -> String {
 }
 
 fn fresh_verdicts(src: &str) -> Json {
-    let cache = Arc::new(SummaryCache::new());
-    let mut s = Session::open_cfg(src, cache, SessionConfig::default()).unwrap();
+    let mut s = Session::open_cfg(src, Default::default(), SessionConfig::default()).unwrap();
     s.analyze()
 }
 
@@ -57,8 +56,8 @@ proptest! {
         let base_src = gen_src(&consts);
         let edited_src = gen_src(&edited);
 
-        let cache = Arc::new(SummaryCache::new());
-        let mut session = Session::open_cfg(&base_src, cache, SessionConfig::default()).unwrap();
+        let mut session =
+            Session::open_cfg(&base_src, Default::default(), SessionConfig::default()).unwrap();
         session.reload(&edited_src).unwrap();
         let warm = session.analyze();
 
@@ -70,7 +69,7 @@ proptest! {
         );
 
         // The warm analyze right after the reload touches nothing.
-        prop_assert_eq!(session.last_stats.schedule.summarized, 0);
+        prop_assert_eq!(session.last_stats.summarized(), 0);
 
         // The reload itself reused every unedited leaf (same statement
         // structure, so no id shifts; only f{edit_at} and main are dirty).
@@ -86,18 +85,19 @@ proptest! {
         let mut edited = consts.clone();
         edited[edit_at] += 2; // keeps even/odd, so statement shape is stable
 
-        let cache = Arc::new(SummaryCache::new());
-        let mut session = Session::open_cfg(&gen_src(&consts), cache, SessionConfig::default()).unwrap();
+        let mut session =
+            Session::open_cfg(&gen_src(&consts), Default::default(), SessionConfig::default())
+                .unwrap();
         session.reload(&gen_src(&edited)).unwrap();
 
         if consts[edit_at] == edited[edit_at] {
             // (unreachable: delta is fixed nonzero)
-            prop_assert_eq!(session.last_stats.schedule.summarized, 0);
+            prop_assert_eq!(session.last_stats.summarized(), 0);
         } else {
             // Dirty cone = the edited leaf + main.
-            prop_assert_eq!(session.last_stats.schedule.summarized, 2);
+            prop_assert_eq!(session.last_stats.summarized(), 2);
             prop_assert_eq!(
-                session.last_stats.schedule.cache_hits,
+                session.last_stats.summary_hits() as usize,
                 consts.len() - 1
             );
         }
@@ -196,10 +196,9 @@ fn restart_after_assert_and_checkpoint_equals_fresh_analysis() {
     let src = gen_src(&[1, 3, 5]);
     let fresh = fresh_verdicts(&src);
 
-    let cache = Arc::new(SummaryCache::new());
     let mut s = Session::open_cfg(
         &src,
-        cache,
+        Default::default(),
         SessionConfig {
             persist: Some(suif_analysis::PersistDir::new(&dir)),
             ..SessionConfig::default()
@@ -230,10 +229,9 @@ fn restart_after_assert_and_checkpoint_equals_fresh_analysis() {
     // Restart over the same dir *without* the assertion: the reopened
     // session must answer exactly what a fresh analysis answers —
     // assertion-marked facts evict on their hash instead of loading.
-    let cache = Arc::new(SummaryCache::new());
     let mut s2 = Session::open_cfg(
         &src,
-        cache,
+        Default::default(),
         SessionConfig {
             persist: Some(suif_analysis::PersistDir::new(&dir)),
             ..SessionConfig::default()

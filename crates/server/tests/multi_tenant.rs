@@ -11,7 +11,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use suif_server::json::Json;
 use suif_server::{serve_listener, Daemon, ServiceOptions, ServiceState, Session, SessionConfig};
 
@@ -129,6 +128,14 @@ fn second_session_shares_every_fact() {
     let shared = facts.get("shared").and_then(Json::as_i64).unwrap();
     assert!(shared > 0, "facts must come from the tier: {rb}");
     let passes = rb.get("passes").unwrap();
+    // Summaries are shared procedure by procedure.
+    let summarize = passes.get("summarize").unwrap();
+    assert_eq!(
+        summarize.get("shared").and_then(Json::as_i64),
+        rb.get("procs").and_then(Json::as_i64),
+        "one tier hit per procedure: {rb}"
+    );
+    assert_eq!(rb.get("procs").and_then(Json::as_i64), Some(3), "{rb}");
     for pass in ["summarize", "classify"] {
         if let Some(p) = passes.get(pass) {
             assert_eq!(
@@ -188,12 +195,7 @@ fn assertions_stay_session_private() {
         Some(false),
         "A's assertion leaked into B: {vb}"
     );
-    let fresh = Session::open_cfg(
-        MDG_LIKE,
-        Arc::new(suif_analysis::SummaryCache::new()),
-        SessionConfig::default(),
-    )
-    .unwrap();
+    let fresh = Session::open_cfg(MDG_LIKE, Default::default(), SessionConfig::default()).unwrap();
     assert_eq!(
         format!("{}", vb.get("loops").unwrap()),
         format!("{}", fresh.verdicts_json().get("loops").unwrap()),

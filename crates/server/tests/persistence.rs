@@ -9,8 +9,7 @@
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use suif_analysis::{PersistDir, SummaryCache};
+use suif_analysis::PersistDir;
 use suif_server::json::Json;
 use suif_server::{
     Daemon, ServiceOptions, ServiceState, Session, SessionConfig, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE,
@@ -51,7 +50,7 @@ fn scratch(name: &str) -> PathBuf {
 fn open_src(src: &str, dir: &Path) -> Session {
     Session::open_cfg(
         src,
-        Arc::new(SummaryCache::new()),
+        Default::default(),
         SessionConfig {
             persist: Some(PersistDir::new(dir)),
             ..Default::default()
@@ -186,6 +185,34 @@ fn stale_snapshot_entries_are_evicted_not_served() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Summaries persist procedure by procedure: after a restart, a `reload`
+/// with a one-procedure edit re-summarizes the edited procedure and its
+/// caller only — the untouched leaf comes out of `facts.snap` — and the
+/// session answers what a fresh analysis of the edited text answers.
+#[test]
+fn reload_after_restart_resummarizes_only_the_dirty_cone() {
+    let dir = scratch("restart_reload");
+    drop(open(&dir));
+    let edited = SRC.replace("q[i - 1] * 2", "q[i - 1] * 3");
+    assert_ne!(edited, SRC);
+
+    let mut s = open(&dir);
+    let st = s.stats_json();
+    assert_eq!(st.get("summarized").and_then(Json::as_i64), Some(0), "{st}");
+    s.reload(&edited).unwrap();
+    let st = s.stats_json();
+    let count = |k| st.get(k).and_then(Json::as_i64).unwrap();
+    assert_eq!(count("procs"), 3, "{st}");
+    assert_eq!(count("summarized"), 2, "rec and its caller: {st}");
+    assert_eq!(count("cache_hits"), 1, "inc, from the snapshot: {st}");
+
+    let fresh_dir = scratch("restart_reload_fresh");
+    let mut fresh = open_src(&edited, &fresh_dir);
+    assert_eq!(s.analyze().to_string(), fresh.analyze().to_string());
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&fresh_dir);
+}
+
 /// Corrupt the snapshot in `mutate`, reopen, and require a clean cold start
 /// with `snapshot: discarded` — identical verdicts, no warm hits.
 fn corruption_case(name: &str, mutate: impl FnOnce(&mut Vec<u8>)) {
@@ -254,17 +281,17 @@ fn version_bumped_snapshot_cold_starts_cleanly() {
     corruption_case("version", |b| b[8] = b[8].wrapping_add(1));
 }
 
-/// A snapshot from the previous format (version 4: no `Execute` facts) is
-/// discarded for a clean cold start, never misread, and the directory is
+/// A snapshot from the previous format (version 5: summaries as one
+/// program-scope data flow) is discarded for a clean cold start, never misread, and the directory is
 /// rewritten in this build's format.
 #[test]
 fn old_version_snapshot_cold_starts_cleanly() {
     corruption_case("old-version", |b| {
-        b[8..12].copy_from_slice(&4u32.to_le_bytes());
+        b[8..12].copy_from_slice(&5u32.to_le_bytes());
     });
 }
 
-/// A log from the previous format (version 2) over a valid base does not
+/// A log from the previous format (version 3) over a valid base does not
 /// replay: the base alone warms the open, what only the log held is
 /// recomputed to the same answer, and the open folds the pair afresh.
 #[test]
@@ -280,7 +307,7 @@ fn old_version_log_is_ignored_and_folded_away() {
     let log_path = dir.join(SNAPSHOT_LOG_FILE);
     let mut log = std::fs::read(&log_path).unwrap();
     assert!(log.len() > suif_analysis::snapshot::LOG_HEADER_LEN);
-    log[8..12].copy_from_slice(&2u32.to_le_bytes());
+    log[8..12].copy_from_slice(&3u32.to_le_bytes());
     std::fs::write(&log_path, &log).unwrap();
 
     let mut s = open(&dir);

@@ -111,11 +111,12 @@ fn daemon_protocol_round_trip() {
         assert_eq!(l.get("parallel").and_then(Json::as_bool), Some(true), "{l}");
     }
 
-    // Warm analyze: every fact served from the store, the scheduler and
-    // summary cache never touched.
+    // Warm analyze: every fact served from the store, both procedures'
+    // summaries among them.
     let r = c.request(r#"{"cmd":"stats"}"#);
     assert_eq!(r.get("summarized").and_then(Json::as_i64), Some(0), "{r}");
-    assert_eq!(r.get("cache_hits").and_then(Json::as_i64), Some(0));
+    assert_eq!(r.get("cache_hits").and_then(Json::as_i64), Some(2), "{r}");
+    assert!(r.get("cache_entries").is_none(), "{r}");
     assert!(r.get("passes").and_then(|p| p.get("total")).is_some());
     let classify = r.get("passes").and_then(|p| p.get("classify")).unwrap();
     assert_eq!(classify.get("invocations").and_then(Json::as_i64), Some(0));

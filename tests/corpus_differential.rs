@@ -3,7 +3,7 @@
 //! keyed, shared or scheduled, so it runs in tier-1.
 
 use std::sync::Arc;
-use suif_analysis::{SharedFactTier, SummaryCache};
+use suif_analysis::SharedFactTier;
 use suif_server::{analyze_single, generated_entries, run_corpus, CorpusOptions};
 
 /// A 200-program fixed-seed corpus analyzed by the fleet driver over a
@@ -22,8 +22,7 @@ fn differential_200_programs_match_isolated_analysis() {
         .collect();
 
     let tier = Arc::new(SharedFactTier::new());
-    let cache = Arc::new(SummaryCache::new());
-    let run = run_corpus(entries, &CorpusOptions::default(), &tier, &cache, |_| {});
+    let run = run_corpus(entries, &CorpusOptions::default(), &tier, |_| {});
 
     assert_eq!(run.summary.programs, 200);
     assert_eq!(run.summary.ok, 200, "fixed-seed corpus is all-ok");

@@ -1,8 +1,10 @@
-//! A warm summary cache must re-summarize nothing and hand back the same
+//! A warm fact store must re-summarize nothing and hand back the same
 //! data flow — checked over the full benchmark suite (Ch. 4–6).
 
-use std::collections::BTreeMap;
-use suif_analysis::{AnalysisCtx, ArrayDataFlow, SummaryCache};
+mod fingerprint;
+
+use fingerprint::df_fingerprint;
+use suif_analysis::{FactStore, ParallelizeConfig, Parallelizer};
 use suif_benchmarks::{ch4_apps, ch5_apps, ch6_apps, BenchProgram, Scale};
 
 fn all_apps() -> Vec<BenchProgram> {
@@ -12,51 +14,34 @@ fn all_apps() -> Vec<BenchProgram> {
     v
 }
 
-/// Canonical rendering of a data-flow result (`HashMap`s sorted by id).
-fn df_fingerprint(df: &ArrayDataFlow) -> String {
-    let procs: BTreeMap<u32, String> = df
-        .proc_summary
-        .iter()
-        .map(|(k, v)| (k.0, format!("{v:?}")))
-        .collect();
-    let fresh: BTreeMap<u32, (u32, u32)> = df.proc_fresh.iter().map(|(k, &v)| (k.0, v)).collect();
-    let stmts: BTreeMap<u32, String> = df
-        .stmt_summary
-        .iter()
-        .map(|(k, v)| (k.0, format!("{v:?}")))
-        .collect();
-    let iters: BTreeMap<u32, String> = df
-        .loop_iter
-        .iter()
-        .map(|(k, v)| (k.0, format!("{v:?}")))
-        .collect();
-    let closed: BTreeMap<u32, String> = df
-        .loop_closed_plain
-        .iter()
-        .map(|(k, v)| (k.0, format!("{v:?}")))
-        .collect();
-    format!("{procs:?}|{fresh:?}|{stmts:?}|{iters:?}|{closed:?}")
-}
-
 #[test]
 fn warm_cache_resummarizes_nothing_across_suite() {
     for app in all_apps() {
         let program = app.parse();
-        let ctx = AnalysisCtx::new(&program);
-        let cache = SummaryCache::new();
-        let (cold, s1) = ArrayDataFlow::analyze_cached(&ctx, Some(&cache));
-        assert_eq!(s1.summarized, s1.procs, "{}: cold run must miss", app.name);
-        let (warm, s2) = ArrayDataFlow::analyze_cached(&ctx, Some(&cache));
+        let store = FactStore::new();
+        let analyze = || {
+            let config = ParallelizeConfig::default();
+            Parallelizer::analyze_in(&program, config, &Default::default(), None, &store)
+        };
+        let (cold, s1) = analyze();
         assert_eq!(
-            s2.summarized, 0,
+            (s1.summarized(), s1.summary_hits()),
+            (s1.procs as u64, 0),
+            "{}: cold run must miss",
+            app.name
+        );
+        let (warm, s2) = analyze();
+        assert_eq!(
+            s2.summarized(),
+            0,
             "{}: warm run must re-summarize zero procedures",
             app.name
         );
-        assert_eq!(s2.cache_hits, s2.procs, "{}", app.name);
+        assert_eq!(s2.summary_hits(), s2.procs as u64, "{}", app.name);
         assert_eq!(
-            df_fingerprint(&cold),
-            df_fingerprint(&warm),
-            "{}: cached flows diverged",
+            df_fingerprint(&cold.df),
+            df_fingerprint(&warm.df),
+            "{}: served flows diverged",
             app.name
         );
     }

@@ -2,11 +2,18 @@
 //! observationally identical to a from-scratch `Parallelizer::analyze`, and
 //! each new assertion replays at most the asserted loop's classify pass —
 //! never the summaries, the liveness, or any other loop's classification.
+//! And a one-procedure edit re-summarizes exactly the procedures whose
+//! content key moved, landing on the data flow of a fresh analysis.
 
+mod fingerprint;
+
+use fingerprint::df_fingerprint;
 use proptest::prelude::*;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use suif_analysis::cache::all_proc_keys;
 use suif_analysis::{
-    Assertion, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis, ScheduleOptions,
+    AnalysisCtx, Assertion, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis,
+    ScheduleOptions, Scope,
 };
 
 /// A generated program: `n` leaf procedures (elementwise when the constant
@@ -42,8 +49,66 @@ fn fingerprint(pa: &ProgramAnalysis<'_>) -> BTreeMap<String, String> {
         .collect()
 }
 
+/// Input hash of every `Summarize` fact in the store, by scope.  A fact
+/// that re-ran was stored under its new hash; a reused one kept its own.
+fn summary_hashes(store: &FactStore) -> BTreeMap<Scope, u128> {
+    let facts = store.export().into_iter();
+    facts
+        .filter(|f| f.key.pass == PassId::Summarize)
+        .map(|f| (f.key.scope, f.hash))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn one_procedure_edit_resummarizes_exactly_the_moved_keys(
+        consts in prop::collection::vec(-4i64..5, 1..5),
+        edit_at in 0usize..5,
+        delta in 1i64..4,
+    ) {
+        let edit_at = edit_at % consts.len();
+        let mut edited = consts.clone();
+        // Guaranteed change; may flip elementwise <-> recurrence.
+        edited[edit_at] += delta;
+        let base = suif_ir::parse_program(&gen_src(&consts)).unwrap();
+        let next = suif_ir::parse_program(&gen_src(&edited)).unwrap();
+        let store = FactStore::new();
+        let opts = ScheduleOptions::default();
+        let config = ParallelizeConfig::default;
+
+        Parallelizer::analyze_in(&base, config(), &opts, None, &store);
+        let before = summary_hashes(&store);
+        let ran_before = store.metrics_for(PassId::Summarize).invocations;
+        let (pa, stats) = Parallelizer::analyze_in(&next, config(), &opts, None, &store);
+        let ran = store.metrics_for(PassId::Summarize).invocations - ran_before;
+
+        let (old, new) = (
+            all_proc_keys(&AnalysisCtx::new(&base)),
+            all_proc_keys(&AnalysisCtx::new(&next)),
+        );
+        let moved: BTreeSet<Scope> = new
+            .iter()
+            .filter(|(pid, key)| old.get(pid) != Some(key))
+            .map(|(&pid, _)| Scope::Proc(pid))
+            .collect();
+        let rerun: BTreeSet<Scope> = summary_hashes(&store)
+            .into_iter()
+            .filter(|(scope, hash)| before.get(scope) != Some(hash))
+            .map(|(scope, _)| scope)
+            .collect();
+        prop_assert_eq!(&rerun, &moved, "re-summarized set != moved proc keys");
+        prop_assert_eq!(ran as usize, moved.len(), "a procedure ran twice");
+        prop_assert_eq!(stats.summarized(), ran);
+        prop_assert_eq!(stats.summary_hits() as usize, stats.procs - moved.len());
+        // The edited leaf and its caller; every other leaf is served.
+        prop_assert_eq!(moved.len(), 2);
+
+        let fresh = Parallelizer::analyze(&next, config());
+        prop_assert_eq!(df_fingerprint(&pa.df), df_fingerprint(&fresh.df));
+        prop_assert_eq!(fingerprint(&pa), fingerprint(&fresh));
+    }
 
     #[test]
     fn incremental_replay_matches_scratch(

@@ -89,14 +89,16 @@ proptest! {
         prop_assert_eq!(decoded.facts.len(), persisted_keys.len());
 
         // Every loop's classify and carried-deps facts made it in, and so
-        // did the program-scope summary and liveness facts (encodable
-        // since snapshot version 3).
+        // did every procedure's summary and the program-scope liveness and
+        // advisory facts.
         for li in &pa.ctx.tree.loops {
             prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Classify, Scope::Loop(li.stmt))));
             prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Deps, Scope::Loop(li.stmt))));
         }
+        for p in &program.procedures {
+            prop_assert!(persisted_keys.contains(&FactKey::new(PassId::Summarize, Scope::Proc(p.id))));
+        }
         for pass in [
-            PassId::Summarize,
             PassId::Liveness,
             PassId::Contract,
             PassId::Decomp,
