@@ -23,7 +23,7 @@ use crate::summarize::ArrayDataFlow;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::time::{Duration, Instant};
 use suif_ir::{Arg, ProcId, RegionId, Stmt, StmtId, VarKind};
-use suif_poly::{AccessSummary, ArrayId, SectionSummary};
+use suif_poly::{AccessSummary, ArrayId, PolySetPool, SectionSummary};
 
 /// Which liveness algorithm to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -53,6 +53,18 @@ pub struct LivenessResult {
 }
 
 impl LivenessResult {
+    /// Make the result's resident form compact without changing its
+    /// content: every section set of `after_full` shares one storage with
+    /// each equal set elsewhere in this result (see [`ProcFlow::compact`]).
+    ///
+    /// [`ProcFlow::compact`]: crate::ProcFlow::compact
+    pub fn compact(&mut self) {
+        let mut pool = PolySetPool::new();
+        for a in self.after_full.iter_mut().flat_map(|m| m.values_mut()) {
+            a.intern_sets(&mut pool);
+        }
+    }
+
     /// Is the object written by the loop but dead at its exit?
     pub fn is_dead_after(&self, loop_stmt: StmtId, id: ArrayId) -> bool {
         self.written
@@ -313,13 +325,15 @@ pub fn analyze_liveness(
         LivenessMode::FlowInsensitive => top_down_bits(ctx, df, saved, &written, false),
     };
     let (live_after_write, after_full) = result;
-    LivenessResult {
+    let mut res = LivenessResult {
         mode,
         written,
         live_after_write,
         after_full,
         elapsed: start.elapsed(),
-    }
+    };
+    res.compact();
+    res
 }
 
 type LiveOut = (

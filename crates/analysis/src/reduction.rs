@@ -11,11 +11,10 @@
 //! in parallel when the two unions provably do not overlap and all updates
 //! share one operator (§6.2.2.4).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use suif_ir::ast::{BinOp, Intrinsic};
 use suif_ir::{Expr, Ref, Stmt, VarId};
-use suif_poly::{ArrayId, Section, Var};
+use suif_poly::{ArrayId, PolySetPool, Section, Var};
 
 /// Commutative/associative reduction operators.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -242,10 +241,11 @@ pub struct RedEntry {
     pub nonred: Section,
 }
 
-/// Region-level reduction summary: one entry per storage object touched.
+/// Region-level reduction summary: one entry per storage object touched,
+/// in a vector sorted by (and unique in) [`ArrayId`].
 #[derive(Clone, Debug, Default)]
 pub struct RedSummary {
-    entries: BTreeMap<ArrayId, RedEntry>,
+    entries: Vec<(ArrayId, RedEntry)>,
 }
 
 impl RedSummary {
@@ -254,20 +254,32 @@ impl RedSummary {
         RedSummary::default()
     }
 
+    fn position(&self, id: ArrayId) -> Result<usize, usize> {
+        self.entries.binary_search_by_key(&id, |(k, _)| *k)
+    }
+
     /// Install a fully formed entry verbatim (snapshot decode).  Unlike
     /// [`RedSummary::add_update`]/[`RedSummary::add_plain`] no section union
     /// or operator reconciliation runs — the entry must come from an earlier
     /// summary, where those reductions already happened.
     pub fn insert_entry(&mut self, id: ArrayId, e: RedEntry) {
-        self.entries.insert(id, e);
+        match self.position(id) {
+            Ok(i) => self.entries[i].1 = e,
+            Err(i) => self.entries.insert(i, (id, e)),
+        }
     }
 
     fn entry(&mut self, id: ArrayId) -> &mut RedEntry {
-        self.entries.entry(id).or_insert_with(|| RedEntry {
-            op: None,
-            red: Section::empty(id, 1),
-            nonred: Section::empty(id, 1),
-        })
+        let i = self.position(id).unwrap_or_else(|i| {
+            let fresh = RedEntry {
+                op: None,
+                red: Section::empty(id, 1),
+                nonred: Section::empty(id, 1),
+            };
+            self.entries.insert(i, (id, fresh));
+            i
+        });
+        &mut self.entries[i].1
     }
 
     /// Record a commutative update over `sec` with operator `op`.
@@ -314,7 +326,7 @@ impl RedSummary {
     /// Map every section through `f` (closure, substitution, retargeting).
     pub fn map_sections(&self, mut f: impl FnMut(&Section) -> Option<Section>) -> RedSummary {
         let mut out = RedSummary::empty();
-        for e in self.entries.values() {
+        for (_, e) in &self.entries {
             let Some(red) = f(&e.red) else { continue };
             let Some(nonred) = f(&e.nonred) else { continue };
             let t = out.entry(red.array);
@@ -327,19 +339,19 @@ impl RedSummary {
 
     /// Iterate entries.
     pub fn iter(&self) -> impl Iterator<Item = (ArrayId, &RedEntry)> {
-        self.entries.iter().map(|(&k, v)| (k, v))
+        self.entries.iter().map(|(k, v)| (*k, v))
     }
 
     /// Look up an entry.
     pub fn get(&self, id: ArrayId) -> Option<&RedEntry> {
-        self.entries.get(&id)
+        self.position(id).ok().map(|i| &self.entries[i].1)
     }
 
     /// Is `id` a *valid* reduction object in this region: it has updates
     /// with one operator, and the reduction region provably does not overlap
     /// any plain access (§6.2.2.4)?
     pub fn valid_reduction(&self, id: ArrayId) -> Option<RedOp> {
-        let e = self.entries.get(&id)?;
+        let e = self.get(id)?;
         let op = e.op?;
         if e.red.is_empty() {
             return None;
@@ -348,6 +360,17 @@ impl RedSummary {
             Some(op)
         } else {
             None
+        }
+    }
+
+    /// Share the storage of every section set through `pool` (see
+    /// [`PolySetPool`]) and drop the vector's spare capacity: the value is
+    /// finished and stays resident.
+    pub fn intern_sets(&mut self, pool: &mut PolySetPool) {
+        self.entries.shrink_to_fit();
+        for (_, e) in &mut self.entries {
+            pool.intern(&mut e.red.set);
+            pool.intern(&mut e.nonred.set);
         }
     }
 }

@@ -132,13 +132,15 @@ pub struct Snapshot {
     pub undecodable: u64,
 }
 
-/// Approximate resident bytes of one fact value, by pass.
+/// Approximate resident bytes of one fact value, by pass: `64 + 2×` the
+/// length of its wire form.
 ///
-/// Measures the wire form (the in-memory layout tracks it within a small
-/// constant factor, so `64 + 2×encoded` is a serviceable envelope covering
-/// `Arc`/map overhead).  Used by the [`crate::FactStore`] and
-/// [`crate::SharedFactTier`] byte budgets — the accounting only has to be
-/// consistent, not exact.
+/// An estimate, not a measurement.  The in-memory form follows the wire
+/// length only as long as the large values stay compact (`ProcFlow` and
+/// `LivenessResult` hash-cons their section sets; uncompacted, they held
+/// 3–4× this figure).  `tests/fact_heap.rs` holds the sum over a tier to
+/// 0.75–2× of the live heap its facts occupy.  Used by the
+/// [`crate::FactStore`] and [`crate::SharedFactTier`] byte budgets.
 pub fn approx_value_bytes(pass: PassId, value: &Arc<dyn Any + Send + Sync>) -> usize {
     let mut e = Enc::default();
     encode_value(pass, value, &mut e);
@@ -629,8 +631,8 @@ impl Enc {
         self.section(&s.must_write);
     }
     fn access_summary(&mut self, a: &AccessSummary) {
-        // `iter` walks a `BTreeMap`, so the frame order is canonical; the
-        // array id and dimensionality ride inside each section.
+        // `iter` walks ascending array ids, so the frame order is canonical;
+        // the array id and dimensionality ride inside each section.
         self.u32(a.len() as u32);
         for (_, s) in a.iter() {
             self.section_summary(s);
@@ -1325,7 +1327,11 @@ fn decode_value(pass: PassId, bytes: &[u8]) -> Option<Arc<dyn Any + Send + Sync>
             }
             Arc::new(v)
         }
-        PassId::Summarize => Arc::new(d.proc_flow()?),
+        PassId::Summarize => {
+            let mut flow = d.proc_flow()?;
+            flow.compact();
+            Arc::new(flow)
+        }
         PassId::Liveness => {
             let mode = match d.u8()? {
                 0 => LivenessMode::FlowInsensitive,
@@ -1348,13 +1354,15 @@ fn decode_value(pass: PassId, bytes: &[u8]) -> Option<Arc<dyn Any + Send + Sync>
                 }
                 _ => return None,
             };
-            Arc::new(LivenessResult {
+            let mut res = LivenessResult {
                 mode,
                 written,
                 live_after_write,
                 after_full,
                 elapsed: Duration::ZERO,
-            })
+            };
+            res.compact();
+            Arc::new(res)
         }
         PassId::Execute => Arc::new(d.execution()?),
     };

@@ -22,7 +22,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 use suif_ir::ast::BinOp;
 use suif_ir::{Arg, Expr, ProcId, Ref, Stmt, StmtId, VarId, VarKind};
-use suif_poly::{AccessSummary, Constraint, LinExpr, Section, SectionSummary, Var};
+use suif_poly::{AccessSummary, Constraint, LinExpr, PolySetPool, Section, SectionSummary, Var};
 
 /// Access + reduction summary of one node or region.
 #[derive(Clone, Debug, Default)]
@@ -53,6 +53,12 @@ impl NodeSummary {
             acc: self.acc.meet(&other.acc),
             red: self.red.union(&other.red),
         }
+    }
+
+    /// Share the storage of every section set through `pool`.
+    pub fn intern_sets(&mut self, pool: &mut PolySetPool) {
+        self.acc.intern_sets(pool);
+        self.red.intern_sets(pool);
     }
 }
 
@@ -129,6 +135,26 @@ pub struct ProcFlow {
     pub loop_closed_plain: HashMap<StmtId, Arc<AccessSummary>>,
 }
 
+impl ProcFlow {
+    /// Make the flow's resident form compact without changing its content:
+    /// every section set — reduction regions included — shares one storage
+    /// with each equal set elsewhere in this flow.  The pool lives for this
+    /// call only, so nothing outlives the fact or is shared between facts.
+    pub fn compact(&mut self) {
+        let mut pool = PolySetPool::new();
+        Arc::make_mut(&mut self.summary).intern_sets(&mut pool);
+        for n in self.stmt_summary.values_mut() {
+            Arc::make_mut(n).intern_sets(&mut pool);
+        }
+        for l in self.loop_iter.values_mut() {
+            Arc::make_mut(l).sum.intern_sets(&mut pool);
+        }
+        for a in self.loop_closed_plain.values_mut() {
+            Arc::make_mut(a).intern_sets(&mut pool);
+        }
+    }
+}
+
 /// Summarize one procedure given the flows of (at least) its callees.
 ///
 /// Pure and deterministic: fresh symbols come from the procedure's own
@@ -154,6 +180,7 @@ pub fn summarize_proc(
         let end = ctx.fresh_watermark();
         flow.summary = Arc::new(sum);
         flow.fresh = (start, end);
+        flow.compact();
         flow
     })
 }

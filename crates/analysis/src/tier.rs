@@ -24,8 +24,11 @@
 //!
 //! # Memory budget
 //!
-//! Entries carry an approximate byte size ([`crate::snapshot`]'s sizing of
-//! the value wire form).  With a budget set, inserts that push the tier
+//! Entries carry an approximate byte size ([`crate::snapshot`]'s
+//! `64 + 2×` the value's wire length).  It is an estimate that tracks the
+//! heap a fact holds only because the large values are kept compact
+//! (`tests/fact_heap.rs` pins the ratio to 0.75–2×); it is not a
+//! measurement.  With a budget set, inserts that push the tier
 //! over it trigger a second-chance (clock) sweep across the shards: each
 //! entry gets one round of grace via its `referenced` bit — set on every
 //! hit, cleared by a passing sweep — before being evicted.  Evicting is

@@ -61,11 +61,11 @@ impl Hash for Constraint {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 #[inline]
-fn fnv(acc: u64, word: u64) -> u64 {
+pub(crate) fn fnv(acc: u64, word: u64) -> u64 {
     (acc ^ word).wrapping_mul(FNV_PRIME)
 }
 
@@ -126,6 +126,11 @@ impl Constraint {
     /// `lhs < rhs` over the integers, i.e. `rhs - lhs - 1 >= 0`.
     pub fn lt(lhs: &LinExpr, rhs: &LinExpr) -> Self {
         Self::geq0(rhs.sub(lhs).offset(-1))
+    }
+
+    /// The precomputed fingerprint of the whole normal form.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        self.hash
     }
 
     /// The precomputed fingerprint of the variable part.

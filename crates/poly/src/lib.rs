@@ -52,7 +52,7 @@ pub use expr::{LinExpr, Var};
 pub use polyhedron::{
     clear_prove_empty_cache, poly_stats, subscript_pair_disjoint, PolyStats, Polyhedron,
 };
-pub use polyset::PolySet;
+pub use polyset::{PolySet, PolySetPool};
 pub use section::{ArrayId, Section};
 pub use summary::{AccessSummary, SectionSummary};
 

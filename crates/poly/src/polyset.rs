@@ -1,20 +1,27 @@
 //! Finite unions of polyhedra — the paper's "sets of systems of linear
 //! inequalities" (§5.2.1).
 
-use crate::constraint::Constraint;
+use crate::constraint::{fnv, Constraint, FNV_OFFSET};
 use crate::expr::{LinExpr, Var};
 use crate::polyhedron::Polyhedron;
 use crate::{subtract_test_budget, MAX_DISJUNCTS, SUBTRACT_WORK_BUDGET};
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A union (disjunction) of convex polyhedra.
 ///
 /// The empty union denotes the empty set.  A `PolySet` may carry an
 /// `approximate` flag meaning it over-approximates the intended set (sound
 /// for may-information).
+///
+/// The disjuncts are immutable shared storage: cloning a set copies a
+/// pointer, every operation builds its result's disjuncts in a private
+/// vector and freezes them once, and the empty set allocates nothing
+/// (`None`; never an empty slice, so derived equality is content equality).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct PolySet {
-    disjuncts: Vec<Polyhedron>,
+    disjuncts: Option<Arc<[Polyhedron]>>,
     approximate: bool,
 }
 
@@ -26,22 +33,45 @@ impl PolySet {
 
     /// The universe.
     pub fn universe() -> Self {
-        PolySet {
-            disjuncts: vec![Polyhedron::universe()],
-            approximate: false,
-        }
+        PolySet::from_parts(vec![Polyhedron::universe()], false)
     }
 
     /// A single-polyhedron set.
     pub fn from_poly(p: Polyhedron) -> Self {
-        let mut s = PolySet::empty();
-        s.push(p);
-        s
+        PolySet::collect([p], false)
+    }
+
+    /// [`PolySet::push`] each of `parts` in turn into the empty set flagged
+    /// `approximate`, freezing the disjuncts once at the end.
+    pub(crate) fn collect(parts: impl IntoIterator<Item = Polyhedron>, approximate: bool) -> Self {
+        let mut disjuncts = Vec::new();
+        let mut approximate = approximate;
+        for p in parts {
+            push_disjunct(&mut disjuncts, &mut approximate, p);
+        }
+        PolySet::from_parts(disjuncts, approximate)
+    }
+
+    /// The same disjuncts (shared, not copied) under another set-level flag.
+    fn with_flag(&self, approximate: bool) -> Self {
+        PolySet {
+            disjuncts: self.disjuncts.clone(),
+            approximate,
+        }
     }
 
     /// The disjuncts.
     pub fn disjuncts(&self) -> &[Polyhedron] {
-        &self.disjuncts
+        self.disjuncts.as_deref().unwrap_or_default()
+    }
+
+    /// Address of the shared disjunct storage (`None` for the empty set):
+    /// two sets report the same address exactly when they share one
+    /// allocation.
+    pub fn storage_addr(&self) -> Option<usize> {
+        self.disjuncts
+            .as_ref()
+            .map(|d| Arc::as_ptr(d) as *const Polyhedron as usize)
     }
 
     /// Rebuild from previously observed parts, verbatim.
@@ -52,7 +82,7 @@ impl PolySet {
     /// representation and break bit-identical round-trips.
     pub fn from_parts(disjuncts: Vec<Polyhedron>, approximate: bool) -> Self {
         PolySet {
-            disjuncts,
+            disjuncts: (!disjuncts.is_empty()).then(|| disjuncts.into()),
             approximate,
         }
     }
@@ -66,17 +96,17 @@ impl PolySet {
 
     /// True when the set is syntactically empty (no satisfiable disjunct kept).
     pub fn is_empty(&self) -> bool {
-        self.disjuncts.is_empty()
+        self.disjuncts.is_none()
     }
 
     /// True when any disjunct is the universe.
     pub fn is_universe(&self) -> bool {
-        self.disjuncts.iter().any(|p| p.is_universe())
+        self.disjuncts().iter().any(|p| p.is_universe())
     }
 
     /// True if precision was lost building this set.
     pub fn is_approximate(&self) -> bool {
-        self.approximate || self.disjuncts.iter().any(|p| p.is_approximate())
+        self.approximate || self.disjuncts().iter().any(|p| p.is_approximate())
     }
 
     /// Mark as over-approximate.
@@ -89,58 +119,45 @@ impl PolySet {
     /// Subsumption uses a *cheap syntactic* test (a disjunct with a
     /// constraint superset is contained in one with a subset) — running the
     /// full Fourier–Motzkin containment here would dominate every analysis
-    /// (unions happen on every meet/transfer).
+    /// (unions happen on every meet/transfer).  Copies the shared disjuncts
+    /// on write; the set operations build theirs in one private vector
+    /// instead.
     pub fn push(&mut self, p: Polyhedron) {
-        if p.is_proven_empty() {
-            return;
-        }
-        if self.disjuncts.iter().any(|q| q == &p) {
-            return;
-        }
-        let subset_syntactic = |a: &Polyhedron, b: &Polyhedron| {
-            // a ⊆ b when every constraint of b also appears in a.
-            b.constraints().iter().all(|c| a.constraints().contains(c))
-        };
-        if self.disjuncts.iter().any(|q| subset_syntactic(&p, q)) {
-            return;
-        }
-        self.disjuncts.retain(|q| !subset_syntactic(q, &p));
-        if self.disjuncts.len() >= MAX_DISJUNCTS {
-            // Sound widening for may-sets: collapse to the universe over the
-            // same variables (keep a single approximate universe disjunct).
-            self.disjuncts.clear();
-            let mut top = Polyhedron::universe();
-            top.mark_approximate();
-            self.disjuncts.push(top);
-            self.approximate = true;
-            return;
-        }
-        self.disjuncts.push(p);
+        let mut disjuncts = self.disjuncts().to_vec();
+        push_disjunct(&mut disjuncts, &mut self.approximate, p);
+        *self = PolySet::from_parts(disjuncts, self.approximate);
     }
 
     /// Union of two sets.
+    ///
+    /// Every set's disjuncts are an antichain under [`PolySet::push`]'s
+    /// subsumption test (nothing else builds them), so pushing them into an
+    /// empty set — or into a set with the same disjuncts — reproduces them:
+    /// those cases share the storage instead of re-pushing.
     pub fn union(&self, other: &PolySet) -> PolySet {
-        let mut out = self.clone();
-        out.approximate |= other.approximate;
-        for p in &other.disjuncts {
-            out.push(p.clone());
+        let approximate = self.approximate | other.approximate;
+        if self.is_empty() {
+            return other.with_flag(approximate);
         }
-        out
+        if other.is_empty() || self.disjuncts == other.disjuncts {
+            return self.with_flag(approximate);
+        }
+        let mut disjuncts = self.disjuncts().to_vec();
+        let mut approximate = approximate;
+        for p in other.disjuncts() {
+            push_disjunct(&mut disjuncts, &mut approximate, p.clone());
+        }
+        PolySet::from_parts(disjuncts, approximate)
     }
 
     /// Pairwise intersection.
     pub fn intersect(&self, other: &PolySet) -> PolySet {
-        let mut out = PolySet::empty();
-        out.approximate = self.approximate || other.approximate;
-        for a in &self.disjuncts {
-            for b in &other.disjuncts {
-                let p = a.intersect(b);
-                if !p.prove_empty() {
-                    out.push(p);
-                }
-            }
-        }
-        out
+        let pairs = self
+            .disjuncts()
+            .iter()
+            .flat_map(|a| other.disjuncts().iter().map(move |b| a.intersect(b)))
+            .filter(|p| !p.prove_empty());
+        PolySet::collect(pairs, self.approximate || other.approximate)
     }
 
     /// Set difference `self \ other`, over-approximated (sound for
@@ -154,7 +171,7 @@ impl PolySet {
         if other.is_empty() {
             return self.clone();
         }
-        let mut current: Vec<Polyhedron> = self.disjuncts.clone();
+        let mut current: Vec<Polyhedron> = self.disjuncts().to_vec();
         let mut approx = self.approximate;
         // Total emptiness-test budget for this call.  Subtracting a
         // many-disjunct subtrahend from a many-disjunct minuend is
@@ -162,7 +179,7 @@ impl PolySet {
         // emptiness proof; past this budget remaining minuend disjuncts are
         // kept unchanged (sound over-approximation).
         let mut tests_left: isize = subtract_test_budget();
-        for sub in &other.disjuncts {
+        for sub in other.disjuncts() {
             if sub.is_universe() && !sub.is_approximate() {
                 return PolySet::empty();
             }
@@ -220,78 +237,59 @@ impl PolySet {
             }
             current = next;
         }
-        let mut out = PolySet::empty();
-        out.approximate = approx;
-        for p in current {
-            out.push(p);
-        }
-        out
+        PolySet::collect(current, approx)
     }
 
     /// Project a variable out of every disjunct (over-approximate / "closure").
     pub fn project_out(&self, v: Var) -> PolySet {
-        let mut out = PolySet::empty();
-        out.approximate = self.approximate;
-        for p in &self.disjuncts {
-            out.push(p.project_out(v));
-        }
-        out
+        self.map_disjuncts(|p| p.project_out(v))
     }
 
     /// Exact integer projection of a variable from every disjunct; `None` if
     /// any disjunct cannot be projected exactly.
     pub fn project_exact(&self, v: Var) -> Option<PolySet> {
-        let mut out = PolySet::empty();
-        out.approximate = self.approximate;
-        for p in &self.disjuncts {
-            out.push(p.project_exact(v)?);
-        }
-        Some(out)
+        let parts: Option<Vec<Polyhedron>> = self
+            .disjuncts()
+            .iter()
+            .map(|p| p.project_exact(v))
+            .collect();
+        Some(PolySet::collect(parts?, self.approximate))
     }
 
     /// Substitute a variable by an expression in every disjunct.
     pub fn substitute(&self, v: Var, repl: &LinExpr) -> PolySet {
-        let mut out = PolySet::empty();
-        out.approximate = self.approximate;
-        for p in &self.disjuncts {
-            out.push(p.substitute(v, repl));
-        }
-        out
+        self.map_disjuncts(|p| p.substitute(v, repl))
     }
 
     /// Rename a variable in every disjunct.
     pub fn rename(&self, from: Var, to: Var) -> PolySet {
-        let mut out = PolySet::empty();
-        out.approximate = self.approximate;
-        for p in &self.disjuncts {
-            out.push(p.rename(from, to));
-        }
-        out
+        self.map_disjuncts(|p| p.rename(from, to))
+    }
+
+    /// The set of `f` applied to every disjunct, under this set's flag.
+    fn map_disjuncts(&self, f: impl FnMut(&Polyhedron) -> Polyhedron) -> PolySet {
+        PolySet::collect(self.disjuncts().iter().map(f), self.approximate)
     }
 
     /// Add one constraint to every disjunct.
     pub fn constrain(&self, c: &Constraint) -> PolySet {
-        let mut out = PolySet::empty();
-        out.approximate = self.approximate;
-        for p in &self.disjuncts {
+        let parts = self.disjuncts().iter().filter_map(|p| {
             let mut q = p.clone();
             q.add_constraint(c.clone());
-            if !q.prove_empty() {
-                out.push(q);
-            }
-        }
-        out
+            (!q.prove_empty()).then_some(q)
+        });
+        PolySet::collect(parts, self.approximate)
     }
 
     /// Can the set be proven empty?
     pub fn prove_empty(&self) -> bool {
-        self.disjuncts.iter().all(|p| p.prove_empty())
+        self.disjuncts().iter().all(|p| p.prove_empty())
     }
 
     /// Does `self ∩ other` provably equal the empty set?
     pub fn provably_disjoint(&self, other: &PolySet) -> bool {
-        for a in &self.disjuncts {
-            for b in &other.disjuncts {
+        for a in self.disjuncts() {
+            for b in other.disjuncts() {
                 if !a.intersect(b).prove_empty() {
                     return false;
                 }
@@ -305,15 +303,15 @@ impl PolySet {
         if self.is_approximate() && !other.is_universe() {
             return false;
         }
-        self.disjuncts
+        self.disjuncts()
             .iter()
-            .all(|a| other.disjuncts.iter().any(|b| a.provably_subset_of(b)))
+            .all(|a| other.disjuncts().iter().any(|b| a.provably_subset_of(b)))
             || self.subtract(other).prove_empty()
     }
 
     /// Membership of a concrete point.
     pub fn contains_point(&self, env: &dyn Fn(Var) -> Option<i64>) -> Option<bool> {
-        for p in &self.disjuncts {
+        for p in self.disjuncts() {
             if p.contains_point(env)? {
                 return Some(true);
             }
@@ -324,19 +322,95 @@ impl PolySet {
     /// All variables mentioned.
     pub fn vars(&self) -> std::collections::BTreeSet<Var> {
         let mut out = std::collections::BTreeSet::new();
-        for p in &self.disjuncts {
+        for p in self.disjuncts() {
             out.extend(p.vars());
         }
         out
     }
 }
 
+/// [`PolySet::push`] on a set under construction.  What it leaves is an
+/// antichain under the syntactic subsumption test, of at most
+/// [`MAX_DISJUNCTS`] disjuncts.
+fn push_disjunct(disjuncts: &mut Vec<Polyhedron>, approximate: &mut bool, p: Polyhedron) {
+    if p.is_proven_empty() {
+        return;
+    }
+    if disjuncts.iter().any(|q| q == &p) {
+        return;
+    }
+    let subset_syntactic = |a: &Polyhedron, b: &Polyhedron| {
+        // a ⊆ b when every constraint of b also appears in a.
+        b.constraints().iter().all(|c| a.constraints().contains(c))
+    };
+    if disjuncts.iter().any(|q| subset_syntactic(&p, q)) {
+        return;
+    }
+    disjuncts.retain(|q| !subset_syntactic(q, &p));
+    if disjuncts.len() >= MAX_DISJUNCTS {
+        // Sound widening for may-sets: collapse to the universe over the
+        // same variables (keep a single approximate universe disjunct).
+        disjuncts.clear();
+        let mut top = Polyhedron::universe();
+        top.mark_approximate();
+        disjuncts.push(top);
+        *approximate = true;
+        return;
+    }
+    disjuncts.push(p);
+}
+
+/// Hash-consing pool for [`PolySet`] disjunct storage: every set interned
+/// through one pool shares a single allocation with each earlier interned
+/// set of equal content.
+///
+/// Keyed by a fold of the constraints' precomputed fingerprints; a key hit
+/// is shared only after a full equality check.  A pool is meant to live as
+/// long as one compaction of one value — nothing here is global, locked, or
+/// kept once the value is finished.
+#[derive(Default)]
+pub struct PolySetPool {
+    by_key: HashMap<u64, Vec<Arc<[Polyhedron]>>>,
+}
+
+impl PolySetPool {
+    /// An empty pool.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Point `set` at the pool's storage for its content, first adding that
+    /// content to the pool if it is new.  The empty set has no storage and
+    /// is left alone.
+    pub fn intern(&mut self, set: &mut PolySet) {
+        let Some(d) = &set.disjuncts else { return };
+        let bucket = self.by_key.entry(content_key(d)).or_default();
+        match bucket.iter().find(|s| s[..] == d[..]) {
+            Some(shared) => set.disjuncts = Some(shared.clone()),
+            None => bucket.push(d.clone()),
+        }
+    }
+}
+
+/// FNV fold of every disjunct's flags and constraint fingerprints.
+fn content_key(disjuncts: &[Polyhedron]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for p in disjuncts {
+        let flags = u64::from(p.is_proven_empty()) | u64::from(p.is_approximate()) << 1;
+        h = fnv(h, flags | (p.num_constraints() as u64) << 2);
+        for c in p.constraints() {
+            h = fnv(h, c.fingerprint());
+        }
+    }
+    h
+}
+
 impl fmt::Display for PolySet {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.disjuncts.is_empty() {
+        if self.is_empty() {
             return write!(f, "∅");
         }
-        for (i, p) in self.disjuncts.iter().enumerate() {
+        for (i, p) in self.disjuncts().iter().enumerate() {
             if i > 0 {
                 write!(f, " ∪ ")?;
             }

@@ -119,24 +119,17 @@ impl Section {
     /// accesses like `d0 == i + 64·j` keep their modular structure, which
     /// the multi-dimensional sections of the paper preserve natively.
     pub fn closure_keep(&self, loop_index: Var, fresh: &mut dyn FnMut() -> Var) -> Section {
-        let mut out = PolySet::empty();
-        if self.set.is_approximate() {
-            out.mark_approximate();
-        }
         let mut renamed: Option<Var> = None;
-        for p in self.set.disjuncts() {
-            match p.project_exact(loop_index) {
-                Some(q) => out.push(q),
-                None => {
-                    let r = *renamed.get_or_insert_with(&mut *fresh);
-                    out.push(p.rename(loop_index, r));
-                }
-            }
-        }
+        let parts = self.set.disjuncts().iter().map(|p| {
+            p.project_exact(loop_index).unwrap_or_else(|| {
+                let r = *renamed.get_or_insert_with(&mut *fresh);
+                p.rename(loop_index, r)
+            })
+        });
         Section {
             array: self.array,
             ndims: self.ndims,
-            set: out,
+            set: PolySet::collect(parts, self.set.is_approximate()),
         }
     }
 
@@ -186,17 +179,15 @@ impl Section {
     /// Eliminate all symbols selected by `pred` (over-approximating), e.g.
     /// local variables of a callee when mapping a summary to the caller.
     pub fn project_symbols(&self, pred: impl Fn(Var) -> bool) -> Section {
-        let mut out = PolySet::empty();
-        for p in self.set.disjuncts() {
-            out.push(p.project_out_all(|v| matches!(v, Var::Sym(_)) && pred(v)));
-        }
-        if self.set.is_approximate() {
-            out.mark_approximate();
-        }
+        let parts = self
+            .set
+            .disjuncts()
+            .iter()
+            .map(|p| p.project_out_all(|v| matches!(v, Var::Sym(_)) && pred(v)));
         Section {
             array: self.array,
             ndims: self.ndims,
-            set: out,
+            set: PolySet::collect(parts, self.set.is_approximate()),
         }
     }
 
@@ -207,18 +198,16 @@ impl Section {
         // We rewrite the set over a fresh var then rename back.
         let tmp = Var::Sym(u32::MAX);
         let repl = LinExpr::var(tmp).sub(offset).offset(1);
-        let mut out = PolySet::empty();
-        for p in self.set.disjuncts() {
-            // substitute d0 := tmp - offset + 1, then rename tmp -> d0
-            out.push(p.substitute(Var::Dim(0), &repl).rename(tmp, Var::Dim(0)));
-        }
-        if self.set.is_approximate() {
-            out.mark_approximate();
-        }
+        // substitute d0 := tmp - offset + 1, then rename tmp -> d0
+        let parts = self
+            .set
+            .disjuncts()
+            .iter()
+            .map(|p| p.substitute(Var::Dim(0), &repl).rename(tmp, Var::Dim(0)));
         Section {
             array: self.array,
             ndims: self.ndims,
-            set: out,
+            set: PolySet::collect(parts, self.set.is_approximate()),
         }
     }
 

@@ -2,8 +2,9 @@
 //! Fig. 5-2 (meet `∧` and transfer `T`).
 
 use crate::expr::{LinExpr, Var};
+use crate::polyset::PolySetPool;
 use crate::section::{ArrayId, Section};
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 /// Per-array access summary: a four-tuple `<R, E, W, M>` where
@@ -191,11 +192,14 @@ impl fmt::Display for SectionSummary {
 }
 
 /// A whole-region access summary: one [`SectionSummary`] per array touched.
+///
+/// A vector sorted by (and unique in) `read.array`, not a map: the average
+/// summary holds three or four arrays, so a binary search beats a tree, and
+/// the pointwise operators are merge-joins.  Iteration is ascending
+/// [`ArrayId`], the order every consumer (snapshot codec included) relies on.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct AccessSummary {
-    per_array: BTreeMap<ArrayId, SectionSummary>,
-    /// Dimensionality registry so absent entries can be materialized.
-    dims: BTreeMap<ArrayId, u8>,
+    per_array: Vec<SectionSummary>,
 }
 
 impl AccessSummary {
@@ -206,27 +210,29 @@ impl AccessSummary {
 
     /// Summary of a single access.
     pub fn of(sum: SectionSummary) -> Self {
-        let mut s = Self::default();
-        let id = sum.read.array;
-        let nd = sum.read.ndims;
-        s.dims.insert(id, nd);
-        s.per_array.insert(id, sum);
-        s
+        AccessSummary {
+            per_array: vec![sum],
+        }
     }
 
-    /// Look up (or create an empty) per-array summary.
+    fn position(&self, array: ArrayId) -> Result<usize, usize> {
+        self.per_array
+            .binary_search_by_key(&array, |s| s.read.array)
+    }
+
+    /// The per-array summary of `array`, if it has one.
     pub fn get(&self, array: ArrayId) -> Option<&SectionSummary> {
-        self.per_array.get(&array)
+        self.position(array).ok().map(|i| &self.per_array[i])
     }
 
     /// All arrays with a (possibly empty) summary.
     pub fn arrays(&self) -> impl Iterator<Item = ArrayId> + '_ {
-        self.per_array.keys().copied()
+        self.per_array.iter().map(|s| s.read.array)
     }
 
     /// Iterate over `(array, summary)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (ArrayId, &SectionSummary)> {
-        self.per_array.iter().map(|(&a, s)| (a, s))
+        self.per_array.iter().map(|s| (s.read.array, s))
     }
 
     /// Number of arrays summarized.
@@ -241,65 +247,73 @@ impl AccessSummary {
 
     /// Insert / replace a per-array summary.
     pub fn insert(&mut self, sum: SectionSummary) {
-        let id = sum.read.array;
-        self.dims.insert(id, sum.read.ndims);
-        self.per_array.insert(id, sum);
+        match self.position(sum.read.array) {
+            Ok(i) => self.per_array[i] = sum,
+            Err(i) => self.per_array.insert(i, sum),
+        }
     }
 
-    fn ensure(&mut self, array: ArrayId, ndims: u8) -> &mut SectionSummary {
-        self.dims.entry(array).or_insert(ndims);
-        self.per_array
-            .entry(array)
-            .or_insert_with(|| SectionSummary::empty(array, ndims))
+    fn entry(&mut self, array: ArrayId, ndims: u8) -> &mut SectionSummary {
+        let i = self.position(array).unwrap_or_else(|i| {
+            self.per_array
+                .insert(i, SectionSummary::empty(array, ndims));
+            i
+        });
+        &mut self.per_array[i]
+    }
+
+    /// Merge-join of two summaries: `f(x, y)` per array, where an array
+    /// present on one side only meets the empty summary of its own
+    /// dimensionality on the other.
+    fn zip_with(
+        &self,
+        other: &AccessSummary,
+        f: impl Fn(&SectionSummary, &SectionSummary) -> SectionSummary,
+    ) -> AccessSummary {
+        let empty = |s: &SectionSummary| SectionSummary::empty(s.read.array, s.read.ndims);
+        let mut xs = self.per_array.iter().peekable();
+        let mut ys = other.per_array.iter().peekable();
+        let mut per_array = Vec::with_capacity(xs.len().max(ys.len()));
+        loop {
+            let order = match (xs.peek(), ys.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(x), Some(y)) => x.read.array.cmp(&y.read.array),
+            };
+            per_array.push(match order {
+                Ordering::Less => {
+                    let x = xs.next().expect("peeked");
+                    f(x, &empty(x))
+                }
+                Ordering::Greater => {
+                    let y = ys.next().expect("peeked");
+                    f(&empty(y), y)
+                }
+                Ordering::Equal => f(xs.next().expect("peeked"), ys.next().expect("peeked")),
+            });
+        }
+        AccessSummary { per_array }
+    }
+
+    /// Apply `f` to every per-array summary (each keeps its array).
+    fn map(&self, f: impl FnMut(&SectionSummary) -> SectionSummary) -> AccessSummary {
+        AccessSummary {
+            per_array: self.per_array.iter().map(f).collect(),
+        }
     }
 
     /// Pointwise meet `∧` across arrays.  Arrays present on one side only
     /// meet with the empty summary (whose `M` is empty, making the result's
     /// must-write empty — correct, since the other path writes nothing).
     pub fn meet(&self, other: &AccessSummary) -> AccessSummary {
-        let mut out = AccessSummary::empty();
-        let keys: std::collections::BTreeSet<ArrayId> = self
-            .per_array
-            .keys()
-            .chain(other.per_array.keys())
-            .copied()
-            .collect();
-        for a in keys {
-            let nd = *self
-                .dims
-                .get(&a)
-                .or_else(|| other.dims.get(&a))
-                .unwrap_or(&1);
-            let ea = SectionSummary::empty(a, nd);
-            let x = self.per_array.get(&a).unwrap_or(&ea);
-            let y = other.per_array.get(&a).unwrap_or(&ea);
-            out.insert(x.meet(y));
-        }
-        out
+        self.zip_with(other, SectionSummary::meet)
     }
 
     /// Pointwise transfer `T`: `node` executes before `self` (the summary of
     /// the code following the node).
     pub fn transfer_before(&self, node: &AccessSummary) -> AccessSummary {
-        let mut out = AccessSummary::empty();
-        let keys: std::collections::BTreeSet<ArrayId> = self
-            .per_array
-            .keys()
-            .chain(node.per_array.keys())
-            .copied()
-            .collect();
-        for a in keys {
-            let nd = *self
-                .dims
-                .get(&a)
-                .or_else(|| node.dims.get(&a))
-                .unwrap_or(&1);
-            let ea = SectionSummary::empty(a, nd);
-            let after = self.per_array.get(&a).unwrap_or(&ea);
-            let n = node.per_array.get(&a).unwrap_or(&ea);
-            out.insert(after.transfer_before(n));
-        }
-        out
+        self.zip_with(node, SectionSummary::transfer_before)
     }
 
     /// Sequence two summaries: `first` then `second` (convenience wrapper
@@ -310,11 +324,7 @@ impl AccessSummary {
 
     /// Structure-preserving closure across all arrays.
     pub fn closure_with(&self, loop_index: Var, fresh: &mut dyn FnMut() -> Var) -> AccessSummary {
-        let mut out = AccessSummary::empty();
-        for s in self.per_array.values() {
-            out.insert(s.closure_with(loop_index, fresh));
-        }
-        out
+        self.map(|s| s.closure_with(loop_index, fresh))
     }
 
     /// Structure-preserving projection across all arrays.
@@ -323,62 +333,53 @@ impl AccessSummary {
         pred: &dyn Fn(Var) -> bool,
         fresh: &mut dyn FnMut() -> Var,
     ) -> AccessSummary {
-        let mut out = AccessSummary::empty();
-        for s in self.per_array.values() {
-            out.insert(s.project_symbols_keep(pred, fresh));
-        }
-        out
+        self.map(|s| s.project_symbols_keep(pred, fresh))
     }
 
     /// Apply the loop closure to every array summary.
     pub fn closure(&self, loop_index: Var) -> AccessSummary {
-        let mut out = AccessSummary::empty();
-        for s in self.per_array.values() {
-            out.insert(s.closure(loop_index));
-        }
-        out
+        self.map(|s| s.closure(loop_index))
     }
 
     /// Substitute a symbol everywhere.
     pub fn substitute(&self, v: Var, repl: &LinExpr) -> AccessSummary {
-        let mut out = AccessSummary::empty();
-        for s in self.per_array.values() {
-            out.insert(s.substitute(v, repl));
-        }
-        out
+        self.map(|s| s.substitute(v, repl))
     }
 
     /// Project away symbols everywhere.
     pub fn project_symbols(&self, pred: impl Fn(Var) -> bool + Copy) -> AccessSummary {
-        let mut out = AccessSummary::empty();
-        for s in self.per_array.values() {
-            out.insert(s.project_symbols(pred));
-        }
-        out
+        self.map(|s| s.project_symbols(pred))
     }
 
     /// Record a read access.
     pub fn add_read(&mut self, sec: Section) {
-        let cur = self.ensure(sec.array, sec.ndims).clone();
-        // read happens *after* nothing; for a single access use of_read and
-        // sequence.  Here we union into R and E (callers sequence statements
-        // via transfer, so add_* is only used for atomic node construction).
-        let mut s = cur;
+        // Reads union into R and E: callers sequence statements via
+        // transfer, so add_* is only used for atomic node construction.
+        let s = self.entry(sec.array, sec.ndims);
         s.read = s.read.union(&sec);
         s.exposed = s.exposed.union(&sec);
-        self.insert(s);
     }
 
     /// Record a write access (conditionally executed writes should pass
     /// `must = false`).
     pub fn add_write(&mut self, sec: Section, must: bool) {
-        let cur = self.ensure(sec.array, sec.ndims).clone();
-        let mut s = cur;
+        let s = self.entry(sec.array, sec.ndims);
         s.write = s.write.union(&sec);
         if must {
             s.must_write = s.must_write.union(&sec);
         }
-        self.insert(s);
+    }
+
+    /// Share the storage of every section set through `pool` (see
+    /// [`PolySetPool`]) and drop the vector's spare capacity: the value is
+    /// finished and stays resident.
+    pub fn intern_sets(&mut self, pool: &mut PolySetPool) {
+        self.per_array.shrink_to_fit();
+        for s in &mut self.per_array {
+            for sec in [&mut s.read, &mut s.exposed, &mut s.write, &mut s.must_write] {
+                pool.intern(&mut sec.set);
+            }
+        }
     }
 }
 
@@ -387,7 +388,7 @@ impl fmt::Display for AccessSummary {
         if self.per_array.is_empty() {
             return write!(f, "<empty>");
         }
-        for (a, s) in &self.per_array {
+        for (a, s) in self.iter() {
             writeln!(f, "{a}: {s}")?;
         }
         Ok(())

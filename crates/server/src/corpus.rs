@@ -38,7 +38,7 @@
 //! live only in the full [`ProgramReport::to_json`] record.
 
 use crate::json::Json;
-use crate::session::tier_json;
+use crate::session::{process_json, tier_json};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -248,9 +248,9 @@ impl CorpusSummary {
     }
 
     /// The summary JSONL line (tier counters attached by the caller who
-    /// owns the tier).
+    /// owns the tier; the process's memory where `/proc` reports it).
     pub fn to_json(&self, tier: &SharedFactTier) -> Json {
-        Json::obj([
+        let mut fields = vec![
             ("summary", Json::Bool(true)),
             ("programs", Json::int(self.programs as i64)),
             ("ok", Json::int(self.ok as i64)),
@@ -264,7 +264,9 @@ impl CorpusSummary {
             ("programs_per_sec", Json::Num(self.programs_per_sec())),
             ("workers", Json::int(self.workers as i64)),
             ("tier", tier_json(tier)),
-        ])
+        ];
+        fields.extend(process_json().map(|p| ("process", p)));
+        Json::obj(fields)
     }
 }
 

@@ -47,7 +47,7 @@ use crate::proto::{
     err_response, ok_response, request_id, Frame, FrameDecoder, Request, MAX_LINE_BYTES,
 };
 use crate::reactor::{Event, Interest, Poller, WakePipe};
-use crate::session::{Session, SessionConfig};
+use crate::session::{process_json, Session, SessionConfig};
 use std::collections::VecDeque;
 use std::io::{self, BufRead, Read, Write};
 use std::os::unix::io::AsRawFd;
@@ -205,7 +205,7 @@ impl ServiceState {
     /// The `service` object merged into `stats` responses.
     fn service_json(&self) -> Json {
         let r = &self.reactor;
-        Json::obj([
+        let mut fields = vec![
             (
                 "sessions",
                 Json::int(self.active_sessions.load(Ordering::SeqCst) as i64),
@@ -262,7 +262,9 @@ impl ServiceState {
                     ("pending", Json::int(self.workers.pending() as i64)),
                 ]),
             ),
-        ])
+        ];
+        fields.extend(process_json().map(|p| ("process", p)));
+        Json::obj(fields)
     }
 }
 

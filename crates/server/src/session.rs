@@ -780,6 +780,22 @@ pub(crate) fn tier_json(t: &SharedFactTier) -> Json {
     Json::obj(fields)
 }
 
+/// The `process` object: what the process actually holds — `VmRSS` and
+/// `VmHWM` of `/proc/self/status`, in bytes — for comparison with the tier's
+/// `resident_bytes` ledger.  `None` where that file does not exist.
+pub(crate) fn process_json() -> Option<Json> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let bytes = |field: &str| -> Option<Json> {
+        let value = status.lines().find_map(|l| l.strip_prefix(field))?;
+        let kb: i64 = value.trim().strip_suffix("kB")?.trim().parse().ok()?;
+        Some(Json::int(kb * 1024))
+    };
+    Some(Json::obj([
+        ("rss_bytes", bytes("VmRSS:")?),
+        ("peak_rss_bytes", bytes("VmHWM:")?),
+    ]))
+}
+
 /// Unresolved-assertion warnings of the current analysis, as a JSON array.
 fn warnings_json(ex: &Explorer<'_>) -> Json {
     Json::Arr(ex.warnings().iter().map(|w| Json::str(w.clone())).collect())

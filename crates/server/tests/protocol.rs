@@ -126,6 +126,24 @@ fn daemon_protocol_round_trip() {
     assert!(facts.get("ratio").and_then(Json::as_f64).unwrap() > 0.99);
     assert!(r.get("prove_empty").is_none(), "no emptiness memo: {r}");
 
+    // The process's own memory sits beside the tier's ledger, in
+    // `stats.service` and in a corpus reply's summary (where /proc exists).
+    let process_memory = |process: Option<&Json>| {
+        let on_linux = cfg!(target_os = "linux");
+        let Some(p) = process else {
+            assert!(!on_linux, "no process object on Linux");
+            return;
+        };
+        let rss = p.get("rss_bytes").and_then(Json::as_i64).unwrap();
+        let peak = p.get("peak_rss_bytes").and_then(Json::as_i64).unwrap();
+        assert!(peak >= rss && rss > 0, "{p}");
+    };
+    process_memory(r.get("service").and_then(|s| s.get("process")));
+    let r = c.request(r#"{"cmd":"corpus","gen":2}"#);
+    let summary = r.get("summary").unwrap_or_else(|| panic!("{r}"));
+    assert_eq!(summary.get("ok").and_then(Json::as_i64), Some(2), "{r}");
+    process_memory(summary.get("process"));
+
     // Assert on one loop: checked, applied, loops refreshed.
     let r = c.request(r#"{"cmd":"assert","loop":"main/2","var":"b","kind":"independent"}"#);
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");

@@ -7,10 +7,14 @@ generated programs, the `gen_fleet` workload's population — and reads the
 daemon's memory from `/proc/<pid>/status` after every reply:
 
   budgeted:   `serve --shared-budget 4000000` — the peak resident set
-              (`VmHWM`) must stay under 64 MB: every analysis result is a
+              (`VmHWM`) must stay under 20 MB: every analysis result is a
               fact in the tier, so the tier's budget is the fleet's budget.
   unbudgeted: plain `serve` — the resident set (`VmRSS`) may grow by at
-              most 100 MB per 500 programs (the tier keeps every fact).
+              most 30 MB per 500 programs (the tier keeps every fact, each
+              in its compact form).
+
+After each run it prints the tier's ledger (`summary.tier.resident_bytes`)
+over what the process holds (`summary.process.rss_bytes`).
 
 Usage: fleet_rss_smoke.py <suif-explorer binary>
 """
@@ -21,8 +25,8 @@ import sys
 
 BATCHES = 6
 BATCH = 500
-BUDGETED_PEAK_MB = 64
-UNBUDGETED_GROWTH_MB = 100
+BUDGETED_PEAK_MB = 20
+UNBUDGETED_GROWTH_MB = 30
 
 
 def status_mb(pid, field):
@@ -34,7 +38,8 @@ def status_mb(pid, field):
 
 
 def drive(binary, flags):
-    """Run the six batches; return (VmRSS after each batch, final VmHWM)."""
+    """Run the six batches; return (VmRSS after each batch, final VmHWM,
+    the last summary)."""
     proc = subprocess.Popen(
         [binary, "serve", *flags],
         stdin=subprocess.PIPE,
@@ -62,7 +67,16 @@ def drive(binary, flags):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    return rss, peak
+    return rss, peak, summary
+
+
+def ledger_line(summary):
+    """The tier's ledger over the process's resident set, from a summary."""
+    ledger = summary.get("tier", {}).get("resident_bytes")
+    rss = summary.get("process", {}).get("rss_bytes")
+    if ledger is None or not rss:
+        return "ledger/RSS n/a (no summary.process)"
+    return f"ledger {ledger / 2**20:.1f} MB / RSS {rss / 2**20:.1f} MB = {ledger / rss:.2f}"
 
 
 def main():
@@ -71,19 +85,21 @@ def main():
     binary = sys.argv[1]
     failures = []
 
-    rss, peak = drive(binary, ["--shared-budget", "4000000"])
+    rss, peak, summary = drive(binary, ["--shared-budget", "4000000"])
     print(f"budgeted:   VmHWM {peak:.1f} MB, VmRSS per batch {[round(r, 1) for r in rss]}")
+    print(f"            {ledger_line(summary)}")
     if peak > BUDGETED_PEAK_MB:
         failures.append(
             f"--shared-budget 4000000: VmHWM {peak:.1f} MB > {BUDGETED_PEAK_MB} MB"
         )
 
-    rss, peak = drive(binary, [])
+    rss, peak, summary = drive(binary, [])
     growth = (rss[-1] - rss[0]) / (BATCHES - 1)
     print(
         f"unbudgeted: VmHWM {peak:.1f} MB, {growth:.1f} MB per {BATCH} programs, "
         f"VmRSS per batch {[round(r, 1) for r in rss]}"
     )
+    print(f"            {ledger_line(summary)}")
     if growth > UNBUDGETED_GROWTH_MB:
         failures.append(
             f"plain serve: {growth:.1f} MB per {BATCH} programs > {UNBUDGETED_GROWTH_MB} MB"
