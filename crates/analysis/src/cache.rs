@@ -112,26 +112,46 @@ pub fn all_proc_keys(ctx: &AnalysisCtx<'_>) -> HashMap<ProcId, u128> {
     keys
 }
 
-/// Whole-program content key: the fold of every procedure key in bottom-up
-/// order.  Changes exactly when some procedure's flow could change.
-pub fn program_key(ctx: &AnalysisCtx<'_>, proc_keys: &HashMap<ProcId, u128>) -> u128 {
-    let mut h = Fnv128::new();
-    for &pid in ctx.cg.bottom_up() {
-        h.write_u32(pid.0);
-        h.write_u128(proc_keys[&pid]);
-    }
-    h.0
+/// Every content key of one program: [`all_proc_keys`] and their fold.
+/// They are a pure function of the program text, so an analysis carries
+/// them ([`crate::ProgramAnalysis::keys`]) and a re-analysis of the same
+/// program reuses them instead of formatting and hashing every procedure
+/// again.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct ProgramKeys {
+    /// Every procedure's key.
+    pub procs: HashMap<ProcId, u128>,
+    /// Whole-program content key: the fold of every procedure key in
+    /// bottom-up order.  Changes exactly when some procedure's flow could
+    /// change.
+    pub program: u128,
 }
 
-/// Region-granular content key of one loop: the owning procedure's key
-/// (which already covers the loop body and every callee transitively) plus
-/// the loop's identity within it.
-pub fn loop_key(li: &LoopInfo, proc_keys: &HashMap<ProcId, u128>) -> u128 {
-    let mut h = Fnv128::new();
-    h.write_u128(proc_keys[&li.proc]);
-    h.write_u32(li.stmt.0);
-    h.write(li.name.as_bytes());
-    h.0
+impl ProgramKeys {
+    /// Derive the keys of `ctx`'s program.
+    pub fn of(ctx: &AnalysisCtx<'_>) -> ProgramKeys {
+        let procs = all_proc_keys(ctx);
+        let mut h = Fnv128::new();
+        for &pid in ctx.cg.bottom_up() {
+            h.write_u32(pid.0);
+            h.write_u128(procs[&pid]);
+        }
+        ProgramKeys {
+            procs,
+            program: h.0,
+        }
+    }
+
+    /// Region-granular content key of one of the program's loops: the
+    /// owning procedure's key (which already covers the loop body and every
+    /// callee transitively) plus the loop's identity within it.
+    pub fn loop_key(&self, li: &LoopInfo) -> u128 {
+        let mut h = Fnv128::new();
+        h.write_u128(self.procs[&li.proc]);
+        h.write_u32(li.stmt.0);
+        h.write(li.name.as_bytes());
+        h.0
+    }
 }
 
 /// Ignored; kept while `perfbench/` is frozen; ROADMAP direction 0 deletes it together with the `cache` parameter.

@@ -7,9 +7,13 @@
 //! the two iterations can touch a common element.  "Cannot prove empty"
 //! conservatively means "dependence".
 
+use crate::cache::ProgramKeys;
 use crate::context::AnalysisCtx;
+use crate::parallelize::ProgramAnalysis;
+use crate::pipeline::{FactKey, FactStore, Pass, PassId, Scope};
 use crate::summarize::{ArrayDataFlow, LoopIterSummary};
-use suif_ir::StmtId;
+use std::sync::Arc;
+use suif_ir::{LoopInfo, StmtId};
 use suif_poly::{ArrayId, Constraint, LinExpr, Section, Var};
 
 /// Kinds of loop-carried conflicts.
@@ -277,55 +281,74 @@ impl<'a, 'p> DepTest<'a, 'p> {
     }
 }
 
-/// The demand-driven carried-dependence fact of one loop: every storage
-/// object the loop accesses, mapped to its carried conflict (if any).
+/// The carried-dependence fact of one loop: every storage object the loop
+/// accesses, mapped to its carried conflict (if any).
 pub type CarriedDeps = std::collections::BTreeMap<ArrayId, Option<DepKind>>;
 
-struct DepsPass<'a, 'p> {
-    pa: &'a crate::parallelize::ProgramAnalysis<'p>,
-    loop_stmt: StmtId,
+/// Input hash of one loop's carried-dependence fact: the loop's region key
+/// alone.  The table reads nothing but the loop's per-iteration summary,
+/// which is part of the owning procedure's `Summarize` fact, so neither an
+/// assertion nor an edit to another procedure moves it.  The one definition
+/// the pass and the warm-start validator share.
+pub(crate) fn deps_hash(li: &LoopInfo, keys: &ProgramKeys) -> u128 {
+    keys.loop_key(li)
 }
 
-impl crate::pipeline::Pass for DepsPass<'_, '_> {
+/// Builds one loop's [`CarriedDeps`]: demanded by the loop's `Classify` run
+/// (which reads its verdicts) and by `slice` (which shows them).
+pub(crate) struct DepsPass<'a, 'p> {
+    pub(crate) ctx: &'a AnalysisCtx<'p>,
+    pub(crate) df: &'a ArrayDataFlow,
+    pub(crate) keys: &'a ProgramKeys,
+    pub(crate) li: &'a LoopInfo,
+}
+
+impl Pass for DepsPass<'_, '_> {
     type Output = CarriedDeps;
-    fn key(&self) -> crate::pipeline::FactKey {
-        crate::pipeline::FactKey::new(
-            crate::pipeline::PassId::Deps,
-            crate::pipeline::Scope::Loop(self.loop_stmt),
-        )
+    fn key(&self) -> FactKey {
+        FactKey::new(PassId::Deps, Scope::Loop(self.li.stmt))
     }
     fn input_hash(&self) -> u128 {
-        crate::parallelize::deps_hash(self.pa.epoch_hash, self.loop_stmt)
+        deps_hash(self.li, self.keys)
     }
-    fn deps(&self) -> Vec<crate::pipeline::FactKey> {
-        let li = self.pa.ctx.tree.loop_of(self.loop_stmt);
-        li.map(|li| crate::parallelize::summary_key(li.proc))
-            .into_iter()
-            .collect()
+    fn deps(&self) -> Vec<FactKey> {
+        vec![crate::parallelize::summary_key(self.li.proc)]
     }
     fn run(&self) -> CarriedDeps {
         let dt = DepTest {
-            ctx: &self.pa.ctx,
-            df: &self.pa.df,
+            ctx: self.ctx,
+            df: self.df,
         };
-        let mut out = CarriedDeps::new();
-        if let Some(iter) = self.pa.df.loop_iter.get(&self.loop_stmt) {
-            for id in iter.sum.acc.arrays() {
-                out.insert(id, dt.has_carried_dep(self.loop_stmt, id));
-            }
-        }
-        out
+        let loop_stmt = self.li.stmt;
+        let Some(iter) = self.df.loop_iter.get(&loop_stmt) else {
+            return CarriedDeps::new();
+        };
+        iter.sum
+            .acc
+            .arrays()
+            .map(|id| (id, dt.has_carried_dep(loop_stmt, id)))
+            .collect()
     }
 }
 
-/// Compute (or reuse) the carried-dependence table of one loop through the
-/// fact store — a demand-only pass, run the first time a query asks.
+/// The carried-dependence table of one loop, through the fact store.  The
+/// analysis that classified the loop already demanded it, so this is a
+/// lookup unless the fact was evicted; a statement that is not a loop has
+/// an empty table.
 pub fn carried_deps_cached(
-    pa: &crate::parallelize::ProgramAnalysis<'_>,
-    store: &crate::pipeline::FactStore,
+    pa: &ProgramAnalysis<'_>,
+    store: &FactStore,
     loop_stmt: StmtId,
-) -> std::sync::Arc<CarriedDeps> {
-    store.demand(&DepsPass { pa, loop_stmt })
+) -> Arc<CarriedDeps> {
+    let Some(li) = pa.ctx.tree.loop_of(loop_stmt) else {
+        return Arc::default();
+    };
+    store.demand(&DepsPass {
+        ctx: &pa.ctx,
+        df: &pa.df,
+        keys: &pa.keys,
+        li,
+    })
 }
 
 #[cfg(test)]

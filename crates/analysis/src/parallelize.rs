@@ -3,9 +3,9 @@
 //! configuration toggles the evaluation ablates and support for checked
 //! user assertions (§2.8).
 
-use crate::cache::{self, Fnv128, SummaryCache};
+use crate::cache::{Fnv128, ProgramKeys, SummaryCache};
 use crate::context::{AnalysisCtx, ArrayKey};
-use crate::deps::DepTest;
+use crate::deps::{deps_hash, CarriedDeps, DepTest, DepsPass};
 use crate::execution::{execute_hash, EXECUTE_KEY};
 use crate::liveness::{self, LivenessMode, LivenessResult};
 use crate::pipeline::{FactKey, FactStore, Pass, PassId, PassMetrics, Scope};
@@ -156,9 +156,23 @@ pub struct ProgramAnalysis<'p> {
     /// Content hash of (program, config, resolved assertions) — the input
     /// hash of every demand-driven advisory fact over this analysis.
     pub epoch_hash: u128,
+    /// The program's content keys, derived once per program text and
+    /// handed on by [`ProgramAnalysis::reanalyze`].
+    pub keys: Arc<ProgramKeys>,
 }
 
 impl<'p> ProgramAnalysis<'p> {
+    /// Analyze the same program again under `config` through `store` (an
+    /// assertion replay, a warm `analyze`), reusing this analysis's content
+    /// keys: only the assertion marks and the epoch hash are re-derived.
+    pub fn reanalyze(
+        &self,
+        config: ParallelizeConfig,
+        store: &FactStore,
+    ) -> (ProgramAnalysis<'p>, AnalyzeStats) {
+        Parallelizer::drive(self.ctx.program, config, store, Some(self.keys.clone()))
+    }
+
     /// Statement ids of all loops judged parallel.
     pub fn parallel_loops(&self) -> HashSet<StmtId> {
         self.verdicts
@@ -391,13 +405,25 @@ impl Parallelizer {
         _cache: Option<&SummaryCache>,
         store: &FactStore,
     ) -> (ProgramAnalysis<'p>, AnalyzeStats) {
+        Parallelizer::drive(program, config, store, None)
+    }
+
+    /// The one driver body: [`Parallelizer::analyze_in`] derives the
+    /// program's content keys, [`ProgramAnalysis::reanalyze`] passes the
+    /// ones it already holds.
+    fn drive<'p>(
+        program: &'p Program,
+        config: ParallelizeConfig,
+        store: &FactStore,
+        keys: Option<Arc<ProgramKeys>>,
+    ) -> (ProgramAnalysis<'p>, AnalyzeStats) {
         let t0 = Instant::now();
         let metrics_before = store.metrics();
         // Process-wide kernel counters; the delta is attributed to this run
         // (concurrent analyses on other threads bleed in — acceptable for
         // stats reporting, never used for decisions).
         let poly_before = suif_poly::poly_stats();
-        let inputs = FactInputs::new(program, &config);
+        let inputs = FactInputs::new(program, &config, keys);
 
         // Bottom-up summaries (§5.2), one procedure-scope fact each: the
         // store is the scheduler, so a `reload` runs exactly the procedures
@@ -421,7 +447,9 @@ impl Parallelizer {
 
         // Per-loop classification: one loop-scope fact each, keyed by the
         // region's content hash plus exactly the assertions that resolved
-        // onto it — asserting one loop re-classifies only that loop.
+        // onto it — asserting one loop re-classifies only that loop.  A
+        // classification that runs demands its loop's carried-dependence
+        // table, which no assertion and no edit elsewhere moves.
         let mut verdicts = HashMap::new();
         for li in &inputs.ctx.tree.loops {
             let verdict = store.demand(&ClassifyPass {
@@ -430,6 +458,7 @@ impl Parallelizer {
                 liveness: liveness.as_deref(),
                 config: &config,
                 li,
+                store,
             });
             verdicts.insert(li.stmt, (*verdict).clone());
         }
@@ -453,10 +482,11 @@ impl Parallelizer {
         config: &ParallelizeConfig,
         input: &[f64],
     ) -> HashMap<FactKey, u128> {
-        let inputs = FactInputs::new(program, config);
+        let inputs = FactInputs::new(program, config, None);
         let program_scope = |pass| FactKey::new(pass, Scope::Program);
         let mut out: HashMap<FactKey, u128> = inputs
-            .proc_keys
+            .keys
+            .procs
             .iter()
             .map(|(&pid, &key)| (summary_key(pid), key))
             .collect();
@@ -469,10 +499,7 @@ impl Parallelizer {
                 loop_scope(PassId::Classify),
                 inputs.classify_hash(config, li),
             );
-            out.insert(
-                loop_scope(PassId::Deps),
-                deps_hash(inputs.epoch_hash, li.stmt),
-            );
+            out.insert(loop_scope(PassId::Deps), deps_hash(li, &inputs.keys));
         }
         for pass in [PassId::Contract, PassId::Decomp, PassId::Split] {
             out.insert(program_scope(pass), inputs.epoch_hash);
@@ -490,11 +517,10 @@ impl Parallelizer {
 /// the wrong facts.
 struct FactInputs<'p> {
     ctx: AnalysisCtx<'p>,
-    proc_keys: HashMap<ProcId, u128>,
-    /// Whole-program content key: part of every input hash above the
-    /// per-procedure summaries, because those passes read whole-program
-    /// facts.
-    pkey: u128,
+    /// The per-procedure keys, and the whole-program key that is part of
+    /// every input hash above the per-procedure summaries and the loop
+    /// tables (those passes read whole-program facts).
+    keys: Arc<ProgramKeys>,
     assert_private: HashSet<(StmtId, ArrayId)>,
     assert_independent: HashSet<(StmtId, ArrayId)>,
     warnings: Vec<String>,
@@ -502,21 +528,25 @@ struct FactInputs<'p> {
 }
 
 impl<'p> FactInputs<'p> {
-    fn new(program: &'p Program, config: &ParallelizeConfig) -> FactInputs<'p> {
+    /// `keys`, when given, must be `program`'s own (a re-analysis hands on
+    /// its analysis's keys); otherwise they are derived here.
+    fn new(
+        program: &'p Program,
+        config: &ParallelizeConfig,
+        keys: Option<Arc<ProgramKeys>>,
+    ) -> FactInputs<'p> {
         let ctx = AnalysisCtx::new(program);
-        let proc_keys = cache::all_proc_keys(&ctx);
-        let pkey = cache::program_key(&ctx, &proc_keys);
+        let keys = keys.unwrap_or_else(|| Arc::new(ProgramKeys::of(&ctx)));
         // Resolve assertions to (loop, object) pairs, collecting a warning
         // for every assertion that names a missing loop or variable.
         let (assert_private, assert_independent, warnings) = resolve_assertions(&ctx, config);
         let mut h = Fnv128::new();
-        h.write_u128(pkey);
+        h.write_u128(keys.program);
         write_config(&mut h, config);
         write_assertion_marks(&mut h, None, &assert_private, &assert_independent);
         FactInputs {
             ctx,
-            proc_keys,
-            pkey,
+            keys,
             assert_private,
             assert_independent,
             warnings,
@@ -526,7 +556,7 @@ impl<'p> FactInputs<'p> {
 
     fn liveness_hash(&self, mode: LivenessMode) -> u128 {
         let mut h = Fnv128::new();
-        h.write_u128(self.pkey);
+        h.write_u128(self.keys.program);
         h.write(format!("{mode:?}").as_bytes());
         h.0
     }
@@ -537,8 +567,8 @@ impl<'p> FactInputs<'p> {
         let mut h = Fnv128::new();
         // The program key is part of the hash because classification reads
         // whole-program facts (summaries and top-down liveness).
-        h.write_u128(self.pkey);
-        h.write_u128(cache::loop_key(li, &self.proc_keys));
+        h.write_u128(self.keys.program);
+        h.write_u128(self.keys.loop_key(li));
         write_config(&mut h, config);
         write_assertion_marks(
             &mut h,
@@ -549,9 +579,9 @@ impl<'p> FactInputs<'p> {
         h.0
     }
 
-    /// Close the derivation into the analysis view; the demand-only passes
-    /// hash from its `epoch_hash` (the advisories as it is, carried
-    /// dependences through [`deps_hash`]).
+    /// Close the derivation into the analysis view; the demand-only
+    /// advisories hash from its `epoch_hash`, the carried-dependence tables
+    /// from its `keys` ([`deps_hash`]).
     fn into_analysis(
         self,
         df: Arc<ArrayDataFlow>,
@@ -567,18 +597,9 @@ impl<'p> FactInputs<'p> {
             config,
             warnings: self.warnings,
             epoch_hash: self.epoch_hash,
+            keys: self.keys,
         }
     }
-}
-
-/// Input hash of one loop's carried-dependence fact under an epoch hash —
-/// the one definition [`crate::deps`]'s pass and the warm-start validator
-/// share.
-pub(crate) fn deps_hash(epoch_hash: u128, loop_stmt: StmtId) -> u128 {
-    let mut h = Fnv128::new();
-    h.write_u128(epoch_hash);
-    h.write_u32(loop_stmt.0);
-    h.0
 }
 
 /// The configuration toggles every assertion-sensitive hash folds.
@@ -714,7 +735,7 @@ impl Pass for SummarizePass<'_, '_> {
         summary_key(self.pid)
     }
     fn input_hash(&self) -> u128 {
-        self.inputs.proc_keys[&self.pid]
+        self.inputs.keys.procs[&self.pid]
     }
     fn deps(&self) -> Vec<FactKey> {
         // `callees_of` lists one entry per call site.
@@ -757,6 +778,8 @@ struct ClassifyPass<'a, 'p> {
     liveness: Option<&'a LivenessResult>,
     config: &'a ParallelizeConfig,
     li: &'a LoopInfo,
+    /// Where the loop's carried-dependence table is demanded.
+    store: &'a FactStore,
 }
 
 impl Pass for ClassifyPass<'_, '_> {
@@ -768,7 +791,10 @@ impl Pass for ClassifyPass<'_, '_> {
         self.inputs.classify_hash(self.config, self.li)
     }
     fn deps(&self) -> Vec<FactKey> {
-        let mut d = vec![summary_key(self.li.proc)];
+        let mut d = vec![
+            summary_key(self.li.proc),
+            FactKey::new(PassId::Deps, Scope::Loop(self.li.stmt)),
+        ];
         if self.liveness.is_some() {
             d.push(FactKey::new(PassId::Liveness, Scope::Program));
         }
@@ -776,11 +802,18 @@ impl Pass for ClassifyPass<'_, '_> {
     }
     fn run(&self) -> LoopVerdict {
         let ctx = &self.inputs.ctx;
+        let carried = self.store.demand(&DepsPass {
+            ctx,
+            df: self.df,
+            keys: &self.inputs.keys,
+            li: self.li,
+        });
         let dt = DepTest { ctx, df: self.df };
         classify_loop(
             ctx,
             self.df,
             &dt,
+            &carried,
             self.liveness,
             self.config,
             self.li.stmt,
@@ -796,6 +829,7 @@ fn classify_loop(
     ctx: &AnalysisCtx<'_>,
     df: &ArrayDataFlow,
     dt: &DepTest<'_, '_>,
+    carried: &CarriedDeps,
     liveness: Option<&LivenessResult>,
     config: &ParallelizeConfig,
     loop_stmt: StmtId,
@@ -836,7 +870,7 @@ fn classify_loop(
             plan.private.push(ctx.key_of_id(id));
             continue;
         }
-        if dt.has_carried_dep(loop_stmt, id).is_none() {
+        if carried.get(&id).copied().flatten().is_none() {
             classes.insert(id, VarClass::Parallel);
             continue;
         }

@@ -1,10 +1,11 @@
 //! The demand-driven pass pipeline: a [`Pass`] trait plus a concurrent,
 //! region-granular [`FactStore`], and the [`ExecutorService`] command pool.
 //!
-//! Every analysis driver (summaries, liveness, per-loop classification, and
-//! the demand-only advisories in [`crate::contract`], [`crate::decomp`],
-//! [`crate::split`], [`crate::deps`]) is expressed as a pass producing one
-//! *fact* per scope — the whole program, one procedure, or one loop region.
+//! Every analysis driver (summaries, liveness, per-loop carried-dependence
+//! tables ([`crate::deps`]) and classification, and the demand-only
+//! advisories in [`crate::contract`], [`crate::decomp`], [`crate::split`])
+//! is expressed as a pass producing one *fact* per scope — the whole
+//! program, one procedure, or one loop region.
 //! The store memoizes facts under a `(PassId, Scope)` key together with the
 //! 128-bit content hash of the pass inputs ([`crate::cache`] keys extended
 //! to region granularity), so a demand is answered three ways:
@@ -61,7 +62,7 @@ pub enum PassId {
     Liveness,
     /// Per-loop parallelization verdict.
     Classify,
-    /// Per-loop carried-dependence table (demand-only).
+    /// Per-loop carried-dependence table (read by `Classify` and `slice`).
     Deps,
     /// Array-contraction candidates (demand-only).
     Contract,
@@ -168,7 +169,8 @@ pub struct PassMetrics {
     /// Demands answered from the process-wide [`SharedFactTier`] (another
     /// session computed the fact under the same content hash).
     pub shared: u64,
-    /// Total seconds inside [`Pass::run`].
+    /// Total seconds inside [`Pass::run`], less the nested runs of the
+    /// facts it demanded (each counted once, under its own pass).
     pub secs: f64,
     /// Total seconds demands spent blocked on in-flight computations.
     pub wait_secs: f64,
@@ -243,8 +245,8 @@ pub struct FactStore {
     /// tenant daemon); `None` for a self-contained store.
     shared: Option<Arc<SharedFactTier>>,
     /// When set, only the assertion-independent passes (`Summarize`,
-    /// `Liveness`) are published to the tier; everything else stays in the
-    /// session-private overlay (see [`FactStore::set_assert_local`]).
+    /// `Liveness`, `Deps`) are published to the tier; everything else stays
+    /// in the session-private overlay (see [`FactStore::set_assert_local`]).
     assert_local: AtomicBool,
     /// Session id credited for tier publishes (fairness accounting);
     /// `0` until [`FactStore::set_owner`] is called.
@@ -307,6 +309,25 @@ fn shard_index(key: &FactKey) -> usize {
     (h as usize) % SHARD_COUNT
 }
 
+std::thread_local! {
+    /// Seconds spent in [`Pass::run`]s nested inside the run in progress on
+    /// this thread (a `Classify` run demanding its loop's `Deps`).
+    static NESTED_RUN_SECS: std::cell::Cell<f64> = const { std::cell::Cell::new(0.0) };
+}
+
+/// Run `run`, returning its result and the seconds it took *minus* the
+/// runs of the facts it demanded: those are charged to their own pass, so
+/// per-pass `secs` never count a nested run twice.  The caller's own
+/// enclosing run, if any, sees the whole duration as nested.
+fn exclusive_secs<R>(run: impl FnOnce() -> R) -> (R, f64) {
+    let outer = NESTED_RUN_SECS.with(|n| n.replace(0.0));
+    let t0 = Instant::now();
+    let out = run();
+    let total = t0.elapsed().as_secs_f64();
+    let nested = NESTED_RUN_SECS.with(|n| n.replace(outer + total));
+    (out, total - nested)
+}
+
 /// Removes an abandoned `Running` claim if the pass panics or fails
 /// ([`FactStore::try_demand`]), so blocked waiters retry instead of
 /// deadlocking.
@@ -365,9 +386,10 @@ impl FactStore {
     }
 
     /// Mark this store assertion-tainted (or clean again): while set, only
-    /// the assertion-independent passes (`Summarize`, `Liveness`, whose
-    /// input hashes never fold assertion marks) are published to the shared
-    /// tier, so one tenant's `assert` never leaks into another's verdicts.
+    /// the assertion-independent passes (`Summarize`, `Liveness`, `Deps`,
+    /// whose input hashes never fold assertion marks) are published to the
+    /// shared tier, so one tenant's `assert` never leaks into another's
+    /// verdicts.
     /// Tier *reads* stay allowed either way — assertion-dependent passes
     /// fold resolved assertion marks into their input hashes, so a hash
     /// match is a semantic match.
@@ -519,9 +541,8 @@ impl FactStore {
         };
         // Run outside the lock: a pass may demand its own inputs.  A failed
         // run leaves through `?`; dropping the armed claim releases the slot.
-        let t0 = Instant::now();
-        let out = Arc::new(run()?);
-        let secs = t0.elapsed().as_secs_f64();
+        let (out, secs) = exclusive_secs(run);
+        let out = Arc::new(out?);
         let deps = pass.deps();
         let any: Arc<dyn Any + Send + Sync> = out.clone();
         let bytes = crate::snapshot::approx_value_bytes(key.pass, &any);
@@ -546,11 +567,15 @@ impl FactStore {
         shard.ready.notify_all();
         // Publish clean results so other sessions skip the computation.
         // Assertion-tainted sessions only publish the assertion-independent
-        // passes; a fact invalidated under an unchanged hash never goes out.
+        // passes (their hashes fold no assertion mark); a fact invalidated
+        // under an unchanged hash never goes out.
         if valid && tier_allowed {
             if let Some(tier) = &self.shared {
                 let publishable = !self.assert_local.load(Ordering::Relaxed)
-                    || matches!(key.pass, PassId::Summarize | PassId::Liveness);
+                    || matches!(
+                        key.pass,
+                        PassId::Summarize | PassId::Liveness | PassId::Deps
+                    );
                 if publishable {
                     let owner = self.owner.load(Ordering::Relaxed);
                     tier.publish_owned(owner, key, hash, bytes, deps, any);
@@ -1400,6 +1425,58 @@ mod tests {
         );
     }
 
+    /// A pass whose run demands another fact is charged its own time only:
+    /// the nested run lands under its own pass, once.
+    #[test]
+    fn nested_run_time_is_charged_to_its_own_pass_once() {
+        struct Sleeper {
+            key: FactKey,
+            ms: u64,
+            inner: Option<Box<Sleeper>>,
+            store: Arc<FactStore>,
+        }
+        impl Pass for Sleeper {
+            type Output = ();
+            fn key(&self) -> FactKey {
+                self.key
+            }
+            fn input_hash(&self) -> u128 {
+                1
+            }
+            fn run(&self) {
+                if let Some(inner) = &self.inner {
+                    self.store.demand(&**inner);
+                }
+                std::thread::sleep(std::time::Duration::from_millis(self.ms));
+            }
+        }
+        let store = Arc::new(FactStore::new());
+        let outer = Sleeper {
+            key: key(PassId::Classify, 1),
+            ms: 20,
+            inner: Some(Box::new(Sleeper {
+                key: key(PassId::Deps, 1),
+                ms: 60,
+                inner: None,
+                store: store.clone(),
+            })),
+            store: store.clone(),
+        };
+        store.demand(&outer);
+        let (classify, deps) = (
+            store.metrics_for(PassId::Classify).secs,
+            store.metrics_for(PassId::Deps).secs,
+        );
+        assert!(
+            deps >= 0.06,
+            "the nested run is charged to its pass: {deps}"
+        );
+        assert!(
+            (0.02..0.06).contains(&classify),
+            "the outer run is charged its own 20 ms, not the nested 60: {classify}"
+        );
+    }
+
     #[test]
     fn shared_tier_serves_across_overlay_stores() {
         let tier = Arc::new(SharedFactTier::new());
@@ -1477,16 +1554,27 @@ mod tests {
             runs: &runs,
             output: 2,
         };
+        let deps = CountingPass {
+            key: key(PassId::Deps, 4),
+            hash: 3,
+            deps: vec![],
+            runs: &runs,
+            output: 3,
+        };
         tainted.demand(&classify);
         tainted.demand(&summarize);
-        assert_eq!(tier.stats().inserts, 1, "only summarize published");
-        // Another tenant recomputes the private fact but shares the summary.
+        tainted.demand(&deps);
+        assert_eq!(tier.stats().inserts, 2, "only summarize and deps published");
+        // Another tenant recomputes the private fact but shares the others.
         let clean = FactStore::with_shared(tier.clone());
         clean.demand(&classify);
         clean.demand(&summarize);
-        assert_eq!(runs.load(Ordering::Relaxed), 3, "classify recomputed once");
-        let m = clean.metrics_for(PassId::Summarize);
-        assert_eq!((m.invocations, m.shared), (0, 1));
+        clean.demand(&deps);
+        assert_eq!(runs.load(Ordering::Relaxed), 4, "classify recomputed once");
+        for pass in [PassId::Summarize, PassId::Deps] {
+            let m = clean.metrics_for(pass);
+            assert_eq!((m.invocations, m.shared), (0, 1), "{pass:?}");
+        }
     }
 
     #[test]

@@ -238,7 +238,8 @@ impl<'p> Explorer<'p> {
     }
 
     /// Re-run the static analysis with a new assertion set, replaying only
-    /// the invalidated facts through the session's store.  The profile and
+    /// the invalidated facts through the session's store, on the program's
+    /// content keys the current analysis already holds.  The profile and
     /// dynamic-dependence reports are **kept** — the program and input did
     /// not change, so the instrumented run would be identical.
     pub fn apply_assertions(&mut self, assertions: Vec<Assertion>) -> AnalyzeStats {
@@ -247,13 +248,7 @@ impl<'p> Explorer<'p> {
             assertions,
             ..self.analysis.config.clone()
         };
-        let (analysis, stats) = Parallelizer::analyze_in(
-            self.program,
-            config,
-            &ScheduleOptions::default(),
-            None,
-            &self.store,
-        );
+        let (analysis, stats) = self.analysis.reanalyze(config, &self.store);
         self.analysis = analysis;
         stats
     }
@@ -324,7 +319,8 @@ impl<'p> Explorer<'p> {
         suif_analysis::split::find_splits_cached(&self.analysis, &self.store)
     }
 
-    /// Demand-driven carried-dependence table of one loop.
+    /// Carried-dependence table of one loop (classification demanded it,
+    /// so this reads the store).
     pub fn carried_deps(&self, loop_stmt: StmtId) -> Arc<CarriedDeps> {
         suif_analysis::deps::carried_deps_cached(&self.analysis, &self.store, loop_stmt)
     }

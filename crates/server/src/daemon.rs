@@ -43,6 +43,7 @@
 
 use crate::corpus::panic_message;
 use crate::json::Json;
+use crate::latency::LatencyStats;
 use crate::proto::{
     err_response, ok_response, request_id, Frame, FrameDecoder, Request, MAX_LINE_BYTES,
 };
@@ -55,6 +56,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
+use std::time::Instant;
 use suif_analysis::{ExecutorService, PersistDir, SharedFactTier};
 
 /// Everything that shapes a daemon service, across all its sessions.
@@ -104,6 +106,8 @@ pub struct ServiceState {
     workers: ExecutorService,
     /// Reactor transport counters (see [`ReactorStats`]).
     reactor: ReactorStats,
+    /// Execute time of every dispatched request, per command.
+    latency: LatencyStats,
 }
 
 /// Transport counters of the evented reactor, reported under
@@ -145,6 +149,7 @@ impl ServiceState {
             shutdown: AtomicBool::new(false),
             workers: ExecutorService::new(options.workers),
             reactor: ReactorStats::default(),
+            latency: LatencyStats::default(),
         })
     }
 
@@ -262,6 +267,7 @@ impl ServiceState {
                     ("pending", Json::int(self.workers.pending() as i64)),
                 ]),
             ),
+            ("latency", self.latency.to_json()),
         ];
         fields.extend(process_json().map(|p| ("process", p)));
         Json::obj(fields)
@@ -471,9 +477,17 @@ impl Daemon {
         (out, false)
     }
 
-    /// Execute one parsed request; returns the tagged response and whether
-    /// the connection should close.
+    /// Execute one parsed request, timing it into `stats.service.latency`
+    /// (a `stats` reply counts the requests before it); returns the tagged
+    /// response and whether the connection should close.
     fn dispatch(&mut self, req: Request) -> (Json, bool) {
+        let (cmd, t0) = (req.name(), Instant::now());
+        let out = self.execute(req);
+        self.state.latency.record(cmd, t0.elapsed());
+        out
+    }
+
+    fn execute(&mut self, req: Request) -> (Json, bool) {
         #[cfg(test)]
         if matches!(&req, Request::Slice { loop_name } if loop_name == tests::PANIC_LOOP) {
             panic!("injected test panic");

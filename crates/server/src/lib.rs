@@ -21,6 +21,7 @@
 pub mod corpus;
 pub mod daemon;
 pub mod json;
+mod latency;
 pub mod proto;
 pub mod reactor;
 pub mod session;

@@ -226,6 +226,27 @@ pub fn request_id(v: &Json) -> Option<Json> {
 }
 
 impl Request {
+    /// The request's `cmd` name.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Request::Load { .. } => "load",
+            Request::Reload { .. } => "reload",
+            Request::Analyze => "analyze",
+            Request::Guru => "guru",
+            Request::Slice { .. } => "slice",
+            Request::Assert { .. } => "assert",
+            Request::Advisory => "advisory",
+            Request::Codeview => "codeview",
+            Request::Certify { .. } => "certify",
+            Request::Corpus { .. } => "corpus",
+            Request::Stats => "stats",
+            Request::Checkpoint => "checkpoint",
+            Request::Quit => "quit",
+            Request::Shutdown => "shutdown",
+            Request::Batch { .. } => "batch",
+        }
+    }
+
     /// Parse one line of client input.
     pub fn parse(line: &str) -> Result<Request, ProtoError> {
         let v = Json::parse(line).map_err(|e| ProtoError(e.to_string()))?;

@@ -273,17 +273,11 @@ impl Session {
     pub fn wait_speculation(&mut self) {}
 
     /// Re-run the static analysis through the fact store (a warm
-    /// re-analysis of an unchanged program reuses every fact and runs no
-    /// pass) and report per-loop verdicts.
+    /// re-analysis of an unchanged program reuses every fact and its
+    /// content keys, and runs no pass) and report per-loop verdicts.
     pub fn analyze(&mut self) -> Json {
         let config = self.explorer.analysis.config.clone();
-        let (analysis, stats) = suif_analysis::Parallelizer::analyze_in(
-            self.explorer.program,
-            config,
-            &ScheduleOptions::default(),
-            None,
-            &self.store,
-        );
+        let (analysis, stats) = self.explorer.analysis.reanalyze(config, &self.store);
         self.explorer.analysis = analysis;
         self.last_stats = stats;
         let loops = self
@@ -945,11 +939,19 @@ proc main() {
     }
 
     /// The MDG kernel shape: `main/1000` is sequential (and so a Guru
-    /// target) until the user asserts `rl` privatizable.
+    /// target) until the user asserts `rl` privatizable.  A leaf procedure
+    /// with a loop of its own precedes `main`, so an edit to `main` moves
+    /// `main`'s key alone.
     const MDG_LIKE: &str = "program mdgkern
 const nmol = 40
+proc scale(real q[*], int n) {
+  int j
+  do 7 j = 1, n {
+    q[j] = q[j] * 2
+  }
+}
 proc main() {
-  real rs[9], rl[14], a[nmol]
+  real rs[9], rl[14], a[nmol], w[8]
   real cut2, acc
   int i, k, kc
   cut2 = 30.0
@@ -972,44 +974,88 @@ proc main() {
       }
     }
   }
-  print acc
+  call scale(w, 8)
+  print acc, w[2]
 }
 ";
 
-    /// Nothing computes a fact before a request asks for it: `guru` leaves
-    /// the carried-dependence pass untouched, the first `slice` of a loop
-    /// runs it once, and an assertion makes exactly the asserted loop's
-    /// classification and the next `slice`'s table stale.
+    /// The carried-dependence table is computed once per loop region: the
+    /// open's classifications compute one per loop; `guru`, `slice` and
+    /// `assert` only read them — the asserted loop's replay too, since no
+    /// assertion moves a table's key — so a `slice` after the assertion
+    /// computes nothing; and a one-procedure `reload` recomputes exactly
+    /// the tables of the loops whose procedure key moved.
     #[test]
-    fn slice_owns_its_fact() {
+    fn deps_tables_are_computed_once_per_region() {
         let mut s =
             Session::open_cfg(MDG_LIKE, Default::default(), SessionConfig::default()).unwrap();
         let runs = |s: &Session, pass| s.store.metrics_for(pass).invocations;
+        let all_runs = |s: &Session| -> u64 {
+            let metrics = s.store.metrics();
+            metrics.values().map(|m| m.invocations).sum()
+        };
         let loops = s.explorer.analysis.ctx.tree.loops.len() as u64;
         assert_eq!(runs(&s, PassId::Classify), loops);
+        assert_eq!(
+            runs(&s, PassId::Deps),
+            loops,
+            "the open: one table per loop"
+        );
 
         let g = s.guru_json();
         let targets = g.get("targets").and_then(Json::as_arr).unwrap();
         let ranked = |t: &Json| t.get("loop").and_then(Json::as_str) == Some("main/1000");
         assert!(targets.iter().any(ranked), "{g}");
-        assert_eq!(runs(&s, PassId::Deps), 0, "guru demands no slice fact");
+        let first = s.slice_json("main/1000").unwrap();
+        let again = s.slice_json("main/1000").unwrap();
+        assert_eq!(first.to_string(), again.to_string());
+        assert_eq!(
+            runs(&s, PassId::Deps),
+            loops,
+            "guru and slice read the tables"
+        );
         assert_eq!(runs(&s, PassId::Classify), loops);
 
-        let first = s.slice_json("main/1000").unwrap();
-        assert_eq!(runs(&s, PassId::Deps), 1, "the slice computed its own");
-        let again = s.slice_json("main/1000").unwrap();
-        assert_eq!(runs(&s, PassId::Deps), 1, "and the second reused it");
-        assert_eq!(first.to_string(), again.to_string());
-
+        let read_before = s.store.metrics_for(PassId::Deps).reused;
         let r = s.assert_json("main/1000", "rl", false);
         assert_eq!(
             r.get("assertion").and_then(Json::as_str),
             Some("consistent")
         );
         assert_eq!(runs(&s, PassId::Classify), loops + 1, "one loop replayed");
-        assert_eq!(runs(&s, PassId::Deps), 1, "assert demands no slice fact");
-        s.slice_json("main/1000").unwrap();
-        assert_eq!(runs(&s, PassId::Deps), 2, "that loop's table, recomputed");
-        assert_eq!(runs(&s, PassId::Classify), loops + 1);
+        assert_eq!(runs(&s, PassId::Deps), loops, "assert computes no table");
+        assert_eq!(
+            s.store.metrics_for(PassId::Deps).reused - read_before,
+            1,
+            "the replay read its loop's unchanged table"
+        );
+
+        let computed = all_runs(&s);
+        let after = s.slice_json("main/1000").unwrap();
+        assert_eq!(
+            all_runs(&s),
+            computed,
+            "a slice after the assertion computes nothing"
+        );
+        assert_eq!(after.get("carried_deps"), first.get("carried_deps"));
+
+        let old_keys = s.explorer.analysis.keys.clone();
+        let deps_before = runs(&s, PassId::Deps);
+        s.reload(&MDG_LIKE.replace("cut2 = 30.0", "cut2 = 31.0"))
+            .unwrap();
+        let analysis = &s.explorer.analysis;
+        let moved = analysis
+            .ctx
+            .tree
+            .loops
+            .iter()
+            .filter(|li| old_keys.procs.get(&li.proc) != analysis.keys.procs.get(&li.proc))
+            .count() as u64;
+        assert_eq!(moved, loops - 1, "every loop of main, not scale's");
+        assert_eq!(
+            runs(&s, PassId::Deps) - deps_before,
+            moved,
+            "the reload recomputed the moved loops' tables only"
+        );
     }
 }

@@ -97,10 +97,10 @@ fn warm_start_reserves_answers_without_recomputation() {
     let (cold_guru, cold_slice) = {
         let mut s = open(&dir);
         let g = s.guru_json();
-        // Slicing demands the carried-deps fact, so it is persisted too.
+        // Slicing reads the carried-deps fact the open's classification
+        // computed, so it is persisted with the open.
         let sl = s.slice_json("rec/1").unwrap();
-        // `checkpoint` persists the post-query state (guru/slice facts
-        // landed after the open-time snapshot write).
+        // `checkpoint` persists the post-query state.
         s.checkpoint_json().unwrap();
         (g, sl)
     }; // drop = clean shutdown (also checkpoints)
@@ -297,12 +297,15 @@ fn old_version_snapshot_cold_starts_cleanly() {
 #[test]
 fn old_version_log_is_ignored_and_folded_away() {
     let dir = scratch("old_log");
-    let cold_slice = {
+    let (cold_slice, cold_advisory) = {
         let mut s = open(&dir);
         let _ = s.guru_json();
         let sl = s.slice_json("rec/1").unwrap();
+        // The open computed every slice table; the advisories are the facts
+        // left for a query to compute, and so to append to the log.
+        let adv = s.advisory_json();
         s.checkpoint_json().unwrap();
-        sl
+        (sl, adv)
     };
     let log_path = dir.join(SNAPSHOT_LOG_FILE);
     let mut log = std::fs::read(&log_path).unwrap();
@@ -327,6 +330,7 @@ fn old_version_log_is_ignored_and_folded_away() {
         format!("{cold_slice}"),
         format!("{}", s.slice_json("rec/1").unwrap())
     );
+    assert_eq!(format!("{cold_advisory}"), format!("{}", s.advisory_json()));
     s.checkpoint_json().unwrap();
     drop(s);
     assert_current_versions(&dir);
@@ -343,13 +347,14 @@ fn torn_log_record_keeps_valid_prefix() {
         let mut s = open(&dir);
         let _ = s.guru_json();
         let _ = s.slice_json("rec/1").unwrap();
+        let _ = s.advisory_json();
         s.checkpoint_json().unwrap();
     }
     let log_path = dir.join(SNAPSHOT_LOG_FILE);
     let log = std::fs::read(&log_path).unwrap();
     assert!(
         log.len() > suif_analysis::snapshot::LOG_HEADER_LEN,
-        "guru/slice facts appended as log records (len {})",
+        "advisory facts appended as log records (len {})",
         log.len()
     );
     // Tear the final record a few bytes short of complete.
@@ -393,6 +398,7 @@ fn mid_compaction_crash_ignores_stale_log() {
         let mut s = open(&dir);
         let _ = s.guru_json();
         let _ = s.slice_json("rec/1").unwrap();
+        let _ = s.advisory_json();
         s.checkpoint_json().unwrap();
     }
     let base_path = dir.join(SNAPSHOT_FILE);

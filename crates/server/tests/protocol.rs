@@ -2,6 +2,7 @@
 //! binary, speak line-delimited JSON over its stdio, and check every
 //! response.
 
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use suif_server::json::Json;
@@ -34,6 +35,9 @@ struct Client {
     child: Child,
     stdin: ChildStdin,
     stdout: BufReader<ChildStdout>,
+    /// Requests sent so far, by `cmd` (lines that are not JSON objects
+    /// with a `cmd` are not commands).
+    sent: BTreeMap<String, i64>,
 }
 
 impl Client {
@@ -50,10 +54,17 @@ impl Client {
             child,
             stdin,
             stdout,
+            sent: BTreeMap::new(),
         }
     }
 
     fn request(&mut self, line: &str) -> Json {
+        if let Some(cmd) = Json::parse(line).ok().and_then(|v| {
+            let cmd = v.get("cmd").and_then(Json::as_str)?;
+            Some(cmd.to_string())
+        }) {
+            *self.sent.entry(cmd).or_default() += 1;
+        }
         writeln!(self.stdin, "{line}").expect("write request");
         self.stdin.flush().unwrap();
         let mut resp = String::new();
@@ -199,6 +210,27 @@ fn daemon_protocol_round_trip() {
     // Malformed input answers, then quit closes cleanly.
     let r = c.request("this is not json");
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(false));
+
+    // Every command sent so far has its execute-time histogram: one count
+    // per request, error replies included (the query before `load`, the
+    // unknown loop), and ordered percentiles.  This `stats` counts the
+    // requests before it, not itself.
+    let sent = c.sent.clone();
+    let r = c.request(r#"{"cmd":"stats"}"#);
+    let latency = r.get("service").and_then(|s| s.get("latency"));
+    let Some(Json::Obj(latency)) = latency else {
+        panic!("no service.latency object: {r}");
+    };
+    let counted: BTreeMap<String, i64> = latency
+        .iter()
+        .map(|(cmd, h)| (cmd.clone(), h.get("count").and_then(Json::as_i64).unwrap()))
+        .collect();
+    assert_eq!(counted, sent, "{r}");
+    for (cmd, h) in latency {
+        let us = |k| h.get(k).and_then(Json::as_f64).unwrap();
+        let (p50, p90, p99) = (us("p50_us"), us("p90_us"), us("p99_us"));
+        assert!(0.0 < p50 && p50 <= p90 && p90 <= p99, "{cmd}: {h}");
+    }
     let r = c.request(r#"{"cmd":"quit"}"#);
     assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true));
     let status = c.child.wait().expect("daemon exit");

@@ -7,48 +7,83 @@ same program:
   run 1: load -> guru -> slice -> checkpoint -> stats -> quit
   run 2 (fresh process, same DIR): load -> guru -> slice -> stats -> quit
 
-and asserts that the restart (a) reports a loaded snapshot with warm hits
-and no stale evictions, (b) invoked the summarize, liveness, classify and
-execute passes zero times and computed no fact at all (`cold_misses == 0`:
-every pass's facts are persisted; `execution.reused`: the program was not
-interpreted again), and (c) answered `guru` identically, the rendered
-report's wall-clock estimate included — it is the producing run's.
+where `slice` asks for the Guru's top target (the program's first loop when
+the Guru has none), and asserts that the restart (a) reports a loaded
+snapshot with warm hits and no stale evictions, (b) invoked the summarize,
+liveness, classify, deps and execute passes zero times and computed no fact
+at all (`cold_misses == 0`: every pass's facts are persisted;
+`execution.reused`: the program was not interpreted again), and (c) answered
+`guru` and `slice` identically, the rendered report's wall-clock estimate
+included — it is the producing run's.  In both runs `stats.service.latency`
+must count every command sent before the `stats`.
 
 Usage: warm_start_smoke.py <suif-explorer binary> <program.mf>
 """
 
 import json
+import re
 import subprocess
 import sys
 import tempfile
 
 
+def first_loop(source):
+    """`proc/label` of the first `do` loop in the source text."""
+    proc = None
+    for line in source.splitlines():
+        m = re.match(r"\s*proc\s+(\w+)", line)
+        if m:
+            proc = m.group(1)
+        m = re.match(r"\s*do\s+(\d+)\b", line)
+        if m and proc:
+            return f"{proc}/{m.group(1)}"
+    sys.exit("the program has no loop to slice")
+
+
 def drive(binary, persist_dir, source, checkpoint):
-    reqs = [
-        {"cmd": "load", "text": source},
-        {"cmd": "guru"},
-        {"cmd": "stats"},
-        {"cmd": "quit"},
-    ]
-    if checkpoint:
-        reqs.insert(2, {"cmd": "checkpoint"})
-    stdin = "".join(json.dumps(r) + "\n" for r in reqs)
-    proc = subprocess.run(
+    """One daemon, one request at a time; returns the replies by command."""
+    proc = subprocess.Popen(
         [binary, "serve", "--persist-dir", persist_dir],
-        input=stdin,
-        capture_output=True,
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
         text=True,
-        timeout=300,
     )
-    if proc.returncode != 0:
-        sys.exit(f"daemon exited with {proc.returncode}:\n{proc.stderr}")
-    resps = [json.loads(line) for line in proc.stdout.splitlines() if line.strip()]
-    if len(resps) != len(reqs):
-        sys.exit(f"expected {len(reqs)} responses, got {len(resps)}:\n{proc.stdout}")
-    for req, resp in zip(reqs, resps):
+    sent, by_cmd = {}, {}
+
+    def request(req):
+        proc.stdin.write(json.dumps(req) + "\n")
+        proc.stdin.flush()
+        line = proc.stdout.readline()
+        if not line:
+            sys.exit(f"daemon closed stdout on {req['cmd']}:\n{proc.stderr.read()}")
+        resp = json.loads(line)
         if not resp.get("ok"):
             sys.exit(f"request {req['cmd']} failed: {resp}")
-    by_cmd = {req["cmd"]: resp for req, resp in zip(reqs, resps)}
+        sent[req["cmd"]] = sent.get(req["cmd"], 0) + 1
+        by_cmd[req["cmd"]] = resp
+        return resp
+
+    request({"cmd": "load", "text": source})
+    targets = request({"cmd": "guru"}).get("targets", [])
+    target = targets[0]["loop"] if targets else first_loop(source)
+    request({"cmd": "slice", "loop": target})
+    if checkpoint:
+        request({"cmd": "checkpoint"})
+    before_stats = dict(sent)
+    stats = request({"cmd": "stats"})
+    request({"cmd": "quit"})
+    proc.stdin.close()
+    code = proc.wait(timeout=300)
+    stderr = proc.stderr.read()
+    if code != 0:
+        sys.exit(f"daemon exited with {code}:\n{stderr}")
+
+    latency = stats["service"]["latency"]
+    counted = {cmd: h["count"] for cmd, h in latency.items()}
+    assert counted == before_stats, f"latency counts {counted}, sent {before_stats}"
+    for cmd, h in latency.items():
+        assert 0 < h["p50_us"] <= h["p90_us"] <= h["p99_us"], f"{cmd}: {h}"
     return by_cmd
 
 
@@ -80,7 +115,10 @@ def main():
 
     # Zero-traffic passes are omitted from `passes`, so a missing entry is
     # itself a pass with zero invocations.
-    for pass_name in ("summarize", "liveness", "classify", "execute"):
+    assert cold["stats"]["passes"]["deps"]["invocations"] > 0, (
+        f"a cold open computes the carried-dependence tables: {cold['stats']['passes']}"
+    )
+    for pass_name in ("summarize", "liveness", "classify", "deps", "execute"):
         p = warm["stats"]["passes"].get(pass_name, {})
         assert p.get("invocations", 0) == 0, (
             f"warm start must not re-run {pass_name}: {p}"
@@ -95,9 +133,16 @@ def main():
         f"guru diverged across restart:\n  cold: {cold_guru}\n  warm: {warm_guru}"
     )
 
+    cold_slice = json.dumps(cold["slice"], sort_keys=True)
+    warm_slice = json.dumps(warm["slice"], sort_keys=True)
+    assert cold_slice == warm_slice, (
+        f"slice diverged across restart:\n  cold: {cold_slice}\n  warm: {warm_slice}"
+    )
+
     print(
         f"warm start OK: {warm_snap['warm_hits']} facts imported, "
-        f"0 summarize/liveness/classify/execute invocations, identical guru output"
+        f"0 summarize/liveness/classify/deps/execute invocations, "
+        f"identical guru and slice output, every command in stats.service.latency"
     )
 
 
