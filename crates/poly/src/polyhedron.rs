@@ -438,9 +438,10 @@ impl Polyhedron {
     /// The proof is a staged ladder: cheap tests that never eliminate a
     /// variable run first, and full Fourier–Motzkin elimination only when
     /// they are inconclusive.  Every stage is sound, and the non-emptiness
-    /// fast path only fires on systems full FM could never prove empty
-    /// either, so the ladder computes the same answers as always-full-FM
-    /// (pinned by the `prop_linexpr.rs` property suite).
+    /// fast paths only fire on systems full FM could never prove empty
+    /// either (rationally satisfiable by dissolution, or holding a verified
+    /// integer point), so the ladder computes the same answers as
+    /// always-full-FM (pinned by the `prop_linexpr.rs` property suite).
     pub fn prove_empty(&self) -> bool {
         if self.empty {
             return true;
@@ -451,6 +452,7 @@ impl Polyhedron {
         // Stage 0: pairwise contradictions — e + c1 >= 0 ∧ -e + c2 >= 0 with
         // c1 + c2 < 0 — pre-filtered by the negated-part fingerprint.
         if self.pairwise_contradiction() {
+            INTERVAL_REJECTS.fetch_add(1, Ordering::Relaxed);
             return true;
         }
         // Stage 1: GCD / modular-interval integer-solvability test on
@@ -460,17 +462,10 @@ impl Polyhedron {
             return true;
         }
         // Stage 2: Banerjee-style interval evaluation of every
-        // constraint over the box of unit bounds.
-        match self.interval_stage() {
-            IntervalVerdict::Empty => {
-                INTERVAL_REJECTS.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-            IntervalVerdict::Satisfiable => {
-                QUICK_SATS.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            IntervalVerdict::Unknown => {}
+        // constraint over the box of unit bounds, then one-sided
+        // dissolution and the integer-witness search.
+        if let Some(empty) = self.interval_stage().settle() {
+            return empty;
         }
         // Stage 3: equalities block the dissolution test; substitute
         // the unit-coefficient ones away (an exact transformation over
@@ -482,16 +477,8 @@ impl Polyhedron {
                 .iter()
                 .any(|c| c.kind == ConstraintKind::EqZero)
         {
-            match self.substituted_interval_stage() {
-                IntervalVerdict::Empty => {
-                    INTERVAL_REJECTS.fetch_add(1, Ordering::Relaxed);
-                    return true;
-                }
-                IntervalVerdict::Satisfiable => {
-                    QUICK_SATS.fetch_add(1, Ordering::Relaxed);
-                    return false;
-                }
-                IntervalVerdict::Unknown => {}
+            if let Some(empty) = self.substituted_interval_stage().settle() {
+                return empty;
             }
         }
         FM_RUNS.fetch_add(1, Ordering::Relaxed);
@@ -504,8 +491,9 @@ impl Polyhedron {
     /// Substituting `v := e` out of `±v + e == 0` is a bijection on the
     /// solution set (over ℚ *and* ℤ), so any verdict on the residual system
     /// transfers to the original: a modular/interval emptiness proof is
-    /// sound, and a dissolution satisfiability proof means the original is
-    /// rationally satisfiable — which full FM can never refute either.
+    /// sound, a dissolution satisfiability proof means the original is
+    /// rationally satisfiable — which full FM can never refute either — and
+    /// an integer witness of the residual extends to one of the original.
     fn substituted_interval_stage(&self) -> IntervalVerdict {
         // Work on a bare constraint vector: the cheap re-tests below need no
         // polyhedron bookkeeping (dedup, emptiness folding), so skip it.
@@ -621,40 +609,12 @@ impl Polyhedron {
     ///   rationally satisfiable, which no sound prover — full FM included —
     ///   can ever report empty, so answering "not provably empty" here agrees
     ///   with the full pipeline while skipping every elimination.
+    /// * **Witness** — the dissolution stalls, but [`integer_witness`] finds
+    ///   an integer point of the constraints it left alive.  Pushing each
+    ///   dissolved variable far enough out, last dissolved first, extends
+    ///   that point to an integer point of the whole system.
     fn interval_stage(&self) -> IntervalVerdict {
-        // Unit constant bounds per variable (post-normalization, every
-        // single-variable constraint has a ±1 coefficient).
-        let mut box_bounds: Vec<(Var, Option<i64>, Option<i64>)> = Vec::new();
-        for c in &self.constraints {
-            if c.expr.num_vars() != 1 {
-                continue;
-            }
-            let (v, a) = c.expr.terms().next().expect("one term");
-            let k = c.expr.constant_part();
-            let i = match box_bounds.iter().position(|&(w, _, _)| w == v) {
-                Some(i) => i,
-                None => {
-                    box_bounds.push((v, None, None));
-                    box_bounds.len() - 1
-                }
-            };
-            let (_, lo, hi) = &mut box_bounds[i];
-            match (c.kind, a) {
-                (ConstraintKind::GeqZero, 1) => *lo = Some(lo.map_or(-k, |x: i64| x.max(-k))),
-                (ConstraintKind::GeqZero, -1) => *hi = Some(hi.map_or(k, |x: i64| x.min(k))),
-                (ConstraintKind::EqZero, 1) => {
-                    *lo = Some(lo.map_or(-k, |x: i64| x.max(-k)));
-                    *hi = Some(hi.map_or(-k, |x: i64| x.min(-k)));
-                }
-                _ => {}
-            }
-        }
-        let bound = |v: Var| -> (Option<i64>, Option<i64>) {
-            box_bounds
-                .iter()
-                .find(|&&(w, _, _)| w == v)
-                .map_or((None, None), |&(_, lo, hi)| (lo, hi))
-        };
+        let box_bounds = self.unit_box();
         // Without any unit bounds every interval is (-∞, ∞) and the Empty
         // scan can never fire; skip straight to the dissolution test.
         for c in &self.constraints {
@@ -665,20 +625,17 @@ impl Polyhedron {
                 continue;
             }
             // Interval of the expression over the box, in i128 to dodge
-            // overflow; None = unbounded in that direction.
+            // overflow; None = unbounded in that direction (or past i128).
             let mut lo: Option<i128> = Some(c.expr.constant_part() as i128);
             let mut hi: Option<i128> = Some(c.expr.constant_part() as i128);
             for (v, a) in c.expr.terms() {
-                let (vlo, vhi) = bound(v);
+                let (vlo, vhi) = box_of(&box_bounds, v);
                 let (tlo, thi) = if a > 0 { (vlo, vhi) } else { (vhi, vlo) };
-                lo = match (lo, tlo) {
-                    (Some(acc), Some(b)) => Some(acc + a as i128 * b as i128),
-                    _ => None,
+                let add = |acc: Option<i128>, b: Option<i64>| {
+                    acc?.checked_add(i128::from(a) * i128::from(b?))
                 };
-                hi = match (hi, thi) {
-                    (Some(acc), Some(b)) => Some(acc + a as i128 * b as i128),
-                    _ => None,
-                };
+                lo = add(lo, tlo);
+                hi = add(hi, thi);
             }
             let empty = match c.kind {
                 ConstraintKind::GeqZero => hi.is_some_and(|h| h < 0),
@@ -736,9 +693,50 @@ impl Polyhedron {
                 progressed |= killed;
             }
             if !progressed {
-                return IntervalVerdict::Unknown;
+                let live: Vec<&Constraint> = self
+                    .constraints
+                    .iter()
+                    .zip(&alive)
+                    .filter_map(|(c, &a)| a.then_some(c))
+                    .collect();
+                return if integer_witness(&live, &box_bounds) {
+                    IntervalVerdict::Witness
+                } else {
+                    IntervalVerdict::Unknown
+                };
             }
         }
+    }
+
+    /// Unit constant bounds per variable (post-normalization, every
+    /// single-variable constraint has a ±1 coefficient).
+    fn unit_box(&self) -> UnitBox {
+        let mut box_bounds: UnitBox = Vec::new();
+        for c in &self.constraints {
+            if c.expr.num_vars() != 1 {
+                continue;
+            }
+            let (v, a) = c.expr.terms().next().expect("one term");
+            let k = c.expr.constant_part();
+            let i = match box_bounds.iter().position(|&(w, _, _)| w == v) {
+                Some(i) => i,
+                None => {
+                    box_bounds.push((v, None, None));
+                    box_bounds.len() - 1
+                }
+            };
+            let (_, lo, hi) = &mut box_bounds[i];
+            match (c.kind, a) {
+                (ConstraintKind::GeqZero, 1) => *lo = Some(lo.map_or(-k, |x: i64| x.max(-k))),
+                (ConstraintKind::GeqZero, -1) => *hi = Some(hi.map_or(k, |x: i64| x.min(k))),
+                (ConstraintKind::EqZero, 1) => {
+                    *lo = Some(lo.map_or(-k, |x: i64| x.max(-k)));
+                    *hi = Some(hi.map_or(-k, |x: i64| x.min(-k)));
+                }
+                _ => {}
+            }
+        }
+        box_bounds
     }
 
     /// Modular-interval test (a GCD/Banerjee-style integer refinement):
@@ -1158,39 +1156,276 @@ fn same_var_parts(a: &LinExpr, b: &LinExpr) -> bool {
             .all(|((va, ca), (vb, cb))| va == vb && ca == cb)
 }
 
+/// The unit constant bounds `(var, low, high)` of a system's variables.
+type UnitBox = Vec<(Var, Option<i64>, Option<i64>)>;
+
+/// `v`'s `(low, high)` unit bounds in `box_bounds`.
+fn box_of(box_bounds: &UnitBox, v: Var) -> (Option<i64>, Option<i64>) {
+    box_bounds
+        .iter()
+        .find(|&&(w, _, _)| w == v)
+        .map_or((None, None), |&(_, lo, hi)| (lo, hi))
+}
+
 /// Outcome of the interval stage of the emptiness ladder.
 enum IntervalVerdict {
     /// Some constraint cannot be satisfied anywhere in the bounding box.
     Empty,
     /// The system provably has (rational, hence conservative) solutions.
     Satisfiable,
+    /// A verified integer point satisfies the system.
+    Witness,
     /// Inconclusive — fall through to Fourier–Motzkin.
     Unknown,
+}
+
+impl IntervalVerdict {
+    /// Count a conclusive verdict and return the `prove_empty` answer it
+    /// settles; `None` when the ladder must go on.
+    fn settle(self) -> Option<bool> {
+        let counter = match self {
+            IntervalVerdict::Empty => &INTERVAL_REJECTS,
+            IntervalVerdict::Satisfiable => &QUICK_SATS,
+            IntervalVerdict::Witness => {
+                WITNESS_SATS.fetch_add(1, Ordering::Relaxed);
+                &QUICK_SATS
+            }
+            IntervalVerdict::Unknown => return None,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        Some(matches!(self, IntervalVerdict::Empty))
+    }
+}
+
+/// Arithmetic overflow in the witness search: no witness.
+struct Overflow;
+
+/// Which corner of the unit-bound box a witness search starts from.
+#[derive(Clone, Copy)]
+enum Corner {
+    /// Each variable at the bound its coefficients pull toward.
+    Pulled,
+    /// Each variable at its low bound.
+    Low,
+    /// Each variable at its high bound.
+    High,
+}
+
+/// One variable of the witness search.
+struct WitnessVar {
+    var: Var,
+    lo: Option<i64>,
+    hi: Option<i64>,
+    /// Sum of the signs of the variable's coefficients in the live
+    /// multi-variable constraints: positive means a larger value helps.
+    pull: i64,
+}
+
+impl WitnessVar {
+    /// The variable's value at `corner`, or `None` when it has no unit
+    /// bound and must be solved for.
+    fn start(&self, corner: Corner) -> Option<i128> {
+        let high = match corner {
+            Corner::Pulled => self.pull > 0,
+            Corner::Low => false,
+            Corner::High => true,
+        };
+        let (first, second) = if high {
+            (self.hi, self.lo)
+        } else {
+            (self.lo, self.hi)
+        };
+        first.or(second).map(i128::from)
+    }
+}
+
+/// The integer-witness rung of the emptiness ladder: does some integer
+/// point provably satisfy every constraint of `live`?
+///
+/// Only a point checked against every constraint answers `true`, and a
+/// system with an integer point is one no sound stage — full FM included —
+/// can prove empty, so the rung moves no `prove_empty` answer; it only
+/// spares the elimination.  Each variable with a unit bound (`box_bounds`)
+/// starts at a corner of the box: first the corner its coefficients pull
+/// toward, then all-low, then all-high.  [`witness_from`] solves the rest.
+/// Arithmetic is checked `i128`; an overflow abandons the search.
+fn integer_witness(live: &[&Constraint], box_bounds: &UnitBox) -> bool {
+    let vars = witness_vars(live, box_bounds);
+    let mut tried: Vec<Vec<Option<i128>>> = Vec::new();
+    for corner in [Corner::Pulled, Corner::Low, Corner::High] {
+        let start: Vec<Option<i128>> = vars.iter().map(|w| w.start(corner)).collect();
+        if tried.contains(&start) {
+            continue;
+        }
+        match witness_from(live, &vars, start.clone()) {
+            Ok(true) => return true,
+            Ok(false) => tried.push(start),
+            Err(Overflow) => return false,
+        }
+    }
+    false
+}
+
+/// The variables of `live`, in order of first mention, with their unit
+/// bounds and pulls.
+fn witness_vars(live: &[&Constraint], box_bounds: &UnitBox) -> Vec<WitnessVar> {
+    let mut vars: Vec<WitnessVar> = Vec::new();
+    for c in live {
+        let multi = c.expr.num_vars() > 1;
+        for (v, a) in c.expr.terms() {
+            let i = match vars.iter().position(|w| w.var == v) {
+                Some(i) => i,
+                None => {
+                    let (lo, hi) = box_of(box_bounds, v);
+                    vars.push(WitnessVar {
+                        var: v,
+                        lo,
+                        hi,
+                        pull: 0,
+                    });
+                    vars.len() - 1
+                }
+            };
+            if multi {
+                vars[i].pull += a.signum();
+            }
+        }
+    }
+    vars
+}
+
+/// Complete `point` (indexed like `vars`; the variables without a unit
+/// bound unset) and check it against every constraint of `live`.
+///
+/// Each unset variable is solved in turn: the ceiling of its tightest lower
+/// bound among the constraints whose other variables are already set, else
+/// the floor of its tightest upper bound.  When no unset variable has such
+/// a constraint, the first one is set to 0.
+fn witness_from(
+    live: &[&Constraint],
+    vars: &[WitnessVar],
+    mut point: Vec<Option<i128>>,
+) -> Result<bool, Overflow> {
+    while let Some(first) = point.iter().position(Option::is_none) {
+        let mut progressed = false;
+        for i in first..point.len() {
+            if point[i].is_some() {
+                continue;
+            }
+            let v = vars[i].var;
+            let mut lower: Option<i128> = None;
+            let mut upper: Option<i128> = None;
+            for c in live {
+                let a = i128::from(c.expr.coef(v));
+                if a == 0 {
+                    continue;
+                }
+                let Some(rest) = eval_point(c, Some(v), vars, &point)? else {
+                    continue;
+                };
+                // a·v + rest >= 0 (or == 0) reads |a|·v >= n when a > 0,
+                // |a|·v <= n when a < 0 (both for an equality).
+                let n = if a > 0 {
+                    rest.checked_neg()
+                } else {
+                    Some(rest)
+                };
+                let n = n.ok_or(Overflow)?;
+                let d = a.abs();
+                let floor = n.div_euclid(d);
+                let eq = c.kind == ConstraintKind::EqZero;
+                if a > 0 || eq {
+                    let ceil = floor + i128::from(n.rem_euclid(d) != 0);
+                    lower = Some(lower.map_or(ceil, |x| x.max(ceil)));
+                }
+                if a < 0 || eq {
+                    upper = Some(upper.map_or(floor, |x| x.min(floor)));
+                }
+            }
+            if let Some(x) = lower.or(upper) {
+                point[i] = Some(x);
+                progressed = true;
+            }
+        }
+        if !progressed {
+            point[first] = Some(0);
+        }
+    }
+    for c in live {
+        let value = eval_point(c, None, vars, &point)?.expect("every variable is set");
+        let holds = match c.kind {
+            ConstraintKind::GeqZero => value >= 0,
+            ConstraintKind::EqZero => value == 0,
+        };
+        if !holds {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
+/// The value of `c`'s expression at `point`, leaving out the `skip` term;
+/// `Ok(None)` when another of its variables is unset.
+fn eval_point(
+    c: &Constraint,
+    skip: Option<Var>,
+    vars: &[WitnessVar],
+    point: &[Option<i128>],
+) -> Result<Option<i128>, Overflow> {
+    let mut acc = i128::from(c.expr.constant_part());
+    for (v, a) in c.expr.terms() {
+        if Some(v) == skip {
+            continue;
+        }
+        let i = vars
+            .iter()
+            .position(|w| w.var == v)
+            .expect("every variable of a live constraint is indexed");
+        let Some(x) = point[i] else {
+            return Ok(None);
+        };
+        let term = i128::from(a).checked_mul(x).ok_or(Overflow)?;
+        acc = acc.checked_add(term).ok_or(Overflow)?;
+    }
+    Ok(Some(acc))
 }
 
 static GCD_REJECTS: AtomicU64 = AtomicU64::new(0);
 static INTERVAL_REJECTS: AtomicU64 = AtomicU64::new(0);
 static QUICK_SATS: AtomicU64 = AtomicU64::new(0);
+static WITNESS_SATS: AtomicU64 = AtomicU64::new(0);
 static FM_RUNS: AtomicU64 = AtomicU64::new(0);
 static APPROXIMATIONS: AtomicU64 = AtomicU64::new(0);
 static SUBSCRIPT_REJECTS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static DISJUNCT_WIDENINGS: AtomicU64 = AtomicU64::new(0);
+pub(crate) static SUBTRACT_GIVEUPS: AtomicU64 = AtomicU64::new(0);
 
 /// Process-wide kernel counters: how each `prove_empty` query was resolved,
-/// plus how often the constraint budget forced an approximation.
+/// plus how often a budget forced an approximation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PolyStats {
     /// Queries resolved empty by the GCD/modular-interval stage, without
     /// eliminating a single variable.
     pub gcd_rejects: u64,
-    /// Queries resolved empty by the Banerjee-style interval stage.
+    /// Queries resolved empty by the pairwise-contradiction or the
+    /// Banerjee-style interval stage.
     pub interval_rejects: u64,
-    /// Queries resolved definitely-satisfiable by one-sided dissolution.
+    /// Queries resolved definitely-satisfiable without elimination, by
+    /// one-sided dissolution or a verified integer witness.
     pub quick_sats: u64,
+    /// The part of `quick_sats` settled by a verified integer witness.
+    pub witness_sats: u64,
     /// Queries that fell through to full Fourier–Motzkin elimination.
     pub fm_runs: u64,
     /// Constraints dropped because a system stayed over `MAX_CONSTRAINTS`
     /// even after simplification (the polyhedron became approximate).
     pub approximations: u64,
+    /// Sets collapsed to an approximate universe because they would have
+    /// held more than `MAX_DISJUNCTS` disjuncts.
+    pub disjunct_widenings: u64,
+    /// Minuend disjuncts `PolySet::subtract` kept unchanged because a test
+    /// budget, the work budget or the piece count ran out.
+    pub subtract_giveups: u64,
     /// Dependence pair tests resolved disjoint by the subscript-level
     /// GCD/Banerjee quick test, before any joint system was even built.
     pub subscript_rejects: u64,
@@ -1204,8 +1439,13 @@ impl PolyStats {
             gcd_rejects: self.gcd_rejects.wrapping_sub(earlier.gcd_rejects),
             interval_rejects: self.interval_rejects.wrapping_sub(earlier.interval_rejects),
             quick_sats: self.quick_sats.wrapping_sub(earlier.quick_sats),
+            witness_sats: self.witness_sats.wrapping_sub(earlier.witness_sats),
             fm_runs: self.fm_runs.wrapping_sub(earlier.fm_runs),
             approximations: self.approximations.wrapping_sub(earlier.approximations),
+            disjunct_widenings: self
+                .disjunct_widenings
+                .wrapping_sub(earlier.disjunct_widenings),
+            subtract_giveups: self.subtract_giveups.wrapping_sub(earlier.subtract_giveups),
             subscript_rejects: self
                 .subscript_rejects
                 .wrapping_sub(earlier.subscript_rejects),
@@ -1219,8 +1459,11 @@ pub fn poly_stats() -> PolyStats {
         gcd_rejects: GCD_REJECTS.load(Ordering::Relaxed),
         interval_rejects: INTERVAL_REJECTS.load(Ordering::Relaxed),
         quick_sats: QUICK_SATS.load(Ordering::Relaxed),
+        witness_sats: WITNESS_SATS.load(Ordering::Relaxed),
         fm_runs: FM_RUNS.load(Ordering::Relaxed),
         approximations: APPROXIMATIONS.load(Ordering::Relaxed),
+        disjunct_widenings: DISJUNCT_WIDENINGS.load(Ordering::Relaxed),
+        subtract_giveups: SUBTRACT_GIVEUPS.load(Ordering::Relaxed),
         subscript_rejects: SUBSCRIPT_REJECTS.load(Ordering::Relaxed),
     }
 }
@@ -1498,5 +1741,90 @@ mod tests {
             Constraint::lt(&i1, &i2),
         ]);
         assert!(!q.prove_empty());
+    }
+
+    /// `lo <= e <= hi`.
+    fn between(e: &LinExpr, lo: i64, hi: i64) -> [Constraint; 2] {
+        [
+            Constraint::geq(e, &LinExpr::constant(lo)),
+            Constraint::leq(e, &LinExpr::constant(hi)),
+        ]
+    }
+
+    /// The witness search's answer from one corner of `p`'s box.
+    fn witness_at(p: &Polyhedron, corner: Corner) -> Option<bool> {
+        let live: Vec<&Constraint> = p.constraints().iter().collect();
+        let vars = witness_vars(&live, &p.unit_box());
+        let start = vars.iter().map(|w| w.start(corner)).collect();
+        witness_from(&live, &vars, start).ok()
+    }
+
+    #[test]
+    fn witness_follows_the_pull_when_both_uniform_corners_fail() {
+        // 1 <= a, b <= 12, b - a - 1 >= 0: a is pulled low, b high.
+        let p = Polyhedron::from_constraints(
+            between(&x(), 1, 12)
+                .into_iter()
+                .chain(between(&y(), 1, 12))
+                .chain([Constraint::geq0(y().sub(&x()).offset(-1))]),
+        );
+        assert_eq!(witness_at(&p, Corner::Low), Some(false));
+        assert_eq!(witness_at(&p, Corner::High), Some(false));
+        assert_eq!(witness_at(&p, Corner::Pulled), Some(true));
+        assert!(matches!(p.interval_stage(), IntervalVerdict::Witness));
+        assert!(!p.prove_empty());
+    }
+
+    #[test]
+    fn witness_solves_a_variable_without_unit_bounds() {
+        // 13s - 12 <= d <= 13s, 1 <= s <= 10: the band of a linearized
+        // 2-D subscript; d has no unit bound and is solved from s.
+        let d = LinExpr::var(Var::Dim(0));
+        let s13 = x().scale(13);
+        let p = Polyhedron::from_constraints(between(&x(), 1, 10).into_iter().chain([
+            Constraint::geq(&d, &s13.offset(-12)),
+            Constraint::leq(&d, &s13),
+        ]));
+        assert_eq!(witness_at(&p, Corner::Pulled), Some(true));
+        assert!(matches!(p.interval_stage(), IntervalVerdict::Witness));
+        assert!(!p.prove_empty());
+    }
+
+    #[test]
+    fn witness_gives_up_on_overflow_without_panicking() {
+        // At the pulled (high) corner M·x + M·y + (M-1)·z overflows i128.
+        let m = i64::MAX;
+        let z = LinExpr::var(s(2));
+        let sum = x().scale(m).add(&y().scale(m)).add(&z.scale(m - 1));
+        let p = Polyhedron::from_constraints(
+            between(&x(), 1, m)
+                .into_iter()
+                .chain(between(&y(), 1, m))
+                .chain(between(&z, 1, m))
+                .chain([Constraint::geq0(sum.offset(-1))]),
+        );
+        assert_eq!(witness_at(&p, Corner::Pulled), None);
+        let live: Vec<&Constraint> = p.constraints().iter().collect();
+        assert!(!integer_witness(&live, &p.unit_box()));
+        assert!(!matches!(p.interval_stage(), IntervalVerdict::Witness));
+        p.prove_empty();
+    }
+
+    #[test]
+    fn integrally_empty_systems_get_no_witness() {
+        // 3x + 5y == 4 (as two inequalities) over 0 <= x, y <= 1: the
+        // rational solution x = 1, y = 1/5 has no integer neighbour.
+        let e = x().scale(3).add(&y().scale(5));
+        let p = Polyhedron::from_constraints(
+            between(&x(), 0, 1)
+                .into_iter()
+                .chain(between(&y(), 0, 1))
+                .chain(between(&e, 4, 4)),
+        );
+        assert!(!p.is_proven_empty());
+        for corner in [Corner::Pulled, Corner::Low, Corner::High] {
+            assert_eq!(witness_at(&p, corner), Some(false));
+        }
+        assert!(matches!(p.interval_stage(), IntervalVerdict::Unknown));
     }
 }

@@ -3,10 +3,11 @@
 
 use crate::constraint::{fnv, Constraint, FNV_OFFSET};
 use crate::expr::{LinExpr, Var};
-use crate::polyhedron::Polyhedron;
+use crate::polyhedron::{Polyhedron, DISJUNCT_WIDENINGS, SUBTRACT_GIVEUPS};
 use crate::{subtract_test_budget, MAX_DISJUNCTS, SUBTRACT_WORK_BUDGET};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 /// A union (disjunction) of convex polyhedra.
@@ -204,6 +205,7 @@ impl PolySet {
                 if tests_left <= 0
                     || p.num_constraints() * sub.num_constraints() > SUBTRACT_WORK_BUDGET
                 {
+                    SUBTRACT_GIVEUPS.fetch_add(1, Ordering::Relaxed);
                     approx = true;
                     next.push(p.clone());
                     continue;
@@ -229,6 +231,7 @@ impl PolySet {
                     }
                 }
                 if blown {
+                    SUBTRACT_GIVEUPS.fetch_add(1, Ordering::Relaxed);
                     approx = true;
                     next.push(p.clone()); // sound over-approximation
                 } else {
@@ -350,6 +353,7 @@ fn push_disjunct(disjuncts: &mut Vec<Polyhedron>, approximate: &mut bool, p: Pol
     if disjuncts.len() >= MAX_DISJUNCTS {
         // Sound widening for may-sets: collapse to the universe over the
         // same variables (keep a single approximate universe disjunct).
+        DISJUNCT_WIDENINGS.fetch_add(1, Ordering::Relaxed);
         disjuncts.clear();
         let mut top = Polyhedron::universe();
         top.mark_approximate();

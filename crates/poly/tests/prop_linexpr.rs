@@ -251,15 +251,78 @@ proptest! {
     fn staged_prove_empty_agrees_with_legacy_kernel(
         cs in prop::collection::vec(constraint(), 0..6),
     ) {
-        let p = Polyhedron::from_constraints(cs);
-        let legacy = legacy_kernel::prove_empty_of(&p);
-        let staged = p.prove_empty();
-        if staged != legacy {
-            prop_assert!(
-                grid_clean(&p),
-                "kernels diverge (staged={}, legacy={}) on a non-empty system {}",
-                staged, legacy, p
-            );
+        agrees_with_legacy_kernel(cs)?;
+    }
+}
+
+/// The agreement rule of `staged_prove_empty_agrees_with_legacy_kernel`.
+fn agrees_with_legacy_kernel(cs: Vec<Constraint>) -> Result<(), TestCaseError> {
+    let p = Polyhedron::from_constraints(cs);
+    let legacy = legacy_kernel::prove_empty_of(&p);
+    let staged = p.prove_empty();
+    if staged != legacy {
+        prop_assert!(
+            grid_clean(&p),
+            "kernels diverge (staged={}, legacy={}) on a non-empty system {}",
+            staged,
+            legacy,
+            p
+        );
+    }
+    Ok(())
+}
+
+// The three shapes the integer-witness rung meets in real dependence
+// systems, over the grid's variables: unit bounds, differences, and the
+// `d - c·s` bands of linearized multi-dimensional subscripts.
+
+/// `lo <= v` and `v <= hi` for each grid variable, either side sometimes
+/// missing.
+fn unit_bounds() -> impl Strategy<Value = Vec<Constraint>> {
+    prop::collection::vec((0i64..3, -8i64..=8, -8i64..=8), 3).prop_map(|bounds| {
+        let mut cs = Vec::new();
+        for (i, &(sides, lo, hi)) in bounds.iter().enumerate() {
+            let v = LinExpr::var(VARS[i]);
+            if sides != 1 {
+                cs.push(Constraint::geq(&v, &LinExpr::constant(lo)));
+            }
+            if sides != 2 {
+                cs.push(Constraint::leq(&v, &LinExpr::constant(hi)));
+            }
         }
+        cs
+    })
+}
+
+/// `x - y + k >= 0`.
+fn difference() -> impl Strategy<Value = Vec<Constraint>> {
+    (0usize..3, 0usize..3, -8i64..=8).prop_map(|(x, y, k)| {
+        let e = LinExpr::var(VARS[x]).sub(&LinExpr::var(VARS[y]));
+        vec![Constraint::geq0(e.offset(k))]
+    })
+}
+
+/// `d - c·s + k >= 0` and `-d + c·s + k' >= 0`.
+fn band() -> impl Strategy<Value = Vec<Constraint>> {
+    (0usize..3, 0usize..3, 2i64..16, -16i64..=16, -16i64..=16).prop_map(|(d, s, c, k, k2)| {
+        let e = LinExpr::var(VARS[d]).sub(&LinExpr::term(VARS[s], c));
+        vec![
+            Constraint::geq0(e.offset(k)),
+            Constraint::geq0(e.scale(-1).offset(k2)),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The agreement rule on box-bounded systems of difference and band
+    /// constraints, where the witness rung does most of its work.
+    #[test]
+    fn staged_prove_empty_agrees_with_legacy_kernel_on_witness_shapes(
+        bounds in unit_bounds(),
+        shapes in prop::collection::vec(prop_oneof![difference(), band()], 1..4),
+    ) {
+        agrees_with_legacy_kernel(bounds.into_iter().chain(shapes.into_iter().flatten()).collect())?;
     }
 }

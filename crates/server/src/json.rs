@@ -4,10 +4,17 @@
 //! daemon uses this small hand-rolled implementation. It supports the full
 //! JSON grammar except that numbers are kept as `f64` (integral values are
 //! serialized without a fractional part) and object keys keep first-wins
-//! semantics on duplicates.
+//! semantics on duplicates.  Arrays and objects nest at most [`MAX_DEPTH`]
+//! deep: the parser is recursive, and a request line of a few hundred
+//! kilobytes of `[` would otherwise overflow the stack of the thread reading
+//! it and abort the daemon.
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts.  A request nests
+/// four levels at most (`batch` → `requests` → `corpus` → `programs`).
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -87,7 +94,11 @@ impl Json {
 
     /// Parse a complete JSON document from `text`.
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser { text, pos: 0 };
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -170,6 +181,8 @@ impl fmt::Display for ParseError {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -211,11 +224,22 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object with `f`, one level deeper.
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, ParseError>) -> Result<Json, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, ParseError> {
@@ -379,6 +403,17 @@ mod tests {
         );
         assert_eq!(Json::parse(r#""\u12é""#).unwrap_err().msg, "bad \\u escape");
         assert_eq!(Json::parse("\"abc").unwrap_err().msg, "unterminated string");
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&deep(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&deep(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.pos, err.msg), (MAX_DEPTH, "nesting too deep"));
+        // A line of brackets far past any stack, objects interleaved.
+        let bomb = r#"{"a":["#.repeat(200_000);
+        assert_eq!(Json::parse(&bomb).unwrap_err().msg, "nesting too deep");
     }
 
     /// String parsing is linear in the document: a 2 MB string value and a

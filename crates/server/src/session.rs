@@ -693,17 +693,20 @@ impl Session {
 
     /// The polyhedral-kernel staged-test counters (`PolyStats`) of the most
     /// recent analysis: per-stage rejects/sats, full Fourier–Motzkin runs,
-    /// and approximation (constraint-drop) events.  Shared by `stats` and
-    /// `certify` responses.
+    /// and the approximation events (constraint drops, disjunct widenings,
+    /// subtraction give-ups).  Shared by `stats` and `certify` responses.
     fn poly_json(&self) -> Json {
         let p = &self.last_stats.poly;
         Json::obj([
             ("gcd_rejects", Json::int(p.gcd_rejects as i64)),
             ("interval_rejects", Json::int(p.interval_rejects as i64)),
             ("quick_sats", Json::int(p.quick_sats as i64)),
+            ("witness_sats", Json::int(p.witness_sats as i64)),
             ("fm_runs", Json::int(p.fm_runs as i64)),
             ("subscript_rejects", Json::int(p.subscript_rejects as i64)),
             ("approximations", Json::int(p.approximations as i64)),
+            ("disjunct_widenings", Json::int(p.disjunct_widenings as i64)),
+            ("subtract_giveups", Json::int(p.subtract_giveups as i64)),
         ])
     }
 

@@ -113,6 +113,28 @@ fn daemon_protocol_round_trip() {
     assert_eq!(execute_row(&r), (1, 0, 0));
     let (first_ops, reused) = execution(&r);
     assert!(first_ops > 0 && !reused, "{r}");
+    // The opening analysis's kernel counters, the approximation events
+    // among them; witness hits are a part of the quick satisfiability
+    // answers.
+    let poly = r
+        .get("poly")
+        .unwrap_or_else(|| panic!("no poly object: {r}"));
+    let counter = |k: &str| {
+        let n = poly.get(k).and_then(Json::as_i64);
+        n.unwrap_or_else(|| panic!("no poly.{k}: {poly}"))
+    };
+    for k in [
+        "gcd_rejects",
+        "interval_rejects",
+        "fm_runs",
+        "subscript_rejects",
+        "approximations",
+        "disjunct_widenings",
+        "subtract_giveups",
+    ] {
+        counter(k);
+    }
+    assert!(counter("witness_sats") <= counter("quick_sats"), "{poly}");
 
     // Analyze: both loops parallel.
     let r = c.request(r#"{"cmd":"analyze"}"#);

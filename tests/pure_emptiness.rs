@@ -46,16 +46,24 @@ fn a_second_analysis_repeats_every_proof_of_the_first() {
         programs.push((minif_gen::name_for_seed(seed), program));
     }
 
-    let mut proofs = 0;
+    let (mut proofs, mut fm_runs) = (0, 0);
     for (name, program) in &programs {
         let (first, first_work) = analyze(program);
         let (second, second_work) = analyze(program);
         assert_eq!(first, second, "{name}: verdicts");
         assert_eq!(first_work, second_work, "{name}: kernel work");
+        assert!(first_work.witness_sats <= first_work.quick_sats, "{name}");
         proofs += first_work.fm_runs + first_work.quick_sats + first_work.interval_rejects;
+        fm_runs += first_work.fm_runs;
     }
     assert!(
         proofs > 10_000,
         "the programs ask real questions ({proofs})"
+    );
+    // The integer-witness rung settles almost every satisfiable system
+    // before elimination.
+    assert!(
+        fm_runs * 100 <= proofs * 15,
+        "{fm_runs} of {proofs} proofs ran Fourier–Motzkin"
     );
 }
