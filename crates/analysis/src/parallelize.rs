@@ -280,8 +280,6 @@ pub struct AnalyzeStats {
     pub facts_computed: u64,
     /// Facts served from the store this run.
     pub facts_reused: u64,
-    /// Facts that deduped against an in-flight computation this run.
-    pub facts_deduped: u64,
     /// Facts served from the process-wide shared tier this run
     /// ([`PassMetrics::shared`] deltas).
     pub facts_shared: u64,
@@ -336,14 +334,12 @@ impl AnalyzeStats {
             after.invocations - before.invocations,
             after.reused - before.reused,
         );
-        let deduped = after.deduped - before.deduped;
         let shared = after.shared - before.shared;
-        if invocations == 0 && reused == 0 && deduped == 0 && shared == 0 {
+        if invocations == 0 && reused == 0 && shared == 0 {
             return;
         }
         self.facts_computed += invocations;
         self.facts_reused += reused;
-        self.facts_deduped += deduped;
         self.facts_shared += shared;
         self.passes.push(PassStat {
             pass,

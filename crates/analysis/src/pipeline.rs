@@ -1,4 +1,4 @@
-//! The demand-driven pass pipeline: a [`Pass`] trait plus a concurrent,
+//! The demand-driven pass pipeline: a [`Pass`] trait plus a per-session,
 //! region-granular [`FactStore`], and the [`ExecutorService`] command pool.
 //!
 //! Every analysis driver (summaries, liveness, per-loop carried-dependence
@@ -19,25 +19,16 @@
 //!    that transitively depends on it, so the next demand recomputes exactly
 //!    the dirty cone.
 //!
-//! # Concurrency
+//! # One session, one thread
 //!
-//! The store is sharded: a fact key hashes to one of [`SHARD_COUNT`] shards,
-//! each an independently locked map, so demands of unrelated facts never
-//! contend.  Each entry carries an explicit state machine:
-//!
-//! ```text
-//! Absent ──claim──▶ Running ──store──▶ Ready {valid, hash}
-//!                      ▲                   │
-//!                      └──stale/invalid────┘
-//! ```
-//!
-//! Concurrent demands of the *same* key dedup in flight: the first thread
-//! claims the `Running` slot and computes; the rest block on the shard's
-//! condvar and share the finished `Arc` (counted in [`PassMetrics::deduped`],
-//! with blocked time in [`PassMetrics::wait_secs`]).  An invalidation that
-//! arrives while the entry is `Running` marks the claim, and the runner
-//! stores its result already-dirty — the runner's own caller still gets the
-//! value it asked for, but no later demand is served the stale fact.
+//! A store belongs to one session (or one `corpus` job), and a session runs
+//! one request at a time on one thread.  So the store is one map behind one
+//! lock, and a demand is: lock, look up (reuse, or the shared tier); unlock;
+//! run the pass; lock, insert.  The lock is never held across a run, since
+//! a pass demands its own inputs.  It exists only because a session moves
+//! between pool workers and the Explorer shares the store by `Arc`, so the
+//! store must be `Sync`; nothing contends for it.  Threads meet only in the
+//! [`SharedFactTier`], which keeps its shards.
 //!
 //! Facts are stored as `Arc<dyn Any>` so heterogeneous pass outputs share
 //! one map; [`FactStore::demand`] downcasts back to the pass's typed output.
@@ -45,10 +36,10 @@
 //! and reloads of one daemon session.
 
 use crate::tier::SharedFactTier;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 use suif_ir::{ProcId, StmtId};
@@ -163,23 +154,20 @@ pub struct PassMetrics {
     pub invocations: u64,
     /// Demands answered by a valid, hash-matching entry.
     pub reused: u64,
-    /// Demands that found the fact `Running` and shared the in-flight
-    /// result instead of recomputing it.
-    pub deduped: u64,
     /// Demands answered from the process-wide [`SharedFactTier`] (another
     /// session computed the fact under the same content hash).
     pub shared: u64,
     /// Total seconds inside [`Pass::run`], less the nested runs of the
     /// facts it demanded (each counted once, under its own pass).
     pub secs: f64,
-    /// Total seconds demands spent blocked on in-flight computations.
-    pub wait_secs: f64,
 }
 
 struct FactEntry {
     hash: u128,
     value: Arc<dyn Any + Send + Sync>,
     deps: Vec<FactKey>,
+    /// Cleared by invalidation.  An invalid entry under an unchanged hash
+    /// is a tombstone: it pins its key tier-bypassed until the hash moves.
     valid: bool,
     /// Approximate resident bytes of `value` (budget accounting).
     bytes: usize,
@@ -207,75 +195,85 @@ pub struct ExportedFact {
     pub value: Arc<dyn Any + Send + Sync>,
 }
 
-/// Entry state machine: `Absent` is represented by the key missing from the
-/// shard map entirely.
-enum Slot {
-    /// A thread is computing this fact; `invalidated` records an
-    /// invalidation that arrived mid-run so the result is stored dirty.
-    Running { invalidated: bool },
-    /// The fact is stored (possibly dirty or stale-hashed).
-    Ready(FactEntry),
-}
-
-/// Number of independently locked shards in the store.
-pub const SHARD_COUNT: usize = 16;
-
+/// Everything a [`FactStore`] holds, behind its one lock.
 #[derive(Default)]
-struct Shard {
-    slots: Mutex<HashMap<FactKey, Slot>>,
-    ready: Condvar,
+struct StoreState {
+    facts: HashMap<FactKey, FactEntry>,
+    metrics: BTreeMap<PassId, PassMetrics>,
+    /// When set, only the assertion-independent passes (`Summarize`,
+    /// `Liveness`, `Deps`) are published to the tier; everything else stays
+    /// in the session-private overlay (see [`FactStore::set_assert_local`]).
+    assert_local: bool,
+    /// Session id credited for tier publishes (fairness accounting);
+    /// `0` until [`FactStore::set_owner`] is called.
+    owner: u64,
+    /// Approximate byte budget for resident facts; `0` = unbounded.
+    budget: usize,
+    /// Approximate resident bytes of `facts`.
+    resident: usize,
+    /// The keys of `facts`, in the order the eviction sweep visits them:
+    /// its clock hand is the front.
+    clock: VecDeque<FactKey>,
+    evicted: u64,
+    evicted_bytes: u64,
 }
 
-/// A memoizing, concurrency-safe store of analysis facts keyed by
-/// `(pass, scope)`.  See the module docs for the entry state machine.
+impl StoreState {
+    /// Insert (or replace) one entry, keeping `resident` and `clock` in step.
+    fn insert(&mut self, key: FactKey, entry: FactEntry) {
+        self.resident += entry.bytes;
+        match self.facts.insert(key, entry) {
+            Some(prev) => self.resident -= prev.bytes,
+            None => self.clock.push_back(key),
+        }
+    }
+
+    /// Second-chance sweep: while over budget, take keys off the clock
+    /// hand (at most two laps), sparing entries referenced since the last
+    /// visit and dropping cold ones; every key spared goes to the back.
+    /// Invalid entries are never touched — a fact invalidated under an
+    /// unchanged hash is a tombstone pinning its key tier-bypassed, and
+    /// evicting it would let the next demand trust the tier again.
+    fn evict_over_budget(&mut self) {
+        let budget = self.budget;
+        let mut visits = 2 * self.clock.len();
+        while budget != 0 && self.resident > budget && visits > 0 {
+            visits -= 1;
+            let Some(key) = self.clock.pop_front() else {
+                return;
+            };
+            let e = self.facts.get_mut(&key).expect("every clock key is stored");
+            if !e.valid || std::mem::take(&mut e.referenced) {
+                self.clock.push_back(key);
+                continue;
+            }
+            let bytes = e.bytes;
+            self.facts.remove(&key);
+            self.resident -= bytes;
+            self.evicted += 1;
+            self.evicted_bytes += bytes as u64;
+        }
+    }
+}
+
+/// A memoizing store of analysis facts keyed by `(pass, scope)`, owned by
+/// one session.  See the module docs for why it is one locked map.
 ///
 /// Built with [`FactStore::with_shared`], the store becomes a thin
 /// *overlay* over a process-wide [`SharedFactTier`]: a local miss consults
 /// the tier by `(pass, input-hash)` before computing, and a locally
 /// computed clean fact is published back so other sessions (other overlay
 /// stores over the same tier) never recompute it.  Invalidation stays
-/// strictly local: [`FactStore::invalidate`] dirties overlay slots only,
+/// strictly local: [`FactStore::invalidate`] dirties overlay entries only,
 /// and a fact invalidated under an *unchanged* hash additionally pins that
 /// key tier-bypassed (and unpublishable) — the event was not captured by
 /// the hash, so the tier copy cannot be trusted for it either.
+#[derive(Default)]
 pub struct FactStore {
-    shards: Vec<Shard>,
-    metrics: Mutex<BTreeMap<PassId, PassMetrics>>,
+    state: Mutex<StoreState>,
     /// The process-wide content-addressed tier under this overlay (multi-
     /// tenant daemon); `None` for a self-contained store.
     shared: Option<Arc<SharedFactTier>>,
-    /// When set, only the assertion-independent passes (`Summarize`,
-    /// `Liveness`, `Deps`) are published to the tier; everything else stays
-    /// in the session-private overlay (see [`FactStore::set_assert_local`]).
-    assert_local: AtomicBool,
-    /// Session id credited for tier publishes (fairness accounting);
-    /// `0` until [`FactStore::set_owner`] is called.
-    owner: AtomicU64,
-    /// Approximate byte budget for resident facts; `0` = unbounded.
-    budget: AtomicUsize,
-    /// Approximate resident bytes across all shards.
-    resident: AtomicUsize,
-    /// Clock hand of the second-chance eviction sweep (a shard index).
-    clock: AtomicUsize,
-    evicted: AtomicU64,
-    evicted_bytes: AtomicU64,
-}
-
-impl Default for FactStore {
-    fn default() -> FactStore {
-        FactStore {
-            shards: (0..SHARD_COUNT).map(|_| Shard::default()).collect(),
-            metrics: Mutex::new(BTreeMap::new()),
-            shared: None,
-            assert_local: AtomicBool::new(false),
-            owner: AtomicU64::new(0),
-            budget: AtomicUsize::new(0),
-            resident: AtomicUsize::new(0),
-            clock: AtomicUsize::new(0),
-            evicted: AtomicU64::new(0),
-            evicted_bytes: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Byte-accounting snapshot of one [`FactStore`] (the daemon's
@@ -290,23 +288,6 @@ pub struct StoreByteStats {
     pub evicted: u64,
     /// Approximate bytes reclaimed by eviction.
     pub evicted_bytes: u64,
-}
-
-fn shard_index(key: &FactKey) -> usize {
-    // FNV-1a over the key's discriminants; cheap and well-spread for the
-    // small id spaces involved.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |b: u64| {
-        h ^= b;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    eat(key.pass as u64);
-    match key.scope {
-        Scope::Program => eat(u64::MAX),
-        Scope::Proc(p) => eat(0x1_0000_0000 | p.0 as u64),
-        Scope::Loop(s) => eat(0x2_0000_0000 | s.0 as u64),
-    }
-    (h as usize) % SHARD_COUNT
 }
 
 std::thread_local! {
@@ -326,28 +307,6 @@ fn exclusive_secs<R>(run: impl FnOnce() -> R) -> (R, f64) {
     let total = t0.elapsed().as_secs_f64();
     let nested = NESTED_RUN_SECS.with(|n| n.replace(outer + total));
     (out, total - nested)
-}
-
-/// Removes an abandoned `Running` claim if the pass panics or fails
-/// ([`FactStore::try_demand`]), so blocked waiters retry instead of
-/// deadlocking.
-struct RunClaim<'a> {
-    shard: &'a Shard,
-    key: FactKey,
-    armed: bool,
-}
-
-impl Drop for RunClaim<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut slots = self.shard.slots.lock();
-            if matches!(slots.get(&self.key), Some(Slot::Running { .. })) {
-                slots.remove(&self.key);
-            }
-            drop(slots);
-            self.shard.ready.notify_all();
-        }
-    }
 }
 
 impl FactStore {
@@ -374,15 +333,16 @@ impl FactStore {
     /// Tag tier publishes from this store with the owning session's id
     /// (drives the tier's per-session accounting and eviction fairness).
     pub fn set_owner(&self, session_id: u64) {
-        self.owner.store(session_id, Ordering::Relaxed);
+        self.state.lock().owner = session_id;
     }
 
     /// Set (or clear, with `None`) the approximate byte budget for resident
     /// facts.  Over-budget demands trigger a second-chance eviction sweep
-    /// of cold `Ready` entries.
+    /// of cold entries.
     pub fn set_budget(&self, budget: Option<usize>) {
-        self.budget.store(budget.unwrap_or(0), Ordering::Relaxed);
-        self.maybe_evict();
+        let mut st = self.state.lock();
+        st.budget = budget.unwrap_or(0);
+        st.evict_over_budget();
     }
 
     /// Mark this store assertion-tainted (or clean again): while set, only
@@ -394,29 +354,24 @@ impl FactStore {
     /// fold resolved assertion marks into their input hashes, so a hash
     /// match is a semantic match.
     pub fn set_assert_local(&self, tainted: bool) {
-        self.assert_local.store(tainted, Ordering::Relaxed);
+        self.state.lock().assert_local = tainted;
     }
 
     /// Byte-accounting counters (resident bytes, budget, evictions).
     pub fn byte_stats(&self) -> StoreByteStats {
-        let budget = self.budget.load(Ordering::Relaxed);
+        let st = self.state.lock();
         StoreByteStats {
-            resident_bytes: self.resident.load(Ordering::Relaxed) as u64,
-            budget: (budget != 0).then_some(budget as u64),
-            evicted: self.evicted.load(Ordering::Relaxed),
-            evicted_bytes: self.evicted_bytes.load(Ordering::Relaxed),
+            resident_bytes: st.resident as u64,
+            budget: (st.budget != 0).then_some(st.budget as u64),
+            evicted: st.evicted,
+            evicted_bytes: st.evicted_bytes,
         }
     }
 
-    fn shard(&self, key: &FactKey) -> &Shard {
-        &self.shards[shard_index(key)]
-    }
-
-    /// Demand a fact: reuse a valid entry whose input hash matches, share an
-    /// in-flight computation of the same key, consult the process-wide
-    /// [`SharedFactTier`] (if the store was built with
-    /// [`FactStore::with_shared`]), or claim the entry and run the pass,
-    /// recording its output (with dependency edges).
+    /// Demand a fact: reuse a valid entry whose input hash matches, consult
+    /// the process-wide [`SharedFactTier`] (if the store was built with
+    /// [`FactStore::with_shared`]), or run the pass, recording its output
+    /// (with dependency edges).
     pub fn demand<P: Pass>(&self, pass: &P) -> Arc<P::Output> {
         let done: Result<_, std::convert::Infallible> = self.demand_with(pass, || Ok(pass.run()));
         match done {
@@ -428,7 +383,7 @@ impl FactStore {
     /// [`FactStore::demand`] for a pass whose computation can fail (its
     /// output is a `Result`): the fact is the `Ok` value.  A failed run goes
     /// back to this demander alone — nothing is stored, published or
-    /// exported, the claim is released, and the next demand runs again.
+    /// exported, and the next demand runs again.
     pub fn try_demand<P, T, E>(&self, pass: &P) -> Result<Arc<T>, E>
     where
         P: Pass<Output = Result<T, E>>,
@@ -444,218 +399,101 @@ impl FactStore {
     ) -> Result<Arc<T>, E> {
         let key = pass.key();
         let hash = pass.input_hash();
-        let shard = self.shard(&key);
-        let mut wait_start: Option<Instant> = None;
         // Whether the shared tier may serve (and later receive) this fact.
         // A local entry invalidated under this *same* hash means the
         // invalidation event was not captured by the hash — the tier's copy
         // under that hash is equally untrustworthy, so bypass it and keep
-        // the recomputed value out of it.
-        let tier_allowed;
-        let mut slots = shard.slots.lock();
-        loop {
-            if matches!(slots.get(&key), Some(Slot::Running { .. })) {
-                wait_start.get_or_insert_with(Instant::now);
-                shard.ready.wait(&mut slots);
-                continue;
-            }
-            match slots.get_mut(&key) {
-                Some(Slot::Ready(e)) if e.valid && e.hash == hash => {
+        // the recomputed value out of it.  A stale hash (the program
+        // changed under the key) or no entry at all leaves the tier sound.
+        let tier_allowed = {
+            let mut guard = self.state.lock();
+            let st = &mut *guard;
+            let tier_allowed = match st.facts.get_mut(&key) {
+                Some(e) if e.hash == hash && e.valid => {
                     e.referenced = true;
                     if let Ok(v) = e.value.clone().downcast::<T>() {
-                        drop(slots);
-                        let mut metrics = self.metrics.lock();
-                        let m = metrics.entry(key.pass).or_default();
-                        match wait_start {
-                            Some(t) => {
-                                let waited = t.elapsed().as_secs_f64();
-                                m.deduped += 1;
-                                m.wait_secs += waited;
-                            }
-                            None => m.reused += 1,
-                        }
+                        st.metrics.entry(key.pass).or_default().reused += 1;
                         return Ok(v);
                     }
                     // A type mismatch is a stale entry in disguise;
                     // recompute below.
-                    tier_allowed = true;
-                    break;
+                    true
                 }
-                Some(Slot::Ready(e)) if !e.valid && e.hash == hash => {
-                    tier_allowed = false;
-                    break;
-                }
-                _ => {
-                    // Absent, or a stale hash (the program changed under the
-                    // key): the tier lookup under the *new* hash is sound.
-                    tier_allowed = true;
-                    break;
-                }
-            }
-        }
-        // Tier consult while still holding the shard lock (the tier's own
-        // locks are leaves; no store lock is ever taken inside them).
-        if tier_allowed {
-            if let Some(tier) = &self.shared {
-                if let Some((value, bytes, deps)) = tier.lookup(key.pass, hash) {
-                    if let Ok(v) = value.clone().downcast::<T>() {
-                        let prev = slots.insert(
-                            key,
-                            Slot::Ready(FactEntry {
-                                hash,
-                                value,
-                                deps,
-                                valid: true,
-                                bytes,
-                                referenced: true,
-                            }),
-                        );
-                        drop(slots);
-                        self.account_replaced(prev, bytes);
-                        let mut metrics = self.metrics.lock();
-                        let m = metrics.entry(key.pass).or_default();
-                        m.shared += 1;
-                        if let Some(t) = wait_start {
-                            m.wait_secs += t.elapsed().as_secs_f64();
-                        }
-                        drop(metrics);
-                        self.maybe_evict();
-                        return Ok(v);
-                    }
+                Some(e) => e.hash != hash,
+                None => true,
+            };
+            // The tier's locks are leaves: it never calls back into a store.
+            let tier_hit = self
+                .shared
+                .as_ref()
+                .filter(|_| tier_allowed)
+                .and_then(|tier| tier.lookup(key.pass, hash));
+            if let Some((value, bytes, deps)) = tier_hit {
+                if let Ok(v) = value.clone().downcast::<T>() {
+                    st.insert(
+                        key,
+                        FactEntry {
+                            hash,
+                            value,
+                            deps,
+                            valid: true,
+                            bytes,
+                            referenced: true,
+                        },
+                    );
+                    st.metrics.entry(key.pass).or_default().shared += 1;
+                    st.evict_over_budget();
+                    return Ok(v);
                 }
             }
-        }
-        let prev = slots.insert(key, Slot::Running { invalidated: false });
-        drop(slots);
-        self.account_replaced(prev, 0);
-        if let Some(t) = wait_start {
-            // Waited on a runner that produced a different hash (or got
-            // poisoned); still account the blocked time.
-            let waited = t.elapsed().as_secs_f64();
-            self.metrics.lock().entry(key.pass).or_default().wait_secs += waited;
-        }
-        let mut claim = RunClaim {
-            shard,
-            key,
-            armed: true,
+            tier_allowed
         };
-        // Run outside the lock: a pass may demand its own inputs.  A failed
-        // run leaves through `?`; dropping the armed claim releases the slot.
+        // Run unlocked: a pass demands its own inputs.  A failed run leaves
+        // through `?` with the store untouched.
         let (out, secs) = exclusive_secs(run);
         let out = Arc::new(out?);
         let deps = pass.deps();
         let any: Arc<dyn Any + Send + Sync> = out.clone();
         let bytes = crate::snapshot::approx_value_bytes(key.pass, &any);
-        let valid;
-        {
-            let mut slots = shard.slots.lock();
-            valid = !matches!(slots.get(&key), Some(Slot::Running { invalidated: true }));
-            slots.insert(
-                key,
-                Slot::Ready(FactEntry {
-                    hash,
-                    value: any.clone(),
-                    deps: deps.clone(),
-                    valid,
-                    bytes,
-                    referenced: true,
-                }),
-            );
-        }
-        self.resident.fetch_add(bytes, Ordering::Relaxed);
-        claim.armed = false;
-        shard.ready.notify_all();
+        let mut st = self.state.lock();
+        st.insert(
+            key,
+            FactEntry {
+                hash,
+                value: any.clone(),
+                deps: deps.clone(),
+                valid: true,
+                bytes,
+                referenced: true,
+            },
+        );
         // Publish clean results so other sessions skip the computation.
         // Assertion-tainted sessions only publish the assertion-independent
         // passes (their hashes fold no assertion mark); a fact invalidated
         // under an unchanged hash never goes out.
-        if valid && tier_allowed {
-            if let Some(tier) = &self.shared {
-                let publishable = !self.assert_local.load(Ordering::Relaxed)
-                    || matches!(
-                        key.pass,
-                        PassId::Summarize | PassId::Liveness | PassId::Deps
-                    );
-                if publishable {
-                    let owner = self.owner.load(Ordering::Relaxed);
-                    tier.publish_owned(owner, key, hash, bytes, deps, any);
-                }
+        if let Some(tier) = self.shared.as_ref().filter(|_| tier_allowed) {
+            let publishable = !st.assert_local
+                || matches!(
+                    key.pass,
+                    PassId::Summarize | PassId::Liveness | PassId::Deps
+                );
+            if publishable {
+                tier.publish_owned(st.owner, key, hash, bytes, deps, any);
             }
         }
-        let mut metrics = self.metrics.lock();
-        let m = metrics.entry(key.pass).or_default();
+        let m = st.metrics.entry(key.pass).or_default();
         m.invocations += 1;
         m.secs += secs;
-        drop(metrics);
-        self.maybe_evict();
+        st.evict_over_budget();
         Ok(out)
-    }
-
-    /// Subtract the bytes of a replaced `Ready` slot from the resident
-    /// count, then add the new entry's bytes.
-    fn account_replaced(&self, prev: Option<Slot>, added: usize) {
-        if let Some(Slot::Ready(e)) = prev {
-            self.resident.fetch_sub(e.bytes, Ordering::Relaxed);
-        }
-        if added > 0 {
-            self.resident.fetch_add(added, Ordering::Relaxed);
-        }
-    }
-
-    /// Second-chance clock sweep: while over budget, walk the shards from
-    /// the clock hand, sparing entries referenced since the last pass and
-    /// dropping cold `Ready` facts.  `Running` slots are never touched, and
-    /// neither are invalid entries — a fact invalidated under an unchanged
-    /// hash is a tombstone pinning its key tier-bypassed, and evicting it
-    /// would let the next demand trust the tier again.
-    fn maybe_evict(&self) {
-        let budget = self.budget.load(Ordering::Relaxed);
-        if budget == 0 {
-            return;
-        }
-        let mut visits = 0;
-        while self.resident.load(Ordering::Relaxed) > budget && visits < 2 * SHARD_COUNT {
-            let i = self.clock.fetch_add(1, Ordering::Relaxed) % SHARD_COUNT;
-            visits += 1;
-            let mut freed = 0usize;
-            let mut dropped = 0u64;
-            {
-                let mut slots = self.shards[i].slots.lock();
-                slots.retain(|_, slot| match slot {
-                    Slot::Running { .. } => true,
-                    Slot::Ready(e) => {
-                        if self.resident.load(Ordering::Relaxed) <= budget + freed {
-                            return true;
-                        }
-                        if !e.valid {
-                            return true;
-                        }
-                        if e.referenced {
-                            e.referenced = false;
-                            true
-                        } else {
-                            freed += e.bytes;
-                            dropped += 1;
-                            false
-                        }
-                    }
-                });
-            }
-            if freed > 0 {
-                self.resident.fetch_sub(freed, Ordering::Relaxed);
-                self.evicted.fetch_add(dropped, Ordering::Relaxed);
-                self.evicted_bytes
-                    .fetch_add(freed as u64, Ordering::Relaxed);
-            }
-        }
     }
 
     /// Mark one fact dirty and propagate along the recorded dependency
     /// edges: every fact that transitively depends on `key` is invalidated
-    /// too.  Returns the number of entries marked dirty (an entry currently
-    /// `Running` counts — its result will be stored already-dirty).  The
-    /// next demand for each recomputes regardless of its stored hash.
+    /// too.  Returns the number of entries marked dirty.  The next demand
+    /// for each recomputes regardless of its stored hash.
     pub fn invalidate(&self, key: FactKey) -> usize {
+        let mut st = self.state.lock();
         let mut frontier = vec![key];
         let mut visited: std::collections::HashSet<FactKey> = std::collections::HashSet::new();
         let mut dirtied = 0usize;
@@ -663,34 +501,23 @@ impl FactStore {
             if !visited.insert(k) {
                 continue;
             }
-            let newly = {
-                let mut slots = self.shard(&k).slots.lock();
-                match slots.get_mut(&k) {
-                    Some(Slot::Ready(e)) if e.valid => {
-                        e.valid = false;
-                        true
-                    }
-                    Some(Slot::Running { invalidated }) if !*invalidated => {
-                        *invalidated = true;
-                        true
-                    }
-                    _ => false,
+            let newly = match st.facts.get_mut(&k) {
+                Some(e) if e.valid => {
+                    e.valid = false;
+                    true
                 }
+                _ => false,
             };
             if newly {
                 dirtied += 1;
             }
             if newly || k == key {
-                for shard in &self.shards {
-                    let slots = shard.slots.lock();
-                    for (dk, slot) in slots.iter() {
-                        if let Slot::Ready(e) = slot {
-                            if e.valid && e.deps.contains(&k) && !visited.contains(dk) {
-                                frontier.push(*dk);
-                            }
-                        }
-                    }
-                }
+                frontier.extend(
+                    st.facts
+                        .iter()
+                        .filter(|(dk, e)| e.valid && e.deps.contains(&k) && !visited.contains(dk))
+                        .map(|(dk, _)| *dk),
+                );
             }
         }
         dirtied
@@ -700,10 +527,10 @@ impl FactStore {
     /// depending on them).  Hash mismatches already handle program edits;
     /// this is for events that change pass semantics wholesale.
     pub fn invalidate_pass(&self, pass: PassId) -> usize {
-        let mut keys: Vec<FactKey> = Vec::new();
-        for shard in &self.shards {
-            keys.extend(shard.slots.lock().keys().filter(|k| k.pass == pass));
-        }
+        let keys: Vec<FactKey> = (self.state.lock().facts.keys())
+            .filter(|k| k.pass == pass)
+            .copied()
+            .collect();
         keys.into_iter().map(|k| self.invalidate(k)).sum()
     }
 
@@ -711,38 +538,33 @@ impl FactStore {
     /// deterministic key order (used by the observational-equivalence
     /// property tests).
     pub fn dependency_edges(&self) -> BTreeMap<FactKey, Vec<FactKey>> {
-        let mut out = BTreeMap::new();
-        for shard in &self.shards {
-            let slots = shard.slots.lock();
-            for (k, slot) in slots.iter() {
-                if let Slot::Ready(e) = slot {
-                    if e.valid {
-                        out.insert(*k, e.deps.clone());
-                    }
-                }
-            }
-        }
-        out
+        let st = self.state.lock();
+        st.facts
+            .iter()
+            .filter(|(_, e)| e.valid)
+            .map(|(k, e)| (*k, e.deps.clone()))
+            .collect()
     }
 
     /// Snapshot of the per-pass counters.
     pub fn metrics(&self) -> BTreeMap<PassId, PassMetrics> {
-        self.metrics.lock().clone()
+        self.state.lock().metrics.clone()
     }
 
     /// Counters of one pass (zeros when it never ran).
     pub fn metrics_for(&self, pass: PassId) -> PassMetrics {
-        self.metrics.lock().get(&pass).copied().unwrap_or_default()
+        let st = self.state.lock();
+        st.metrics.get(&pass).copied().unwrap_or_default()
     }
 
     /// Zero all counters (facts are kept).
     pub fn reset_metrics(&self) {
-        self.metrics.lock().clear();
+        self.state.lock().metrics.clear();
     }
 
-    /// Number of stored facts (valid, dirty, or in flight).
+    /// Number of stored facts (valid or dirty).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.slots.lock().len()).sum()
+        self.state.lock().facts.len()
     }
 
     /// Is the store empty?
@@ -750,76 +572,66 @@ impl FactStore {
         self.len() == 0
     }
 
-    /// Lift every *valid, finished* fact out of the store for persistence,
-    /// in deterministic key order.  Cooperates with the entry state
-    /// machine: `Running` slots (a computation in flight — possibly a
-    /// speculative pre-classification) and invalidated entries are skipped,
-    /// so a snapshot taken at any moment never contains a racing or stale
-    /// result.
+    /// Lift every *valid* fact out of the store for persistence, in
+    /// deterministic key order.  Invalidated entries are skipped, so a
+    /// snapshot never contains a stale result.
     pub fn export(&self) -> Vec<ExportedFact> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let slots = shard.slots.lock();
-            for (k, slot) in slots.iter() {
-                if let Slot::Ready(e) = slot {
-                    if e.valid {
-                        out.push(ExportedFact {
-                            key: *k,
-                            hash: e.hash,
-                            deps: e.deps.clone(),
-                            bytes: e.bytes,
-                            value: e.value.clone(),
-                        });
-                    }
-                }
-            }
-        }
+        let st = self.state.lock();
+        let mut out: Vec<ExportedFact> = (st.facts.iter())
+            .filter(|(_, e)| e.valid)
+            .map(|(k, e)| ExportedFact {
+                key: *k,
+                hash: e.hash,
+                deps: e.deps.clone(),
+                bytes: e.bytes,
+                value: e.value.clone(),
+            })
+            .collect();
         out.sort_by_key(|f| f.key);
         out
     }
 
     /// Seed the store with previously exported facts (a warm start).
-    /// Each fact lands as a valid `Ready` entry; keys that already hold a
-    /// slot — `Running` or `Ready` — are left untouched, so importing into
-    /// a live store never clobbers newer work.  Returns how many facts were
-    /// installed.  The caller is responsible for validating each fact's
-    /// input hash against the current program first
-    /// ([`crate::Parallelizer::expected_fact_hashes`]); a fact imported
-    /// with a stale hash is harmless (the next demand misses on the hash
-    /// and recomputes) but wastes memory.
+    /// Each fact lands as a valid entry; keys that already hold an entry
+    /// are left untouched, so importing into a live store never clobbers
+    /// newer work.  Returns how many facts were installed.  The caller is
+    /// responsible for validating each fact's input hash against the
+    /// current program first ([`crate::Parallelizer::expected_fact_hashes`]);
+    /// a fact imported with a stale hash is harmless (the next demand misses
+    /// on the hash and recomputes) but wastes memory.
     pub fn import(&self, facts: Vec<ExportedFact>) -> usize {
+        let mut st = self.state.lock();
         let mut installed = 0;
         for f in facts {
-            let shard = self.shard(&f.key);
-            let mut slots = shard.slots.lock();
-            if let std::collections::hash_map::Entry::Vacant(v) = slots.entry(f.key) {
-                let bytes = f.bytes;
-                v.insert(Slot::Ready(FactEntry {
+            if st.facts.contains_key(&f.key) {
+                continue;
+            }
+            st.insert(
+                f.key,
+                FactEntry {
                     hash: f.hash,
                     value: f.value,
                     deps: f.deps,
                     valid: true,
-                    bytes,
+                    bytes: f.bytes,
                     referenced: true,
-                }));
-                self.resident.fetch_add(bytes, Ordering::Relaxed);
-                installed += 1;
-            }
+                },
+            );
+            installed += 1;
         }
         installed
     }
 
-    /// Drop every fact and zero the counters.  Must not race an in-flight
-    /// demand (callers clear between analysis runs, never during one).
+    /// Drop every fact and zero the counters (the budget, owner and
+    /// assertion taint are kept).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.slots.lock().clear();
-            shard.ready.notify_all();
-        }
-        self.resident.store(0, Ordering::Relaxed);
-        self.evicted.store(0, Ordering::Relaxed);
-        self.evicted_bytes.store(0, Ordering::Relaxed);
-        self.reset_metrics();
+        let mut st = self.state.lock();
+        st.facts.clear();
+        st.clock.clear();
+        st.metrics.clear();
+        st.resident = 0;
+        st.evicted = 0;
+        st.evicted_bytes = 0;
     }
 }
 
@@ -833,7 +645,7 @@ struct ServiceQueue {
 
 struct ServiceShared {
     queue: Mutex<ServiceQueue>,
-    ready: Condvar,
+    ready: parking_lot::Condvar,
     submitted: AtomicU64,
     completed: AtomicU64,
 }
@@ -883,7 +695,7 @@ impl ExecutorService {
                 jobs: VecDeque::new(),
                 shutdown: false,
             }),
-            ready: Condvar::new(),
+            ready: parking_lot::Condvar::new(),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
         });
@@ -1122,132 +934,6 @@ mod tests {
         assert!(store.dependency_edges().is_empty());
     }
 
-    /// A pass whose run blocks until every participating thread has at
-    /// least entered the race, so concurrent demands reliably observe the
-    /// `Running` state.
-    struct GatedPass<'a> {
-        key: FactKey,
-        runs: &'a AtomicU64,
-        arrivals: &'a AtomicU64,
-        expected: u64,
-    }
-
-    impl Pass for GatedPass<'_> {
-        type Output = i64;
-        fn key(&self) -> FactKey {
-            self.key
-        }
-        fn input_hash(&self) -> u128 {
-            1
-        }
-        fn run(&self) -> i64 {
-            self.runs.fetch_add(1, Ordering::SeqCst);
-            let t0 = Instant::now();
-            while self.arrivals.load(Ordering::SeqCst) < self.expected && t0.elapsed().as_secs() < 5
-            {
-                std::thread::yield_now();
-            }
-            // Give the last arrivals time to reach the shard lock and park.
-            std::thread::sleep(std::time::Duration::from_millis(100));
-            7
-        }
-    }
-
-    #[test]
-    fn concurrent_same_key_demands_run_exactly_once() {
-        const N: u64 = 8;
-        let store = FactStore::new();
-        let runs = AtomicU64::new(0);
-        let arrivals = AtomicU64::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..N {
-                s.spawn(|| {
-                    let p = GatedPass {
-                        key: key(PassId::Classify, 5),
-                        runs: &runs,
-                        arrivals: &arrivals,
-                        expected: N,
-                    };
-                    arrivals.fetch_add(1, Ordering::SeqCst);
-                    assert_eq!(*store.demand(&p), 7);
-                });
-            }
-        });
-        assert_eq!(runs.load(Ordering::SeqCst), 1, "exactly-once execution");
-        let m = store.metrics_for(PassId::Classify);
-        assert_eq!(m.invocations, 1);
-        assert_eq!(m.deduped + m.reused, N - 1, "everyone else was served");
-    }
-
-    #[test]
-    fn invalidate_while_running_never_serves_stale() {
-        let store = Arc::new(FactStore::new());
-        let runs = Arc::new(AtomicU64::new(0));
-        let started = Arc::new(AtomicU64::new(0));
-        let release = Arc::new(AtomicU64::new(0));
-
-        struct HeldPass {
-            key: FactKey,
-            runs: Arc<AtomicU64>,
-            started: Arc<AtomicU64>,
-            release: Arc<AtomicU64>,
-        }
-        impl Pass for HeldPass {
-            type Output = u64;
-            fn key(&self) -> FactKey {
-                self.key
-            }
-            fn input_hash(&self) -> u128 {
-                9
-            }
-            fn run(&self) -> u64 {
-                let n = self.runs.fetch_add(1, Ordering::SeqCst) + 1;
-                self.started.store(1, Ordering::SeqCst);
-                let t0 = Instant::now();
-                while self.release.load(Ordering::SeqCst) == 0 && t0.elapsed().as_secs() < 5 {
-                    std::thread::yield_now();
-                }
-                n
-            }
-        }
-
-        let k = key(PassId::Deps, 4);
-        let runner = {
-            let (store, runs, started, release) = (
-                store.clone(),
-                runs.clone(),
-                started.clone(),
-                release.clone(),
-            );
-            std::thread::spawn(move || {
-                let p = HeldPass {
-                    key: k,
-                    runs,
-                    started,
-                    release,
-                };
-                *store.demand(&p)
-            })
-        };
-        while started.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        // The fact is mid-run; an invalidation must dirty the claim.
-        assert_eq!(store.invalidate(k), 1);
-        release.store(1, Ordering::SeqCst);
-        // The runner's own caller still gets the value it computed…
-        assert_eq!(runner.join().unwrap(), 1);
-        // …but the next demand recomputes instead of serving the stale fact.
-        let p = HeldPass {
-            key: k,
-            runs: runs.clone(),
-            started: started.clone(),
-            release: release.clone(),
-        };
-        assert_eq!(*store.demand(&p), 2, "stale fact not served");
-        assert_eq!(store.metrics_for(PassId::Deps).invocations, 2);
-    }
-
     #[test]
     fn export_and_import_round_trip_preserves_entries() {
         let store = FactStore::new();
@@ -1297,132 +983,34 @@ mod tests {
         assert_eq!(*occupied.demand(&newer), 77, "existing entry untouched");
     }
 
-    /// Regression (persistence × speculation): an export taken while a
-    /// demand is mid-`Running`, or after an entry was invalidated, must not
-    /// contain that slot — a snapshot written during speculative
-    /// pre-classification never persists racing or stale results.
+    /// An export after an entry was invalidated must not contain it: a
+    /// snapshot never persists a stale result.
     #[test]
-    fn export_skips_running_and_invalid_slots() {
-        let store = Arc::new(FactStore::new());
+    fn export_skips_invalid_slots() {
+        let store = FactStore::new();
         let runs = AtomicU64::new(0);
-        let done = CountingPass {
-            key: key(PassId::Classify, 1),
-            hash: 1,
-            deps: vec![],
-            runs: &runs,
-            output: 1,
-        };
-        store.demand(&done);
-
-        let started = Arc::new(AtomicU64::new(0));
-        let release = Arc::new(AtomicU64::new(0));
-        let runner = {
-            let (store, started, release) = (store.clone(), started.clone(), release.clone());
-            std::thread::spawn(move || {
-                struct Held {
-                    started: Arc<AtomicU64>,
-                    release: Arc<AtomicU64>,
-                }
-                impl Pass for Held {
-                    type Output = i64;
-                    fn key(&self) -> FactKey {
-                        key(PassId::Classify, 2)
-                    }
-                    fn input_hash(&self) -> u128 {
-                        1
-                    }
-                    fn run(&self) -> i64 {
-                        self.started.store(1, Ordering::SeqCst);
-                        let t0 = Instant::now();
-                        while self.release.load(Ordering::SeqCst) == 0 && t0.elapsed().as_secs() < 5
-                        {
-                            std::thread::yield_now();
-                        }
-                        2
-                    }
-                }
-                *store.demand(&Held { started, release })
+        let passes: Vec<CountingPass<'_>> = (1..=2)
+            .map(|i| CountingPass {
+                key: key(PassId::Classify, i),
+                hash: 1,
+                deps: vec![],
+                runs: &runs,
+                output: i64::from(i),
             })
-        };
-        while started.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
+            .collect();
+        for p in &passes {
+            store.demand(p);
         }
+        assert_eq!(store.export().len(), 2);
 
-        // Mid-flight: the Running slot must not be exported.
+        assert_eq!(store.invalidate(key(PassId::Classify, 2)), 1);
         let snap = store.export();
-        assert_eq!(snap.len(), 1, "running slot excluded from export");
+        assert_eq!(snap.len(), 1, "invalidated fact excluded from export");
         assert_eq!(snap[0].key, key(PassId::Classify, 1));
 
-        // The in-flight fact is invalidated before it finishes (the
-        // epoch-cancel race): once stored, it is dirty — still unexported.
-        assert_eq!(store.invalidate(key(PassId::Classify, 2)), 1);
-        release.store(1, Ordering::SeqCst);
-        runner.join().unwrap();
-        let snap = store.export();
-        assert_eq!(snap.len(), 1, "invalidated result excluded from export");
-
-        // Invalidate the finished fact too: nothing left to persist.
+        // Invalidate the other fact too: nothing left to persist.
         store.invalidate(key(PassId::Classify, 1));
         assert!(store.export().is_empty());
-    }
-
-    /// Pins the `wait_secs` accounting: a demand that blocks on a fact
-    /// another thread is computing charges the parked interval to
-    /// `wait_secs` exactly once.
-    #[test]
-    fn deduped_demand_charges_its_wait_once() {
-        const HOLD_MS: u64 = 200;
-        let store = Arc::new(FactStore::new());
-        let started = Arc::new(AtomicU64::new(0));
-
-        struct SlowPass {
-            started: Arc<AtomicU64>,
-        }
-        impl Pass for SlowPass {
-            type Output = i64;
-            fn key(&self) -> FactKey {
-                key(PassId::Classify, 50)
-            }
-            fn input_hash(&self) -> u128 {
-                1
-            }
-            fn run(&self) -> i64 {
-                self.started.store(1, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(HOLD_MS));
-                5
-            }
-        }
-
-        // The claimant grabs the Running slot first.
-        let claimant = {
-            let (store, started) = (store.clone(), started.clone());
-            std::thread::spawn(move || *store.demand(&SlowPass { started }))
-        };
-        while started.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-
-        // This demand dedups against the claimant: it parks for ~HOLD_MS.
-        let got = store.demand(&SlowPass {
-            started: started.clone(),
-        });
-        assert_eq!(*got, 5);
-        assert_eq!(claimant.join().unwrap(), 5);
-
-        let m = store.metrics_for(PassId::Classify);
-        assert_eq!(m.invocations, 1, "the claimant ran the pass once");
-        assert_eq!(m.deduped, 1, "the second demand deduped against it");
-        let hold = HOLD_MS as f64 / 1000.0;
-        assert!(
-            m.wait_secs >= hold * 0.5,
-            "blocked time lands in wait_secs once: {}",
-            m.wait_secs
-        );
-        assert!(
-            m.wait_secs < hold * 3.0,
-            "wait_secs must not double-count the parked interval: {}",
-            m.wait_secs
-        );
     }
 
     /// A pass whose run demands another fact is charged its own time only:
@@ -1617,8 +1205,44 @@ mod tests {
         assert_eq!(unbounded.len(), 32);
     }
 
+    /// Each sweep resumes where the last one stopped, whatever order the
+    /// map keeps its keys in: facts never demanded again leave in the order
+    /// they came, and one demanded again since the hand last passed it is
+    /// spared once.
     #[test]
-    fn eviction_spares_running_and_invalid_slots() {
+    fn eviction_clock_resumes_at_its_hand() {
+        let store = FactStore::new();
+        store.set_budget(Some(64 * 16)); // 64 bytes a fact: room for 16
+        let runs = AtomicU64::new(0);
+        let fact = |i: u32| CountingPass {
+            key: key(PassId::Classify, i),
+            hash: 1,
+            deps: vec![],
+            runs: &runs,
+            output: i64::from(i),
+        };
+        // The 17th fact finds every bit set: the hand laps once, clearing
+        // them all, and takes the oldest.
+        for i in 0..=16 {
+            store.demand(&fact(i));
+        }
+        assert_eq!(store.byte_stats().evicted, 1);
+        // Five more take the next oldest, but pass over the one reused.
+        assert_eq!(*store.demand(&fact(5)), 5);
+        for i in 17..=21 {
+            store.demand(&fact(i));
+        }
+        let resident: Vec<FactKey> = store.export().iter().map(|f| f.key).collect();
+        let want: Vec<FactKey> = (5..=21)
+            .filter(|&i| i != 6)
+            .map(|i| key(PassId::Classify, i))
+            .collect();
+        assert_eq!(resident, want);
+        assert_eq!(runs.load(Ordering::Relaxed), 22, "every fact ran once");
+    }
+
+    #[test]
+    fn eviction_spares_invalid_slots() {
         let store = FactStore::new();
         let runs = AtomicU64::new(0);
         let p = CountingPass {

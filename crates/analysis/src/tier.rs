@@ -13,8 +13,10 @@
 //!
 //! The tier sits *under* each session's store ([`crate::FactStore`] built
 //! with [`crate::FactStore::with_shared`]).  The session store stays the
-//! overlay: it owns the `(pass, scope)` keyed slots, the `Running` in-flight
-//! state machine, and the invalidation edges.  The tier only ever holds
+//! overlay: it owns the `(pass, scope)` keyed entries, the invalid-entry
+//! tombstones, and the invalidation edges, and one thread at a time reaches
+//! it.  The tier is the only fact structure that threads share, so it is
+//! the only one that is sharded.  The tier only ever holds
 //! finished, valid values keyed purely by content — it has **no**
 //! invalidation: a fact whose inputs change simply stops being looked up
 //! (its hash no longer matches any demand), and an *assertion* folds into
@@ -42,7 +44,8 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Number of independently locked shards (mirrors the session store).
+/// Number of independently locked shards: every session's store meets
+/// every other's here.
 const TIER_SHARDS: usize = 16;
 
 struct TierEntry {

@@ -185,13 +185,7 @@ impl<'p> Explorer<'p> {
             for &(stmt, _, _, _) in &dep.sites {
                 if let Some((s, _)) = self.program.find_stmt(stmt) {
                     let mut scalars: Vec<VarId> = Vec::new();
-                    collect_subscript_scalars(
-                        self.program,
-                        s,
-                        dep.object,
-                        &self.analysis,
-                        &mut scalars,
-                    );
+                    collect_subscript_scalars(s, dep.object, &self.analysis, &mut scalars);
                     for v in scalars {
                         sites.push((stmt, v));
                     }
@@ -451,7 +445,7 @@ pub fn dyndep_config(program: &Program, analysis: &ProgramAnalysis<'_>) -> DynDe
         // reported under the formal's identity, so ignore array formals of
         // procedures reachable from a loop that has reductions.
         if any_reduction {
-            for p in suif_parallel::plan::callees_of_loop(program, stmt) {
+            for p in suif_ir::callees_of_loop(program, stmt) {
                 for &f in &program.proc(p).params {
                     if program.var(f).is_array() {
                         cfg.ignore_loop_vars.insert((stmt, f));
@@ -464,7 +458,6 @@ pub fn dyndep_config(program: &Program, analysis: &ProgramAnalysis<'_>) -> DynDe
 }
 
 fn collect_subscript_scalars(
-    program: &Program,
     stmt: &suif_ir::Stmt,
     object: suif_poly::ArrayId,
     analysis: &ProgramAnalysis<'_>,
@@ -502,7 +495,6 @@ fn collect_subscript_scalars(
         }
         _ => {}
     }
-    let _ = program;
 }
 
 #[cfg(test)]

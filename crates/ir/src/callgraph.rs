@@ -2,7 +2,7 @@
 //! traversal orders of the region-based interprocedural analyses, §5.2).
 
 use crate::program::{ProcId, Program, Stmt, StmtId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One call site.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -118,6 +118,40 @@ impl CallGraph {
         go(self, program, program.main, 0, &mut out);
         out
     }
+}
+
+/// Procedures transitively callable from a loop body, in id order.
+pub fn callees_of_loop(program: &Program, loop_stmt: StmtId) -> Vec<ProcId> {
+    fn direct(body: &[Stmt], out: &mut Vec<ProcId>) {
+        for s in body {
+            match s {
+                Stmt::Call { callee, .. } => out.push(*callee),
+                Stmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    direct(then_body, out);
+                    direct(else_body, out);
+                }
+                Stmt::Do { body, .. } => direct(body, out),
+                _ => {}
+            }
+        }
+    }
+    let mut work: Vec<ProcId> = Vec::new();
+    if let Some((Stmt::Do { body, .. }, _)) = program.find_stmt(loop_stmt) {
+        direct(body, &mut work);
+    }
+    let mut out: HashSet<ProcId> = HashSet::new();
+    while let Some(p) = work.pop() {
+        if out.insert(p) {
+            direct(&program.proc(p).body, &mut work);
+        }
+    }
+    let mut v: Vec<ProcId> = out.into_iter().collect();
+    v.sort();
+    v
 }
 
 #[cfg(test)]

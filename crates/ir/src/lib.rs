@@ -48,7 +48,7 @@ pub mod regions;
 pub mod sema;
 pub mod token;
 
-pub use callgraph::CallGraph;
+pub use callgraph::{callees_of_loop, CallGraph};
 pub use program::*;
 pub use regions::{LoopInfo, RegionId, RegionKind, RegionTree};
 

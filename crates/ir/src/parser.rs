@@ -19,14 +19,90 @@ impl fmt::Display for ParseError {
     }
 }
 
+/// Deepest statement nesting the parser accepts, `if` and `do` combined
+/// (an `else if` nests one more).  Every later layer recurses through the
+/// statement tree, so this bounds their stack use.
+pub const MAX_STMT_DEPTH: u32 = 64;
+
+/// Highest expression the parser accepts, as the height of its tree.  A
+/// bare operand is one level; each operator (unary or binary), parenthesis,
+/// subscript and intrinsic argument list adds a level over its highest
+/// operand.  So `1 + 1 + … + 1` is a left-deep tree as high as its operator
+/// count with no parentheses at all, and `(x + 1 + 1) + 1` is as high as
+/// its operators and parentheses together.
+pub const MAX_EXPR_DEPTH: u32 = 128;
+
 /// Parse a token stream into an [`AstProgram`].
 pub fn parse(tokens: &[Token]) -> Result<AstProgram, ParseError> {
-    Parser { tokens, pos: 0 }.program()
+    Parser {
+        tokens,
+        pos: 0,
+        depth: [0; 2],
+    }
+    .program()
+}
+
+/// What a [`Parser::nested`] level counts.
+#[derive(Clone, Copy)]
+enum Nest {
+    /// `if` and `do` statements.
+    Stmt,
+    /// Expressions the parser is inside of.
+    Expr,
+}
+
+impl Nest {
+    /// The deepest level allowed, and what the refusal calls the levels.
+    fn limit(self) -> (u32, &'static str) {
+        match self {
+            Nest::Stmt => (MAX_STMT_DEPTH, "statements"),
+            Nest::Expr => (MAX_EXPR_DEPTH, "expression"),
+        }
+    }
+
+    fn too_deep<T>(self, line: u32) -> Result<T, ParseError> {
+        let (limit, what) = self.limit();
+        Err(ParseError {
+            message: format!("{what} nested deeper than {limit} levels"),
+            line,
+        })
+    }
+}
+
+/// An expression and the height of its tree (see [`MAX_EXPR_DEPTH`]).
+type Tree = (AstExpr, u32);
+
+/// Precedence of the comparisons, the one non-associative level.
+const CMP_PREC: u8 = 2;
+
+/// A binary operator token and its precedence, loosest first.
+fn binop(t: &TokenKind) -> Option<(BinOp, u8)> {
+    let TokenKind::Punct(p) = t else {
+        return None;
+    };
+    Some(match p {
+        Punct::OrOr => (BinOp::Or, 0),
+        Punct::AndAnd => (BinOp::And, 1),
+        Punct::Lt => (BinOp::Lt, CMP_PREC),
+        Punct::Le => (BinOp::Le, CMP_PREC),
+        Punct::Gt => (BinOp::Gt, CMP_PREC),
+        Punct::Ge => (BinOp::Ge, CMP_PREC),
+        Punct::EqEq => (BinOp::Eq, CMP_PREC),
+        Punct::Ne => (BinOp::Ne, CMP_PREC),
+        Punct::Plus => (BinOp::Add, 3),
+        Punct::Minus => (BinOp::Sub, 3),
+        Punct::Star => (BinOp::Mul, 4),
+        Punct::Slash => (BinOp::Div, 4),
+        Punct::Percent => (BinOp::Rem, 4),
+        _ => return None,
+    })
 }
 
 struct Parser<'a> {
     tokens: &'a [Token],
     pos: usize,
+    /// Levels of each [`Nest`] enclosing the current token.
+    depth: [u32; 2],
 }
 
 impl<'a> Parser<'a> {
@@ -55,6 +131,33 @@ impl<'a> Parser<'a> {
             message: msg.into(),
             line: self.line(),
         })
+    }
+
+    /// Run `f` one `nest` level deeper, refusing the level past the limit.
+    /// This bounds the parser's own recursion; [`Parser::raise`] bounds the
+    /// height of the expression trees it builds.
+    fn nested<T>(
+        &mut self,
+        nest: Nest,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        let level = &mut self.depth[nest as usize];
+        if *level == nest.limit().0 {
+            return nest.too_deep(self.line());
+        }
+        *level += 1;
+        let out = f(self);
+        self.depth[nest as usize] -= 1;
+        out
+    }
+
+    /// The height of a node over operands at most `height` high, refused
+    /// past [`MAX_EXPR_DEPTH`] on the line the operands end on.
+    fn raise(&self, height: u32) -> Result<u32, ParseError> {
+        if height >= MAX_EXPR_DEPTH {
+            return Nest::Expr.too_deep(self.prev_line());
+        }
+        Ok(height + 1)
     }
 
     fn eat_punct(&mut self, p: Punct) -> Result<(), ParseError> {
@@ -204,7 +307,7 @@ impl<'a> Parser<'a> {
                     let mut vars = Vec::new();
                     loop {
                         let vname = self.eat_ident()?;
-                        let dims = self.opt_dims()?;
+                        let dims = self.opt_dims()?.0;
                         vars.push((vname, dims));
                         if self.at_punct(Punct::Comma) {
                             self.bump();
@@ -242,7 +345,7 @@ impl<'a> Parser<'a> {
                         };
                         prev_ty = Some(vty);
                         let vname = self.eat_ident()?;
-                        let dims = self.opt_dims()?;
+                        let dims = self.opt_dims()?.0;
                         vars.push((vty, vname, dims));
                         if self.at_punct(Punct::Comma) {
                             self.bump();
@@ -271,21 +374,41 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn opt_dims(&mut self) -> Result<Vec<AstExpr>, ParseError> {
-        let mut dims = Vec::new();
-        if self.at_punct(Punct::LBracket) {
-            self.bump();
-            loop {
-                dims.push(self.expr()?);
-                if self.at_punct(Punct::Comma) {
-                    self.bump();
-                } else {
-                    break;
-                }
-            }
-            self.eat_punct(Punct::RBracket)?;
+    /// Optional `[…]` subscripts (or dimensions), and their height.
+    fn opt_dims(&mut self) -> Result<(Vec<AstExpr>, u32), ParseError> {
+        if !self.at_punct(Punct::LBracket) {
+            return Ok((Vec::new(), 0));
         }
+        self.bump();
+        let dims = self.expr_list()?;
+        self.eat_punct(Punct::RBracket)?;
         Ok(dims)
+    }
+
+    /// A parenthesized, possibly empty argument list, and its height.
+    fn args(&mut self) -> Result<(Vec<AstExpr>, u32), ParseError> {
+        self.eat_punct(Punct::LParen)?;
+        let args = if self.at_punct(Punct::RParen) {
+            (Vec::new(), 0)
+        } else {
+            self.expr_list()?
+        };
+        self.eat_punct(Punct::RParen)?;
+        Ok(args)
+    }
+
+    /// Comma-separated expressions, and the height of the highest.
+    fn expr_list(&mut self) -> Result<(Vec<AstExpr>, u32), ParseError> {
+        let (mut list, mut height) = (Vec::new(), 0);
+        loop {
+            let (e, h) = self.expr_tree()?;
+            list.push(e);
+            height = height.max(h);
+            if !self.at_punct(Punct::Comma) {
+                return Ok((list, height));
+            }
+            self.bump();
+        }
     }
 
     /// Parse statements up to (and consuming) a closing `}`.
@@ -306,90 +429,17 @@ impl<'a> Parser<'a> {
     fn stmt(&mut self) -> Result<AstStmt, ParseError> {
         let line = self.line();
         match self.peek().clone() {
-            TokenKind::Kw(Keyword::If) => {
-                self.bump();
-                let cond = self.expr()?;
-                self.eat_punct(Punct::LBrace)?;
-                let then_body = self.block_body()?;
-                let else_body = if self.peek() == &TokenKind::Kw(Keyword::Else) {
-                    self.bump();
-                    if self.peek() == &TokenKind::Kw(Keyword::If) {
-                        // else-if chains desugar to a single-statement else.
-                        vec![self.stmt()?]
-                    } else {
-                        self.eat_punct(Punct::LBrace)?;
-                        self.block_body()?
-                    }
-                } else {
-                    Vec::new()
-                };
-                Ok(AstStmt::If {
-                    cond,
-                    then_body,
-                    else_body,
-                    line,
-                })
-            }
-            TokenKind::Kw(Keyword::Do) => {
-                self.bump();
-                let label = match self.peek() {
-                    TokenKind::Int(v) => {
-                        let v = *v;
-                        self.bump();
-                        Some(v as u32)
-                    }
-                    _ => None,
-                };
-                let var = self.eat_ident()?;
-                self.eat_punct(Punct::Assign)?;
-                let lo = self.expr()?;
-                self.eat_punct(Punct::Comma)?;
-                let hi = self.expr()?;
-                let step = if self.at_punct(Punct::Comma) {
-                    self.bump();
-                    Some(self.expr()?)
-                } else {
-                    None
-                };
-                self.eat_punct(Punct::LBrace)?;
-                let body = self.block_body()?;
-                let end_line = self.prev_line();
-                Ok(AstStmt::Do {
-                    label,
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                    line,
-                    end_line,
-                })
-            }
+            TokenKind::Kw(Keyword::If) => self.nested(Nest::Stmt, |p| p.if_stmt(line)),
+            TokenKind::Kw(Keyword::Do) => self.nested(Nest::Stmt, |p| p.do_stmt(line)),
             TokenKind::Kw(Keyword::Call) => {
                 self.bump();
                 let callee = self.eat_ident()?;
-                self.eat_punct(Punct::LParen)?;
-                let mut args = Vec::new();
-                if !self.at_punct(Punct::RParen) {
-                    loop {
-                        args.push(self.expr()?);
-                        if self.at_punct(Punct::Comma) {
-                            self.bump();
-                        } else {
-                            break;
-                        }
-                    }
-                }
-                self.eat_punct(Punct::RParen)?;
+                let args = self.args()?.0;
                 Ok(AstStmt::Call { callee, args, line })
             }
             TokenKind::Kw(Keyword::Print) => {
                 self.bump();
-                let mut args = vec![self.expr()?];
-                while self.at_punct(Punct::Comma) {
-                    self.bump();
-                    args.push(self.expr()?);
-                }
+                let args = self.expr_list()?.0;
                 Ok(AstStmt::Print { args, line })
             }
             TokenKind::Kw(Keyword::Read) => {
@@ -407,141 +457,136 @@ impl<'a> Parser<'a> {
         }
     }
 
+    fn if_stmt(&mut self, line: u32) -> Result<AstStmt, ParseError> {
+        self.bump();
+        let cond = self.expr()?;
+        self.eat_punct(Punct::LBrace)?;
+        let then_body = self.block_body()?;
+        let else_body = if self.peek() == &TokenKind::Kw(Keyword::Else) {
+            self.bump();
+            if self.peek() == &TokenKind::Kw(Keyword::If) {
+                // else-if chains desugar to a single-statement else.
+                vec![self.stmt()?]
+            } else {
+                self.eat_punct(Punct::LBrace)?;
+                self.block_body()?
+            }
+        } else {
+            Vec::new()
+        };
+        Ok(AstStmt::If {
+            cond,
+            then_body,
+            else_body,
+            line,
+        })
+    }
+
+    fn do_stmt(&mut self, line: u32) -> Result<AstStmt, ParseError> {
+        self.bump();
+        let label = match self.peek() {
+            TokenKind::Int(v) => {
+                let v = *v;
+                self.bump();
+                Some(v as u32)
+            }
+            _ => None,
+        };
+        let var = self.eat_ident()?;
+        self.eat_punct(Punct::Assign)?;
+        let lo = self.expr()?;
+        self.eat_punct(Punct::Comma)?;
+        let hi = self.expr()?;
+        let step = if self.at_punct(Punct::Comma) {
+            self.bump();
+            Some(self.expr()?)
+        } else {
+            None
+        };
+        self.eat_punct(Punct::LBrace)?;
+        let body = self.block_body()?;
+        let end_line = self.prev_line();
+        Ok(AstStmt::Do {
+            label,
+            var,
+            lo,
+            hi,
+            step,
+            body,
+            line,
+            end_line,
+        })
+    }
+
     fn reference(&mut self) -> Result<AstRef, ParseError> {
         let line = self.line();
         let name = self.eat_ident()?;
-        let subs = self.opt_dims()?;
+        let subs = self.opt_dims()?.0;
         Ok(AstRef { name, subs, line })
     }
 
     fn expr(&mut self) -> Result<AstExpr, ParseError> {
-        self.or_expr()
+        Ok(self.expr_tree()?.0)
     }
 
-    fn or_expr(&mut self) -> Result<AstExpr, ParseError> {
-        let mut lhs = self.and_expr()?;
-        while self.at_punct(Punct::OrOr) {
+    /// A whole expression: one level over its operators.
+    fn expr_tree(&mut self) -> Result<Tree, ParseError> {
+        let (e, height) = self.nested(Nest::Expr, |p| p.binary(0))?;
+        Ok((e, self.raise(height)?))
+    }
+
+    /// Operators binding at precedence `min` or tighter, by precedence
+    /// climbing.  All are left-associative except the comparisons, which
+    /// do not chain.  The loop builds the left-deep tree without recursing,
+    /// so only its height, checked at every operator, bounds it.
+    fn binary(&mut self, min: u8) -> Result<Tree, ParseError> {
+        let (mut lhs, mut height) = self.unary_expr()?;
+        let mut last = u8::MAX;
+        while let Some((op, prec)) = binop(self.peek()) {
+            // An operand stops only at a looser operator or at a second
+            // comparison, so `prec > last` is a comparison chained behind
+            // a looser one (`a && b < c < d`): left for the caller to refuse.
+            if prec < min || prec > last || (prec == last && prec == CMP_PREC) {
+                break;
+            }
             self.bump();
-            let rhs = self.and_expr()?;
+            let (rhs, rhs_height) = self.binary(prec + 1)?;
+            height = self.raise(height.max(rhs_height))?;
             lhs = AstExpr::Binary {
-                op: BinOp::Or,
+                op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
+            last = prec;
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn and_expr(&mut self) -> Result<AstExpr, ParseError> {
-        let mut lhs = self.cmp_expr()?;
-        while self.at_punct(Punct::AndAnd) {
-            self.bump();
-            let rhs = self.cmp_expr()?;
-            lhs = AstExpr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn cmp_expr(&mut self) -> Result<AstExpr, ParseError> {
-        let lhs = self.add_expr()?;
+    fn unary_expr(&mut self) -> Result<Tree, ParseError> {
         let op = match self.peek() {
-            TokenKind::Punct(Punct::Lt) => Some(BinOp::Lt),
-            TokenKind::Punct(Punct::Le) => Some(BinOp::Le),
-            TokenKind::Punct(Punct::Gt) => Some(BinOp::Gt),
-            TokenKind::Punct(Punct::Ge) => Some(BinOp::Ge),
-            TokenKind::Punct(Punct::EqEq) => Some(BinOp::Eq),
-            TokenKind::Punct(Punct::Ne) => Some(BinOp::Ne),
-            _ => None,
+            TokenKind::Punct(Punct::Minus) => UnaryOp::Neg,
+            TokenKind::Punct(Punct::Not) => UnaryOp::Not,
+            _ => return self.primary_expr(),
         };
-        if let Some(op) = op {
-            self.bump();
-            let rhs = self.add_expr()?;
-            Ok(AstExpr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            })
-        } else {
-            Ok(lhs)
-        }
+        self.bump();
+        let (arg, height) = self.nested(Nest::Expr, Self::unary_expr)?;
+        let arg = Box::new(arg);
+        Ok((AstExpr::Unary { op, arg }, self.raise(height)?))
     }
 
-    fn add_expr(&mut self) -> Result<AstExpr, ParseError> {
-        let mut lhs = self.mul_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Punct(Punct::Plus) => BinOp::Add,
-                TokenKind::Punct(Punct::Minus) => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.mul_expr()?;
-            lhs = AstExpr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn mul_expr(&mut self) -> Result<AstExpr, ParseError> {
-        let mut lhs = self.unary_expr()?;
-        loop {
-            let op = match self.peek() {
-                TokenKind::Punct(Punct::Star) => BinOp::Mul,
-                TokenKind::Punct(Punct::Slash) => BinOp::Div,
-                TokenKind::Punct(Punct::Percent) => BinOp::Rem,
-                _ => break,
-            };
-            self.bump();
-            let rhs = self.unary_expr()?;
-            lhs = AstExpr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
-        }
-        Ok(lhs)
-    }
-
-    fn unary_expr(&mut self) -> Result<AstExpr, ParseError> {
-        match self.peek() {
-            TokenKind::Punct(Punct::Minus) => {
-                self.bump();
-                Ok(AstExpr::Unary {
-                    op: UnaryOp::Neg,
-                    arg: Box::new(self.unary_expr()?),
-                })
-            }
-            TokenKind::Punct(Punct::Not) => {
-                self.bump();
-                Ok(AstExpr::Unary {
-                    op: UnaryOp::Not,
-                    arg: Box::new(self.unary_expr()?),
-                })
-            }
-            _ => self.primary_expr(),
-        }
-    }
-
-    fn primary_expr(&mut self) -> Result<AstExpr, ParseError> {
+    fn primary_expr(&mut self) -> Result<Tree, ParseError> {
         match self.peek().clone() {
             TokenKind::Int(v) => {
                 self.bump();
-                Ok(AstExpr::Int(v))
+                Ok((AstExpr::Int(v), 0))
             }
             TokenKind::Real(v) => {
                 self.bump();
-                Ok(AstExpr::Real(v))
+                Ok((AstExpr::Real(v), 0))
             }
             TokenKind::Punct(Punct::LParen) => {
                 self.bump();
-                let e = self.expr()?;
+                let e = self.expr_tree()?;
                 self.eat_punct(Punct::RParen)?;
                 Ok(e)
             }
@@ -556,19 +601,7 @@ impl<'a> Parser<'a> {
                              (procedures use `call`)"
                         ));
                     };
-                    self.bump();
-                    let mut args = Vec::new();
-                    if !self.at_punct(Punct::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if self.at_punct(Punct::Comma) {
-                                self.bump();
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                    self.eat_punct(Punct::RParen)?;
+                    let (args, height) = self.args()?;
                     if args.len() != which.arity() {
                         return self.err(format!(
                             "intrinsic `{name}` expects {} argument(s), got {}",
@@ -576,10 +609,10 @@ impl<'a> Parser<'a> {
                             args.len()
                         ));
                     }
-                    return Ok(AstExpr::Intrinsic { which, args });
+                    return Ok((AstExpr::Intrinsic { which, args }, height));
                 }
-                let subs = self.opt_dims()?;
-                Ok(AstExpr::Ref(AstRef { name, subs, line }))
+                let (subs, height) = self.opt_dims()?;
+                Ok((AstExpr::Ref(AstRef { name, subs, line }), height))
             }
             other => self.err(format!("expected expression, found {other}")),
         }
@@ -694,6 +727,77 @@ mod tests {
                 other => panic!("expected add at top, got {other:?}"),
             },
             _ => unreachable!(),
+        }
+    }
+
+    /// Fully parenthesized rendering of an expression's tree.
+    fn shape(e: &AstExpr) -> String {
+        match e {
+            AstExpr::Binary { op, lhs, rhs } => format!("({} {op:?} {})", shape(lhs), shape(rhs)),
+            AstExpr::Unary { op, arg } => format!("({op:?} {})", shape(arg)),
+            AstExpr::Ref(r) => r.name.clone(),
+            other => format!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn operators_bind_and_associate_by_precedence() {
+        let p = parse_ok(
+            "program t\nproc f() {\n int a, b, c, d\n a = a - b - c * d % a + -b\n \
+             b = a < b + c && c >= d || !a == b && c != d\n}",
+        );
+        let rhs: Vec<String> = p.procs[0]
+            .body
+            .iter()
+            .map(|s| match s {
+                AstStmt::Assign { rhs, .. } => shape(rhs),
+                other => panic!("expected assignment, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(
+            rhs,
+            [
+                "(((a Sub b) Sub ((c Mul d) Rem a)) Add (Neg b))",
+                "(((a Lt (b Add c)) And (c Ge d)) Or (((Not a) Eq b) And (c Ne d)))",
+            ]
+        );
+        // Comparisons do not chain, not even behind a looser operator.
+        for bad in ["a < b < c", "a && b < c < d"] {
+            let src = format!("program t\nproc f() {{\n int a, b, c, d\n a = {bad}\n}}");
+            assert!(parse(&lex(&src).unwrap()).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_refused_one_level_past_each_limit() {
+        let at = |depth: u32| -> Vec<String> {
+            let n = depth as usize - 1; // the right-hand side is level 1
+            let (pairs, odd) = (n / 2, " + 1".repeat(n % 2));
+            vec![
+                format!("x = {}x{}", "(".repeat(n), ")".repeat(n)),
+                format!("x = x{}", " + 1".repeat(n)),
+                format!("x = {}x", "- ".repeat(n)),
+                format!("x = {}x{}", "abs(".repeat(n), ")".repeat(n)),
+                format!("x = {}k{}", "p[".repeat(n), "]".repeat(n)),
+                // A parenthesis and an operator per pair: the operators
+                // over each left operand count as much as those beside it.
+                format!("x = {}x{}{odd}", "(".repeat(pairs), ") + 1".repeat(pairs)),
+            ]
+        };
+        let program =
+            |body: &str| format!("program t\nproc f() {{\n real x\n int k, p[4]\n{body}\n}}");
+        for (ok, too_deep) in at(MAX_EXPR_DEPTH).iter().zip(at(MAX_EXPR_DEPTH + 1)) {
+            parse_ok(&program(ok));
+            let err = parse(&lex(&program(&too_deep)).unwrap()).unwrap_err();
+            assert_eq!(err.line, 5, "{err}");
+            assert!(err.message.contains("expression nested deeper"), "{err}");
+        }
+        for open in ["if k == 0 {\n", "do k = 1, 2 {\n"] {
+            let nest = |n: usize| program(&format!("{}k = 1\n{}", open.repeat(n), "}\n".repeat(n)));
+            parse_ok(&nest(MAX_STMT_DEPTH as usize));
+            let err = parse(&lex(&nest(MAX_STMT_DEPTH as usize + 1)).unwrap()).unwrap_err();
+            assert_eq!(err.line, 5 + MAX_STMT_DEPTH, "{err}");
+            assert!(err.message.contains("statements nested deeper"), "{err}");
         }
     }
 

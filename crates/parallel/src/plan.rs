@@ -2,7 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use suif_analysis::{ArrayKey, LoopCertInfo, LoopVerdict, ProgramAnalysis, RedOp};
-use suif_ir::{ProcId, Program, Stmt, StmtId, VarId};
+use suif_ir::{callees_of_loop, Program, Stmt, StmtId, VarId};
 use suif_poly::{Section, Var};
 
 /// One reduction in a plan.
@@ -218,38 +218,6 @@ fn collect_do_vars(body: &[Stmt], out: &mut Vec<VarId>) {
             _ => {}
         }
     }
-}
-
-/// Procedures transitively callable from a loop body.
-pub fn callees_of_loop(program: &Program, loop_stmt: StmtId) -> Vec<ProcId> {
-    let mut out: HashSet<ProcId> = HashSet::new();
-    let mut work: Vec<ProcId> = Vec::new();
-    fn direct(body: &[Stmt], out: &mut Vec<ProcId>) {
-        for s in body {
-            match s {
-                Stmt::Call { callee, .. } => out.push(*callee),
-                Stmt::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    direct(then_body, out);
-                    direct(else_body, out);
-                }
-                Stmt::Do { body, .. } => direct(body, out),
-                _ => {}
-            }
-        }
-    }
-    direct(loop_body(program, loop_stmt), &mut work);
-    while let Some(p) = work.pop() {
-        if out.insert(p) {
-            direct(&program.proc(p).body, &mut work);
-        }
-    }
-    let mut v: Vec<ProcId> = out.into_iter().collect();
-    v.sort();
-    v
 }
 
 /// Constant `[lo, hi]` bounds of a section's `d0` if derivable: the

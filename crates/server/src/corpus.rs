@@ -21,7 +21,7 @@
 //!   catches too, but only to keep its thread — it reports nothing);
 //! * the fact store and tier use `parking_lot` mutexes, which do not
 //!   poison, and the tier holds only *finished* facts (a job that dies
-//!   mid-`Running` leaves nothing half-published for a sibling to read);
+//!   mid-run leaves nothing half-published for a sibling to read);
 //! * the size cap (`max_program_bytes`) rejects pathological inputs
 //!   *before* parse, bounding the worst-case cost any one entry can
 //!   impose — Fourier–Motzkin blowups inside the analysis itself degrade

@@ -180,12 +180,12 @@ impl Session {
         Ok(session)
     }
 
-    /// Everything durable right now.  Only `Ready`+valid slots are
-    /// exported, so a checkpoint never persists another session's
-    /// `Running` or invalidated results.  With a shared tier, the tier is
-    /// exported instead of the per-session overlay — one snapshot covers
-    /// every tenant's clean facts, and assertion-tainted overlay entries
-    /// (never published to the tier) stay out of the durable state.
+    /// Everything durable right now.  Only valid facts are exported, so a
+    /// checkpoint never persists an invalidated result.  With a shared
+    /// tier, the tier is exported instead of this session's store — one
+    /// snapshot covers every tenant's clean facts, and assertion-tainted
+    /// store entries (never published to the tier) stay out of the durable
+    /// state.
     fn export_all(&self) -> Vec<suif_analysis::ExportedFact> {
         match self.store.shared_tier() {
             Some(t) => t.export(),
@@ -677,7 +677,6 @@ impl Session {
         let mut fields = vec![
             ("computed", Json::int(s.facts_computed as i64)),
             ("reused", Json::int(s.facts_reused as i64)),
-            ("deduped", Json::int(s.facts_deduped as i64)),
             ("shared", Json::int(s.facts_shared as i64)),
             ("ratio", Json::Num(s.reuse_ratio())),
             ("entries", Json::int(self.store.len() as i64)),

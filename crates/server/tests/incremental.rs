@@ -4,10 +4,6 @@
 //! change *what is recomputed*, never *what is computed*.
 
 use proptest::prelude::*;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use suif_analysis::{FactKey, FactStore, Pass, PassId, Scope};
-use suif_ir::StmtId;
 use suif_server::json::Json;
 use suif_server::{Session, SessionConfig};
 
@@ -102,85 +98,6 @@ proptest! {
             );
         }
     }
-}
-
-/// A pass whose `run` blocks until released, so a test can invalidate the
-/// fact while its computation is in flight.
-struct GatedPass {
-    started: Arc<AtomicBool>,
-    release: Arc<AtomicU64>,
-    source: Arc<AtomicU64>,
-}
-
-impl Pass for GatedPass {
-    type Output = u64;
-    fn key(&self) -> FactKey {
-        FactKey::new(PassId::Classify, Scope::Loop(StmtId(7)))
-    }
-    fn input_hash(&self) -> u128 {
-        1
-    }
-    fn run(&self) -> u64 {
-        // The input is read when the pass starts; the edit lands after.
-        let v = self.source.load(Ordering::SeqCst);
-        self.started.store(true, Ordering::SeqCst);
-        while self.release.load(Ordering::SeqCst) == 0 {
-            std::thread::yield_now();
-        }
-        v
-    }
-}
-
-/// Regression: an `invalidate` racing a `demand` must not let the store
-/// serve the in-flight (now stale) result to later demands.  The running
-/// demand still gets the value it computed, but the entry is stored
-/// invalid, so the next demand recomputes and sees the new input.
-#[test]
-fn invalidation_during_demand_is_not_served_stale() {
-    let store = Arc::new(FactStore::new());
-    let started = Arc::new(AtomicBool::new(false));
-    let release = Arc::new(AtomicU64::new(0));
-    let source = Arc::new(AtomicU64::new(1));
-    let key = FactKey::new(PassId::Classify, Scope::Loop(StmtId(7)));
-
-    let runner = {
-        let (store, started, release, source) = (
-            store.clone(),
-            started.clone(),
-            release.clone(),
-            source.clone(),
-        );
-        std::thread::spawn(move || {
-            *store.demand(&GatedPass {
-                started,
-                release,
-                source,
-            })
-        })
-    };
-    while !started.load(Ordering::SeqCst) {
-        std::thread::yield_now();
-    }
-
-    // The fact's input changes while its pass is running.
-    source.store(2, Ordering::SeqCst);
-    assert_eq!(store.invalidate(key), 1, "the running slot is dirtied");
-    release.store(1, Ordering::SeqCst);
-
-    // The runner raced the edit: it observes its own (stale) computation…
-    assert_eq!(runner.join().unwrap(), 1);
-
-    // …but the store does not.  A fresh demand recomputes from the new
-    // input instead of serving the entry stored by the invalidated run.
-    let v = *store.demand(&GatedPass {
-        started: started.clone(),
-        release: release.clone(),
-        source: source.clone(),
-    });
-    assert_eq!(v, 2, "stale in-flight result must not satisfy new demands");
-    let m = store.metrics_for(PassId::Classify);
-    assert_eq!(m.invocations, 2, "the invalidated run is not reused");
-    assert_eq!(m.reused, 0);
 }
 
 /// A snapshot holds each fact key at most once, and facts persisted after

@@ -1,7 +1,7 @@
 //! Interprocedural SSA construction (§3.4).
 
 use std::collections::{HashMap, HashSet};
-use suif_ir::{Arg, CommonId, Expr, ProcId, Program, Ref, Stmt, StmtId, VarId, VarKind};
+use suif_ir::{Arg, CallGraph, CommonId, Expr, ProcId, Program, Ref, Stmt, StmtId, VarId, VarKind};
 
 /// A slicing variable: the alias-equivalence-class representative (§3.4.1):
 /// all members of one common block collapse into one variable; everything
@@ -100,12 +100,18 @@ pub struct Issa {
     pub effects: HashMap<ProcId, ProcEffects>,
     /// Source line of each defining statement (for display).
     pub stmt_lines: HashMap<StmtId, u32>,
+    /// The call graph the build walked bottom-up; its call sites drive the
+    /// slicer's formal expansion.
+    pub cg: CallGraph,
 }
 
 impl Issa {
     /// Build the ISSA graph for a whole program.
     pub fn build(program: &Program) -> Issa {
         let effects = compute_effects(program);
+        // Build callees before callers so exit values exist for CallReturn
+        // wiring (the call graph is acyclic).
+        let cg = CallGraph::build(program);
         let mut b = Builder {
             program,
             issa: Issa {
@@ -118,14 +124,13 @@ impl Issa {
                 exit_values: HashMap::new(),
                 effects,
                 stmt_lines: HashMap::new(),
+                cg,
             },
             cur_proc: program.main,
             ctrl: Vec::new(),
         };
-        // Build callees before callers so exit values exist for CallReturn
-        // wiring (the call graph is acyclic).
-        let cg = suif_ir::CallGraph::build(program);
-        for &p in cg.bottom_up() {
+        let order = b.issa.cg.bottom_up().to_vec();
+        for p in order {
             b.build_proc(p);
         }
         b.issa

@@ -104,8 +104,9 @@ pub struct Slicer<'p> {
     /// The interprocedural SSA graph.
     pub issa: Issa,
     memo: HashMap<(OptKey, u32), Summary>,
-    /// Procedures (transitively) called from each loop, for region pruning.
-    loop_callees: HashMap<StmtId, HashSet<ProcId>>,
+    /// Procedures (transitively) called from each loop, in id order, for
+    /// region pruning.
+    loop_callees: HashMap<StmtId, Vec<ProcId>>,
 }
 
 impl<'p> Slicer<'p> {
@@ -150,7 +151,7 @@ impl<'p> Slicer<'p> {
             hierarchy_nodes: 0,
         };
         for (cstmt, cvals) in chain {
-            if self.in_region(cstmt, opts) {
+            if self.in_region(cstmt, opts.region) {
                 out.stmts.insert(cstmt);
             }
             for v in cvals {
@@ -185,9 +186,8 @@ impl<'p> Slicer<'p> {
                 continue;
             }
             // Callee locals and main's inputs are terminal.
-            let sites: Vec<StmtId> = self
-                .caller_sites(proc)
-                .into_iter()
+            let sites: Vec<StmtId> = (self.issa.cg.callers_of(proc).iter())
+                .map(|site| site.stmt)
                 .filter(|s| match (&opts.context, depth) {
                     // Context-restricted: the call on top of the stack.
                     (Some(stack), d) => {
@@ -222,27 +222,9 @@ impl<'p> Slicer<'p> {
         out
     }
 
-    fn caller_sites(&self, proc: ProcId) -> Vec<StmtId> {
-        let mut out = Vec::new();
-        for ((stmt, _), _) in self.issa.bindings.iter() {
-            let _ = stmt;
-        }
-        // bindings are keyed by (call stmt, callee var); find call stmts
-        // whose callee is `proc` via the program.
-        for p in &self.program.procedures {
-            self.program.walk_stmts(p.id, &mut |s, _| {
-                if let suif_ir::Stmt::Call { id, callee, .. } = s {
-                    if *callee == proc {
-                        out.push(*id);
-                    }
-                }
-            });
-        }
-        out
-    }
-
-    fn in_region(&mut self, stmt: StmtId, opts: &SliceOptions) -> bool {
-        let Some(region_loop) = opts.region else {
+    /// Is `stmt` inside the code region `region` (a loop), if there is one?
+    fn in_region(&mut self, stmt: StmtId, region: Option<StmtId>) -> bool {
+        let Some(region_loop) = region else {
             return true;
         };
         let Some((loop_stmt, loop_proc)) = self.program.find_stmt(region_loop).map(|(s, p)| {
@@ -267,46 +249,11 @@ impl<'p> Slicer<'p> {
             return line >= loop_stmt.0 && line <= loop_stmt.1;
         }
         // Statements in procedures called from inside the loop are inside.
-        self.callees_of_loop(region_loop).contains(&sproc)
-    }
-
-    fn callees_of_loop(&mut self, loop_stmt: StmtId) -> HashSet<ProcId> {
-        if let Some(set) = self.loop_callees.get(&loop_stmt) {
-            return set.clone();
-        }
-        let mut set = HashSet::new();
-        if let Some((suif_ir::Stmt::Do { body, .. }, _)) = self.program.find_stmt(loop_stmt) {
-            let mut work: Vec<ProcId> = Vec::new();
-            fn collect(body: &[suif_ir::Stmt], out: &mut Vec<ProcId>) {
-                for s in body {
-                    match s {
-                        suif_ir::Stmt::Call { callee, .. } => out.push(*callee),
-                        suif_ir::Stmt::If {
-                            then_body,
-                            else_body,
-                            ..
-                        } => {
-                            collect(then_body, out);
-                            collect(else_body, out);
-                        }
-                        suif_ir::Stmt::Do { body, .. } => collect(body, out),
-                        _ => {}
-                    }
-                }
-            }
-            collect(body, &mut work);
-            while let Some(p) = work.pop() {
-                if set.insert(p) {
-                    self.program.walk_stmts(p, &mut |s, _| {
-                        if let suif_ir::Stmt::Call { callee, .. } = s {
-                            work.push(*callee);
-                        }
-                    });
-                }
-            }
-        }
-        self.loop_callees.insert(loop_stmt, set.clone());
-        set
+        let program = self.program;
+        (self.loop_callees.entry(region_loop))
+            .or_insert_with(|| suif_ir::callees_of_loop(program, region_loop))
+            .binary_search(&sproc)
+            .is_ok()
     }
 
     /// Demand-driven, memoized summary computation with a Kleene fixed
@@ -355,7 +302,7 @@ impl<'p> Slicer<'p> {
             Def::Param { .. } => {}
             Def::Stmt { stmt, ops, weak } => {
                 let pruned_ar = key.ar && weak;
-                let pruned_cr = !self.in_region_key(stmt, key);
+                let pruned_cr = !self.in_region(stmt, key.region);
                 if !(pruned_ar || pruned_cr) {
                     out.extend(ops);
                     if key.kind == SliceKind::Program {
@@ -371,7 +318,7 @@ impl<'p> Slicer<'p> {
                 callee,
                 callee_var,
             } => {
-                if self.in_region_key(call, key) {
+                if self.in_region(call, key.region) {
                     if let Some(&exit) = self.issa.exit_values.get(&(callee, callee_var)) {
                         out.push(exit);
                     }
@@ -384,7 +331,7 @@ impl<'p> Slicer<'p> {
         // CallReturn formal expansion: successors include bound values of
         // the callee's formals at this call.
         if let Def::CallReturn { call, callee, .. } = self.issa.def(v).clone() {
-            if self.in_region_key(call, key) {
+            if self.in_region(call, key.region) {
                 let keys: Vec<SliceVar> = self
                     .issa
                     .params
@@ -400,15 +347,6 @@ impl<'p> Slicer<'p> {
             }
         }
         out
-    }
-
-    fn in_region_key(&mut self, stmt: StmtId, key: &OptKey) -> bool {
-        let opts = SliceOptions {
-            array_restricted: key.ar,
-            region: key.region,
-            context: None,
-        };
-        self.in_region(stmt, &opts)
     }
 
     fn local_summary(
@@ -429,7 +367,7 @@ impl<'p> Slicer<'p> {
             }
             Def::Stmt { stmt, ops, weak } => {
                 let pruned_ar = key.ar && weak;
-                let pruned_cr = !self.in_region_key(stmt, key);
+                let pruned_cr = !self.in_region(stmt, key.region);
                 if pruned_cr {
                     // Outside the region: terminal, statement excluded.
                     out.terminals.insert(stmt);
@@ -445,7 +383,7 @@ impl<'p> Slicer<'p> {
                 }
                 if key.kind == SliceKind::Program {
                     for (cstmt, cvals) in self.issa.control_chain(stmt) {
-                        if self.in_region_key(cstmt, key) {
+                        if self.in_region(cstmt, key.region) {
                             out.stmts.insert(cstmt);
                         }
                         for cv in cvals {
@@ -464,7 +402,7 @@ impl<'p> Slicer<'p> {
                 callee,
                 callee_var,
             } => {
-                if !self.in_region_key(call, key) {
+                if !self.in_region(call, key.region) {
                     out.terminals.insert(call);
                     return out;
                 }

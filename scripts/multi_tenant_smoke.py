@@ -12,6 +12,13 @@ and asserts that (a) every client completes without error or deadlock,
 tenants recompute nothing), and (d) a `shutdown` request checkpoints and
 terminates the daemon cleanly.
 
+While the clients run, one hostile sibling loads four programs nested past
+the parser's limits (2 000 parentheses, 1 000 `if` blocks, a 20 000-term
+`1+1+…` chain, each of which once overflowed a worker's stack and aborted
+the whole daemon; and 63 parentheses around 64-term chains, a tree about
+4 000 levels high).  Each must get an error reply, and the daemon must stay
+alive.
+
 With --pipeline each client writes its whole command sequence in ONE send
 (no waiting between requests) and then reads the replies back, asserting
 they arrive in request order with matching ids — exercising the evented
@@ -96,6 +103,43 @@ def client(addr, source, out, idx, pipeline):
             }
     except Exception as e:  # surfaces in the main thread's report
         out[idx] = {"error": f"{type(e).__name__}: {e}"}
+
+
+def over_limit_programs():
+    """Sources nested past the parser's limits, by shape."""
+
+    def wrap(body):
+        return f"program p\nproc main() {{\n real x\n int k\n{body}\n}}\n"
+
+    # About 4 000 levels high in 8 KB: 63 parentheses, each around a
+    # 64-term chain (a left operand's height adds to the operators after it).
+    nested_chains = "1"
+    for _ in range(63):
+        nested_chains = "(" + nested_chains + "+1" * 63 + ")"
+    return {
+        "2000 nested parentheses": wrap(" x = " + "(" * 2000 + "1" + ")" * 2000),
+        "1000 nested ifs": wrap(" if k == 0 {\n" * 1000 + " k = 1\n" + " }\n" * 1000),
+        "a 20000-term chain": wrap(" x = 1" + "+1" * 19999),
+        "63 parentheses around 64-term chains": wrap(" x = " + nested_chains + "+1" * 63),
+    }
+
+
+def hostile(addr, out):
+    """The hostile sibling: every over-limit `load` must answer an error."""
+    try:
+        with socket.create_connection(addr, timeout=120) as sock:
+            sock_file = sock.makefile("r", encoding="utf-8")
+            for shape, text in over_limit_programs().items():
+                sock.sendall((json.dumps({"cmd": "load", "text": text}) + "\n").encode())
+                line = sock_file.readline()
+                if not line:
+                    raise RuntimeError(f"connection closed on {shape}")
+                resp = json.loads(line)
+                if resp.get("ok") or "nested deeper than" not in resp.get("error", ""):
+                    raise RuntimeError(f"{shape}: want a nesting error, got {resp}")
+                out.append(shape)
+    except Exception as e:  # surfaces in the main thread's report
+        out.append(f"error: {type(e).__name__}: {e}")
 
 
 def start_daemon(binary, persist_dir):
@@ -208,6 +252,8 @@ def main():
             )
             for i in range(args.clients)
         ]
+        refused = []
+        threads.append(threading.Thread(target=hostile, args=(addr, refused)))
         start = time.monotonic()
         for t in threads:
             t.start()
@@ -217,6 +263,8 @@ def main():
             sys.exit("deadlock: client threads still running after 180s")
         elapsed = time.monotonic() - start
 
+        assert daemon.poll() is None, f"daemon died (exit {daemon.returncode}): {refused}"
+        assert refused == list(over_limit_programs()), f"hostile sibling: {refused}"
         errors = [r for r in results if r is None or "error" in r]
         assert not errors, f"client failures: {errors}"
 
@@ -256,7 +304,8 @@ def main():
         print(
             f"multi-tenant OK: {args.clients} concurrent {mode} sessions in "
             f"{elapsed:.1f}s, {hits} shared-tier hits, {zero_recompute} sessions "
-            f"with zero recompute{idle_note}, clean shutdown{persist_note}"
+            f"with zero recompute{idle_note}, {len(refused)} over-limit loads "
+            f"refused, clean shutdown{persist_note}"
         )
     finally:
         for s in idle_socks:
