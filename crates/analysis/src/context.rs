@@ -17,6 +17,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
+use suif_ir::parser::MAX_PROCS;
 use suif_ir::{CallGraph, CommonId, Extent, Program, RegionTree, VarId, VarKind};
 use suif_poly::{ArrayId, Constraint, LinExpr, PolySet, Polyhedron, Section, Var};
 
@@ -35,6 +36,9 @@ pub const PROC_FRESH_BLOCK: u32 = 1 << 20;
 /// procedure block (dependence tests, liveness, closure projection on merged
 /// summaries).
 pub const POST_PASS_BASE: u32 = 0x8000_0000;
+
+// The parser refuses a program with more procedures than there are blocks.
+const _: () = assert!(MAX_PROCS as u32 <= (POST_PASS_BASE - FRESH_BASE) / PROC_FRESH_BLOCK);
 
 std::thread_local! {
     /// The active per-procedure block on this thread: `(next, end)`.
@@ -169,10 +173,7 @@ impl<'p> AnalysisCtx<'p> {
 
     /// The fresh-symbol block of procedure `pid`: `[start, end)`.
     pub fn proc_block(pid: suif_ir::ProcId) -> (u32, u32) {
-        assert!(
-            pid.0 < (POST_PASS_BASE - FRESH_BASE) / PROC_FRESH_BLOCK,
-            "too many procedures for per-procedure fresh-symbol blocks"
-        );
+        assert!((pid.0 as usize) < MAX_PROCS, "procedure past MAX_PROCS");
         let start = FRESH_BASE + pid.0 * PROC_FRESH_BLOCK;
         (start, start + PROC_FRESH_BLOCK)
     }

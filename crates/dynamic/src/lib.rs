@@ -51,7 +51,10 @@
 //! for a caller that advances several workers in turn on one thread —
 //! [`machine::Machine::begin_iteration`] and
 //! [`machine::Machine::step_with`], one instruction reporting to hooks the
-//! caller lends it.
+//! caller lends it.  The certifier's scout also stops a run at a loop's
+//! head ([`machine::Machine::run_to_head`]), takes a
+//! [`machine::Checkpoint`] there, and resumes copies of the run from it
+//! ([`machine::Machine::resume`], [`machine::Machine::finish`]).
 //!
 //! This crate also holds the two schedule-independent halves of the
 //! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a
@@ -85,7 +88,7 @@ pub mod value;
 pub use code::{Code, DoLoop};
 pub use dyndep::{DynDepAnalyzer, DynDepConfig, DynDepReport};
 pub use layout::Layout;
-pub use machine::{Hooks, Machine, MemStore, NoHooks, RuntimeError};
+pub use machine::{Checkpoint, Hooks, Machine, MemStore, NoHooks, RuntimeError};
 pub use profile::{LoopProfile, LoopProfiler, ProfileReport};
 pub use race::{AccessInfo, AccessKind, Race, RaceDetector, VectorClock};
 pub use sched::{AdversarialScheduler, SchedPolicy, SplitMix64};

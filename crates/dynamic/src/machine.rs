@@ -9,7 +9,10 @@
 //! to execute compiler-parallelized loops — on worker threads for speed, or
 //! stepped in turn on one thread ([`Machine::step_with`]) for race
 //! certification.  The safety contract for that sharing is documented on
-//! [`MemStore`], and every raw-pointer operation stays in this file.
+//! [`MemStore`], and every raw-pointer operation stays in this file.  A
+//! machine that owns its memory can also be stopped at a loop's head
+//! ([`Machine::run_to_head`]) and copied into a [`Checkpoint`], from which
+//! any number of machines continue the run ([`Machine::resume`]).
 
 use crate::code::{Code, Dim, DoLoop, Inst};
 use crate::layout::{Layout, LayoutError};
@@ -219,6 +222,26 @@ struct LoopFrame {
     step: i64,
 }
 
+/// A machine's whole state at one point of a run, owned: its memory, base
+/// table, program counter, the three stacks, op counter and budget, the
+/// output so far and the input not yet read.  [`Machine::checkpoint`] takes
+/// one and [`Machine::resume`] continues from it, as often as wanted: each
+/// machine resumed from it does what the checkpointed one would have done.
+#[derive(Clone)]
+pub struct Checkpoint {
+    code: Arc<Code>,
+    memory: Vec<Value>,
+    base: Vec<usize>,
+    pc: usize,
+    stack: Vec<Value>,
+    loops: Vec<LoopFrame>,
+    calls: Vec<usize>,
+    ops: u64,
+    max_ops: u64,
+    output: Vec<String>,
+    input: VecDeque<f64>,
+}
+
 /// The interpreter: explicit state over a shared, immutable [`Code`].
 /// [`Machine::step`] is the one place an instruction executes.
 pub struct Machine<'a> {
@@ -402,6 +425,79 @@ impl<'a> Machine<'a> {
         self.calls.clear();
         while self.step()? {}
         Ok(())
+    }
+
+    /// Run on from where the machine stands to the end of the program:
+    /// [`Machine::run`] without going back to `main`'s entry.
+    pub fn finish(&mut self) -> Result<(), RuntimeError> {
+        while self.step()? {}
+        Ok(())
+    }
+
+    /// Run on until the next instruction is the head of a loop `stop`
+    /// accepts and return that loop, the machine standing at its head: the
+    /// loop's statement has been counted and announced, its handler not yet
+    /// offered it.  `None` once the program has ended.  A machine already at
+    /// the head of an accepted loop stays there.
+    pub fn run_to_head(
+        &mut self,
+        mut stop: impl FnMut(&DoLoop) -> bool,
+    ) -> Result<Option<DoLoop>, RuntimeError> {
+        loop {
+            if let Inst::DoHead { lp, .. } = self.code.insts[self.pc] {
+                let lp = self.code.loops[lp as usize];
+                if stop(&lp) {
+                    return Ok(Some(lp));
+                }
+            }
+            if !self.step()? {
+                return Ok(None);
+            }
+        }
+    }
+
+    /// This machine's state, owned (see [`Checkpoint`]).  The machine must
+    /// own its memory: a worker view cannot be checkpointed.
+    pub fn checkpoint(&self) -> Checkpoint {
+        let MemStore::Owned(memory) = &self.mem else {
+            panic!("a worker view cannot be checkpointed");
+        };
+        Checkpoint {
+            code: Arc::clone(&self.code),
+            memory: memory.clone(),
+            base: self.base.clone(),
+            pc: self.pc,
+            stack: self.stack.clone(),
+            loops: self.loops.clone(),
+            calls: self.calls.clone(),
+            ops: self.ops,
+            max_ops: self.max_ops,
+            output: self.output.clone(),
+            input: self.input.clone(),
+        }
+    }
+
+    /// A machine that continues `program`'s run from `at`, reporting to
+    /// `hooks`, with no loop handler.  `at` must come from a machine of this
+    /// `program`; it is left as it was.
+    pub fn resume(program: &'a Program, at: &Checkpoint, hooks: &'a mut dyn Hooks) -> Machine<'a> {
+        let at = at.clone();
+        Machine {
+            program,
+            code: at.code,
+            mem: MemStore::Owned(at.memory),
+            base: at.base,
+            hooks,
+            handler: None,
+            pc: at.pc,
+            stack: at.stack,
+            loops: at.loops,
+            calls: at.calls,
+            ops: at.ops,
+            max_ops: at.max_ops,
+            output: at.output,
+            input: at.input,
+        }
     }
 
     /// Evaluate the `(lo, hi, step)` bounds of `lp` in the current frame

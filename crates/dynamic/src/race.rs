@@ -10,11 +10,18 @@
 //! the last-write epoch and a bounded set of concurrent read epochs, and
 //! reports the **first conflicting access pair** with source locations.
 //!
-//! Addresses at or beyond the `shared_limit` (the thread-private tail of a
+//! The shadow is dense: one cell per address of the shared segment, in a
+//! `Vec` indexed by address, allocated when the detector is built.  The
+//! certifier builds one detector per schedule and [`RaceDetector::reset`]s
+//! it at every invocation of the target loop.  Each cell is stamped with the
+//! invocation (a generation number) that last wrote it, and a cell stamped
+//! with an older generation reads as empty, so a reset clears nothing.
+//!
+//! Addresses at or beyond the shadow's length (the thread-private tail of a
 //! worker's [`crate::machine::MemStore::View`]) are thread-private by
 //! construction and are never recorded.  The detector is plain data with no
-//! synchronization of its own: the certifier owns one per loop invocation
-//! and feeds it from the one thread that steps every worker.
+//! synchronization of its own: the certifier feeds it from the one thread
+//! that steps every worker.
 
 use std::collections::HashMap;
 use suif_ir::{StmtId, VarId};
@@ -51,22 +58,6 @@ impl VectorClock {
                 self.0[k] = v;
             }
         }
-    }
-}
-
-/// An epoch: one event of one logical thread, `(thread, clock)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Epoch {
-    /// Logical thread.
-    pub thread: usize,
-    /// That thread's own clock component at the event.
-    pub clock: u32,
-}
-
-impl Epoch {
-    /// Does this epoch happen-before (or equal) the point described by `vc`?
-    pub fn happens_before(&self, vc: &VectorClock) -> bool {
-        self.clock <= vc.get(self.thread)
     }
 }
 
@@ -131,24 +122,43 @@ impl std::fmt::Display for Race {
     }
 }
 
-/// Shadow state per address: the last write epoch plus up to two concurrent
-/// read epochs.  Two reads are enough: a later write conflicts with *some*
+/// An access as a shadow cell keeps it: its epoch is `(info.thread, clock)`,
+/// the accessing thread's own clock component at the access.
+#[derive(Clone, Copy, Debug)]
+struct Stamp {
+    clock: u32,
+    info: AccessInfo,
+}
+
+impl Stamp {
+    /// Does this access happen-before (or equal) the point described by `vc`?
+    fn happens_before(&self, vc: &VectorClock) -> bool {
+        self.clock <= vc.get(self.info.thread)
+    }
+}
+
+/// Shadow state per address: the last write plus up to two concurrent reads,
+/// oldest first.  Two reads are enough: a later write conflicts with *some*
 /// unordered read iff it conflicts with one of any two reads from distinct
 /// threads (at most one of them can share the writer's thread).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct Shadow {
-    write: Option<(Epoch, AccessInfo)>,
-    reads: Vec<(Epoch, AccessInfo)>,
+    /// The invocation this state belongs to; under any other it is empty.
+    generation: u32,
+    write: Option<Stamp>,
+    reads: [Option<Stamp>; 2],
 }
 
 /// The happens-before detector.
 pub struct RaceDetector {
     clocks: Vec<VectorClock>,
     locks: HashMap<usize, VectorClock>,
-    shadow: HashMap<usize, Shadow>,
-    shared_limit: usize,
+    /// One cell per shared address.
+    shadow: Vec<Shadow>,
+    /// The current invocation; never 0, which fresh cells carry.
+    generation: u32,
     races: Vec<Race>,
-    /// Total shared accesses examined.
+    /// Shared accesses examined since the last reset.
     pub accesses: u64,
     max_races: usize,
 }
@@ -158,42 +168,54 @@ impl RaceDetector {
     /// are thread-private and ignored.  Every thread starts with its own
     /// component at 1 (so epochs are never the zero clock).
     pub fn new(threads: usize, shared_limit: usize) -> RaceDetector {
-        let mut clocks = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let mut c = VectorClock::new();
-            c.set(t, 1);
-            clocks.push(c);
-        }
-        RaceDetector {
-            clocks,
+        let mut d = RaceDetector {
+            clocks: Vec::new(),
             locks: HashMap::new(),
-            shadow: HashMap::new(),
-            shared_limit,
+            shadow: vec![Shadow::default(); shared_limit],
+            generation: 0,
             races: Vec::new(),
             accesses: 0,
             max_races: 64,
-        }
+        };
+        d.reset(threads);
+        d
     }
 
-    fn epoch(&self, t: usize) -> Epoch {
-        Epoch {
-            thread: t,
-            clock: self.clocks[t].get(t),
+    /// Start over with `threads` logical threads, as if freshly built: no
+    /// shadow state, no lock clocks, no races, no accesses counted.  The
+    /// shadow is cleared by moving to the next generation, not by a write
+    /// per cell.
+    pub fn reset(&mut self, threads: usize) {
+        self.generation = self.generation.wrapping_add(1);
+        if self.generation == 0 {
+            // Wrapped: a cell stamped long ago could read as current.
+            self.shadow.fill(Shadow::default());
+            self.generation = 1;
         }
+        self.clocks.resize_with(threads, VectorClock::new);
+        for (t, c) in self.clocks.iter_mut().enumerate() {
+            c.0.clear();
+            c.set(t, 1);
+        }
+        self.locks.clear();
+        self.races.clear();
+        self.accesses = 0;
     }
 
     /// Fork edge: everything `parent` did so far happens-before `child`.
     pub fn fork(&mut self, parent: usize, child: usize) {
-        let pc = self.clocks[parent].clone();
+        let pc = std::mem::take(&mut self.clocks[parent]);
         self.clocks[child].merge(&pc);
+        self.clocks[parent] = pc;
         let inc = self.clocks[parent].get(parent) + 1;
         self.clocks[parent].set(parent, inc);
     }
 
     /// Join edge: everything `child` did happens-before `parent` afterwards.
     pub fn join(&mut self, parent: usize, child: usize) {
-        let cc = self.clocks[child].clone();
+        let cc = std::mem::take(&mut self.clocks[child]);
         self.clocks[parent].merge(&cc);
+        self.clocks[child] = cc;
         let inc = self.clocks[child].get(child) + 1;
         self.clocks[child].set(child, inc);
     }
@@ -209,8 +231,7 @@ impl RaceDetector {
     /// Acquire edge: thread `t` acquires lock `l`.
     pub fn acquire(&mut self, t: usize, l: usize) {
         if let Some(lc) = self.locks.get(&l) {
-            let lc = lc.clone();
-            self.clocks[t].merge(&lc);
+            self.clocks[t].merge(lc);
         }
     }
 
@@ -225,11 +246,11 @@ impl RaceDetector {
         line: u32,
         kind: AccessKind,
     ) -> Option<Race> {
-        if addr >= self.shared_limit || self.races.len() >= self.max_races {
+        if addr >= self.shadow.len() || self.races.len() >= self.max_races {
             return None;
         }
         self.accesses += 1;
-        let me = self.epoch(thread);
+        let vc = &self.clocks[thread];
         let info = AccessInfo {
             thread,
             var,
@@ -237,47 +258,53 @@ impl RaceDetector {
             stmt,
             kind,
         };
-        let vc = self.clocks[thread].clone();
-        let shadow = self.shadow.entry(addr).or_default();
-        let mut found: Option<Race> = None;
-        // Write/write and read-after-write conflicts.
-        if let Some((we, winfo)) = &shadow.write {
-            if we.thread != thread && !we.happens_before(&vc) {
-                found = Some(Race {
-                    addr,
-                    first: *winfo,
-                    second: info,
-                });
-            }
+        let me = Stamp {
+            clock: vc.get(thread),
+            info,
+        };
+        let cell = &mut self.shadow[addr];
+        if cell.generation != self.generation {
+            *cell = Shadow {
+                generation: self.generation,
+                ..Shadow::default()
+            };
         }
+        let race_with = |earlier: &Stamp| {
+            (earlier.info.thread != thread && !earlier.happens_before(vc)).then(|| Race {
+                addr,
+                first: earlier.info,
+                second: info,
+            })
+        };
+        // Write/write and read-after-write conflicts.
+        let mut found = cell.write.as_ref().and_then(race_with);
         match kind {
             AccessKind::Read => {
-                // Keep at most two unordered read epochs from distinct
-                // threads; drop reads ordered before this one.
-                shadow.reads.retain(|(e, _)| !e.happens_before(&vc));
-                if !shadow.reads.iter().any(|(e, _)| e.thread == thread) && shadow.reads.len() < 2 {
-                    shadow.reads.push((me, info));
-                } else if let Some(slot) = shadow.reads.iter_mut().find(|(e, _)| e.thread == thread)
-                {
-                    *slot = (me, info);
+                // Keep at most two unordered reads from distinct threads, in
+                // arrival order; drop reads ordered before this one.
+                let mut kept = cell
+                    .reads
+                    .into_iter()
+                    .flatten()
+                    .filter(|r| !r.happens_before(vc));
+                let mut reads = [kept.next(), kept.next()];
+                match reads.iter_mut().flatten().find(|r| r.info.thread == thread) {
+                    Some(mine) => *mine = me,
+                    None => {
+                        if let Some(free) = reads.iter_mut().find(|r| r.is_none()) {
+                            *free = Some(me);
+                        }
+                    }
                 }
+                cell.reads = reads;
             }
             AccessKind::Write => {
                 // Write-after-read conflicts.
                 if found.is_none() {
-                    for (re, rinfo) in &shadow.reads {
-                        if re.thread != thread && !re.happens_before(&vc) {
-                            found = Some(Race {
-                                addr,
-                                first: *rinfo,
-                                second: info,
-                            });
-                            break;
-                        }
-                    }
+                    found = cell.reads.iter().flatten().find_map(race_with);
                 }
-                shadow.reads.clear();
-                shadow.write = Some((me, info));
+                cell.reads = [None; 2];
+                cell.write = Some(me);
             }
         }
         if let Some(r) = &found {
@@ -286,19 +313,10 @@ impl RaceDetector {
         found
     }
 
-    /// All races recorded so far (bounded by an internal cap).
+    /// The races recorded since the last reset (at most 64: once the cap is
+    /// reached, accesses are neither checked nor counted until the reset).
     pub fn races(&self) -> &[Race] {
         &self.races
-    }
-
-    /// The first conflicting access pair, if any.
-    pub fn first_race(&self) -> Option<&Race> {
-        self.races.first()
-    }
-
-    /// Consume the detector, returning the recorded races.
-    pub fn into_races(self) -> Vec<Race> {
-        self.races
     }
 }
 
@@ -416,6 +434,68 @@ mod tests {
             .on_access(2, v(0), 10, s(2), 2, AccessKind::Write)
             .is_none());
         assert_eq!(d.accesses, 0);
+    }
+
+    #[test]
+    fn a_reset_forgets_the_previous_invocations_accesses() {
+        let mut d = RaceDetector::new(3, 100);
+        d.fork(0, 1);
+        d.fork(0, 2);
+        d.on_access(1, v(0), 8, s(1), 1, AccessKind::Write);
+        d.on_access(2, v(0), 9, s(1), 1, AccessKind::Read);
+        d.reset(3);
+        d.fork(0, 1);
+        d.fork(0, 2);
+        // Unordered with both accesses above, had they been in this
+        // invocation.
+        assert!(d.on_access(2, v(0), 8, s(2), 2, AccessKind::Read).is_none());
+        assert!(d
+            .on_access(1, v(0), 9, s(2), 2, AccessKind::Write)
+            .is_none());
+        assert!(d.races().is_empty());
+        assert_eq!(d.accesses, 2);
+        // Within the invocation the shadow still works.
+        let r = d
+            .on_access(1, v(0), 8, s(3), 3, AccessKind::Write)
+            .expect("race with this invocation's read");
+        assert_eq!((r.first.thread, r.first.line), (2, 2));
+    }
+
+    #[test]
+    fn the_race_cap_resets_per_invocation() {
+        let racy_invocation = |d: &mut RaceDetector| {
+            d.fork(0, 1);
+            d.fork(0, 2);
+            for addr in 0..100 {
+                d.on_access(1, v(0), addr, s(1), 1, AccessKind::Write);
+                d.on_access(2, v(0), addr, s(2), 2, AccessKind::Write);
+            }
+        };
+        let mut d = RaceDetector::new(3, 100);
+        racy_invocation(&mut d);
+        assert_eq!(d.races().len(), 64);
+        // Counting stops with the cap: 64 racing pairs and nothing after.
+        assert_eq!(d.accesses, 128);
+        assert_eq!(d.races()[63].addr, 63);
+        d.reset(3);
+        assert!(d.races().is_empty());
+        racy_invocation(&mut d);
+        assert_eq!((d.races().len(), d.accesses), (64, 128));
+        assert_eq!(d.races()[0].addr, 0);
+    }
+
+    #[test]
+    fn a_reset_resizes_the_thread_set() {
+        let mut d = RaceDetector::new(2, 10);
+        d.reset(5);
+        for k in 1..5 {
+            d.fork(0, k);
+        }
+        d.on_access(3, v(0), 1, s(1), 1, AccessKind::Write);
+        assert!(d.on_access(4, v(0), 1, s(1), 1, AccessKind::Read).is_some());
+        d.reset(2);
+        d.fork(0, 1);
+        assert!(d.on_access(1, v(0), 1, s(1), 1, AccessKind::Read).is_none());
     }
 
     #[test]

@@ -32,6 +32,11 @@ pub const MAX_STMT_DEPTH: u32 = 64;
 /// its operators and parentheses together.
 pub const MAX_EXPR_DEPTH: u32 = 128;
 
+/// Most procedures a program may have.  The analysis gives each procedure
+/// its own block of fresh symbols, and this many blocks fit its symbol
+/// space (`suif_analysis::context` checks that at compile time).
+pub const MAX_PROCS: usize = 1024;
+
 /// Parse a token stream into an [`AstProgram`].
 pub fn parse(tokens: &[Token]) -> Result<AstProgram, ParseError> {
     Parser {
@@ -227,7 +232,12 @@ impl<'a> Parser<'a> {
                         line,
                     });
                 }
-                TokenKind::Kw(Keyword::Proc) => procs.push(self.proc()?),
+                TokenKind::Kw(Keyword::Proc) => {
+                    if procs.len() == MAX_PROCS {
+                        return self.err(format!("more than {MAX_PROCS} procedures"));
+                    }
+                    procs.push(self.proc()?)
+                }
                 TokenKind::Eof => break,
                 other => return self.err(format!("expected `proc` or `const`, found {other}")),
             }
@@ -799,6 +809,19 @@ mod tests {
             assert_eq!(err.line, 5 + MAX_STMT_DEPTH, "{err}");
             assert!(err.message.contains("statements nested deeper"), "{err}");
         }
+    }
+
+    #[test]
+    fn procedures_are_refused_one_past_the_limit() {
+        // `main` on line 2, then one procedure per line.
+        let program = |n: usize| {
+            let procs: String = (1..n).map(|k| format!("proc p{k}() {{ }}\n")).collect();
+            format!("program t\nproc main() {{ }}\n{procs}")
+        };
+        assert_eq!(parse_ok(&program(MAX_PROCS)).procs.len(), MAX_PROCS);
+        let err = parse(&lex(&program(MAX_PROCS + 1)).unwrap()).unwrap_err();
+        assert_eq!(err.line, MAX_PROCS as u32 + 2, "{err}");
+        assert_eq!(err.message, "more than 1024 procedures");
     }
 
     #[test]

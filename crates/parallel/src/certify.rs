@@ -13,20 +13,28 @@
 //! seed), and every step reports its memory access to a [`RaceDetector`]
 //! that checks it against the happens-before order in which each
 //! *iteration* is a logical thread forked at loop entry and joined at exit.
-//! Nothing is spawned and nothing is locked.
+//! Nothing is spawned and nothing is locked.  A schedule builds one
+//! detector, whose dense shadow covers the shared segment, and resets it at
+//! every invocation of the target loop.
 //!
-//! [`certify_loop`] runs the whole program once per adversarial schedule,
-//! collecting per-schedule races, captured output and final shared memory.
-//! A sequential reference capture of the same program lets callers check
-//! the differential invariant: a certified DOALL loop must be race-free
-//! with sequential-identical observable behavior under every schedule.
+//! [`certify_loops`] runs the program once, sequentially, as a *scout* that
+//! stops at each target loop's first head and takes a [`Checkpoint`] there.
+//! Every adversarial schedule of that target resumes from the checkpoint
+//! and runs the rest of the program, collecting per-schedule races,
+//! captured output and final shared memory.  Nothing before a target's
+//! first head depends on the schedule, so this is exactly what running the
+//! whole program once per schedule gave.  A sequential reference capture of
+//! the same program lets callers check the differential invariant: a
+//! certified DOALL loop must be race-free with sequential-identical
+//! observable behavior under every schedule.
 
 use crate::executor::{Finalization, Schedule};
 use crate::forkjoin::{finalize, Iterations, LoopLayout, LoopRun, SegRole, WorkerResult};
 use crate::plan::PlanEntry;
+use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
-use suif_dynamic::machine::{Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
+use std::time::{Duration, Instant};
+use suif_dynamic::machine::{Checkpoint, Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
 use suif_dynamic::race::{AccessKind, Race, RaceDetector};
 use suif_dynamic::sched::AdversarialScheduler;
 use suif_dynamic::{Code, DoLoop, Value};
@@ -252,6 +260,8 @@ struct CertifyHandler<'p> {
     /// All scheduling decisions derive from this seed.
     seed: u64,
     plan: &'p PlanEntry,
+    /// Built once for the schedule, reset at every invocation.
+    detector: RaceDetector,
     outcome: CertOutcome,
 }
 
@@ -284,7 +294,8 @@ impl LoopHandler for CertifyHandler<'_> {
 
         // One logical thread per iteration, plus the parent (thread 0);
         // fork edges order everything before the loop with every iteration.
-        let mut detector = RaceDetector::new(n + 1, m.shared_len());
+        let detector = &mut self.detector;
+        detector.reset(n + 1);
         for k in 0..n {
             detector.fork(0, k + 1);
         }
@@ -292,15 +303,15 @@ impl LoopHandler for CertifyHandler<'_> {
         let mut sched = AdversarialScheduler::new(self.seed, workers);
         // Block schedule and serialized merge: the production defaults'
         // deterministic core.
-        let joined = interleave(m, &run, &layout, workers, &mut sched, &mut detector);
+        let joined = interleave(m, &run, &layout, workers, &mut sched, detector);
 
         self.outcome.shared_accesses += detector.accesses;
         self.outcome.schedule_decisions += sched.decisions;
         self.outcome.schedule_switches += sched.switches;
-        let races = detector.into_races();
+        let races = detector.races();
         self.outcome.race_count += races.len() as u64;
         let room = MAX_REPORTED_RACES.saturating_sub(self.outcome.races.len());
-        self.outcome.races.extend(races.into_iter().take(room));
+        self.outcome.races.extend(races.iter().take(room).cloned());
         let results = match joined {
             Ok(results) => results,
             Err(e) => {
@@ -366,8 +377,10 @@ pub struct ScheduleReport {
     pub outcome: CertOutcome,
     /// Whole-program observable result under this schedule.
     pub capture: ExecutionCapture,
-    /// Wall-clock time of the run.
-    pub elapsed: std::time::Duration,
+    /// Wall-clock time of the run from the loop's first head on: the
+    /// prefix the schedules share runs once, outside every schedule, and a
+    /// loop the program never reaches ran nothing of its own (zero).
+    pub elapsed: Duration,
 }
 
 /// Certification result for one loop across all schedules.
@@ -399,22 +412,25 @@ impl LoopCertification {
     }
 }
 
+/// The capture of a program that cannot be laid out.
+fn layout_failure(e: impl std::fmt::Debug) -> ExecutionCapture {
+    ExecutionCapture {
+        output: Vec::new(),
+        memory: Vec::new(),
+        error: Some(RuntimeError {
+            message: format!("layout error: {e:?}"),
+            line: 0,
+        }),
+    }
+}
+
 /// Run the program sequentially (no handler) and capture its observable
 /// result — the reference side of the differential check.
 pub fn capture_sequential(program: &Program, input: &[f64]) -> ExecutionCapture {
     let mut hooks = NoHooks;
     let mut m = match Machine::new(program, &mut hooks) {
         Ok(m) => m,
-        Err(e) => {
-            return ExecutionCapture {
-                output: Vec::new(),
-                memory: Vec::new(),
-                error: Some(RuntimeError {
-                    message: format!("layout error: {e:?}"),
-                    line: 0,
-                }),
-            }
-        }
+        Err(e) => return layout_failure(e),
     };
     m.set_input(input.to_vec());
     let error = m.run().err();
@@ -435,61 +451,127 @@ fn capture_machine(mut m: Machine<'_>, error: Option<RuntimeError>) -> Execution
 /// Certify `target` under `opts.schedules` adversarial schedules, executing
 /// the loop with the privatization described by `plan` (pass the production
 /// plan to certify the transformed loop, or
-/// [`crate::plan::minimal_plan`]'s result to probe the untransformed one).
-/// The program is lowered once; every schedule's machine and its workers
-/// share that code.
+/// [`crate::plan::minimal_plan`]'s result to probe the untransformed one):
+/// [`certify_loops`] of one target.
 pub fn certify_loop(
     program: &Program,
     target: StmtId,
     plan: &PlanEntry,
     opts: &CertifyOptions,
 ) -> LoopCertification {
-    let code = Code::lower(program).map(Arc::new);
-    let mut schedules = Vec::with_capacity(opts.schedules as usize);
-    for s in 0..opts.schedules {
-        let seed = opts.seed.wrapping_add(s as u64);
-        let start = Instant::now();
-        let mut hooks = NoHooks;
-        let mut handler = CertifyHandler {
-            target,
-            threads: opts.threads,
-            seed,
-            plan,
-            outcome: CertOutcome::default(),
-        };
-        let mut m = match &code {
-            Ok(code) => Machine::with_code(program, Arc::clone(code), &mut hooks),
-            Err(e) => {
-                schedules.push(ScheduleReport {
-                    seed,
-                    outcome: CertOutcome::default(),
-                    capture: ExecutionCapture {
-                        output: Vec::new(),
-                        memory: Vec::new(),
-                        error: Some(RuntimeError {
-                            message: format!("layout error: {e:?}"),
-                            line: 0,
-                        }),
-                    },
-                    elapsed: start.elapsed(),
-                });
-                continue;
-            }
-        };
-        m.set_input(opts.input.clone());
-        m.set_handler(&mut handler);
-        let error = m.run().err();
-        let capture = capture_machine(m, error);
-        schedules.push(ScheduleReport {
-            seed,
-            outcome: handler.outcome,
-            capture,
-            elapsed: start.elapsed(),
-        });
+    let mut one = certify_loops(program, &[(target, plan)], opts);
+    one.pop().expect("one certification per target")
+}
+
+/// Certify every `(loop, plan)` of `targets`, each under `opts.schedules`
+/// adversarial schedules, and return their certifications in target order;
+/// a loop may appear more than once, under different plans.
+///
+/// The program is lowered once and run once, sequentially, by a scout
+/// machine that stops at the first head of each target loop it reaches and
+/// takes a [`Checkpoint`] there.  Every schedule of that loop resumes from
+/// the checkpoint with the loop's [`CertifyHandler`] installed and runs to
+/// the end of the program; the scout then steps past the head, and quits
+/// once no target is left.  Until its target's first head a schedule's run
+/// is the sequential run — the handler declines every other loop — so this
+/// gives what running the whole program once per schedule did.  A target
+/// the scout never reaches (its procedure is never called, or the run fails
+/// first) gets the scout's final capture for every schedule, which is again
+/// what each full run would have produced.
+pub fn certify_loops(
+    program: &Program,
+    targets: &[(StmtId, &PlanEntry)],
+    opts: &CertifyOptions,
+) -> Vec<LoopCertification> {
+    let mut certs: Vec<LoopCertification> = targets
+        .iter()
+        .map(|&(stmt, _)| LoopCertification {
+            stmt,
+            schedules: Vec::new(),
+        })
+        .collect();
+    let unreached = |cert: &mut LoopCertification, capture: &ExecutionCapture| {
+        cert.schedules = (0..opts.schedules)
+            .map(|s| ScheduleReport {
+                seed: opts.seed.wrapping_add(s as u64),
+                outcome: CertOutcome::default(),
+                capture: capture.clone(),
+                elapsed: Duration::ZERO,
+            })
+            .collect();
+    };
+    let code = match Code::lower(program) {
+        Ok(code) => Arc::new(code),
+        Err(e) => {
+            let capture = layout_failure(e);
+            certs.iter_mut().for_each(|c| unreached(c, &capture));
+            return certs;
+        }
+    };
+    // Target indices by loop, until the scout reaches the loop.
+    let mut pending: HashMap<StmtId, Vec<usize>> = HashMap::new();
+    for (k, &(stmt, _)) in targets.iter().enumerate() {
+        pending.entry(stmt).or_default().push(k);
     }
-    LoopCertification {
-        stmt: target,
-        schedules,
+    let mut hooks = NoHooks;
+    let mut scout = Machine::with_code(program, code, &mut hooks);
+    scout.set_input(opts.input.clone());
+    let error = loop {
+        if pending.is_empty() {
+            return certs;
+        }
+        match scout.run_to_head(|lp| pending.contains_key(&lp.stmt)) {
+            Ok(Some(lp)) => {
+                let at = scout.checkpoint();
+                let reached = pending.remove(&lp.stmt);
+                for k in reached.expect("the scout stops at pending loops only") {
+                    let plan = targets[k].1;
+                    certs[k].schedules = (0..opts.schedules)
+                        .map(|s| run_schedule(program, &at, lp.stmt, plan, opts, s))
+                        .collect();
+                }
+            }
+            Ok(None) => break None,
+            Err(e) => break Some(e),
+        }
+    };
+    let capture = capture_machine(scout, error);
+    for k in pending.into_values().flatten() {
+        unreached(&mut certs[k], &capture);
+    }
+    certs
+}
+
+/// Schedule `s` of `target`: resume the run from `at`, the loop's first
+/// head, with the loop certified under `plan`, and run it to the end.
+fn run_schedule(
+    program: &Program,
+    at: &Checkpoint,
+    target: StmtId,
+    plan: &PlanEntry,
+    opts: &CertifyOptions,
+    s: u32,
+) -> ScheduleReport {
+    let seed = opts.seed.wrapping_add(s as u64);
+    let start = Instant::now();
+    let mut hooks = NoHooks;
+    let mut m = Machine::resume(program, at, &mut hooks);
+    let mut handler = CertifyHandler {
+        target,
+        threads: opts.threads,
+        seed,
+        plan,
+        detector: RaceDetector::new(0, m.shared_len()),
+        outcome: CertOutcome::default(),
+    };
+    m.set_handler(&mut handler);
+    let error = m.finish().err();
+    let capture = capture_machine(m, error);
+    ScheduleReport {
+        seed,
+        outcome: handler.outcome,
+        capture,
+        elapsed: start.elapsed(),
     }
 }
 
@@ -513,6 +595,228 @@ mod tests {
             .find(|l| l.name == name)
             .unwrap_or_else(|| panic!("no loop {name}"))
             .stmt
+    }
+
+    /// Every schedule of `target` run from `main`, as certification ran
+    /// before the scout: the reference `certify_loops` must equal.
+    fn certify_from_main(
+        program: &Program,
+        target: StmtId,
+        plan: &PlanEntry,
+        opts: &CertifyOptions,
+    ) -> LoopCertification {
+        let schedules = (0..opts.schedules)
+            .map(|s| {
+                let seed = opts.seed.wrapping_add(s as u64);
+                let mut hooks = NoHooks;
+                let (outcome, capture) = match Machine::new(program, &mut hooks) {
+                    Err(e) => (CertOutcome::default(), layout_failure(e)),
+                    Ok(mut m) => {
+                        let mut handler = CertifyHandler {
+                            target,
+                            threads: opts.threads,
+                            seed,
+                            plan,
+                            detector: RaceDetector::new(0, m.shared_len()),
+                            outcome: CertOutcome::default(),
+                        };
+                        m.set_input(opts.input.clone());
+                        m.set_handler(&mut handler);
+                        let error = m.run().err();
+                        let capture = capture_machine(m, error);
+                        (handler.outcome, capture)
+                    }
+                };
+                ScheduleReport {
+                    seed,
+                    outcome,
+                    capture,
+                    elapsed: Duration::ZERO,
+                }
+            })
+            .collect();
+        LoopCertification {
+            stmt: target,
+            schedules,
+        }
+    }
+
+    /// Everything a certification reports but the wall clock.
+    fn shown(c: &LoopCertification) -> String {
+        let schedules: Vec<_> = c
+            .schedules
+            .iter()
+            .map(|s| (s.seed, &s.outcome, &s.capture))
+            .collect();
+        format!("{:?} {schedules:?}", c.stmt)
+    }
+
+    /// Certify the named loops of `src` in one `certify_loops` call — each
+    /// under its production plan, or the minimal plan when it has none, and
+    /// the ones marked `minimal` under the minimal plan too — and check each
+    /// against per-target certification and against schedules run from
+    /// `main`.  Returns the certifications in target order.
+    fn one_call_agrees(src: &str, loops: &[&str], minimal: &[&str]) -> Vec<LoopCertification> {
+        let p = parse_program(src).unwrap();
+        let pa = Parallelizer::analyze(&p, ParallelizeConfig::default());
+        let plans = ParallelPlans::from_analysis(&pa);
+        let mut targets = Vec::new();
+        for &name in loops {
+            let stmt = loop_named(&p, &pa, name);
+            let production = plans.loops.get(&stmt).cloned();
+            targets.extend(
+                production
+                    .or_else(|| minimal_plan(&p, stmt))
+                    .map(|plan| (stmt, plan)),
+            );
+        }
+        for &name in minimal {
+            let stmt = loop_named(&p, &pa, name);
+            targets.push((stmt, minimal_plan(&p, stmt).expect("a minimal plan")));
+        }
+        assert_eq!(
+            targets.len(),
+            loops.len() + minimal.len(),
+            "every loop planned"
+        );
+        let opts = CertifyOptions {
+            schedules: 3,
+            seed: 5,
+            ..Default::default()
+        };
+        let refs: Vec<_> = targets.iter().map(|(stmt, plan)| (*stmt, plan)).collect();
+        let all = certify_loops(&p, &refs, &opts);
+        assert_eq!(all.len(), targets.len());
+        for (cert, (stmt, plan)) in all.iter().zip(&targets) {
+            assert_eq!(shown(cert), shown(&certify_loop(&p, *stmt, plan, &opts)));
+            assert_eq!(
+                shown(cert),
+                shown(&certify_from_main(&p, *stmt, plan, &opts))
+            );
+        }
+        all
+    }
+
+    #[test]
+    fn a_loop_the_program_never_reaches_gets_the_whole_run() {
+        let src = r#"program t
+proc never() {
+  real b[8]
+  int j
+  do 3 j = 1, 8 {
+    b[j] = j
+  }
+}
+proc main() {
+  real a[8]
+  int i
+  do 1 i = 1, 8 {
+    a[i] = i
+  }
+  print a[8]
+}
+"#;
+        let certs = one_call_agrees(src, &["main/1", "never/3"], &[]);
+        let seq = capture_sequential(&parse_program(src).unwrap(), &[]);
+        for s in &certs[1].schedules {
+            assert_eq!(s.outcome.loops_run, 0);
+            assert_eq!(s.capture.output, seq.output);
+            assert_eq!(s.capture.memory, seq.memory);
+            assert_eq!(s.elapsed, Duration::ZERO);
+        }
+        assert!(certs[0].schedules.iter().all(|s| s.outcome.loops_run == 1));
+    }
+
+    #[test]
+    fn nested_targets_and_one_loop_under_two_plans() {
+        let src = r#"program t
+proc f(real q[*], int n) {
+  int j
+  do 3 j = 2, n {
+    q[j] = q[j - 1] + 1
+  }
+}
+proc main() {
+  real a[6, 5], s
+  int i, k
+  s = 0
+  do 1 i = 1, 5 {
+    do 2 k = 1, 6 {
+      a[k, i] = k + i
+    }
+    call f(a[1, i], 6)
+  }
+  do 4 i = 1, 5 {
+    s = s + a[6, i]
+  }
+  print s
+}
+"#;
+        let certs = one_call_agrees(
+            src,
+            &["main/1", "main/2", "f/3", "main/4"],
+            &["main/2", "main/4"],
+        );
+        // The inner loops run once per outer iteration.
+        assert_eq!(certs[1].schedules[0].outcome.loops_run, 5);
+        assert_eq!(certs[2].schedules[0].outcome.loops_run, 5);
+        assert!(!certs[2].race_free(), "f/3 carries a dependence");
+    }
+
+    #[test]
+    fn a_run_that_fails_before_a_targets_head() {
+        let src = r#"program t
+proc main() {
+  real a[4]
+  int i, k
+  do 1 i = 1, 4 {
+    a[i] = i
+  }
+  k = 5
+  a[k] = 1
+  do 2 i = 1, 4 {
+    a[i] = a[i] * 2
+  }
+}
+"#;
+        let certs = one_call_agrees(src, &["main/1", "main/2"], &[]);
+        for cert in &certs {
+            for s in &cert.schedules {
+                let e = s.capture.error.as_ref().expect("the run fails");
+                assert_eq!(
+                    (e.line, e.message.as_str()),
+                    (9, "subscript 1 of `a` is 5 (> extent 4)")
+                );
+            }
+        }
+        assert!(certs[1].schedules.iter().all(|s| s.outcome.loops_run == 0));
+    }
+
+    #[test]
+    fn a_program_that_cannot_be_laid_out() {
+        let src = r#"program t
+proc f(int n) {
+  real tmp[n]
+  int j
+  do 2 j = 1, n {
+    tmp[j] = j
+  }
+}
+proc main() {
+  real a[4]
+  int i
+  do 1 i = 1, 4 {
+    a[i] = i
+  }
+  call f(3)
+}
+"#;
+        let certs = one_call_agrees(src, &["main/1", "f/2"], &[]);
+        for s in certs.iter().flat_map(|c| &c.schedules) {
+            let e = s.capture.error.as_ref().expect("no layout");
+            assert!(e.message.starts_with("layout error"), "{}", e.message);
+            assert_eq!(s.outcome.loops_run, 0);
+        }
     }
 
     #[test]

@@ -26,10 +26,11 @@
 //! partition of the iterations → `finalize`) and has two users, which
 //! differ in who advances the workers.  [`executor::ParallelExecutor`] runs
 //! planned loops for speed: `fork_join` gives every worker an OS thread.
-//! [`certify`] runs one target loop for evidence: its workers are logical
+//! [`certify`] runs target loops for evidence: its workers are logical
 //! threads that it steps in turn on the calling thread, `suif-dynamic`'s
 //! adversarial scheduler choosing the next one between steps and its race
-//! detector hearing every access.  Both are loop handlers the machine
+//! detector hearing every access; each schedule resumes from a checkpoint
+//! at its loop's first head.  Both are loop handlers the machine
 //! borrows; the contract is described in `docs/dynamic.md`.
 
 #![forbid(unsafe_code)]
@@ -42,7 +43,7 @@ pub mod measure;
 pub mod plan;
 
 pub use certify::{
-    capture_sequential, certify_loop, CertOutcome, CertifyOptions, ExecutionCapture,
+    capture_sequential, certify_loop, certify_loops, CertOutcome, CertifyOptions, ExecutionCapture,
     LoopCertification, ScheduleReport,
 };
 pub use executor::{Finalization, ParallelExecutor, RunStats, RuntimeConfig, Schedule};

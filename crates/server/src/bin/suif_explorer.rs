@@ -524,22 +524,33 @@ fn run(args: &[String]) -> Result<(), String> {
             if let Some(e) = &seq.error {
                 return Err(format!("sequential run failed: {}", e.message));
             }
-            for info in pa.certify_inputs() {
-                let Some(plan) = plans.plan_for(&program, &info) else {
+            let inputs = pa.certify_inputs();
+            let planned: Vec<_> = inputs
+                .iter()
+                .map(|info| plans.plan_for(&program, info))
+                .collect();
+            let targets: Vec<_> = inputs
+                .iter()
+                .zip(&planned)
+                .filter_map(|(info, plan)| Some((info.stmt, plan.as_ref()?)))
+                .collect();
+            let mut certs = suif_parallel::certify_loops(
+                &program,
+                &targets,
+                &suif_parallel::CertifyOptions {
+                    threads,
+                    schedules,
+                    seed: certify_seed,
+                    input,
+                },
+            )
+            .into_iter();
+            for (info, plan) in inputs.iter().zip(&planned) {
+                if plan.is_none() {
                     println!("{:<20} unplannable", info.name);
                     continue;
-                };
-                let cert = suif_parallel::certify_loop(
-                    &program,
-                    info.stmt,
-                    &plan,
-                    &suif_parallel::CertifyOptions {
-                        threads,
-                        schedules,
-                        seed: certify_seed,
-                        input: input.clone(),
-                    },
-                );
+                }
+                let cert = certs.next().expect("one certification per planned loop");
                 let verdict = if info.parallel {
                     "PARALLEL"
                 } else {

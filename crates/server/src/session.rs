@@ -500,7 +500,10 @@ impl Session {
     /// loop; a named loop additionally mirrors its report at the top level
     /// as `{loop, schedules_run, race_count, races}`.  `races` lists the
     /// first `suif_parallel::certify::MAX_REPORTED_RACES` of each schedule;
-    /// `race_count` counts them all.
+    /// `race_count` counts them all.  One `certify_loops` call serves the
+    /// request, so the program's run up to each loop's first head is shared
+    /// by its schedules and every other loop's: a loop's `secs` covers its
+    /// schedules from that head on.
     pub fn certify_json(
         &mut self,
         loop_name: Option<&str>,
@@ -517,10 +520,29 @@ impl Session {
                 return Err(format!("no loop `{name}`"));
             }
         }
+        let planned: Vec<Option<suif_parallel::PlanEntry>> = inputs
+            .iter()
+            .map(|info| plans.plan_for(program, info))
+            .collect();
+        let targets: Vec<_> = inputs
+            .iter()
+            .zip(&planned)
+            .filter_map(|(info, plan)| Some((info.stmt, plan.as_ref()?)))
+            .collect();
+        let mut certs = suif_parallel::certify_loops(
+            program,
+            &targets,
+            &suif_parallel::CertifyOptions {
+                schedules,
+                seed,
+                ..Default::default()
+            },
+        )
+        .into_iter();
         let mut loops = Vec::new();
         let mut single = None;
-        for info in &inputs {
-            let Some(plan) = plans.plan_for(program, info) else {
+        for (info, plan) in inputs.iter().zip(&planned) {
+            if plan.is_none() {
                 loops.push(Json::obj([
                     ("loop", Json::str(&info.name)),
                     ("line", Json::int(info.line as i64)),
@@ -528,17 +550,8 @@ impl Session {
                     ("plannable", Json::Bool(false)),
                 ]));
                 continue;
-            };
-            let cert = suif_parallel::certify_loop(
-                program,
-                info.stmt,
-                &plan,
-                &suif_parallel::CertifyOptions {
-                    schedules,
-                    seed,
-                    ..Default::default()
-                },
-            );
+            }
+            let cert = certs.next().expect("one certification per planned loop");
             self.cert.loops += 1;
             self.cert.schedules += cert.schedules_run() as u64;
             self.cert.races += cert.race_count() as u64;

@@ -16,7 +16,8 @@ While the clients run, one hostile sibling loads four programs nested past
 the parser's limits (2 000 parentheses, 1 000 `if` blocks, a 20 000-term
 `1+1+…` chain, each of which once overflowed a worker's stack and aborted
 the whole daemon; and 63 parentheses around 64-term chains, a tree about
-4 000 levels high).  Each must get an error reply, and the daemon must stay
+4 000 levels high) and one with 1 025 procedures, one past the parser's
+limit of 1 024.  Each must get an error reply, and the daemon must stay
 alive.
 
 With --pipeline each client writes its whole command sequence in ONE send
@@ -105,8 +106,11 @@ def client(addr, source, out, idx, pipeline):
         out[idx] = {"error": f"{type(e).__name__}: {e}"}
 
 
+MAX_PROCS = 1024
+
+
 def over_limit_programs():
-    """Sources nested past the parser's limits, by shape."""
+    """Sources past the parser's limits, by shape: (text, expected error)."""
 
     def wrap(body):
         return f"program p\nproc main() {{\n real x\n int k\n{body}\n}}\n"
@@ -116,11 +120,20 @@ def over_limit_programs():
     nested_chains = "1"
     for _ in range(63):
         nested_chains = "(" + nested_chains + "+1" * 63 + ")"
+    nested = "nested deeper than"
+    procs = "".join(f"proc p{k}() {{ }}\n" for k in range(1, MAX_PROCS + 1))
     return {
-        "2000 nested parentheses": wrap(" x = " + "(" * 2000 + "1" + ")" * 2000),
-        "1000 nested ifs": wrap(" if k == 0 {\n" * 1000 + " k = 1\n" + " }\n" * 1000),
-        "a 20000-term chain": wrap(" x = 1" + "+1" * 19999),
-        "63 parentheses around 64-term chains": wrap(" x = " + nested_chains + "+1" * 63),
+        "2000 nested parentheses": (wrap(" x = " + "(" * 2000 + "1" + ")" * 2000), nested),
+        "1000 nested ifs": (wrap(" if k == 0 {\n" * 1000 + " k = 1\n" + " }\n" * 1000), nested),
+        "a 20000-term chain": (wrap(" x = 1" + "+1" * 19999), nested),
+        "63 parentheses around 64-term chains": (
+            wrap(" x = " + nested_chains + "+1" * 63),
+            nested,
+        ),
+        "1025 procedures": (
+            "program p\n" + procs + wrap("")[len("program p\n"):],
+            f"line {MAX_PROCS + 2}: more than {MAX_PROCS} procedures",
+        ),
     }
 
 
@@ -129,14 +142,14 @@ def hostile(addr, out):
     try:
         with socket.create_connection(addr, timeout=120) as sock:
             sock_file = sock.makefile("r", encoding="utf-8")
-            for shape, text in over_limit_programs().items():
+            for shape, (text, expected) in over_limit_programs().items():
                 sock.sendall((json.dumps({"cmd": "load", "text": text}) + "\n").encode())
                 line = sock_file.readline()
                 if not line:
                     raise RuntimeError(f"connection closed on {shape}")
                 resp = json.loads(line)
-                if resp.get("ok") or "nested deeper than" not in resp.get("error", ""):
-                    raise RuntimeError(f"{shape}: want a nesting error, got {resp}")
+                if resp.get("ok") or expected not in resp.get("error", ""):
+                    raise RuntimeError(f"{shape}: want an error naming {expected!r}, got {resp}")
                 out.append(shape)
     except Exception as e:  # surfaces in the main thread's report
         out.append(f"error: {type(e).__name__}: {e}")

@@ -5,7 +5,7 @@
 //! crate) the harness checks both directions of the oracle:
 //!
 //! * **DOALL direction** — every loop the static parallelizer claims
-//!   parallel must execute race-free under ≥ 4 adversarial schedules of the
+//!   parallel must execute race-free under 4 adversarial schedules of the
 //!   certifying executor, with whole-program output equal to the sequential
 //!   run (floating-point-canonicalized) and final memory *bitwise* equal for
 //!   plain DOALL loops (no transforms) or tolerance-equal for transformed
@@ -14,7 +14,14 @@
 //!   whose carried flow dependence is also *observed dynamically* (by the
 //!   Dynamic Dependence Analyzer on the sequential run) must, when executed
 //!   in parallel under the minimal always-legal plan, exhibit a detected
-//!   race, an observable divergence, or a runtime error.
+//!   race, an observable divergence, or a runtime error under one of the
+//!   same 4 schedules.
+//!
+//! One `certify_loops` call per program certifies every loop of both
+//! directions, the production plans and the minimal plans in one target
+//! list, so the fuzz also exercises the certifier's scout: one sequential
+//! run stopping at each target's first head, every schedule resumed from
+//! there.
 //!
 //! Failures auto-shrink by delta-debugging the generated statement lists and
 //! are persisted as minimal MiniF programs under
@@ -27,14 +34,14 @@ use minif_gen::*;
 use proptest::strategy::Strategy;
 use proptest::test_runner::TestRng;
 use std::path::{Path, PathBuf};
-use suif_analysis::{ParallelizeConfig, Parallelizer};
+use suif_analysis::{LoopCertInfo, ParallelizeConfig, Parallelizer};
 use suif_dynamic::machine::Machine;
 use suif_dynamic::{DynDepAnalyzer, DynDepConfig, Value};
 use suif_parallel::plan::minimal_plan;
-use suif_parallel::{capture_sequential, certify_loop, CertifyOptions, ParallelPlans};
+use suif_parallel::{capture_sequential, certify_loops, CertifyOptions, ParallelPlans, PlanEntry};
 
-const DOALL_SCHEDULES: u32 = 4;
-const SERIAL_SCHEDULES: u32 = 2;
+/// Adversarial schedules per certified loop, in both directions.
+const SCHEDULES: u32 = 4;
 
 fn regression_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/regressions/certify")
@@ -115,21 +122,50 @@ fn check_source(src: &str) -> Result<(), String> {
 
     let base_seed = fnv64(src) & 0xffff_f000; // room for schedule offsets
 
+    // Every loop either direction certifies, with its plan: a parallel
+    // loop's production plan, or a refutable serial loop's minimal plan
+    // and the variables the dynamic analyzer saw it carry.
+    let mut targets: Vec<(LoopCertInfo, PlanEntry, Vec<String>)> = Vec::new();
     for info in pa.certify_inputs() {
         if info.parallel {
             let Some(plan) = plans.loops.get(&info.stmt) else {
                 return Err(format!("parallel loop {} has no plan", info.name));
             };
-            let cert = certify_loop(
-                &program,
-                info.stmt,
-                plan,
-                &CertifyOptions {
-                    schedules: DOALL_SCHEDULES,
-                    seed: base_seed,
-                    ..Default::default()
-                },
-            );
+            targets.push((info, plan.clone(), Vec::new()));
+        } else {
+            if info.has_io {
+                continue;
+            }
+            // Gate on a dynamically observed carried flow dependence: only
+            // then is the static "serial" claim dynamically refutable.
+            let observed: Vec<String> = dynrep
+                .dep_vars(info.stmt)
+                .map(|v| program.var(v).name.clone())
+                .collect();
+            if observed.is_empty() {
+                continue;
+            }
+            let Some(plan) = minimal_plan(&program, info.stmt) else {
+                continue;
+            };
+            targets.push((info, plan, observed));
+        }
+    }
+    let certs = certify_loops(
+        &program,
+        &targets
+            .iter()
+            .map(|(info, plan, _)| (info.stmt, plan))
+            .collect::<Vec<_>>(),
+        &CertifyOptions {
+            schedules: SCHEDULES,
+            seed: base_seed,
+            ..Default::default()
+        },
+    );
+
+    for ((info, _, observed), cert) in targets.iter().zip(&certs) {
+        if info.parallel {
             for s in &cert.schedules {
                 let dead = &s.outcome.dead_private;
                 if let Some(r) = s.outcome.races.first() {
@@ -165,31 +201,6 @@ fn check_source(src: &str) -> Result<(), String> {
                 }
             }
         } else {
-            if info.has_io {
-                continue;
-            }
-            // Gate on a dynamically observed carried flow dependence: only
-            // then is the static "serial" claim dynamically refutable.
-            let observed: Vec<String> = dynrep
-                .dep_vars(info.stmt)
-                .map(|v| program.var(v).name.clone())
-                .collect();
-            if observed.is_empty() {
-                continue;
-            }
-            let Some(plan) = minimal_plan(&program, info.stmt) else {
-                continue;
-            };
-            let cert = certify_loop(
-                &program,
-                info.stmt,
-                &plan,
-                &CertifyOptions {
-                    schedules: SERIAL_SCHEDULES,
-                    seed: base_seed,
-                    ..Default::default()
-                },
-            );
             // Loops that never ran in parallel (e.g. zero-trip at runtime)
             // cannot be refuted dynamically.
             if cert.schedules.iter().all(|s| s.outcome.loops_run == 0) {
@@ -205,7 +216,7 @@ fn check_source(src: &str) -> Result<(), String> {
                 return Err(format!(
                     "serial loop {} (dynamic deps {:?}) showed no race, divergence or \
                      error under {} adversarial schedules of the minimal plan",
-                    info.name, observed, SERIAL_SCHEDULES
+                    info.name, observed, SCHEDULES
                 ));
             }
         }

@@ -2,7 +2,9 @@
 //! plannable loop of the four Ch. 4 applications (`Scale::Test`, 2 schedules
 //! from seed 1) must take exactly the scheduling decisions, examine exactly
 //! the accesses and leave exactly the outputs, memory images, errors and
-//! race pairs pinned below.  The constants were generated on the commit
+//! race pairs pinned below — certified loop by loop with `certify_loop`,
+//! and again all at once with one `certify_loops` call, whose scout runs
+//! the shared prefix once.  The constants were generated on the commit
 //! whose certifier still handed a token between OS threads; a certifier
 //! that decides at a different point — before an access instead of after
 //! it, not at an iteration start, not after a private-tail access — draws a
@@ -11,7 +13,9 @@
 use suif_analysis::{ParallelizeConfig, Parallelizer};
 use suif_benchmarks::{ch4_apps, Scale};
 use suif_dynamic::Value;
-use suif_parallel::{certify_loop, CertifyOptions, ParallelPlans};
+use suif_parallel::{
+    certify_loop, certify_loops, CertifyOptions, LoopCertification, ParallelPlans,
+};
 
 /// How many races per schedule the digest folds: the bound on
 /// `CertOutcome::races`.
@@ -51,7 +55,16 @@ struct Replay {
     digest: u64,
 }
 
-fn replay(source: &str) -> Replay {
+/// How the loops of one application are certified.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    /// One `certify_loop` call per loop.
+    LoopByLoop,
+    /// One `certify_loops` call over every loop.
+    AllAtOnce,
+}
+
+fn replay(source: &str, entry: Entry) -> Replay {
     let program = suif_ir::parse_program(source).unwrap();
     let analysis = Parallelizer::analyze(&program, ParallelizeConfig::default());
     let plans = ParallelPlans::from_analysis(&analysis);
@@ -60,13 +73,24 @@ fn replay(source: &str) -> Replay {
         seed: 1,
         ..Default::default()
     };
+    let planned: Vec<_> = analysis
+        .certify_inputs()
+        .iter()
+        .filter_map(|info| Some((info.stmt, plans.plan_for(&program, info)?)))
+        .collect();
+    let certs: Vec<LoopCertification> = match entry {
+        Entry::LoopByLoop => planned
+            .iter()
+            .map(|(stmt, plan)| certify_loop(&program, *stmt, plan, &opts))
+            .collect(),
+        Entry::AllAtOnce => {
+            let targets: Vec<_> = planned.iter().map(|(stmt, plan)| (*stmt, plan)).collect();
+            certify_loops(&program, &targets, &opts)
+        }
+    };
     let mut sum = Replay::default();
     let mut digest = Digest::new();
-    for info in analysis.certify_inputs() {
-        let Some(plan) = plans.plan_for(&program, &info) else {
-            continue;
-        };
-        let cert = certify_loop(&program, info.stmt, &plan, &opts);
+    for cert in &certs {
         sum.races += cert.race_count() as u64;
         for s in &cert.schedules {
             let o = &s.outcome;
@@ -168,6 +192,8 @@ fn ch4_applications_replay_decision_for_decision() {
     assert_eq!(apps.len(), expected.len());
     for (app, (name, want)) in apps.iter().zip(expected) {
         assert_eq!(app.name, name);
-        assert_eq!(replay(&app.source), want, "{name}");
+        for entry in [Entry::LoopByLoop, Entry::AllAtOnce] {
+            assert_eq!(replay(&app.source, entry), want, "{name}, {entry:?}");
+        }
     }
 }

@@ -13,18 +13,30 @@
 //! Each program also runs with a loop handler that evaluates every loop's
 //! bounds and then declines it: the path a serial fallback of the parallel
 //! runtime takes, where the bounds are evaluated (and counted) twice.
+//!
+//! The certifier's scout stops a run at a loop's first head, checkpoints it
+//! and resumes copies of it.  So the same programs also run that way: a
+//! machine stops at every loop's first head in turn, and from each
+//! checkpoint a machine resumed under a fresh recorder runs to the end.  It
+//! must end exactly as the uninterrupted run does, and the events it hears
+//! must be the uninterrupted run's after that head.  The stream hash is a
+//! polynomial over the events, so the hash of the prefix the scout heard and
+//! the hash of the resumed tail compose to the hash of the whole run.
 
 mod walker;
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 use suif_benchmarks::{apps, ch4_apps, ch6_apps, Scale};
 use suif_dynamic::machine::{Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
 use suif_dynamic::{DoLoop, Value};
 use suif_ir::{Program, Stmt, StmtId, VarId};
 
-/// Folds the event stream into one hash (FNV-1a over 64-bit words).
-#[derive(Default)]
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Folds the event stream into one hash: each event's words are mixed into
+/// one (FNV-1a), and the stream is the polynomial `hash · P + event`.
+#[derive(Clone, Default)]
 struct Recorder {
     hash: u64,
     events: u64,
@@ -32,10 +44,21 @@ struct Recorder {
 
 impl Recorder {
     fn fold(&mut self, callback: u64, a: u64, b: u64) {
+        let mut event = 0xcbf2_9ce4_8422_2325u64;
         for word in [callback, a, b] {
-            self.hash = (self.hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+            event = (event ^ word).wrapping_mul(FNV_PRIME);
         }
+        self.hash = self.hash.wrapping_mul(FNV_PRIME).wrapping_add(event);
         self.events += 1;
+    }
+
+    /// The recorder of this stream followed by `tail`'s.
+    fn then(&self, tail: &Recorder) -> Recorder {
+        let shift = FNV_PRIME.wrapping_pow(u32::try_from(tail.events).expect("events fit"));
+        Recorder {
+            hash: self.hash.wrapping_mul(shift).wrapping_add(tail.hash),
+            events: self.events + tail.events,
+        }
     }
 }
 
@@ -60,6 +83,37 @@ impl Hooks for Recorder {
     }
 }
 
+/// A [`Recorder`] the test reads while a machine still holds it.
+#[derive(Clone, Default)]
+struct Shared(Arc<Mutex<Recorder>>);
+
+impl Shared {
+    fn read(&self) -> Recorder {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+impl Hooks for Shared {
+    fn on_stmt(&mut self, id: StmtId, line: u32) {
+        self.0.lock().unwrap().on_stmt(id, line);
+    }
+    fn loop_enter(&mut self, stmt: StmtId, ops: u64) {
+        self.0.lock().unwrap().loop_enter(stmt, ops);
+    }
+    fn loop_iter(&mut self, stmt: StmtId, iter: i64) {
+        self.0.lock().unwrap().loop_iter(stmt, iter);
+    }
+    fn loop_exit(&mut self, stmt: StmtId, ops: u64) {
+        self.0.lock().unwrap().loop_exit(stmt, ops);
+    }
+    fn load(&mut self, var: VarId, addr: usize) {
+        self.0.lock().unwrap().load(var, addr);
+    }
+    fn store(&mut self, var: VarId, addr: usize) {
+        self.0.lock().unwrap().store(var, addr);
+    }
+}
+
 /// Everything a run shows.
 #[derive(Debug, PartialEq)]
 struct Outcome {
@@ -72,17 +126,21 @@ struct Outcome {
     stream: u64,
 }
 
-fn outcome(
-    result: Result<(), RuntimeError>,
-    ops: u64,
-    output: Vec<String>,
-    memory: impl Iterator<Item = Option<Value>>,
-    recorder: Recorder,
-) -> Outcome {
+/// What a machine shows at the end of its run, but for the events: the
+/// result, `ops()`, the output and the memory image.
+type Ended = (
+    Result<(), RuntimeError>,
+    u64,
+    Vec<String>,
+    Vec<Option<Value>>,
+);
+
+fn outcome((result, ops, output, memory): Ended, recorder: Recorder) -> Outcome {
     Outcome {
         result: result.map(|()| ops).map_err(|e| (e.line, e.message)),
         output,
         memory: memory
+            .into_iter()
             .map(|v| match v.expect("inside memory") {
                 Value::Int(i) => (true, i as u64),
                 Value::Real(r) => (false, r.to_bits()),
@@ -91,6 +149,11 @@ fn outcome(
         events: recorder.events,
         stream: recorder.hash,
     }
+}
+
+fn ended(m: &mut Machine<'_>, result: Result<(), RuntimeError>) -> Ended {
+    let memory = (0..m.shared_len()).map(|a| m.peek(a)).collect();
+    (result, m.ops(), std::mem::take(&mut m.output), memory)
 }
 
 /// Evaluates the bounds of every loop it is offered, then declines it.
@@ -115,33 +178,32 @@ impl walker::LoopHandler for Decline {
 fn run_machine(program: &Program, input: &[f64], decline: bool) -> Outcome {
     let mut recorder = Recorder::default();
     let mut handler = Decline;
-    let (result, ops, output, memory) = {
+    let ran = {
         let mut m = Machine::new(program, &mut recorder).expect("layout");
         m.set_input(input.to_vec());
         if decline {
             m.set_handler(&mut handler);
         }
         let result = m.run();
-        let memory: Vec<_> = (0..m.shared_len()).map(|a| m.peek(a)).collect();
-        (result, m.ops(), std::mem::take(&mut m.output), memory)
+        ended(&mut m, result)
     };
-    outcome(result, ops, output, memory.into_iter(), recorder)
+    outcome(ran, recorder)
 }
 
 fn run_walker(program: &Program, input: &[f64], decline: bool) -> Outcome {
     let mut recorder = Recorder::default();
     let mut handler = Decline;
-    let (result, ops, output, memory) = {
+    let ran = {
         let mut m = walker::Machine::new(program, &mut recorder).expect("layout");
         m.set_input(input.to_vec());
         if decline {
             m.set_handler(&mut handler);
         }
         let result = m.run();
-        let memory: Vec<_> = (0..m.shared_len()).map(|a| m.peek(a)).collect();
+        let memory = (0..m.shared_len()).map(|a| m.peek(a)).collect();
         (result, m.ops(), std::mem::take(&mut m.output), memory)
     };
-    outcome(result, ops, output, memory.into_iter(), recorder)
+    outcome(ran, recorder)
 }
 
 /// Run `program` on both sides, plainly and with the declining handler;
@@ -166,6 +228,45 @@ fn check_source(name: &str, source: &str, input: &[f64]) -> Outcome {
     let program =
         suif_ir::parse_program(source).unwrap_or_else(|e| panic!("{name} does not parse: {e}"));
     check(name, &program, input)
+}
+
+/// Stop `program`'s run at the first head of every loop it reaches, in
+/// turn, and resume a checkpoint taken there to the end under a fresh
+/// recorder: each must end as the uninterrupted run does, having heard the
+/// uninterrupted run's events after that head.  So must the stopped run
+/// itself.  Returns the uninterrupted outcome and the number of heads.
+fn check_checkpoints(name: &str, program: &Program, input: &[f64]) -> (Outcome, usize) {
+    let whole = run_machine(program, input, false);
+    let heard = Shared::default();
+    let mut hooks = heard.clone();
+    let mut scout = Machine::new(program, &mut hooks).expect("layout");
+    scout.set_input(input.to_vec());
+    let mut reached = HashSet::new();
+    let result = loop {
+        let lp = match scout.run_to_head(|lp| !reached.contains(&lp.stmt)) {
+            Ok(Some(lp)) => lp,
+            Ok(None) => break Ok(()),
+            Err(e) => break Err(e),
+        };
+        reached.insert(lp.stmt);
+        let at = scout.checkpoint();
+        let prefix = heard.read();
+        let mut tail = Recorder::default();
+        let resumed = {
+            let mut m = Machine::resume(program, &at, &mut tail);
+            let result = m.finish();
+            ended(&mut m, result)
+        };
+        let resumed = outcome(resumed, prefix.then(&tail));
+        assert_eq!(
+            resumed, whole,
+            "{name}: resumed at the first head of the loop on line {}",
+            lp.line
+        );
+    };
+    let scouted = outcome(ended(&mut scout, result), heard.read());
+    assert_eq!(scouted, whole, "{name}: the run stopped at every head");
+    (whole, reached.len())
 }
 
 /// The first declared extent, one element shorter (the `extent` mutant of
@@ -372,6 +473,111 @@ fn machine_equals_walker_on_programs_that_fail() {
         let ran = check_source(name, source, &[]);
         assert_eq!(ran.result, Err((line, message.into())), "{name}");
         assert!(ran.events > 0, "{name}: failed before any hook fired");
+    }
+}
+
+#[test]
+fn checkpoints_resume_exactly_on_the_suite() {
+    let mut heads = 0;
+    for bench in suite(Scale::Test) {
+        let (ran, reached) = check_checkpoints(bench.name, &bench.parse(), &bench.input);
+        assert!(ran.result.is_ok(), "{}: {:?}", bench.name, ran.result);
+        heads += reached;
+    }
+    assert!(heads > 200, "only {heads} heads resumed");
+}
+
+#[test]
+fn checkpoints_resume_exactly_on_the_ch4_applications_at_bench_scale() {
+    // Every head's tail is most of a run: one thread per application.
+    let heads: usize = std::thread::scope(|scope| {
+        let apps: Vec<_> = ch4_apps(Scale::Bench)
+            .into_iter()
+            .map(|bench| {
+                scope.spawn(move || {
+                    let (ran, reached) =
+                        check_checkpoints(bench.name, &bench.parse(), &bench.input);
+                    assert!(ran.result.is_ok(), "{}: {:?}", bench.name, ran.result);
+                    reached
+                })
+            })
+            .collect();
+        apps.into_iter().map(|app| app.join().unwrap()).sum()
+    });
+    assert!(heads > 60, "only {heads} heads resumed");
+}
+
+#[test]
+fn checkpoints_resume_exactly_on_generated_programs() {
+    let programs: u64 = std::env::var("SUIF_ORACLE_PROGRAMS")
+        .ok()
+        .map(|n| n.parse().expect("SUIF_ORACLE_PROGRAMS is a count"))
+        .unwrap_or(300);
+    let (mut heads, mut failed) = (0, 0);
+    for seed in 0..programs {
+        let name = minif_gen::name_for_seed(seed);
+        let source = minif_gen::source_for_seed(seed);
+        let program = suif_ir::parse_program(&source).unwrap();
+        heads += check_checkpoints(&name, &program, &[]).1;
+        if let Some(mutant) = shrink_first_extent(&source) {
+            let program = suif_ir::parse_program(&mutant).unwrap();
+            let (ran, _) = check_checkpoints(&format!("{name} [extent]"), &program, &[]);
+            failed += usize::from(ran.result.is_err());
+        }
+    }
+    assert!(heads as u64 > programs, "only {heads} heads resumed");
+    assert!(
+        failed as u64 > programs / 10,
+        "only {failed} mutants failed"
+    );
+}
+
+/// Reads before, between and inside its loops, so a checkpoint at either
+/// head holds input not yet read.
+const READS_ON: &str = "program reads_on
+proc main() {
+  real a[8], x
+  int i
+  read x
+  do 1 i = 1, 8 {
+    a[i] = x * float(i)
+  }
+  read x
+  do 2 i = 1, 4 {
+    read x
+    a[2 * i] = a[2 * i] + x
+  }
+  print a[1], a[2], a[8], x
+}
+";
+
+#[test]
+fn checkpoints_keep_the_input_not_yet_read_and_the_errors_to_come() {
+    let input = [1.5, 0.5, 1.0, 2.0, 3.0, 4.0];
+    let (ran, reached) = check_checkpoints(
+        "reads on",
+        &suif_ir::parse_program(READS_ON).unwrap(),
+        &input,
+    );
+    assert_eq!(ran.output, vec!["1.5 4 16 4"]);
+    assert_eq!(reached, 2);
+    // Short input: the run fails inside the second loop, after both heads.
+    for supplied in 2..input.len() {
+        let program = suif_ir::parse_program(READS_ON).unwrap();
+        let (ran, reached) =
+            check_checkpoints("reads on, short input", &program, &input[..supplied]);
+        assert_eq!(ran.result, Err((11, "read: input exhausted".into())));
+        assert_eq!(reached, 2);
+    }
+    let (ran, _) = check_checkpoints(
+        "reader",
+        &suif_ir::parse_program(READER).unwrap(),
+        &[1.5, 1.0, 3.7, 2.25],
+    );
+    assert_eq!(ran.output, vec!["16.5 2.5 3"]);
+    for &(name, source, line, message) in FAILING {
+        let (ran, _) = check_checkpoints(name, &suif_ir::parse_program(source).unwrap(), &[]);
+        assert_eq!(ran.result, Err((line, message.into())), "{name}");
     }
 }
 

@@ -1,12 +1,14 @@
 //! Source text cannot overflow a worker's stack.  The parser refuses a
 //! program whose statement nesting passes `MAX_STMT_DEPTH` or whose
 //! expression depth passes `MAX_EXPR_DEPTH`, naming the line; a program at
-//! both limits is served end to end.  Every check runs on a thread with a
+//! both limits is served end to end.  It also refuses a program with more
+//! than `MAX_PROCS` procedures, which the analysis has no fresh-symbol
+//! blocks for.  Every check runs on a thread with a
 //! 2 MiB stack, the default for a spawned thread and so for each worker of
 //! the daemon's command pool.  In a debug build (as `cargo test` runs it)
 //! frames are at their largest, so this is the tight case.
 
-use suif_ir::parser::{MAX_EXPR_DEPTH, MAX_STMT_DEPTH};
+use suif_ir::parser::{MAX_EXPR_DEPTH, MAX_PROCS, MAX_STMT_DEPTH};
 use suif_server::json::Json;
 use suif_server::Daemon;
 
@@ -37,6 +39,14 @@ fn is_ok(reply: &Json) -> bool {
 
 fn wrap(text: &str) -> String {
     format!("program p\nproc main() {{\n real x\n int k\n{text}\n}}\n")
+}
+
+/// `n` procedures: `n - 1` empty ones, one per line from line 2, then
+/// `main`, which calls them all.
+fn with_procs(n: usize) -> String {
+    let calls: String = (1..n).map(|k| format!(" call p{k}()\n")).collect();
+    let procs: String = (1..n).map(|k| format!("proc p{k}() {{ }}\n")).collect();
+    format!("program p\n{procs}proc main() {{\n{calls}}}\n")
 }
 
 /// The three shapes that aborted a 2-worker release daemon before the
@@ -117,12 +127,21 @@ fn at_limits() -> String {
 fn over_limit_loads_are_refused_and_the_daemon_keeps_serving() {
     on_worker_stack(|| {
         let mut d = Daemon::new(1);
-        for (shape, text) in over_limit() {
+        let mut refused = over_limit()
+            .into_iter()
+            .map(|(shape, text)| (shape, text, "nested deeper than".to_string()))
+            .collect::<Vec<_>>();
+        refused.push((
+            "one procedure too many",
+            with_procs(MAX_PROCS + 1),
+            format!("line {}: more than {MAX_PROCS} procedures", MAX_PROCS + 2),
+        ));
+        for (shape, text, why) in refused {
             let (reply, close) = d.handle_line(&load(&text));
             assert!(!close, "{shape}");
             assert!(!is_ok(&reply), "{shape}: {reply}");
             let err = reply.get("error").and_then(Json::as_str).unwrap_or("");
-            assert!(err.contains("nested deeper than"), "{shape}: {err}");
+            assert!(err.contains(&why), "{shape}: {err}");
             assert!(
                 err.contains("line "),
                 "{shape}: the error names the line: {err}"
@@ -131,6 +150,15 @@ fn over_limit_loads_are_refused_and_the_daemon_keeps_serving() {
         let (reply, _) = d.handle_line(&load(include_str!("../docs/samples/demo.mf")));
         assert!(is_ok(&reply), "{reply}");
         let (reply, _) = d.handle_line(&request("guru", &[]));
+        assert!(is_ok(&reply), "{reply}");
+    });
+}
+
+#[test]
+fn a_program_with_max_procs_procedures_loads() {
+    on_worker_stack(|| {
+        let mut d = Daemon::new(1);
+        let (reply, _) = d.handle_line(&load(&with_procs(MAX_PROCS)));
         assert!(is_ok(&reply), "{reply}");
     });
 }
