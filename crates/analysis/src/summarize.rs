@@ -14,15 +14,29 @@
 //! symbols are substituted with the actuals' affine values, callee-local
 //! objects are dropped (Fortran-77 locals are undefined on re-entry), and
 //! remaining callee-origin symbols are projected away.
+//!
+//! A region's sections repeat: every scalar's cell `{d0 = 1}` shows up under
+//! R, E, W, M and both reduction roles, and a loop body touches the same
+//! element many times.  So each region transform — constraining by loop
+//! bounds or a branch predicate, the closure's exact and structure-keeping
+//! projections of the index, the projection of loop-varying symbols, and a
+//! call site's mapping of callee sections — runs through a `Memo` keyed by
+//! content that lives for that one call, and the walk's access sections go
+//! through one that lives for the procedure.  A result that drew a fresh
+//! symbol is never kept, so fresh numbering and every fact are bit-identical
+//! to transforming each section afresh (`tests/summary_digest.rs`).
 
 use crate::context::{AnalysisCtx, ArrayKey, FRESH_BASE};
 use crate::reduction::{self, RedSummary};
 use crate::symenv::SymEnv;
 use std::collections::{BTreeSet, HashMap};
+use std::hash::Hash;
 use std::sync::Arc;
 use suif_ir::ast::BinOp;
 use suif_ir::{Arg, Expr, ProcId, Ref, Stmt, StmtId, VarId, VarKind};
-use suif_poly::{AccessSummary, Constraint, LinExpr, PolySetPool, Section, SectionSummary, Var};
+use suif_poly::{
+    AccessSummary, Constraint, LinExpr, PolySet, PolySetPool, Section, SectionSummary, Var,
+};
 
 /// Access + reduction summary of one node or region.
 #[derive(Clone, Debug, Default)]
@@ -174,6 +188,7 @@ pub fn summarize_proc(
             callees,
             flow: &mut flow,
             proc: pid,
+            sections: Memo::new(),
         };
         let body = &ctx.program.proc(pid).body;
         let sum = w.walk_body(body, &mut env);
@@ -226,6 +241,53 @@ struct Walker<'a, 'p> {
     callees: &'a HashMap<ProcId, Arc<ProcFlow>>,
     flow: &'a mut ProcFlow,
     proc: ProcId,
+    /// `ctx.access_section` per (variable, affine subscripts), for this walk.
+    sections: Memo<(VarId, Option<Vec<LinExpr>>), Section>,
+}
+
+/// The results of one section transform within one region, keyed by the
+/// input's content: each distinct input is transformed once.  A result
+/// whose computation drew a fresh symbol is not kept, so an equal input
+/// later draws its own symbols exactly as it would without the memo, and
+/// every fact stays bit-identical.  A memo lives for one transform call
+/// (the access sections' for one procedure walk) and is never shared, so
+/// nothing outlives the region it serves.
+struct Memo<K, V>(HashMap<K, V>);
+
+impl<K: Eq + Hash, V: Clone> Memo<K, V> {
+    fn new() -> Self {
+        Memo(HashMap::new())
+    }
+
+    /// The kept result for `key`, or `f(&key)` (kept if it drew no fresh
+    /// symbol).
+    fn get_or(&mut self, ctx: &AnalysisCtx<'_>, key: K, f: impl FnOnce(&K) -> V) -> V {
+        if let Some(v) = self.0.get(&key) {
+            return v.clone();
+        }
+        let mark = ctx.fresh_watermark();
+        let v = f(&key);
+        if ctx.fresh_watermark() == mark {
+            self.0.insert(key, v.clone());
+        }
+        v
+    }
+}
+
+impl Memo<PolySet, PolySet> {
+    /// `f(sec)`, for a transform that reads only `sec`'s set and keeps its
+    /// array and dimensions.
+    fn section(
+        &mut self,
+        ctx: &AnalysisCtx<'_>,
+        sec: &Section,
+        f: impl FnOnce(&Section) -> Section,
+    ) -> Section {
+        Section {
+            set: self.get_or(ctx, sec.set.clone(), |_| f(sec).set),
+            ..*sec
+        }
+    }
 }
 
 impl<'a, 'p> Walker<'a, 'p> {
@@ -239,12 +301,21 @@ impl<'a, 'p> Walker<'a, 'p> {
         acc
     }
 
+    /// `ctx.access_section(v, subs)`, computed once per distinct argument
+    /// in this walk.
+    fn access_section(&mut self, v: VarId, subs: Option<Vec<LinExpr>>) -> Section {
+        let ctx = self.ctx;
+        self.sections.get_or(ctx, (v, subs), |(v, subs)| {
+            ctx.access_section(*v, subs.as_deref())
+        })
+    }
+
     /// Reads performed by evaluating an expression: plain accesses.
-    fn expr_reads(&self, e: &Expr, env: &SymEnv, out: &mut NodeSummary) {
+    fn expr_reads(&mut self, e: &Expr, env: &SymEnv, out: &mut NodeSummary) {
         match e {
             Expr::Int(_) | Expr::Real(_) => {}
             Expr::Scalar(v) => {
-                let sec = self.ctx.access_section(*v, None);
+                let sec = self.access_section(*v, None);
                 out.acc.add_read(sec.clone());
                 out.red.add_plain(sec);
             }
@@ -253,7 +324,7 @@ impl<'a, 'p> Walker<'a, 'p> {
                     self.expr_reads(s, env, out);
                 }
                 let aff = self.affine_subs(subs, env);
-                let sec = self.ctx.access_section(*v, aff.as_deref());
+                let sec = self.access_section(*v, aff);
                 out.acc.add_read(sec.clone());
                 out.red.add_plain(sec);
             }
@@ -275,13 +346,13 @@ impl<'a, 'p> Walker<'a, 'p> {
     }
 
     /// Section of a reference (write target).  Returns `(section, is_exact)`.
-    fn ref_section(&self, r: &Ref, env: &SymEnv) -> (Section, bool) {
+    fn ref_section(&mut self, r: &Ref, env: &SymEnv) -> (Section, bool) {
         match r {
-            Ref::Scalar(v) => (self.ctx.access_section(*v, None), true),
+            Ref::Scalar(v) => (self.access_section(*v, None), true),
             Ref::Element(v, subs) => {
                 let aff = self.affine_subs(subs, env);
                 let exact = aff.is_some();
-                (self.ctx.access_section(*v, aff.as_deref()), exact)
+                (self.access_section(*v, aff), exact)
             }
         }
     }
@@ -392,7 +463,7 @@ impl<'a, 'p> Walker<'a, 'p> {
             }
             let target_sec = {
                 let aff = self.affine_subs(site.subs, env);
-                self.ctx.access_section(site.var, aff.as_deref())
+                self.access_section(site.var, aff)
             };
             ns.acc.add_read(target_sec.clone());
             // Conditional write: may-write only.
@@ -420,8 +491,8 @@ impl<'a, 'p> Walker<'a, 'p> {
                 // Path-partition union: summaries constrained by the branch
                 // predicate, then unioned (exact for must-writes because the
                 // disjuncts partition the state space).
-                let t = constrain_node(&then_sum, &pos);
-                let e = constrain_node(&else_sum, &neg);
+                let t = constrain_node(self.ctx, &then_sum, &pos);
+                let e = constrain_node(self.ctx, &else_sum, &neg);
                 partition_union(&t, &e)
             }
             None => then_sum.meet(&else_sum),
@@ -487,28 +558,53 @@ impl<'a, 'p> Walker<'a, 'p> {
         };
 
         // Closure: constrain the induction symbol by the bounds, project it
-        // and all loop-varying symbols away.
+        // and all loop-varying symbols away.  Each phase transforms each
+        // distinct set once (see `Memo`), in the order the sections come.
         let mut constrained = body_sum;
         if let Some((first, last)) = &bounds {
             let i = LinExpr::var(index_sym);
             let cs = vec![Constraint::geq(&i, first), Constraint::leq(&i, last)];
-            constrained = constrain_node(&constrained, &[cs]);
+            constrained = constrain_node(self.ctx, &constrained, &[cs]);
         }
         let ctx = self.ctx;
-        let mut fresh = || ctx.fresh_sym();
-        let mut closed = NodeSummary {
-            acc: constrained.acc.closure_with(index_sym, &mut fresh),
-            red: constrained
-                .red
-                .map_sections(|s| Some(s.closure_keep(index_sym, &mut || ctx.fresh_sym()))),
+        let (mut exact, mut keep, mut project) = (Memo::new(), Memo::new(), Memo::new());
+        let mut close = |s: &Section| {
+            keep.section(ctx, s, |s| {
+                s.closure_keep(index_sym, &mut || ctx.fresh_sym())
+            })
         };
-        let varying_pred = |v: Var| matches!(v, Var::Sym(n) if n >= fresh_start && n < fresh_end);
-        closed.acc = closed
-            .acc
-            .project_symbols_keep(&varying_pred, &mut || ctx.fresh_sym());
-        closed.red = closed
-            .red
-            .map_sections(|s| Some(s.project_symbols_keep(&varying_pred, &mut || ctx.fresh_sym())));
+        // May-sections keep an inexactly projectable index as a fresh
+        // symbol; a must-write is projected exactly or dropped.
+        let mut closed = NodeSummary {
+            acc: constrained.acc.map(|s| SectionSummary {
+                read: close(&s.read),
+                exposed: close(&s.exposed),
+                write: close(&s.write),
+                must_write: exact.section(ctx, &s.must_write, |m| {
+                    m.closure_exact(index_sym)
+                        .unwrap_or_else(|| Section::empty(m.array, m.ndims))
+                }),
+            }),
+            red: constrained.red.map_sections(|s| Some(close(s))),
+        };
+        let varying = |v: Var| matches!(v, Var::Sym(n) if n >= fresh_start && n < fresh_end);
+        let mut unvary = |s: &Section| {
+            project.section(ctx, s, |s| {
+                s.project_symbols_keep(&varying, &mut || ctx.fresh_sym())
+            })
+        };
+        closed.acc = closed.acc.map(|s| SectionSummary {
+            read: unvary(&s.read),
+            exposed: unvary(&s.exposed),
+            write: unvary(&s.write),
+            // A must-write mentioning a varying symbol is dropped.
+            must_write: if s.must_write.set.vars().into_iter().any(varying) {
+                Section::empty(s.must_write.array, s.must_write.ndims)
+            } else {
+                s.must_write.clone()
+            },
+        });
+        closed.red = closed.red.map_sections(|s| Some(unvary(s)));
         // Unknown bounds ⇒ the loop may execute zero iterations (and the
         // iteration space is unconstrained): nothing is must-written.
         if bounds.is_none() {
@@ -572,7 +668,7 @@ impl<'a, 'p> Walker<'a, 'p> {
                     }
                 }
                 Arg::ScalarVar(v) => {
-                    let sec = self.ctx.access_section(*v, None);
+                    let sec = self.access_section(*v, None);
                     arg_reads.acc.add_read(sec.clone());
                     arg_reads.red.add_plain(sec);
                 }
@@ -600,7 +696,7 @@ impl<'a, 'p> Walker<'a, 'p> {
             subs.push((AnalysisCtx::sym_of(formal), val));
         }
 
-        let map_section = |sec: &Section| -> Option<Section> {
+        let map_one = |sec: &Section| -> Option<Section> {
             // 1. Retarget the storage object.
             let retargeted: Section = match self.ctx.key_of_id(sec.array) {
                 ArrayKey::Common(_) => sec.clone(),
@@ -660,6 +756,9 @@ impl<'a, 'p> Walker<'a, 'p> {
             });
             Some(projected)
         };
+        let ctx = self.ctx;
+        let mut memo = Memo::new();
+        let mut map_section = |sec: &Section| memo.get_or(ctx, sec.clone(), &map_one);
 
         // Map the access summary.
         let mut mapped = NodeSummary::empty();
@@ -822,30 +921,33 @@ fn body_has_calls(body: &[Stmt]) -> bool {
 }
 
 /// Constrain every section of a summary by a disjunction of constraint
-/// conjunctions (union over the disjuncts).
-fn constrain_node(ns: &NodeSummary, disjuncts: &[Vec<Constraint>]) -> NodeSummary {
-    let constrain_sec = |sec: &Section| -> Section {
-        let mut out = Section::empty(sec.array, sec.ndims);
-        for conj in disjuncts {
-            let mut s = sec.clone();
-            for c in conj {
-                s.set = s.set.constrain(c);
+/// conjunctions (union over the disjuncts), each distinct set once.
+fn constrain_node(
+    ctx: &AnalysisCtx<'_>,
+    ns: &NodeSummary,
+    disjuncts: &[Vec<Constraint>],
+) -> NodeSummary {
+    let mut memo = Memo::new();
+    let mut constrain_sec = |sec: &Section| {
+        memo.section(ctx, sec, |sec| {
+            let mut out = Section::empty(sec.array, sec.ndims);
+            for conj in disjuncts {
+                let mut s = sec.clone();
+                for c in conj {
+                    s.set = s.set.constrain(c);
+                }
+                out = out.union(&s);
             }
-            out = out.union(&s);
-        }
-        out
+            out
+        })
     };
-    let mut acc = AccessSummary::empty();
-    for (_, s) in ns.acc.iter() {
-        acc.insert(SectionSummary {
+    NodeSummary {
+        acc: ns.acc.map(|s| SectionSummary {
             read: constrain_sec(&s.read),
             exposed: constrain_sec(&s.exposed),
             write: constrain_sec(&s.write),
             must_write: constrain_sec(&s.must_write),
-        });
-    }
-    NodeSummary {
-        acc,
+        }),
         red: ns.red.map_sections(|s| Some(constrain_sec(s))),
     }
 }

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// The empty conjunction is the *universe* (all assignments satisfy it).
 /// A polyhedron whose constraint system is detected contradictory is kept in
 /// a canonical `bottom` form.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct Polyhedron {
     constraints: Vec<Constraint>,
     /// Set when the system has been *proven* unsatisfiable.

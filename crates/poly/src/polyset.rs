@@ -20,7 +20,7 @@ use std::sync::Arc;
 /// pointer, every operation builds its result's disjuncts in a private
 /// vector and freezes them once, and the empty set allocates nothing
 /// (`None`; never an empty slice, so derived equality is content equality).
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct PolySet {
     disjuncts: Option<Arc<[Polyhedron]>>,
     approximate: bool,

@@ -21,7 +21,7 @@ impl fmt::Display for ArrayId {
 /// An array section: the set of index tuples `(d0, .., d{ndims-1})` of one
 /// array touched by some code region, described by a union of systems of
 /// linear inequalities over the dimension variables and free program symbols.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Section {
     /// The array this section belongs to.
     pub array: ArrayId,

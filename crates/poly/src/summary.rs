@@ -101,47 +101,6 @@ impl SectionSummary {
         }
     }
 
-    /// Structure-preserving loop closure: may-components keep inexactly
-    /// projectable indices as fresh existential symbols (see
-    /// [`Section::closure_keep`]); the must-write component stays exact or
-    /// drops.
-    pub fn closure_with(&self, loop_index: Var, fresh: &mut dyn FnMut() -> Var) -> SectionSummary {
-        let must = self
-            .must_write
-            .closure_exact(loop_index)
-            .unwrap_or_else(|| Section::empty(self.must_write.array, self.must_write.ndims));
-        SectionSummary {
-            read: self.read.closure_keep(loop_index, fresh),
-            exposed: self.exposed.closure_keep(loop_index, fresh),
-            write: self.write.closure_keep(loop_index, fresh),
-            must_write: must,
-        }
-    }
-
-    /// Structure-preserving projection of loop-varying symbols.
-    pub fn project_symbols_keep(
-        &self,
-        pred: &dyn Fn(Var) -> bool,
-        fresh: &mut dyn FnMut() -> Var,
-    ) -> SectionSummary {
-        let must_ok = self
-            .must_write
-            .set
-            .vars()
-            .into_iter()
-            .all(|v| !(matches!(v, Var::Sym(_)) && pred(v)));
-        SectionSummary {
-            read: self.read.project_symbols_keep(pred, fresh),
-            exposed: self.exposed.project_symbols_keep(pred, fresh),
-            write: self.write.project_symbols_keep(pred, fresh),
-            must_write: if must_ok {
-                self.must_write.clone()
-            } else {
-                Section::empty(self.must_write.array, self.must_write.ndims)
-            },
-        }
-    }
-
     /// Substitute a symbol in every component (parameter mapping).
     pub fn substitute(&self, v: Var, repl: &LinExpr) -> SectionSummary {
         SectionSummary {
@@ -296,8 +255,9 @@ impl AccessSummary {
         AccessSummary { per_array }
     }
 
-    /// Apply `f` to every per-array summary (each keeps its array).
-    fn map(&self, f: impl FnMut(&SectionSummary) -> SectionSummary) -> AccessSummary {
+    /// Apply `f` to every per-array summary, in ascending array order; each
+    /// result must keep its array.
+    pub fn map(&self, f: impl FnMut(&SectionSummary) -> SectionSummary) -> AccessSummary {
         AccessSummary {
             per_array: self.per_array.iter().map(f).collect(),
         }
@@ -320,20 +280,6 @@ impl AccessSummary {
     /// around `transfer_before` with flipped argument order).
     pub fn then(&self, second: &AccessSummary) -> AccessSummary {
         second.transfer_before(self)
-    }
-
-    /// Structure-preserving closure across all arrays.
-    pub fn closure_with(&self, loop_index: Var, fresh: &mut dyn FnMut() -> Var) -> AccessSummary {
-        self.map(|s| s.closure_with(loop_index, fresh))
-    }
-
-    /// Structure-preserving projection across all arrays.
-    pub fn project_symbols_keep(
-        &self,
-        pred: &dyn Fn(Var) -> bool,
-        fresh: &mut dyn FnMut() -> Var,
-    ) -> AccessSummary {
-        self.map(|s| s.project_symbols_keep(pred, fresh))
     }
 
     /// Apply the loop closure to every array summary.

@@ -3,7 +3,8 @@
 //! expression depth passes `MAX_EXPR_DEPTH`, naming the line; a program at
 //! both limits is served end to end.  It also refuses a program with more
 //! than `MAX_PROCS` procedures, which the analysis has no fresh-symbol
-//! blocks for.  Every check runs on a thread with a
+//! blocks for, so a call chain is at most `MAX_PROCS` deep; a chain that
+//! deep is served end to end too.  Every check runs on a thread with a
 //! 2 MiB stack, the default for a spawned thread and so for each worker of
 //! the daemon's command pool.  In a debug build (as `cargo test` runs it)
 //! frames are at their largest, so this is the tight case.
@@ -47,6 +48,25 @@ fn with_procs(n: usize) -> String {
     let calls: String = (1..n).map(|k| format!(" call p{k}()\n")).collect();
     let procs: String = (1..n).map(|k| format!("proc p{k}() {{ }}\n")).collect();
     format!("program p\n{procs}proc main() {{\n{calls}}}\n")
+}
+
+/// A call chain `MAX_PROCS` procedures deep: `main` passes an array to
+/// `p1`, each `pk` passes it on to `p(k+1)`, and the last one writes it in
+/// a loop, so every analysis walks the whole chain.  Procedures come
+/// callee first.
+fn call_chain() -> String {
+    let last = MAX_PROCS - 1;
+    let mut src = format!(
+        "program chain\nproc p{last}(real b[*]) {{\n int i\n do 1 i = 2, 8 {{\n  b[i] = b[i - 1] + 1\n }}\n}}\n"
+    );
+    for k in (1..last).rev() {
+        src.push_str(&format!(
+            "proc p{k}(real b[*]) {{\n call p{}(b)\n}}\n",
+            k + 1
+        ));
+    }
+    src.push_str("proc main() {\n real a[8]\n a[1] = 0\n call p1(a)\n print a[8]\n}\n");
+    src
 }
 
 /// The three shapes that aborted a 2-worker release daemon before the
@@ -177,6 +197,25 @@ fn the_at_limit_program_loads_and_answers_guru_slice_and_certify() {
         let (reply, _) = d.handle_line(&request(
             "certify",
             &[("loop", Json::str(&inner)), ("schedules", Json::int(1))],
+        ));
+        assert!(is_ok(&reply), "{reply}");
+    });
+}
+
+#[test]
+fn a_call_chain_max_procs_deep_answers_guru_slice_and_certify() {
+    on_worker_stack(|| {
+        let mut d = Daemon::new(1);
+        let (reply, _) = d.handle_line(&load(&call_chain()));
+        assert!(is_ok(&reply), "{reply}");
+        let (reply, _) = d.handle_line(&request("guru", &[]));
+        assert!(is_ok(&reply), "{reply}");
+        let bottom = format!("p{}/1", MAX_PROCS - 1);
+        let (reply, _) = d.handle_line(&request("slice", &[("loop", Json::str(&bottom))]));
+        assert!(is_ok(&reply), "{reply}");
+        let (reply, _) = d.handle_line(&request(
+            "certify",
+            &[("loop", Json::str(&bottom)), ("schedules", Json::int(1))],
         ));
         assert!(is_ok(&reply), "{reply}");
     });
