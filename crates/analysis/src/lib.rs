@@ -75,6 +75,6 @@ pub use pipeline::{
     StoreByteStats,
 };
 pub use reduction::RedOp;
-pub use snapshot::{Snapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{FactValue, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use summarize::{ArrayDataFlow, LoopIterSummary, ProcFlow};
 pub use tier::{SharedFactTier, TierStats};

@@ -30,14 +30,15 @@
 //! store must be `Sync`; nothing contends for it.  Threads meet only in the
 //! [`SharedFactTier`], which keeps its shards.
 //!
-//! Facts are stored as `Arc<dyn Any>` so heterogeneous pass outputs share
-//! one map; [`FactStore::demand`] downcasts back to the pass's typed output.
-//! All methods take `&self` — the store is shared across the analysis runs
-//! and reloads of one daemon session.
+//! Facts are stored as `Arc<dyn FactValue>` so heterogeneous pass outputs
+//! share one map: a [`FactValue`] knows its own wire form (the byte ledger
+//! and [`crate::snapshot`] read it) and names its pass, and one downcast
+//! reads it back as the pass's output type.  All methods take `&self` — the store
+//! is shared across the analysis runs and reloads of one daemon session.
 
+use crate::snapshot::FactValue;
 use crate::tier::SharedFactTier;
 use parking_lot::Mutex;
-use std::any::Any;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -164,7 +165,7 @@ pub struct PassMetrics {
 
 struct FactEntry {
     hash: u128,
-    value: Arc<dyn Any + Send + Sync>,
+    value: Arc<dyn FactValue>,
     deps: Vec<FactKey>,
     /// Cleared by invalidation.  An invalid entry under an unchanged hash
     /// is a tombstone: it pins its key tier-bypassed until the hash moves.
@@ -177,7 +178,7 @@ struct FactEntry {
 }
 
 /// One fact lifted out of (or injected into) the store: key, input hash,
-/// dependency edges, and the type-erased value.  Produced by
+/// dependency edges, and the value.  Produced by
 /// [`FactStore::export`], consumed by [`FactStore::import`] and the
 /// snapshot codec ([`crate::snapshot`]).
 #[derive(Clone)]
@@ -191,8 +192,16 @@ pub struct ExportedFact {
     /// Approximate resident bytes of the value
     /// ([`crate::snapshot::approx_value_bytes`]).
     pub bytes: usize,
-    /// The fact value, type-erased exactly as stored.
-    pub value: Arc<dyn Any + Send + Sync>,
+    /// The fact value, exactly as stored.
+    pub value: Arc<dyn FactValue>,
+}
+
+/// A stored fact value as its pass's output type, `None` if it is another
+/// type: the one downcast the store makes (a reuse or a tier hit), through
+/// the value's `Any` supertrait.
+pub(crate) fn typed<T: FactValue>(value: &Arc<dyn FactValue>) -> Option<Arc<T>> {
+    let any: Arc<dyn std::any::Any + Send + Sync> = value.clone();
+    any.downcast().ok()
 }
 
 /// Everything a [`FactStore`] holds, behind its one lock.
@@ -372,7 +381,10 @@ impl FactStore {
     /// the process-wide [`SharedFactTier`] (if the store was built with
     /// [`FactStore::with_shared`]), or run the pass, recording its output
     /// (with dependency edges).
-    pub fn demand<P: Pass>(&self, pass: &P) -> Arc<P::Output> {
+    pub fn demand<P: Pass>(&self, pass: &P) -> Arc<P::Output>
+    where
+        P::Output: FactValue,
+    {
         let done: Result<_, std::convert::Infallible> = self.demand_with(pass, || Ok(pass.run()));
         match done {
             Ok(v) => v,
@@ -387,12 +399,12 @@ impl FactStore {
     pub fn try_demand<P, T, E>(&self, pass: &P) -> Result<Arc<T>, E>
     where
         P: Pass<Output = Result<T, E>>,
-        T: Send + Sync + 'static,
+        T: FactValue,
     {
         self.demand_with(pass, || pass.run())
     }
 
-    fn demand_with<P: Pass, T: Send + Sync + 'static, E>(
+    fn demand_with<P: Pass, T: FactValue, E>(
         &self,
         pass: &P,
         run: impl FnOnce() -> Result<T, E>,
@@ -411,7 +423,7 @@ impl FactStore {
             let tier_allowed = match st.facts.get_mut(&key) {
                 Some(e) if e.hash == hash && e.valid => {
                     e.referenced = true;
-                    if let Ok(v) = e.value.clone().downcast::<T>() {
+                    if let Some(v) = typed::<T>(&e.value) {
                         st.metrics.entry(key.pass).or_default().reused += 1;
                         return Ok(v);
                     }
@@ -429,7 +441,7 @@ impl FactStore {
                 .filter(|_| tier_allowed)
                 .and_then(|tier| tier.lookup(key.pass, hash));
             if let Some((value, bytes, deps)) = tier_hit {
-                if let Ok(v) = value.clone().downcast::<T>() {
+                if let Some(v) = typed::<T>(&value) {
                     st.insert(
                         key,
                         FactEntry {
@@ -453,14 +465,14 @@ impl FactStore {
         let (out, secs) = exclusive_secs(run);
         let out = Arc::new(out?);
         let deps = pass.deps();
-        let any: Arc<dyn Any + Send + Sync> = out.clone();
-        let bytes = crate::snapshot::approx_value_bytes(key.pass, &any);
+        let bytes = crate::snapshot::approx_value_bytes(&*out);
+        let value: Arc<dyn FactValue> = out.clone();
         let mut st = self.state.lock();
         st.insert(
             key,
             FactEntry {
                 hash,
-                value: any.clone(),
+                value: value.clone(),
                 deps: deps.clone(),
                 valid: true,
                 bytes,
@@ -478,7 +490,7 @@ impl FactStore {
                     PassId::Summarize | PassId::Liveness | PassId::Deps
                 );
             if publishable {
-                tier.publish_owned(st.owner, key, hash, bytes, deps, any);
+                tier.publish_owned(st.owner, key, hash, bytes, deps, value);
             }
         }
         let m = st.metrics.entry(key.pass).or_default();
@@ -784,18 +796,28 @@ impl Drop for ExecutorService {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::approx_value_bytes;
+    use crate::ExecutionFact;
     use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// A fact value whose content is one number: the run fact's op count.
+    fn ops(n: u64) -> ExecutionFact {
+        ExecutionFact {
+            ops: n,
+            ..ExecutionFact::default()
+        }
+    }
 
     struct CountingPass<'a> {
         key: FactKey,
         hash: u128,
         deps: Vec<FactKey>,
         runs: &'a AtomicU64,
-        output: i64,
+        output: u64,
     }
 
     impl Pass for CountingPass<'_> {
-        type Output = i64;
+        type Output = ExecutionFact;
         fn key(&self) -> FactKey {
             self.key
         }
@@ -805,9 +827,9 @@ mod tests {
         fn deps(&self) -> Vec<FactKey> {
             self.deps.clone()
         }
-        fn run(&self) -> i64 {
+        fn run(&self) -> ExecutionFact {
             self.runs.fetch_add(1, Ordering::Relaxed);
-            self.output
+            ops(self.output)
         }
     }
 
@@ -826,8 +848,8 @@ mod tests {
             runs: &runs,
             output: 42,
         };
-        assert_eq!(*store.demand(&p), 42);
-        assert_eq!(*store.demand(&p), 42);
+        assert_eq!(store.demand(&p).ops, 42);
+        assert_eq!(store.demand(&p).ops, 42);
         assert_eq!(runs.load(Ordering::Relaxed), 1, "second demand reuses");
         let m = store.metrics_for(PassId::Classify);
         assert_eq!((m.invocations, m.reused), (1, 1));
@@ -961,8 +983,8 @@ mod tests {
         // Import into a fresh store: demands reuse, nothing recomputes.
         let fresh = FactStore::new();
         assert_eq!(fresh.import(exported.clone()), 2);
-        assert_eq!(*fresh.demand(&a), 10);
-        assert_eq!(*fresh.demand(&b), 20);
+        assert_eq!(fresh.demand(&a).ops, 10);
+        assert_eq!(fresh.demand(&b).ops, 20);
         assert_eq!(runs.load(Ordering::Relaxed), 2, "imported facts reused");
         assert_eq!(fresh.metrics_for(PassId::Classify).reused, 1);
         // Dependency edges survive the round trip: invalidating the root
@@ -980,7 +1002,7 @@ mod tests {
         };
         occupied.demand(&newer);
         assert_eq!(occupied.import(store.export()), 1, "only the absent key");
-        assert_eq!(*occupied.demand(&newer), 77, "existing entry untouched");
+        assert_eq!(occupied.demand(&newer).ops, 77, "existing entry untouched");
     }
 
     /// An export after an entry was invalidated must not contain it: a
@@ -995,7 +1017,7 @@ mod tests {
                 hash: 1,
                 deps: vec![],
                 runs: &runs,
-                output: i64::from(i),
+                output: u64::from(i),
             })
             .collect();
         for p in &passes {
@@ -1024,18 +1046,19 @@ mod tests {
             store: Arc<FactStore>,
         }
         impl Pass for Sleeper {
-            type Output = ();
+            type Output = ExecutionFact;
             fn key(&self) -> FactKey {
                 self.key
             }
             fn input_hash(&self) -> u128 {
                 1
             }
-            fn run(&self) {
+            fn run(&self) -> ExecutionFact {
                 if let Some(inner) = &self.inner {
                     self.store.demand(&**inner);
                 }
                 std::thread::sleep(std::time::Duration::from_millis(self.ms));
+                ops(0)
             }
         }
         let store = Arc::new(FactStore::new());
@@ -1078,15 +1101,15 @@ mod tests {
             runs: &runs,
             output: 42,
         };
-        assert_eq!(*a.demand(&p), 42);
+        assert_eq!(a.demand(&p).ops, 42);
         assert_eq!(runs.load(Ordering::Relaxed), 1);
         // The second store never runs the pass: the tier answers.
-        assert_eq!(*b.demand(&p), 42);
+        assert_eq!(b.demand(&p).ops, 42);
         assert_eq!(runs.load(Ordering::Relaxed), 1, "tier served the fact");
         let m = b.metrics_for(PassId::Classify);
         assert_eq!((m.invocations, m.reused, m.shared), (0, 0, 1));
         // A tier hit installs locally: the third demand is a plain reuse.
-        assert_eq!(*b.demand(&p), 42);
+        assert_eq!(b.demand(&p).ops, 42);
         assert_eq!(b.metrics_for(PassId::Classify).reused, 1);
         // The install carried the tier's recorded deps, so session-scoped
         // invalidation still propagates through shared facts.
@@ -1111,7 +1134,7 @@ mod tests {
         // Invalidate under the *same* hash: the event was not captured by
         // the hash, so the tier copy must not be served back…
         store.invalidate(p.key());
-        assert_eq!(*store.demand(&p), 5);
+        assert_eq!(store.demand(&p).ops, 5);
         assert_eq!(
             runs.load(Ordering::Relaxed),
             2,
@@ -1167,10 +1190,11 @@ mod tests {
 
     #[test]
     fn budget_eviction_is_transparent_to_re_demands() {
-        // CountingPass output is an i64 behind a Classify key, so
-        // approx_value_bytes charges the 64-byte floor per fact.
+        // Every CountingPass output has the same wire length, so each fact
+        // is charged the same bytes.
+        let per = approx_value_bytes(&ops(0));
         let store = FactStore::new();
-        store.set_budget(Some(64 * 4));
+        store.set_budget(Some(per * 4));
         let runs = AtomicU64::new(0);
         let passes: Vec<CountingPass<'_>> = (0..32)
             .map(|i| CountingPass {
@@ -1178,7 +1202,7 @@ mod tests {
                 hash: 1,
                 deps: vec![],
                 runs: &runs,
-                output: i64::from(i),
+                output: u64::from(i),
             })
             .collect();
         for p in &passes {
@@ -1187,14 +1211,14 @@ mod tests {
         let bs = store.byte_stats();
         assert!(bs.evicted > 0, "over-budget demands evicted cold facts");
         assert!(
-            bs.resident_bytes <= 64 * 4 + 64,
+            bs.resident_bytes <= (per * 5) as u64,
             "resident stays near budget: {}",
             bs.resident_bytes
         );
         // Every re-demand still returns the right value (recomputed or
         // resident — bit-identical either way).
         for (i, p) in passes.iter().enumerate() {
-            assert_eq!(*store.demand(p), i as i64);
+            assert_eq!(store.demand(p).ops, i as u64);
         }
         // An unbounded store never evicts.
         let unbounded = FactStore::new();
@@ -1212,14 +1236,14 @@ mod tests {
     #[test]
     fn eviction_clock_resumes_at_its_hand() {
         let store = FactStore::new();
-        store.set_budget(Some(64 * 16)); // 64 bytes a fact: room for 16
+        store.set_budget(Some(approx_value_bytes(&ops(0)) * 16)); // room for 16
         let runs = AtomicU64::new(0);
         let fact = |i: u32| CountingPass {
             key: key(PassId::Classify, i),
             hash: 1,
             deps: vec![],
             runs: &runs,
-            output: i64::from(i),
+            output: u64::from(i),
         };
         // The 17th fact finds every bit set: the hand laps once, clearing
         // them all, and takes the oldest.
@@ -1228,7 +1252,7 @@ mod tests {
         }
         assert_eq!(store.byte_stats().evicted, 1);
         // Five more take the next oldest, but pass over the one reused.
-        assert_eq!(*store.demand(&fact(5)), 5);
+        assert_eq!(store.demand(&fact(5)).ops, 5);
         for i in 17..=21 {
             store.demand(&fact(i));
         }
@@ -1265,7 +1289,7 @@ mod tests {
             output: 10,
         };
         store.demand(&filler);
-        assert_eq!(*store.demand(&p), 9);
+        assert_eq!(store.demand(&p).ops, 9);
         assert_eq!(
             runs.load(Ordering::Relaxed),
             3,

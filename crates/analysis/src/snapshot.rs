@@ -5,16 +5,21 @@
 //!
 //! # What is persisted
 //!
-//! Facts, and nothing else.  Every pass has a codec: classify verdicts
-//! ([`crate::LoopVerdict`]), carried-dependence tables
+//! Facts, and nothing else.  Every value the store holds is a
+//! [`FactValue`]: one of the eight pass output types, each naming its pass
+//! — classify verdicts ([`crate::LoopVerdict`]), carried-dependence tables
 //! ([`crate::deps::CarriedDeps`]), the three advisories (contraction,
-//! decomposition, block splits), the two
-//! passes that dominate a cold analysis — `<R,E,W,M>` array-section summaries
-//! (one [`crate::summarize::ProcFlow`] per procedure) and liveness flows
+//! decomposition, block splits), the two passes that dominate a cold
+//! analysis — `<R,E,W,M>` array-section summaries (one
+//! [`crate::summarize::ProcFlow`] per procedure) and liveness flows
 //! ([`crate::liveness::LivenessResult`]) — and the instrumented run that
 //! dominates a cold open ([`crate::ExecutionFact`]: loop profile and dynamic
 //! dependences, wall-clock of the producing run included — it is the fact's
-//! data, not metadata about it).  The summary/flow wire form is
+//! data, not metadata about it).
+//!
+//! Each type on the wire, down to a variable of a linear expression, has
+//! one [`Wire`] impl in this module with its encoder and decoder side by
+//! side, so the format is decided here and nowhere else.  The wire form is
 //! canonical: hash maps are framed in sorted-key order and polyhedra are
 //! written constraint-for-constraint (PR 5 normalizes constraints on
 //! construction, so decode re-normalization is the identity), which makes
@@ -22,7 +27,7 @@
 //! by their encodings.  Nondeterministic run metadata (a pass's own
 //! wall-clock) is deliberately outside the wire form.
 //!
-//! # Crash safety
+//! # Crash safety and hostile bytes
 //!
 //! The file layout is `magic · version · payload-length · FNV-128 checksum ·
 //! payload`.  [`write_atomic`] writes a temp file in the same directory and
@@ -31,7 +36,10 @@
 //! and checksum before touching the payload; any mismatch is a
 //! [`SnapshotError`] and the caller cold-starts.  A fact entry that decodes
 //! to an unknown pass or a malformed value is dropped individually
-//! (degrading that fact to `Absent`), never served wrong.
+//! (degrading that fact to `Absent`), never served wrong.  Decoding is
+//! linear in the input and never panics: it accepts only the canonical form
+//! the encoder writes (map keys and expression terms strictly ascending),
+//! and caps every capacity reserved from a length field.
 //!
 //! Entries loaded into a key-addressed store must additionally be
 //! re-validated against freshly computed input hashes
@@ -55,7 +63,8 @@ use crate::reduction::{RedEntry, RedOp, RedSummary};
 use crate::split::BlockSplit;
 use crate::summarize::{LoopIterSummary, NodeSummary, ProcFlow};
 use std::any::Any;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::hash::Hash;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -132,8 +141,17 @@ pub struct Snapshot {
     pub undecodable: u64,
 }
 
-/// Approximate resident bytes of one fact value, by pass: `64 + 2×` the
-/// length of its wire form.
+/// A value the fact store holds: one pass's output, which knows its own
+/// wire form and names the pass that produces it.  The store keeps every
+/// fact as an `Arc<dyn FactValue>` and reads one back as its concrete type
+/// through the `Any` supertrait.
+pub trait FactValue: Wire + Any + Send + Sync {
+    /// The pass whose output this is.
+    fn pass(&self) -> PassId;
+}
+
+/// Approximate resident bytes of one fact value: `64 + 2×` the length of
+/// its wire form.
 ///
 /// An estimate, not a measurement.  The in-memory form follows the wire
 /// length only as long as the large values stay compact (`ProcFlow` and
@@ -141,10 +159,8 @@ pub struct Snapshot {
 /// 3–4× this figure).  `tests/fact_heap.rs` holds the sum over a tier to
 /// 0.75–2× of the live heap its facts occupy.  Used by the
 /// [`crate::FactStore`] and [`crate::SharedFactTier`] byte budgets.
-pub fn approx_value_bytes(pass: PassId, value: &Arc<dyn Any + Send + Sync>) -> usize {
-    let mut e = Enc::default();
-    encode_value(pass, value, &mut e);
-    64 + 2 * e.buf.len()
+pub fn approx_value_bytes(value: &dyn FactValue) -> usize {
+    64 + 2 * to_bytes(value).len()
 }
 
 /// One-shot word-folded checksum of a payload body (eight bytes per
@@ -214,66 +230,68 @@ impl Snapshot {
 /// the unit both a whole snapshot and one append-log record frame.
 fn encode_payload(facts: &[ExportedFact]) -> Vec<u8> {
     let mut p = Enc::default();
-    p.u32(facts.len() as u32);
+    facts.len().encode(&mut p);
     for f in facts {
-        p.u8(pass_tag(f.key.pass));
-        p.scope(f.key.scope);
-        p.u128(f.hash);
-        p.u32(f.deps.len() as u32);
+        pass_tag(f.key.pass).encode(&mut p);
+        f.key.scope.encode(&mut p);
+        f.hash.encode(&mut p);
+        f.deps.len().encode(&mut p);
         for d in &f.deps {
-            p.u8(pass_tag(d.pass));
-            p.scope(d.scope);
+            pass_tag(d.pass).encode(&mut p);
+            d.scope.encode(&mut p);
         }
-        let mut v = Enc::default();
-        encode_value(f.key.pass, &f.value, &mut v);
-        p.u32(v.buf.len() as u32);
-        p.buf.extend_from_slice(&v.buf);
+        // The value goes behind its length, patched in once known.  A value
+        // filed under another pass's key frames empty, which no decoder
+        // accepts: that one entry drops, nothing is misread.
+        let at = p.buf.len();
+        0u32.encode(&mut p);
+        if f.value.pass() == f.key.pass {
+            f.value.encode(&mut p);
+        }
+        let vlen = (p.buf.len() - at - 4) as u32;
+        p.buf[at..at + 4].copy_from_slice(&vlen.to_le_bytes());
     }
     p.buf
 }
 
 /// Decode one payload body (a whole snapshot's or one log record's).
 fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
-    let mut d = Dec {
-        buf: payload,
-        pos: 0,
-    };
+    fn frame<T: Wire>(d: &mut Dec<'_>) -> Result<T, SnapshotError> {
+        T::decode(d).ok_or(SnapshotError::Malformed)
+    }
+    let mut d = Dec::new(payload);
     let mut snap = Snapshot::default();
-    let nfacts = d.u32().ok_or(SnapshotError::Malformed)?;
-    for _ in 0..nfacts {
-        let pass_byte = d.u8().ok_or(SnapshotError::Malformed)?;
-        let scope = d.scope().ok_or(SnapshotError::Malformed)?;
-        let hash = d.u128().ok_or(SnapshotError::Malformed)?;
-        let ndeps = d.u32().ok_or(SnapshotError::Malformed)?;
+    for _ in 0..frame::<u32>(&mut d)? {
+        let pass = pass_of(frame(&mut d)?);
+        let scope = frame(&mut d)?;
+        let hash = frame(&mut d)?;
+        let ndeps = frame::<u32>(&mut d)?;
         let mut deps = Vec::with_capacity(ndeps.min(1024) as usize);
         let mut deps_ok = true;
         for _ in 0..ndeps {
-            let dp = d.u8().ok_or(SnapshotError::Malformed)?;
-            let ds = d.scope().ok_or(SnapshotError::Malformed)?;
-            match pass_of(dp) {
+            let dp = pass_of(frame(&mut d)?);
+            let ds = frame(&mut d)?;
+            match dp {
                 Some(p) => deps.push(FactKey::new(p, ds)),
                 None => deps_ok = false,
             }
         }
-        let vlen = d.u32().ok_or(SnapshotError::Malformed)? as usize;
+        let vlen = frame::<u32>(&mut d)? as usize;
         let vbytes = d.take(vlen).ok_or(SnapshotError::Malformed)?;
-        let Some(pass) = pass_of(pass_byte).filter(|_| deps_ok) else {
+        let Some(pass) = pass.filter(|_| deps_ok) else {
             snap.undecodable += 1;
             continue;
         };
         match decode_value(pass, vbytes) {
-            Some(value) => {
+            Some(value) => snap.facts.push(ExportedFact {
+                key: FactKey::new(pass, scope),
+                hash,
+                deps,
                 // Same figure `approx_value_bytes` would compute, without
                 // re-encoding: the wire length is already in hand here.
-                let bytes = 64 + 2 * vlen;
-                snap.facts.push(ExportedFact {
-                    key: FactKey::new(pass, scope),
-                    hash,
-                    deps,
-                    bytes,
-                    value,
-                });
-            }
+                bytes: 64 + 2 * vlen,
+                value,
+            }),
             None => snap.undecodable += 1,
         }
     }
@@ -489,893 +507,562 @@ fn pass_of(tag: u8) -> Option<PassId> {
     })
 }
 
-/// Little-endian byte encoder.
+/// The eight fact value types, each with the pass that produces it: their
+/// [`FactValue`] impls and the one tag → decoder table.
+macro_rules! fact_values {
+    ($($pass:ident => $t:ty),* $(,)?) => {
+        $(impl FactValue for $t {
+            fn pass(&self) -> PassId {
+                PassId::$pass
+            }
+        })*
+
+        /// Decode one value as `pass`'s output type; `None` drops the entry
+        /// (degrades to `Absent`).  The value must consume its bytes
+        /// exactly — trailing bytes mean a format drift this build does not
+        /// understand.
+        fn decode_value(pass: PassId, bytes: &[u8]) -> Option<Arc<dyn FactValue>> {
+            match pass {
+                $(PassId::$pass => Some(Arc::new(from_bytes::<$t>(bytes)?)),)*
+            }
+        }
+    };
+}
+
+fact_values! {
+    Summarize => ProcFlow,
+    Liveness => LivenessResult,
+    Classify => LoopVerdict,
+    Deps => CarriedDeps,
+    Contract => Vec<ContractionCandidate>,
+    Decomp => DecompFact,
+    Split => Vec<BlockSplit>,
+    Execute => ExecutionFact,
+}
+
+/// One type's wire form: its encoder and its decoder, side by side.
+///
+/// `decode` reads exactly what `encode` wrote and returns `None` on an
+/// underrun, an unknown tag, or any form `encode` never writes, so damaged
+/// bytes degrade instead of panicking or being misread.
+pub trait Wire {
+    /// Append this value's wire form.
+    fn encode(&self, e: &mut Enc);
+    /// Read one value back.
+    fn decode(d: &mut Dec<'_>) -> Option<Self>
+    where
+        Self: Sized;
+}
+
+/// Little-endian byte encoder: the sink every [`Wire::encode`] appends to.
 #[derive(Default)]
-struct Enc {
+pub struct Enc {
     buf: Vec<u8>,
 }
 
-impl Enc {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u128(&mut self, v: u128) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn string(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-    }
-    fn scope(&mut self, s: Scope) {
-        match s {
-            Scope::Program => self.u8(0),
-            Scope::Proc(p) => {
-                self.u8(1);
-                self.u32(p.0);
-            }
-            Scope::Loop(s) => {
-                self.u8(2);
-                self.u32(s.0);
-            }
-        }
-    }
-    fn var(&mut self, v: Var) {
-        match v {
-            Var::Dim(d) => {
-                self.u8(0);
-                self.u8(d);
-            }
-            Var::Sym(s) => {
-                self.u8(1);
-                self.u32(s);
-            }
-        }
-    }
-    fn lin_expr(&mut self, e: &LinExpr) {
-        self.i64(e.constant_part());
-        self.u32(e.num_vars() as u32);
-        for (v, c) in e.terms() {
-            self.var(v);
-            self.i64(c);
-        }
-    }
-    fn constraint(&mut self, c: &Constraint) {
-        self.u8(match c.kind {
-            ConstraintKind::GeqZero => 0,
-            ConstraintKind::EqZero => 1,
-        });
-        self.lin_expr(&c.expr);
-    }
-    fn array_key(&mut self, k: &ArrayKey) {
-        match k {
-            ArrayKey::Common(c) => {
-                self.u8(0);
-                self.u32(c.0);
-            }
-            ArrayKey::Var(v) => {
-                self.u8(1);
-                self.u32(v.0);
-            }
-        }
-    }
-    fn red_op(&mut self, op: RedOp) {
-        self.u8(match op {
-            RedOp::Add => 0,
-            RedOp::Mul => 1,
-            RedOp::Min => 2,
-            RedOp::Max => 3,
-        });
-    }
-    fn var_class(&mut self, c: &VarClass) {
-        match c {
-            VarClass::Parallel => self.u8(0),
-            VarClass::Privatizable { needs_finalization } => {
-                self.u8(1);
-                self.u8(*needs_finalization as u8);
-            }
-            VarClass::Reduction(op) => {
-                self.u8(2);
-                self.red_op(*op);
-            }
-            VarClass::Dep => self.u8(3),
-        }
-    }
-    fn classes(&mut self, m: &std::collections::BTreeMap<ArrayId, VarClass>) {
-        self.u32(m.len() as u32);
-        for (id, c) in m {
-            self.u32(id.0);
-            self.var_class(c);
-        }
-    }
-    fn stride(&mut self, s: &Stride) {
-        match s {
-            Stride::Elements(n) => {
-                self.u8(0);
-                self.i64(*n);
-            }
-            Stride::Irregular => self.u8(1),
-        }
-    }
-    fn polyset(&mut self, s: &PolySet) {
-        // The raw set-level flag, not `is_approximate()` (which also folds
-        // in the per-disjunct flags written below).
-        self.u8(s.set_approximate() as u8);
-        self.u32(s.disjuncts().len() as u32);
-        for p in s.disjuncts() {
-            self.u8(p.is_proven_empty() as u8);
-            self.u8(p.is_approximate() as u8);
-            self.u32(p.constraints().len() as u32);
-            for c in p.constraints() {
-                self.constraint(c);
-            }
-        }
-    }
-    fn section(&mut self, s: &Section) {
-        self.u32(s.array.0);
-        self.u8(s.ndims);
-        self.polyset(&s.set);
-    }
-    fn section_summary(&mut self, s: &SectionSummary) {
-        self.section(&s.read);
-        self.section(&s.exposed);
-        self.section(&s.write);
-        self.section(&s.must_write);
-    }
-    fn access_summary(&mut self, a: &AccessSummary) {
-        // `iter` walks ascending array ids, so the frame order is canonical;
-        // the array id and dimensionality ride inside each section.
-        self.u32(a.len() as u32);
-        for (_, s) in a.iter() {
-            self.section_summary(s);
-        }
-    }
-    fn red_summary(&mut self, r: &RedSummary) {
-        let entries: Vec<_> = r.iter().collect();
-        self.u32(entries.len() as u32);
-        for (id, e) in entries {
-            self.u32(id.0);
-            match e.op {
-                None => self.u8(0),
-                Some(op) => {
-                    self.u8(1);
-                    self.red_op(op);
-                }
-            }
-            self.section(&e.red);
-            self.section(&e.nonred);
-        }
-    }
-    fn node_summary(&mut self, n: &NodeSummary) {
-        self.access_summary(&n.acc);
-        self.red_summary(&n.red);
-    }
-    fn loop_iter_summary(&mut self, l: &LoopIterSummary) {
-        self.node_summary(&l.sum);
-        self.var(l.index_sym);
-        match &l.bounds {
-            None => self.u8(0),
-            Some((first, last)) => {
-                self.u8(1);
-                self.lin_expr(first);
-                self.lin_expr(last);
-            }
-        }
-        match l.step {
-            None => self.u8(0),
-            Some(s) => {
-                self.u8(1);
-                self.i64(s);
-            }
-        }
-        self.u32(l.varying.0);
-        self.u32(l.varying.1);
-        self.u8(l.has_calls as u8);
-    }
-    /// Frame every map of the flow in sorted-key order (the maps hash, so
-    /// iteration order is not canonical on its own).
-    fn proc_flow(&mut self, f: &ProcFlow) {
-        self.node_summary(&f.summary);
-        self.u32(f.fresh.0);
-        self.u32(f.fresh.1);
-        let mut stmts: Vec<_> = f.stmt_summary.iter().collect();
-        stmts.sort_by_key(|(s, _)| s.0);
-        self.u32(stmts.len() as u32);
-        for (s, n) in stmts {
-            self.u32(s.0);
-            self.node_summary(n);
-        }
-        let mut iters: Vec<_> = f.loop_iter.iter().collect();
-        iters.sort_by_key(|(s, _)| s.0);
-        self.u32(iters.len() as u32);
-        for (s, l) in iters {
-            self.u32(s.0);
-            self.loop_iter_summary(l);
-        }
-        let mut plain: Vec<_> = f.loop_closed_plain.iter().collect();
-        plain.sort_by_key(|(s, _)| s.0);
-        self.u32(plain.len() as u32);
-        for (s, a) in plain {
-            self.u32(s.0);
-            self.access_summary(a);
-        }
-    }
-    /// The ordered maps and sets iterate in `StmtId`/`VarId` order, so the
-    /// frame order is canonical as it stands.
-    fn execution(&mut self, x: &ExecutionFact) {
-        self.u64(x.ops);
-        self.u64(x.profiled_ops);
-        self.u64(x.nanos);
-        self.u32(x.loops.len() as u32);
-        for (s, l) in &x.loops {
-            self.u32(s.0);
-            self.u64(l.invocations);
-            self.u64(l.iterations);
-            self.u64(l.total_ops);
-            self.u64(l.total_nanos);
-            self.u32(l.dynamic_ancestors.len() as u32);
-            for a in &l.dynamic_ancestors {
-                self.u32(a.0);
-            }
-        }
-        self.u32(x.carried.len() as u32);
-        for (s, vars) in &x.carried {
-            self.u32(s.0);
-            self.u32(vars.len() as u32);
-            for v in vars {
-                self.u32(v.0);
-            }
-        }
-    }
-    fn stmt_arrays(&mut self, m: &HashMap<StmtId, BTreeSet<ArrayId>>) {
-        let mut entries: Vec<_> = m.iter().collect();
-        entries.sort_by_key(|(s, _)| s.0);
-        self.u32(entries.len() as u32);
-        for (s, ids) in entries {
-            self.u32(s.0);
-            self.u32(ids.len() as u32);
-            for id in ids {
-                self.u32(id.0);
-            }
-        }
-    }
-}
-
-/// Bounds-checked little-endian byte decoder; every method returns `None`
-/// on underrun or an invalid tag, so damage degrades instead of panicking.
-struct Dec<'a> {
+/// Bounds-checked little-endian byte decoder: the source every
+/// [`Wire::decode`] reads from.
+pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Dec<'a> {
+    fn new(buf: &'a [u8]) -> Dec<'a> {
+        Dec { buf, pos: 0 }
+    }
+
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
         let end = self.pos.checked_add(n)?;
-        if end > self.buf.len() {
-            return None;
-        }
-        let s = &self.buf[self.pos..end];
+        let s = self.buf.get(self.pos..end)?;
         self.pos = end;
         Some(s)
     }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
+}
+
+/// The wire form of `value`.
+pub fn to_bytes<T: Wire + ?Sized>(value: &T) -> Vec<u8> {
+    let mut e = Enc::default();
+    value.encode(&mut e);
+    e.buf
+}
+
+/// Decode a `T` that spans `bytes` exactly; `None` on anything else.
+pub(crate) fn from_bytes<T: Wire>(bytes: &[u8]) -> Option<T> {
+    let mut d = Dec::new(bytes);
+    let value = T::decode(&mut d)?;
+    (d.pos == bytes.len()).then_some(value)
+}
+
+macro_rules! le_wire {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn encode(&self, e: &mut Enc) {
+                e.buf.extend_from_slice(&self.to_le_bytes());
+            }
+            fn decode(d: &mut Dec<'_>) -> Option<Self> {
+                let bytes = d.take(std::mem::size_of::<$t>())?;
+                Some(<$t>::from_le_bytes(bytes.try_into().ok()?))
+            }
+        }
+    )*};
+}
+
+le_wire!(u8, u32, i64, u64, u128);
+
+/// Lengths, counts and sizes travel as a `u32`.
+impl Wire for usize {
+    fn encode(&self, e: &mut Enc) {
+        (*self as u32).encode(e);
     }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        u32::decode(d).map(|n| n as usize)
     }
-    fn i64(&mut self) -> Option<i64> {
-        Some(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+}
+
+impl Wire for bool {
+    fn encode(&self, e: &mut Enc) {
+        u8::from(*self).encode(e);
     }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn u128(&mut self) -> Option<u128> {
-        Some(u128::from_le_bytes(self.take(16)?.try_into().unwrap()))
-    }
-    fn bool_val(&mut self) -> Option<bool> {
-        match self.u8()? {
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        match u8::decode(d)? {
             0 => Some(false),
             1 => Some(true),
             _ => None,
         }
     }
-    fn string(&mut self) -> Option<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.take(n)?.to_vec()).ok()
+}
+
+impl Wire for String {
+    fn encode(&self, e: &mut Enc) {
+        self.len().encode(e);
+        e.buf.extend_from_slice(self.as_bytes());
     }
-    fn scope(&mut self) -> Option<Scope> {
-        Some(match self.u8()? {
-            0 => Scope::Program,
-            1 => Scope::Proc(ProcId(self.u32()?)),
-            2 => Scope::Loop(StmtId(self.u32()?)),
-            _ => return None,
-        })
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let n = usize::decode(d)?;
+        String::from_utf8(d.take(n)?.to_vec()).ok()
     }
-    fn var(&mut self) -> Option<Var> {
-        Some(match self.u8()? {
-            0 => Var::Dim(self.u8()?),
-            1 => Var::Sym(self.u32()?),
-            _ => return None,
-        })
-    }
-    fn lin_expr(&mut self) -> Option<LinExpr> {
-        let c = self.i64()?;
-        let n = self.u32()?;
-        let mut e = LinExpr::constant(c);
-        for _ in 0..n {
-            let v = self.var()?;
-            let coef = self.i64()?;
-            e = e.add(&LinExpr::term(v, coef));
+}
+
+/// The id newtypes travel as their `u32`.
+macro_rules! id_wire {
+    ($($t:ident),*) => {$(
+        impl Wire for $t {
+            fn encode(&self, e: &mut Enc) {
+                self.0.encode(e);
+            }
+            fn decode(d: &mut Dec<'_>) -> Option<Self> {
+                u32::decode(d).map($t)
+            }
         }
-        Some(e)
+    )*};
+}
+
+id_wire!(ProcId, StmtId, VarId, CommonId, RegionId, ArrayId);
+
+macro_rules! tuple_wire {
+    ($($t:ident),*) => {
+        #[allow(non_snake_case)]
+        impl<$($t: Wire),*> Wire for ($($t,)*) {
+            fn encode(&self, e: &mut Enc) {
+                let ($($t,)*) = self;
+                $($t.encode(e);)*
+            }
+            fn decode(d: &mut Dec<'_>) -> Option<Self> {
+                Some(($($t::decode(d)?,)*))
+            }
+        }
+    };
+}
+
+tuple_wire!(A, B);
+tuple_wire!(A, B, C, D);
+
+impl<T: Wire> Wire for Option<T> {
+    fn encode(&self, e: &mut Enc) {
+        match self {
+            None => 0u8.encode(e),
+            Some(x) => {
+                1u8.encode(e);
+                x.encode(e);
+            }
+        }
     }
-    fn constraint(&mut self) -> Option<Constraint> {
-        let kind = self.u8()?;
-        let expr = self.lin_expr()?;
-        Some(match kind {
-            0 => Constraint::geq0(expr),
-            1 => Constraint::eq0(expr),
-            _ => return None,
-        })
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        match u8::decode(d)? {
+            0 => Some(None),
+            1 => Some(Some(T::decode(d)?)),
+            _ => None,
+        }
     }
-    fn array_key(&mut self) -> Option<ArrayKey> {
-        Some(match self.u8()? {
-            0 => ArrayKey::Common(CommonId(self.u32()?)),
-            1 => ArrayKey::Var(VarId(self.u32()?)),
-            _ => return None,
-        })
+}
+
+/// A carried-dependence entry packs "none" and the kind into one byte, so
+/// `DepKind` has no form of its own and this impl stands beside
+/// `Option<T>`'s.
+impl Wire for Option<DepKind> {
+    fn encode(&self, e: &mut Enc) {
+        let tag: u8 = match self {
+            None => 0,
+            Some(DepKind::WriteRead) => 1,
+            Some(DepKind::WriteWrite) => 2,
+        };
+        tag.encode(e);
     }
-    fn red_op(&mut self) -> Option<RedOp> {
-        Some(match self.u8()? {
-            0 => RedOp::Add,
-            1 => RedOp::Mul,
-            2 => RedOp::Min,
-            3 => RedOp::Max,
-            _ => return None,
-        })
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        match u8::decode(d)? {
+            0 => Some(None),
+            1 => Some(Some(DepKind::WriteRead)),
+            2 => Some(Some(DepKind::WriteWrite)),
+            _ => None,
+        }
     }
-    fn var_class(&mut self) -> Option<VarClass> {
-        Some(match self.u8()? {
-            0 => VarClass::Parallel,
-            1 => VarClass::Privatizable {
-                needs_finalization: self.bool_val()?,
-            },
-            2 => VarClass::Reduction(self.red_op()?),
-            3 => VarClass::Dep,
-            _ => return None,
-        })
+}
+
+impl<T: Wire> Wire for Arc<T> {
+    fn encode(&self, e: &mut Enc) {
+        (**self).encode(e);
     }
-    fn classes(&mut self) -> Option<std::collections::BTreeMap<ArrayId, VarClass>> {
-        let n = self.u32()?;
-        let mut m = std::collections::BTreeMap::new();
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        T::decode(d).map(Arc::new)
+    }
+}
+
+/// A count, then the items.  The capacity reserved from the count is
+/// capped: a hostile count runs out of bytes long before it runs out of
+/// memory.
+impl<T: Wire> Wire for Vec<T> {
+    fn encode(&self, e: &mut Enc) {
+        self.len().encode(e);
+        self.iter().for_each(|x| x.encode(e));
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let n = u32::decode(d)?;
+        let mut v = Vec::with_capacity(n.min(1024) as usize);
         for _ in 0..n {
-            let id = ArrayId(self.u32()?);
-            m.insert(id, self.var_class()?);
+            v.push(T::decode(d)?);
+        }
+        Some(v)
+    }
+}
+
+// Sets and maps travel as a count and their entries in ascending key
+// order, and a decoder takes that order only: a key out of order or
+// repeated fails the value.
+
+impl<T: Wire + Ord> Wire for BTreeSet<T> {
+    fn encode(&self, e: &mut Enc) {
+        self.len().encode(e);
+        self.iter().for_each(|x| x.encode(e));
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let mut s = BTreeSet::new();
+        for _ in 0..u32::decode(d)? {
+            let x = T::decode(d)?;
+            if s.last() >= Some(&x) {
+                return None;
+            }
+            s.insert(x);
+        }
+        Some(s)
+    }
+}
+
+impl<K: Wire + Ord, V: Wire> Wire for BTreeMap<K, V> {
+    fn encode(&self, e: &mut Enc) {
+        self.len().encode(e);
+        for (k, v) in self {
+            k.encode(e);
+            v.encode(e);
+        }
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let mut m = BTreeMap::new();
+        for _ in 0..u32::decode(d)? {
+            let (k, v) = <(K, V)>::decode(d)?;
+            if m.last_key_value().map(|(last, _)| last) >= Some(&k) {
+                return None;
+            }
+            m.insert(k, v);
         }
         Some(m)
     }
-    fn stride(&mut self) -> Option<Stride> {
-        Some(match self.u8()? {
-            0 => Stride::Elements(self.i64()?),
-            1 => Stride::Irregular,
-            _ => return None,
-        })
-    }
-    fn polyset(&mut self) -> Option<PolySet> {
-        let approx = self.bool_val()?;
-        let n = self.u32()?;
-        let mut disjuncts = Vec::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            let empty = self.bool_val()?;
-            let papprox = self.bool_val()?;
-            let ncs = self.u32()?;
-            let mut cs = Vec::with_capacity(ncs.min(1024) as usize);
-            for _ in 0..ncs {
-                cs.push(self.constraint()?);
-            }
-            // `from_parts`, not `push`/`from_constraints`: the encoded parts
-            // already went through normalization, subsumption, and widening
-            // when first built, and re-running those reductions would change
-            // the representation (breaking bit-identical round trips).
-            disjuncts.push(Polyhedron::from_parts(cs, empty, papprox));
+}
+
+/// Sorted before framing: a hash map's iteration order is not canonical.
+impl<K: Wire + Ord + Hash + Copy, V: Wire> Wire for HashMap<K, V> {
+    fn encode(&self, e: &mut Enc) {
+        let mut entries: Vec<_> = self.iter().collect();
+        entries.sort_unstable_by_key(|(k, _)| **k);
+        entries.len().encode(e);
+        for (k, v) in entries {
+            k.encode(e);
+            v.encode(e);
         }
-        Some(PolySet::from_parts(disjuncts, approx))
     }
-    fn section(&mut self) -> Option<Section> {
-        let array = ArrayId(self.u32()?);
-        let ndims = self.u8()?;
-        let set = self.polyset()?;
-        Some(Section { array, ndims, set })
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let n = u32::decode(d)?;
+        let mut m = HashMap::with_capacity(n.min(1024) as usize);
+        let mut last = None;
+        for _ in 0..n {
+            let (k, v) = <(K, V)>::decode(d)?;
+            if last >= Some(k) {
+                return None;
+            }
+            last = Some(k);
+            m.insert(k, v);
+        }
+        Some(m)
     }
-    fn section_summary(&mut self) -> Option<SectionSummary> {
-        Some(SectionSummary {
-            read: self.section()?,
-            exposed: self.section()?,
-            write: self.section()?,
-            must_write: self.section()?,
+}
+
+/// Structs travel as their fields, in the order listed:
+/// `struct_wire!(T { field, … })`.
+macro_rules! struct_wire {
+    ($($t:ident { $($f:ident),* })*) => {$(
+        impl Wire for $t {
+            fn encode(&self, e: &mut Enc) {
+                $(self.$f.encode(e);)*
+            }
+            fn decode(d: &mut Dec<'_>) -> Option<Self> {
+                Some($t { $($f: Wire::decode(d)?),* })
+            }
+        }
+    )*};
+}
+
+struct_wire! {
+    Section { array, ndims, set }
+    SectionSummary { read, exposed, write, must_write }
+    RedEntry { op, red, nonred }
+    NodeSummary { acc, red }
+    LoopIterSummary { sum, index_sym, bounds, step, varying, has_calls }
+    LoopExecution { invocations, iterations, total_ops, total_nanos, dynamic_ancestors }
+    ExecutionFact { ops, profiled_ops, nanos, loops, carried }
+    LoopPlan { private, finalize_last, reductions }
+    StaticDep { object, name, vars, sites }
+    ContractionCandidate { var, loop_stmt, dim }
+    Partitioning { loop_stmt, loop_name, object, object_name, stride, writes }
+    DecompConflict { object_name, a, b }
+    DecompFact { partitionings, conflicts }
+    BlockSplit { block, name, groups }
+}
+
+/// Enums travel as a tag byte, then the variant's fields in the order
+/// listed: `enum_wire!(T { tag => Variant(field, …) | Variant { field, … } })`.
+macro_rules! enum_wire {
+    ($($t:ident {
+        $($tag:literal => $v:ident $(($($f:ident),*))? $({$($g:ident),*})?),* $(,)?
+    })*) => {$(
+        impl Wire for $t {
+            fn encode(&self, e: &mut Enc) {
+                match self {
+                    $($t::$v $(($($f),*))? $({$($g),*})? => {
+                        $tag.encode(e);
+                        $($($f.encode(e);)*)?
+                        $($($g.encode(e);)*)?
+                    })*
+                }
+            }
+            fn decode(d: &mut Dec<'_>) -> Option<Self> {
+                Some(match u8::decode(d)? {
+                    $($tag => {
+                        $($(let $f = Wire::decode(d)?;)*)?
+                        $($(let $g = Wire::decode(d)?;)*)?
+                        $t::$v $(($($f),*))? $({$($g),*})?
+                    })*
+                    _ => return None,
+                })
+            }
+        }
+    )*};
+}
+
+enum_wire! {
+    Scope { 0u8 => Program, 1u8 => Proc(p), 2u8 => Loop(s) }
+    Var { 0u8 => Dim(k), 1u8 => Sym(s) }
+    ConstraintKind { 0u8 => GeqZero, 1u8 => EqZero }
+    ArrayKey { 0u8 => Common(c), 1u8 => Var(v) }
+    RedOp { 0u8 => Add, 1u8 => Mul, 2u8 => Min, 3u8 => Max }
+    VarClass {
+        0u8 => Parallel,
+        1u8 => Privatizable { needs_finalization },
+        2u8 => Reduction(op),
+        3u8 => Dep,
+    }
+    LoopVerdict {
+        0u8 => Parallel { plan, classes },
+        1u8 => Sequential { deps, has_io, classes },
+    }
+    Stride { 0u8 => Elements(n), 1u8 => Irregular }
+    LivenessMode { 0u8 => FlowInsensitive, 1u8 => OneBit, 2u8 => Full }
+}
+
+/// `constant · count · (var, coefficient)*`, terms in ascending variable
+/// order.  The decoder builds the expression in one pass and takes no
+/// other order, so a long expression decodes in linear time.
+impl Wire for LinExpr {
+    fn encode(&self, e: &mut Enc) {
+        self.constant_part().encode(e);
+        self.num_vars().encode(e);
+        self.terms().for_each(|t| t.encode(e));
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let constant = i64::decode(d)?;
+        let n = u32::decode(d)?;
+        let mut read = 0;
+        let terms = std::iter::from_fn(|| {
+            let term = (read < n).then(|| <(Var, i64)>::decode(d))??;
+            read += 1;
+            Some(term)
+        });
+        let e = LinExpr::from_sorted_terms(constant, terms)?;
+        // A torn term ends the list early: only a prefix was read.
+        (read == n).then_some(e)
+    }
+}
+
+/// Rebuilt through the normalizing constructors, which are the identity on
+/// the normal form the encoder wrote.
+impl Wire for Constraint {
+    fn encode(&self, e: &mut Enc) {
+        self.kind.encode(e);
+        self.expr.encode(e);
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        Some(match ConstraintKind::decode(d)? {
+            ConstraintKind::GeqZero => Constraint::geq0(LinExpr::decode(d)?),
+            ConstraintKind::EqZero => Constraint::eq0(LinExpr::decode(d)?),
         })
     }
-    fn access_summary(&mut self) -> Option<AccessSummary> {
-        let n = self.u32()?;
+}
+
+/// Rebuilt with `from_parts`, not `push`/`from_constraints`: the encoded
+/// parts already went through normalization, subsumption, and widening
+/// when first built, and re-running those reductions would change the
+/// representation (breaking bit-identical round trips).
+impl Wire for Polyhedron {
+    fn encode(&self, e: &mut Enc) {
+        self.is_proven_empty().encode(e);
+        self.is_approximate().encode(e);
+        self.constraints().len().encode(e);
+        self.constraints().iter().for_each(|c| c.encode(e));
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let (empty, approx) = <(bool, bool)>::decode(d)?;
+        Some(Polyhedron::from_parts(Vec::decode(d)?, empty, approx))
+    }
+}
+
+impl Wire for PolySet {
+    fn encode(&self, e: &mut Enc) {
+        // The raw set-level flag, not `is_approximate()` (which also folds
+        // in the per-disjunct flags written with each disjunct).
+        self.set_approximate().encode(e);
+        self.disjuncts().len().encode(e);
+        self.disjuncts().iter().for_each(|p| p.encode(e));
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let approx = bool::decode(d)?;
+        Some(PolySet::from_parts(Vec::decode(d)?, approx))
+    }
+}
+
+/// One section summary per array, in ascending array order (the array id
+/// and dimensionality ride inside each section).
+impl Wire for AccessSummary {
+    fn encode(&self, e: &mut Enc) {
+        self.len().encode(e);
+        self.iter().for_each(|(_, s)| s.encode(e));
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
         let mut a = AccessSummary::empty();
-        for _ in 0..n {
-            a.insert(self.section_summary()?);
+        let mut last = None;
+        for _ in 0..u32::decode(d)? {
+            let s = SectionSummary::decode(d)?;
+            if last >= Some(s.read.array) {
+                return None;
+            }
+            last = Some(s.read.array);
+            a.insert(s);
         }
         Some(a)
     }
-    fn red_summary(&mut self) -> Option<RedSummary> {
-        let n = self.u32()?;
+}
+
+/// `(array, entry)` pairs in ascending array order.
+impl Wire for RedSummary {
+    fn encode(&self, e: &mut Enc) {
+        self.iter().count().encode(e);
+        for (id, entry) in self.iter() {
+            id.encode(e);
+            entry.encode(e);
+        }
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
         let mut r = RedSummary::empty();
-        for _ in 0..n {
-            let id = ArrayId(self.u32()?);
-            let op = match self.u8()? {
-                0 => None,
-                1 => Some(self.red_op()?),
-                _ => return None,
-            };
-            let red = self.section()?;
-            let nonred = self.section()?;
-            r.insert_entry(id, RedEntry { op, red, nonred });
+        let mut last = None;
+        for _ in 0..u32::decode(d)? {
+            let (id, entry) = <(ArrayId, RedEntry)>::decode(d)?;
+            if last >= Some(id) {
+                return None;
+            }
+            last = Some(id);
+            r.insert_entry(id, entry);
         }
         Some(r)
     }
-    fn node_summary(&mut self) -> Option<NodeSummary> {
-        Some(NodeSummary {
-            acc: self.access_summary()?,
-            red: self.red_summary()?,
-        })
+}
+
+/// Decoded compact: equal section sets share one storage, as in a flow
+/// the walk produced.
+impl Wire for ProcFlow {
+    fn encode(&self, e: &mut Enc) {
+        self.summary.encode(e);
+        self.fresh.encode(e);
+        self.stmt_summary.encode(e);
+        self.loop_iter.encode(e);
+        self.loop_closed_plain.encode(e);
     }
-    fn loop_iter_summary(&mut self) -> Option<LoopIterSummary> {
-        let sum = self.node_summary()?;
-        let index_sym = self.var()?;
-        let bounds = match self.u8()? {
-            0 => None,
-            1 => Some((self.lin_expr()?, self.lin_expr()?)),
-            _ => return None,
-        };
-        let step = match self.u8()? {
-            0 => None,
-            1 => Some(self.i64()?),
-            _ => return None,
-        };
-        let varying = (self.u32()?, self.u32()?);
-        let has_calls = self.bool_val()?;
-        Some(LoopIterSummary {
-            sum,
-            index_sym,
-            bounds,
-            step,
-            varying,
-            has_calls,
-        })
-    }
-    fn proc_flow(&mut self) -> Option<ProcFlow> {
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
         let mut f = ProcFlow {
-            summary: Arc::new(self.node_summary()?),
-            fresh: (self.u32()?, self.u32()?),
-            ..ProcFlow::default()
+            summary: Wire::decode(d)?,
+            fresh: Wire::decode(d)?,
+            stmt_summary: Wire::decode(d)?,
+            loop_iter: Wire::decode(d)?,
+            loop_closed_plain: Wire::decode(d)?,
         };
-        for _ in 0..self.u32()? {
-            let s = StmtId(self.u32()?);
-            f.stmt_summary.insert(s, Arc::new(self.node_summary()?));
-        }
-        for _ in 0..self.u32()? {
-            let s = StmtId(self.u32()?);
-            f.loop_iter.insert(s, Arc::new(self.loop_iter_summary()?));
-        }
-        for _ in 0..self.u32()? {
-            let s = StmtId(self.u32()?);
-            f.loop_closed_plain
-                .insert(s, Arc::new(self.access_summary()?));
-        }
+        f.compact();
         Some(f)
     }
-    fn execution(&mut self) -> Option<ExecutionFact> {
-        let mut x = ExecutionFact {
-            ops: self.u64()?,
-            profiled_ops: self.u64()?,
-            nanos: self.u64()?,
-            ..ExecutionFact::default()
+}
+
+/// Decoded compact, like [`ProcFlow`]; the run's wall-clock is metadata
+/// and decodes as zero.
+impl Wire for LivenessResult {
+    fn encode(&self, e: &mut Enc) {
+        self.mode.encode(e);
+        self.written.encode(e);
+        self.live_after_write.encode(e);
+        self.after_full.encode(e);
+    }
+    fn decode(d: &mut Dec<'_>) -> Option<Self> {
+        let mut res = LivenessResult {
+            mode: Wire::decode(d)?,
+            written: Wire::decode(d)?,
+            live_after_write: Wire::decode(d)?,
+            after_full: Wire::decode(d)?,
+            elapsed: Duration::ZERO,
         };
-        for _ in 0..self.u32()? {
-            let s = StmtId(self.u32()?);
-            let mut l = LoopExecution {
-                invocations: self.u64()?,
-                iterations: self.u64()?,
-                total_ops: self.u64()?,
-                total_nanos: self.u64()?,
-                dynamic_ancestors: BTreeSet::new(),
-            };
-            for _ in 0..self.u32()? {
-                l.dynamic_ancestors.insert(StmtId(self.u32()?));
-            }
-            x.loops.insert(s, l);
-        }
-        for _ in 0..self.u32()? {
-            let s = StmtId(self.u32()?);
-            let mut vars = BTreeSet::new();
-            for _ in 0..self.u32()? {
-                vars.insert(VarId(self.u32()?));
-            }
-            x.carried.insert(s, vars);
-        }
-        Some(x)
+        res.compact();
+        Some(res)
     }
-    fn stmt_arrays(&mut self) -> Option<HashMap<StmtId, BTreeSet<ArrayId>>> {
-        let n = self.u32()?;
-        let mut m = HashMap::with_capacity(n.min(1024) as usize);
-        for _ in 0..n {
-            let s = StmtId(self.u32()?);
-            let k = self.u32()?;
-            let mut ids = BTreeSet::new();
-            for _ in 0..k {
-                ids.insert(ArrayId(self.u32()?));
-            }
-            m.insert(s, ids);
-        }
-        Some(m)
-    }
-}
-
-fn encode_verdict(v: &LoopVerdict, e: &mut Enc) {
-    match v {
-        LoopVerdict::Parallel { plan, classes } => {
-            e.u8(0);
-            e.u32(plan.private.len() as u32);
-            for k in &plan.private {
-                e.array_key(k);
-            }
-            e.u32(plan.finalize_last.len() as u32);
-            for k in &plan.finalize_last {
-                e.array_key(k);
-            }
-            e.u32(plan.reductions.len() as u32);
-            for (k, op) in &plan.reductions {
-                e.array_key(k);
-                e.red_op(*op);
-            }
-            e.classes(classes);
-        }
-        LoopVerdict::Sequential {
-            deps,
-            has_io,
-            classes,
-        } => {
-            e.u8(1);
-            e.u32(deps.len() as u32);
-            for d in deps {
-                e.u32(d.object.0);
-                e.string(&d.name);
-                e.u32(d.vars.len() as u32);
-                for v in &d.vars {
-                    e.u32(v.0);
-                }
-                e.u32(d.sites.len() as u32);
-                for (s, line, w, call) in &d.sites {
-                    e.u32(s.0);
-                    e.u32(*line);
-                    e.u8(*w as u8);
-                    e.u8(*call as u8);
-                }
-            }
-            e.u8(*has_io as u8);
-            e.classes(classes);
-        }
-    }
-}
-
-fn decode_verdict(d: &mut Dec<'_>) -> Option<LoopVerdict> {
-    Some(match d.u8()? {
-        0 => {
-            let mut plan = LoopPlan::default();
-            for _ in 0..d.u32()? {
-                plan.private.push(d.array_key()?);
-            }
-            for _ in 0..d.u32()? {
-                plan.finalize_last.push(d.array_key()?);
-            }
-            for _ in 0..d.u32()? {
-                let k = d.array_key()?;
-                plan.reductions.push((k, d.red_op()?));
-            }
-            LoopVerdict::Parallel {
-                plan,
-                classes: d.classes()?,
-            }
-        }
-        1 => {
-            let ndeps = d.u32()?;
-            let mut deps = Vec::with_capacity(ndeps.min(1024) as usize);
-            for _ in 0..ndeps {
-                let object = ArrayId(d.u32()?);
-                let name = d.string()?;
-                let mut vars = Vec::new();
-                for _ in 0..d.u32()? {
-                    vars.push(VarId(d.u32()?));
-                }
-                let mut sites = Vec::new();
-                for _ in 0..d.u32()? {
-                    let s = StmtId(d.u32()?);
-                    let line = d.u32()?;
-                    let w = d.bool_val()?;
-                    let call = d.bool_val()?;
-                    sites.push((s, line, w, call));
-                }
-                deps.push(StaticDep {
-                    object,
-                    name,
-                    vars,
-                    sites,
-                });
-            }
-            let has_io = d.bool_val()?;
-            LoopVerdict::Sequential {
-                deps,
-                has_io,
-                classes: d.classes()?,
-            }
-        }
-        _ => return None,
-    })
-}
-
-/// Encode one fact value; the pass selects the concrete type behind the
-/// `Any`.  A type mismatch encodes an empty payload, which decodes to
-/// `None` and drops the entry — degradation, not corruption.
-fn encode_value(pass: PassId, value: &Arc<dyn Any + Send + Sync>, e: &mut Enc) {
-    match pass {
-        PassId::Classify => {
-            if let Some(v) = value.downcast_ref::<LoopVerdict>() {
-                encode_verdict(v, e);
-            }
-        }
-        PassId::Deps => {
-            if let Some(v) = value.downcast_ref::<CarriedDeps>() {
-                e.u32(v.len() as u32);
-                for (id, kind) in v {
-                    e.u32(id.0);
-                    e.u8(match kind {
-                        None => 0,
-                        Some(DepKind::WriteRead) => 1,
-                        Some(DepKind::WriteWrite) => 2,
-                    });
-                }
-            }
-        }
-        PassId::Contract => {
-            if let Some(v) = value.downcast_ref::<Vec<ContractionCandidate>>() {
-                e.u32(v.len() as u32);
-                for c in v {
-                    e.u32(c.var.0);
-                    e.u32(c.loop_stmt.0);
-                    e.u32(c.dim as u32);
-                }
-            }
-        }
-        PassId::Decomp => {
-            if let Some(v) = value.downcast_ref::<DecompFact>() {
-                e.u32(v.partitionings.len() as u32);
-                for p in &v.partitionings {
-                    e.u32(p.loop_stmt.0);
-                    e.string(&p.loop_name);
-                    e.u32(p.object.0);
-                    e.string(&p.object_name);
-                    e.stride(&p.stride);
-                    e.u8(p.writes as u8);
-                }
-                e.u32(v.conflicts.len() as u32);
-                for c in &v.conflicts {
-                    e.string(&c.object_name);
-                    e.string(&c.a.0);
-                    e.stride(&c.a.1);
-                    e.string(&c.b.0);
-                    e.stride(&c.b.1);
-                }
-            }
-        }
-        PassId::Split => {
-            if let Some(v) = value.downcast_ref::<Vec<BlockSplit>>() {
-                e.u32(v.len() as u32);
-                for s in v {
-                    e.u32(s.block.0);
-                    e.string(&s.name);
-                    e.u32(s.groups.len() as u32);
-                    for g in &s.groups {
-                        e.u32(g.len() as u32);
-                        for p in g {
-                            e.u32(p.0);
-                        }
-                    }
-                }
-            }
-        }
-        PassId::Summarize => {
-            if let Some(v) = value.downcast_ref::<ProcFlow>() {
-                e.proc_flow(v);
-            }
-        }
-        PassId::Liveness => {
-            if let Some(v) = value.downcast_ref::<LivenessResult>() {
-                e.u8(match v.mode {
-                    LivenessMode::FlowInsensitive => 0,
-                    LivenessMode::OneBit => 1,
-                    LivenessMode::Full => 2,
-                });
-                e.stmt_arrays(&v.written);
-                e.stmt_arrays(&v.live_after_write);
-                match &v.after_full {
-                    None => e.u8(0),
-                    Some(m) => {
-                        e.u8(1);
-                        let mut entries: Vec<_> = m.iter().collect();
-                        entries.sort_by_key(|(r, _)| r.0);
-                        e.u32(entries.len() as u32);
-                        for (r, a) in entries {
-                            e.u32(r.0);
-                            e.access_summary(a);
-                        }
-                    }
-                }
-            }
-        }
-        PassId::Execute => {
-            if let Some(v) = value.downcast_ref::<ExecutionFact>() {
-                e.execution(v);
-            }
-        }
-    }
-}
-
-/// Decode one fact value; `None` drops the entry (degrades to `Absent`).
-/// The value must consume its byte slice exactly — trailing bytes mean a
-/// format drift this build does not understand.
-fn decode_value(pass: PassId, bytes: &[u8]) -> Option<Arc<dyn Any + Send + Sync>> {
-    let mut d = Dec { buf: bytes, pos: 0 };
-    let value: Arc<dyn Any + Send + Sync> = match pass {
-        PassId::Classify => Arc::new(decode_verdict(&mut d)?),
-        PassId::Deps => {
-            let n = d.u32()?;
-            let mut m = CarriedDeps::new();
-            for _ in 0..n {
-                let id = ArrayId(d.u32()?);
-                let kind = match d.u8()? {
-                    0 => None,
-                    1 => Some(DepKind::WriteRead),
-                    2 => Some(DepKind::WriteWrite),
-                    _ => return None,
-                };
-                m.insert(id, kind);
-            }
-            Arc::new(m)
-        }
-        PassId::Contract => {
-            let n = d.u32()?;
-            let mut v = Vec::with_capacity(n.min(1024) as usize);
-            for _ in 0..n {
-                let var = VarId(d.u32()?);
-                let loop_stmt = StmtId(d.u32()?);
-                let dim = d.u32()? as usize;
-                v.push(ContractionCandidate {
-                    var,
-                    loop_stmt,
-                    dim,
-                });
-            }
-            Arc::new(v)
-        }
-        PassId::Decomp => {
-            let n = d.u32()?;
-            let mut partitionings = Vec::with_capacity(n.min(1024) as usize);
-            for _ in 0..n {
-                let loop_stmt = StmtId(d.u32()?);
-                let loop_name = d.string()?;
-                let object = ArrayId(d.u32()?);
-                let object_name = d.string()?;
-                let stride = d.stride()?;
-                let writes = d.bool_val()?;
-                partitionings.push(Partitioning {
-                    loop_stmt,
-                    loop_name,
-                    object,
-                    object_name,
-                    stride,
-                    writes,
-                });
-            }
-            let n = d.u32()?;
-            let mut conflicts = Vec::with_capacity(n.min(1024) as usize);
-            for _ in 0..n {
-                let object_name = d.string()?;
-                let a = (d.string()?, d.stride()?);
-                let b = (d.string()?, d.stride()?);
-                conflicts.push(DecompConflict { object_name, a, b });
-            }
-            Arc::new(DecompFact {
-                partitionings,
-                conflicts,
-            })
-        }
-        PassId::Split => {
-            let n = d.u32()?;
-            let mut v = Vec::with_capacity(n.min(1024) as usize);
-            for _ in 0..n {
-                let block = CommonId(d.u32()?);
-                let name = d.string()?;
-                let ngroups = d.u32()?;
-                let mut groups = Vec::with_capacity(ngroups.min(1024) as usize);
-                for _ in 0..ngroups {
-                    let mut g = Vec::new();
-                    for _ in 0..d.u32()? {
-                        g.push(ProcId(d.u32()?));
-                    }
-                    groups.push(g);
-                }
-                v.push(BlockSplit {
-                    block,
-                    name,
-                    groups,
-                });
-            }
-            Arc::new(v)
-        }
-        PassId::Summarize => {
-            let mut flow = d.proc_flow()?;
-            flow.compact();
-            Arc::new(flow)
-        }
-        PassId::Liveness => {
-            let mode = match d.u8()? {
-                0 => LivenessMode::FlowInsensitive,
-                1 => LivenessMode::OneBit,
-                2 => LivenessMode::Full,
-                _ => return None,
-            };
-            let written = d.stmt_arrays()?;
-            let live_after_write = d.stmt_arrays()?;
-            let after_full = match d.u8()? {
-                0 => None,
-                1 => {
-                    let n = d.u32()?;
-                    let mut m = HashMap::with_capacity(n.min(1024) as usize);
-                    for _ in 0..n {
-                        let r = RegionId(d.u32()?);
-                        m.insert(r, d.access_summary()?);
-                    }
-                    Some(m)
-                }
-                _ => return None,
-            };
-            let mut res = LivenessResult {
-                mode,
-                written,
-                live_after_write,
-                after_full,
-                elapsed: Duration::ZERO,
-            };
-            res.compact();
-            Arc::new(res)
-        }
-        PassId::Execute => Arc::new(d.execution()?),
-    };
-    if d.pos != bytes.len() {
-        return None;
-    }
-    Some(value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::BTreeMap;
+    use crate::pipeline::typed;
 
     fn verdict_parallel() -> LoopVerdict {
         let mut classes = BTreeMap::new();
@@ -1504,13 +1191,8 @@ mod tests {
         }
     }
 
-    fn fact(
-        pass: PassId,
-        scope: Scope,
-        hash: u128,
-        value: Arc<dyn Any + Send + Sync>,
-    ) -> ExportedFact {
-        let bytes = approx_value_bytes(pass, &value);
+    fn fact(pass: PassId, scope: Scope, hash: u128, value: Arc<dyn FactValue>) -> ExportedFact {
+        let bytes = approx_value_bytes(&*value);
         ExportedFact {
             key: FactKey::new(pass, scope),
             hash,
@@ -1621,10 +1303,7 @@ mod tests {
             .iter()
             .find(|f| f.key == FactKey::new(PassId::Classify, Scope::Loop(StmtId(5))))
             .unwrap();
-        let v = classify
-            .value
-            .downcast_ref::<LoopVerdict>()
-            .expect("classify decodes to a verdict");
+        let v = typed::<LoopVerdict>(&classify.value).expect("classify decodes to a verdict");
         assert_eq!(format!("{v:?}"), format!("{:?}", verdict_parallel()));
         // The procedure's flow survives structurally.
         let summarize = back
@@ -1633,10 +1312,8 @@ mod tests {
             .find(|f| f.key.pass == PassId::Summarize)
             .unwrap();
         assert_eq!(summarize.key.scope, Scope::Proc(ProcId(0)));
-        let pf = summarize
-            .value
-            .downcast_ref::<ProcFlow>()
-            .expect("summarize decodes to a procedure flow");
+        let pf =
+            typed::<ProcFlow>(&summarize.value).expect("summarize decodes to a procedure flow");
         let want = sample_proc_flow();
         assert_eq!(pf.summary.acc.len(), want.summary.acc.len());
         assert_eq!(pf.fresh, (4, 7));
@@ -1649,10 +1326,7 @@ mod tests {
             .iter()
             .find(|f| f.key.pass == PassId::Liveness)
             .unwrap();
-        let lr = liveness
-            .value
-            .downcast_ref::<LivenessResult>()
-            .expect("liveness decodes to a result");
+        let lr = typed::<LivenessResult>(&liveness.value).expect("liveness decodes to a result");
         assert!(matches!(lr.mode, LivenessMode::Full));
         assert_eq!(lr.written[&StmtId(3)].len(), 2);
         assert!(lr.after_full.as_ref().unwrap().contains_key(&RegionId(1)));
@@ -1663,20 +1337,31 @@ mod tests {
             .iter()
             .find(|f| f.key.pass == PassId::Execute)
             .unwrap();
-        let run = execute
-            .value
-            .downcast_ref::<ExecutionFact>()
-            .expect("execute decodes to an execution fact");
-        assert_eq!(run, &sample_execution());
+        let run =
+            typed::<ExecutionFact>(&execute.value).expect("execute decodes to an execution fact");
+        assert_eq!(*run, sample_execution());
     }
 
     #[test]
     fn type_mismatched_value_degrades_to_undecodable() {
-        // A wrong concrete type behind the `Any` encodes an empty payload,
-        // which fails to decode and drops the one entry — never the file.
+        // A value filed under another pass's key frames empty, which fails
+        // to decode and drops that one entry — never the file, never a
+        // misread.
         let snap = Snapshot::new(vec![
-            fact(PassId::Summarize, Scope::Program, 1, Arc::new(0u64)),
-            fact(PassId::Execute, Scope::Program, 2, Arc::new(0u64)),
+            fact(
+                PassId::Summarize,
+                Scope::Program,
+                1,
+                Arc::new(sample_execution()),
+            ),
+            // An empty candidate list would read as an empty block-split
+            // list byte for byte; the pass check is what refuses it.
+            fact(
+                PassId::Split,
+                Scope::Program,
+                2,
+                Arc::new(Vec::<ContractionCandidate>::new()),
+            ),
             fact(
                 PassId::Execute,
                 Scope::Loop(StmtId(1)),
@@ -1688,6 +1373,86 @@ mod tests {
         let back = Snapshot::decode(&snap.encode()).unwrap();
         assert_eq!(back.facts.len(), 1, "the well-typed neighbour survives");
         assert_eq!(back.undecodable, 2);
+        assert_eq!(back.facts[0].key.scope, Scope::Loop(StmtId(1)));
+    }
+
+    /// Decoding takes the canonical form only, in one pass: a long
+    /// expression round-trips in linear time, and a term list out of order,
+    /// repeated or holding a zero coefficient decodes to nothing.
+    #[test]
+    fn linear_expressions_decode_in_one_pass_and_only_canonically() {
+        let long =
+            LinExpr::from_sorted_terms(7, (0..200_000u32).map(|s| (Var::Sym(s), 3))).unwrap();
+        let mut flow = sample_proc_flow();
+        let mut iter = (*flow.loop_iter[&StmtId(3)]).clone();
+        iter.bounds = Some((LinExpr::constant(1), long.clone()));
+        flow.loop_iter.insert(StmtId(3), Arc::new(iter));
+        let snap = Snapshot::new(vec![fact(
+            PassId::Summarize,
+            Scope::Proc(ProcId(0)),
+            1,
+            Arc::new(flow),
+        )]);
+        let bytes = snap.encode();
+        let t0 = std::time::Instant::now();
+        let back = Snapshot::decode(&bytes).unwrap();
+        let secs = t0.elapsed().as_secs_f64();
+        assert!(secs < 5.0, "200 000 terms took {secs:.2} s to decode");
+        assert_eq!(back.undecodable, 0);
+        assert_eq!(back.encode(), bytes);
+        let pf = typed::<ProcFlow>(&back.facts[0].value).unwrap();
+        assert_eq!(pf.loop_iter[&StmtId(3)].bounds.as_ref().unwrap().1, long);
+
+        let expr = |terms: &[(u32, i64)]| {
+            let mut e = Enc::default();
+            5i64.encode(&mut e);
+            terms.len().encode(&mut e);
+            for &(s, c) in terms {
+                (Var::Sym(s), c).encode(&mut e);
+            }
+            e.buf
+        };
+        let sorted = from_bytes::<LinExpr>(&expr(&[(1, 2), (4, -1)]));
+        assert_eq!(sorted.unwrap().coef(Var::Sym(4)), -1);
+        for bad in [&[(4, 2), (1, -1)][..], &[(1, 2), (1, 1)], &[(1, 0)]] {
+            assert!(from_bytes::<LinExpr>(&expr(bad)).is_none(), "{bad:?}");
+        }
+        assert!(from_bytes::<LinExpr>(&expr(&[(1, 2), (4, -1)])[..20]).is_none());
+    }
+
+    /// Map and set keys decode in the one order the encoder writes.
+    #[test]
+    fn keys_out_of_order_or_repeated_are_undecodable() {
+        let framed = |keys: &[u32]| {
+            let mut e = Enc::default();
+            keys.len().encode(&mut e);
+            keys.iter().for_each(|k| k.encode(&mut e));
+            e.buf
+        };
+        assert!(from_bytes::<BTreeSet<VarId>>(&framed(&[1, 2])).is_some());
+        for bad in [&[2, 1][..], &[1, 1]] {
+            assert!(from_bytes::<BTreeSet<VarId>>(&framed(bad)).is_none());
+        }
+        let summaries = |ids: &[u32]| {
+            let mut e = Enc::default();
+            ids.len().encode(&mut e);
+            ids.iter()
+                .for_each(|&id| sample_section_summary(id).encode(&mut e));
+            e.buf
+        };
+        assert!(from_bytes::<AccessSummary>(&summaries(&[0, 2])).is_some());
+        assert!(from_bytes::<AccessSummary>(&summaries(&[2, 0])).is_none());
+        let entries = |ids: &[u32]| {
+            let mut e = Enc::default();
+            ids.len().encode(&mut e);
+            ids.iter().for_each(|&id| (StmtId(id), 7u64).encode(&mut e));
+            e.buf
+        };
+        assert!(from_bytes::<HashMap<StmtId, u64>>(&entries(&[3, 4])).is_some());
+        for bad in [&[4, 3][..], &[3, 3]] {
+            assert!(from_bytes::<HashMap<StmtId, u64>>(&entries(bad)).is_none());
+            assert!(from_bytes::<BTreeMap<StmtId, u64>>(&entries(bad)).is_none());
+        }
     }
 
     #[test]

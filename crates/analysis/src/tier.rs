@@ -38,8 +38,8 @@
 //! the sweep never needs to coordinate with readers.
 
 use crate::pipeline::{ExportedFact, FactKey, PassId};
+use crate::snapshot::FactValue;
 use parking_lot::Mutex;
-use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -49,9 +49,11 @@ use std::sync::Arc;
 const TIER_SHARDS: usize = 16;
 
 struct TierEntry {
-    value: Arc<dyn Any + Send + Sync>,
-    /// Approximate resident bytes of `value` (see
-    /// [`crate::snapshot::approx_value_bytes`]).
+    /// The finished fact; the overlay that hits it reads it back as its
+    /// pass's output type.
+    value: Arc<dyn FactValue>,
+    /// Approximate resident bytes of `value`: `64 + 2×` its wire length
+    /// ([`crate::snapshot::approx_value_bytes`]).
     bytes: usize,
     /// Second-chance bit: set on every hit, cleared by a passing eviction
     /// sweep; an unreferenced entry is evicted on the sweep's next visit.
@@ -176,7 +178,7 @@ impl SharedFactTier {
         &self,
         pass: PassId,
         hash: u128,
-    ) -> Option<(Arc<dyn Any + Send + Sync>, usize, Vec<FactKey>)> {
+    ) -> Option<(Arc<dyn FactValue>, usize, Vec<FactKey>)> {
         let shard = &self.shards[tier_shard_index(pass, hash)];
         let mut map = shard.map.lock();
         match map.get_mut(&(pass, hash)) {
@@ -210,7 +212,7 @@ impl SharedFactTier {
         hash: u128,
         bytes: usize,
         deps: Vec<FactKey>,
-        value: Arc<dyn Any + Send + Sync>,
+        value: Arc<dyn FactValue>,
     ) {
         let shard = &self.shards[tier_shard_index(key.pass, hash)];
         {
@@ -430,6 +432,12 @@ impl SharedFactTier {
 mod tests {
     use super::*;
     use crate::pipeline::Scope;
+    use crate::ExecutionFact;
+
+    /// A fact value; the tier never looks inside one.
+    fn value() -> Arc<dyn FactValue> {
+        Arc::new(ExecutionFact::default())
+    }
 
     fn key(pass: PassId, n: u32) -> FactKey {
         FactKey::new(pass, Scope::Loop(suif_ir::StmtId(n)))
@@ -439,16 +447,17 @@ mod tests {
     fn publish_then_lookup_round_trips() {
         let tier = SharedFactTier::new();
         assert!(tier.lookup(PassId::Classify, 7).is_none());
+        let published = value();
         tier.publish_owned(
             WARM_START_OWNER,
             key(PassId::Classify, 1),
             7,
             100,
             vec![key(PassId::Summarize, 0)],
-            Arc::new(42i64),
+            published.clone(),
         );
         let (v, bytes, deps) = tier.lookup(PassId::Classify, 7).unwrap();
-        assert_eq!(*v.downcast::<i64>().unwrap(), 42);
+        assert!(Arc::ptr_eq(&v, &published), "the published value itself");
         assert_eq!(bytes, 100);
         assert_eq!(deps, vec![key(PassId::Summarize, 0)]);
         // A different hash is a different fact.
@@ -462,13 +471,14 @@ mod tests {
     #[test]
     fn first_writer_wins() {
         let tier = SharedFactTier::new();
+        let first = value();
         tier.publish_owned(
             WARM_START_OWNER,
             key(PassId::Deps, 1),
             5,
             10,
             vec![],
-            Arc::new(1i64),
+            first.clone(),
         );
         tier.publish_owned(
             WARM_START_OWNER,
@@ -476,10 +486,10 @@ mod tests {
             5,
             10,
             vec![],
-            Arc::new(2i64),
+            value(),
         );
         let (v, _, _) = tier.lookup(PassId::Deps, 5).unwrap();
-        assert_eq!(*v.downcast::<i64>().unwrap(), 1, "first publish kept");
+        assert!(Arc::ptr_eq(&v, &first), "first publish kept");
         assert_eq!(tier.len(), 1);
         assert_eq!(tier.resident_bytes(), 10);
     }
@@ -494,7 +504,7 @@ mod tests {
                 i as u128,
                 100,
                 vec![],
-                Arc::new(i64::from(i)),
+                value(),
             );
         }
         let s = tier.stats();
@@ -521,11 +531,11 @@ mod tests {
     #[test]
     fn session_bytes_tracks_owners() {
         let tier = SharedFactTier::new();
-        tier.publish_owned(1, key(PassId::Classify, 0), 10, 100, vec![], Arc::new(0i64));
-        tier.publish_owned(1, key(PassId::Classify, 1), 11, 50, vec![], Arc::new(0i64));
-        tier.publish_owned(2, key(PassId::Classify, 2), 12, 30, vec![], Arc::new(0i64));
+        tier.publish_owned(1, key(PassId::Classify, 0), 10, 100, vec![], value());
+        tier.publish_owned(1, key(PassId::Classify, 1), 11, 50, vec![], value());
+        tier.publish_owned(2, key(PassId::Classify, 2), 12, 30, vec![], value());
         // Duplicate hash from another owner: first writer keeps the credit.
-        tier.publish_owned(2, key(PassId::Classify, 3), 10, 100, vec![], Arc::new(0i64));
+        tier.publish_owned(2, key(PassId::Classify, 3), 10, 100, vec![], value());
         assert_eq!(tier.session_bytes(), vec![(1, 150), (2, 30)]);
         assert_eq!(tier.resident_bytes(), 180);
     }
@@ -536,25 +546,11 @@ mod tests {
         let tier = SharedFactTier::with_budget(Some(600));
         // Small tenant (session 1): 2 facts, 100 bytes.
         for i in 0..2u32 {
-            tier.publish_owned(
-                1,
-                key(PassId::Classify, i),
-                i as u128,
-                50,
-                vec![],
-                Arc::new(0i64),
-            );
+            tier.publish_owned(1, key(PassId::Classify, i), i as u128, 50, vec![], value());
         }
         // Big tenant (session 2) floods the tier way past budget.
         for i in 100..140u32 {
-            tier.publish_owned(
-                2,
-                key(PassId::Classify, i),
-                i as u128,
-                100,
-                vec![],
-                Arc::new(0i64),
-            );
+            tier.publish_owned(2, key(PassId::Classify, i), i as u128, 100, vec![], value());
         }
         let s = tier.stats();
         assert!(
@@ -579,14 +575,7 @@ mod tests {
     fn fairness_does_not_protect_sole_tenant_or_break_budget() {
         let tier = SharedFactTier::with_budget(Some(300));
         for i in 0..10u32 {
-            tier.publish_owned(
-                7,
-                key(PassId::Classify, i),
-                i as u128,
-                100,
-                vec![],
-                Arc::new(0i64),
-            );
+            tier.publish_owned(7, key(PassId::Classify, i), i as u128, 100, vec![], value());
         }
         let s = tier.stats();
         assert!(s.resident_bytes <= 300, "sole tenant still bounded");
@@ -594,7 +583,7 @@ mod tests {
         // Degenerate case: the smallest session itself overflows — the
         // unprotected second sweep must still enforce the budget.
         let tier = SharedFactTier::with_budget(Some(250));
-        tier.publish_owned(1, key(PassId::Deps, 0), 1000, 200, vec![], Arc::new(0i64));
+        tier.publish_owned(1, key(PassId::Deps, 0), 1000, 200, vec![], value());
         for i in 0..8u32 {
             tier.publish_owned(
                 2,
@@ -602,12 +591,12 @@ mod tests {
                 2000 + i as u128,
                 10,
                 vec![],
-                Arc::new(0i64),
+                value(),
             );
         }
         // Session 2 (80 bytes) is smaller than session 1 (200); now session
         // 2 causes the overflow.
-        tier.publish_owned(2, key(PassId::Deps, 99), 3000, 200, vec![], Arc::new(0i64));
+        tier.publish_owned(2, key(PassId::Deps, 99), 3000, 200, vec![], value());
         assert!(
             tier.resident_bytes() <= 250,
             "budget holds even when the cause is the small session: {}",
@@ -618,13 +607,14 @@ mod tests {
     #[test]
     fn export_import_round_trip() {
         let tier = SharedFactTier::new();
+        let classify = value();
         tier.publish_owned(
             WARM_START_OWNER,
             key(PassId::Classify, 3),
             11,
             64,
             vec![key(PassId::Summarize, 0)],
-            Arc::new(7i64),
+            classify.clone(),
         );
         tier.publish_owned(
             WARM_START_OWNER,
@@ -632,7 +622,7 @@ mod tests {
             12,
             32,
             vec![],
-            Arc::new(8i64),
+            value(),
         );
         let exported = tier.export();
         assert_eq!(exported.len(), 2);
@@ -642,7 +632,7 @@ mod tests {
         assert_eq!(fresh.import(&exported), 0, "idempotent");
         assert_eq!(fresh.resident_bytes(), 96);
         let (v, _, deps) = fresh.lookup(PassId::Classify, 11).unwrap();
-        assert_eq!(*v.downcast::<i64>().unwrap(), 7);
+        assert!(Arc::ptr_eq(&v, &classify));
         assert_eq!(deps, vec![key(PassId::Summarize, 0)]);
     }
 }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use suif_analysis::{
-    FactKey, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis, ScheduleOptions,
-    Scope, SharedFactTier,
+    ExecutionFact, FactKey, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis,
+    ScheduleOptions, Scope, SharedFactTier,
 };
 
 /// `n` leaf procedures (elementwise when even, a carried recurrence when
@@ -112,7 +112,7 @@ proptest! {
                 i as u128, // distinct hashes: every publish is a new fact
                 *bytes,
                 vec![],
-                Arc::new(i as i64),
+                Arc::new(ExecutionFact::default()),
             );
 
             // Budget invariant after EVERY publish, not just at the end.

@@ -270,7 +270,7 @@ impl RaceDetector {
             };
         }
         let race_with = |earlier: &Stamp| {
-            (earlier.info.thread != thread && !earlier.happens_before(vc)).then(|| Race {
+            (earlier.info.thread != thread && !earlier.happens_before(vc)).then_some(Race {
                 addr,
                 first: earlier.info,
                 second: info,

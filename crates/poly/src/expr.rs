@@ -174,6 +174,26 @@ impl LinExpr {
         Self { terms, constant: 0 }
     }
 
+    /// The expression `constant + Σ coef · v` built in one pass from terms
+    /// already in canonical form: strictly ascending variables, no zero
+    /// coefficient.  `None` if the terms are in any other form.
+    pub fn from_sorted_terms(
+        constant: i64,
+        terms: impl IntoIterator<Item = (Var, i64)>,
+    ) -> Option<LinExpr> {
+        let mut out = Terms::new();
+        for (v, c) in terms {
+            if c == 0 || out.as_slice().last().is_some_and(|&(last, _)| last >= v) {
+                return None;
+            }
+            out.push(v, c);
+        }
+        Some(LinExpr {
+            terms: out,
+            constant,
+        })
+    }
+
     /// The constant part.
     pub fn constant_part(&self) -> i64 {
         self.constant
@@ -540,5 +560,20 @@ mod tests {
         let g = e.add(&LinExpr::term(s(4), -5));
         assert_eq!(g.num_vars(), 4);
         assert!(!g.mentions(s(4)));
+    }
+
+    #[test]
+    fn from_sorted_terms_accepts_only_the_canonical_form() {
+        let e = LinExpr::from_sorted_terms(3, (0..6u32).map(|id| (s(id), id as i64 + 1)));
+        let mut want = LinExpr::constant(3);
+        for id in 0..6u32 {
+            want = want.add(&LinExpr::term(s(id), id as i64 + 1));
+        }
+        assert_eq!(e, Some(want));
+        assert_eq!(LinExpr::from_sorted_terms(0, []), Some(LinExpr::zero()));
+        // Out of order, repeated, or a zero coefficient: not canonical.
+        assert_eq!(LinExpr::from_sorted_terms(0, [(s(2), 1), (s(1), 1)]), None);
+        assert_eq!(LinExpr::from_sorted_terms(0, [(s(1), 1), (s(1), 2)]), None);
+        assert_eq!(LinExpr::from_sorted_terms(0, [(s(1), 0)]), None);
     }
 }

@@ -96,6 +96,33 @@ fn run_compares_sequential_and_parallel() {
     std::fs::remove_file(f).ok();
 }
 
+/// A wrong assertion — `main/1` carries an anti-dependence on `a`, and the
+/// user asserts it away — makes the parallel output differ.  The note says
+/// so and blames no reassociation: no plan of this program reduces.
+#[test]
+fn run_does_not_blame_reassociation_without_a_reduction() {
+    let f = write_temp(
+        "run_anti",
+        "program t\nproc main() {\n real a[4001]\n int i\n do 0 i = 1, 4001 {\n  a[i] = i\n }\n \
+         do 1 i = 1, 4000 {\n  a[i] = a[i + 1] * 2\n }\n print a[1000]\n}\n",
+    );
+    let out = Command::new(BIN)
+        .args([
+            "run".as_ref(),
+            f.as_os_str(),
+            "--threads".as_ref(),
+            "4".as_ref(),
+        ])
+        .args(["--assert", "main/1:a"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("note: outputs differ"), "{stderr}");
+    assert!(!stderr.contains("reassociation"), "{stderr}");
+    std::fs::remove_file(f).ok();
+}
+
 #[test]
 fn codeview_renders_markers() {
     let f = write_temp("codeview", SEQ_SRC);

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use suif_analysis::reduction::{RedEntry, RedSummary};
 use suif_analysis::summarize::NodeSummary;
 use suif_analysis::{
-    ExportedFact, FactStore, LivenessResult, ParallelizeConfig, Parallelizer, PassId, ProcFlow,
-    ScheduleOptions, Snapshot,
+    ExportedFact, FactStore, FactValue, LivenessResult, ParallelizeConfig, Parallelizer, PassId,
+    ProcFlow, ScheduleOptions, Snapshot,
 };
 use suif_benchmarks::{apps, ch4_apps, ch6_apps, Scale};
 use suif_poly::{AccessSummary, PolySet, Section, SectionSummary};
@@ -38,12 +38,19 @@ fn acc_sets<'a>(a: &'a AccessSummary, out: &mut Vec<&'a PolySet>) {
     }
 }
 
+/// A fact value as its concrete type.
+fn concrete<T: 'static>(value: &dyn FactValue) -> &T {
+    (value as &dyn Any)
+        .downcast_ref()
+        .expect("the pass's output type")
+}
+
 /// Every section set a `Summarize` or `Liveness` value holds.
-fn sets_of(pass: PassId, value: &(dyn Any + Send + Sync)) -> Vec<&PolySet> {
+fn sets_of(pass: PassId, value: &dyn FactValue) -> Vec<&PolySet> {
     let mut out = Vec::new();
     match pass {
         PassId::Summarize => {
-            let f = value.downcast_ref::<ProcFlow>().expect("a ProcFlow");
+            let f = concrete::<ProcFlow>(value);
             node_sets(&f.summary, &mut out);
             f.stmt_summary.values().for_each(|n| node_sets(n, &mut out));
             f.loop_iter
@@ -54,7 +61,7 @@ fn sets_of(pass: PassId, value: &(dyn Any + Send + Sync)) -> Vec<&PolySet> {
                 .for_each(|a| acc_sets(a, &mut out));
         }
         _ => {
-            let l = value.downcast_ref::<LivenessResult>().expect("a result");
+            let l = concrete::<LivenessResult>(value);
             l.after_full
                 .iter()
                 .flat_map(|m| m.values())
@@ -114,14 +121,10 @@ fn explode_node(n: &NodeSummary) -> NodeSummary {
 
 /// The value with every set in a private allocation; `compact` turns the
 /// copy back into the compact form.
-fn exploded(
-    pass: PassId,
-    value: &(dyn Any + Send + Sync),
-    compact: bool,
-) -> Arc<dyn Any + Send + Sync> {
+fn exploded(pass: PassId, value: &dyn FactValue, compact: bool) -> Arc<dyn FactValue> {
     match pass {
         PassId::Summarize => {
-            let f = value.downcast_ref::<ProcFlow>().expect("a ProcFlow");
+            let f = concrete::<ProcFlow>(value);
             let mut x = ProcFlow {
                 summary: Arc::new(explode_node(&f.summary)),
                 fresh: f.fresh,
@@ -151,7 +154,7 @@ fn exploded(
             Arc::new(x)
         }
         _ => {
-            let l = value.downcast_ref::<LivenessResult>().expect("a result");
+            let l = concrete::<LivenessResult>(value);
             let mut x = LivenessResult {
                 mode: l.mode,
                 written: l.written.clone(),
@@ -171,7 +174,7 @@ fn exploded(
 }
 
 /// The snapshot bytes of one fact with `value` in place of its own.
-fn encoded(f: &ExportedFact, value: Arc<dyn Any + Send + Sync>) -> Vec<u8> {
+fn encoded(f: &ExportedFact, value: Arc<dyn FactValue>) -> Vec<u8> {
     Snapshot::new(vec![ExportedFact {
         key: f.key,
         hash: f.hash,
