@@ -471,8 +471,10 @@ impl Parallelizer {
     /// is the warm-start validator: a persisted
     /// fact whose stored hash matches the expected one is provably current
     /// (the hashes fold the region content keys, the configuration, and
-    /// the resolved assertion marks); anything else is stale and must be
-    /// evicted rather than imported.
+    /// the resolved assertion marks; the run's folds the program's
+    /// control/address skeleton and the input instead,
+    /// [`execute_hash`]); anything else is stale and must be evicted
+    /// rather than imported.
     pub fn expected_fact_hashes(
         program: &Program,
         config: &ParallelizeConfig,
@@ -500,7 +502,7 @@ impl Parallelizer {
         for pass in [PassId::Contract, PassId::Decomp, PassId::Split] {
             out.insert(program_scope(pass), inputs.epoch_hash);
         }
-        out.insert(EXECUTE_KEY, execute_hash(inputs.epoch_hash, input));
+        out.insert(EXECUTE_KEY, execute_hash(program, input));
         out
     }
 }

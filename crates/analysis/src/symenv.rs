@@ -102,10 +102,11 @@ impl SymEnv {
                         // Exact constant division only.
                         let la = la?;
                         let lb = lb?;
-                        if lb.is_constant() && lb.constant_part() != 0 && la.is_constant() {
+                        if lb.is_constant() && la.is_constant() {
                             let (x, y) = (la.constant_part(), lb.constant_part());
-                            if x % y == 0 {
-                                return Some(LinExpr::constant(x / y));
+                            // `checked_*`: `i64::MIN / -1` overflows.
+                            if x.checked_rem(y) == Some(0) {
+                                return x.checked_div(y).map(LinExpr::constant);
                             }
                         }
                         None

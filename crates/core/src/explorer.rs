@@ -5,7 +5,9 @@
 //! The run is a fact like every static result: [`Explorer::with_store`]
 //! demands it through the session's [`FactStore`], so a store, tier or
 //! snapshot that already holds the run of this program on this input
-//! answers without interpreting anything.
+//! answers without interpreting anything.  The run is keyed by what it
+//! observes ([`execute_hash`]): an edit that changes only literals no
+//! branch, bound, subscript or divisor reads is served the same way.
 
 use crate::guru::{self, GuruReport};
 use std::collections::{BTreeSet, HashSet};
@@ -20,6 +22,7 @@ use suif_analysis::{
 use suif_dynamic::machine::Machine;
 use suif_dynamic::{
     DynDepAnalyzer, DynDepConfig, DynDepReport, LoopProfile, LoopProfiler, ProfileReport,
+    MAX_EXECUTE_OPS,
 };
 use suif_ir::{Program, StmtId, VarId};
 use suif_slicing::{Slice, SliceKind, SliceOptions, Slicer};
@@ -120,7 +123,7 @@ impl<'p> Explorer<'p> {
 
         let before = store.metrics_for(PassId::Execute);
         let run = store.try_demand(&ExecutePass {
-            analysis: &analysis,
+            program,
             input: &input,
         })?;
         let after = store.metrics_for(PassId::Execute);
@@ -130,7 +133,7 @@ impl<'p> Explorer<'p> {
             secs: run.nanos as f64 * 1e-9,
             reused: after.invocations == before.invocations,
         };
-        let (profile, dyndep) = reports_of(&run);
+        let (profile, dyndep) = reports_of(&run, &analysis);
 
         Ok((
             Explorer {
@@ -321,77 +324,85 @@ impl<'p> Explorer<'p> {
 }
 
 /// The one instrumented run for both Execution Analyzers: the loop profile
-/// (§2.5.1) and the dynamic dependences (§2.5.2), the latter ignoring
-/// compiler-recognized induction variables and reduction updates — which
-/// the static analysis already knows.
+/// (§2.5.1) and the dynamic dependences (§2.5.2), the latter ignoring the
+/// loops' induction variables.  Which updates are reductions is a verdict,
+/// so the run records those dependences too and [`reports_of`] drops them.
 ///
-/// No dependency edges: the verdicts [`dyndep_config`] reads are a function
-/// of the epoch hash, which the input hash folds.  A run that ends in an
+/// Keyed by [`execute_hash`]: the program's control/address skeleton and
+/// the input, which is all the run reads — the induction variables are
+/// part of the skeleton.  No dependency edges.  A run that ends in an
 /// error — [`MAX_EXECUTE_OPS`] spent is one — is the demander's error and
 /// leaves no fact ([`FactStore::try_demand`]).
-struct ExecutePass<'a, 'p> {
-    analysis: &'a ProgramAnalysis<'p>,
+struct ExecutePass<'a> {
+    program: &'a Program,
     input: &'a [f64],
 }
 
-/// The op budget of the instrumented run.  MiniF programs terminate, but
-/// `do i = 1, 2000000000` is one line: without a bound, a program opened on
-/// a shared daemon holds a worker for as long as it likes.  2³² virtual ops
-/// is more than 300 times flo88 at `Scale::Bench`, the largest program the
-/// repository ships, and tens of seconds of interpretation.
-pub const MAX_EXECUTE_OPS: u64 = 1 << 32;
-
-impl Pass for ExecutePass<'_, '_> {
+impl Pass for ExecutePass<'_> {
     type Output = Result<ExecutionFact, ExplorerError>;
     fn key(&self) -> FactKey {
         EXECUTE_KEY
     }
     fn input_hash(&self) -> u128 {
-        execute_hash(self.analysis.epoch_hash, self.input)
+        execute_hash(self.program, self.input)
     }
     fn run(&self) -> Result<ExecutionFact, ExplorerError> {
-        let program = self.analysis.ctx.program;
-        let dd_config = dyndep_config(program, self.analysis);
-        let mut analyzers = (LoopProfiler::new(), DynDepAnalyzer::new(dd_config));
-        let ops = {
-            let mut m =
-                Machine::new(program, &mut analyzers).map_err(|e| ExplorerError(e.to_string()))?;
-            m.set_input(self.input.to_vec());
-            m.set_max_ops(MAX_EXECUTE_OPS);
-            m.run().map_err(|e| ExplorerError(e.to_string()))?;
-            m.ops()
-        };
-        let (profiler, dd) = analyzers;
-        let profile = profiler.report();
-        let loop_execution = |p: LoopProfile| LoopExecution {
-            invocations: p.invocations,
-            iterations: p.iterations,
-            total_ops: p.total_ops,
-            total_nanos: p.total_nanos,
-            dynamic_ancestors: p.dynamic_ancestors.into_iter().collect(),
-        };
-        Ok(ExecutionFact {
-            ops,
-            profiled_ops: profile.total_ops,
-            nanos: profile.total_nanos,
-            loops: profile
-                .profiles
-                .into_iter()
-                .map(|(stmt, p)| (stmt, loop_execution(p)))
-                .collect(),
-            carried: dd
-                .report()
-                .deps
-                .into_iter()
-                .map(|(stmt, vars)| (stmt, vars.into_iter().collect()))
-                .collect(),
-        })
+        execute(self.program, self.input)
     }
 }
 
+/// The instrumented run itself, as [`ExecutePass`] computes it: `program`
+/// interpreted once on `input` under both analyzers, within
+/// [`MAX_EXECUTE_OPS`].
+pub fn execute(program: &Program, input: &[f64]) -> Result<ExecutionFact, ExplorerError> {
+    let mut analyzers = (
+        LoopProfiler::new(),
+        DynDepAnalyzer::new(run_config(program)),
+    );
+    let ops = {
+        let mut m =
+            Machine::new(program, &mut analyzers).map_err(|e| ExplorerError(e.to_string()))?;
+        m.set_input(input.to_vec());
+        m.set_max_ops(MAX_EXECUTE_OPS);
+        m.run().map_err(|e| ExplorerError(e.to_string()))?;
+        m.ops()
+    };
+    let (profiler, dd) = analyzers;
+    let profile = profiler.report();
+    let loop_execution = |p: LoopProfile| LoopExecution {
+        invocations: p.invocations,
+        iterations: p.iterations,
+        total_ops: p.total_ops,
+        total_nanos: p.total_nanos,
+        dynamic_ancestors: p.dynamic_ancestors.into_iter().collect(),
+    };
+    Ok(ExecutionFact {
+        ops,
+        profiled_ops: profile.total_ops,
+        nanos: profile.total_nanos,
+        loops: profile
+            .profiles
+            .into_iter()
+            .map(|(stmt, p)| (stmt, loop_execution(p)))
+            .collect(),
+        carried: dd
+            .report()
+            .deps
+            .into_iter()
+            .map(|(stmt, vars)| (stmt, vars.into_iter().collect()))
+            .collect(),
+    })
+}
+
 /// The two analyzers' reports, as the Guru and the checker read them,
-/// rebuilt from the run's fact.
-fn reports_of(run: &ExecutionFact) -> (ProfileReport, DynDepReport) {
+/// rebuilt from the run's fact, the dependences on the reductions the
+/// analysis found dropped.  That equals a run that ignored them: the
+/// analyzer reports at most one `(loop, var)` per read, and the ignore set
+/// only gates that insert.
+fn reports_of(
+    run: &ExecutionFact,
+    analysis: &ProgramAnalysis<'_>,
+) -> (ProfileReport, DynDepReport) {
     let loop_profile = |l: &LoopExecution| LoopProfile {
         invocations: l.invocations,
         iterations: l.iterations,
@@ -415,18 +426,41 @@ fn reports_of(run: &ExecutionFact) -> (ProfileReport, DynDepReport) {
             .map(|(&stmt, vars)| (stmt, vars.iter().copied().collect()))
             .collect(),
     };
-    (profile, dyndep)
+    (profile, dyndep.ignoring(&reduction_ignores(analysis)))
 }
 
-/// Dynamic-dependence configuration derived from the compiler's knowledge.
+/// Dynamic-dependence configuration derived from the compiler's knowledge:
+/// the induction variables of [`run_config`] and the reduction updates of
+/// [`reduction_ignores`].  The Explorer's run takes the first and applies
+/// the second to its report ([`DynDepReport::ignoring`]); a run under this
+/// whole configuration reports the same.
 pub fn dyndep_config(program: &Program, analysis: &ProgramAnalysis<'_>) -> DynDepConfig {
-    let mut cfg = DynDepConfig::default();
-    // Induction variables of every loop.
-    for li in &analysis.ctx.tree.loops {
-        cfg.ignore_vars.insert(li.var);
+    DynDepConfig {
+        ignore_loop_vars: reduction_ignores(analysis),
+        ..run_config(program)
     }
-    // Reduction objects per loop (§2.5.2: the analyzer "is aware of the
-    // induction variables and reduction operations found by the compiler").
+}
+
+/// The configuration the instrumented run takes: every `do` loop's
+/// induction variable ignored — a function of the program's shape alone.
+fn run_config(program: &Program) -> DynDepConfig {
+    let mut cfg = DynDepConfig::default();
+    for p in &program.procedures {
+        program.walk_stmts(p.id, &mut |s, _| {
+            if let suif_ir::Stmt::Do { var, .. } = s {
+                cfg.ignore_vars.insert(*var);
+            }
+        });
+    }
+    cfg
+}
+
+/// The `(loop, variable)` pairs the verdicts found to be reduction updates
+/// (§2.5.2: the analyzer "is aware of the induction variables and
+/// reduction operations found by the compiler").
+fn reduction_ignores(analysis: &ProgramAnalysis<'_>) -> HashSet<(StmtId, VarId)> {
+    let program = analysis.ctx.program;
+    let mut ignore = HashSet::new();
     for (&stmt, v) in &analysis.verdicts {
         let mut any_reduction = false;
         for (&obj, class) in v.classes() {
@@ -435,7 +469,7 @@ pub fn dyndep_config(program: &Program, analysis: &ProgramAnalysis<'_>) -> DynDe
                 for vid in 0..program.vars.len() as u32 {
                     let vid = VarId(vid);
                     if analysis.ctx.array_of(vid) == obj {
-                        cfg.ignore_loop_vars.insert((stmt, vid));
+                        ignore.insert((stmt, vid));
                     }
                 }
             }
@@ -448,13 +482,13 @@ pub fn dyndep_config(program: &Program, analysis: &ProgramAnalysis<'_>) -> DynDe
             for p in suif_ir::callees_of_loop(program, stmt) {
                 for &f in &program.proc(p).params {
                     if program.var(f).is_array() {
-                        cfg.ignore_loop_vars.insert((stmt, f));
+                        ignore.insert((stmt, f));
                     }
                 }
             }
         }
     }
-    cfg
+    ignore
 }
 
 fn collect_subscript_scalars(

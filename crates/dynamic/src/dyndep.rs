@@ -213,6 +213,17 @@ impl DynDepReport {
     pub fn dep_vars(&self, stmt: StmtId) -> impl Iterator<Item = VarId> + '_ {
         self.deps.get(&stmt).into_iter().flatten().copied()
     }
+
+    /// This report without the `(loop, var)` pairs of `ignore`: what a run
+    /// with them as [`DynDepConfig::ignore_loop_vars`] reports, since that
+    /// set only gates the one insert a read makes.
+    pub fn ignoring(mut self, ignore: &HashSet<(StmtId, VarId)>) -> DynDepReport {
+        self.deps.retain(|&stmt, vars| {
+            vars.retain(|&v| !ignore.contains(&(stmt, v)));
+            !vars.is_empty()
+        });
+        self
+    }
 }
 
 #[cfg(test)]

@@ -23,8 +23,9 @@
 //! callback to `A`, then `B` — so one interpreter pass serves both
 //! analyzers: that is how the Explorer opens a program
 //! (`docs/dynamic.md`, "The Execution Analyzers").  What that pass observed
-//! is persisted and shared as a fact keyed on the program, the input and
-//! `suif_analysis::execution::EXECUTE_VERSION`: a change to what a run
+//! is persisted and shared as a fact keyed on the program's control/address
+//! skeleton, the input and `suif_analysis::execution::EXECUTE_VERSION`:
+//! a change to what a run
 //! *means* — an operation's cost, the order of the hooks, what either
 //! analyzer records — must bump that constant, or old facts answer for the
 //! new semantics.
@@ -37,8 +38,11 @@
 //! program's size — `do i = 1, 2000000000` is one line — so the machine
 //! takes an op budget ([`machine::Machine::set_max_ops`], unlimited unless
 //! set), checked at loop back-edges and call entries: the Explorer's run on
-//! `load` sets one, and a program that spends it fails like any other
-//! runtime error instead of holding a daemon's worker.
+//! `load` and the certifier's scout set [`MAX_EXECUTE_OPS`], and a program
+//! that spends it fails like any other runtime error instead of holding a
+//! daemon's worker.  Integer arithmetic wraps on overflow, so the only
+//! arithmetic that fails is an integer division, remainder or `mod` by
+//! zero.
 //!
 //! The [`machine::Machine`] exposes its extension points to the
 //! `suif-parallel` crate, which owns the one fork/join loop runtime: a
@@ -93,3 +97,12 @@ pub use profile::{LoopProfile, LoopProfiler, ProfileReport};
 pub use race::{AccessInfo, AccessKind, Race, RaceDetector, VectorClock};
 pub use sched::{AdversarialScheduler, SchedPolicy, SplitMix64};
 pub use value::Value;
+
+/// The op budget of a run a daemon makes on a tenant's behalf: the
+/// Explorer's instrumented run on `load` and the certifier's runs.  MiniF
+/// programs terminate, but `do i = 1, 2000000000` is one line: without a
+/// bound, a program opened on a shared daemon holds a worker for as long as
+/// it likes.  2³² virtual ops is more than 300 times flo88 at
+/// `Scale::Bench`, the largest program the repository ships, and tens of
+/// seconds of interpretation.
+pub const MAX_EXECUTE_OPS: u64 = 1 << 32;

@@ -591,7 +591,7 @@ impl<'a> Machine<'a> {
                 let v = self.pop();
                 self.stack.push(match op {
                     UnaryOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
+                        Value::Int(x) => Value::Int(x.wrapping_neg()),
                         Value::Real(x) => Value::Real(-x),
                     },
                     UnaryOp::Not => Value::Int(if v.truthy() { 0 } else { 1 }),
@@ -986,13 +986,13 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
                         if b == 0 {
                             return rerr(0, "integer division by zero");
                         }
-                        Value::Int(a / b)
+                        Value::Int(a.wrapping_div(b))
                     }
                     Rem => {
                         if b == 0 {
                             return rerr(0, "integer remainder by zero");
                         }
-                        Value::Int(a % b)
+                        Value::Int(a.wrapping_rem(b))
                     }
                     _ => unreachable!(),
                 }
@@ -1053,7 +1053,7 @@ fn eval_intrinsic(which: Intrinsic, a: Value, b: Value) -> Result<Value, Runtime
             }
         }
         Abs => match a {
-            Value::Int(v) => Value::Int(v.abs()),
+            Value::Int(v) => Value::Int(v.wrapping_abs()),
             Value::Real(v) => Value::Real(v.abs()),
         },
         Sqrt => Value::Real(a.as_real().sqrt()),
@@ -1062,7 +1062,7 @@ fn eval_intrinsic(which: Intrinsic, a: Value, b: Value) -> Result<Value, Runtime
                 if b.as_int() == 0 {
                     return rerr(0, "mod by zero");
                 }
-                Value::Int(a.as_int() % b.as_int())
+                Value::Int(a.as_int().wrapping_rem(b.as_int()))
             } else {
                 Value::Real(a.as_real() % b.as_real())
             }
@@ -1236,6 +1236,17 @@ mod tests {
         assert_eq!(out, vec!["3 7 4 3 1"]);
     }
 
+    /// Integer arithmetic wraps, as `+ - *` always did: `i64::MIN / -1`
+    /// and its relatives are values, not panics, in debug and release alike.
+    #[test]
+    fn integer_overflow_wraps_in_every_operator() {
+        let (out, _) = run_src(
+            "program t\nproc main() {\n int a, b\n a = 4611686018427387904 * 2\n b = 0 - 1\n print a / b, a % b, mod(a, b), -a, abs(a)\n}",
+        );
+        let min = i64::MIN;
+        assert_eq!(out, vec![format!("{min} 0 0 {min} {min}")]);
+    }
+
     #[test]
     fn paired_hooks_call_first_then_second() {
         let p = parse_program(
@@ -1323,6 +1334,23 @@ mod tests {
         );
         assert_eq!(run(Some(u64::MAX - 1)), unlimited);
         assert!(run(Some(ops / 2)).0.is_err());
+    }
+
+    #[test]
+    fn a_checkpoint_carries_its_budget_into_the_resumed_run() {
+        let p = parse_program(
+            "program t\nproc main() {\n int i, s\n s = 0\n do i = 1, 2000000000 {\n s = s + i\n }\n}",
+        )
+        .unwrap();
+        let mut hooks = NoHooks;
+        let mut scout = Machine::new(&p, &mut hooks).unwrap();
+        scout.set_max_ops(10_000);
+        assert!(scout.run_to_head(|_| true).unwrap().is_some());
+        let at = scout.checkpoint();
+        let mut hooks = NoHooks;
+        let mut resumed = Machine::resume(&p, &at, &mut hooks);
+        let e = resumed.run().unwrap_err();
+        assert_eq!(e.message, "op budget of 10000 exhausted");
     }
 
     #[test]

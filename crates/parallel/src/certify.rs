@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 use suif_dynamic::machine::{Checkpoint, Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
 use suif_dynamic::race::{AccessKind, Race, RaceDetector};
 use suif_dynamic::sched::AdversarialScheduler;
-use suif_dynamic::{Code, DoLoop, Value};
+use suif_dynamic::{Code, DoLoop, Value, MAX_EXECUTE_OPS};
 use suif_ir::{Program, StmtId, VarId};
 
 /// How many races one schedule reports in [`CertOutcome::races`].
@@ -477,7 +477,10 @@ pub fn certify_loop(
 /// gives what running the whole program once per schedule did.  A target
 /// the scout never reaches (its procedure is never called, or the run fails
 /// first) gets the scout's final capture for every schedule, which is again
-/// what each full run would have produced.
+/// what each full run would have produced.  The scout runs under
+/// [`MAX_EXECUTE_OPS`], and each checkpoint carries that budget into the
+/// schedules resumed from it: a run that spends it ends in the budget
+/// error instead of holding the worker.
 pub fn certify_loops(
     program: &Program,
     targets: &[(StmtId, &PlanEntry)],
@@ -516,6 +519,7 @@ pub fn certify_loops(
     let mut hooks = NoHooks;
     let mut scout = Machine::with_code(program, code, &mut hooks);
     scout.set_input(opts.input.clone());
+    scout.set_max_ops(MAX_EXECUTE_OPS);
     let error = loop {
         if pending.is_empty() {
             return certs;

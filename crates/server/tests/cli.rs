@@ -50,6 +50,29 @@ fn analyze_reports_verdicts_and_targets() {
     std::fs::remove_file(f).ok();
 }
 
+/// `i64::MIN / -1` once panicked the interpreter and, in a subscript, the
+/// static analysis' constant folding, and `analyze` aborted.
+#[test]
+fn analyze_survives_integer_division_overflow() {
+    let src = "program t\nproc main() {\n int a, b\n a = 4611686018427387904 * 2\n b = 0 - 1\n print a / b\n}\n";
+    let f = write_temp("overflow", src);
+    let out = Command::new(BIN).arg("analyze").arg(&f).output().unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    std::fs::remove_file(f).ok();
+
+    let src = "program t\nproc main() {\n real a[8]\n int i\n do 1 i = 1, 4 {\n  a[i + (0 - 4611686018427387904 - 4611686018427387904) / (0 - 1)] = 1.0\n }\n}\n";
+    let f = write_temp("overflow_subscript", src);
+    let out = Command::new(BIN).arg("analyze").arg(&f).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("is -9223372036854775807 (< 1)"), "{stderr}");
+    std::fs::remove_file(f).ok();
+}
+
 #[test]
 fn slice_positional_loop_name_is_accepted() {
     let f = write_temp("slice", SEQ_SRC);

@@ -259,6 +259,64 @@ fn daemon_protocol_round_trip() {
     assert!(status.success());
 }
 
+/// `reply` with the Guru's wall-clock figure (`(~… ms)`) left out.
+fn mask_wall_clock(reply: &str) -> String {
+    let (mut out, mut rest) = (String::new(), reply);
+    while let Some(at) = rest.find("(~") {
+        out.push_str(&rest[..at + 2]);
+        rest = &rest[at + 2..];
+        rest = &rest[rest.find(" ms)").expect("a wall-clock figure")..];
+    }
+    out + rest
+}
+
+/// A reload whose edit no branch, bound, subscript or divisor reads reuses
+/// the run: nothing is interpreted, and what the session answers equals
+/// what a fresh daemon answers on the edited text.  An edit to a bound
+/// interprets again.
+#[test]
+fn a_data_edit_reload_reuses_the_run() {
+    let demo = include_str!("../../../docs/samples/demo.mf");
+    let data_edit = demo.replacen("t[j] = col[j] * 0.25", "t[j] = col[j] * 0.2512", 1);
+    let bound_edit = demo.replacen("do 20 j = 1, m", "do 20 j = 2, m", 1);
+    assert!(data_edit != demo && bound_edit != demo);
+    let open = |cmd: &str, text: &str| format!(r#"{{"cmd":"{cmd}","text":"{}"}}"#, escape(text));
+    // `(passes.execute.invocations, execution.reused)` of an open.
+    let run = |r: &Json| {
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        let passes = r.get("passes").and_then(|p| p.get("execute"));
+        let invocations = passes
+            .and_then(|e| e.get("invocations"))
+            .and_then(Json::as_i64);
+        let reused = r.get("execution").and_then(|e| e.get("reused"));
+        (
+            invocations.unwrap(),
+            reused.and_then(Json::as_bool).unwrap(),
+        )
+    };
+    let answers = |c: &mut Client| -> Vec<String> {
+        [
+            r#"{"cmd":"guru"}"#,
+            r#"{"cmd":"analyze"}"#,
+            r#"{"cmd":"slice","loop":"smooth/21"}"#,
+        ]
+        .iter()
+        .map(|q| mask_wall_clock(&c.request(q).to_string()))
+        .collect()
+    };
+
+    let mut c = Client::spawn();
+    assert_eq!(run(&c.request(&open("load", demo))), (1, false));
+    assert_eq!(run(&c.request(&open("reload", &data_edit))), (0, true));
+    let reused = answers(&mut c);
+
+    let mut fresh = Client::spawn();
+    assert_eq!(run(&fresh.request(&open("load", &data_edit))), (1, false));
+    assert_eq!(reused, answers(&mut fresh));
+
+    assert_eq!(run(&c.request(&open("reload", &bound_edit))), (1, false));
+}
+
 #[test]
 fn daemon_protocol_over_tcp() {
     use std::net::TcpStream;

@@ -17,6 +17,21 @@ at all (`cold_misses == 0`: every pass's facts are persisted;
 included — it is the producing run's.  In both runs `stats.service.latency`
 must count every command sent before the `stats`.
 
+Then the run's key, across processes:
+
+  run 3 (fresh process, same DIR): load the program with one data-only
+         literal edited -> guru -> slice -> reload with a loop bound
+         edited -> quit
+
+The data edit is read by no branch, bound, subscript or divisor, so the
+warm-start validator keeps the persisted run and the `load` interprets
+nothing (`passes.execute.invocations == 0`, `execution.reused`); its `guru`
+and `slice` equal a fresh daemon's on the edited text, the wall-clock
+estimate masked.  The bound edit interprets again.  The two edits are
+fixed replacements of text in docs/samples/demo.mf (`DATA_EDIT`,
+`BOUND_EDIT`); run 3 is skipped, and says so, for a program that does not
+contain each exactly once.
+
 Usage: warm_start_smoke.py <suif-explorer binary> <program.mf>
 """
 
@@ -40,56 +55,121 @@ def first_loop(source):
     sys.exit("the program has no loop to slice")
 
 
-def drive(binary, persist_dir, source, checkpoint):
-    """One daemon, one request at a time; returns the replies by command."""
-    proc = subprocess.Popen(
-        [binary, "serve", "--persist-dir", persist_dir],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-    )
-    sent, by_cmd = {}, {}
+# `(old, new)` edits of docs/samples/demo.mf: a literal only a data array
+# reads, and a loop bound.
+DATA_EDIT = ("t[j] = col[j] * 0.25", "t[j] = col[j] * 0.2512")
+BOUND_EDIT = ("do 20 j = 1, m", "do 20 j = 2, m")
 
-    def request(req):
-        proc.stdin.write(json.dumps(req) + "\n")
-        proc.stdin.flush()
-        line = proc.stdout.readline()
+
+def apply_edit(source, edit):
+    """`source` with the one occurrence of `old` replaced by `new`, or None
+    when `old` does not occur exactly once."""
+    old, new = edit
+    return source.replace(old, new) if source.count(old) == 1 else None
+
+
+class Daemon:
+    """One `serve` process over stdio, one request at a time."""
+
+    def __init__(self, binary, persist_dir=None):
+        args = [binary, "serve"]
+        if persist_dir:
+            args += ["--persist-dir", persist_dir]
+        self.proc = subprocess.Popen(
+            args,
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        self.sent, self.by_cmd = {}, {}
+
+    def request(self, req):
+        self.proc.stdin.write(json.dumps(req) + "\n")
+        self.proc.stdin.flush()
+        line = self.proc.stdout.readline()
         if not line:
-            sys.exit(f"daemon closed stdout on {req['cmd']}:\n{proc.stderr.read()}")
+            sys.exit(f"daemon closed stdout on {req['cmd']}:\n{self.proc.stderr.read()}")
         resp = json.loads(line)
         if not resp.get("ok"):
             sys.exit(f"request {req['cmd']} failed: {resp}")
-        sent[req["cmd"]] = sent.get(req["cmd"], 0) + 1
-        by_cmd[req["cmd"]] = resp
+        self.sent[req["cmd"]] = self.sent.get(req["cmd"], 0) + 1
+        self.by_cmd[req["cmd"]] = resp
         return resp
 
-    request({"cmd": "load", "text": source})
-    targets = request({"cmd": "guru"}).get("targets", [])
-    target = targets[0]["loop"] if targets else first_loop(source)
-    request({"cmd": "slice", "loop": target})
+    def quit(self):
+        self.request({"cmd": "quit"})
+        self.proc.stdin.close()
+        code = self.proc.wait(timeout=300)
+        stderr = self.proc.stderr.read()
+        if code != 0:
+            sys.exit(f"daemon exited with {code}:\n{stderr}")
+
+    def guru_and_slice(self, source):
+        """`guru`, then `slice` of its top target (else the first loop)."""
+        guru = self.request({"cmd": "guru"})
+        targets = guru.get("targets", [])
+        target = targets[0]["loop"] if targets else first_loop(source)
+        return guru, self.request({"cmd": "slice", "loop": target})
+
+
+def drive(binary, persist_dir, source, checkpoint):
+    """One daemon, one request at a time; returns the replies by command."""
+    daemon = Daemon(binary, persist_dir)
+    daemon.request({"cmd": "load", "text": source})
+    daemon.guru_and_slice(source)
     if checkpoint:
-        request({"cmd": "checkpoint"})
-    before_stats = dict(sent)
-    stats = request({"cmd": "stats"})
-    request({"cmd": "quit"})
-    proc.stdin.close()
-    code = proc.wait(timeout=300)
-    stderr = proc.stderr.read()
-    if code != 0:
-        sys.exit(f"daemon exited with {code}:\n{stderr}")
+        daemon.request({"cmd": "checkpoint"})
+    before_stats = dict(daemon.sent)
+    stats = daemon.request({"cmd": "stats"})
+    daemon.quit()
 
     latency = stats["service"]["latency"]
     counted = {cmd: h["count"] for cmd, h in latency.items()}
     assert counted == before_stats, f"latency counts {counted}, sent {before_stats}"
     for cmd, h in latency.items():
         assert 0 < h["p50_us"] <= h["p90_us"] <= h["p99_us"], f"{cmd}: {h}"
-    return by_cmd
+    return daemon.by_cmd
 
 
 def guru_fingerprint(resp):
     assert "rendered" in resp, f"guru reply carries no rendered report: {resp}"
     return json.dumps(resp, sort_keys=True)
+
+
+def without_wall_clock(resp):
+    """A reply's JSON with the Guru's `(~… ms)` estimate masked."""
+    return re.sub(r"\(~[0-9.]+ ms\)", "(~ ms)", json.dumps(resp, sort_keys=True))
+
+
+def execute_of(resp):
+    """`(passes.execute.invocations, execution.reused)` of an open."""
+    runs = resp["passes"].get("execute", {}).get("invocations", 0)
+    return runs, resp["execution"]["reused"]
+
+
+def drive_edits(binary, persist_dir, data_edited, bound_edited):
+    """Run 3 over the persisted DIR, and a fresh daemon on the same text."""
+    daemon = Daemon(binary, persist_dir)
+    opened = daemon.request({"cmd": "load", "text": data_edited})
+    assert execute_of(opened) == (0, True), (
+        f"a data-only edit interpreted again across the restart: {execute_of(opened)}"
+    )
+    replies = [without_wall_clock(r) for r in daemon.guru_and_slice(data_edited)]
+    reloaded = daemon.request({"cmd": "reload", "text": bound_edited})
+    assert execute_of(reloaded) == (1, False), (
+        f"a bound edit must interpret again: {execute_of(reloaded)}"
+    )
+    daemon.quit()
+
+    fresh = Daemon(binary)
+    assert execute_of(fresh.request({"cmd": "load", "text": data_edited})) == (1, False)
+    expected = [without_wall_clock(r) for r in fresh.guru_and_slice(data_edited)]
+    fresh.quit()
+    assert replies == expected, (
+        f"a reused run answered differently:\n  reused: {replies}\n  fresh: {expected}"
+    )
+    return opened
 
 
 def main():
@@ -98,10 +178,14 @@ def main():
     binary, program = sys.argv[1], sys.argv[2]
     with open(program) as f:
         source = f.read()
+    data_edited = apply_edit(source, DATA_EDIT)
+    bound_edited = apply_edit(source, BOUND_EDIT)
+    edits = data_edited is not None and bound_edited is not None
 
     with tempfile.TemporaryDirectory(prefix="suif_warm_smoke_") as persist_dir:
         cold = drive(binary, persist_dir, source, checkpoint=True)
         warm = drive(binary, persist_dir, source, checkpoint=False)
+        edited = drive_edits(binary, persist_dir, data_edited, bound_edited) if edits else None
 
     cold_snap = cold["stats"]["snapshot"]
     assert cold_snap["status"] == "none", f"fresh dir must cold-start: {cold_snap}"
@@ -139,10 +223,20 @@ def main():
         f"slice diverged across restart:\n  cold: {cold_slice}\n  warm: {warm_slice}"
     )
 
+    if edited is not None:
+        assert edited["execution"]["ops"] == cold_run["ops"], (
+            f"{cold_run} vs {edited['execution']}"
+        )
+
     print(
         f"warm start OK: {warm_snap['warm_hits']} facts imported, "
         f"0 summarize/liveness/classify/deps/execute invocations, "
-        f"identical guru and slice output, every command in stats.service.latency"
+        f"identical guru and slice output, every command in stats.service.latency; "
+        + (
+            "a data-only edit reused the persisted run, a bound edit ran again"
+            if edited is not None
+            else "run 3 skipped: the program lacks the demo.mf edits"
+        )
     )
 
 

@@ -2,19 +2,25 @@
 //!
 //! * **the hash is sound** — two opens whose `Execute` input hashes are
 //!   equal observe the same run: the same profile, the same dynamic
-//!   dependences, the same `ops`, the same printed output (or the same
-//!   error).  Checked over the 13 suite programs, 100 generated programs, a
-//!   program that `read`s, and single-site mutants of each: whenever a
-//!   mutant's run differs from its base in any of those, its hash differs;
+//!   dependences, the same `ops` (or the same error) — every field the fact
+//!   holds but the wall clock.  Printed output is not one of them: no fact,
+//!   report or reply carries it, and the hash masks the literals only a
+//!   `print` or a data store reads.  Checked over the 13 suite programs,
+//!   100 generated programs, a program that `read`s, and single-site
+//!   mutants of each: whenever a mutant's run differs from its base in any
+//!   of those, its hash differs.  A sweep over every numeric literal of the
+//!   suite and 300 generated programs runs each mutant that keeps its
+//!   base's hash and finds its fact equal to the base's;
 //! * **reuse is invisible** — an open served from the store, from a shared
 //!   tier or from a decoded snapshot builds the very reports the producing
 //!   open built, wall-clock included, and interprets nothing.
 //!
 //! A run that ends in a runtime error is never a fact.
 
+use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
-use suif_analysis::execution::EXECUTE_KEY;
+use suif_analysis::execution::{execute_hash, ExecutionFact, EXECUTE_KEY};
 use suif_analysis::snapshot::merge_image;
 use suif_analysis::{
     AnalyzeStats, FactStore, ParallelizeConfig, Parallelizer, PassId, ScheduleOptions,
@@ -23,6 +29,7 @@ use suif_analysis::{
 use suif_benchmarks::{apps, ch4_apps, ch6_apps, Scale};
 use suif_dynamic::machine::{Machine, NoHooks};
 use suif_dynamic::{DynDepReport, ProfileReport};
+use suif_explorer::explorer::execute;
 use suif_explorer::{Explorer, ExplorerError};
 use suif_ir::{Program, StmtId, VarId};
 use suif_server::json::Json;
@@ -116,16 +123,34 @@ fn dyndep_fields(d: &DynDepReport) -> BTreeMap<StmtId, BTreeSet<VarId>> {
 /// A loop's profile, the wall clock left out.
 type LoopCounts = (u64, u64, u64, BTreeSet<StmtId>);
 
-/// What a run shows, the wall clock left out.
+/// What a run's fact holds, the wall clock left out, or the error the run
+/// ended in.
 #[derive(Debug, PartialEq)]
 enum Observed {
     Ran {
         profile: (u64, BTreeMap<StmtId, LoopCounts>),
-        dyndep: BTreeMap<StmtId, BTreeSet<VarId>>,
+        carried: BTreeMap<StmtId, BTreeSet<VarId>>,
         ops: u64,
-        output: Vec<String>,
     },
     Failed(String),
+}
+
+impl Observed {
+    fn of(run: Result<&ExecutionFact, String>) -> Observed {
+        let run = match run {
+            Ok(run) => run,
+            Err(e) => return Observed::Failed(e),
+        };
+        let loops = run.loops.iter().map(|(&s, l)| {
+            let ancestors = l.dynamic_ancestors.clone();
+            (s, (l.invocations, l.iterations, l.total_ops, ancestors))
+        });
+        Observed::Ran {
+            profile: (run.profiled_ops, loops.collect()),
+            carried: run.carried.clone(),
+            ops: run.ops,
+        }
+    }
 }
 
 /// The `Execute` input hash of `(source, input)` and what its run shows;
@@ -147,24 +172,16 @@ fn observe(source: &str, input: &[f64]) -> Option<(u128, Observed)> {
         Ok((ex, _)) => {
             let stored = store.export();
             let fact = stored.iter().find(|f| f.key == EXECUTE_KEY);
-            let stored_hash = fact.expect("the run is in the store").hash;
-            assert_eq!(stored_hash, hash, "pass and validator disagree");
+            let fact = fact.expect("the run is in the store");
+            assert_eq!(fact.hash, hash, "pass and validator disagree");
             let mut hooks = NoHooks;
             let mut m = Machine::new(&program, &mut hooks).expect("layout");
             m.set_input(input.to_vec());
             m.run().expect("the instrumented run succeeded");
             assert_eq!(m.ops(), ex.execution.ops);
-            let (total_ops, _, loops) = profile_fields(&ex.profile);
-            let loops = loops
-                .into_iter()
-                .map(|(s, (inv, it, ops, _, anc))| (s, (inv, it, ops, anc)))
-                .collect();
-            Observed::Ran {
-                profile: (total_ops, loops),
-                dyndep: dyndep_fields(&ex.dyndep),
-                ops: m.ops(),
-                output: std::mem::take(&mut m.output),
-            }
+            let value: Arc<dyn Any + Send + Sync> = fact.value.clone();
+            let run = value.downcast::<ExecutionFact>().expect("the run's type");
+            Observed::of(Ok(&run))
         }
     };
     Some((hash, observed))
@@ -290,6 +307,94 @@ fn equal_execute_hashes_mean_equal_runs() {
         "only {moved} of {mutants} mutants moved the run"
     );
     assert!(failed > 0, "no mutant ended in a runtime error");
+}
+
+/// The byte offset of the last digit of every numeric literal in `source`
+/// (identifiers, exponents and `//` comments skipped).
+fn literal_last_digits(source: &str) -> Vec<usize> {
+    let b = source.as_bytes();
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < b.len() {
+        if b[i..].starts_with(b"//") {
+            i += b[i..]
+                .iter()
+                .position(|&c| c == b'\n')
+                .unwrap_or(b.len() - i);
+        } else if b[i].is_ascii_alphabetic() || b[i] == b'_' {
+            while i < b.len() && (b[i].is_ascii_alphanumeric() || b[i] == b'_') {
+                i += 1;
+            }
+        } else if b[i].is_ascii_digit() {
+            let mut last = i;
+            while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'.') {
+                if b[i].is_ascii_digit() {
+                    last = i;
+                }
+                i += 1;
+            }
+            out.push(last);
+            if i < b.len() && (b[i] == b'e' || b[i] == b'E') {
+                i += 1;
+                while i < b.len() && (b[i].is_ascii_digit() || b[i] == b'-' || b[i] == b'+') {
+                    i += 1;
+                }
+            }
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Generated programs in the literal sweep, beside the 13 applications.
+const SWEPT_GENERATED: u64 = 300;
+
+#[test]
+fn every_literal_edit_that_keeps_the_hash_keeps_the_run() {
+    let mut swept: Vec<(String, String, Vec<f64>)> = bases()
+        .into_iter()
+        .filter(|(name, ..)| !name.starts_with("gen-"))
+        .collect();
+    swept.extend((0..SWEPT_GENERATED).map(|seed| {
+        let name = minif_gen::name_for_seed(seed);
+        (name, minif_gen::source_for_seed(seed), Vec::new())
+    }));
+    let observe = |program: &Program, input: &[f64]| {
+        let run = execute(program, input);
+        Observed::of(run.as_ref().map_err(ToString::to_string))
+    };
+    let (mut mutants, mut kept) = (0, 0);
+    for (name, source, input) in swept {
+        let program = suif_ir::parse_program(&source).unwrap();
+        let base_hash = execute_hash(&program, &input);
+        let base = observe(&program, &input);
+        for at in literal_last_digits(&source) {
+            for shift in [1, 5] {
+                let mut bytes = source.clone().into_bytes();
+                bytes[at] = b'0' + (bytes[at] - b'0' + shift) % 10;
+                let mutant = String::from_utf8(bytes).unwrap();
+                let Ok(edited) = suif_ir::parse_program(&mutant) else {
+                    continue;
+                };
+                mutants += 1;
+                if execute_hash(&edited, &input) != base_hash {
+                    continue;
+                }
+                kept += 1;
+                assert_eq!(
+                    observe(&edited, &input),
+                    base,
+                    "{name}: the digit at byte {at} shifted by {shift} kept the hash"
+                );
+            }
+        }
+    }
+    // 5 336 of 20 236 when this sweep was written.
+    assert!(
+        kept >= 5_000,
+        "only {kept} of {mutants} literal mutants kept their base's hash"
+    );
 }
 
 // ----- reuse -------------------------------------------------------------

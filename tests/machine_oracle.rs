@@ -346,7 +346,7 @@ fn machine_equals_walker_on_the_ch4_applications_at_bench_scale() {
         ops += ran.result.expect("the application runs");
     }
     // The count `perfbench`'s traced `ch4_open` reports as `dynamic.ops`:
-    // while it stands, `EXECUTE_VERSION` needs no bump.
+    // while it stands, the machine's costs need no `EXECUTE_VERSION` bump.
     assert_eq!(ops, 30_126_337);
 }
 

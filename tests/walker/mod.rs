@@ -491,7 +491,7 @@ impl<'a> Machine<'a> {
                 let v = self.eval(a)?;
                 Ok(match op {
                     UnaryOp::Neg => match v {
-                        Value::Int(x) => Value::Int(-x),
+                        Value::Int(x) => Value::Int(x.wrapping_neg()),
                         Value::Real(x) => Value::Real(-x),
                     },
                     UnaryOp::Not => Value::Int(if v.truthy() { 0 } else { 1 }),
@@ -555,13 +555,13 @@ fn eval_binop(op: BinOp, l: Value, r: Value) -> Result<Value, RuntimeError> {
                         if b == 0 {
                             return rerr(0, "integer division by zero");
                         }
-                        Value::Int(a / b)
+                        Value::Int(a.wrapping_div(b))
                     }
                     Rem => {
                         if b == 0 {
                             return rerr(0, "integer remainder by zero");
                         }
-                        Value::Int(a % b)
+                        Value::Int(a.wrapping_rem(b))
                     }
                     _ => unreachable!(),
                 }
@@ -621,7 +621,7 @@ fn eval_intrinsic(which: Intrinsic, vals: &[Value]) -> Result<Value, RuntimeErro
             }
         }
         Abs => match vals[0] {
-            Value::Int(v) => Value::Int(v.abs()),
+            Value::Int(v) => Value::Int(v.wrapping_abs()),
             Value::Real(v) => Value::Real(v.abs()),
         },
         Sqrt => Value::Real(vals[0].as_real().sqrt()),
@@ -631,7 +631,7 @@ fn eval_intrinsic(which: Intrinsic, vals: &[Value]) -> Result<Value, RuntimeErro
                 if b.as_int() == 0 {
                     return rerr(0, "mod by zero");
                 }
-                Value::Int(a.as_int() % b.as_int())
+                Value::Int(a.as_int().wrapping_rem(b.as_int()))
             } else {
                 Value::Real(a.as_real() % b.as_real())
             }
