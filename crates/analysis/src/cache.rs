@@ -4,20 +4,24 @@
 //! [`crate::summarize::summarize_proc`] is a pure function of (procedure,
 //! callee flows) — fresh symbols come from the procedure's own block and
 //! array ids are interned eagerly in program order — so a
-//! [`crate::ProcFlow`] can be reused across analysis runs whenever its
-//! *content key* matches.  [`proc_key`] is the input hash of the
-//! per-procedure `Summarize` fact; the [`crate::FactStore`] (and the tier
-//! and snapshot behind it) is the one place flows are kept.
+//! [`crate::ProcFlow`] can be reused across analysis runs whenever the
+//! procedure's own region and what it reads of its callees are unchanged.
 //!
-//! The key hashes the procedure body (including its statement and variable
-//! ids, so edits that renumber ids downstream soundly miss), the layouts of
-//! every variable the procedure declares together with the storage object
-//! each one interns to, the full common-block layout, and the keys of all
-//! callees.  A `reload` therefore re-summarizes exactly the dirty cone: the
-//! edited procedures, everything whose ids shifted, and their transitive
-//! callers.
+//! A procedure's *content key* hashes its own region only: the body
+//! (including its statement and variable ids, so edits that renumber ids
+//! downstream soundly miss), the layouts of every variable it declares
+//! together with the storage object each one interns to, and the full
+//! common-block layout.  Its *interface key* is the part of that a caller
+//! reads without the body: the variables (parameters first) with their
+//! layouts and storage ids, the common layout, and which formals it may
+//! modify.  Neither folds a callee:
+//! the input hashes of the facts above the leaves fold the callees'
+//! *value* hashes instead ([`crate::parallelize`]), so an edit re-summarizes
+//! the edited procedures, everything whose ids shifted, and their callers
+//! only as far as a summary changed value.
 
 use crate::context::AnalysisCtx;
+use crate::execution::Skeleton;
 use std::collections::HashMap;
 use suif_ir::{LoopInfo, ProcId};
 
@@ -43,8 +47,8 @@ impl Fnv128 {
     /// Fold `bytes` eight at a time (one 128-bit multiply per word instead
     /// of per byte), mixing the length in last so `"ab" + "c"` and
     /// `"a" + "bc"` cannot collide via the padding-free tail.  NOT
-    /// byte-compatible with [`Fnv128::write`]; used for bulk integrity
-    /// checksums (snapshot payloads), never for persisted fact hashes.
+    /// byte-compatible with [`Fnv128::write`]; used for bulk hashes of wire
+    /// bytes (snapshot payload checksums and fact value hashes).
     pub(crate) fn write_words(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for w in &mut chunks {
@@ -68,83 +72,86 @@ impl Fnv128 {
     }
 }
 
-/// Content key of one procedure's flow under a given context.
-///
-/// `callee_keys` must already contain the key of every callee of `pid`
-/// (guaranteed when keys are computed in bottom-up order).
-pub fn proc_key(ctx: &AnalysisCtx<'_>, pid: ProcId, callee_keys: &HashMap<ProcId, u128>) -> u128 {
+/// The interface and content keys of one procedure; `commons` is the
+/// hash of the whole common-block layout.  Both are exact structural walks
+/// ([`Skeleton::exact`]: every field, no literal masked).
+fn proc_keys(ctx: &AnalysisCtx<'_>, pid: ProcId, commons: u128) -> (u128, u128) {
     let program = ctx.program;
     let proc = program.proc(pid);
-    let mut h = Fnv128::new();
-    h.write_u32(pid.0);
-    // Body, parameter list, and ids — `Debug` covers every `StmtId`,
-    // `VarId`, operator, and literal in the procedure.
-    h.write(format!("{proc:?}").as_bytes());
-    // Layout and storage identity of every variable the procedure sees.
-    // `array_of` pins the interned id so a flow is never replayed into a
-    // context that assigns the object a different id.
+    let mut w = Skeleton::exact(program);
+    w.u32(pid.0);
+    // Layout and storage identity of every variable the procedure sees,
+    // parameters first.  `array_of` pins the interned id so a flow is never
+    // replayed into a context that assigns the object a different id.
     for v in proc.all_vars() {
-        h.write_u32(v.0);
-        h.write(format!("{:?}", program.var(v)).as_bytes());
-        h.write_u32(ctx.array_of(v).0);
+        w.u32(v.0);
+        w.var(program.var(v));
+        w.u32(ctx.array_of(v).0);
     }
-    // Whole common-block layout: member offsets and block sizes shift
-    // sections even when the procedure text is unchanged.
-    for c in &program.commons {
-        h.write(format!("{c:?}").as_bytes());
+    // Member offsets and block sizes shift sections even when the
+    // procedure text is unchanged.
+    w.h.write_u128(commons);
+    // Which formals the procedure may modify: a caller's walk reads this
+    // of the callee directly (copy-out kills), not through its summary.
+    w.h.write_u32(proc.modified_params.len() as u32);
+    for &m in &proc.modified_params {
+        w.h.write(&[m as u8]);
     }
-    // Callee flows, in call-site order.
-    for &callee in ctx.cg.callees_of(pid) {
-        h.write_u32(callee.0);
-        h.write_u128(*callee_keys.get(&callee).expect("callee key computed first"));
-    }
-    h.0
+    let interface = w.h.0;
+    // Body, parameter list, and ids: every `StmtId`, `VarId`, operator,
+    // line and literal in the procedure.
+    w.procedure(proc);
+    (interface, w.h.0)
 }
 
-/// Content keys of every procedure, computed in bottom-up order (so each
-/// key sees its callees' keys).
-pub fn all_proc_keys(ctx: &AnalysisCtx<'_>) -> HashMap<ProcId, u128> {
-    let mut keys = HashMap::new();
-    for &pid in ctx.cg.bottom_up() {
-        let k = proc_key(ctx, pid, &keys);
-        keys.insert(pid, k);
-    }
-    keys
-}
-
-/// Every content key of one program: [`all_proc_keys`] and their fold.
-/// They are a pure function of the program text, so an analysis carries
-/// them ([`crate::ProgramAnalysis::keys`]) and a re-analysis of the same
-/// program reuses them instead of formatting and hashing every procedure
-/// again.
+/// Every content key of one program.  They are a pure function of the
+/// program text, so an analysis carries them
+/// ([`crate::ProgramAnalysis::keys`]) and a re-analysis of the same program
+/// reuses them instead of formatting and hashing every procedure again.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ProgramKeys {
-    /// Every procedure's key.
+    /// Every procedure's content key: its own region, no callee folded.
     pub procs: HashMap<ProcId, u128>,
-    /// Whole-program content key: the fold of every procedure key in
-    /// bottom-up order.  Changes exactly when some procedure's flow could
-    /// change.
+    /// Every procedure's interface key: what a caller reads of it besides
+    /// its summary (its variables, the common layout, and its
+    /// `modified_params`).
+    pub interfaces: HashMap<ProcId, u128>,
+    /// Whole-program content key: the fold of every procedure's content key
+    /// in bottom-up order.  Changes with any edit.
     pub program: u128,
+    /// The program's control/address skeleton
+    /// ([`crate::execution::skeleton_hash`]): its content with data-only
+    /// literal values masked.
+    pub skeleton: u128,
 }
 
 impl ProgramKeys {
     /// Derive the keys of `ctx`'s program.
     pub fn of(ctx: &AnalysisCtx<'_>) -> ProgramKeys {
-        let procs = all_proc_keys(ctx);
+        let mut w = Skeleton::exact(ctx.program);
+        ctx.program.commons.iter().for_each(|c| w.common(c));
+        let commons = w.h.0;
+        let mut keys = ProgramKeys {
+            procs: HashMap::new(),
+            interfaces: HashMap::new(),
+            program: 0,
+            skeleton: crate::execution::skeleton_hash(ctx.program),
+        };
         let mut h = Fnv128::new();
         for &pid in ctx.cg.bottom_up() {
+            let (interface, content) = proc_keys(ctx, pid, commons);
+            keys.procs.insert(pid, content);
+            keys.interfaces.insert(pid, interface);
             h.write_u32(pid.0);
-            h.write_u128(procs[&pid]);
+            h.write_u128(content);
         }
-        ProgramKeys {
-            procs,
-            program: h.0,
-        }
+        keys.program = h.0;
+        keys
     }
 
     /// Region-granular content key of one of the program's loops: the
-    /// owning procedure's key (which already covers the loop body and every
-    /// callee transitively) plus the loop's identity within it.
+    /// owning procedure's content key (which covers the loop body) plus the
+    /// loop's identity within it.
     pub fn loop_key(&self, li: &LoopInfo) -> u128 {
         let mut h = Fnv128::new();
         h.write_u128(self.procs[&li.proc]);
@@ -172,16 +179,11 @@ mod tests {
 
     fn keys_of(src: &str) -> (HashMap<String, u128>, suif_ir::Program) {
         let p = parse_program(src).unwrap();
-        let ctx = AnalysisCtx::new(&p);
-        let mut keys = HashMap::new();
-        for &pid in ctx.cg.bottom_up() {
-            let k = proc_key(&ctx, pid, &keys);
-            keys.insert(pid, k);
-        }
+        let keys = ProgramKeys::of(&AnalysisCtx::new(&p));
         let by_name = p
             .procedures
             .iter()
-            .map(|pr| (pr.name.clone(), keys[&pr.id]))
+            .map(|pr| (pr.name.clone(), keys.procs[&pr.id]))
             .collect();
         (by_name, p)
     }
@@ -196,7 +198,7 @@ mod tests {
     }
 
     #[test]
-    fn editing_a_leaf_invalidates_its_callers_only() {
+    fn editing_a_leaf_moves_its_own_key_only() {
         let base = "program t\nproc f(real q[*]) { q[1] = 0 }\nproc g(real q[*]) { q[2] = 0 }\nproc main() {\n real b[4]\n call f(b)\n call g(b)\n}";
         // Edit g's body; f precedes g in the source so its ids are unchanged.
         let edit = "program t\nproc f(real q[*]) { q[1] = 0 }\nproc g(real q[*]) { q[3] = 0 }\nproc main() {\n real b[4]\n call f(b)\n call g(b)\n}";
@@ -204,6 +206,10 @@ mod tests {
         let (k2, _) = keys_of(edit);
         assert_eq!(k1["f"], k2["f"], "untouched leaf must keep its key");
         assert_ne!(k1["g"], k2["g"], "edited body must change the key");
-        assert_ne!(k1["main"], k2["main"], "callers of the edit must miss");
+        assert_eq!(
+            k1["main"], k2["main"],
+            "a caller's own region is unchanged: its summary's input hash \
+             reads the callee's value, not its key"
+        );
     }
 }

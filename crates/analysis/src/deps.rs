@@ -7,7 +7,7 @@
 //! the two iterations can touch a common element.  "Cannot prove empty"
 //! conservatively means "dependence".
 
-use crate::cache::ProgramKeys;
+use crate::cache::{Fnv128, ProgramKeys};
 use crate::context::AnalysisCtx;
 use crate::parallelize::ProgramAnalysis;
 use crate::pipeline::{FactKey, FactStore, Pass, PassId, Scope};
@@ -286,12 +286,16 @@ impl<'a, 'p> DepTest<'a, 'p> {
 pub type CarriedDeps = std::collections::BTreeMap<ArrayId, Option<DepKind>>;
 
 /// Input hash of one loop's carried-dependence fact: the loop's region key
-/// alone.  The table reads nothing but the loop's per-iteration summary,
-/// which is part of the owning procedure's `Summarize` fact, so neither an
-/// assertion nor an edit to another procedure moves it.  The one definition
-/// the pass and the warm-start validator share.
-pub(crate) fn deps_hash(li: &LoopInfo, keys: &ProgramKeys) -> u128 {
-    keys.loop_key(li)
+/// and the value hash of the owning procedure's `Summarize` fact (`summary`).
+/// The table reads nothing but the loop's per-iteration summary, which is
+/// part of that fact, so neither an assertion nor an edit to another
+/// procedure that leaves this summary's value alone moves it.  The one
+/// definition the pass and the warm-start validator share.
+pub(crate) fn deps_hash(li: &LoopInfo, keys: &ProgramKeys, summary: u128) -> u128 {
+    let mut h = Fnv128::new();
+    h.write_u128(keys.loop_key(li));
+    h.write_u128(summary);
+    h.0
 }
 
 /// Builds one loop's [`CarriedDeps`]: demanded by the loop's `Classify` run
@@ -301,6 +305,8 @@ pub(crate) struct DepsPass<'a, 'p> {
     pub(crate) df: &'a ArrayDataFlow,
     pub(crate) keys: &'a ProgramKeys,
     pub(crate) li: &'a LoopInfo,
+    /// The value hash of the loop's procedure's summary.
+    pub(crate) summary: u128,
 }
 
 impl Pass for DepsPass<'_, '_> {
@@ -309,7 +315,7 @@ impl Pass for DepsPass<'_, '_> {
         FactKey::new(PassId::Deps, Scope::Loop(self.li.stmt))
     }
     fn input_hash(&self) -> u128 {
-        deps_hash(self.li, self.keys)
+        deps_hash(self.li, self.keys, self.summary)
     }
     fn deps(&self) -> Vec<FactKey> {
         vec![crate::parallelize::summary_key(self.li.proc)]
@@ -348,6 +354,7 @@ pub fn carried_deps_cached(
         df: &pa.df,
         keys: &pa.keys,
         li,
+        summary: pa.summaries[&li.proc],
     })
 }
 

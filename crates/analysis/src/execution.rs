@@ -17,7 +17,7 @@ use suif_ir::{
 
 /// Version of what a run *means*: the machine's operation costs and hook
 /// order, and what either analyzer records.  Folded into every
-/// [`execute_hash`], so bumping it makes the facts of older builds miss.
+/// [`execute_hash_of`], so bumping it makes the facts of older builds miss.
 /// Version 2: `carried` holds every carried dependence the run saw; the
 /// reductions are filtered out when the reports are built, not in the run.
 pub const EXECUTE_VERSION: u32 = 2;
@@ -64,13 +64,14 @@ pub const EXECUTE_KEY: FactKey = FactKey {
 
 /// Input hash of the run's fact — the one definition the producing pass and
 /// the warm-start validator ([`crate::Parallelizer::expected_fact_hashes`])
-/// share: the program's control/address skeleton ([`skeleton_hash`]),
+/// share: the program's control/address skeleton ([`skeleton_hash`]; an
+/// analysis carries it, [`crate::cache::ProgramKeys::skeleton`]),
 /// [`EXECUTE_VERSION`], and `input` — what `read` statements consume —
 /// hashed by bit pattern.  An edit that changes only data-only literals
 /// keeps the hash, and the run it keys observes exactly what it observed.
-pub fn execute_hash(program: &Program, input: &[f64]) -> u128 {
+pub fn execute_hash_of(skeleton: u128, input: &[f64]) -> u128 {
     let mut h = Fnv128::new();
-    h.write_u128(skeleton_hash(program));
+    h.write_u128(skeleton);
     h.write_u32(EXECUTE_VERSION);
     h.write(&(input.len() as u64).to_le_bytes());
     for x in input {
@@ -102,7 +103,7 @@ pub fn skeleton_hash(program: &Program) -> u128 {
     let mut w = Skeleton {
         h: Fnv128::new(),
         program,
-        relevant: relevant_vars(program),
+        relevant: Some(relevant_vars(program)),
     };
     w.program();
     w.h.0
@@ -318,20 +319,36 @@ fn divisor(which: Intrinsic, k: usize) -> bool {
 }
 
 /// The skeleton walk: every field of the program but its source text into
-/// one hash, literals masked where [`skeleton_hash`] says.
-struct Skeleton<'p> {
-    h: Fnv128,
+/// one hash, literals masked where [`skeleton_hash`] says — or, with no
+/// `relevant` set, none masked: then the walk of a procedure is its exact
+/// content ([`crate::cache::ProgramKeys`]).
+pub(crate) struct Skeleton<'p> {
+    pub(crate) h: Fnv128,
     program: &'p Program,
-    /// [`relevant_vars`].
-    relevant: Vec<bool>,
+    /// [`relevant_vars`]; `None` masks nothing.
+    relevant: Option<Vec<bool>>,
 }
 
-impl Skeleton<'_> {
+impl<'p> Skeleton<'p> {
+    /// A walk that masks no literal.
+    pub(crate) fn exact(program: &'p Program) -> Skeleton<'p> {
+        Skeleton {
+            h: Fnv128::new(),
+            program,
+            relevant: None,
+        }
+    }
+
+    /// Are the literal values `v` is assigned or bound left out?
+    fn masks(&self, v: VarId) -> bool {
+        self.relevant.as_ref().is_some_and(|r| !r[v.0 as usize])
+    }
+
     fn u8(&mut self, v: u8) {
         self.h.write(&[v]);
     }
 
-    fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.h.write_u32(v);
     }
 
@@ -378,82 +395,88 @@ impl Skeleton<'_> {
             self.u64(value as u64);
         }
         self.len(vars.len());
-        for v in vars {
-            let VarInfo {
-                name,
-                ty,
-                dims,
-                kind,
-                proc,
-                line,
-            } = v;
-            self.str(name);
-            self.u8(matches!(ty, Type::Real) as u8);
-            self.len(dims.len());
-            for d in dims {
-                match d {
-                    Extent::Const(c) => {
-                        self.u8(0);
-                        self.u64(*c as u64);
-                    }
-                    Extent::Var(e) => {
-                        self.u8(1);
-                        self.u32(e.0);
-                    }
-                    Extent::Star => self.u8(2),
-                }
-            }
-            match *kind {
-                VarKind::Local => self.u8(0),
-                VarKind::Param { index } => {
-                    self.u8(1);
-                    self.len(index);
-                }
-                VarKind::Common { block, offset } => {
-                    self.u8(2);
-                    self.u32(block.0);
-                    self.u64(offset as u64);
-                }
-            }
-            self.u32(proc.0);
-            self.u32(*line);
-        }
+        vars.iter().for_each(|v| self.var(v));
         self.len(commons.len());
-        for c in commons {
-            let CommonBlock { name, size, views } = c;
-            self.str(name);
-            self.u64(*size as u64);
-            self.len(views.len());
-            for view in views {
-                let CommonView { proc, members } = view;
-                self.u32(proc.0);
-                self.vars(members);
+        commons.iter().for_each(|c| self.common(c));
+        self.len(procedures.len());
+        procedures.iter().for_each(|p| self.procedure(p));
+    }
+
+    pub(crate) fn var(&mut self, v: &VarInfo) {
+        let VarInfo {
+            name,
+            ty,
+            dims,
+            kind,
+            proc,
+            line,
+        } = v;
+        self.str(name);
+        self.u8(matches!(ty, Type::Real) as u8);
+        self.len(dims.len());
+        for d in dims {
+            match d {
+                Extent::Const(c) => {
+                    self.u8(0);
+                    self.u64(*c as u64);
+                }
+                Extent::Var(e) => {
+                    self.u8(1);
+                    self.u32(e.0);
+                }
+                Extent::Star => self.u8(2),
             }
         }
-        self.len(procedures.len());
-        for proc in procedures {
-            let Procedure {
-                id,
-                name,
-                params,
-                locals,
-                common_vars,
-                body,
-                line,
-                end_line,
-                modified_params,
-            } = proc;
-            self.u32(id.0);
-            self.str(name);
-            self.vars(params);
-            self.vars(locals);
-            self.vars(common_vars);
-            self.len(modified_params.len());
-            modified_params.iter().for_each(|&m| self.u8(m as u8));
-            self.u32(*line);
-            self.u32(*end_line);
-            self.body(body);
+        match *kind {
+            VarKind::Local => self.u8(0),
+            VarKind::Param { index } => {
+                self.u8(1);
+                self.len(index);
+            }
+            VarKind::Common { block, offset } => {
+                self.u8(2);
+                self.u32(block.0);
+                self.u64(offset as u64);
+            }
         }
+        self.u32(proc.0);
+        self.u32(*line);
+    }
+
+    pub(crate) fn common(&mut self, c: &CommonBlock) {
+        let CommonBlock { name, size, views } = c;
+        self.str(name);
+        self.u64(*size as u64);
+        self.len(views.len());
+        for view in views {
+            let CommonView { proc, members } = view;
+            self.u32(proc.0);
+            self.vars(members);
+        }
+    }
+
+    pub(crate) fn procedure(&mut self, p: &Procedure) {
+        let Procedure {
+            id,
+            name,
+            params,
+            locals,
+            common_vars,
+            body,
+            line,
+            end_line,
+            modified_params,
+        } = p;
+        self.u32(id.0);
+        self.str(name);
+        self.vars(params);
+        self.vars(locals);
+        self.vars(common_vars);
+        self.len(modified_params.len());
+        modified_params.iter().for_each(|&m| self.u8(m as u8));
+        self.u32(*line);
+        self.u32(*end_line);
+        self.body(body);
     }
 
     fn body(&mut self, body: &[Stmt]) {
@@ -473,7 +496,7 @@ impl Skeleton<'_> {
             Stmt::Assign { id, line, lhs, rhs } => {
                 self.head(*id, *line, 0);
                 self.reference(lhs);
-                let mask = !self.relevant[lhs.var().0 as usize];
+                let mask = self.masks(lhs.var());
                 self.expr(rhs, mask);
             }
             Stmt::If {
@@ -541,7 +564,7 @@ impl Skeleton<'_> {
                         }
                         Arg::Value(e) => {
                             self.u8(3);
-                            let mask = !self.relevant[f.0 as usize];
+                            let mask = self.masks(f);
                             self.expr(e, mask);
                         }
                     }
@@ -549,7 +572,7 @@ impl Skeleton<'_> {
             }
             Stmt::Print { id, line, args } => {
                 self.head(*id, *line, 4);
-                self.exprs(args, true);
+                self.exprs(args, self.relevant.is_some());
             }
             Stmt::Read { id, line, lhs } => {
                 self.head(*id, *line, 5);
@@ -686,7 +709,7 @@ proc main() {
 ";
 
     fn key(src: &str) -> u128 {
-        execute_hash(&suif_ir::parse_program(src).unwrap(), &[])
+        execute_hash_of(skeleton_hash(&suif_ir::parse_program(src).unwrap()), &[])
     }
 
     fn mutant(from: &str, to: &str) -> String {
@@ -741,11 +764,20 @@ proc main() {
     #[test]
     fn the_input_is_part_of_the_key_bit_for_bit() {
         let p = suif_ir::parse_program(BASE).unwrap();
-        assert_ne!(execute_hash(&p, &[]), execute_hash(&p, &[0.0]));
-        assert_ne!(execute_hash(&p, &[0.0]), execute_hash(&p, &[-0.0]));
+        assert_ne!(
+            execute_hash_of(skeleton_hash(&p), &[]),
+            execute_hash_of(skeleton_hash(&p), &[0.0])
+        );
+        assert_ne!(
+            execute_hash_of(skeleton_hash(&p), &[0.0]),
+            execute_hash_of(skeleton_hash(&p), &[-0.0])
+        );
         assert_eq!(
-            execute_hash(&p, &[1.5]),
-            execute_hash(&suif_ir::parse_program(BASE).unwrap(), &[1.5])
+            execute_hash_of(skeleton_hash(&p), &[1.5]),
+            execute_hash_of(
+                skeleton_hash(&suif_ir::parse_program(BASE).unwrap()),
+                &[1.5]
+            )
         );
     }
 }

@@ -71,8 +71,8 @@ pub use parallelize::{
 };
 pub use persist::PersistDir;
 pub use pipeline::{
-    ExecutorService, ExportedFact, FactKey, FactStore, Pass, PassId, PassMetrics, Scope,
-    StoreByteStats,
+    recorded_values, ExecutorService, ExportedFact, FactKey, FactStore, Pass, PassId, PassMetrics,
+    RecordedValues, Scope, StoreByteStats,
 };
 pub use reduction::RedOp;
 pub use snapshot::{FactValue, Snapshot, SnapshotError, SNAPSHOT_VERSION};

@@ -6,9 +6,9 @@
 use crate::cache::{Fnv128, ProgramKeys, SummaryCache};
 use crate::context::{AnalysisCtx, ArrayKey};
 use crate::deps::{deps_hash, CarriedDeps, DepTest, DepsPass};
-use crate::execution::{execute_hash, EXECUTE_KEY};
+use crate::execution::{execute_hash_of, EXECUTE_KEY};
 use crate::liveness::{self, LivenessMode, LivenessResult};
-use crate::pipeline::{FactKey, FactStore, Pass, PassId, PassMetrics, Scope};
+use crate::pipeline::{FactKey, FactStore, Pass, PassId, PassMetrics, RecordedValues, Scope};
 use crate::reduction::RedOp;
 use crate::summarize::{summarize_proc, ArrayDataFlow, ProcFlow};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
@@ -159,6 +159,10 @@ pub struct ProgramAnalysis<'p> {
     /// The program's content keys, derived once per program text and
     /// handed on by [`ProgramAnalysis::reanalyze`].
     pub keys: Arc<ProgramKeys>,
+    /// The value hash of every procedure's `Summarize` fact: what the
+    /// input hash of each fact reading a summary folds (a loop's `Deps`
+    /// table among them, [`crate::deps::carried_deps_cached`]).
+    pub summaries: HashMap<ProcId, u128>,
 }
 
 impl<'p> ProgramAnalysis<'p> {
@@ -422,30 +426,43 @@ impl Parallelizer {
         let inputs = FactInputs::new(program, &config, keys);
 
         // Bottom-up summaries (§5.2), one procedure-scope fact each: the
-        // store is the scheduler, so a `reload` runs exactly the procedures
-        // whose content key moved.
+        // store is the scheduler, and a summary that comes out equal stops
+        // a `reload` at its callers (early cutoff).
+        let mut sums = Summaries::default();
         let df = Arc::new(ArrayDataFlow::bottom_up(&inputs.ctx, |pid, callees| {
-            store.demand(&SummarizePass {
+            let hash = inputs
+                .summarize_hash(pid, &sums.values)
+                .expect("callees come first");
+            let (flow, value) = store.demand_hashed(&SummarizePass {
                 inputs: &inputs,
                 pid,
                 callees,
-            })
+                hash,
+            });
+            sums.record(pid, hash, value);
+            flow
         }));
 
         // Liveness (§5.2) as a program-scope fact over the summaries.
-        let liveness: Option<Arc<LivenessResult>> = config.liveness.map(|mode| {
-            store.demand(&LivenessPass {
+        let liveness = config.liveness.map(|mode| {
+            store.demand_hashed(&LivenessPass {
                 inputs: &inputs,
                 df: &df,
+                hash: inputs
+                    .liveness_hash(mode, &sums.values)
+                    .expect("every summary is known"),
                 mode,
             })
         });
+        let liveness_value = liveness.as_ref().map(|(_, v)| *v);
+        let liveness = liveness.map(|(l, _)| l);
 
         // Per-loop classification: one loop-scope fact each, keyed by the
-        // region's content hash plus exactly the assertions that resolved
-        // onto it — asserting one loop re-classifies only that loop.  A
-        // classification that runs demands its loop's carried-dependence
-        // table, which no assertion and no edit elsewhere moves.
+        // region's content, the values of the facts it reads, and exactly
+        // the assertions that resolved onto it — asserting one loop
+        // re-classifies only that loop.  A classification that runs
+        // demands its loop's carried-dependence table, which no assertion
+        // and no edit elsewhere moves.
         let mut verdicts = HashMap::new();
         for li in &inputs.ctx.tree.loops {
             let verdict = store.demand(&ClassifyPass {
@@ -454,6 +471,8 @@ impl Parallelizer {
                 liveness: liveness.as_deref(),
                 config: &config,
                 li,
+                hash: inputs.classify_hash(&config, li, &sums, liveness_value),
+                summary: sums.values[&li.proc],
                 store,
             });
             verdicts.insert(li.stmt, (*verdict).clone());
@@ -462,48 +481,85 @@ impl Parallelizer {
         let mut stats = run_stats(store, &metrics_before, t0.elapsed().as_secs_f64());
         stats.procs = inputs.ctx.cg.bottom_up().len();
         stats.poly = suif_poly::poly_stats().since(&poly_before);
-        (inputs.into_analysis(df, liveness, verdicts, config), stats)
+        let summaries = sums.values;
+        (
+            inputs.into_analysis(df, liveness, verdicts, config, summaries),
+            stats,
+        )
     }
 
     /// The input hash every fact key *would* carry if analyzed, and run on
-    /// `input`, right now — computed from the program content, the
-    /// configuration and the input alone, without running any pass.  This
-    /// is the warm-start validator: a persisted
-    /// fact whose stored hash matches the expected one is provably current
-    /// (the hashes fold the region content keys, the configuration, and
-    /// the resolved assertion marks; the run's folds the program's
-    /// control/address skeleton and the input instead,
-    /// [`execute_hash`]); anything else is stale and must be evicted
-    /// rather than imported.
+    /// `input`, right now, given the value hashes `recorded` beside a
+    /// persisted image — without running any pass.  This is the warm-start
+    /// validator, and it walks bottom-up ("verifying traces"): a key is in
+    /// the map only when every fact it reads validated, so a persisted fact
+    /// whose stored hash matches the expected one is provably current, and
+    /// anything else is stale and must be evicted rather than imported.
     pub fn expected_fact_hashes(
         program: &Program,
         config: &ParallelizeConfig,
         input: &[f64],
+        recorded: &RecordedValues,
     ) -> HashMap<FactKey, u128> {
         let inputs = FactInputs::new(program, config, None);
-        let program_scope = |pass| FactKey::new(pass, Scope::Program);
-        let mut out: HashMap<FactKey, u128> = inputs
-            .keys
-            .procs
-            .iter()
-            .map(|(&pid, &key)| (summary_key(pid), key))
-            .collect();
-        if let Some(mode) = config.liveness {
-            out.insert(program_scope(PassId::Liveness), inputs.liveness_hash(mode));
+        let mut out = HashMap::new();
+        // Expect `key` under `hash`; its recorded value, if the fact is there.
+        let mut expect = |key: FactKey, hash: u128| {
+            out.insert(key, hash);
+            recorded.get(&(key, hash)).copied()
+        };
+        let mut sums = Summaries::default();
+        for &pid in inputs.ctx.cg.bottom_up() {
+            if let Some(hash) = inputs.summarize_hash(pid, &sums.values) {
+                if let Some(value) = expect(summary_key(pid), hash) {
+                    sums.record(pid, hash, value);
+                }
+            }
         }
+        let program_scope = |pass| FactKey::new(pass, Scope::Program);
+        // `None` while the liveness fact is not validated; `Some(None)`
+        // with liveness off.
+        let liveness = match config.liveness {
+            None => Some(None),
+            Some(mode) => inputs
+                .liveness_hash(mode, &sums.values)
+                .and_then(|hash| expect(program_scope(PassId::Liveness), hash))
+                .map(Some),
+        };
         for li in &inputs.ctx.tree.loops {
+            let Some(&summary) = sums.values.get(&li.proc) else {
+                continue;
+            };
             let loop_scope = |pass| FactKey::new(pass, Scope::Loop(li.stmt));
-            out.insert(
-                loop_scope(PassId::Classify),
-                inputs.classify_hash(config, li),
+            expect(
+                loop_scope(PassId::Deps),
+                deps_hash(li, &inputs.keys, summary),
             );
-            out.insert(loop_scope(PassId::Deps), deps_hash(li, &inputs.keys));
+            if let Some(liveness) = liveness {
+                let hash = inputs.classify_hash(config, li, &sums, liveness);
+                expect(loop_scope(PassId::Classify), hash);
+            }
         }
         for pass in [PassId::Contract, PassId::Decomp, PassId::Split] {
-            out.insert(program_scope(pass), inputs.epoch_hash);
+            expect(program_scope(pass), inputs.epoch_hash);
         }
-        out.insert(EXECUTE_KEY, execute_hash(program, input));
+        expect(EXECUTE_KEY, execute_hash_of(inputs.keys.skeleton, input));
         out
+    }
+}
+
+/// The `Summarize` facts of one analysis as the facts above them read
+/// them: per procedure, the fact's input hash and its value hash.
+#[derive(Default)]
+struct Summaries {
+    hashes: HashMap<ProcId, u128>,
+    values: HashMap<ProcId, u128>,
+}
+
+impl Summaries {
+    fn record(&mut self, pid: ProcId, hash: u128, value: u128) {
+        self.hashes.insert(pid, hash);
+        self.values.insert(pid, value);
     }
 }
 
@@ -512,12 +568,12 @@ impl Parallelizer {
 /// hash.  The passes the drivers demand take their `input_hash` from the
 /// same methods the warm-start validator maps over, so the two cannot
 /// drift apart — a disagreement would silently evict (or, worse, import)
-/// the wrong facts.
+/// the wrong facts.  Above the per-procedure content, each method folds
+/// the value hashes of the facts its pass reads (early cutoff).
 struct FactInputs<'p> {
     ctx: AnalysisCtx<'p>,
-    /// The per-procedure keys, and the whole-program key that is part of
-    /// every input hash above the per-procedure summaries and the loop
-    /// tables (those passes read whole-program facts).
+    /// The per-procedure content and interface keys, the skeleton, and
+    /// the whole-program key the epoch folds.
     keys: Arc<ProgramKeys>,
     assert_private: HashSet<(StmtId, ArrayId)>,
     assert_independent: HashSet<(StmtId, ArrayId)>,
@@ -552,21 +608,56 @@ impl<'p> FactInputs<'p> {
         }
     }
 
-    fn liveness_hash(&self, mode: LivenessMode) -> u128 {
+    /// Input hash of one procedure's summary: its content key, and per
+    /// call site the callee's interface key and the value hash of its
+    /// summary (`values`; `None` while one of them is unknown).  The walk
+    /// reads nothing else of a callee ([`crate::summarize`]'s `walk_call`).
+    fn summarize_hash(&self, pid: ProcId, values: &HashMap<ProcId, u128>) -> Option<u128> {
         let mut h = Fnv128::new();
-        h.write_u128(self.keys.program);
-        h.write(format!("{mode:?}").as_bytes());
-        h.0
+        h.write_u128(self.keys.procs[&pid]);
+        for &callee in self.ctx.cg.callees_of(pid) {
+            h.write_u32(callee.0);
+            h.write_u128(self.keys.interfaces[&callee]);
+            h.write_u128(*values.get(&callee)?);
+        }
+        Some(h.0)
     }
 
-    /// Input hash of one loop's classification fact: the region's content
-    /// key plus exactly the assertions that resolved onto the loop.
-    fn classify_hash(&self, config: &ParallelizeConfig, li: &LoopInfo) -> u128 {
+    /// Input hash of the liveness fact: the mode, the program's skeleton
+    /// (liveness reads statements, call arguments, declarations and
+    /// commons directly, but never a value the skeleton masks), and the
+    /// value hash of every summary (`None` while one is unknown).
+    fn liveness_hash(&self, mode: LivenessMode, values: &HashMap<ProcId, u128>) -> Option<u128> {
         let mut h = Fnv128::new();
-        // The program key is part of the hash because classification reads
-        // whole-program facts (summaries and top-down liveness).
-        h.write_u128(self.keys.program);
+        h.write(format!("{mode:?}").as_bytes());
+        h.write_u128(self.keys.skeleton);
+        for pid in self.ctx.cg.bottom_up() {
+            h.write_u32(pid.0);
+            h.write_u128(*values.get(pid)?);
+        }
+        Some(h.0)
+    }
+
+    /// Input hash of one loop's classification fact: the loop's region
+    /// key; its procedure's summary input hash (which folds the callees'
+    /// interfaces and summary values: the access sites of a call read the
+    /// callee's summary) and summary value; the liveness value (`None` with
+    /// liveness off); the loop's I/O and call flags, which the region tree
+    /// derives through callees; the configuration; and exactly the
+    /// assertions that resolved onto the loop.
+    fn classify_hash(
+        &self,
+        config: &ParallelizeConfig,
+        li: &LoopInfo,
+        sums: &Summaries,
+        liveness: Option<u128>,
+    ) -> u128 {
+        let mut h = Fnv128::new();
         h.write_u128(self.keys.loop_key(li));
+        h.write_u128(sums.hashes[&li.proc]);
+        h.write_u128(sums.values[&li.proc]);
+        h.write_u128(liveness.unwrap_or(0));
+        h.write(&[li.has_io as u8, li.has_calls as u8]);
         write_config(&mut h, config);
         write_assertion_marks(
             &mut h,
@@ -579,13 +670,14 @@ impl<'p> FactInputs<'p> {
 
     /// Close the derivation into the analysis view; the demand-only
     /// advisories hash from its `epoch_hash`, the carried-dependence tables
-    /// from its `keys` ([`deps_hash`]).
+    /// from its `keys` and `summaries` ([`deps_hash`]).
     fn into_analysis(
         self,
         df: Arc<ArrayDataFlow>,
         liveness: Option<Arc<LivenessResult>>,
         verdicts: HashMap<StmtId, LoopVerdict>,
         config: ParallelizeConfig,
+        summaries: HashMap<ProcId, u128>,
     ) -> ProgramAnalysis<'p> {
         ProgramAnalysis {
             ctx: self.ctx,
@@ -596,6 +688,7 @@ impl<'p> FactInputs<'p> {
             warnings: self.warnings,
             epoch_hash: self.epoch_hash,
             keys: self.keys,
+            summaries,
         }
     }
 }
@@ -725,6 +818,8 @@ struct SummarizePass<'a, 'p> {
     inputs: &'a FactInputs<'p>,
     pid: ProcId,
     callees: &'a HashMap<ProcId, Arc<ProcFlow>>,
+    /// [`FactInputs::summarize_hash`].
+    hash: u128,
 }
 
 impl Pass for SummarizePass<'_, '_> {
@@ -733,7 +828,7 @@ impl Pass for SummarizePass<'_, '_> {
         summary_key(self.pid)
     }
     fn input_hash(&self) -> u128 {
-        self.inputs.keys.procs[&self.pid]
+        self.hash
     }
     fn deps(&self) -> Vec<FactKey> {
         // `callees_of` lists one entry per call site.
@@ -751,6 +846,8 @@ impl Pass for SummarizePass<'_, '_> {
 struct LivenessPass<'a, 'p> {
     inputs: &'a FactInputs<'p>,
     df: &'a ArrayDataFlow,
+    /// [`FactInputs::liveness_hash`].
+    hash: u128,
     mode: LivenessMode,
 }
 
@@ -760,7 +857,7 @@ impl Pass for LivenessPass<'_, '_> {
         FactKey::new(PassId::Liveness, Scope::Program)
     }
     fn input_hash(&self) -> u128 {
-        self.inputs.liveness_hash(self.mode)
+        self.hash
     }
     fn deps(&self) -> Vec<FactKey> {
         summary_keys(&self.inputs.ctx)
@@ -776,6 +873,10 @@ struct ClassifyPass<'a, 'p> {
     liveness: Option<&'a LivenessResult>,
     config: &'a ParallelizeConfig,
     li: &'a LoopInfo,
+    /// [`FactInputs::classify_hash`].
+    hash: u128,
+    /// The value hash of the loop's procedure's summary.
+    summary: u128,
     /// Where the loop's carried-dependence table is demanded.
     store: &'a FactStore,
 }
@@ -786,7 +887,7 @@ impl Pass for ClassifyPass<'_, '_> {
         FactKey::new(PassId::Classify, Scope::Loop(self.li.stmt))
     }
     fn input_hash(&self) -> u128 {
-        self.inputs.classify_hash(self.config, self.li)
+        self.hash
     }
     fn deps(&self) -> Vec<FactKey> {
         let mut d = vec![
@@ -805,6 +906,7 @@ impl Pass for ClassifyPass<'_, '_> {
             df: self.df,
             keys: &self.inputs.keys,
             li: self.li,
+            summary: self.summary,
         });
         let dt = DepTest { ctx, df: self.df };
         classify_loop(

@@ -12,11 +12,11 @@
 //! `load` over the directory, never at process start), **two writers**
 //! (`append`, `fold`), and **one decision** between them (`write`).
 
-use crate::pipeline::{ExportedFact, FactKey, FactStore};
+use crate::pipeline::{recorded_values, ExportedFact, FactKey, FactStore, RecordedValues};
 use crate::snapshot::{self, Snapshot, LOG_HEADER_LEN, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
 use crate::tier::SharedFactTier;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -49,11 +49,12 @@ struct DirState {
     base_bytes: u64,
     /// Size of the log file (header + records).
     log_bytes: u64,
-    /// Every `(key, input hash)` durable in base+log.  Pairs, not keys: a
-    /// content-addressed tier legitimately holds several hashes per key
-    /// (sibling programs sharing statement ids), and each must count as
-    /// durable on its own or the siblings re-append each other forever.
-    durable: HashSet<(FactKey, u128)>,
+    /// Every `(key, input hash)` durable in base+log, with the value hash
+    /// recorded beside it.  Pairs, not keys: a content-addressed tier
+    /// legitimately holds several hashes per key (sibling programs sharing
+    /// statement ids), and each must count as durable on its own or the
+    /// siblings re-append each other forever.
+    durable: RecordedValues,
     stats: DirStats,
 }
 
@@ -137,19 +138,28 @@ impl PersistDir {
         self.state.lock().stats
     }
 
-    /// Warm a session's store.  Over a shared tier the image goes into the
-    /// tier whole, at the first call only, and `store` reads through it on
-    /// demand; nothing is validated away, because a content-addressed entry
-    /// no current program demands is simply never read.  A key-addressed
-    /// store imports only the image entries whose hash equals `expected`
-    /// (see [`crate::Parallelizer::expected_fact_hashes`]): the image
-    /// records what *was* true, the hash check proves it still is.
-    pub fn warm_store(&self, store: &FactStore, expected: &HashMap<FactKey, u128>) -> Warmed {
+    /// Warm a session's store.  `current` maps the durable facts' recorded
+    /// value hashes to the input hash every fact key carries right now (see
+    /// [`crate::Parallelizer::expected_fact_hashes`], which validates
+    /// bottom-up: a fact's expected hash folds the recorded value hashes of
+    /// the durable facts it reads).  Over a shared tier the image goes into
+    /// the tier whole, at the first call only, and `store` reads through it
+    /// on demand; nothing is validated away, because a content-addressed
+    /// entry no current program demands is simply never read.  A
+    /// key-addressed store imports only the image entries whose hash equals
+    /// the expected one: the image records what *was* true, the hash check
+    /// proves it still is.
+    pub fn warm_store(
+        &self,
+        store: &FactStore,
+        current: impl FnOnce(&RecordedValues) -> HashMap<FactKey, u128>,
+    ) -> Warmed {
         let mut st = self.state.lock();
         let (mut warmed, image) = self.read_once(&mut st);
+        let expected = current(&st.durable);
         if let Some(tier) = store.shared_tier() {
             tier.import(&image);
-            let durable = |(k, h): (&FactKey, &u128)| st.durable.contains(&(*k, *h));
+            let durable = |(k, h): (&FactKey, &u128)| st.durable.contains_key(&(*k, *h));
             warmed.warm_hits = expected.iter().filter(|&e| durable(e)).count() as u64;
         } else {
             let total = image.len();
@@ -209,7 +219,7 @@ impl PersistDir {
                 // opener goes on to validate away: a stale entry is
                 // physically present, and only its replacement (same key,
                 // fresh hash) is missing.
-                st.durable = durable_pairs(&image.facts).collect();
+                st.durable = recorded_values(&image.facts);
                 st.base_checksum = image.base_checksum;
                 // A valid base with a damaged/foreign log still warm-starts
                 // from what replayed, but the next write folds everything
@@ -276,7 +286,7 @@ impl PersistDir {
     /// does not scale with the total fact count, and an idle checkpoint
     /// writes nothing.  Returns `(facts, bytes)` appended.
     fn append(&self, st: &mut DirState, facts: &[ExportedFact]) -> io::Result<(usize, usize)> {
-        let new_fact = |f: &&ExportedFact| !st.durable.contains(&(f.key, f.hash));
+        let new_fact = |f: &&ExportedFact| !st.durable.contains_key(&(f.key, f.hash));
         let delta: Vec<ExportedFact> = facts.iter().filter(new_fact).cloned().collect();
         if delta.is_empty() {
             return Ok((0, 0));
@@ -294,7 +304,7 @@ impl PersistDir {
         let record = snapshot::encode_log_record(&delta);
         fh.write_all(&record)?;
         st.log_bytes += record.len() as u64;
-        st.durable.extend(durable_pairs(&delta));
+        st.durable.extend(recorded_values(&delta));
         Ok((delta.len(), record.len()))
     }
 
@@ -314,12 +324,7 @@ impl PersistDir {
         st.base_checksum = checksum;
         st.base_bytes = bytes.len() as u64;
         st.log_bytes = LOG_HEADER_LEN as u64;
-        st.durable = durable_pairs(&image.facts).collect();
+        st.durable = recorded_values(&image.facts);
         Ok((image.facts.len(), bytes.len()))
     }
-}
-
-/// The `(key, input hash)` pairs of `facts`, as the durable set holds them.
-fn durable_pairs(facts: &[ExportedFact]) -> impl Iterator<Item = (FactKey, u128)> + '_ {
-    facts.iter().map(|f| (f.key, f.hash))
 }

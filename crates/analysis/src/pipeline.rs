@@ -19,6 +19,18 @@
 //!    that transitively depends on it, so the next demand recomputes exactly
 //!    the dirty cone.
 //!
+//! # Early cutoff
+//!
+//! Every stored fact also carries a *value hash*: the hash of its canonical
+//! wire form ([`crate::snapshot::value_footprint`], computed from the same
+//! encoding that sizes the entry).  [`FactStore::demand_hashed`] hands it
+//! back with the value, and a pass above the per-procedure summaries folds
+//! the value hashes of the facts it reads into its own input hash instead
+//! of their inputs' text.  A recomputed fact that comes out equal therefore
+//! leaves every reader's input hash where it was, and the readers are
+//! reused: an edit recomputes its cone only as far as values change (the
+//! "verifying traces with early cutoff" of *Build Systems à la Carte*).
+//!
 //! # One session, one thread
 //!
 //! A store belongs to one session (or one `corpus` job), and a session runs
@@ -165,6 +177,8 @@ pub struct PassMetrics {
 
 struct FactEntry {
     hash: u128,
+    /// Hash of the value's wire form: what readers of this fact key on.
+    value_hash: u128,
     value: Arc<dyn FactValue>,
     deps: Vec<FactKey>,
     /// Cleared by invalidation.  An invalid entry under an unchanged hash
@@ -178,7 +192,7 @@ struct FactEntry {
 }
 
 /// One fact lifted out of (or injected into) the store: key, input hash,
-/// dependency edges, and the value.  Produced by
+/// value hash, dependency edges, and the value.  Produced by
 /// [`FactStore::export`], consumed by [`FactStore::import`] and the
 /// snapshot codec ([`crate::snapshot`]).
 #[derive(Clone)]
@@ -187,13 +201,29 @@ pub struct ExportedFact {
     pub key: FactKey,
     /// The input hash the value was computed under.
     pub hash: u128,
+    /// Hash of the value's wire form
+    /// ([`crate::snapshot::value_footprint`]).
+    pub value_hash: u128,
     /// Recorded dependency edges (facts this one reads).
     pub deps: Vec<FactKey>,
     /// Approximate resident bytes of the value
-    /// ([`crate::snapshot::approx_value_bytes`]).
+    /// ([`crate::snapshot::value_footprint`]).
     pub bytes: usize,
     /// The fact value, exactly as stored.
     pub value: Arc<dyn FactValue>,
+}
+
+/// The value hash recorded for each `(key, input hash)` pair of a set of
+/// facts: what the warm-start validator reads
+/// ([`crate::Parallelizer::expected_fact_hashes`]).
+pub type RecordedValues = HashMap<(FactKey, u128), u128>;
+
+/// The recorded value hashes of `facts`.
+pub fn recorded_values(facts: &[ExportedFact]) -> RecordedValues {
+    facts
+        .iter()
+        .map(|f| ((f.key, f.hash), f.value_hash))
+        .collect()
 }
 
 /// A stored fact value as its pass's output type, `None` if it is another
@@ -385,6 +415,15 @@ impl FactStore {
     where
         P::Output: FactValue,
     {
+        self.demand_hashed(pass).0
+    }
+
+    /// [`FactStore::demand`], also returning the fact's value hash: what a
+    /// pass reading this fact folds into its own input hash.
+    pub fn demand_hashed<P: Pass>(&self, pass: &P) -> (Arc<P::Output>, u128)
+    where
+        P::Output: FactValue,
+    {
         let done: Result<_, std::convert::Infallible> = self.demand_with(pass, || Ok(pass.run()));
         match done {
             Ok(v) => v,
@@ -401,14 +440,14 @@ impl FactStore {
         P: Pass<Output = Result<T, E>>,
         T: FactValue,
     {
-        self.demand_with(pass, || pass.run())
+        self.demand_with(pass, || pass.run()).map(|(v, _)| v)
     }
 
     fn demand_with<P: Pass, T: FactValue, E>(
         &self,
         pass: &P,
         run: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E> {
+    ) -> Result<(Arc<T>, u128), E> {
         let key = pass.key();
         let hash = pass.input_hash();
         // Whether the shared tier may serve (and later receive) this fact.
@@ -424,8 +463,9 @@ impl FactStore {
                 Some(e) if e.hash == hash && e.valid => {
                     e.referenced = true;
                     if let Some(v) = typed::<T>(&e.value) {
+                        let value_hash = e.value_hash;
                         st.metrics.entry(key.pass).or_default().reused += 1;
-                        return Ok(v);
+                        return Ok((v, value_hash));
                     }
                     // A type mismatch is a stale entry in disguise;
                     // recompute below.
@@ -440,22 +480,23 @@ impl FactStore {
                 .as_ref()
                 .filter(|_| tier_allowed)
                 .and_then(|tier| tier.lookup(key.pass, hash));
-            if let Some((value, bytes, deps)) = tier_hit {
-                if let Some(v) = typed::<T>(&value) {
+            if let Some(f) = tier_hit {
+                if let Some(v) = typed::<T>(&f.value) {
                     st.insert(
                         key,
                         FactEntry {
                             hash,
-                            value,
-                            deps,
+                            value_hash: f.value_hash,
+                            value: f.value,
+                            deps: f.deps,
                             valid: true,
-                            bytes,
+                            bytes: f.bytes,
                             referenced: true,
                         },
                     );
                     st.metrics.entry(key.pass).or_default().shared += 1;
                     st.evict_over_budget();
-                    return Ok(v);
+                    return Ok((v, f.value_hash));
                 }
             }
             tier_allowed
@@ -465,13 +506,14 @@ impl FactStore {
         let (out, secs) = exclusive_secs(run);
         let out = Arc::new(out?);
         let deps = pass.deps();
-        let bytes = crate::snapshot::approx_value_bytes(&*out);
+        let (bytes, value_hash) = crate::snapshot::value_footprint(&*out);
         let value: Arc<dyn FactValue> = out.clone();
         let mut st = self.state.lock();
         st.insert(
             key,
             FactEntry {
                 hash,
+                value_hash,
                 value: value.clone(),
                 deps: deps.clone(),
                 valid: true,
@@ -490,14 +532,22 @@ impl FactStore {
                     PassId::Summarize | PassId::Liveness | PassId::Deps
                 );
             if publishable {
-                tier.publish_owned(st.owner, key, hash, bytes, deps, value);
+                let fact = ExportedFact {
+                    key,
+                    hash,
+                    value_hash,
+                    deps,
+                    bytes,
+                    value,
+                };
+                tier.publish_owned(st.owner, fact);
             }
         }
         let m = st.metrics.entry(key.pass).or_default();
         m.invocations += 1;
         m.secs += secs;
         st.evict_over_budget();
-        Ok(out)
+        Ok((out, value_hash))
     }
 
     /// Mark one fact dirty and propagate along the recorded dependency
@@ -594,6 +644,7 @@ impl FactStore {
             .map(|(k, e)| ExportedFact {
                 key: *k,
                 hash: e.hash,
+                value_hash: e.value_hash,
                 deps: e.deps.clone(),
                 bytes: e.bytes,
                 value: e.value.clone(),
@@ -622,6 +673,7 @@ impl FactStore {
                 f.key,
                 FactEntry {
                     hash: f.hash,
+                    value_hash: f.value_hash,
                     value: f.value,
                     deps: f.deps,
                     valid: true,
@@ -796,7 +848,12 @@ impl Drop for ExecutorService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::approx_value_bytes;
+    use crate::snapshot::value_footprint;
+
+    /// The bytes a fact value is charged.
+    fn approx_value_bytes(value: &ExecutionFact) -> usize {
+        value_footprint(value).0
+    }
     use crate::ExecutionFact;
     use std::sync::atomic::{AtomicU64, Ordering};
 

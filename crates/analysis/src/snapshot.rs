@@ -1,5 +1,6 @@
 //! Durable fact-store snapshots: a versioned, checksummed binary encoding
-//! of the store's keys, input hashes, dependency edges, and fact values.
+//! of the store's keys, input hashes, value hashes, dependency edges, and
+//! fact values.
 //! This is what lets a daemon restart warm (§2: the analysis state of an
 //! interactive session must outlive any one process).
 //!
@@ -43,8 +44,11 @@
 //!
 //! Entries loaded into a key-addressed store must additionally be
 //! re-validated against freshly computed input hashes
-//! ([`crate::Parallelizer::expected_fact_hashes`]) before import — the
-//! snapshot records what *was* true, the hash check proves it still is.
+//! ([`crate::Parallelizer::expected_fact_hashes`], which reads the
+//! recorded value hashes bottom-up) before import — the snapshot records
+//! what *was* true, the hash check proves it still is.  A recorded value
+//! hash is trusted under the payload checksum, so a warm open encodes no
+//! value to hash it.
 //!
 //! This module is the *format* only.  Who reads and writes the two files of
 //! a persist directory, under which lock, and when an append becomes a fold
@@ -94,8 +98,12 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SUIFSNAP";
 /// undecodable at every load and a fold by it would drop the fact; 6 —
 /// `Summarize` records are one `Scope::Proc` `ProcFlow` per procedure (they
 /// were one `Scope::Program` data flow), so a version-5 value would
-/// mis-frame under this build's codec.
-pub const SNAPSHOT_VERSION: u32 = 6;
+/// mis-frame under this build's codec; 7 — every entry records its value
+/// hash beside its input hash ([`value_footprint`]), and the input hashes
+/// above the per-procedure summaries fold the value hashes of the facts
+/// they read, so a version-6 entry would mis-frame and its hash would
+/// never match.
+pub const SNAPSHOT_VERSION: u32 = 7;
 
 /// Why a snapshot failed to load (the caller cold-starts either way).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -150,17 +158,22 @@ pub trait FactValue: Wire + Any + Send + Sync {
     fn pass(&self) -> PassId;
 }
 
-/// Approximate resident bytes of one fact value: `64 + 2×` the length of
-/// its wire form.
+/// Approximate resident bytes of one fact value — `64 + 2×` the length of
+/// its wire form — and its *value hash*, from one encoding.
 ///
-/// An estimate, not a measurement.  The in-memory form follows the wire
-/// length only as long as the large values stay compact (`ProcFlow` and
-/// `LivenessResult` hash-cons their section sets; uncompacted, they held
-/// 3–4× this figure).  `tests/fact_heap.rs` holds the sum over a tier to
-/// 0.75–2× of the live heap its facts occupy.  Used by the
-/// [`crate::FactStore`] and [`crate::SharedFactTier`] byte budgets.
-pub fn approx_value_bytes(value: &dyn FactValue) -> usize {
-    64 + 2 * to_bytes(value).len()
+/// The bytes are an estimate, not a measurement.  The in-memory form
+/// follows the wire length only as long as the large values stay compact
+/// (`ProcFlow` and `LivenessResult` hash-cons their section sets;
+/// uncompacted, they held 3–4× this figure).  `tests/fact_heap.rs` holds the
+/// sum over a tier to 0.75–2× of the live heap its facts occupy.  Used by
+/// the [`crate::FactStore`] and [`crate::SharedFactTier`] byte budgets.
+///
+/// The value hash is the word-folded FNV of the wire form, which is
+/// canonical, so equal values hash equal: it is what the input hash of a
+/// fact that reads this one folds (early cutoff, [`crate::pipeline`]).
+pub fn value_footprint(value: &dyn FactValue) -> (usize, u128) {
+    let bytes = to_bytes(value);
+    (64 + 2 * bytes.len(), payload_checksum(&bytes))
 }
 
 /// One-shot word-folded checksum of a payload body (eight bytes per
@@ -235,6 +248,7 @@ fn encode_payload(facts: &[ExportedFact]) -> Vec<u8> {
         pass_tag(f.key.pass).encode(&mut p);
         f.key.scope.encode(&mut p);
         f.hash.encode(&mut p);
+        f.value_hash.encode(&mut p);
         f.deps.len().encode(&mut p);
         for d in &f.deps {
             pass_tag(d.pass).encode(&mut p);
@@ -265,6 +279,7 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
         let pass = pass_of(frame(&mut d)?);
         let scope = frame(&mut d)?;
         let hash = frame(&mut d)?;
+        let value_hash = frame(&mut d)?;
         let ndeps = frame::<u32>(&mut d)?;
         let mut deps = Vec::with_capacity(ndeps.min(1024) as usize);
         let mut deps_ok = true;
@@ -286,8 +301,9 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
             Some(value) => snap.facts.push(ExportedFact {
                 key: FactKey::new(pass, scope),
                 hash,
+                value_hash,
                 deps,
-                // Same figure `approx_value_bytes` would compute, without
+                // Same figure `value_footprint` would compute, without
                 // re-encoding: the wire length is already in hand here.
                 bytes: 64 + 2 * vlen,
                 value,
@@ -334,8 +350,9 @@ pub const LOG_MAGIC: [u8; 8] = *b"SUIFSLOG";
 /// History: 1 — initial format; 2 — record payloads are facts only,
 /// following [`SNAPSHOT_VERSION`] 4; 3 — records may carry `Execute` facts,
 /// following [`SNAPSHOT_VERSION`] 5; 4 — `Summarize` records are
-/// `Scope::Proc` `ProcFlow`s, following [`SNAPSHOT_VERSION`] 6.
-pub const LOG_VERSION: u32 = 4;
+/// `Scope::Proc` `ProcFlow`s, following [`SNAPSHOT_VERSION`] 6; 5 — records
+/// carry value hashes, following [`SNAPSHOT_VERSION`] 7.
+pub const LOG_VERSION: u32 = 5;
 
 /// Size of the append-log header: magic · version · base checksum.
 pub const LOG_HEADER_LEN: usize = 28;
@@ -1192,10 +1209,11 @@ mod tests {
     }
 
     fn fact(pass: PassId, scope: Scope, hash: u128, value: Arc<dyn FactValue>) -> ExportedFact {
-        let bytes = approx_value_bytes(&*value);
+        let (bytes, value_hash) = value_footprint(&*value);
         ExportedFact {
             key: FactKey::new(pass, scope),
             hash,
+            value_hash,
             deps: vec![FactKey::new(PassId::Summarize, Scope::Program)],
             bytes,
             value,
@@ -1293,6 +1311,7 @@ mod tests {
         for (a, b) in snap.facts.iter().zip(back.facts.iter()) {
             assert_eq!(a.key, b.key);
             assert_eq!(a.hash, b.hash);
+            assert_eq!(a.value_hash, b.value_hash);
             assert_eq!(a.deps, b.deps);
         }
         // Values re-encode to the same bytes (bit-identical round trip).

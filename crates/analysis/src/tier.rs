@@ -3,8 +3,8 @@
 //!
 //! A [`crate::Pass`] is a *pure function of its input hash* (the
 //! [`crate::pipeline`] contract), and every input hash folds the region
-//! content keys, the configuration, and the resolved assertion marks that
-//! affect the fact.  Two sessions demanding a fact under the same
+//! content keys, the value hashes of the facts it reads, the configuration,
+//! and the resolved assertion marks that affect the fact.  Two sessions demanding a fact under the same
 //! `(pass, hash)` pair are therefore asking for interchangeable values — so
 //! the tier can hand one session's finished fact to another without any
 //! notion of which program, session, or assertion set produced it.
@@ -53,8 +53,10 @@ struct TierEntry {
     /// pass's output type.
     value: Arc<dyn FactValue>,
     /// Approximate resident bytes of `value`: `64 + 2×` its wire length
-    /// ([`crate::snapshot::approx_value_bytes`]).
+    /// ([`crate::snapshot::value_footprint`]).
     bytes: usize,
+    /// Hash of `value`'s wire form, handed to the overlay on a hit.
+    value_hash: u128,
     /// Second-chance bit: set on every hit, cleared by a passing eviction
     /// sweep; an unreferenced entry is evicted on the sweep's next visit.
     referenced: bool,
@@ -70,6 +72,32 @@ struct TierEntry {
     /// seeded from a snapshot).  Drives per-session resident accounting and
     /// eviction fairness; irrelevant to fact identity (content-addressed).
     owner: u64,
+}
+
+impl TierEntry {
+    fn new(f: ExportedFact, owner: u64) -> TierEntry {
+        TierEntry {
+            value: f.value,
+            bytes: f.bytes,
+            value_hash: f.value_hash,
+            referenced: true,
+            key: f.key,
+            deps: f.deps,
+            owner,
+        }
+    }
+
+    /// The entry as the fact stored under `hash`.
+    fn exported(&self, hash: u128) -> ExportedFact {
+        ExportedFact {
+            key: self.key,
+            hash,
+            value_hash: self.value_hash,
+            deps: self.deps.clone(),
+            bytes: self.bytes,
+            value: self.value.clone(),
+        }
+    }
 }
 
 /// Owner id credited for facts installed by a warm-start import rather
@@ -171,20 +199,17 @@ impl SharedFactTier {
     }
 
     /// Look up a finished fact by content: the value, its approximate byte
-    /// size, and the dependency edges recorded when it was published
-    /// (installed into the caller's overlay so invalidation keeps
-    /// propagating).  Marks the entry referenced.
-    pub fn lookup(
-        &self,
-        pass: PassId,
-        hash: u128,
-    ) -> Option<(Arc<dyn FactValue>, usize, Vec<FactKey>)> {
+    /// size and value hash, and the dependency edges recorded when it was
+    /// published (installed into the caller's overlay so invalidation keeps
+    /// propagating), under the entry's representative key.  Marks the
+    /// entry referenced.
+    pub fn lookup(&self, pass: PassId, hash: u128) -> Option<ExportedFact> {
         let shard = &self.shards[tier_shard_index(pass, hash)];
         let mut map = shard.map.lock();
         match map.get_mut(&(pass, hash)) {
             Some(e) => {
                 e.referenced = true;
-                let out = (e.value.clone(), e.bytes, e.deps.clone());
+                let out = e.exported(hash);
                 drop(map);
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(out)
@@ -205,32 +230,15 @@ impl SharedFactTier {
     /// `owner` is the publishing session's id — it is credited with the
     /// entry's bytes for fairness accounting, and an overflow this publish
     /// causes will not evict the *smallest* other session's facts first.
-    pub fn publish_owned(
-        &self,
-        owner: u64,
-        key: FactKey,
-        hash: u128,
-        bytes: usize,
-        deps: Vec<FactKey>,
-        value: Arc<dyn FactValue>,
-    ) {
-        let shard = &self.shards[tier_shard_index(key.pass, hash)];
+    pub fn publish_owned(&self, owner: u64, fact: ExportedFact) {
+        let (pass, hash, bytes) = (fact.key.pass, fact.hash, fact.bytes);
+        let shard = &self.shards[tier_shard_index(pass, hash)];
         {
             let mut map = shard.map.lock();
-            if map.contains_key(&(key.pass, hash)) {
+            if map.contains_key(&(pass, hash)) {
                 return;
             }
-            map.insert(
-                (key.pass, hash),
-                TierEntry {
-                    value,
-                    bytes,
-                    referenced: true,
-                    key,
-                    deps,
-                    owner,
-                },
-            );
+            map.insert((pass, hash), TierEntry::new(fact, owner));
         }
         self.inserts.fetch_add(1, Ordering::Relaxed);
         let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
@@ -333,15 +341,7 @@ impl SharedFactTier {
         let mut out = Vec::new();
         for shard in &self.shards {
             let map = shard.map.lock();
-            for ((_, hash), e) in map.iter() {
-                out.push(ExportedFact {
-                    key: e.key,
-                    hash: *hash,
-                    deps: e.deps.clone(),
-                    bytes: e.bytes,
-                    value: e.value.clone(),
-                });
-            }
+            out.extend(map.iter().map(|((_, hash), e)| e.exported(*hash)));
         }
         out.sort_by_key(|f| (f.key, f.hash));
         out
@@ -356,14 +356,7 @@ impl SharedFactTier {
             let shard = &self.shards[tier_shard_index(f.key.pass, f.hash)];
             let mut map = shard.map.lock();
             if let std::collections::hash_map::Entry::Vacant(v) = map.entry((f.key.pass, f.hash)) {
-                v.insert(TierEntry {
-                    value: f.value.clone(),
-                    bytes: f.bytes,
-                    referenced: true,
-                    key: f.key,
-                    deps: f.deps.clone(),
-                    owner: WARM_START_OWNER,
-                });
+                v.insert(TierEntry::new(f.clone(), WARM_START_OWNER));
                 let now = self.resident.fetch_add(f.bytes, Ordering::Relaxed) + f.bytes;
                 self.peak_resident.fetch_max(now, Ordering::Relaxed);
                 *self.owner_bytes.lock().entry(WARM_START_OWNER).or_insert(0) += f.bytes as u64;
@@ -443,6 +436,24 @@ mod tests {
         FactKey::new(pass, Scope::Loop(suif_ir::StmtId(n)))
     }
 
+    /// A fact to publish; its value hash is its input hash's complement.
+    fn fact(
+        key: FactKey,
+        hash: u128,
+        bytes: usize,
+        deps: Vec<FactKey>,
+        value: Arc<dyn FactValue>,
+    ) -> ExportedFact {
+        ExportedFact {
+            key,
+            hash,
+            value_hash: !hash,
+            deps,
+            bytes,
+            value,
+        }
+    }
+
     #[test]
     fn publish_then_lookup_round_trips() {
         let tier = SharedFactTier::new();
@@ -450,16 +461,21 @@ mod tests {
         let published = value();
         tier.publish_owned(
             WARM_START_OWNER,
-            key(PassId::Classify, 1),
-            7,
-            100,
-            vec![key(PassId::Summarize, 0)],
-            published.clone(),
+            fact(
+                key(PassId::Classify, 1),
+                7,
+                100,
+                vec![key(PassId::Summarize, 0)],
+                published.clone(),
+            ),
         );
-        let (v, bytes, deps) = tier.lookup(PassId::Classify, 7).unwrap();
-        assert!(Arc::ptr_eq(&v, &published), "the published value itself");
-        assert_eq!(bytes, 100);
-        assert_eq!(deps, vec![key(PassId::Summarize, 0)]);
+        let f = tier.lookup(PassId::Classify, 7).unwrap();
+        assert!(
+            Arc::ptr_eq(&f.value, &published),
+            "the published value itself"
+        );
+        assert_eq!((f.bytes, f.value_hash), (100, !7));
+        assert_eq!(f.deps, vec![key(PassId::Summarize, 0)]);
         // A different hash is a different fact.
         assert!(tier.lookup(PassId::Classify, 8).is_none());
         let s = tier.stats();
@@ -474,22 +490,14 @@ mod tests {
         let first = value();
         tier.publish_owned(
             WARM_START_OWNER,
-            key(PassId::Deps, 1),
-            5,
-            10,
-            vec![],
-            first.clone(),
+            fact(key(PassId::Deps, 1), 5, 10, vec![], first.clone()),
         );
         tier.publish_owned(
             WARM_START_OWNER,
-            key(PassId::Deps, 2),
-            5,
-            10,
-            vec![],
-            value(),
+            fact(key(PassId::Deps, 2), 5, 10, vec![], value()),
         );
-        let (v, _, _) = tier.lookup(PassId::Deps, 5).unwrap();
-        assert!(Arc::ptr_eq(&v, &first), "first publish kept");
+        let f = tier.lookup(PassId::Deps, 5).unwrap();
+        assert!(Arc::ptr_eq(&f.value, &first), "first publish kept");
         assert_eq!(tier.len(), 1);
         assert_eq!(tier.resident_bytes(), 10);
     }
@@ -500,11 +508,7 @@ mod tests {
         for i in 0..10u32 {
             tier.publish_owned(
                 WARM_START_OWNER,
-                key(PassId::Classify, i),
-                i as u128,
-                100,
-                vec![],
-                value(),
+                fact(key(PassId::Classify, i), i as u128, 100, vec![], value()),
             );
         }
         let s = tier.stats();
@@ -531,11 +535,11 @@ mod tests {
     #[test]
     fn session_bytes_tracks_owners() {
         let tier = SharedFactTier::new();
-        tier.publish_owned(1, key(PassId::Classify, 0), 10, 100, vec![], value());
-        tier.publish_owned(1, key(PassId::Classify, 1), 11, 50, vec![], value());
-        tier.publish_owned(2, key(PassId::Classify, 2), 12, 30, vec![], value());
+        tier.publish_owned(1, fact(key(PassId::Classify, 0), 10, 100, vec![], value()));
+        tier.publish_owned(1, fact(key(PassId::Classify, 1), 11, 50, vec![], value()));
+        tier.publish_owned(2, fact(key(PassId::Classify, 2), 12, 30, vec![], value()));
         // Duplicate hash from another owner: first writer keeps the credit.
-        tier.publish_owned(2, key(PassId::Classify, 3), 10, 100, vec![], value());
+        tier.publish_owned(2, fact(key(PassId::Classify, 3), 10, 100, vec![], value()));
         assert_eq!(tier.session_bytes(), vec![(1, 150), (2, 30)]);
         assert_eq!(tier.resident_bytes(), 180);
     }
@@ -546,11 +550,17 @@ mod tests {
         let tier = SharedFactTier::with_budget(Some(600));
         // Small tenant (session 1): 2 facts, 100 bytes.
         for i in 0..2u32 {
-            tier.publish_owned(1, key(PassId::Classify, i), i as u128, 50, vec![], value());
+            tier.publish_owned(
+                1,
+                fact(key(PassId::Classify, i), i as u128, 50, vec![], value()),
+            );
         }
         // Big tenant (session 2) floods the tier way past budget.
         for i in 100..140u32 {
-            tier.publish_owned(2, key(PassId::Classify, i), i as u128, 100, vec![], value());
+            tier.publish_owned(
+                2,
+                fact(key(PassId::Classify, i), i as u128, 100, vec![], value()),
+            );
         }
         let s = tier.stats();
         assert!(
@@ -575,7 +585,10 @@ mod tests {
     fn fairness_does_not_protect_sole_tenant_or_break_budget() {
         let tier = SharedFactTier::with_budget(Some(300));
         for i in 0..10u32 {
-            tier.publish_owned(7, key(PassId::Classify, i), i as u128, 100, vec![], value());
+            tier.publish_owned(
+                7,
+                fact(key(PassId::Classify, i), i as u128, 100, vec![], value()),
+            );
         }
         let s = tier.stats();
         assert!(s.resident_bytes <= 300, "sole tenant still bounded");
@@ -583,20 +596,22 @@ mod tests {
         // Degenerate case: the smallest session itself overflows — the
         // unprotected second sweep must still enforce the budget.
         let tier = SharedFactTier::with_budget(Some(250));
-        tier.publish_owned(1, key(PassId::Deps, 0), 1000, 200, vec![], value());
+        tier.publish_owned(1, fact(key(PassId::Deps, 0), 1000, 200, vec![], value()));
         for i in 0..8u32 {
             tier.publish_owned(
                 2,
-                key(PassId::Deps, 1 + i),
-                2000 + i as u128,
-                10,
-                vec![],
-                value(),
+                fact(
+                    key(PassId::Deps, 1 + i),
+                    2000 + i as u128,
+                    10,
+                    vec![],
+                    value(),
+                ),
             );
         }
         // Session 2 (80 bytes) is smaller than session 1 (200); now session
         // 2 causes the overflow.
-        tier.publish_owned(2, key(PassId::Deps, 99), 3000, 200, vec![], value());
+        tier.publish_owned(2, fact(key(PassId::Deps, 99), 3000, 200, vec![], value()));
         assert!(
             tier.resident_bytes() <= 250,
             "budget holds even when the cause is the small session: {}",
@@ -610,19 +625,17 @@ mod tests {
         let classify = value();
         tier.publish_owned(
             WARM_START_OWNER,
-            key(PassId::Classify, 3),
-            11,
-            64,
-            vec![key(PassId::Summarize, 0)],
-            classify.clone(),
+            fact(
+                key(PassId::Classify, 3),
+                11,
+                64,
+                vec![key(PassId::Summarize, 0)],
+                classify.clone(),
+            ),
         );
         tier.publish_owned(
             WARM_START_OWNER,
-            key(PassId::Deps, 3),
-            12,
-            32,
-            vec![],
-            value(),
+            fact(key(PassId::Deps, 3), 12, 32, vec![], value()),
         );
         let exported = tier.export();
         assert_eq!(exported.len(), 2);
@@ -631,8 +644,11 @@ mod tests {
         assert_eq!(fresh.import(&exported), 2);
         assert_eq!(fresh.import(&exported), 0, "idempotent");
         assert_eq!(fresh.resident_bytes(), 96);
-        let (v, _, deps) = fresh.lookup(PassId::Classify, 11).unwrap();
-        assert!(Arc::ptr_eq(&v, &classify));
-        assert_eq!(deps, vec![key(PassId::Summarize, 0)]);
+        let f = fresh.lookup(PassId::Classify, 11).unwrap();
+        assert!(Arc::ptr_eq(&f.value, &classify));
+        assert_eq!(
+            (f.deps, f.value_hash),
+            (vec![key(PassId::Summarize, 0)], !11)
+        );
     }
 }

@@ -8,8 +8,8 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use suif_analysis::{
-    ExecutionFact, FactKey, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis,
-    ScheduleOptions, Scope, SharedFactTier,
+    ExecutionFact, ExportedFact, FactKey, FactStore, ParallelizeConfig, Parallelizer, PassId,
+    ProgramAnalysis, ScheduleOptions, Scope, SharedFactTier,
 };
 
 /// `n` leaf procedures (elementwise when even, a carried recurrence when
@@ -108,11 +108,14 @@ proptest! {
             owners_seen.insert(*owner);
             tier.publish_owned(
                 *owner,
-                FactKey::new(PassId::Classify, Scope::Loop(suif_ir::StmtId(i as u32))),
-                i as u128, // distinct hashes: every publish is a new fact
-                *bytes,
-                vec![],
-                Arc::new(ExecutionFact::default()),
+                ExportedFact {
+                    key: FactKey::new(PassId::Classify, Scope::Loop(suif_ir::StmtId(i as u32))),
+                    hash: i as u128, // distinct hashes: every publish is a new fact
+                    value_hash: 0,
+                    deps: vec![],
+                    bytes: *bytes,
+                    value: Arc::new(ExecutionFact::default()),
+                },
             );
 
             // Budget invariant after EVERY publish, not just at the end.

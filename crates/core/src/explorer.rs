@@ -6,13 +6,13 @@
 //! demands it through the session's [`FactStore`], so a store, tier or
 //! snapshot that already holds the run of this program on this input
 //! answers without interpreting anything.  The run is keyed by what it
-//! observes ([`execute_hash`]): an edit that changes only literals no
+//! observes ([`suif_analysis::execution::execute_hash_of`]): an edit that changes only literals no
 //! branch, bound, subscript or divisor reads is served the same way.
 
 use crate::guru::{self, GuruReport};
 use std::collections::{BTreeSet, HashSet};
 use std::sync::Arc;
-use suif_analysis::execution::{execute_hash, EXECUTE_KEY};
+use suif_analysis::execution::{execute_hash_of, EXECUTE_KEY};
 use suif_analysis::{
     contract::ContractionCandidate, decomp::DecompFact, deps::CarriedDeps, split::BlockSplit,
     AnalyzeStats, Assertion, ExecutionFact, FactKey, FactStore, LoopExecution, LoopVerdict,
@@ -124,6 +124,7 @@ impl<'p> Explorer<'p> {
         let before = store.metrics_for(PassId::Execute);
         let run = store.try_demand(&ExecutePass {
             program,
+            skeleton: analysis.keys.skeleton,
             input: &input,
         })?;
         let after = store.metrics_for(PassId::Execute);
@@ -328,13 +329,15 @@ impl<'p> Explorer<'p> {
 /// loops' induction variables.  Which updates are reductions is a verdict,
 /// so the run records those dependences too and [`reports_of`] drops them.
 ///
-/// Keyed by [`execute_hash`]: the program's control/address skeleton and
+/// Keyed by [`suif_analysis::execution::execute_hash_of`]: the program's control/address skeleton and
 /// the input, which is all the run reads — the induction variables are
 /// part of the skeleton.  No dependency edges.  A run that ends in an
 /// error — [`MAX_EXECUTE_OPS`] spent is one — is the demander's error and
 /// leaves no fact ([`FactStore::try_demand`]).
 struct ExecutePass<'a> {
     program: &'a Program,
+    /// The program's skeleton hash, which its analysis already holds.
+    skeleton: u128,
     input: &'a [f64],
 }
 
@@ -344,7 +347,7 @@ impl Pass for ExecutePass<'_> {
         EXECUTE_KEY
     }
     fn input_hash(&self) -> u128 {
-        execute_hash(self.program, self.input)
+        execute_hash_of(self.skeleton, self.input)
     }
     fn run(&self) -> Result<ExecutionFact, ExplorerError> {
         execute(self.program, self.input)

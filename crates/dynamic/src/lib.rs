@@ -38,7 +38,9 @@
 //! program's size — `do i = 1, 2000000000` is one line — so the machine
 //! takes an op budget ([`machine::Machine::set_max_ops`], unlimited unless
 //! set), checked at loop back-edges and call entries: the Explorer's run on
-//! `load` and the certifier's scout set [`MAX_EXECUTE_OPS`], and a program
+//! `load`, the certifier's scout and `run`'s measured runs set
+//! [`MAX_EXECUTE_OPS`] (a forked worker gets what its parent has left of
+//! it), and a program
 //! that spends it fails like any other runtime error instead of holding a
 //! daemon's worker.  Integer arithmetic wraps on overflow, so the only
 //! arithmetic that fails is an integer division, remainder or `mod` by
@@ -98,8 +100,9 @@ pub use race::{AccessInfo, AccessKind, Race, RaceDetector, VectorClock};
 pub use sched::{AdversarialScheduler, SchedPolicy, SplitMix64};
 pub use value::Value;
 
-/// The op budget of a run a daemon makes on a tenant's behalf: the
-/// Explorer's instrumented run on `load` and the certifier's runs.  MiniF
+/// The op budget of a run made on a user's behalf: the Explorer's
+/// instrumented run on `load`, the certifier's runs, and `run`'s
+/// sequential and parallel measurements.  MiniF
 /// programs terminate, but `do i = 1, 2000000000` is one line: without a
 /// bound, a program opened on a shared daemon holds a worker for as long as
 /// it likes.  2³² virtual ops is more than 300 times flo88 at

@@ -355,7 +355,9 @@ impl<'a> Machine<'a> {
 
     /// Fork a worker machine over a shared view of this machine's memory.
     /// The worker shares this machine's code, starts with its current base
-    /// table and op budget, zero ops, no input and no loop handler (nested
+    /// table, zero ops against what is left of this machine's op budget
+    /// (so a loop forked near the end of a run cannot spend a fresh one),
+    /// no input and no loop handler (nested
     /// parallel loops run sequentially inside it); `private` is its
     /// thread-private tail and `overrides` — offsets into that tail, rebased
     /// here past shared memory — redirect privatized variables into it.
@@ -393,7 +395,7 @@ impl<'a> Machine<'a> {
             loops: Vec::new(),
             calls: Vec::new(),
             ops: 0,
-            max_ops: self.max_ops,
+            max_ops: self.max_ops.saturating_sub(self.ops),
             output: Vec::new(),
             input: VecDeque::new(),
         }
@@ -1351,6 +1353,29 @@ mod tests {
         let mut resumed = Machine::resume(&p, &at, &mut hooks);
         let e = resumed.run().unwrap_err();
         assert_eq!(e.message, "op budget of 10000 exhausted");
+    }
+
+    #[test]
+    fn a_forked_worker_spends_only_what_is_left_of_the_budget() {
+        let p = parse_program(
+            "program t\nproc main() {\n int i, s\n s = 0\n do i = 1, 2000000000 {\n s = s + i\n }\n}",
+        )
+        .unwrap();
+        let mut hooks = NoHooks;
+        let mut parent = Machine::new(&p, &mut hooks).unwrap();
+        parent.set_max_ops(10_000);
+        assert!(parent.run_to_head(|_| true).unwrap().is_some());
+        let left = 10_000 - parent.ops();
+        assert!(left < 10_000, "the parent spent ops before the head");
+        let mut worker_hooks = NoHooks;
+        let mut worker = parent.fork_view(&HashMap::new(), Vec::new(), &mut worker_hooks);
+        let e = worker.run().unwrap_err();
+        assert_eq!(e.message, format!("op budget of {left} exhausted"));
+        assert!(
+            worker.ops() > left && worker.ops() <= left + 8,
+            "{}",
+            worker.ops()
+        );
     }
 
     #[test]

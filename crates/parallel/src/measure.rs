@@ -4,6 +4,7 @@ use crate::executor::{ParallelExecutor, RunStats, RuntimeConfig};
 use crate::plan::ParallelPlans;
 use std::time::{Duration, Instant};
 use suif_dynamic::machine::{Machine, NoHooks, RuntimeError};
+use suif_dynamic::MAX_EXECUTE_OPS;
 use suif_ir::Program;
 
 /// One measured run.
@@ -21,13 +22,14 @@ pub struct Measurement {
     pub ops: u64,
 }
 
-/// Run the program sequentially.
+/// Run the program sequentially, within [`MAX_EXECUTE_OPS`].
 pub fn measure_sequential(program: &Program, input: Vec<f64>) -> Result<Measurement, RuntimeError> {
     let mut hooks = NoHooks;
     let mut m = Machine::new(program, &mut hooks).map_err(|e| RuntimeError {
         message: e.to_string(),
         line: 0,
     })?;
+    m.set_max_ops(MAX_EXECUTE_OPS);
     m.set_input(input);
     let start = Instant::now();
     m.run()?;
@@ -38,7 +40,8 @@ pub fn measure_sequential(program: &Program, input: Vec<f64>) -> Result<Measurem
     })
 }
 
-/// Run the program with the parallel runtime.
+/// Run the program with the parallel runtime, within [`MAX_EXECUTE_OPS`]
+/// (each worker within what its loop's start left of it).
 pub fn measure_parallel(
     program: &Program,
     plans: &ParallelPlans,
@@ -51,6 +54,7 @@ pub fn measure_parallel(
         message: e.to_string(),
         line: 0,
     })?;
+    m.set_max_ops(MAX_EXECUTE_OPS);
     m.set_input(input);
     m.set_handler(&mut executor);
     let start = Instant::now();

@@ -152,13 +152,14 @@ impl Session {
         if let Some(p) = &cfg.persist {
             // The explorer always analyzes under the default configuration
             // and runs on no input (see `build_explorer`), so the expected
-            // hashes are computed for that; a snapshot persisted under any
-            // other configuration or input simply misses and is evicted as
-            // stale.
+            // hashes are computed for that, bottom-up over the image's
+            // recorded value hashes; a snapshot persisted under any other
+            // configuration or input simply misses and is evicted as stale.
             let t0 = Instant::now();
-            let expected =
-                Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default(), &[]);
-            report.warmed = p.warm_store(&store, &expected);
+            report.warmed = p.warm_store(&store, |recorded| {
+                let config = ParallelizeConfig::default();
+                Parallelizer::expected_fact_hashes(&program, &config, &[], recorded)
+            });
             report.load_secs = t0.elapsed().as_secs_f64();
         }
         let (explorer, stats) = build_explorer(pref, store.clone())?;
@@ -240,8 +241,8 @@ impl Session {
 
     /// Replace the program with edited source.  The fact store carries
     /// over, so only the dirty cone (edited procedures, id-shifted ones, and
-    /// their transitive callers) is re-summarized and only hash-mismatched
-    /// facts are recomputed.
+    /// callers of a procedure whose summary changed value) is re-summarized
+    /// and only hash-mismatched facts are recomputed.
     pub fn reload(&mut self, source: &str) -> Result<(), String> {
         let program = Arc::new(suif_ir::parse_program(source).map_err(|e| e.to_string())?);
         // SAFETY: as in `open_cfg`.
@@ -999,7 +1000,8 @@ proc main() {
     /// `assert` only read them — the asserted loop's replay too, since no
     /// assertion moves a table's key — so a `slice` after the assertion
     /// computes nothing; and a one-procedure `reload` recomputes exactly
-    /// the tables of the loops whose procedure key moved.
+    /// the tables of the loops whose procedure's content key or summary
+    /// value moved.
     #[test]
     fn deps_tables_are_computed_once_per_region() {
         let mut s =

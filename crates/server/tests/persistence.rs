@@ -186,9 +186,10 @@ fn stale_snapshot_entries_are_evicted_not_served() {
 }
 
 /// Summaries persist procedure by procedure: after a restart, a `reload`
-/// with a one-procedure edit re-summarizes the edited procedure and its
-/// caller only — the untouched leaf comes out of `facts.snap` — and the
-/// session answers what a fresh analysis of the edited text answers.
+/// with a one-procedure data edit re-summarizes the edited procedure only
+/// — its summary comes out equal, so its caller (keyed by that value), the
+/// untouched leaf and liveness come out of `facts.snap` — and the session
+/// answers what a fresh analysis of the edited text answers.
 #[test]
 fn reload_after_restart_resummarizes_only_the_dirty_cone() {
     let dir = scratch("restart_reload");
@@ -203,8 +204,17 @@ fn reload_after_restart_resummarizes_only_the_dirty_cone() {
     let st = s.stats_json();
     let count = |k| st.get(k).and_then(Json::as_i64).unwrap();
     assert_eq!(count("procs"), 3, "{st}");
-    assert_eq!(count("summarized"), 2, "rec and its caller: {st}");
-    assert_eq!(count("cache_hits"), 1, "inc, from the snapshot: {st}");
+    assert_eq!(count("summarized"), 1, "rec alone: {st}");
+    assert_eq!(
+        count("cache_hits"),
+        2,
+        "inc and main, from the snapshot: {st}"
+    );
+    let liveness = st.get("passes").and_then(|p| p.get("liveness"));
+    let ran = liveness
+        .and_then(|l| l.get("invocations"))
+        .and_then(Json::as_i64);
+    assert_eq!(ran, Some(0), "liveness, from the snapshot: {st}");
 
     let fresh_dir = scratch("restart_reload_fresh");
     let mut fresh = open_src(&edited, &fresh_dir);
@@ -281,17 +291,18 @@ fn version_bumped_snapshot_cold_starts_cleanly() {
     corruption_case("version", |b| b[8] = b[8].wrapping_add(1));
 }
 
-/// A snapshot from the previous format (version 5: summaries as one
-/// program-scope data flow) is discarded for a clean cold start, never misread, and the directory is
-/// rewritten in this build's format.
+/// A snapshot from the previous format (version 6: no value hashes, and
+/// input hashes that fold callee keys) is discarded for a clean cold
+/// start, never misread, and the directory is rewritten in this build's
+/// format.
 #[test]
 fn old_version_snapshot_cold_starts_cleanly() {
     corruption_case("old-version", |b| {
-        b[8..12].copy_from_slice(&5u32.to_le_bytes());
+        b[8..12].copy_from_slice(&6u32.to_le_bytes());
     });
 }
 
-/// A log from the previous format (version 3) over a valid base does not
+/// A log from the previous format (version 4) over a valid base does not
 /// replay: the base alone warms the open, what only the log held is
 /// recomputed to the same answer, and the open folds the pair afresh.
 #[test]
@@ -310,7 +321,7 @@ fn old_version_log_is_ignored_and_folded_away() {
     let log_path = dir.join(SNAPSHOT_LOG_FILE);
     let mut log = std::fs::read(&log_path).unwrap();
     assert!(log.len() > suif_analysis::snapshot::LOG_HEADER_LEN);
-    log[8..12].copy_from_slice(&3u32.to_le_bytes());
+    log[8..12].copy_from_slice(&4u32.to_le_bytes());
     std::fs::write(&log_path, &log).unwrap();
 
     let mut s = open(&dir);

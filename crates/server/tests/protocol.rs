@@ -271,9 +271,10 @@ fn mask_wall_clock(reply: &str) -> String {
 }
 
 /// A reload whose edit no branch, bound, subscript or divisor reads reuses
-/// the run: nothing is interpreted, and what the session answers equals
-/// what a fresh daemon answers on the edited text.  An edit to a bound
-/// interprets again.
+/// the run: nothing is interpreted, the static passes stop at the edited
+/// procedure, and what the session answers equals what a fresh daemon
+/// answers on the edited text.  An edit to a bound interprets again and
+/// reruns liveness.
 #[test]
 fn a_data_edit_reload_reuses_the_run() {
     let demo = include_str!("../../../docs/samples/demo.mf");
@@ -305,16 +306,39 @@ fn a_data_edit_reload_reuses_the_run() {
         .collect()
     };
 
+    // `passes.<pass>.invocations` of an open; a pass with no traffic is
+    // left out of `passes`, and ran zero times.
+    let ran = |r: &Json, pass: &str| {
+        let p = r.get("passes").and_then(|p| p.get(pass));
+        p.and_then(|p| p.get("invocations"))
+            .and_then(Json::as_i64)
+            .unwrap_or(0)
+    };
+
     let mut c = Client::spawn();
     assert_eq!(run(&c.request(&open("load", demo))), (1, false));
-    assert_eq!(run(&c.request(&open("reload", &data_edit))), (0, true));
+    let data = c.request(&open("reload", &data_edit));
+    assert_eq!(run(&data), (0, true));
+    // Early cutoff: `smooth`'s summary comes out equal, so the reload
+    // re-summarizes `smooth` alone, keeps liveness, and recomputes the
+    // tables and verdicts of `smooth`'s two loops only.
+    assert_eq!(ran(&data, "summarize"), 1, "{data}");
+    assert_eq!(ran(&data, "liveness"), 0, "{data}");
+    assert_eq!(ran(&data, "deps"), 2, "{data}");
+    assert_eq!(ran(&data, "classify"), 2, "{data}");
     let reused = answers(&mut c);
 
     let mut fresh = Client::spawn();
     assert_eq!(run(&fresh.request(&open("load", &data_edit))), (1, false));
     assert_eq!(reused, answers(&mut fresh));
 
-    assert_eq!(run(&c.request(&open("reload", &bound_edit))), (1, false));
+    let bound = c.request(&open("reload", &bound_edit));
+    assert_eq!(run(&bound), (1, false));
+    assert_eq!(
+        ran(&bound, "liveness"),
+        1,
+        "a bound edit changes a section: {bound}"
+    );
 }
 
 #[test]

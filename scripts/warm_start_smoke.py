@@ -25,9 +25,13 @@ Then the run's key, across processes:
 
 The data edit is read by no branch, bound, subscript or divisor, so the
 warm-start validator keeps the persisted run and the `load` interprets
-nothing (`passes.execute.invocations == 0`, `execution.reused`); its `guru`
-and `slice` equal a fresh daemon's on the edited text, the wall-clock
-estimate masked.  The bound edit interprets again.  The two edits are
+nothing (`passes.execute.invocations == 0`, `execution.reused`).  It
+changes no section either, so the edited procedure's summary comes out
+equal and the persisted `Liveness` fact, keyed by the summaries' values,
+is imported rather than recomputed (`passes.liveness`: 0 invocations, 1
+served from the persisted image).  Its `guru` and `slice` equal a fresh
+daemon's on the edited text, the wall-clock estimate masked.  The bound
+edit interprets again.  The two edits are
 fixed replacements of text in docs/samples/demo.mf (`DATA_EDIT`,
 `BOUND_EDIT`); run 3 is skipped, and says so, for a program that does not
 contain each exactly once.
@@ -155,6 +159,10 @@ def drive_edits(binary, persist_dir, data_edited, bound_edited):
     assert execute_of(opened) == (0, True), (
         f"a data-only edit interpreted again across the restart: {execute_of(opened)}"
     )
+    liveness = opened["passes"].get("liveness", {})
+    assert (liveness.get("invocations", 0), liveness.get("shared", 0)) == (0, 1), (
+        f"a data-only edit must import the persisted liveness fact: {liveness}"
+    )
     replies = [without_wall_clock(r) for r in daemon.guru_and_slice(data_edited)]
     reloaded = daemon.request({"cmd": "reload", "text": bound_edited})
     assert execute_of(reloaded) == (1, False), (
@@ -233,7 +241,7 @@ def main():
         f"0 summarize/liveness/classify/deps/execute invocations, "
         f"identical guru and slice output, every command in stats.service.latency; "
         + (
-            "a data-only edit reused the persisted run, a bound edit ran again"
+            "a data-only edit reused the persisted run and liveness, a bound edit ran again"
             if edited is not None
             else "run 3 skipped: the program lacks the demo.mf edits"
         )

@@ -178,6 +178,7 @@ fn encoded(f: &ExportedFact, value: Arc<dyn FactValue>) -> Vec<u8> {
     Snapshot::new(vec![ExportedFact {
         key: f.key,
         hash: f.hash,
+        value_hash: f.value_hash,
         deps: f.deps.clone(),
         bytes: f.bytes,
         value,

@@ -1,7 +1,7 @@
 //! Ledger honesty: the shared tier's byte budget must be about the heap
 //! its facts really hold.
 //!
-//! The tier charges each fact `snapshot::approx_value_bytes` — a figure
+//! The tier charges each fact `snapshot::value_footprint`'s bytes — a figure
 //! derived from the value's wire length — and evicts against that.  A
 //! budget that charges a third of what a fact holds bounds nothing, so this
 //! test counts every allocation of its own process and requires the ledger

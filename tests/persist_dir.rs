@@ -10,12 +10,14 @@
 //!
 //! A second test pins what the two files hold: facts and nothing else.
 
-use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Barrier};
 use suif_analysis::persist::DirStats;
 use suif_analysis::snapshot::merge_image;
-use suif_analysis::{FactKey, ParallelizeConfig, Parallelizer, PassId, Snapshot};
+use suif_analysis::{
+    recorded_values, FactKey, ParallelizeConfig, Parallelizer, PassId, RecordedValues, Scope,
+    Snapshot,
+};
 use suif_benchmarks::{ch4_apps, Scale};
 use suif_server::json::Json;
 use suif_server::{Daemon, ServiceOptions, ServiceState, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
@@ -80,29 +82,36 @@ fn status(load: &Json) -> &str {
     snap.get("status").and_then(Json::as_str).unwrap()
 }
 
-/// The `(key, hash)` pairs durable in the directory's two files.
-fn pairs_on_disk(dir: &Path) -> HashSet<(FactKey, u128)> {
+/// The `(key, hash)` pairs durable in the directory's two files, with
+/// their recorded value hashes.
+fn pairs_on_disk(dir: &Path) -> RecordedValues {
     let base = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
     let log = std::fs::read(dir.join(SNAPSHOT_LOG_FILE)).unwrap();
     let image = merge_image(&base, Some(&log)).unwrap();
     assert!(!image.log_damaged, "healthy log");
-    image.facts.iter().map(|f| (f.key, f.hash)).collect()
+    recorded_values(&image.facts)
 }
 
 /// What an open of tenant `i` computes: its summary, liveness and per-loop
 /// classification facts and its instrumented run, under the hashes they
-/// must carry.
-fn opened_pairs(i: usize) -> Vec<(FactKey, u128)> {
+/// must carry given the value hashes `recorded` beside the facts they read.
+fn opened_pairs(i: usize, recorded: &RecordedValues) -> Vec<(FactKey, u128)> {
     let program = suif_ir::parse_program(&sibling(i)).unwrap();
-    Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default(), &[])
-        .into_iter()
-        .filter(|(k, _)| {
-            matches!(
-                k.pass,
-                PassId::Summarize | PassId::Liveness | PassId::Classify | PassId::Execute
-            )
-        })
-        .collect()
+    let pairs: Vec<(FactKey, u128)> =
+        Parallelizer::expected_fact_hashes(&program, &ParallelizeConfig::default(), &[], recorded)
+            .into_iter()
+            .filter(|(k, _)| {
+                matches!(
+                    k.pass,
+                    PassId::Summarize | PassId::Liveness | PassId::Classify | PassId::Execute
+                )
+            })
+            .collect();
+    // Every fact of the open is expected: none was left out because a
+    // fact it reads was missing.
+    let loops = suif_ir::RegionTree::build(&program).loops.len();
+    assert_eq!(pairs.len(), program.procedures.len() + 1 + loops + 1);
+    pairs
 }
 
 fn file_names(dir: &Path) -> Vec<String> {
@@ -149,8 +158,11 @@ fn six_sessions_share_one_owner_of_the_directory() {
     );
     let durable = pairs_on_disk(&dir);
     for i in 0..TENANTS {
-        for pair in opened_pairs(i) {
-            assert!(durable.contains(&pair), "tenant {i}: {pair:?} not durable");
+        for pair in opened_pairs(i, &durable) {
+            assert!(
+                durable.contains_key(&pair),
+                "tenant {i}: {pair:?} not durable"
+            );
         }
     }
 
@@ -174,11 +186,22 @@ fn six_sessions_share_one_owner_of_the_directory() {
             );
         }
     }
-    assert!(
-        durable.len() > opened_pairs(0).len() * (TENANTS - 1),
-        "siblings' facts coexist under shared keys ({} pairs)",
-        durable.len()
-    );
+    // Siblings' facts coexist under shared keys: the edited procedure's
+    // summary is durable once per tenant, while `main`'s, keyed by that
+    // summary's value (equal across the siblings), is durable once.
+    let program = suif_ir::parse_program(&sibling(0)).unwrap();
+    let summaries = |name: &str| {
+        let pid = program
+            .procedures
+            .iter()
+            .find(|p| p.name == name)
+            .unwrap()
+            .id;
+        let key = FactKey::new(PassId::Summarize, Scope::Proc(pid));
+        durable.keys().filter(|(k, _)| *k == key).count()
+    };
+    assert_eq!(summaries("smooth"), TENANTS, "{} pairs", durable.len());
+    assert_eq!(summaries("main"), 1, "{} pairs", durable.len());
     assert_eq!(log_len(&dir), log_before, "idle checkpoints grew the log");
     assert_eq!(
         std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(),

@@ -3,14 +3,17 @@
 //! [`Snapshot`], and importing the decoded bytes into a fresh store must
 //! (a) re-encode bit-identically, (b) validate every entry against the
 //! freshly computed expected input hashes — all seven passes, (c) re-serve the analysis with
-//! **zero** invocations of any persisted pass, and (d) after invalidating
-//! `N` loop classifications, recompute **exactly `N`** of them.
+//! **zero** invocations of any persisted pass, (d) after invalidating
+//! `N` loop classifications, recompute **exactly `N`** of them, and (e)
+//! after a one-leaf edit, validate (bottom-up, over the recorded value
+//! hashes) only facts equal to a fresh analysis's of the edited program,
+//! every untouched leaf's summary and tables among them.
 
 use proptest::prelude::*;
 use std::collections::{BTreeMap, BTreeSet};
 use suif_analysis::{
-    FactKey, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis, ScheduleOptions,
-    Scope, Snapshot,
+    recorded_values, FactKey, FactStore, ParallelizeConfig, Parallelizer, PassId, ProgramAnalysis,
+    ScheduleOptions, Scope, Snapshot,
 };
 
 /// A generated program: `n` leaf procedures (elementwise when the constant
@@ -109,9 +112,45 @@ proptest! {
 
         // Warm-start validation: the program did not change, so every
         // decoded entry matches its freshly computed expected input hash.
-        let expected = Parallelizer::expected_fact_hashes(&program, &config, &[]);
+        let recorded = recorded_values(&decoded.facts);
+        let expected = Parallelizer::expected_fact_hashes(&program, &config, &[], &recorded);
         for f in &decoded.facts {
             prop_assert_eq!(expected.get(&f.key).copied(), Some(f.hash));
+        }
+
+        // A warm start after an edit of one leaf's constant: every fact the
+        // validator keeps is the one a fresh analysis of the edited program
+        // computes (same input and value hash), and every other leaf's
+        // summary and loop tables are kept.
+        let edited_leaf = kill[0] % consts.len();
+        let mut edited = consts.clone();
+        edited[edited_leaf] += 1 + (kill[0] % 2) as i64;
+        let next = suif_ir::parse_program(&gen_src(&edited)).unwrap();
+        let expected = Parallelizer::expected_fact_hashes(&next, &config, &[], &recorded);
+        let fresh = FactStore::new();
+        let (fresh_pa, _) = Parallelizer::analyze_in(&next, config.clone(), &opts, None, &fresh);
+        demand_advisories(&fresh_pa, &fresh);
+        let fresh_facts: BTreeMap<FactKey, (u128, u128)> = fresh
+            .export()
+            .into_iter()
+            .map(|f| (f.key, (f.hash, f.value_hash)))
+            .collect();
+        let mut kept = BTreeSet::new();
+        for f in decoded.facts.iter().filter(|f| expected.get(&f.key) == Some(&f.hash)) {
+            prop_assert_eq!(fresh_facts.get(&f.key), Some(&(f.hash, f.value_hash)), "{:?}", f.key);
+            kept.insert(f.key);
+        }
+        for (k, p) in next.procedures.iter().enumerate() {
+            if p.name == "main" || k == edited_leaf {
+                continue;
+            }
+            prop_assert!(kept.contains(&FactKey::new(PassId::Summarize, Scope::Proc(p.id))));
+        }
+        for li in fresh_pa.ctx.tree.loops.iter().filter(|li| li.name != format!("f{edited_leaf}/1")) {
+            let proc_name = &next.proc(li.proc).name;
+            if proc_name != "main" {
+                prop_assert!(kept.contains(&FactKey::new(PassId::Deps, Scope::Loop(li.stmt))));
+            }
         }
 
         // Import into a fresh store and re-demand everything: the verdicts

@@ -9,11 +9,16 @@
 //!   from its encoding and re-encodes to the same bytes; every pass's
 //!   output type is covered.
 //! * **Mutated values.**  One fact's value bytes are mutated (bit flips,
-//!   truncation, a length field set to `u32::MAX`, inserted bytes), then
-//!   framed between two intact neighbours and re-checksummed, so the value
-//!   decoders — not the checksum — see the damage.  `Snapshot::decode`
-//!   answers the file; the mutated entry is decoded or counted
-//!   `undecodable`, and both neighbours survive.
+//!   truncation, a length field set to `u32::MAX`, inserted bytes), and in
+//!   one case in four its recorded value hash too, then framed between two
+//!   intact neighbours and re-checksummed, so the value decoders — not the
+//!   checksum — see the damage.  `Snapshot::decode` answers the file; the
+//!   mutated entry is decoded or counted `undecodable`, and both neighbours
+//!   survive.
+//! * **A wrong value hash.**  A persisted summary whose recorded value
+//!   hash is damaged validates (its own input hash is intact), but every
+//!   fact keyed by that value misses: the warm start recomputes them and
+//!   lands on a fresh analysis's facts.
 //! * **Mutated files.**  A real persist directory's base and log are
 //!   mutated whole and read through `PersistDir`: the image loads or is
 //!   discarded with a warning, and the directory takes a checkpoint after
@@ -22,7 +27,8 @@
 //! A failing case is saved under `tests/regressions/snapshot/` — a value
 //! case as `<hash>.snap`, a file case as a `<hash>/` persist directory —
 //! and every saved case is replayed before novel cases are generated.  The
-//! seed and the case counts are fixed.
+//! seed is fixed; `SUIF_SNAPSHOT_CASES` (default 1500) sets the number of
+//! mutated-value cases, and the mutated-file cases are 2 in 25 of it.
 
 use proptest::test_runner::TestRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -30,8 +36,8 @@ use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 use suif_analysis::snapshot::{to_bytes, SNAPSHOT_MAGIC};
 use suif_analysis::{
-    contract, decomp, split, ExportedFact, FactStore, ParallelizeConfig, Parallelizer, PassId,
-    PersistDir, ScheduleOptions, SharedFactTier, Snapshot, SNAPSHOT_VERSION,
+    contract, decomp, split, ExportedFact, FactKey, FactStore, ParallelizeConfig, Parallelizer,
+    PassId, PersistDir, ScheduleOptions, Scope, SharedFactTier, Snapshot, SNAPSHOT_VERSION,
 };
 use suif_benchmarks::{ch4_apps, Scale};
 use suif_explorer::Explorer;
@@ -39,8 +45,14 @@ use suif_server::{SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
 
 const SEED: u64 = 0x5eed_5a4b_0001;
 const GENERATED: u64 = 200;
-const VALUE_CASES: usize = 1500;
-const FILE_CASES: usize = 120;
+
+/// Mutated-value cases: `SUIF_SNAPSHOT_CASES`, default 1500.
+fn value_cases() -> usize {
+    match std::env::var("SUIF_SNAPSHOT_CASES") {
+        Ok(v) => v.parse().expect("SUIF_SNAPSHOT_CASES must be a number"),
+        Err(_) => 1500,
+    }
+}
 
 fn regression_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/regressions/snapshot")
@@ -78,6 +90,17 @@ fn frame_file(payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&payload_checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Where the recorded value hash sits in `f`'s framing ([`entry`]): the
+/// first byte that moves when only the value hash does.
+fn value_hash_at(f: &ExportedFact) -> usize {
+    let other = ExportedFact {
+        value_hash: !f.value_hash,
+        ..f.clone()
+    };
+    let (head, moved) = (entry(f).0, entry(&other).0);
+    (0..head.len()).find(|&i| head[i] != moved[i]).unwrap()
 }
 
 /// One fact's payload entry (everything after the payload's fact count),
@@ -285,11 +308,18 @@ fn mutated_values_degrade_one_entry_at_a_time() {
     }
     let entries: Vec<(Vec<u8>, Vec<u8>)> = corpus().iter().map(entry).collect();
     let mut rng = TestRng::from_seed(SEED);
-    for case in 0..VALUE_CASES {
-        let (head, value) = pick(&mut rng, &entries);
+    for case in 0..value_cases() {
+        let victim_at = rng.below(entries.len() as u64) as usize;
+        let (head, value) = &entries[victim_at];
         let left = pick(&mut rng, &entries);
         let right = pick(&mut rng, &entries);
-        let victim = (head.clone(), mutate(&mut rng, value));
+        let mut victim = (head.clone(), mutate(&mut rng, value));
+        if rng.below(4) == 0 {
+            let at = value_hash_at(&corpus()[victim_at]);
+            for b in &mut victim.0[at..at + 16] {
+                *b ^= rng.below(256) as u8;
+            }
+        }
         let mut payload = 3u32.to_le_bytes().to_vec();
         for (h, v) in [left, &victim, right] {
             payload.extend_from_slice(h);
@@ -343,7 +373,7 @@ fn mutated_files_load_or_cold_start_through_persist_dir() {
     let log = std::fs::read(origin.join(SNAPSHOT_LOG_FILE)).unwrap();
 
     let mut rng = TestRng::from_seed(SEED ^ 0xf11e);
-    for case in 0..FILE_CASES {
+    for case in 0..value_cases() * 2 / 25 {
         let (mut b, mut l) = (base.clone(), log.clone());
         match rng.below(3) {
             0 => b = mutate(&mut rng, &b),
@@ -360,4 +390,70 @@ fn mutated_files_load_or_cold_start_through_persist_dir() {
         std::fs::remove_dir_all(&here).ok();
     }
     std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn a_damaged_value_hash_costs_a_miss_never_a_wrong_fact() {
+    let source = &ch4_apps(Scale::Test)[0].source;
+    let program = suif_ir::parse_program(source).expect("parses");
+    let analyze = |store: &FactStore| {
+        let config = ParallelizeConfig::default();
+        let opts = ScheduleOptions::default();
+        Parallelizer::analyze_in(&program, config, &opts, None, store).0
+    };
+    let cold = FactStore::new();
+    let pa = analyze(&cold);
+    // The first procedure summarized is a leaf with callers above it.
+    let leaf = pa.ctx.cg.bottom_up()[0];
+    let damaged = FactKey::new(PassId::Summarize, Scope::Proc(leaf));
+    let facts: Vec<ExportedFact> = (cold.export().into_iter())
+        .map(|f| match f.key == damaged {
+            true => ExportedFact {
+                value_hash: f.value_hash ^ 1,
+                ..f
+            },
+            false => f,
+        })
+        .collect();
+    let dir = std::env::temp_dir().join(format!("suif_snapshot_vh_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    PersistDir::new(&dir).checkpoint(|| facts, true).unwrap();
+
+    let warm = FactStore::new();
+    let warmed = PersistDir::new(&dir).warm_store(&warm, |recorded| {
+        let config = ParallelizeConfig::default();
+        Parallelizer::expected_fact_hashes(&program, &config, &[], recorded)
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(warmed.status, "loaded");
+    assert!(
+        warmed.evicted_stale > 0,
+        "the facts keyed by the value missed"
+    );
+    let before = warm.metrics_for(PassId::Summarize).invocations;
+    let warm_pa = analyze(&warm);
+    assert!(warm.metrics_for(PassId::Summarize).invocations > before);
+    let fresh = FactStore::new();
+    analyze(&fresh);
+    let values = |store: &FactStore| -> std::collections::BTreeMap<FactKey, Vec<u8>> {
+        let facts = store.export().into_iter();
+        facts.map(|f| (f.key, to_bytes(&*f.value))).collect()
+    };
+    assert_eq!(
+        values(&warm),
+        values(&fresh),
+        "every fact equals a fresh one"
+    );
+    let verdicts = |pa: &suif_analysis::ProgramAnalysis<'_>| {
+        format!("{:?}", {
+            let mut v: Vec<_> = pa
+                .verdicts
+                .iter()
+                .map(|(s, v)| (*s, format!("{v:?}")))
+                .collect();
+            v.sort();
+            v
+        })
+    };
+    assert_eq!(verdicts(&warm_pa), verdicts(&pa));
 }

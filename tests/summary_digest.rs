@@ -32,8 +32,11 @@ use suif_ir::Program;
 /// The digest the walk has produced since it was first pinned.
 const DIGEST: u64 = 0x0a4a_8046_20ff_a9e1;
 
-/// The digest of every program's encoded snapshot.
-const SNAPSHOT_DIGEST: u64 = 0xc859_499a_c0fb_b566;
+/// The digest of every program's encoded snapshot: snapshot v7, whose
+/// entries record value hashes and whose input hashes above the
+/// per-procedure summaries fold the values they read (and, per call site,
+/// the callee's interface key, `modified_params` included).
+const SNAPSHOT_DIGEST: u64 = 0xb5d0_8789_a07d_1ceb;
 
 const GENERATED: u64 = 300;
 const MUTANTS: usize = 200;
