@@ -15,6 +15,7 @@
 //! whole-object section, which is the paper's own fallback for non-affine
 //! subscripts (§5.2.1).
 
+use crate::snapshot::IdBounds;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use suif_ir::parser::MAX_PROCS;
@@ -123,6 +124,20 @@ impl<'p> AnalysisCtx<'p> {
     /// The interned id of a variable's storage object.
     pub fn array_of(&self, v: VarId) -> ArrayId {
         self.key_to_id[&self.key_of(v)]
+    }
+
+    /// How many of each id the program has: the bounds a persisted value
+    /// read for it decodes within.
+    pub(crate) fn id_bounds(&self) -> IdBounds {
+        let count = |n: usize| n as u32;
+        IdBounds {
+            procs: count(self.program.procedures.len()),
+            stmts: self.program.stmt_count,
+            vars: count(self.program.vars.len()),
+            commons: count(self.program.commons.len()),
+            regions: count(self.tree.regions.len()),
+            arrays: count(self.id_to_key.len()),
+        }
     }
 
     /// Reverse lookup.

@@ -32,11 +32,11 @@ pub fn find_candidates(pa: &ProgramAnalysis<'_>) -> Vec<ContractionCandidate> {
     let ctx = &pa.ctx;
     let program = ctx.program;
     let mut out = Vec::new();
-    let Some(live) = pa.liveness.as_ref() else {
+    let Some(live) = pa.liveness() else {
         return out; // contraction needs liveness (§5.1.3)
     };
     for li in &ctx.tree.loops {
-        let Some(closed) = pa.df.stmt_summary.get(&li.stmt) else {
+        let Some(closed) = pa.df().stmt_summary.get(&li.stmt) else {
             continue;
         };
         for v in program.proc(li.proc).all_vars() {

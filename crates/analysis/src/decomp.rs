@@ -123,7 +123,7 @@ pub fn partitionings(pa: &ProgramAnalysis<'_>) -> Vec<Partitioning> {
         {
             continue;
         }
-        let Some(iter) = pa.df.loop_iter.get(&li.stmt) else {
+        let Some(iter) = pa.df().loop_iter.get(&li.stmt) else {
             continue;
         };
         for (id, s) in iter.sum.acc.iter() {

@@ -9,7 +9,7 @@
 
 use crate::cache::{Fnv128, ProgramKeys};
 use crate::context::AnalysisCtx;
-use crate::parallelize::ProgramAnalysis;
+use crate::parallelize::{FlowHandles, ProgramAnalysis};
 use crate::pipeline::{FactKey, FactStore, Pass, PassId, Scope};
 use crate::summarize::{ArrayDataFlow, LoopIterSummary};
 use std::sync::Arc;
@@ -302,7 +302,8 @@ pub(crate) fn deps_hash(li: &LoopInfo, keys: &ProgramKeys, summary: u128) -> u12
 /// (which reads its verdicts) and by `slice` (which shows them).
 pub(crate) struct DepsPass<'a, 'p> {
     pub(crate) ctx: &'a AnalysisCtx<'p>,
-    pub(crate) df: &'a ArrayDataFlow,
+    /// Where the data flow is read, if the table runs.
+    pub(crate) flows: &'a FlowHandles,
     pub(crate) keys: &'a ProgramKeys,
     pub(crate) li: &'a LoopInfo,
     /// The value hash of the loop's procedure's summary.
@@ -321,12 +322,10 @@ impl Pass for DepsPass<'_, '_> {
         vec![crate::parallelize::summary_key(self.li.proc)]
     }
     fn run(&self) -> CarriedDeps {
-        let dt = DepTest {
-            ctx: self.ctx,
-            df: self.df,
-        };
+        let df = self.flows.df(self.ctx);
+        let dt = DepTest { ctx: self.ctx, df };
         let loop_stmt = self.li.stmt;
-        let Some(iter) = self.df.loop_iter.get(&loop_stmt) else {
+        let Some(iter) = df.loop_iter.get(&loop_stmt) else {
             return CarriedDeps::new();
         };
         iter.sum
@@ -351,7 +350,7 @@ pub fn carried_deps_cached(
     };
     store.demand(&DepsPass {
         ctx: &pa.ctx,
-        df: &pa.df,
+        flows: &pa.flows,
         keys: &pa.keys,
         li,
         summary: pa.summaries[&li.proc],

@@ -71,10 +71,10 @@ pub use parallelize::{
 };
 pub use persist::PersistDir;
 pub use pipeline::{
-    recorded_values, ExecutorService, ExportedFact, FactKey, FactStore, Pass, PassId, PassMetrics,
-    RecordedValues, Scope, StoreByteStats,
+    recorded_values, DecodeStats, ExecutorService, ExportedFact, FactKey, FactStore, Pass, PassId,
+    PassMetrics, RecordedValues, Scope, StoreByteStats,
 };
 pub use reduction::RedOp;
-pub use snapshot::{FactValue, Snapshot, SnapshotError, SNAPSHOT_VERSION};
+pub use snapshot::{FactCell, FactValue, Snapshot, SnapshotError, SNAPSHOT_VERSION};
 pub use summarize::{ArrayDataFlow, LoopIterSummary, ProcFlow};
 pub use tier::{SharedFactTier, TierStats};

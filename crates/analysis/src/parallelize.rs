@@ -10,9 +10,10 @@ use crate::execution::{execute_hash_of, EXECUTE_KEY};
 use crate::liveness::{self, LivenessMode, LivenessResult};
 use crate::pipeline::{FactKey, FactStore, Pass, PassId, PassMetrics, RecordedValues, Scope};
 use crate::reduction::RedOp;
+use crate::snapshot::FactCell;
 use crate::summarize::{summarize_proc, ArrayDataFlow, ProcFlow};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 use suif_ir::{LoopInfo, ProcId, Program, Ref, Stmt, StmtId, VarId};
 use suif_poly::ArrayId;
@@ -142,10 +143,9 @@ impl Default for ParallelizeConfig {
 pub struct ProgramAnalysis<'p> {
     /// Shared context (region tree, call graph, array interner).
     pub ctx: AnalysisCtx<'p>,
-    /// Bottom-up data flow (a shared fact — reused across incremental runs).
-    pub df: Arc<ArrayDataFlow>,
-    /// Liveness result (if enabled; shared like `df`).
-    pub liveness: Option<Arc<LivenessResult>>,
+    /// The `Summarize` and `Liveness` facts, as handles: what
+    /// [`ProgramAnalysis::df`] and [`ProgramAnalysis::liveness`] build from.
+    pub(crate) flows: FlowHandles,
     /// Per-loop verdicts.
     pub verdicts: HashMap<StmtId, LoopVerdict>,
     /// The configuration used.
@@ -166,15 +166,30 @@ pub struct ProgramAnalysis<'p> {
 }
 
 impl<'p> ProgramAnalysis<'p> {
+    /// The bottom-up data flow: every procedure's summary merged, built on
+    /// first use (a warm analysis whose verdicts were all current never
+    /// reads a summary's value).
+    pub fn df(&self) -> &ArrayDataFlow {
+        self.flows.df(&self.ctx)
+    }
+
+    /// The liveness result (`None` with liveness off), read on first use.
+    pub fn liveness(&self) -> Option<&LivenessResult> {
+        self.flows.liveness(&self.ctx)
+    }
+
     /// Analyze the same program again under `config` through `store` (an
     /// assertion replay, a warm `analyze`), reusing this analysis's content
     /// keys: only the assertion marks and the epoch hash are re-derived.
+    /// The new analysis shares this one's data flow and liveness, built or
+    /// not, when it reads the same summaries and liveness fact.
     pub fn reanalyze(
         &self,
         config: ParallelizeConfig,
         store: &FactStore,
     ) -> (ProgramAnalysis<'p>, AnalyzeStats) {
-        Parallelizer::drive(self.ctx.program, config, store, Some(self.keys.clone()))
+        let prior = Some((self.keys.clone(), &self.flows));
+        Parallelizer::drive(self.ctx.program, config, store, prior)
     }
 
     /// Statement ids of all loops judged parallel.
@@ -410,12 +425,12 @@ impl Parallelizer {
 
     /// The one driver body: [`Parallelizer::analyze_in`] derives the
     /// program's content keys, [`ProgramAnalysis::reanalyze`] passes the
-    /// ones it already holds.
+    /// ones it already holds, and its fact handles.
     fn drive<'p>(
         program: &'p Program,
         config: ParallelizeConfig,
         store: &FactStore,
-        keys: Option<Arc<ProgramKeys>>,
+        prior: Option<(Arc<ProgramKeys>, &FlowHandles)>,
     ) -> (ProgramAnalysis<'p>, AnalyzeStats) {
         let t0 = Instant::now();
         let metrics_before = store.metrics();
@@ -423,39 +438,47 @@ impl Parallelizer {
         // (concurrent analyses on other threads bleed in — acceptable for
         // stats reporting, never used for decisions).
         let poly_before = suif_poly::poly_stats();
+        let (keys, prior) = prior.unzip();
         let inputs = FactInputs::new(program, &config, keys);
+        store.set_id_bounds(inputs.ctx.id_bounds());
 
         // Bottom-up summaries (§5.2), one procedure-scope fact each: the
         // store is the scheduler, and a summary that comes out equal stops
-        // a `reload` at its callers (early cutoff).
+        // a `reload` at its callers (early cutoff).  Above the leaves the
+        // driver needs a current summary's value hash, not its value, so a
+        // persisted one stays bytes until a run (or a reader of `df`)
+        // needs it.
+        let mut flows = FlowHandles::new(store.clone());
         let mut sums = Summaries::default();
-        let df = Arc::new(ArrayDataFlow::bottom_up(&inputs.ctx, |pid, callees| {
+        for &pid in inputs.ctx.cg.bottom_up() {
             let hash = inputs
                 .summarize_hash(pid, &sums.values)
                 .expect("callees come first");
-            let (flow, value) = store.demand_hashed(&SummarizePass {
-                inputs: &inputs,
+            let (cell, value) = store.demand_cell(&SummarizePass {
+                ctx: &inputs.ctx,
                 pid,
-                callees,
                 hash,
+                flows: &flows,
             });
             sums.record(pid, hash, value);
-            flow
-        }));
+            flows.summaries.insert(pid, (hash, cell));
+        }
 
         // Liveness (§5.2) as a program-scope fact over the summaries.
-        let liveness = config.liveness.map(|mode| {
-            store.demand_hashed(&LivenessPass {
-                inputs: &inputs,
-                df: &df,
-                hash: inputs
-                    .liveness_hash(mode, &sums.values)
-                    .expect("every summary is known"),
+        let liveness_value = config.liveness.map(|mode| {
+            let hash = (inputs.liveness_hash(mode, &sums.values)).expect("every summary is known");
+            let (cell, value) = store.demand_cell(&LivenessPass {
+                ctx: &inputs.ctx,
+                flows: &flows,
+                hash,
                 mode,
-            })
+            });
+            flows.liveness = Some((mode, hash, cell));
+            value
         });
-        let liveness_value = liveness.as_ref().map(|(_, v)| *v);
-        let liveness = liveness.map(|(l, _)| l);
+        if let Some(prior) = prior {
+            flows.adopt(prior);
+        }
 
         // Per-loop classification: one loop-scope fact each, keyed by the
         // region's content, the values of the facts it reads, and exactly
@@ -467,8 +490,7 @@ impl Parallelizer {
         for li in &inputs.ctx.tree.loops {
             let verdict = store.demand(&ClassifyPass {
                 inputs: &inputs,
-                df: &df,
-                liveness: liveness.as_deref(),
+                flows: &flows,
                 config: &config,
                 li,
                 hash: inputs.classify_hash(&config, li, &sums, liveness_value),
@@ -483,7 +505,7 @@ impl Parallelizer {
         stats.poly = suif_poly::poly_stats().since(&poly_before);
         let summaries = sums.values;
         (
-            inputs.into_analysis(df, liveness, verdicts, config, summaries),
+            inputs.into_analysis(flows, verdicts, config, summaries),
             stats,
         )
     }
@@ -673,16 +695,14 @@ impl<'p> FactInputs<'p> {
     /// from its `keys` and `summaries` ([`deps_hash`]).
     fn into_analysis(
         self,
-        df: Arc<ArrayDataFlow>,
-        liveness: Option<Arc<LivenessResult>>,
+        flows: FlowHandles,
         verdicts: HashMap<StmtId, LoopVerdict>,
         config: ParallelizeConfig,
         summaries: HashMap<ProcId, u128>,
     ) -> ProgramAnalysis<'p> {
         ProgramAnalysis {
             ctx: self.ctx,
-            df,
-            liveness,
+            flows,
             verdicts,
             config,
             warnings: self.warnings,
@@ -814,12 +834,92 @@ pub(crate) fn summary_keys(ctx: &AnalysisCtx<'_>) -> Vec<FactKey> {
         .collect()
 }
 
+/// The `Summarize` and `Liveness` facts of one analysis, as handles.  The
+/// merged data flow and the liveness result are built from them on first
+/// use, through the store: a handle still in bytes decodes there, and one
+/// whose bytes do not decode is recomputed there like any miss, so a late
+/// build equals the one an eager walk would have made.
+pub(crate) struct FlowHandles {
+    store: FactStore,
+    /// Per procedure, its summary fact's input hash and value.
+    summaries: HashMap<ProcId, (u128, FactCell)>,
+    /// The liveness fact's mode, input hash and value (`None` with
+    /// liveness off).
+    liveness: Option<(LivenessMode, u128, FactCell)>,
+    /// The data flow and the liveness result once built; shared with a
+    /// re-analysis that reads the same facts.
+    built_df: Arc<OnceLock<ArrayDataFlow>>,
+    built_liveness: Arc<OnceLock<Option<Arc<LivenessResult>>>>,
+}
+
+impl FlowHandles {
+    fn new(store: FactStore) -> FlowHandles {
+        FlowHandles {
+            store,
+            summaries: HashMap::new(),
+            liveness: None,
+            built_df: Arc::default(),
+            built_liveness: Arc::default(),
+        }
+    }
+
+    /// Share `prior`'s data flow (and liveness), built or not, if these
+    /// handles name the same facts: equal input hashes, equal values.
+    fn adopt(&mut self, prior: &FlowHandles) {
+        let hashes = |f: &FlowHandles| -> HashMap<ProcId, u128> {
+            f.summaries.iter().map(|(&p, (h, _))| (p, *h)).collect()
+        };
+        if hashes(self) != hashes(prior) {
+            return;
+        }
+        self.built_df = prior.built_df.clone();
+        let liveness = |f: &FlowHandles| f.liveness.as_ref().map(|(m, h, _)| (*m, *h));
+        if liveness(self) == liveness(prior) {
+            self.built_liveness = prior.built_liveness.clone();
+        }
+    }
+
+    /// One procedure's flow (its callees' handles are in place already).
+    fn flow(&self, ctx: &AnalysisCtx<'_>, pid: ProcId) -> Arc<ProcFlow> {
+        let (hash, cell) = &self.summaries[&pid];
+        (self.store.read(cell)).unwrap_or_else(|| {
+            self.store.demand(&SummarizePass {
+                ctx,
+                pid,
+                hash: *hash,
+                flows: self,
+            })
+        })
+    }
+
+    /// Every procedure's flow, merged leaves-first.
+    pub(crate) fn df(&self, ctx: &AnalysisCtx<'_>) -> &ArrayDataFlow {
+        (self.built_df).get_or_init(|| ArrayDataFlow::bottom_up(ctx, |pid, _| self.flow(ctx, pid)))
+    }
+
+    fn liveness(&self, ctx: &AnalysisCtx<'_>) -> Option<&LivenessResult> {
+        let live = self.built_liveness.get_or_init(|| {
+            let (mode, hash, cell) = self.liveness.as_ref()?;
+            Some((self.store.read(cell)).unwrap_or_else(|| {
+                self.store.demand(&LivenessPass {
+                    ctx,
+                    flows: self,
+                    hash: *hash,
+                    mode: *mode,
+                })
+            }))
+        });
+        live.as_deref()
+    }
+}
+
 struct SummarizePass<'a, 'p> {
-    inputs: &'a FactInputs<'p>,
+    ctx: &'a AnalysisCtx<'p>,
     pid: ProcId,
-    callees: &'a HashMap<ProcId, Arc<ProcFlow>>,
     /// [`FactInputs::summarize_hash`].
     hash: u128,
+    /// Where the callees' flows are read.
+    flows: &'a FlowHandles,
 }
 
 impl Pass for SummarizePass<'_, '_> {
@@ -832,20 +932,23 @@ impl Pass for SummarizePass<'_, '_> {
     }
     fn deps(&self) -> Vec<FactKey> {
         // `callees_of` lists one entry per call site.
-        let callees = self.inputs.ctx.cg.callees_of(self.pid);
+        let callees = self.ctx.cg.callees_of(self.pid);
         let mut d: Vec<FactKey> = callees.iter().copied().map(summary_key).collect();
         d.sort_unstable();
         d.dedup();
         d
     }
     fn run(&self) -> ProcFlow {
-        summarize_proc(&self.inputs.ctx, self.pid, self.callees)
+        let callees: HashMap<ProcId, Arc<ProcFlow>> = (self.ctx.cg.callees_of(self.pid).iter())
+            .map(|&callee| (callee, self.flows.flow(self.ctx, callee)))
+            .collect();
+        summarize_proc(self.ctx, self.pid, &callees)
     }
 }
 
 struct LivenessPass<'a, 'p> {
-    inputs: &'a FactInputs<'p>,
-    df: &'a ArrayDataFlow,
+    ctx: &'a AnalysisCtx<'p>,
+    flows: &'a FlowHandles,
     /// [`FactInputs::liveness_hash`].
     hash: u128,
     mode: LivenessMode,
@@ -860,17 +963,17 @@ impl Pass for LivenessPass<'_, '_> {
         self.hash
     }
     fn deps(&self) -> Vec<FactKey> {
-        summary_keys(&self.inputs.ctx)
+        summary_keys(self.ctx)
     }
     fn run(&self) -> LivenessResult {
-        liveness::run(&self.inputs.ctx, self.df, self.mode)
+        liveness::run(self.ctx, self.flows.df(self.ctx), self.mode)
     }
 }
 
 struct ClassifyPass<'a, 'p> {
     inputs: &'a FactInputs<'p>,
-    df: &'a ArrayDataFlow,
-    liveness: Option<&'a LivenessResult>,
+    /// Where the data flow and liveness are read, if the verdict runs.
+    flows: &'a FlowHandles,
     config: &'a ParallelizeConfig,
     li: &'a LoopInfo,
     /// [`FactInputs::classify_hash`].
@@ -894,27 +997,28 @@ impl Pass for ClassifyPass<'_, '_> {
             summary_key(self.li.proc),
             FactKey::new(PassId::Deps, Scope::Loop(self.li.stmt)),
         ];
-        if self.liveness.is_some() {
+        if self.flows.liveness.is_some() {
             d.push(FactKey::new(PassId::Liveness, Scope::Program));
         }
         d
     }
     fn run(&self) -> LoopVerdict {
         let ctx = &self.inputs.ctx;
+        let df = self.flows.df(ctx);
         let carried = self.store.demand(&DepsPass {
             ctx,
-            df: self.df,
+            flows: self.flows,
             keys: &self.inputs.keys,
             li: self.li,
             summary: self.summary,
         });
-        let dt = DepTest { ctx, df: self.df };
+        let dt = DepTest { ctx, df };
         classify_loop(
             ctx,
-            self.df,
+            df,
             &dt,
             &carried,
-            self.liveness,
+            &|| self.flows.liveness(ctx),
             self.config,
             self.li.stmt,
             self.li.has_io,
@@ -924,13 +1028,15 @@ impl Pass for ClassifyPass<'_, '_> {
     }
 }
 
+/// `liveness` is read only to decide whether a privatizable object needs
+/// finalization, so most verdicts never read it.
 #[allow(clippy::too_many_arguments)]
-fn classify_loop(
+fn classify_loop<'l>(
     ctx: &AnalysisCtx<'_>,
     df: &ArrayDataFlow,
     dt: &DepTest<'_, '_>,
     carried: &CarriedDeps,
-    liveness: Option<&LivenessResult>,
+    liveness: &dyn Fn() -> Option<&'l LivenessResult>,
     config: &ParallelizeConfig,
     loop_stmt: StmtId,
     has_io: bool,
@@ -982,7 +1088,7 @@ fn classify_loop(
             }
         }
         if dt.is_privatizable(loop_stmt, id) {
-            let dead_after = liveness
+            let dead_after = liveness()
                 .map(|lv| lv.is_dead_after(loop_stmt, id))
                 .unwrap_or(false);
             if dead_after {

@@ -11,6 +11,12 @@
 //! either file holds it: **one reader** (`read_once`, inside the first
 //! `load` over the directory, never at process start), **two writers**
 //! (`append`, `fold`), and **one decision** between them (`write`).
+//!
+//! The reader checksums and frames the image without decoding a value
+//! ([`crate::snapshot::FactCell`]): each fact it hands a store or a tier
+//! keeps a copy of its own bytes until a read decodes it, and the buffers
+//! the files were read into are freed when the read returns.  A fold or an
+//! append of facts still in bytes writes those bytes back unchanged.
 
 use crate::pipeline::{recorded_values, ExportedFact, FactKey, FactStore, RecordedValues};
 use crate::snapshot::{self, Snapshot, LOG_HEADER_LEN, SNAPSHOT_FILE, SNAPSHOT_LOG_FILE};
@@ -61,7 +67,7 @@ struct DirState {
 /// Lifetime I/O counters of one [`PersistDir`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DirStats {
-    /// Times the directory's files were read and decoded (at most 1).
+    /// Times the directory's files were read and framed (at most 1).
     pub reads: u64,
     /// Checkpoints that failed with an I/O error.
     pub write_errors: u64,
@@ -182,7 +188,7 @@ impl PersistDir {
         warmed
     }
 
-    /// The one reader of the two files: decode the base, replay the log
+    /// The one reader of the two files: frame the base, replay the log
     /// over it, and record what is durable.  Returns the outcome and the
     /// image's facts — the first time; every later call repeats the outcome
     /// with no facts and without touching the disk.  A corrupt or

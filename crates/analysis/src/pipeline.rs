@@ -23,8 +23,8 @@
 //!
 //! Every stored fact also carries a *value hash*: the hash of its canonical
 //! wire form ([`crate::snapshot::value_footprint`], computed from the same
-//! encoding that sizes the entry).  [`FactStore::demand_hashed`] hands it
-//! back with the value, and a pass above the per-procedure summaries folds
+//! encoding that sizes the entry).  [`FactStore::demand_cell`] hands it
+//! back with the fact, and a pass above the per-procedure summaries folds
 //! the value hashes of the facts it reads into its own input hash instead
 //! of their inputs' text.  A recomputed fact that comes out equal therefore
 //! leaves every reader's input hash where it was, and the readers are
@@ -42,13 +42,29 @@
 //! store must be `Sync`; nothing contends for it.  Threads meet only in the
 //! [`SharedFactTier`], which keeps its shards.
 //!
-//! Facts are stored as `Arc<dyn FactValue>` so heterogeneous pass outputs
-//! share one map: a [`FactValue`] knows its own wire form (the byte ledger
-//! and [`crate::snapshot`] read it) and names its pass, and one downcast
-//! reads it back as the pass's output type.  All methods take `&self` — the store
-//! is shared across the analysis runs and reloads of one daemon session.
+//! Facts are stored as [`FactCell`]s so heterogeneous pass outputs share
+//! one map: a [`FactValue`] knows its own wire form (the byte ledger and
+//! [`crate::snapshot`] read it) and names its pass, and one downcast
+//! (`typed`) reads it back as the pass's output type.  All methods take
+//! `&self` — the store is shared across the analysis runs and reloads of
+//! one daemon session, and a clone of it is another handle to the same
+//! facts.
+//!
+//! # A value decodes on first read
+//!
+//! A fact imported from a persisted image keeps its wire bytes until
+//! something reads its value, and `typed` is the one place it decodes —
+//! once, whoever reads first.  A demand that only needs to know a fact is
+//! current ([`FactStore::demand_cell`]: the analysis driver, which keys
+//! the facts above on value hashes the image already records) decodes
+//! nothing.  Bytes that pass the image's checksum and still do not hash
+//! to their recorded value hash, or do not decode within the ids of the
+//! program analyzed over the store (`snapshot::IdBounds`, set by
+//! each analysis), are dropped from the store and the tier at that
+//! read, counted in [`DecodeStats::undecodable`], and the demand
+//! recomputes the fact like any miss.
 
-use crate::snapshot::FactValue;
+use crate::snapshot::{FactCell, FactValue, IdBounds};
 use crate::tier::SharedFactTier;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -179,7 +195,7 @@ struct FactEntry {
     hash: u128,
     /// Hash of the value's wire form: what readers of this fact key on.
     value_hash: u128,
-    value: Arc<dyn FactValue>,
+    value: FactCell,
     deps: Vec<FactKey>,
     /// Cleared by invalidation.  An invalid entry under an unchanged hash
     /// is a tombstone: it pins its key tier-bypassed until the hash moves.
@@ -209,8 +225,8 @@ pub struct ExportedFact {
     /// Approximate resident bytes of the value
     /// ([`crate::snapshot::value_footprint`]).
     pub bytes: usize,
-    /// The fact value, exactly as stored.
-    pub value: Arc<dyn FactValue>,
+    /// The fact value, exactly as stored (decoded, or still bytes).
+    pub value: FactCell,
 }
 
 /// The value hash recorded for each `(key, input hash)` pair of a set of
@@ -226,12 +242,77 @@ pub fn recorded_values(facts: &[ExportedFact]) -> RecordedValues {
         .collect()
 }
 
+/// What the reads through one [`FactStore`] decoded of persisted values
+/// (the daemon's `stats.snapshot` fields).
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct DecodeStats {
+    /// Persisted values these reads decoded.
+    pub values_decoded: u64,
+    /// Seconds spent decoding them.
+    pub decode_secs: f64,
+    /// Persisted values whose bytes did not match their recorded value
+    /// hash or did not decode: each was dropped from the store and the
+    /// tier, and recomputed.
+    pub undecodable: u64,
+}
+
 /// A stored fact value as its pass's output type, `None` if it is another
-/// type: the one downcast the store makes (a reuse or a tier hit), through
-/// the value's `Any` supertrait.
-pub(crate) fn typed<T: FactValue>(value: &Arc<dyn FactValue>) -> Option<Arc<T>> {
-    let any: Arc<dyn std::any::Any + Send + Sync> = value.clone();
+/// type or its bytes do not decode for a program with `bounds`: the one
+/// downcast the store makes (a reuse, a tier hit, an analysis reading a
+/// handle), through the value's `Any` supertrait, and the one place a
+/// persisted value decodes.  A decode this read performs is charged to
+/// `ledger`.
+pub(crate) fn typed<T: FactValue>(
+    cell: &FactCell,
+    bounds: IdBounds,
+    ledger: &mut DecodeStats,
+) -> Option<Arc<T>> {
+    let (value, secs) = cell.read(bounds);
+    if let Some(secs) = secs {
+        ledger.values_decoded += 1;
+        ledger.decode_secs += secs;
+    }
+    let any: Arc<dyn std::any::Any + Send + Sync> = value?;
     any.downcast().ok()
+}
+
+/// How a demand hands its fact back: decoded as the pass's output type
+/// ([`FactStore::demand`]), or as the stored cell, undecoded
+/// ([`FactStore::demand_cell`]).
+trait Answer<T: FactValue>: Sized {
+    /// A stored `key` fact as this answer; `None` if it is not `key`'s
+    /// pass's value (or, decoded, its bytes do not decode).
+    fn found(
+        cell: &FactCell,
+        key: FactKey,
+        bounds: IdBounds,
+        ledger: &mut DecodeStats,
+    ) -> Option<Self>;
+    /// A value just computed, and the cell it is stored in.
+    fn computed(value: Arc<T>, cell: &FactCell) -> Self;
+}
+
+impl<T: FactValue> Answer<T> for Arc<T> {
+    fn found(
+        cell: &FactCell,
+        _: FactKey,
+        bounds: IdBounds,
+        ledger: &mut DecodeStats,
+    ) -> Option<Arc<T>> {
+        typed(cell, bounds, ledger)
+    }
+    fn computed(value: Arc<T>, _: &FactCell) -> Arc<T> {
+        value
+    }
+}
+
+impl<T: FactValue> Answer<T> for FactCell {
+    fn found(cell: &FactCell, key: FactKey, _: IdBounds, _: &mut DecodeStats) -> Option<FactCell> {
+        (cell.pass() == key.pass).then(|| cell.clone())
+    }
+    fn computed(_: Arc<T>, cell: &FactCell) -> FactCell {
+        cell.clone()
+    }
 }
 
 /// Everything a [`FactStore`] holds, behind its one lock.
@@ -255,6 +336,10 @@ struct StoreState {
     clock: VecDeque<FactKey>,
     evicted: u64,
     evicted_bytes: u64,
+    decoded: DecodeStats,
+    /// The ids of the program analyzed over this store: a persisted value
+    /// read here decodes within them.
+    bounds: IdBounds,
 }
 
 impl StoreState {
@@ -264,6 +349,18 @@ impl StoreState {
         match self.facts.insert(key, entry) {
             Some(prev) => self.resident -= prev.bytes,
             None => self.clock.push_back(key),
+        }
+    }
+
+    /// Drop one entry whose value did not decode, and its tier copy.
+    fn drop_undecodable(&mut self, key: FactKey, tier: Option<&SharedFactTier>) {
+        if let Some(e) = self.facts.remove(&key) {
+            self.resident -= e.bytes;
+            self.clock.retain(|k| *k != key);
+            self.decoded.undecodable += 1;
+            if let Some(tier) = tier {
+                tier.discard(key.pass, e.hash, &e.value);
+            }
         }
     }
 
@@ -307,9 +404,12 @@ impl StoreState {
 /// and a fact invalidated under an *unchanged* hash additionally pins that
 /// key tier-bypassed (and unpublishable) — the event was not captured by
 /// the hash, so the tier copy cannot be trusted for it either.
-#[derive(Default)]
+///
+/// Cloning a store gives another handle to the same facts (an analysis
+/// keeps one to read its summaries on demand).
+#[derive(Clone, Default)]
 pub struct FactStore {
-    state: Mutex<StoreState>,
+    state: Arc<Mutex<StoreState>>,
     /// The process-wide content-addressed tier under this overlay (multi-
     /// tenant daemon); `None` for a self-contained store.
     shared: Option<Arc<SharedFactTier>>,
@@ -407,6 +507,24 @@ impl FactStore {
         }
     }
 
+    /// The reads through this store that decoded persisted values.
+    pub fn decode_stats(&self) -> DecodeStats {
+        self.state.lock().decoded
+    }
+
+    /// Name the program analyzed over this store: persisted values read
+    /// from now on decode only within its ids.
+    pub(crate) fn set_id_bounds(&self, bounds: IdBounds) {
+        self.state.lock().bounds = bounds;
+    }
+
+    /// `cell`'s value as `T`, decoding it if it is still bytes; `None` if
+    /// it does not decode (a demand of the fact then recomputes it).
+    pub fn read<T: FactValue>(&self, cell: &FactCell) -> Option<Arc<T>> {
+        let st = &mut *self.state.lock();
+        typed(cell, st.bounds, &mut st.decoded)
+    }
+
     /// Demand a fact: reuse a valid entry whose input hash matches, consult
     /// the process-wide [`SharedFactTier`] (if the store was built with
     /// [`FactStore::with_shared`]), or run the pass, recording its output
@@ -415,12 +533,23 @@ impl FactStore {
     where
         P::Output: FactValue,
     {
-        self.demand_hashed(pass).0
+        self.infallible(pass).0
     }
 
-    /// [`FactStore::demand`], also returning the fact's value hash: what a
-    /// pass reading this fact folds into its own input hash.
-    pub fn demand_hashed<P: Pass>(&self, pass: &P) -> (Arc<P::Output>, u128)
+    /// Demand a fact without reading its value: a current entry (or tier
+    /// fact) comes back as it is stored — still bytes if it was persisted —
+    /// with its value hash (what a pass reading the fact folds into its own
+    /// input hash); a miss runs the pass.  Counted like
+    /// [`FactStore::demand`].  A reader of the cell goes through
+    /// [`FactStore::read`], and demands the fact again if that fails.
+    pub fn demand_cell<P: Pass>(&self, pass: &P) -> (FactCell, u128)
+    where
+        P::Output: FactValue,
+    {
+        self.infallible(pass)
+    }
+
+    fn infallible<P: Pass, R: Answer<P::Output>>(&self, pass: &P) -> (R, u128)
     where
         P::Output: FactValue,
     {
@@ -443,11 +572,11 @@ impl FactStore {
         self.demand_with(pass, || pass.run()).map(|(v, _)| v)
     }
 
-    fn demand_with<P: Pass, T: FactValue, E>(
+    fn demand_with<P: Pass, T: FactValue, R: Answer<T>, E>(
         &self,
         pass: &P,
         run: impl FnOnce() -> Result<T, E>,
-    ) -> Result<(Arc<T>, u128), E> {
+    ) -> Result<(R, u128), E> {
         let key = pass.key();
         let hash = pass.input_hash();
         // Whether the shared tier may serve (and later receive) this fact.
@@ -462,26 +591,25 @@ impl FactStore {
             let tier_allowed = match st.facts.get_mut(&key) {
                 Some(e) if e.hash == hash && e.valid => {
                     e.referenced = true;
-                    if let Some(v) = typed::<T>(&e.value) {
-                        let value_hash = e.value_hash;
+                    let (cell, value_hash) = (e.value.clone(), e.value_hash);
+                    if let Some(found) = R::found(&cell, key, st.bounds, &mut st.decoded) {
                         st.metrics.entry(key.pass).or_default().reused += 1;
-                        return Ok((v, value_hash));
+                        return Ok((found, value_hash));
                     }
-                    // A type mismatch is a stale entry in disguise;
-                    // recompute below.
+                    // Bytes that do not decode (or a value of another
+                    // pass): a stale entry in disguise; recompute below.
+                    st.drop_undecodable(key, self.shared.as_deref());
                     true
                 }
                 Some(e) => e.hash != hash,
                 None => true,
             };
             // The tier's locks are leaves: it never calls back into a store.
-            let tier_hit = self
-                .shared
-                .as_ref()
+            let tier_hit = (self.shared.as_ref())
                 .filter(|_| tier_allowed)
                 .and_then(|tier| tier.lookup(key.pass, hash));
             if let Some(f) = tier_hit {
-                if let Some(v) = typed::<T>(&f.value) {
+                if let Some(found) = R::found(&f.value, key, st.bounds, &mut st.decoded) {
                     st.insert(
                         key,
                         FactEntry {
@@ -496,7 +624,11 @@ impl FactStore {
                     );
                     st.metrics.entry(key.pass).or_default().shared += 1;
                     st.evict_over_budget();
-                    return Ok((v, f.value_hash));
+                    return Ok((found, f.value_hash));
+                }
+                if let Some(tier) = &self.shared {
+                    st.decoded.undecodable += 1;
+                    tier.discard(key.pass, hash, &f.value);
                 }
             }
             tier_allowed
@@ -507,7 +639,8 @@ impl FactStore {
         let out = Arc::new(out?);
         let deps = pass.deps();
         let (bytes, value_hash) = crate::snapshot::value_footprint(&*out);
-        let value: Arc<dyn FactValue> = out.clone();
+        let value = FactCell::from(out.clone());
+        let answer = R::computed(out, &value);
         let mut st = self.state.lock();
         st.insert(
             key,
@@ -547,7 +680,7 @@ impl FactStore {
         m.invocations += 1;
         m.secs += secs;
         st.evict_over_budget();
-        Ok((out, value_hash))
+        Ok((answer, value_hash))
     }
 
     /// Mark one fact dirty and propagate along the recorded dependency
@@ -1060,6 +1193,91 @@ mod tests {
         occupied.demand(&newer);
         assert_eq!(occupied.import(store.export()), 1, "only the absent key");
         assert_eq!(occupied.demand(&newer).ops, 77, "existing entry untouched");
+    }
+
+    /// `facts` as an image frames them: every value still bytes.  (A value
+    /// persists under its own pass's key only: the run's fact here.)
+    fn persisted(facts: Vec<ExportedFact>) -> Vec<ExportedFact> {
+        let bytes = crate::snapshot::Snapshot::new(facts).encode();
+        crate::snapshot::Snapshot::decode(&bytes).unwrap().facts
+    }
+
+    /// A current persisted fact is served as its cell, undecoded; its first
+    /// read decodes it, once.
+    #[test]
+    fn demand_cell_serves_a_persisted_fact_without_decoding_it() {
+        let runs = AtomicU64::new(0);
+        let p = CountingPass {
+            key: key(PassId::Execute, 1),
+            hash: 7,
+            deps: vec![],
+            runs: &runs,
+            output: 42,
+        };
+        let origin = FactStore::new();
+        let (_, value_hash) = origin.demand_cell(&p);
+        let store = FactStore::new();
+        store.import(persisted(origin.export()));
+        let (cell, served_hash) = store.demand_cell(&p);
+        assert!(!cell.is_decoded());
+        assert_eq!(served_hash, value_hash);
+        assert_eq!(store.metrics_for(PassId::Execute).reused, 1);
+        assert_eq!(store.decode_stats().values_decoded, 0);
+        assert_eq!(store.read::<ExecutionFact>(&cell).unwrap().ops, 42);
+        assert_eq!(store.demand(&p).ops, 42);
+        assert_eq!(store.decode_stats().values_decoded, 1, "decoded once");
+        assert_eq!(runs.load(Ordering::Relaxed), 1, "nothing recomputed");
+    }
+
+    /// A persisted value whose bytes do not hash to its recorded value hash
+    /// is never served: the demand that reads it drops it from the store
+    /// and the tier, counts it, and recomputes the fact.
+    #[test]
+    fn an_undecodable_persisted_value_is_dropped_and_recomputed() {
+        let runs = AtomicU64::new(0);
+        let p = CountingPass {
+            key: key(PassId::Execute, 1),
+            hash: 7,
+            deps: vec![],
+            runs: &runs,
+            output: 42,
+        };
+        let origin = FactStore::new();
+        origin.demand(&p);
+        let damaged: Vec<ExportedFact> = (origin.export().into_iter())
+            .map(|f| ExportedFact {
+                value_hash: f.value_hash ^ 1,
+                ..f
+            })
+            .collect();
+
+        let store = FactStore::new();
+        store.import(persisted(damaged.clone()));
+        assert_eq!(store.demand(&p).ops, 42);
+        assert_eq!(runs.load(Ordering::Relaxed), 2, "recomputed");
+        let decoded = store.decode_stats();
+        assert_eq!((decoded.values_decoded, decoded.undecodable), (1, 1));
+        assert_eq!(store.demand(&p).ops, 42);
+        assert_eq!(
+            runs.load(Ordering::Relaxed),
+            2,
+            "the recomputed fact is reused"
+        );
+
+        let tier = Arc::new(SharedFactTier::new());
+        tier.import(&persisted(damaged));
+        let overlay = FactStore::with_shared(tier.clone());
+        assert_eq!(overlay.demand(&p).ops, 42);
+        assert_eq!(runs.load(Ordering::Relaxed), 3);
+        assert_eq!(overlay.decode_stats().undecodable, 1);
+        let published = tier.lookup(PassId::Execute, 7).unwrap();
+        assert!(
+            published.value.is_decoded(),
+            "the damaged entry was replaced"
+        );
+        let sibling = FactStore::with_shared(tier);
+        assert_eq!(sibling.demand(&p).ops, 42);
+        assert_eq!(runs.load(Ordering::Relaxed), 3, "a sibling is served it");
     }
 
     /// An export after an entry was invalidated must not contain it: a

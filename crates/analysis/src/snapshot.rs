@@ -35,12 +35,27 @@
 //! renames it over the target, so a crash mid-write leaves either the old
 //! snapshot or none.  [`Snapshot::decode`] verifies magic, version, length,
 //! and checksum before touching the payload; any mismatch is a
-//! [`SnapshotError`] and the caller cold-starts.  A fact entry that decodes
-//! to an unknown pass or a malformed value is dropped individually
-//! (degrading that fact to `Absent`), never served wrong.  Decoding is
-//! linear in the input and never panics: it accepts only the canonical form
-//! the encoder writes (map keys and expression terms strictly ascending),
-//! and caps every capacity reserved from a length field.
+//! [`SnapshotError`] and the caller cold-starts.
+//!
+//! # Values decode on first read
+//!
+//! Loading *frames* the payload: every entry's key, hashes and edges are
+//! read, and its value is copied out as bytes into a [`FactCell`], where it
+//! stays until something reads it.  A warm start reads few of them (a
+//! restarted daemon's `load → guru` reads its verdicts and its run, about
+//! 1 % of a Ch. 4 image), so the bulk — procedure summaries and liveness —
+//! is never decoded unless a recomputation needs it.  A cell decodes at
+//! most once and then drops its bytes; re-encoding one that is still bytes
+//! copies them.  An entry with an unknown pass tag is dropped while
+//! framing; a value whose bytes do not hash to its recorded value hash, or
+//! do not decode — which includes naming an id the reading program does not
+//! have (`IdBounds`) — reads as nothing, and the store that read it drops
+//! it and recomputes the fact (degrading that fact to `Absent`), never
+//! serving it wrong.  Decoding is linear in the input and never panics: it
+//! accepts only the canonical form the encoder writes (map keys and
+//! expression terms strictly ascending, and a persisted value's bytes
+//! exactly what its decoded value re-encodes to), and caps every capacity
+//! reserved from a length field.
 //!
 //! Entries loaded into a key-addressed store must additionally be
 //! re-validated against freshly computed input hashes
@@ -48,7 +63,8 @@
 //! recorded value hashes bottom-up) before import — the snapshot records
 //! what *was* true, the hash check proves it still is.  A recorded value
 //! hash is trusted under the payload checksum, so a warm open encodes no
-//! value to hash it.
+//! value to hash it; a value's own bytes are checked against it when the
+//! value is first read.
 //!
 //! This module is the *format* only.  Who reads and writes the two files of
 //! a persist directory, under which lock, and when an append becomes a fold
@@ -66,6 +82,7 @@ use crate::pipeline::{ExportedFact, FactKey, PassId, Scope};
 use crate::reduction::{RedEntry, RedOp, RedSummary};
 use crate::split::BlockSplit;
 use crate::summarize::{LoopIterSummary, NodeSummary, ProcFlow};
+use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::Hash;
@@ -138,24 +155,196 @@ impl std::fmt::Display for SnapshotError {
     }
 }
 
-/// An in-memory snapshot: facts ready to encode to (or just decoded from)
+/// An in-memory snapshot: facts ready to encode to (or just framed from)
 /// the wire format.
 #[derive(Default)]
 pub struct Snapshot {
     /// Facts, in deterministic key order.
     pub facts: Vec<ExportedFact>,
-    /// Entries dropped during decode because their pass tag or value bytes
-    /// were not understood (each degrades to `Absent`).
+    /// Entries dropped while framing because their pass tag was not
+    /// understood (each degrades to `Absent`).
     pub undecodable: u64,
 }
 
 /// A value the fact store holds: one pass's output, which knows its own
 /// wire form and names the pass that produces it.  The store keeps every
-/// fact as an `Arc<dyn FactValue>` and reads one back as its concrete type
-/// through the `Any` supertrait.
+/// fact in a [`FactCell`] and reads one back as its concrete type through
+/// the `Any` supertrait.
 pub trait FactValue: Wire + Any + Send + Sync {
     /// The pass whose output this is.
     fn pass(&self) -> PassId;
+}
+
+/// One fact's value in one of two states: decoded, or still the wire bytes
+/// an image was read as.  A persisted value decodes at most once, on its
+/// first read; every clone of the cell (the store's entry, the tier's, an
+/// analysis's handle) shares that one decode.  The bytes are the cell's own
+/// copy, not a view of the file, and a decode drops them (the value
+/// re-encodes to them exactly), so a cell keeps no more resident than the
+/// one value its budget entry charges for.  Bytes that do not hash to the
+/// value hash recorded beside them, or do not decode for the reading
+/// program (`IdBounds`), read as `None` from then on: a value that passed
+/// the image's checksum but was damaged before it was framed is never
+/// served, and neither are bytes the decoded value would not re-encode to.
+#[derive(Clone)]
+pub struct FactCell(Cell);
+
+#[derive(Clone)]
+enum Cell {
+    /// Computed in this process.
+    Decoded(Arc<dyn FactValue>),
+    /// Read from an image.
+    Persisted(Arc<Persisted>),
+}
+
+/// `pass`'s value, recorded under `value_hash`, as it stands.
+struct Persisted {
+    pass: PassId,
+    value_hash: u128,
+    stored: Mutex<Stored>,
+}
+
+enum Stored {
+    /// Not read yet: the value's wire bytes.
+    Bytes(Box<[u8]>),
+    /// Read and decoded.
+    Value(Arc<dyn FactValue>),
+    /// Read and refused; kept as bytes, so a fold writes what it read.
+    Refused(Box<[u8]>),
+}
+
+impl FactCell {
+    /// A decoded value.
+    pub fn new(value: Arc<dyn FactValue>) -> FactCell {
+        FactCell(Cell::Decoded(value))
+    }
+
+    /// `pass`'s value as `bytes`, recorded under `value_hash`, not yet
+    /// decoded.
+    fn persisted(pass: PassId, bytes: &[u8], value_hash: u128) -> FactCell {
+        FactCell(Cell::Persisted(Arc::new(Persisted {
+            pass,
+            value_hash,
+            stored: Mutex::new(Stored::Bytes(bytes.into())),
+        })))
+    }
+
+    /// The pass whose output this is.
+    pub fn pass(&self) -> PassId {
+        match &self.0 {
+            Cell::Decoded(value) => value.pass(),
+            Cell::Persisted(p) => p.pass,
+        }
+    }
+
+    /// Has the value been read (or was it never bytes)?
+    pub fn is_decoded(&self) -> bool {
+        match &self.0 {
+            Cell::Decoded(_) => true,
+            Cell::Persisted(p) => !matches!(*p.stored.lock(), Stored::Bytes(_)),
+        }
+    }
+
+    /// The value, decoded on the first read with no program's id bounds;
+    /// `None` if its bytes do not match their recorded value hash or do
+    /// not decode.
+    pub fn value(&self) -> Option<Arc<dyn FactValue>> {
+        self.read(IdBounds::ANY).0
+    }
+
+    /// The value, decoded on the first read for a program with `bounds`,
+    /// and the seconds this call spent decoding (`None` when it decoded
+    /// nothing).
+    pub(crate) fn read(&self, bounds: IdBounds) -> (Option<Arc<dyn FactValue>>, Option<f64>) {
+        let p = match &self.0 {
+            Cell::Decoded(value) => return (Some(value.clone()), None),
+            Cell::Persisted(p) => p,
+        };
+        let mut stored = p.stored.lock();
+        let bytes = match &mut *stored {
+            Stored::Value(value) => return (Some(value.clone()), None),
+            Stored::Refused(_) => return (None, None),
+            Stored::Bytes(bytes) => std::mem::take(bytes),
+        };
+        let t0 = std::time::Instant::now();
+        let value = (payload_checksum(&bytes) == p.value_hash)
+            .then(|| decode_value(p.pass, &bytes, bounds))
+            .flatten()
+            // The canonical form only: a decoded cell drops its bytes, so
+            // they must be exactly what its value encodes to.
+            .filter(|value| to_bytes(&**value) == *bytes);
+        let secs = t0.elapsed().as_secs_f64();
+        *stored = match &value {
+            Some(value) => Stored::Value(value.clone()),
+            None => Stored::Refused(bytes),
+        };
+        (value, Some(secs))
+    }
+
+    /// The value's wire form: bytes not decoded are copied as they are.
+    pub fn wire_bytes(&self) -> Vec<u8> {
+        let mut e = Enc::default();
+        self.encode(&mut e);
+        e.buf
+    }
+
+    fn encode(&self, e: &mut Enc) {
+        match &self.0 {
+            Cell::Decoded(value) => value.encode(e),
+            Cell::Persisted(p) => match &*p.stored.lock() {
+                Stored::Value(value) => value.encode(e),
+                Stored::Bytes(bytes) | Stored::Refused(bytes) => e.buf.extend_from_slice(bytes),
+            },
+        }
+    }
+
+    /// Are `a` and `b` the same cell?
+    pub fn ptr_eq(a: &FactCell, b: &FactCell) -> bool {
+        match (&a.0, &b.0) {
+            (Cell::Decoded(x), Cell::Decoded(y)) => Arc::ptr_eq(x, y),
+            (Cell::Persisted(x), Cell::Persisted(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        }
+    }
+}
+
+/// How many of each id the program reading a value has.  A value read for
+/// a program that names an id at or past its bound does not decode: it was
+/// damaged (or written for another program), and indexing the program with
+/// it would panic.  The [`crate::FactStore`] an analysis runs over holds
+/// its program's bounds.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct IdBounds {
+    pub procs: u32,
+    pub stmts: u32,
+    pub vars: u32,
+    pub commons: u32,
+    pub regions: u32,
+    pub arrays: u32,
+}
+
+impl IdBounds {
+    /// No program's bounds: every id decodes.
+    pub const ANY: IdBounds = IdBounds {
+        procs: u32::MAX,
+        stmts: u32::MAX,
+        vars: u32::MAX,
+        commons: u32::MAX,
+        regions: u32::MAX,
+        arrays: u32::MAX,
+    };
+}
+
+impl Default for IdBounds {
+    fn default() -> IdBounds {
+        IdBounds::ANY
+    }
+}
+
+impl<T: FactValue> From<Arc<T>> for FactCell {
+    fn from(value: Arc<T>) -> FactCell {
+        FactCell::new(value)
+    }
 }
 
 /// Approximate resident bytes of one fact value — `64 + 2×` the length of
@@ -210,10 +399,11 @@ impl Snapshot {
         out
     }
 
-    /// Decode a complete file byte stream, verifying magic, version,
-    /// length, and checksum.  Individual entries with unknown pass tags or
-    /// malformed value bytes are dropped (counted in
-    /// [`Snapshot::undecodable`]); structural damage to the payload framing
+    /// Frame a complete file byte stream, verifying magic, version,
+    /// length, and checksum.  Values stay bytes until first read
+    /// ([`FactCell`]); an entry with an unknown pass tag is dropped here
+    /// (counted in [`Snapshot::undecodable`]), one whose value bytes do not
+    /// decode at its first read.  Structural damage to the payload framing
     /// fails the whole snapshot instead.
     pub fn decode(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
         if bytes.len() < 36 {
@@ -235,7 +425,7 @@ impl Snapshot {
         if payload_checksum(payload) != checksum {
             return Err(SnapshotError::BadChecksum);
         }
-        decode_payload(payload)
+        frame_payload(payload)
     }
 }
 
@@ -268,8 +458,9 @@ fn encode_payload(facts: &[ExportedFact]) -> Vec<u8> {
     p.buf
 }
 
-/// Decode one payload body (a whole snapshot's or one log record's).
-fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
+/// Frame one payload body (a whole snapshot's or one log record's): every
+/// value is copied out as bytes, undecoded.
+fn frame_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
     fn frame<T: Wire>(d: &mut Dec<'_>) -> Result<T, SnapshotError> {
         T::decode(d).ok_or(SnapshotError::Malformed)
     }
@@ -292,24 +483,21 @@ fn decode_payload(payload: &[u8]) -> Result<Snapshot, SnapshotError> {
             }
         }
         let vlen = frame::<u32>(&mut d)? as usize;
-        let vbytes = d.take(vlen).ok_or(SnapshotError::Malformed)?;
+        let value = d.take(vlen).ok_or(SnapshotError::Malformed)?;
         let Some(pass) = pass.filter(|_| deps_ok) else {
             snap.undecodable += 1;
             continue;
         };
-        match decode_value(pass, vbytes) {
-            Some(value) => snap.facts.push(ExportedFact {
-                key: FactKey::new(pass, scope),
-                hash,
-                value_hash,
-                deps,
-                // Same figure `value_footprint` would compute, without
-                // re-encoding: the wire length is already in hand here.
-                bytes: 64 + 2 * vlen,
-                value,
-            }),
-            None => snap.undecodable += 1,
-        }
+        snap.facts.push(ExportedFact {
+            key: FactKey::new(pass, scope),
+            hash,
+            value_hash,
+            deps,
+            // Same figure `value_footprint` would compute, without
+            // decoding: the wire length is already in hand here.
+            bytes: 64 + 2 * vlen,
+            value: FactCell::persisted(pass, value, value_hash),
+        });
     }
     if d.pos != d.buf.len() {
         return Err(SnapshotError::Malformed);
@@ -403,7 +591,7 @@ pub(crate) fn encode_log_record(facts: &[ExportedFact]) -> Vec<u8> {
     out
 }
 
-/// Replay an append-log byte stream over a base with payload checksum
+/// Replay an append-log file image over a base with payload checksum
 /// `base_checksum`, handing each complete record to `apply` in append
 /// order.  Returns whether the log is *damaged*: it does not apply at all
 /// (missing/foreign header, version mismatch, or a header bound to a
@@ -426,7 +614,8 @@ fn replay_log(bytes: &[u8], base_checksum: u128, mut apply: impl FnMut(Snapshot)
         };
         let len = u32::from_le_bytes(head[..4].try_into().unwrap()) as usize;
         let checksum = u128::from_le_bytes(head[4..].try_into().unwrap());
-        let Some(payload) = bytes.get(start..start.saturating_add(len)) else {
+        let end = start.saturating_add(len);
+        let Some(payload) = bytes.get(start..end) else {
             return true;
         };
         if payload_checksum(payload) != checksum {
@@ -434,11 +623,11 @@ fn replay_log(bytes: &[u8], base_checksum: u128, mut apply: impl FnMut(Snapshot)
         }
         // A checksummed record that still fails structurally is format
         // drift; stop here like a torn suffix rather than guess.
-        let Ok(record) = decode_payload(payload) else {
+        let Ok(record) = frame_payload(payload) else {
             return true;
         };
         apply(record);
-        pos = start + len;
+        pos = end;
     }
     false
 }
@@ -449,7 +638,7 @@ pub struct LoadedImage {
     /// Merged facts (log supersedes base per `(key, hash)`; several
     /// hashes may coexist per key), in `(key, hash)` order.
     pub facts: Vec<ExportedFact>,
-    /// Per-entry decode degradations across base and log.
+    /// Entries dropped while framing base and log (unknown pass tags).
     pub undecodable: u64,
     /// Payload checksum of the base image (what a continuing log must bind
     /// to).
@@ -459,16 +648,17 @@ pub struct LoadedImage {
     pub log_damaged: bool,
 }
 
-/// Decode `base_bytes` and replay `log_bytes` (if any) over it.  Base
+/// Frame `base_bytes` and replay `log_bytes` (if any) over it.  Base
 /// damage fails the whole load ([`SnapshotError`], caller cold-starts);
 /// log damage degrades — an inapplicable log is ignored, a torn one keeps
-/// its valid prefix.
+/// its valid prefix.  Values stay bytes until first read, each in its own
+/// copy: the file buffers can go as soon as this returns.
 pub fn merge_image(
     base_bytes: &[u8],
     log_bytes: Option<&[u8]>,
 ) -> Result<LoadedImage, SnapshotError> {
+    let base_checksum = file_checksum(base_bytes).unwrap_or_default();
     let base = Snapshot::decode(base_bytes)?;
-    let base_checksum = file_checksum(base_bytes).expect("decoded snapshot has a header");
     // Merge by `(key, hash)`, not key alone: a content-addressed tier
     // legitimately holds several hashes per key (sibling programs sharing
     // stmt ids), and all of them must survive a round trip.  For a
@@ -534,13 +724,17 @@ macro_rules! fact_values {
             }
         })*
 
-        /// Decode one value as `pass`'s output type; `None` drops the entry
-        /// (degrades to `Absent`).  The value must consume its bytes
+        /// Decode one value as `pass`'s output type for a program with
+        /// `bounds`; `None` drops the entry (degrades to `Absent`).  The value must consume its bytes
         /// exactly — trailing bytes mean a format drift this build does not
         /// understand.
-        fn decode_value(pass: PassId, bytes: &[u8]) -> Option<Arc<dyn FactValue>> {
+        fn decode_value(
+            pass: PassId,
+            bytes: &[u8],
+            bounds: IdBounds,
+        ) -> Option<Arc<dyn FactValue>> {
             match pass {
-                $(PassId::$pass => Some(Arc::new(from_bytes::<$t>(bytes)?)),)*
+                $(PassId::$pass => Some(Arc::new(from_bytes::<$t>(bytes, bounds)?)),)*
             }
         }
     };
@@ -582,11 +776,20 @@ pub struct Enc {
 pub struct Dec<'a> {
     buf: &'a [u8],
     pos: usize,
+    bounds: IdBounds,
 }
 
 impl<'a> Dec<'a> {
     fn new(buf: &'a [u8]) -> Dec<'a> {
-        Dec { buf, pos: 0 }
+        Dec::within(buf, IdBounds::ANY)
+    }
+
+    fn within(buf: &'a [u8], bounds: IdBounds) -> Dec<'a> {
+        Dec {
+            buf,
+            pos: 0,
+            bounds,
+        }
     }
 
     fn take(&mut self, n: usize) -> Option<&'a [u8]> {
@@ -604,9 +807,10 @@ pub fn to_bytes<T: Wire + ?Sized>(value: &T) -> Vec<u8> {
     e.buf
 }
 
-/// Decode a `T` that spans `bytes` exactly; `None` on anything else.
-pub(crate) fn from_bytes<T: Wire>(bytes: &[u8]) -> Option<T> {
-    let mut d = Dec::new(bytes);
+/// Decode a `T` that spans `bytes` exactly, for a program with `bounds`;
+/// `None` on anything else.
+fn from_bytes<T: Wire>(bytes: &[u8], bounds: IdBounds) -> Option<T> {
+    let mut d = Dec::within(bytes, bounds);
     let value = T::decode(&mut d)?;
     (d.pos == bytes.len()).then_some(value)
 }
@@ -661,21 +865,28 @@ impl Wire for String {
     }
 }
 
-/// The id newtypes travel as their `u32`.
+/// The id newtypes travel as their `u32`, and decode below their bound.
 macro_rules! id_wire {
-    ($($t:ident),*) => {$(
+    ($($t:ident => $bound:ident),*) => {$(
         impl Wire for $t {
             fn encode(&self, e: &mut Enc) {
                 self.0.encode(e);
             }
             fn decode(d: &mut Dec<'_>) -> Option<Self> {
-                u32::decode(d).map($t)
+                u32::decode(d).filter(|&n| n < d.bounds.$bound).map($t)
             }
         }
     )*};
 }
 
-id_wire!(ProcId, StmtId, VarId, CommonId, RegionId, ArrayId);
+id_wire!(
+    ProcId => procs,
+    StmtId => stmts,
+    VarId => vars,
+    CommonId => commons,
+    RegionId => regions,
+    ArrayId => arrays
+);
 
 macro_rules! tuple_wire {
     ($($t:ident),*) => {
@@ -1079,7 +1290,12 @@ impl Wire for LivenessResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::typed;
+    use crate::pipeline::{typed, DecodeStats};
+
+    /// A fact's value as `T`, decoding it if it is still bytes.
+    fn read<T: FactValue>(cell: &FactCell) -> Option<Arc<T>> {
+        typed(cell, IdBounds::ANY, &mut DecodeStats::default())
+    }
 
     fn verdict_parallel() -> LoopVerdict {
         let mut classes = BTreeMap::new();
@@ -1216,7 +1432,7 @@ mod tests {
             value_hash,
             deps: vec![FactKey::new(PassId::Summarize, Scope::Program)],
             bytes,
-            value,
+            value: FactCell::new(value),
         }
     }
 
@@ -1322,7 +1538,7 @@ mod tests {
             .iter()
             .find(|f| f.key == FactKey::new(PassId::Classify, Scope::Loop(StmtId(5))))
             .unwrap();
-        let v = typed::<LoopVerdict>(&classify.value).expect("classify decodes to a verdict");
+        let v = read::<LoopVerdict>(&classify.value).expect("classify decodes to a verdict");
         assert_eq!(format!("{v:?}"), format!("{:?}", verdict_parallel()));
         // The procedure's flow survives structurally.
         let summarize = back
@@ -1331,8 +1547,7 @@ mod tests {
             .find(|f| f.key.pass == PassId::Summarize)
             .unwrap();
         assert_eq!(summarize.key.scope, Scope::Proc(ProcId(0)));
-        let pf =
-            typed::<ProcFlow>(&summarize.value).expect("summarize decodes to a procedure flow");
+        let pf = read::<ProcFlow>(&summarize.value).expect("summarize decodes to a procedure flow");
         let want = sample_proc_flow();
         assert_eq!(pf.summary.acc.len(), want.summary.acc.len());
         assert_eq!(pf.fresh, (4, 7));
@@ -1345,7 +1560,7 @@ mod tests {
             .iter()
             .find(|f| f.key.pass == PassId::Liveness)
             .unwrap();
-        let lr = typed::<LivenessResult>(&liveness.value).expect("liveness decodes to a result");
+        let lr = read::<LivenessResult>(&liveness.value).expect("liveness decodes to a result");
         assert!(matches!(lr.mode, LivenessMode::Full));
         assert_eq!(lr.written[&StmtId(3)].len(), 2);
         assert!(lr.after_full.as_ref().unwrap().contains_key(&RegionId(1)));
@@ -1357,7 +1572,7 @@ mod tests {
             .find(|f| f.key.pass == PassId::Execute)
             .unwrap();
         let run =
-            typed::<ExecutionFact>(&execute.value).expect("execute decodes to an execution fact");
+            read::<ExecutionFact>(&execute.value).expect("execute decodes to an execution fact");
         assert_eq!(*run, sample_execution());
     }
 
@@ -1390,9 +1605,66 @@ mod tests {
         ]);
         assert_eq!(snap.facts.len(), 3);
         let back = Snapshot::decode(&snap.encode()).unwrap();
-        assert_eq!(back.facts.len(), 1, "the well-typed neighbour survives");
-        assert_eq!(back.undecodable, 2);
-        assert_eq!(back.facts[0].key.scope, Scope::Loop(StmtId(1)));
+        assert_eq!(back.undecodable, 0, "every entry frames");
+        let decoded: Vec<Scope> = (back.facts.iter())
+            .filter(|f| f.value.value().is_some())
+            .map(|f| f.key.scope)
+            .collect();
+        assert_eq!(
+            decoded,
+            vec![Scope::Loop(StmtId(1))],
+            "only the well-typed neighbour decodes"
+        );
+    }
+
+    /// A framed value stays bytes: it re-encodes to exactly the bytes it
+    /// was read as without decoding, and its first read decodes it once.
+    #[test]
+    fn a_value_still_in_bytes_re_encodes_without_decoding() {
+        let bytes = sample_snapshot().encode();
+        let back = Snapshot::decode(&bytes).unwrap();
+        assert!(back.facts.iter().all(|f| !f.value.is_decoded()));
+        assert_eq!(back.encode(), bytes);
+        assert!(
+            back.facts.iter().all(|f| !f.value.is_decoded()),
+            "encoding decoded nothing"
+        );
+        let classify = back.facts.iter().find(|f| f.key.pass == PassId::Classify);
+        let cell = &classify.unwrap().value;
+        let mut ledger = DecodeStats::default();
+        assert!(typed::<LoopVerdict>(cell, IdBounds::ANY, &mut ledger).is_some());
+        assert!(typed::<LoopVerdict>(&cell.clone(), IdBounds::ANY, &mut ledger).is_some());
+        assert_eq!(ledger.values_decoded, 1, "one decode, shared by clones");
+        assert!(cell.is_decoded());
+        assert_eq!(back.encode(), bytes);
+    }
+
+    /// A value that names an id the reading program does not have does not
+    /// decode for it, and stays the bytes it was read as; within the
+    /// program's bounds the same bytes decode.
+    #[test]
+    fn a_value_naming_an_id_past_the_programs_bounds_reads_as_nothing() {
+        let bytes = sample_snapshot().encode();
+        let deps = || {
+            let back = Snapshot::decode(&bytes).unwrap();
+            let f = back.facts.into_iter().find(|f| f.key.pass == PassId::Deps);
+            f.unwrap().value
+        };
+        // The carried-dependence table names arrays 1 and 2.
+        let past = IdBounds {
+            arrays: 2,
+            ..IdBounds::ANY
+        };
+        let cell = deps();
+        let wire = cell.wire_bytes();
+        assert!(typed::<CarriedDeps>(&cell, past, &mut DecodeStats::default()).is_none());
+        assert_eq!(cell.wire_bytes(), wire, "a refused value keeps its bytes");
+        let within = IdBounds {
+            arrays: 3,
+            ..IdBounds::ANY
+        };
+        let table = typed::<CarriedDeps>(&deps(), within, &mut DecodeStats::default());
+        assert_eq!(table.expect("decodes within the bounds").len(), 2);
     }
 
     /// Decoding takes the canonical form only, in one pass: a long
@@ -1415,11 +1687,11 @@ mod tests {
         let bytes = snap.encode();
         let t0 = std::time::Instant::now();
         let back = Snapshot::decode(&bytes).unwrap();
+        let pf = read::<ProcFlow>(&back.facts[0].value).unwrap();
         let secs = t0.elapsed().as_secs_f64();
         assert!(secs < 5.0, "200 000 terms took {secs:.2} s to decode");
         assert_eq!(back.undecodable, 0);
         assert_eq!(back.encode(), bytes);
-        let pf = typed::<ProcFlow>(&back.facts[0].value).unwrap();
         assert_eq!(pf.loop_iter[&StmtId(3)].bounds.as_ref().unwrap().1, long);
 
         let expr = |terms: &[(u32, i64)]| {
@@ -1431,12 +1703,15 @@ mod tests {
             }
             e.buf
         };
-        let sorted = from_bytes::<LinExpr>(&expr(&[(1, 2), (4, -1)]));
+        let sorted = from_bytes::<LinExpr>(&expr(&[(1, 2), (4, -1)]), IdBounds::ANY);
         assert_eq!(sorted.unwrap().coef(Var::Sym(4)), -1);
         for bad in [&[(4, 2), (1, -1)][..], &[(1, 2), (1, 1)], &[(1, 0)]] {
-            assert!(from_bytes::<LinExpr>(&expr(bad)).is_none(), "{bad:?}");
+            assert!(
+                from_bytes::<LinExpr>(&expr(bad), IdBounds::ANY).is_none(),
+                "{bad:?}"
+            );
         }
-        assert!(from_bytes::<LinExpr>(&expr(&[(1, 2), (4, -1)])[..20]).is_none());
+        assert!(from_bytes::<LinExpr>(&expr(&[(1, 2), (4, -1)])[..20], IdBounds::ANY).is_none());
     }
 
     /// Map and set keys decode in the one order the encoder writes.
@@ -1448,9 +1723,9 @@ mod tests {
             keys.iter().for_each(|k| k.encode(&mut e));
             e.buf
         };
-        assert!(from_bytes::<BTreeSet<VarId>>(&framed(&[1, 2])).is_some());
+        assert!(from_bytes::<BTreeSet<VarId>>(&framed(&[1, 2]), IdBounds::ANY).is_some());
         for bad in [&[2, 1][..], &[1, 1]] {
-            assert!(from_bytes::<BTreeSet<VarId>>(&framed(bad)).is_none());
+            assert!(from_bytes::<BTreeSet<VarId>>(&framed(bad), IdBounds::ANY).is_none());
         }
         let summaries = |ids: &[u32]| {
             let mut e = Enc::default();
@@ -1459,18 +1734,18 @@ mod tests {
                 .for_each(|&id| sample_section_summary(id).encode(&mut e));
             e.buf
         };
-        assert!(from_bytes::<AccessSummary>(&summaries(&[0, 2])).is_some());
-        assert!(from_bytes::<AccessSummary>(&summaries(&[2, 0])).is_none());
+        assert!(from_bytes::<AccessSummary>(&summaries(&[0, 2]), IdBounds::ANY).is_some());
+        assert!(from_bytes::<AccessSummary>(&summaries(&[2, 0]), IdBounds::ANY).is_none());
         let entries = |ids: &[u32]| {
             let mut e = Enc::default();
             ids.len().encode(&mut e);
             ids.iter().for_each(|&id| (StmtId(id), 7u64).encode(&mut e));
             e.buf
         };
-        assert!(from_bytes::<HashMap<StmtId, u64>>(&entries(&[3, 4])).is_some());
+        assert!(from_bytes::<HashMap<StmtId, u64>>(&entries(&[3, 4]), IdBounds::ANY).is_some());
         for bad in [&[4, 3][..], &[3, 3]] {
-            assert!(from_bytes::<HashMap<StmtId, u64>>(&entries(bad)).is_none());
-            assert!(from_bytes::<BTreeMap<StmtId, u64>>(&entries(bad)).is_none());
+            assert!(from_bytes::<HashMap<StmtId, u64>>(&entries(bad), IdBounds::ANY).is_none());
+            assert!(from_bytes::<BTreeMap<StmtId, u64>>(&entries(bad), IdBounds::ANY).is_none());
         }
     }
 

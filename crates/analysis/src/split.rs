@@ -172,25 +172,23 @@ fn split_is_legal(
     let range = used_range(ctx, block);
 
     // Per-proc facts from the interprocedural summaries.
+    let df = pa.df();
     let exposed_of = |p: ProcId| -> bool {
-        pa.df
-            .proc_summary
+        df.proc_summary
             .get(&p)
             .and_then(|n| n.acc.get(block_id))
             .map(|s| !s.exposed.is_empty())
             .unwrap_or(false)
     };
     let writes = |p: ProcId| -> bool {
-        pa.df
-            .proc_summary
+        df.proc_summary
             .get(&p)
             .and_then(|n| n.acc.get(block_id))
             .map(|s| !s.write.is_empty())
             .unwrap_or(false)
     };
     let must_covers_range = |p: ProcId| -> bool {
-        pa.df
-            .proc_summary
+        df.proc_summary
             .get(&p)
             .and_then(|n| n.acc.get(block_id))
             .map(|s| range.provably_subset_of(&s.must_write))

@@ -1092,9 +1092,9 @@ proc main() {
         let (warm, s2) = analyze();
         assert_eq!(s2.summarized(), 0, "warm run must re-summarize nothing");
         assert_eq!(s2.summary_hits(), 4);
-        assert_eq!(df_fingerprint(&cold.df), df_fingerprint(&warm.df));
+        assert_eq!(df_fingerprint(cold.df()), df_fingerprint(warm.df()));
         let plain = ArrayDataFlow::analyze(&cold.ctx);
-        assert_eq!(df_fingerprint(&cold.df), df_fingerprint(&plain));
+        assert_eq!(df_fingerprint(cold.df()), df_fingerprint(&plain));
     }
 
     fn loop_id(p: &suif_ir::Program, name: &str) -> StmtId {

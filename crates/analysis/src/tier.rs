@@ -38,20 +38,19 @@
 //! the sweep never needs to coordinate with readers.
 
 use crate::pipeline::{ExportedFact, FactKey, PassId};
-use crate::snapshot::FactValue;
+use crate::snapshot::FactCell;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
 
 /// Number of independently locked shards: every session's store meets
 /// every other's here.
 const TIER_SHARDS: usize = 16;
 
 struct TierEntry {
-    /// The finished fact; the overlay that hits it reads it back as its
-    /// pass's output type.
-    value: Arc<dyn FactValue>,
+    /// The finished fact, decoded or still the bytes it was persisted as;
+    /// the overlay that hits it reads it back as its pass's output type.
+    value: FactCell,
     /// Approximate resident bytes of `value`: `64 + 2×` its wire length
     /// ([`crate::snapshot::value_footprint`]).
     bytes: usize,
@@ -347,6 +346,26 @@ impl SharedFactTier {
         out
     }
 
+    /// Drop the `(pass, hash)` entry if it still holds `value`: a persisted
+    /// value whose bytes did not decode at its first read.  The demand that
+    /// found it recomputes and publishes the fact afresh.
+    pub fn discard(&self, pass: PassId, hash: u128, value: &FactCell) {
+        let shard = &self.shards[tier_shard_index(pass, hash)];
+        let removed = {
+            let mut map = shard.map.lock();
+            match map.get(&(pass, hash)) {
+                Some(e) if FactCell::ptr_eq(&e.value, value) => map.remove(&(pass, hash)),
+                _ => None,
+            }
+        };
+        if let Some(e) = removed {
+            self.resident.fetch_sub(e.bytes, Ordering::Relaxed);
+            if let Some(total) = self.owner_bytes.lock().get_mut(&e.owner) {
+                *total = total.saturating_sub(e.bytes as u64);
+            }
+        }
+    }
+
     /// Seed the tier with previously exported facts (a warm start).
     /// Existing `(pass, hash)` pairs are left untouched.  Returns how many
     /// facts were installed.
@@ -426,10 +445,11 @@ mod tests {
     use super::*;
     use crate::pipeline::Scope;
     use crate::ExecutionFact;
+    use std::sync::Arc;
 
     /// A fact value; the tier never looks inside one.
-    fn value() -> Arc<dyn FactValue> {
-        Arc::new(ExecutionFact::default())
+    fn value() -> FactCell {
+        FactCell::from(Arc::new(ExecutionFact::default()))
     }
 
     fn key(pass: PassId, n: u32) -> FactKey {
@@ -442,7 +462,7 @@ mod tests {
         hash: u128,
         bytes: usize,
         deps: Vec<FactKey>,
-        value: Arc<dyn FactValue>,
+        value: FactCell,
     ) -> ExportedFact {
         ExportedFact {
             key,
@@ -471,7 +491,7 @@ mod tests {
         );
         let f = tier.lookup(PassId::Classify, 7).unwrap();
         assert!(
-            Arc::ptr_eq(&f.value, &published),
+            FactCell::ptr_eq(&f.value, &published),
             "the published value itself"
         );
         assert_eq!((f.bytes, f.value_hash), (100, !7));
@@ -497,7 +517,7 @@ mod tests {
             fact(key(PassId::Deps, 2), 5, 10, vec![], value()),
         );
         let f = tier.lookup(PassId::Deps, 5).unwrap();
-        assert!(Arc::ptr_eq(&f.value, &first), "first publish kept");
+        assert!(FactCell::ptr_eq(&f.value, &first), "first publish kept");
         assert_eq!(tier.len(), 1);
         assert_eq!(tier.resident_bytes(), 10);
     }
@@ -645,7 +665,7 @@ mod tests {
         assert_eq!(fresh.import(&exported), 0, "idempotent");
         assert_eq!(fresh.resident_bytes(), 96);
         let f = fresh.lookup(PassId::Classify, 11).unwrap();
-        assert!(Arc::ptr_eq(&f.value, &classify));
+        assert!(FactCell::ptr_eq(&f.value, &classify));
         assert_eq!(
             (f.deps, f.value_hash),
             (vec![key(PassId::Summarize, 0)], !11)

@@ -114,7 +114,7 @@ proptest! {
                     value_hash: 0,
                     deps: vec![],
                     bytes: *bytes,
-                    value: Arc::new(ExecutionFact::default()),
+                    value: Arc::new(ExecutionFact::default()).into(),
                 },
             );
 

@@ -56,7 +56,7 @@ pub fn check_assertion(ex: &Explorer<'_>, a: &Assertion) -> CheckResult {
     // Static sanity: the variable should be accessed in the loop at all.
     let accessed = ex
         .analysis
-        .df
+        .df()
         .loop_iter
         .get(&li.stmt)
         .and_then(|it| it.sum.acc.get(object))

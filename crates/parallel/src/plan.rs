@@ -74,7 +74,7 @@ impl ParallelPlans {
                     }
                 };
                 let range = id
-                    .and_then(|id| pa.df.loop_iter.get(&li.stmt).map(|it| (id, it)))
+                    .and_then(|id| pa.df().loop_iter.get(&li.stmt).map(|it| (id, it)))
                     .and_then(|(id, it)| it.sum.red.get(id).map(|e| e.red.clone()))
                     .and_then(|sec| const_range_dim0(&sec));
                 entry.reductions.push(PlanReduction {

@@ -723,8 +723,12 @@ impl Session {
         ])
     }
 
-    /// The `snapshot` object of `stats`: load outcome and warm/cold counters.
+    /// The `snapshot` object of `stats`: load outcome and warm/cold
+    /// counters.  A persisted value decodes at its first read, so what the
+    /// session's reads decoded (and dropped as undecodable) so far is the
+    /// store's count.
     fn snapshot_json(&self) -> Json {
+        let decoded = self.store.decode_stats();
         let mut fields = vec![
             ("status", Json::str(self.snapshot.warmed.status)),
             ("persisted", Json::Bool(self.persist.is_some())),
@@ -735,9 +739,11 @@ impl Session {
             ("cold_misses", Json::int(self.snapshot.cold_misses as i64)),
             (
                 "evicted_stale",
-                Json::int(self.snapshot.warmed.evicted_stale as i64),
+                Json::int((self.snapshot.warmed.evicted_stale + decoded.undecodable) as i64),
             ),
             ("load_secs", Json::Num(self.snapshot.load_secs)),
+            ("values_decoded", Json::int(decoded.values_decoded as i64)),
+            ("decode_secs", Json::Num(decoded.decode_secs)),
             ("save_secs", Json::Num(self.snapshot.save_secs)),
             (
                 "appended_bytes",

@@ -159,6 +159,111 @@ fn warm_start_reserves_answers_without_recomputation() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `reply` with every wall-clock (`secs`) and kernel-counter (`poly`)
+/// field removed: the kernel counters are the last analysis's work, which
+/// a warm session does not repeat.
+fn masked(reply: &Json) -> String {
+    fn strip(j: &Json) -> Json {
+        match j {
+            Json::Obj(m) => Json::Obj(
+                (m.iter())
+                    .filter(|(k, _)| *k != "secs" && *k != "poly")
+                    .map(|(k, v)| (k.clone(), strip(v)))
+                    .collect(),
+            ),
+            Json::Arr(xs) => Json::Arr(xs.iter().map(strip).collect()),
+            other => other.clone(),
+        }
+    }
+    strip(reply).to_string()
+}
+
+/// Every command a user sends after an open, one reply each: `guru`,
+/// `slice` of every loop, `analyze`, `advisory`, `codeview`, `certify`,
+/// then `assert` of a dependence and `analyze` again.
+fn replies_to_every_command(s: &mut Session) -> Vec<String> {
+    let mut out = vec![masked(&s.guru_json())];
+    for name in ["inc/1", "rec/1", "main/2"] {
+        out.push(masked(&s.slice_json(name).unwrap()));
+    }
+    out.push(masked(&s.analyze()));
+    out.push(masked(&s.advisory_json()));
+    out.push(masked(&s.codeview_json()));
+    out.push(masked(&s.certify_json(None, 2, 11).unwrap()));
+    out.push(masked(&s.assert_json("rec/1", "q", true)));
+    out.push(masked(&s.analyze()));
+    out
+}
+
+/// A warm session answers every command as the cold session that wrote
+/// its directory did, while reads decode the persisted values it needs.
+#[test]
+fn a_warm_session_answers_every_command_like_a_cold_one() {
+    let dir = scratch("warm_equals_cold");
+    let cold = replies_to_every_command(&mut open(&dir));
+    let mut s = open(&dir);
+    let decoded = |s: &Session| {
+        let snap = snapshot_stats(s);
+        snap.get("values_decoded").and_then(Json::as_i64).unwrap()
+    };
+    let at_open = decoded(&s);
+    assert_eq!(
+        at_open,
+        4,
+        "three verdicts and the run: {}",
+        snapshot_stats(&s)
+    );
+    assert_eq!(replies_to_every_command(&mut s), cold);
+    assert!(decoded(&s) > at_open, "the commands read persisted values");
+    let snap = snapshot_stats(&s);
+    assert!(snap.get("decode_secs").and_then(Json::as_f64).unwrap() > 0.0);
+    assert_eq!(snap.get("evicted_stale").and_then(Json::as_i64), Some(0));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A warm `load → guru` of each Ch. 4 application at bench scale reads
+/// its verdicts and its run and nothing else: every `Summarize` and
+/// `Liveness` value stays bytes.  A `slice` then reads one more value, its
+/// loop's carried-dependence table.
+#[test]
+fn a_warm_open_of_each_ch4_application_decodes_no_summary_and_no_liveness() {
+    for b in suif_benchmarks::ch4_apps(suif_benchmarks::Scale::Bench) {
+        let dir = scratch(&format!("warm_decodes_{}", b.name));
+        drop(open_src(&b.source, &dir));
+        let mut s = open_src(&b.source, &dir);
+        let guru = s.guru_json();
+        let loops = s.verdicts_json();
+        let loops = loops.get("loops").and_then(Json::as_arr).unwrap();
+        let decoded = |s: &Session| {
+            let snap = snapshot_stats(s);
+            snap.get("values_decoded").and_then(Json::as_i64).unwrap()
+        };
+        let st = s.stats_json();
+        for pass in ["summarize", "liveness", "classify", "execute"] {
+            let p = st.get("passes").unwrap().get(pass).unwrap();
+            let runs = p.get("invocations").and_then(Json::as_i64);
+            assert_eq!(runs, Some(0), "{}: {pass}", b.name);
+        }
+        assert_eq!(
+            decoded(&s),
+            loops.len() as i64 + 1,
+            "{}: one verdict per loop and the run",
+            b.name
+        );
+        let target = (guru.get("targets").and_then(Json::as_arr))
+            .and_then(|t| t.first()?.get("loop")?.as_str().map(str::to_string))
+            .unwrap_or_else(|| loops[0].get("loop").unwrap().as_str().unwrap().into());
+        s.slice_json(&target).unwrap();
+        assert_eq!(
+            decoded(&s),
+            loops.len() as i64 + 2,
+            "{}: and one table",
+            b.name
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
 /// An edited program invalidates persisted facts by hash: they are evicted
 /// as stale (not served), and the analysis matches a fresh one.
 #[test]

@@ -12,10 +12,13 @@ the Guru has none), and asserts that the restart (a) reports a loaded
 snapshot with warm hits and no stale evictions, (b) invoked the summarize,
 liveness, classify, deps and execute passes zero times and computed no fact
 at all (`cold_misses == 0`: every pass's facts are persisted;
-`execution.reused`: the program was not interpreted again), and (c) answered
+`execution.reused`: the program was not interpreted again), (c) answered
 `guru` and `slice` identically, the rendered report's wall-clock estimate
-included — it is the producing run's.  In both runs `stats.service.latency`
-must count every command sent before the `stats`.
+included — it is the producing run's, and (d) decoded at most `loops + 2`
+persisted values (`snapshot.values_decoded`: a persisted value decodes at
+its first read, and `load → guru → slice` reads the verdicts, the run and
+one dependence table — no summary and no liveness).  In both runs
+`stats.service.latency` must count every command sent before the `stats`.
 
 Then the run's key, across processes:
 
@@ -29,7 +32,9 @@ nothing (`passes.execute.invocations == 0`, `execution.reused`).  It
 changes no section either, so the edited procedure's summary comes out
 equal and the persisted `Liveness` fact, keyed by the summaries' values,
 is imported rather than recomputed (`passes.liveness`: 0 invocations, 1
-served from the persisted image).  Its `guru` and `slice` equal a fresh
+served from the persisted image) — and never decoded: every value the
+`load` decoded is a verdict, a dependence table, the run or a summary the
+reclassified loops read.  Its `guru` and `slice` equal a fresh
 daemon's on the edited text, the wall-clock estimate masked.  The bound
 edit interprets again.  The two edits are
 fixed replacements of text in docs/samples/demo.mf (`DATA_EDIT`,
@@ -163,6 +168,19 @@ def drive_edits(binary, persist_dir, data_edited, bound_edited):
     assert (liveness.get("invocations", 0), liveness.get("shared", 0)) == (0, 1), (
         f"a data-only edit must import the persisted liveness fact: {liveness}"
     )
+    passes = daemon.request({"cmd": "stats"})["passes"]
+    decoded = daemon.by_cmd["stats"]["snapshot"]["values_decoded"]
+    assert passes["classify"]["invocations"] > 0, f"the edit reclassifies: {passes}"
+
+    def served(name):
+        p = passes.get(name, {})
+        return p.get("reused", 0) + p.get("shared", 0)
+
+    read = sum(served(name) for name in ("summarize", "classify", "deps", "execute"))
+    assert decoded == read, (
+        f"the data-edited load decoded {decoded} values, not the {read} verdicts, "
+        f"tables, run and summaries it read: the liveness fact was decoded"
+    )
     replies = [without_wall_clock(r) for r in daemon.guru_and_slice(data_edited)]
     reloaded = daemon.request({"cmd": "reload", "text": bound_edited})
     assert execute_of(reloaded) == (1, False), (
@@ -204,6 +222,11 @@ def main():
     assert warm_snap["warm_hits"] > 0, f"restart must import facts: {warm_snap}"
     assert warm_snap["evicted_stale"] == 0, f"unchanged program evicted facts: {warm_snap}"
     assert warm_snap["cold_misses"] == 0, f"restart computed facts anew: {warm_snap}"
+    loops = len(re.findall(r"^\s*do\s+\d+\b", source, re.MULTILINE))
+    assert 0 < warm_snap["values_decoded"] <= loops + 2, (
+        f"load -> guru -> slice decoded more than {loops} verdicts, the run and "
+        f"one dependence table: {warm_snap}"
+    )
 
     # Zero-traffic passes are omitted from `passes`, so a missing entry is
     # itself a pass with zero invocations.
@@ -239,9 +262,11 @@ def main():
     print(
         f"warm start OK: {warm_snap['warm_hits']} facts imported, "
         f"0 summarize/liveness/classify/deps/execute invocations, "
+        f"{warm_snap['values_decoded']} values decoded, "
         f"identical guru and slice output, every command in stats.service.latency; "
         + (
-            "a data-only edit reused the persisted run and liveness, a bound edit ran again"
+            "a data-only edit reused the persisted run and liveness (never decoded), "
+            "a bound edit ran again"
             if edited is not None
             else "run 3 skipped: the program lacks the demo.mf edits"
         )

@@ -180,7 +180,7 @@ fn observe(source: &str, input: &[f64]) -> Option<(u128, Observed)> {
             m.set_input(input.to_vec());
             m.run().expect("the instrumented run succeeded");
             assert_eq!(m.ops(), ex.execution.ops);
-            let value: Arc<dyn Any + Send + Sync> = fact.value.clone();
+            let value: Arc<dyn Any + Send + Sync> = fact.value.value().expect("decodes");
             let run = value.downcast::<ExecutionFact>().expect("the run's type");
             Observed::of(Ok(&run))
         }

@@ -18,8 +18,8 @@ use std::sync::Arc;
 use suif_analysis::reduction::{RedEntry, RedSummary};
 use suif_analysis::summarize::NodeSummary;
 use suif_analysis::{
-    ExportedFact, FactStore, FactValue, LivenessResult, ParallelizeConfig, Parallelizer, PassId,
-    ProcFlow, ScheduleOptions, Snapshot,
+    ExportedFact, FactCell, FactStore, FactValue, LivenessResult, ParallelizeConfig, Parallelizer,
+    PassId, ProcFlow, ScheduleOptions, Snapshot,
 };
 use suif_benchmarks::{apps, ch4_apps, ch6_apps, Scale};
 use suif_poly::{AccessSummary, PolySet, Section, SectionSummary};
@@ -181,7 +181,7 @@ fn encoded(f: &ExportedFact, value: Arc<dyn FactValue>) -> Vec<u8> {
         value_hash: f.value_hash,
         deps: f.deps.clone(),
         bytes: f.bytes,
-        value,
+        value: FactCell::new(value),
     }])
     .encode()
 }
@@ -214,29 +214,31 @@ fn check(sources: &[(String, String)]) -> (usize, usize) {
         for (f, back) in facts.iter().zip(&decoded.facts) {
             let pass = f.key.pass;
             let what = format!("{name}: {pass:?} fact {:?}", f.key.scope);
-            let bytes = encoded(f, f.value.clone());
+            let value = f.value.value().expect("a computed value");
+            let bytes = encoded(f, value.clone());
 
-            let (storages, distinct) = storage_census(&sets_of(pass, &*f.value));
+            let (storages, distinct) = storage_census(&sets_of(pass, &*value));
             assert_eq!(storages, distinct, "{what}: produced value is not compact");
 
-            let loose = exploded(pass, &*f.value, false);
+            let loose = exploded(pass, &*value, false);
             let loose_sets = sets_of(pass, &*loose);
             let (loose_storages, _) = storage_census(&loose_sets);
             let nonempty = loose_sets.iter().filter(|s| !s.is_empty()).count();
             assert_eq!(loose_storages, nonempty, "{what}: exploded copy shares");
             assert_eq!(encoded(f, loose), bytes, "{what}: exploded bytes moved");
 
-            let packed = exploded(pass, &*f.value, true);
+            let packed = exploded(pass, &*value, true);
             let (storages, distinct) = storage_census(&sets_of(pass, &*packed));
             assert_eq!(storages, distinct, "{what}: compact() left duplicates");
             assert_eq!(encoded(f, packed), bytes, "{what}: compact() moved bytes");
             saved += loose_storages - storages;
 
             assert_eq!(back.key, f.key, "{what}");
-            let (storages, distinct) = storage_census(&sets_of(pass, &*back.value));
+            let back = back.value.value().expect("the value decodes");
+            let (storages, distinct) = storage_census(&sets_of(pass, &*back));
             assert_eq!(storages, distinct, "{what}: decoded value is not compact");
             assert_eq!(
-                encoded(f, back.value.clone()),
+                encoded(f, back.clone()),
                 bytes,
                 "{what}: decode moved bytes"
             );

@@ -39,8 +39,8 @@ fn warm_cache_resummarizes_nothing_across_suite() {
         );
         assert_eq!(s2.summary_hits(), s2.procs as u64, "{}", app.name);
         assert_eq!(
-            df_fingerprint(&cold.df),
-            df_fingerprint(&warm.df),
+            df_fingerprint(cold.df()),
+            df_fingerprint(warm.df()),
             "{}: served flows diverged",
             app.name
         );

@@ -119,7 +119,7 @@ proptest! {
         prop_assert_eq!(moved.len(), if delta % 2 == 1 { 2 } else { 1 });
 
         let fresh = Parallelizer::analyze(&next, config());
-        prop_assert_eq!(df_fingerprint(&pa.df), df_fingerprint(&fresh.df));
+        prop_assert_eq!(df_fingerprint(pa.df()), df_fingerprint(fresh.df()));
         prop_assert_eq!(fingerprint(&pa), fingerprint(&fresh));
     }
 

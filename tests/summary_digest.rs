@@ -62,7 +62,7 @@ fn render(program: &Program) -> (String, Vec<u8>) {
     );
     let mut loops: Vec<_> = pa.ctx.tree.loops.iter().collect();
     loops.sort_by(|a, b| a.name.cmp(&b.name));
-    let mut out = df_fingerprint(&pa.df);
+    let mut out = df_fingerprint(pa.df());
     for l in loops {
         out.push_str(&format!("\n{}: {:?}", l.name, pa.verdicts[&l.stmt]));
     }
