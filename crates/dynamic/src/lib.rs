@@ -58,9 +58,11 @@
 //! [`machine::Machine::begin_iteration`] and
 //! [`machine::Machine::step_with`], one instruction reporting to hooks the
 //! caller lends it.  The certifier's scout also stops a run at a loop's
-//! head ([`machine::Machine::run_to_head`]), takes a
-//! [`machine::Checkpoint`] there, and resumes copies of the run from it
-//! ([`machine::Machine::resume`], [`machine::Machine::finish`]).
+//! head or exit ([`machine::Machine::run_to`]), takes a
+//! [`machine::Checkpoint`] there, resumes copies of the run from it
+//! ([`machine::Machine::resume`], [`machine::Machine::finish`]) and asks
+//! whether a copy's state has come back to its own
+//! ([`machine::Machine::same_state`]).
 //!
 //! This crate also holds the two schedule-independent halves of the
 //! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a
@@ -94,7 +96,7 @@ pub mod value;
 pub use code::{Code, DoLoop};
 pub use dyndep::{DynDepAnalyzer, DynDepConfig, DynDepReport};
 pub use layout::Layout;
-pub use machine::{Checkpoint, Hooks, Machine, MemStore, NoHooks, RuntimeError};
+pub use machine::{Checkpoint, Hooks, Machine, MemStore, NoHooks, RuntimeError, Stop};
 pub use profile::{LoopProfile, LoopProfiler, ProfileReport};
 pub use race::{AccessInfo, AccessKind, Race, RaceDetector, VectorClock};
 pub use sched::{AdversarialScheduler, SchedPolicy, SplitMix64};

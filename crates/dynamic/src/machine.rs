@@ -10,9 +10,10 @@
 //! stepped in turn on one thread ([`Machine::step_with`]) for race
 //! certification.  The safety contract for that sharing is documented on
 //! [`MemStore`], and every raw-pointer operation stays in this file.  A
-//! machine that owns its memory can also be stopped at a loop's head
-//! ([`Machine::run_to_head`]) and copied into a [`Checkpoint`], from which
-//! any number of machines continue the run ([`Machine::resume`]).
+//! machine that owns its memory can also be stopped at a loop's head or
+//! exit ([`Machine::run_to`]) and copied into a [`Checkpoint`], from which
+//! any number of machines continue the run ([`Machine::resume`]), and
+//! compared with one ([`Machine::same_state`]).
 
 use crate::code::{Code, Dim, DoLoop, Inst};
 use crate::layout::{Layout, LayoutError};
@@ -215,7 +216,7 @@ pub trait LoopHandler: Send {
 
 /// An active sequential `do` loop: the control values live here, not in the
 /// induction variable's cell, so the body cannot redirect the loop.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq)]
 struct LoopFrame {
     i: i64,
     hi: i64,
@@ -240,6 +241,30 @@ pub struct Checkpoint {
     max_ops: u64,
     output: Vec<String>,
     input: VecDeque<f64>,
+}
+
+impl Checkpoint {
+    /// The virtual-op counter at the checkpoint.
+    pub fn ops(&self) -> u64 {
+        self.ops
+    }
+}
+
+/// Where [`Machine::run_to`] stopped.
+#[derive(Clone, Copy, Debug)]
+pub enum Stop {
+    /// The next instruction is the head of this loop, which `stop`
+    /// accepted: its statement has been counted and announced, its handler
+    /// not yet offered it.
+    Head(DoLoop),
+    /// The next instruction is the first after the `exit` loop.
+    Exit,
+    /// The next instruction is a loop back-edge or a call entry — the two
+    /// places the op budget is checked — with more than `limit` ops
+    /// counted.  Nothing of it has run.
+    Limit,
+    /// The program has ended.
+    End,
 }
 
 /// The interpreter: explicit state over a shared, immutable [`Code`].
@@ -327,6 +352,14 @@ impl<'a> Machine<'a> {
     /// Unlimited unless set.
     pub fn set_max_ops(&mut self, max_ops: u64) {
         self.max_ops = max_ops;
+    }
+
+    /// Restart the virtual-op counter at `ops`.  A run resumed from another
+    /// run's checkpoint keeps its own count: the budget checks and the
+    /// budget [`Machine::fork_view`] hands a worker then fall where they
+    /// would have in that run.
+    pub fn set_ops(&mut self, ops: u64) {
+        self.ops = ops;
     }
 
     /// The lowered program this machine executes.
@@ -436,24 +469,38 @@ impl<'a> Machine<'a> {
         Ok(())
     }
 
-    /// Run on until the next instruction is the head of a loop `stop`
-    /// accepts and return that loop, the machine standing at its head: the
-    /// loop's statement has been counted and announced, its handler not yet
-    /// offered it.  `None` once the program has ended.  A machine already at
-    /// the head of an accepted loop stays there.
-    pub fn run_to_head(
+    /// Run on until the next instruction is the first after the loop
+    /// `exit`, the head of a loop `stop` accepts, or a budget check taken
+    /// with more than `limit` ops counted, and say which ([`Stop`]); or
+    /// until the program has ended.  The exit is tested first, and a
+    /// machine already standing at a stop stays there.  MiniF has no
+    /// recursion, so a machine inside `exit` reaches the instruction after
+    /// it only by leaving the loop.
+    pub fn run_to(
         &mut self,
+        exit: Option<&DoLoop>,
+        limit: u64,
         mut stop: impl FnMut(&DoLoop) -> bool,
-    ) -> Result<Option<DoLoop>, RuntimeError> {
+    ) -> Result<Stop, RuntimeError> {
+        let exit = exit.map_or(usize::MAX, |lp| lp.next as usize + 1);
         loop {
-            if let Inst::DoHead { lp, .. } = self.code.insts[self.pc] {
-                let lp = self.code.loops[lp as usize];
-                if stop(&lp) {
-                    return Ok(Some(lp));
+            if self.pc == exit {
+                return Ok(Stop::Exit);
+            }
+            match self.code.insts[self.pc] {
+                Inst::DoHead { lp, .. } => {
+                    let lp = self.code.loops[lp as usize];
+                    if stop(&lp) {
+                        return Ok(Stop::Head(lp));
+                    }
                 }
+                Inst::DoNext(_) | Inst::Call { .. } if self.ops > limit => {
+                    return Ok(Stop::Limit);
+                }
+                _ => {}
             }
             if !self.step()? {
-                return Ok(None);
+                return Ok(Stop::End);
             }
         }
     }
@@ -461,12 +508,9 @@ impl<'a> Machine<'a> {
     /// This machine's state, owned (see [`Checkpoint`]).  The machine must
     /// own its memory: a worker view cannot be checkpointed.
     pub fn checkpoint(&self) -> Checkpoint {
-        let MemStore::Owned(memory) = &self.mem else {
-            panic!("a worker view cannot be checkpointed");
-        };
         Checkpoint {
             code: Arc::clone(&self.code),
-            memory: memory.clone(),
+            memory: self.owned_memory().clone(),
             base: self.base.clone(),
             pc: self.pc,
             stack: self.stack.clone(),
@@ -479,11 +523,59 @@ impl<'a> Machine<'a> {
         }
     }
 
+    /// [`Machine::checkpoint`] without the copy, for a machine that is done.
+    pub fn into_checkpoint(self) -> Checkpoint {
+        let MemStore::Owned(memory) = self.mem else {
+            panic!("a worker view cannot be checkpointed");
+        };
+        Checkpoint {
+            code: self.code,
+            memory,
+            base: self.base,
+            pc: self.pc,
+            stack: self.stack,
+            loops: self.loops,
+            calls: self.calls,
+            ops: self.ops,
+            max_ops: self.max_ops,
+            output: self.output,
+            input: self.input,
+        }
+    }
+
+    /// True when this machine and `at` stand at the same point of the same
+    /// run in the same state, so that each goes on to do what the other
+    /// would: equal memory, [`Value`] by [`Value`] and bit for bit (so
+    /// `-0.0` is not `0.0`), base table, program counter, operand, loop and
+    /// call stacks, output so far and input not yet read.  The op counter
+    /// and budget are not compared.  The machine must own its memory.
+    pub fn same_state(&self, at: &Checkpoint) -> bool {
+        self.pc == at.pc
+            && self.calls == at.calls
+            && self.loops == at.loops
+            && same_values(&self.stack, &at.stack)
+            && self.output == at.output
+            && self.input.len() == at.input.len()
+            && self
+                .input
+                .iter()
+                .zip(&at.input)
+                .all(|(a, b)| a.to_bits() == b.to_bits())
+            && self.base == at.base
+            && same_values(self.owned_memory(), &at.memory)
+    }
+
+    fn owned_memory(&self) -> &Vec<Value> {
+        match &self.mem {
+            MemStore::Owned(memory) => memory,
+            MemStore::View { .. } => panic!("a worker view cannot be checkpointed"),
+        }
+    }
+
     /// A machine that continues `program`'s run from `at`, reporting to
     /// `hooks`, with no loop handler.  `at` must come from a machine of this
-    /// `program`; it is left as it was.
-    pub fn resume(program: &'a Program, at: &Checkpoint, hooks: &'a mut dyn Hooks) -> Machine<'a> {
-        let at = at.clone();
+    /// `program`.
+    pub fn resume(program: &'a Program, at: Checkpoint, hooks: &'a mut dyn Hooks) -> Machine<'a> {
         Machine {
             program,
             code: at.code,
@@ -955,6 +1047,16 @@ impl<'a> Machine<'a> {
     }
 }
 
+/// Equal, value by value and bit for bit.
+fn same_values(a: &[Value], b: &[Value]) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b).all(|(x, y)| match (x, y) {
+            (Value::Int(p), Value::Int(q)) => p == q,
+            (Value::Real(p), Value::Real(q)) => p.to_bits() == q.to_bits(),
+            _ => false,
+        })
+}
+
 /// The hooks a step reports to: the ones lent to it, else the machine's own.
 #[inline(always)]
 fn sink<'s>(own: &'s mut dyn Hooks, lent: &'s mut Option<&mut dyn Hooks>) -> &'s mut dyn Hooks {
@@ -1347,10 +1449,13 @@ mod tests {
         let mut hooks = NoHooks;
         let mut scout = Machine::new(&p, &mut hooks).unwrap();
         scout.set_max_ops(10_000);
-        assert!(scout.run_to_head(|_| true).unwrap().is_some());
+        assert!(matches!(
+            scout.run_to(None, u64::MAX, |_| true),
+            Ok(Stop::Head(_))
+        ));
         let at = scout.checkpoint();
         let mut hooks = NoHooks;
-        let mut resumed = Machine::resume(&p, &at, &mut hooks);
+        let mut resumed = Machine::resume(&p, at, &mut hooks);
         let e = resumed.run().unwrap_err();
         assert_eq!(e.message, "op budget of 10000 exhausted");
     }
@@ -1364,7 +1469,10 @@ mod tests {
         let mut hooks = NoHooks;
         let mut parent = Machine::new(&p, &mut hooks).unwrap();
         parent.set_max_ops(10_000);
-        assert!(parent.run_to_head(|_| true).unwrap().is_some());
+        assert!(matches!(
+            parent.run_to(None, u64::MAX, |_| true),
+            Ok(Stop::Head(_))
+        ));
         let left = 10_000 - parent.ops();
         assert!(left < 10_000, "the parent spent ops before the head");
         let mut worker_hooks = NoHooks;
@@ -1376,6 +1484,88 @@ mod tests {
             "{}",
             worker.ops()
         );
+    }
+
+    #[test]
+    fn run_to_stops_before_an_exit_a_head_and_a_budget_check() {
+        let p = parse_program(
+            "program t\nproc main() {\n int i, s\n s = 0\n do i = 1, 3 {\n s = s + i\n }\n do i = 1, 2 {\n s = s * 2\n }\n print s\n}",
+        )
+        .unwrap();
+        let mut hooks = NoHooks;
+        let mut m = Machine::new(&p, &mut hooks).unwrap();
+        let Ok(Stop::Head(first)) = m.run_to(None, u64::MAX, |_| true) else {
+            panic!("no head");
+        };
+        // Standing at a stop, the machine stays there.
+        assert!(
+            matches!(m.run_to(None, u64::MAX, |_| true), Ok(Stop::Head(lp)) if lp.stmt == first.stmt)
+        );
+        // The first loop's exit is the second loop's head: the exit wins.
+        assert!(matches!(
+            m.run_to(Some(&first), u64::MAX, |_| true),
+            Ok(Stop::Head(_))
+        ));
+        m.step().unwrap();
+        assert!(matches!(
+            m.run_to(Some(&first), u64::MAX, |_| true),
+            Ok(Stop::Exit)
+        ));
+        let Ok(Stop::Head(second)) = m.run_to(None, u64::MAX, |_| true) else {
+            panic!("no second head");
+        };
+        assert_ne!(second.stmt, first.stmt);
+        // A limit already passed stops the machine at the back-edge, before
+        // the budget check that the same limit as a budget fails.
+        let at = m.checkpoint();
+        let limit = m.ops();
+        assert!(matches!(m.run_to(None, limit, |_| false), Ok(Stop::Limit)));
+        let mut hooks = NoHooks;
+        let mut budgeted = Machine::resume(&p, at, &mut hooks);
+        budgeted.set_max_ops(limit);
+        let e = budgeted.finish().unwrap_err();
+        assert_eq!((e.line, budgeted.ops()), (8, m.ops()));
+        assert!(matches!(m.run_to(None, u64::MAX, |_| false), Ok(Stop::End)));
+        assert_eq!(m.output, vec!["24"]);
+    }
+
+    #[test]
+    fn same_state_compares_everything_but_the_op_count() {
+        let p = parse_program(
+            "program t\nproc main() {\n real a[3]\n int i\n a[1] = 0.0\n do i = 1, 3 {\n a[i] = a[i] + i\n }\n print a[3]\n}",
+        )
+        .unwrap();
+        let mut hooks = NoHooks;
+        let mut m = Machine::new(&p, &mut hooks).unwrap();
+        m.set_input(vec![1.0]);
+        assert!(matches!(
+            m.run_to(None, u64::MAX, |_| true),
+            Ok(Stop::Head(_))
+        ));
+        let at = m.checkpoint();
+        let a = (0..p.vars.len() as u32)
+            .map(VarId)
+            .find(|&v| p.var(v).name == "a");
+        let cell = m.array_base(a.unwrap(), 0).unwrap();
+        assert!(matches!(m.peek(cell), Some(Value::Real(x)) if x.to_bits() == 0));
+        let differs = |edit: &dyn Fn(&mut Machine<'_>)| {
+            let mut hooks = NoHooks;
+            let mut other = Machine::resume(&p, at.clone(), &mut hooks);
+            assert!(other.same_state(&at));
+            edit(&mut other);
+            !other.same_state(&at)
+        };
+        assert!(
+            !differs(&|m| m.set_ops(m.ops() + 7)),
+            "ops are not compared"
+        );
+        assert!(
+            differs(&|m| assert!(m.poke(cell, Value::Real(-0.0)))),
+            "-0.0"
+        );
+        assert!(differs(&|m| m.output.push(String::new())), "output");
+        assert!(differs(&|m| m.set_input(vec![1.0, 2.0])), "input");
+        assert!(differs(&|m| assert!(m.step().unwrap())), "pc");
     }
 
     #[test]

@@ -13,20 +13,22 @@
 //! seed), and every step reports its memory access to a [`RaceDetector`]
 //! that checks it against the happens-before order in which each
 //! *iteration* is a logical thread forked at loop entry and joined at exit.
-//! Nothing is spawned and nothing is locked.  A schedule builds one
-//! detector, whose dense shadow covers the shared segment, and resets it at
-//! every invocation of the target loop.
+//! Nothing is spawned and nothing is locked.  One detector, whose dense
+//! shadow covers the shared segment, serves every schedule of a call and is
+//! reset at every invocation of a target loop.
 //!
 //! [`certify_loops`] runs the program once, sequentially, as a *scout* that
-//! stops at each target loop's first head and takes a [`Checkpoint`] there.
-//! Every adversarial schedule of that target resumes from the checkpoint
-//! and runs the rest of the program, collecting per-schedule races,
-//! captured output and final shared memory.  Nothing before a target's
-//! first head depends on the schedule, so this is exactly what running the
-//! whole program once per schedule gave.  A sequential reference capture of
-//! the same program lets callers check the differential invariant: a
-//! certified DOALL loop must be race-free with sequential-identical
-//! observable behavior under every schedule.
+//! carries the schedules: a schedule whose state is the scout's rides it
+//! between invocations, runs only its loop's invocations under its handler
+//! (from a [`Checkpoint`] of the scout at the loop's head), and rides on
+//! when its state at the loop's exit equals the scout's there.  A schedule
+//! whose invocation raced, or whose state differs, runs alone — to its
+//! loop's next head, where it may come back, or to the end.  Each
+//! schedule's races, captured output and final shared memory are exactly
+//! those of one whole run per schedule ([`certify_from_main`]).  A
+//! sequential reference capture of the same program lets callers check the
+//! differential invariant: a certified DOALL loop must be race-free with
+//! sequential-identical observable behavior under every schedule.
 
 use crate::executor::{Finalization, Schedule};
 use crate::forkjoin::{finalize, Iterations, LoopLayout, LoopRun, SegRole, WorkerResult};
@@ -34,7 +36,7 @@ use crate::plan::PlanEntry;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use suif_dynamic::machine::{Checkpoint, Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
+use suif_dynamic::machine::{Checkpoint, Hooks, LoopHandler, Machine, NoHooks, RuntimeError, Stop};
 use suif_dynamic::race::{AccessKind, Race, RaceDetector};
 use suif_dynamic::sched::AdversarialScheduler;
 use suif_dynamic::{Code, DoLoop, Value, MAX_EXECUTE_OPS};
@@ -253,16 +255,16 @@ fn interleave(
 /// Every invocation of the target loop is certified (an inner loop reached
 /// several times accumulates into `outcome` across invocations); all other
 /// loops run sequentially.
-struct CertifyHandler<'p> {
+struct CertifyHandler<'h> {
     target: StmtId,
     /// Logical worker count (clamped to the iteration count per invocation).
     threads: usize,
     /// All scheduling decisions derive from this seed.
     seed: u64,
-    plan: &'p PlanEntry,
-    /// Built once for the schedule, reset at every invocation.
-    detector: RaceDetector,
-    outcome: CertOutcome,
+    plan: &'h PlanEntry,
+    /// Reset at every invocation, so one serves every schedule of a call.
+    detector: &'h mut RaceDetector,
+    outcome: &'h mut CertOutcome,
 }
 
 impl LoopHandler for CertifyHandler<'_> {
@@ -294,7 +296,7 @@ impl LoopHandler for CertifyHandler<'_> {
 
         // One logical thread per iteration, plus the parent (thread 0);
         // fork edges order everything before the loop with every iteration.
-        let detector = &mut self.detector;
+        let detector = &mut *self.detector;
         detector.reset(n + 1);
         for k in 0..n {
             detector.fork(0, k + 1);
@@ -329,6 +331,11 @@ impl LoopHandler for CertifyHandler<'_> {
         ))
     }
 }
+
+/// The most adversarial schedules one certification may ask for.  A
+/// `certify` request and the CLI's `--schedules` refuse more, and fewer than
+/// one.
+pub const MAX_CERTIFY_SCHEDULES: u32 = 64;
 
 /// Options for a certification run.
 #[derive(Clone, Debug)]
@@ -377,10 +384,16 @@ pub struct ScheduleReport {
     pub outcome: CertOutcome,
     /// Whole-program observable result under this schedule.
     pub capture: ExecutionCapture,
-    /// Wall-clock time of the run from the loop's first head on: the
-    /// prefix the schedules share runs once, outside every schedule, and a
-    /// loop the program never reaches ran nothing of its own (zero).
+    /// Wall-clock time of the schedule's own work: its invocations of the
+    /// loop and the stretches it ran alone.  The scout's sequential run is
+    /// in no schedule's `elapsed`, and a loop the program never reaches ran
+    /// nothing of its own (zero).
     pub elapsed: Duration,
+    /// Certified invocations after which the schedule's state equalled the
+    /// scout's, so that it rode the scout on from there.
+    pub joined: u64,
+    /// Times the schedule went on alone.
+    pub diverged: u64,
 }
 
 /// Certification result for one loop across all schedules.
@@ -463,29 +476,207 @@ pub fn certify_loop(
     one.pop().expect("one certification per target")
 }
 
+/// What certification means, for tests to hold [`certify_loops`] to: every
+/// schedule of `target` is one whole run of the program from `main`, within
+/// [`MAX_EXECUTE_OPS`], with the loop certified under `plan` at each of its
+/// invocations and every other loop run sequentially.  `elapsed` is the
+/// run's time; `joined` and `diverged` are zero, as there is no scout.
+pub fn certify_from_main(
+    program: &Program,
+    target: StmtId,
+    plan: &PlanEntry,
+    opts: &CertifyOptions,
+) -> LoopCertification {
+    from_main_within(program, target, plan, opts, MAX_EXECUTE_OPS)
+}
+
+/// [`certify_from_main`] within a budget of `max_ops`.
+fn from_main_within(
+    program: &Program,
+    target: StmtId,
+    plan: &PlanEntry,
+    opts: &CertifyOptions,
+    max_ops: u64,
+) -> LoopCertification {
+    let schedules = (0..opts.schedules)
+        .map(|s| {
+            let seed = opts.seed.wrapping_add(s as u64);
+            let start = Instant::now();
+            let mut outcome = CertOutcome::default();
+            let mut hooks = NoHooks;
+            let capture = match Machine::new(program, &mut hooks) {
+                Err(e) => layout_failure(e),
+                Ok(mut m) => {
+                    let mut detector = RaceDetector::new(0, m.shared_len());
+                    let mut handler = CertifyHandler {
+                        target,
+                        threads: opts.threads,
+                        seed,
+                        plan,
+                        detector: &mut detector,
+                        outcome: &mut outcome,
+                    };
+                    m.set_input(opts.input.clone());
+                    m.set_max_ops(max_ops);
+                    m.set_handler(&mut handler);
+                    let error = m.run().err();
+                    capture_machine(m, error)
+                }
+            };
+            ScheduleReport {
+                seed,
+                outcome,
+                capture,
+                elapsed: start.elapsed(),
+                joined: 0,
+                diverged: 0,
+            }
+        })
+        .collect();
+    LoopCertification {
+        stmt: target,
+        schedules,
+    }
+}
+
 /// Certify every `(loop, plan)` of `targets`, each under `opts.schedules`
 /// adversarial schedules, and return their certifications in target order;
-/// a loop may appear more than once, under different plans.
+/// a loop may appear more than once, under different plans.  Each result is
+/// [`certify_from_main`]'s, but for `elapsed`, `joined` and `diverged`.
 ///
-/// The program is lowered once and run once, sequentially, by a scout
-/// machine that stops at the first head of each target loop it reaches and
-/// takes a [`Checkpoint`] there.  Every schedule of that loop resumes from
-/// the checkpoint with the loop's [`CertifyHandler`] installed and runs to
-/// the end of the program; the scout then steps past the head, and quits
-/// once no target is left.  Until its target's first head a schedule's run
-/// is the sequential run — the handler declines every other loop — so this
-/// gives what running the whole program once per schedule did.  A target
-/// the scout never reaches (its procedure is never called, or the run fails
-/// first) gets the scout's final capture for every schedule, which is again
-/// what each full run would have produced.  The scout runs under
-/// [`MAX_EXECUTE_OPS`], and each checkpoint carries that budget into the
-/// schedules resumed from it: a run that spends it ends in the budget
-/// error instead of holding the worker.
+/// The program is lowered once and run once, sequentially, by a *scout*
+/// that carries the schedules.  A schedule is *joined* while its machine
+/// state is the scout's — every schedule starts so — and holds no machine
+/// of its own then.  At each head of a target loop the scout takes a
+/// [`Checkpoint`], and every live schedule of a target on that loop runs
+/// that one invocation under its [`CertifyHandler`]: a joined one from the
+/// scout's checkpoint, a diverged one from its own.  A schedule whose
+/// invocation raced, or whose state at the loop's exit differs from the
+/// scout's when the scout gets there, runs alone to its loop's next head
+/// and waits there; one whose state agrees is joined again.  The scout
+/// stops once it carries no one (no schedule joined, none waiting at an
+/// exit), and every waiting schedule then runs alone to the end.  Joined
+/// schedules, and those of a target the scout never reached, take the
+/// scout's final capture.
+///
+/// A handler skips a loop body's ops, so a joined schedule counts fewer
+/// ops than the scout; it keeps the difference (its lag) and is resumed
+/// with its own count.  The scout stops before any budget check that a
+/// joined schedule with another count would fail, and such schedules go on
+/// alone from there: every run stays within [`MAX_EXECUTE_OPS`] of its
+/// own, and a run that spends it ends in the budget error instead of
+/// holding the worker.
 pub fn certify_loops(
     program: &Program,
     targets: &[(StmtId, &PlanEntry)],
     opts: &CertifyOptions,
 ) -> Vec<LoopCertification> {
+    certify_within(program, targets, opts, MAX_EXECUTE_OPS)
+}
+
+/// [`certify_loops`] within a budget of `max_ops`.
+fn certify_within(
+    program: &Program,
+    targets: &[(StmtId, &PlanEntry)],
+    opts: &CertifyOptions,
+    max_ops: u64,
+) -> Vec<LoopCertification> {
+    let mut scheds: Vec<Sched> = (0..targets.len())
+        .flat_map(|target| (0..opts.schedules).map(move |s| (target, s)))
+        .map(|(target, s)| Sched {
+            target,
+            seed: opts.seed.wrapping_add(s as u64),
+            outcome: CertOutcome::default(),
+            place: Place::Joined { lag: 0 },
+            elapsed: Duration::ZERO,
+            joined: 0,
+            diverged: 0,
+        })
+        .collect();
+    let code = match Code::lower(program) {
+        Ok(code) => Arc::new(code),
+        Err(e) => {
+            let capture = layout_failure(e);
+            for s in &mut scheds {
+                s.place = Place::Done(capture.clone());
+            }
+            return reports(targets, scheds);
+        }
+    };
+    let mut hooks = NoHooks;
+    let mut scout = Machine::with_code(program, code, &mut hooks);
+    scout.set_input(opts.input.clone());
+    scout.set_max_ops(max_ops);
+    let mut c = Certifier {
+        program,
+        targets,
+        threads: opts.threads,
+        detector: RaceDetector::new(0, scout.shared_len()),
+        scheds,
+    };
+    // Schedules by their target's loop.
+    let mut by_loop: HashMap<StmtId, Vec<usize>> = HashMap::new();
+    for (i, sched) in c.scheds.iter().enumerate() {
+        by_loop.entry(targets[sched.target].0).or_default().push(i);
+    }
+    // The loops at whose exits schedules wait, innermost last.
+    let mut exits: Vec<DoLoop> = Vec::new();
+    let ended = loop {
+        let Some(limit) = c.limit(max_ops) else {
+            break None;
+        };
+        c.advance();
+        let live = |lp: &DoLoop| {
+            by_loop.get(&lp.stmt).is_some_and(|ids| {
+                ids.iter()
+                    .any(|&i| matches!(c.scheds[i].place, Place::Joined { .. } | Place::AtHead(_)))
+            })
+        };
+        match scout.run_to(exits.last(), limit, live) {
+            Ok(Stop::Head(lp)) => {
+                if c.at_head(&scout, lp, &by_loop[&lp.stmt]) {
+                    exits.push(lp);
+                }
+                // Past the head, and on through the loop sequentially.
+                if let Err(e) = scout.step() {
+                    break Some(Err(e));
+                }
+            }
+            Ok(Stop::Exit) => {
+                let lp = exits.pop().expect("the scout stops at a waited-for exit");
+                c.at_exit(&scout, &by_loop[&lp.stmt]);
+            }
+            Ok(Stop::Limit) => c.detach(&scout),
+            Ok(Stop::End) => break Some(Ok(())),
+            Err(e) => break Some(Err(e)),
+        }
+    };
+    let capture = ended.map(|result| capture_machine(scout, result.err()));
+    for i in 0..c.scheds.len() {
+        let place = match c.take(i) {
+            Place::Joined { .. } => Place::Done(
+                capture
+                    .clone()
+                    .expect("a joined schedule keeps the scout running"),
+            ),
+            Place::AtExit { post: at, .. } => {
+                c.scheds[i].diverged += 1;
+                let ops = at.ops();
+                c.run(i, at, ops, Until::End)
+            }
+            Place::Alone(at) | Place::AtHead(at) => {
+                let ops = at.ops();
+                c.run(i, at, ops, Until::End)
+            }
+            done => done,
+        };
+        c.scheds[i].place = place;
+    }
+    reports(targets, c.scheds)
+}
+
+/// The certifications of `targets` from their finished schedules.
+fn reports(targets: &[(StmtId, &PlanEntry)], scheds: Vec<Sched>) -> Vec<LoopCertification> {
     let mut certs: Vec<LoopCertification> = targets
         .iter()
         .map(|&(stmt, _)| LoopCertification {
@@ -493,89 +684,239 @@ pub fn certify_loops(
             schedules: Vec::new(),
         })
         .collect();
-    let unreached = |cert: &mut LoopCertification, capture: &ExecutionCapture| {
-        cert.schedules = (0..opts.schedules)
-            .map(|s| ScheduleReport {
-                seed: opts.seed.wrapping_add(s as u64),
-                outcome: CertOutcome::default(),
-                capture: capture.clone(),
-                elapsed: Duration::ZERO,
-            })
-            .collect();
-    };
-    let code = match Code::lower(program) {
-        Ok(code) => Arc::new(code),
-        Err(e) => {
-            let capture = layout_failure(e);
-            certs.iter_mut().for_each(|c| unreached(c, &capture));
-            return certs;
-        }
-    };
-    // Target indices by loop, until the scout reaches the loop.
-    let mut pending: HashMap<StmtId, Vec<usize>> = HashMap::new();
-    for (k, &(stmt, _)) in targets.iter().enumerate() {
-        pending.entry(stmt).or_default().push(k);
-    }
-    let mut hooks = NoHooks;
-    let mut scout = Machine::with_code(program, code, &mut hooks);
-    scout.set_input(opts.input.clone());
-    scout.set_max_ops(MAX_EXECUTE_OPS);
-    let error = loop {
-        if pending.is_empty() {
-            return certs;
-        }
-        match scout.run_to_head(|lp| pending.contains_key(&lp.stmt)) {
-            Ok(Some(lp)) => {
-                let at = scout.checkpoint();
-                let reached = pending.remove(&lp.stmt);
-                for k in reached.expect("the scout stops at pending loops only") {
-                    let plan = targets[k].1;
-                    certs[k].schedules = (0..opts.schedules)
-                        .map(|s| run_schedule(program, &at, lp.stmt, plan, opts, s))
-                        .collect();
-                }
-            }
-            Ok(None) => break None,
-            Err(e) => break Some(e),
-        }
-    };
-    let capture = capture_machine(scout, error);
-    for k in pending.into_values().flatten() {
-        unreached(&mut certs[k], &capture);
+    for s in scheds {
+        let Place::Done(capture) = s.place else {
+            panic!("every schedule runs to the end");
+        };
+        certs[s.target].schedules.push(ScheduleReport {
+            seed: s.seed,
+            outcome: s.outcome,
+            capture,
+            elapsed: s.elapsed,
+            joined: s.joined,
+            diverged: s.diverged,
+        });
     }
     certs
 }
 
-/// Schedule `s` of `target`: resume the run from `at`, the loop's first
-/// head, with the loop certified under `plan`, and run it to the end.
-fn run_schedule(
-    program: &Program,
-    at: &Checkpoint,
-    target: StmtId,
-    plan: &PlanEntry,
-    opts: &CertifyOptions,
-    s: u32,
-) -> ScheduleReport {
-    let seed = opts.seed.wrapping_add(s as u64);
-    let start = Instant::now();
-    let mut hooks = NoHooks;
-    let mut m = Machine::resume(program, at, &mut hooks);
-    let mut handler = CertifyHandler {
-        target,
-        threads: opts.threads,
-        seed,
-        plan,
-        detector: RaceDetector::new(0, m.shared_len()),
-        outcome: CertOutcome::default(),
-    };
-    m.set_handler(&mut handler);
-    let error = m.finish().err();
-    let capture = capture_machine(m, error);
-    ScheduleReport {
-        seed,
-        outcome: handler.outcome,
-        capture,
-        elapsed: start.elapsed(),
+/// Where a schedule stands while the scout runs.
+enum Place {
+    /// Riding the scout: its state is the scout's, with `lag` fewer ops
+    /// counted (wrapping).
+    Joined { lag: u64 },
+    /// Gone on alone from this state; it runs to its loop's next head
+    /// before the scout moves on, or to the end once the scout stops.
+    Alone(Checkpoint),
+    /// Gone on alone and stopped at its loop's head, before its handler is
+    /// offered the loop.
+    AtHead(Checkpoint),
+    /// Done with an invocation that raced nothing and stopped at the loop's
+    /// exit until the scout gets there; `certified` unless the handler
+    /// declined the invocation.
+    AtExit { post: Checkpoint, certified: bool },
+    /// Ran to the end of the program, or failed.
+    Done(ExecutionCapture),
+}
+
+/// How far [`Certifier::run`] takes a schedule.
+enum Until {
+    /// To the exit of this loop, whose head it stands at.
+    Exit(DoLoop),
+    /// To its loop's next head.
+    Head,
+    /// To the end of the program.
+    End,
+}
+
+/// One schedule of one target.
+struct Sched {
+    /// Index of its target.
+    target: usize,
+    seed: u64,
+    outcome: CertOutcome,
+    place: Place,
+    elapsed: Duration,
+    joined: u64,
+    diverged: u64,
+}
+
+/// The schedules of one [`certify_loops`] call and what they share.
+struct Certifier<'p, 't> {
+    program: &'p Program,
+    targets: &'t [(StmtId, &'t PlanEntry)],
+    threads: usize,
+    /// Every schedule's detector: it is reset at each invocation.
+    detector: RaceDetector,
+    scheds: Vec<Sched>,
+}
+
+impl Certifier<'_, '_> {
+    /// Schedule `i`'s place, which the caller replaces.
+    fn take(&mut self, i: usize) -> Place {
+        std::mem::replace(&mut self.scheds[i].place, Place::Joined { lag: 0 })
+    }
+
+    /// The op count past which the scout stops before a budget check: the
+    /// first at which a schedule riding it with another count would fail
+    /// the check.  `None` once the scout carries no one.
+    fn limit(&self, max_ops: u64) -> Option<u64> {
+        let mut carrying = false;
+        let mut limit = u64::MAX;
+        for s in &self.scheds {
+            match s.place {
+                Place::Joined { lag } => {
+                    carrying = true;
+                    if lag != 0 {
+                        limit = limit.min(max_ops.saturating_add_signed((lag as i64).min(0)));
+                    }
+                }
+                Place::AtExit { .. } => carrying = true,
+                Place::Alone(_) | Place::AtHead(_) | Place::Done(_) => {}
+            }
+        }
+        carrying.then_some(limit)
+    }
+
+    /// Run schedule `i` under its handler from `at` — the scout's state or
+    /// its own — with `ops` ops counted, as far as `until`, and return where
+    /// it then stands.  The time counts in its `elapsed`.
+    fn run(&mut self, i: usize, at: Checkpoint, ops: u64, until: Until) -> Place {
+        let start = Instant::now();
+        let sched = &mut self.scheds[i];
+        let (target, plan) = self.targets[sched.target];
+        let certified = sched.outcome.loops_run;
+        let mut hooks = NoHooks;
+        let mut m = Machine::resume(self.program, at, &mut hooks);
+        m.set_ops(ops);
+        let mut handler = CertifyHandler {
+            target,
+            threads: self.threads,
+            seed: sched.seed,
+            plan,
+            detector: &mut self.detector,
+            outcome: &mut sched.outcome,
+        };
+        m.set_handler(&mut handler);
+        let stopped = match until {
+            Until::Exit(lp) => m.run_to(Some(&lp), u64::MAX, |_| false),
+            Until::Head => m.run_to(None, u64::MAX, |lp| lp.stmt == target),
+            Until::End => m.finish().map(|()| Stop::End),
+        };
+        let place = match stopped {
+            Ok(Stop::Exit) => {
+                let post = m.into_checkpoint();
+                Place::AtExit {
+                    post,
+                    certified: sched.outcome.loops_run != certified,
+                }
+            }
+            Ok(Stop::Head(_)) => Place::AtHead(m.into_checkpoint()),
+            Ok(Stop::End | Stop::Limit) => Place::Done(capture_machine(m, None)),
+            Err(e) => Place::Done(capture_machine(m, Some(e))),
+        };
+        sched.elapsed += start.elapsed();
+        place
+    }
+
+    /// The scout stands at the head of `lp`, a loop of the schedules `ids`:
+    /// each that rides the scout or waits there runs the invocation, from
+    /// the scout's state or its own.  True when one then waits at the
+    /// loop's exit.
+    fn at_head(&mut self, scout: &Machine<'_>, lp: DoLoop, ids: &[usize]) -> bool {
+        let mut riders = ids
+            .iter()
+            .filter(|&&i| matches!(self.scheds[i].place, Place::Joined { .. }))
+            .count();
+        let mut shared = (riders > 0).then(|| scout.checkpoint());
+        let mut waits = false;
+        for &i in ids {
+            let (at, ops) = match self.take(i) {
+                Place::Joined { lag } => {
+                    riders -= 1;
+                    // The last rider takes the scout's checkpoint itself.
+                    let at = if riders == 0 {
+                        shared.take()
+                    } else {
+                        shared.clone()
+                    };
+                    (at.expect("one per rider"), scout.ops().wrapping_sub(lag))
+                }
+                Place::AtHead(own) => {
+                    let ops = own.ops();
+                    (own, ops)
+                }
+                other => {
+                    self.scheds[i].place = other;
+                    continue;
+                }
+            };
+            let races = self.scheds[i].outcome.race_count;
+            let place = match self.run(i, at, ops, Until::Exit(lp)) {
+                Place::AtExit { post, .. } if self.scheds[i].outcome.race_count != races => {
+                    // A race is proof enough that the state differs.
+                    self.scheds[i].diverged += 1;
+                    Place::Alone(post)
+                }
+                place => place,
+            };
+            waits |= matches!(place, Place::AtExit { .. });
+            self.scheds[i].place = place;
+        }
+        waits
+    }
+
+    /// The scout stands at the exit of a loop of the schedules `ids`: each
+    /// waiting there rides the scout on if their states agree, and goes on
+    /// alone if not.
+    fn at_exit(&mut self, scout: &Machine<'_>, ids: &[usize]) {
+        for &i in ids {
+            let place = match self.take(i) {
+                Place::AtExit { post, certified } if scout.same_state(&post) => {
+                    self.scheds[i].joined += u64::from(certified);
+                    Place::Joined {
+                        lag: scout.ops().wrapping_sub(post.ops()),
+                    }
+                }
+                Place::AtExit { post, .. } => {
+                    self.scheds[i].diverged += 1;
+                    Place::Alone(post)
+                }
+                other => other,
+            };
+            self.scheds[i].place = place;
+        }
+    }
+
+    /// Run every schedule that has gone on alone to its loop's next head,
+    /// where the scout may come upon it, or to the end.
+    fn advance(&mut self) {
+        for i in 0..self.scheds.len() {
+            self.scheds[i].place = match self.take(i) {
+                Place::Alone(at) => {
+                    let ops = at.ops();
+                    self.run(i, at, ops, Until::Head)
+                }
+                other => other,
+            };
+        }
+    }
+
+    /// The scout stands before a budget check that a schedule riding it
+    /// with another op count could fail: every such schedule goes on alone
+    /// from here, and fails at the check if it must.
+    fn detach(&mut self, scout: &Machine<'_>) {
+        let at = scout.checkpoint();
+        for i in 0..self.scheds.len() {
+            let Place::Joined { lag } = self.scheds[i].place else {
+                continue;
+            };
+            if lag != 0 {
+                self.scheds[i].diverged += 1;
+                let ops = scout.ops().wrapping_sub(lag);
+                self.scheds[i].place = self.run(i, at.clone(), ops, Until::Head);
+            }
+        }
     }
 }
 
@@ -599,50 +940,6 @@ mod tests {
             .find(|l| l.name == name)
             .unwrap_or_else(|| panic!("no loop {name}"))
             .stmt
-    }
-
-    /// Every schedule of `target` run from `main`, as certification ran
-    /// before the scout: the reference `certify_loops` must equal.
-    fn certify_from_main(
-        program: &Program,
-        target: StmtId,
-        plan: &PlanEntry,
-        opts: &CertifyOptions,
-    ) -> LoopCertification {
-        let schedules = (0..opts.schedules)
-            .map(|s| {
-                let seed = opts.seed.wrapping_add(s as u64);
-                let mut hooks = NoHooks;
-                let (outcome, capture) = match Machine::new(program, &mut hooks) {
-                    Err(e) => (CertOutcome::default(), layout_failure(e)),
-                    Ok(mut m) => {
-                        let mut handler = CertifyHandler {
-                            target,
-                            threads: opts.threads,
-                            seed,
-                            plan,
-                            detector: RaceDetector::new(0, m.shared_len()),
-                            outcome: CertOutcome::default(),
-                        };
-                        m.set_input(opts.input.clone());
-                        m.set_handler(&mut handler);
-                        let error = m.run().err();
-                        let capture = capture_machine(m, error);
-                        (handler.outcome, capture)
-                    }
-                };
-                ScheduleReport {
-                    seed,
-                    outcome,
-                    capture,
-                    elapsed: Duration::ZERO,
-                }
-            })
-            .collect();
-        LoopCertification {
-            stmt: target,
-            schedules,
-        }
     }
 
     /// Everything a certification reports but the wall clock.
@@ -699,6 +996,73 @@ mod tests {
             );
         }
         all
+    }
+
+    /// Every op budget from none to more than the run needs: schedules that
+    /// ride the scout with fewer ops counted than it (a DOALL loop reached
+    /// each outer iteration), more (a zero-trip invocation evaluates its
+    /// bounds twice), or as many (a loop never called, and the prefix), fail
+    /// or finish where their own runs from `main` do.
+    #[test]
+    fn every_op_budget_ends_each_schedule_where_its_own_run_does() {
+        let src = r#"program t
+proc never() {
+  real b[8]
+  int j
+  do 5 j = 1, 8 {
+    b[j] = j
+  }
+}
+proc main() {
+  real a[8], s
+  int i, k, n
+  s = 0
+  n = 0
+  do 1 k = 1, 4 {
+    do 2 i = 1, 8 {
+      a[i] = i * k
+    }
+    do 3 i = 1, n {
+      a[i] = 0
+    }
+    do 4 i = 2, 8 {
+      a[i] = a[i - 1] + 1
+    }
+    s = s + a[8]
+  }
+  print s
+}
+"#;
+        let p = parse_program(src).unwrap();
+        let pa = Parallelizer::analyze(&p, ParallelizeConfig::default());
+        let targets: Vec<_> = ["main/2", "main/3", "main/4", "never/5"]
+            .iter()
+            .map(|name| {
+                let stmt = loop_named(&p, &pa, name);
+                (stmt, minimal_plan(&p, stmt).expect("a minimal plan"))
+            })
+            .collect();
+        let refs: Vec<_> = targets.iter().map(|(stmt, plan)| (*stmt, plan)).collect();
+        let opts = CertifyOptions {
+            schedules: 2,
+            seed: 3,
+            ..Default::default()
+        };
+        let mut hooks = NoHooks;
+        let mut m = Machine::new(&p, &mut hooks).unwrap();
+        m.run().unwrap();
+        let (mut finished, mut joined) = (false, 0);
+        for budget in 0..m.ops() + 4 {
+            let all = certify_within(&p, &refs, &opts, budget);
+            for (cert, (stmt, plan)) in all.iter().zip(&targets) {
+                let reference = from_main_within(&p, *stmt, plan, &opts, budget);
+                assert_eq!(shown(cert), shown(&reference), "budget {budget}");
+            }
+            finished = all[0].schedules[0].capture.error.is_none();
+            joined += all[0].schedules[0].joined;
+        }
+        assert!(finished, "the largest budget is enough");
+        assert!(joined > 0, "main/2 rode the scout");
     }
 
     #[test]

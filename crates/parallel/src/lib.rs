@@ -29,8 +29,8 @@
 //! [`certify`] runs target loops for evidence: its workers are logical
 //! threads that it steps in turn on the calling thread, `suif-dynamic`'s
 //! adversarial scheduler choosing the next one between steps and its race
-//! detector hearing every access; each schedule resumes from a checkpoint
-//! at its loop's first head.  Both are loop handlers the machine
+//! detector hearing every access; a sequential scout run carries every
+//! schedule whose state agrees with its own between the invocations.  Both are loop handlers the machine
 //! borrows; the contract is described in `docs/dynamic.md`.
 
 #![forbid(unsafe_code)]
@@ -43,8 +43,8 @@ pub mod measure;
 pub mod plan;
 
 pub use certify::{
-    capture_sequential, certify_loop, certify_loops, CertOutcome, CertifyOptions, ExecutionCapture,
-    LoopCertification, ScheduleReport,
+    capture_sequential, certify_from_main, certify_loop, certify_loops, CertOutcome,
+    CertifyOptions, ExecutionCapture, LoopCertification, ScheduleReport, MAX_CERTIFY_SCHEDULES,
 };
 pub use executor::{Finalization, ParallelExecutor, RunStats, RuntimeConfig, Schedule};
 pub use measure::{

@@ -43,7 +43,7 @@ fn usage() -> String {
        --threads N          worker threads for `run`\n\
        --input v1,v2,…      `read` input values\n\
        --schedules N        adversarial schedules per loop for `certify`\n\
-                            (default 4)\n\
+                            (default 4, at most 64)\n\
        --certify-seed N     base seed for the adversarial scheduler: schedule\n\
                             s of a loop replays deterministically under\n\
                             seed N+s (`certify` and `serve`; default 0)\n\
@@ -387,8 +387,13 @@ fn run(args: &[String]) -> Result<(), String> {
                 schedules = args
                     .get(i + 1)
                     .and_then(|s| s.parse().ok())
-                    .filter(|s| *s > 0)
-                    .ok_or("--schedules needs a positive number")?;
+                    .filter(|s| (1..=suif_parallel::MAX_CERTIFY_SCHEDULES).contains(s))
+                    .ok_or_else(|| {
+                        format!(
+                            "--schedules needs a number from 1 to {}",
+                            suif_parallel::MAX_CERTIFY_SCHEDULES
+                        )
+                    })?;
                 i += 2;
             }
             "--certify-seed" => {

@@ -17,6 +17,7 @@
 //! line per sub-request, in request order.
 
 use crate::json::Json;
+use suif_parallel::MAX_CERTIFY_SCHEDULES;
 
 /// Longest accepted request line, in bytes.  Large enough for any program
 /// the analyzer would want in one `load` (the whole benchmark suite fits
@@ -309,9 +310,17 @@ impl Request {
             "certify" => {
                 let loop_name = v.get("loop").and_then(Json::as_str).map(str::to_string);
                 let schedules = match v.get("schedules") {
-                    Some(j) => Some(j.as_i64().filter(|s| *s > 0).map(|s| s as u32).ok_or_else(
-                        || ProtoError("certify \"schedules\" must be a positive number".into()),
-                    )?),
+                    Some(j) => Some(
+                        j.as_i64()
+                            .and_then(|s| u32::try_from(s).ok())
+                            .filter(|s| (1..=MAX_CERTIFY_SCHEDULES).contains(s))
+                            .ok_or_else(|| {
+                                ProtoError(format!(
+                                    "certify \"schedules\" must be a number from 1 to \
+                                     {MAX_CERTIFY_SCHEDULES}"
+                                ))
+                            })?,
+                    ),
                     None => None,
                 };
                 let seed =
@@ -486,7 +495,21 @@ mod tests {
             }
             other => panic!("bad certify parse: {other:?}"),
         }
-        assert!(Request::parse(r#"{"cmd":"certify","schedules":0}"#).is_err());
+        // Outside 1..=MAX_CERTIFY_SCHEDULES: 2^32 once cast to zero
+        // schedules, a race-free verdict without a run.
+        let max = i64::from(MAX_CERTIFY_SCHEDULES);
+        for bad in [0, -1, 1 << 32, (1 << 32) - 1, max + 1] {
+            let line = format!(r#"{{"cmd":"certify","schedules":{bad}}}"#);
+            let e = Request::parse(&line).expect_err(&line);
+            assert!(e.0.contains("from 1 to 64"), "{line}: {}", e.0);
+        }
+        assert!(matches!(
+            Request::parse(&format!(r#"{{"cmd":"certify","schedules":{max}}}"#)),
+            Ok(Request::Certify {
+                schedules: Some(64),
+                ..
+            })
+        ));
         assert!(Request::parse(r#"{"cmd":"certify","seed":"x"}"#).is_err());
         assert!(matches!(
             Request::parse(r#"{"cmd":"checkpoint"}"#),

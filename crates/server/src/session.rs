@@ -83,6 +83,13 @@ struct CertCounters {
     schedules: u64,
     /// Races reported across all schedules.
     races: u64,
+    /// Certified invocations, across all schedules.
+    invocations: u64,
+    /// Certified invocations after which a schedule's state equalled the
+    /// scout's, so that it rode the scout on.
+    joined: u64,
+    /// Times a schedule went on alone.
+    diverged: u64,
 }
 
 /// Everything that shapes how a [`Session`] opens; the multi-tenant daemon
@@ -502,9 +509,10 @@ impl Session {
     /// as `{loop, schedules_run, race_count, races}`.  `races` lists the
     /// first `suif_parallel::certify::MAX_REPORTED_RACES` of each schedule;
     /// `race_count` counts them all.  One `certify_loops` call serves the
-    /// request, so the program's run up to each loop's first head is shared
-    /// by its schedules and every other loop's: a loop's `secs` covers its
-    /// schedules from that head on.
+    /// request: its scout runs the program once and carries every schedule
+    /// whose state agrees with its own, so a loop's `secs` covers only its
+    /// schedules' own work — their invocations of the loop and the stretches
+    /// they ran alone (zero for a loop never reached).
     pub fn certify_json(
         &mut self,
         loop_name: Option<&str>,
@@ -556,6 +564,11 @@ impl Session {
             self.cert.loops += 1;
             self.cert.schedules += cert.schedules_run() as u64;
             self.cert.races += cert.race_count() as u64;
+            for s in &cert.schedules {
+                self.cert.invocations += s.outcome.loops_run;
+                self.cert.joined += s.joined;
+                self.cert.diverged += s.diverged;
+            }
             let races: Vec<Json> = cert
                 .schedules
                 .iter()
@@ -672,6 +685,9 @@ impl Session {
                     ("loops_certified", Json::int(self.cert.loops as i64)),
                     ("schedules_run", Json::int(self.cert.schedules as i64)),
                     ("races_found", Json::int(self.cert.races as i64)),
+                    ("invocations", Json::int(self.cert.invocations as i64)),
+                    ("joined", Json::int(self.cert.joined as i64)),
+                    ("diverged", Json::int(self.cert.diverged as i64)),
                 ]),
             ),
             ("poly", self.poly_json()),

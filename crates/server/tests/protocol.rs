@@ -259,6 +259,60 @@ fn daemon_protocol_round_trip() {
     assert!(status.success());
 }
 
+/// `schedules` outside `1..=MAX_CERTIFY_SCHEDULES` is a protocol error (2³²
+/// once read as zero schedules and a race-free verdict without a run), and
+/// `stats.certification` counts how the schedules rode the scout, the same
+/// way each time.
+#[test]
+fn certify_bounds_its_schedules_and_counts_the_rides() {
+    let mut c = Client::spawn();
+    let r = c.request(&format!(r#"{{"cmd":"load","text":"{}"}}"#, escape(SRC)));
+    assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+    let max = i64::from(suif_parallel::MAX_CERTIFY_SCHEDULES);
+    for bad in [0, 1 << 32, (1 << 32) - 1, max + 1] {
+        let r = c.request(&format!(r#"{{"cmd":"certify","schedules":{bad}}}"#));
+        assert_eq!(
+            r.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{bad}: {r}"
+        );
+        let e = r.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert!(e.contains("schedules"), "{bad}: {r}");
+    }
+    let counters = |c: &mut Client| {
+        let r = c.request(r#"{"cmd":"stats"}"#);
+        let cert = r.get("certification").cloned();
+        let cert = cert.unwrap_or_else(|| panic!("no certification: {r}"));
+        let n = |k| cert.get(k).and_then(Json::as_i64).unwrap();
+        [
+            n("schedules_run"),
+            n("invocations"),
+            n("joined"),
+            n("diverged"),
+        ]
+    };
+    assert_eq!(
+        counters(&mut c),
+        [0; 4],
+        "a refused request certifies nothing"
+    );
+    let r = c.request(r#"{"cmd":"certify","schedules":2}"#);
+    let loops = r.get("loops").and_then(Json::as_arr).expect("loops");
+    assert!(
+        loops
+            .iter()
+            .all(|l| l.get("race_free") == Some(&Json::Bool(true))),
+        "{r}"
+    );
+    let once = counters(&mut c);
+    // Two DOALL loops, each invoked once, under two schedules: every
+    // invocation leaves the state the sequential run has, so every
+    // schedule rides the scout on.
+    assert_eq!(once, [4, 4, 4, 0]);
+    c.request(r#"{"cmd":"certify","schedules":2}"#);
+    assert_eq!(counters(&mut c), once.map(|n| 2 * n));
+}
+
 /// `reply` with the Guru's wall-clock figure (`(~… ms)`) left out.
 fn mask_wall_clock(reply: &str) -> String {
     let (mut out, mut rest) = (String::new(), reply);

@@ -20,8 +20,9 @@
 //! One `certify_loops` call per program certifies every loop of both
 //! directions, the production plans and the minimal plans in one target
 //! list, so the fuzz also exercises the certifier's scout: one sequential
-//! run stopping at each target's first head, every schedule resumed from
-//! there.
+//! run that carries every schedule whose state agrees with its own, each
+//! schedule running only its loop's invocations and, while its state
+//! differs, the stretches after them.
 //!
 //! Failures auto-shrink by delta-debugging the generated statement lists and
 //! are persisted as minimal MiniF programs under

@@ -4,11 +4,12 @@
 //! the accesses and leave exactly the outputs, memory images, errors and
 //! race pairs pinned below — certified loop by loop with `certify_loop`,
 //! and again all at once with one `certify_loops` call, whose scout runs
-//! the shared prefix once.  The constants were generated on the commit
-//! whose certifier still handed a token between OS threads; a certifier
-//! that decides at a different point — before an access instead of after
-//! it, not at an iteration start, not after a private-tail access — draws a
-//! different schedule from the same seed and fails here.
+//! the sequential stretches once for every schedule that agrees with it.
+//! The constants were generated on the commit whose certifier still handed
+//! a token between OS threads; a certifier that decides at a different
+//! point — before an access instead of after it, not at an iteration start,
+//! not after a private-tail access — draws a different schedule from the
+//! same seed and fails here.
 
 use suif_analysis::{ParallelizeConfig, Parallelizer};
 use suif_benchmarks::{ch4_apps, Scale};

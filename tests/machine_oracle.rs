@@ -28,7 +28,7 @@ mod walker;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 use suif_benchmarks::{apps, ch4_apps, ch6_apps, Scale};
-use suif_dynamic::machine::{Hooks, LoopHandler, Machine, NoHooks, RuntimeError};
+use suif_dynamic::machine::{Hooks, LoopHandler, Machine, NoHooks, RuntimeError, Stop};
 use suif_dynamic::{DoLoop, Value};
 use suif_ir::{Program, Stmt, StmtId, VarId};
 
@@ -243,9 +243,9 @@ fn check_checkpoints(name: &str, program: &Program, input: &[f64]) -> (Outcome, 
     scout.set_input(input.to_vec());
     let mut reached = HashSet::new();
     let result = loop {
-        let lp = match scout.run_to_head(|lp| !reached.contains(&lp.stmt)) {
-            Ok(Some(lp)) => lp,
-            Ok(None) => break Ok(()),
+        let lp = match scout.run_to(None, u64::MAX, |lp| !reached.contains(&lp.stmt)) {
+            Ok(Stop::Head(lp)) => lp,
+            Ok(_) => break Ok(()),
             Err(e) => break Err(e),
         };
         reached.insert(lp.stmt);
@@ -253,7 +253,7 @@ fn check_checkpoints(name: &str, program: &Program, input: &[f64]) -> (Outcome, 
         let prefix = heard.read();
         let mut tail = Recorder::default();
         let resumed = {
-            let mut m = Machine::resume(program, &at, &mut tail);
+            let mut m = Machine::resume(program, at, &mut tail);
             let result = m.finish();
             ended(&mut m, result)
         };
