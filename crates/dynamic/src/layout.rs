@@ -22,6 +22,11 @@ pub struct Layout {
     init: Vec<Value>,
 }
 
+/// The most storage cells a program may declare: `real a[2000000000]` would
+/// otherwise ask for gigabytes at its first run, and again for every
+/// certified schedule.  19 times the largest benchmark application's.
+pub const MAX_MEMORY_CELLS: usize = 1 << 20;
+
 /// Layout construction failure (e.g. a local array with a non-constant
 /// extent, which Fortran 77 does not allow either).
 #[derive(Debug, Clone)]
@@ -43,12 +48,11 @@ impl Layout {
         // Common blocks first.
         let mut common_base = Vec::new();
         for blk in &program.commons {
-            common_base.push(next);
             let size = blk.size.max(0) as usize;
+            common_base.push(claim(&mut next, size, &blk.name)?);
             // Element types may differ between views; initialize to Real
             // zeros and let views reinterpret (all cells are `Value`).
             init.extend(std::iter::repeat_n(Value::Real(0.0), size));
-            next += size;
         }
         for (vi, info) in program.vars.iter().enumerate() {
             if let VarKind::Common { block, offset } = &info.kind {
@@ -79,16 +83,14 @@ impl Layout {
                                     info.name
                                 )));
                             }
-                            base[vi] = Some(next);
+                            base[vi] = Some(claim(&mut next, size as usize, &info.name)?);
                             let zero = zero_of(info.ty);
                             init.extend(std::iter::repeat_n(zero, size as usize));
-                            next += size as usize;
                         }
                     }
                 } else {
-                    base[vi] = Some(next);
+                    base[vi] = Some(claim(&mut next, 1, &info.name)?);
                     init.push(zero_of(info.ty));
-                    next += 1;
                 }
             }
         }
@@ -122,6 +124,22 @@ impl Layout {
                 _ => None,
             })
             .collect()
+    }
+}
+
+/// The base of `size` cells of storage for `name`, placed at `next`, which
+/// moves past them; refused when the program's storage would pass
+/// [`MAX_MEMORY_CELLS`].
+fn claim(next: &mut usize, size: usize, name: &str) -> Result<usize, LayoutError> {
+    let base = *next;
+    match base.checked_add(size) {
+        Some(end) if end <= MAX_MEMORY_CELLS => {
+            *next = end;
+            Ok(base)
+        }
+        _ => Err(LayoutError(format!(
+            "storage for `{name}` takes the program past {MAX_MEMORY_CELLS} cells"
+        ))),
     }
 }
 

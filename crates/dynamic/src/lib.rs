@@ -59,10 +59,10 @@
 //! [`machine::Machine::step_with`], one instruction reporting to hooks the
 //! caller lends it.  The certifier's scout also stops a run at a loop's
 //! head or exit ([`machine::Machine::run_to`]), takes a
-//! [`machine::Checkpoint`] there, resumes copies of the run from it
-//! ([`machine::Machine::resume`], [`machine::Machine::finish`]) and asks
-//! whether a copy's state has come back to its own
-//! ([`machine::Machine::same_state`]).
+//! [`machine::Checkpoint`] at the head, resumes copies of the run from it
+//! at the exit ([`machine::Machine::resume`]), asks whether a copy's state
+//! there is its own ([`machine::Machine::same_state`]), and runs a copy
+//! that differs on alone ([`machine::Machine::finish`]).
 //!
 //! This crate also holds the two schedule-independent halves of the
 //! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a
@@ -95,7 +95,7 @@ pub mod value;
 
 pub use code::{Code, DoLoop};
 pub use dyndep::{DynDepAnalyzer, DynDepConfig, DynDepReport};
-pub use layout::Layout;
+pub use layout::{Layout, MAX_MEMORY_CELLS};
 pub use machine::{Checkpoint, Hooks, Machine, MemStore, NoHooks, RuntimeError, Stop};
 pub use profile::{LoopProfile, LoopProfiler, ProfileReport};
 pub use race::{AccessInfo, AccessKind, Race, RaceDetector, VectorClock};

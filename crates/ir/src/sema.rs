@@ -222,7 +222,7 @@ impl<'a> Resolver<'a> {
                         })?;
                         members.push(vid);
                         common_vars.push(vid);
-                        offset += size;
+                        offset = offset.saturating_add(size);
                     }
                     let blk = &mut self.commons[cid.0 as usize];
                     blk.size = blk.size.max(offset);

@@ -20,10 +20,10 @@
 //! [`certify_loops`] runs the program once, sequentially, as a *scout* that
 //! carries the schedules: a schedule whose state is the scout's rides it
 //! between invocations, runs only its loop's invocations under its handler
-//! (from a [`Checkpoint`] of the scout at the loop's head), and rides on
-//! when its state at the loop's exit equals the scout's there.  A schedule
-//! whose invocation raced, or whose state differs, runs alone — to its
-//! loop's next head, where it may come back, or to the end.  Each
+//! (at the loop's exit, from the scout's [`Checkpoint`] at its head), and
+//! rides on when its state then equals the scout's.  A schedule whose
+//! invocation raced, or whose state differs, leaves the scout once and for
+//! all and runs alone to the end.  Each
 //! schedule's races, captured output and final shared memory are exactly
 //! those of one whole run per schedule ([`certify_from_main`]).  A
 //! sequential reference capture of the same program lets callers check the
@@ -392,7 +392,9 @@ pub struct ScheduleReport {
     /// Certified invocations after which the schedule's state equalled the
     /// scout's, so that it rode the scout on from there.
     pub joined: u64,
-    /// Times the schedule went on alone.
+    /// 1 when the schedule left the scout to run alone to the end (its
+    /// invocation raced, its state differed, or the scout stopped without
+    /// it), else 0.
     pub diverged: u64,
 }
 
@@ -547,17 +549,16 @@ fn from_main_within(
 /// The program is lowered once and run once, sequentially, by a *scout*
 /// that carries the schedules.  A schedule is *joined* while its machine
 /// state is the scout's — every schedule starts so — and holds no machine
-/// of its own then.  At each head of a target loop the scout takes a
-/// [`Checkpoint`], and every live schedule of a target on that loop runs
-/// that one invocation under its [`CertifyHandler`]: a joined one from the
-/// scout's checkpoint, a diverged one from its own.  A schedule whose
-/// invocation raced, or whose state at the loop's exit differs from the
-/// scout's when the scout gets there, runs alone to its loop's next head
-/// and waits there; one whose state agrees is joined again.  The scout
-/// stops once it carries no one (no schedule joined, none waiting at an
-/// exit), and every waiting schedule then runs alone to the end.  Joined
-/// schedules, and those of a target the scout never reached, take the
-/// scout's final capture.
+/// of its own then.  At a head of a target loop with joined schedules the
+/// scout takes one [`Checkpoint`] and runs the loop on sequentially while
+/// they wait.  At the loop's exit each of them runs that invocation under
+/// its [`CertifyHandler`] from the checkpoint, and rides on if its state
+/// then equals the scout's.  A schedule whose invocation raced, or whose
+/// state differs, leaves the scout for good: it runs alone to the end
+/// there and then.  If the scout fails or ends inside the loop, the waiting
+/// schedules run alone from its head.  The scout stops once it carries no
+/// one.  Joined schedules, and those of a target the scout never reached,
+/// take the scout's final capture.
 ///
 /// A handler skips a loop body's ops, so a joined schedule counts fewer
 /// ops than the scout; it keeps the difference (its lag) and is resumed
@@ -619,32 +620,35 @@ fn certify_within(
     for (i, sched) in c.scheds.iter().enumerate() {
         by_loop.entry(targets[sched.target].0).or_default().push(i);
     }
-    // The loops at whose exits schedules wait, innermost last.
-    let mut exits: Vec<DoLoop> = Vec::new();
+    // The head of each loop the scout runs while schedules wait at its
+    // exit, innermost last.
+    let mut heads: Vec<(DoLoop, Checkpoint)> = Vec::new();
     let ended = loop {
         let Some(limit) = c.limit(max_ops) else {
             break None;
         };
-        c.advance();
-        let live = |lp: &DoLoop| {
+        let joined = |lp: &DoLoop| {
             by_loop.get(&lp.stmt).is_some_and(|ids| {
                 ids.iter()
-                    .any(|&i| matches!(c.scheds[i].place, Place::Joined { .. } | Place::AtHead(_)))
+                    .any(|&i| matches!(c.scheds[i].place, Place::Joined { .. }))
             })
         };
-        match scout.run_to(exits.last(), limit, live) {
+        match scout.run_to(heads.last().map(|(lp, _)| lp), limit, joined) {
             Ok(Stop::Head(lp)) => {
-                if c.at_head(&scout, lp, &by_loop[&lp.stmt]) {
-                    exits.push(lp);
+                for &i in &by_loop[&lp.stmt] {
+                    if let Place::Joined { lag } = c.scheds[i].place {
+                        c.scheds[i].place = Place::Pending { lag };
+                    }
                 }
+                heads.push((lp, scout.checkpoint()));
                 // Past the head, and on through the loop sequentially.
                 if let Err(e) = scout.step() {
                     break Some(Err(e));
                 }
             }
             Ok(Stop::Exit) => {
-                let lp = exits.pop().expect("the scout stops at a waited-for exit");
-                c.at_exit(&scout, &by_loop[&lp.stmt]);
+                let (lp, head) = heads.pop().expect("the scout stops at a waited-for exit");
+                c.at_exit(&scout, &lp, head, &by_loop[&lp.stmt]);
             }
             Ok(Stop::Limit) => c.detach(&scout),
             Ok(Stop::End) => break Some(Ok(())),
@@ -659,14 +663,13 @@ fn certify_within(
                     .clone()
                     .expect("a joined schedule keeps the scout running"),
             ),
-            Place::AtExit { post: at, .. } => {
-                c.scheds[i].diverged += 1;
-                let ops = at.ops();
-                c.run(i, at, ops, Until::End)
-            }
-            Place::Alone(at) | Place::AtHead(at) => {
-                let ops = at.ops();
-                c.run(i, at, ops, Until::End)
+            Place::Pending { lag } => {
+                let stmt = targets[c.scheds[i].target].0;
+                let (_, head) = heads
+                    .iter()
+                    .find(|(lp, _)| lp.stmt == stmt)
+                    .expect("a waiting schedule's loop is being run");
+                c.alone(i, head.clone(), head.ops().wrapping_sub(lag))
             }
             done => done,
         };
@@ -705,28 +708,11 @@ enum Place {
     /// Riding the scout: its state is the scout's, with `lag` fewer ops
     /// counted (wrapping).
     Joined { lag: u64 },
-    /// Gone on alone from this state; it runs to its loop's next head
-    /// before the scout moves on, or to the end once the scout stops.
-    Alone(Checkpoint),
-    /// Gone on alone and stopped at its loop's head, before its handler is
-    /// offered the loop.
-    AtHead(Checkpoint),
-    /// Done with an invocation that raced nothing and stopped at the loop's
-    /// exit until the scout gets there; `certified` unless the handler
-    /// declined the invocation.
-    AtExit { post: Checkpoint, certified: bool },
+    /// Rode the scout to the head of its loop, whose exit the scout is
+    /// running to, with `lag` fewer ops counted than the head's checkpoint.
+    Pending { lag: u64 },
     /// Ran to the end of the program, or failed.
     Done(ExecutionCapture),
-}
-
-/// How far [`Certifier::run`] takes a schedule.
-enum Until {
-    /// To the exit of this loop, whose head it stands at.
-    Exit(DoLoop),
-    /// To its loop's next head.
-    Head,
-    /// To the end of the program.
-    End,
 }
 
 /// One schedule of one target.
@@ -771,21 +757,28 @@ impl Certifier<'_, '_> {
                         limit = limit.min(max_ops.saturating_add_signed((lag as i64).min(0)));
                     }
                 }
-                Place::AtExit { .. } => carrying = true,
-                Place::Alone(_) | Place::AtHead(_) | Place::Done(_) => {}
+                Place::Pending { .. } => carrying = true,
+                Place::Done(_) => {}
             }
         }
         carrying.then_some(limit)
     }
 
     /// Run schedule `i` under its handler from `at` — the scout's state or
-    /// its own — with `ops` ops counted, as far as `until`, and return where
-    /// it then stands.  The time counts in its `elapsed`.
-    fn run(&mut self, i: usize, at: Checkpoint, ops: u64, until: Until) -> Place {
+    /// its own — with `ops` ops counted, to the exit of `exit`, and return
+    /// its state there; or, with no `exit` or when it ends or fails first,
+    /// to the end, and return its capture.  The time counts in its
+    /// `elapsed`.
+    fn run(
+        &mut self,
+        i: usize,
+        at: Checkpoint,
+        ops: u64,
+        exit: Option<&DoLoop>,
+    ) -> Result<Checkpoint, ExecutionCapture> {
         let start = Instant::now();
         let sched = &mut self.scheds[i];
         let (target, plan) = self.targets[sched.target];
-        let certified = sched.outcome.loops_run;
         let mut hooks = NoHooks;
         let mut m = Machine::resume(self.program, at, &mut hooks);
         m.set_ops(ops);
@@ -798,107 +791,67 @@ impl Certifier<'_, '_> {
             outcome: &mut sched.outcome,
         };
         m.set_handler(&mut handler);
-        let stopped = match until {
-            Until::Exit(lp) => m.run_to(Some(&lp), u64::MAX, |_| false),
-            Until::Head => m.run_to(None, u64::MAX, |lp| lp.stmt == target),
-            Until::End => m.finish().map(|()| Stop::End),
+        let stopped = match exit {
+            Some(lp) => m.run_to(Some(lp), u64::MAX, |_| false),
+            None => m.finish().map(|()| Stop::End),
         };
-        let place = match stopped {
-            Ok(Stop::Exit) => {
-                let post = m.into_checkpoint();
-                Place::AtExit {
-                    post,
-                    certified: sched.outcome.loops_run != certified,
-                }
-            }
-            Ok(Stop::Head(_)) => Place::AtHead(m.into_checkpoint()),
-            Ok(Stop::End | Stop::Limit) => Place::Done(capture_machine(m, None)),
-            Err(e) => Place::Done(capture_machine(m, Some(e))),
+        let stood = match stopped {
+            Ok(Stop::Exit) => Ok(m.into_checkpoint()),
+            Ok(_) => Err(capture_machine(m, None)),
+            Err(e) => Err(capture_machine(m, Some(e))),
         };
         sched.elapsed += start.elapsed();
-        place
+        stood
     }
 
-    /// The scout stands at the head of `lp`, a loop of the schedules `ids`:
-    /// each that rides the scout or waits there runs the invocation, from
-    /// the scout's state or its own.  True when one then waits at the
-    /// loop's exit.
-    fn at_head(&mut self, scout: &Machine<'_>, lp: DoLoop, ids: &[usize]) -> bool {
-        let mut riders = ids
-            .iter()
-            .filter(|&&i| matches!(self.scheds[i].place, Place::Joined { .. }))
-            .count();
-        let mut shared = (riders > 0).then(|| scout.checkpoint());
-        let mut waits = false;
-        for &i in ids {
-            let (at, ops) = match self.take(i) {
-                Place::Joined { lag } => {
-                    riders -= 1;
-                    // The last rider takes the scout's checkpoint itself.
-                    let at = if riders == 0 {
-                        shared.take()
-                    } else {
-                        shared.clone()
-                    };
-                    (at.expect("one per rider"), scout.ops().wrapping_sub(lag))
-                }
-                Place::AtHead(own) => {
-                    let ops = own.ops();
-                    (own, ops)
-                }
-                other => {
-                    self.scheds[i].place = other;
-                    continue;
-                }
-            };
-            let races = self.scheds[i].outcome.race_count;
-            let place = match self.run(i, at, ops, Until::Exit(lp)) {
-                Place::AtExit { post, .. } if self.scheds[i].outcome.race_count != races => {
-                    // A race is proof enough that the state differs.
-                    self.scheds[i].diverged += 1;
-                    Place::Alone(post)
-                }
-                place => place,
-            };
-            waits |= matches!(place, Place::AtExit { .. });
-            self.scheds[i].place = place;
+    /// Schedule `i` leaves the scout for good: it runs alone from `at`, with
+    /// `ops` ops counted, to the end.  The one place `diverged` counts.
+    fn alone(&mut self, i: usize, at: Checkpoint, ops: u64) -> Place {
+        self.scheds[i].diverged += 1;
+        match self.run(i, at, ops, None) {
+            Err(capture) => Place::Done(capture),
+            Ok(_) => unreachable!("a run with no exit goes to the end"),
         }
-        waits
     }
 
-    /// The scout stands at the exit of a loop of the schedules `ids`: each
-    /// waiting there rides the scout on if their states agree, and goes on
-    /// alone if not.
-    fn at_exit(&mut self, scout: &Machine<'_>, ids: &[usize]) {
-        for &i in ids {
-            let place = match self.take(i) {
-                Place::AtExit { post, certified } if scout.same_state(&post) => {
-                    self.scheds[i].joined += u64::from(certified);
+    /// The scout stands at the exit of `lp`, whose `head` it checkpointed:
+    /// each of the schedules `ids` that waits there runs the invocation from
+    /// the head, the last one from `head` itself, and rides on if its state
+    /// then equals the scout's.  One whose invocation raced, or whose state
+    /// differs, goes on alone.
+    fn at_exit(&mut self, scout: &Machine<'_>, lp: &DoLoop, head: Checkpoint, ids: &[usize]) {
+        let waiting: Vec<(usize, u64)> = ids
+            .iter()
+            .filter_map(|&i| match self.scheds[i].place {
+                Place::Pending { lag } => Some((i, lag)),
+                _ => None,
+            })
+            .collect();
+        // A clone of the head each, but the last, which takes it.
+        let heads = std::iter::repeat_n(head, waiting.len());
+        for ((i, lag), at) in waiting.into_iter().zip(heads) {
+            let ops = at.ops().wrapping_sub(lag);
+            let outcome = &self.scheds[i].outcome;
+            let (races, certified) = (outcome.race_count, outcome.loops_run);
+            let place = match self.run(i, at, ops, Some(lp)) {
+                Err(capture) => Place::Done(capture),
+                // A racing invocation leaves without a comparison: leaving
+                // is always exact, and a race seldom keeps the scout's state.
+                Ok(post)
+                    if self.scheds[i].outcome.race_count == races && scout.same_state(&post) =>
+                {
+                    let sched = &mut self.scheds[i];
+                    sched.joined += u64::from(sched.outcome.loops_run != certified);
                     Place::Joined {
                         lag: scout.ops().wrapping_sub(post.ops()),
                     }
                 }
-                Place::AtExit { post, .. } => {
-                    self.scheds[i].diverged += 1;
-                    Place::Alone(post)
+                Ok(post) => {
+                    let ops = post.ops();
+                    self.alone(i, post, ops)
                 }
-                other => other,
             };
             self.scheds[i].place = place;
-        }
-    }
-
-    /// Run every schedule that has gone on alone to its loop's next head,
-    /// where the scout may come upon it, or to the end.
-    fn advance(&mut self) {
-        for i in 0..self.scheds.len() {
-            self.scheds[i].place = match self.take(i) {
-                Place::Alone(at) => {
-                    let ops = at.ops();
-                    self.run(i, at, ops, Until::Head)
-                }
-                other => other,
-            };
         }
     }
 
@@ -912,9 +865,8 @@ impl Certifier<'_, '_> {
                 continue;
             };
             if lag != 0 {
-                self.scheds[i].diverged += 1;
                 let ops = scout.ops().wrapping_sub(lag);
-                self.scheds[i].place = self.run(i, at.clone(), ops, Until::Head);
+                self.scheds[i].place = self.alone(i, at.clone(), ops);
             }
         }
     }

@@ -88,7 +88,8 @@ struct CertCounters {
     /// Certified invocations after which a schedule's state equalled the
     /// scout's, so that it rode the scout on.
     joined: u64,
-    /// Times a schedule went on alone.
+    /// Schedules that left the scout to run alone to the end: at most one
+    /// per schedule.
     diverged: u64,
 }
 

@@ -16,9 +16,10 @@ While the clients run, one hostile sibling loads four programs nested past
 the parser's limits (2 000 parentheses, 1 000 `if` blocks, a 20 000-term
 `1+1+…` chain, each of which once overflowed a worker's stack and aborted
 the whole daemon; and 63 parentheses around 64-term chains, a tree about
-4 000 levels high) and one with 1 025 procedures, one past the parser's
-limit of 1 024.  Each must get an error reply, and the daemon must stay
-alive.
+4 000 levels high), one with 1 025 procedures, one past the parser's
+limit of 1 024, and one whose storage is 2^20 + 1 cells, one past the
+layout's limit (an unbounded layout once allocated whatever a declaration
+asked for).  Each must get an error reply, and the daemon must stay alive.
 
 With --pipeline each client writes its whole command sequence in ONE send
 (no waiting between requests) and then reads the replies back, asserting
@@ -107,10 +108,12 @@ def client(addr, source, out, idx, pipeline):
 
 
 MAX_PROCS = 1024
+MAX_MEMORY_CELLS = 1 << 20
 
 
 def over_limit_programs():
-    """Sources past the parser's limits, by shape: (text, expected error)."""
+    """Sources past the parser's and the layout's limits, by shape:
+    (text, expected error)."""
 
     def wrap(body):
         return f"program p\nproc main() {{\n real x\n int k\n{body}\n}}\n"
@@ -133,6 +136,11 @@ def over_limit_programs():
         "1025 procedures": (
             "program p\n" + procs + wrap("")[len("program p\n"):],
             f"line {MAX_PROCS + 2}: more than {MAX_PROCS} procedures",
+        ),
+        # `x` and `k` take two cells, so `a` is the one past the limit.
+        "storage past MAX_MEMORY_CELLS": (
+            wrap(f" real a[{MAX_MEMORY_CELLS - 1}]"),
+            f"storage for `a` takes the program past {MAX_MEMORY_CELLS} cells",
         ),
     }
 

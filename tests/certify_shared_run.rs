@@ -4,16 +4,18 @@
 //! invocation — reports.  Field by field: the seed, the races in order, every
 //! counter, the dead-private ranges, the error; and capture by capture: the
 //! output, the final memory bit for bit, the error.  `elapsed`, `joined` and
-//! `diverged` say how the run went, not what it found, and are set aside.
+//! `diverged` say how the run went, not what it found, and are set aside,
+//! but for one invariant: a schedule leaves the scout at most once
+//! (`diverged <= 1`), as it never comes back.
 //!
 //! The inputs: the 13 applications at `Scale::Test` under 2 and 4 schedules
 //! from seeds 1, 2 and 7 (in a debug build, each application under one of
-//! the six, in turn); the four Ch. 4 applications at `Scale::Bench` from
-//! one seed (release builds only: a debug build takes minutes); the
-//! certification regression corpus; `minif_gen` programs and accepted source
-//! mutants, `SUIF_CERTIFY_PROGRAMS` of each (default 6 in debug builds, 100
-//! in release); and hand-written programs for the ways a schedule leaves
-//! the scout and comes back.
+//! the six, in turn); mdg under `MAX_CERTIFY_SCHEDULES` schedules and the
+//! four Ch. 4 applications at `Scale::Bench` from one seed (release builds
+//! only: a debug build takes minutes); the certification regression corpus;
+//! `minif_gen` programs and accepted source mutants, `SUIF_CERTIFY_PROGRAMS`
+//! of each (default 6 in debug builds, 100 in release); and hand-written
+//! programs for the ways a schedule leaves the scout.
 
 mod source_mutants;
 
@@ -25,7 +27,7 @@ use suif_dynamic::Value;
 use suif_ir::{Program, StmtId};
 use suif_parallel::{
     certify_from_main, certify_loops, minimal_plan, CertifyOptions, LoopCertification,
-    ParallelPlans, PlanEntry, ScheduleReport,
+    ParallelPlans, PlanEntry, ScheduleReport, MAX_CERTIFY_SCHEDULES,
 };
 
 fn program_count() -> usize {
@@ -99,6 +101,12 @@ fn agrees(
                     stmt, got.seed, got.joined, got.diverged
                 );
             }
+            assert!(
+                got.diverged <= 1,
+                "{label}: loop {stmt:?}, seed {}: a schedule leaves the scout once, not {}",
+                got.seed,
+                got.diverged
+            );
         }
     }
     certs
@@ -141,6 +149,26 @@ fn the_applications_agree_with_a_run_per_schedule() {
                 .sum::<u64>();
         }
     }
+    assert!(joined > 0, "no schedule rode the scout past an invocation");
+}
+
+/// As many schedules as a request may ask for wait at each exit of mdg's
+/// loops and run their invocations there from one head checkpoint.
+#[test]
+fn mdg_agrees_under_the_most_schedules() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let bench = ch4_apps(Scale::Test).remove(0);
+    assert_eq!(bench.name, "mdg");
+    let program = bench.parse();
+    let opts = options(MAX_CERTIFY_SCHEDULES, 1);
+    let certs = agrees("mdg (64 schedules)", &program, &plannable(&program), &opts);
+    let joined: u64 = certs
+        .iter()
+        .flat_map(|c| &c.schedules)
+        .map(|s| s.joined)
+        .sum();
     assert!(joined > 0, "no schedule rode the scout past an invocation");
 }
 
@@ -242,9 +270,10 @@ fn sum(cert: &LoopCertification, f: fn(&ScheduleReport) -> u64) -> u64 {
     cert.schedules.iter().map(f).sum()
 }
 
-/// A racy loop leaves cells the sequential run does not; the next loop
-/// overwrites them all, so at its exit the diverged schedules agree with
-/// the scout again and ride on.
+/// A racy loop's schedules leave the scout at their first racing
+/// invocation and run alone to the end, though the next loop overwrites
+/// every cell they differ in: a schedule that leaves does not come back.
+/// The next loop's schedules ride the scout across the racy invocations.
 #[test]
 fn a_racy_loop_diverges_and_rejoins_once_its_cells_are_overwritten() {
     let source = r#"program t
@@ -457,9 +486,8 @@ proc main() {
 
 /// A wrong privatization of `n` keeps `f`'s first invocation from setting
 /// it, so the schedules enter the outer loop with a bound of 2 where the
-/// scout's is 3.  At the exit of the second invocation, which writes no
-/// `n`, their states differ from the scout's in that loop frame alone,
-/// and the schedules go on alone again.
+/// scout's is 3.  So at the first exit their states differ from the
+/// scout's in that loop frame alone, and they go on alone from there.
 #[test]
 fn states_that_differ_only_in_a_loop_frame() {
     let source = r#"program t
@@ -498,13 +526,14 @@ proc main() {
     assert!(certs[0].race_free());
     for s in &certs[0].schedules {
         assert_eq!(s.capture.output, ["2 2"]);
-        assert_eq!((s.joined, s.diverged), (0, 3), "at each of three exits");
+        assert_eq!((s.joined, s.diverged), (0, 1), "at the first exit");
     }
 }
 
 /// A racing invocation makes `main` call `f` a second time, which the
-/// sequential run does not: those schedules wait at the loop's head while
-/// the scout, carrying `main/2`'s schedules, runs to the end without them.
+/// sequential run does not: those schedules go on alone to the end at
+/// once, and make the second call on their own, while the scout carries
+/// `main/2`'s schedules to the end without them.
 #[test]
 fn a_schedule_the_scout_leaves_waiting_at_a_head() {
     let source = r#"program t
@@ -535,4 +564,35 @@ proc main() {
         .filter(|s| s.outcome.loops_run == 2);
     assert!(twice.count() > 0, "a race led to a second call");
     assert!(sum(&certs[1], |s| s.joined) > 0);
+}
+
+/// The scout fails inside a loop while schedules wait at its exit, and at
+/// the exit of the loop around it: each schedule runs alone from its own
+/// loop's head.  `main/1`'s schedules fail under their handlers; the racing
+/// iterations of `main/2` share `n`, and end as their interleaving has it.
+#[test]
+fn the_scout_fails_inside_loops_whose_schedules_wait() {
+    let source = r#"program t
+proc main() {
+  real a[8]
+  int i, k, n
+  n = 3
+  do 2 k = 1, 3 {
+    do 1 i = 1, n {
+      a[i] = a[i] + k
+    }
+    n = n + 3
+  }
+  print a[1]
+}
+"#;
+    let certs = hand_written("fails while waited on", source, &["main/1", "main/2"]);
+    for s in &certs[0].schedules {
+        let e = s.capture.error.as_ref().expect("the run fails");
+        assert!(e.message.contains("extent"), "{}", e.message);
+        assert_eq!((s.outcome.loops_run, s.joined, s.diverged), (3, 2, 1));
+    }
+    for s in &certs[1].schedules {
+        assert_eq!((s.outcome.loops_run, s.joined, s.diverged), (1, 0, 1));
+    }
 }

@@ -4,11 +4,15 @@
 //! both limits is served end to end.  It also refuses a program with more
 //! than `MAX_PROCS` procedures, which the analysis has no fresh-symbol
 //! blocks for, so a call chain is at most `MAX_PROCS` deep; a chain that
-//! deep is served end to end too.  Every check runs on a thread with a
+//! deep is served end to end too.  A program whose storage passes
+//! `MAX_MEMORY_CELLS` is refused at layout, naming the variable and the
+//! bound, before anything allocates it; one of exactly that many cells
+//! loads.  Every check runs on a thread with a
 //! 2 MiB stack, the default for a spawned thread and so for each worker of
 //! the daemon's command pool.  In a debug build (as `cargo test` runs it)
 //! frames are at their largest, so this is the tight case.
 
+use suif_dynamic::MAX_MEMORY_CELLS;
 use suif_ir::parser::{MAX_EXPR_DEPTH, MAX_PROCS, MAX_STMT_DEPTH};
 use suif_server::json::Json;
 use suif_server::Daemon;
@@ -170,6 +174,47 @@ fn over_limit_loads_are_refused_and_the_daemon_keeps_serving() {
         let (reply, _) = d.handle_line(&load(include_str!("../docs/samples/demo.mf")));
         assert!(is_ok(&reply), "{reply}");
         let (reply, _) = d.handle_line(&request("guru", &[]));
+        assert!(is_ok(&reply), "{reply}");
+    });
+}
+
+/// A program of `cells` storage cells: the loop index, then one array.
+fn with_cells(cells: usize) -> String {
+    format!(
+        "program big\nproc main() {{\n int i\n real a[{}]\n do 1 i = 1, 4 {{\n  a[i] = i\n }}\n print a[4]\n}}\n",
+        cells - 1
+    )
+}
+
+#[test]
+fn a_load_past_max_memory_cells_is_refused_and_the_daemon_keeps_serving() {
+    on_worker_stack(|| {
+        let mut d = Daemon::new(1);
+        // Two common members of 2^62 cells each: their offsets once
+        // overflowed, and the block's size came out as zero.
+        let huge = 1u64 << 62;
+        let common = wrap(&format!(" common /c/ real p[{huge}], q[{huge}]\n q[1] = 1"));
+        for (name, text) in [("a", with_cells(MAX_MEMORY_CELLS + 1)), ("c", common)] {
+            let (reply, close) = d.handle_line(&load(&text));
+            assert!(!close && !is_ok(&reply), "{reply}");
+            let err = reply.get("error").and_then(Json::as_str).unwrap_or("");
+            let why = format!(
+                "layout error: storage for `{name}` takes the program past {MAX_MEMORY_CELLS} cells"
+            );
+            assert!(err.contains(&why), "{err}");
+        }
+        let (reply, _) = d.handle_line(&load(include_str!("../docs/samples/demo.mf")));
+        assert!(is_ok(&reply), "{reply}");
+        let (reply, _) = d.handle_line(&request("guru", &[]));
+        assert!(is_ok(&reply), "{reply}");
+    });
+}
+
+#[test]
+fn a_program_of_max_memory_cells_loads() {
+    on_worker_stack(|| {
+        let mut d = Daemon::new(1);
+        let (reply, _) = d.handle_line(&load(&with_cells(MAX_MEMORY_CELLS)));
         assert!(is_ok(&reply), "{reply}");
     });
 }
