@@ -13,12 +13,15 @@
 //! machine that owns its memory can also be stopped at a loop's head or
 //! exit ([`Machine::run_to`]) and copied into a [`Checkpoint`], from which
 //! any number of machines continue the run ([`Machine::resume`]), and
-//! compared with one ([`Machine::same_state`]).
+//! compared with one ([`Machine::differences`]).  [`Machine::run_to`] also
+//! stops before an instruction that touches a watched cell, whose accesses
+//! [`Machine::accesses`] names without running it.
 
 use crate::code::{Code, Dim, DoLoop, Inst};
 use crate::layout::{Layout, LayoutError};
+use crate::race::AccessKind;
 use crate::value::Value;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::Arc;
 use suif_ir::ast::{BinOp, Intrinsic, UnaryOp};
 use suif_ir::{Extent, Program, StmtId, Type, VarId};
@@ -223,11 +226,15 @@ struct LoopFrame {
     step: i64,
 }
 
-/// A machine's whole state at one point of a run, owned: its memory, base
-/// table, program counter, the three stacks, op counter and budget, the
-/// output so far and the input not yet read.  [`Machine::checkpoint`] takes
-/// one and [`Machine::resume`] continues from it, as often as wanted: each
-/// machine resumed from it does what the checkpointed one would have done.
+/// A machine's state at one point of a run, owned: its memory, base table,
+/// program counter, the three stacks, op counter and budget, how much of
+/// the input it has read and how many lines it has printed.
+/// [`Machine::checkpoint`] takes one and [`Machine::resume`] continues from
+/// it, as often as wanted: each machine resumed from it does what the
+/// checkpointed one would have done.  The printed lines themselves stay with
+/// the run that printed them, so a checkpoint costs nothing per line: a
+/// resumed machine's `output` holds the lines it prints, after
+/// [`Machine::printed`] lines that came before.
 #[derive(Clone)]
 pub struct Checkpoint {
     code: Arc<Code>,
@@ -239,14 +246,33 @@ pub struct Checkpoint {
     calls: Vec<usize>,
     ops: u64,
     max_ops: u64,
+    /// Lines printed before the first of `output`.
+    printed: usize,
+    /// Lines the checkpointed machine printed itself: none when it went on
+    /// running ([`Machine::checkpoint`]), all of its own when it was done
+    /// ([`Machine::into_checkpoint`]).
     output: Vec<String>,
-    input: VecDeque<f64>,
+    input: Arc<[f64]>,
+    /// Input values read.
+    read: usize,
 }
 
 impl Checkpoint {
     /// The virtual-op counter at the checkpoint.
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// Write memory directly, as [`Machine::poke`] does: a machine resumed
+    /// from the checkpoint starts with `val` at `addr`.
+    pub fn poke(&mut self, addr: usize, val: Value) -> bool {
+        match self.memory.get_mut(addr) {
+            Some(slot) => {
+                *slot = val;
+                true
+            }
+            None => false,
+        }
     }
 }
 
@@ -263,6 +289,9 @@ pub enum Stop {
     /// places the op budget is checked — with more than `limit` ops
     /// counted.  Nothing of it has run.
     Limit,
+    /// The next instruction reads or writes a cell that `watched` marks
+    /// ([`Machine::accesses`]).  Nothing of it has run.
+    Touch,
     /// The program has ended.
     End,
 }
@@ -291,9 +320,14 @@ pub struct Machine<'a> {
     calls: Vec<usize>,
     ops: u64,
     max_ops: u64,
-    /// Captured `print` output, one line per statement.
+    /// Captured `print` output, one line per statement: what this machine
+    /// printed, after [`Machine::printed`] lines of the run it resumed.
     pub output: Vec<String>,
-    input: VecDeque<f64>,
+    /// Lines printed before the first of `output`.
+    printed: usize,
+    /// The `read` input, of which the first `read` values are consumed.
+    input: Arc<[f64]>,
+    read: usize,
 }
 
 impl<'a> Machine<'a> {
@@ -332,13 +366,16 @@ impl<'a> Machine<'a> {
             ops: 0,
             max_ops: u64::MAX,
             output: Vec::new(),
-            input: VecDeque::new(),
+            printed: 0,
+            input: Arc::new([]),
+            read: 0,
         }
     }
 
     /// Supply `read` input values.
     pub fn set_input(&mut self, input: Vec<f64>) {
         self.input = input.into();
+        self.read = 0;
     }
 
     /// Install a loop handler (parallel runtime hook).
@@ -375,6 +412,13 @@ impl<'a> Machine<'a> {
     /// Virtual-operation counter (deterministic cost metric).
     pub fn ops(&self) -> u64 {
         self.ops
+    }
+
+    /// Lines printed before the first of [`Machine::output`]: by the run a
+    /// resumed machine continues, up to its checkpoint.  Zero for a machine
+    /// that started at `main`.
+    pub fn printed(&self) -> usize {
+        self.printed
     }
 
     /// Length of the shared segment — all of memory for a machine that owns
@@ -430,7 +474,9 @@ impl<'a> Machine<'a> {
             ops: 0,
             max_ops: self.max_ops.saturating_sub(self.ops),
             output: Vec::new(),
-            input: VecDeque::new(),
+            printed: 0,
+            input: Arc::new([]),
+            read: 0,
         }
     }
 
@@ -470,16 +516,19 @@ impl<'a> Machine<'a> {
     }
 
     /// Run on until the next instruction is the first after the loop
-    /// `exit`, the head of a loop `stop` accepts, or a budget check taken
-    /// with more than `limit` ops counted, and say which ([`Stop`]); or
-    /// until the program has ended.  The exit is tested first, and a
-    /// machine already standing at a stop stays there.  MiniF has no
-    /// recursion, so a machine inside `exit` reaches the instruction after
-    /// it only by leaving the loop.
+    /// `exit`, the head of a loop `stop` accepts, a budget check taken with
+    /// more than `limit` ops counted, or one that reads or writes a cell
+    /// `watched` marks, and say which ([`Stop`]), in that order of
+    /// precedence; or until the program has ended.  An empty `watched`
+    /// watches nothing and costs nothing; else it covers the machine's
+    /// memory.  A machine already standing at a stop stays there.  MiniF
+    /// has no recursion, so a machine inside `exit` reaches the instruction
+    /// after it only by leaving the loop.
     pub fn run_to(
         &mut self,
         exit: Option<&DoLoop>,
         limit: u64,
+        watched: &[bool],
         mut stop: impl FnMut(&DoLoop) -> bool,
     ) -> Result<Stop, RuntimeError> {
         let exit = exit.map_or(usize::MAX, |lp| lp.next as usize + 1);
@@ -498,6 +547,13 @@ impl<'a> Machine<'a> {
                     return Ok(Stop::Limit);
                 }
                 _ => {}
+            }
+            if !watched.is_empty() {
+                let mut touched = false;
+                self.accesses(|addr, _| touched |= watched[addr]);
+                if touched {
+                    return Ok(Stop::Touch);
+                }
             }
             if !self.step()? {
                 return Ok(Stop::End);
@@ -518,8 +574,10 @@ impl<'a> Machine<'a> {
             calls: self.calls.clone(),
             ops: self.ops,
             max_ops: self.max_ops,
-            output: self.output.clone(),
-            input: self.input.clone(),
+            printed: self.printed + self.output.len(),
+            output: Vec::new(),
+            input: Arc::clone(&self.input),
+            read: self.read,
         }
     }
 
@@ -538,31 +596,72 @@ impl<'a> Machine<'a> {
             calls: self.calls,
             ops: self.ops,
             max_ops: self.max_ops,
+            printed: self.printed,
             output: self.output,
             input: self.input,
+            read: self.read,
         }
     }
 
-    /// True when this machine and `at` stand at the same point of the same
-    /// run in the same state, so that each goes on to do what the other
-    /// would: equal memory, [`Value`] by [`Value`] and bit for bit (so
-    /// `-0.0` is not `0.0`), base table, program counter, operand, loop and
-    /// call stacks, output so far and input not yet read.  The op counter
-    /// and budget are not compared.  The machine must own its memory.
-    pub fn same_state(&self, at: &Checkpoint) -> bool {
-        self.pc == at.pc
+    /// How `at` differs from this machine, both of one run over the same
+    /// input (one resumed from a checkpoint of the other, say): `None` when
+    /// their threads differ, so that neither goes on to do what the other
+    /// would; else the cells where `at`'s memory differs, [`Value`] by
+    /// [`Value`] and bit for bit (so `-0.0` is not `0.0`), with `at`'s
+    /// values, by address.  The thread is the program counter, the operand,
+    /// loop and call stacks, the input read, the lines printed — compared
+    /// from the later of the two machines' [`Machine::printed`] on, as
+    /// neither holds the lines before — and the base table's live entries.
+    /// An array formal's binding is live while its procedure is on the call
+    /// stack; outside it, the next call binds it again before any use.  The
+    /// op counter and budget are not compared.  The machine must own its
+    /// memory.
+    pub fn differences(&self, at: &Checkpoint) -> Option<Vec<(usize, Value)>> {
+        let from = self.printed.max(at.printed);
+        let same_thread = self.pc == at.pc
             && self.calls == at.calls
             && self.loops == at.loops
             && same_values(&self.stack, &at.stack)
-            && self.output == at.output
-            && self.input.len() == at.input.len()
-            && self
-                .input
+            && self.read == at.read
+            && self.printed + self.output.len() == at.printed + at.output.len()
+            && self.output[from - self.printed..] == at.output[from - at.printed..]
+            && self.same_live_bindings(&at.base);
+        same_thread.then(|| {
+            let memory = self.owned_memory();
+            assert_eq!(memory.len(), at.memory.len(), "one program's memory");
+            let mut cells = Vec::new();
+            let mut from = 0;
+            while let Some(k) = memory[from..]
                 .iter()
-                .zip(&at.input)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self.base == at.base
-            && same_values(self.owned_memory(), &at.memory)
+                .zip(&at.memory[from..])
+                .position(|(x, y)| !same_value(x, y))
+            {
+                cells.push((from + k, at.memory[from + k]));
+                from += k + 1;
+            }
+            cells
+        })
+    }
+
+    /// True when `base` binds every variable as this machine does, but for
+    /// array formals of procedures not on the call stack.
+    fn same_live_bindings(&self, base: &[usize]) -> bool {
+        if self.base == base {
+            return true;
+        }
+        let mut active = vec![false; self.program.procedures.len()];
+        active[self.program.main.0 as usize] = true;
+        for &resume in &self.calls {
+            if let Inst::Call { callee, .. } = self.code.insts[resume - 1] {
+                active[callee.0 as usize] = true;
+            }
+        }
+        let layout = &self.code.layout;
+        (0..base.len()).all(|v| {
+            let var = VarId(v as u32);
+            self.base[v] == base[v]
+                || (layout.base_of(var).is_none() && !active[self.program.var(var).proc.0 as usize])
+        })
     }
 
     fn owned_memory(&self) -> &Vec<Value> {
@@ -570,6 +669,30 @@ impl<'a> Machine<'a> {
             MemStore::Owned(memory) => memory,
             MemStore::View { .. } => panic!("a worker view cannot be checkpointed"),
         }
+    }
+
+    /// Continue from `at`, a checkpoint of a run that continues this
+    /// machine's run from where it stands, keeping its hooks and handler:
+    /// its state becomes `at`'s, and its output its own lines before `at`'s
+    /// followed by the lines `at` holds.
+    pub fn restore(&mut self, at: Checkpoint) {
+        let before = at.printed.checked_sub(self.printed);
+        let before = before
+            .filter(|&n| n <= self.output.len())
+            .expect("a checkpoint of this run");
+        self.output.truncate(before);
+        self.output.extend(at.output);
+        self.code = at.code;
+        self.mem = MemStore::Owned(at.memory);
+        self.base = at.base;
+        self.pc = at.pc;
+        self.stack = at.stack;
+        self.loops = at.loops;
+        self.calls = at.calls;
+        self.ops = at.ops;
+        self.max_ops = at.max_ops;
+        self.input = at.input;
+        self.read = at.read;
     }
 
     /// A machine that continues `program`'s run from `at`, reporting to
@@ -589,8 +712,10 @@ impl<'a> Machine<'a> {
             calls: at.calls,
             ops: at.ops,
             max_ops: at.max_ops,
+            printed: at.printed,
             output: at.output,
             input: at.input,
+            read: at.read,
         }
     }
 
@@ -751,8 +876,11 @@ impl<'a> Machine<'a> {
                 self.mem_store(addr, convert(val, ty), line)?;
                 sink(self.hooks, &mut lent).store(var, addr);
             }
-            Inst::ReadInput { line } => match self.input.pop_front() {
-                Some(raw) => self.stack.push(Value::Real(raw)),
+            Inst::ReadInput { line } => match self.input.get(self.read) {
+                Some(&raw) => {
+                    self.read += 1;
+                    self.stack.push(Value::Real(raw));
+                }
                 None => return rerr(line, "read: input exhausted"),
             },
             Inst::Print { n } => {
@@ -854,6 +982,78 @@ impl<'a> Machine<'a> {
             },
         }
         Ok(true)
+    }
+
+    /// Name the cells the next instruction reads and writes, reads first,
+    /// without running it: the accesses [`Machine::step`] reports to the
+    /// `load` / `store` hooks, and those no hook hears — the adjustable
+    /// extents an address reads, a call's stores into its scalar formals
+    /// and a loop's stores into its induction variable.  An instruction
+    /// that fails names every read it may make, and no write it would not
+    /// make.
+    pub fn accesses(&self, mut visit: impl FnMut(usize, AccessKind)) {
+        let scalar = |var: VarId| self.base[var.0 as usize];
+        match self.code.insts[self.pc] {
+            Inst::LoadScalar(var) | Inst::ArgScalar { var, .. } => {
+                visit(scalar(var), AccessKind::Read);
+            }
+            Inst::LoadElem { var, dims, rank } => {
+                self.element_accesses(var, dims, rank, Some(AccessKind::Read), &mut visit);
+            }
+            Inst::StoreElem {
+                var, dims, rank, ..
+            } => self.element_accesses(var, dims, rank, Some(AccessKind::Write), &mut visit),
+            Inst::PartAddr {
+                var, dims, rank, ..
+            } => self.element_accesses(var, dims, rank, None, &mut visit),
+            Inst::StoreScalar { var, .. } => visit(scalar(var), AccessKind::Write),
+            Inst::CopyOut { formal, actual, .. } => {
+                visit(scalar(formal), AccessKind::Read);
+                visit(scalar(actual), AccessKind::Write);
+            }
+            Inst::Call { callee, .. } => {
+                for &(formal, _) in &self.code.procs[callee.0 as usize].scalars {
+                    visit(scalar(formal), AccessKind::Write);
+                }
+            }
+            Inst::DoEnter(lp) => {
+                let lp = self.code.loops[lp as usize];
+                // `pop_bounds` refuses a zero step before the store.
+                let zero_step = lp.has_step && self.stack.last().is_some_and(|s| s.as_int() == 0);
+                if !zero_step {
+                    visit(scalar(lp.var), AccessKind::Write);
+                }
+            }
+            // The budget check comes before the store.
+            Inst::DoNext(lp) if self.ops <= self.max_ops => {
+                visit(scalar(self.code.loops[lp as usize].var), AccessKind::Write);
+            }
+            _ => {}
+        }
+    }
+
+    /// [`Machine::accesses`] of an instruction that addresses an element of
+    /// `var` with the `rank` subscripts on top of the stack: the adjustable
+    /// extents it reads, then the element, when it accesses one (`kind`)
+    /// and its address is in bounds.
+    fn element_accesses(
+        &self,
+        var: VarId,
+        dims: u32,
+        rank: u8,
+        kind: Option<AccessKind>,
+        visit: &mut impl FnMut(usize, AccessKind),
+    ) {
+        let dims = &self.code.dims[dims as usize..][..rank as usize];
+        for dim in dims {
+            if let Dim::Adjustable(extent) = *dim {
+                visit(self.base[extent.0 as usize], AccessKind::Read);
+            }
+        }
+        let subs = &self.stack[self.stack.len() - rank as usize..];
+        if let (Some(kind), Ok(addr)) = (kind, self.element_addr(var, dims, subs, 0)) {
+            visit(addr, kind);
+        }
     }
 
     #[inline(always)]
@@ -1049,12 +1249,16 @@ impl<'a> Machine<'a> {
 
 /// Equal, value by value and bit for bit.
 fn same_values(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| match (x, y) {
-            (Value::Int(p), Value::Int(q)) => p == q,
-            (Value::Real(p), Value::Real(q)) => p.to_bits() == q.to_bits(),
-            _ => false,
-        })
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_value(x, y))
+}
+
+/// Equal, bit for bit.
+fn same_value(x: &Value, y: &Value) -> bool {
+    match (x, y) {
+        (Value::Int(p), Value::Int(q)) => p == q,
+        (Value::Real(p), Value::Real(q)) => p.to_bits() == q.to_bits(),
+        _ => false,
+    }
 }
 
 /// The hooks a step reports to: the ones lent to it, else the machine's own.
@@ -1450,7 +1654,7 @@ mod tests {
         let mut scout = Machine::new(&p, &mut hooks).unwrap();
         scout.set_max_ops(10_000);
         assert!(matches!(
-            scout.run_to(None, u64::MAX, |_| true),
+            scout.run_to(None, u64::MAX, &[], |_| true),
             Ok(Stop::Head(_))
         ));
         let at = scout.checkpoint();
@@ -1470,7 +1674,7 @@ mod tests {
         let mut parent = Machine::new(&p, &mut hooks).unwrap();
         parent.set_max_ops(10_000);
         assert!(matches!(
-            parent.run_to(None, u64::MAX, |_| true),
+            parent.run_to(None, u64::MAX, &[], |_| true),
             Ok(Stop::Head(_))
         ));
         let left = 10_000 - parent.ops();
@@ -1494,24 +1698,24 @@ mod tests {
         .unwrap();
         let mut hooks = NoHooks;
         let mut m = Machine::new(&p, &mut hooks).unwrap();
-        let Ok(Stop::Head(first)) = m.run_to(None, u64::MAX, |_| true) else {
+        let Ok(Stop::Head(first)) = m.run_to(None, u64::MAX, &[], |_| true) else {
             panic!("no head");
         };
         // Standing at a stop, the machine stays there.
         assert!(
-            matches!(m.run_to(None, u64::MAX, |_| true), Ok(Stop::Head(lp)) if lp.stmt == first.stmt)
+            matches!(m.run_to(None, u64::MAX, &[], |_| true), Ok(Stop::Head(lp)) if lp.stmt == first.stmt)
         );
         // The first loop's exit is the second loop's head: the exit wins.
         assert!(matches!(
-            m.run_to(Some(&first), u64::MAX, |_| true),
+            m.run_to(Some(&first), u64::MAX, &[], |_| true),
             Ok(Stop::Head(_))
         ));
         m.step().unwrap();
         assert!(matches!(
-            m.run_to(Some(&first), u64::MAX, |_| true),
+            m.run_to(Some(&first), u64::MAX, &[], |_| true),
             Ok(Stop::Exit)
         ));
-        let Ok(Stop::Head(second)) = m.run_to(None, u64::MAX, |_| true) else {
+        let Ok(Stop::Head(second)) = m.run_to(None, u64::MAX, &[], |_| true) else {
             panic!("no second head");
         };
         assert_ne!(second.stmt, first.stmt);
@@ -1519,27 +1723,33 @@ mod tests {
         // the budget check that the same limit as a budget fails.
         let at = m.checkpoint();
         let limit = m.ops();
-        assert!(matches!(m.run_to(None, limit, |_| false), Ok(Stop::Limit)));
+        assert!(matches!(
+            m.run_to(None, limit, &[], |_| false),
+            Ok(Stop::Limit)
+        ));
         let mut hooks = NoHooks;
         let mut budgeted = Machine::resume(&p, at, &mut hooks);
         budgeted.set_max_ops(limit);
         let e = budgeted.finish().unwrap_err();
         assert_eq!((e.line, budgeted.ops()), (8, m.ops()));
-        assert!(matches!(m.run_to(None, u64::MAX, |_| false), Ok(Stop::End)));
+        assert!(matches!(
+            m.run_to(None, u64::MAX, &[], |_| false),
+            Ok(Stop::End)
+        ));
         assert_eq!(m.output, vec!["24"]);
     }
 
     #[test]
-    fn same_state_compares_everything_but_the_op_count() {
+    fn differences_compare_the_thread_and_name_the_cells_that_differ() {
         let p = parse_program(
-            "program t\nproc main() {\n real a[3]\n int i\n a[1] = 0.0\n do i = 1, 3 {\n a[i] = a[i] + i\n }\n print a[3]\n}",
+            "program t\nproc main() {\n real a[3], x\n int i\n read x\n a[1] = 0.0\n do i = 1, 3 {\n a[i] = a[i] + i\n }\n print a[3]\n}",
         )
         .unwrap();
         let mut hooks = NoHooks;
         let mut m = Machine::new(&p, &mut hooks).unwrap();
-        m.set_input(vec![1.0]);
+        m.set_input(vec![1.0, 2.0]);
         assert!(matches!(
-            m.run_to(None, u64::MAX, |_| true),
+            m.run_to(None, u64::MAX, &[], |_| true),
             Ok(Stop::Head(_))
         ));
         let at = m.checkpoint();
@@ -1548,24 +1758,32 @@ mod tests {
             .find(|&v| p.var(v).name == "a");
         let cell = m.array_base(a.unwrap(), 0).unwrap();
         assert!(matches!(m.peek(cell), Some(Value::Real(x)) if x.to_bits() == 0));
-        let differs = |edit: &dyn Fn(&mut Machine<'_>)| {
+        // `m` against a run resumed from its checkpoint and edited.
+        let edited = |edit: &dyn Fn(&mut Machine<'_>)| {
             let mut hooks = NoHooks;
             let mut other = Machine::resume(&p, at.clone(), &mut hooks);
-            assert!(other.same_state(&at));
             edit(&mut other);
-            !other.same_state(&at)
+            m.differences(&other.into_checkpoint())
         };
+        assert!(matches!(edited(&|_| {}).as_deref(), Some([])));
         assert!(
-            !differs(&|m| m.set_ops(m.ops() + 7)),
+            matches!(edited(&|m| m.set_ops(m.ops() + 7)).as_deref(), Some([])),
             "ops are not compared"
         );
+        let negative_zero = edited(&|m| assert!(m.poke(cell, Value::Real(-0.0))));
         assert!(
-            differs(&|m| assert!(m.poke(cell, Value::Real(-0.0)))),
-            "-0.0"
+            matches!(negative_zero.as_deref(), Some(&[(c, Value::Real(x))]) if c == cell && x.to_bits() == (-0.0f64).to_bits()),
+            "-0.0 is a cell that differs"
         );
-        assert!(differs(&|m| m.output.push(String::new())), "output");
-        assert!(differs(&|m| m.set_input(vec![1.0, 2.0])), "input");
-        assert!(differs(&|m| assert!(m.step().unwrap())), "pc");
+        assert!(
+            edited(&|m| m.output.push(String::new())).is_none(),
+            "output"
+        );
+        assert!(
+            edited(&|m| m.set_input(vec![1.0, 2.0])).is_none(),
+            "input read"
+        );
+        assert!(edited(&|m| assert!(m.step().unwrap())).is_none(), "pc");
     }
 
     #[test]

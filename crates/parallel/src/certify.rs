@@ -17,14 +17,18 @@
 //! shadow covers the shared segment, serves every schedule of a call and is
 //! reset at every invocation of a target loop.
 //!
-//! [`certify_loops`] runs the program once, sequentially, as a *scout* that
-//! carries the schedules: a schedule whose state is the scout's rides it
-//! between invocations, runs only its loop's invocations under its handler
-//! (at the loop's exit, from the scout's [`Checkpoint`] at its head), and
-//! rides on when its state then equals the scout's.  A schedule whose
-//! invocation raced, or whose state differs, leaves the scout once and for
-//! all and runs alone to the end.  Each
-//! schedule's races, captured output and final shared memory are exactly
+//! [`certify_loops`] runs the program once, as a *scout* that carries the
+//! schedules: a schedule rides it between invocations as the scout's
+//! thread plus an *overlay* — the cells where its memory differs — runs
+//! only its loop's invocations under its handler (at the loop's exit, from
+//! the scout's [`Checkpoint`] at its head with the overlay applied), and
+//! rides on when its thread then equals the scout's.  The scout runs the
+//! program sequentially, but where no schedule rides a loop through, the
+//! first to run its invocation stands in for the scout's run of it.  The
+//! scout drops an overlay's cell when it writes it, and a schedule whose
+//! overlay it is about to read, or whose thread differs, leaves the scout
+//! once and for all and runs alone to the end.  Each schedule's races,
+//! captured output and final shared memory are exactly
 //! those of one whole run per schedule ([`certify_from_main`]).  A
 //! sequential reference capture of the same program lets callers check the
 //! differential invariant: a certified DOALL loop must be race-free with
@@ -382,19 +386,25 @@ pub struct ScheduleReport {
     pub seed: u64,
     /// Accumulated executor outcome (races, preemption counters).
     pub outcome: CertOutcome,
-    /// Whole-program observable result under this schedule.
-    pub capture: ExecutionCapture,
+    /// Whole-program observable result under this schedule, shared with
+    /// the schedules of the call that end alike: all that ride the scout to
+    /// its end with no cell differing share its capture.
+    pub capture: Arc<ExecutionCapture>,
     /// Wall-clock time of the schedule's own work: its invocations of the
     /// loop and the stretches it ran alone.  The scout's sequential run is
     /// in no schedule's `elapsed`, and a loop the program never reaches ran
     /// nothing of its own (zero).
     pub elapsed: Duration,
-    /// Certified invocations after which the schedule's state equalled the
+    /// Certified invocations after which the schedule's thread equalled the
     /// scout's, so that it rode the scout on from there.
     pub joined: u64,
+    /// Those of the `joined` invocations after which some cell of the
+    /// schedule's memory differed from the scout's: it rode on with an
+    /// overlay.
+    pub overlaid: u64,
     /// 1 when the schedule left the scout to run alone to the end (its
-    /// invocation raced, its state differed, or the scout stopped without
-    /// it), else 0.
+    /// thread differed, the scout was about to read a cell of its overlay,
+    /// or the scout stopped without it), else 0.
     pub diverged: u64,
 }
 
@@ -449,15 +459,24 @@ pub fn capture_sequential(program: &Program, input: &[f64]) -> ExecutionCapture 
     };
     m.set_input(input.to_vec());
     let error = m.run().err();
-    capture_machine(m, error)
+    capture_machine(m, error, &[])
 }
 
-fn capture_machine(mut m: Machine<'_>, error: Option<RuntimeError>) -> ExecutionCapture {
+/// The capture of `m`, which ended with `error`: its output follows the
+/// first [`Machine::printed`] lines of `printed`, the output of the run it
+/// continues.
+fn capture_machine(
+    mut m: Machine<'_>,
+    error: Option<RuntimeError>,
+    printed: &[String],
+) -> ExecutionCapture {
     let memory = (0..m.shared_len())
         .map(|a| m.peek(a).unwrap_or(Value::Real(0.0)))
         .collect();
+    let mut output = printed[..m.printed()].to_vec();
+    output.append(&mut m.output);
     ExecutionCapture {
-        output: std::mem::take(&mut m.output),
+        output,
         memory,
         error,
     }
@@ -482,7 +501,8 @@ pub fn certify_loop(
 /// schedule of `target` is one whole run of the program from `main`, within
 /// [`MAX_EXECUTE_OPS`], with the loop certified under `plan` at each of its
 /// invocations and every other loop run sequentially.  `elapsed` is the
-/// run's time; `joined` and `diverged` are zero, as there is no scout.
+/// run's time; `joined`, `overlaid` and `diverged` are zero, as there is no
+/// scout.
 pub fn certify_from_main(
     program: &Program,
     target: StmtId,
@@ -522,15 +542,16 @@ fn from_main_within(
                     m.set_max_ops(max_ops);
                     m.set_handler(&mut handler);
                     let error = m.run().err();
-                    capture_machine(m, error)
+                    capture_machine(m, error, &[])
                 }
             };
             ScheduleReport {
                 seed,
                 outcome,
-                capture,
+                capture: Arc::new(capture),
                 elapsed: start.elapsed(),
                 joined: 0,
+                overlaid: 0,
                 diverged: 0,
             }
         })
@@ -544,21 +565,33 @@ fn from_main_within(
 /// Certify every `(loop, plan)` of `targets`, each under `opts.schedules`
 /// adversarial schedules, and return their certifications in target order;
 /// a loop may appear more than once, under different plans.  Each result is
-/// [`certify_from_main`]'s, but for `elapsed`, `joined` and `diverged`.
+/// [`certify_from_main`]'s, but for `elapsed`, `joined`, `overlaid` and
+/// `diverged`.
 ///
 /// The program is lowered once and run once, sequentially, by a *scout*
-/// that carries the schedules.  A schedule is *joined* while its machine
-/// state is the scout's — every schedule starts so — and holds no machine
-/// of its own then.  At a head of a target loop with joined schedules the
-/// scout takes one [`Checkpoint`] and runs the loop on sequentially while
-/// they wait.  At the loop's exit each of them runs that invocation under
-/// its [`CertifyHandler`] from the checkpoint, and rides on if its state
-/// then equals the scout's.  A schedule whose invocation raced, or whose
-/// state differs, leaves the scout for good: it runs alone to the end
-/// there and then.  If the scout fails or ends inside the loop, the waiting
-/// schedules run alone from its head.  The scout stops once it carries no
-/// one.  Joined schedules, and those of a target the scout never reached,
-/// take the scout's final capture.
+/// that carries the schedules.  A schedule is *joined* while its thread —
+/// program counter, stacks, input read, output, live bindings — is the
+/// scout's; its memory is the scout's but for a sparse *overlay* of cells,
+/// empty at the start.  At a head of a target loop with joined schedules
+/// the scout takes one [`Checkpoint`] and runs the loop on sequentially
+/// while they wait.  At the loop's exit each of them runs that invocation
+/// under its [`CertifyHandler`] from the checkpoint with its overlay
+/// applied, and rides on if its thread then equals the scout's, with the
+/// cells that differ as its new overlay.  When no joined schedule is left
+/// to ride the loop through, the scout's run of it serves only as the
+/// state the waiting schedules are compared with, and any state of the run
+/// serves as well: the first of them to reach the exit *stands in*, and the
+/// scout takes its state there instead of running the loop.  While a joined
+/// schedule's overlay holds cells, the scout looks at each instruction's
+/// accesses before it runs it ([`Machine::accesses`]): a write to a held
+/// cell drops it from every overlay, as the schedule's run writes what the
+/// scout's does, and a read of one makes that schedule leave from the
+/// scout's state with its overlay applied.  A schedule whose thread differs at an exit leaves
+/// there.  A schedule that leaves does so for good: it runs alone to the
+/// end there and then.  If the scout fails or ends inside the loop, the
+/// waiting schedules run alone from its head.  The scout stops once it
+/// carries no one.  Joined schedules, and those of a target the scout never
+/// reached, take the scout's final capture with their overlays applied.
 ///
 /// A handler skips a loop body's ops, so a joined schedule counts fewer
 /// ops than the scout; it keeps the difference (its lag) and is resumed
@@ -588,18 +621,19 @@ fn certify_within(
             target,
             seed: opts.seed.wrapping_add(s as u64),
             outcome: CertOutcome::default(),
-            place: Place::Joined { lag: 0 },
+            place: Place::joined(),
             elapsed: Duration::ZERO,
             joined: 0,
+            overlaid: 0,
             diverged: 0,
         })
         .collect();
     let code = match Code::lower(program) {
         Ok(code) => Arc::new(code),
         Err(e) => {
-            let capture = layout_failure(e);
+            let capture = Arc::new(layout_failure(e));
             for s in &mut scheds {
-                s.place = Place::Done(capture.clone());
+                s.place = Place::Done(Arc::clone(&capture));
             }
             return reports(targets, scheds);
         }
@@ -614,6 +648,9 @@ fn certify_within(
         threads: opts.threads,
         detector: RaceDetector::new(0, scout.shared_len()),
         scheds,
+        watched: vec![false; scout.shared_len()],
+        marked: Vec::new(),
+        watching: false,
     };
     // Schedules by their target's loop.
     let mut by_loop: HashMap<StmtId, Vec<usize>> = HashMap::new();
@@ -633,49 +670,95 @@ fn certify_within(
                     .any(|&i| matches!(c.scheds[i].place, Place::Joined { .. }))
             })
         };
-        match scout.run_to(heads.last().map(|(lp, _)| lp), limit, joined) {
+        let watched: &[bool] = if c.watching { &c.watched } else { &[] };
+        let exit = heads.last().map(|(lp, _)| lp);
+        match scout.run_to(exit, limit, watched, joined) {
             Ok(Stop::Head(lp)) => {
                 for &i in &by_loop[&lp.stmt] {
-                    if let Place::Joined { lag } = c.scheds[i].place {
-                        c.scheds[i].place = Place::Pending { lag };
-                    }
+                    c.scheds[i].place = match c.take(i) {
+                        Place::Joined { lag, overlay } => Place::Pending { lag, overlay },
+                        other => other,
+                    };
                 }
-                heads.push((lp, scout.checkpoint()));
-                // Past the head, and on through the loop sequentially.
-                if let Err(e) = scout.step() {
-                    break Some(Err(e));
+                c.rewatch();
+                let head = scout.checkpoint();
+                if c.scheds
+                    .iter()
+                    .any(|s| matches!(s.place, Place::Joined { .. }))
+                {
+                    heads.push((lp, head));
+                    // Past the head, and on through the loop sequentially.
+                    if let Err(e) = scout.step() {
+                        break Some(Err(e));
+                    }
+                } else {
+                    // No schedule rides the loop through: the first waiting
+                    // one to reach its exit stands in for the scout's run.
+                    c.at_exit(&mut scout, &lp, head, &by_loop[&lp.stmt], true);
                 }
             }
             Ok(Stop::Exit) => {
                 let (lp, head) = heads.pop().expect("the scout stops at a waited-for exit");
-                c.at_exit(&scout, &lp, head, &by_loop[&lp.stmt]);
+                c.at_exit(&mut scout, &lp, head, &by_loop[&lp.stmt], false);
             }
             Ok(Stop::Limit) => c.detach(&scout),
+            Ok(Stop::Touch) => {
+                c.touch(&scout);
+                match scout.step() {
+                    Ok(true) => {}
+                    Ok(false) => break Some(Ok(())),
+                    Err(e) => break Some(Err(e)),
+                }
+            }
             Ok(Stop::End) => break Some(Ok(())),
             Err(e) => break Some(Err(e)),
         }
     };
-    let capture = ended.map(|result| capture_machine(scout, result.err()));
     for i in 0..c.scheds.len() {
         let place = match c.take(i) {
-            Place::Joined { .. } => Place::Done(
-                capture
-                    .clone()
-                    .expect("a joined schedule keeps the scout running"),
-            ),
-            Place::Pending { lag } => {
+            Place::Pending { lag, overlay } => {
                 let stmt = targets[c.scheds[i].target].0;
                 let (_, head) = heads
                     .iter()
                     .find(|(lp, _)| lp.stmt == stmt)
                     .expect("a waiting schedule's loop is being run");
-                c.alone(i, head.clone(), head.ops().wrapping_sub(lag))
+                let ops = head.ops().wrapping_sub(lag);
+                c.alone(i, overlaid(head.clone(), &overlay), ops, &scout.output)
             }
-            done => done,
+            other => other,
         };
         c.scheds[i].place = place;
     }
+    let capture = ended.map(|result| Arc::new(capture_machine(scout, result.err(), &[])));
+    for s in &mut c.scheds {
+        if let Place::Joined { overlay, .. } = &s.place {
+            let capture = capture
+                .as_ref()
+                .expect("a joined schedule keeps the scout running");
+            s.place = Place::Done(if overlay.is_empty() {
+                Arc::clone(capture)
+            } else {
+                let mut memory = capture.memory.clone();
+                for &(addr, val) in overlay {
+                    memory[addr] = val;
+                }
+                Arc::new(ExecutionCapture {
+                    output: capture.output.clone(),
+                    memory,
+                    error: capture.error.clone(),
+                })
+            });
+        }
+    }
     reports(targets, c.scheds)
+}
+
+/// `at` with the cells of `overlay` set to its values.
+fn overlaid(mut at: Checkpoint, overlay: &[(usize, Value)]) -> Checkpoint {
+    for &(addr, val) in overlay {
+        assert!(at.poke(addr, val), "an overlay holds cells of memory");
+    }
+    at
 }
 
 /// The certifications of `targets` from their finished schedules.
@@ -697,22 +780,38 @@ fn reports(targets: &[(StmtId, &PlanEntry)], scheds: Vec<Sched>) -> Vec<LoopCert
             capture,
             elapsed: s.elapsed,
             joined: s.joined,
+            overlaid: s.overlaid,
             diverged: s.diverged,
         });
     }
     certs
 }
 
+/// The cells where a schedule's memory differs from the scout's, with the
+/// schedule's values, by address.
+type Overlay = Vec<(usize, Value)>;
+
 /// Where a schedule stands while the scout runs.
 enum Place {
-    /// Riding the scout: its state is the scout's, with `lag` fewer ops
-    /// counted (wrapping).
-    Joined { lag: u64 },
+    /// Riding the scout: its thread is the scout's, with `lag` fewer ops
+    /// counted (wrapping), and its memory is the scout's but for `overlay`.
+    Joined { lag: u64, overlay: Overlay },
     /// Rode the scout to the head of its loop, whose exit the scout is
-    /// running to, with `lag` fewer ops counted than the head's checkpoint.
-    Pending { lag: u64 },
+    /// running to, with `lag` fewer ops counted than the head's checkpoint
+    /// and `overlay` over its memory.
+    Pending { lag: u64, overlay: Overlay },
     /// Ran to the end of the program, or failed.
-    Done(ExecutionCapture),
+    Done(Arc<ExecutionCapture>),
+}
+
+impl Place {
+    /// Where every schedule starts: the scout's state exactly.
+    fn joined() -> Place {
+        Place::Joined {
+            lag: 0,
+            overlay: Overlay::new(),
+        }
+    }
 }
 
 /// One schedule of one target.
@@ -724,6 +823,7 @@ struct Sched {
     place: Place,
     elapsed: Duration,
     joined: u64,
+    overlaid: u64,
     diverged: u64,
 }
 
@@ -735,12 +835,20 @@ struct Certifier<'p, 't> {
     /// Every schedule's detector: it is reset at each invocation.
     detector: RaceDetector,
     scheds: Vec<Sched>,
+    /// Per cell of memory: true where a joined schedule's overlay may hold
+    /// it.  Exact but after a schedule leaves, until [`Certifier::rewatch`].
+    watched: Vec<bool>,
+    /// The cells `watched` marked since the last [`Certifier::rewatch`].
+    marked: Vec<usize>,
+    /// Some joined schedule's overlay holds a cell: the scout must look at
+    /// what it touches.
+    watching: bool,
 }
 
 impl Certifier<'_, '_> {
     /// Schedule `i`'s place, which the caller replaces.
     fn take(&mut self, i: usize) -> Place {
-        std::mem::replace(&mut self.scheds[i].place, Place::Joined { lag: 0 })
+        std::mem::replace(&mut self.scheds[i].place, Place::joined())
     }
 
     /// The op count past which the scout stops before a budget check: the
@@ -751,7 +859,7 @@ impl Certifier<'_, '_> {
         let mut limit = u64::MAX;
         for s in &self.scheds {
             match s.place {
-                Place::Joined { lag } => {
+                Place::Joined { lag, .. } => {
                     carrying = true;
                     if lag != 0 {
                         limit = limit.min(max_ops.saturating_add_signed((lag as i64).min(0)));
@@ -764,17 +872,47 @@ impl Certifier<'_, '_> {
         carrying.then_some(limit)
     }
 
+    /// Watch the cells of `overlay`, a joined schedule's.
+    fn mark(&mut self, overlay: &Overlay) {
+        for &(addr, _) in overlay {
+            if !self.watched[addr] {
+                self.watched[addr] = true;
+                self.marked.push(addr);
+            }
+        }
+        self.watching |= !overlay.is_empty();
+    }
+
+    /// Watch exactly the cells the joined schedules' overlays hold, after
+    /// some left the joined state.
+    fn rewatch(&mut self) {
+        for &addr in &self.marked {
+            self.watched[addr] = false;
+        }
+        self.marked.clear();
+        self.watching = false;
+        let scheds = std::mem::take(&mut self.scheds);
+        for s in &scheds {
+            if let Place::Joined { overlay, .. } = &s.place {
+                self.mark(overlay);
+            }
+        }
+        self.scheds = scheds;
+    }
+
     /// Run schedule `i` under its handler from `at` — the scout's state or
     /// its own — with `ops` ops counted, to the exit of `exit`, and return
     /// its state there; or, with no `exit` or when it ends or fails first,
-    /// to the end, and return its capture.  The time counts in its
-    /// `elapsed`.
+    /// to the end, and return its capture, whose output follows the lines
+    /// of `printed`, the scout's, that came before `at`.  The time counts
+    /// in its `elapsed`.
     fn run(
         &mut self,
         i: usize,
         at: Checkpoint,
         ops: u64,
         exit: Option<&DoLoop>,
+        printed: &[String],
     ) -> Result<Checkpoint, ExecutionCapture> {
         let start = Instant::now();
         let sched = &mut self.scheds[i];
@@ -792,13 +930,13 @@ impl Certifier<'_, '_> {
         };
         m.set_handler(&mut handler);
         let stopped = match exit {
-            Some(lp) => m.run_to(Some(lp), u64::MAX, |_| false),
+            Some(lp) => m.run_to(Some(lp), u64::MAX, &[], |_| false),
             None => m.finish().map(|()| Stop::End),
         };
         let stood = match stopped {
             Ok(Stop::Exit) => Ok(m.into_checkpoint()),
-            Ok(_) => Err(capture_machine(m, None)),
-            Err(e) => Err(capture_machine(m, Some(e))),
+            Ok(_) => Err(capture_machine(m, None, printed)),
+            Err(e) => Err(capture_machine(m, Some(e), printed)),
         };
         sched.elapsed += start.elapsed();
         stood
@@ -806,69 +944,142 @@ impl Certifier<'_, '_> {
 
     /// Schedule `i` leaves the scout for good: it runs alone from `at`, with
     /// `ops` ops counted, to the end.  The one place `diverged` counts.
-    fn alone(&mut self, i: usize, at: Checkpoint, ops: u64) -> Place {
+    fn alone(&mut self, i: usize, at: Checkpoint, ops: u64, printed: &[String]) -> Place {
         self.scheds[i].diverged += 1;
-        match self.run(i, at, ops, None) {
-            Err(capture) => Place::Done(capture),
+        match self.run(i, at, ops, None, printed) {
+            Err(capture) => Place::Done(Arc::new(capture)),
             Ok(_) => unreachable!("a run with no exit goes to the end"),
         }
     }
 
-    /// The scout stands at the exit of `lp`, whose `head` it checkpointed:
-    /// each of the schedules `ids` that waits there runs the invocation from
-    /// the head, the last one from `head` itself, and rides on if its state
-    /// then equals the scout's.  One whose invocation raced, or whose state
-    /// differs, goes on alone.
-    fn at_exit(&mut self, scout: &Machine<'_>, lp: &DoLoop, head: Checkpoint, ids: &[usize]) {
-        let waiting: Vec<(usize, u64)> = ids
+    /// The scout stands at the exit of `lp`, whose `head` it checkpointed —
+    /// or, when it `stands_in`, at the head itself: each of the schedules
+    /// `ids` that waits there runs the invocation from the head with its
+    /// overlay applied, the last one from `head` itself, and rides on if its
+    /// thread then equals the scout's, with the cells that differ as its
+    /// overlay.  One whose thread differs goes on alone.  A scout that
+    /// stands in takes the state of the first schedule to reach the exit as
+    /// its own, in place of running the loop; it stays at the head if none
+    /// does.
+    fn at_exit(
+        &mut self,
+        scout: &mut Machine<'_>,
+        lp: &DoLoop,
+        head: Checkpoint,
+        ids: &[usize],
+        mut stands_in: bool,
+    ) {
+        let waiting: Vec<usize> = ids
             .iter()
-            .filter_map(|&i| match self.scheds[i].place {
-                Place::Pending { lag } => Some((i, lag)),
-                _ => None,
-            })
+            .copied()
+            .filter(|&i| matches!(self.scheds[i].place, Place::Pending { .. }))
             .collect();
         // A clone of the head each, but the last, which takes it.
         let heads = std::iter::repeat_n(head, waiting.len());
-        for ((i, lag), at) in waiting.into_iter().zip(heads) {
+        for (i, at) in waiting.into_iter().zip(heads) {
+            let Place::Pending { lag, overlay } = self.take(i) else {
+                unreachable!("a waiting schedule");
+            };
             let ops = at.ops().wrapping_sub(lag);
-            let outcome = &self.scheds[i].outcome;
-            let (races, certified) = (outcome.race_count, outcome.loops_run);
-            let place = match self.run(i, at, ops, Some(lp)) {
-                Err(capture) => Place::Done(capture),
-                // A racing invocation leaves without a comparison: leaving
-                // is always exact, and a race seldom keeps the scout's state.
-                Ok(post)
-                    if self.scheds[i].outcome.race_count == races && scout.same_state(&post) =>
-                {
+            let certified = self.scheds[i].outcome.loops_run;
+            let place = match self.run(i, overlaid(at, &overlay), ops, Some(lp), &scout.output) {
+                Err(capture) => Place::Done(Arc::new(capture)),
+                Ok(post) if stands_in => {
+                    stands_in = false;
                     let sched = &mut self.scheds[i];
                     sched.joined += u64::from(sched.outcome.loops_run != certified);
-                    Place::Joined {
-                        lag: scout.ops().wrapping_sub(post.ops()),
+                    scout.restore(post);
+                    Place::joined()
+                }
+                Ok(post) => match scout.differences(&post) {
+                    Some(overlay) => {
+                        let sched = &mut self.scheds[i];
+                        let rode = u64::from(sched.outcome.loops_run != certified);
+                        sched.joined += rode;
+                        if !overlay.is_empty() {
+                            sched.overlaid += rode;
+                            self.mark(&overlay);
+                        }
+                        Place::Joined {
+                            lag: scout.ops().wrapping_sub(post.ops()),
+                            overlay,
+                        }
                     }
-                }
-                Ok(post) => {
-                    let ops = post.ops();
-                    self.alone(i, post, ops)
-                }
+                    None => {
+                        let ops = post.ops();
+                        self.alone(i, post, ops, &scout.output)
+                    }
+                },
             };
             self.scheds[i].place = place;
         }
     }
 
+    /// The scout is about to run an instruction that touches a cell some
+    /// joined schedule's overlay may hold.  A schedule whose overlay it
+    /// reads leaves the scout here, from the scout's state with its overlay
+    /// applied; the others drop the cells it writes, which their runs set
+    /// as the scout's does, having read what the scout reads.
+    fn touch(&mut self, scout: &Machine<'_>) {
+        let (mut reads, mut writes) = (Vec::new(), Vec::new());
+        scout.accesses(|addr, kind| match kind {
+            AccessKind::Read => reads.push(addr),
+            AccessKind::Write => writes.push(addr),
+        });
+        let holds = |overlay: &Overlay, addr: &usize| {
+            overlay.binary_search_by_key(addr, |&(a, _)| a).is_ok()
+        };
+        let mut left = false;
+        for i in 0..self.scheds.len() {
+            let Place::Joined { lag, overlay } = &mut self.scheds[i].place else {
+                continue;
+            };
+            if !reads.iter().any(|addr| holds(overlay, addr)) {
+                for addr in &writes {
+                    if let Ok(k) = overlay.binary_search_by_key(addr, |&(a, _)| a) {
+                        overlay.remove(k);
+                    }
+                }
+                continue;
+            }
+            let ops = scout.ops().wrapping_sub(*lag);
+            let at = overlaid(scout.checkpoint(), overlay);
+            self.scheds[i].place = self.alone(i, at, ops, &scout.output);
+            left = true;
+        }
+        if left {
+            self.rewatch();
+        } else {
+            for &addr in &writes {
+                self.watched[addr] = false;
+            }
+            self.watching = self
+                .scheds
+                .iter()
+                .any(|s| matches!(&s.place, Place::Joined { overlay, .. } if !overlay.is_empty()));
+        }
+    }
+
     /// The scout stands before a budget check that a schedule riding it
     /// with another op count could fail: every such schedule goes on alone
-    /// from here, and fails at the check if it must.
+    /// from here, with its overlay applied, and fails at the check if it
+    /// must.
     fn detach(&mut self, scout: &Machine<'_>) {
         let at = scout.checkpoint();
         for i in 0..self.scheds.len() {
-            let Place::Joined { lag } = self.scheds[i].place else {
+            let Place::Joined { lag, .. } = self.scheds[i].place else {
                 continue;
             };
             if lag != 0 {
+                let Place::Joined { overlay, .. } = self.take(i) else {
+                    unreachable!("a joined schedule");
+                };
                 let ops = scout.ops().wrapping_sub(lag);
-                self.scheds[i].place = self.alone(i, at.clone(), ops);
+                self.scheds[i].place =
+                    self.alone(i, overlaid(at.clone(), &overlay), ops, &scout.output);
             }
         }
+        self.rewatch();
     }
 }
 

@@ -85,9 +85,12 @@ struct CertCounters {
     races: u64,
     /// Certified invocations, across all schedules.
     invocations: u64,
-    /// Certified invocations after which a schedule's state equalled the
+    /// Certified invocations after which a schedule's thread equalled the
     /// scout's, so that it rode the scout on.
     joined: u64,
+    /// Those of the `joined` invocations after which some cell of the
+    /// schedule's memory differed: it rode on with an overlay.
+    overlaid: u64,
     /// Schedules that left the scout to run alone to the end: at most one
     /// per schedule.
     diverged: u64,
@@ -568,6 +571,7 @@ impl Session {
             for s in &cert.schedules {
                 self.cert.invocations += s.outcome.loops_run;
                 self.cert.joined += s.joined;
+                self.cert.overlaid += s.overlaid;
                 self.cert.diverged += s.diverged;
             }
             let races: Vec<Json> = cert
@@ -592,6 +596,9 @@ impl Session {
             let agg = |f: fn(&suif_parallel::CertOutcome) -> u64| {
                 Json::int(cert.schedules.iter().map(|s| f(&s.outcome)).sum::<u64>() as i64)
             };
+            let ride = |f: fn(&suif_parallel::ScheduleReport) -> u64| {
+                Json::int(cert.schedules.iter().map(f).sum::<u64>() as i64)
+            };
             let entry = Json::obj([
                 ("loop", Json::str(&info.name)),
                 ("line", Json::int(info.line as i64)),
@@ -608,6 +615,9 @@ impl Session {
                 ("schedule_switches", agg(|o| o.schedule_switches)),
                 ("unplannable_invocations", agg(|o| o.unplannable)),
                 ("secs", Json::Num(elapsed)),
+                ("joined", ride(|s| s.joined)),
+                ("overlaid", ride(|s| s.overlaid)),
+                ("diverged", ride(|s| s.diverged)),
             ]);
             if loop_name.is_some() {
                 single = Some((
@@ -688,6 +698,7 @@ impl Session {
                     ("races_found", Json::int(self.cert.races as i64)),
                     ("invocations", Json::int(self.cert.invocations as i64)),
                     ("joined", Json::int(self.cert.joined as i64)),
+                    ("overlaid", Json::int(self.cert.overlaid as i64)),
                     ("diverged", Json::int(self.cert.diverged as i64)),
                 ]),
             ),

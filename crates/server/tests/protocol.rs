@@ -288,12 +288,13 @@ fn certify_bounds_its_schedules_and_counts_the_rides() {
             n("schedules_run"),
             n("invocations"),
             n("joined"),
+            n("overlaid"),
             n("diverged"),
         ]
     };
     assert_eq!(
         counters(&mut c),
-        [0; 4],
+        [0; 5],
         "a refused request certifies nothing"
     );
     let r = c.request(r#"{"cmd":"certify","schedules":2}"#);
@@ -307,8 +308,8 @@ fn certify_bounds_its_schedules_and_counts_the_rides() {
     let once = counters(&mut c);
     // Two DOALL loops, each invoked once, under two schedules: every
     // invocation leaves the state the sequential run has, so every
-    // schedule rides the scout on.
-    assert_eq!(once, [4, 4, 4, 0]);
+    // schedule rides the scout on, with nothing overlaid.
+    assert_eq!(once, [4, 4, 4, 0, 0]);
     c.request(r#"{"cmd":"certify","schedules":2}"#);
     assert_eq!(counters(&mut c), once.map(|n| 2 * n));
 }

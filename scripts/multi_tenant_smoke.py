@@ -20,6 +20,10 @@ the whole daemon; and 63 parentheses around 64-term chains, a tree about
 limit of 1 024, and one whose storage is 2^20 + 1 cells, one past the
 layout's limit (an unbounded layout once allocated whatever a declaration
 asked for).  Each must get an error reply, and the daemon must stay alive.
+Then the sibling loads a program that prints 20 000 lines before a loop it
+invokes 2 000 times, and asks to `certify` that loop under two schedules
+(a certifier that copied the printed lines at every invocation once took
+seconds on it): the reply must come, race-free, while the clients work.
 
 With --pipeline each client writes its whole command sequence in ONE send
 (no waiting between requests) and then reads the replies back, asserting
@@ -145,8 +149,22 @@ def over_limit_programs():
     }
 
 
+LOUD_CERTIFY = "certify after 20000 printed lines"
+
+
+def loud_program():
+    """20 000 printed lines, then `main/2`, invoked 2 000 times."""
+    return (
+        "program p\nproc main() {\n real a[4]\n int i, k\n"
+        " do 1 k = 1, 20000 {\n  print k\n }\n"
+        " do 3 k = 1, 2000 {\n  do 2 i = 1, 4 {\n   a[i] = a[i] + k\n  }\n }\n"
+        " print a[4]\n}\n"
+    )
+
+
 def hostile(addr, out):
-    """The hostile sibling: every over-limit `load` must answer an error."""
+    """The hostile sibling: every over-limit `load` must answer an error,
+    and a `certify` after 20 000 printed lines must answer race-free."""
     try:
         with socket.create_connection(addr, timeout=120) as sock:
             sock_file = sock.makefile("r", encoding="utf-8")
@@ -159,6 +177,18 @@ def hostile(addr, out):
                 if resp.get("ok") or expected not in resp.get("error", ""):
                     raise RuntimeError(f"{shape}: want an error naming {expected!r}, got {resp}")
                 out.append(shape)
+            roundtrip(sock_file, sock, {"cmd": "load", "text": loud_program()})
+            resp = roundtrip(
+                sock_file, sock, {"cmd": "certify", "loop": "main/2", "schedules": 2}
+            )
+            (entry,) = [l for l in resp["loops"] if l["loop"] == "main/2"]
+            if not (
+                resp.get("schedules_run") == 2
+                and entry["race_free"]
+                and entry["iterations"] == 2 * 2000 * 4
+            ):
+                raise RuntimeError(f"{LOUD_CERTIFY}: {resp}")
+            out.append(LOUD_CERTIFY)
     except Exception as e:  # surfaces in the main thread's report
         out.append(f"error: {type(e).__name__}: {e}")
 
@@ -285,7 +315,8 @@ def main():
         elapsed = time.monotonic() - start
 
         assert daemon.poll() is None, f"daemon died (exit {daemon.returncode}): {refused}"
-        assert refused == list(over_limit_programs()), f"hostile sibling: {refused}"
+        want = list(over_limit_programs()) + [LOUD_CERTIFY]
+        assert refused == want, f"hostile sibling: {refused}"
         errors = [r for r in results if r is None or "error" in r]
         assert not errors, f"client failures: {errors}"
 
@@ -325,8 +356,9 @@ def main():
         print(
             f"multi-tenant OK: {args.clients} concurrent {mode} sessions in "
             f"{elapsed:.1f}s, {hits} shared-tier hits, {zero_recompute} sessions "
-            f"with zero recompute{idle_note}, {len(refused)} over-limit loads "
-            f"refused, clean shutdown{persist_note}"
+            f"with zero recompute{idle_note}, {len(refused) - 1} over-limit loads "
+            f"refused, a certify after 20000 printed lines answered, "
+            f"clean shutdown{persist_note}"
         )
     finally:
         for s in idle_socks:

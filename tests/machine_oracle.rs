@@ -243,7 +243,7 @@ fn check_checkpoints(name: &str, program: &Program, input: &[f64]) -> (Outcome, 
     scout.set_input(input.to_vec());
     let mut reached = HashSet::new();
     let result = loop {
-        let lp = match scout.run_to(None, u64::MAX, |lp| !reached.contains(&lp.stmt)) {
+        let lp = match scout.run_to(None, u64::MAX, &[], |lp| !reached.contains(&lp.stmt)) {
             Ok(Stop::Head(lp)) => lp,
             Ok(_) => break Ok(()),
             Err(e) => break Err(e),
@@ -255,7 +255,12 @@ fn check_checkpoints(name: &str, program: &Program, input: &[f64]) -> (Outcome, 
         let resumed = {
             let mut m = Machine::resume(program, at, &mut tail);
             let result = m.finish();
-            ended(&mut m, result)
+            // A checkpoint keeps no output: the resumed run prints what
+            // follows the lines the scout printed before it.
+            assert_eq!(m.printed(), scout.output.len());
+            let mut ran = ended(&mut m, result);
+            ran.2.splice(0..0, scout.output.iter().cloned());
+            ran
         };
         let resumed = outcome(resumed, prefix.then(&tail));
         assert_eq!(
