@@ -1253,7 +1253,7 @@ fn same_values(a: &[Value], b: &[Value]) -> bool {
 }
 
 /// Equal, bit for bit.
-fn same_value(x: &Value, y: &Value) -> bool {
+pub fn same_value(x: &Value, y: &Value) -> bool {
     match (x, y) {
         (Value::Int(p), Value::Int(q)) => p == q,
         (Value::Real(p), Value::Real(q)) => p.to_bits() == q.to_bits(),

@@ -18,17 +18,12 @@
 //! reset at every invocation of a target loop.
 //!
 //! [`certify_loops`] runs the program once, as a *scout* that carries the
-//! schedules: a schedule rides it between invocations as the scout's
-//! thread plus an *overlay* — the cells where its memory differs — runs
-//! only its loop's invocations under its handler (at the loop's exit, from
-//! the scout's [`Checkpoint`] at its head with the overlay applied), and
-//! rides on when its thread then equals the scout's.  The scout runs the
-//! program sequentially, but where no schedule rides a loop through, the
-//! first to run its invocation stands in for the scout's run of it.  The
-//! scout drops an overlay's cell when it writes it, and a schedule whose
-//! overlay it is about to read, or whose thread differs, leaves the scout
-//! once and for all and runs alone to the end.  Each schedule's races,
-//! captured output and final shared memory are exactly
+//! schedules: each rides it as the scout's thread plus an *overlay* of the
+//! cells where its memory differs, runs only its loop's invocations under
+//! its handler, and leaves for good to run alone to the end once its
+//! thread differs or the scout is about to read its overlay.  Schedules
+//! waiting at an exit in one state share one race-free run of it.  Each
+//! schedule's races, captured output and final shared memory are exactly
 //! those of one whole run per schedule ([`certify_from_main`]).  A
 //! sequential reference capture of the same program lets callers check the
 //! differential invariant: a certified DOALL loop must be race-free with
@@ -37,10 +32,12 @@
 use crate::executor::{Finalization, Schedule};
 use crate::forkjoin::{finalize, Iterations, LoopLayout, LoopRun, SegRole, WorkerResult};
 use crate::plan::PlanEntry;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use suif_dynamic::machine::{Checkpoint, Hooks, LoopHandler, Machine, NoHooks, RuntimeError, Stop};
+use suif_dynamic::machine::{
+    same_value, Checkpoint, Hooks, LoopHandler, Machine, NoHooks, RuntimeError, Stop,
+};
 use suif_dynamic::race::{AccessKind, Race, RaceDetector};
 use suif_dynamic::sched::AdversarialScheduler;
 use suif_dynamic::{Code, DoLoop, Value, MAX_EXECUTE_OPS};
@@ -201,10 +198,10 @@ impl Worker<'_> {
 /// Run the iterations of `run` on `workers` logical threads — views of `m`'s
 /// memory, each with a private tail laid out by `layout` and a
 /// [`Schedule::Block`] share of the iterations — stepping one at a time on
-/// this thread and asking `sched` who runs next at every preemption point
-/// and whenever a worker ends.  A worker that fails leaves the others
-/// running to the end of their blocks.  Returns the results in worker order,
-/// or the first error in execution order.
+/// this thread as `sched` [`drive`]s them.  A worker that fails leaves the
+/// others running to the end of their blocks.  Returns each worker's count
+/// of preemption points, and the results in worker order or the first
+/// error in execution order.
 ///
 /// The `View` contract of `suif_dynamic::MemStore` holds trivially: the
 /// views are made, stepped and dropped here, and `m` is not touched while
@@ -216,7 +213,7 @@ fn interleave(
     workers: usize,
     sched: &mut AdversarialScheduler,
     detector: &mut RaceDetector,
-) -> Result<Vec<WorkerResult>, RuntimeError> {
+) -> (Vec<u64>, Result<Vec<WorkerResult>, RuntimeError>) {
     // The views' own hooks hear nothing: every step is lent a `Probe`.
     let mut unused: Vec<NoHooks> = (0..workers).map(|_| NoHooks).collect();
     let mut threads: Vec<Worker<'_>> = unused
@@ -230,28 +227,53 @@ fn interleave(
             at: (StmtId(0), 0),
         })
         .collect();
-    let mut runnable: Vec<usize> = (0..workers).collect();
     let mut error = None;
+    let points = drive(sched, workers, |t| {
+        match threads[t].advance(run, detector) {
+            Some(Err(e)) => {
+                error.get_or_insert(e);
+                true
+            }
+            ended => ended.is_some(),
+        }
+    });
+    let results = threads.into_iter().map(|w| WorkerResult::of(w.view));
+    (points, error.map_or_else(|| Ok(results.collect()), Err))
+}
+
+/// Ask `sched` which of `workers` logical threads runs next, first and
+/// after every `advance(t)` — worker `t` runs to its next preemption point
+/// (`false`) or to its end (`true`) — until all have ended, and return each
+/// worker's count of preemption points.
+fn drive(
+    sched: &mut AdversarialScheduler,
+    workers: usize,
+    mut advance: impl FnMut(usize) -> bool,
+) -> Vec<u64> {
+    let mut points = vec![0; workers];
+    let mut runnable: Vec<usize> = (0..workers).collect();
     let mut active = sched.pick(None, &runnable);
     loop {
-        if let Some(ended) = threads[active].advance(run, detector) {
-            if let Err(e) = ended {
-                error.get_or_insert(e);
-            }
+        if advance(active) {
             runnable.retain(|&t| t != active);
             if runnable.is_empty() {
-                break;
+                return points;
             }
+        } else {
+            points[active] += 1;
         }
         active = sched.pick(Some(active), &runnable);
     }
-    match error {
-        Some(e) => Err(e),
-        None => Ok(threads
-            .into_iter()
-            .map(|w| WorkerResult::of(w.view))
-            .collect()),
-    }
+}
+
+/// What a run certified that a run of the same invocation from the same
+/// state, under another seed, certifies alike if the first raced nowhere.
+#[derive(Default)]
+struct Trail {
+    /// Per certified invocation, each worker's count of preemption points.
+    points: Vec<Vec<u64>>,
+    /// The private ranges of every invocation laid out, in order.
+    private: Vec<(usize, usize)>,
 }
 
 /// A [`LoopHandler`] that executes one target loop under race certification.
@@ -269,6 +291,7 @@ struct CertifyHandler<'h> {
     /// Reset at every invocation, so one serves every schedule of a call.
     detector: &'h mut RaceDetector,
     outcome: &'h mut CertOutcome,
+    trail: Trail,
 }
 
 impl LoopHandler for CertifyHandler<'_> {
@@ -293,8 +316,11 @@ impl LoopHandler for CertifyHandler<'_> {
         self.outcome.iterations += n as u64;
         for seg in &layout.segments {
             let range = (seg.shared_base, seg.len);
-            if matches!(seg.role, SegRole::Private) && !self.outcome.dead_private.contains(&range) {
-                self.outcome.dead_private.push(range);
+            if matches!(seg.role, SegRole::Private) {
+                self.trail.private.push(range);
+                if !self.outcome.dead_private.contains(&range) {
+                    self.outcome.dead_private.push(range);
+                }
             }
         }
 
@@ -309,7 +335,8 @@ impl LoopHandler for CertifyHandler<'_> {
         let mut sched = AdversarialScheduler::new(self.seed, workers);
         // Block schedule and serialized merge: the production defaults'
         // deterministic core.
-        let joined = interleave(m, &run, &layout, workers, &mut sched, detector);
+        let (points, joined) = interleave(m, &run, &layout, workers, &mut sched, detector);
+        self.trail.points.push(points);
 
         self.outcome.shared_accesses += detector.accesses;
         self.outcome.schedule_decisions += sched.decisions;
@@ -369,7 +396,7 @@ impl Default for CertifyOptions {
 
 /// Observable result of one whole-program run: captured `print` output, the
 /// final shared memory image, and the error that aborted the run, if any.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ExecutionCapture {
     /// Captured output lines.
     pub output: Vec<String>,
@@ -380,7 +407,7 @@ pub struct ExecutionCapture {
 }
 
 /// One adversarial schedule's result for a certified loop.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ScheduleReport {
     /// The seed this schedule ran under (replay with the same seed).
     pub seed: u64,
@@ -406,6 +433,11 @@ pub struct ScheduleReport {
     /// thread differed, the scout was about to read a cell of its overlay,
     /// or the scout stopped without it), else 0.
     pub diverged: u64,
+    /// Those of the `joined` invocations it took from the race-free run
+    /// of another schedule waiting in the same state, instead of its own.
+    pub shared: u64,
+    /// The part of `elapsed` it spent running alone after it left.
+    pub alone: Duration,
 }
 
 /// Certification result for one loop across all schedules.
@@ -522,9 +554,11 @@ fn from_main_within(
 ) -> LoopCertification {
     let schedules = (0..opts.schedules)
         .map(|s| {
-            let seed = opts.seed.wrapping_add(s as u64);
             let start = Instant::now();
-            let mut outcome = CertOutcome::default();
+            let mut report = ScheduleReport {
+                seed: opts.seed.wrapping_add(s as u64),
+                ..Default::default()
+            };
             let mut hooks = NoHooks;
             let capture = match Machine::new(program, &mut hooks) {
                 Err(e) => layout_failure(e),
@@ -533,10 +567,11 @@ fn from_main_within(
                     let mut handler = CertifyHandler {
                         target,
                         threads: opts.threads,
-                        seed,
+                        seed: report.seed,
                         plan,
                         detector: &mut detector,
-                        outcome: &mut outcome,
+                        outcome: &mut report.outcome,
+                        trail: Trail::default(),
                     };
                     m.set_input(opts.input.clone());
                     m.set_max_ops(max_ops);
@@ -545,15 +580,9 @@ fn from_main_within(
                     capture_machine(m, error, &[])
                 }
             };
-            ScheduleReport {
-                seed,
-                outcome,
-                capture: Arc::new(capture),
-                elapsed: start.elapsed(),
-                joined: 0,
-                overlaid: 0,
-                diverged: 0,
-            }
+            report.capture = Arc::new(capture);
+            report.elapsed = start.elapsed();
+            report
         })
         .collect();
     LoopCertification {
@@ -565,8 +594,8 @@ fn from_main_within(
 /// Certify every `(loop, plan)` of `targets`, each under `opts.schedules`
 /// adversarial schedules, and return their certifications in target order;
 /// a loop may appear more than once, under different plans.  Each result is
-/// [`certify_from_main`]'s, but for `elapsed`, `joined`, `overlaid` and
-/// `diverged`.
+/// [`certify_from_main`]'s, but for `elapsed`, `joined`, `overlaid`,
+/// `diverged`, `shared` and `alone`.
 ///
 /// The program is lowered once and run once, sequentially, by a *scout*
 /// that carries the schedules.  A schedule is *joined* while its thread —
@@ -577,21 +606,26 @@ fn from_main_within(
 /// while they wait.  At the loop's exit each of them runs that invocation
 /// under its [`CertifyHandler`] from the checkpoint with its overlay
 /// applied, and rides on if its thread then equals the scout's, with the
-/// cells that differ as its new overlay.  When no joined schedule is left
-/// to ride the loop through, the scout's run of it serves only as the
-/// state the waiting schedules are compared with, and any state of the run
-/// serves as well: the first of them to reach the exit *stands in*, and the
-/// scout takes its state there instead of running the loop.  While a joined
-/// schedule's overlay holds cells, the scout looks at each instruction's
-/// accesses before it runs it ([`Machine::accesses`]): a write to a held
-/// cell drops it from every overlay, as the schedule's run writes what the
-/// scout's does, and a read of one makes that schedule leave from the
-/// scout's state with its overlay applied.  A schedule whose thread differs at an exit leaves
-/// there.  A schedule that leaves does so for good: it runs alone to the
-/// end there and then.  If the scout fails or ends inside the loop, the
-/// waiting schedules run alone from its head.  The scout stops once it
-/// carries no one.  Joined schedules, and those of a target the scout never
-/// reached, take the scout's final capture with their overlays applied.
+/// cells that differ as its new overlay.  When no joined schedule rides
+/// the loop through, the first waiting one to reach the exit *stands in*:
+/// the scout takes its state instead of running the loop.  While an
+/// overlay holds cells, the scout looks at each instruction's accesses
+/// before it runs it ([`Machine::accesses`]): a write to a held cell drops
+/// it from every overlay, as the schedule's run writes what the scout's
+/// does, and a read of one makes that schedule leave from the scout's
+/// state with its overlay applied.  A schedule whose thread differs at an
+/// exit leaves there, and one that leaves runs alone to the end there and
+/// then.  If the scout fails or ends inside the loop, the waiting
+/// schedules run alone from its head.  The scout stops once it carries no
+/// one.  Joined schedules, and those of a target the scout never reached,
+/// take the scout's final capture with their overlays applied.
+///
+/// Schedules of one target that wait at an exit with the same lag and
+/// overlay start the invocation in one state, and every interleaving of a
+/// race-free invocation computes alike: no iteration touches a cell
+/// another writes.  So the first runs it, and when its run rides on with
+/// no race the others take its place, counters and private ranges, and
+/// replay their own schedulers over its preemption points (`shared`).
 ///
 /// A handler skips a loop body's ops, so a joined schedule counts fewer
 /// ops than the scout; it keeps the difference (its lag) and is resumed
@@ -619,13 +653,11 @@ fn certify_within(
         .flat_map(|target| (0..opts.schedules).map(move |s| (target, s)))
         .map(|(target, s)| Sched {
             target,
-            seed: opts.seed.wrapping_add(s as u64),
-            outcome: CertOutcome::default(),
             place: Place::joined(),
-            elapsed: Duration::ZERO,
-            joined: 0,
-            overlaid: 0,
-            diverged: 0,
+            report: ScheduleReport {
+                seed: opts.seed.wrapping_add(s as u64),
+                ..Default::default()
+            },
         })
         .collect();
     let code = match Code::lower(program) {
@@ -738,19 +770,21 @@ fn certify_within(
             s.place = Place::Done(if overlay.is_empty() {
                 Arc::clone(capture)
             } else {
-                let mut memory = capture.memory.clone();
+                let mut own = ExecutionCapture::clone(capture);
                 for &(addr, val) in overlay {
-                    memory[addr] = val;
+                    own.memory[addr] = val;
                 }
-                Arc::new(ExecutionCapture {
-                    output: capture.output.clone(),
-                    memory,
-                    error: capture.error.clone(),
-                })
+                Arc::new(own)
             });
         }
     }
     reports(targets, c.scheds)
+}
+
+/// Equal cell for cell, and bit for bit.
+fn same_cells(a: &Overlay, b: &Overlay) -> bool {
+    let same = |(x, y): (&(usize, Value), &(usize, Value))| x.0 == y.0 && same_value(&x.1, &y.1);
+    a.len() == b.len() && a.iter().zip(b).all(same)
 }
 
 /// `at` with the cells of `overlay` set to its values.
@@ -775,13 +809,8 @@ fn reports(targets: &[(StmtId, &PlanEntry)], scheds: Vec<Sched>) -> Vec<LoopCert
             panic!("every schedule runs to the end");
         };
         certs[s.target].schedules.push(ScheduleReport {
-            seed: s.seed,
-            outcome: s.outcome,
             capture,
-            elapsed: s.elapsed,
-            joined: s.joined,
-            overlaid: s.overlaid,
-            diverged: s.diverged,
+            ..s.report
         });
     }
     certs
@@ -792,6 +821,7 @@ fn reports(targets: &[(StmtId, &PlanEntry)], scheds: Vec<Sched>) -> Vec<LoopCert
 type Overlay = Vec<(usize, Value)>;
 
 /// Where a schedule stands while the scout runs.
+#[derive(Clone)]
 enum Place {
     /// Riding the scout: its thread is the scout's, with `lag` fewer ops
     /// counted (wrapping), and its memory is the scout's but for `overlay`.
@@ -818,13 +848,26 @@ impl Place {
 struct Sched {
     /// Index of its target.
     target: usize,
-    seed: u64,
-    outcome: CertOutcome,
     place: Place,
-    elapsed: Duration,
-    joined: u64,
-    overlaid: u64,
-    diverged: u64,
+    /// All but the capture, which its place holds once it is done.
+    report: ScheduleReport,
+}
+
+impl ScheduleReport {
+    /// The counters an invocation adds to, but its scheduling decisions:
+    /// `loops_run` first, `race_count` fifth and `joined` sixth.
+    fn counters(&mut self) -> [&mut u64; 7] {
+        let o = &mut self.outcome;
+        [
+            &mut o.loops_run,
+            &mut o.iterations,
+            &mut o.shared_accesses,
+            &mut o.unplannable,
+            &mut o.race_count,
+            &mut self.joined,
+            &mut self.overlaid,
+        ]
+    }
 }
 
 /// The schedules of one [`certify_loops`] call and what they share.
@@ -904,8 +947,8 @@ impl Certifier<'_, '_> {
     /// its own — with `ops` ops counted, to the exit of `exit`, and return
     /// its state there; or, with no `exit` or when it ends or fails first,
     /// to the end, and return its capture, whose output follows the lines
-    /// of `printed`, the scout's, that came before `at`.  The time counts
-    /// in its `elapsed`.
+    /// of `printed`, the scout's, that came before `at`.  Returns the run's
+    /// trail beside.  The time counts in its `elapsed`.
     fn run(
         &mut self,
         i: usize,
@@ -913,10 +956,10 @@ impl Certifier<'_, '_> {
         ops: u64,
         exit: Option<&DoLoop>,
         printed: &[String],
-    ) -> Result<Checkpoint, ExecutionCapture> {
+    ) -> (Result<Checkpoint, ExecutionCapture>, Trail) {
         let start = Instant::now();
-        let sched = &mut self.scheds[i];
-        let (target, plan) = self.targets[sched.target];
+        let (target, plan) = self.targets[self.scheds[i].target];
+        let sched = &mut self.scheds[i].report;
         let mut hooks = NoHooks;
         let mut m = Machine::resume(self.program, at, &mut hooks);
         m.set_ops(ops);
@@ -927,6 +970,7 @@ impl Certifier<'_, '_> {
             plan,
             detector: &mut self.detector,
             outcome: &mut sched.outcome,
+            trail: Trail::default(),
         };
         m.set_handler(&mut handler);
         let stopped = match exit {
@@ -939,17 +983,19 @@ impl Certifier<'_, '_> {
             Err(e) => Err(capture_machine(m, Some(e), printed)),
         };
         sched.elapsed += start.elapsed();
-        stood
+        (stood, handler.trail)
     }
 
     /// Schedule `i` leaves the scout for good: it runs alone from `at`, with
     /// `ops` ops counted, to the end.  The one place `diverged` counts.
     fn alone(&mut self, i: usize, at: Checkpoint, ops: u64, printed: &[String]) -> Place {
-        self.scheds[i].diverged += 1;
-        match self.run(i, at, ops, None, printed) {
-            Err(capture) => Place::Done(Arc::new(capture)),
-            Ok(_) => unreachable!("a run with no exit goes to the end"),
-        }
+        let start = Instant::now();
+        self.scheds[i].report.diverged += 1;
+        let (Err(capture), _) = self.run(i, at, ops, None, printed) else {
+            unreachable!("a run with no exit goes to the end");
+        };
+        self.scheds[i].report.alone += start.elapsed();
+        Place::Done(Arc::new(capture))
     }
 
     /// The scout stands at the exit of `lp`, whose `head` it checkpointed —
@@ -960,7 +1006,7 @@ impl Certifier<'_, '_> {
     /// overlay.  One whose thread differs goes on alone.  A scout that
     /// stands in takes the state of the first schedule to reach the exit as
     /// its own, in place of running the loop; it stays at the head if none
-    /// does.
+    /// does.  Schedules waiting alike share a run, as [`certify_loops`] says.
     fn at_exit(
         &mut self,
         scout: &mut Machine<'_>,
@@ -969,40 +1015,38 @@ impl Certifier<'_, '_> {
         ids: &[usize],
         mut stands_in: bool,
     ) {
-        let waiting: Vec<usize> = ids
+        let mut waiting: VecDeque<usize> = ids
             .iter()
             .copied()
             .filter(|&i| matches!(self.scheds[i].place, Place::Pending { .. }))
             .collect();
-        // A clone of the head each, but the last, which takes it.
-        let heads = std::iter::repeat_n(head, waiting.len());
-        for (i, at) in waiting.into_iter().zip(heads) {
+        // A clone of the head for each run, but the last schedule's.
+        let mut heads = std::iter::repeat_n(head, waiting.len());
+        while let Some(i) = waiting.pop_front() {
             let Place::Pending { lag, overlay } = self.take(i) else {
                 unreachable!("a waiting schedule");
             };
+            let at = heads.next().expect("a head for each run");
             let ops = at.ops().wrapping_sub(lag);
-            let certified = self.scheds[i].outcome.loops_run;
-            let place = match self.run(i, overlaid(at, &overlay), ops, Some(lp), &scout.output) {
+            let before = self.scheds[i].report.counters().map(|c| *c);
+            let (stood, trail) = self.run(i, overlaid(at, &overlay), ops, Some(lp), &scout.output);
+            let certified = before[0] != self.scheds[i].report.outcome.loops_run;
+            let place = match stood {
                 Err(capture) => Place::Done(Arc::new(capture)),
                 Ok(post) if stands_in => {
                     stands_in = false;
-                    let sched = &mut self.scheds[i];
-                    sched.joined += u64::from(sched.outcome.loops_run != certified);
                     scout.restore(post);
                     Place::joined()
                 }
                 Ok(post) => match scout.differences(&post) {
-                    Some(overlay) => {
-                        let sched = &mut self.scheds[i];
-                        let rode = u64::from(sched.outcome.loops_run != certified);
-                        sched.joined += rode;
-                        if !overlay.is_empty() {
-                            sched.overlaid += rode;
-                            self.mark(&overlay);
+                    Some(cells) => {
+                        if !cells.is_empty() {
+                            self.scheds[i].report.overlaid += u64::from(certified);
+                            self.mark(&cells);
                         }
                         Place::Joined {
                             lag: scout.ops().wrapping_sub(post.ops()),
-                            overlay,
+                            overlay: cells,
                         }
                     }
                     None => {
@@ -1011,6 +1055,42 @@ impl Certifier<'_, '_> {
                     }
                 },
             };
+            let rode = matches!(place, Place::Joined { .. });
+            self.scheds[i].report.joined += u64::from(rode && certified);
+            let after = self.scheds[i].report.counters().map(|c| *c);
+            let delta: [u64; 7] = std::array::from_fn(|k| after[k] - before[k]);
+            // Every interleaving of a race-free invocation computes alike.
+            if rode && delta[4] == 0 {
+                let target = self.scheds[i].target;
+                let scheds = &mut self.scheds;
+                waiting.retain(|&j| {
+                    let peer = &mut scheds[j];
+                    let alike = matches!(&peer.place, Place::Pending { lag: l, overlay: o }
+                        if peer.target == target && *l == lag && same_cells(o, &overlay));
+                    if alike {
+                        let r = &mut peer.report;
+                        for (c, d) in r.counters().into_iter().zip(delta) {
+                            *c += d;
+                        }
+                        r.shared += delta[5];
+                        for range in &trail.private {
+                            if !r.outcome.dead_private.contains(range) {
+                                r.outcome.dead_private.push(*range);
+                            }
+                        }
+                        // Its own scheduler, driven over the run's workers.
+                        for points in &trail.points {
+                            let mut own = AdversarialScheduler::new(r.seed, points.len());
+                            let mut left: Vec<_> = points.iter().map(|&p| 0..p).collect();
+                            drive(&mut own, points.len(), |t| left[t].next().is_none());
+                            r.outcome.schedule_decisions += own.decisions;
+                            r.outcome.schedule_switches += own.switches;
+                        }
+                        peer.place = place.clone();
+                    }
+                    !alike
+                });
+            }
             self.scheds[i].place = place;
         }
     }
@@ -1067,16 +1147,15 @@ impl Certifier<'_, '_> {
     fn detach(&mut self, scout: &Machine<'_>) {
         let at = scout.checkpoint();
         for i in 0..self.scheds.len() {
-            let Place::Joined { lag, .. } = self.scheds[i].place else {
+            let Place::Joined { lag, overlay } = &self.scheds[i].place else {
                 continue;
             };
-            if lag != 0 {
-                let Place::Joined { overlay, .. } = self.take(i) else {
-                    unreachable!("a joined schedule");
-                };
-                let ops = scout.ops().wrapping_sub(lag);
-                self.scheds[i].place =
-                    self.alone(i, overlaid(at.clone(), &overlay), ops, &scout.output);
+            if *lag != 0 {
+                let (ops, at) = (
+                    scout.ops().wrapping_sub(*lag),
+                    overlaid(at.clone(), overlay),
+                );
+                self.scheds[i].place = self.alone(i, at, ops, &scout.output);
             }
         }
         self.rewatch();
@@ -1226,6 +1305,73 @@ proc main() {
         }
         assert!(finished, "the largest budget is enough");
         assert!(joined > 0, "main/2 rode the scout");
+    }
+
+    /// The first invocation races on `n`, leaving it 1 under some
+    /// schedules and 0 (the scout's) under others; at the second, the
+    /// former run one iteration and the latter none, evaluating the bounds
+    /// twice.  Then the scout stores `n` and `i`, and the schedules wait at
+    /// the later, zero-trip, heads with equal memory but another op count
+    /// each, the latter ending with more ops counted than the scout: they
+    /// may not share a run, or one would meet the budget where its own
+    /// run from `main` does not.
+    #[test]
+    fn schedules_that_differ_only_in_their_op_counts_share_no_run() {
+        let src = r#"program t
+proc never() {
+  real b[2]
+  int j
+  do 3 j = 1, 2 {
+    b[j] = j
+  }
+}
+proc main() {
+  int i, k, n
+  n = 2
+  do 2 k = 1, 6 {
+    do 1 i = 1, n {
+      n = 2 - i
+    }
+    if k == 2 {
+      n = 0
+      i = 0
+    }
+  }
+  print n
+}
+"#;
+        let p = parse_program(src).unwrap();
+        let pa = Parallelizer::analyze(&p, ParallelizeConfig::default());
+        let targets: Vec<_> = ["main/1", "never/3"]
+            .iter()
+            .map(|name| {
+                let stmt = loop_named(&p, &pa, name);
+                (stmt, minimal_plan(&p, stmt).expect("a minimal plan"))
+            })
+            .collect();
+        let refs: Vec<_> = targets.iter().map(|(stmt, plan)| (*stmt, plan)).collect();
+        let opts = CertifyOptions {
+            schedules: 4,
+            seed: 1,
+            ..Default::default()
+        };
+        let mut hooks = NoHooks;
+        let mut m = Machine::new(&p, &mut hooks).unwrap();
+        m.run().unwrap();
+        for budget in 0..m.ops() + 4 {
+            let all = certify_within(&p, &refs, &opts, budget);
+            for (cert, (stmt, plan)) in all.iter().zip(&targets) {
+                let reference = from_main_within(&p, *stmt, plan, &opts, budget);
+                assert_eq!(shown(cert), shown(&reference), "budget {budget}");
+            }
+        }
+        let all = certify_loops(&p, &refs, &opts);
+        let ran: Vec<u64> = all[0]
+            .schedules
+            .iter()
+            .map(|s| s.outcome.loops_run)
+            .collect();
+        assert!(ran.contains(&1) && ran.contains(&2), "{ran:?}");
     }
 
     #[test]

@@ -94,6 +94,9 @@ struct CertCounters {
     /// Schedules that left the scout to run alone to the end: at most one
     /// per schedule.
     diverged: u64,
+    /// Those of the `joined` invocations a schedule took from another
+    /// schedule's race-free run instead of running its own.
+    shared: u64,
 }
 
 /// Everything that shapes how a [`Session`] opens; the multi-tenant daemon
@@ -573,6 +576,7 @@ impl Session {
                 self.cert.joined += s.joined;
                 self.cert.overlaid += s.overlaid;
                 self.cert.diverged += s.diverged;
+                self.cert.shared += s.shared;
             }
             let races: Vec<Json> = cert
                 .schedules
@@ -593,6 +597,7 @@ impl Session {
                 })
                 .collect();
             let elapsed: f64 = cert.schedules.iter().map(|s| s.elapsed.as_secs_f64()).sum();
+            let alone: f64 = cert.schedules.iter().map(|s| s.alone.as_secs_f64()).sum();
             let agg = |f: fn(&suif_parallel::CertOutcome) -> u64| {
                 Json::int(cert.schedules.iter().map(|s| f(&s.outcome)).sum::<u64>() as i64)
             };
@@ -618,6 +623,8 @@ impl Session {
                 ("joined", ride(|s| s.joined)),
                 ("overlaid", ride(|s| s.overlaid)),
                 ("diverged", ride(|s| s.diverged)),
+                ("shared", ride(|s| s.shared)),
+                ("alone_secs", Json::Num(alone)),
             ]);
             if loop_name.is_some() {
                 single = Some((
@@ -700,6 +707,7 @@ impl Session {
                     ("joined", Json::int(self.cert.joined as i64)),
                     ("overlaid", Json::int(self.cert.overlaid as i64)),
                     ("diverged", Json::int(self.cert.diverged as i64)),
+                    ("shared", Json::int(self.cert.shared as i64)),
                 ]),
             ),
             ("poly", self.poly_json()),

@@ -290,11 +290,12 @@ fn certify_bounds_its_schedules_and_counts_the_rides() {
             n("joined"),
             n("overlaid"),
             n("diverged"),
+            n("shared"),
         ]
     };
     assert_eq!(
         counters(&mut c),
-        [0; 5],
+        [0; 6],
         "a refused request certifies nothing"
     );
     let r = c.request(r#"{"cmd":"certify","schedules":2}"#);
@@ -305,11 +306,18 @@ fn certify_bounds_its_schedules_and_counts_the_rides() {
             .all(|l| l.get("race_free") == Some(&Json::Bool(true))),
         "{r}"
     );
+    for l in loops {
+        let n = |k| l.get(k).and_then(Json::as_i64).expect(k);
+        assert_eq!((n("joined"), n("shared")), (2, 1), "{l}");
+        let alone = l.get("alone_secs").and_then(Json::as_f64);
+        assert_eq!(alone, Some(0.0), "no schedule left the scout: {l}");
+    }
     let once = counters(&mut c);
     // Two DOALL loops, each invoked once, under two schedules: every
     // invocation leaves the state the sequential run has, so every
-    // schedule rides the scout on, with nothing overlaid.
-    assert_eq!(once, [4, 4, 4, 0, 0]);
+    // schedule rides the scout on, with nothing overlaid, and the second
+    // schedule of each loop takes the first one's race-free run.
+    assert_eq!(once, [4, 4, 4, 0, 0, 2]);
     c.request(r#"{"cmd":"certify","schedules":2}"#);
     assert_eq!(counters(&mut c), once.map(|n| 2 * n));
 }

@@ -24,6 +24,11 @@ Then the sibling loads a program that prints 20 000 lines before a loop it
 invokes 2 000 times, and asks to `certify` that loop under two schedules
 (a certifier that copied the printed lines at every invocation once took
 seconds on it): the reply must come, race-free, while the clients work.
+Last, the sibling asks for a certify-all of that program under 64
+schedules, the most a request may ask for, and closes its socket without
+reading the reply.  The well-behaved clients' replies must stay correct, a
+fresh connection must still be answered (`load` and `stats`), and the
+daemon must shut down cleanly.
 
 With --pipeline each client writes its whole command sequence in ONE send
 (no waiting between requests) and then reads the replies back, asserting
@@ -150,6 +155,7 @@ def over_limit_programs():
 
 
 LOUD_CERTIFY = "certify after 20000 printed lines"
+ABANDONED = "64-schedule certify-all abandoned"
 
 
 def loud_program():
@@ -164,7 +170,8 @@ def loud_program():
 
 def hostile(addr, out):
     """The hostile sibling: every over-limit `load` must answer an error,
-    and a `certify` after 20 000 printed lines must answer race-free."""
+    a `certify` after 20 000 printed lines must answer race-free, and a
+    64-schedule certify-all goes unread."""
     try:
         with socket.create_connection(addr, timeout=120) as sock:
             sock_file = sock.makefile("r", encoding="utf-8")
@@ -189,6 +196,10 @@ def hostile(addr, out):
             ):
                 raise RuntimeError(f"{LOUD_CERTIFY}: {resp}")
             out.append(LOUD_CERTIFY)
+            request = {"cmd": "certify", "schedules": 64}
+            sock.sendall((json.dumps(request) + "\n").encode())
+        # The socket is closed with the certify-all's reply unread.
+        out.append(ABANDONED)
     except Exception as e:  # surfaces in the main thread's report
         out.append(f"error: {type(e).__name__}: {e}")
 
@@ -315,7 +326,7 @@ def main():
         elapsed = time.monotonic() - start
 
         assert daemon.poll() is None, f"daemon died (exit {daemon.returncode}): {refused}"
-        want = list(over_limit_programs()) + [LOUD_CERTIFY]
+        want = list(over_limit_programs()) + [LOUD_CERTIFY, ABANDONED]
         assert refused == want, f"hostile sibling: {refused}"
         errors = [r for r in results if r is None or "error" in r]
         assert not errors, f"client failures: {errors}"
@@ -342,6 +353,15 @@ def main():
                 f"reactor held {peak} connections, wanted >= {args.idle}"
             )
 
+        # A fresh connection is served after the abandoned certify-all.
+        with socket.create_connection(addr, timeout=120) as sock:
+            sock_file = sock.makefile("r", encoding="utf-8")
+            roundtrip(sock_file, sock, {"cmd": "load", "text": source})
+            stats = roundtrip(sock_file, sock, {"cmd": "stats"})
+            roundtrip(sock_file, sock, {"cmd": "quit"})
+        assert "certification" in stats, f"stats after the abandoned certify-all: {stats}"
+        assert daemon.poll() is None, f"daemon died (exit {daemon.returncode})"
+
         guru_before = load_and_guru(addr, source)[1] if args.persist_dir else None
         stderr = shut_down(daemon, addr)
         persist_note = ""
@@ -356,9 +376,10 @@ def main():
         print(
             f"multi-tenant OK: {args.clients} concurrent {mode} sessions in "
             f"{elapsed:.1f}s, {hits} shared-tier hits, {zero_recompute} sessions "
-            f"with zero recompute{idle_note}, {len(refused) - 1} over-limit loads "
-            f"refused, a certify after 20000 printed lines answered, "
-            f"clean shutdown{persist_note}"
+            f"with zero recompute{idle_note}, {len(refused) - 2} over-limit loads "
+            f"refused, a certify after 20000 printed lines answered, a "
+            f"64-schedule certify-all abandoned and a fresh session served after "
+            f"it, clean shutdown{persist_note}"
         )
     finally:
         for s in idle_socks:

@@ -9,7 +9,10 @@
 //! a token between OS threads; a certifier that decides at a different
 //! point — before an access instead of after it, not at an iteration start,
 //! not after a private-tail access — draws a different schedule from the
-//! same seed and fails here.
+//! same seed and fails here.  At 8 schedules, where schedules of both
+//! policies wait at an exit in one state and share one race-free run of it,
+//! one `certify_loops` call must reproduce what the certifier drew before
+//! schedules shared runs, decision for decision.
 
 use suif_analysis::{ParallelizeConfig, Parallelizer};
 use suif_benchmarks::{ch4_apps, Scale};
@@ -65,12 +68,12 @@ enum Entry {
     AllAtOnce,
 }
 
-fn replay(source: &str, entry: Entry) -> Replay {
+fn replay(source: &str, entry: Entry, schedules: u32) -> Replay {
     let program = suif_ir::parse_program(source).unwrap();
     let analysis = Parallelizer::analyze(&program, ParallelizeConfig::default());
     let plans = ParallelPlans::from_analysis(&analysis);
     let opts = CertifyOptions {
-        schedules: 2,
+        schedules,
         seed: 1,
         ..Default::default()
     };
@@ -194,7 +197,69 @@ fn ch4_applications_replay_decision_for_decision() {
     for (app, (name, want)) in apps.iter().zip(expected) {
         assert_eq!(app.name, name);
         for entry in [Entry::LoopByLoop, Entry::AllAtOnce] {
-            assert_eq!(replay(&app.source, entry), want, "{name}, {entry:?}");
+            assert_eq!(replay(&app.source, entry, 2), want, "{name}, {entry:?}");
         }
+    }
+}
+
+/// Eight schedules from seed 1, all at once: the sums and digest the
+/// certifier drew when every schedule ran each invocation itself.
+#[test]
+fn ch4_applications_replay_at_eight_schedules() {
+    let expected = [
+        (
+            "mdg",
+            Replay {
+                decisions: 2_572_362,
+                switches: 213_562,
+                shared_accesses: 496_101,
+                iterations: 66_496,
+                loops_run: 9_480,
+                races: 22_464,
+                digest: 0x94fce346da3edaf9,
+            },
+        ),
+        (
+            "arc3d",
+            Replay {
+                decisions: 3_040_096,
+                switches: 244_274,
+                shared_accesses: 1_077_669,
+                iterations: 95_904,
+                loops_run: 4_840,
+                races: 40_848,
+                digest: 0xe82cc2b61f27247b,
+            },
+        ),
+        (
+            "hydro",
+            Replay {
+                decisions: 1_607_708,
+                switches: 136_389,
+                shared_accesses: 391_492,
+                iterations: 83_360,
+                loops_run: 5_784,
+                races: 11_832,
+                digest: 0xfe21210e33f4a3b7,
+            },
+        ),
+        (
+            "flo88",
+            Replay {
+                decisions: 5_984_400,
+                switches: 470_663,
+                shared_accesses: 1_813_080,
+                iterations: 123_312,
+                loops_run: 11_192,
+                races: 62_898,
+                digest: 0xeefb2d9eaedf6782,
+            },
+        ),
+    ];
+    let apps = ch4_apps(Scale::Test);
+    assert_eq!(apps.len(), expected.len());
+    for (app, (name, want)) in apps.iter().zip(expected) {
+        assert_eq!(app.name, name);
+        assert_eq!(replay(&app.source, Entry::AllAtOnce, 8), want, "{name}");
     }
 }

@@ -4,9 +4,10 @@
 //! invocation — reports.  Field by field: the seed, the races in order, every
 //! counter, the dead-private ranges, the error; and capture by capture: the
 //! output, the final memory bit for bit, the error.  `elapsed`, `joined`,
-//! `overlaid` and `diverged` say how the run went, not what it found, and
-//! are set aside, but for one invariant: a schedule leaves the scout at most
-//! once (`diverged <= 1`), as it never comes back.
+//! `overlaid`, `diverged`, `shared` and `alone` say how the run went, not
+//! what it found, and are set aside, but for two invariants: a schedule
+//! leaves the scout at most once (`diverged <= 1`), as it never comes back,
+//! and takes another's run only where it rides on (`shared <= joined`).
 //!
 //! The inputs: the 13 applications at `Scale::Test` under 2 and 4 schedules
 //! from seeds 1, 2 and 7 (in a debug build, each application under one of
@@ -15,7 +16,8 @@
 //! only: a debug build takes minutes); the certification regression corpus;
 //! `minif_gen` programs and accepted source mutants, `SUIF_CERTIFY_PROGRAMS`
 //! of each (default 6 in debug builds, 100 in release); and hand-written
-//! programs for the ways a schedule leaves the scout.
+//! programs for the ways a schedule leaves the scout, and for when
+//! schedules waiting at an exit share one run of the invocation.
 
 mod source_mutants;
 
@@ -106,6 +108,13 @@ fn agrees(
                 "{label}: loop {stmt:?}, seed {}: a schedule leaves the scout once, not {}",
                 got.seed,
                 got.diverged
+            );
+            assert!(
+                got.shared <= got.joined,
+                "{label}: loop {stmt:?}, seed {}: shared {} of joined {}",
+                got.seed,
+                got.shared,
+                got.joined
             );
         }
     }
@@ -283,7 +292,7 @@ fn sum(cert: &LoopCertification, f: fn(&ScheduleReport) -> u64) -> u64 {
 /// every one of them before anything reads it, so they ride to the end.
 /// The next loop's schedules ride the scout across the racy invocations.
 #[test]
-fn a_racy_loop_diverges_and_rejoins_once_its_cells_are_overwritten() {
+fn a_racy_loop_rides_on_with_its_cells_overlaid_until_they_are_overwritten() {
     let source = r#"program t
 proc main() {
   real a[16], s
@@ -366,6 +375,183 @@ proc main() {
             assert_eq!((first.joined, first.overlaid), (3, 0), "{label}");
         }
     }
+}
+
+/// `stmt`'s production plan.
+fn production_plan(program: &Program, stmt: StmtId) -> PlanEntry {
+    let analysis = Parallelizer::analyze(program, ParallelizeConfig::default());
+    ParallelPlans::from_analysis(&analysis).loops[&stmt].clone()
+}
+
+/// A race-free invocation computes alike under every interleaving, so the
+/// four schedules of `main/1` wait at each exit in one state and only the
+/// first runs it: standing in for the scout, or beside the scout's own
+/// run while `never/9`'s schedules ride it.  The other three take its run
+/// and replay their own schedulers over it.
+#[test]
+fn a_race_free_invocation_runs_once_for_the_schedules_waiting_alike() {
+    let source = r#"program t
+proc main() {
+  real a[8]
+  int i, k
+  do 2 k = 1, 3 {
+    do 1 i = 1, 8 {
+      a[i] = a[i] + k
+    }
+  }
+  print a[8]
+}
+"#;
+    for (label, source, targets) in [
+        ("race-free", source.to_string(), &["main/1"][..]),
+        (
+            "race-free, ridden",
+            with_a_rider(source),
+            &["main/1", "never/9"][..],
+        ),
+    ] {
+        let certs = hand_written(label, &source, targets);
+        let cert = &certs[0];
+        assert!(cert.race_free(), "{label}");
+        assert!(cert.schedules.iter().all(|s| s.outcome.loops_run == 3));
+        assert_eq!(sum(cert, |s| s.shared), 3 * 3, "{label}");
+        assert_eq!(cert.schedules[0].shared, 0, "{label}: the first runs");
+        for s in &cert.schedules {
+            assert!(s.shared <= s.joined, "{label}: seed {}", s.seed);
+        }
+    }
+}
+
+/// A racy invocation may compute something else under each interleaving:
+/// every schedule runs each one itself.
+#[test]
+fn a_racy_invocation_is_run_by_every_schedule() {
+    let source = r#"program t
+proc main() {
+  real a[16]
+  int i, k
+  do 2 k = 1, 3 {
+    do 1 i = 2, 16 {
+      a[i] = a[i - 1] + k
+    }
+  }
+  print a[16]
+}
+"#;
+    for (label, source, targets) in [
+        ("racy", source.to_string(), &["main/1"][..]),
+        (
+            "racy, ridden",
+            with_a_rider(source),
+            &["main/1", "never/9"][..],
+        ),
+    ] {
+        let certs = hand_written(label, &source, targets);
+        assert!(!certs[0].race_free(), "{label}");
+        assert_eq!(sum(&certs[0], |s| s.shared), 0, "{label}");
+    }
+}
+
+/// A reduction's workers add their partial sums in another order than the
+/// sequential run, so each schedule leaves `s` a rounding away from the
+/// scout's value: the same under every schedule, as the reduction is
+/// race-free.  The schedules ride on with equal overlays, wait at the next
+/// head alike, and share its run.
+#[test]
+fn a_reduction_whose_schedules_carry_equal_overlays_shares() {
+    let source = r#"program t
+proc main() {
+  real a[8], s, t
+  int i, k
+  a[1] = 100000000000000000.0
+  do 3 i = 2, 8 {
+    a[i] = 5
+  }
+  s = 0
+  t = 0
+  do 2 k = 1, 3 {
+    do 1 i = 1, 8 {
+      s = s + a[i]
+    }
+    t = t + 1
+  }
+  print s, t
+}
+"#;
+    let (program, mut targets) = minimal(&with_a_rider(source), &["main/1", "never/9"]);
+    targets[0].1 = production_plan(&program, targets[0].0);
+    assert!(!targets[0].1.reductions.is_empty(), "a reduction");
+    let certs = agrees("reduction", &program, &targets, &options(4, 11));
+    let cert = &certs[0];
+    assert!(cert.race_free());
+    assert!(sum(cert, |s| s.overlaid) > 0, "the sums differ in rounding");
+    assert_eq!(sum(cert, |s| s.shared), 3 * 3);
+}
+
+/// A loop under two plans is two targets: the minimal plan's shared `t`
+/// races where the production plan privatizes it, and neither takes the
+/// other's run, though their schedules wait at the same exit in one state.
+#[test]
+fn one_loop_under_two_plans_shares_no_run_across_them() {
+    let source = r#"program t
+proc main() {
+  real a[8], b[8], t
+  int i, k
+  do 2 k = 1, 2 {
+    do 1 i = 1, 8 {
+      t = a[i] + k
+      b[i] = t * 2
+    }
+  }
+  print b[8]
+}
+"#;
+    let (program, mut targets) = minimal(source, &["main/1", "main/1"]);
+    targets[0].1 = production_plan(&program, targets[0].0);
+    let certs = agrees("two plans", &program, &targets, &options(4, 11));
+    assert!(certs[0].race_free() && !certs[1].race_free());
+    assert_eq!(sum(&certs[0], |s| s.shared), 3 * 2);
+    assert_eq!(sum(&certs[1], |s| s.shared), 0);
+}
+
+/// The first invocation races on `t`, leaving each schedule its own cells
+/// of `a` that differ; the second (`m` is 0) only reads `t`, and is
+/// race-free, but no two schedules wait at it with the same overlay, so
+/// each runs it itself.
+#[test]
+fn schedules_whose_overlays_differ_share_no_run() {
+    let source = r#"program t
+proc main() {
+  real a[16], t
+  int i, k, m
+  m = 1
+  t = 0
+  do 2 k = 1, 2 {
+    do 1 i = 1, 16 {
+      if m == 1 {
+        t = i
+      }
+      a[i] = a[i] + t
+    }
+    m = 0
+  }
+  print a[16]
+}
+"#;
+    let certs = hand_written(
+        "overlays differ",
+        &with_a_rider(source),
+        &["main/1", "never/9"],
+    );
+    let cert = &certs[0];
+    assert!(!cert.race_free());
+    for (k, s) in cert.schedules.iter().enumerate() {
+        assert_eq!((s.joined, s.overlaid), (2, 2), "seed {}", s.seed);
+        for other in &cert.schedules[..k] {
+            assert_ne!(s.capture.memory, other.capture.memory, "seed {}", s.seed);
+        }
+    }
+    assert_eq!(sum(cert, |s| s.shared), 0);
 }
 
 /// Two differences the scout overwrites with stores no hook hears: a
