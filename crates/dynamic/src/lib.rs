@@ -66,10 +66,10 @@
 //!
 //! This crate also holds the two schedule-independent halves of the
 //! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a
-//! happens-before / vector-clock race detector, and [`sched`], a seeded
-//! adversarial scheduler.  The certifying executor that feeds them lives in
-//! `suif_parallel::certify`, beside the production executor it shares its
-//! loop layout, partition and finalization with.
+//! detector of conflicting accesses from different iterations, and
+//! [`sched`], a seeded adversarial scheduler.  The certifying executor that
+//! feeds them lives in `suif_parallel::certify`, beside the production
+//! executor it shares its loop layout, partition and finalization with.
 //!
 //! ```
 //! use suif_dynamic::machine::{Machine, NoHooks};
@@ -98,7 +98,7 @@ pub use dyndep::{DynDepAnalyzer, DynDepConfig, DynDepReport};
 pub use layout::{Layout, MAX_MEMORY_CELLS};
 pub use machine::{Checkpoint, Hooks, Machine, MemStore, NoHooks, RuntimeError, Stop};
 pub use profile::{LoopProfile, LoopProfiler, ProfileReport};
-pub use race::{AccessInfo, AccessKind, Race, RaceDetector, VectorClock};
+pub use race::{AccessInfo, AccessKind, Race, RaceDetector};
 pub use sched::{AdversarialScheduler, SchedPolicy, SplitMix64};
 pub use value::Value;
 

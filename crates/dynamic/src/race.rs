@@ -1,19 +1,19 @@
-//! Happens-before race detection over vector clocks.
+//! Race detection for certified loops.
 //!
-//! The certifying parallel executor (`suif_parallel::certify`) models a
-//! `DOALL` loop as a fork/join region: a parent logical thread forks one
-//! logical thread per iteration, every iteration runs concurrently with all
-//! others, and the parent joins them at loop exit.  This module implements
-//! the generic happens-before machinery for that structure — vector clocks
-//! per logical thread, fork/join edges, release/acquire edges through locks
-//! — and a shadow-memory detector in the Djit+ style: per address it keeps
-//! the last-write epoch and a bounded set of concurrent read epochs, and
-//! reports the **first conflicting access pair** with source locations.
+//! The certifying parallel executor (`suif_parallel::certify`) runs each
+//! iteration of a `DOALL` loop as its own logical thread, with no
+//! happens-before edge between any two of them.  So two accesses to one
+//! cell race exactly when they come from different iterations and at least
+//! one of them writes: that is the one rule this detector applies.  Per
+//! address it keeps the last write and up to two reads since it, and for
+//! each access that conflicts with one of those reports the **conflicting
+//! access pair**, with source locations, in the order the interleaving
+//! produced them.
 //!
 //! The shadow is dense: one cell per address of the shared segment, in a
 //! `Vec` indexed by address, allocated when the detector is built.  The
-//! certifier builds one detector per schedule and [`RaceDetector::reset`]s
-//! it at every invocation of the target loop.  Each cell is stamped with the
+//! certifier [`RaceDetector::reset`]s its detector at every invocation of a
+//! target loop.  Each cell is stamped with the
 //! invocation (a generation number) that last wrote it, and a cell stamped
 //! with an older generation reads as empty, so a reset clears nothing.
 //!
@@ -23,43 +23,14 @@
 //! synchronization of its own: the certifier feeds it from the one thread
 //! that steps every worker.
 
-use std::collections::HashMap;
 use suif_ir::{StmtId, VarId};
 
-/// A vector clock: component `t` counts the events of logical thread `t`.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct VectorClock(Vec<u32>);
-
-impl VectorClock {
-    /// The zero clock.
-    pub fn new() -> VectorClock {
-        VectorClock(Vec::new())
-    }
-
-    /// Component `t` (0 when never touched).
-    pub fn get(&self, t: usize) -> u32 {
-        self.0.get(t).copied().unwrap_or(0)
-    }
-
-    fn set(&mut self, t: usize, v: u32) {
-        if self.0.len() <= t {
-            self.0.resize(t + 1, 0);
-        }
-        self.0[t] = v;
-    }
-
-    /// Pointwise maximum (the join of two clocks).
-    pub fn merge(&mut self, other: &VectorClock) {
-        if self.0.len() < other.0.len() {
-            self.0.resize(other.0.len(), 0);
-        }
-        for (k, &v) in other.0.iter().enumerate() {
-            if self.0[k] < v {
-                self.0[k] = v;
-            }
-        }
-    }
-}
+/// The races one invocation records: once it has this many, the detector
+/// neither checks nor counts accesses until the next [`RaceDetector::reset`].
+/// It caps one *invocation*; `suif_parallel::certify::MAX_REPORTED_RACES`
+/// caps the races one *schedule* lists over all its invocations, while the
+/// schedule's `race_count` adds up to this many per invocation.
+pub const MAX_INVOCATION_RACES: usize = 64;
 
 /// Whether an access reads or writes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -73,8 +44,9 @@ pub enum AccessKind {
 /// One recorded memory access, with its source location.
 #[derive(Clone, Copy, Debug)]
 pub struct AccessInfo {
-    /// Logical thread (for loop certification: 0 is the parent, `k + 1` is
-    /// iteration `k`).
+    /// Logical thread: for loop certification, `k + 1` is iteration `k`.
+    /// Thread 0 is the code around the loop, whose accesses the certifier
+    /// never reports, so no recorded access carries it.
     pub thread: usize,
     /// Variable through which the cell was accessed.
     pub var: VarId,
@@ -86,7 +58,8 @@ pub struct AccessInfo {
     pub kind: AccessKind,
 }
 
-/// A detected race: two concurrent conflicting accesses to one address.
+/// A detected race: two conflicting accesses to one address from different
+/// threads.
 #[derive(Clone, Debug)]
 pub struct Race {
     /// The memory address both accesses touched.
@@ -122,37 +95,20 @@ impl std::fmt::Display for Race {
     }
 }
 
-/// An access as a shadow cell keeps it: its epoch is `(info.thread, clock)`,
-/// the accessing thread's own clock component at the access.
-#[derive(Clone, Copy, Debug)]
-struct Stamp {
-    clock: u32,
-    info: AccessInfo,
-}
-
-impl Stamp {
-    /// Does this access happen-before (or equal) the point described by `vc`?
-    fn happens_before(&self, vc: &VectorClock) -> bool {
-        self.clock <= vc.get(self.info.thread)
-    }
-}
-
-/// Shadow state per address: the last write plus up to two concurrent reads,
-/// oldest first.  Two reads are enough: a later write conflicts with *some*
-/// unordered read iff it conflicts with one of any two reads from distinct
-/// threads (at most one of them can share the writer's thread).
+/// Shadow state per address: the last write plus up to two reads since it,
+/// from distinct threads, oldest first.  Two reads are enough: a later
+/// write races some read since the last write iff it races one of any two
+/// reads from distinct threads (at most one of them can be the writer's).
 #[derive(Clone, Copy, Debug, Default)]
 struct Shadow {
     /// The invocation this state belongs to; under any other it is empty.
     generation: u32,
-    write: Option<Stamp>,
-    reads: [Option<Stamp>; 2],
+    write: Option<AccessInfo>,
+    reads: [Option<AccessInfo>; 2],
 }
 
-/// The happens-before detector.
+/// The race detector of one certification call.
 pub struct RaceDetector {
-    clocks: Vec<VectorClock>,
-    locks: HashMap<usize, VectorClock>,
     /// One cell per shared address.
     shadow: Vec<Shadow>,
     /// The current invocation; never 0, which fresh cells carry.
@@ -160,83 +116,39 @@ pub struct RaceDetector {
     races: Vec<Race>,
     /// Shared accesses examined since the last reset.
     pub accesses: u64,
-    max_races: usize,
 }
 
 impl RaceDetector {
-    /// A detector over `threads` logical threads; addresses `>= shared_limit`
-    /// are thread-private and ignored.  Every thread starts with its own
-    /// component at 1 (so epochs are never the zero clock).
-    pub fn new(threads: usize, shared_limit: usize) -> RaceDetector {
-        let mut d = RaceDetector {
-            clocks: Vec::new(),
-            locks: HashMap::new(),
-            shadow: vec![Shadow::default(); shared_limit],
-            generation: 0,
+    /// A detector whose addresses `>= shared_len` are thread-private and
+    /// ignored.
+    pub fn new(shared_len: usize) -> RaceDetector {
+        RaceDetector {
+            shadow: vec![Shadow::default(); shared_len],
+            generation: 1,
             races: Vec::new(),
             accesses: 0,
-            max_races: 64,
-        };
-        d.reset(threads);
-        d
+        }
     }
 
-    /// Start over with `threads` logical threads, as if freshly built: no
-    /// shadow state, no lock clocks, no races, no accesses counted.  The
-    /// shadow is cleared by moving to the next generation, not by a write
-    /// per cell.
-    pub fn reset(&mut self, threads: usize) {
+    /// Start over, as if freshly built: no shadow state, no races, no
+    /// accesses counted.  The shadow is cleared by moving to the next
+    /// generation, not by a write per cell.
+    pub fn reset(&mut self) {
         self.generation = self.generation.wrapping_add(1);
         if self.generation == 0 {
             // Wrapped: a cell stamped long ago could read as current.
             self.shadow.fill(Shadow::default());
             self.generation = 1;
         }
-        self.clocks.resize_with(threads, VectorClock::new);
-        for (t, c) in self.clocks.iter_mut().enumerate() {
-            c.0.clear();
-            c.set(t, 1);
-        }
-        self.locks.clear();
         self.races.clear();
         self.accesses = 0;
     }
 
-    /// Fork edge: everything `parent` did so far happens-before `child`.
-    pub fn fork(&mut self, parent: usize, child: usize) {
-        let pc = std::mem::take(&mut self.clocks[parent]);
-        self.clocks[child].merge(&pc);
-        self.clocks[parent] = pc;
-        let inc = self.clocks[parent].get(parent) + 1;
-        self.clocks[parent].set(parent, inc);
-    }
-
-    /// Join edge: everything `child` did happens-before `parent` afterwards.
-    pub fn join(&mut self, parent: usize, child: usize) {
-        let cc = std::mem::take(&mut self.clocks[child]);
-        self.clocks[parent].merge(&cc);
-        self.clocks[child] = cc;
-        let inc = self.clocks[child].get(child) + 1;
-        self.clocks[child].set(child, inc);
-    }
-
-    /// Release edge: thread `t` releases lock `l`.
-    pub fn release(&mut self, t: usize, l: usize) {
-        let entry = self.locks.entry(l).or_default();
-        entry.merge(&self.clocks[t]);
-        let inc = self.clocks[t].get(t) + 1;
-        self.clocks[t].set(t, inc);
-    }
-
-    /// Acquire edge: thread `t` acquires lock `l`.
-    pub fn acquire(&mut self, t: usize, l: usize) {
-        if let Some(lc) = self.locks.get(&l) {
-            self.clocks[t].merge(lc);
-        }
-    }
-
-    /// Record one access and check it against the shadow state.  Returns the
-    /// race this access completes, if any (also appended to [`Self::races`]).
+    /// Record one access by `thread` and check it against the shadow state:
+    /// an earlier access to `addr` races it iff another thread made it and
+    /// one of the two writes.  A race found is appended to [`Self::races`].
+    // Inlined across crates: the certifier calls it once per access.
+    #[inline]
     pub fn on_access(
         &mut self,
         thread: usize,
@@ -245,22 +157,17 @@ impl RaceDetector {
         stmt: StmtId,
         line: u32,
         kind: AccessKind,
-    ) -> Option<Race> {
-        if addr >= self.shadow.len() || self.races.len() >= self.max_races {
-            return None;
+    ) {
+        if addr >= self.shadow.len() || self.races.len() >= MAX_INVOCATION_RACES {
+            return;
         }
         self.accesses += 1;
-        let vc = &self.clocks[thread];
-        let info = AccessInfo {
+        let me = AccessInfo {
             thread,
             var,
             line,
             stmt,
             kind,
-        };
-        let me = Stamp {
-            clock: vc.get(thread),
-            info,
         };
         let cell = &mut self.shadow[addr];
         if cell.generation != self.generation {
@@ -269,52 +176,34 @@ impl RaceDetector {
                 ..Shadow::default()
             };
         }
-        let race_with = |earlier: &Stamp| {
-            (earlier.info.thread != thread && !earlier.happens_before(vc)).then_some(Race {
-                addr,
-                first: earlier.info,
-                second: info,
-            })
-        };
-        // Write/write and read-after-write conflicts.
-        let mut found = cell.write.as_ref().and_then(race_with);
+        let other = |a: &AccessInfo| a.thread != thread;
+        // Write/write and read-after-write conflicts first.
+        let mut found = cell.write.filter(other);
         match kind {
             AccessKind::Read => {
-                // Keep at most two unordered reads from distinct threads, in
-                // arrival order; drop reads ordered before this one.
-                let mut kept = cell
-                    .reads
-                    .into_iter()
-                    .flatten()
-                    .filter(|r| !r.happens_before(vc));
-                let mut reads = [kept.next(), kept.next()];
-                match reads.iter_mut().flatten().find(|r| r.info.thread == thread) {
-                    Some(mine) => *mine = me,
-                    None => {
-                        if let Some(free) = reads.iter_mut().find(|r| r.is_none()) {
-                            *free = Some(me);
-                        }
-                    }
-                }
-                cell.reads = reads;
+                // This thread's earlier read is superseded; the others keep
+                // arrival order, and this one takes a slot if one is free.
+                let mut kept = cell.reads.into_iter().flatten().filter(other).chain([me]);
+                cell.reads = [kept.next(), kept.next()];
             }
             AccessKind::Write => {
                 // Write-after-read conflicts.
-                if found.is_none() {
-                    found = cell.reads.iter().flatten().find_map(race_with);
-                }
+                found = found.or_else(|| cell.reads.into_iter().flatten().find(other));
                 cell.reads = [None; 2];
                 cell.write = Some(me);
             }
         }
-        if let Some(r) = &found {
-            self.races.push(r.clone());
+        if let Some(first) = found {
+            self.races.push(Race {
+                addr,
+                first,
+                second: me,
+            });
         }
-        found
     }
 
-    /// The races recorded since the last reset (at most 64: once the cap is
-    /// reached, accesses are neither checked nor counted until the reset).
+    /// The races recorded since the last reset, in the order they were met
+    /// (at most [`MAX_INVOCATION_RACES`]).
     pub fn races(&self) -> &[Race] {
         &self.races
     }
@@ -332,152 +221,110 @@ mod tests {
         StmtId(n)
     }
 
+    /// `(first thread, first line, second thread, second line)` of a race.
+    fn pair(r: &Race) -> (usize, u32, usize, u32) {
+        (r.first.thread, r.first.line, r.second.thread, r.second.line)
+    }
+
     #[test]
     fn concurrent_write_write_is_a_race() {
-        let mut d = RaceDetector::new(3, 100);
-        d.fork(0, 1);
-        d.fork(0, 2);
-        assert!(d
-            .on_access(1, v(0), 5, s(1), 10, AccessKind::Write)
-            .is_none());
-        let r = d
-            .on_access(2, v(0), 5, s(2), 11, AccessKind::Write)
-            .expect("race");
-        assert_eq!(r.kind(), "write-write");
-        assert_eq!(r.first.line, 10);
-        assert_eq!(r.second.line, 11);
-        assert_eq!(d.races().len(), 1);
-    }
-
-    #[test]
-    fn fork_and_join_order_accesses() {
-        let mut d = RaceDetector::new(2, 100);
-        // Parent writes before the fork: ordered.
-        d.on_access(0, v(0), 7, s(1), 1, AccessKind::Write);
-        d.fork(0, 1);
-        assert!(d.on_access(1, v(0), 7, s(2), 2, AccessKind::Read).is_none());
-        // Child writes; after the join the parent may read race-free.
-        d.on_access(1, v(0), 7, s(3), 3, AccessKind::Write);
-        d.join(0, 1);
-        assert!(d.on_access(0, v(0), 7, s(4), 4, AccessKind::Read).is_none());
+        let mut d = RaceDetector::new(100);
+        d.on_access(1, v(0), 5, s(1), 10, AccessKind::Write);
         assert!(d.races().is_empty());
-    }
-
-    #[test]
-    fn unjoined_child_write_races_with_parent_read() {
-        let mut d = RaceDetector::new(2, 100);
-        d.fork(0, 1);
-        d.on_access(1, v(0), 3, s(1), 5, AccessKind::Write);
-        let r = d
-            .on_access(0, v(0), 3, s(2), 6, AccessKind::Read)
-            .expect("race");
-        assert_eq!(r.kind(), "read-write");
-    }
-
-    #[test]
-    fn lock_release_acquire_creates_order() {
-        let mut d = RaceDetector::new(3, 100);
-        d.fork(0, 1);
-        d.fork(0, 2);
-        d.acquire(1, 0);
-        d.on_access(1, v(0), 9, s(1), 1, AccessKind::Write);
-        d.release(1, 0);
-        d.acquire(2, 0);
-        assert!(
-            d.on_access(2, v(0), 9, s(2), 2, AccessKind::Write)
-                .is_none(),
-            "lock-ordered writes must not race"
-        );
-        d.release(2, 0);
-        // A third access without the lock still races with the second write.
-        d.fork(0, 1); // parent clock moves, but thread 1 is still unordered
-        let r = d.on_access(1, v(0), 9, s(3), 3, AccessKind::Write);
-        assert!(r.is_some(), "unlocked write must race");
+        d.on_access(2, v(0), 5, s(2), 11, AccessKind::Write);
+        let [r] = d.races() else {
+            panic!("one race: {:?}", d.races())
+        };
+        assert_eq!(r.kind(), "write-write");
+        assert_eq!(pair(r), (1, 10, 2, 11));
     }
 
     #[test]
     fn write_after_unordered_read_is_a_race() {
-        let mut d = RaceDetector::new(3, 100);
-        d.fork(0, 1);
-        d.fork(0, 2);
+        let mut d = RaceDetector::new(100);
         d.on_access(1, v(0), 4, s(1), 1, AccessKind::Read);
-        let r = d
-            .on_access(2, v(0), 4, s(2), 2, AccessKind::Write)
-            .expect("race");
+        d.on_access(2, v(0), 4, s(2), 2, AccessKind::Write);
+        let [r] = d.races() else {
+            panic!("one race: {:?}", d.races())
+        };
         assert_eq!(r.kind(), "read-write");
-        assert_eq!(r.first.thread, 1);
-        assert_eq!(r.second.thread, 2);
+        assert_eq!(pair(r), (1, 1, 2, 2));
     }
 
     #[test]
     fn two_reads_then_write_catches_either_read() {
-        // Reads by threads 1 and 2, then a write by thread 2: the write is
-        // ordered after its own read but not after thread 1's.
-        let mut d = RaceDetector::new(3, 100);
-        d.fork(0, 1);
-        d.fork(0, 2);
+        // Reads by threads 1 and 2, then a write by thread 2: its own read
+        // does not race it, thread 1's does.
+        let mut d = RaceDetector::new(100);
         d.on_access(1, v(0), 4, s(1), 1, AccessKind::Read);
         d.on_access(2, v(0), 4, s(2), 2, AccessKind::Read);
-        let r = d
-            .on_access(2, v(0), 4, s(3), 3, AccessKind::Write)
-            .expect("race with thread 1's read");
-        assert_eq!(r.first.thread, 1);
+        d.on_access(2, v(0), 4, s(3), 3, AccessKind::Write);
+        let [r] = d.races() else {
+            panic!("one race: {:?}", d.races())
+        };
+        assert_eq!(pair(r), (1, 1, 2, 3));
+    }
+
+    #[test]
+    fn a_cell_keeps_two_readers_in_arrival_order_and_drops_a_third() {
+        let mut d = RaceDetector::new(100);
+        for t in 1..=3 {
+            d.on_access(t, v(0), 6, s(1), t as u32, AccessKind::Read);
+        }
+        assert!(d.races().is_empty(), "reads never race reads");
+        // Thread 1's own read does not race its write; the second reader's
+        // does, and thread 3's read was never kept.
+        d.on_access(1, v(0), 6, s(2), 9, AccessKind::Write);
+        let [r] = d.races() else {
+            panic!("one race: {:?}", d.races())
+        };
+        assert_eq!(pair(r), (2, 2, 1, 9));
     }
 
     #[test]
     fn private_tail_addresses_are_ignored() {
-        let mut d = RaceDetector::new(3, 10);
-        d.fork(0, 1);
-        d.fork(0, 2);
+        let mut d = RaceDetector::new(10);
         d.on_access(1, v(0), 10, s(1), 1, AccessKind::Write);
-        assert!(d
-            .on_access(2, v(0), 10, s(2), 2, AccessKind::Write)
-            .is_none());
+        d.on_access(2, v(0), 10, s(2), 2, AccessKind::Write);
+        assert!(d.races().is_empty());
         assert_eq!(d.accesses, 0);
     }
 
     #[test]
     fn a_reset_forgets_the_previous_invocations_accesses() {
-        let mut d = RaceDetector::new(3, 100);
-        d.fork(0, 1);
-        d.fork(0, 2);
+        let mut d = RaceDetector::new(100);
         d.on_access(1, v(0), 8, s(1), 1, AccessKind::Write);
         d.on_access(2, v(0), 9, s(1), 1, AccessKind::Read);
-        d.reset(3);
-        d.fork(0, 1);
-        d.fork(0, 2);
-        // Unordered with both accesses above, had they been in this
+        d.reset();
+        // From other threads than the accesses above, had they been in this
         // invocation.
-        assert!(d.on_access(2, v(0), 8, s(2), 2, AccessKind::Read).is_none());
-        assert!(d
-            .on_access(1, v(0), 9, s(2), 2, AccessKind::Write)
-            .is_none());
+        d.on_access(2, v(0), 8, s(2), 2, AccessKind::Read);
+        d.on_access(1, v(0), 9, s(2), 2, AccessKind::Write);
         assert!(d.races().is_empty());
         assert_eq!(d.accesses, 2);
         // Within the invocation the shadow still works.
-        let r = d
-            .on_access(1, v(0), 8, s(3), 3, AccessKind::Write)
-            .expect("race with this invocation's read");
-        assert_eq!((r.first.thread, r.first.line), (2, 2));
+        d.on_access(1, v(0), 8, s(3), 3, AccessKind::Write);
+        let [r] = d.races() else {
+            panic!("one race: {:?}", d.races())
+        };
+        assert_eq!(pair(r), (2, 2, 1, 3));
     }
 
     #[test]
     fn the_race_cap_resets_per_invocation() {
         let racy_invocation = |d: &mut RaceDetector| {
-            d.fork(0, 1);
-            d.fork(0, 2);
             for addr in 0..100 {
                 d.on_access(1, v(0), addr, s(1), 1, AccessKind::Write);
                 d.on_access(2, v(0), addr, s(2), 2, AccessKind::Write);
             }
         };
-        let mut d = RaceDetector::new(3, 100);
+        let mut d = RaceDetector::new(100);
         racy_invocation(&mut d);
-        assert_eq!(d.races().len(), 64);
+        assert_eq!(d.races().len(), MAX_INVOCATION_RACES);
         // Counting stops with the cap: 64 racing pairs and nothing after.
         assert_eq!(d.accesses, 128);
         assert_eq!(d.races()[63].addr, 63);
-        d.reset(3);
+        d.reset();
         assert!(d.races().is_empty());
         racy_invocation(&mut d);
         assert_eq!((d.races().len(), d.accesses), (64, 128));
@@ -485,27 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn a_reset_resizes_the_thread_set() {
-        let mut d = RaceDetector::new(2, 10);
-        d.reset(5);
-        for k in 1..5 {
-            d.fork(0, k);
-        }
-        d.on_access(3, v(0), 1, s(1), 1, AccessKind::Write);
-        assert!(d.on_access(4, v(0), 1, s(1), 1, AccessKind::Read).is_some());
-        d.reset(2);
-        d.fork(0, 1);
-        assert!(d.on_access(1, v(0), 1, s(1), 1, AccessKind::Read).is_none());
-    }
-
-    #[test]
     fn same_thread_accesses_never_race() {
-        let mut d = RaceDetector::new(2, 100);
-        d.fork(0, 1);
+        let mut d = RaceDetector::new(100);
         d.on_access(1, v(0), 5, s(1), 1, AccessKind::Write);
-        assert!(d
-            .on_access(1, v(0), 5, s(2), 2, AccessKind::Write)
-            .is_none());
-        assert!(d.on_access(1, v(0), 5, s(3), 3, AccessKind::Read).is_none());
+        d.on_access(1, v(0), 5, s(2), 2, AccessKind::Write);
+        d.on_access(1, v(0), 5, s(3), 3, AccessKind::Read);
+        assert!(d.races().is_empty());
+        assert_eq!(d.accesses, 3);
     }
 }

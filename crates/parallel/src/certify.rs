@@ -10,12 +10,12 @@
 //! itself advances one [`Machine::step_with`] at a time, on the calling OS
 //! thread.  Between two steps a seeded [`AdversarialScheduler`] chooses
 //! which worker takes the next one (so the interleaving replays from a `u64`
-//! seed), and every step reports its memory access to a [`RaceDetector`]
-//! that checks it against the happens-before order in which each
-//! *iteration* is a logical thread forked at loop entry and joined at exit.
-//! Nothing is spawned and nothing is locked.  One detector, whose dense
-//! shadow covers the shared segment, serves every schedule of a call and is
-//! reset at every invocation of a target loop.
+//! seed), and every step reports its memory access to a [`RaceDetector`],
+//! in whose model each *iteration* is a logical thread unordered with every
+//! other: two iterations race on a cell one of them writes.  Nothing is
+//! spawned and nothing is locked.  One detector, whose dense shadow covers
+//! the shared segment, serves every schedule of a call and is reset at
+//! every invocation of a target loop.
 //!
 //! [`certify_loops`] runs the program once, as a *scout* that carries the
 //! schedules: each rides it as the scout's thread plus an *overlay* of the
@@ -43,7 +43,9 @@ use suif_dynamic::sched::AdversarialScheduler;
 use suif_dynamic::{Code, DoLoop, Value, MAX_EXECUTE_OPS};
 use suif_ir::{Program, StmtId, VarId};
 
-/// How many races one schedule reports in [`CertOutcome::races`].
+/// How many races one schedule reports in [`CertOutcome::races`], over all
+/// its invocations; [`suif_dynamic::race::MAX_INVOCATION_RACES`] caps the
+/// races the detector records in one invocation.
 pub const MAX_REPORTED_RACES: usize = 64;
 
 /// Accumulated result of all certified invocations of the target loop.
@@ -82,7 +84,7 @@ pub struct CertOutcome {
 struct Probe<'d> {
     detector: &'d mut RaceDetector,
     /// Logical thread of the race model: iteration `k` is thread `k + 1`
-    /// (thread 0 is the parent).
+    /// (thread 0, before a worker's first iteration, makes no access).
     tid: usize,
     /// The statement being executed; the load/store hooks carry no line.
     at: &'d mut (StmtId, u32),
@@ -324,13 +326,9 @@ impl LoopHandler for CertifyHandler<'_> {
             }
         }
 
-        // One logical thread per iteration, plus the parent (thread 0);
-        // fork edges order everything before the loop with every iteration.
+        // One logical thread per iteration, unordered with every other.
         let detector = &mut *self.detector;
-        detector.reset(n + 1);
-        for k in 0..n {
-            detector.fork(0, k + 1);
-        }
+        detector.reset();
         let workers = self.threads.max(1).min(n);
         let mut sched = AdversarialScheduler::new(self.seed, workers);
         // Block schedule and serialized merge: the production defaults'
@@ -563,7 +561,7 @@ fn from_main_within(
             let capture = match Machine::new(program, &mut hooks) {
                 Err(e) => layout_failure(e),
                 Ok(mut m) => {
-                    let mut detector = RaceDetector::new(0, m.shared_len());
+                    let mut detector = RaceDetector::new(m.shared_len());
                     let mut handler = CertifyHandler {
                         target,
                         threads: opts.threads,
@@ -678,7 +676,7 @@ fn certify_within(
         program,
         targets,
         threads: opts.threads,
-        detector: RaceDetector::new(0, scout.shared_len()),
+        detector: RaceDetector::new(scout.shared_len()),
         scheds,
         watched: vec![false; scout.shared_len()],
         marked: Vec::new(),

@@ -20,6 +20,11 @@ the whole daemon; and 63 parentheses around 64-term chains, a tree about
 limit of 1 024, and one whose storage is 2^20 + 1 cells, one past the
 layout's limit (an unbounded layout once allocated whatever a declaration
 asked for).  Each must get an error reply, and the daemon must stay alive.
+Next the sibling loads `real a[1000000]` with a 10^6-iteration DOALL loop
+and asks to `certify` it under two schedules: the reply must come,
+race-free, with 2 000 000 iterations certified, and the daemon's peak RSS
+(`stats`) must stay under 1 GB (a detector that gave every iteration a
+vector clock as long as its index once asked for about 2 TB here).
 Then the sibling loads a program that prints 20 000 lines before a loop it
 invokes 2 000 times, and asks to `certify` that loop under two schedules
 (a certifier that copied the printed lines at every invocation once took
@@ -154,8 +159,17 @@ def over_limit_programs():
     }
 
 
+HUGE_CERTIFY = "certify of a 10^6-iteration loop"
 LOUD_CERTIFY = "certify after 20000 printed lines"
 ABANDONED = "64-schedule certify-all abandoned"
+
+
+def huge_program():
+    """`main/1` writes every cell of a 10^6-cell array, once."""
+    return (
+        "program p\nproc main() {\n real a[1000000]\n int i\n"
+        " do 1 i = 1, 1000000 {\n  a[i] = i\n }\n print a[1000000]\n}\n"
+    )
 
 
 def loud_program():
@@ -170,7 +184,8 @@ def loud_program():
 
 def hostile(addr, out):
     """The hostile sibling: every over-limit `load` must answer an error,
-    a `certify` after 20 000 printed lines must answer race-free, and a
+    a `certify` of 10^6 iterations must answer race-free inside 1 GB, a
+    `certify` after 20 000 printed lines must answer race-free, and a
     64-schedule certify-all goes unread."""
     try:
         with socket.create_connection(addr, timeout=120) as sock:
@@ -184,6 +199,21 @@ def hostile(addr, out):
                 if resp.get("ok") or expected not in resp.get("error", ""):
                     raise RuntimeError(f"{shape}: want an error naming {expected!r}, got {resp}")
                 out.append(shape)
+            roundtrip(sock_file, sock, {"cmd": "load", "text": huge_program()})
+            resp = roundtrip(
+                sock_file, sock, {"cmd": "certify", "loop": "main/1", "schedules": 2}
+            )
+            (entry,) = [l for l in resp["loops"] if l["loop"] == "main/1"]
+            stats = roundtrip(sock_file, sock, {"cmd": "stats"})
+            peak = stats["service"]["process"]["peak_rss_bytes"]
+            if not (
+                resp.get("schedules_run") == 2
+                and entry["race_free"]
+                and entry["iterations"] == 2_000_000
+                and peak < 1 << 30
+            ):
+                raise RuntimeError(f"{HUGE_CERTIFY}: peak RSS {peak} B, {resp}")
+            out.append(HUGE_CERTIFY)
             roundtrip(sock_file, sock, {"cmd": "load", "text": loud_program()})
             resp = roundtrip(
                 sock_file, sock, {"cmd": "certify", "loop": "main/2", "schedules": 2}
@@ -326,7 +356,7 @@ def main():
         elapsed = time.monotonic() - start
 
         assert daemon.poll() is None, f"daemon died (exit {daemon.returncode}): {refused}"
-        want = list(over_limit_programs()) + [LOUD_CERTIFY, ABANDONED]
+        want = list(over_limit_programs()) + [HUGE_CERTIFY, LOUD_CERTIFY, ABANDONED]
         assert refused == want, f"hostile sibling: {refused}"
         errors = [r for r in results if r is None or "error" in r]
         assert not errors, f"client failures: {errors}"
@@ -376,8 +406,9 @@ def main():
         print(
             f"multi-tenant OK: {args.clients} concurrent {mode} sessions in "
             f"{elapsed:.1f}s, {hits} shared-tier hits, {zero_recompute} sessions "
-            f"with zero recompute{idle_note}, {len(refused) - 2} over-limit loads "
-            f"refused, a certify after 20000 printed lines answered, a "
+            f"with zero recompute{idle_note}, {len(refused) - 3} over-limit loads "
+            f"refused, a certify of 10^6 iterations and a certify after 20000 "
+            f"printed lines answered, a "
             f"64-schedule certify-all abandoned and a fresh session served after "
             f"it, clean shutdown{persist_note}"
         )

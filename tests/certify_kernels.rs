@@ -3,7 +3,8 @@
 //! that is race-free only under the reduction transform.  Each test pins the
 //! exact reported access pair (variable, race kind, source lines).  Two
 //! kernels fail at run time inside the certified loop, and one races in an
-//! inner loop reached often enough to overflow the bounded race list.
+//! inner loop reached often enough to overflow the bounded race list.  The
+//! last holds certification's cost linear in a loop's trip count.
 
 use suif_analysis::{ParallelizeConfig, Parallelizer, VarClass};
 use suif_dynamic::race::Race;
@@ -283,4 +284,60 @@ proc main() {
             s.seed
         );
     }
+}
+
+#[test]
+fn certifying_costs_time_linear_in_the_trip_count() {
+    // 16 000 iterations of `a[i] = i` as one invocation and as 16
+    // invocations of 1 000: the same accesses, so the same work.  A model
+    // whose per-invocation state grows with the square of the trip count
+    // (one clock per iteration, one component per earlier iteration) takes
+    // 10 to 15 times as long, and half a gigabyte, on the first.
+    let one = "program t
+proc main() {
+  real a[16000]
+  int i
+  do 1 i = 1, 16000 {
+    a[i] = i
+  }
+  print a[16000]
+}
+";
+    let sixteen = "program t
+proc main() {
+  real a[16000]
+  int i, j
+  do 2 j = 0, 15 {
+    do 1 i = 1, 1000 {
+      a[j * 1000 + i] = i
+    }
+  }
+  print a[16000]
+}
+";
+    let best_of_three = |src: &str| {
+        let (p, target) = loop_named(src, "main/1");
+        let pa = Parallelizer::analyze(&p, ParallelizeConfig::default());
+        let plan = ParallelPlans::from_analysis(&pa).loops[&target].clone();
+        let opts = CertifyOptions {
+            schedules: 1,
+            ..Default::default()
+        };
+        (0..3)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                let cert = certify_loop(&p, target, &plan, &opts);
+                let secs = start.elapsed().as_secs_f64();
+                assert!(cert.race_free());
+                assert_eq!(cert.schedules[0].outcome.iterations, 16_000);
+                secs
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let (one, sixteen) = (best_of_three(one), best_of_three(sixteen));
+    assert!(
+        one < 3.0 * sixteen,
+        "one invocation of 16 000 iterations took {one:.3} s, \
+         16 of 1 000 took {sixteen:.3} s"
+    );
 }
