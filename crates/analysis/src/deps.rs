@@ -221,7 +221,7 @@ impl<'a, 'p> DepTest<'a, 'p> {
 
     /// Is the object privatizable in the loop: no iteration's writes feed
     /// another iteration's *upwards-exposed* reads (§2.4: "the value used in
-    /// each iteration comes from [no] previous iteration")?
+    /// each iteration comes from \[no\] previous iteration")?
     pub fn is_privatizable(&self, loop_stmt: StmtId, id: ArrayId) -> bool {
         let Some(iter) = self.df.loop_iter.get(&loop_stmt) else {
             return false;

@@ -92,7 +92,7 @@ pub fn execute_hash_of(skeleton: u128, input: &[f64]) -> u128 {
 /// argument of `mod`, and an adjustable extent.  Every variable read there
 /// is *relevant*, and so, to a fixpoint, is every variable read by an
 /// assignment or a value binding whose target is relevant; storage objects
-/// aliased by reference are relevant together ([`relevant_vars`]).
+/// aliased by reference are relevant together (`relevant_vars`).
 /// A literal is masked outside criterion positions in three places: the
 /// right-hand side of an assignment to an irrelevant object, a value
 /// argument bound to an irrelevant formal, and a `print` argument.

@@ -242,10 +242,9 @@ impl PersistDir {
 
     /// Make `export()`'s facts durable.  `export` runs under the
     /// directory's lock, so what a fold writes is never older than what a
-    /// sibling already made durable.  `fold` forces a fresh base — for a
-    /// `reload`, which churns many keys and orphans deleted scopes, and for
-    /// a shutdown.  After an I/O error the files are in doubt, so the next
-    /// checkpoint folds.
+    /// sibling already made durable.  `fold` forces a fresh base, for a
+    /// daemon's shutdown; a session's checkpoints append.  After an I/O
+    /// error the files are in doubt, so the next checkpoint folds.
     pub fn checkpoint(
         &self,
         export: impl FnOnce() -> Vec<ExportedFact>,

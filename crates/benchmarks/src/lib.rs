@@ -5,20 +5,20 @@
 //! loops and dependence patterns* the evaluation discusses (see DESIGN.md's
 //! substitution table):
 //!
-//! * [`mdg`] — the `interf/1000` RL/KC/CUT2 conditional-privatization
+//! * [`mdg`](apps::mdg) — the `interf/1000` RL/KC/CUT2 conditional-privatization
 //!   pattern (Fig. 4-3), interprocedural force-array reductions, fine-grain
 //!   auto-parallel inner loops;
-//! * [`hydro`] — `vsetuv/85`'s conditionally-based `dkrc` ranges (Fig. 4-5),
+//! * [`hydro`](apps::hydro) — `vsetuv/85`'s conditionally-based `dkrc` ranges (Fig. 4-5),
 //!   the `CALL init(aif3(k1), …)` sub-array pattern (Fig. 5-1), row/column
 //!   loops with symbolic bounds from index arrays;
-//! * [`arc3d`] — the `stepf3d/701` data-dependent `SN` scalar-privatization
+//! * [`arc3d`](apps::arc3d) — the `stepf3d/701` data-dependent `SN` scalar-privatization
 //!   pattern (§4.4.1);
-//! * [`flo88`] — the `psmoo` recurrence (Fig. 5-4/5-11) with
+//! * [`flo88`](apps::flo88) — the `psmoo` recurrence (Fig. 5-4/5-11) with
 //!   input-dependent bounds (`IE = IL + 1`, §4.4.1) and the
 //!   contraction-ready constant-bound variant;
-//! * [`hydro2d`] — the `varh` common-block live-range-splitting pattern
+//! * [`hydro2d`](apps::hydro2d) — the `varh` common-block live-range-splitting pattern
 //!   (Fig. 5-9) with five splittable blocks (Fig. 5-10);
-//! * [`wave5`] — many small liveness-privatizable loops whose parallel
+//! * [`wave5`](apps::wave5) — many small liveness-privatizable loops whose parallel
 //!   execution the runtime suppresses (§5.4);
 //! * [`reductions`] — the reduction suite standing in for the SPEC92 / NAS /
 //!   Perfect programs of Fig. 6-2/6-3 (`bdna`, `cgm`, `ora`, `mdljdp2`,

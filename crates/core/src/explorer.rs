@@ -354,7 +354,7 @@ impl Pass for ExecutePass<'_> {
     }
 }
 
-/// The instrumented run itself, as [`ExecutePass`] computes it: `program`
+/// The instrumented run itself, as `ExecutePass` computes it: `program`
 /// interpreted once on `input` under both analyzers, within
 /// [`MAX_EXECUTE_OPS`].
 pub fn execute(program: &Program, input: &[f64]) -> Result<ExecutionFact, ExplorerError> {
@@ -433,8 +433,8 @@ fn reports_of(
 }
 
 /// Dynamic-dependence configuration derived from the compiler's knowledge:
-/// the induction variables of [`run_config`] and the reduction updates of
-/// [`reduction_ignores`].  The Explorer's run takes the first and applies
+/// the induction variables of `run_config` and the reduction updates of
+/// `reduction_ignores`.  The Explorer's run takes the first and applies
 /// the second to its report ([`DynDepReport::ignoring`]); a run under this
 /// whole configuration reports the same.
 pub fn dyndep_config(program: &Program, analysis: &ProgramAnalysis<'_>) -> DynDepConfig {

@@ -60,9 +60,9 @@
 //! caller lends it.  The certifier's scout also stops a run at a loop's
 //! head or exit ([`machine::Machine::run_to`]), takes a
 //! [`machine::Checkpoint`] at the head, resumes copies of the run from it
-//! at the exit ([`machine::Machine::resume`]), asks whether a copy's state
-//! there is its own ([`machine::Machine::same_state`]), and runs a copy
-//! that differs on alone ([`machine::Machine::finish`]).
+//! at the exit ([`machine::Machine::resume`]), asks which cells of a copy's
+//! state there differ from its own ([`machine::Machine::differences`]), and
+//! runs a copy that differs on alone ([`machine::Machine::finish`]).
 //!
 //! This crate also holds the two schedule-independent halves of the
 //! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a

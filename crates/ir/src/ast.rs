@@ -1,24 +1,25 @@
 //! Unresolved (name-based) abstract syntax tree produced by the parser.
 //!
 //! The [`crate::sema`] pass resolves names to ids and produces the checked
-//! [`crate::program::Program`].
+//! [`crate::program::Program`].  Every name borrows its text from the
+//! source, so building and dropping a tree allocates no strings.
 
 /// A whole source file.
 #[derive(Debug, Clone)]
-pub struct AstProgram {
+pub struct AstProgram<'a> {
     /// Program name (from `program <name>`).
-    pub name: String,
+    pub name: &'a str,
     /// Program-level named integer constants (`const n = 450`).
-    pub consts: Vec<AstConst>,
+    pub consts: Vec<AstConst<'a>>,
     /// Procedures in source order.
-    pub procs: Vec<AstProc>,
+    pub procs: Vec<AstProc<'a>>,
 }
 
 /// `const name = value`.
 #[derive(Debug, Clone)]
-pub struct AstConst {
+pub struct AstConst<'a> {
     /// Constant name.
-    pub name: String,
+    pub name: &'a str,
     /// Constant value.
     pub value: i64,
     /// Source line.
@@ -27,15 +28,15 @@ pub struct AstConst {
 
 /// A procedure (Fortran SUBROUTINE analogue).
 #[derive(Debug, Clone)]
-pub struct AstProc {
+pub struct AstProc<'a> {
     /// Procedure name.
-    pub name: String,
+    pub name: &'a str,
     /// Formal parameters.
-    pub params: Vec<AstParam>,
+    pub params: Vec<AstParam<'a>>,
     /// Local / common declarations.
-    pub decls: Vec<AstDecl>,
+    pub decls: Vec<AstDecl<'a>>,
     /// Body statements.
-    pub body: Vec<AstStmt>,
+    pub body: Vec<AstStmt<'a>>,
     /// Line of the `proc` keyword.
     pub line: u32,
     /// Line of the closing brace.
@@ -53,36 +54,36 @@ pub enum AstType {
 
 /// A formal parameter: `real a[*]`, `real a[n, m]`, `int k`.
 #[derive(Debug, Clone)]
-pub struct AstParam {
+pub struct AstParam<'a> {
     /// Parameter name.
-    pub name: String,
+    pub name: &'a str,
     /// Element type.
     pub ty: AstType,
     /// Array extents; empty for scalars.  `None` entries are `*` (assumed
     /// size, only allowed in the last dimension).
-    pub dims: Vec<Option<AstExpr>>,
+    pub dims: Vec<Option<AstExpr<'a>>>,
     /// Source line.
     pub line: u32,
 }
 
 /// A declaration inside a procedure.
 #[derive(Debug, Clone)]
-pub enum AstDecl {
+pub enum AstDecl<'a> {
     /// `real x`, `int a[10, n]` — local variable.
     Local {
         /// Element type.
         ty: AstType,
         /// Declared names with extents (empty extents = scalar).
-        vars: Vec<(String, Vec<AstExpr>)>,
+        vars: Vec<(&'a str, Vec<AstExpr<'a>>)>,
         /// Source line.
         line: u32,
     },
     /// `common /blk/ real a[10], int k` — this procedure's view of a block.
     Common {
         /// Block name.
-        block: String,
+        block: &'a str,
         /// Member declarations in layout order.
-        vars: Vec<(AstType, String, Vec<AstExpr>)>,
+        vars: Vec<(AstType, &'a str, Vec<AstExpr<'a>>)>,
         /// Source line.
         line: u32,
     },
@@ -90,24 +91,24 @@ pub enum AstDecl {
 
 /// A statement.
 #[derive(Debug, Clone)]
-pub enum AstStmt {
+pub enum AstStmt<'a> {
     /// `lhs = rhs`.
     Assign {
         /// Left-hand side reference.
-        lhs: AstRef,
+        lhs: AstRef<'a>,
         /// Right-hand side expression.
-        rhs: AstExpr,
+        rhs: AstExpr<'a>,
         /// Source line.
         line: u32,
     },
     /// `if cond { .. } else { .. }`.
     If {
         /// Condition.
-        cond: AstExpr,
+        cond: AstExpr<'a>,
         /// Then branch.
-        then_body: Vec<AstStmt>,
+        then_body: Vec<AstStmt<'a>>,
         /// Else branch (possibly empty).
-        else_body: Vec<AstStmt>,
+        else_body: Vec<AstStmt<'a>>,
         /// Source line.
         line: u32,
     },
@@ -116,15 +117,15 @@ pub enum AstStmt {
         /// Optional numeric label (`do 100 i = ..`).
         label: Option<u32>,
         /// Induction variable name.
-        var: String,
+        var: &'a str,
         /// Lower bound.
-        lo: AstExpr,
+        lo: AstExpr<'a>,
         /// Upper bound (inclusive, Fortran style).
-        hi: AstExpr,
+        hi: AstExpr<'a>,
         /// Optional step (default 1).
-        step: Option<AstExpr>,
+        step: Option<AstExpr<'a>>,
         /// Loop body.
-        body: Vec<AstStmt>,
+        body: Vec<AstStmt<'a>>,
         /// Source line of the `do`.
         line: u32,
         /// Source line of the closing brace.
@@ -133,23 +134,23 @@ pub enum AstStmt {
     /// `call p(a, b[k], x + 1)`.
     Call {
         /// Callee name.
-        callee: String,
+        callee: &'a str,
         /// Actual arguments.
-        args: Vec<AstExpr>,
+        args: Vec<AstExpr<'a>>,
         /// Source line.
         line: u32,
     },
     /// `print e1, e2` — I/O side effect.
     Print {
         /// Values to print.
-        args: Vec<AstExpr>,
+        args: Vec<AstExpr<'a>>,
         /// Source line.
         line: u32,
     },
     /// `read lhs` — consume one input value.
     Read {
         /// Destination reference.
-        lhs: AstRef,
+        lhs: AstRef<'a>,
         /// Source line.
         line: u32,
     },
@@ -157,51 +158,51 @@ pub enum AstStmt {
 
 /// A reference (assignable location).
 #[derive(Debug, Clone)]
-pub struct AstRef {
+pub struct AstRef<'a> {
     /// Variable name.
-    pub name: String,
+    pub name: &'a str,
     /// Subscripts; empty for scalar references.
-    pub subs: Vec<AstExpr>,
+    pub subs: Vec<AstExpr<'a>>,
     /// Source line.
     pub line: u32,
 }
 
 /// An expression.
 #[derive(Debug, Clone)]
-pub enum AstExpr {
+pub enum AstExpr<'a> {
     /// Integer literal.
     Int(i64),
     /// Real literal.
     Real(f64),
     /// Variable or array reference (empty subs = scalar or whole array in
     /// call-argument position; sema decides).
-    Ref(AstRef),
+    Ref(AstRef<'a>),
     /// Unary operation.
     Unary {
         /// Operator.
         op: UnaryOp,
         /// Operand.
-        arg: Box<AstExpr>,
+        arg: Box<AstExpr<'a>>,
     },
     /// Binary operation.
     Binary {
         /// Operator.
         op: BinOp,
         /// Left operand.
-        lhs: Box<AstExpr>,
+        lhs: Box<AstExpr<'a>>,
         /// Right operand.
-        rhs: Box<AstExpr>,
+        rhs: Box<AstExpr<'a>>,
     },
     /// Intrinsic call: `min(a, b)`, `sqrt(x)`, …
     Intrinsic {
         /// Which intrinsic.
         which: Intrinsic,
         /// Arguments.
-        args: Vec<AstExpr>,
+        args: Vec<AstExpr<'a>>,
     },
 }
 
-impl AstExpr {
+impl AstExpr<'_> {
     /// Source line of the leftmost token, if known.
     pub fn line(&self) -> Option<u32> {
         match self {

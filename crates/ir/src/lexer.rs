@@ -19,11 +19,18 @@ impl fmt::Display for LexError {
 }
 
 /// Tokenize MiniF source.  `//` starts a line comment.
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+    lex_from(src, 1)
+}
+
+/// Tokenize a run of whole source lines whose first line is `first_line`.
+/// No token spans a line break, so lexing a program's lines in pieces gives
+/// the tokens of lexing it whole (each piece ends in its own `Eof`).
+pub fn lex_from(src: &str, first_line: u32) -> Result<Vec<Token<'_>>, LexError> {
     let bytes = src.as_bytes();
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(src.len() / 4);
     let mut i = 0usize;
-    let mut line = 1u32;
+    let mut line = first_line;
     while i < bytes.len() {
         let c = bytes[i] as char;
         match c {
@@ -143,7 +150,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 let text = &src[start..i];
                 let kind = match Keyword::from_ident(text) {
                     Some(kw) => TokenKind::Kw(kw),
-                    None => TokenKind::Ident(text.to_string()),
+                    None => TokenKind::Ident(text),
                 };
                 out.push(Token { kind, line });
             }
@@ -162,7 +169,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     Ok(out)
 }
 
-fn push(out: &mut Vec<Token>, p: Punct, line: u32, i: &mut usize) {
+fn push(out: &mut Vec<Token<'_>>, p: Punct, line: u32, i: &mut usize) {
     out.push(Token {
         kind: TokenKind::Punct(p),
         line,
@@ -171,7 +178,7 @@ fn push(out: &mut Vec<Token>, p: Punct, line: u32, i: &mut usize) {
 }
 
 fn push2(
-    out: &mut Vec<Token>,
+    out: &mut Vec<Token<'_>>,
     bytes: &[u8],
     single: Punct,
     double: Punct,

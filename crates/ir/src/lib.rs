@@ -45,14 +45,17 @@ pub mod parser;
 pub mod pretty;
 pub mod program;
 pub mod regions;
+pub mod reparse;
 pub mod sema;
 pub mod token;
 
 pub use callgraph::{callees_of_loop, CallGraph};
 pub use program::*;
 pub use regions::{LoopInfo, RegionId, RegionKind, RegionTree};
+pub use reparse::{reparse, Parsed};
 
-/// Parse and resolve a MiniF source string into a checked [`Program`].
+/// Parse and resolve a MiniF source string into a checked [`Program`]:
+/// the cold path, with no previous program to reuse (see [`reparse()`]).
 pub fn parse_program(src: &str) -> Result<Program, CompileError> {
     let tokens = lexer::lex(src).map_err(CompileError::Lex)?;
     let ast = parser::parse(&tokens).map_err(CompileError::Parse)?;

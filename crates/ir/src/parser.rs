@@ -38,13 +38,33 @@ pub const MAX_EXPR_DEPTH: u32 = 128;
 pub const MAX_PROCS: usize = 1024;
 
 /// Parse a token stream into an [`AstProgram`].
-pub fn parse(tokens: &[Token]) -> Result<AstProgram, ParseError> {
-    Parser {
-        tokens,
-        pos: 0,
-        depth: [0; 2],
+pub fn parse<'a>(tokens: &[Token<'a>]) -> Result<AstProgram<'a>, ParseError> {
+    Parser::new(tokens).program()
+}
+
+/// Parse the tokens of a program's header alone: `program <name>` and the
+/// `const`s before its first procedure, then the end of the tokens.
+pub fn parse_header<'a>(tokens: &[Token<'a>]) -> Result<(&'a str, Vec<AstConst<'a>>), ParseError> {
+    let mut p = Parser::new(tokens);
+    p.eat_kw(Keyword::Program)?;
+    let name = p.eat_ident()?;
+    let mut consts = Vec::new();
+    while p.peek() == TokenKind::Kw(Keyword::Const) {
+        consts.push(p.constant()?);
     }
-    .program()
+    p.eat_eof()?;
+    Ok((name, consts))
+}
+
+/// Parse the tokens of exactly one procedure, then the end of the tokens.
+/// On the tokens of one procedure of a program, this builds the tree that
+/// [`parse`] builds for it in the whole program: a procedure starts its
+/// nesting counts at zero and reads no token past its closing brace.
+pub fn parse_proc<'a>(tokens: &[Token<'a>]) -> Result<AstProc<'a>, ParseError> {
+    let mut p = Parser::new(tokens);
+    let proc = p.proc()?;
+    p.eat_eof()?;
+    Ok(proc)
 }
 
 /// What a [`Parser::nested`] level counts.
@@ -75,13 +95,13 @@ impl Nest {
 }
 
 /// An expression and the height of its tree (see [`MAX_EXPR_DEPTH`]).
-type Tree = (AstExpr, u32);
+type Tree<'a> = (AstExpr<'a>, u32);
 
 /// Precedence of the comparisons, the one non-associative level.
 const CMP_PREC: u8 = 2;
 
 /// A binary operator token and its precedence, loosest first.
-fn binop(t: &TokenKind) -> Option<(BinOp, u8)> {
+fn binop(t: TokenKind<'_>) -> Option<(BinOp, u8)> {
     let TokenKind::Punct(p) = t else {
         return None;
     };
@@ -103,16 +123,24 @@ fn binop(t: &TokenKind) -> Option<(BinOp, u8)> {
     })
 }
 
-struct Parser<'a> {
-    tokens: &'a [Token],
+struct Parser<'t, 'a> {
+    tokens: &'t [Token<'a>],
     pos: usize,
     /// Levels of each [`Nest`] enclosing the current token.
     depth: [u32; 2],
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> &TokenKind {
-        &self.tokens[self.pos].kind
+impl<'t, 'a> Parser<'t, 'a> {
+    fn new(tokens: &'t [Token<'a>]) -> Self {
+        Parser {
+            tokens,
+            pos: 0,
+            depth: [0; 2],
+        }
+    }
+
+    fn peek(&self) -> TokenKind<'a> {
+        self.tokens[self.pos].kind
     }
 
     fn line(&self) -> u32 {
@@ -123,12 +151,10 @@ impl<'a> Parser<'a> {
         self.tokens[self.pos.saturating_sub(1)].line
     }
 
-    fn bump(&mut self) -> &TokenKind {
-        let t = &self.tokens[self.pos].kind;
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
@@ -166,7 +192,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_punct(&mut self, p: Punct) -> Result<(), ParseError> {
-        if self.peek() == &TokenKind::Punct(p) {
+        if self.peek() == TokenKind::Punct(p) {
             self.bump();
             Ok(())
         } else {
@@ -175,7 +201,7 @@ impl<'a> Parser<'a> {
     }
 
     fn eat_kw(&mut self, k: Keyword) -> Result<(), ParseError> {
-        if self.peek() == &TokenKind::Kw(k) {
+        if self.peek() == TokenKind::Kw(k) {
             self.bump();
             Ok(())
         } else {
@@ -184,11 +210,18 @@ impl<'a> Parser<'a> {
     }
 
     fn at_punct(&self, p: Punct) -> bool {
-        self.peek() == &TokenKind::Punct(p)
+        self.peek() == TokenKind::Punct(p)
     }
 
-    fn eat_ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().clone() {
+    fn eat_eof(&mut self) -> Result<(), ParseError> {
+        match self.peek() {
+            TokenKind::Eof => Ok(()),
+            other => self.err(format!("expected end of input, found {other}")),
+        }
+    }
+
+    fn eat_ident(&mut self) -> Result<&'a str, ParseError> {
+        match self.peek() {
             TokenKind::Ident(s) => {
                 self.bump();
                 Ok(s)
@@ -197,41 +230,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn program(&mut self) -> Result<AstProgram, ParseError> {
+    fn program(&mut self) -> Result<AstProgram<'a>, ParseError> {
         self.eat_kw(Keyword::Program)?;
         let name = self.eat_ident()?;
         let mut consts = Vec::new();
         let mut procs = Vec::new();
         loop {
             match self.peek() {
-                TokenKind::Kw(Keyword::Const) => {
-                    let line = self.line();
-                    self.bump();
-                    let cname = self.eat_ident()?;
-                    self.eat_punct(Punct::Assign)?;
-                    let neg = if self.at_punct(Punct::Minus) {
-                        self.bump();
-                        true
-                    } else {
-                        false
-                    };
-                    let value = match self.peek().clone() {
-                        TokenKind::Int(v) => {
-                            self.bump();
-                            if neg {
-                                -v
-                            } else {
-                                v
-                            }
-                        }
-                        other => return self.err(format!("expected integer, found {other}")),
-                    };
-                    consts.push(AstConst {
-                        name: cname,
-                        value,
-                        line,
-                    });
-                }
+                TokenKind::Kw(Keyword::Const) => consts.push(self.constant()?),
                 TokenKind::Kw(Keyword::Proc) => {
                     if procs.len() == MAX_PROCS {
                         return self.err(format!("more than {MAX_PROCS} procedures"));
@@ -249,6 +255,30 @@ impl<'a> Parser<'a> {
         })
     }
 
+    /// `const <name> = [-]<integer>`.
+    fn constant(&mut self) -> Result<AstConst<'a>, ParseError> {
+        let line = self.line();
+        self.eat_kw(Keyword::Const)?;
+        let name = self.eat_ident()?;
+        self.eat_punct(Punct::Assign)?;
+        let neg = self.at_punct(Punct::Minus);
+        if neg {
+            self.bump();
+        }
+        let value = match self.peek() {
+            TokenKind::Int(v) => {
+                self.bump();
+                if neg {
+                    -v
+                } else {
+                    v
+                }
+            }
+            other => return self.err(format!("expected integer, found {other}")),
+        };
+        Ok(AstConst { name, value, line })
+    }
+
     fn ty(&mut self) -> Result<AstType, ParseError> {
         match self.peek() {
             TokenKind::Kw(Keyword::Real) => {
@@ -263,7 +293,7 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn proc(&mut self) -> Result<AstProc, ParseError> {
+    fn proc(&mut self) -> Result<AstProc<'a>, ParseError> {
         let line = self.line();
         self.eat_kw(Keyword::Proc)?;
         let name = self.eat_ident()?;
@@ -385,7 +415,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Optional `[…]` subscripts (or dimensions), and their height.
-    fn opt_dims(&mut self) -> Result<(Vec<AstExpr>, u32), ParseError> {
+    fn opt_dims(&mut self) -> Result<(Vec<AstExpr<'a>>, u32), ParseError> {
         if !self.at_punct(Punct::LBracket) {
             return Ok((Vec::new(), 0));
         }
@@ -396,7 +426,7 @@ impl<'a> Parser<'a> {
     }
 
     /// A parenthesized, possibly empty argument list, and its height.
-    fn args(&mut self) -> Result<(Vec<AstExpr>, u32), ParseError> {
+    fn args(&mut self) -> Result<(Vec<AstExpr<'a>>, u32), ParseError> {
         self.eat_punct(Punct::LParen)?;
         let args = if self.at_punct(Punct::RParen) {
             (Vec::new(), 0)
@@ -408,7 +438,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Comma-separated expressions, and the height of the highest.
-    fn expr_list(&mut self) -> Result<(Vec<AstExpr>, u32), ParseError> {
+    fn expr_list(&mut self) -> Result<(Vec<AstExpr<'a>>, u32), ParseError> {
         let (mut list, mut height) = (Vec::new(), 0);
         loop {
             let (e, h) = self.expr_tree()?;
@@ -422,23 +452,23 @@ impl<'a> Parser<'a> {
     }
 
     /// Parse statements up to (and consuming) a closing `}`.
-    fn block_body(&mut self) -> Result<Vec<AstStmt>, ParseError> {
+    fn block_body(&mut self) -> Result<Vec<AstStmt<'a>>, ParseError> {
         let mut out = Vec::new();
         loop {
             if self.at_punct(Punct::RBrace) {
                 self.bump();
                 return Ok(out);
             }
-            if self.peek() == &TokenKind::Eof {
+            if self.peek() == TokenKind::Eof {
                 return self.err("unexpected end of input inside block");
             }
             out.push(self.stmt()?);
         }
     }
 
-    fn stmt(&mut self) -> Result<AstStmt, ParseError> {
+    fn stmt(&mut self) -> Result<AstStmt<'a>, ParseError> {
         let line = self.line();
-        match self.peek().clone() {
+        match self.peek() {
             TokenKind::Kw(Keyword::If) => self.nested(Nest::Stmt, |p| p.if_stmt(line)),
             TokenKind::Kw(Keyword::Do) => self.nested(Nest::Stmt, |p| p.do_stmt(line)),
             TokenKind::Kw(Keyword::Call) => {
@@ -467,14 +497,14 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn if_stmt(&mut self, line: u32) -> Result<AstStmt, ParseError> {
+    fn if_stmt(&mut self, line: u32) -> Result<AstStmt<'a>, ParseError> {
         self.bump();
         let cond = self.expr()?;
         self.eat_punct(Punct::LBrace)?;
         let then_body = self.block_body()?;
-        let else_body = if self.peek() == &TokenKind::Kw(Keyword::Else) {
+        let else_body = if self.peek() == TokenKind::Kw(Keyword::Else) {
             self.bump();
-            if self.peek() == &TokenKind::Kw(Keyword::If) {
+            if self.peek() == TokenKind::Kw(Keyword::If) {
                 // else-if chains desugar to a single-statement else.
                 vec![self.stmt()?]
             } else {
@@ -492,11 +522,10 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn do_stmt(&mut self, line: u32) -> Result<AstStmt, ParseError> {
+    fn do_stmt(&mut self, line: u32) -> Result<AstStmt<'a>, ParseError> {
         self.bump();
         let label = match self.peek() {
             TokenKind::Int(v) => {
-                let v = *v;
                 self.bump();
                 Some(v as u32)
             }
@@ -528,19 +557,19 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn reference(&mut self) -> Result<AstRef, ParseError> {
+    fn reference(&mut self) -> Result<AstRef<'a>, ParseError> {
         let line = self.line();
         let name = self.eat_ident()?;
         let subs = self.opt_dims()?.0;
         Ok(AstRef { name, subs, line })
     }
 
-    fn expr(&mut self) -> Result<AstExpr, ParseError> {
+    fn expr(&mut self) -> Result<AstExpr<'a>, ParseError> {
         Ok(self.expr_tree()?.0)
     }
 
     /// A whole expression: one level over its operators.
-    fn expr_tree(&mut self) -> Result<Tree, ParseError> {
+    fn expr_tree(&mut self) -> Result<Tree<'a>, ParseError> {
         let (e, height) = self.nested(Nest::Expr, |p| p.binary(0))?;
         Ok((e, self.raise(height)?))
     }
@@ -549,7 +578,7 @@ impl<'a> Parser<'a> {
     /// climbing.  All are left-associative except the comparisons, which
     /// do not chain.  The loop builds the left-deep tree without recursing,
     /// so only its height, checked at every operator, bounds it.
-    fn binary(&mut self, min: u8) -> Result<Tree, ParseError> {
+    fn binary(&mut self, min: u8) -> Result<Tree<'a>, ParseError> {
         let (mut lhs, mut height) = self.unary_expr()?;
         let mut last = u8::MAX;
         while let Some((op, prec)) = binop(self.peek()) {
@@ -572,7 +601,7 @@ impl<'a> Parser<'a> {
         Ok((lhs, height))
     }
 
-    fn unary_expr(&mut self) -> Result<Tree, ParseError> {
+    fn unary_expr(&mut self) -> Result<Tree<'a>, ParseError> {
         let op = match self.peek() {
             TokenKind::Punct(Punct::Minus) => UnaryOp::Neg,
             TokenKind::Punct(Punct::Not) => UnaryOp::Not,
@@ -584,8 +613,8 @@ impl<'a> Parser<'a> {
         Ok((AstExpr::Unary { op, arg }, self.raise(height)?))
     }
 
-    fn primary_expr(&mut self) -> Result<Tree, ParseError> {
-        match self.peek().clone() {
+    fn primary_expr(&mut self) -> Result<Tree<'a>, ParseError> {
+        match self.peek() {
             TokenKind::Int(v) => {
                 self.bump();
                 Ok((AstExpr::Int(v), 0))
@@ -605,7 +634,7 @@ impl<'a> Parser<'a> {
                 self.bump();
                 // Intrinsic call?
                 if self.at_punct(Punct::LParen) {
-                    let Some(which) = Intrinsic::from_name(&name) else {
+                    let Some(which) = Intrinsic::from_name(name) else {
                         return self.err(format!(
                             "`{name}(` — only intrinsics may be called in expressions \
                              (procedures use `call`)"
@@ -634,7 +663,7 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn parse_ok(src: &str) -> AstProgram {
+    fn parse_ok(src: &str) -> AstProgram<'_> {
         parse(&lex(src).unwrap()).unwrap_or_else(|e| panic!("parse failed: {e}\n{src}"))
     }
 
@@ -658,7 +687,7 @@ mod tests {
                 label, var, body, ..
             } => {
                 assert_eq!(*label, Some(100));
-                assert_eq!(var, "i");
+                assert_eq!(*var, "i");
                 assert_eq!(body.len(), 1);
             }
             other => panic!("expected do, got {other:?}"),
@@ -687,7 +716,7 @@ mod tests {
         let p = parse_ok("program t\nproc f() {\n common /blk/ real x[10], int n\n x[1] = n\n}");
         match &p.procs[0].decls[0] {
             AstDecl::Common { block, vars, .. } => {
-                assert_eq!(block, "blk");
+                assert_eq!(*block, "blk");
                 assert_eq!(vars.len(), 2);
             }
             other => panic!("expected common, got {other:?}"),
@@ -715,7 +744,7 @@ mod tests {
         );
         match &p.procs[1].body[1] {
             AstStmt::Call { callee, args, .. } => {
-                assert_eq!(callee, "f");
+                assert_eq!(*callee, "f");
                 assert_eq!(args.len(), 2);
             }
             other => panic!("expected call, got {other:?}"),
@@ -745,7 +774,7 @@ mod tests {
         match e {
             AstExpr::Binary { op, lhs, rhs } => format!("({} {op:?} {})", shape(lhs), shape(rhs)),
             AstExpr::Unary { op, arg } => format!("({op:?} {})", shape(arg)),
-            AstExpr::Ref(r) => r.name.clone(),
+            AstExpr::Ref(r) => r.name.to_string(),
             other => format!("{other:?}"),
         }
     }

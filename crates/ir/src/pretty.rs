@@ -11,9 +11,7 @@ use std::fmt::Write;
 pub fn program_to_string(p: &Program) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "program {}", p.name);
-    let mut consts: Vec<_> = p.consts.iter().collect();
-    consts.sort();
-    for (name, value) in consts {
+    for (name, value) in &p.consts {
         let _ = writeln!(out, "const {name} = {value}");
     }
     for proc in &p.procedures {

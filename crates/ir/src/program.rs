@@ -8,7 +8,7 @@
 //! [`StmtId`] for statements.
 
 use crate::ast::{BinOp, Intrinsic, UnaryOp};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Procedure id: index into [`Program::procedures`].
@@ -397,8 +397,9 @@ pub struct Program {
     pub vars: Vec<VarInfo>,
     /// Common blocks; index = `CommonId.0`.
     pub commons: Vec<CommonBlock>,
-    /// Program-level integer constants.
-    pub consts: HashMap<String, i64>,
+    /// Program-level integer constants, by name (so a program's `{:?}`
+    /// is the same every time it is built).
+    pub consts: BTreeMap<String, i64>,
     /// Entry procedure (`main`).
     pub main: ProcId,
     /// Number of statement ids allocated.

@@ -1,9 +1,16 @@
 //! Semantic analysis: resolves the name-based AST into the checked
 //! [`Program`] IR, enforcing MiniF's Fortran-like rules.
+//!
+//! It runs in three parts.  The program-wide interface (consts, and each
+//! procedure's id and formals) is all that resolving one procedure reads
+//! of the others; the resolver then takes the procedures one at a time in
+//! source order, resolving each from its tree or, on a reload, adopting an
+//! unchanged one from the previous program ([`crate::reparse()`]); last
+//! come the whole-program checks.
 
 use crate::ast::*;
 use crate::program::*;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 /// A semantic error.
@@ -29,115 +36,183 @@ fn err<T>(line: u32, msg: impl Into<String>) -> Result<T, SemaError> {
 }
 
 /// Resolve an [`AstProgram`] into a [`Program`].
-pub fn resolve(ast: &AstProgram, source: &str) -> Result<Program, SemaError> {
-    let mut consts = HashMap::new();
-    for c in &ast.consts {
-        if consts.insert(c.name.clone(), c.value).is_some() {
-            return err(c.line, format!("duplicate const `{}`", c.name));
-        }
-    }
-
-    // Pass 1: register procedures.
-    let mut proc_ids: HashMap<String, ProcId> = HashMap::new();
-    for (i, p) in ast.procs.iter().enumerate() {
-        if proc_ids.insert(p.name.clone(), ProcId(i as u32)).is_some() {
-            return err(p.line, format!("duplicate procedure `{}`", p.name));
-        }
-        if consts.contains_key(&p.name) {
-            return err(
-                p.line,
-                format!("`{}` is both a const and a procedure", p.name),
-            );
-        }
-    }
-    let Some(&main) = proc_ids.get("main") else {
-        return err(0, "program has no `main` procedure");
-    };
-
-    let consts_ref = consts.clone();
-    let mut rs = Resolver {
-        consts: &consts_ref,
-        proc_ids: &proc_ids,
-        ast,
-        vars: Vec::new(),
-        commons: Vec::new(),
-        common_ids: HashMap::new(),
-        next_stmt: 0,
-        scope: HashMap::new(),
-        cur_proc: ProcId(0),
-    };
-
-    let mut procedures = Vec::new();
+pub fn resolve(ast: &AstProgram<'_>, source: &str) -> Result<Program, SemaError> {
+    let headers = ast.procs.iter().map(|p| (p.name, p.line, formals(p)));
+    let iface = Interface::new(&ast.consts, headers)?;
+    let mut rs = Resolver::new(&iface);
+    let mut procedures = Vec::with_capacity(ast.procs.len());
     for (i, p) in ast.procs.iter().enumerate() {
         procedures.push(rs.resolve_proc(ProcId(i as u32), p)?);
     }
-
-    compute_modified_params(&mut procedures, &rs.vars);
-    let program = Program {
-        name: ast.name.clone(),
-        source: source.to_string(),
-        procedures,
-        vars: rs.vars,
-        commons: rs.commons,
-        consts,
-        main,
-        stmt_count: rs.next_stmt,
-    };
-
-    check_no_recursion(&program)?;
-    Ok(program)
+    rs.finish(ast.name, source, procedures)
 }
 
-struct Resolver<'a> {
-    consts: &'a HashMap<String, i64>,
-    proc_ids: &'a HashMap<String, ProcId>,
-    ast: &'a AstProgram,
+/// A formal parameter as a call site sees it: its type, and whether it is
+/// an array.
+pub(crate) type Formal = (Type, bool);
+
+/// The formals of a parsed procedure.
+pub(crate) fn formals(p: &AstProc<'_>) -> Vec<Formal> {
+    p.params
+        .iter()
+        .map(|par| (conv_ty(par.ty), !par.dims.is_empty()))
+        .collect()
+}
+
+/// What resolving one procedure reads of the others: the program's consts
+/// and its procedure table (each procedure's id and formals).
+pub(crate) struct Interface<'a> {
+    consts: BTreeMap<String, i64>,
+    proc_ids: HashMap<&'a str, ProcId>,
+    formals: Vec<Vec<Formal>>,
+    main: ProcId,
+}
+
+impl<'a> Interface<'a> {
+    /// The interface of `consts` and the procedures `(name, line, formals)`
+    /// in source order; refuses duplicate names and a missing `main`.
+    pub(crate) fn new(
+        consts: &[AstConst<'_>],
+        procs: impl Iterator<Item = (&'a str, u32, Vec<Formal>)>,
+    ) -> Result<Self, SemaError> {
+        let mut map = BTreeMap::new();
+        for c in consts {
+            if map.insert(c.name.to_string(), c.value).is_some() {
+                return err(c.line, format!("duplicate const `{}`", c.name));
+            }
+        }
+        let mut proc_ids = HashMap::new();
+        let mut all_formals = Vec::new();
+        for (i, (name, line, formals)) in procs.enumerate() {
+            if proc_ids.insert(name, ProcId(i as u32)).is_some() {
+                return err(line, format!("duplicate procedure `{name}`"));
+            }
+            if map.contains_key(name) {
+                return err(line, format!("`{name}` is both a const and a procedure"));
+            }
+            all_formals.push(formals);
+        }
+        let Some(&main) = proc_ids.get("main") else {
+            return err(0, "program has no `main` procedure");
+        };
+        Ok(Interface {
+            consts: map,
+            proc_ids,
+            formals: all_formals,
+            main,
+        })
+    }
+}
+
+/// Resolves procedures one at a time, in source order, into the program's
+/// variable, common-block and statement numbering.
+pub(crate) struct Resolver<'i, 'a> {
+    iface: &'i Interface<'a>,
     vars: Vec<VarInfo>,
     commons: Vec<CommonBlock>,
     common_ids: HashMap<String, CommonId>,
     next_stmt: u32,
     /// Current procedure's name → VarId scope.
-    scope: HashMap<String, VarId>,
-    cur_proc: ProcId,
+    scope: HashMap<&'a str, VarId>,
 }
 
-impl<'a> Resolver<'a> {
+impl<'i, 'a> Resolver<'i, 'a> {
+    pub(crate) fn new(iface: &'i Interface<'a>) -> Self {
+        Resolver {
+            iface,
+            vars: Vec::new(),
+            commons: Vec::new(),
+            common_ids: HashMap::new(),
+            next_stmt: 0,
+            scope: HashMap::new(),
+        }
+    }
+
+    /// The whole-program part: modified parameters over the call graph,
+    /// and the recursion check.
+    pub(crate) fn finish(
+        self,
+        name: &str,
+        source: &str,
+        mut procedures: Vec<Procedure>,
+    ) -> Result<Program, SemaError> {
+        compute_modified_params(&mut procedures, &self.vars);
+        let program = Program {
+            name: name.to_string(),
+            source: source.to_string(),
+            procedures,
+            vars: self.vars,
+            commons: self.commons,
+            consts: self.iface.consts.clone(),
+            main: self.iface.main,
+            stmt_count: self.next_stmt,
+        };
+        check_no_recursion(&program)?;
+        Ok(program)
+    }
+
     fn fresh_stmt(&mut self) -> StmtId {
         let id = StmtId(self.next_stmt);
         self.next_stmt += 1;
         id
     }
 
-    fn add_var(&mut self, info: VarInfo) -> Result<VarId, SemaError> {
+    fn add_var(&mut self, name: &'a str, info: VarInfo) -> Result<VarId, SemaError> {
         let id = VarId(self.vars.len() as u32);
-        if self.scope.insert(info.name.clone(), id).is_some() {
-            return err(info.line, format!("duplicate variable `{}`", info.name));
+        if self.scope.insert(name, id).is_some() {
+            return err(info.line, format!("duplicate variable `{name}`"));
         }
-        if self.consts.contains_key(&info.name) {
-            return err(
-                info.line,
-                format!("`{}` shadows a program const", info.name),
-            );
+        if self.iface.consts.contains_key(name) {
+            return err(info.line, format!("`{name}` shadows a program const"));
         }
         self.vars.push(info);
         Ok(id)
     }
 
-    fn resolve_proc(&mut self, id: ProcId, p: &AstProc) -> Result<Procedure, SemaError> {
+    /// The id of the common block `name`, numbered in order of first
+    /// naming.
+    fn common(&mut self, name: &str) -> CommonId {
+        if let Some(&c) = self.common_ids.get(name) {
+            return c;
+        }
+        let c = CommonId(self.commons.len() as u32);
+        self.commons.push(CommonBlock {
+            name: name.to_string(),
+            size: 0,
+            views: Vec::new(),
+        });
+        self.common_ids.insert(name.to_string(), c);
+        c
+    }
+
+    /// Record procedure `proc`'s view of block `cid`, `end` elements long.
+    fn add_view(&mut self, cid: CommonId, proc: ProcId, members: Vec<VarId>, end: i64) {
+        let blk = &mut self.commons[cid.0 as usize];
+        blk.size = blk.size.max(end);
+        blk.views.push(CommonView { proc, members });
+    }
+
+    pub(crate) fn resolve_proc(
+        &mut self,
+        id: ProcId,
+        p: &AstProc<'a>,
+    ) -> Result<Procedure, SemaError> {
         self.scope.clear();
-        self.cur_proc = id;
 
         // Parameters first (their names may appear in later extents).
         let mut params = Vec::new();
         for (idx, par) in p.params.iter().enumerate() {
-            let vid = self.add_var(VarInfo {
-                name: par.name.clone(),
-                ty: conv_ty(par.ty),
-                dims: Vec::new(), // patched below after all params exist
-                kind: VarKind::Param { index: idx },
-                proc: id,
-                line: par.line,
-            })?;
+            let vid = self.add_var(
+                par.name,
+                VarInfo {
+                    name: par.name.to_string(),
+                    ty: conv_ty(par.ty),
+                    dims: Vec::new(), // patched below after all params exist
+                    kind: VarKind::Param { index: idx },
+                    proc: id,
+                    line: par.line,
+                },
+            )?;
             params.push(vid);
         }
         // Patch parameter extents (may reference other integer params).
@@ -171,62 +246,53 @@ impl<'a> Resolver<'a> {
                         for e in dims {
                             exts.push(self.resolve_extent(e, *line)?);
                         }
-                        let vid = self.add_var(VarInfo {
-                            name: name.clone(),
-                            ty: conv_ty(*ty),
-                            dims: exts,
-                            kind: VarKind::Local,
-                            proc: id,
-                            line: *line,
-                        })?;
+                        let vid = self.add_var(
+                            name,
+                            VarInfo {
+                                name: name.to_string(),
+                                ty: conv_ty(*ty),
+                                dims: exts,
+                                kind: VarKind::Local,
+                                proc: id,
+                                line: *line,
+                            },
+                        )?;
                         locals.push(vid);
                     }
                 }
                 AstDecl::Common { block, vars, line } => {
-                    let cid = match self.common_ids.get(block) {
-                        Some(&c) => c,
-                        None => {
-                            let c = CommonId(self.commons.len() as u32);
-                            self.commons.push(CommonBlock {
-                                name: block.clone(),
-                                size: 0,
-                                views: Vec::new(),
-                            });
-                            self.common_ids.insert(block.clone(), c);
-                            c
-                        }
-                    };
+                    let cid = self.common(block);
                     let mut offset = 0i64;
                     let mut members = Vec::new();
                     for (vty, name, dims) in vars {
                         let mut exts = Vec::new();
-                        let mut size = 1i64;
                         for e in dims {
                             let ext = self.resolve_extent(e, *line)?;
-                            let Extent::Const(c) = ext else {
+                            if !matches!(ext, Extent::Const(_)) {
                                 return err(
                                     *line,
                                     format!("common member `{name}` must have constant extents"),
                                 );
-                            };
-                            size = size.saturating_mul(c);
+                            }
                             exts.push(ext);
                         }
-                        let vid = self.add_var(VarInfo {
-                            name: name.clone(),
-                            ty: conv_ty(*vty),
-                            dims: exts,
-                            kind: VarKind::Common { block: cid, offset },
-                            proc: id,
-                            line: *line,
-                        })?;
+                        let size = common_size(&exts);
+                        let vid = self.add_var(
+                            name,
+                            VarInfo {
+                                name: name.to_string(),
+                                ty: conv_ty(*vty),
+                                dims: exts,
+                                kind: VarKind::Common { block: cid, offset },
+                                proc: id,
+                                line: *line,
+                            },
+                        )?;
                         members.push(vid);
                         common_vars.push(vid);
                         offset = offset.saturating_add(size);
                     }
-                    let blk = &mut self.commons[cid.0 as usize];
-                    blk.size = blk.size.max(offset);
-                    blk.views.push(CommonView { proc: id, members });
+                    self.add_view(cid, id, members, offset);
                 }
             }
         }
@@ -235,7 +301,7 @@ impl<'a> Resolver<'a> {
         let nparams = params.len();
         Ok(Procedure {
             id,
-            name: p.name.clone(),
+            name: p.name.to_string(),
             params,
             locals,
             common_vars,
@@ -246,11 +312,81 @@ impl<'a> Resolver<'a> {
         })
     }
 
+    /// Take procedure `old` of the previous program as procedure `id`,
+    /// whose `proc` line is now `line`, without parsing it: its text is
+    /// unchanged and so is everything its resolution reads of the rest of
+    /// the program (see [`crate::reparse()`]).  The copy is rebased onto this
+    /// program's variable, statement, line, procedure and common-block
+    /// numbering.  `None` when one of its callees is gone or changed its
+    /// formals: then it must be resolved from its text.
+    pub(crate) fn adopt(
+        &mut self,
+        id: ProcId,
+        line: u32,
+        prev: &Previous<'_>,
+        old: ProcId,
+    ) -> Option<Procedure> {
+        let program = prev.program;
+        let from = program.proc(old);
+        // A procedure's variables and statement ids are contiguous ranges,
+        // numbered in source order.
+        let vars = program.vars.partition_point(|v| v.proc < old)
+            ..program.vars.partition_point(|v| v.proc <= old);
+        let stmts = prev.stmt_bases[old.0 as usize]..prev.stmt_bases[old.0 as usize + 1];
+        let shift = Shift {
+            vars: (self.vars.len() as u32).wrapping_sub(vars.start as u32),
+            stmts: self.next_stmt.wrapping_sub(stmts.start),
+            lines: line.wrapping_sub(from.line),
+            callees: &prev.callees,
+        };
+        let mut proc = from.clone();
+        proc.id = id;
+        proc.modified_params.fill(false);
+        if shift.vars != 0 || shift.stmts != 0 || shift.lines != 0 || prev.moved {
+            shift.proc(&mut proc)?;
+        }
+        self.next_stmt += stmts.len() as u32;
+        for info in &program.vars[vars] {
+            let mut info = info.clone();
+            info.proc = id;
+            info.line = shift.line(info.line);
+            for d in &mut info.dims {
+                if let Extent::Var(v) = d {
+                    *v = shift.var(*v);
+                }
+            }
+            if let VarKind::Common { block, .. } = &mut info.kind {
+                *block = self.common(&program.commons[block.0 as usize].name);
+            }
+            self.vars.push(info);
+        }
+        // Its views of common blocks, in declaration order.
+        let mut views: Vec<(CommonId, &CommonView)> = program
+            .commons
+            .iter()
+            .enumerate()
+            .flat_map(|(b, blk)| blk.views.iter().map(move |v| (CommonId(b as u32), v)))
+            .filter(|(_, v)| v.proc == old)
+            .collect();
+        views.sort_unstable_by_key(|(_, v)| v.members[0]);
+        for (b, view) in views {
+            let last = program.var(*view.members.last().expect("a view has members"));
+            let VarKind::Common { offset, .. } = last.kind else {
+                unreachable!("a view's members are common members")
+            };
+            let end = offset.saturating_add(common_size(&last.dims));
+            let members = view.members.iter().map(|&m| shift.var(m)).collect();
+            let cid = self.common(&program.commons[b.0 as usize].name);
+            self.add_view(cid, id, members, end);
+        }
+        Some(proc)
+    }
+
     fn resolve_extent(&self, e: &AstExpr, line: u32) -> Result<Extent, SemaError> {
         match e {
             AstExpr::Int(v) => Ok(Extent::Const(*v)),
             AstExpr::Ref(r) if r.subs.is_empty() => {
-                if let Some(&c) = self.consts.get(&r.name) {
+                if let Some(&c) = self.iface.consts.get(r.name) {
                     return Ok(Extent::Const(c));
                 }
                 let Some(&vid) = self.scope.get(&r.name) else {
@@ -353,14 +489,10 @@ impl<'a> Resolver<'a> {
             }
             AstStmt::Call { callee, args, line } => {
                 let id = self.fresh_stmt();
-                let Some(&pid) = self.proc_ids.get(callee) else {
+                let Some(&pid) = self.iface.proc_ids.get(callee) else {
                     return err(*line, format!("unknown procedure `{callee}`"));
                 };
-                let formals: Vec<(Type, bool)> = self.ast.procs[pid.0 as usize]
-                    .params
-                    .iter()
-                    .map(|p| (conv_ty(p.ty), !p.dims.is_empty()))
-                    .collect();
+                let formals = &self.iface.formals[pid.0 as usize];
                 if formals.len() != args.len() {
                     return err(
                         *line,
@@ -372,7 +504,7 @@ impl<'a> Resolver<'a> {
                     );
                 }
                 let mut rargs = Vec::new();
-                for (a, (fty, f_is_array)) in args.iter().zip(&formals) {
+                for (a, (fty, f_is_array)) in args.iter().zip(formals) {
                     rargs.push(self.resolve_arg(a, *fty, *f_is_array, *line)?);
                 }
                 Ok(Stmt::Call {
@@ -407,7 +539,7 @@ impl<'a> Resolver<'a> {
     }
 
     fn resolve_ref(&mut self, r: &AstRef) -> Result<Ref, SemaError> {
-        if self.consts.contains_key(&r.name) {
+        if self.iface.consts.contains_key(r.name) {
             return err(r.line, format!("cannot assign to const `{}`", r.name));
         }
         let vid = self.lookup(r)?;
@@ -481,7 +613,7 @@ impl<'a> Resolver<'a> {
         } else {
             // Scalar formal: variable ⇒ copy-in/copy-out, else by value.
             if let AstExpr::Ref(r) = a {
-                if r.subs.is_empty() && !self.consts.contains_key(&r.name) {
+                if r.subs.is_empty() && !self.iface.consts.contains_key(r.name) {
                     let vid = self.lookup(r)?;
                     if !self.vars[vid.0 as usize].is_array() {
                         return Ok(Arg::ScalarVar(vid));
@@ -499,7 +631,7 @@ impl<'a> Resolver<'a> {
             AstExpr::Real(v) => Expr::Real(*v),
             AstExpr::Ref(r) => {
                 if r.subs.is_empty() {
-                    if let Some(&c) = self.consts.get(&r.name) {
+                    if let Some(&c) = self.iface.consts.get(r.name) {
                         return Ok(Expr::Int(c));
                     }
                     let vid = self.lookup(r)?;
@@ -545,6 +677,196 @@ impl<'a> Resolver<'a> {
                     .collect::<Result<_, _>>()?,
             ),
         })
+    }
+}
+
+/// Elements a common member of constant extents `dims` occupies.
+fn common_size(dims: &[Extent]) -> i64 {
+    dims.iter().fold(1i64, |size, d| match d {
+        Extent::Const(c) => size.saturating_mul(*c),
+        _ => size,
+    })
+}
+
+/// The previous program, as [`Resolver::adopt`] reads it.
+pub(crate) struct Previous<'p> {
+    program: &'p Program,
+    /// Each previous procedure's id in the new program, when a procedure of
+    /// its name is there with its formals: what a call to it resolves to.
+    callees: Vec<Option<ProcId>>,
+    /// Some previous procedure is not where it was.
+    moved: bool,
+    /// The first statement id of each previous procedure, then the count.
+    stmt_bases: Vec<u32>,
+}
+
+impl<'p> Previous<'p> {
+    pub(crate) fn new(program: &'p Program, iface: &Interface<'_>) -> Self {
+        let callees: Vec<Option<ProcId>> = program
+            .procedures
+            .iter()
+            .map(|p| {
+                let &id = iface.proc_ids.get(p.name.as_str())?;
+                let formals = &iface.formals[id.0 as usize];
+                let same = formals.len() == p.params.len()
+                    && p.params.iter().zip(formals).all(|(&v, &(ty, array))| {
+                        let v = program.var(v);
+                        v.ty == ty && v.is_array() == array
+                    });
+                same.then_some(id)
+            })
+            .collect();
+        let moved = (0..callees.len()).any(|k| callees[k] != Some(ProcId(k as u32)));
+        let mut stmt_bases = vec![program.stmt_count; program.procedures.len() + 1];
+        for (k, p) in program.procedures.iter().enumerate().rev() {
+            stmt_bases[k] = p.body.first().map_or(stmt_bases[k + 1], |s| s.id().0);
+        }
+        Previous {
+            program,
+            callees,
+            moved,
+            stmt_bases,
+        }
+    }
+}
+
+/// How far a procedure's ids and lines move when [`Resolver::adopt`] takes
+/// it into another program, and where its callees went.
+struct Shift<'c> {
+    vars: u32,
+    stmts: u32,
+    lines: u32,
+    callees: &'c [Option<ProcId>],
+}
+
+impl Shift<'_> {
+    fn var(&self, v: VarId) -> VarId {
+        VarId(v.0.wrapping_add(self.vars))
+    }
+
+    fn line(&self, line: u32) -> u32 {
+        line.wrapping_add(self.lines)
+    }
+
+    fn proc(&self, p: &mut Procedure) -> Option<()> {
+        p.line = self.line(p.line);
+        p.end_line = self.line(p.end_line);
+        for v in p
+            .params
+            .iter_mut()
+            .chain(&mut p.locals)
+            .chain(&mut p.common_vars)
+        {
+            *v = self.var(*v);
+        }
+        self.body(&mut p.body)
+    }
+
+    fn body(&self, body: &mut [Stmt]) -> Option<()> {
+        body.iter_mut().try_for_each(|s| self.stmt(s))
+    }
+
+    fn stmt(&self, s: &mut Stmt) -> Option<()> {
+        match s {
+            Stmt::Assign { id, line, lhs, rhs } => {
+                self.at(id, line);
+                self.reference(lhs);
+                self.expr(rhs);
+            }
+            Stmt::If {
+                id,
+                line,
+                cond,
+                then_body,
+                else_body,
+            } => {
+                self.at(id, line);
+                self.expr(cond);
+                self.body(then_body)?;
+                self.body(else_body)?;
+            }
+            Stmt::Do {
+                id,
+                line,
+                end_line,
+                var,
+                lo,
+                hi,
+                step,
+                body,
+                ..
+            } => {
+                self.at(id, line);
+                *end_line = self.line(*end_line);
+                *var = self.var(*var);
+                self.expr(lo);
+                self.expr(hi);
+                if let Some(step) = step {
+                    self.expr(step);
+                }
+                self.body(body)?;
+            }
+            Stmt::Call {
+                id,
+                line,
+                callee,
+                args,
+            } => {
+                self.at(id, line);
+                *callee = self.callees[callee.0 as usize]?;
+                for a in args {
+                    match a {
+                        Arg::ArrayWhole(v) | Arg::ScalarVar(v) => *v = self.var(*v),
+                        Arg::ArrayPart { var, base } => {
+                            *var = self.var(*var);
+                            base.iter_mut().for_each(|e| self.expr(e));
+                        }
+                        Arg::Value(e) => self.expr(e),
+                    }
+                }
+            }
+            Stmt::Print { id, line, args } => {
+                self.at(id, line);
+                args.iter_mut().for_each(|e| self.expr(e));
+            }
+            Stmt::Read { id, line, lhs } => {
+                self.at(id, line);
+                self.reference(lhs);
+            }
+        }
+        Some(())
+    }
+
+    fn at(&self, id: &mut StmtId, line: &mut u32) {
+        *id = StmtId(id.0.wrapping_add(self.stmts));
+        *line = self.line(*line);
+    }
+
+    fn reference(&self, r: &mut Ref) {
+        match r {
+            Ref::Scalar(v) => *v = self.var(*v),
+            Ref::Element(v, subs) => {
+                *v = self.var(*v);
+                subs.iter_mut().for_each(|e| self.expr(e));
+            }
+        }
+    }
+
+    fn expr(&self, e: &mut Expr) {
+        match e {
+            Expr::Int(_) | Expr::Real(_) => {}
+            Expr::Scalar(v) => *v = self.var(*v),
+            Expr::Element(v, subs) => {
+                *v = self.var(*v);
+                subs.iter_mut().for_each(|e| self.expr(e));
+            }
+            Expr::Unary(_, a) => self.expr(a),
+            Expr::Binary(_, a, b) => {
+                self.expr(a);
+                self.expr(b);
+            }
+            Expr::Intrinsic(_, args) => args.iter_mut().for_each(|e| self.expr(e)),
+        }
     }
 }
 

@@ -3,19 +3,20 @@
 use std::fmt;
 
 /// A lexical token with its source line.
-#[derive(Clone, PartialEq, Debug)]
-pub struct Token {
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Token<'a> {
     /// The token kind/payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// 1-based source line the token starts on.
     pub line: u32,
 }
 
-/// Token kinds.
-#[derive(Clone, PartialEq, Debug)]
-pub enum TokenKind {
-    /// Identifier (also used for keywords before classification).
-    Ident(String),
+/// Token kinds.  An identifier borrows its text from the source, so a
+/// token is plain data and the parser copies it rather than cloning.
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub enum TokenKind<'a> {
+    /// Identifier: a word that is not a [`Keyword`].
+    Ident(&'a str),
     /// Keyword.
     Kw(Keyword),
     /// Integer literal.
@@ -127,7 +128,7 @@ pub enum Punct {
     Not,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "identifier `{s}`"),

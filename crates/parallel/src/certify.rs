@@ -1,9 +1,9 @@
 //! Race certification of planned parallel loops.
 //!
 //! Where [`crate::executor`] runs a compiler-parallelized loop for *speed*,
-//! this module runs one for *evidence*.  [`CertifyHandler`] lays the target
-//! loop out under the [`LoopLayout`] of the plan it is given, partitions its
-//! iterations with the same [`Schedule`] and applies the same [`finalize`]
+//! this module runs one for *evidence*.  `CertifyHandler` lays the target
+//! loop out under the `LoopLayout` of the plan it is given, partitions its
+//! iterations with the same [`Schedule`] and applies the same `finalize`
 //! as the fast path — so a certification run exercises exactly the
 //! transformed loop the production runtime would execute — but its workers
 //! are *logical* threads: views of the machine's memory that the handler
@@ -602,7 +602,7 @@ fn from_main_within(
 /// empty at the start.  At a head of a target loop with joined schedules
 /// the scout takes one [`Checkpoint`] and runs the loop on sequentially
 /// while they wait.  At the loop's exit each of them runs that invocation
-/// under its [`CertifyHandler`] from the checkpoint with its overlay
+/// under its `CertifyHandler` from the checkpoint with its overlay
 /// applied, and rides on if its thread then equals the scout's, with the
 /// cells that differ as its new overlay.  When no joined schedule rides
 /// the loop through, the first waiting one to reach the exit *stands in*:

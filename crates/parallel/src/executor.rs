@@ -1,5 +1,5 @@
 //! The parallel loop executor: a [`LoopHandler`] that runs planned loops
-//! through the crate's one fork/join ([`crate::forkjoin`]) for speed.
+//! through the crate's one fork/join (`crate::forkjoin`) for speed.
 
 use crate::forkjoin::{finalize, fork_join, merge_cell, LoopLayout, LoopRun, SegRole, Segment};
 use crate::plan::ParallelPlans;

@@ -380,7 +380,7 @@ impl Polyhedron {
     /// Eliminate every variable satisfying `pred` (over-approximating).
     ///
     /// The elimination order is chosen by the min `lower×upper` product
-    /// heuristic ([`Self::elim_cost`]): each step eliminates the candidate
+    /// heuristic (`Self::elim_cost`): each step eliminates the candidate
     /// generating the fewest Fourier–Motzkin cross products, which delays
     /// constraint blow-up far better than an arbitrary variable order.
     pub fn project_out_all(&self, pred: impl Fn(Var) -> bool) -> Polyhedron {

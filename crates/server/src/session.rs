@@ -53,7 +53,7 @@ pub struct Session {
     /// Borrows `program`; declared first so it drops first.
     explorer: Explorer<'static>,
     /// The owned program; `Arc` so its address survives moves of `Session`.
-    #[allow(dead_code)]
+    /// A `reload` parses against it, reusing its unchanged procedures.
     program: Arc<Program>,
     /// Fact store shared across analyses and reloads of this session;
     /// stale facts miss on their content hash, surviving ones are reused.
@@ -64,6 +64,9 @@ pub struct Session {
     pub last_stats: AnalyzeStats,
     /// Completed `load`/`reload` requests.
     pub generation: u64,
+    /// Procedures the front end parsed for the last `load`/`reload` (the
+    /// rest a `reload` copied from the previous program).
+    pub parsed: usize,
     /// The persist directory's owner, when persistence is on (shared with
     /// every other session of the process over the same directory).
     persist: Option<Arc<PersistDir>>,
@@ -180,6 +183,7 @@ impl Session {
         report.cold_misses = stats.facts_computed;
         let mut session = Session {
             explorer,
+            parsed: program.procedures.len(),
             program,
             store,
             last_stats: stats,
@@ -191,7 +195,7 @@ impl Session {
         // Persist the freshly opened state so even a kill -9 before the
         // first invalidation event restarts warm: a fresh dir gets its
         // base image, a warm start appends whatever the open computed.
-        session.persist_now(false);
+        session.persist_now();
         Ok(session)
     }
 
@@ -208,11 +212,12 @@ impl Session {
         }
     }
 
-    /// Checkpoint `export_all` into `dir` and feed this session's counters
-    /// from what the call reports.
-    fn checkpoint(&mut self, dir: &PersistDir, fold: bool) -> Result<Checkpointed, String> {
+    /// Checkpoint `export_all` into `dir` — an append of what is new,
+    /// folded when the directory's own rule says so — and feed this
+    /// session's counters from what the call reports.
+    fn checkpoint(&mut self, dir: &PersistDir) -> Result<Checkpointed, String> {
         let t0 = Instant::now();
-        let written = dir.checkpoint(|| self.export_all(), fold);
+        let written = dir.checkpoint(|| self.export_all(), false);
         self.snapshot.save_secs += t0.elapsed().as_secs_f64();
         let w = written
             .map_err(|e| format!("snapshot {}: write failed: {e}", dir.base_path().display()))?;
@@ -226,11 +231,11 @@ impl Session {
     /// The auto-save path (open, `assert`, `reload`, drop): a no-op without
     /// persistence; IO failures warn on stderr but never fail the
     /// triggering request.
-    fn persist_now(&mut self, fold: bool) {
+    fn persist_now(&mut self) {
         let Some(dir) = self.persist.clone() else {
             return;
         };
-        if let Err(e) = self.checkpoint(&dir, fold) {
+        if let Err(e) = self.checkpoint(&dir) {
             eprintln!("warning: {e}; continuing without persistence");
         }
     }
@@ -242,7 +247,7 @@ impl Session {
     pub fn checkpoint_json(&mut self) -> Result<Json, String> {
         let off = "persistence is off (start with --persist-dir)";
         let dir = self.persist.clone().ok_or(off)?;
-        let w = self.checkpoint(&dir, false)?;
+        let w = self.checkpoint(&dir)?;
         Ok(Json::obj([
             ("path", Json::str(dir.base_path().display().to_string())),
             ("facts", Json::int(w.facts as i64)),
@@ -253,12 +258,15 @@ impl Session {
         ]))
     }
 
-    /// Replace the program with edited source.  The fact store carries
-    /// over, so only the dirty cone (edited procedures, id-shifted ones, and
-    /// callers of a procedure whose summary changed value) is re-summarized
-    /// and only hash-mismatched facts are recomputed.
+    /// Replace the program with edited source.  The front end parses only
+    /// the procedures whose text changed, copying the rest from the current
+    /// program ([`suif_ir::reparse()`]).  The fact store carries over, so only
+    /// the dirty cone (edited procedures, id-shifted ones, and callers of a
+    /// procedure whose summary changed value) is re-summarized and only
+    /// hash-mismatched facts are recomputed.
     pub fn reload(&mut self, source: &str) -> Result<(), String> {
-        let program = Arc::new(suif_ir::parse_program(source).map_err(|e| e.to_string())?);
+        let front = suif_ir::reparse(source, &self.program).map_err(|e| e.to_string())?;
+        let program = Arc::new(front.program);
         // SAFETY: as in `open_cfg`.
         let pref: &'static Program = unsafe { &*(&*program as *const Program) };
         // A reload rebuilds under the default (assertion-free) config, so
@@ -277,10 +285,10 @@ impl Session {
         self.program = program;
         self.last_stats = stats;
         self.generation += 1;
-        // A reload churns many keys at once and orphans facts for deleted
-        // scopes; fold everything into a fresh base instead of appending a
-        // near-full-image delta to the log.
-        self.persist_now(true);
+        self.parsed = front.parsed;
+        // A reload recomputes only its dirty cone, so its delta is small:
+        // append it like any other checkpoint.
+        self.persist_now();
         Ok(())
     }
 
@@ -354,7 +362,7 @@ impl Session {
         if !detail.is_empty() {
             fields.insert(1, ("detail", Json::str(&detail)));
         }
-        self.persist_now(false);
+        self.persist_now();
         Json::obj(fields)
     }
 
@@ -685,6 +693,7 @@ impl Session {
         let mut fields = vec![
             ("generation", Json::int(self.generation as i64)),
             ("procs", Json::int(s.procs as i64)),
+            ("parsed", Json::int(self.parsed as i64)),
             ("summarized", Json::int(s.summarized() as i64)),
             ("cache_hits", Json::int(s.summary_hits() as i64)),
             ("passes", Json::obj(passes)),
@@ -797,7 +806,7 @@ impl Session {
 impl Drop for Session {
     fn drop(&mut self) {
         // Final checkpoint on clean shutdown (`quit`, daemon exit).
-        self.persist_now(false);
+        self.persist_now();
     }
 }
 

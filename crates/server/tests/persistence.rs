@@ -9,6 +9,8 @@
 
 use std::io::BufReader;
 use std::path::{Path, PathBuf};
+use suif_analysis::persist::COMPACT_MIN_LOG_BYTES;
+use suif_analysis::snapshot::LOG_HEADER_LEN;
 use suif_analysis::PersistDir;
 use suif_server::json::Json;
 use suif_server::{
@@ -326,6 +328,67 @@ fn reload_after_restart_resummarizes_only_the_dirty_cone() {
     assert_eq!(s.analyze().to_string(), fresh.analyze().to_string());
     let _ = std::fs::remove_dir_all(&dir);
     let _ = std::fs::remove_dir_all(&fresh_dir);
+}
+
+/// A persisting `reload` appends its delta to the log like any other
+/// checkpoint — a data edit recomputes one procedure's facts — and the log
+/// is folded into a fresh base only by the directory's own rule: when its
+/// records reach `max(COMPACT_MIN_LOG_BYTES, base)`.  Over 20 edits the
+/// directory holds the two files and the log stays under that bound; a
+/// restart over it is warm, and its next reload re-summarizes only the
+/// edited procedure.
+#[test]
+fn a_persisting_reload_appends_its_delta() {
+    let dir = scratch("reload_appends");
+    let edit = |k: usize| SRC.replace("q[i - 1] * 2", &format!("q[i - 1] * {}", k + 3));
+    let size = |file: &str| std::fs::metadata(dir.join(file)).unwrap().len();
+    let header = LOG_HEADER_LEN as u64;
+    let counter = |s: &Session, k: &str| snapshot_stats(s).get(k).and_then(Json::as_i64).unwrap();
+    let mut s = open(&dir);
+    let mut compactions = 0;
+    for k in 0..20 {
+        let (base, log) = (size(SNAPSHOT_FILE), size(SNAPSHOT_LOG_FILE));
+        let (appended, folded) = (counter(&s, "appended_bytes"), counter(&s, "compactions"));
+        s.reload(&edit(k)).unwrap();
+        let delta = (counter(&s, "appended_bytes") - appended) as u64;
+        assert!(delta > 0, "reload {k} appended nothing");
+        let records = log - header + delta;
+        let due = records >= COMPACT_MIN_LOG_BYTES.max(base);
+        let compacted = counter(&s, "compactions") - folded;
+        assert_eq!(
+            compacted, due as i64,
+            "reload {k}: {records} bytes over a {base}-byte base"
+        );
+        if due {
+            compactions += 1;
+            assert_eq!(size(SNAPSHOT_LOG_FILE), header, "reload {k}");
+        } else {
+            assert_eq!(size(SNAPSHOT_FILE), base, "reload {k} rewrote the base");
+            assert_eq!(size(SNAPSHOT_LOG_FILE), log + delta, "reload {k}");
+        }
+        let records = size(SNAPSHOT_LOG_FILE) - header;
+        assert!(records < COMPACT_MIN_LOG_BYTES.max(size(SNAPSHOT_FILE)));
+    }
+    assert!(compactions > 0, "20 reloads never reached the threshold");
+    let mut files: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, [SNAPSHOT_FILE, SNAPSHOT_LOG_FILE]);
+    drop(s);
+
+    let mut s = open_src(&edit(19), &dir);
+    let snap = snapshot_stats(&s);
+    assert_eq!(snap.get("status").and_then(Json::as_str), Some("loaded"));
+    assert_eq!(
+        s.stats_json().get("summarized").and_then(Json::as_i64),
+        Some(0)
+    );
+    s.reload(&edit(20)).unwrap();
+    let st = s.stats_json();
+    assert_eq!(st.get("summarized").and_then(Json::as_i64), Some(1), "{st}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Corrupt the snapshot in `mutate`, reopen, and require a clean cold start

@@ -444,3 +444,37 @@ fn daemon_protocol_over_tcp() {
     let _ = child.kill();
     let _ = child.wait();
 }
+
+/// A reload's front end parses only the procedures whose text changed
+/// (`parsed`, beside `procs`); a cold load parses every one.  The edit is
+/// the benchmark's: one literal of `mdg`'s leaf procedure gets more digits.
+/// A comment line inserted into the first procedure moves every later one
+/// down a line and still parses one; undoing both edits parses both.
+#[test]
+fn a_reload_parses_only_the_edited_procedures() {
+    let mdg = suif_benchmarks::apps::mdg(suif_benchmarks::Scale::Test).source;
+    let site = "f[3] = f[3] + g1 * 0.25";
+    assert_eq!(mdg.matches(site).count(), 1);
+    let literal = mdg.replacen(site, &format!("{site}17"), 1);
+    let first = literal.find("proc ").expect("a procedure");
+    let line_end = first + literal[first..].find('\n').unwrap();
+    let comment = format!(
+        "{}\n  // moved{}",
+        &literal[..line_end],
+        &literal[line_end..]
+    );
+    let open = |cmd: &str, text: &str| format!(r#"{{"cmd":"{cmd}","text":"{}"}}"#, escape(text));
+    let counts = |r: &Json| {
+        assert_eq!(r.get("ok").and_then(Json::as_bool), Some(true), "{r}");
+        let count = |k| r.get(k).and_then(Json::as_i64).unwrap();
+        (count("parsed"), count("procs"))
+    };
+
+    let mut c = Client::spawn();
+    let (parsed, procs) = counts(&c.request(&open("load", &mdg)));
+    assert!(procs > 2 && parsed == procs, "{parsed} of {procs}");
+    assert_eq!(counts(&c.request(&open("reload", &literal))), (1, procs));
+    assert_eq!(counts(&c.request(r#"{"cmd":"stats"}"#)), (1, procs));
+    assert_eq!(counts(&c.request(&open("reload", &comment))), (1, procs));
+    assert_eq!(counts(&c.request(&open("reload", &mdg))), (2, procs));
+}

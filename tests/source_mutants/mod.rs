@@ -41,6 +41,10 @@ pub fn applications(scale: Scale) -> Vec<(String, String)> {
 pub struct Mutant {
     /// The base's name, and the edits applied to it.
     pub label: String,
+    /// The base's source.
+    pub base: String,
+    /// The base is one of the 13 applications (not a `minif_gen` program).
+    pub from_app: bool,
     /// The mutated source.
     pub text: String,
 }
@@ -67,7 +71,8 @@ impl Iterator for Mutants {
 
     fn next(&mut self) -> Option<Mutant> {
         let rng = &mut self.rng;
-        let (name, base) = if rng.below(2) == 0 {
+        let from_app = rng.below(2) == 0;
+        let (name, base) = if from_app {
             let (name, text) = &self.apps[rng.below(self.apps.len() as u64) as usize];
             (name.clone(), text.clone())
         } else {
@@ -77,7 +82,7 @@ impl Iterator for Mutants {
                 minif_gen::source_for_seed(seed),
             )
         };
-        let mut bytes = base.into_bytes();
+        let mut bytes = base.clone().into_bytes();
         let mut label = name;
         for _ in 0..1 + rng.below(4) {
             label.push(' ');
@@ -85,6 +90,8 @@ impl Iterator for Mutants {
         }
         Some(Mutant {
             label,
+            base,
+            from_app,
             text: String::from_utf8_lossy(&bytes).into_owned(),
         })
     }
