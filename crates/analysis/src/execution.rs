@@ -20,7 +20,9 @@ use suif_ir::{
 /// [`execute_hash_of`], so bumping it makes the facts of older builds miss.
 /// Version 2: `carried` holds every carried dependence the run saw; the
 /// reductions are filtered out when the reports are built, not in the run.
-pub const EXECUTE_VERSION: u32 = 2;
+/// Version 3: `carried` records each dependence's kind — flow, anti or
+/// output — where it held flow dependences only.
+pub const EXECUTE_VERSION: u32 = 3;
 
 /// What the Loop Profile Analyzer saw of one loop (§2.5.1).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -50,10 +52,12 @@ pub struct ExecutionFact {
     pub nanos: u64,
     /// Per-loop profile, for every loop that executed.
     pub loops: BTreeMap<StmtId, LoopExecution>,
-    /// Per loop, the variables seen carrying a flow dependence (§2.5.2),
-    /// loop induction variables ignored but reductions not: which updates
-    /// are reductions is the verdicts' business, not the run's.
-    pub carried: BTreeMap<StmtId, BTreeSet<VarId>>,
+    /// Per loop, the variables seen carrying a dependence (§2.5.2), each
+    /// with the set of kinds seen — flow 1, anti 2, output 4, as
+    /// `suif_dynamic::DepKind::bit` numbers them — loop induction variables
+    /// ignored but reductions not: which updates are reductions is the
+    /// verdicts' business, not the run's.
+    pub carried: BTreeMap<StmtId, BTreeMap<VarId, u8>>,
 }
 
 /// Where the fact lives: one per program.

@@ -119,8 +119,10 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"SUIFSNAP";
 /// hash beside its input hash ([`value_footprint`]), and the input hashes
 /// above the per-procedure summaries fold the value hashes of the facts
 /// they read, so a version-6 entry would mis-frame and its hash would
-/// never match.
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// never match; 8 — an `Execute` value's carried dependences name their
+/// kinds (a map of variable to kinds, where it was a set of variables), so
+/// a version-7 run would mis-frame under this build's codec.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Why a snapshot failed to load (the caller cold-starts either way).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -539,8 +541,9 @@ pub const LOG_MAGIC: [u8; 8] = *b"SUIFSLOG";
 /// following [`SNAPSHOT_VERSION`] 4; 3 — records may carry `Execute` facts,
 /// following [`SNAPSHOT_VERSION`] 5; 4 — `Summarize` records are
 /// `Scope::Proc` `ProcFlow`s, following [`SNAPSHOT_VERSION`] 6; 5 — records
-/// carry value hashes, following [`SNAPSHOT_VERSION`] 7.
-pub const LOG_VERSION: u32 = 5;
+/// carry value hashes, following [`SNAPSHOT_VERSION`] 7; 6 — `Execute`
+/// records name their dependences' kinds, following [`SNAPSHOT_VERSION`] 8.
+pub const LOG_VERSION: u32 = 6;
 
 /// Size of the append-log header: magic · version · base checksum.
 pub const LOG_HEADER_LEN: usize = 28;
@@ -1418,8 +1421,8 @@ mod tests {
             loops: BTreeMap::from([(StmtId(11), inner), (StmtId(5), outer)]),
             // A loop that carried nothing keeps its (empty) entry.
             carried: BTreeMap::from([
-                (StmtId(11), BTreeSet::from([VarId(7), VarId(2)])),
-                (StmtId(5), BTreeSet::new()),
+                (StmtId(11), BTreeMap::from([(VarId(7), 1), (VarId(2), 6)])),
+                (StmtId(5), BTreeMap::new()),
             ]),
         }
     }

@@ -60,7 +60,7 @@ pub fn abl_dyndep() -> String {
         }
         let wall = t0.elapsed();
         let rep = dd.report();
-        let with_deps = rep.deps.values().filter(|v| !v.is_empty()).count();
+        let with_deps = rep.deps.keys().filter(|&&l| rep.has_dep(l)).count();
         out.push_str(&format!(
             "{:>20}  {:>8.1}  {:>4}\n",
             cap.map(|c| c.to_string())

@@ -4,6 +4,7 @@
 
 use crate::explorer::Explorer;
 use suif_analysis::Assertion;
+use suif_dynamic::DepKind;
 
 /// Outcome of checking one assertion.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -43,12 +44,25 @@ pub fn check_assertion(ex: &Explorer<'_>, a: &Assertion) -> CheckResult {
     // (same-iteration write-then-read carries nothing), so any observed
     // loop-carried flow dependence on the variable disproves both
     // "privatizable" and "independent" for the user-supplied input set.
+    // An anti or output dependence disproves "independent" only: private
+    // storage is copied in, so privatization removes both kinds (every
+    // private temporary written in each iteration carries them).
     let object = ex.analysis.ctx.array_of(var);
-    for v in ex.dyndep.dep_vars(li.stmt) {
-        if ex.analysis.ctx.array_of(v) == object {
+    let kinds: &[DepKind] = if is_privatize {
+        &[DepKind::Flow]
+    } else {
+        &[DepKind::Flow, DepKind::Anti, DepKind::Output]
+    };
+    for &kind in kinds {
+        if ex
+            .dyndep
+            .vars(li.stmt, kind)
+            .any(|v| ex.analysis.ctx.array_of(v) == object)
+        {
             return CheckResult::Contradicted(format!(
-                "a loop-carried flow dependence on `{var_name}` was observed \
-                 dynamically in {loop_name} for the user-supplied input set"
+                "a loop-carried {} dependence on `{var_name}` was observed \
+                 dynamically in {loop_name} for the user-supplied input set",
+                kind.name()
             ));
         }
     }
@@ -251,6 +265,31 @@ proc main() {
             },
         );
         assert!(matches!(res, CheckResult::Contradicted(_)), "{res:?}");
+    }
+
+    #[test]
+    fn independence_is_refuted_by_an_anti_dependence_and_privatization_is_not() {
+        // a[i] = a[i + 1] * 2 reads what the next iteration overwrites.
+        let src = "program t\nproc main() {\n real a[9]\n int i\n do 0 i = 1, 9 {\n a[i] = i\n }\n do 1 i = 1, 8 {\n a[i] = a[i + 1] * 2\n }\n print a[4]\n}";
+        let p = parse_program(src).unwrap();
+        let ex = Explorer::new(&p, vec![]).unwrap();
+        let (loop_name, var) = ("main/1".to_string(), "a".to_string());
+        let res = check_assertion(
+            &ex,
+            &suif_analysis::Assertion::Independent {
+                loop_name: loop_name.clone(),
+                var: var.clone(),
+            },
+        );
+        let CheckResult::Contradicted(why) = res else {
+            panic!("an anti dependence must contradict independence: {res:?}");
+        };
+        assert!(why.contains("loop-carried anti dependence on `a`"), "{why}");
+        let res = check_assertion(
+            &ex,
+            &suif_analysis::Assertion::Privatizable { loop_name, var },
+        );
+        assert!(!matches!(res, CheckResult::Contradicted(_)), "{res:?}");
     }
 
     #[test]

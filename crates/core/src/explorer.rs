@@ -399,9 +399,7 @@ pub fn execute(program: &Program, input: &[f64]) -> Result<ExecutionFact, Explor
 
 /// The two analyzers' reports, as the Guru and the checker read them,
 /// rebuilt from the run's fact, the dependences on the reductions the
-/// analysis found dropped.  That equals a run that ignored them: the
-/// analyzer reports at most one `(loop, var)` per read, and the ignore set
-/// only gates that insert.
+/// analysis found dropped.
 fn reports_of(
     run: &ExecutionFact,
     analysis: &ProgramAnalysis<'_>,
@@ -426,26 +424,21 @@ fn reports_of(
         deps: run
             .carried
             .iter()
-            .map(|(&stmt, vars)| (stmt, vars.iter().copied().collect()))
+            .map(|(&stmt, vars)| (stmt, vars.iter().map(|(&v, &k)| (v, k)).collect()))
             .collect(),
     };
     (profile, dyndep.ignoring(&reduction_ignores(analysis)))
 }
 
-/// Dynamic-dependence configuration derived from the compiler's knowledge:
-/// the induction variables of `run_config` and the reduction updates of
-/// `reduction_ignores`.  The Explorer's run takes the first and applies
-/// the second to its report ([`DynDepReport::ignoring`]); a run under this
-/// whole configuration reports the same.
-pub fn dyndep_config(program: &Program, analysis: &ProgramAnalysis<'_>) -> DynDepConfig {
-    DynDepConfig {
-        ignore_loop_vars: reduction_ignores(analysis),
-        ..run_config(program)
-    }
-}
-
 /// The configuration the instrumented run takes: every `do` loop's
 /// induction variable ignored — a function of the program's shape alone.
+/// The reduction updates the analysis found are dropped from the report
+/// after the run ([`DynDepReport::ignoring`]), so `_analysis` adds nothing.
+pub fn dyndep_config(program: &Program, _analysis: &ProgramAnalysis<'_>) -> DynDepConfig {
+    run_config(program)
+}
+
+/// [`dyndep_config`], which needs no analysis.
 fn run_config(program: &Program) -> DynDepConfig {
     let mut cfg = DynDepConfig::default();
     for p in &program.procedures {
@@ -460,8 +453,9 @@ fn run_config(program: &Program) -> DynDepConfig {
 
 /// The `(loop, variable)` pairs the verdicts found to be reduction updates
 /// (§2.5.2: the analyzer "is aware of the induction variables and
-/// reduction operations found by the compiler").
-fn reduction_ignores(analysis: &ProgramAnalysis<'_>) -> HashSet<(StmtId, VarId)> {
+/// reduction operations found by the compiler"), which the Explorer drops
+/// from the run's report ([`DynDepReport::ignoring`]).
+pub fn reduction_ignores(analysis: &ProgramAnalysis<'_>) -> HashSet<(StmtId, VarId)> {
     let program = analysis.ctx.program;
     let mut ignore = HashSet::new();
     for (&stmt, v) in &analysis.verdicts {

@@ -9,13 +9,13 @@
 //! * the **Loop Profile Analyzer** (§2.5.1) — per-loop execution time
 //!   (virtual-op cost and wall clock), invocation counts, coverage and
 //!   granularity metrics;
-//! * the **Dynamic Dependence Analyzer** (§2.5.2) — shadow-memory tracking of
-//!   the most recent write to every location (one logical-clock value per
-//!   address, compared against the entry and iteration-start times of the
-//!   active loops), reporting loop-carried flow dependences while ignoring
-//!   compiler-recognized induction variables and reduction updates,
-//!   ignoring anti-dependences, and modelling privatization (a read
-//!   preceded by a same-iteration write carries no dependence).  Iteration
+//! * the **Dynamic Dependence Analyzer** (§2.5.2) — the [`recorder`]'s
+//!   profiling half: per address the last write and two reads since it,
+//!   stamped by a logical clock and tested against the entry and
+//!   iteration-start stamps of the active loops, reporting every carried
+//!   dependence with its kind (flow, anti or output) while ignoring the
+//!   compiler-recognized induction variables, and modelling privatization
+//!   (a read preceded by a same-iteration write carries no flow).  Iteration
 //!   batching (§2.5.2's second optimization) is supported through a
 //!   sampling configuration.
 //!
@@ -65,11 +65,12 @@
 //! runs a copy that differs on alone ([`machine::Machine::finish`]).
 //!
 //! This crate also holds the two schedule-independent halves of the
-//! **race-certification subsystem** (`docs/dynamic.md`): [`race`], a
-//! detector of conflicting accesses from different iterations, and
-//! [`sched`], a seeded adversarial scheduler.  The certifying executor that
-//! feeds them lives in `suif_parallel::certify`, beside the production
-//! executor it shares its loop layout, partition and finalization with.
+//! **race-certification subsystem** (`docs/dynamic.md`): the [`recorder`]'s
+//! certifier half, a detector of conflicting accesses from different
+//! iterations, and [`sched`], a seeded adversarial scheduler.  The
+//! certifying executor that feeds them lives in `suif_parallel::certify`,
+//! beside the production executor it shares its loop layout, partition and
+//! finalization with.
 //!
 //! ```
 //! use suif_dynamic::machine::{Machine, NoHooks};
@@ -85,20 +86,21 @@
 #![warn(missing_docs)]
 
 pub mod code;
-pub mod dyndep;
 pub mod layout;
 pub mod machine;
 pub mod profile;
-pub mod race;
+pub mod recorder;
 pub mod sched;
 pub mod value;
 
 pub use code::{Code, DoLoop};
-pub use dyndep::{DynDepAnalyzer, DynDepConfig, DynDepReport};
 pub use layout::{Layout, MAX_MEMORY_CELLS};
 pub use machine::{Checkpoint, Hooks, Machine, MemStore, NoHooks, RuntimeError, Stop};
 pub use profile::{LoopProfile, LoopProfiler, ProfileReport};
-pub use race::{AccessInfo, AccessKind, Race, RaceDetector};
+pub use recorder::{
+    AccessInfo, AccessKind, DepKind, DynDepAnalyzer, DynDepConfig, DynDepReport, Race,
+    RaceDetector, MAX_INVOCATION_RACES,
+};
 pub use sched::{AdversarialScheduler, SchedPolicy, SplitMix64};
 pub use value::Value;
 

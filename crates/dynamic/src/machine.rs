@@ -19,7 +19,7 @@
 
 use crate::code::{Code, Dim, DoLoop, Inst};
 use crate::layout::{Layout, LayoutError};
-use crate::race::AccessKind;
+use crate::recorder::AccessKind;
 use crate::value::Value;
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -24,10 +24,11 @@
 //! thread differs or the scout is about to read its overlay.  Schedules
 //! waiting at an exit in one state share one race-free run of it.  Each
 //! schedule's races, captured output and final shared memory are exactly
-//! those of one whole run per schedule ([`certify_from_main`]).  A
-//! sequential reference capture of the same program lets callers check the
-//! differential invariant: a certified DOALL loop must be race-free with
-//! sequential-identical observable behavior under every schedule.
+//! those of one whole run per schedule ([`certify_from_main`]).  Each
+//! schedule's printed output is also judged against a sequential capture of
+//! the same program (`result_matches`): a certified DOALL loop must be
+//! race-free with sequential-identical observable behavior under every
+//! schedule.
 
 use crate::executor::{Finalization, Schedule};
 use crate::forkjoin::{finalize, Iterations, LoopLayout, LoopRun, SegRole, WorkerResult};
@@ -38,13 +39,13 @@ use std::time::{Duration, Instant};
 use suif_dynamic::machine::{
     same_value, Checkpoint, Hooks, LoopHandler, Machine, NoHooks, RuntimeError, Stop,
 };
-use suif_dynamic::race::{AccessKind, Race, RaceDetector};
+use suif_dynamic::recorder::{AccessKind, Race, RaceDetector};
 use suif_dynamic::sched::AdversarialScheduler;
 use suif_dynamic::{Code, DoLoop, Value, MAX_EXECUTE_OPS};
 use suif_ir::{Program, StmtId, VarId};
 
 /// How many races one schedule reports in [`CertOutcome::races`], over all
-/// its invocations; [`suif_dynamic::race::MAX_INVOCATION_RACES`] caps the
+/// its invocations; [`suif_dynamic::recorder::MAX_INVOCATION_RACES`] caps the
 /// races the detector records in one invocation.
 pub const MAX_REPORTED_RACES: usize = 64;
 
@@ -379,6 +380,10 @@ pub struct CertifyOptions {
     pub seed: u64,
     /// Program `read` input, replayed identically on every run.
     pub input: Vec<f64>,
+    /// The sequential capture of the program on `input` from an earlier
+    /// call ([`LoopCertification::sequential`]), to judge the schedules
+    /// against where this call would run one.
+    pub sequential: Option<Arc<ExecutionCapture>>,
 }
 
 impl Default for CertifyOptions {
@@ -388,6 +393,7 @@ impl Default for CertifyOptions {
             schedules: 4,
             seed: 0,
             input: Vec::new(),
+            sequential: None,
         }
     }
 }
@@ -436,6 +442,59 @@ pub struct ScheduleReport {
     pub shared: u64,
     /// The part of `elapsed` it spent running alone after it left.
     pub alone: Duration,
+    /// The schedule's result is the sequential run's: the same printed
+    /// lines — numbers within `1e-9 + 1e-6·max(|p|,|q|)` when the plan has
+    /// reductions, which reassociate, bitwise otherwise — and the same
+    /// error, if any.
+    pub result_matches: bool,
+    /// The first printed line where its output departs from the sequential
+    /// run's.
+    pub first_diverging_line: Option<Divergence>,
+}
+
+/// Where a schedule's printed output first departs from the sequential
+/// run's: the line's index, and its text in each (`None` past the end).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Divergence {
+    /// 0-based index of the line.
+    pub index: usize,
+    /// The sequential run's line.
+    pub sequential: Option<String>,
+    /// The schedule's line.
+    pub schedule: Option<String>,
+}
+
+/// Two printed lines alike: token for token, numbers within the reduction
+/// tolerance when `tolerant`.
+fn same_line(p: &str, q: &str, tolerant: bool) -> bool {
+    let close = |x: &str, y: &str| match (x.parse::<f64>(), y.parse::<f64>()) {
+        (Ok(x), Ok(y)) => (x - y).abs() <= 1e-9 + 1e-6 * x.abs().max(y.abs()),
+        _ => false,
+    };
+    p == q
+        || tolerant
+            && p.split(' ').count() == q.split(' ').count()
+            && p.split(' ')
+                .zip(q.split(' '))
+                .all(|(x, y)| x == y || close(x, y))
+}
+
+impl ScheduleReport {
+    /// Judge the schedule's capture against `sequential`'s.
+    fn judge(&mut self, sequential: &ExecutionCapture, tolerant: bool) {
+        let (seq, got) = (&sequential.output, &self.capture.output);
+        let index = (0..seq.len().max(got.len())).find(|&i| match (seq.get(i), got.get(i)) {
+            (Some(p), Some(q)) => !same_line(p, q, tolerant),
+            _ => true,
+        });
+        let error = |c: &ExecutionCapture| c.error.as_ref().map(|e| (e.line, e.message.clone()));
+        self.result_matches = index.is_none() && error(sequential) == error(&self.capture);
+        self.first_diverging_line = index.map(|index| Divergence {
+            index,
+            sequential: seq.get(index).cloned(),
+            schedule: got.get(index).cloned(),
+        });
+    }
 }
 
 /// Certification result for one loop across all schedules.
@@ -445,12 +504,19 @@ pub struct LoopCertification {
     pub stmt: StmtId,
     /// Per-schedule reports, in seed order.
     pub schedules: Vec<ScheduleReport>,
+    /// The sequential capture the schedules were judged against.
+    pub sequential: Arc<ExecutionCapture>,
 }
 
 impl LoopCertification {
     /// True when no schedule detected a race.
     pub fn race_free(&self) -> bool {
         self.schedules.iter().all(|s| s.outcome.races.is_empty())
+    }
+
+    /// True when every schedule's result is the sequential run's.
+    pub fn result_matches(&self) -> bool {
+        self.schedules.iter().all(|s| s.result_matches)
     }
 
     /// Total races detected across schedules, reported or not.
@@ -479,15 +545,22 @@ fn layout_failure(e: impl std::fmt::Debug) -> ExecutionCapture {
     }
 }
 
-/// Run the program sequentially (no handler) and capture its observable
-/// result — the reference side of the differential check.
+/// Run the program sequentially (no handler), within [`MAX_EXECUTE_OPS`],
+/// and capture its observable result — the reference side of the
+/// differential check.
 pub fn capture_sequential(program: &Program, input: &[f64]) -> ExecutionCapture {
+    sequential_within(program, input, MAX_EXECUTE_OPS)
+}
+
+/// [`capture_sequential`] within a budget of `max_ops`.
+fn sequential_within(program: &Program, input: &[f64], max_ops: u64) -> ExecutionCapture {
     let mut hooks = NoHooks;
     let mut m = match Machine::new(program, &mut hooks) {
         Ok(m) => m,
         Err(e) => return layout_failure(e),
     };
     m.set_input(input.to_vec());
+    m.set_max_ops(max_ops);
     let error = m.run().err();
     capture_machine(m, error, &[])
 }
@@ -530,9 +603,9 @@ pub fn certify_loop(
 /// What certification means, for tests to hold [`certify_loops`] to: every
 /// schedule of `target` is one whole run of the program from `main`, within
 /// [`MAX_EXECUTE_OPS`], with the loop certified under `plan` at each of its
-/// invocations and every other loop run sequentially.  `elapsed` is the
-/// run's time; `joined`, `overlaid` and `diverged` are zero, as there is no
-/// scout.
+/// invocations and every other loop run sequentially, and judged against
+/// a sequential run within the same budget.  `elapsed` is the run's time;
+/// `joined`, `overlaid` and `diverged` are zero, as there is no scout.
 pub fn certify_from_main(
     program: &Program,
     target: StmtId,
@@ -550,6 +623,7 @@ fn from_main_within(
     opts: &CertifyOptions,
     max_ops: u64,
 ) -> LoopCertification {
+    let sequential = Arc::new(sequential_within(program, &opts.input, max_ops));
     let schedules = (0..opts.schedules)
         .map(|s| {
             let start = Instant::now();
@@ -580,12 +654,14 @@ fn from_main_within(
             };
             report.capture = Arc::new(capture);
             report.elapsed = start.elapsed();
+            report.judge(&sequential, !plan.reductions.is_empty());
             report
         })
         .collect();
     LoopCertification {
         stmt: target,
         schedules,
+        sequential,
     }
 }
 
@@ -593,7 +669,10 @@ fn from_main_within(
 /// adversarial schedules, and return their certifications in target order;
 /// a loop may appear more than once, under different plans.  Each result is
 /// [`certify_from_main`]'s, but for `elapsed`, `joined`, `overlaid`,
-/// `diverged`, `shared` and `alone`.
+/// `diverged`, `shared` and `alone`.  The sequential capture the schedules
+/// are judged against is the scout's when it ran every invocation itself
+/// and reached the end, else `opts.sequential`, else one more sequential
+/// run.
 ///
 /// The program is lowered once and run once, sequentially, by a *scout*
 /// that carries the schedules.  A schedule is *joined* while its thread —
@@ -665,7 +744,7 @@ fn certify_within(
             for s in &mut scheds {
                 s.place = Place::Done(Arc::clone(&capture));
             }
-            return reports(targets, scheds);
+            return reports(targets, scheds, capture);
         }
     };
     let mut hooks = NoHooks;
@@ -681,6 +760,7 @@ fn certify_within(
         watched: vec![false; scout.shared_len()],
         marked: Vec::new(),
         watching: false,
+        stood_in: false,
     };
     // Schedules by their target's loop.
     let mut by_loop: HashMap<StmtId, Vec<usize>> = HashMap::new();
@@ -776,7 +856,12 @@ fn certify_within(
             });
         }
     }
-    reports(targets, c.scheds)
+    let sequential = match (capture, &opts.sequential) {
+        (Some(capture), _) if !c.stood_in => capture,
+        (_, Some(held)) => Arc::clone(held),
+        _ => Arc::new(sequential_within(program, &opts.input, max_ops)),
+    };
+    reports(targets, c.scheds, sequential)
 }
 
 /// Equal cell for cell, and bit for bit.
@@ -793,23 +878,31 @@ fn overlaid(mut at: Checkpoint, overlay: &[(usize, Value)]) -> Checkpoint {
     at
 }
 
-/// The certifications of `targets` from their finished schedules.
-fn reports(targets: &[(StmtId, &PlanEntry)], scheds: Vec<Sched>) -> Vec<LoopCertification> {
+/// The certifications of `targets` from their finished schedules, judged
+/// against `sequential`.
+fn reports(
+    targets: &[(StmtId, &PlanEntry)],
+    scheds: Vec<Sched>,
+    sequential: Arc<ExecutionCapture>,
+) -> Vec<LoopCertification> {
     let mut certs: Vec<LoopCertification> = targets
         .iter()
         .map(|&(stmt, _)| LoopCertification {
             stmt,
             schedules: Vec::new(),
+            sequential: Arc::clone(&sequential),
         })
         .collect();
     for s in scheds {
         let Place::Done(capture) = s.place else {
             panic!("every schedule runs to the end");
         };
-        certs[s.target].schedules.push(ScheduleReport {
+        let mut report = ScheduleReport {
             capture,
             ..s.report
-        });
+        };
+        report.judge(&sequential, !targets[s.target].1.reductions.is_empty());
+        certs[s.target].schedules.push(report);
     }
     certs
 }
@@ -884,6 +977,9 @@ struct Certifier<'p, 't> {
     /// Some joined schedule's overlay holds a cell: the scout must look at
     /// what it touches.
     watching: bool,
+    /// A schedule stood in for the scout's run of an invocation, so the
+    /// scout's capture is not the sequential run's.
+    stood_in: bool,
 }
 
 impl Certifier<'_, '_> {
@@ -1033,6 +1129,7 @@ impl Certifier<'_, '_> {
                 Err(capture) => Place::Done(Arc::new(capture)),
                 Ok(post) if stands_in => {
                     stands_in = false;
+                    self.stood_in = true;
                     scout.restore(post);
                     Place::joined()
                 }
@@ -1187,7 +1284,10 @@ mod tests {
         let schedules: Vec<_> = c
             .schedules
             .iter()
-            .map(|s| (s.seed, &s.outcome, &s.capture))
+            .map(|s| {
+                let judged = (s.result_matches, &s.first_diverging_line);
+                (s.seed, &s.outcome, &s.capture, judged)
+            })
             .collect();
         format!("{:?} {schedules:?}", c.stmt)
     }
@@ -1242,7 +1342,8 @@ mod tests {
     /// ride the scout with fewer ops counted than it (a DOALL loop reached
     /// each outer iteration), more (a zero-trip invocation evaluates its
     /// bounds twice), or as many (a loop never called, and the prefix), fail
-    /// or finish where their own runs from `main` do.
+    /// or finish where their own runs from `main` do, and are judged
+    /// against the same sequential run.
     #[test]
     fn every_op_budget_ends_each_schedule_where_its_own_run_does() {
         let src = r#"program t
@@ -1294,9 +1395,12 @@ proc main() {
         let (mut finished, mut joined) = (false, 0);
         for budget in 0..m.ops() + 4 {
             let all = certify_within(&p, &refs, &opts, budget);
-            for (cert, (stmt, plan)) in all.iter().zip(&targets) {
+            for (k, (cert, (stmt, plan))) in all.iter().zip(&targets).enumerate() {
                 let reference = from_main_within(&p, *stmt, plan, &opts, budget);
                 assert_eq!(shown(cert), shown(&reference), "budget {budget}");
+                // Alone, its schedules stand in for the scout's run.
+                let alone = certify_within(&p, &refs[k..=k], &opts, budget);
+                assert_eq!(shown(&alone[0]), shown(&reference), "budget {budget}");
             }
             finished = all[0].schedules[0].capture.error.is_none();
             joined += all[0].schedules[0].joined;

@@ -44,7 +44,8 @@ pub mod plan;
 
 pub use certify::{
     capture_sequential, certify_from_main, certify_loop, certify_loops, CertOutcome,
-    CertifyOptions, ExecutionCapture, LoopCertification, ScheduleReport, MAX_CERTIFY_SCHEDULES,
+    CertifyOptions, Divergence, ExecutionCapture, LoopCertification, ScheduleReport,
+    MAX_CERTIFY_SCHEDULES,
 };
 pub use executor::{Finalization, ParallelExecutor, RunStats, RuntimeConfig, Schedule};
 pub use measure::{

@@ -556,6 +556,7 @@ fn run(args: &[String]) -> Result<(), String> {
                     schedules,
                     seed: certify_seed,
                     input,
+                    ..Default::default()
                 },
             )
             .into_iter();
@@ -588,6 +589,19 @@ fn run(args: &[String]) -> Result<(), String> {
                             break;
                         }
                     }
+                }
+                let diverging = cert.schedules.iter();
+                if let Some((seed, d)) = diverging
+                    .filter_map(|s| Some((s.seed, s.first_diverging_line.as_ref()?)))
+                    .next()
+                {
+                    let text = |t: &Option<String>| t.clone().unwrap_or_else(|| "(none)".into());
+                    println!(
+                        "    seed {seed}: output line {} is {} (sequential: {})",
+                        d.index + 1,
+                        text(&d.schedule),
+                        text(&d.sequential)
+                    );
                 }
             }
             Ok(())

@@ -75,6 +75,10 @@ pub struct Session {
     /// Accumulated race-certification counters, reported under
     /// `certification` in `stats`.
     cert: CertCounters,
+    /// The sequential capture (its output and error) `certify` last judged
+    /// schedules against, with the `generation` it belongs to: a later
+    /// request on the same program reuses it instead of running one.
+    sequential: Option<(u64, Arc<suif_parallel::ExecutionCapture>)>,
 }
 
 /// Running totals across every `certify` request of this session.
@@ -100,6 +104,8 @@ struct CertCounters {
     /// Those of the `joined` invocations a schedule took from another
     /// schedule's race-free run instead of running its own.
     shared: u64,
+    /// Schedules whose result was not the sequential run's.
+    diverging: u64,
 }
 
 /// Everything that shapes how a [`Session`] opens; the multi-tenant daemon
@@ -191,6 +197,7 @@ impl Session {
             persist: cfg.persist,
             snapshot: report,
             cert: CertCounters::default(),
+            sequential: None,
         };
         // Persist the freshly opened state so even a kill -9 before the
         // first invalidation event restarts warm: a fresh dir gets its
@@ -521,9 +528,13 @@ impl Session {
     /// always-legal plan (so statically reported carried dependences
     /// manifest as detected races).  `loop_name = None` certifies every
     /// loop; a named loop additionally mirrors its report at the top level
-    /// as `{loop, schedules_run, race_count, races}`.  `races` lists the
-    /// first `suif_parallel::certify::MAX_REPORTED_RACES` of each schedule;
-    /// `race_count` counts them all.  One `certify_loops` call serves the
+    /// as `{loop, schedules_run, race_count, races, result_matches}`.
+    /// `races` lists the first `suif_parallel::certify::MAX_REPORTED_RACES`
+    /// of each schedule, each with the dependence it is in sequential order
+    /// (`dep`); `race_count` counts them all.  `result_matches` says every
+    /// schedule printed what the sequential run prints, and
+    /// `first_diverging_line` is the first schedule's first line that
+    /// departs from it.  One `certify_loops` call serves the
     /// request: its scout runs the program once and carries every schedule
     /// whose state agrees with its own, so a loop's `secs` covers only its
     /// schedules' own work — their invocations of the loop and the stretches
@@ -553,16 +564,27 @@ impl Session {
             .zip(&planned)
             .filter_map(|(info, plan)| Some((info.stmt, plan.as_ref()?)))
             .collect();
-        let mut certs = suif_parallel::certify_loops(
+        let held = (self.sequential.as_ref())
+            .filter(|(generation, _)| *generation == self.generation)
+            .map(|(_, capture)| Arc::clone(capture));
+        let certs = suif_parallel::certify_loops(
             program,
             &targets,
             &suif_parallel::CertifyOptions {
                 schedules,
                 seed,
+                sequential: held.clone(),
                 ..Default::default()
             },
-        )
-        .into_iter();
+        );
+        if let (None, Some(cert)) = (held, certs.first()) {
+            let printed = suif_parallel::ExecutionCapture {
+                memory: Vec::new(),
+                ..(*cert.sequential).clone()
+            };
+            self.sequential = Some((self.generation, Arc::new(printed)));
+        }
+        let mut certs = certs.into_iter();
         let mut loops = Vec::new();
         let mut single = None;
         for (info, plan) in inputs.iter().zip(&planned) {
@@ -585,6 +607,7 @@ impl Session {
                 self.cert.overlaid += s.overlaid;
                 self.cert.diverged += s.diverged;
                 self.cert.shared += s.shared;
+                self.cert.diverging += u64::from(!s.result_matches);
             }
             let races: Vec<Json> = cert
                 .schedules
@@ -593,6 +616,7 @@ impl Session {
                 .map(|(sched_seed, r)| {
                     Json::obj([
                         ("kind", Json::str(r.kind())),
+                        ("dep", Json::str(r.dep().name())),
                         ("addr", Json::int(r.addr as i64)),
                         ("schedule_seed", Json::int(sched_seed as i64)),
                         ("first_var", Json::str(&program.var(r.first.var).name)),
@@ -612,6 +636,16 @@ impl Session {
             let ride = |f: fn(&suif_parallel::ScheduleReport) -> u64| {
                 Json::int(cert.schedules.iter().map(f).sum::<u64>() as i64)
             };
+            let diverging = cert.schedules.iter().find_map(|s| {
+                let d = s.first_diverging_line.as_ref()?;
+                let text = |t: &Option<String>| t.as_deref().map_or(Json::Null, Json::str);
+                Some(Json::obj([
+                    ("schedule_seed", Json::int(s.seed as i64)),
+                    ("index", Json::int(d.index as i64)),
+                    ("sequential", text(&d.sequential)),
+                    ("schedule", text(&d.schedule)),
+                ]))
+            });
             let entry = Json::obj([
                 ("loop", Json::str(&info.name)),
                 ("line", Json::int(info.line as i64)),
@@ -622,6 +656,8 @@ impl Session {
                 ("race_free", Json::Bool(cert.race_free())),
                 ("race_count", Json::int(cert.race_count() as i64)),
                 ("races", Json::Arr(races)),
+                ("result_matches", Json::Bool(cert.result_matches())),
+                ("first_diverging_line", diverging.unwrap_or(Json::Null)),
                 ("iterations", agg(|o| o.iterations)),
                 ("shared_accesses", agg(|o| o.shared_accesses)),
                 ("schedule_decisions", agg(|o| o.schedule_decisions)),
@@ -640,6 +676,7 @@ impl Session {
                     cert.schedules_run(),
                     cert.race_count(),
                     entry.get("races").cloned().unwrap_or(Json::Arr(vec![])),
+                    cert.result_matches(),
                 ));
             }
             loops.push(entry);
@@ -649,11 +686,12 @@ impl Session {
             ("loops", Json::Arr(loops)),
             ("poly", self.poly_json()),
         ];
-        if let Some((name, run, race_count, races)) = single {
+        if let Some((name, run, race_count, races, matches)) = single {
             fields.push(("loop", Json::str(name)));
             fields.push(("schedules_run", Json::int(run as i64)));
             fields.push(("race_count", Json::int(race_count as i64)));
             fields.push(("races", races));
+            fields.push(("result_matches", Json::Bool(matches)));
         }
         Ok(Json::obj(fields))
     }
@@ -717,6 +755,7 @@ impl Session {
                     ("overlaid", Json::int(self.cert.overlaid as i64)),
                     ("diverged", Json::int(self.cert.diverged as i64)),
                     ("shared", Json::int(self.cert.shared as i64)),
+                    ("diverging", Json::int(self.cert.diverging as i64)),
                 ]),
             ),
             ("poly", self.poly_json()),

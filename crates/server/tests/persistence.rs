@@ -459,18 +459,17 @@ fn version_bumped_snapshot_cold_starts_cleanly() {
     corruption_case("version", |b| b[8] = b[8].wrapping_add(1));
 }
 
-/// A snapshot from the previous format (version 6: no value hashes, and
-/// input hashes that fold callee keys) is discarded for a clean cold
-/// start, never misread, and the directory is rewritten in this build's
-/// format.
+/// A snapshot from the previous format (version 7: a run's carried
+/// dependences without their kinds) is discarded for a clean cold start,
+/// never misread, and the directory is rewritten in this build's format.
 #[test]
 fn old_version_snapshot_cold_starts_cleanly() {
     corruption_case("old-version", |b| {
-        b[8..12].copy_from_slice(&6u32.to_le_bytes());
+        b[8..12].copy_from_slice(&7u32.to_le_bytes());
     });
 }
 
-/// A log from the previous format (version 4) over a valid base does not
+/// A log from the previous format (version 5) over a valid base does not
 /// replay: the base alone warms the open, what only the log held is
 /// recomputed to the same answer, and the open folds the pair afresh.
 #[test]
@@ -489,7 +488,7 @@ fn old_version_log_is_ignored_and_folded_away() {
     let log_path = dir.join(SNAPSHOT_LOG_FILE);
     let mut log = std::fs::read(&log_path).unwrap();
     assert!(log.len() > suif_analysis::snapshot::LOG_HEADER_LEN);
-    log[8..12].copy_from_slice(&4u32.to_le_bytes());
+    log[8..12].copy_from_slice(&5u32.to_le_bytes());
     std::fs::write(&log_path, &log).unwrap();
 
     let mut s = open(&dir);

@@ -7,7 +7,7 @@
 //! last holds certification's cost linear in a loop's trip count.
 
 use suif_analysis::{ParallelizeConfig, Parallelizer, VarClass};
-use suif_dynamic::race::Race;
+use suif_dynamic::Race;
 use suif_dynamic::Value;
 use suif_ir::{parse_program, Program, StmtId};
 use suif_parallel::plan::minimal_plan;

@@ -52,7 +52,8 @@ fn plannable(program: &Program) -> Vec<(StmtId, PlanEntry)> {
         .collect()
 }
 
-/// Where `got` and `want`, one schedule each, differ in what they found.
+/// Where `got` and `want`, one schedule each, differ in what they found or
+/// in how their results were judged against the sequential run.
 fn differs(got: &ScheduleReport, want: &ScheduleReport) -> Option<String> {
     let bits = |m: &[Value]| -> Vec<(bool, u64)> {
         m.iter()
@@ -76,6 +77,13 @@ fn differs(got: &ScheduleReport, want: &ScheduleReport) -> Option<String> {
         Some(format!("error {:?} against {:?}", g.error, w.error))
     } else if bits(&g.memory) != bits(&w.memory) {
         Some("final memory".to_string())
+    } else if (got.result_matches, &got.first_diverging_line)
+        != (want.result_matches, &want.first_diverging_line)
+    {
+        Some(format!(
+            "judged {:?} against {:?}",
+            got.first_diverging_line, want.first_diverging_line
+        ))
     } else {
         None
     }

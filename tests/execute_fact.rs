@@ -111,10 +111,10 @@ fn profile_fields(p: &ProfileReport) -> (u64, u64, BTreeMap<StmtId, LoopFields>)
     (p.total_ops, p.total_nanos, loops.collect())
 }
 
-fn dyndep_fields(d: &DynDepReport) -> BTreeMap<StmtId, BTreeSet<VarId>> {
+fn dyndep_fields(d: &DynDepReport) -> BTreeMap<StmtId, BTreeMap<VarId, u8>> {
     d.deps
         .iter()
-        .map(|(&s, vars)| (s, vars.iter().copied().collect()))
+        .map(|(&s, vars)| (s, vars.iter().map(|(&v, &k)| (v, k)).collect()))
         .collect()
 }
 
@@ -129,7 +129,7 @@ type LoopCounts = (u64, u64, u64, BTreeSet<StmtId>);
 enum Observed {
     Ran {
         profile: (u64, BTreeMap<StmtId, LoopCounts>),
-        carried: BTreeMap<StmtId, BTreeSet<VarId>>,
+        carried: BTreeMap<StmtId, BTreeMap<VarId, u8>>,
         ops: u64,
     },
     Failed(String),
@@ -404,7 +404,7 @@ fn every_literal_edit_that_keeps_the_hash_keeps_the_run() {
 /// profile, the dependences, `(ops, secs)` and the Guru's `(Debug, render)`.
 type OpenedView = (
     (u64, u64, BTreeMap<StmtId, LoopFields>),
-    BTreeMap<StmtId, BTreeSet<VarId>>,
+    BTreeMap<StmtId, BTreeMap<VarId, u8>>,
     (u64, u64),
     (String, String),
 );

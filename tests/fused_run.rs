@@ -1,16 +1,13 @@
 //! An open interprets the program once, under `(LoopProfiler,
 //! DynDepAnalyzer)`.  Everything the Explorer takes from that one run must
 //! equal what two runs — each analyzer alone in its own machine — report,
-//! and the Guru built on it must rank and flag the same loops.  The run
-//! ignores only induction variables; the reductions the verdicts found are
-//! dropped from its report afterwards, which must equal a run that ignored
-//! them.
+//! the reductions the verdicts found dropped from the dependences, and the
+//! Guru built on it must rank and flag the same loops.
 
-use suif_analysis::{ParallelizeConfig, Parallelizer};
-use suif_benchmarks::{apps, ch4_apps, ch6_apps, Scale};
+use suif_benchmarks::{ch4_apps, Scale};
 use suif_dynamic::machine::Machine;
-use suif_dynamic::{DynDepAnalyzer, DynDepConfig, Hooks, LoopProfiler};
-use suif_explorer::explorer::dyndep_config;
+use suif_dynamic::{DynDepAnalyzer, Hooks, LoopProfiler};
+use suif_explorer::explorer::{dyndep_config, reduction_ignores};
 use suif_explorer::{Explorer, GuruReport};
 use suif_ir::Program;
 
@@ -48,7 +45,7 @@ fn assert_fused_equals_separate(name: &str, program: &Program, input: &[f64]) {
     let profile = profiler.report();
     let mut dd = DynDepAnalyzer::new(dyndep_config(program, &ex.analysis));
     run_alone(program, input, &mut dd);
-    let dyndep = dd.report();
+    let dyndep = dd.report().ignoring(&reduction_ignores(&ex.analysis));
 
     assert_eq!(ex.profile.total_ops, profile.total_ops, "{name}");
     assert!(ex.execution.ops >= profile.total_ops, "{name}");
@@ -96,48 +93,6 @@ fn fused_run_equals_separate_runs_on_ch4_apps() {
     for bench in ch4_apps(Scale::Test) {
         assert_fused_equals_separate(bench.name, &bench.parse(), &bench.input);
     }
-}
-
-#[test]
-fn reductions_filtered_after_the_run_equal_reductions_ignored_in_it() {
-    let scale = Scale::Test;
-    let mut programs: Vec<(String, Program, Vec<f64>)> = Vec::new();
-    let mut suite = ch4_apps(scale);
-    suite.push(apps::flo88(scale, true));
-    suite.push(apps::wave5(scale));
-    suite.push(apps::hydro2d(scale));
-    suite.extend(ch6_apps(scale));
-    assert_eq!(suite.len(), 13);
-    for bench in suite {
-        programs.push((bench.name.to_string(), bench.parse(), bench.input));
-    }
-    for seed in 0..200 {
-        let program = suif_ir::parse_program(&minif_gen::source_for_seed(seed)).unwrap();
-        programs.push((minif_gen::name_for_seed(seed), program, Vec::new()));
-    }
-    let mut filtered = 0;
-    for (name, program, input) in &programs {
-        let analysis = Parallelizer::analyze(program, ParallelizeConfig::default());
-        let ignoring = dyndep_config(program, &analysis);
-        let mut during = DynDepAnalyzer::new(ignoring.clone());
-        run_alone(program, input, &mut during);
-        let mut after = DynDepAnalyzer::new(DynDepConfig {
-            ignore_loop_vars: Default::default(),
-            ..ignoring.clone()
-        });
-        run_alone(program, input, &mut after);
-        let (during, after) = (during.report(), after.report());
-        filtered += usize::from(during.deps != after.deps);
-        assert_eq!(
-            during.deps,
-            after.ignoring(&ignoring.ignore_loop_vars).deps,
-            "{name}"
-        );
-    }
-    assert!(
-        filtered >= 100,
-        "only {filtered} runs saw a reduction's dependence"
-    );
 }
 
 #[test]

@@ -12,7 +12,8 @@
 //!    reductions);
 //! 3. **static/dynamic agreement** — a loop the compiler declares parallel
 //!    with no transformations (every object class `Parallel`) never shows a
-//!    loop-carried flow dependence in the dynamic dependence analyzer.
+//!    loop-carried dependence of any kind — flow, anti or output — in the
+//!    dynamic dependence analyzer.
 //!
 //! The shrunk counterexamples checked into
 //! `tests/prop_random_programs.proptest-regressions` are replayed first (see
@@ -23,7 +24,8 @@ use minif_gen::*;
 use proptest::prelude::*;
 use suif_analysis::{ParallelizeConfig, Parallelizer, VarClass};
 use suif_dynamic::machine::{Machine, NoHooks};
-use suif_dynamic::{DynDepAnalyzer, DynDepConfig};
+use suif_dynamic::DynDepAnalyzer;
+use suif_explorer::explorer::dyndep_config;
 use suif_parallel::{
     measure_parallel, measure_sequential, Finalization, ParallelPlans, RuntimeConfig, Schedule,
 };
@@ -132,8 +134,9 @@ proptest! {
         let src = render_program(&loops);
         let program = suif_ir::parse_program(&src).expect("parse");
         let pa = Parallelizer::analyze(&program, ParallelizeConfig::default());
-        // Dynamic run with no ignore sets at all: every flow dep observed.
-        let mut dd = DynDepAnalyzer::new(DynDepConfig::default());
+        // Dynamic run ignoring only the induction variables: every carried
+        // dependence observed, whatever its kind.
+        let mut dd = DynDepAnalyzer::new(dyndep_config(&program, &pa));
         {
             let mut m = Machine::new(&program, &mut dd).unwrap();
             m.run().unwrap();
@@ -154,9 +157,11 @@ proptest! {
                 continue;
             }
             let dyn_vars: Vec<String> = rep
-                .dep_vars(li.stmt)
-                .filter(|v| *v != li.var) // the induction variable itself
-                .map(|v| program.var(v).name.clone())
+                .deps
+                .get(&li.stmt)
+                .into_iter()
+                .flatten()
+                .map(|(&v, &kinds)| format!("{} ({kinds:#05b})", program.var(v).name))
                 .collect();
             prop_assert!(
                 dyn_vars.is_empty(),
